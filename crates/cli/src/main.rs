@@ -5,6 +5,7 @@
 //! dgrace analyze <trace.dgrt> [-o summary.dgas] [--json]
 //! dgrace detect <detector> <trace.dgrt> [--max-races N] [--shards N] [--pipeline] [--prune-with summary.dgas]
 //!                                       [--plan-with summary.dgas] [--affinity-with summary.dgas]
+//!                                       [--shadow hash|paged]
 //!                                       [--shadow-budget BYTES] [--memory-limit BYTES]
 //!                                       [--resync] [--json] [--self-heal]
 //!                                       [--checkpoint-dir D] [--checkpoint-every N|Ns] [--resume D]
@@ -13,7 +14,8 @@
 //!                       [--degrade-sample SPEC|off] [--idle-timeout SECS]
 //!                       [--checkpoint-dir D] [--checkpoint-every N] [--resume]
 //!                       [--shadow-budget BYTES] [--memory-limit BYTES] [--credits N]
-//! dgrace feed <detector> <trace.dgrt> <socket> [--session NAME] [--retry N] [--json]
+//! dgrace feed <detector> <trace.dgrt> <socket> [--session NAME] [--retry N] [--json] [--resync]
+//! dgrace compare <detA> <detB> <trace.dgrt> [--shadow hash|paged]
 //! dgrace stats <trace.dgrt>
 //! dgrace list
 //! ```
@@ -34,18 +36,17 @@ use std::sync::Arc;
 
 use dgrace_analysis::analyze_with_stats;
 use dgrace_baselines::{HybridDetector, LockSetDetector, SegmentDetector};
-use dgrace_core::{DynamicConfig, DynamicGranularityOn};
+use dgrace_core::vc_detector;
 use dgrace_detectors::{
-    Detector, DetectorExt, DjitOn, FastTrackOn, Governed, GovernorSpec, Granularity,
-    OracleDetector, Report, SampleSpec, Sampled, ShardableDetector, StaticPruneFilter,
+    Detector, DetectorExt, Governed, GovernorSpec, OracleDetector, Report, SampleSpec, Sampled,
+    ShardableDetector, StaticPruneFilter,
 };
 use dgrace_runtime::{
-    replay_checkpointed_planned, replay_pipelined_checkpointed_planned, replay_pipelined_planned,
-    replay_sharded_planned, CheckpointInterval, CheckpointManifest, CheckpointOptions, ReplayError,
-    SupervisorPolicy, CHECKPOINT_FILE,
+    replay, CheckpointInterval, CheckpointManifest, CheckpointOptions, ReplayError, RunPlan,
+    SupervisorPolicy, Transport, CHECKPOINT_FILE,
 };
 use dgrace_server::{Client, ClientError, Server, ServerConfig};
-use dgrace_shadow::{HashSelect, PagedSelect, StoreSelect};
+use dgrace_shadow::{HashSelect, PagedSelect};
 use dgrace_trace::io::{read_summary, read_trace_with, write_summary, write_trace};
 use dgrace_trace::{
     stats::stats, trace_fingerprint, validate, AffinityMap, AnalysisSummary, DecodeLimits,
@@ -269,31 +270,19 @@ fn cmd_list() {
     }
 }
 
-/// The vector-clock detector family at a chosen shadow store. `None`
-/// means the name is not in the family (oracle, lockset, …), which only
-/// exist on the default store.
-fn make_vc_detector_on<K: StoreSelect>(name: &str) -> Option<Box<dyn Detector>> {
-    Some(match name {
-        "byte" => Box::new(FastTrackOn::<K>::with_granularity(Granularity::Byte)),
-        "word" => Box::new(FastTrackOn::<K>::with_granularity(Granularity::Word)),
-        "dynamic" => Box::new(DynamicGranularityOn::<K>::new()),
-        "dynamic-no-init" => Box::new(DynamicGranularityOn::<K>::with_config(
-            DynamicConfig::no_init_state(),
-        )),
-        "dynamic-guided" => Box::new(DynamicGranularityOn::<K>::with_config(
-            DynamicConfig::write_guided(),
-        )),
-        "djit" => Box::new(DjitOn::<K>::new()),
-        _ => return None,
-    })
+/// The vector-clock detector family (`dgrace_core::vc_detector`) at the
+/// chosen shadow store, as a shardable prototype. `None` means the name
+/// is not in the family (oracle, lockset, …), which only exist on the
+/// default store and only run serially.
+fn vc_prototype(name: &str, shadow: Shadow) -> Option<Box<dyn ShardableDetector + Send>> {
+    match shadow {
+        Shadow::Hash => vc_detector::<HashSelect>(name),
+        Shadow::Paged => vc_detector::<PagedSelect>(name),
+    }
 }
 
 fn make_detector(name: &str, shadow: Shadow) -> Result<Box<dyn Detector>, Failure> {
-    let vc = match shadow {
-        Shadow::Hash => make_vc_detector_on::<HashSelect>(name),
-        Shadow::Paged => make_vc_detector_on::<PagedSelect>(name),
-    };
-    if let Some(det) = vc {
+    if let Some(det) = vc_prototype(name, shadow) {
         return Ok(det);
     }
     if shadow == Shadow::Paged {
@@ -552,34 +541,13 @@ fn load_trace(path: &str, resync: bool) -> Result<(Trace, DecodeStats), Failure>
     Ok((trace, dstats))
 }
 
-/// Prototype for sharded replay, for the detectors that support address
-/// partitioning (the vector-clock family). `Send` because the supervised
-/// engine keeps the prototype alive to respawn replacement shards.
-fn make_shardable_on<K: StoreSelect>(name: &str) -> Option<Box<dyn ShardableDetector + Send>> {
-    Some(match name {
-        "byte" => Box::new(FastTrackOn::<K>::with_granularity(Granularity::Byte)),
-        "word" => Box::new(FastTrackOn::<K>::with_granularity(Granularity::Word)),
-        "dynamic" => Box::new(DynamicGranularityOn::<K>::new()),
-        "dynamic-no-init" => Box::new(DynamicGranularityOn::<K>::with_config(
-            DynamicConfig::no_init_state(),
-        )),
-        "dynamic-guided" => Box::new(DynamicGranularityOn::<K>::with_config(
-            DynamicConfig::write_guided(),
-        )),
-        "djit" => Box::new(DjitOn::<K>::new()),
-        _ => return None,
-    })
-}
-
+/// Prototype for the sharded engine, for the detectors that support
+/// address partitioning (the vector-clock family).
 fn make_shardable(
     name: &str,
     shadow: Shadow,
 ) -> Result<Box<dyn ShardableDetector + Send>, Failure> {
-    let det = match shadow {
-        Shadow::Hash => make_shardable_on::<HashSelect>(name),
-        Shadow::Paged => make_shardable_on::<PagedSelect>(name),
-    };
-    det.ok_or_else(|| {
+    vc_prototype(name, shadow).ok_or_else(|| {
         Failure::Usage(format!(
             "detector `{name}` does not support --shards (shardable: \
              byte, word, dynamic, dynamic-no-init, dynamic-guided, djit)"
@@ -587,41 +555,72 @@ fn make_shardable(
     })
 }
 
-/// Wraps a shardable prototype in the memory governor (outermost, so it
-/// both captures the user's `--shadow-budget` and meters every arriving
-/// event) and then applies the per-shard budget slice. The governor
-/// quota splits `--memory-limit` evenly across shards, which keeps the
-/// pressure ladder deterministic: each shard decides rungs from its own
-/// substream and modeled bytes, never from global allocator state.
-fn govern_shardable(
-    det: Box<dyn ShardableDetector + Send>,
-    memory_limit: Option<u64>,
-    shard_budget: Option<u64>,
-    shards: usize,
-) -> Box<dyn ShardableDetector + Send> {
-    let mut det = match memory_limit {
-        Some(lim) => Box::new(Governed::new(det, GovernorSpec::for_limit(lim, shards)))
-            as Box<dyn ShardableDetector + Send>,
-        None => det,
-    };
-    det.set_shadow_budget(shard_budget);
-    det
+/// Re-boxing a wrapped detector `W` as the box it was built from. A
+/// detector stack is built in one of two boxes: a shardable prototype
+/// for the engine, any detector for the serial path.
+trait BoxOf<W> {
+    fn boxed(wrapped: W) -> Self;
 }
 
-/// Wraps a shardable prototype in the sampling tier. The adaptive
-/// strategy is fed the AOT heat histogram when `--plan-with` supplied
-/// one, so the admission budget concentrates where sharing churn was
-/// measured.
-fn wrap_sampled_shardable(
-    det: Box<dyn ShardableDetector + Send>,
-    spec: &SampleSpec,
-    plan: Option<&RoutingPlan>,
-) -> Box<dyn ShardableDetector + Send> {
-    let mut sampled = Sampled::new(det, spec.clone());
-    if let Some(p) = plan {
-        sampled.set_heat(p);
+impl<W: Detector> BoxOf<W> for Box<dyn Detector> {
+    fn boxed(wrapped: W) -> Self {
+        Box::new(wrapped)
     }
-    Box::new(sampled)
+}
+
+impl<W: ShardableDetector + Send> BoxOf<W> for Box<dyn ShardableDetector + Send> {
+    fn boxed(wrapped: W) -> Self {
+        Box::new(wrapped)
+    }
+}
+
+/// What `detect` wraps around the bare detector, in this order from the
+/// inside out: the affinity map; the sampling tier (its adaptive
+/// strategy fed the AOT heat histogram when `--plan-with` supplied one,
+/// so the admission budget concentrates where sharing churn was
+/// measured); the memory governor (outside the sampler, so it both
+/// captures the user's `--shadow-budget` and meters every arriving
+/// event); then the shadow budget. Budget and governor quota are
+/// whole-run caps: each shard holds a slice of the address space, so it
+/// gets a slice — which keeps the pressure ladder deterministic, each
+/// shard deciding rungs from its own substream and modeled bytes, never
+/// from global allocator state. Pruning stays outside all of it (the
+/// engine prunes upstream of the shards, the serial path in an outermost
+/// filter): pruned accesses never reach the sampler, so its budget is
+/// spent on the residue that actually needs analysis.
+struct Stack<'a> {
+    affinity: Option<Arc<AffinityMap>>,
+    sample: Option<SampleSpec>,
+    heat: Option<&'a RoutingPlan>,
+    memory_limit: Option<u64>,
+    budget: Option<u64>,
+    shards: usize,
+}
+
+impl Stack<'_> {
+    fn wrap<B>(&self, mut det: B) -> B
+    where
+        B: Detector + BoxOf<Sampled<B>> + BoxOf<Governed<B>>,
+    {
+        if let Some(map) = &self.affinity {
+            det.set_affinity(Arc::clone(map));
+        }
+        if let Some(spec) = &self.sample {
+            let mut sampled = Sampled::new(det, spec.clone());
+            if let Some(plan) = self.heat {
+                sampled.set_heat(plan);
+            }
+            det = B::boxed(sampled);
+        }
+        if let Some(lim) = self.memory_limit {
+            det = B::boxed(Governed::new(
+                det,
+                GovernorSpec::for_limit(lim, self.shards),
+            ));
+        }
+        det.set_shadow_budget(self.budget.map(|b| (b / self.shards as u64).max(1)));
+        det
+    }
 }
 
 /// Maps a finished report onto the process exit code: success for clean
@@ -697,7 +696,7 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     let det_name = p.positional(0).ok_or("detect: missing detector name")?;
     let path = p.positional(1).ok_or("detect: missing trace file")?;
     let max_races: usize = p.opt_parse("--max-races")?.unwrap_or(25);
-    let shards: usize = p.opt_parse("--shards")?.unwrap_or(1);
+    let shards: usize = p.opt_parse("--shards")?.unwrap_or(1).max(1);
     let budget: Option<u64> = p.opt_parse("--shadow-budget")?;
     if budget == Some(0) {
         return Err("--shadow-budget must be positive (omit it for no cap)".into());
@@ -742,34 +741,29 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     };
     let routes: Vec<(u64, u64, usize)> = plan_summary
         .as_ref()
-        .map(|s| s.plan.compile(shards.max(1)))
+        .map(|s| s.plan.compile(shards))
         .unwrap_or_default();
-    let heat: Option<&RoutingPlan> = plan_summary.as_ref().map(|s| &s.plan);
     let affinity: Option<Arc<AffinityMap>> = match p.opt("--affinity-with") {
         Some(sp) => Some(compile_affinity(det_name, &load_summary(sp, &trace)?)?),
         None => None,
     };
 
+    let stack = Stack {
+        affinity,
+        sample,
+        heat: plan_summary.as_ref().map(|s| &s.plan),
+        memory_limit,
+        budget,
+        shards,
+    };
+
     let start = std::time::Instant::now();
     let ckpt_some = ckpt_dir.is_some() || resume_dir.is_some();
-    let report = if ckpt_some || self_heal {
-        // The checkpointing engine path: sharded replay (1 shard is fine)
-        // with periodic durable snapshots, crash resume, and optionally a
-        // self-healing supervisor.
-        let mut proto = make_shardable(det_name, shadow)?;
-        if let Some(map) = &affinity {
-            proto.set_affinity(Arc::clone(map));
-        }
-        let proto = match &sample {
-            Some(spec) => wrap_sampled_shardable(proto, spec, heat),
-            None => proto,
-        };
-        let proto = govern_shardable(
-            proto,
-            memory_limit,
-            budget.map(|b| (b / shards.max(1) as u64).max(1)),
-            shards.max(1),
-        );
+    let report = if ckpt_some || self_heal || shards > 1 || pipeline {
+        // The engine path: sharded replay (1 shard is fine) on either
+        // transport, with optional durable checkpoints, crash resume and
+        // a self-healing supervisor.
+        let proto = stack.wrap(make_shardable(det_name, shadow)?);
         let resume = match &resume_dir {
             Some(d) => {
                 let file = d.join(CHECKPOINT_FILE);
@@ -792,77 +786,29 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
             dir,
             every: every.unwrap_or(CheckpointInterval::Events(65536)),
         });
-        let policy = self_heal.then(SupervisorPolicy::default);
-        // Graceful interruption: SIGINT/SIGTERM flip a flag the replay
-        // loop polls, so the run winds down with a final checkpoint and
-        // a partial report (exit 9) instead of dying mid-trace.
-        let stop = signals::install_stop_flag();
-        let run = if pipeline {
-            replay_pipelined_checkpointed_planned
-        } else {
-            replay_checkpointed_planned
-        };
-        run(
-            proto,
-            &trace,
-            shards.max(1),
+        let plan = RunPlan {
+            shards,
+            transport: if pipeline {
+                Transport::Rings
+            } else {
+                Transport::Funnel
+            },
             prune,
-            policy,
-            ckpt.as_ref(),
-            resume.as_ref(),
-            &routes,
-            Some(stop),
-        )
-        .map_err(replay_failure)?
-    } else if shards > 1 || pipeline {
-        let mut proto = make_shardable(det_name, shadow)?;
-        if let Some(map) = &affinity {
-            proto.set_affinity(Arc::clone(map));
-        }
-        let proto = match &sample {
-            Some(spec) => wrap_sampled_shardable(proto, spec, heat),
-            None => proto,
+            routes: &routes,
+            supervisor: self_heal.then(SupervisorPolicy::default),
+            checkpoint: ckpt.as_ref(),
+            resume: resume.as_ref(),
+            // Graceful interruption of a durable or supervised run:
+            // SIGINT/SIGTERM flip a flag the replay loop polls, so the
+            // run winds down with a final checkpoint and a partial
+            // report (exit 9) instead of dying mid-trace.
+            stop: (ckpt_some || self_heal).then(signals::install_stop_flag),
         };
-        // The budget (like the governor quota) is a whole-run cap: each
-        // shard holds a slice of the address space, so it gets a slice.
-        let proto = govern_shardable(
-            proto,
-            memory_limit,
-            budget.map(|b| (b / shards.max(1) as u64).max(1)),
-            shards.max(1),
-        );
-        if pipeline {
-            replay_pipelined_planned(proto.as_ref(), &trace, shards.max(1), prune, &routes)
-        } else {
-            replay_sharded_planned(proto.as_ref(), &trace, shards, prune, &routes)
-        }
+        replay(proto, &trace, &plan).map_err(replay_failure)?
     } else {
-        let mut det = make_detector(det_name, shadow)?;
-        if let Some(map) = &affinity {
-            det.set_affinity(Arc::clone(map));
-        }
-        // Prune stays *outside* the sampler (same ordering as the sharded
-        // engines, which prune upstream of the shards): pruned accesses
-        // never reach the sampler, so its budget is spent on the
-        // residue that actually needs analysis.
-        let det: Box<dyn Detector> = match &sample {
-            Some(spec) => {
-                let mut s = Sampled::new(det, spec.clone());
-                if let Some(plan) = heat {
-                    s.set_heat(plan);
-                }
-                Box::new(s)
-            }
-            None => det,
-        };
-        // The governor wraps outside the sampler (it meters arrivals and
-        // captures the user budget) but inside the prune filter, exactly
-        // like the sharded engines where pruning happens upstream.
-        let mut det: Box<dyn Detector> = match memory_limit {
-            Some(lim) => Box::new(Governed::new(det, GovernorSpec::for_limit(lim, 1))),
-            None => det,
-        };
-        det.set_shadow_budget(budget);
+        // The direct serial path: the only one the non-shardable
+        // detectors (oracle, segment, hybrid, lockset) can run on.
+        let mut det = stack.wrap(make_detector(det_name, shadow)?);
         if prune.is_empty() {
             det.run(&trace)
         } else {
@@ -877,10 +823,7 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     } else {
         if shards > 1 || pipeline {
             let path = if pipeline { "pipelined" } else { "sharded" };
-            println!(
-                "{path} replay: {} detector shards (merged report)",
-                shards.max(1)
-            );
+            println!("{path} replay: {shards} detector shards (merged report)");
         }
         render::report(&report, &trace, secs, max_races);
     }
@@ -897,7 +840,7 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         );
         return Ok(ExitCode::from(EXIT_INTERRUPTED));
     }
-    detect_exit(&report, shards.max(1))
+    detect_exit(&report, shards)
 }
 
 /// Maps a `dgrace feed` client failure onto the stable exit-code

@@ -41,6 +41,8 @@
 //! * [`DynamicConfig`] — the Table 5 ablation switches
 //!   (`share_at_init`, `init_state`) plus tuning knobs.
 //! * [`VcState`] — the state machine, exposed for inspection and testing.
+//! * [`vc_detector`] — the name → detector table of the whole
+//!   vector-clock family (FastTrack, DJIT+, dynamic granularity).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,3 +59,28 @@ pub use detector::{
 };
 pub use plane::{GroupSnapshot, Plane, PlaneOn};
 pub use state::VcState;
+
+use dgrace_detectors::{DjitOn, FastTrackOn, Granularity, ShardableDetector};
+use dgrace_shadow::StoreSelect;
+
+/// The vector-clock detector family by CLI/wire name, on the shadow
+/// store `K`: `byte`, `word`, `dynamic`, `dynamic-no-init`,
+/// `dynamic-guided`, `djit`. `None` means the name is not in the family.
+/// The box is a shardable prototype and (being a `Detector` itself) a
+/// serial detector; `Send` because a supervised engine keeps the
+/// prototype alive to respawn replacement shards.
+pub fn vc_detector<K: StoreSelect>(name: &str) -> Option<Box<dyn ShardableDetector + Send>> {
+    Some(match name {
+        "byte" => Box::new(FastTrackOn::<K>::with_granularity(Granularity::Byte)),
+        "word" => Box::new(FastTrackOn::<K>::with_granularity(Granularity::Word)),
+        "dynamic" => Box::new(DynamicGranularityOn::<K>::new()),
+        "dynamic-no-init" => Box::new(DynamicGranularityOn::<K>::with_config(
+            DynamicConfig::no_init_state(),
+        )),
+        "dynamic-guided" => Box::new(DynamicGranularityOn::<K>::with_config(
+            DynamicConfig::write_guided(),
+        )),
+        "djit" => Box::new(DjitOn::<K>::new()),
+        _ => return None,
+    })
+}

@@ -78,7 +78,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::queue::ArrayQueue;
-use dgrace_detectors::{merge_shard_reports, Detector, Recorder, Report, ShardFailure, Tee};
+use dgrace_detectors::{
+    merge_shard_reports, Detector, Recorder, Report, ShardFailure, ShardableDetector, Tee,
+};
 use dgrace_trace::{Event, PruneSet, Tid, Trace};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
@@ -227,6 +229,23 @@ impl Default for SupervisorPolicy {
 
 /// Builds a replacement detector for the given shard index.
 pub(crate) type DetectorFactory = Arc<dyn Fn(usize) -> Box<dyn Detector + Send> + Send + Sync>;
+
+/// One fresh detector per shard (at least one), in shard order.
+pub(crate) fn mint<D: ShardableDetector + ?Sized>(
+    prototype: &D,
+    shards: usize,
+) -> Vec<Box<dyn Detector + Send>> {
+    (0..shards.max(1)).map(|_| prototype.new_shard()).collect()
+}
+
+/// A respawn factory that owns the prototype. The prototype itself need
+/// not be `Sync` (the paged shadow store carries a `Cell` hot-entry
+/// cache) and the factory may be invoked concurrently from several
+/// shard workers healing at once; the mutex serializes `new_shard`.
+pub(crate) fn respawn_from<D: ShardableDetector + Send>(prototype: D) -> DetectorFactory {
+    let proto = Mutex::new(prototype);
+    Arc::new(move |_| proto.lock().new_shard())
+}
 
 struct Supervisor {
     factory: DetectorFactory,
@@ -520,34 +539,18 @@ impl Engine {
         Self::build(detectors, opts, PruneSet::empty(), None)
     }
 
-    pub(crate) fn with_prune(
+    /// Builds an engine over `detectors` (one per shard). With a
+    /// `supervisor` it self-heals: on a shard panic it spawns
+    /// `factory(shard)`, rolls it forward from the last checkpoint plus
+    /// the journal delta, and re-feeds the offending batch, within the
+    /// respawn budget of the policy.
+    pub(crate) fn build(
         detectors: Vec<Box<dyn Detector + Send>>,
         opts: RuntimeOptions,
         prune: PruneSet,
+        supervisor: Option<(DetectorFactory, SupervisorPolicy)>,
     ) -> Self {
-        Self::build(detectors, opts, prune, None)
-    }
-
-    /// Builds a self-healing engine: on a shard panic the supervisor
-    /// spawns `factory(shard)`, rolls it forward from the last checkpoint
-    /// plus the journal delta, and re-feeds the offending batch, within
-    /// the respawn budget of `policy`.
-    pub(crate) fn with_supervisor(
-        detectors: Vec<Box<dyn Detector + Send>>,
-        opts: RuntimeOptions,
-        prune: PruneSet,
-        factory: DetectorFactory,
-        policy: SupervisorPolicy,
-    ) -> Self {
-        Self::build(detectors, opts, prune, Some(Supervisor { factory, policy }))
-    }
-
-    fn build(
-        detectors: Vec<Box<dyn Detector + Send>>,
-        opts: RuntimeOptions,
-        prune: PruneSet,
-        supervisor: Option<Supervisor>,
-    ) -> Self {
+        let supervisor = supervisor.map(|(factory, policy)| Supervisor { factory, policy });
         assert!(!detectors.is_empty(), "engine needs at least one shard");
         let shards = detectors
             .into_iter()
@@ -669,21 +672,9 @@ impl Engine {
     ///
     /// Each per-shard part receives one sequence stamp, taken while the
     /// shard lock is held; events within a part keep their program order.
-    pub(crate) fn dispatch(&self, mut batch: Vec<Event>) {
-        // Offline replay feeds dispatch directly (bypassing push), so the
-        // prune predicate is applied here too; online batches were
-        // already filtered at push time and pass through unchanged.
-        if !self.prune.is_empty() {
-            let before = batch.len();
-            batch.retain(|ev| !self.prunes(ev));
-            let dropped = (before - batch.len()) as u64;
-            if dropped > 0 {
-                self.pruned.fetch_add(dropped, Ordering::Relaxed);
-            }
-            if batch.is_empty() {
-                return;
-            }
-        }
+    /// The prune predicate has already been applied upstream: at `push`
+    /// online, in the replay driver's step offline.
+    pub(crate) fn dispatch(&self, batch: Vec<Event>) {
         let n = batch.len() as u64;
         if self.shards.len() == 1 {
             let mut shard = self.shards[0].lock();
@@ -946,10 +937,10 @@ impl Engine {
         self.dispatch(vec![ev]);
     }
 
-    // ---- parallel-pipeline support (see `crate::pipeline`) ------------
+    // ---- replay-driver and ring-transport support ---------------------
 
     /// Whether the warm-start prune predicate drops this event. The
-    /// pipeline producer prunes before routing, exactly like `dispatch`.
+    /// replay driver prunes before handing an event to its transport.
     pub(crate) fn prunes_event(&self, ev: &Event) -> bool {
         !self.prune.is_empty() && self.prunes(ev)
     }
@@ -1531,9 +1522,7 @@ mod tests {
         // the race on the faulted shard is still detected.
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 2);
         let detectors = (0..2).map(|_| proto.new_shard()).collect();
-        let proto = Mutex::new(proto);
-        let factory: DetectorFactory = Arc::new(move |_| proto.lock().new_shard());
-        let eng = Engine::with_supervisor(
+        let eng = Engine::build(
             detectors,
             RuntimeOptions {
                 shards: 2,
@@ -1541,8 +1530,7 @@ mod tests {
                 record: false,
             },
             PruneSet::empty(),
-            factory,
-            SupervisorPolicy::default(),
+            Some((respawn_from(proto), SupervisorPolicy::default())),
         );
         eng.dispatch(vec![w(0, 0x1100)]); // shard 1, survives
         eng.dispatch(vec![w(1, 0x1100)]); // shard 1, panics → heals → races
@@ -1576,7 +1564,7 @@ mod tests {
             }
         }
         let factory: DetectorFactory = Arc::new(|_| Box::new(AlwaysPanic));
-        let eng = Engine::with_supervisor(
+        let eng = Engine::build(
             vec![Box::new(AlwaysPanic)],
             RuntimeOptions {
                 shards: 1,
@@ -1584,11 +1572,13 @@ mod tests {
                 record: false,
             },
             PruneSet::empty(),
-            factory,
-            SupervisorPolicy {
-                max_respawns: 2,
-                window: 1000,
-            },
+            Some((
+                factory,
+                SupervisorPolicy {
+                    max_respawns: 2,
+                    window: 1000,
+                },
+            )),
         );
         eng.dispatch(vec![w(0, 0x100)]);
         let rep = eng.finish();

@@ -7,8 +7,9 @@
 //! [`IngestSession`] packages the sharded [`Engine`](crate::engine) for
 //! that shape:
 //!
-//! * **Funnel-exact feeding.** Events are fed with the same ordering
-//!   rules as [`crate::replay_sharded`]: accesses batch into a pending
+//! * **Funnel-exact feeding.** A session *is* the replay driver on the
+//!   funnel transport, stepped from a socket instead of walked over a
+//!   `Trace` (see [`crate::replay`]): accesses batch into a pending
 //!   buffer, sync events flush the batch and broadcast, `Alloc` events
 //!   register their range with the router first. A live session that
 //!   feeds the same event sequence as an offline replay produces a
@@ -29,16 +30,21 @@
 //!   client replays only the suffix.
 
 use dgrace_detectors::{RaceReport, Report, ShardableDetector};
-use dgrace_shadow::{process_gauge, MemComponent};
 use dgrace_trace::{Event, PruneSet};
 
 use crate::checkpoint::CheckpointManifest;
-use crate::engine::{Engine, RuntimeOptions};
+use crate::engine::{mint, Engine};
+use crate::replay::{assemble, resume_from, Driver, Funnel, ReplayError};
 
 /// Maximum pending accesses before a forced dispatch. Bounds both the
 /// session's buffering and the latency between an event arriving and
 /// its shard seeing it, even on sync-free streams.
 pub const INGEST_BATCH: usize = 256;
+
+/// Why a live funnel step cannot fail: its barrier is a local flush and
+/// a session has no checkpoint cadence of its own (the server saves the
+/// manifests it asks for).
+const FUNNEL_INFALLIBLE: &str = "a live funnel has no fallible barrier";
 
 /// One live detection session: a sharded engine fed incrementally.
 ///
@@ -47,11 +53,7 @@ pub const INGEST_BATCH: usize = 256;
 /// analysis by address exactly like offline replay.
 pub struct IngestSession {
     engine: Engine,
-    det_name: String,
-    pending: Vec<Event>,
-    /// Logical events fed so far (accesses + syncs), i.e. the stream
-    /// offset the next event will occupy.
-    fed: u64,
+    driver: Driver<'static, Funnel>,
     /// Per-shard positions into `races_so_far()` already drained.
     watermarks: Vec<usize>,
 }
@@ -65,33 +67,22 @@ impl IngestSession {
         shards: usize,
         shadow_budget: Option<u64>,
     ) -> Self {
-        let shards = shards.max(1);
-        let detectors = (0..shards)
-            .map(|_| {
-                let mut det = prototype.new_shard();
-                if shadow_budget.is_some() {
-                    det.set_shadow_budget(shadow_budget);
-                }
-                det
-            })
-            .collect();
-        let opts = RuntimeOptions {
-            shards,
-            buffer_capacity: 1,
-            record: false,
-        };
+        let mut detectors = mint(prototype, shards);
+        if shadow_budget.is_some() {
+            for det in &mut detectors {
+                det.set_shadow_budget(shadow_budget);
+            }
+        }
         IngestSession {
-            engine: Engine::with_prune(detectors, opts, PruneSet::empty()),
-            det_name: prototype.name(),
-            pending: Vec::new(),
-            fed: 0,
-            watermarks: vec![0; shards],
+            watermarks: vec![0; detectors.len()],
+            engine: assemble(detectors, PruneSet::empty(), &[], None),
+            driver: Driver::new(Funnel::new(true), prototype.name(), 0, None),
         }
     }
 
     /// The prototype detector's name (checkpoint identity).
     pub fn detector(&self) -> &str {
-        &self.det_name
+        &self.driver.det_name
     }
 
     /// Number of detector shards.
@@ -101,27 +92,12 @@ impl IngestSession {
 
     /// Logical events fed so far — the offset of the next event.
     pub fn events(&self) -> u64 {
-        self.fed
+        self.driver.offset
     }
 
     /// Feeds one event, preserving the offline funnel's ordering rules.
     pub fn feed(&mut self, ev: &Event) {
-        if ev.is_sync() {
-            self.flush();
-            self.engine.emit_sync(ev.tid(), *ev);
-        } else {
-            if let Event::Alloc { addr, size, .. } = *ev {
-                self.engine.register_range(addr.0, size);
-            }
-            self.pending.push(*ev);
-            // Book the buffered event against the process-wide session
-            // gauge (reporting + server shedding; never the ladder).
-            process_gauge().add(MemComponent::Sessions, std::mem::size_of::<Event>() as u64);
-            if self.pending.len() >= INGEST_BATCH {
-                self.flush();
-            }
-        }
-        self.fed += 1;
+        self.driver.step(&self.engine, ev).expect(FUNNEL_INFALLIBLE);
     }
 
     /// Feeds a batch of events in order.
@@ -133,13 +109,7 @@ impl IngestSession {
 
     /// Dispatches any pending accesses to the shards.
     pub fn flush(&mut self) {
-        if !self.pending.is_empty() {
-            process_gauge().sub(
-                MemComponent::Sessions,
-                (self.pending.len() * std::mem::size_of::<Event>()) as u64,
-            );
-            self.engine.dispatch(std::mem::take(&mut self.pending));
-        }
+        self.driver.lanes.flush(&self.engine);
     }
 
     /// Races reported since the last drain, across all shards. The
@@ -155,13 +125,7 @@ impl IngestSession {
     /// The stream has no known end, so `trace_len` records the events
     /// covered so far (equal to `trace_offset`).
     pub fn checkpoint(&mut self) -> CheckpointManifest {
-        self.flush();
-        CheckpointManifest {
-            detector: self.det_name.clone(),
-            trace_len: self.fed,
-            trace_offset: self.fed,
-            state: self.engine.capture(),
-        }
+        self.driver.manifest(&self.engine).expect(FUNNEL_INFALLIBLE)
     }
 
     /// Restores a [`checkpoint`](IngestSession::checkpoint) into this
@@ -171,25 +135,13 @@ impl IngestSession {
     /// reproduces the uninterrupted run byte-identically. Races already
     /// drained by the previous incarnation are not re-drained (the
     /// final report still carries the complete set).
-    pub fn resume(&mut self, m: &CheckpointManifest) -> Result<(), String> {
-        if m.detector != self.det_name {
-            return Err(format!(
-                "checkpoint was taken with detector '{}', this session uses '{}'",
-                m.detector, self.det_name
+    pub fn resume(&mut self, m: &CheckpointManifest) -> Result<(), ReplayError> {
+        if self.events() != 0 {
+            return Err(ReplayError::Mismatch(
+                "resume into a session that already fed events".to_string(),
             ));
         }
-        if m.shard_count() != self.shards() {
-            return Err(format!(
-                "checkpoint has {} shards, this session uses {}",
-                m.shard_count(),
-                self.shards()
-            ));
-        }
-        if self.fed != 0 {
-            return Err("resume into a session that already fed events".to_string());
-        }
-        self.engine.restore(&m.state)?;
-        self.fed = m.trace_offset;
+        self.driver.offset = resume_from(&self.engine, m, &self.driver.det_name, None)?;
         // Races inside the restored snapshots were streamed by the
         // previous incarnation; start watermarks past them.
         self.watermarks.fill(0);
@@ -199,20 +151,8 @@ impl IngestSession {
 
     /// Finishes the session: flushes, finalizes every shard, and merges
     /// the reports (exact event counts, quarantine accounting included).
-    pub fn finalize(mut self) -> Report {
-        self.flush();
-        self.engine.finish()
-    }
-}
-
-impl Drop for IngestSession {
-    fn drop(&mut self) {
-        // Retire any still-buffered events from the session gauge (a
-        // session abandoned mid-stream never flushed them).
-        process_gauge().sub(
-            MemComponent::Sessions,
-            (self.pending.len() * std::mem::size_of::<Event>()) as u64,
-        );
+    pub fn finalize(self) -> Report {
+        self.driver.finish(&self.engine).expect(FUNNEL_INFALLIBLE)
     }
 }
 

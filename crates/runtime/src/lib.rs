@@ -58,13 +58,9 @@ pub use engine::{EngineError, RuntimeOptions, SupervisorPolicy};
 pub use faults::{corrupt_byte, silence_injected_panics, PanicOnEvent, INJECTED_PANIC_MARKER};
 pub use ingest::{IngestSession, INGEST_BATCH};
 pub use mem::{TrackedArray, TrackedCell};
-pub use pipeline::{
-    replay_pipelined, replay_pipelined_checkpointed, replay_pipelined_checkpointed_planned,
-    replay_pipelined_planned, replay_pipelined_pruned, replay_pipelined_supervised,
-};
 pub use replay::{
-    replay_checkpointed, replay_checkpointed_planned, replay_sharded, replay_sharded_planned,
-    replay_sharded_pruned, replay_supervised, CheckpointInterval, CheckpointOptions, ReplayError,
+    replay, replay_pipelined, replay_sharded, CheckpointInterval, CheckpointOptions, ReplayError,
+    RunPlan, Transport,
 };
 pub use ring::{PushError, Spsc};
 pub use runtime::{JoinTicket, Runtime, ThreadHandle};

@@ -1,98 +1,492 @@
-//! Offline sharded replay: run a recorded [`Trace`] through N detector
-//! shards, exactly as the online engine would route a live run.
+//! The one replay driver: walk a source of events through N detector
+//! shards under a [`RunPlan`].
+//!
+//! Sharding, the transport, pruning, routing plans, supervision,
+//! checkpoints, resume and cooperative interruption are orthogonal to
+//! the detector, so each is a field of the plan and each is written
+//! once:
+//!
+//! * **One engine.** [`assemble`] is the only place a driven run builds
+//!   its sharded engine; [`resume_from`] is the only place a checkpoint
+//!   is checked against a run and restored into it.
+//! * **One loop.** [`Driver::step`] handles one event — prune, register
+//!   an `Alloc`'s range with the router, hand the event to the
+//!   transport, count it, checkpoint when the cadence is due.
+//!   [`replay`] walks a recorded [`Trace`] through it (polling the stop
+//!   flag between events); [`crate::IngestSession`] feeds it from a
+//!   socket.
+//! * **Two transports** behind the [`Lanes`] seam, statically
+//!   dispatched: the [`Funnel`] (this module — one thread drives every
+//!   shard, what `--shards N` runs) and the ring lanes of
+//!   [`crate::pipeline`] (one worker per shard, what `--shards N
+//!   --pipeline` runs). Both feed every shard the same per-shard
+//!   sequence — its routed accesses interleaved with all sync events in
+//!   trace order — so race sets are byte-identical and their checkpoint
+//!   manifests resume each other.
 //!
 //! Access events are routed by address (allocation events register their
 //! range with the router, so whole objects stay in one shard; addresses
-//! outside any allocation fall back to 4 KiB region hashing). Sync
-//! events are broadcast to every shard. Consecutive accesses are
-//! dispatched in batches, mirroring the online flush behaviour.
-//!
-//! This is what backs the CLI's `--shards N` flag: the replay is
-//! sequential (sharding offline is about validating the partitioned
-//! analysis and its merged report, not about speed), and for traces
+//! outside any allocation fall back to 4 KiB region hashing). For traces
 //! without allocation events a 4 KiB region boundary may split
 //! sharing-adjacent addresses across shards — the online runtime never
 //! does, because every tracked object is registered wholly with one
 //! shard.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dgrace_detectors::{Report, ShardableDetector};
+use dgrace_detectors::{Detector, Report, ShardableDetector};
+use dgrace_shadow::{process_gauge, MemComponent};
 use dgrace_trace::{Event, PruneSet, Trace};
 
 use crate::checkpoint::{CheckpointManifest, CHECKPOINT_FILE};
-use crate::engine::{DetectorFactory, Engine, RuntimeOptions, SupervisorPolicy};
+use crate::engine::{
+    mint, respawn_from, DetectorFactory, Engine, RuntimeOptions, SupervisorPolicy,
+};
+use crate::ingest::INGEST_BATCH;
+use crate::pipeline;
 
-/// Replays `trace` through `shards` instances of the prototype detector
-/// and returns the merged report. `shards == 1` reproduces a plain
-/// serialized replay.
+/// How events reach the shards.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Transport {
+    /// One thread drives every shard: accesses batch up to the next
+    /// sync event, which is broadcast under all shard locks.
+    #[default]
+    Funnel,
+    /// One worker thread per shard behind a bounded SPSC ring; sync
+    /// events travel inline in every lane (DESIGN.md §14).
+    Rings,
+}
+
+/// Everything a [`replay`] can vary, one field per concern. The default
+/// plan is one shard on the funnel with nothing pruned, planned,
+/// supervised, checkpointed, resumed or interruptible.
+#[derive(Default)]
+pub struct RunPlan<'a> {
+    /// Number of address-partitioned detector shards (`0` is treated as
+    /// `1`, which reproduces a plain serialized replay).
+    pub shards: usize,
+    /// How events reach the shards.
+    pub transport: Transport,
+    /// Warm-start prune predicate: accesses the ahead-of-time analysis
+    /// proved race-free are dropped before routing and surface in the
+    /// merged report as `stats.pruned`. It must have been compiled for
+    /// the prototype's granularity (see `AnalysisSummary::prune_set`).
+    pub prune: PruneSet,
+    /// Ahead-of-time shard routing plan: sorted, disjoint
+    /// `(base, end, shard)` buckets (see `RoutingPlan::compile`)
+    /// preloaded into the router before the first event, so the hottest
+    /// address ranges are balanced across shards instead of placed
+    /// round-robin by allocation order. Allocations overlapping a bucket
+    /// keep the planned shard.
+    pub routes: &'a [(u64, u64, usize)],
+    /// Self-healing: a shard whose detector panics is respawned from the
+    /// prototype, rolled forward through the engine's journals, and
+    /// re-fed the offending batch, within this respawn budget. With a
+    /// fault-free detector the journals are recorded but never consulted.
+    pub supervisor: Option<SupervisorPolicy>,
+    /// Where and how often to persist a [`CheckpointManifest`].
+    pub checkpoint: Option<&'a CheckpointOptions>,
+    /// A previously loaded manifest to continue from, written by either
+    /// transport. Restoring it overwrites the router wholesale with its
+    /// captured ranges, which already reflect whatever `routes` were
+    /// active when it was taken — so an interrupted planned run resumes
+    /// with the routing it started with.
+    pub resume: Option<&'a CheckpointManifest>,
+    /// Cooperative interruption flag (a SIGINT/SIGTERM handler sets it):
+    /// when it reads `true` the replay flushes what it has, writes a
+    /// final checkpoint (if configured) covering exactly the events
+    /// processed so far, and returns the *partial* report instead of
+    /// running to the end. The caller distinguishes a partial report by
+    /// re-reading the flag.
+    pub stop: Option<&'a AtomicBool>,
+}
+
+/// Replays `trace` through `plan.shards` instances of the prototype
+/// detector and returns the merged report.
+///
+/// Race sets are byte-identical across shard counts and transports, and
+/// — because detector snapshots are canonical and delta replay is exact
+/// — a run interrupted at any point and resumed from its last checkpoint
+/// (on either transport) reproduces the uninterrupted run. The
+/// prototype is taken by value because a supervised run keeps it alive
+/// to respawn replacement shards.
+pub fn replay<D: ShardableDetector + Send>(
+    prototype: D,
+    trace: &Trace,
+    plan: &RunPlan<'_>,
+) -> Result<Report, ReplayError> {
+    let detectors = mint(&prototype, plan.shards);
+    let det_name = prototype.name();
+    let supervisor = plan.supervisor.map(|p| (respawn_from(prototype), p));
+    run(det_name, detectors, supervisor, trace, plan)
+}
+
+/// [`replay`] of a borrowed prototype on the funnel under an otherwise
+/// default plan.
 pub fn replay_sharded<D: ShardableDetector + ?Sized>(
     prototype: &D,
     trace: &Trace,
     shards: usize,
 ) -> Report {
-    replay_sharded_pruned(prototype, trace, shards, PruneSet::empty())
+    replay_borrowed(prototype, trace, shards, Transport::Funnel)
 }
 
-/// [`replay_sharded`] with a warm-start prune predicate: accesses the
-/// ahead-of-time analysis proved race-free are dropped before routing,
-/// and surface in the merged report as `stats.pruned`. The prune set
-/// must have been compiled for the prototype detector's granularity
-/// (see `AnalysisSummary::prune_set`).
-pub fn replay_sharded_pruned<D: ShardableDetector + ?Sized>(
+/// [`replay_sharded`] on the ring transport.
+pub fn replay_pipelined<D: ShardableDetector + ?Sized>(
     prototype: &D,
     trace: &Trace,
     shards: usize,
-    prune: PruneSet,
 ) -> Report {
-    replay_sharded_planned(prototype, trace, shards, prune, &[])
+    replay_borrowed(prototype, trace, shards, Transport::Rings)
 }
 
-/// [`replay_sharded_pruned`] with an ahead-of-time shard routing plan:
-/// `routes` are sorted, disjoint `(base, end, shard)` buckets (see
-/// `RoutingPlan::compile`) preloaded into the router before the first
-/// event, so the hottest address ranges are balanced across shards
-/// instead of placed round-robin by allocation order. Allocations
-/// overlapping a plan bucket keep the planned shard. An empty plan is
-/// exactly [`replay_sharded_pruned`].
-pub fn replay_sharded_planned<D: ShardableDetector + ?Sized>(
+/// A borrowed prototype cannot outlive the call, so it cannot be
+/// supervised; everything else about the default plan needs no I/O.
+fn replay_borrowed<D: ShardableDetector + ?Sized>(
     prototype: &D,
     trace: &Trace,
     shards: usize,
+    transport: Transport,
+) -> Report {
+    let plan = RunPlan {
+        shards,
+        transport,
+        ..RunPlan::default()
+    };
+    run(
+        prototype.name(),
+        mint(prototype, shards),
+        None,
+        trace,
+        &plan,
+    )
+    .expect("a plan without checkpoint or resume performs no fallible I/O")
+}
+
+/// Builds the sharded engine of a driven run — replay or live session —
+/// with the routing plan preloaded before the first event.
+pub(crate) fn assemble(
+    detectors: Vec<Box<dyn Detector + Send>>,
     prune: PruneSet,
     routes: &[(u64, u64, usize)],
-) -> Report {
-    let shards = shards.max(1);
+    supervisor: Option<(DetectorFactory, SupervisorPolicy)>,
+) -> Engine {
     let opts = RuntimeOptions {
-        shards,
+        shards: detectors.len(),
         buffer_capacity: 1,
         record: false,
     };
-    let detectors = (0..shards).map(|_| prototype.new_shard()).collect();
-    let engine = Engine::with_prune(detectors, opts, prune);
+    let engine = Engine::build(detectors, opts, prune, supervisor);
     engine.preload_routes(routes);
+    engine
+}
 
-    let mut pending: Vec<Event> = Vec::new();
-    for ev in trace.iter() {
-        if ev.is_sync() {
-            if !pending.is_empty() {
-                engine.dispatch(std::mem::take(&mut pending));
+/// Checks that a manifest matches the run it is resumed into (same
+/// detector, same shard count, same trace — a live stream passes
+/// `len: None`, its length being unknown) and restores it, returning the
+/// offset of the first event the checkpoint does not cover. Both
+/// transports and the live session go through this one check, so they
+/// reject the same mismatches — and therefore accept each other's
+/// checkpoints.
+pub(crate) fn resume_from(
+    engine: &Engine,
+    m: &CheckpointManifest,
+    det_name: &str,
+    len: Option<u64>,
+) -> Result<u64, ReplayError> {
+    if m.detector != det_name {
+        return Err(ReplayError::Mismatch(format!(
+            "checkpoint was taken with detector '{}', this run uses '{det_name}'",
+            m.detector
+        )));
+    }
+    let shards = engine.shard_count();
+    if m.shard_count() != shards {
+        return Err(ReplayError::Mismatch(format!(
+            "checkpoint has {} shards, this run uses {shards}",
+            m.shard_count()
+        )));
+    }
+    if let Some(trace_len) = len {
+        if m.trace_len != trace_len {
+            return Err(ReplayError::Mismatch(format!(
+                "checkpoint covers a trace of {} events, this trace has {trace_len}",
+                m.trace_len
+            )));
+        }
+        if m.trace_offset > trace_len {
+            return Err(ReplayError::Corrupt(format!(
+                "trace offset {} past the end of the trace ({trace_len})",
+                m.trace_offset
+            )));
+        }
+    }
+    engine.restore(&m.state).map_err(ReplayError::Corrupt)?;
+    Ok(m.trace_offset)
+}
+
+/// The body of [`replay`] once the prototype has been spent: assemble,
+/// resume, then walk the trace on the plan's transport.
+fn run(
+    det_name: String,
+    detectors: Vec<Box<dyn Detector + Send>>,
+    supervisor: Option<(DetectorFactory, SupervisorPolicy)>,
+    trace: &Trace,
+    plan: &RunPlan<'_>,
+) -> Result<Report, ReplayError> {
+    let engine = assemble(detectors, plan.prune.clone(), plan.routes, supervisor);
+    let len = trace.len() as u64;
+    let start = match plan.resume {
+        Some(m) => resume_from(&engine, m, &det_name, Some(len))?,
+        None => 0,
+    };
+    if let Some(c) = plan.checkpoint {
+        std::fs::create_dir_all(&c.dir)
+            .map_err(|e| ReplayError::Io(format!("{}: {e}", c.dir.display())))?;
+    }
+    match plan.transport {
+        Transport::Funnel => walk(&engine, Funnel::new(false), det_name, start, trace, plan),
+        Transport::Rings => pipeline::with_lanes(&engine, |lanes| {
+            walk(&engine, lanes, det_name, start, trace, plan)
+        }),
+    }
+}
+
+/// Walks `trace` from event `start` through a driver on `lanes`. A raised
+/// stop flag winds the run down before the next event: that event has
+/// not been processed, so the final manifest's offset lets a resumed run
+/// continue exactly there, and the report covers the prefix.
+fn walk<L: Lanes>(
+    engine: &Engine,
+    lanes: L,
+    det_name: String,
+    start: u64,
+    trace: &Trace,
+    plan: &RunPlan<'_>,
+) -> Result<Report, ReplayError> {
+    let mut driver = Driver::new(lanes, det_name, start, Some(trace.len() as u64));
+    driver.cadence = plan.checkpoint.map(|opts| Cadence {
+        opts,
+        since: 0,
+        last: Instant::now(),
+        degraded: false,
+    });
+    for ev in &trace.events[driver.offset as usize..] {
+        if plan.stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+            driver.save(engine)?;
+            break;
+        }
+        driver.step(engine, ev)?;
+    }
+    driver.finish(engine)
+}
+
+/// The transport seam: how one event travels from the driver to the
+/// shard detectors. Two impls, chosen per run and statically dispatched
+/// — [`Funnel`] and [`pipeline::RingLanes`].
+pub(crate) trait Lanes {
+    /// Hands one unpruned access, `Alloc` or `Free` to its shard(s).
+    fn access(&mut self, engine: &Engine, ev: &Event);
+    /// Hands one sync event to every shard, ordered after everything
+    /// handed over before it.
+    fn sync(&mut self, engine: &Engine, ev: &Event);
+    /// Returns once every event handed over so far has been fed to its
+    /// detector, so an engine capture covers exactly those events.
+    fn barrier(&mut self, engine: &Engine) -> Result<(), ReplayError>;
+}
+
+/// The funnel transport: accesses batch into a pending buffer, a sync
+/// event flushes the batch and is broadcast under all shard locks.
+pub(crate) struct Funnel {
+    pending: Vec<Event>,
+    /// Offline, a batch runs to the next sync event. A live session's
+    /// is capped at [`INGEST_BATCH`] (a sync-free stream cannot grow it
+    /// unboundedly, nor delay a shard seeing its events) and booked
+    /// against the process-wide session gauge (reporting + server
+    /// shedding; never the pressure ladder).
+    live: bool,
+}
+
+impl Funnel {
+    pub(crate) fn new(live: bool) -> Self {
+        Funnel {
+            pending: Vec::new(),
+            live,
+        }
+    }
+
+    fn booked(&self) -> u64 {
+        (self.pending.len() * std::mem::size_of::<Event>()) as u64
+    }
+
+    /// Dispatches any pending accesses to the shards.
+    pub(crate) fn flush(&mut self, engine: &Engine) {
+        if !self.pending.is_empty() {
+            if self.live {
+                process_gauge().sub(MemComponent::Sessions, self.booked());
             }
-            engine.emit_sync(ev.tid(), *ev);
+            engine.dispatch(std::mem::take(&mut self.pending));
+        }
+    }
+}
+
+impl Lanes for Funnel {
+    fn access(&mut self, engine: &Engine, ev: &Event) {
+        self.pending.push(*ev);
+        if self.live {
+            process_gauge().add(MemComponent::Sessions, std::mem::size_of::<Event>() as u64);
+            if self.pending.len() >= INGEST_BATCH {
+                self.flush(engine);
+            }
+        }
+    }
+
+    fn sync(&mut self, engine: &Engine, ev: &Event) {
+        self.flush(engine);
+        engine.emit_sync(ev.tid(), *ev);
+    }
+
+    fn barrier(&mut self, engine: &Engine) -> Result<(), ReplayError> {
+        self.flush(engine);
+        Ok(())
+    }
+}
+
+impl Drop for Funnel {
+    fn drop(&mut self) {
+        // Retire any still-buffered events from the session gauge (a
+        // session abandoned mid-stream never flushed them).
+        if self.live {
+            process_gauge().sub(MemComponent::Sessions, self.booked());
+        }
+    }
+}
+
+/// Checkpoint cadence state of one run.
+struct Cadence<'a> {
+    opts: &'a CheckpointOptions,
+    /// Events since the last manifest.
+    since: u64,
+    last: Instant,
+    /// Set by the first failed manifest write (disk full, I/O error,
+    /// permissions yanked mid-run), which must not abort detection:
+    /// [`dgrace_trace::write_file_atomic`] guarantees the last good
+    /// manifest is still intact on disk, so the run continues, warns
+    /// once, and flags its report as
+    /// [`dgrace_detectors::Report::checkpointing_degraded`] — the
+    /// analysis is complete, only crash-resumability regressed to the
+    /// last checkpoint that did land.
+    degraded: bool,
+}
+
+impl Cadence<'_> {
+    fn due(&self) -> bool {
+        match self.opts.every {
+            CheckpointInterval::Events(n) => self.since >= n.max(1),
+            CheckpointInterval::Secs(s) => self.last.elapsed() >= Duration::from_secs(s),
+        }
+    }
+}
+
+/// The event loop body shared by trace replay and live sessions, over
+/// either transport.
+pub(crate) struct Driver<'a, L> {
+    pub(crate) lanes: L,
+    /// The prototype detector's name (checkpoint identity).
+    pub(crate) det_name: String,
+    /// Events stepped so far — the stream offset of the next event.
+    pub(crate) offset: u64,
+    /// Length of the source when known; a live stream has no known end,
+    /// so its manifests record the events covered so far.
+    len: Option<u64>,
+    cadence: Option<Cadence<'a>>,
+}
+
+impl<L: Lanes> Driver<'_, L> {
+    pub(crate) fn new(lanes: L, det_name: String, offset: u64, len: Option<u64>) -> Self {
+        Driver {
+            lanes,
+            det_name,
+            offset,
+            len,
+            cadence: None,
+        }
+    }
+
+    /// Processes one event: accesses the prune predicate covers are
+    /// dropped (and counted) before routing, an `Alloc` registers its
+    /// range with the router before it is handed over, and a due
+    /// checkpoint is taken after the event — so its manifest covers every
+    /// event up to and including this one and a resumed run starts
+    /// cleanly at the next. (Splitting a batch at a checkpoint boundary
+    /// does not change any shard's feed order, so the final report is
+    /// unaffected.)
+    pub(crate) fn step(&mut self, engine: &Engine, ev: &Event) -> Result<(), ReplayError> {
+        if ev.is_sync() {
+            self.lanes.sync(engine, ev);
+        } else if engine.prunes_event(ev) {
+            engine.note_pruned(1);
         } else {
             if let Event::Alloc { addr, size, .. } = *ev {
                 engine.register_range(addr.0, size);
             }
-            pending.push(*ev);
+            self.lanes.access(engine, ev);
         }
+        self.offset += 1;
+        if let Some(c) = self.cadence.as_mut() {
+            c.since += 1;
+            if c.due() {
+                self.save(engine)?;
+            }
+        }
+        Ok(())
     }
-    if !pending.is_empty() {
-        engine.dispatch(pending);
+
+    /// Captures the run at the current offset as a persistable manifest.
+    pub(crate) fn manifest(&mut self, engine: &Engine) -> Result<CheckpointManifest, ReplayError> {
+        self.lanes.barrier(engine)?;
+        Ok(CheckpointManifest {
+            detector: self.det_name.clone(),
+            trace_len: self.len.unwrap_or(self.offset),
+            trace_offset: self.offset,
+            state: engine.capture(),
+        })
     }
-    engine.finish()
+
+    /// Persists a manifest when checkpointing is configured. A failed
+    /// write degrades the run instead of failing it.
+    fn save(&mut self, engine: &Engine) -> Result<(), ReplayError> {
+        if self.cadence.is_none() {
+            return Ok(());
+        }
+        let manifest = self.manifest(engine)?;
+        let c = self.cadence.as_mut().expect("checked above");
+        let path = c.opts.dir.join(CHECKPOINT_FILE);
+        if let Err(e) = manifest.save(&path) {
+            if !c.degraded {
+                eprintln!(
+                    "warning: failed to write checkpoint {}: {e}; detection continues \
+                     (the last complete checkpoint is retained)",
+                    path.display()
+                );
+            }
+            c.degraded = true;
+        }
+        c.since = 0;
+        c.last = Instant::now();
+        Ok(())
+    }
+
+    /// Drains the transport, finalizes every shard, and merges the
+    /// reports (exact event counts, quarantine accounting included).
+    pub(crate) fn finish(mut self, engine: &Engine) -> Result<Report, ReplayError> {
+        self.lanes.barrier(engine)?;
+        let mut rep = engine.finish();
+        rep.checkpointing_degraded |= self.cadence.is_some_and(|c| c.degraded);
+        Ok(rep)
+    }
 }
 
 /// How often a checkpointed replay persists a manifest.
@@ -139,348 +533,3 @@ impl std::fmt::Display for ReplayError {
 }
 
 impl std::error::Error for ReplayError {}
-
-/// Tracks checkpoint-write health across a run. A failed manifest write
-/// (disk full, I/O error, permissions yanked mid-run) must not abort
-/// detection: [`dgrace_trace::write_file_atomic`] guarantees the last
-/// good manifest is still intact on disk, so the run continues, warns
-/// once, and flags its report as
-/// [`dgrace_detectors::Report::checkpointing_degraded`] — the analysis
-/// is complete, only crash-resumability regressed to the last
-/// checkpoint that did land.
-pub(crate) struct CkptHealth {
-    degraded: bool,
-}
-
-impl CkptHealth {
-    pub(crate) fn new() -> Self {
-        CkptHealth { degraded: false }
-    }
-
-    /// Records the outcome of one manifest write; the first failure is
-    /// reported to stderr.
-    pub(crate) fn note(&mut self, path: &Path, res: std::io::Result<()>) {
-        if let Err(e) = res {
-            if !self.degraded {
-                eprintln!(
-                    "warning: failed to write checkpoint {}: {e}; detection continues \
-                     (the last complete checkpoint is retained)",
-                    path.display()
-                );
-            }
-            self.degraded = true;
-        }
-    }
-
-    pub(crate) fn degraded(&self) -> bool {
-        self.degraded
-    }
-}
-
-/// Checks that a manifest matches the requested run (same detector,
-/// shard count, and trace) and that its offset is sane. Shared by the
-/// funnel path and the ring pipeline so both reject the same mismatches
-/// — and therefore accept each other's checkpoints.
-pub(crate) fn validate_resume(
-    m: &CheckpointManifest,
-    det_name: &str,
-    shards: usize,
-    trace_len: u64,
-) -> Result<(), ReplayError> {
-    if m.detector != det_name {
-        return Err(ReplayError::Mismatch(format!(
-            "checkpoint was taken with detector '{}', this run uses '{det_name}'",
-            m.detector
-        )));
-    }
-    if m.shard_count() != shards {
-        return Err(ReplayError::Mismatch(format!(
-            "checkpoint has {} shards, this run uses {shards}",
-            m.shard_count()
-        )));
-    }
-    if m.trace_len != trace_len {
-        return Err(ReplayError::Mismatch(format!(
-            "checkpoint covers a trace of {} events, this trace has {trace_len}",
-            m.trace_len
-        )));
-    }
-    if m.trace_offset > trace_len {
-        return Err(ReplayError::Corrupt(format!(
-            "trace offset {} past the end of the trace ({trace_len})",
-            m.trace_offset
-        )));
-    }
-    Ok(())
-}
-
-/// [`replay_sharded`] with a self-healing supervisor: a shard whose
-/// detector panics is respawned from the prototype, rolled forward
-/// through the engine's journals, and re-fed the offending batch, within
-/// `policy`'s respawn budget. With a fault-free detector this is
-/// behaviorally identical to [`replay_sharded_pruned`] (the journals are
-/// recorded but never consulted).
-pub fn replay_supervised(
-    prototype: Box<dyn ShardableDetector + Send>,
-    trace: &Trace,
-    shards: usize,
-    prune: PruneSet,
-    policy: SupervisorPolicy,
-) -> Report {
-    replay_checkpointed(prototype, trace, shards, prune, Some(policy), None, None)
-        .expect("supervised replay performs no checkpoint I/O")
-}
-
-/// The crash-resumable replay behind `dgrace detect --checkpoint-dir` /
-/// `--resume`: optionally supervised ([`SupervisorPolicy`]), optionally
-/// persisting a [`CheckpointManifest`] every `ckpt.every` events or
-/// seconds, optionally starting from a previously loaded manifest.
-///
-/// Because detector snapshots are canonical and delta replay is exact, a
-/// run interrupted at any point and resumed from its last checkpoint
-/// produces a byte-identical race set to an uninterrupted run over the
-/// same trace.
-pub fn replay_checkpointed(
-    prototype: Box<dyn ShardableDetector + Send>,
-    trace: &Trace,
-    shards: usize,
-    prune: PruneSet,
-    policy: Option<SupervisorPolicy>,
-    ckpt: Option<&CheckpointOptions>,
-    resume: Option<&CheckpointManifest>,
-) -> Result<Report, ReplayError> {
-    replay_checkpointed_planned(
-        prototype,
-        trace,
-        shards,
-        prune,
-        policy,
-        ckpt,
-        resume,
-        &[],
-        None,
-    )
-}
-
-/// [`replay_checkpointed`] with an ahead-of-time routing plan (see
-/// [`replay_sharded_planned`]). The plan is preloaded before any resume
-/// state is restored; a restored checkpoint overwrites the router
-/// wholesale with its captured ranges, which already reflect whatever
-/// plan was active when the checkpoint was taken — so an interrupted
-/// planned run resumes with the same routing it started with.
-///
-/// `stop` is a cooperative interruption flag (a SIGINT/SIGTERM handler
-/// sets it): when it reads `true`, the replay flushes what it has,
-/// writes a final checkpoint (if configured) covering exactly the
-/// events processed so far, and returns the *partial* report instead of
-/// running to the end. The caller distinguishes a partial report by
-/// re-reading the flag.
-#[allow(clippy::too_many_arguments)]
-pub fn replay_checkpointed_planned(
-    prototype: Box<dyn ShardableDetector + Send>,
-    trace: &Trace,
-    shards: usize,
-    prune: PruneSet,
-    policy: Option<SupervisorPolicy>,
-    ckpt: Option<&CheckpointOptions>,
-    resume: Option<&CheckpointManifest>,
-    routes: &[(u64, u64, usize)],
-    stop: Option<&AtomicBool>,
-) -> Result<Report, ReplayError> {
-    let shards = shards.max(1);
-    let opts = RuntimeOptions {
-        shards,
-        buffer_capacity: 1,
-        record: false,
-    };
-    let det_name = prototype.name();
-    let detectors = (0..shards).map(|_| prototype.new_shard()).collect();
-    let engine = match policy {
-        Some(p) => {
-            // The prototype itself need not be `Sync` (the paged shadow
-            // store carries a `Cell` hot-entry cache); a mutex makes the
-            // factory shareable across the engine's threads.
-            let proto = parking_lot::Mutex::new(prototype);
-            let factory: DetectorFactory = Arc::new(move |_| proto.lock().new_shard());
-            Engine::with_supervisor(detectors, opts, prune, factory, p)
-        }
-        None => Engine::with_prune(detectors, opts, prune),
-    };
-    engine.preload_routes(routes);
-    let trace_len = trace.len() as u64;
-
-    let mut start = 0usize;
-    if let Some(m) = resume {
-        validate_resume(m, &det_name, shards, trace_len)?;
-        engine.restore(&m.state).map_err(ReplayError::Corrupt)?;
-        start = m.trace_offset as usize;
-    }
-    if let Some(c) = ckpt {
-        std::fs::create_dir_all(&c.dir)
-            .map_err(|e| ReplayError::Io(format!("{}: {e}", c.dir.display())))?;
-    }
-
-    let mut pending: Vec<Event> = Vec::new();
-    let mut since = 0u64;
-    let mut last = Instant::now();
-    let mut health = CkptHealth::new();
-    for (idx, ev) in trace.iter().enumerate().skip(start) {
-        if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-            // Graceful interruption: event `idx` has not been processed,
-            // so a final checkpoint at offset `idx` lets a resumed run
-            // continue exactly here; the partial report covers the
-            // prefix.
-            if !pending.is_empty() {
-                engine.dispatch(std::mem::take(&mut pending));
-            }
-            if let Some(c) = ckpt {
-                let manifest = CheckpointManifest {
-                    detector: det_name.clone(),
-                    trace_len,
-                    trace_offset: idx as u64,
-                    state: engine.capture(),
-                };
-                let path = c.dir.join(CHECKPOINT_FILE);
-                health.note(&path, manifest.save(&path));
-            }
-            let mut rep = engine.finish();
-            rep.checkpointing_degraded |= health.degraded();
-            return Ok(rep);
-        }
-        if ev.is_sync() {
-            if !pending.is_empty() {
-                engine.dispatch(std::mem::take(&mut pending));
-            }
-            engine.emit_sync(ev.tid(), *ev);
-        } else {
-            if let Event::Alloc { addr, size, .. } = *ev {
-                engine.register_range(addr.0, size);
-            }
-            pending.push(*ev);
-        }
-        since += 1;
-        if let Some(c) = ckpt {
-            let due = match c.every {
-                CheckpointInterval::Events(n) => since >= n.max(1),
-                CheckpointInterval::Secs(s) => last.elapsed() >= Duration::from_secs(s),
-            };
-            if due {
-                // Flush before capturing so the snapshot covers every
-                // event up to and including `idx`; resuming then starts
-                // cleanly at `idx + 1`. (Splitting a batch at a
-                // checkpoint boundary does not change any shard's feed
-                // order, so the final report is unaffected.)
-                if !pending.is_empty() {
-                    engine.dispatch(std::mem::take(&mut pending));
-                }
-                let manifest = CheckpointManifest {
-                    detector: det_name.clone(),
-                    trace_len,
-                    trace_offset: (idx + 1) as u64,
-                    state: engine.capture(),
-                };
-                let path = c.dir.join(CHECKPOINT_FILE);
-                health.note(&path, manifest.save(&path));
-                since = 0;
-                last = Instant::now();
-            }
-        }
-    }
-    if !pending.is_empty() {
-        engine.dispatch(pending);
-    }
-    let mut rep = engine.finish();
-    rep.checkpointing_degraded |= health.degraded();
-    Ok(rep)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dgrace_core::DynamicGranularity;
-    use dgrace_detectors::{race_signature, DetectorExt, FastTrack};
-    use dgrace_trace::{AccessSize, TraceBuilder};
-
-    fn racy_trace() -> Trace {
-        let mut b = TraceBuilder::new();
-        b.fork(0u32, 1u32)
-            .write(0u32, 0x100u64, AccessSize::U64)
-            .write(1u32, 0x100u64, AccessSize::U64)
-            .locked(0u32, 0u32, |b| {
-                b.write(0u32, 0x5000u64, AccessSize::U64);
-            })
-            .locked(1u32, 0u32, |b| {
-                b.write(1u32, 0x5000u64, AccessSize::U64);
-            })
-            .join(0u32, 1u32);
-        b.build()
-    }
-
-    #[test]
-    fn sharded_replay_matches_serialized() {
-        let trace = racy_trace();
-        let serial = FastTrack::new().run(&trace);
-        for shards in [1usize, 2, 4, 8] {
-            let rep = replay_sharded(&FastTrack::new(), &trace, shards);
-            assert_eq!(
-                race_signature(&rep),
-                race_signature(&serial),
-                "shards={shards}"
-            );
-            assert_eq!(rep.stats.events, trace.len() as u64, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn sharded_replay_dynamic_detector() {
-        let trace = racy_trace();
-        let serial = DynamicGranularity::new().run(&trace);
-        for shards in [1usize, 3] {
-            let rep = replay_sharded(&DynamicGranularity::new(), &trace, shards);
-            assert_eq!(
-                race_signature(&rep),
-                race_signature(&serial),
-                "shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn pruned_replay_drops_accesses_and_keeps_races() {
-        use dgrace_trace::{Addr, AnalysisSummary, ClassifiedRange, LocationClass};
-        // Thread-local traffic at 0x9000 plus the racy pair at 0x100.
-        let mut b = TraceBuilder::new();
-        b.fork(0u32, 1u32)
-            .write(0u32, 0x100u64, AccessSize::U64)
-            .write(1u32, 0x100u64, AccessSize::U64);
-        for i in 0..8u64 {
-            b.write(0u32, 0x9000 + i * 8, AccessSize::U64);
-        }
-        b.join(0u32, 1u32);
-        let trace = b.build();
-        let summary = AnalysisSummary {
-            ranges: vec![ClassifiedRange {
-                start: Addr(0x9000),
-                len: 64,
-                class: LocationClass::ThreadLocal,
-            }],
-            ..Default::default()
-        };
-        let prune = summary.prune_set(1, 0);
-        let bare = replay_sharded(&FastTrack::new(), &trace, 2);
-        for shards in [1usize, 2, 4] {
-            let rep = replay_sharded_pruned(&FastTrack::new(), &trace, shards, prune.clone());
-            assert_eq!(rep.stats.pruned, 8, "shards={shards}");
-            assert_eq!(
-                rep.stats.events,
-                trace.len() as u64,
-                "events still count pruned accesses (shards={shards})"
-            );
-            assert_eq!(
-                race_signature(&rep),
-                race_signature(&bare),
-                "shards={shards}"
-            );
-        }
-    }
-}

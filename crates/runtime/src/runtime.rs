@@ -7,7 +7,7 @@ use std::sync::Arc;
 use dgrace_detectors::{Detector, Report, ShardableDetector};
 use dgrace_trace::{Event, LockId, PruneSet, Tid};
 
-use crate::engine::{Engine, RuntimeOptions, ThreadBuf};
+use crate::engine::{mint, respawn_from, Engine, RuntimeOptions, ThreadBuf};
 
 pub(crate) struct Inner {
     pub(crate) engine: Engine,
@@ -120,9 +120,9 @@ impl Runtime {
     ) -> Self {
         let shards = opts.shards.max(1);
         let opts = RuntimeOptions { shards, ..opts };
-        let detectors = (0..shards).map(|_| prototype.new_shard()).collect();
+        let detectors = mint(prototype, shards);
         Runtime {
-            inner: Arc::new(Inner::new(Engine::with_prune(detectors, opts, prune))),
+            inner: Arc::new(Inner::new(Engine::build(detectors, opts, prune, None))),
         }
     }
 
@@ -139,18 +139,14 @@ impl Runtime {
     ) -> Self {
         let shards = opts.shards.max(1);
         let opts = RuntimeOptions { shards, ..opts };
-        let detectors = (0..shards).map(|_| prototype.new_shard()).collect();
-        // The prototype need not be `Sync`; a mutex makes the respawn
-        // factory shareable across the engine's threads.
-        let proto = parking_lot::Mutex::new(prototype);
-        let factory: crate::engine::DetectorFactory = Arc::new(move |_| proto.lock().new_shard());
+        let detectors = mint(&prototype, shards);
+        let supervisor = Some((respawn_from(prototype), policy));
         Runtime {
-            inner: Arc::new(Inner::new(Engine::with_supervisor(
+            inner: Arc::new(Inner::new(Engine::build(
                 detectors,
                 opts,
                 PruneSet::empty(),
-                factory,
-                policy,
+                supervisor,
             ))),
         }
     }

@@ -14,9 +14,8 @@ use std::time::Duration;
 use dgrace_core::DynamicGranularityOn;
 use dgrace_detectors::{DjitOn, FastTrackOn, Report, ShardableDetector};
 use dgrace_runtime::{
-    replay_checkpointed, replay_sharded, replay_supervised, silence_injected_panics,
-    CheckpointInterval, CheckpointManifest, CheckpointOptions, PanicOnEvent, ReplayError,
-    SupervisorPolicy, CHECKPOINT_FILE,
+    replay, replay_sharded, silence_injected_panics, CheckpointInterval, CheckpointManifest,
+    CheckpointOptions, PanicOnEvent, ReplayError, RunPlan, SupervisorPolicy, CHECKPOINT_FILE,
 };
 use dgrace_shadow::{HashSelect, PagedSelect};
 use dgrace_trace::{AccessSize, Trace, TraceBuilder};
@@ -130,13 +129,16 @@ fn respawn_matrix_equals_clean_run() {
                 let healed = run_with_timeout(
                     &format!("respawn-{name}-s{shards}-n{panic_at}"),
                     move || {
-                        replay_supervised(
+                        replay(
                             proto,
                             &trace2,
-                            shards,
-                            dgrace_trace::PruneSet::empty(),
-                            SupervisorPolicy::default(),
+                            &RunPlan {
+                                shards,
+                                supervisor: Some(SupervisorPolicy::default()),
+                                ..RunPlan::default()
+                            },
                         )
+                        .expect("replay")
                     },
                 );
                 assert!(
@@ -170,14 +172,14 @@ fn checkpointed_and_resumed_runs_equal_clean_run() {
             };
 
             // Full run with periodic checkpoints: report unchanged.
-            let full = replay_checkpointed(
+            let full = replay(
                 bare(),
                 &trace,
-                shards,
-                dgrace_trace::PruneSet::empty(),
-                None,
-                Some(&ckpt),
-                None,
+                &RunPlan {
+                    shards,
+                    checkpoint: Some(&ckpt),
+                    ..RunPlan::default()
+                },
             )
             .expect("checkpointed run");
             assert_eq!(full, clean, "{name} s{shards}: checkpointing is free");
@@ -190,14 +192,14 @@ fn checkpointed_and_resumed_runs_equal_clean_run() {
                 .expect("manifest present");
             assert!(manifest.trace_offset > 0);
             assert!(manifest.trace_offset <= trace.len() as u64);
-            let resumed = replay_checkpointed(
+            let resumed = replay(
                 bare(),
                 &trace,
-                shards,
-                dgrace_trace::PruneSet::empty(),
-                None,
-                None,
-                Some(&manifest),
+                &RunPlan {
+                    shards,
+                    resume: Some(&manifest),
+                    ..RunPlan::default()
+                },
             )
             .expect("resumed run");
             assert_eq!(resumed, clean, "{name} s{shards}: resumed run == clean run");
@@ -227,14 +229,14 @@ fn resume_from_every_prefix_equals_clean_run() {
             dir: dir.clone(),
             every: CheckpointInterval::Events(stop_after),
         };
-        let _ = replay_checkpointed(
+        let _ = replay(
             bare(),
             &prefix,
-            shards,
-            dgrace_trace::PruneSet::empty(),
-            None,
-            Some(&ckpt),
-            None,
+            &RunPlan {
+                shards,
+                checkpoint: Some(&ckpt),
+                ..RunPlan::default()
+            },
         )
         .expect("prefix run");
         let mut manifest = CheckpointManifest::load(&dir.join(CHECKPOINT_FILE))
@@ -245,14 +247,14 @@ fn resume_from_every_prefix_equals_clean_run() {
         // full trace so the resume covers the tail (this mirrors a run
         // over the full trace killed right after this checkpoint).
         manifest.trace_len = trace.len() as u64;
-        let resumed = replay_checkpointed(
+        let resumed = replay(
             bare(),
             &trace,
-            shards,
-            dgrace_trace::PruneSet::empty(),
-            None,
-            None,
-            Some(&manifest),
+            &RunPlan {
+                shards,
+                resume: Some(&manifest),
+                ..RunPlan::default()
+            },
         )
         .expect("resumed run");
         assert_eq!(
@@ -274,14 +276,14 @@ fn mismatched_or_torn_checkpoints_are_rejected() {
         every: CheckpointInterval::Events(4),
     };
     let fasttrack = || Box::new(FastTrackOn::<HashSelect>::new()) as Proto;
-    let _ = replay_checkpointed(
+    let _ = replay(
         fasttrack(),
         &trace,
-        2,
-        dgrace_trace::PruneSet::empty(),
-        None,
-        Some(&ckpt),
-        None,
+        &RunPlan {
+            shards: 2,
+            checkpoint: Some(&ckpt),
+            ..RunPlan::default()
+        },
     )
     .expect("checkpointed run");
     let path = dir.join(CHECKPOINT_FILE);
@@ -291,27 +293,27 @@ fn mismatched_or_torn_checkpoints_are_rejected() {
 
     // Wrong detector.
     let djit = Box::new(DjitOn::<HashSelect>::new()) as Proto;
-    let err = replay_checkpointed(
+    let err = replay(
         djit,
         &trace,
-        2,
-        dgrace_trace::PruneSet::empty(),
-        None,
-        None,
-        Some(&manifest),
+        &RunPlan {
+            shards: 2,
+            resume: Some(&manifest),
+            ..RunPlan::default()
+        },
     )
     .expect_err("detector mismatch");
     assert!(matches!(err, ReplayError::Mismatch(_)), "{err}");
 
     // Wrong shard count.
-    let err = replay_checkpointed(
+    let err = replay(
         fasttrack(),
         &trace,
-        4,
-        dgrace_trace::PruneSet::empty(),
-        None,
-        None,
-        Some(&manifest),
+        &RunPlan {
+            shards: 4,
+            resume: Some(&manifest),
+            ..RunPlan::default()
+        },
     )
     .expect_err("shard mismatch");
     assert!(matches!(err, ReplayError::Mismatch(_)), "{err}");
@@ -320,14 +322,14 @@ fn mismatched_or_torn_checkpoints_are_rejected() {
     let mut b = TraceBuilder::new();
     b.write(0u32, 0x100u64, AccessSize::U64);
     let other = b.build();
-    let err = replay_checkpointed(
+    let err = replay(
         fasttrack(),
         &other,
-        2,
-        dgrace_trace::PruneSet::empty(),
-        None,
-        None,
-        Some(&manifest),
+        &RunPlan {
+            shards: 2,
+            resume: Some(&manifest),
+            ..RunPlan::default()
+        },
     )
     .expect_err("trace mismatch");
     assert!(matches!(err, ReplayError::Mismatch(_)), "{err}");
@@ -361,14 +363,14 @@ fn checkpoint_write_failure_degrades_not_aborts() {
                 dir: dir.clone(),
                 every: CheckpointInterval::Events(3),
             };
-            let mut rep = replay_checkpointed(
+            let mut rep = replay(
                 bare(),
                 &trace,
-                shards,
-                dgrace_trace::PruneSet::empty(),
-                None,
-                Some(&ckpt),
-                None,
+                &RunPlan {
+                    shards,
+                    checkpoint: Some(&ckpt),
+                    ..RunPlan::default()
+                },
             )
             .expect("write failure must not abort the run");
             assert!(
@@ -403,14 +405,15 @@ fn supervised_checkpointed_run_heals_from_snapshot() {
     let proto = Box::new(PanicOnEvent::new(FastTrackOn::<HashSelect>::new(), 1, 5)) as Proto;
     let trace2 = trace.clone();
     let healed = run_with_timeout("supervised-ckpt", move || {
-        replay_checkpointed(
+        replay(
             proto,
             &trace2,
-            shards,
-            dgrace_trace::PruneSet::empty(),
-            Some(SupervisorPolicy::default()),
-            Some(&ckpt),
-            None,
+            &RunPlan {
+                shards,
+                supervisor: Some(SupervisorPolicy::default()),
+                checkpoint: Some(&ckpt),
+                ..RunPlan::default()
+            },
         )
     })
     .expect("supervised checkpointed run");

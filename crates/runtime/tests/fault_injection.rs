@@ -17,13 +17,11 @@ use std::time::Duration;
 
 use dgrace_detectors::{race_signature, Detector, DetectorExt, FastTrack, RaceKind, Report};
 use dgrace_runtime::{
-    corrupt_byte, replay_pipelined, replay_pipelined_supervised, replay_sharded,
-    silence_injected_panics, PanicOnEvent, Runtime, RuntimeOptions, SupervisorPolicy,
+    corrupt_byte, replay, replay_pipelined, replay_sharded, silence_injected_panics, PanicOnEvent,
+    RunPlan, Runtime, RuntimeOptions, SupervisorPolicy, Transport,
 };
 use dgrace_trace::io::{from_bytes, read_trace_with, to_bytes};
-use dgrace_trace::{
-    AccessSize, Addr, DecodeLimits, PruneSet, ReadOptions, Trace, TraceBuilder, TraceError,
-};
+use dgrace_trace::{AccessSize, Addr, DecodeLimits, ReadOptions, Trace, TraceBuilder, TraceError};
 
 /// Watchdog: runs `f` on a helper thread and panics if it has not
 /// terminated within 30 seconds — a hang or deadlock in a containment
@@ -337,13 +335,17 @@ fn pipeline_panic_with_queued_segments_heals_without_loss() {
 
     let trace2 = trace.clone();
     let healed = run_with_timeout("pipeline-queued-heal", move || {
-        replay_pipelined_supervised(
-            Box::new(PanicOnEvent::new(FastTrack::new(), 1, 100)),
+        replay(
+            PanicOnEvent::new(FastTrack::new(), 1, 100),
             &trace2,
-            shards,
-            PruneSet::empty(),
-            SupervisorPolicy::default(),
+            &RunPlan {
+                shards,
+                transport: Transport::Rings,
+                supervisor: Some(SupervisorPolicy::default()),
+                ..RunPlan::default()
+            },
         )
+        .expect("replay")
     });
     assert!(healed.failures.is_empty(), "{:?}", healed.failures);
     assert_eq!(healed.stats.events_lost, 0, "healed run loses nothing");
@@ -366,17 +368,21 @@ fn pipeline_exhausted_respawns_partition_loss_exactly() {
     let clean = race_signature(&replay_pipelined(&FastTrack::new(), &trace, shards));
     let trace2 = trace.clone();
     let rep = run_with_timeout("pipeline-unhealed", move || {
-        replay_pipelined_supervised(
+        replay(
             // Panics on its very first event, and again on every respawn.
-            Box::new(PanicOnEvent::new(FastTrack::new(), 1, 1)),
+            PanicOnEvent::new(FastTrack::new(), 1, 1),
             &trace2,
-            shards,
-            PruneSet::empty(),
-            SupervisorPolicy {
-                max_respawns: 0,
-                window: 100,
+            &RunPlan {
+                shards,
+                transport: Transport::Rings,
+                supervisor: Some(SupervisorPolicy {
+                    max_respawns: 0,
+                    window: 100,
+                }),
+                ..RunPlan::default()
             },
         )
+        .expect("replay")
     });
     assert_eq!(rep.failures.len(), 1);
     assert_eq!(rep.failures[0].shard, 1);

@@ -20,11 +20,11 @@ use std::path::PathBuf;
 use dgrace_core::DynamicGranularityOn;
 use dgrace_detectors::{DjitOn, FastTrackOn, Report, SampleSpec, Sampled, ShardableDetector};
 use dgrace_runtime::{
-    replay_checkpointed, replay_pipelined, replay_sharded, CheckpointInterval, CheckpointManifest,
-    CheckpointOptions, CHECKPOINT_FILE,
+    replay, replay_pipelined, replay_sharded, CheckpointInterval, CheckpointManifest,
+    CheckpointOptions, RunPlan, CHECKPOINT_FILE,
 };
 use dgrace_shadow::{HashSelect, PagedSelect};
-use dgrace_trace::{AccessSize, PruneSet, Trace, TraceBuilder};
+use dgrace_trace::{AccessSize, Trace, TraceBuilder};
 use proptest::prelude::*;
 
 type Proto = Box<dyn ShardableDetector + Send>;
@@ -229,14 +229,14 @@ fn resumed_sampled_run_equals_uninterrupted_run() {
                 dir: dir.clone(),
                 every: CheckpointInterval::Events(7),
             };
-            let full = replay_checkpointed(
+            let full = replay(
                 sampled(spec),
                 &trace,
-                shards,
-                PruneSet::empty(),
-                None,
-                Some(&ckpt),
-                None,
+                &RunPlan {
+                    shards,
+                    checkpoint: Some(&ckpt),
+                    ..RunPlan::default()
+                },
             )
             .expect("checkpointed sampled run");
             assert_eq!(full, clean, "{name} s{shards}: checkpointing is free");
@@ -245,14 +245,14 @@ fn resumed_sampled_run_equals_uninterrupted_run() {
                 .expect("manifest readable")
                 .expect("manifest present");
             assert!(manifest.trace_offset > 0);
-            let resumed = replay_checkpointed(
+            let resumed = replay(
                 sampled(spec),
                 &trace,
-                shards,
-                PruneSet::empty(),
-                None,
-                None,
-                Some(&manifest),
+                &RunPlan {
+                    shards,
+                    resume: Some(&manifest),
+                    ..RunPlan::default()
+                },
             )
             .expect("resumed sampled run");
             assert_eq!(resumed, clean, "{name} s{shards}: resumed == uninterrupted");

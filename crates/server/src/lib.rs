@@ -49,9 +49,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dgrace_core::{DynamicConfig, DynamicGranularityOn};
-use dgrace_detectors::{DjitOn, FastTrackOn, Granularity, SampleSpec, Sampled, ShardableDetector};
-use dgrace_shadow::{process_gauge, HashSelect, Watermarks};
+use dgrace_detectors::{SampleSpec, Sampled, ShardableDetector};
+use dgrace_shadow::{process_gauge, Watermarks};
 
 /// Server tuning and robustness policy. Every knob has a sane default;
 /// construct with [`ServerConfig::new`] and override fields as needed.
@@ -169,29 +168,6 @@ impl Shared {
     pub(crate) fn with_stats<R>(&self, f: impl FnOnce(&mut ServerStats) -> R) -> R {
         f(&mut self.stats.lock().expect("stats lock"))
     }
-}
-
-/// Builds a session's detector prototype. The server runs the shardable
-/// vector-clock family on the hash shadow store (the store the offline
-/// sharded paths default to).
-pub(crate) fn make_prototype(name: &str) -> Option<Box<dyn ShardableDetector + Send>> {
-    Some(match name {
-        "byte" => Box::new(FastTrackOn::<HashSelect>::with_granularity(
-            Granularity::Byte,
-        )),
-        "word" => Box::new(FastTrackOn::<HashSelect>::with_granularity(
-            Granularity::Word,
-        )),
-        "dynamic" => Box::new(DynamicGranularityOn::<HashSelect>::new()),
-        "dynamic-no-init" => Box::new(DynamicGranularityOn::<HashSelect>::with_config(
-            DynamicConfig::no_init_state(),
-        )),
-        "dynamic-guided" => Box::new(DynamicGranularityOn::<HashSelect>::with_config(
-            DynamicConfig::write_guided(),
-        )),
-        "djit" => Box::new(DjitOn::<HashSelect>::new()),
-        _ => return None,
-    })
 }
 
 /// Wraps a prototype in the sampling tier for a degraded admission.

@@ -268,6 +268,32 @@ pub fn decode_races(payload: &[u8]) -> Result<Vec<RaceReport>, String> {
 /// report byte-diffs equal against the uninterrupted run's, and a served
 /// session's against a solo in-process run over the same events.
 pub fn report_json(session: &str, report: &Report, events_lost: u64, degraded: bool) -> String {
+    render_report(session, report, events_lost, degraded, usize::MAX)
+}
+
+/// [`report_json`] as the payload of one `REPORT` frame: past
+/// [`dgrace_trace::MAX_FRAME_LEN`] (about 10k races) the race list is cut
+/// to fit and a trailing `races_truncated: N` field counts the races
+/// left out — every one of them was already streamed in a `RACE` frame.
+/// A report that fits is byte-identical to [`report_json`].
+pub fn report_frame_json(
+    session: &str,
+    report: &Report,
+    events_lost: u64,
+    degraded: bool,
+) -> String {
+    // `write_frame` counts the kind byte against the frame length.
+    let limit = dgrace_trace::MAX_FRAME_LEN as usize - 1;
+    render_report(session, report, events_lost, degraded, limit)
+}
+
+fn render_report(
+    session: &str,
+    report: &Report,
+    events_lost: u64,
+    degraded: bool,
+    limit: usize,
+) -> String {
     let mut s = String::with_capacity(256 + report.races.len() * 96);
     s.push_str("{\"session\":\"");
     s.push_str(session);
@@ -311,11 +337,11 @@ pub fn report_json(session: &str, report: &Report, events_lost: u64, degraded: b
     s.push_str(",\"shard_failures\":");
     s.push_str(&report.failures.len().to_string());
     s.push_str(",\"races\":[");
-    for (i, r) in report.races.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
+    // Room kept for the longest possible `],"races_truncated":N}` tail.
+    let room = limit.saturating_sub("],\"races_truncated\":}".len() + 20);
+    let mut kept = 0usize;
+    for r in &report.races {
+        let one = format!(
             "{{\"addr\":\"{:#x}\",\"kind\":\"{}\",\"current\":\"{}@{}\",\"previous\":\"{}@{}\",\
              \"share_count\":{},\"tainted\":{}}}",
             r.addr.0,
@@ -330,9 +356,24 @@ pub fn report_json(session: &str, report: &Report, events_lost: u64, degraded: b
             r.previous.tid.0,
             r.share_count,
             r.tainted
+        );
+        if s.len() + one.len() + 1 > room {
+            break;
+        }
+        if kept > 0 {
+            s.push(',');
+        }
+        s.push_str(&one);
+        kept += 1;
+    }
+    s.push(']');
+    if kept < report.races.len() {
+        s.push_str(&format!(
+            ",\"races_truncated\":{}",
+            report.races.len() - kept
         ));
     }
-    s.push_str("]}");
+    s.push('}');
     s
 }
 

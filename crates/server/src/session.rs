@@ -22,9 +22,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+use dgrace_core::vc_detector;
 use dgrace_detectors::{Governed, GovernorSpec};
 use dgrace_runtime::{CheckpointManifest, IngestSession};
-use dgrace_shadow::{process_gauge, Watermarks};
+use dgrace_shadow::{process_gauge, HashSelect, Watermarks};
 use dgrace_trace::{decode_events, DecodeLimits, TraceError};
 
 use crate::proto::{self, Hello, Welcome, FRAME_ERROR, FRAME_EVENTS, FRAME_FINISH, FRAME_HELLO};
@@ -208,7 +209,9 @@ fn run_session(
         )));
     }
     let hello = Hello::decode(&frame.payload).map_err(Quarantine::new)?;
-    let proto_det = crate::make_prototype(&hello.detector).ok_or_else(|| {
+    // Sessions run on the hash shadow store (the store the offline
+    // sharded paths default to).
+    let proto_det = vc_detector::<HashSelect>(&hello.detector).ok_or_else(|| {
         Quarantine::new(format!(
             "unknown detector `{}` (serve supports the shardable family: \
              byte, word, dynamic, dynamic-no-init, dynamic-guided, djit)",
@@ -348,7 +351,7 @@ fn run_session(
                 // A batch that lost events always quarantines the
                 // session, so a session that reaches FINISH has lost
                 // exactly zero — the field documents that invariant.
-                let json = proto::report_json(&hello.session, &report, 0, degraded);
+                let json = proto::report_frame_json(&hello.session, &report, 0, degraded);
                 send(&mut out, proto::FRAME_REPORT, json.as_bytes())?;
                 out.flush()
                     .map_err(|e| Quarantine::new(format!("write failed: {e}")))?;

@@ -413,3 +413,51 @@ fn unknown_detector_is_refused_with_reason() {
     }
     handle.stop().expect("stop");
 }
+
+/// A finished session whose race list does not fit one `REPORT` frame
+/// still gets its report: the list is cut to fit and the rest counted in
+/// `races_truncated` (every race was already streamed in a `RACE`
+/// frame) — the session is finished, not quarantined after the fact.
+#[test]
+fn oversized_race_list_is_truncated_not_quarantined() {
+    const LOCATIONS: u64 = 24_000;
+    let dir = scratch("bigreport");
+    let handle = Server::spawn(base_config(&dir)).expect("spawn");
+    let mut b = TraceBuilder::new();
+    b.fork(0u32, 1u32);
+    for i in 0..LOCATIONS {
+        b.write(0u32, 0x10_0000 + i * 64, AccessSize::U64);
+    }
+    for i in 0..LOCATIONS {
+        b.write(1u32, 0x10_0000 + i * 64, AccessSize::U64);
+    }
+    b.join(0u32, 1u32);
+    let trace = b.build();
+    let full = solo_json("big", &trace);
+    assert!(
+        full.len() > dgrace_trace::MAX_FRAME_LEN as usize,
+        "the untruncated report must not fit a frame"
+    );
+
+    let mut c = Client::connect(handle.socket(), "big", "byte").expect("connect");
+    c.send_events(&trace.events).expect("send");
+    let end = c.finish().expect("a REPORT arrives");
+    assert_eq!(end.races.len() as u64, LOCATIONS, "every race streamed");
+    assert!(end.report_json.len() < dgrace_trace::MAX_FRAME_LEN as usize);
+
+    // The report is the full one with the tail of the list replaced by
+    // the count of what was cut.
+    let (kept, tail) = end
+        .report_json
+        .rsplit_once("],\"races_truncated\":")
+        .expect("truncation is flagged");
+    let cut: u64 = tail.trim_end_matches('}').parse().expect("a count");
+    assert!(cut > 0 && cut < LOCATIONS);
+    assert!(full.starts_with(kept), "the kept prefix is unchanged");
+    let kept_races = kept.matches("{\"addr\"").count() as u64;
+    assert_eq!(kept_races + cut, LOCATIONS, "kept + cut == all");
+
+    let stats = handle.stop().expect("stop");
+    assert_eq!(stats.finished, 1);
+    assert_eq!(stats.quarantined, 0);
+}

@@ -111,6 +111,9 @@ pub fn pbzip2(scale: f64, rng: &mut SmallRng) -> (Trace, GroundTruth) {
     }
 
     let total = producers as u64 * per_producer as u64;
+    // Output blocks sit at `OUT` unless the input blocks would run into
+    // them (past scale 12.8), in which case they start after the last one.
+    let out_base = OUT.max(BLOCKS + total * BLOCK_STRIDE);
     for (p, prog) in prod.iter_mut().enumerate() {
         for i in 0..per_producer {
             let idx = p as u64 * per_producer as u64 + i as u64;
@@ -130,7 +133,7 @@ pub fn pbzip2(scale: f64, rng: &mut SmallRng) -> (Trace, GroundTruth) {
     for idx in 0..total {
         let c = (idx % consumers as u64) as usize;
         let blk = BLOCKS + idx * BLOCK_STRIDE;
-        let out = OUT + idx * BLOCK_STRIDE;
+        let out = out_base + idx * BLOCK_STRIDE;
         let lock = 900 + idx as u32;
         let prog = &mut cons[c];
         prog.locked(lock, |b| {

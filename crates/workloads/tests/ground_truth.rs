@@ -136,3 +136,16 @@ fn scales_do_not_change_detected_locations() {
         assert_eq!(r1.race_addrs(), r2.race_addrs(), "{}", kind.name());
     }
 }
+
+/// Past scale 12.8 pbzip2's input blocks would reach the fixed output
+/// region; the generator moves the outputs instead of aliasing them, so
+/// the workload still has exactly its one planted race.
+#[test]
+fn pbzip2_past_scale_12_8_does_not_alias_its_buffers() {
+    let (trace, truth) = Workload::new(WorkloadKind::Pbzip2)
+        .with_scale(16.0)
+        .generate();
+    let rep = FastTrack::new().run(&trace);
+    assert_eq!(rep.race_addrs(), truth.racy_addrs);
+    assert_eq!(rep.races.len(), truth.racy_addrs.len());
+}

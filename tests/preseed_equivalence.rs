@@ -22,11 +22,10 @@ use std::sync::Arc;
 use dgrace::analysis::analyze;
 use dgrace::core::DynamicGranularityOn;
 use dgrace::detectors::{race_signature, FastTrack, Granularity, Report, ShardableDetector};
-use dgrace::runtime::{replay_pipelined_planned, replay_sharded, replay_sharded_planned};
+use dgrace::runtime::{replay, replay_pipelined, replay_sharded, RunPlan, Transport};
 use dgrace::shadow::{HashSelect, PagedSelect, StoreSelect};
 use dgrace::trace::{
-    AccessSize, Addr, AffinityMap, AffinityRange, AnalysisWarning, LockId, PruneSet, Trace,
-    TraceBuilder,
+    AccessSize, Addr, AffinityMap, AffinityRange, AnalysisWarning, LockId, Trace, TraceBuilder,
 };
 use dgrace::workloads::{Workload, WorkloadKind};
 
@@ -49,8 +48,8 @@ fn run_both<D: ShardableDetector + ?Sized>(
     trace: &Trace,
     shards: usize,
 ) -> (Report, Report) {
-    let funnel = replay_sharded_planned(proto, trace, shards, PruneSet::empty(), &[]);
-    let piped = replay_pipelined_planned(proto, trace, shards, PruneSet::empty(), &[]);
+    let funnel = replay_sharded(proto, trace, shards);
+    let piped = replay_pipelined(proto, trace, shards);
     (funnel, piped)
 }
 
@@ -196,14 +195,32 @@ fn planned_routing_is_race_identical_for_fasttrack() {
             "{}: heat pass produced no buckets",
             kind.name()
         );
-        let proto = FastTrack::with_granularity(Granularity::Byte);
-        let want = race_signature(&replay_sharded(&proto, &trace, 1));
+        let proto = || FastTrack::with_granularity(Granularity::Byte);
+        let want = race_signature(&replay_sharded(&proto(), &trace, 1));
         for shards in [2usize, 4] {
             let routes = plan.compile(shards);
             assert!(!routes.is_empty(), "{} shards={shards}", kind.name());
-            let funnel = replay_sharded_planned(&proto, &trace, shards, PruneSet::empty(), &routes);
-            let piped =
-                replay_pipelined_planned(&proto, &trace, shards, PruneSet::empty(), &routes);
+            let funnel = replay(
+                proto(),
+                &trace,
+                &RunPlan {
+                    shards,
+                    routes: &routes,
+                    ..RunPlan::default()
+                },
+            )
+            .expect("replay");
+            let piped = replay(
+                proto(),
+                &trace,
+                &RunPlan {
+                    shards,
+                    transport: Transport::Rings,
+                    routes: &routes,
+                    ..RunPlan::default()
+                },
+            )
+            .expect("replay");
             assert_eq!(
                 race_signature(&funnel),
                 want,

@@ -15,23 +15,28 @@
 use dgrace::analysis::analyze;
 use dgrace::core::DynamicGranularity;
 use dgrace::detectors::{race_signature, Djit, FastTrack, Granularity, ShardableDetector};
-use dgrace::runtime::{replay_sharded, replay_sharded_pruned};
+use dgrace::runtime::{replay, replay_sharded, RunPlan};
 use dgrace::workloads::{Workload, WorkloadKind};
 
 const SCALE: f64 = 0.05;
 const SHARDS: [usize; 3] = [1, 2, 4];
 
+type Proto = fn() -> Box<dyn ShardableDetector + Send>;
+
 /// The exact detectors with the granule their prune set must use: an
 /// access is pruned only if every granularity-widened location it
 /// touches is provably race-free.
-fn exact_detectors() -> Vec<(Box<dyn ShardableDetector>, u64)> {
+fn exact_detectors() -> Vec<(Proto, u64)> {
     vec![
         (
-            Box::new(FastTrack::with_granularity(Granularity::Byte)) as Box<dyn ShardableDetector>,
+            || Box::new(FastTrack::with_granularity(Granularity::Byte)),
             1,
         ),
-        (Box::new(FastTrack::with_granularity(Granularity::Word)), 4),
-        (Box::new(Djit::new()), 1),
+        (
+            || Box::new(FastTrack::with_granularity(Granularity::Word)),
+            4,
+        ),
+        (|| Box::new(Djit::new()), 1),
     ]
 }
 
@@ -47,8 +52,17 @@ fn pruned_detection_is_race_identical_for_exact_detectors() {
         for (proto, granule) in exact_detectors() {
             let prune = summary.prune_set(granule, 0);
             for shards in SHARDS {
-                let bare = replay_sharded(proto.as_ref(), &trace, shards);
-                let pruned = replay_sharded_pruned(proto.as_ref(), &trace, shards, prune.clone());
+                let bare = replay_sharded(proto().as_ref(), &trace, shards);
+                let pruned = replay(
+                    proto(),
+                    &trace,
+                    &RunPlan {
+                        shards,
+                        prune: prune.clone(),
+                        ..RunPlan::default()
+                    },
+                )
+                .expect("replay");
                 let tag = format!("{} on {} shards={shards}", bare.detector, kind.name());
                 assert_eq!(
                     race_signature(&pruned),
@@ -85,7 +99,16 @@ fn analysis_classifies_nontrivially() {
         );
         // And the prune actually drops events in a real detection run.
         let prune = summary.prune_set(1, 0);
-        let rep = replay_sharded_pruned(&FastTrack::new(), &trace, 2, prune);
+        let rep = replay(
+            FastTrack::new(),
+            &trace,
+            &RunPlan {
+                shards: 2,
+                prune,
+                ..RunPlan::default()
+            },
+        )
+        .expect("replay");
         assert!(
             rep.stats.pruned > 0,
             "{}: prune set dropped nothing",
@@ -123,8 +146,16 @@ fn pruned_dynamic_detector_keeps_planted_races() {
         let prune = summary.prune_set(1, 256);
         for shards in SHARDS {
             let bare = replay_sharded(&DynamicGranularity::new(), &trace, shards);
-            let pruned =
-                replay_sharded_pruned(&DynamicGranularity::new(), &trace, shards, prune.clone());
+            let pruned = replay(
+                DynamicGranularity::new(),
+                &trace,
+                &RunPlan {
+                    shards,
+                    prune: prune.clone(),
+                    ..RunPlan::default()
+                },
+            )
+            .expect("replay");
             let bare_addrs = bare.race_addrs();
             let pruned_addrs = pruned.race_addrs();
             for addr in &truth.racy_addrs {

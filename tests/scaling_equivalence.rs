@@ -1,7 +1,7 @@
 //! Scaling-equivalence matrix: the ring-pipelined ingestion path must be
 //! **byte-identical** to the funnel path.
 //!
-//! `dgrace_runtime::replay_pipelined*` re-architects offline replay
+//! `dgrace_runtime::Transport::Rings` re-architects offline replay
 //! (per-shard SPSC lanes, epoch-batched sync broadcast) purely for
 //! throughput; detection output is contractually unchanged. This suite
 //! locks that contract in across the full configuration matrix:
@@ -27,16 +27,15 @@ use proptest::prelude::*;
 use dgrace::core::DynamicGranularityOn;
 use dgrace::detectors::{race_signature, DjitOn, FastTrackOn, Report, ShardableDetector};
 use dgrace::runtime::{
-    replay_checkpointed, replay_pipelined, replay_pipelined_checkpointed, replay_pipelined_pruned,
-    replay_pipelined_supervised, replay_sharded, replay_sharded_pruned, silence_injected_panics,
-    CheckpointInterval, CheckpointManifest, CheckpointOptions, PanicOnEvent, SupervisorPolicy,
+    replay, replay_pipelined, replay_sharded, silence_injected_panics, CheckpointInterval,
+    CheckpointManifest, CheckpointOptions, PanicOnEvent, RunPlan, SupervisorPolicy, Transport,
     CHECKPOINT_FILE,
 };
 use dgrace::shadow::{HashSelect, PagedSelect};
 use dgrace::trace::io::{read_trace_with, to_bytes};
 use dgrace::trace::{
-    AccessSize, Addr, AnalysisSummary, ClassifiedRange, LocationClass, PruneSet, ReadOptions,
-    Trace, TraceBuilder,
+    AccessSize, Addr, AnalysisSummary, ClassifiedRange, LocationClass, ReadOptions, Trace,
+    TraceBuilder,
 };
 
 type Proto = Box<dyn ShardableDetector + Send>;
@@ -211,18 +210,27 @@ fn pruned_replay_matches_across_paths() {
     let prune = summary.prune_set(1, 0);
     assert!(!prune.is_empty());
     for &shards in &SHARD_COUNTS {
-        let funnel = replay_sharded_pruned(
-            &FastTrackOn::<PagedSelect>::new(),
+        let funnel = replay(
+            FastTrackOn::<PagedSelect>::new(),
             &trace,
-            shards,
-            prune.clone(),
-        );
-        let piped = replay_pipelined_pruned(
-            &FastTrackOn::<PagedSelect>::new(),
+            &RunPlan {
+                shards,
+                prune: prune.clone(),
+                ..RunPlan::default()
+            },
+        )
+        .expect("replay");
+        let piped = replay(
+            FastTrackOn::<PagedSelect>::new(),
             &trace,
-            shards,
-            prune.clone(),
-        );
+            &RunPlan {
+                shards,
+                transport: Transport::Rings,
+                prune: prune.clone(),
+                ..RunPlan::default()
+            },
+        )
+        .expect("replay");
         assert!(funnel.stats.pruned > 0, "prune set must actually fire");
         assert_eq!(piped, funnel, "shards={shards}");
     }
@@ -306,14 +314,14 @@ fn checkpoints_resume_across_paths() {
                 dir: dir.clone(),
                 every: CheckpointInterval::Events(3),
             };
-            let full = replay_checkpointed(
+            let full = replay(
                 bare(name),
                 &trace,
-                shards,
-                PruneSet::empty(),
-                None,
-                Some(&ckpt),
-                None,
+                &RunPlan {
+                    shards,
+                    checkpoint: Some(&ckpt),
+                    ..RunPlan::default()
+                },
             )
             .expect("funnel checkpointed run");
             assert_eq!(full, clean, "{name} s{shards}: checkpointing is free");
@@ -321,14 +329,15 @@ fn checkpoints_resume_across_paths() {
                 .expect("manifest readable")
                 .expect("manifest present");
             assert!(manifest.trace_offset > 0);
-            let resumed = replay_pipelined_checkpointed(
+            let resumed = replay(
                 bare(name),
                 &trace,
-                shards,
-                PruneSet::empty(),
-                None,
-                None,
-                Some(&manifest),
+                &RunPlan {
+                    shards,
+                    transport: Transport::Rings,
+                    resume: Some(&manifest),
+                    ..RunPlan::default()
+                },
             )
             .expect("pipeline resume of funnel manifest");
             assert_eq!(resumed, clean, "{name} s{shards}: funnel → pipeline");
@@ -340,14 +349,15 @@ fn checkpoints_resume_across_paths() {
                 dir: dir.clone(),
                 every: CheckpointInterval::Events(3),
             };
-            let full = replay_pipelined_checkpointed(
+            let full = replay(
                 bare(name),
                 &trace,
-                shards,
-                PruneSet::empty(),
-                None,
-                Some(&ckpt),
-                None,
+                &RunPlan {
+                    shards,
+                    transport: Transport::Rings,
+                    checkpoint: Some(&ckpt),
+                    ..RunPlan::default()
+                },
             )
             .expect("pipeline checkpointed run");
             assert_eq!(full, clean, "{name} s{shards}: pipeline checkpointing");
@@ -355,14 +365,14 @@ fn checkpoints_resume_across_paths() {
                 .expect("manifest readable")
                 .expect("manifest present");
             assert!(manifest.trace_offset > 0);
-            let resumed = replay_checkpointed(
+            let resumed = replay(
                 bare(name),
                 &trace,
-                shards,
-                PruneSet::empty(),
-                None,
-                None,
-                Some(&manifest),
+                &RunPlan {
+                    shards,
+                    resume: Some(&manifest),
+                    ..RunPlan::default()
+                },
             )
             .expect("funnel resume of pipeline manifest");
             assert_eq!(resumed, clean, "{name} s{shards}: pipeline → funnel");
@@ -382,13 +392,17 @@ fn supervised_pipeline_heals_to_clean_report() {
         for shards in [1usize, 2, 4] {
             let clean = replay_sharded(bare().as_ref(), &trace, shards);
             for panic_at in [1u64, 3] {
-                let healed = replay_pipelined_supervised(
+                let healed = replay(
                     faulty(shards - 1, panic_at),
                     &trace,
-                    shards,
-                    PruneSet::empty(),
-                    SupervisorPolicy::default(),
-                );
+                    &RunPlan {
+                        shards,
+                        transport: Transport::Rings,
+                        supervisor: Some(SupervisorPolicy::default()),
+                        ..RunPlan::default()
+                    },
+                )
+                .expect("replay");
                 assert!(
                     healed.failures.is_empty(),
                     "{name} s{shards} n{panic_at}: {:?}",
