@@ -10,7 +10,7 @@ use dgrace_trace::snapshot::{STATE_MAGIC, STATE_VERSION};
 use dgrace_trace::{
     Addr, AffinityMap, Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError,
 };
-use dgrace_vc::{AccessClock, Epoch, Tid, VectorClock};
+use dgrace_vc::{AccessClock, ClockView, Epoch, Tid};
 
 use crate::plane::PlaneOn;
 use crate::{DynamicConfig, VcState};
@@ -23,7 +23,15 @@ use crate::{DynamicConfig, VcState};
 /// according to the [`VcState`](crate::VcState) machine. See the crate
 /// docs for the algorithm summary and [`DynamicConfig`] for the ablation
 /// switches.
+///
+/// Aligned to two cache lines: `new_shard` boxes the shards of a parallel
+/// replay back to back and a different thread then drives each, so
+/// without it the per-event counters at the end of one shard's detector
+/// share a line with the start of the next one's (measured on the
+/// `--shards 2 --pipeline` ledger workload: 15 % more CPU on every
+/// thread when the struct's size happens to put them there).
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct DynamicGranularityOn<K: StoreSelect> {
     config: DynamicConfig,
     hb: HbState,
@@ -49,8 +57,6 @@ pub struct DynamicGranularityOn<K: StoreSelect> {
     affinity_hint: usize,
     preseed_hits: u64,
     preseed_misses: u64,
-    /// Reusable clock buffer: avoids a heap allocation per access.
-    scratch: VectorClock,
     /// Governor-forced first-epoch scan widening (0 = no pressure). The
     /// effective scan is `config.first_epoch_scan.max(pressure_scan)`.
     /// Deliberately *not* part of [`DynamicConfig`] and not serialized:
@@ -113,7 +119,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             affinity_hint: 0,
             preseed_hits: 0,
             preseed_misses: 0,
-            scratch: VectorClock::new(),
             pressure_scan: 0,
         }
     }
@@ -225,51 +230,38 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         // same epoch accesses", §III.B). Checked from the epoch alone —
         // no vector-clock copy.
         if let Some(id) = lookup {
-            if Self::clock_covers_epoch(plane.clock_of(id), my_epoch, kind) {
+            if Self::clock_covers_epoch(plane.clock_view(id), my_epoch, kind) {
                 self.same_epoch += 1;
                 return;
             }
         }
 
-        let mut now = std::mem::take(&mut self.scratch);
-        now.clone_from(self.hb.clock(tid));
         match lookup {
-            None => self.first_access(tid, addr, size, kind, &now, my_epoch),
+            None => self.first_access(addr, size, kind, my_epoch),
             Some(id) => {
                 if self.plane(kind).cell(id).state.is_init() {
-                    self.second_epoch_access(tid, addr, size, kind, &now, my_epoch, id);
+                    self.second_epoch_access(addr, size, kind, my_epoch, id);
                 } else {
-                    self.steady_access(tid, addr, size, kind, &now, my_epoch, id);
+                    self.steady_access(addr, size, kind, my_epoch, id);
                 }
             }
         }
-        self.scratch = now;
         self.update_model();
     }
 
     /// Is the access already summarized by the cell's clock in this epoch?
-    fn clock_covers_epoch(clock: &AccessClock, my_epoch: Epoch, kind: AccessKind) -> bool {
+    fn clock_covers_epoch(clock: ClockView<'_>, my_epoch: Epoch, kind: AccessKind) -> bool {
         match (kind, clock) {
-            (AccessKind::Write, AccessClock::Epoch(e)) => *e == my_epoch,
-            (AccessKind::Write, AccessClock::Vc(_)) => false,
-            (AccessKind::Read, AccessClock::Epoch(e)) => *e == my_epoch,
-            (AccessKind::Read, AccessClock::Vc(vc)) => vc.get(my_epoch.tid) == my_epoch.clock,
+            (_, ClockView::Epoch(e)) => e == my_epoch,
+            (AccessKind::Write, ClockView::Vc(_)) => false,
+            (AccessKind::Read, ClockView::Vc(vc)) => vc.get(my_epoch.tid) == my_epoch.clock,
         }
     }
 
     /// First access to a location: create its clock in the Init state and
     /// attempt first-epoch (temporary) sharing — `insertRead` +
     /// `shareFirstEpoch` in Fig. 3.
-    fn first_access(
-        &mut self,
-        _tid: Tid,
-        addr: Addr,
-        size: u64,
-        kind: AccessKind,
-        now: &VectorClock,
-        my_epoch: Epoch,
-    ) {
-        let clock = AccessClock::Epoch(my_epoch);
+    fn first_access(&mut self, addr: Addr, size: u64, kind: AccessKind, my_epoch: Epoch) {
         // Under governor pressure the probe window widens: coarser
         // first-epoch groups are the paper's own memory valve.
         let scan = self.config.first_epoch_scan.max(self.pressure_scan);
@@ -290,7 +282,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
                 c.state != VcState::Race
             };
             state_ok
-                && *det.plane(kind).clock_of(id) == clock
+                && det.plane(kind).clock_view(id) == ClockView::Epoch(my_epoch)
                 && det.write_guidance_ok(kind, addr, n)
         };
         let mut preseed = None;
@@ -355,7 +347,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
                 } else {
                     VcState::Private
                 };
-                plane.insert_private(addr, clock, state)
+                plane.insert_private(addr, AccessClock::Epoch(my_epoch), state)
             }
         };
 
@@ -363,29 +355,26 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         // read location may still race with the write history of `addr`;
         // the clock itself needs no further recording — it was created
         // as this thread's current epoch.
-        let _ = size;
-        if let Some((race_kind, witness, wt)) = self.race_check(addr, kind, now, Some(id)) {
+        if let Some((race_kind, witness, wt)) = self.race_check(addr, kind, my_epoch.tid, Some(id))
+        {
             self.report_race(addr, kind, race_kind, witness, my_epoch, wt);
         }
     }
 
     /// Second epoch access to an Init location: `split` + FastTrack
     /// processing + `shareSecondEpoch` (the firm decision).
-    #[allow(clippy::too_many_arguments)]
     fn second_epoch_access(
         &mut self,
-        tid: Tid,
         addr: Addr,
         size: u64,
         kind: AccessKind,
-        now: &VectorClock,
         my_epoch: Epoch,
         old_id: SlabId,
     ) {
         // Affinity fast path: join the certified predecessor's group
         // directly, skipping the split (and its clock bookkeeping). Any
         // verification failure falls through to the unseeded sequence.
-        if self.try_preseeded_second_epoch(addr, size, kind, now, my_epoch, old_id) {
+        if self.try_preseeded_second_epoch(addr, size, kind, my_epoch, old_id) {
             return;
         }
 
@@ -397,10 +386,10 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         }
 
         // FastTrack race check against the histories.
-        let race = self.race_check(addr, kind, now, Some(id));
+        let race = self.race_check(addr, kind, my_epoch.tid, Some(id));
 
         // Update L's (now private) clock with this access.
-        let inflated = self.record_access(kind, id, tid, now, my_epoch);
+        let inflated = self.record_access(kind, id, my_epoch);
 
         if let Some((race_kind, witness, wt)) = race {
             self.report_race(addr, kind, race_kind, witness, my_epoch, wt);
@@ -440,7 +429,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         addr: Addr,
         size: u64,
         kind: AccessKind,
-        now: &VectorClock,
         my_epoch: Epoch,
         old_id: SlabId,
     ) -> bool {
@@ -453,7 +441,10 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         // Race first: a racing access must split, record and report on
         // the unseeded path (the report's group membership depends on
         // the split having happened).
-        if self.race_check(addr, kind, now, Some(old_id)).is_some() {
+        if self
+            .race_check(addr, kind, my_epoch.tid, Some(old_id))
+            .is_some()
+        {
             self.preseed_misses += 1;
             return false;
         }
@@ -467,7 +458,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
                     // group is still in an Init state, which
                     // `accepts_second_epoch_sharing` rejects.
                     plane.cell(nid).state.accepts_second_epoch_sharing()
-                        && *plane.clock_of(nid) == AccessClock::Epoch(my_epoch)
+                        && plane.clock_view(nid) == ClockView::Epoch(my_epoch)
                 })
                 .filter(|_| self.write_guidance_ok(kind, addr, n))
         };
@@ -498,7 +489,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     ) -> bool {
         let candidate = {
             let plane = self.plane(kind);
-            let my_clock = plane.clock_of(id);
+            let my_clock = plane.clock_view(id);
             let mut found = None;
             for n in [Addr(addr.0.wrapping_sub(size)), Addr(addr.0 + size)] {
                 if n == addr {
@@ -510,7 +501,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
                 }
                 let nc = plane.cell(nid);
                 if nc.state.accepts_second_epoch_sharing()
-                    && plane.clock_of(nid) == my_clock
+                    && plane.clock_view(nid) == my_clock
                     && self.write_guidance_ok(kind, addr, n)
                 {
                     found = Some((n, nid));
@@ -532,14 +523,11 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
 
     /// Steady-state access (Shared / Private / Race): plain FastTrack on
     /// the (possibly shared) cell.
-    #[allow(clippy::too_many_arguments)]
     fn steady_access(
         &mut self,
-        tid: Tid,
         addr: Addr,
         size: u64,
         kind: AccessKind,
-        now: &VectorClock,
         my_epoch: Epoch,
         id: SlabId,
     ) {
@@ -547,7 +535,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         let race = if raced {
             None
         } else {
-            self.race_check(addr, kind, now, Some(id))
+            self.race_check(addr, kind, my_epoch.tid, Some(id))
         };
         // Lazy dissolve: a member of a raced group detaches here, on its
         // first access after the race, so the group's frozen clock is
@@ -560,7 +548,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         } else {
             id
         };
-        let inflated = self.record_access(kind, id, tid, now, my_epoch);
+        let inflated = self.record_access(kind, id, my_epoch);
         if let Some((race_kind, witness, wt)) = race {
             self.report_race(addr, kind, race_kind, witness, my_epoch, wt);
             return;
@@ -610,10 +598,11 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         }
     }
 
-    /// FastTrack race check for an access of `kind` at `addr` by a thread
-    /// whose clock is `now`. `same_plane` is the already-resolved cell id
-    /// of `addr` in the accessed plane (saves a hash lookup for writes);
-    /// pass `None` when unknown. Does not mutate anything.
+    /// FastTrack race check for an access of `kind` at `addr` by thread
+    /// `tid`, against its current clock. `same_plane` is the
+    /// already-resolved cell id of `addr` in the accessed plane (saves a
+    /// hash lookup for writes); pass `None` when unknown. Does not mutate
+    /// anything.
     ///
     /// The returned `bool` is the *witness cell's* taint: if the clock
     /// that testified to the race was ever shared, the race may be a
@@ -622,28 +611,29 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         &self,
         addr: Addr,
         kind: AccessKind,
-        now: &VectorClock,
+        tid: Tid,
         same_plane: Option<SlabId>,
     ) -> Option<(RaceKind, Epoch, bool)> {
+        let now = self.hb.now(tid);
         match kind {
             AccessKind::Read => {
                 // Write-read race: the last write is concurrent with us.
                 let wid = self.write.lookup(addr)?;
                 let tainted = self.write.cell(wid).tainted;
                 self.write
-                    .clock_of(wid)
+                    .clock_view(wid)
                     .find_concurrent(now)
                     .map(|w| (RaceKind::WriteRead, w, tainted))
             }
             AccessKind::Write => {
                 // Write-write first, then read-write (FastTrack order).
                 if let Some(wid) = same_plane.or_else(|| self.write.lookup(addr)) {
-                    if let Some(w) = self.write.clock_of(wid).find_concurrent(now) {
+                    if let Some(w) = self.write.clock_view(wid).find_concurrent(now) {
                         return Some((RaceKind::WriteWrite, w, self.write.cell(wid).tainted));
                     }
                 }
                 if let Some(rid) = self.read.lookup(addr) {
-                    if let Some(r) = self.read.clock_of(rid).find_concurrent(now) {
+                    if let Some(r) = self.read.clock_view(rid).find_concurrent(now) {
                         return Some((RaceKind::ReadWrite, r, self.read.cell(rid).tainted));
                     }
                 }
@@ -655,14 +645,8 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     /// Records the access into the location's clock. Returns `true` if a
     /// read clock inflated to a full vector clock (a "read-read
     /// conflict", which vetoes sharing).
-    fn record_access(
-        &mut self,
-        kind: AccessKind,
-        id: SlabId,
-        tid: Tid,
-        now: &VectorClock,
-        my_epoch: Epoch,
-    ) -> bool {
+    fn record_access(&mut self, kind: AccessKind, id: SlabId, my_epoch: Epoch) -> bool {
+        let tid = my_epoch.tid;
         match kind {
             AccessKind::Write => {
                 self.write
@@ -670,6 +654,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
                 false
             }
             AccessKind::Read => {
+                let now = self.hb.now(tid);
                 let mut inflated = false;
                 self.read.update_clock(id, |c| {
                     inflated = c.record_read(tid, now);
@@ -1044,7 +1029,6 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
             affinity_hint: 0,
             preseed_hits: counters[9],
             preseed_misses: counters[10],
-            scratch: VectorClock::new(),
             pressure_scan: self.pressure_scan,
         };
         Ok(())

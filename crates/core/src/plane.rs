@@ -7,7 +7,8 @@
 //!
 //! A *location* is a populated slot in the shadow store; its payload is a
 //! [`SlabId`] pointing into the plane's cell slab plus the location's
-//! index in its group's member list. Each shared cell records its member
+//! index in its group's member list (8 bytes, and `SlabId`'s niche keeps
+//! the store's `Option` slot at 8). Each shared cell records its member
 //! addresses (`members`), because a race dissolves the whole group ("the
 //! sharing is terminated and each of these locations become Race and is
 //! assigned with a private vector clock"). Singleton groups keep
@@ -16,34 +17,67 @@
 //! are O(1) except dissolution and compaction after a partial free,
 //! which are O(group size).
 //!
-//! # The interned copy-on-write clock arena
+//! # Where a clock lives
 //!
-//! Cells do not own their [`AccessClock`]s. Clocks live in a separate
-//! refcounted arena (`clocks`), and a cell holds only an arena id. Group
-//! *split* and *dissolve* — which used to clone the group clock once per
-//! privatized member — now cost a refcount bump each: the split-off cell
-//! shares the immutable clock value with its old group until either side
-//! next *writes* its clock, at which point [`PlaneOn::update_clock`]
-//! copies (copy-on-write) the value into a fresh arena entry. Members
-//! that are never touched again (the common fate of a dissolved group's
-//! bystanders) never pay for a copy at all.
+//! A *logical clock* is one clock value, however many cells read it. It
+//! lives in exactly one of two places:
+//!
+//! * **Inline in its cell** (`ClockSlot::Own`) when it is in epoch form
+//!   and exactly one cell holds it — FastTrack's common case. Reading it
+//!   is the cell load the access already paid for; writing it stores
+//!   eight bytes.
+//! * **In the refcounted copy-on-write arena** (`ClockSlot::Arena`) when
+//!   several cells hold it or it is a full vector clock. `rc` counts the
+//!   cells holding the entry's id.
+//!
+//! Group *split* (and the lazy dissolve built on it) hands the split-off
+//! cell a reference to the group's clock instead of a copy: an inline
+//! clock is first *promoted* to an arena entry (`rc` 2 — the same logical
+//! clock, moved), an arena clock gets a refcount bump. The two cells share
+//! the immutable value until either next *writes* its clock, when
+//! [`PlaneOn::update_clock`] copies it (copy-on-write) into a fresh
+//! logical clock. Members that are never touched again (the common fate
+//! of a dissolved group's bystanders) never pay for a copy. The other
+//! transitions also happen in `update_clock`: a read clock that inflates
+//! to a vector moves into the arena, and an entry whose last other sharer
+//! has gone, or whose vector deflated, moves back inline the next time
+//! its cell writes it. Readers go through [`PlaneOn::clock_view`], which
+//! returns an epoch by value and never touches the arena for one.
+//!
+//! Moving a logical clock between the two places neither creates nor
+//! destroys one, so every reported counter means what it meant when all
+//! clocks were arena entries: `vc_allocs`/`vc_frees` count logical clocks
+//! created and destroyed, [`PlaneOn::clock_count`] is the live logical
+//! clocks (arena entries + inline clocks, always `vc_allocs - vc_frees`),
+//! and the modeled bytes depend on cells and vector payloads only.
+//!
+//! A single index slot holding both the read and the write cell of an
+//! address was measured as well: 1.2x faster again on the `scatter`
+//! ledger workload (one probe instead of two), but peak RSS grew 13.7 %
+//! on `stream` and 22 % on `aot`, where most addresses are only ever
+//! written or only ever read and the merged slot doubles their index
+//! cost. The planes keep their own stores.
 //!
 //! Invariants (checked by [`PlaneOn::check_invariants`]):
 //! * an arena entry's refcount equals the number of live cells holding
 //!   its id, and is ≥ 1 for live entries;
 //! * an entry with refcount > 1 is never mutated in place;
-//! * `vc_allocs`/`vc_frees` count arena entries (clock values), so a
-//!   split or dissolve allocates nothing;
+//! * after `update_clock` the written cell's clock is inline unless it is
+//!   a vector (an entry left with one holder by a *free* stays in the
+//!   arena until that holder's next write — entries have no back
+//!   pointers);
+//! * `clock_count()` = arena entries + inline clocks = `vc_allocs -
+//!   vc_frees`, so a split or dissolve allocates nothing;
 //! * modeled `vc_bytes` = 16 bytes per live cell (the paper's epoch-form
-//!   cell) + one out-of-line payload (`16 + 4·width`) per live *arena
-//!   entry* in full-VC form — shared payloads are charged once.
+//!   cell) + one out-of-line payload (`16 + 4·width`) per live logical
+//!   clock in full-VC form — shared payloads are charged once.
 
 use dgrace_detectors::snap::{decode_access_clock, encode_access_clock};
 use dgrace_shadow::accounting::vc_cell_bytes;
 use dgrace_shadow::store::{ShadowStore, StoreSelect};
 use dgrace_shadow::{FastMap, HashSelect, Slab, SlabId};
 use dgrace_trace::{Addr, SnapshotReader, SnapshotWriter, TraceError};
-use dgrace_vc::AccessClock;
+use dgrace_vc::{AccessClock, ClockView, Epoch};
 
 use crate::VcState;
 
@@ -60,7 +94,8 @@ fn clock_payload_bytes(clock: &AccessClock) -> usize {
     }
 }
 
-/// A refcounted immutable clock value in the plane's interning arena.
+/// A refcounted clock value in the plane's arena: one shared by several
+/// cells (immutable while `rc > 1`) or one in full-vector form.
 #[derive(Clone, Debug)]
 struct ClockEntry {
     clock: AccessClock,
@@ -68,13 +103,21 @@ struct ClockEntry {
     rc: u32,
 }
 
+/// Where a cell's clock lives (see the module docs).
+#[derive(Clone, Copy, Debug)]
+enum ClockSlot {
+    /// An epoch-form clock no other cell holds, stored in the cell.
+    Own(Epoch),
+    /// An entry of the plane's clock arena.
+    Arena(SlabId),
+}
+
 /// A shared vector-clock cell: the paper's `{vector clock, state, count}`
-/// triple plus the member list needed by `splitAndSetRace`. The clock
-/// itself lives in the plane's interning arena.
+/// triple plus the member list needed by `splitAndSetRace`.
 #[derive(Clone, Debug)]
 pub struct Cell {
-    /// Arena id of the access clock (epoch or full vector clock).
-    clock: SlabId,
+    /// The access clock (epoch or full vector clock).
+    clock: ClockSlot,
     /// Sharing state (Fig. 2).
     pub state: VcState,
     /// Number of locations sharing this cell (`L.count` in Fig. 3).
@@ -141,34 +184,71 @@ impl<K: StoreSelect> PlaneOn<K> {
         self.cells.get(id)
     }
 
-    /// Borrows the clock of cell `id` from the interning arena.
-    pub fn clock_of(&self, id: SlabId) -> &AccessClock {
-        &self.clocks.get(self.cells.get(id).clock).clock
+    /// The clock of cell `id`: an epoch by value — from the cell itself
+    /// when the clock is inline — or a borrowed vector clock.
+    #[inline]
+    pub fn clock_view(&self, id: SlabId) -> ClockView<'_> {
+        match self.cells.get(id).clock {
+            ClockSlot::Own(e) => ClockView::Epoch(e),
+            ClockSlot::Arena(cid) => self.clocks.get(cid).clock.view(),
+        }
     }
 
     /// How many cells currently share cell `id`'s clock value
     /// (diagnostics/testing).
     pub fn clock_refs(&self, id: SlabId) -> u32 {
-        self.clocks.get(self.cells.get(id).clock).rc
+        match self.cells.get(id).clock {
+            ClockSlot::Own(_) => 1,
+            ClockSlot::Arena(cid) => self.clocks.get(cid).rc,
+        }
+    }
+
+    /// Whether cell `id`'s clock is stored in the cell rather than in the
+    /// arena (diagnostics/testing).
+    pub fn clock_is_inline(&self, id: SlabId) -> bool {
+        matches!(self.cells.get(id).clock, ClockSlot::Own(_))
     }
 
     /// Mutates a cell's clock, keeping byte accounting consistent. If the
     /// cell shares its clock value with other cells (after a split or
-    /// dissolve), the value is copied on write into a fresh arena entry.
+    /// dissolve), the value is copied on write into a fresh logical
+    /// clock. Whatever `f` leaves behind is stored where the module docs
+    /// say it lives: inline unless it is a vector.
     pub fn update_clock(&mut self, id: SlabId, f: impl FnOnce(&mut AccessClock)) {
-        let cid = self.cells.get(id).clock;
-        let entry = self.clocks.get_mut(cid);
-        if entry.rc == 1 {
-            let before = clock_payload_bytes(&entry.clock);
-            f(&mut entry.clock);
-            let after = clock_payload_bytes(&entry.clock);
-            self.vc_bytes = self.vc_bytes + after - before;
-        } else {
-            entry.rc -= 1;
-            let mut clock = entry.clock.clone();
-            f(&mut clock);
-            let new_cid = self.alloc_clock(clock);
-            self.cells.get_mut(id).clock = new_cid;
+        let cell = self.cells.get_mut(id);
+        match cell.clock {
+            ClockSlot::Own(e) => {
+                let mut clock = AccessClock::Epoch(e);
+                f(&mut clock);
+                if let AccessClock::Epoch(e) = clock {
+                    cell.clock = ClockSlot::Own(e);
+                } else {
+                    // Inflated: the same logical clock moves to the arena.
+                    let slot = self.intern(clock, 1);
+                    self.cells.get_mut(id).clock = slot;
+                }
+            }
+            ClockSlot::Arena(cid) => {
+                let entry = self.clocks.get_mut(cid);
+                if entry.rc == 1 {
+                    let before = clock_payload_bytes(&entry.clock);
+                    f(&mut entry.clock);
+                    let after = clock_payload_bytes(&entry.clock);
+                    self.vc_bytes = self.vc_bytes + after - before;
+                    if let AccessClock::Epoch(e) = entry.clock {
+                        // Sole holder of an epoch: the logical clock
+                        // moves back into the cell.
+                        self.clocks.free(cid);
+                        cell.clock = ClockSlot::Own(e);
+                    }
+                } else {
+                    entry.rc -= 1;
+                    let mut clock = entry.clock.clone();
+                    f(&mut clock);
+                    let slot = self.new_clock(clock);
+                    self.cells.get_mut(id).clock = slot;
+                }
+            }
         }
     }
 
@@ -182,41 +262,40 @@ impl<K: StoreSelect> PlaneOn<K> {
         self.cells.get_mut(id).redecisions += 1;
     }
 
-    /// Interns a new clock value with refcount 1.
-    fn alloc_clock(&mut self, clock: AccessClock) -> SlabId {
+    /// Moves a clock value into the arena, held by `rc` cells.
+    fn intern(&mut self, clock: AccessClock, rc: u32) -> ClockSlot {
         self.vc_bytes += clock_payload_bytes(&clock);
-        self.vc_allocs += 1;
-        self.clocks.alloc(ClockEntry { clock, rc: 1 })
+        ClockSlot::Arena(self.clocks.alloc(ClockEntry { clock, rc }))
     }
 
-    /// Drops one reference to arena entry `cid`, freeing it at zero.
-    fn release_clock(&mut self, cid: SlabId) {
-        let entry = self.clocks.get_mut(cid);
-        entry.rc -= 1;
-        if entry.rc == 0 {
-            let freed = self.clocks.free(cid);
-            self.vc_bytes -= clock_payload_bytes(&freed.clock);
-            self.vc_frees += 1;
+    /// Creates a logical clock held by one cell.
+    fn new_clock(&mut self, clock: AccessClock) -> ClockSlot {
+        self.vc_allocs += 1;
+        match clock {
+            AccessClock::Epoch(e) => ClockSlot::Own(e),
+            vc => self.intern(vc, 1),
         }
     }
 
-    /// Allocates a cell holding a fresh clock value.
-    fn alloc_cell(&mut self, clock: AccessClock, state: VcState) -> SlabId {
-        let cid = self.alloc_clock(clock);
-        self.alloc_cell_with(cid, state)
+    /// Drops one cell's hold on a clock, destroying the logical clock
+    /// when it was the last.
+    fn release_clock(&mut self, slot: ClockSlot) {
+        if let ClockSlot::Arena(cid) = slot {
+            let entry = self.clocks.get_mut(cid);
+            entry.rc -= 1;
+            if entry.rc > 0 {
+                return;
+            }
+            let freed = self.clocks.free(cid);
+            self.vc_bytes -= clock_payload_bytes(&freed.clock);
+        }
+        self.vc_frees += 1;
     }
 
-    /// Allocates a cell sharing the existing arena entry `cid` — the
-    /// refcount-bump path used by split and dissolve.
-    fn alloc_cell_sharing(&mut self, cid: SlabId, state: VcState) -> SlabId {
-        self.clocks.get_mut(cid).rc += 1;
-        self.alloc_cell_with(cid, state)
-    }
-
-    fn alloc_cell_with(&mut self, cid: SlabId, state: VcState) -> SlabId {
+    fn alloc_cell(&mut self, clock: ClockSlot, state: VcState) -> SlabId {
         self.vc_bytes += CELL_BYTES;
         self.cells.alloc(Cell {
-            clock: cid,
+            clock,
             state,
             count: 1,
             tainted: false,
@@ -234,6 +313,7 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// Creates a brand-new private location.
     pub fn insert_private(&mut self, addr: Addr, clock: AccessClock, state: VcState) -> SlabId {
         debug_assert!(self.table.get(addr).is_none(), "location already exists");
+        let clock = self.new_clock(clock);
         let id = self.alloc_cell(clock, state);
         self.table.insert(addr, Loc { cell: id, idx: 0 });
         id
@@ -337,19 +417,31 @@ impl<K: StoreSelect> PlaneOn<K> {
 
     /// Splits `addr` out of its sharing group: it receives a private
     /// *reference* to the group clock (the paper's `split(L, addr,
-    /// size)`) — a refcount bump, not a copy; divergence is deferred to
-    /// the next clock write. No-op for already-private locations.
-    /// Returns the location's cell id after the split and whether a
-    /// split actually happened.
+    /// size)`) — a refcount bump, not a copy, with an inline group clock
+    /// promoted to the arena first; divergence is deferred to the next
+    /// clock write. No-op for already-private locations. Returns the
+    /// location's cell id after the split and whether a split actually
+    /// happened.
     pub fn split(&mut self, addr: Addr) -> (SlabId, bool) {
         let loc = *self.table.get(addr).expect("location must exist");
         let group = self.cells.get(loc.cell);
         if group.count == 1 {
             return (loc.cell, false);
         }
-        let (cid, state, tainted) = (group.clock, group.state, group.tainted);
+        let (state, tainted) = (group.state, group.tainted);
+        let shared = match group.clock {
+            ClockSlot::Own(e) => {
+                let shared = self.intern(AccessClock::Epoch(e), 2);
+                self.cells.get_mut(loc.cell).clock = shared;
+                shared
+            }
+            ClockSlot::Arena(cid) => {
+                self.clocks.get_mut(cid).rc += 1;
+                group.clock
+            }
+        };
         self.detach(addr, loc.cell, loc.idx);
-        let new_id = self.alloc_cell_sharing(cid, state);
+        let new_id = self.alloc_cell(shared, state);
         self.cells.get_mut(new_id).tainted = tainted;
         let l = self.table.get_mut(addr).expect("loc");
         l.cell = new_id;
@@ -373,40 +465,12 @@ impl<K: StoreSelect> PlaneOn<K> {
         }
     }
 
-    /// Dissolves `addr`'s group entirely: every member gets a private
-    /// cell *sharing* the group clock in the given `state` (the paper's
-    /// `splitAndSetRace`) — refcount bumps, no copies. Returns the
-    /// member list (sorted).
-    pub fn dissolve_group(&mut self, addr: Addr, state: VcState) -> Vec<Addr> {
-        let loc = *self.table.get(addr).expect("location must exist");
-        let cell = self.cells.get_mut(loc.cell);
-        if cell.members.is_empty() {
-            cell.state = state;
-            return vec![addr];
-        }
-        let members = std::mem::take(&mut cell.members);
-        let cid = cell.clock;
-        for &m in &members {
-            let id = self.alloc_cell_sharing(cid, state);
-            self.cells.get_mut(id).tainted = true;
-            let l = self.table.get_mut(m).expect("member exists");
-            l.cell = id;
-            l.idx = 0;
-        }
-        // Freed after the members took their references, so the entry
-        // stays live throughout.
-        self.free_cell(loc.cell);
-        let mut sorted = members;
-        sorted.sort_unstable();
-        sorted
-    }
-
     /// A debugging snapshot of `addr`'s group.
     pub fn snapshot(&self, addr: Addr) -> Option<GroupSnapshot> {
         let id = self.lookup(addr)?;
         let cell = self.cell(id);
         Some(GroupSnapshot {
-            clock: self.clock_of(id).clone(),
+            clock: self.clock_view(id).to_clock(),
             state: cell.state,
             members: self.group_members(addr),
         })
@@ -503,10 +567,12 @@ impl<K: StoreSelect> PlaneOn<K> {
         self.cells.len()
     }
 
-    /// Number of live interned clock values — distinct vector-clock
-    /// objects, the population Table 3 counts.
+    /// Number of live logical clocks (arena entries + inline clocks) —
+    /// distinct vector-clock objects, the population Table 3 counts.
+    /// Moving a clock between cell and arena creates and destroys none,
+    /// so this is the clocks created minus the clocks destroyed.
     pub fn clock_count(&self) -> usize {
-        self.clocks.len()
+        self.vc_allocs.saturating_sub(self.vc_frees) as usize
     }
 
     /// Modeled bytes of live cells and clock payloads.
@@ -519,13 +585,13 @@ impl<K: StoreSelect> PlaneOn<K> {
         self.table.index_bytes()
     }
 
-    /// Clock values allocated over the run (arena entries; refcount
-    /// bumps from split/dissolve don't count).
+    /// Logical clocks created over the run (reference bumps from
+    /// split/dissolve, and moves between cell and arena, don't count).
     pub fn vc_allocs(&self) -> u64 {
         self.vc_allocs
     }
 
-    /// Clock values freed over the run.
+    /// Logical clocks destroyed over the run.
     pub fn vc_frees(&self) -> u64 {
         self.vc_frees
     }
@@ -566,6 +632,7 @@ impl<K: StoreSelect> PlaneOn<K> {
             "location count mismatch"
         );
         let mut bytes = 0usize;
+        let mut inline = 0usize;
         let mut per_clock: FastMap<SlabId, u32> = FastMap::default();
         for (id, cell) in self.cells.iter() {
             let refs = per_cell.get(&id).copied().unwrap_or(0);
@@ -582,13 +649,23 @@ impl<K: StoreSelect> PlaneOn<K> {
                     "cell {id:?} member list out of sync"
                 );
             }
-            assert!(
-                self.clocks.contains(cell.clock),
-                "cell {id:?} points at a dead clock entry"
-            );
-            *per_clock.entry(cell.clock).or_default() += 1;
+            match cell.clock {
+                ClockSlot::Own(_) => inline += 1,
+                ClockSlot::Arena(cid) => {
+                    assert!(
+                        self.clocks.contains(cid),
+                        "cell {id:?} points at a dead clock entry"
+                    );
+                    *per_clock.entry(cid).or_default() += 1;
+                }
+            }
             bytes += CELL_BYTES;
         }
+        assert_eq!(
+            self.clocks.len() + inline,
+            self.clock_count(),
+            "arena entries + inline clocks != clocks created - destroyed"
+        );
         for (cid, entry) in self.clocks.iter() {
             let refs = per_clock.get(&cid).copied().unwrap_or(0);
             assert_eq!(
@@ -603,26 +680,40 @@ impl<K: StoreSelect> PlaneOn<K> {
         assert_eq!(self.cells.len(), self.cell_count());
     }
 
-    /// Serializes the plane. Cells and clock-arena entries are renumbered
-    /// densely in slab-iteration order, so equal planes encode to equal
-    /// bytes regardless of slab free-list history, and the copy-on-write
-    /// sharing structure (which cells reference which arena entries, and
-    /// each entry's refcount) is preserved exactly.
+    /// Serializes the plane: a table of its logical clocks, then the
+    /// cells, each naming its clock by table index. Cells are renumbered
+    /// densely in slab-iteration order and the clock table is written in
+    /// the order cells first reference its entries, an inline clock as an
+    /// entry of refcount 1 — so equal planes encode to equal bytes
+    /// regardless of slab free-list history or of where a clock happens
+    /// to live, and the copy-on-write sharing structure (which cells
+    /// hold which clock, and each clock's refcount) is preserved exactly.
     pub fn encode(&self, w: &mut SnapshotWriter) {
-        let mut clock_dense: FastMap<SlabId, u32> = FastMap::default();
-        w.count(self.clocks.len());
-        for (cid, entry) in self.clocks.iter() {
-            let idx = clock_dense.len() as u32;
-            clock_dense.insert(cid, idx);
-            encode_access_clock(w, &entry.clock);
-            w.u32(entry.rc);
+        let mut arena_dense: FastMap<SlabId, u32> = FastMap::default();
+        let mut clock_of_cell: Vec<u32> = Vec::with_capacity(self.cells.len());
+        let mut entries = 0u32;
+        let mut entry = |w: &mut SnapshotWriter, clock: &AccessClock, rc: u32| {
+            encode_access_clock(w, clock);
+            w.u32(rc);
+            entries += 1;
+            entries - 1
+        };
+        w.count(self.clock_count());
+        for (_, cell) in self.cells.iter() {
+            clock_of_cell.push(match cell.clock {
+                ClockSlot::Own(e) => entry(w, &AccessClock::Epoch(e), 1),
+                ClockSlot::Arena(cid) => *arena_dense.entry(cid).or_insert_with(|| {
+                    let shared = self.clocks.get(cid);
+                    entry(w, &shared.clock, shared.rc)
+                }),
+            });
         }
         let mut cell_dense: FastMap<SlabId, u32> = FastMap::default();
         w.count(self.cells.len());
-        for (id, cell) in self.cells.iter() {
+        for ((id, cell), clock) in self.cells.iter().zip(clock_of_cell) {
             let idx = cell_dense.len() as u32;
             cell_dense.insert(id, idx);
-            w.u32(clock_dense[&cell.clock]);
+            w.u32(clock);
             w.u8(state_tag(cell.state));
             w.u32(cell.count);
             w.bool(cell.tainted);
@@ -654,22 +745,27 @@ impl<K: StoreSelect> PlaneOn<K> {
 
     /// Rebuilds a plane from [`PlaneOn::encode`]d bytes. Fresh slabs
     /// allocate sequential ids, so the dense indices in the stream map
-    /// directly onto the ids handed back by `alloc`.
+    /// directly onto the ids handed back by `alloc`. An epoch-form clock
+    /// of refcount 1 is restored inline, whichever place it was saved
+    /// from.
     pub fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, TraceError> {
         let mut plane = Self::default();
         let n = r.count("clock-arena entries")?;
-        let mut clock_ids = Vec::new();
+        let mut clock_slots = Vec::new();
         for _ in 0..n {
             let clock = decode_access_clock(r)?;
             let rc = r.u32()?;
-            clock_ids.push(plane.clocks.alloc(ClockEntry { clock, rc }));
+            clock_slots.push(match clock {
+                AccessClock::Epoch(e) if rc == 1 => ClockSlot::Own(e),
+                clock => ClockSlot::Arena(plane.clocks.alloc(ClockEntry { clock, rc })),
+            });
         }
         let n = r.count("plane cells")?;
         let mut cell_ids = Vec::new();
         for _ in 0..n {
             let at = r.offset();
             let ci = r.u32()? as usize;
-            let clock = *clock_ids.get(ci).ok_or(TraceError::Malformed {
+            let clock = *clock_slots.get(ci).ok_or(TraceError::Malformed {
                 offset: at,
                 what: "clock reference out of range",
             })?;
@@ -709,8 +805,17 @@ impl<K: StoreSelect> PlaneOn<K> {
             plane.table.force_byte_mode(Addr(r.u64()?));
         }
         plane.vc_bytes = r.u64()? as usize;
+        let at = r.offset();
         plane.vc_allocs = r.u64()?;
         plane.vc_frees = r.u64()?;
+        // `clock_count` is derived from these two; hold them to the
+        // table they were saved with.
+        if plane.vc_allocs.checked_sub(plane.vc_frees) != Some(clock_slots.len() as u64) {
+            return Err(TraceError::Malformed {
+                offset: at,
+                what: "clock counters disagree with the clock table",
+            });
+        }
         plane.max_group = r.u32()?;
         Ok(plane)
     }
@@ -820,11 +925,81 @@ mod tests {
         assert_eq!(p.clock_refs(split_id), 2);
         // Writing the split-off cell's clock must not disturb the group.
         p.update_clock(split_id, |c| *c = epoch(9, 1));
-        assert_eq!(p.clock_of(split_id), &epoch(9, 1));
-        assert_eq!(p.clock_of(gid), &epoch(1, 0), "group clock untouched");
+        assert_eq!(p.clock_view(split_id), epoch(9, 1).view());
+        assert_eq!(
+            p.clock_view(gid),
+            epoch(1, 0).view(),
+            "group clock untouched"
+        );
         assert_eq!(p.clock_refs(split_id), 1);
         assert_eq!(p.clock_refs(gid), 1);
         assert_eq!(p.clock_count(), 2);
+        assert_eq!(p.vc_allocs(), 2, "the copy is the one new logical clock");
+        p.check_invariants();
+    }
+
+    #[test]
+    fn epoch_clock_moves_between_cell_and_arena() {
+        let mut p = Plane::new();
+        let gid = p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        p.insert_shared(Addr(0x104), Addr(0x100), gid);
+        assert!(
+            p.clock_is_inline(gid),
+            "an unshared epoch lives in its cell"
+        );
+        // Split promotes the inline group clock: one logical clock, two
+        // holders, nothing allocated.
+        let (split_id, _) = p.split(Addr(0x104));
+        assert!(!p.clock_is_inline(gid) && !p.clock_is_inline(split_id));
+        assert_eq!((p.clock_count(), p.vc_allocs()), (1, 1));
+        // Copy-on-write leaves the writer with a fresh inline clock and
+        // the group as the entry's sole holder...
+        p.update_clock(split_id, |c| c.set_write(Tid(1), 9));
+        assert!(p.clock_is_inline(split_id));
+        assert_eq!((p.clock_refs(gid), p.clock_is_inline(gid)), (1, false));
+        p.check_invariants();
+        // ...which moves back inline at the group's own next write.
+        p.update_clock(gid, |c| c.set_write(Tid(0), 2));
+        assert!(p.clock_is_inline(gid));
+        assert_eq!((p.clock_count(), p.vc_allocs(), p.vc_frees()), (2, 2, 0));
+        p.check_invariants();
+    }
+
+    #[test]
+    fn last_sharer_freed_leaves_one_logical_clock() {
+        let mut p = Plane::new();
+        let gid = p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        p.insert_shared(Addr(0x104), Addr(0x100), gid);
+        p.split(Addr(0x104));
+        p.remove(Addr(0x104));
+        assert_eq!(
+            (p.clock_count(), p.vc_frees()),
+            (1, 0),
+            "the clock survives"
+        );
+        assert_eq!(p.clock_view(gid), epoch(1, 0).view());
+        p.check_invariants();
+        p.remove(Addr(0x100));
+        assert_eq!((p.clock_count(), p.vc_frees()), (0, 1));
+        p.check_invariants();
+    }
+
+    #[test]
+    fn vector_clock_lives_in_the_arena_until_it_deflates() {
+        let mut p = Plane::new();
+        let id = p.insert_private(Addr(0x100), epoch(1, 0), VcState::Private);
+        let now = dgrace_vc::VectorClock::from_slice(&[0, 3]);
+        p.update_clock(id, |c| assert!(c.record_read(Tid(1), &now)));
+        assert!(!p.clock_is_inline(id));
+        assert_eq!(
+            (p.clock_count(), p.vc_allocs()),
+            (1, 1),
+            "same logical clock"
+        );
+        p.check_invariants();
+        p.update_clock(id, |c| c.set_write(Tid(1), 4));
+        assert!(p.clock_is_inline(id));
+        assert_eq!((p.clock_count(), p.vc_allocs(), p.vc_frees()), (1, 1, 0));
         p.check_invariants();
     }
 
@@ -839,41 +1014,6 @@ mod tests {
         assert_eq!(p.cell_count(), 1);
         assert_eq!(p.vc_frees(), 1);
         assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x104)]);
-    }
-
-    #[test]
-    fn dissolve_group_privatizes_every_member() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        for i in 1..5u64 {
-            let nb = Addr(0x100 + 4 * (i - 1));
-            p.insert_shared(Addr(0x100 + 4 * i), nb, p.lookup(nb).unwrap());
-        }
-        assert_eq!(p.cell_count(), 1);
-        let allocs_before = p.vc_allocs();
-        let members = p.dissolve_group(Addr(0x108), VcState::Race);
-        assert_eq!(members.len(), 5);
-        assert_eq!(p.cell_count(), 5);
-        assert_eq!(p.clock_count(), 1, "members still share one clock value");
-        assert_eq!(p.vc_allocs(), allocs_before, "dissolve must not allocate");
-        for &m in &members {
-            let id = p.lookup(m).unwrap();
-            assert_eq!(p.cell(id).state, VcState::Race);
-            assert_eq!(p.cell(id).count, 1);
-            assert_eq!(p.group_members(m), vec![m]);
-            assert_eq!(p.clock_refs(id), 5);
-        }
-        p.check_invariants();
-    }
-
-    #[test]
-    fn dissolve_singleton_sets_state() {
-        let mut p = Plane::new();
-        let id = p.insert_private(Addr(0x100), epoch(1, 0), VcState::Private);
-        let members = p.dissolve_group(Addr(0x100), VcState::Race);
-        assert_eq!(members, vec![Addr(0x100)]);
-        assert_eq!(p.cell(id).state, VcState::Race);
-        assert_eq!(p.cell_count(), 1);
     }
 
     #[test]
@@ -1032,6 +1172,24 @@ mod tests {
         w.count(0); // no clocks
         w.count(1); // one cell...
         w.u32(5); // ...referencing clock 5
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes, *b"TEST", 1, Default::default()).unwrap();
+        assert!(matches!(
+            Plane::decode(&mut r),
+            Err(TraceError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn decode_rejects_counters_that_disagree_with_the_clock_table() {
+        let mut w = SnapshotWriter::new(*b"TEST", 1);
+        for _ in 0..4 {
+            w.count(0); // no clocks, cells, locations, byte-mode chunks
+        }
+        w.u64(0); // vc_bytes
+        w.u64(1); // vc_allocs: one live clock the table does not hold
+        w.u64(0); // vc_frees
+        w.u32(0);
         let bytes = w.finish();
         let mut r = SnapshotReader::new(&bytes, *b"TEST", 1, Default::default()).unwrap();
         assert!(matches!(

@@ -4,7 +4,7 @@
 use dgrace_core::{DynamicConfig, DynamicGranularity, Plane, VcState};
 use dgrace_detectors::Detector;
 use dgrace_trace::{AccessSize, Addr, Event, LockId, Tid};
-use dgrace_vc::{AccessClock, Epoch};
+use dgrace_vc::{AccessClock, ClockView, Epoch, VectorClock};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -12,21 +12,29 @@ enum PlaneOp {
     InsertPrivate(u8, u8),
     ShareWithPred(u8),
     Split(u8),
-    Dissolve(u8),
     Remove(u8),
     RemoveRange(u8, u8),
+    /// A write: leaves the clock in epoch form.
     Touch(u8, u8),
+    /// A read concurrent with everything before it: leaves a vector.
+    ReadBy(u8, u8),
 }
 
+/// Uniform over twelve slots; the group-forming and clock-writing ops
+/// appear twice so that groups outlive the removals long enough to be
+/// split, written and partly freed.
 fn arb_plane_op() -> impl Strategy<Value = PlaneOp> {
     prop_oneof![
-        (0u8..40, 0u8..6).prop_map(|(a, c)| PlaneOp::InsertPrivate(a, c)),
-        (0u8..40).prop_map(PlaneOp::ShareWithPred),
-        (0u8..40).prop_map(PlaneOp::Split),
-        (0u8..40).prop_map(PlaneOp::Dissolve),
-        (0u8..40).prop_map(PlaneOp::Remove),
-        (0u8..40, 1u8..16).prop_map(|(a, l)| PlaneOp::RemoveRange(a, l)),
-        (0u8..40, 0u8..6).prop_map(|(a, c)| PlaneOp::Touch(a, c)),
+        (0u8..12, 0u8..6).prop_map(|(a, c)| PlaneOp::InsertPrivate(a, c)),
+        (0u8..12).prop_map(PlaneOp::ShareWithPred),
+        (0u8..12).prop_map(PlaneOp::ShareWithPred),
+        (0u8..12).prop_map(PlaneOp::Split),
+        (0u8..12).prop_map(PlaneOp::Split),
+        (0u8..12).prop_map(PlaneOp::Remove),
+        (0u8..12, 1u8..3).prop_map(|(a, l)| PlaneOp::RemoveRange(a, l)),
+        (0u8..12, 0u8..6).prop_map(|(a, c)| PlaneOp::Touch(a, c)),
+        (0u8..12, 0u8..6).prop_map(|(a, c)| PlaneOp::Touch(a, c)),
+        (0u8..12, 0u8..6).prop_map(|(a, c)| PlaneOp::ReadBy(a, c)),
     ]
 }
 
@@ -34,15 +42,50 @@ fn addr(slot: u8) -> Addr {
     Addr(0x100 + slot as u64 * 4)
 }
 
+/// The moves of a logical clock between its cell and the arena
+/// (`plane.rs`, "Where a clock lives"), as bits of a coverage mask.
+const PROMOTED_BY_SPLIT: u8 = 1;
+const COPIED_ON_WRITE: u8 = 2;
+const DEMOTED_AFTER_LAST_SHARER_LEFT: u8 = 4;
+const INFLATED: u8 = 8;
+const DEFLATED: u8 = 16;
+const EVERY_MOVE: u8 = 31;
+
+/// Writes cell `id`'s clock through `f`, checks `update_clock`'s
+/// postcondition, and names the move the write caused.
+fn write_clock(p: &mut Plane, id: dgrace_shadow::SlabId, f: impl FnOnce(&mut AccessClock)) -> u8 {
+    let was_inline = p.clock_is_inline(id);
+    let was_epoch = matches!(p.clock_view(id), ClockView::Epoch(_));
+    let was_shared = p.clock_refs(id) > 1;
+    p.update_clock(id, f);
+    let is_epoch = matches!(p.clock_view(id), ClockView::Epoch(_));
+    assert_eq!(p.clock_refs(id), 1, "a written clock is exclusively held");
+    assert_eq!(
+        p.clock_is_inline(id),
+        is_epoch,
+        "after a write, no arena entry is both rc 1 and epoch-form"
+    );
+    match (was_shared, was_inline, was_epoch, is_epoch) {
+        (true, ..) => COPIED_ON_WRITE,
+        (false, true, _, false) => INFLATED,
+        (false, false, true, true) => DEMOTED_AFTER_LAST_SHARER_LEFT,
+        (false, false, false, true) => DEFLATED,
+        _ => 0,
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Every reachable sequence of plane operations preserves the
-    /// structural invariants (counts, member lists, indices, byte
-    /// accounting).
+    /// structural invariants (counts, member lists, indices, byte and
+    /// logical-clock accounting). The sequences are long enough that each
+    /// one moves a clock between cell and arena in every way there is
+    /// (the rarest move, the demotion, happens ~14 times per sequence).
     #[test]
-    fn plane_invariants_under_random_ops(ops in proptest::collection::vec(arb_plane_op(), 1..80)) {
+    fn plane_invariants_under_random_ops(ops in proptest::collection::vec(arb_plane_op(), 2000..2500)) {
         let mut p = Plane::new();
+        let mut moves = 0u8;
         for op in ops {
             match op {
                 PlaneOp::InsertPrivate(a, c) => {
@@ -62,13 +105,16 @@ proptest! {
                     }
                 }
                 PlaneOp::Split(a) => {
-                    if p.lookup(addr(a)).is_some() {
-                        p.split(addr(a));
-                    }
-                }
-                PlaneOp::Dissolve(a) => {
-                    if p.lookup(addr(a)).is_some() {
-                        p.dissolve_group(addr(a), VcState::Race);
+                    if let Some(id) = p.lookup(addr(a)) {
+                        let was_inline = p.clock_is_inline(id);
+                        let (new_id, split) = p.split(addr(a));
+                        if split {
+                            prop_assert!(!p.clock_is_inline(id) && !p.clock_is_inline(new_id));
+                            prop_assert_eq!(p.clock_view(id), p.clock_view(new_id));
+                            if was_inline {
+                                moves |= PROMOTED_BY_SPLIT;
+                            }
+                        }
                     }
                 }
                 PlaneOp::Remove(a) => p.remove(addr(a)),
@@ -77,14 +123,22 @@ proptest! {
                 }
                 PlaneOp::Touch(a, c) => {
                     if let Some(id) = p.lookup(addr(a)) {
-                        p.update_clock(id, |clk| {
-                            clk.set_write(Tid(1), c as u32 + 1);
+                        moves |= write_clock(&mut p, id, |clk| clk.set_write(Tid(1), c as u32 + 1));
+                    }
+                }
+                PlaneOp::ReadBy(a, c) => {
+                    if let Some(id) = p.lookup(addr(a)) {
+                        let mut now = VectorClock::new();
+                        now.set(Tid(2), c as u32 + 1);
+                        moves |= write_clock(&mut p, id, |clk| {
+                            clk.record_read(Tid(2), &now);
                         });
                     }
                 }
             }
             p.check_invariants();
         }
+        prop_assert_eq!(moves, EVERY_MOVE, "a clock move went unexercised");
     }
 }
 

@@ -52,8 +52,6 @@ pub struct DjitOn<K: StoreSelect> {
     vc_frees: u64,
     evicted: u64,
     event_index: u64,
-    /// Reusable clock buffer: avoids a heap allocation per access.
-    scratch: VectorClock,
 }
 
 /// DJIT+ on the chained-hash store (the default).
@@ -87,8 +85,7 @@ impl<K: StoreSelect> DjitOn<K> {
             return;
         }
 
-        let mut now = std::mem::take(&mut self.scratch);
-        now.clone_from(self.hb.clock(tid));
+        let now = self.hb.now(tid);
         let my_epoch = Epoch::new(now.get(tid), tid);
 
         if self.table.get(loc).is_none() {
@@ -104,14 +101,14 @@ impl<K: StoreSelect> DjitOn<K> {
             match kind {
                 AccessKind::Read => {
                     // Write-read race: some write is not known to us.
-                    if let Some((t, c)) = cell.write.first_exceeding(&now) {
+                    if let Some((t, c)) = cell.write.first_exceeding(now) {
                         race = Some((RaceKind::WriteRead, Epoch::new(c, t)));
                     }
                 }
                 AccessKind::Write => {
-                    if let Some((t, c)) = cell.write.first_exceeding(&now) {
+                    if let Some((t, c)) = cell.write.first_exceeding(now) {
                         race = Some((RaceKind::WriteWrite, Epoch::new(c, t)));
-                    } else if let Some((t, c)) = cell.read.first_exceeding(&now) {
+                    } else if let Some((t, c)) = cell.read.first_exceeding(now) {
                         race = Some((RaceKind::ReadWrite, Epoch::new(c, t)));
                     }
                 }
@@ -138,7 +135,6 @@ impl<K: StoreSelect> DjitOn<K> {
         }
 
         self.vc_bytes = self.vc_bytes + after - before;
-        self.scratch = now;
         self.update_model();
     }
 
@@ -345,7 +341,6 @@ impl<K: StoreSelect> Detector for DjitOn<K> {
             vc_frees: counters[4],
             evicted: counters[5],
             event_index: counters[6],
-            scratch: Default::default(),
         };
         Ok(())
     }

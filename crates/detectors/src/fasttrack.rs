@@ -69,8 +69,6 @@ pub struct FastTrackOn<K: StoreSelect> {
     vc_frees: u64,
     evicted: u64,
     event_index: u64,
-    /// Reusable clock buffer: avoids a heap allocation per access.
-    scratch: dgrace_vc::VectorClock,
 }
 
 /// FastTrack on the chained-hash store (the default).
@@ -103,8 +101,7 @@ impl<K: StoreSelect> FastTrackOn<K> {
             return;
         }
 
-        let mut now = std::mem::take(&mut self.scratch);
-        now.clone_from(self.hb.clock(tid));
+        let now = self.hb.now(tid);
         let my_epoch = Epoch::new(now.get(tid), tid);
 
         if self.table.get(loc).is_none() {
@@ -120,19 +117,19 @@ impl<K: StoreSelect> FastTrackOn<K> {
         match kind {
             AccessKind::Read => {
                 // [READ] write-read race: the last write is concurrent.
-                if !cell.read_raced && !cell.write.is_none() && !cell.write.leq(&now) {
+                if !cell.read_raced && !cell.write.is_none() && !cell.write.leq(now) {
                     race = Some((RaceKind::WriteRead, cell.write));
                     cell.read_raced = true;
                 }
-                cell.read.record_read(tid, &now);
+                cell.read.record_read(tid, now);
             }
             AccessKind::Write => {
                 if !cell.write_raced {
-                    if !cell.write.is_none() && !cell.write.leq(&now) {
+                    if !cell.write.is_none() && !cell.write.leq(now) {
                         // [WRITE] write-write race.
                         race = Some((RaceKind::WriteWrite, cell.write));
                         cell.write_raced = true;
-                    } else if let Some(r) = cell.read.find_concurrent_read(&now) {
+                    } else if let Some(r) = cell.read.find_concurrent_read(now) {
                         // [WRITE] read-write race.
                         race = Some((RaceKind::ReadWrite, r));
                         cell.write_raced = true;
@@ -161,7 +158,6 @@ impl<K: StoreSelect> FastTrackOn<K> {
                 tainted: false,
             });
         }
-        self.scratch = now;
         self.update_model();
     }
 
@@ -372,7 +368,6 @@ impl<K: StoreSelect> Detector for FastTrackOn<K> {
             vc_frees: counters[4],
             evicted: counters[5],
             event_index: counters[6],
-            scratch: Default::default(),
         };
         Ok(())
     }

@@ -83,6 +83,22 @@ impl HbState {
         &self.thread_mut(t).vc
     }
 
+    /// The current vector clock of thread `t`, borrowed through `&self` so
+    /// a detector can hold it for the whole of an access while it mutates
+    /// its own shadow state, instead of copying it out first.
+    ///
+    /// # Panics
+    /// Panics if `t` has not materialized yet. The same-epoch filter
+    /// ([`Self::first_read_in_epoch`] / [`Self::first_write_in_epoch`])
+    /// that opens every access materializes it.
+    #[inline]
+    pub fn now(&self, t: Tid) -> &VectorClock {
+        let slot = self.threads.get(t.index()).and_then(Option::as_ref);
+        &slot
+            .expect("thread materialized by the same-epoch filter")
+            .vc
+    }
+
     /// The current epoch `c@t` of thread `t`.
     pub fn epoch(&mut self, t: Tid) -> Epoch {
         let vc = &self.thread_mut(t).vc;
@@ -337,6 +353,18 @@ mod tests {
         let mut hb = HbState::new();
         assert_eq!(hb.epoch(Tid(0)), Epoch::new(1, Tid(0)));
         assert_eq!(hb.clock(Tid(0)).get(Tid(0)), 1);
+    }
+
+    #[test]
+    fn now_borrows_the_clock_the_filter_materialized() {
+        let mut hb = HbState::new();
+        assert!(hb.first_write_in_epoch(Tid(2), Addr(0x40)));
+        assert_eq!(hb.now(Tid(2)).get(Tid(2)), 1);
+        hb.on_sync(&Event::Release {
+            tid: Tid(2),
+            lock: LockId(1),
+        });
+        assert_eq!(hb.now(Tid(2)).get(Tid(2)), 2);
     }
 
     #[test]

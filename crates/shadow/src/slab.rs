@@ -6,14 +6,23 @@
 //! online runtime can put it behind a lock), and makes reference counting
 //! explicit — the paper's `count` field on each shared vector clock.
 
-/// A handle to a slab slot.
+use std::num::NonZeroU32;
+
+/// A handle to a slab slot. Stored as `index + 1` so the handle has a
+/// niche: `Option<SlabId>` — and any index slot built around one — is
+/// no larger than the handle itself.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct SlabId(u32);
+pub struct SlabId(NonZeroU32);
 
 impl SlabId {
+    fn from_index(i: usize) -> Self {
+        let raw = u32::try_from(i + 1).expect("slab holds fewer than 2^32 - 1 items");
+        SlabId(NonZeroU32::new(raw).expect("index + 1 is nonzero"))
+    }
+
     /// The raw index.
     pub fn index(self) -> usize {
-        self.0 as usize
+        (self.0.get() - 1) as usize
     }
 }
 
@@ -21,7 +30,7 @@ impl SlabId {
 #[derive(Clone, Debug)]
 pub struct Slab<T> {
     items: Vec<Option<T>>,
-    free: Vec<u32>,
+    free: Vec<SlabId>,
     live: usize,
 }
 
@@ -44,13 +53,13 @@ impl<T> Slab<T> {
     /// Stores `value`, returning its id.
     pub fn alloc(&mut self, value: T) -> SlabId {
         self.live += 1;
-        if let Some(i) = self.free.pop() {
-            debug_assert!(self.items[i as usize].is_none());
-            self.items[i as usize] = Some(value);
-            SlabId(i)
+        if let Some(id) = self.free.pop() {
+            debug_assert!(self.items[id.index()].is_none());
+            self.items[id.index()] = Some(value);
+            id
         } else {
             self.items.push(Some(value));
-            SlabId((self.items.len() - 1) as u32)
+            SlabId::from_index(self.items.len() - 1)
         }
     }
 
@@ -60,7 +69,7 @@ impl<T> Slab<T> {
     /// Panics if `id` is not live.
     pub fn free(&mut self, id: SlabId) -> T {
         let v = self.items[id.index()].take().expect("double free in slab");
-        self.free.push(id.0);
+        self.free.push(id);
         self.live -= 1;
         v
     }
@@ -95,7 +104,7 @@ impl<T> Slab<T> {
         self.items
             .iter()
             .enumerate()
-            .filter_map(|(i, v)| v.as_ref().map(|v| (SlabId(i as u32), v)))
+            .filter_map(|(i, v)| v.as_ref().map(|v| (SlabId::from_index(i), v)))
     }
 }
 
@@ -140,6 +149,12 @@ mod tests {
         let a = s.alloc(1);
         *s.get_mut(a) += 10;
         assert_eq!(*s.get(a), 11);
+    }
+
+    #[test]
+    fn id_has_a_niche() {
+        assert_eq!(std::mem::size_of::<Option<SlabId>>(), 4);
+        assert_eq!(std::mem::size_of::<Option<(SlabId, u32)>>(), 8);
     }
 
     #[test]

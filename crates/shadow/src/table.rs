@@ -26,6 +26,21 @@ struct Entry<T> {
     live: u32,
 }
 
+impl<T> Entry<T> {
+    /// Slot index of the chunk-relative offset `low`, or `None` if the
+    /// offset is unaligned and the entry is still in word mode.
+    #[inline]
+    fn slot_of(&self, low: usize) -> Option<usize> {
+        if self.byte_mode {
+            Some(low)
+        } else if low.is_multiple_of(4) {
+            Some(low / 4)
+        } else {
+            None
+        }
+    }
+}
+
 /// A shadow table mapping *locations* (access base addresses) to cells of
 /// type `T`.
 ///
@@ -73,33 +88,19 @@ impl<T> ShadowTable<T> {
         (addr.0 & (self.m as u64 - 1)) as usize
     }
 
-    /// Slot index of `addr` within `entry`, or `None` if the address is
-    /// unaligned and the entry is still in word mode.
-    #[inline]
-    fn slot_of(&self, entry: &Entry<T>, addr: Addr) -> Option<usize> {
-        let low = self.low(addr);
-        if entry.byte_mode {
-            Some(low)
-        } else if low.is_multiple_of(4) {
-            Some(low / 4)
-        } else {
-            None
-        }
-    }
-
     /// Looks up the cell for `addr`.
     pub fn get(&self, addr: Addr) -> Option<&T> {
         let entry = self.map.get(&self.key(addr))?;
-        let slot = self.slot_of(entry, addr)?;
+        let slot = entry.slot_of(self.low(addr))?;
         entry.slots[slot].as_ref()
     }
 
     /// Looks up the cell for `addr` mutably.
     pub fn get_mut(&mut self, addr: Addr) -> Option<&mut T> {
-        let key = self.key(addr);
-        let entry = self.map.get(&key)?;
-        let slot = self.slot_of(entry, addr)?;
-        self.map.get_mut(&key)?.slots[slot].as_mut()
+        let low = self.low(addr);
+        let entry = self.map.get_mut(&self.key(addr))?;
+        let slot = entry.slot_of(low)?;
+        entry.slots[slot].as_mut()
     }
 
     /// Inserts a cell for `addr`, creating or expanding the chunk entry as
@@ -151,16 +152,9 @@ impl<T> ShadowTable<T> {
     /// becomes empty (as `free()` does in §IV.B).
     pub fn remove(&mut self, addr: Addr) -> Option<T> {
         let key = self.key(addr);
-        let m = self.m;
+        let low = self.low(addr);
         let entry = self.map.get_mut(&key)?;
-        let low = (addr.0 & (m as u64 - 1)) as usize;
-        let slot = if entry.byte_mode {
-            low
-        } else if low.is_multiple_of(4) {
-            low / 4
-        } else {
-            return None;
-        };
+        let slot = entry.slot_of(low)?;
         let removed = entry.slots[slot].take();
         if removed.is_some() {
             self.live -= 1;

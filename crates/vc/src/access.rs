@@ -42,9 +42,15 @@ impl AccessClock {
 
     /// Finds an access not ordered before `vc` (a race witness).
     pub fn find_concurrent(&self, vc: &VectorClock) -> Option<Epoch> {
+        self.view().find_concurrent(vc)
+    }
+
+    /// Borrows the clock as a [`ClockView`].
+    #[inline]
+    pub fn view(&self) -> ClockView<'_> {
         match self {
-            AccessClock::Epoch(e) => (!e.is_none() && !e.leq(vc)).then_some(*e),
-            AccessClock::Vc(v) => v.first_exceeding(vc).map(|(t, c)| Epoch::new(c, t)),
+            AccessClock::Epoch(e) => ClockView::Epoch(*e),
+            AccessClock::Vc(v) => ClockView::Vc(v),
         }
     }
 
@@ -93,6 +99,39 @@ impl AccessClock {
                 vc.set(t, c);
                 false
             }
+        }
+    }
+}
+
+/// A borrowed [`AccessClock`]: the epoch form by value, the full vector
+/// form by reference. Equality is [`AccessClock`]'s. A holder that keeps
+/// epoch-form clocks somewhere cheaper than an `AccessClock` (the
+/// dynamic-granularity plane stores them inline in the cell) hands out
+/// this instead of `&AccessClock`, so reading an epoch never follows a
+/// pointer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ClockView<'a> {
+    /// Compressed last-access representation.
+    Epoch(Epoch),
+    /// Full per-thread access history.
+    Vc(&'a VectorClock),
+}
+
+impl ClockView<'_> {
+    /// Finds an access not ordered before `vc` (a race witness).
+    #[inline]
+    pub fn find_concurrent(self, vc: &VectorClock) -> Option<Epoch> {
+        match self {
+            ClockView::Epoch(e) => (!e.is_none() && !e.leq(vc)).then_some(e),
+            ClockView::Vc(v) => v.first_exceeding(vc).map(|(t, c)| Epoch::new(c, t)),
+        }
+    }
+
+    /// Copies the viewed clock out.
+    pub fn to_clock(self) -> AccessClock {
+        match self {
+            ClockView::Epoch(e) => AccessClock::Epoch(e),
+            ClockView::Vc(v) => AccessClock::Vc(v.clone()),
         }
     }
 }
@@ -160,6 +199,19 @@ mod tests {
         let v = AccessClock::Vc(VectorClock::from_slice(&[4, 1]));
         assert!(v.leq(&now));
         assert_eq!(v.find_concurrent(&now), None);
+    }
+
+    #[test]
+    fn view_compares_and_witnesses_like_the_clock() {
+        let now = VectorClock::from_slice(&[5, 1]);
+        let e = AccessClock::Epoch(Epoch::new(2, Tid(1)));
+        let v = AccessClock::Vc(VectorClock::from_slice(&[0, 2]));
+        assert_ne!(e.view(), v.view(), "representations stay distinct");
+        assert_eq!(e.view(), ClockView::Epoch(Epoch::new(2, Tid(1))));
+        for c in [&e, &v] {
+            assert_eq!(c.view().find_concurrent(&now), Some(Epoch::new(2, Tid(1))));
+            assert_eq!(&c.view().to_clock(), c);
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod read_clock;
 mod tid;
 mod vector;
 
-pub use access::AccessClock;
+pub use access::{AccessClock, ClockView};
 pub use epoch::Epoch;
 pub use read_clock::ReadClock;
 pub use tid::{ClockValue, Tid};
