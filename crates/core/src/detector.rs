@@ -29,7 +29,8 @@ use crate::{DynamicConfig, VcState};
 /// without it the per-event counters at the end of one shard's detector
 /// share a line with the start of the next one's (measured on the
 /// `--shards 2 --pipeline` ledger workload: 15 % more CPU on every
-/// thread when the struct's size happens to put them there).
+/// thread when the struct's size happens to put them there; `FastTrackOn`
+/// and `DjitOn`, measured the same way, do not land there — EXPERIMENTS.md).
 #[derive(Debug)]
 #[repr(align(128))]
 pub struct DynamicGranularityOn<K: StoreSelect> {

@@ -572,7 +572,8 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// Moving a clock between cell and arena creates and destroys none,
     /// so this is the clocks created minus the clocks destroyed.
     pub fn clock_count(&self) -> usize {
-        self.vc_allocs.saturating_sub(self.vc_frees) as usize
+        debug_assert!(self.vc_frees <= self.vc_allocs);
+        (self.vc_allocs - self.vc_frees) as usize
     }
 
     /// Modeled bytes of live cells and clock payloads.
@@ -747,14 +748,20 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// allocate sequential ids, so the dense indices in the stream map
     /// directly onto the ids handed back by `alloc`. An epoch-form clock
     /// of refcount 1 is restored inline, whichever place it was saved
-    /// from.
+    /// from; a refcount that differs from the number of cells naming the
+    /// entry is rejected.
     pub fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, TraceError> {
         let mut plane = Self::default();
         let n = r.count("clock-arena entries")?;
         let mut clock_slots = Vec::new();
+        // Per clock, the references its refcount promises that no cell
+        // has claimed yet: an entry restored inline on the strength of
+        // "rc 1" must not be handed to two cells as independent copies.
+        let mut unclaimed = Vec::new();
         for _ in 0..n {
             let clock = decode_access_clock(r)?;
             let rc = r.u32()?;
+            unclaimed.push(rc);
             clock_slots.push(match clock {
                 AccessClock::Epoch(e) if rc == 1 => ClockSlot::Own(e),
                 clock => ClockSlot::Arena(plane.clocks.alloc(ClockEntry { clock, rc })),
@@ -768,6 +775,10 @@ impl<K: StoreSelect> PlaneOn<K> {
             let clock = *clock_slots.get(ci).ok_or(TraceError::Malformed {
                 offset: at,
                 what: "clock reference out of range",
+            })?;
+            unclaimed[ci] = unclaimed[ci].checked_sub(1).ok_or(TraceError::Malformed {
+                offset: at,
+                what: "clock held by more cells than its refcount",
             })?;
             let at = r.offset();
             let state = state_from_tag(r.u8()?, at)?;
@@ -787,6 +798,12 @@ impl<K: StoreSelect> PlaneOn<K> {
                 redecisions,
                 members,
             }));
+        }
+        if unclaimed.iter().any(|&left| left != 0) {
+            return Err(TraceError::Malformed {
+                offset: r.offset(),
+                what: "clock refcount exceeds the cells that hold it",
+            });
         }
         let n = r.count("plane locations")?;
         for _ in 0..n {
@@ -1178,6 +1195,36 @@ mod tests {
             Plane::decode(&mut r),
             Err(TraceError::Malformed { .. })
         ));
+    }
+
+    #[test]
+    fn decode_rejects_refcounts_that_disagree_with_the_cells() {
+        let cell = |w: &mut SnapshotWriter| {
+            w.u32(0); // clock 0
+            w.u8(state_tag(VcState::Private));
+            w.u32(1);
+            w.bool(false);
+            w.u8(0);
+            w.count(0);
+        };
+        // An rc-1 epoch held by two cells, then an rc-2 one held by one.
+        for (rc, cells, why) in [(1, 2, "more cells"), (2, 1, "exceeds the cells")] {
+            let mut w = SnapshotWriter::new(*b"TEST", 1);
+            w.count(1);
+            encode_access_clock(&mut w, &epoch(1, 0));
+            w.u32(rc);
+            w.count(cells);
+            for _ in 0..cells {
+                cell(&mut w);
+            }
+            w.count(0); // no locations
+            let bytes = w.finish();
+            let mut r = SnapshotReader::new(&bytes, *b"TEST", 1, Default::default()).unwrap();
+            assert!(matches!(
+                Plane::decode(&mut r),
+                Err(TraceError::Malformed { what, .. }) if what.contains(why)
+            ));
+        }
     }
 
     #[test]

@@ -20,21 +20,15 @@ enum PlaneOp {
     ReadBy(u8, u8),
 }
 
-/// Uniform over twelve slots; the group-forming and clock-writing ops
-/// appear twice so that groups outlive the removals long enough to be
-/// split, written and partly freed.
 fn arb_plane_op() -> impl Strategy<Value = PlaneOp> {
     prop_oneof![
-        (0u8..12, 0u8..6).prop_map(|(a, c)| PlaneOp::InsertPrivate(a, c)),
-        (0u8..12).prop_map(PlaneOp::ShareWithPred),
-        (0u8..12).prop_map(PlaneOp::ShareWithPred),
-        (0u8..12).prop_map(PlaneOp::Split),
-        (0u8..12).prop_map(PlaneOp::Split),
-        (0u8..12).prop_map(PlaneOp::Remove),
-        (0u8..12, 1u8..3).prop_map(|(a, l)| PlaneOp::RemoveRange(a, l)),
-        (0u8..12, 0u8..6).prop_map(|(a, c)| PlaneOp::Touch(a, c)),
-        (0u8..12, 0u8..6).prop_map(|(a, c)| PlaneOp::Touch(a, c)),
-        (0u8..12, 0u8..6).prop_map(|(a, c)| PlaneOp::ReadBy(a, c)),
+        (0u8..40, 0u8..6).prop_map(|(a, c)| PlaneOp::InsertPrivate(a, c)),
+        (0u8..40).prop_map(PlaneOp::ShareWithPred),
+        (0u8..40).prop_map(PlaneOp::Split),
+        (0u8..40).prop_map(PlaneOp::Remove),
+        (0u8..40, 1u8..16).prop_map(|(a, l)| PlaneOp::RemoveRange(a, l)),
+        (0u8..40, 0u8..6).prop_map(|(a, c)| PlaneOp::Touch(a, c)),
+        (0u8..40, 0u8..6).prop_map(|(a, c)| PlaneOp::ReadBy(a, c)),
     ]
 }
 
@@ -74,72 +68,110 @@ fn write_clock(p: &mut Plane, id: dgrace_shadow::SlabId, f: impl FnOnce(&mut Acc
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Every reachable sequence of plane operations preserves the
-    /// structural invariants (counts, member lists, indices, byte and
-    /// logical-clock accounting). The sequences are long enough that each
-    /// one moves a clock between cell and arena in every way there is
-    /// (the rarest move, the demotion, happens ~14 times per sequence).
-    #[test]
-    fn plane_invariants_under_random_ops(ops in proptest::collection::vec(arb_plane_op(), 2000..2500)) {
-        let mut p = Plane::new();
-        let mut moves = 0u8;
-        for op in ops {
-            match op {
-                PlaneOp::InsertPrivate(a, c) => {
-                    if p.lookup(addr(a)).is_none() {
-                        p.insert_private(
-                            addr(a),
-                            AccessClock::Epoch(Epoch::new(c as u32 + 1, Tid(0))),
-                            VcState::FirstEpochPrivate,
-                        );
-                    }
+/// Applies one operation, checks the plane's invariants and the
+/// operation's own postconditions, and returns the clock moves it caused.
+fn apply(p: &mut Plane, op: &PlaneOp) -> u8 {
+    let mut moves = 0;
+    match *op {
+        PlaneOp::InsertPrivate(a, c) => {
+            if p.lookup(addr(a)).is_none() {
+                p.insert_private(
+                    addr(a),
+                    AccessClock::Epoch(Epoch::new(c as u32 + 1, Tid(0))),
+                    VcState::FirstEpochPrivate,
+                );
+            }
+        }
+        PlaneOp::ShareWithPred(a) => {
+            if p.lookup(addr(a)).is_none() {
+                if let Some((n, nid)) = p.nearest_predecessor(addr(a), 64) {
+                    p.insert_shared(addr(a), n, nid);
                 }
-                PlaneOp::ShareWithPred(a) => {
-                    if p.lookup(addr(a)).is_none() {
-                        if let Some((n, nid)) = p.nearest_predecessor(addr(a), 64) {
-                            p.insert_shared(addr(a), n, nid);
-                        }
-                    }
-                }
-                PlaneOp::Split(a) => {
-                    if let Some(id) = p.lookup(addr(a)) {
-                        let was_inline = p.clock_is_inline(id);
-                        let (new_id, split) = p.split(addr(a));
-                        if split {
-                            prop_assert!(!p.clock_is_inline(id) && !p.clock_is_inline(new_id));
-                            prop_assert_eq!(p.clock_view(id), p.clock_view(new_id));
-                            if was_inline {
-                                moves |= PROMOTED_BY_SPLIT;
-                            }
-                        }
-                    }
-                }
-                PlaneOp::Remove(a) => p.remove(addr(a)),
-                PlaneOp::RemoveRange(a, l) => {
-                    p.remove_range(addr(a), l as u64 * 4);
-                }
-                PlaneOp::Touch(a, c) => {
-                    if let Some(id) = p.lookup(addr(a)) {
-                        moves |= write_clock(&mut p, id, |clk| clk.set_write(Tid(1), c as u32 + 1));
-                    }
-                }
-                PlaneOp::ReadBy(a, c) => {
-                    if let Some(id) = p.lookup(addr(a)) {
-                        let mut now = VectorClock::new();
-                        now.set(Tid(2), c as u32 + 1);
-                        moves |= write_clock(&mut p, id, |clk| {
-                            clk.record_read(Tid(2), &now);
-                        });
+            }
+        }
+        PlaneOp::Split(a) => {
+            if let Some(id) = p.lookup(addr(a)) {
+                let was_inline = p.clock_is_inline(id);
+                let (new_id, split) = p.split(addr(a));
+                if split {
+                    assert!(!p.clock_is_inline(id) && !p.clock_is_inline(new_id));
+                    assert_eq!(p.clock_view(id), p.clock_view(new_id));
+                    if was_inline {
+                        moves |= PROMOTED_BY_SPLIT;
                     }
                 }
             }
-            p.check_invariants();
         }
-        prop_assert_eq!(moves, EVERY_MOVE, "a clock move went unexercised");
+        PlaneOp::Remove(a) => p.remove(addr(a)),
+        PlaneOp::RemoveRange(a, l) => {
+            p.remove_range(addr(a), l as u64 * 4);
+        }
+        PlaneOp::Touch(a, c) => {
+            if let Some(id) = p.lookup(addr(a)) {
+                moves |= write_clock(p, id, |clk| clk.set_write(Tid(1), c as u32 + 1));
+            }
+        }
+        PlaneOp::ReadBy(a, c) => {
+            if let Some(id) = p.lookup(addr(a)) {
+                let mut now = VectorClock::new();
+                now.set(Tid(2), c as u32 + 1);
+                moves |= write_clock(p, id, |clk| {
+                    clk.record_read(Tid(2), &now);
+                });
+            }
+        }
     }
+    p.check_invariants();
+    moves
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every reachable sequence of plane operations preserves the
+    /// structural invariants (counts, member lists, indices, byte and
+    /// logical-clock accounting).
+    #[test]
+    fn plane_invariants_under_random_ops(ops in proptest::collection::vec(arb_plane_op(), 1..80)) {
+        let mut p = Plane::new();
+        for op in &ops {
+            apply(&mut p, op);
+        }
+    }
+}
+
+/// One long fixed-seed sequence over twelve slots, dense enough that
+/// groups outlive the removals and get split, written and partly freed:
+/// it moves a clock between cell and arena in every way there is. The
+/// short sequences above stay shrinkable; this one pins the coverage.
+#[test]
+fn long_sequence_crosses_every_clock_move() {
+    // splitmix64
+    let mut state = 0x6467_7261_6365u64;
+    let mut next = move |n: u64| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n) as u8
+    };
+    let mut p = Plane::new();
+    let mut moves = 0u8;
+    for _ in 0..4000 {
+        let (a, c) = (next(12), next(6));
+        // The group-forming and clock-writing ops are twice as likely.
+        let op = match next(10) {
+            0 => PlaneOp::InsertPrivate(a, c),
+            1 | 2 => PlaneOp::ShareWithPred(a),
+            3 | 4 => PlaneOp::Split(a),
+            5 => PlaneOp::Remove(a),
+            6 => PlaneOp::RemoveRange(a, 1 + next(2)),
+            7 | 8 => PlaneOp::Touch(a, c),
+            _ => PlaneOp::ReadBy(a, c),
+        };
+        moves |= apply(&mut p, &op);
+    }
+    assert_eq!(moves, EVERY_MOVE, "a clock move went unexercised");
 }
 
 #[derive(Clone, Debug)]

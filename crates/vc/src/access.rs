@@ -40,11 +40,6 @@ impl AccessClock {
         }
     }
 
-    /// Finds an access not ordered before `vc` (a race witness).
-    pub fn find_concurrent(&self, vc: &VectorClock) -> Option<Epoch> {
-        self.view().find_concurrent(vc)
-    }
-
     /// Borrows the clock as a [`ClockView`].
     #[inline]
     pub fn view(&self) -> ClockView<'_> {
@@ -195,10 +190,10 @@ mod tests {
         let now = VectorClock::from_slice(&[5, 1]);
         let e = AccessClock::Epoch(Epoch::new(2, Tid(1)));
         assert!(!e.leq(&now));
-        assert_eq!(e.find_concurrent(&now), Some(Epoch::new(2, Tid(1))));
+        assert_eq!(e.view().find_concurrent(&now), Some(Epoch::new(2, Tid(1))));
         let v = AccessClock::Vc(VectorClock::from_slice(&[4, 1]));
         assert!(v.leq(&now));
-        assert_eq!(v.find_concurrent(&now), None);
+        assert_eq!(v.view().find_concurrent(&now), None);
     }
 
     #[test]
