@@ -19,8 +19,6 @@
 //! earlier write overlaps into it — because only correct predictions
 //! convert into skipped work.
 
-use std::collections::BTreeMap;
-
 use dgrace_trace::{Addr, AffinityMap, AffinityRange, AnalysisSummary, Trace};
 
 use crate::manager::AnalysisPass;
@@ -63,30 +61,30 @@ impl AnalysisPass for AffinityPass {
     }
 
     fn run(&mut self, trace: &Trace, summary: &mut AnalysisSummary) -> u64 {
+        // Every write as (start, size), sorted: the writes starting at one
+        // address become adjacent, smallest size first.
+        let mut writes: Vec<(u64, u8)> = trace
+            .iter()
+            .filter_map(|ev| match ev.access() {
+                Some((addr, size, true)) => Some((addr.0, size.bytes() as u8)),
+                _ => None,
+            })
+            .collect();
+        writes.sort_unstable();
         // Per write start address: the consistent access size, or `None`
-        // once two writes of different sizes start there (poisoned), plus
-        // the widest size seen for overlap tracking.
-        let mut keys: BTreeMap<u64, (Option<u8>, u8)> = BTreeMap::new();
-        for ev in trace {
-            if let Some((addr, size, true)) = ev.access() {
-                let g = size.bytes() as u8;
-                keys.entry(addr.0)
-                    .and_modify(|(s, widest)| {
-                        if *s != Some(g) {
-                            *s = None;
-                        }
-                        *widest = (*widest).max(g);
-                    })
-                    .or_insert((Some(g), g));
-            }
-        }
+        // when writes of different sizes start there (poisoned), plus the
+        // widest size seen for overlap tracking.
+        let keys = writes.chunk_by(|a, b| a.0 == b.0).map(|at| {
+            let (narrowest, widest) = (at[0].1, at[at.len() - 1].1);
+            (at[0].0, (narrowest == widest).then_some(widest), widest)
+        });
 
         let mut ranges = Vec::new();
         // Max end of any write outside the open run: a run may only
         // start past it, or an earlier write would overlap the range.
         let mut reach = 0u64;
         let mut run: Option<Run> = None;
-        for (&k, &(stride, widest)) in &keys {
+        for (k, stride, widest) in keys {
             if let Some(r) = run.take() {
                 if stride == Some(r.g) && k == r.next {
                     run = Some(Run {

@@ -10,8 +10,6 @@
 //! owns, only which shard owns them, so a stale or empty plan degrades
 //! balance — never detection.
 
-use std::collections::BTreeMap;
-
 use dgrace_trace::{Addr, AnalysisSummary, HeatBucket, RoutingPlan, Trace};
 
 use crate::manager::AnalysisPass;
@@ -28,22 +26,27 @@ impl AnalysisPass for HeatPass {
     }
 
     fn run(&mut self, trace: &Trace, summary: &mut AnalysisSummary) -> u64 {
-        let mut pages: BTreeMap<u64, u64> = BTreeMap::new();
+        // Consecutive hits on one page collapse into a `(page, count)`
+        // run as they arrive, so code that stays on a page sorts one
+        // entry for it rather than one per access.
+        let mut runs: Vec<(u64, u64)> = Vec::new();
         for ev in trace {
             if let Some((addr, size, _)) = ev.access() {
-                let first = addr.0 / PAGE;
-                let last = (addr.0 + size.bytes() - 1) / PAGE;
-                for p in first..=last {
-                    *pages.entry(p).or_insert(0) += 1;
+                for p in addr.0 / PAGE..=(addr.0 + size.bytes() - 1) / PAGE {
+                    match runs.last_mut() {
+                        Some((page, count)) if *page == p => *count += 1,
+                        _ => runs.push((p, 1)),
+                    }
                 }
             }
         }
-        let buckets = pages
-            .into_iter()
-            .map(|(p, weight)| HeatBucket {
-                start: Addr(p * PAGE),
+        runs.sort_unstable_by_key(|&(page, _)| page);
+        let buckets = runs
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|page| HeatBucket {
+                start: Addr(page[0].0 * PAGE),
                 len: PAGE,
-                weight,
+                weight: page.iter().map(|&(_, count)| count).sum(),
             })
             .collect();
         summary.plan = RoutingPlan { buckets };

@@ -4,13 +4,13 @@
 //! access, yet in real programs most locations are provably race-free
 //! from the trace alone: thread-local buffers, tables written once
 //! during single-threaded startup, counters always guarded by the same
-//! mutex. This crate runs three linear passes over a recorded trace and
-//! classifies every accessed byte range into one of the
-//! [`LocationClass`]es, emitting a versioned [`AnalysisSummary`] that
-//! the detectors' `StaticPruneFilter` and the runtime's warm-start mode
-//! use to skip the pruned accesses entirely.
+//! mutex. This crate's classifier attempts three proofs at once, in one
+//! sweep over a recorded trace, and classifies every accessed byte range
+//! into one of the [`LocationClass`]es, emitting a versioned
+//! [`AnalysisSummary`] that the detectors' `StaticPruneFilter` and the
+//! runtime's warm-start mode use to skip the pruned accesses entirely.
 //!
-//! The passes (see [`passes`] for the per-pass soundness arguments):
+//! The proofs (the `classify` module carries their soundness arguments):
 //!
 //! 1. **Fork/join ownership** — accesses totally ordered by fork/join
 //!    edges alone ⇒ [`LocationClass::ThreadLocal`];
@@ -21,8 +21,10 @@
 //!
 //! Everything else is [`LocationClass::Contended`] and must be checked
 //! dynamically. Classification is per *atom* (maximal intervals the
-//! trace's accesses never split — see `atoms`), then adjacent atoms of
-//! equal class merge into the summary's [`ClassifiedRange`]s.
+//! trace's accesses never split — see `atoms`, which also resolves each
+//! access's atoms once for every later sweep), then adjacent atoms of
+//! equal class merge into the summary's
+//! [`ClassifiedRange`](dgrace_trace::ClassifiedRange)s.
 //!
 //! ```
 //! use dgrace_analysis::analyze;
@@ -40,37 +42,31 @@
 //! );
 //! assert_eq!(summary.stats.prunable_accesses(), 2);
 //! ```
+//!
+//! [`LocationClass`]: dgrace_trace::LocationClass
+//! [`LocationClass::ThreadLocal`]: dgrace_trace::LocationClass::ThreadLocal
+//! [`LocationClass::ReadOnlyAfterInit`]: dgrace_trace::LocationClass::ReadOnlyAfterInit
+//! [`LocationClass::ConsistentlyLocked`]: dgrace_trace::LocationClass::ConsistentlyLocked
+//! [`LocationClass::Contended`]: dgrace_trace::LocationClass::Contended
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod affinity;
 mod atoms;
+mod classify;
 mod heat;
 mod lockgraph;
+mod locksets;
 mod manager;
-mod passes;
 
-use dgrace_trace::{AnalysisSummary, ClassifiedRange, LocationClass, SummaryStats, Trace};
+use dgrace_trace::{AnalysisSummary, Trace};
 
 pub use affinity::AffinityPass;
+pub use classify::ClassifyPass;
 pub use heat::HeatPass;
 pub use lockgraph::LockGraphPass;
 pub use manager::{AnalysisPass, PassManager, PassStats};
-
-use atoms::Atoms;
-
-/// Ranks classes for attributing accesses that span atoms of different
-/// classes: the access counts toward its weakest (least prunable) atom,
-/// matching whether a byte-granularity detector could actually skip it.
-fn rank(class: &LocationClass) -> u8 {
-    match class {
-        LocationClass::Contended => 0,
-        LocationClass::ConsistentlyLocked { .. } => 1,
-        LocationClass::ReadOnlyAfterInit => 2,
-        LocationClass::ThreadLocal => 3,
-    }
-}
 
 /// Runs the standard pass pipeline over `trace` and produces the full
 /// analysis summary (classification, affinity, warnings, routing plan),
@@ -89,134 +85,10 @@ pub fn analyze_with_stats(trace: &Trace) -> (AnalysisSummary, Vec<PassStats>) {
     PassManager::standard().run(trace)
 }
 
-/// The classification pass: the original three-proof sweep producing
-/// [`ClassifiedRange`]s and [`SummaryStats`] (see the module docs).
-/// Always runs first in the standard pipeline — [`LockGraphPass`] reads
-/// its `Contended` ranges.
-pub struct ClassifyPass;
-
-impl AnalysisPass for ClassifyPass {
-    fn name(&self) -> &'static str {
-        "classify"
-    }
-
-    fn run(&mut self, trace: &Trace, summary: &mut AnalysisSummary) -> u64 {
-        classify(trace, summary);
-        summary.ranges.len() as u64
-    }
-}
-
-fn classify(trace: &Trace, summary: &mut AnalysisSummary) {
-    let atoms = Atoms::build(trace);
-    let ordered = passes::fork_join_ordered(trace, &atoms);
-    let read_only = passes::single_threaded_writes(trace, &atoms);
-    let locksets = passes::common_locksets(trace, &atoms);
-
-    // Combine: strongest proof wins; the order also fixes which class an
-    // atom with several proofs reports under in the stats.
-    let classes: Vec<Option<LocationClass>> = (0..atoms.len())
-        .map(|i| {
-            if !atoms.is_covered(i) {
-                return None;
-            }
-            Some(if ordered[i] {
-                LocationClass::ThreadLocal
-            } else if read_only[i] {
-                LocationClass::ReadOnlyAfterInit
-            } else {
-                match &locksets[i] {
-                    Some(s) if !s.is_empty() => {
-                        let mut lockset: Vec<_> = s.iter().copied().collect();
-                        lockset.sort_by_key(|l| l.0);
-                        LocationClass::ConsistentlyLocked { lockset }
-                    }
-                    _ => LocationClass::Contended,
-                }
-            })
-        })
-        .collect();
-
-    // Thread-local verdicts do not compose across atoms: two adjacent
-    // atoms can each be internally fork/join-ordered while their access
-    // sets are mutually concurrent, and a word-granularity detector
-    // folding both onto one shadow cell would report a race that pruning
-    // the merged range (at granule > 1) would hide. So before merging,
-    // re-run pass 1 over each maximal run of adjacent ThreadLocal atoms
-    // as a single key: only *jointly* ordered runs may merge. The other
-    // classes compose by construction — a read-only range's writes are
-    // ordered against everything, and equal-lockset ranges share a lock
-    // that orders every conflicting pair.
-    let mut run_id: Vec<Option<usize>> = vec![None; atoms.len()];
-    let mut nruns = 0usize;
-    for i in 0..atoms.len() {
-        if matches!(classes[i], Some(LocationClass::ThreadLocal)) {
-            match (i > 0).then(|| run_id[i - 1]).flatten() {
-                Some(prev) => run_id[i] = Some(prev),
-                None => {
-                    run_id[i] = Some(nruns);
-                    nruns += 1;
-                }
-            }
-        }
-    }
-    let run_ordered = passes::fork_join_ordered_keyed(trace, &atoms, nruns, |i| run_id[i]);
-
-    let mut stats = SummaryStats::default();
-    let mut ranges: Vec<ClassifiedRange> = Vec::new();
-    for (i, class) in classes.iter().enumerate() {
-        let Some(class) = class else { continue };
-        let (start, end) = atoms.interval(i);
-        counts_for(&mut stats, class).bytes += end - start;
-        let may_merge = match run_id[i] {
-            Some(r) => run_ordered[r],
-            None => true,
-        };
-        match ranges.last_mut() {
-            Some(r) if may_merge && r.end() == start && r.class == *class => r.len += end - start,
-            _ => ranges.push(ClassifiedRange {
-                start: dgrace_trace::Addr(start),
-                len: end - start,
-                class: class.clone(),
-            }),
-        }
-    }
-
-    // Attribute each access to its weakest atom's class.
-    let mut trace_accesses = 0u64;
-    for ev in trace {
-        if let Some((addr, size, _)) = ev.access() {
-            trace_accesses += 1;
-            let weakest = atoms
-                .span(addr, size.bytes())
-                .filter_map(|i| classes[i].as_ref())
-                .min_by_key(|c| rank(c))
-                .expect("accessed atoms are covered");
-            counts_for(&mut stats, weakest).accesses += 1;
-        }
-    }
-
-    summary.trace_events = trace.len() as u64;
-    summary.trace_accesses = trace_accesses;
-    summary.ranges = ranges;
-    summary.stats = stats;
-}
-
-fn counts_for<'a>(
-    stats: &'a mut SummaryStats,
-    class: &LocationClass,
-) -> &'a mut dgrace_trace::ClassCounts {
-    match class {
-        LocationClass::ThreadLocal => &mut stats.thread_local,
-        LocationClass::ReadOnlyAfterInit => &mut stats.read_only,
-        LocationClass::ConsistentlyLocked { .. } => &mut stats.locked,
-        LocationClass::Contended => &mut stats.contended,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgrace_trace::{AccessSize, Addr, LockId, TraceBuilder};
+    use dgrace_trace::{AccessSize, Addr, LocationClass, LockId, TraceBuilder};
 
     const X: u64 = 0x1000;
     const Y: u64 = 0x2000;

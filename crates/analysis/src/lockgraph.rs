@@ -114,18 +114,16 @@ impl AnalysisPass for LockGraphPass {
         let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
         for ev in trace {
             if let Event::Acquire { tid, lock } = *ev {
-                if let Some(prior) = held.exclusive(tid) {
-                    for l in prior {
-                        if l.0 != lock.0 {
-                            edges.insert((l.0, lock.0));
-                        }
+                for l in held.exclusive(tid) {
+                    if l.0 != lock.0 {
+                        edges.insert((l.0, lock.0));
                     }
                 }
             }
             held.apply(ev);
             if let Some((addr, size, is_write)) = ev.access() {
                 let tid = ev.tid();
-                let unlocked = held.exclusive(tid).is_none_or(|s| s.is_empty());
+                let unlocked = held.exclusive(tid).is_empty();
                 let end = addr.0 + size.bytes();
                 // First contended range whose end exceeds the access
                 // start; ranges are disjoint and sorted.

@@ -14,10 +14,14 @@ use dgrace_vc::{Epoch, Tid};
 /// separately: Eraser's candidate sets use the union (a read hold is
 /// still a discipline), while the analyzer's prune proof may only count
 /// exclusive holds (two read holders do not order their accesses).
+/// Storage is tid-indexed, each set a sorted `Vec`: the analyzer asks
+/// per access and interns the slice (see its `locksets` module).
+/// Re-acquiring a held lock is idempotent and one release drops it —
+/// the events carry no recursion depth.
 #[derive(Clone, Debug, Default)]
 pub struct HeldLocks {
-    exclusive: HashMap<Tid, HashSet<LockId>>,
-    read: HashMap<Tid, HashSet<LockId>>,
+    exclusive: Vec<Vec<LockId>>,
+    read: Vec<Vec<LockId>>,
 }
 
 impl HeldLocks {
@@ -28,35 +32,35 @@ impl HeldLocks {
 
     /// Updates the tracker from one event; non-lock events are ignored.
     pub fn apply(&mut self, ev: &Event) {
-        match *ev {
-            Event::Acquire { tid, lock } => {
-                self.exclusive.entry(tid).or_default().insert(lock);
-            }
-            Event::Release { tid, lock } => {
-                self.exclusive.entry(tid).or_default().remove(&lock);
-            }
-            Event::AcquireRead { tid, lock } => {
-                self.read.entry(tid).or_default().insert(lock);
-            }
-            Event::ReleaseRead { tid, lock } => {
-                self.read.entry(tid).or_default().remove(&lock);
+        let (sets, tid, lock, acquire) = match *ev {
+            Event::Acquire { tid, lock } => (&mut self.exclusive, tid, lock, true),
+            Event::Release { tid, lock } => (&mut self.exclusive, tid, lock, false),
+            Event::AcquireRead { tid, lock } => (&mut self.read, tid, lock, true),
+            Event::ReleaseRead { tid, lock } => (&mut self.read, tid, lock, false),
+            _ => return,
+        };
+        if sets.len() <= tid.index() {
+            sets.resize_with(tid.index() + 1, Vec::new);
+        }
+        let set = &mut sets[tid.index()];
+        match (set.binary_search(&lock), acquire) {
+            (Err(at), true) => set.insert(at, lock),
+            (Ok(at), false) => {
+                set.remove(at);
             }
             _ => {}
         }
     }
 
-    /// The locks `tid` currently holds exclusively, if any.
-    pub fn exclusive(&self, tid: Tid) -> Option<&HashSet<LockId>> {
-        self.exclusive.get(&tid).filter(|s| !s.is_empty())
+    /// The locks `tid` currently holds exclusively, ascending.
+    pub fn exclusive(&self, tid: Tid) -> &[LockId] {
+        self.exclusive.get(tid.index()).map_or(&[], Vec::as_slice)
     }
 
     /// All locks `tid` holds in any mode (Eraser's candidate universe).
     pub fn any_mode(&self, tid: Tid) -> HashSet<LockId> {
-        let mut out = self.exclusive.get(&tid).cloned().unwrap_or_default();
-        if let Some(r) = self.read.get(&tid) {
-            out.extend(r.iter().copied());
-        }
-        out
+        let read = self.read.get(tid.index()).map_or(&[][..], Vec::as_slice);
+        self.exclusive(tid).iter().chain(read).copied().collect()
     }
 }
 
@@ -255,6 +259,26 @@ mod tests {
     use dgrace_trace::{AccessSize, TraceBuilder};
 
     const X: u64 = 0x4000;
+
+    #[test]
+    fn held_locks_are_sorted_sets_per_mode() {
+        let (t, l, m) = (Tid(3), LockId(5), LockId(9));
+        let mut held = HeldLocks::new();
+        held.apply(&Event::Acquire { tid: t, lock: m });
+        held.apply(&Event::Acquire { tid: t, lock: l });
+        held.apply(&Event::Acquire { tid: t, lock: l }); // idempotent
+        held.apply(&Event::AcquireRead {
+            tid: t,
+            lock: LockId(1),
+        });
+        assert_eq!(held.exclusive(t), [l, m], "ascending, read hold apart");
+        assert_eq!(held.any_mode(t).len(), 3);
+        held.apply(&Event::Release { tid: t, lock: l });
+        held.apply(&Event::Release { tid: t, lock: l }); // already gone
+        assert_eq!(held.exclusive(t), [m]);
+        assert_eq!(held.exclusive(Tid(0)), [], "never seen: holds nothing");
+        assert_eq!(held.exclusive(Tid(99)), []);
+    }
 
     #[test]
     fn consistent_locking_passes() {

@@ -26,7 +26,7 @@
 //! 6 all detector shards failed, 7 partial report (some shards failed),
 //! 8 stale analysis summary (built from a different trace), 9 interrupted
 //! by SIGINT/SIGTERM (partial report; final checkpoint written when
-//! checkpointing is configured).
+//! checkpointing is configured), 141 stdout's reader went away (`out`).
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -53,6 +53,9 @@ use dgrace_trace::{
     DecodeStats, LocationClass, PruneSet, ReadOptions, RoutingPlan, Trace, TraceError,
 };
 use dgrace_workloads::{Workload, WorkloadKind};
+
+#[macro_use]
+mod out;
 
 mod args;
 mod json;
@@ -130,6 +133,7 @@ const EXIT_INTERRUPTED: u8 = 9;
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(&argv) {
+        Ok(_) if out::reader_gone() => ExitCode::from(out::EXIT_BROKEN_PIPE),
         Ok(code) => code,
         Err(e) => {
             eprintln!("dgrace: {}", e.message());
@@ -168,7 +172,7 @@ fn run(argv: &[String]) -> Result<ExitCode, Failure> {
 }
 
 fn print_help() {
-    println!(
+    outln!(
         "dgrace — dynamic-granularity data race detection\n\n\
          USAGE:\n\
          \x20 dgrace gen <workload> [--scale S] [--seed N] -o <file>   generate a workload trace\n\
@@ -238,16 +242,16 @@ fn print_help() {
 }
 
 fn cmd_list() {
-    println!("workloads (the paper's 11 benchmarks):");
+    outln!("workloads (the paper's 11 benchmarks):");
     for k in WorkloadKind::ALL {
-        println!(
+        outln!(
             "  {:<14} {} worker threads, {} planted races",
             k.name(),
             k.workers(),
             k.planted_races()
         );
     }
-    println!("\ndetectors:");
+    outln!("\ndetectors:");
     for (name, what) in [
         ("byte", "FastTrack, byte granularity (paper baseline)"),
         ("word", "FastTrack, word granularity"),
@@ -266,7 +270,7 @@ fn cmd_list() {
         ("hybrid", "lockset + happens-before (Inspector XE class)"),
         ("lockset", "Eraser LockSet (discipline checker)"),
     ] {
-        println!("  {name:<16} {what}");
+        outln!("  {name:<16} {what}");
     }
 }
 
@@ -336,7 +340,7 @@ fn cmd_gen(rest: &[String]) -> Result<(), Failure> {
     let mut w =
         BufWriter::new(File::create(out).map_err(|e| Failure::Io(format!("create {out}: {e}")))?);
     write_trace(&trace, &mut w).map_err(|e| Failure::Io(format!("write {out}: {e}")))?;
-    println!(
+    outln!(
         "wrote {} events to {out} ({} planted racy locations)",
         trace.len(),
         truth.racy_addrs.len()
@@ -361,11 +365,11 @@ fn cmd_analyze(rest: &[String]) -> Result<(), Failure> {
     if p.flag("--json") {
         // Deterministic machine-readable output (no wall-clock fields),
         // mirroring `detect --json`: same trace in, same bytes out.
-        println!("{}", json::analyze_report(&summary, &passes));
+        outln!("{}", json::analyze_report(&summary, &passes));
         return Ok(());
     }
 
-    println!(
+    outln!(
         "analyzed      : {} events, {} access events ({:.1} ms, fingerprint {:#018x})",
         summary.trace_events,
         summary.trace_accesses,
@@ -373,7 +377,7 @@ fn cmd_analyze(rest: &[String]) -> Result<(), Failure> {
         summary.fingerprint
     );
     for ps in &passes {
-        println!(
+        outln!(
             "  pass {:<15} {:>10} items  {:>8.1} ms",
             ps.name,
             ps.items,
@@ -387,37 +391,38 @@ fn cmd_analyze(rest: &[String]) -> Result<(), Failure> {
         ("consistently-locked", &s.locked),
         (LocationClass::Contended.label(), &s.contended),
     ] {
-        println!(
+        outln!(
             "  {class:<20} {:>10} bytes  {:>10} accesses",
-            c.bytes, c.accesses
+            c.bytes,
+            c.accesses
         );
     }
-    println!(
+    outln!(
         "prunable      : {} of {} accesses ({:.1}%)",
         s.prunable_accesses(),
         s.total_accesses(),
         s.prunable_fraction() * 100.0
     );
-    println!(
+    outln!(
         "affinity      : {} certified stride range(s)",
         summary.affinity.len()
     );
-    println!("routing heat  : {} bucket(s)", summary.plan.buckets.len());
+    outln!("routing heat  : {} bucket(s)", summary.plan.buckets.len());
     if summary.warnings.is_empty() {
-        println!("warnings      : none");
+        outln!("warnings      : none");
     } else {
-        println!("warnings      : {}", summary.warnings.len());
+        outln!("warnings      : {}", summary.warnings.len());
         for w in &summary.warnings {
             match w {
                 dgrace_trace::AnalysisWarning::LockOrderCycle { locks } => {
                     let ids: Vec<String> = locks.iter().map(|l| l.0.to_string()).collect();
-                    println!(
+                    outln!(
                         "  lock-order cycle     : locks {{{}}} acquired in conflicting orders",
                         ids.join(", ")
                     );
                 }
                 dgrace_trace::AnalysisWarning::UnlockedSharedRange { start, len } => {
-                    println!(
+                    outln!(
                         "  unlocked shared range: {:#x} +{len} written by multiple threads \
                          without a common lock",
                         start.0
@@ -427,39 +432,67 @@ fn cmd_analyze(rest: &[String]) -> Result<(), Failure> {
         }
     }
     if let Some(out) = p.opt("-o") {
-        println!("summary       : written to {out}");
+        outln!("summary       : written to {out}");
     }
     Ok(())
 }
 
-/// Loads a `.dgas` analysis summary and checks it was produced from the
-/// trace being detected (pruning, pre-seeding, or routing with a
-/// summary from a *different* trace would be unsound). v2 summaries
-/// carry a content fingerprint of the source trace; v1 summaries fall
-/// back to the event-count check. Either mismatch is [`Failure::Stale`]
-/// (exit 8), so scripts can distinguish "re-run analyze" from a corrupt
-/// file or a bad invocation.
-fn load_summary(path: &str, trace: &Trace) -> Result<AnalysisSummary, Failure> {
-    let f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
-    let summary =
-        read_summary(&mut BufReader::new(f)).map_err(|e| decode_failure(path, &e, false))?;
-    if summary.trace_events != trace.len() as u64 {
-        return Err(Failure::Stale(format!(
-            "summary {path} was built from a {}-event trace, but this trace has {} events \
-             (re-run `dgrace analyze`)",
-            summary.trace_events,
-            trace.len()
-        )));
+/// The `.dgas` analysis summaries one `detect` run was handed. Passing
+/// the one file `analyze` writes to `--prune-with`, `--plan-with` and
+/// `--affinity-with` decodes it once, and the trace — every byte of
+/// which the fingerprint hashes — is fingerprinted once however many
+/// summaries are checked against it.
+struct Summaries<'t> {
+    trace: &'t Trace,
+    fingerprint: Option<u64>,
+    loaded: Vec<(String, Arc<AnalysisSummary>)>,
+}
+
+impl<'t> Summaries<'t> {
+    fn of(trace: &'t Trace) -> Self {
+        Summaries {
+            trace,
+            fingerprint: None,
+            loaded: Vec::new(),
+        }
     }
-    let fp = trace_fingerprint(trace);
-    if summary.fingerprint != 0 && summary.fingerprint != fp {
-        return Err(Failure::Stale(format!(
-            "summary {path} was built from a different trace (fingerprint {:#018x}, this trace \
-             is {fp:#018x}); re-run `dgrace analyze`",
-            summary.fingerprint
-        )));
+
+    /// Loads the summary at `path` and checks it was produced from the
+    /// trace being detected (pruning, pre-seeding, or routing with a
+    /// summary from a *different* trace would be unsound). v2 summaries
+    /// carry a content fingerprint of the source trace; v1 summaries fall
+    /// back to the event-count check. Either mismatch is
+    /// [`Failure::Stale`] (exit 8), so scripts can distinguish "re-run
+    /// analyze" from a corrupt file or a bad invocation.
+    fn load(&mut self, path: &str) -> Result<Arc<AnalysisSummary>, Failure> {
+        if let Some((_, summary)) = self.loaded.iter().find(|(p, _)| p == path) {
+            return Ok(Arc::clone(summary));
+        }
+        let f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
+        let summary =
+            read_summary(&mut BufReader::new(f)).map_err(|e| decode_failure(path, &e, false))?;
+        if summary.trace_events != self.trace.len() as u64 {
+            return Err(Failure::Stale(format!(
+                "summary {path} was built from a {}-event trace, but this trace has {} events \
+                 (re-run `dgrace analyze`)",
+                summary.trace_events,
+                self.trace.len()
+            )));
+        }
+        let fp = *self
+            .fingerprint
+            .get_or_insert_with(|| trace_fingerprint(self.trace));
+        if summary.fingerprint != 0 && summary.fingerprint != fp {
+            return Err(Failure::Stale(format!(
+                "summary {path} was built from a different trace (fingerprint {:#018x}, this trace \
+                 is {fp:#018x}); re-run `dgrace analyze`",
+                summary.fingerprint
+            )));
+        }
+        let summary = Arc::new(summary);
+        self.loaded.push((path.to_string(), Arc::clone(&summary)));
+        Ok(summary)
     }
-    Ok(summary)
 }
 
 /// Compiles a prune set matched to the detector: the granule is the
@@ -726,8 +759,9 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         .map_err(Failure::Usage)?;
 
     let (trace, dstats) = load_trace(path, p.flag("--resync"))?;
+    let mut summaries = Summaries::of(&trace);
     let prune = match p.opt("--prune-with") {
-        Some(sp) => compile_prune(det_name, &load_summary(sp, &trace)?)?,
+        Some(sp) => compile_prune(det_name, summaries.load(sp)?.as_ref())?,
         None => PruneSet::empty(),
     };
     // The routing plan balances the summary's heat histogram across the
@@ -735,16 +769,16 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     // compiles to nothing and detection proceeds unplanned. The raw
     // histogram is kept around: `--sample adaptive:F` re-weights its
     // admission budget from the same heat data.
-    let plan_summary: Option<AnalysisSummary> = match p.opt("--plan-with") {
-        Some(sp) => Some(load_summary(sp, &trace)?),
-        None => None,
-    };
+    let plan_summary: Option<Arc<AnalysisSummary>> = p
+        .opt("--plan-with")
+        .map(|sp| summaries.load(sp))
+        .transpose()?;
     let routes: Vec<(u64, u64, usize)> = plan_summary
         .as_ref()
         .map(|s| s.plan.compile(shards))
         .unwrap_or_default();
     let affinity: Option<Arc<AffinityMap>> = match p.opt("--affinity-with") {
-        Some(sp) => Some(compile_affinity(det_name, &load_summary(sp, &trace)?)?),
+        Some(sp) => Some(compile_affinity(det_name, summaries.load(sp)?.as_ref())?),
         None => None,
     };
 
@@ -819,11 +853,11 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     if json_out {
         // Deterministic machine-readable output: no timing, so resumed
         // and uninterrupted runs over the same trace diff byte-equal.
-        println!("{}", json::report(&report, &dstats));
+        outln!("{}", json::report(&report, &dstats));
     } else {
         if shards > 1 || pipeline {
             let path = if pipeline { "pipelined" } else { "sharded" };
-            println!("{path} replay: {shards} detector shards (merged report)");
+            outln!("{path} replay: {shards} detector shards (merged report)");
         }
         render::report(&report, &trace, secs, max_races);
     }
@@ -935,21 +969,27 @@ fn cmd_serve(rest: &[String]) -> Result<(), Failure> {
     let stats = server
         .run(Some(stop))
         .map_err(|e| Failure::Io(format!("serve: {e}")))?;
-    println!(
+    outln!(
         "served        : {} session(s) finished, {} suspended, {} resumed",
-        stats.finished, stats.suspended, stats.resumed
+        stats.finished,
+        stats.suspended,
+        stats.resumed
     );
-    println!(
+    outln!(
         "degradation   : {} degraded to sampling, {} shed at admission",
-        stats.degraded, stats.shed
+        stats.degraded,
+        stats.shed
     );
-    println!(
+    outln!(
         "faults        : {} session(s) quarantined, {} event(s) lost (exact)",
-        stats.quarantined, stats.events_lost
+        stats.quarantined,
+        stats.events_lost
     );
-    println!(
+    outln!(
         "throughput    : {} event(s) analyzed, {} race(s) streamed, {} checkpoint(s)",
-        stats.events, stats.races_streamed, stats.checkpoints
+        stats.events,
+        stats.races_streamed,
+        stats.checkpoints
     );
     Ok(())
 }
@@ -1052,13 +1092,13 @@ fn cmd_feed(rest: &[String]) -> Result<(), Failure> {
         .map_err(client_failure)?;
     let end = client.finish().map_err(client_failure)?;
     if p.flag("--json") {
-        println!("{}", end.report_json);
+        outln!("{}", end.report_json);
     } else {
-        println!(
+        outln!(
             "session `{session}`: {} race(s) streamed live; final report:",
             end.races.len()
         );
-        println!("{}", end.report_json);
+        outln!("{}", end.report_json);
     }
     Ok(())
 }
@@ -1080,14 +1120,14 @@ fn cmd_compare(rest: &[String]) -> Result<(), Failure> {
     let (ra, ta) = run(a_name)?;
     let (rb, tb) = run(b_name)?;
 
-    println!(
+    outln!(
         "{:<20} {:>8} races  {:>10.1} ms  {:>10.1} KiB peak",
         ra.detector,
         ra.races.len(),
         ta * 1e3,
         ra.stats.peak_total_bytes as f64 / 1024.0
     );
-    println!(
+    outln!(
         "{:<20} {:>8} races  {:>10.1} ms  {:>10.1} KiB peak",
         rb.detector,
         rb.races.len(),
@@ -1100,15 +1140,15 @@ fn cmd_compare(rest: &[String]) -> Result<(), Failure> {
     let only_a: Vec<_> = sa.iter().filter(|x| !sb.contains(x)).collect();
     let only_b: Vec<_> = sb.iter().filter(|x| !sa.contains(x)).collect();
     let both = sa.iter().filter(|x| sb.contains(x)).count();
-    println!("\nagreement: {both} locations in both reports");
+    outln!("\nagreement: {both} locations in both reports");
     if only_a.is_empty() && only_b.is_empty() {
-        println!("the detectors agree exactly on racy locations");
+        outln!("the detectors agree exactly on racy locations");
     }
     if !only_a.is_empty() {
-        println!("only {}: {:?}", ra.detector, only_a);
+        outln!("only {}: {:?}", ra.detector, only_a);
     }
     if !only_b.is_empty() {
-        println!("only {}: {:?}", rb.detector, only_b);
+        outln!("only {}: {:?}", rb.detector, only_b);
     }
     // Taint annotations help triage disagreements with `dynamic`.
     for (rep, others) in [(&ra, &sb), (&rb, &sa)] {
@@ -1118,7 +1158,7 @@ fn cmd_compare(rest: &[String]) -> Result<(), Failure> {
             .filter(|r| r.tainted && !others.contains(&r.addr))
             .count();
         if tainted_extras > 0 {
-            println!(
+            outln!(
                 "{} flags {tainted_extras} of its extra reports as tainted (sharing artifacts)",
                 rep.detector
             );

@@ -7,24 +7,24 @@ use dgrace_trace::Trace;
 /// Prints a detector report.
 pub fn report(rep: &Report, trace: &Trace, secs: f64, max_races: usize) {
     let s = &rep.stats;
-    println!("detector      : {}", rep.detector);
-    println!(
+    outln!("detector      : {}", rep.detector);
+    outln!(
         "trace         : {} events, {} threads",
         trace.len(),
         trace.thread_count()
     );
-    println!(
+    outln!(
         "time          : {:.1} ms ({:.1}M events/s)",
         secs * 1e3,
         trace.len() as f64 / secs.max(1e-9) / 1e6
     );
-    println!(
+    outln!(
         "accesses      : {} ({:.0}% same-epoch fast path)",
         s.accesses,
         s.same_epoch_fraction() * 100.0
     );
     if s.pruned > 0 {
-        println!(
+        outln!(
             "pruned        : {} accesses skipped by ahead-of-time analysis ({:.0}% of {})",
             s.pruned,
             s.pruned as f64 / (s.pruned + s.accesses).max(1) as f64 * 100.0,
@@ -32,53 +32,56 @@ pub fn report(rep: &Report, trace: &Trace, secs: f64, max_races: usize) {
         );
     }
     if s.sample_admitted + s.sample_skipped > 0 {
-        println!(
+        outln!(
             "sampled       : {} of {} accesses analyzed ({:.1}% admitted)",
             s.sample_admitted,
             s.sample_admitted + s.sample_skipped,
             s.sample_admitted as f64 / (s.sample_admitted + s.sample_skipped).max(1) as f64 * 100.0
         );
     }
-    println!(
+    outln!(
         "shadow peak   : {:.1} KiB (hash {:.1}, clocks {:.1}, bitmaps {:.1})",
         s.peak_total_bytes as f64 / 1024.0,
         s.peak_hash_bytes as f64 / 1024.0,
         s.peak_vc_bytes as f64 / 1024.0,
         s.peak_bitmap_bytes as f64 / 1024.0
     );
-    println!("peak clocks   : {}", s.peak_vc_count);
+    outln!("peak clocks   : {}", s.peak_vc_count);
     if let Some(sh) = &s.sharing {
-        println!(
+        outln!(
             "sharing       : {} shares, {} splits, avg {:.1} locations/clock, max group {}",
-            sh.shares, sh.splits, sh.avg_share_count, sh.max_group
+            sh.shares,
+            sh.splits,
+            sh.avg_share_count,
+            sh.max_group
         );
     }
     if !rep.failures.is_empty() || s.dropped > 0 {
-        println!(
+        outln!(
             "DEGRADED      : {} shard(s) quarantined, {} event(s) not analyzed",
             rep.failures.len(),
             s.dropped
         );
         for fail in &rep.failures {
-            println!("  {fail}");
+            outln!("  {fail}");
         }
         if s.events_lost > 0 {
-            println!(
+            outln!(
                 "  {} event(s) total were routed to dead shards over the whole run",
                 s.events_lost
             );
         }
-        println!("  races below cover only the surviving shards' address slices");
+        outln!("  races below cover only the surviving shards' address slices");
     }
     if rep.budget_degraded {
-        println!(
+        outln!(
             "BUDGET        : shadow budget breached; {} cold shadow cell(s) evicted \
              (races whose prior access was evicted may be missed)",
             s.evicted
         );
     }
     if let Some(g) = &rep.governor {
-        println!(
+        outln!(
             "GOVERNOR      : {} byte cap; peak rung {} ({}), final rung {}, \
              {} decision(s), {} transition(s), peak assessed {:.1} KiB",
             g.limit,
@@ -89,20 +92,22 @@ pub fn report(rep: &Report, trace: &Trace, secs: f64, max_races: usize) {
             g.transitions.len(),
             g.peak_assessed_bytes as f64 / 1024.0
         );
-        println!(
+        outln!(
             "  rungs engaged: evict ×{}, coarsen ×{}, sample ×{}",
-            g.engaged[0], g.engaged[1], g.engaged[2]
+            g.engaged[0],
+            g.engaged[1],
+            g.engaged[2]
         );
     }
     if rep.checkpointing_degraded {
-        println!(
+        outln!(
             "CHECKPOINTING : degraded — one or more checkpoint writes failed; detection \
              continued on the last complete checkpoint"
         );
     }
-    println!("races         : {}", rep.races.len());
+    outln!("races         : {}", rep.races.len());
     for race in rep.races.iter().take(max_races) {
-        println!(
+        outln!(
             "  {} at {}  current {}  previous {}{}{}",
             race.kind,
             race.addr,
@@ -121,7 +126,7 @@ pub fn report(rep: &Report, trace: &Trace, secs: f64, max_races: usize) {
         );
     }
     if rep.races.len() > max_races {
-        println!(
+        outln!(
             "  … {} more (raise --max-races)",
             rep.races.len() - max_races
         );
@@ -130,12 +135,14 @@ pub fn report(rep: &Report, trace: &Trace, secs: f64, max_races: usize) {
 
 /// Prints trace statistics.
 pub fn trace_stats(s: &TraceStats, events: usize) {
-    println!("events        : {events}");
-    println!(
+    outln!("events        : {events}");
+    outln!(
         "accesses      : {} ({} reads / {} writes)",
-        s.accesses, s.reads, s.writes
+        s.accesses,
+        s.reads,
+        s.writes
     );
-    println!(
+    outln!(
         "sizes 1/2/4/8 : {} / {} / {} / {}  (sub-word {:.0}%)",
         s.by_size[0],
         s.by_size[1],
@@ -143,20 +150,23 @@ pub fn trace_stats(s: &TraceStats, events: usize) {
         s.by_size[3],
         s.sub_word_fraction() * 100.0
     );
-    println!(
+    outln!(
         "sync          : {} acquires, {} releases",
-        s.acquires, s.releases
+        s.acquires,
+        s.releases
     );
-    println!(
+    outln!(
         "threads       : {} ({} forks, {} joins)",
-        s.threads, s.forks, s.joins
+        s.threads,
+        s.forks,
+        s.joins
     );
-    println!("locks         : {}", s.locks);
-    println!(
+    outln!("locks         : {}", s.locks);
+    outln!(
         "heap churn    : {} allocs / {} frees, {:.1} KiB total",
         s.allocs,
         s.frees,
         s.alloc_bytes as f64 / 1024.0
     );
-    println!("distinct bytes: {}", s.distinct_bytes);
+    outln!("distinct bytes: {}", s.distinct_bytes);
 }

@@ -5,6 +5,7 @@
 //! the properties compare the whole detector stack against the exact
 //! oracle.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::thread;
 
@@ -15,7 +16,8 @@ use dgrace::detectors::{
     race_signature, DetectorExt, Djit, FastTrack, OracleDetector, Report, StaticPruneFilter,
 };
 use dgrace::runtime::{Runtime, RuntimeOptions};
-use dgrace::trace::{validate, Trace};
+use dgrace::trace::{validate, Addr, Event, LocationClass, LockId, Trace};
+use dgrace::vc::Tid;
 use dgrace::workloads::{BlockBuilder, Scheduler};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -49,6 +51,11 @@ fn arb_program() -> impl Strategy<Value = Vec<Vec<Op>>> {
 /// Builds a trace from per-thread op lists. `spacing` controls address
 /// adjacency: large spacing ⇒ no location is ever a sharing neighbor.
 fn build(programs: &[Vec<Op>], spacing: u64, seed: u64) -> Trace {
+    build_under(Scheduler::new(), programs, spacing, seed)
+}
+
+/// [`build`] with the main thread's prologue and epilogue supplied.
+fn build_under(main: Scheduler, programs: &[Vec<Op>], spacing: u64, seed: u64) -> Trace {
     use dgrace::trace::AccessSize;
     let base = 0x10_000u64;
     let addr = |slot: u8| base + slot as u64 * spacing;
@@ -81,7 +88,92 @@ fn build(programs: &[Vec<Op>], spacing: u64, seed: u64) -> Trace {
         builders.push(b);
     }
     let mut rng = SmallRng::seed_from_u64(seed);
-    Scheduler::new().run(builders, &mut rng)
+    main.run(builders, &mut rng)
+}
+
+/// Every touched byte's class recomputed from the definitions
+/// (DESIGN.md §10), quadratically and sharing no code with
+/// `dgrace::analysis`: fork/join-only happens-before is reachability in
+/// the event graph (program order, fork → the child's next event, the
+/// child's last event → join), "live" is the set of threads forked and
+/// not yet joined, and the lockset is a set intersection.
+fn classes_by_definition(trace: &Trace) -> BTreeMap<u64, LocationClass> {
+    struct Access {
+        event: usize,
+        write: bool,
+        live: usize,
+        held: BTreeSet<LockId>,
+    }
+    // before[j]: the events that happen before event j.
+    let mut before: Vec<BTreeSet<usize>> = Vec::with_capacity(trace.len());
+    let mut last_of: BTreeMap<Tid, usize> = BTreeMap::new();
+    let mut forked_by: BTreeMap<Tid, usize> = BTreeMap::new();
+    let mut live = BTreeSet::from([Tid(0)]);
+    let mut held: BTreeMap<Tid, BTreeSet<LockId>> = BTreeMap::new();
+    let mut touched: BTreeMap<u64, Vec<Access>> = BTreeMap::new();
+    for (j, ev) in trace.iter().enumerate() {
+        let mut preds: Vec<usize> = last_of.get(&ev.tid()).copied().into_iter().collect();
+        preds.extend(forked_by.remove(&ev.tid()));
+        match *ev {
+            Event::Fork { child, .. } => {
+                forked_by.insert(child, j);
+                live.insert(child);
+            }
+            Event::Join { child, .. } => {
+                preds.extend(last_of.get(&child));
+                live.remove(&child);
+            }
+            Event::Acquire { tid, lock } => {
+                held.entry(tid).or_default().insert(lock);
+            }
+            Event::Release { tid, lock } => {
+                held.entry(tid).or_default().remove(&lock);
+            }
+            _ => {}
+        }
+        let mut earlier = BTreeSet::new();
+        for p in preds {
+            earlier.insert(p);
+            earlier.extend(&before[p]);
+        }
+        before.push(earlier);
+        last_of.insert(ev.tid(), j);
+        if let Some((addr, size, write)) = ev.access() {
+            for byte in addr.0..addr.0 + size.bytes() {
+                touched.entry(byte).or_default().push(Access {
+                    event: j,
+                    write,
+                    live: live.len(),
+                    held: held.get(&ev.tid()).cloned().unwrap_or_default(),
+                });
+            }
+        }
+    }
+    touched
+        .into_iter()
+        .map(|(byte, accesses)| {
+            let ordered = accesses.iter().enumerate().all(|(k, b)| {
+                accesses[..k]
+                    .iter()
+                    .all(|a| before[b.event].contains(&a.event))
+            });
+            let common = accesses[1..].iter().fold(accesses[0].held.clone(), |s, a| {
+                s.intersection(&a.held).copied().collect()
+            });
+            let class = if ordered {
+                LocationClass::ThreadLocal
+            } else if accesses.iter().all(|a| !a.write || a.live == 1) {
+                LocationClass::ReadOnlyAfterInit
+            } else if !common.is_empty() {
+                LocationClass::ConsistentlyLocked {
+                    lockset: common.into_iter().collect(),
+                }
+            } else {
+                LocationClass::Contended
+            };
+            (byte, class)
+        })
+        .collect()
 }
 
 /// Executes the random per-thread programs on *real threads* under the
@@ -276,6 +368,81 @@ proptest! {
         prop_assert_eq!(pruned.stats.accesses + pruned.stats.pruned, bare.stats.accesses);
         // Every access the analysis called prunable was indeed dropped.
         prop_assert_eq!(pruned.stats.pruned, summary.stats.prunable_accesses());
+    }
+
+    /// The classifier agrees with the definitions of its classes at
+    /// every byte. Slots two bytes apart make the `U32` accesses overlap
+    /// (two-byte atoms, spans of two); main initializes some slots before
+    /// the forks and touches others after the joins, so hand-offs and
+    /// read-only-after-init occur beside racy slots; half of the locked
+    /// accesses move to slots 12.. that only their own lock guards, or
+    /// consistently locked bytes would be too rare to test.
+    #[test]
+    fn classifier_agrees_with_the_definitions(programs in arb_program(), seed in 0u64..1000) {
+        use dgrace::trace::AccessSize;
+        let slot = |s: u64| 0x10_000 + s * 2;
+        let guarded = |l: u8, (s, w): (u8, bool)| match s % 2 {
+            0 => (12 + 2 * l + s % 4 / 2, w),
+            _ => (s, w),
+        };
+        let programs: Vec<Vec<Op>> = programs
+            .into_iter()
+            .map(|ops| {
+                ops.into_iter()
+                    .map(|op| match op {
+                        Op::Locked(l, accs) => {
+                            Op::Locked(l, accs.into_iter().map(|a| guarded(l, a)).collect())
+                        }
+                        op => op,
+                    })
+                    .collect()
+            })
+            .collect();
+        let main = Scheduler::new()
+            .prologue(|b| {
+                for s in [0, 1, 4, 7, 10] {
+                    b.write(slot(s), AccessSize::U32);
+                }
+            })
+            .epilogue(|b| {
+                b.write(slot(2), AccessSize::U32);
+                b.read(slot(7), AccessSize::U32);
+            });
+        let trace = build_under(main, &programs, 2, seed);
+        prop_assert!(validate(&trace).is_ok());
+        let summary = analyze(&trace);
+        let expected = classes_by_definition(&trace);
+        for byte in slot(0) - 1..=slot(18) + 4 {
+            prop_assert_eq!(
+                summary.class_at(Addr(byte)),
+                expected.get(&byte),
+                "class of byte {:#x}",
+                byte
+            );
+        }
+        // Every access counts once, toward the weakest class among its
+        // bytes; every byte counts toward its own.
+        let slot_of = |c: &LocationClass| match c {
+            LocationClass::Contended => 0,
+            LocationClass::ConsistentlyLocked { .. } => 1,
+            LocationClass::ReadOnlyAfterInit => 2,
+            LocationClass::ThreadLocal => 3,
+        };
+        let mut accesses = [0u64; 4];
+        for (addr, size, _) in trace.iter().filter_map(Event::access) {
+            let weakest = (addr.0..addr.0 + size.bytes()).map(|b| slot_of(&expected[&b])).min();
+            accesses[weakest.expect("accesses are not empty")] += 1;
+        }
+        let mut bytes = [0u64; 4];
+        for class in expected.values() {
+            bytes[slot_of(class)] += 1;
+        }
+        let st = &summary.stats;
+        let got = [&st.contended, &st.locked, &st.read_only, &st.thread_local];
+        prop_assert_eq!(got.map(|c| c.accesses), accesses);
+        prop_assert_eq!(got.map(|c| c.bytes), bytes);
+        prop_assert_eq!(st.total_accesses(), summary.trace_accesses);
+        prop_assert_eq!(summary.trace_accesses, accesses.iter().sum::<u64>());
     }
 
     /// Detector determinism: running the same trace twice gives the same
