@@ -47,10 +47,11 @@ use dgrace_runtime::{
 };
 use dgrace_server::{Client, ClientError, Server, ServerConfig};
 use dgrace_shadow::{HashSelect, PagedSelect};
-use dgrace_trace::io::{read_summary, read_trace_with, write_summary, write_trace};
+use dgrace_trace::io::{read_summary, write_summary, write_trace, EventReader, BLOCK_EVENTS};
 use dgrace_trace::{
-    stats::stats, trace_fingerprint, validate, AffinityMap, AnalysisSummary, DecodeLimits,
-    DecodeStats, LocationClass, PruneSet, ReadOptions, RoutingPlan, Trace, TraceError,
+    stats::stats, validate, AffinityMap, AnalysisSummary, BlockReader, DecodeLimits, DecodeStats,
+    Event, Fingerprint, LocationClass, PruneSet, ReadOptions, RoutingPlan, Trace, TraceError,
+    ValidationError, Validator,
 };
 use dgrace_workloads::{Workload, WorkloadKind};
 
@@ -351,7 +352,7 @@ fn cmd_gen(rest: &[String]) -> Result<(), Failure> {
 fn cmd_analyze(rest: &[String]) -> Result<(), Failure> {
     let p = Parsed::parse_with_flags(rest, &["-o"], &["--json"])?;
     let path = p.positional(0).ok_or("analyze: missing trace file")?;
-    let (trace, _) = load_trace(path, false)?;
+    let trace = load_trace(path, false)?;
     let start = std::time::Instant::now();
     let (summary, passes) = analyze_with_stats(&trace);
     let secs = start.elapsed().as_secs_f64();
@@ -439,20 +440,17 @@ fn cmd_analyze(rest: &[String]) -> Result<(), Failure> {
 
 /// The `.dgas` analysis summaries one `detect` run was handed. Passing
 /// the one file `analyze` writes to `--prune-with`, `--plan-with` and
-/// `--affinity-with` decodes it once, and the trace — every byte of
-/// which the fingerprint hashes — is fingerprinted once however many
-/// summaries are checked against it.
+/// `--affinity-with` decodes it once, and every one is checked against
+/// the one fingerprint the scan took of the trace.
 struct Summaries<'t> {
-    trace: &'t Trace,
-    fingerprint: Option<u64>,
+    facts: &'t TraceFacts,
     loaded: Vec<(String, Arc<AnalysisSummary>)>,
 }
 
 impl<'t> Summaries<'t> {
-    fn of(trace: &'t Trace) -> Self {
+    fn of(facts: &'t TraceFacts) -> Self {
         Summaries {
-            trace,
-            fingerprint: None,
+            facts,
             loaded: Vec::new(),
         }
     }
@@ -471,17 +469,17 @@ impl<'t> Summaries<'t> {
         let f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
         let summary =
             read_summary(&mut BufReader::new(f)).map_err(|e| decode_failure(path, &e, false))?;
-        if summary.trace_events != self.trace.len() as u64 {
+        if summary.trace_events != self.facts.events {
             return Err(Failure::Stale(format!(
                 "summary {path} was built from a {}-event trace, but this trace has {} events \
                  (re-run `dgrace analyze`)",
-                summary.trace_events,
-                self.trace.len()
+                summary.trace_events, self.facts.events
             )));
         }
-        let fp = *self
+        let fp = self
+            .facts
             .fingerprint
-            .get_or_insert_with(|| trace_fingerprint(self.trace));
+            .expect("the scan fingerprints the trace whenever a summary flag is given");
         if summary.fingerprint != 0 && summary.fingerprint != fp {
             return Err(Failure::Stale(format!(
                 "summary {path} was built from a different trace (fingerprint {:#018x}, this trace \
@@ -540,19 +538,27 @@ fn decode_failure(path: &str, e: &TraceError, resync_available: bool) -> Failure
     Failure::Decode(format!("decode {path}: {e}{hint}"))
 }
 
-/// Opens, decodes, and validates a `.dgrt` trace. With `resync` the
-/// decoder skips damaged byte regions instead of failing, and any loss is
-/// reported on stderr (and in `--json` output via the returned
-/// [`DecodeStats`]); the recovered subset can only *miss* races, never
-/// invent them.
-fn load_trace(path: &str, resync: bool) -> Result<(Trace, DecodeStats), Failure> {
+/// Opens a `.dgrt` trace for decoding and checks its header.
+fn open_trace(path: &str, resync: bool) -> Result<EventReader<File>, Failure> {
     let f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
     let opts = ReadOptions {
         limits: DecodeLimits::default(),
         resync,
     };
-    let (trace, dstats) = read_trace_with(&mut BufReader::new(f), opts)
-        .map_err(|e| decode_failure(path, &e, !resync))?;
+    EventReader::with_options(f, opts).map_err(|e| decode_failure(path, &e, !resync))
+}
+
+/// What every way of reading a trace does once the whole file has
+/// decoded: report resync loss on stderr, then pass the schedule's first
+/// defect on — as a warning under `resync`, where a lossy recovery may
+/// break well-formedness (e.g. a join whose fork was dropped) and the
+/// detectors tolerate that.
+fn check_decoded(
+    path: &str,
+    resync: bool,
+    dstats: &DecodeStats,
+    valid: Result<(), ValidationError>,
+) -> Result<(), Failure> {
     if dstats.lossy() {
         eprintln!(
             "dgrace: warning: {path}: resync dropped {} event(s) / {} corrupt byte(s); \
@@ -560,18 +566,93 @@ fn load_trace(path: &str, resync: bool) -> Result<(Trace, DecodeStats), Failure>
             dstats.dropped_events, dstats.dropped_bytes
         );
     }
-    if let Err(e) = validate(&trace) {
-        if resync {
-            // A lossy recovery may break well-formedness (e.g. a join
-            // whose fork was dropped); the detectors tolerate that.
+    match valid {
+        Ok(()) => Ok(()),
+        Err(e) if resync => {
             eprintln!(
                 "dgrace: warning: {path}: recovered trace fails validation ({e}); continuing"
             );
-        } else {
-            return Err(Failure::Invalid(format!("{path}: invalid trace: {e}")));
+            Ok(())
         }
+        Err(e) => Err(Failure::Invalid(format!("{path}: invalid trace: {e}"))),
     }
-    Ok((trace, dstats))
+}
+
+/// Opens, decodes, and validates a `.dgrt` trace into memory, for the
+/// commands that walk it several times. With `resync` the decoder skips
+/// damaged byte regions instead of failing, and any loss is reported on
+/// stderr; the recovered subset can only *miss* races, never invent
+/// them.
+fn load_trace(path: &str, resync: bool) -> Result<Trace, Failure> {
+    let mut reader = open_trace(path, resync)?;
+    let mut events = Vec::new();
+    reader
+        .read_block(&mut events, usize::MAX)
+        .map_err(|e| decode_failure(path, &e, !resync))?;
+    let trace = Trace::from_events(events);
+    check_decoded(path, resync, &reader.stats(), validate(&trace))?;
+    Ok(trace)
+}
+
+/// What `detect` knows about its trace before the first event is fed.
+struct TraceFacts {
+    /// Events the file decodes to (under `--resync`, what survived).
+    events: u64,
+    /// Max thread id + 1.
+    threads: usize,
+    /// Decode-loss counters, for stderr and `--json`.
+    dstats: DecodeStats,
+    /// Content fingerprint, taken only when a summary has to be checked
+    /// against it.
+    fingerprint: Option<u64>,
+}
+
+/// The first pass of `detect` over its trace: decodes and validates the
+/// whole file a block at a time, so that everything that can be wrong
+/// with the input is reported — decode errors first, as when the file
+/// was loaded whole — before the detector sees an event.
+fn scan(path: &str, resync: bool, fingerprint: bool) -> Result<TraceFacts, Failure> {
+    let mut reader = open_trace(path, resync)?;
+    let mut block = Vec::with_capacity(BLOCK_EVENTS);
+    let mut validator = Validator::new();
+    let mut valid = Ok(());
+    let mut fingerprint = fingerprint.then(Fingerprint::new);
+    let mut max_tid = None;
+    loop {
+        block.clear();
+        let n = reader
+            .read_block(&mut block, BLOCK_EVENTS)
+            .map_err(|e| decode_failure(path, &e, !resync))?;
+        if n == 0 {
+            break;
+        }
+        if valid.is_ok() {
+            valid = block.iter().try_for_each(|ev| validator.step(ev));
+        }
+        if let Some(fp) = fingerprint.as_mut() {
+            fp.update(&block);
+        }
+        let widest = |ev: &Event| match *ev {
+            Event::Fork { parent, child } | Event::Join { parent, child } => parent.max(child),
+            ref other => other.tid(),
+        };
+        max_tid = max_tid.max(block.iter().map(widest).max());
+    }
+    let dstats = reader.stats();
+    check_decoded(path, resync, &dstats, valid)?;
+    Ok(TraceFacts {
+        events: dstats.decoded,
+        threads: max_tid.map_or(0, |t| t.index() + 1),
+        dstats,
+        fingerprint: fingerprint.map(Fingerprint::finish),
+    })
+}
+
+/// The second pass: the scanned file as the source a detector is fed
+/// from. A file that no longer decodes to the events the scan counted
+/// fails the feed as a decode error.
+fn open_source(path: &str, resync: bool, facts: &TraceFacts) -> Result<BlockReader<File>, Failure> {
+    open_trace(path, resync).map(|reader| BlockReader::new(reader, facts.events))
 }
 
 /// Prototype for the sharded engine, for the detectors that support
@@ -695,15 +776,17 @@ fn parse_interval(v: &str) -> Result<CheckpointInterval, Failure> {
     Ok(iv)
 }
 
-/// Maps a checkpointed-replay failure onto the stable exit-code classes:
-/// i/o trouble writing/reading checkpoints is exit 3, a torn or truncated
-/// manifest is exit 4 (decode), and resuming against the wrong detector,
-/// shard count, or trace is exit 5 (validation).
-fn replay_failure(e: ReplayError) -> Failure {
+/// Maps a replay failure onto the stable exit-code classes: i/o trouble
+/// reading the trace or writing/reading checkpoints is exit 3, a torn or
+/// truncated manifest — or a trace that stopped decoding between the
+/// scan and the feed — is exit 4 (decode), and resuming against the
+/// wrong detector, shard count, or trace is exit 5 (validation).
+fn replay_failure(path: &str, e: ReplayError) -> Failure {
     match e {
         ReplayError::Io(m) => Failure::Io(m),
         ReplayError::Corrupt(m) => Failure::Decode(m),
         ReplayError::Mismatch(m) => Failure::Invalid(m),
+        ReplayError::Source(m) => Failure::Decode(format!("decode {path}: {m}")),
     }
 }
 
@@ -758,8 +841,14 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         .transpose()
         .map_err(Failure::Usage)?;
 
-    let (trace, dstats) = load_trace(path, p.flag("--resync"))?;
-    let mut summaries = Summaries::of(&trace);
+    let resync = p.flag("--resync");
+    let summary_flags = ["--prune-with", "--plan-with", "--affinity-with"];
+    let facts = scan(
+        path,
+        resync,
+        summary_flags.iter().any(|f| p.opt(f).is_some()),
+    )?;
+    let mut summaries = Summaries::of(&facts);
     let prune = match p.opt("--prune-with") {
         Some(sp) => compile_prune(det_name, summaries.load(sp)?.as_ref())?,
         None => PruneSet::empty(),
@@ -838,34 +927,37 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
             // report (exit 9) instead of dying mid-trace.
             stop: (ckpt_some || self_heal).then(signals::install_stop_flag),
         };
-        replay(proto, &trace, &plan).map_err(replay_failure)?
+        let source = open_source(path, resync, &facts)?;
+        replay(proto, source, &plan).map_err(|e| replay_failure(path, e))?
     } else {
         // The direct serial path: the only one the non-shardable
         // detectors (oracle, segment, hybrid, lockset) can run on.
         let mut det = stack.wrap(make_detector(det_name, shadow)?);
+        let source = open_source(path, resync, &facts)?;
         if prune.is_empty() {
-            det.run(&trace)
+            det.run_source(source)
         } else {
-            StaticPruneFilter::new(det, prune).run(&trace)
+            StaticPruneFilter::new(det, prune).run_source(source)
         }
+        .map_err(|e| replay_failure(path, e.into()))?
     };
     let secs = start.elapsed().as_secs_f64();
     if json_out {
         // Deterministic machine-readable output: no timing, so resumed
         // and uninterrupted runs over the same trace diff byte-equal.
-        outln!("{}", json::report(&report, &dstats));
+        outln!("{}", json::report(&report, &facts.dstats));
     } else {
         if shards > 1 || pipeline {
             let path = if pipeline { "pipelined" } else { "sharded" };
             outln!("{path} replay: {shards} detector shards (merged report)");
         }
-        render::report(&report, &trace, secs, max_races);
+        render::report(&report, facts.events, facts.threads, secs, max_races);
     }
-    if signals::stop_requested() && report.stats.events < trace.len() as u64 {
+    if signals::stop_requested() && report.stats.events < facts.events {
         eprintln!(
             "dgrace: interrupted; report covers {} of {} events{}",
             report.stats.events,
-            trace.len(),
+            facts.events,
             if ckpt_some {
                 " (final checkpoint written; rerun with --resume to continue)"
             } else {
@@ -1048,7 +1140,7 @@ fn cmd_feed(rest: &[String]) -> Result<(), Failure> {
     let path = p.positional(1).ok_or("feed: missing trace file")?;
     let socket = p.positional(2).ok_or("feed: missing server socket path")?;
     let retries: u32 = p.opt_parse("--retry")?.unwrap_or(0);
-    let (trace, _) = load_trace(path, p.flag("--resync"))?;
+    let trace = load_trace(path, p.flag("--resync"))?;
 
     // The session name is the durable resume identity; default to the
     // trace's file stem so re-feeding the same file resumes it.
@@ -1109,7 +1201,7 @@ fn cmd_compare(rest: &[String]) -> Result<(), Failure> {
     let b_name = p.positional(1).ok_or("compare: missing second detector")?;
     let path = p.positional(2).ok_or("compare: missing trace file")?;
     let shadow = parse_shadow(&p)?;
-    let (trace, _) = load_trace(path, false)?;
+    let trace = load_trace(path, false)?;
 
     let run = |name: &str| -> Result<_, Failure> {
         let mut det = make_detector(name, shadow)?;
@@ -1170,7 +1262,7 @@ fn cmd_compare(rest: &[String]) -> Result<(), Failure> {
 fn cmd_stats(rest: &[String]) -> Result<(), Failure> {
     let p = Parsed::parse(rest, &[])?;
     let path = p.positional(0).ok_or("stats: missing trace file")?;
-    let (trace, _) = load_trace(path, false)?;
+    let trace = load_trace(path, false)?;
     render::trace_stats(&stats(&trace), trace.len());
     Ok(())
 }

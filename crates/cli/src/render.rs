@@ -2,21 +2,17 @@
 
 use dgrace_detectors::Report;
 use dgrace_trace::stats::TraceStats;
-use dgrace_trace::Trace;
 
-/// Prints a detector report.
-pub fn report(rep: &Report, trace: &Trace, secs: f64, max_races: usize) {
+/// Prints a detector report over a trace of `events` events on `threads`
+/// threads.
+pub fn report(rep: &Report, events: u64, threads: usize, secs: f64, max_races: usize) {
     let s = &rep.stats;
     outln!("detector      : {}", rep.detector);
-    outln!(
-        "trace         : {} events, {} threads",
-        trace.len(),
-        trace.thread_count()
-    );
+    outln!("trace         : {events} events, {threads} threads");
     outln!(
         "time          : {:.1} ms ({:.1}M events/s)",
         secs * 1e3,
-        trace.len() as f64 / secs.max(1e-9) / 1e6
+        events as f64 / secs.max(1e-9) / 1e6
     );
     outln!(
         "accesses      : {} ({:.0}% same-epoch fast path)",

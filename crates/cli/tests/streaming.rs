@@ -1,0 +1,238 @@
+//! `dgrace detect` reads its trace twice — a scan, then the feed — and
+//! never holds it whole. Everything that can be wrong with the input
+//! must still be reported by the scan, before any detection happens:
+//! same exit code, same message, nothing on stdout, no side effects.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use dgrace_trace::io::to_bytes;
+use dgrace_trace::{AccessSize, Trace, TraceBuilder};
+
+/// Two workers racing on one word, then a few thousand private writes
+/// each (several decode blocks' worth of records).
+fn racy_trace(words: u64) -> Trace {
+    let mut b = TraceBuilder::new();
+    b.fork(0u32, 1u32).fork(0u32, 2u32);
+    b.write(1u32, 0x100u64, AccessSize::U32);
+    b.write(2u32, 0x100u64, AccessSize::U32);
+    for i in 0..words {
+        b.write(1u32, 0x10_000 + i * 8, AccessSize::U64);
+        b.write(2u32, 0x80_000 + i * 8, AccessSize::U64);
+    }
+    b.join(0u32, 1u32).join(0u32, 2u32);
+    b.build()
+}
+
+/// A scratch directory of this test's own.
+fn scratch(test: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("streaming-{test}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+fn write(dir: &Path, name: &str, bytes: &[u8]) -> String {
+    let path = dir.join(name);
+    std::fs::write(&path, bytes).expect("write input");
+    path.to_str().expect("utf-8 path").to_string()
+}
+
+fn dgrace(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dgrace"))
+        .args(args)
+        .output()
+        .expect("run dgrace")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A rejected input: the exit code, one `dgrace:` line on stderr that
+/// contains `message`, and not a byte of report.
+#[track_caller]
+fn assert_rejected(out: &Output, code: i32, message: &str) {
+    let err = stderr(out);
+    assert_eq!(out.status.code(), Some(code), "{err}");
+    assert!(out.stdout.is_empty(), "a rejected input prints no report");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.starts_with("dgrace: "), "{err}");
+    assert!(err.contains(message), "{err:?} lacks {message:?}");
+}
+
+/// Byte offset of record `n` of an encoded trace.
+fn record_offset(bytes: &[u8], n: usize) -> usize {
+    let mut at = 16;
+    for _ in 0..n {
+        at += match bytes[at] {
+            0 | 1 => 14,
+            6 | 7 => 21,
+            _ => 9,
+        };
+    }
+    at
+}
+
+#[test]
+fn truncated_trace_is_a_decode_error_with_the_offset() {
+    let dir = scratch("truncated");
+    let bytes = to_bytes(&racy_trace(6000));
+    let cut = bytes.len() - 5;
+    let path = write(&dir, "t.dgrt", &bytes[..cut]);
+    for extra in [&[][..], &["--json"], &["--shards", "2", "--pipeline"]] {
+        let out = dgrace(&[&["detect", "dynamic", &path], extra].concat());
+        assert_rejected(
+            &out,
+            4,
+            &format!(
+                "decode {path}: truncated stream at byte {cut}: 5 more byte(s) expected \
+                 (hint: --resync skips damaged frames and keeps the decodable rest)"
+            ),
+        );
+    }
+}
+
+#[test]
+fn bad_tag_is_a_decode_error_even_after_an_invalid_event() {
+    let dir = scratch("badtag");
+    // Event 2 releases a lock nobody holds; record 9000 (in the second
+    // decode block) has a corrupt tag. Decoding fails the run, as it did
+    // when the whole file was decoded before it was validated.
+    let mut b = TraceBuilder::new();
+    b.fork(0u32, 1u32).fork(0u32, 2u32).release(1u32, 9u32);
+    let mut events = b.build().events;
+    events.extend(racy_trace(6000).events.into_iter().skip(2));
+    let mut bytes = to_bytes(&Trace::from_events(events));
+    let at = record_offset(&bytes, 9000);
+    bytes[at] = 0xEE;
+    let path = write(&dir, "t.dgrt", &bytes);
+    let out = dgrace(&["detect", "dynamic", &path]);
+    assert_rejected(
+        &out,
+        4,
+        &format!("decode {path}: corrupt stream at byte {at}: unknown event tag 238"),
+    );
+}
+
+#[test]
+fn invalid_schedule_is_rejected_before_any_side_effect() {
+    let dir = scratch("invalid");
+    let mut events = racy_trace(6000).events;
+    let at = events.len() - 2;
+    let mut tail = TraceBuilder::new();
+    tail.release(1u32, 77u32);
+    events.insert(at, tail.build().events[0]);
+    let path = write(&dir, "t.dgrt", &to_bytes(&Trace::from_events(events)));
+    let message =
+        format!("{path}: invalid trace: event {at}: thread T1 releases L77 it does not hold");
+    assert_rejected(&dgrace(&["detect", "dynamic", &path]), 5, &message);
+
+    // Nothing of a checkpointed run has started either: the directory a
+    // run creates up front does not exist.
+    let ckpt = dir.join("ckpt");
+    let out = dgrace(&[
+        "detect",
+        "dynamic",
+        &path,
+        "--json",
+        "--checkpoint-dir",
+        ckpt.to_str().unwrap(),
+        "--checkpoint-every",
+        "100",
+    ]);
+    assert_rejected(&out, 5, &message);
+    assert!(!ckpt.exists(), "rejected before the checkpoint dir is made");
+}
+
+#[test]
+fn stale_summary_is_exit_8_by_count_and_by_fingerprint() {
+    let dir = scratch("stale");
+    let this = write(&dir, "this.dgrt", &to_bytes(&racy_trace(100)));
+    let longer = write(&dir, "longer.dgrt", &to_bytes(&racy_trace(101)));
+    // Same length, different content: only the fingerprint tells.
+    let mut twin = racy_trace(100);
+    twin.events.swap(2, 3);
+    let twin = write(&dir, "twin.dgrt", &to_bytes(&twin));
+    let summary_of = |trace: &str, name: &str| {
+        let summary = dir.join(name).to_str().unwrap().to_string();
+        let out = dgrace(&["analyze", trace, "-o", &summary]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        summary
+    };
+    let own = summary_of(&this, "this.dgas");
+    let by_count = summary_of(&longer, "longer.dgas");
+    let by_print = summary_of(&twin, "twin.dgas");
+
+    let out = dgrace(&["detect", "dynamic", &this, "--prune-with", &own, "--json"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    for flag in ["--prune-with", "--plan-with", "--affinity-with"] {
+        let out = dgrace(&["detect", "dynamic", &this, flag, &by_count, "--shards", "2"]);
+        assert_rejected(
+            &out,
+            8,
+            &format!(
+                "summary {by_count} was built from a 208-event trace, but this trace has 206 events"
+            ),
+        );
+        let out = dgrace(&["detect", "dynamic", &this, flag, &by_print, "--shards", "2"]);
+        assert_rejected(
+            &out,
+            8,
+            &format!("summary {by_print} was built from a different trace (fingerprint 0x"),
+        );
+    }
+}
+
+#[test]
+fn resync_reports_its_loss_and_detects_the_rest() {
+    let dir = scratch("resync");
+    let trace = racy_trace(6000);
+    let bytes = to_bytes(&trace);
+    let whole = write(&dir, "whole.dgrt", &bytes);
+    let cut = write(&dir, "cut.dgrt", &bytes[..bytes.len() - 5]);
+    let mut corrupt = bytes.clone();
+    corrupt[record_offset(&bytes, 9000)] = 0xEE;
+    let corrupt = write(&dir, "corrupt.dgrt", &corrupt);
+
+    let clean = dgrace(&["detect", "dynamic", &whole, "--resync", "--json"]);
+    assert_eq!(clean.status.code(), Some(0));
+    assert_eq!(stderr(&clean), "", "nothing lost, nothing to warn about");
+    let report = String::from_utf8_lossy(&clean.stdout).into_owned();
+    assert!(report.contains("\"races\""), "{report}");
+
+    // The cut drops the last join; the recovered schedule is still valid.
+    let out = dgrace(&["detect", "dynamic", &cut, "--resync", "--json"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(
+        stderr(&out),
+        format!(
+            "dgrace: warning: {cut}: resync dropped 1 event(s) / 4 corrupt byte(s); \
+             races can only be missed, not invented\n"
+        )
+    );
+    let lossy = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(lossy.contains("\"dropped_events\": 1"), "{lossy}");
+
+    // What sliding over a corrupt record recovers is the decoder's
+    // business (`decode_fuzz`); here, that both passes of both engines
+    // recover the same thing and say so once.
+    let serial = dgrace(&["detect", "dynamic", &corrupt, "--resync", "--json"]);
+    let sharded = dgrace(&[
+        "detect", "dynamic", &corrupt, "--resync", "--json", "--shards", "2",
+    ]);
+    assert_eq!(serial.status.code(), Some(0), "{}", stderr(&serial));
+    let warning = format!("dgrace: warning: {corrupt}: resync dropped ");
+    assert!(stderr(&serial).starts_with(&warning), "{}", stderr(&serial));
+    assert_eq!(stderr(&serial).matches(&warning).count(), 1);
+    assert_eq!(sharded.status.code(), Some(0), "{}", stderr(&sharded));
+    assert_eq!(stderr(&sharded), stderr(&serial));
+    let races = |out: &Output| {
+        let report = String::from_utf8_lossy(&out.stdout).into_owned();
+        let at = report.find("\"races\"").expect("a report with races");
+        let end = report.find("\"stats\"").expect("a report with stats");
+        report[at..end].to_string()
+    };
+    assert_eq!(races(&sharded), races(&serial));
+    assert_eq!(races(&serial), races(&clean), "the racy pair survived");
+}

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use dgrace_shadow::PressureLevel;
-use dgrace_trace::{AffinityMap, Event, Trace};
+use dgrace_trace::{AffinityMap, Event, EventSource, Trace, TraceError};
 
 use crate::Report;
 
@@ -178,10 +178,23 @@ impl Detector for Box<dyn Detector + Send> {
 pub trait DetectorExt: Detector {
     /// Feeds every event of `trace` and returns the final report.
     fn run(&mut self, trace: &Trace) -> Report {
-        for ev in trace.iter() {
-            self.on_event(ev);
+        self.run_source(trace)
+            .expect("a trace in memory has nothing left to decode")
+    }
+
+    /// Feeds every event of `source`, block by block, and returns the
+    /// final report — or the source's failure, leaving the detector part
+    /// way through the trace.
+    fn run_source<S: EventSource>(&mut self, mut source: S) -> Result<Report, TraceError> {
+        loop {
+            let block = source.next_block()?;
+            if block.is_empty() {
+                return Ok(self.finish());
+            }
+            for ev in block {
+                self.on_event(ev);
+            }
         }
-        self.finish()
     }
 }
 

@@ -1,8 +1,8 @@
 //! Live ingestion sessions: the engine wrapper behind `dgrace serve`.
 //!
-//! Offline replay walks a complete [`dgrace_trace::Trace`]; a server
-//! session receives its events incrementally from a socket and must
-//! interleave feeding with race streaming, checkpointing, and an
+//! Offline replay walks a [`dgrace_trace::EventSource`] of known length
+//! to its end; a server session receives its events incrementally from
+//! a socket and must interleave feeding with race streaming, checkpointing, and an
 //! eventual finalize — without ever holding the whole stream in memory.
 //! [`IngestSession`] packages the sharded [`Engine`](crate::engine) for
 //! that shape:

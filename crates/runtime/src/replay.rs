@@ -12,8 +12,9 @@
 //! * **One loop.** [`Driver::step`] handles one event — prune, register
 //!   an `Alloc`'s range with the router, hand the event to the
 //!   transport, count it, checkpoint when the cadence is due.
-//!   [`replay`] walks a recorded [`Trace`] through it (polling the stop
-//!   flag between events); [`crate::IngestSession`] feeds it from a
+//!   [`replay`] walks an [`EventSource`] — a [`Trace`] in memory or a
+//!   `.dgrt` stream decoded a block at a time — through it (polling the
+//!   stop flag between events); [`crate::IngestSession`] feeds it from a
 //!   socket.
 //! * **Two transports** behind the [`Lanes`] seam, statically
 //!   dispatched: the [`Funnel`] (this module — one thread drives every
@@ -38,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use dgrace_detectors::{Detector, Report, ShardableDetector};
 use dgrace_shadow::{process_gauge, MemComponent};
-use dgrace_trace::{Event, PruneSet, Trace};
+use dgrace_trace::{Event, EventSource, PruneSet, Trace, TraceError};
 
 use crate::checkpoint::{CheckpointManifest, CHECKPOINT_FILE};
 use crate::engine::{
@@ -103,7 +104,7 @@ pub struct RunPlan<'a> {
     pub stop: Option<&'a AtomicBool>,
 }
 
-/// Replays `trace` through `plan.shards` instances of the prototype
+/// Replays `source` through `plan.shards` instances of the prototype
 /// detector and returns the merged report.
 ///
 /// Race sets are byte-identical across shard counts and transports, and
@@ -114,13 +115,13 @@ pub struct RunPlan<'a> {
 /// to respawn replacement shards.
 pub fn replay<D: ShardableDetector + Send>(
     prototype: D,
-    trace: &Trace,
+    source: impl EventSource,
     plan: &RunPlan<'_>,
 ) -> Result<Report, ReplayError> {
     let detectors = mint(&prototype, plan.shards);
     let det_name = prototype.name();
     let supervisor = plan.supervisor.map(|p| (respawn_from(prototype), p));
-    run(det_name, detectors, supervisor, trace, plan)
+    run(det_name, detectors, supervisor, source, plan)
 }
 
 /// [`replay`] of a borrowed prototype on the funnel under an otherwise
@@ -162,7 +163,7 @@ fn replay_borrowed<D: ShardableDetector + ?Sized>(
         trace,
         &plan,
     )
-    .expect("a plan without checkpoint or resume performs no fallible I/O")
+    .expect("a trace in memory under a plan without checkpoint or resume performs no fallible I/O")
 }
 
 /// Builds the sharded engine of a driven run — replay or live session —
@@ -228,18 +229,17 @@ pub(crate) fn resume_from(
 }
 
 /// The body of [`replay`] once the prototype has been spent: assemble,
-/// resume, then walk the trace on the plan's transport.
+/// resume, then walk the source on the plan's transport.
 fn run(
     det_name: String,
     detectors: Vec<Box<dyn Detector + Send>>,
     supervisor: Option<(DetectorFactory, SupervisorPolicy)>,
-    trace: &Trace,
+    source: impl EventSource,
     plan: &RunPlan<'_>,
 ) -> Result<Report, ReplayError> {
     let engine = assemble(detectors, plan.prune.clone(), plan.routes, supervisor);
-    let len = trace.len() as u64;
     let start = match plan.resume {
-        Some(m) => resume_from(&engine, m, &det_name, Some(len))?,
+        Some(m) => resume_from(&engine, m, &det_name, Some(source.len()))?,
         None => 0,
     };
     if let Some(c) = plan.checkpoint {
@@ -247,38 +247,50 @@ fn run(
             .map_err(|e| ReplayError::Io(format!("{}: {e}", c.dir.display())))?;
     }
     match plan.transport {
-        Transport::Funnel => walk(&engine, Funnel::new(false), det_name, start, trace, plan),
+        Transport::Funnel => walk(&engine, Funnel::new(false), det_name, start, source, plan),
         Transport::Rings => pipeline::with_lanes(&engine, |lanes| {
-            walk(&engine, lanes, det_name, start, trace, plan)
+            walk(&engine, lanes, det_name, start, source, plan)
         }),
     }
 }
 
-/// Walks `trace` from event `start` through a driver on `lanes`. A raised
-/// stop flag winds the run down before the next event: that event has
-/// not been processed, so the final manifest's offset lets a resumed run
-/// continue exactly there, and the report covers the prefix.
+/// Walks `source` from event `start` through a driver on `lanes`. Events
+/// before a resume offset are decoded and discarded: records are
+/// variable-length, so a stream has no other way to reach event `start`.
+/// A raised stop flag winds the run down before the next event: that
+/// event has not been processed, so the final manifest's offset lets a
+/// resumed run continue exactly there, and the report covers the prefix.
 fn walk<L: Lanes>(
     engine: &Engine,
     lanes: L,
     det_name: String,
     start: u64,
-    trace: &Trace,
+    mut source: impl EventSource,
     plan: &RunPlan<'_>,
 ) -> Result<Report, ReplayError> {
-    let mut driver = Driver::new(lanes, det_name, start, Some(trace.len() as u64));
+    let mut driver = Driver::new(lanes, det_name, start, Some(source.len()));
     driver.cadence = plan.checkpoint.map(|opts| Cadence {
         opts,
         since: 0,
         last: Instant::now(),
         degraded: false,
     });
-    for ev in &trace.events[driver.offset as usize..] {
-        if plan.stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-            driver.save(engine)?;
+    let mut skip = start;
+    'walk: loop {
+        let block = source.next_block()?;
+        if block.is_empty() {
             break;
         }
-        driver.step(engine, ev)?;
+        let skipped = skip.min(block.len() as u64);
+        skip -= skipped;
+        for ev in &block[skipped as usize..] {
+            if plan.stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+                driver.save(engine)?;
+                break 'walk;
+            }
+            driver.step(engine, ev)?;
+        }
+        driver.lanes.block_end(engine);
     }
     driver.finish(engine)
 }
@@ -295,17 +307,21 @@ pub(crate) trait Lanes {
     /// Returns once every event handed over so far has been fed to its
     /// detector, so an engine capture covers exactly those events.
     fn barrier(&mut self, engine: &Engine) -> Result<(), ReplayError>;
+    /// Called where one block of the source ends: what the transport
+    /// buffers must not grow with the trace.
+    fn block_end(&mut self, _engine: &Engine) {}
 }
 
 /// The funnel transport: accesses batch into a pending buffer, a sync
 /// event flushes the batch and is broadcast under all shard locks.
 pub(crate) struct Funnel {
     pending: Vec<Event>,
-    /// Offline, a batch runs to the next sync event. A live session's
-    /// is capped at [`INGEST_BATCH`] (a sync-free stream cannot grow it
-    /// unboundedly, nor delay a shard seeing its events) and booked
-    /// against the process-wide session gauge (reporting + server
-    /// shedding; never the pressure ladder).
+    /// Offline, a batch runs to the next sync event or the end of the
+    /// source's block, whichever comes first (a sync-free trace is not
+    /// copied whole). A live session's is capped at [`INGEST_BATCH`] (a
+    /// sync-free stream cannot grow it unboundedly, nor delay a shard
+    /// seeing its events) and booked against the process-wide session
+    /// gauge (reporting + server shedding; never the pressure ladder).
     live: bool,
 }
 
@@ -351,6 +367,12 @@ impl Lanes for Funnel {
     fn barrier(&mut self, engine: &Engine) -> Result<(), ReplayError> {
         self.flush(engine);
         Ok(())
+    }
+
+    /// Splitting a batch here changes no shard's feed order, by the
+    /// argument [`Driver::step`] makes for checkpoint boundaries.
+    fn block_end(&mut self, engine: &Engine) {
+        self.flush(engine);
     }
 }
 
@@ -508,11 +530,13 @@ pub struct CheckpointOptions {
     pub every: CheckpointInterval,
 }
 
-/// A failure of checkpointed replay, split by what the caller should do
-/// about it: retry I/O, discard the checkpoint, or fix the invocation.
+/// A failure of replay, split by what the caller should do about it:
+/// retry I/O, discard the checkpoint, fix the invocation, or fix the
+/// trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplayError {
-    /// Filesystem trouble reading or writing checkpoint state.
+    /// Filesystem trouble reading the trace or reading or writing
+    /// checkpoint state.
     Io(String),
     /// The checkpoint decoded but cannot be restored (corrupt or
     /// incomplete snapshot data).
@@ -520,14 +544,26 @@ pub enum ReplayError {
     /// The checkpoint disagrees with the requested run (different
     /// detector, shard count, or trace).
     Mismatch(String),
+    /// The event source failed to decode part way through the feed.
+    Source(String),
+}
+
+impl From<TraceError> for ReplayError {
+    fn from(e: TraceError) -> Self {
+        match e {
+            TraceError::Io(e) => ReplayError::Io(format!("read trace: {e}")),
+            e => ReplayError::Source(e.to_string()),
+        }
+    }
 }
 
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReplayError::Io(e) => write!(f, "checkpoint I/O: {e}"),
+            ReplayError::Io(e) => write!(f, "replay I/O: {e}"),
             ReplayError::Corrupt(e) => write!(f, "checkpoint corrupt: {e}"),
             ReplayError::Mismatch(e) => write!(f, "checkpoint mismatch: {e}"),
+            ReplayError::Source(e) => write!(f, "trace source: {e}"),
         }
     }
 }

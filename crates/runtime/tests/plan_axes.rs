@@ -1,7 +1,8 @@
 //! The plan-axis equivalence table: every [`RunPlan`] field crossed with
-//! every other, through the one [`replay`] driver, against the serial
-//! detector — one race signature and exact `stats.events` per trace —
-//! plus the cooperative stop flag raised at every point of a run.
+//! every other and with every kind of event source, through the one
+//! [`replay`] driver, against the serial detector — one race signature
+//! and exact `stats.events` per trace — plus the cooperative stop flag
+//! raised at every point of a run.
 //!
 //! The per-workload, per-store and fault-injecting suites
 //! (`scaling_equivalence`, `checkpoint_recovery`, `fault_injection`, …)
@@ -17,12 +18,13 @@ use dgrace_detectors::{
     race_signature, Detector, DetectorExt, FastTrack, Report, ShardableDetector,
 };
 use dgrace_runtime::{
-    replay, CheckpointInterval, CheckpointManifest, CheckpointOptions, RunPlan, SupervisorPolicy,
-    Transport, CHECKPOINT_FILE,
+    replay, CheckpointInterval, CheckpointManifest, CheckpointOptions, ReplayError, RunPlan,
+    SupervisorPolicy, Transport, CHECKPOINT_FILE,
 };
+use dgrace_trace::io::{to_bytes, EventReader};
 use dgrace_trace::{
-    AccessSize, Addr, AnalysisSummary, ClassifiedRange, Event, HeatBucket, LocationClass, PruneSet,
-    RoutingPlan, Trace, TraceBuilder,
+    AccessSize, Addr, AnalysisSummary, BlockReader, ClassifiedRange, Event, EventSource,
+    HeatBucket, LocationClass, PruneSet, RoutingPlan, Trace, TraceBuilder, TraceError,
 };
 
 /// A racy pair at 0x100, a lock-protected pair at 0x5000, and eight
@@ -83,13 +85,54 @@ fn other(t: Transport) -> Transport {
     }
 }
 
+/// A trace the way a run can be handed it: in memory (one block), or as
+/// `.dgrt` bytes behind the block reader at a given block size.
+struct Input {
+    trace: Trace,
+    bytes: Vec<u8>,
+}
+
+/// `None` is the trace in memory. The trace is 18 events long: one
+/// event per block, a block size that splits it unevenly, and one block
+/// for everything — so a resume offset lands on a block's edge, inside
+/// a block, and inside the only block.
+const SOURCES: [Option<usize>; 4] = [None, Some(1), Some(8), Some(8192)];
+
+impl Input {
+    fn of(trace: Trace) -> Input {
+        let bytes = to_bytes(&trace);
+        Input { trace, bytes }
+    }
+
+    fn replay<D: ShardableDetector + Send>(
+        &self,
+        proto: D,
+        block: Option<usize>,
+        plan: &RunPlan<'_>,
+    ) -> Result<Report, ReplayError> {
+        match block {
+            None => replay(proto, &self.trace, plan),
+            Some(block) => {
+                let reader = EventReader::new(&self.bytes[..]).expect("header");
+                let len = self.trace.len() as u64;
+                replay(
+                    proto,
+                    BlockReader::with_block_events(reader, len, block),
+                    plan,
+                )
+            }
+        }
+    }
+}
+
 /// Every plan axis against the serial detector: one race signature
-/// and exact event counts per trace, whatever the transport, shard
-/// count, prune set, routing plan, supervisor, or checkpoint/resume
-/// cut.
+/// and exact event counts per trace, whatever the source, transport,
+/// shard count, prune set, routing plan, supervisor, or
+/// checkpoint/resume cut.
 #[test]
 fn every_plan_axis_matches_the_serial_run() {
-    let trace = racy_trace();
+    let input = Input::of(racy_trace());
+    let trace = &input.trace;
     let len = trace.len() as u64;
     let protos: [(&str, fn() -> Box<dyn ShardableDetector + Send>); 2] = [
         ("fasttrack", || Box::new(FastTrack::new())),
@@ -101,7 +144,7 @@ fn every_plan_axis_matches_the_serial_run() {
         every: CheckpointInterval::Events(5),
     };
     for (name, proto) in protos {
-        let want = race_signature(&proto().run(&trace));
+        let want = race_signature(&proto().run(trace));
         assert!(!want.is_empty(), "{name}: the trace has a race to find");
         for shards in [1usize, 2, 3, 4, 8] {
             let routes = hot_plan().compile(shards);
@@ -137,16 +180,25 @@ fn every_plan_axis_matches_the_serial_run() {
                     assert!(!rep.checkpointing_degraded, "{row} {what}");
                 };
                 let mut accesses = None;
-                for transport in [Transport::Funnel, Transport::Rings] {
-                    let rep = replay(proto(), &trace, &plan(transport)).expect("replay");
-                    check(&rep, &format!("{transport:?}"));
+                for (source, transport) in SOURCES
+                    .into_iter()
+                    .flat_map(|s| [(s, Transport::Funnel), (s, Transport::Rings)])
+                {
+                    let rep = input
+                        .replay(proto(), source, &plan(transport))
+                        .expect("replay");
+                    check(&rep, &format!("{source:?} {transport:?}"));
                     let accesses = *accesses.get_or_insert(rep.stats.accesses);
-                    assert_eq!(rep.stats.accesses, accesses, "{row}: funnel vs rings");
+                    assert_eq!(
+                        rep.stats.accesses, accesses,
+                        "{row}: {source:?} {transport:?} vs memory funnel"
+                    );
                     if !checkpointed {
                         continue;
                     }
                     // The last cadence manifest resumes on the other
-                    // transport to the same report.
+                    // transport, from every kind of source, to the same
+                    // report.
                     let m = CheckpointManifest::load(&dir.join(CHECKPOINT_FILE))
                         .expect("manifest decodes")
                         .expect("cadence wrote a manifest");
@@ -156,12 +208,17 @@ fn every_plan_axis_matches_the_serial_run() {
                         resume: Some(&m),
                         ..plan(other(transport))
                     };
-                    let rep = replay(proto(), &trace, &resumed).expect("resume");
-                    check(
-                        &rep,
-                        &format!("{transport:?} resumed on the other transport"),
-                    );
-                    assert_eq!(rep.stats.accesses, accesses, "{row}: resumed accesses");
+                    for resume_source in SOURCES {
+                        let rep = input
+                            .replay(proto(), resume_source, &resumed)
+                            .expect("resume");
+                        let what = format!(
+                            "{source:?} {transport:?} resumed from {resume_source:?} \
+                             on the other transport"
+                        );
+                        check(&rep, &what);
+                        assert_eq!(rep.stats.accesses, accesses, "{row}: {what}");
+                    }
                 }
             }
         }
@@ -217,16 +274,19 @@ impl<D: ShardableDetector> ShardableDetector for StopAt<D> {
 /// manifest on the *other* transport equals the uninterrupted run.
 #[test]
 fn stop_flag_cuts_a_resumable_prefix_at_every_event() {
-    let trace = racy_trace();
-    let len = trace.len() as u64;
-    let want = FastTrack::new().run(&trace);
+    let input = Input::of(racy_trace());
+    let len = input.trace.len() as u64;
+    let want = FastTrack::new().run(&input.trace);
     let dir = scratch_dir("stop");
     let ckpt = CheckpointOptions {
         dir: dir.clone(),
         // Never due: only the stop path writes a manifest.
         every: CheckpointInterval::Events(u64::MAX),
     };
-    for transport in [Transport::Funnel, Transport::Rings] {
+    for (source, transport) in SOURCES
+        .into_iter()
+        .flat_map(|s| [(s, Transport::Funnel), (s, Transport::Rings)])
+    {
         for shards in [1usize, 2] {
             let stopper = |at| StopAt {
                 inner: FastTrack::new(),
@@ -243,13 +303,15 @@ fn stop_flag_cuts_a_resumable_prefix_at_every_event() {
             // How many events the shards are fed in a whole run.
             let counter = stopper(u64::MAX);
             let fed = Arc::clone(&counter.fed);
-            replay(counter, &trace, &plan()).expect("counting run");
+            input
+                .replay(counter, source, &plan())
+                .expect("counting run");
             let total = fed.load(Ordering::SeqCst);
             assert!(total >= len, "every event reaches a shard");
 
             let mut partial_runs = 0;
             for at in 1..=total {
-                let row = format!("{transport:?} shards={shards} stop at feed {at}");
+                let row = format!("{source:?} {transport:?} shards={shards} stop at feed {at}");
                 let _ = std::fs::remove_dir_all(&dir);
                 let det = stopper(at);
                 let stop = Arc::clone(&det.stop);
@@ -257,7 +319,7 @@ fn stop_flag_cuts_a_resumable_prefix_at_every_event() {
                     stop: Some(&stop),
                     ..plan()
                 };
-                let rep = replay(det, &trace, &stopping).expect("stopped run");
+                let rep = input.replay(det, source, &stopping).expect("stopped run");
                 assert!(stop.load(Ordering::SeqCst), "{row}: the flag was raised");
                 if rep.stats.events == len {
                     // Raised after the walk had finished (the last
@@ -282,7 +344,9 @@ fn stop_flag_cuts_a_resumable_prefix_at_every_event() {
                     resume: Some(&m),
                     ..RunPlan::default()
                 };
-                let rep = replay(FastTrack::new(), &trace, &resumed).expect("resume");
+                let rep = input
+                    .replay(FastTrack::new(), source, &resumed)
+                    .expect("resume");
                 assert_eq!(
                     race_signature(&rep),
                     race_signature(&want),
@@ -293,9 +357,70 @@ fn stop_flag_cuts_a_resumable_prefix_at_every_event() {
             if transport == Transport::Funnel {
                 // The funnel feeds on the walking thread, so an early
                 // flag is always seen before the next event.
-                assert!(partial_runs > 0, "{transport:?} shards={shards}");
+                assert!(partial_runs > 0, "{source:?} {transport:?} shards={shards}");
             }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A source that notes, each time the driver comes back for a block,
+/// how many events the shards had been fed by then.
+struct Watched<'a> {
+    inner: BlockReader<&'a [u8]>,
+    fed: Arc<AtomicU64>,
+    fed_at_block: Vec<u64>,
+}
+
+impl EventSource for &mut Watched<'_> {
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn next_block(&mut self) -> Result<&[Event], TraceError> {
+        self.fed_at_block.push(self.fed.load(Ordering::SeqCst));
+        self.inner.next_block()
+    }
+}
+
+/// A trace with no sync event never ends a funnel batch by itself: the
+/// funnel must hand its batch over where each source block ends, not
+/// copy the whole trace into its pending buffer — and splitting the
+/// batches there changes nothing in the report.
+#[test]
+fn funnel_flushes_a_sync_free_trace_at_every_block() {
+    let mut b = TraceBuilder::new();
+    b.alloc(0u32, 0x4000u64, 512);
+    for i in 0..99u64 {
+        b.write(0u32, 0x4000 + (i % 64) * 8, AccessSize::U64);
+    }
+    let trace = b.build();
+    let bytes = to_bytes(&trace);
+    let len = trace.len() as u64;
+    let want = DynamicGranularity::new().run(&trace);
+    for shards in [1usize, 3] {
+        let counter = StopAt {
+            inner: DynamicGranularity::new(),
+            at: u64::MAX,
+            fed: Arc::new(AtomicU64::new(0)),
+            stop: Arc::new(AtomicBool::new(false)),
+        };
+        let reader = EventReader::new(&bytes[..]).expect("header");
+        let mut watched = Watched {
+            inner: BlockReader::with_block_events(reader, len, 10),
+            fed: Arc::clone(&counter.fed),
+            fed_at_block: Vec::new(),
+        };
+        let plan = RunPlan {
+            shards,
+            ..RunPlan::default()
+        };
+        let rep = replay(counter, &mut watched, &plan).expect("replay");
+        assert_eq!(race_signature(&rep), race_signature(&want));
+        assert_eq!(rep.stats.events, len);
+        assert_eq!(rep.stats.accesses, want.stats.accesses);
+        // Ten full blocks, then the empty one that ends the trace; every
+        // event of the blocks before had reached its shard by each.
+        let blocks: Vec<u64> = (0..=10).map(|k| k * 10).collect();
+        assert_eq!(watched.fed_at_block, blocks, "shards={shards}");
+    }
 }

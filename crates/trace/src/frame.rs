@@ -27,7 +27,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::io::{decode_event, write_event, DecodeLimits, SliceDecode, TraceError};
+use crate::io::{decode_event, write_event, DecodeLimits, TraceError};
 use crate::Event;
 
 /// Default upper bound on the frame length word (1 MiB). Large enough for
@@ -166,14 +166,8 @@ pub fn decode_event_at(
     offset: u64,
     limits: &DecodeLimits,
 ) -> Result<(Event, usize), TraceError> {
-    match decode_event(&buf[pos.min(buf.len())..], offset, limits) {
-        SliceDecode::Done(ev, used) => Ok((ev, used)),
-        SliceDecode::NeedMore(need) => Err(TraceError::Truncated {
-            offset: offset + (buf.len() - pos.min(buf.len())) as u64,
-            expected: need - (buf.len() - pos.min(buf.len())),
-        }),
-        SliceDecode::Fail(e) => Err(e),
-    }
+    let window = &buf[pos.min(buf.len())..];
+    decode_event(window, limits).map_err(|reject| reject.error(window, offset, limits))
 }
 
 /// Result of decoding an event-batch payload: the recovered events plus

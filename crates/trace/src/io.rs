@@ -75,7 +75,7 @@ use crate::summary::{
     AffinityMap, AffinityRange, AnalysisSummary, AnalysisWarning, ClassCounts, ClassifiedRange,
     HeatBucket, LocationClass, RoutingPlan, SummaryStats, SUMMARY_VERSION,
 };
-use crate::{AccessSize, Addr, Event, LockId, Trace};
+use crate::{AccessSize, Addr, Event, EventSource, LockId, Trace};
 
 const MAGIC: &[u8; 4] = b"DGRT";
 const VERSION: u32 = 1;
@@ -157,6 +157,14 @@ pub enum TraceError {
         /// The checksum recomputed over the payload.
         actual: u32,
     },
+    /// A stream read a second time did not yield the events it was
+    /// counted to hold the first time: the file changed in between.
+    Changed {
+        /// Events the first pass counted.
+        expected: u64,
+        /// Events the second pass decoded before it could tell.
+        decoded: u64,
+    },
 }
 
 /// Backwards-compatible alias: the decode error was renamed when it grew
@@ -235,6 +243,10 @@ impl std::fmt::Display for TraceError {
                 f,
                 "checksum mismatch: stored {expected:#010x}, computed {actual:#010x} \
                  (bit rot or a torn copy)"
+            ),
+            TraceError::Changed { expected, decoded } => write!(
+                f,
+                "trace changed while reading: {expected} event(s) counted, then {decoded} decoded"
             ),
         }
     }
@@ -412,127 +424,146 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-/// Outcome of attempting to decode one event from a byte window.
-pub(crate) enum SliceDecode {
-    /// Decoded an event spanning `usize` bytes.
-    Done(Event, usize),
+/// Why [`decode_event`] produced no record. Small and `Copy` so the
+/// decode loop's success path never carries a [`TraceError`]; the error
+/// (with its offsets and values) is rebuilt from the same bytes by
+/// [`Reject::error`], off the hot path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Reject {
     /// The window is too short; the record needs this many bytes total.
     NeedMore(usize),
-    /// The bytes cannot encode an event.
-    Fail(TraceError),
+    /// Byte 0 is not an event tag.
+    BadTag,
+    /// Byte 13 of an access record is not an access size.
+    BadSize,
+    /// The thread id at this byte of the record exceeds `max_tid`.
+    Tid(usize),
+    /// An `Alloc`/`Free` size exceeds `max_obj_size`.
+    ObjSize,
+    /// `addr + size` of an `Alloc`/`Free` wraps.
+    ObjWrap,
 }
 
-/// Decodes one event from the front of `buf`. `offset` is the absolute
-/// stream position of `buf[0]`, used only for error reporting. Never
-/// panics and never allocates.
-pub(crate) fn decode_event(buf: &[u8], offset: u64, limits: &DecodeLimits) -> SliceDecode {
-    if buf.is_empty() {
-        return SliceDecode::NeedMore(1);
+impl Reject {
+    /// The typed error for a rejection of `buf`, whose first byte sits at
+    /// absolute stream position `offset`.
+    #[cold]
+    pub(crate) fn error(self, buf: &[u8], offset: u64, limits: &DecodeLimits) -> TraceError {
+        match self {
+            Reject::NeedMore(need) => TraceError::Truncated {
+                offset: offset + buf.len() as u64,
+                expected: need - buf.len(),
+            },
+            Reject::BadTag => TraceError::BadTag {
+                offset,
+                tag: buf[0],
+            },
+            Reject::BadSize => TraceError::BadSize {
+                offset: offset + 13,
+                size: buf[13],
+            },
+            Reject::Tid(at) => TraceError::LimitExceeded {
+                offset: offset + at as u64,
+                what: "thread id",
+                value: le_u32(&buf[at..]) as u64,
+                limit: limits.max_tid as u64,
+            },
+            Reject::ObjSize => TraceError::LimitExceeded {
+                offset: offset + 13,
+                what: "object size",
+                value: le_u64(&buf[13..]),
+                limit: limits.max_obj_size,
+            },
+            Reject::ObjWrap => TraceError::LimitExceeded {
+                offset: offset + 13,
+                what: "object end (addr + size wraps)",
+                value: le_u64(&buf[13..]),
+                limit: u64::MAX - le_u64(&buf[5..]),
+            },
+        }
     }
-    let tag = buf[0];
-    let need = match tag {
-        0 | 1 => 14,
-        2..=5 | 8..=13 => 9,
-        6 | 7 => MAX_EVENT_BYTES,
-        t => return SliceDecode::Fail(TraceError::BadTag { offset, tag: t }),
+}
+
+/// Decodes one event from the front of `buf`, returning it with the
+/// number of bytes it spans. The only record decoder in the workspace:
+/// the file reader and the frame codec both sit on it. Never panics and
+/// never allocates.
+#[inline(always)]
+pub(crate) fn decode_event(buf: &[u8], limits: &DecodeLimits) -> Result<(Event, usize), Reject> {
+    // Each arm takes its record as a fixed-size array, so the length is
+    // checked once and every field read is a plain load.
+    #[inline(always)]
+    fn record<const N: usize>(buf: &[u8]) -> Result<&[u8; N], Reject> {
+        buf.first_chunk().ok_or(Reject::NeedMore(N))
+    }
+    #[inline(always)]
+    fn tid_at(rec: &[u8], at: usize, limits: &DecodeLimits) -> Result<Tid, Reject> {
+        let raw = le_u32(&rec[at..]);
+        if raw > limits.max_tid {
+            return Err(Reject::Tid(at));
+        }
+        Ok(Tid(raw))
+    }
+    let Some(&tag) = buf.first() else {
+        return Err(Reject::NeedMore(1));
     };
-    if buf.len() < need {
-        return SliceDecode::NeedMore(need);
-    }
-    let tid_raw = le_u32(&buf[1..5]);
-    if tid_raw > limits.max_tid {
-        return SliceDecode::Fail(TraceError::LimitExceeded {
-            offset: offset + 1,
-            what: "thread id",
-            value: tid_raw as u64,
-            limit: limits.max_tid as u64,
-        });
-    }
-    let tid = Tid(tid_raw);
-    let ev = match tag {
+    match tag {
         0 | 1 => {
-            let addr = Addr(le_u64(&buf[5..13]));
-            let sz = buf[13];
-            let Some(size) = AccessSize::from_bytes(sz as u64) else {
-                return SliceDecode::Fail(TraceError::BadSize {
-                    offset: offset + 13,
-                    size: sz,
-                });
-            };
-            if tag == 0 {
+            let rec = record::<14>(buf)?;
+            let tid = tid_at(rec, 1, limits)?;
+            let addr = Addr(le_u64(&rec[5..]));
+            let size = AccessSize::from_bytes(rec[13] as u64).ok_or(Reject::BadSize)?;
+            let ev = if tag == 0 {
                 Event::Read { tid, addr, size }
             } else {
                 Event::Write { tid, addr, size }
-            }
+            };
+            Ok((ev, 14))
         }
-        2 | 3 => {
-            let lock = LockId(le_u32(&buf[5..9]));
-            if tag == 2 {
-                Event::Acquire { tid, lock }
-            } else {
-                Event::Release { tid, lock }
-            }
-        }
-        4 | 5 => {
-            let child_raw = le_u32(&buf[5..9]);
-            if child_raw > limits.max_tid {
-                return SliceDecode::Fail(TraceError::LimitExceeded {
-                    offset: offset + 5,
-                    what: "thread id",
-                    value: child_raw as u64,
-                    limit: limits.max_tid as u64,
-                });
-            }
-            if tag == 4 {
-                Event::Fork {
+        2..=5 | 8..=13 => {
+            let rec = record::<9>(buf)?;
+            let tid = tid_at(rec, 1, limits)?;
+            let obj = LockId(le_u32(&rec[5..]));
+            let ev = match tag {
+                2 => Event::Acquire { tid, lock: obj },
+                3 => Event::Release { tid, lock: obj },
+                4 => Event::Fork {
                     parent: tid,
-                    child: Tid(child_raw),
-                }
-            } else {
-                Event::Join {
+                    child: tid_at(rec, 5, limits)?,
+                },
+                5 => Event::Join {
                     parent: tid,
-                    child: Tid(child_raw),
-                }
-            }
-        }
-        6 | 7 => {
-            let addr = Addr(le_u64(&buf[5..13]));
-            let size = le_u64(&buf[13..21]);
-            if size > limits.max_obj_size {
-                return SliceDecode::Fail(TraceError::LimitExceeded {
-                    offset: offset + 13,
-                    what: "object size",
-                    value: size,
-                    limit: limits.max_obj_size,
-                });
-            }
-            if addr.0.checked_add(size).is_none() {
-                return SliceDecode::Fail(TraceError::LimitExceeded {
-                    offset: offset + 13,
-                    what: "object end (addr + size wraps)",
-                    value: size,
-                    limit: u64::MAX - addr.0,
-                });
-            }
-            if tag == 6 {
-                Event::Alloc { tid, addr, size }
-            } else {
-                Event::Free { tid, addr, size }
-            }
-        }
-        _ => {
-            let obj = LockId(le_u32(&buf[5..9]));
-            match tag {
+                    child: tid_at(rec, 5, limits)?,
+                },
                 8 => Event::AcquireRead { tid, lock: obj },
                 9 => Event::ReleaseRead { tid, lock: obj },
                 10 => Event::CvSignal { tid, cv: obj },
                 11 => Event::CvWait { tid, cv: obj },
                 12 => Event::BarrierArrive { tid, bar: obj },
                 _ => Event::BarrierDepart { tid, bar: obj },
-            }
+            };
+            Ok((ev, 9))
         }
-    };
-    SliceDecode::Done(ev, need)
+        6 | 7 => {
+            let rec = record::<MAX_EVENT_BYTES>(buf)?;
+            let tid = tid_at(rec, 1, limits)?;
+            let addr = Addr(le_u64(&rec[5..]));
+            let size = le_u64(&rec[13..]);
+            if size > limits.max_obj_size {
+                return Err(Reject::ObjSize);
+            }
+            if addr.0.checked_add(size).is_none() {
+                return Err(Reject::ObjWrap);
+            }
+            let ev = if tag == 6 {
+                Event::Alloc { tid, addr, size }
+            } else {
+                Event::Free { tid, addr, size }
+            };
+            Ok((ev, MAX_EVENT_BYTES))
+        }
+        _ => Err(Reject::BadTag),
+    }
 }
 
 /// Reads a trace from `r` with default options.
@@ -550,20 +581,24 @@ pub fn read_trace_with<R: io::Read>(
     // Capacity is bounded regardless of the (untrusted) declared count:
     // growth past this is paid for by bytes actually present.
     let mut events = Vec::with_capacity(reader.remaining().min(1 << 16) as usize);
-    for ev in reader.by_ref() {
-        events.push(ev?);
-    }
+    reader.read_block(&mut events, usize::MAX)?;
     let stats = reader.stats();
     Ok((Trace { events }, stats))
 }
 
-/// A streaming event reader: decodes one event at a time, so traces far
-/// larger than memory can be fed straight into a detector.
+/// Bytes of the stream an [`EventReader`] holds at a time.
+const WINDOW_BYTES: usize = 64 * 1024;
+
+/// A streaming event reader: decodes a block of events at a time, so
+/// traces far larger than memory can be fed straight into a detector —
+/// which is how `dgrace detect` reads its input (see [`BlockReader`]).
 ///
-/// The reader maintains a small internal window (one maximum-size record)
-/// and decodes from it, which lets it distinguish a cleanly exhausted
-/// stream from a mid-record truncation ([`TraceError::Truncated`]) and,
-/// in [resync mode](ReadOptions::resync), slide byte-by-byte over corrupt
+/// The reader holds a fixed 64 KiB window of the stream, filled by
+/// reading straight into it, and decodes from that. Keeping at least one
+/// maximum-size record in the window (until the source is exhausted)
+/// lets it distinguish a cleanly exhausted stream from a mid-record
+/// truncation ([`TraceError::Truncated`]) and, in
+/// [resync mode](ReadOptions::resync), slide byte-by-byte over corrupt
 /// regions.
 ///
 /// ```
@@ -582,16 +617,17 @@ pub fn read_trace_with<R: io::Read>(
 /// ```
 pub struct EventReader<R> {
     src: R,
-    /// Sliding window over the stream; `buf[pos..]` is undecoded.
-    buf: Vec<u8>,
+    /// The window: `buf[pos..end]` is read but undecoded.
+    buf: Box<[u8]>,
     pos: usize,
+    end: usize,
     /// Absolute stream offset of `buf[pos]`.
     offset: u64,
     declared: u64,
     decoded: u64,
     dropped_bytes: u64,
     eof: bool,
-    /// Set after yielding an error; the iterator is fused afterwards.
+    /// Set after yielding an error; the reader is fused afterwards.
     failed: bool,
     limits: DecodeLimits,
     resync: bool,
@@ -608,8 +644,9 @@ impl<R: io::Read> EventReader<R> {
     pub fn with_options(src: R, opts: ReadOptions) -> Result<Self, TraceError> {
         let mut reader = EventReader {
             src,
-            buf: Vec::with_capacity(4 * MAX_EVENT_BYTES),
+            buf: vec![0u8; WINDOW_BYTES].into_boxed_slice(),
             pos: 0,
+            end: 0,
             offset: 0,
             declared: 0,
             decoded: 0,
@@ -650,7 +687,7 @@ impl<R: io::Read> EventReader<R> {
     }
 
     /// What has been consumed and dropped so far. Loss counters are final
-    /// once the iterator returns `None`.
+    /// once the reader is exhausted.
     pub fn stats(&self) -> DecodeStats {
         DecodeStats {
             declared: self.declared,
@@ -660,13 +697,81 @@ impl<R: io::Read> EventReader<R> {
         }
     }
 
+    /// Decodes up to `max` events onto the end of `out` and returns how
+    /// many: `0` once the stream is exhausted (every declared event
+    /// decoded, or — in resync mode — the bytes ran out) or after an
+    /// error. On `Err`, the events that decoded before the failing
+    /// record are already in `out`, and the reader is fused.
+    pub fn read_block(&mut self, out: &mut Vec<Event>, max: usize) -> Result<usize, TraceError> {
+        self.decode_into(max, |ev| out.push(ev))
+    }
+
+    /// The decode loop behind [`read_block`](Self::read_block) and
+    /// [`Iterator::next`]: runs of records decoded straight out of the
+    /// window, and between runs whatever stopped the last one.
+    fn decode_into(
+        &mut self,
+        max: usize,
+        mut sink: impl FnMut(Event),
+    ) -> Result<usize, TraceError> {
+        let mut n = 0;
+        while !self.failed {
+            let owed = usize::try_from(self.remaining()).unwrap_or(usize::MAX);
+            let run = (max - n).min(owed);
+            let window = &self.buf[self.pos..self.end];
+            let (mut events, mut bytes) = (0, 0);
+            let reject = loop {
+                if events == run {
+                    break None;
+                }
+                match decode_event(&window[bytes..], &self.limits) {
+                    Ok((ev, used)) => {
+                        sink(ev);
+                        events += 1;
+                        bytes += used;
+                    }
+                    Err(reject) => break Some(reject),
+                }
+            };
+            n += events;
+            self.decoded += events as u64;
+            self.pos += bytes;
+            self.offset += bytes as u64;
+            match reject {
+                None => break,
+                // The window ran out before the stream did.
+                Some(Reject::NeedMore(_)) if !self.eof => {
+                    if let Err(e) = self.refill() {
+                        self.failed = true;
+                        return Err(e);
+                    }
+                }
+                // The stream ended with events still owed — between
+                // records (an empty window) or inside one. Resync counts
+                // a partial tail as dropped bytes and ends cleanly.
+                Some(Reject::NeedMore(_)) if self.resync => {
+                    self.skip_bytes(self.available());
+                    break;
+                }
+                // Every other rejection is corrupt bytes: slide over one.
+                Some(_) if self.resync => self.skip_bytes(1),
+                Some(reject) => {
+                    self.failed = true;
+                    let window = &self.buf[self.pos..self.end];
+                    return Err(reject.error(window, self.offset, &self.limits));
+                }
+            }
+        }
+        Ok(n)
+    }
+
     /// Reads exactly `out.len()` bytes from the current position,
     /// reporting truncation with the absolute offset.
     fn fill_exact(&mut self, out: &mut [u8]) -> Result<(), TraceError> {
         let mut n = 0;
         while n < out.len() {
-            if self.pos < self.buf.len() {
-                let take = (self.buf.len() - self.pos).min(out.len() - n);
+            if self.pos < self.end {
+                let take = self.available().min(out.len() - n);
                 out[n..n + take].copy_from_slice(&self.buf[self.pos..self.pos + take]);
                 self.pos += take;
                 n += take;
@@ -685,17 +790,17 @@ impl<R: io::Read> EventReader<R> {
         Ok(())
     }
 
-    /// Tops the window up to at least one maximum-size record (or EOF).
+    /// Moves the undecoded tail to the front of the window and reads
+    /// into the rest until it holds at least one maximum-size record (or
+    /// the source is exhausted).
     fn refill(&mut self) -> Result<(), TraceError> {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        let mut tmp = [0u8; 256];
-        while !self.eof && self.buf.len() < MAX_EVENT_BYTES {
-            match self.src.read(&mut tmp) {
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        while !self.eof && self.end < MAX_EVENT_BYTES {
+            match self.src.read(&mut self.buf[self.end..]) {
                 Ok(0) => self.eof = true,
-                Ok(k) => self.buf.extend_from_slice(&tmp[..k]),
+                Ok(k) => self.end += k,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(TraceError::Io(e)),
             }
@@ -705,14 +810,14 @@ impl<R: io::Read> EventReader<R> {
 
     /// Bytes currently available without further reads.
     fn available(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
-    /// Drops one byte from the front of the window (resync slide).
-    fn skip_byte(&mut self) {
-        self.pos += 1;
-        self.offset += 1;
-        self.dropped_bytes += 1;
+    /// Drops `n` bytes from the front of the window (resync slide).
+    fn skip_bytes(&mut self, n: usize) {
+        self.pos += n;
+        self.offset += n as u64;
+        self.dropped_bytes += n as u64;
     }
 }
 
@@ -720,59 +825,10 @@ impl<R: io::Read> Iterator for EventReader<R> {
     type Item = Result<Event, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || self.decoded >= self.declared {
-            return None;
-        }
-        loop {
-            if self.available() < MAX_EVENT_BYTES && !self.eof {
-                if let Err(e) = self.refill() {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-            if self.available() == 0 {
-                // Stream ended with events still owed.
-                if self.resync {
-                    return None;
-                }
-                self.failed = true;
-                return Some(Err(TraceError::Truncated {
-                    offset: self.offset,
-                    expected: 1,
-                }));
-            }
-            match decode_event(&self.buf[self.pos..], self.offset, &self.limits) {
-                SliceDecode::Done(ev, n) => {
-                    self.pos += n;
-                    self.offset += n as u64;
-                    self.decoded += 1;
-                    return Some(Ok(ev));
-                }
-                SliceDecode::NeedMore(need) => {
-                    debug_assert!(self.eof, "refill leaves a full record unless at EOF");
-                    if self.resync {
-                        // A truncated tail: count its bytes as dropped.
-                        while self.available() > 0 {
-                            self.skip_byte();
-                        }
-                        return None;
-                    }
-                    let avail = self.available();
-                    self.failed = true;
-                    return Some(Err(TraceError::Truncated {
-                        offset: self.offset + avail as u64,
-                        expected: need - avail,
-                    }));
-                }
-                SliceDecode::Fail(e) => {
-                    if self.resync && e.is_corruption() {
-                        self.skip_byte();
-                        continue;
-                    }
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
+        let mut next = None;
+        match self.decode_into(1, |ev| next = Some(ev)) {
+            Ok(_) => next.map(Ok),
+            Err(e) => Some(Err(e)),
         }
     }
 
@@ -784,6 +840,65 @@ impl<R: io::Read> Iterator for EventReader<R> {
         // In resync mode events may be dropped, so `n` is only an upper
         // bound.
         (if self.resync { 0 } else { n }, Some(n))
+    }
+}
+
+/// Events per block of a [`BlockReader`] unless told otherwise: 192 KiB
+/// of events, small enough to stay cache-resident between the decoder
+/// that writes a block and the detector that reads it.
+pub const BLOCK_EVENTS: usize = 8192;
+
+/// An [`EventSource`] over a `.dgrt` stream: an [`EventReader`] decoding
+/// into one reused block, so memory does not grow with the trace.
+///
+/// A source states its length up front, and a stream only learns its own
+/// by being read — the header's declared count is an upper bound under
+/// resync — so the length comes from whoever counted the stream before
+/// (the scan pass of `dgrace detect`). A stream that then yields a
+/// different number of events changed in between and fails with
+/// [`TraceError::Changed`].
+pub struct BlockReader<R> {
+    reader: EventReader<R>,
+    block: Vec<Event>,
+    block_events: usize,
+    /// Events the whole stream is expected to yield.
+    expected: u64,
+}
+
+impl<R: io::Read> BlockReader<R> {
+    /// A source over `reader` (not yet read from), expected to yield
+    /// `expected` events in blocks of [`BLOCK_EVENTS`].
+    pub fn new(reader: EventReader<R>, expected: u64) -> Self {
+        Self::with_block_events(reader, expected, BLOCK_EVENTS)
+    }
+
+    /// [`new`](Self::new) with an explicit block size (at least 1).
+    pub fn with_block_events(reader: EventReader<R>, expected: u64, block_events: usize) -> Self {
+        BlockReader {
+            reader,
+            block: Vec::new(),
+            block_events: block_events.max(1),
+            expected,
+        }
+    }
+}
+
+impl<R: io::Read> EventSource for BlockReader<R> {
+    fn len(&self) -> u64 {
+        self.expected.saturating_sub(self.reader.decoded)
+    }
+
+    fn next_block(&mut self) -> Result<&[Event], TraceError> {
+        self.block.clear();
+        let n = self.reader.read_block(&mut self.block, self.block_events)?;
+        let decoded = self.reader.decoded;
+        if decoded > self.expected || (n == 0 && decoded < self.expected) {
+            return Err(TraceError::Changed {
+                expected: self.expected,
+                decoded,
+            });
+        }
+        Ok(&self.block)
     }
 }
 
@@ -1362,6 +1477,72 @@ mod tests {
         assert_eq!(back, sample());
         assert!(!stats.lossy());
         assert_eq!(stats.declared, stats.decoded);
+    }
+
+    #[test]
+    fn block_reader_yields_the_trace_in_blocks_then_an_empty_one() {
+        let t = sample();
+        let bytes = to_bytes(&t);
+        let reader = EventReader::new(&bytes[..]).unwrap();
+        let mut source = BlockReader::with_block_events(reader, t.len() as u64, 3);
+        let mut events = Vec::new();
+        let mut blocks = Vec::new();
+        loop {
+            assert_eq!(source.len(), (t.len() - events.len()) as u64);
+            let block = source.next_block().unwrap();
+            if block.is_empty() {
+                break;
+            }
+            blocks.push(block.len());
+            events.extend_from_slice(block);
+        }
+        assert_eq!(events, t.events);
+        assert_eq!(blocks, [3, 3, 2]);
+        assert!(source.is_empty());
+    }
+
+    #[test]
+    fn block_reader_rejects_a_stream_that_is_not_what_was_counted() {
+        let t = sample();
+        let bytes = to_bytes(&t);
+        let drain = |expected: u64| {
+            let reader = EventReader::new(&bytes[..]).unwrap();
+            let mut source = BlockReader::with_block_events(reader, expected, 3);
+            loop {
+                match source.next_block() {
+                    Ok([]) => return Ok(()),
+                    Ok(_) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        };
+        assert!(drain(t.len() as u64).is_ok());
+        // Grown: caught by the block that runs past the count.
+        assert!(matches!(
+            drain(4),
+            Err(TraceError::Changed {
+                expected: 4,
+                decoded: 6
+            })
+        ));
+        // Shrunk: caught where the stream ends early.
+        assert!(matches!(
+            drain(9),
+            Err(TraceError::Changed {
+                expected: 9,
+                decoded: 8
+            })
+        ));
+    }
+
+    #[test]
+    fn a_trace_in_memory_is_a_one_block_source() {
+        let t = sample();
+        let mut source = &t;
+        assert_eq!(EventSource::len(&source), t.len() as u64);
+        assert_eq!(source.next_block().unwrap(), &t.events[..]);
+        assert!(EventSource::is_empty(&source));
+        assert!(source.next_block().unwrap().is_empty());
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! The crate provides:
 //! * [`Event`], [`Addr`], [`LockId`], [`AccessSize`] — the event vocabulary;
 //! * [`Trace`] and [`TraceBuilder`] — construction helpers;
-//! * [`validate`] — structural well-formedness checks;
-//! * [`io`] — a versioned binary on-disk format;
+//! * [`validate`] / [`Validator`] — structural well-formedness checks,
+//!   over a whole trace or one event at a time;
+//! * [`io`] — a versioned binary on-disk format and its block decoder;
+//! * [`EventSource`] — a trace a block at a time, from memory or a file;
 //! * [`stats`] — per-trace summary statistics (the "Total shared accesses"
 //!   style columns of Table 1);
 //! * [`summary`] — the [`AnalysisSummary`] artifact emitted by the
@@ -54,17 +56,17 @@ pub use frame::{
     decode_event_at, decode_events, encode_events, read_frame, write_frame, EventBatchDecode,
     Frame, MAX_FRAME_LEN,
 };
-pub use io::{DecodeLimits, DecodeStats, ReadOptions, TraceError};
+pub use io::{BlockReader, DecodeLimits, DecodeStats, ReadOptions, TraceError};
 pub use snapshot::{
     crc32, seal_crc, verify_crc, write_file_atomic, SnapshotLimits, SnapshotReader, SnapshotWriter,
     CHECKPOINT_MAGIC, CHECKPOINT_MIN_VERSION, CHECKPOINT_VERSION, STATE_MAGIC, STATE_VERSION,
 };
 pub use summary::{
     trace_fingerprint, AffinityMap, AffinityRange, AnalysisSummary, AnalysisWarning, ClassCounts,
-    ClassifiedRange, HeatBucket, LocationClass, PruneSet, RoutingPlan, SummaryStats,
+    ClassifiedRange, Fingerprint, HeatBucket, LocationClass, PruneSet, RoutingPlan, SummaryStats,
     SUMMARY_VERSION,
 };
-pub use validate::{validate, ValidationError};
+pub use validate::{validate, ValidationError, Validator};
 
 pub use dgrace_vc::Tid;
 
@@ -110,6 +112,36 @@ impl Trace {
             .map(|t| t.index() + 1)
             .max()
             .unwrap_or(0)
+    }
+}
+
+/// A trace delivered a block of events at a time: what a replay walks.
+///
+/// The two sources are a [`Trace`] in memory (one block) and a
+/// [`BlockReader`] decoding a `.dgrt` stream (a reused block of a few
+/// thousand events, so the trace is never held whole).
+pub trait EventSource {
+    /// Events still to come: before the first block, the length of the
+    /// whole trace.
+    fn len(&self) -> u64;
+
+    /// True when no event is still to come.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The next events in trace order; an empty block ends the trace.
+    fn next_block(&mut self) -> Result<&[Event], TraceError>;
+}
+
+impl EventSource for &Trace {
+    fn len(&self) -> u64 {
+        self.events.len() as u64
+    }
+
+    fn next_block(&mut self) -> Result<&[Event], TraceError> {
+        static DRAINED: Trace = Trace { events: Vec::new() };
+        Ok(&std::mem::replace(self, &DRAINED).events)
     }
 }
 

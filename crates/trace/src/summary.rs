@@ -125,20 +125,48 @@ impl SummaryStats {
 pub const SUMMARY_VERSION: u32 = 2;
 
 /// Deterministic content fingerprint of a trace (FNV-1a over every event
-/// field). Binds an [`AnalysisSummary`] to the exact trace it was
-/// computed from: `detect --prune-with`/`--plan-with` reject a summary
-/// whose fingerprint disagrees with the trace being detected.
-pub fn trace_fingerprint(trace: &Trace) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = OFFSET;
-    let mut fold = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
+/// field, then the event count), folded in as the events stream past.
+/// Binds an [`AnalysisSummary`] to the exact trace it was computed from:
+/// `detect --prune-with`/`--plan-with` reject a summary whose fingerprint
+/// disagrees with the trace being detected.
+pub struct Fingerprint {
+    h: u64,
+    events: u64,
+}
+
+impl Default for Fingerprint {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fingerprint {
+    /// The fingerprint of no events yet.
+    pub fn new() -> Self {
+        Fingerprint {
+            h: 0xcbf2_9ce4_8422_2325,
+            events: 0,
         }
-    };
-    for ev in trace.iter() {
+    }
+
+    fn fold(&mut self, v: u64) {
+        const PRIME: u64 = 0x100_0000_01b3;
+        for byte in v.to_le_bytes() {
+            self.h ^= byte as u64;
+            self.h = self.h.wrapping_mul(PRIME);
+        }
+    }
+
+    /// Folds in the next events of the trace.
+    pub fn update(&mut self, events: &[Event]) {
+        self.events += events.len() as u64;
+        for ev in events {
+            self.event(ev);
+        }
+    }
+
+    fn event(&mut self, ev: &Event) {
+        let mut fold = |v| self.fold(v);
         match *ev {
             Event::Read { tid, addr, size } => {
                 fold(1);
@@ -216,8 +244,19 @@ pub fn trace_fingerprint(trace: &Trace) -> u64 {
             }
         }
     }
-    fold(trace.len() as u64);
-    h
+
+    /// The fingerprint of everything folded in.
+    pub fn finish(mut self) -> u64 {
+        self.fold(self.events);
+        self.h
+    }
+}
+
+/// The [`Fingerprint`] of a whole trace.
+pub fn trace_fingerprint(trace: &Trace) -> u64 {
+    let mut f = Fingerprint::new();
+    f.update(&trace.events);
+    f.finish()
 }
 
 /// One certified write-run: every write landing inside

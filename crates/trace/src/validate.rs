@@ -1,6 +1,6 @@
 //! Structural validation of traces.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use dgrace_vc::Tid;
 
@@ -165,80 +165,187 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Checks that a trace is a plausible pthreads schedule.
-///
-/// Returns the first defect found, or `Ok(())`.
-pub fn validate(trace: &Trace) -> Result<(), ValidationError> {
-    let mut forked: HashSet<Tid> = HashSet::new();
-    forked.insert(Tid::MAIN);
-    let mut joined: HashSet<Tid> = HashSet::new();
-    // Which thread holds each lock right now.
-    let mut held: HashMap<LockId, Tid> = HashMap::new();
-    // Read holders of each rwlock (same id space as plain locks).
-    let mut read_held: HashMap<LockId, Vec<Tid>> = HashMap::new();
-    // Pending barrier arrivals.
-    let mut arrived: HashMap<LockId, Vec<Tid>> = HashMap::new();
+/// Ids below this index a dense table; an id at or above it (possible in
+/// a hand-built trace, or a lock named by address) goes to a map, so a
+/// single huge id cannot size a table.
+const DENSE_IDS: u32 = 1 << 16;
 
-    for (at, ev) in trace.iter().enumerate() {
+/// Per-id state keyed by thread, lock or barrier id: no hashing on the
+/// per-event path for the small ids real traces use.
+struct IdTable<V> {
+    dense: Vec<V>,
+    sparse: HashMap<u32, V>,
+}
+
+impl<V: Default> IdTable<V> {
+    fn new() -> Self {
+        IdTable {
+            dense: Vec::new(),
+            sparse: HashMap::new(),
+        }
+    }
+
+    fn get(&self, id: u32) -> Option<&V> {
+        if id < DENSE_IDS {
+            self.dense.get(id as usize)
+        } else {
+            self.sparse.get(&id)
+        }
+    }
+
+    /// The state of `id`, created at its default on first use.
+    fn slot(&mut self, id: u32) -> &mut V {
+        if id < DENSE_IDS {
+            let i = id as usize;
+            if i >= self.dense.len() {
+                self.dense.resize_with(i + 1, V::default);
+            }
+            &mut self.dense[i]
+        } else {
+            self.sparse.entry(id).or_default()
+        }
+    }
+
+    /// Every id that has state, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &V)> {
+        let dense = self.dense.iter().enumerate().map(|(i, v)| (i as u32, v));
+        dense.chain(self.sparse.iter().map(|(&id, v)| (id, v)))
+    }
+}
+
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum ThreadState {
+    #[default]
+    Unforked,
+    Running,
+    Joined,
+}
+
+/// Who holds a lock right now (plain locks and rwlocks share an id
+/// space).
+#[derive(Default)]
+struct LockState {
+    writer: Option<Tid>,
+    readers: Vec<Tid>,
+}
+
+/// The incremental form of [`validate`]: feed events in trace order and
+/// the first defect comes back from the [`step`](Validator::step) that
+/// reaches it, with the index of that event. State is a table slot per
+/// thread, lock and barrier seen — independent of trace length — so a
+/// trace can be validated as it streams past.
+pub struct Validator {
+    /// Index of the next event.
+    at: usize,
+    threads: IdTable<ThreadState>,
+    locks: IdTable<LockState>,
+    /// Pending arrivals at each barrier.
+    arrived: IdTable<Vec<Tid>>,
+}
+
+impl Default for Validator {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Validator {
+    /// A validator that has seen no event: only the main thread runs.
+    pub fn new() -> Self {
+        let mut threads = IdTable::new();
+        *threads.slot(Tid::MAIN.0) = ThreadState::Running;
+        Validator {
+            at: 0,
+            threads,
+            locks: IdTable::new(),
+            arrived: IdTable::new(),
+        }
+    }
+
+    fn thread(&self, tid: Tid) -> ThreadState {
+        self.threads.get(tid.0).copied().unwrap_or_default()
+    }
+
+    /// Checks the next event of the trace against the schedule so far.
+    /// After an error the validator's state is unspecified.
+    #[inline]
+    pub fn step(&mut self, ev: &Event) -> Result<(), ValidationError> {
+        let at = self.at;
+        self.at += 1;
         let actor = ev.tid();
-        if !forked.contains(&actor) {
-            return Err(ValidationError::UnforkedThread { tid: actor, at });
+        match self.thread(actor) {
+            ThreadState::Running => {}
+            ThreadState::Unforked => {
+                return Err(ValidationError::UnforkedThread { tid: actor, at })
+            }
+            ThreadState::Joined => return Err(ValidationError::ActedAfterJoin { tid: actor, at }),
         }
-        if joined.contains(&actor) {
-            return Err(ValidationError::ActedAfterJoin { tid: actor, at });
+        // Most of a trace is accesses, which ask only for a live actor;
+        // the rest of the rules stay out of the per-access path.
+        if ev.is_access() {
+            return Ok(());
         }
+        self.step_schedule(ev, at)
+    }
+
+    /// The rules for everything that is not a `Read`/`Write`, for an
+    /// event whose actor is known to be running.
+    fn step_schedule(&mut self, ev: &Event, at: usize) -> Result<(), ValidationError> {
         match *ev {
             Event::Fork { child, .. } => {
-                if !forked.insert(child) {
+                let state = self.threads.slot(child.0);
+                if *state != ThreadState::Unforked {
                     return Err(ValidationError::DoubleFork { tid: child, at });
                 }
+                *state = ThreadState::Running;
             }
             Event::Join { child, .. } => {
-                if !forked.contains(&child) {
+                if self.thread(child) == ThreadState::Unforked {
                     return Err(ValidationError::JoinOfUnforked { tid: child, at });
                 }
-                if let Some((&lock, _)) = held.iter().find(|&(_, &t)| t == child) {
-                    return Err(ValidationError::ThreadJoinedHoldingLock {
-                        tid: child,
-                        lock,
-                        at,
-                    });
-                }
-                if let Some((&lock, _)) = read_held
-                    .iter()
-                    .find(|(_, holders)| holders.contains(&child))
+                // The smallest write hold, else the smallest read hold:
+                // one answer for one trace, whatever the table order.
+                let smallest = |holds: fn(&LockState, Tid) -> bool| {
+                    let held = self.locks.iter().filter(|(_, l)| holds(l, child));
+                    held.map(|(id, _)| id).min()
+                };
+                if let Some(lock) = smallest(|l, t| l.writer == Some(t))
+                    .or_else(|| smallest(|l, t| l.readers.contains(&t)))
                 {
                     return Err(ValidationError::ThreadJoinedHoldingLock {
                         tid: child,
-                        lock,
+                        lock: LockId(lock),
                         at,
                     });
                 }
-                joined.insert(child);
+                *self.threads.slot(child.0) = ThreadState::Joined;
             }
             Event::Acquire { tid, lock } => {
-                if held.contains_key(&lock) {
+                let state = self.locks.slot(lock.0);
+                if state.writer.is_some() {
                     return Err(ValidationError::AcquireOfHeldLock { tid, lock, at });
                 }
-                if read_held.get(&lock).is_some_and(|r| !r.is_empty()) {
+                if !state.readers.is_empty() {
                     return Err(ValidationError::RwLockConflict { tid, lock, at });
                 }
-                held.insert(lock, tid);
+                state.writer = Some(tid);
             }
             Event::Release { tid, lock } => {
-                if held.get(&lock) != Some(&tid) {
+                let state = self.locks.slot(lock.0);
+                if state.writer != Some(tid) {
                     return Err(ValidationError::ReleaseWithoutAcquire { tid, lock, at });
                 }
-                held.remove(&lock);
+                state.writer = None;
             }
             Event::AcquireRead { tid, lock } => {
-                if held.contains_key(&lock) {
+                let state = self.locks.slot(lock.0);
+                if state.writer.is_some() {
                     return Err(ValidationError::RwLockConflict { tid, lock, at });
                 }
-                read_held.entry(lock).or_default().push(tid);
+                state.readers.push(tid);
             }
             Event::ReleaseRead { tid, lock } => {
-                let holders = read_held.entry(lock).or_default();
+                let holders = &mut self.locks.slot(lock.0).readers;
                 match holders.iter().position(|&t| t == tid) {
                     Some(i) => {
                         holders.swap_remove(i);
@@ -254,10 +361,10 @@ pub fn validate(trace: &Trace) -> Result<(), ValidationError> {
                 // schedule some execution can produce.
             }
             Event::BarrierArrive { tid, bar } => {
-                arrived.entry(bar).or_default().push(tid);
+                self.arrived.slot(bar.0).push(tid);
             }
             Event::BarrierDepart { tid, bar } => {
-                let waiting = arrived.entry(bar).or_default();
+                let waiting = self.arrived.slot(bar.0);
                 match waiting.iter().position(|&t| t == tid) {
                     Some(i) => {
                         waiting.swap_remove(i);
@@ -274,8 +381,16 @@ pub fn validate(trace: &Trace) -> Result<(), ValidationError> {
             }
             Event::Read { .. } | Event::Write { .. } => {}
         }
+        Ok(())
     }
-    Ok(())
+}
+
+/// Checks that a trace is a plausible pthreads schedule.
+///
+/// Returns the first defect found, or `Ok(())`.
+pub fn validate(trace: &Trace) -> Result<(), ValidationError> {
+    let mut v = Validator::new();
+    trace.iter().try_for_each(|ev| v.step(ev))
 }
 
 #[cfg(test)]
@@ -400,6 +515,72 @@ mod tests {
                 tid: Tid(1),
                 lock: LockId(5),
                 at: 2,
+            })
+        );
+    }
+
+    #[test]
+    fn join_while_holding_several_locks_names_the_smallest() {
+        // Write holds are reported before read holds, each smallest
+        // first — including a lock id past the dense table — so one
+        // invalid trace has one message.
+        let mut b = TraceBuilder::new();
+        b.fork(0u32, 1u32)
+            .acquire_read(1u32, 2u32)
+            .acquire(1u32, 900_000u32)
+            .acquire(1u32, 40u32)
+            .acquire(1u32, 7u32)
+            .acquire(0u32, 3u32)
+            .join(0u32, 1u32);
+        let held = |lock| {
+            Err(ValidationError::ThreadJoinedHoldingLock {
+                tid: Tid(1),
+                lock: LockId(lock),
+                at: 6,
+            })
+        };
+        assert_eq!(validate(&b.build()), held(7));
+
+        let mut b = TraceBuilder::new();
+        b.fork(0u32, 1u32)
+            .acquire_read(1u32, 900_000u32)
+            .acquire_read(1u32, 9u32)
+            .acquire_read(1u32, 5u32)
+            .acquire_read(0u32, 1u32)
+            .join(0u32, 1u32);
+        assert_eq!(
+            validate(&b.build()),
+            Err(ValidationError::ThreadJoinedHoldingLock {
+                tid: Tid(1),
+                lock: LockId(5),
+                at: 5,
+            })
+        );
+    }
+
+    #[test]
+    fn sparse_thread_ids_follow_the_same_rules() {
+        // Ids past the dense table take the map path.
+        let big = 3_000_000u32;
+        let mut b = TraceBuilder::new();
+        b.fork(0u32, big)
+            .write(big, 0x10u64, AccessSize::U8)
+            .join(0u32, big)
+            .read(big, 0x10u64, AccessSize::U8);
+        assert_eq!(
+            validate(&b.build()),
+            Err(ValidationError::ActedAfterJoin {
+                tid: Tid(big),
+                at: 3
+            })
+        );
+        let mut b = TraceBuilder::new();
+        b.read(big, 0u64, AccessSize::U8);
+        assert_eq!(
+            validate(&b.build()),
+            Err(ValidationError::UnforkedThread {
+                tid: Tid(big),
+                at: 0
             })
         );
     }

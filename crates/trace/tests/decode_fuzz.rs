@@ -15,10 +15,13 @@
 
 use proptest::prelude::*;
 
+use std::collections::{HashMap, HashSet};
+
 use dgrace_trace::io::{from_bytes, read_trace_with, summary_from_bytes, to_bytes, EventReader};
 use dgrace_trace::{
-    decode_events, encode_events, read_frame, write_frame, AccessSize, DecodeLimits, ReadOptions,
-    Trace, TraceBuilder, TraceError, MAX_FRAME_LEN,
+    decode_events, encode_events, read_frame, validate, write_frame, AccessSize, Addr,
+    DecodeLimits, DecodeStats, Event, LockId, ReadOptions, Tid, Trace, TraceBuilder, TraceError,
+    ValidationError, Validator, MAX_FRAME_LEN,
 };
 
 /// Upper bound on events any honest decode of `n` input bytes can yield.
@@ -114,6 +117,327 @@ fn check_streaming(bytes: &[u8]) {
         }
     }
     assert!(decoded <= max_events(bytes.len()));
+}
+
+/// A reader that hands its bytes out at most `chunk` at a time, so the
+/// decoder's window refills every few records instead of once.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    chunk: usize,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.chunk.min(out.len()).min(self.bytes.len());
+        out[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Everything a reader yields: the events, the error that ended it (its
+/// `Debug` form carries the variant and every offset) and the final
+/// stats. `None` when the header is rejected.
+type Drained = Option<(Vec<Event>, Option<String>, DecodeStats)>;
+
+fn open(bytes: &[u8], chunk: usize, resync: bool) -> Option<EventReader<Trickle<'_>>> {
+    let opts = ReadOptions {
+        limits: DecodeLimits::default(),
+        resync,
+    };
+    EventReader::with_options(Trickle { bytes, chunk }, opts).ok()
+}
+
+/// One event at a time through `Iterator::next`.
+fn drain_by_next(bytes: &[u8], resync: bool) -> Drained {
+    let mut reader = open(bytes, usize::MAX, resync)?;
+    let mut events = Vec::new();
+    let mut error = None;
+    for item in reader.by_ref() {
+        match item {
+            Ok(ev) => events.push(ev),
+            Err(e) => error = Some(format!("{e:?}")),
+        }
+    }
+    Some((events, error, reader.stats()))
+}
+
+/// `block` events at a time through `read_block`, over a source that
+/// trickles `chunk` bytes per read.
+fn drain_by_blocks(bytes: &[u8], resync: bool, block: usize, chunk: usize) -> Drained {
+    let mut reader = open(bytes, chunk, resync)?;
+    let mut events = Vec::new();
+    let mut error = None;
+    loop {
+        let before = events.len();
+        match reader.read_block(&mut events, block) {
+            Ok(0) => break,
+            Ok(n) => assert_eq!(events.len(), before + n, "count == appended"),
+            Err(e) => {
+                error = Some(format!("{e:?}"));
+                assert_eq!(reader.read_block(&mut events, block).ok(), Some(0), "fused");
+                break;
+            }
+        }
+    }
+    Some((events, error, reader.stats()))
+}
+
+/// The block decoder is the one-at-a-time decoder: same events, same
+/// error at the same offset, same loss accounting, whatever the block
+/// size and however the bytes arrive.
+fn check_blocks_match_next(bytes: &[u8]) {
+    for resync in [false, true] {
+        let want = drain_by_next(bytes, resync);
+        for block in [1, 7, 4096] {
+            for chunk in [1, 13, usize::MAX] {
+                assert_eq!(
+                    drain_by_blocks(bytes, resync, block, chunk),
+                    want,
+                    "resync={resync} block={block} chunk={chunk}"
+                );
+            }
+        }
+    }
+}
+
+/// The same property across the 64 KiB window: a trace several windows
+/// long, cut and corrupted around the window's edges.
+#[test]
+fn blocks_match_next_across_the_window_boundary() {
+    let ops: Vec<_> = (0..12_000u64)
+        .map(|i| ((i * 7 % 8) as u8, (i % 5) as u32, i * 24, (i % 4) as u8, i))
+        .collect();
+    let bytes = to_bytes(&trace_from_ops(&ops));
+    assert!(bytes.len() > 2 * 64 * 1024);
+    check_blocks_match_next(&bytes);
+    for edge in [64 * 1024, 2 * 64 * 1024] {
+        for at in edge - 24..edge + 24 {
+            check_blocks_match_next(&bytes[..at]);
+        }
+        for at in [edge - 20, edge - 1, edge, edge + 1] {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0xA5;
+            check_blocks_match_next(&flipped);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    /// `read_block` against `next()` on valid, bit-flipped, truncated and
+    /// spliced encodings, strict and resync.
+    #[test]
+    fn read_block_matches_next(
+        ops in proptest::collection::vec(
+            (any::<u8>(), any::<u32>(), 0u64..0x4000, any::<u8>(), any::<u64>()),
+            1..24,
+        ),
+        at in any::<usize>(),
+        value in any::<u8>(),
+        garbage in proptest::collection::vec(any::<u8>(), 1..32),
+    ) {
+        let bytes = to_bytes(&trace_from_ops(&ops));
+        let at = at % bytes.len();
+        check_blocks_match_next(&bytes);
+        let mut flipped = bytes.clone();
+        flipped[at] ^= value | 1;
+        check_blocks_match_next(&flipped);
+        check_blocks_match_next(&bytes[..at]);
+        let mut spliced = bytes.clone();
+        spliced.splice(at..at, garbage);
+        check_blocks_match_next(&spliced);
+    }
+}
+
+/// The validator as it was before it became incremental — whole-trace,
+/// hash sets and maps — kept as the oracle `Validator::step` is checked
+/// against. (Its one change: a joined thread's held lock is the smallest
+/// one, where map iteration order used to pick.)
+fn oracle_validate(trace: &Trace) -> Result<(), ValidationError> {
+    let mut forked: HashSet<Tid> = HashSet::new();
+    forked.insert(Tid::MAIN);
+    let mut joined: HashSet<Tid> = HashSet::new();
+    let mut held: HashMap<LockId, Tid> = HashMap::new();
+    let mut read_held: HashMap<LockId, Vec<Tid>> = HashMap::new();
+    let mut arrived: HashMap<LockId, Vec<Tid>> = HashMap::new();
+
+    for (at, ev) in trace.iter().enumerate() {
+        let actor = ev.tid();
+        if !forked.contains(&actor) {
+            return Err(ValidationError::UnforkedThread { tid: actor, at });
+        }
+        if joined.contains(&actor) {
+            return Err(ValidationError::ActedAfterJoin { tid: actor, at });
+        }
+        match *ev {
+            Event::Fork { child, .. } => {
+                if !forked.insert(child) {
+                    return Err(ValidationError::DoubleFork { tid: child, at });
+                }
+            }
+            Event::Join { child, .. } => {
+                if !forked.contains(&child) {
+                    return Err(ValidationError::JoinOfUnforked { tid: child, at });
+                }
+                let write_held = held.iter().filter(|&(_, &t)| t == child).map(|(&l, _)| l);
+                let read_held_by = read_held
+                    .iter()
+                    .filter(|(_, holders)| holders.contains(&child))
+                    .map(|(&l, _)| l);
+                if let Some(lock) = write_held.min().or(read_held_by.min()) {
+                    return Err(ValidationError::ThreadJoinedHoldingLock {
+                        tid: child,
+                        lock,
+                        at,
+                    });
+                }
+                joined.insert(child);
+            }
+            Event::Acquire { tid, lock } => {
+                if held.contains_key(&lock) {
+                    return Err(ValidationError::AcquireOfHeldLock { tid, lock, at });
+                }
+                if read_held.get(&lock).is_some_and(|r| !r.is_empty()) {
+                    return Err(ValidationError::RwLockConflict { tid, lock, at });
+                }
+                held.insert(lock, tid);
+            }
+            Event::Release { tid, lock } => {
+                if held.get(&lock) != Some(&tid) {
+                    return Err(ValidationError::ReleaseWithoutAcquire { tid, lock, at });
+                }
+                held.remove(&lock);
+            }
+            Event::AcquireRead { tid, lock } => {
+                if held.contains_key(&lock) {
+                    return Err(ValidationError::RwLockConflict { tid, lock, at });
+                }
+                read_held.entry(lock).or_default().push(tid);
+            }
+            Event::ReleaseRead { tid, lock } => {
+                let holders = read_held.entry(lock).or_default();
+                match holders.iter().position(|&t| t == tid) {
+                    Some(i) => {
+                        holders.swap_remove(i);
+                    }
+                    None => {
+                        return Err(ValidationError::ReadReleaseWithoutAcquire { tid, lock, at })
+                    }
+                }
+            }
+            Event::CvSignal { .. } | Event::CvWait { .. } => {}
+            Event::BarrierArrive { tid, bar } => {
+                arrived.entry(bar).or_default().push(tid);
+            }
+            Event::BarrierDepart { tid, bar } => {
+                let waiting = arrived.entry(bar).or_default();
+                match waiting.iter().position(|&t| t == tid) {
+                    Some(i) => {
+                        waiting.swap_remove(i);
+                    }
+                    None => {
+                        return Err(ValidationError::BarrierDepartWithoutArrive { tid, bar, at })
+                    }
+                }
+            }
+            Event::Alloc { size, .. } | Event::Free { size, .. } => {
+                if size == 0 {
+                    return Err(ValidationError::EmptyAccess { at });
+                }
+            }
+            Event::Read { .. } | Event::Write { .. } => {}
+        }
+    }
+    Ok(())
+}
+
+/// An event of any of the fourteen kinds over a few threads, locks and
+/// barriers — few enough that sequences get some way before breaking a
+/// rule — with the odd id past the validator's dense tables (`far`).
+fn schedule_event(kind: u8, a: u8, b: u8, far: u8) -> Event {
+    let id = |small: u8, far: bool| {
+        if far {
+            70_000 + small as u32 % 2
+        } else {
+            small as u32 % 4
+        }
+    };
+    // `far` 0: the actor is past the dense tables too; 1: only the other
+    // thread / lock / barrier is.
+    let (tid, other) = (Tid(id(a, far == 0)), Tid(id(b, far <= 1)));
+    let obj = LockId(other.0);
+    match kind % 14 {
+        0 => Event::Read {
+            tid,
+            addr: Addr(0x10),
+            size: AccessSize::U8,
+        },
+        1 => Event::Write {
+            tid,
+            addr: Addr(0x10),
+            size: AccessSize::U32,
+        },
+        2 => Event::Acquire { tid, lock: obj },
+        3 => Event::Release { tid, lock: obj },
+        4 => Event::Fork {
+            parent: tid,
+            child: other,
+        },
+        5 => Event::Join {
+            parent: tid,
+            child: other,
+        },
+        6 => Event::Alloc {
+            tid,
+            addr: Addr(0x100),
+            size: b as u64 % 3,
+        },
+        7 => Event::Free {
+            tid,
+            addr: Addr(0x100),
+            size: b as u64 % 3,
+        },
+        8 => Event::AcquireRead { tid, lock: obj },
+        9 => Event::ReleaseRead { tid, lock: obj },
+        10 => Event::CvSignal { tid, cv: obj },
+        11 => Event::CvWait { tid, cv: obj },
+        12 => Event::BarrierArrive { tid, bar: obj },
+        _ => Event::BarrierDepart { tid, bar: obj },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// Random, mostly invalid schedules: stepping the incremental
+    /// validator finds the oracle's first error — same variant, same
+    /// ids, same event index — and `validate` is that loop.
+    #[test]
+    fn validator_steps_match_the_whole_trace_oracle(
+        ops in proptest::collection::vec(
+            (any::<u8>(), any::<u8>(), any::<u8>(), 0u8..16),
+            0..48,
+        ),
+    ) {
+        // Three live workers up front, so that the random events after
+        // them have threads to act on.
+        let workers = (1..4).map(|child| Event::Fork {
+            parent: Tid::MAIN,
+            child: Tid(child),
+        });
+        let random = ops
+            .iter()
+            .map(|&(kind, a, b, far)| schedule_event(kind, a, b, far));
+        let events: Vec<Event> = workers.chain(random).collect();
+        let trace = Trace::from_events(events);
+        let want = oracle_validate(&trace);
+        let mut v = Validator::new();
+        let got = trace.iter().try_for_each(|ev| v.step(ev));
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(validate(&trace), want);
+    }
 }
 
 proptest! {
