@@ -29,7 +29,7 @@
 //! checkpointing is configured), 141 stdout's reader went away (`out`).
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Read};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -47,7 +47,9 @@ use dgrace_runtime::{
 };
 use dgrace_server::{Client, ClientError, Server, ServerConfig};
 use dgrace_shadow::{HashSelect, PagedSelect};
-use dgrace_trace::io::{read_summary, write_summary, write_trace, EventReader, BLOCK_EVENTS};
+use dgrace_trace::io::{
+    read_summary, read_trace_with, write_summary, write_trace, EventReader, BLOCK_EVENTS,
+};
 use dgrace_trace::{
     stats::stats, validate, AffinityMap, AnalysisSummary, BlockReader, DecodeLimits, DecodeStats,
     Event, Fingerprint, LocationClass, PruneSet, ReadOptions, RoutingPlan, Trace, TraceError,
@@ -538,14 +540,50 @@ fn decode_failure(path: &str, e: &TraceError, resync_available: bool) -> Failure
     Failure::Decode(format!("decode {path}: {e}{hint}"))
 }
 
-/// Opens a `.dgrt` trace for decoding and checks its header.
-fn open_trace(path: &str, resync: bool) -> Result<EventReader<File>, Failure> {
-    let f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
-    let opts = ReadOptions {
+/// The trace `detect` was pointed at, which it reads twice. A regular
+/// file is opened again for every pass. Anything else — a pipe,
+/// `/dev/stdin`, a process substitution — yields its bytes only once, so
+/// they are kept: the encoded stream (9–21 bytes a record), never the
+/// decoded events.
+struct TraceInput<'p> {
+    path: &'p str,
+    /// The stream's bytes, when the path cannot be opened a second time.
+    spooled: Option<Vec<u8>>,
+}
+
+impl<'p> TraceInput<'p> {
+    fn of(path: &'p str) -> Result<Self, Failure> {
+        let mut f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
+        let spooled = if f.metadata().is_ok_and(|m| m.is_file()) {
+            None
+        } else {
+            let mut bytes = Vec::new();
+            f.read_to_end(&mut bytes)
+                .map_err(|e| decode_failure(path, &TraceError::Io(e), false))?;
+            Some(bytes)
+        };
+        Ok(TraceInput { path, spooled })
+    }
+
+    /// Starts a pass: a decoder at the first byte, header checked.
+    fn open(&self, resync: bool) -> Result<EventReader<Box<dyn Read + '_>>, Failure> {
+        let path = self.path;
+        let bytes: Box<dyn Read + '_> = match &self.spooled {
+            Some(bytes) => Box::new(&bytes[..]),
+            None => {
+                Box::new(File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?)
+            }
+        };
+        EventReader::with_options(bytes, read_options(resync))
+            .map_err(|e| decode_failure(path, &e, !resync))
+    }
+}
+
+fn read_options(resync: bool) -> ReadOptions {
+    ReadOptions {
         limits: DecodeLimits::default(),
         resync,
-    };
-    EventReader::with_options(f, opts).map_err(|e| decode_failure(path, &e, !resync))
+    }
 }
 
 /// What every way of reading a trace does once the whole file has
@@ -584,13 +622,10 @@ fn check_decoded(
 /// stderr; the recovered subset can only *miss* races, never invent
 /// them.
 fn load_trace(path: &str, resync: bool) -> Result<Trace, Failure> {
-    let mut reader = open_trace(path, resync)?;
-    let mut events = Vec::new();
-    reader
-        .read_block(&mut events, usize::MAX)
+    let mut f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
+    let (trace, dstats) = read_trace_with(&mut f, read_options(resync))
         .map_err(|e| decode_failure(path, &e, !resync))?;
-    let trace = Trace::from_events(events);
-    check_decoded(path, resync, &reader.stats(), validate(&trace))?;
+    check_decoded(path, resync, &dstats, validate(&trace))?;
     Ok(trace)
 }
 
@@ -611,8 +646,9 @@ struct TraceFacts {
 /// whole file a block at a time, so that everything that can be wrong
 /// with the input is reported — decode errors first, as when the file
 /// was loaded whole — before the detector sees an event.
-fn scan(path: &str, resync: bool, fingerprint: bool) -> Result<TraceFacts, Failure> {
-    let mut reader = open_trace(path, resync)?;
+fn scan(input: &TraceInput, resync: bool, fingerprint: bool) -> Result<TraceFacts, Failure> {
+    let path = input.path;
+    let mut reader = input.open(resync)?;
     let mut block = Vec::with_capacity(BLOCK_EVENTS);
     let mut validator = Validator::new();
     let mut valid = Ok(());
@@ -632,11 +668,7 @@ fn scan(path: &str, resync: bool, fingerprint: bool) -> Result<TraceFacts, Failu
         if let Some(fp) = fingerprint.as_mut() {
             fp.update(&block);
         }
-        let widest = |ev: &Event| match *ev {
-            Event::Fork { parent, child } | Event::Join { parent, child } => parent.max(child),
-            ref other => other.tid(),
-        };
-        max_tid = max_tid.max(block.iter().map(widest).max());
+        max_tid = max_tid.max(block.iter().flat_map(Event::tids).max());
     }
     let dstats = reader.stats();
     check_decoded(path, resync, &dstats, valid)?;
@@ -651,8 +683,13 @@ fn scan(path: &str, resync: bool, fingerprint: bool) -> Result<TraceFacts, Failu
 /// The second pass: the scanned file as the source a detector is fed
 /// from. A file that no longer decodes to the events the scan counted
 /// fails the feed as a decode error.
-fn open_source(path: &str, resync: bool, facts: &TraceFacts) -> Result<BlockReader<File>, Failure> {
-    open_trace(path, resync).map(|reader| BlockReader::new(reader, facts.events))
+fn open_source<'i>(
+    input: &'i TraceInput,
+    resync: bool,
+    facts: &TraceFacts,
+) -> Result<BlockReader<Box<dyn Read + 'i>>, Failure> {
+    let reader = input.open(resync)?;
+    Ok(BlockReader::new(reader, facts.events))
 }
 
 /// Prototype for the sharded engine, for the detectors that support
@@ -843,8 +880,9 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
 
     let resync = p.flag("--resync");
     let summary_flags = ["--prune-with", "--plan-with", "--affinity-with"];
+    let input = TraceInput::of(path)?;
     let facts = scan(
-        path,
+        &input,
         resync,
         summary_flags.iter().any(|f| p.opt(f).is_some()),
     )?;
@@ -927,13 +965,13 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
             // report (exit 9) instead of dying mid-trace.
             stop: (ckpt_some || self_heal).then(signals::install_stop_flag),
         };
-        let source = open_source(path, resync, &facts)?;
+        let source = open_source(&input, resync, &facts)?;
         replay(proto, source, &plan).map_err(|e| replay_failure(path, e))?
     } else {
         // The direct serial path: the only one the non-shardable
         // detectors (oracle, segment, hybrid, lockset) can run on.
         let mut det = stack.wrap(make_detector(det_name, shadow)?);
-        let source = open_source(path, resync, &facts)?;
+        let source = open_source(&input, resync, &facts)?;
         if prune.is_empty() {
             det.run_source(source)
         } else {

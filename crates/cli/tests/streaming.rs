@@ -3,8 +3,9 @@
 //! must still be reported by the scan, before any detection happens:
 //! same exit code, same message, nothing on stdout, no side effects.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use dgrace_trace::io::to_bytes;
 use dgrace_trace::{AccessSize, Trace, TraceBuilder};
@@ -43,6 +44,24 @@ fn dgrace(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("run dgrace")
+}
+
+/// `dgrace` with `input` written to a pipe on its stdin.
+fn dgrace_piped(args: &[&str], input: &[u8]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dgrace"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run dgrace");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let input = input.to_vec();
+    // A child that rejects its input early closes the pipe under us.
+    let feeder = std::thread::spawn(move || drop(stdin.write_all(&input)));
+    let out = child.wait_with_output().expect("wait for dgrace");
+    feeder.join().expect("feeder thread");
+    out
 }
 
 fn stderr(out: &Output) -> String {
@@ -235,4 +254,33 @@ fn resync_reports_its_loss_and_detects_the_rest() {
     };
     assert_eq!(races(&sharded), races(&serial));
     assert_eq!(races(&serial), races(&clean), "the racy pair survived");
+}
+
+#[test]
+fn a_pipe_is_detected_like_the_file_it_carries() {
+    // Two passes cannot reopen a pipe; what came through it the first
+    // time has to serve both.
+    let dir = scratch("pipe");
+    let bytes = to_bytes(&racy_trace(6000));
+    let path = write(&dir, "t.dgrt", &bytes);
+    for extra in [&["--json"][..], &["--json", "--shards", "2", "--pipeline"]] {
+        let from_file = dgrace(&[&["detect", "dynamic", &path], extra].concat());
+        assert_eq!(from_file.status.code(), Some(0), "{}", stderr(&from_file));
+        let piped = dgrace_piped(
+            &[&["detect", "dynamic", "/dev/stdin"], extra].concat(),
+            &bytes,
+        );
+        assert_eq!(piped.status.code(), Some(0), "{}", stderr(&piped));
+        assert_eq!(stderr(&piped), "");
+        assert_eq!(piped.stdout, from_file.stdout);
+    }
+
+    // And what is wrong with it is wrong at the same byte.
+    let cut = bytes.len() - 5;
+    let out = dgrace_piped(&["detect", "dynamic", "/dev/stdin"], &bytes[..cut]);
+    assert_rejected(
+        &out,
+        4,
+        &format!("decode /dev/stdin: truncated stream at byte {cut}: 5 more byte(s) expected"),
+    );
 }

@@ -221,6 +221,14 @@ enum ThreadState {
     Joined,
 }
 
+#[derive(Clone, Copy, Default)]
+struct Thread {
+    state: ThreadState,
+    /// Lock holds, write and read, the thread has not released: what a
+    /// join has to find at zero.
+    holds: u32,
+}
+
 /// Who holds a lock right now (plain locks and rwlocks share an id
 /// space).
 #[derive(Default)]
@@ -237,7 +245,7 @@ struct LockState {
 pub struct Validator {
     /// Index of the next event.
     at: usize,
-    threads: IdTable<ThreadState>,
+    threads: IdTable<Thread>,
     locks: IdTable<LockState>,
     /// Pending arrivals at each barrier.
     arrived: IdTable<Vec<Tid>>,
@@ -252,8 +260,8 @@ impl Default for Validator {
 impl Validator {
     /// A validator that has seen no event: only the main thread runs.
     pub fn new() -> Self {
-        let mut threads = IdTable::new();
-        *threads.slot(Tid::MAIN.0) = ThreadState::Running;
+        let mut threads = IdTable::<Thread>::new();
+        threads.slot(Tid::MAIN.0).state = ThreadState::Running;
         Validator {
             at: 0,
             threads,
@@ -263,7 +271,9 @@ impl Validator {
     }
 
     fn thread(&self, tid: Tid) -> ThreadState {
-        self.threads.get(tid.0).copied().unwrap_or_default()
+        self.threads
+            .get(tid.0)
+            .map_or(ThreadState::Unforked, |t| t.state)
     }
 
     /// Checks the next event of the trace against the schedule so far.
@@ -293,32 +303,25 @@ impl Validator {
     fn step_schedule(&mut self, ev: &Event, at: usize) -> Result<(), ValidationError> {
         match *ev {
             Event::Fork { child, .. } => {
-                let state = self.threads.slot(child.0);
-                if *state != ThreadState::Unforked {
+                let thread = self.threads.slot(child.0);
+                if thread.state != ThreadState::Unforked {
                     return Err(ValidationError::DoubleFork { tid: child, at });
                 }
-                *state = ThreadState::Running;
+                thread.state = ThreadState::Running;
             }
             Event::Join { child, .. } => {
                 if self.thread(child) == ThreadState::Unforked {
                     return Err(ValidationError::JoinOfUnforked { tid: child, at });
                 }
-                // The smallest write hold, else the smallest read hold:
-                // one answer for one trace, whatever the table order.
-                let smallest = |holds: fn(&LockState, Tid) -> bool| {
-                    let held = self.locks.iter().filter(|(_, l)| holds(l, child));
-                    held.map(|(id, _)| id).min()
-                };
-                if let Some(lock) = smallest(|l, t| l.writer == Some(t))
-                    .or_else(|| smallest(|l, t| l.readers.contains(&t)))
-                {
+                let thread = self.threads.slot(child.0);
+                if thread.holds > 0 {
                     return Err(ValidationError::ThreadJoinedHoldingLock {
                         tid: child,
-                        lock: LockId(lock),
+                        lock: self.smallest_hold(child),
                         at,
                     });
                 }
-                *self.threads.slot(child.0) = ThreadState::Joined;
+                thread.state = ThreadState::Joined;
             }
             Event::Acquire { tid, lock } => {
                 let state = self.locks.slot(lock.0);
@@ -329,6 +332,7 @@ impl Validator {
                     return Err(ValidationError::RwLockConflict { tid, lock, at });
                 }
                 state.writer = Some(tid);
+                self.threads.slot(tid.0).holds += 1;
             }
             Event::Release { tid, lock } => {
                 let state = self.locks.slot(lock.0);
@@ -336,6 +340,7 @@ impl Validator {
                     return Err(ValidationError::ReleaseWithoutAcquire { tid, lock, at });
                 }
                 state.writer = None;
+                self.threads.slot(tid.0).holds -= 1;
             }
             Event::AcquireRead { tid, lock } => {
                 let state = self.locks.slot(lock.0);
@@ -343,6 +348,7 @@ impl Validator {
                     return Err(ValidationError::RwLockConflict { tid, lock, at });
                 }
                 state.readers.push(tid);
+                self.threads.slot(tid.0).holds += 1;
             }
             Event::ReleaseRead { tid, lock } => {
                 let holders = &mut self.locks.slot(lock.0).readers;
@@ -354,6 +360,7 @@ impl Validator {
                         return Err(ValidationError::ReadReleaseWithoutAcquire { tid, lock, at })
                     }
                 }
+                self.threads.slot(tid.0).holds -= 1;
             }
             Event::CvSignal { .. } | Event::CvWait { .. } => {
                 // The waiter protocol (hold the mutex across the wait) is
@@ -382,6 +389,22 @@ impl Validator {
             Event::Read { .. } | Event::Write { .. } => {}
         }
         Ok(())
+    }
+
+    /// The lock a joined thread with holds left is reported with: its
+    /// smallest write hold, else its smallest read hold — one answer for
+    /// one trace, whatever the table order. Walks every lock, which only
+    /// the error path can afford.
+    #[cold]
+    fn smallest_hold(&self, tid: Tid) -> LockId {
+        let smallest = |holds: fn(&LockState, Tid) -> bool| {
+            let held = self.locks.iter().filter(|(_, l)| holds(l, tid));
+            held.map(|(id, _)| id).min()
+        };
+        let lock = smallest(|l, t| l.writer == Some(t))
+            .or_else(|| smallest(|l, t| l.readers.contains(&t)))
+            .expect("a thread with a hold counted holds a lock");
+        LockId(lock)
     }
 }
 
@@ -595,6 +618,35 @@ mod tests {
             .release_read(1u32, 6u32)
             .join(0u32, 1u32);
         assert_eq!(validate(&b.build()), Ok(()));
+    }
+
+    #[test]
+    fn a_join_costs_the_same_however_many_locks_there_are() {
+        // One use of the largest dense lock id sizes the lock table at
+        // 65 536 slots; a join that walked it (twice) made these 60 000
+        // joins 8 × 10⁹ slot visits — minutes in this build — where the
+        // per-thread hold count makes them 60 000 compares.
+        let mut b = TraceBuilder::new();
+        b.acquire(0u32, 65_535u32).release(0u32, 65_535u32);
+        for child in 1..=60_000u32 {
+            b.fork(0u32, child).join(0u32, child);
+        }
+        // A hold is still found — and named — at the end of all that.
+        b.fork(0u32, 60_001u32)
+            .acquire_read(60_001u32, 65_535u32)
+            .join(0u32, 60_001u32);
+        let trace = b.build();
+        let start = std::time::Instant::now();
+        assert_eq!(
+            validate(&trace),
+            Err(ValidationError::ThreadJoinedHoldingLock {
+                tid: Tid(60_001),
+                lock: LockId(65_535),
+                at: trace.len() - 1,
+            })
+        );
+        let took = start.elapsed();
+        assert!(took.as_secs() < 20, "{took:?} for 60 000 joins");
     }
 
     #[test]
