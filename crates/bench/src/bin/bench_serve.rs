@@ -253,8 +253,7 @@ fn run_soak(clients: usize, trace: &Arc<Trace>, solo: &dgrace_detectors::Report)
     assert_eq!(stats.shed, 0, "soak server never sheds");
 
     let mut lat = Arc::try_unwrap(latencies_us)
-        .ok()
-        .expect("latency vec uniquely owned")
+        .unwrap_or_else(|_| panic!("latency vec uniquely owned"))
         .into_inner()
         .expect("latency lock");
     lat.sort_unstable();

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use dgrace_analysis::analyze_with_stats;
 use dgrace_baselines::{HybridDetector, LockSetDetector, SegmentDetector};
-use dgrace_core::vc_detector;
+use dgrace_core::{vc_detector, vc_detector_names, VC_DETECTORS};
 use dgrace_detectors::{
     Detector, DetectorExt, Governed, GovernorSpec, OracleDetector, Report, SampleSpec, Sampled,
     ShardableDetector, StaticPruneFilter,
@@ -239,8 +239,14 @@ fn print_help() {
          \x20 dgrace stats <file>                                      trace statistics\n\
          \x20 dgrace list                                              available workloads & detectors\n\n\
          DETECTORS:\n\
-         \x20 byte | word | dynamic | dynamic-no-init | dynamic-guided |\n\
-         \x20 djit | oracle | segment | hybrid | lockset"
+         \x20 {}",
+        detectors()
+            .map(|(name, _)| name)
+            .collect::<Vec<_>>()
+            .chunks(5)
+            .map(|line| line.join(" | "))
+            .collect::<Vec<_>>()
+            .join(" |\n  ")
     );
 }
 
@@ -255,26 +261,39 @@ fn cmd_list() {
         );
     }
     outln!("\ndetectors:");
-    for (name, what) in [
-        ("byte", "FastTrack, byte granularity (paper baseline)"),
-        ("word", "FastTrack, word granularity"),
-        ("dynamic", "FastTrack + dynamic granularity (the paper)"),
-        (
-            "dynamic-no-init",
-            "dynamic without the Init state (Table 5)",
-        ),
-        (
-            "dynamic-guided",
-            "dynamic + write-guided read sharing (§VII)",
-        ),
-        ("djit", "DJIT+ (full vector clocks)"),
-        ("oracle", "exact first-race oracle (slow; ground truth)"),
-        ("segment", "segment comparison (Valgrind DRD class)"),
-        ("hybrid", "lockset + happens-before (Inspector XE class)"),
-        ("lockset", "Eraser LockSet (discipline checker)"),
-    ] {
+    for (name, what) in detectors() {
         outln!("  {name:<16} {what}");
     }
+}
+
+/// A detector outside the vector-clock family: name, description,
+/// constructor. These exist on the default store only and run serially.
+type SerialOnly = (&'static str, &'static str, fn() -> Box<dyn Detector>);
+
+const SERIAL_ONLY: [SerialOnly; 4] = [
+    (
+        "oracle",
+        "exact first-race oracle (slow; ground truth)",
+        || Box::new(OracleDetector::new()),
+    ),
+    ("segment", "segment comparison (Valgrind DRD class)", || {
+        Box::new(SegmentDetector::new())
+    }),
+    (
+        "hybrid",
+        "lockset + happens-before (Inspector XE class)",
+        || Box::new(HybridDetector::new()),
+    ),
+    ("lockset", "Eraser LockSet (discipline checker)", || {
+        Box::new(LockSetDetector::new())
+    }),
+];
+
+/// Every detector `detect` accepts, `(name, description)` in listing
+/// order: the vector-clock family, then the serial-only ones.
+fn detectors() -> impl Iterator<Item = (&'static str, &'static str)> {
+    let serial_only = SERIAL_ONLY.iter().map(|&(name, what, _)| (name, what));
+    VC_DETECTORS.into_iter().chain(serial_only)
 }
 
 /// The vector-clock detector family (`dgrace_core::vc_detector`) at the
@@ -294,21 +313,25 @@ fn make_detector(name: &str, shadow: Shadow) -> Result<Box<dyn Detector>, Failur
     }
     if shadow == Shadow::Paged {
         return Err(Failure::Usage(format!(
-            "detector `{name}` does not support --shadow paged (supported: \
-             byte, word, djit, dynamic, dynamic-no-init, dynamic-guided)"
+            "detector `{name}` does not support --shadow paged (supported: {})",
+            fixed_then_dynamic()
         )));
     }
-    Ok(match name {
-        "oracle" => Box::new(OracleDetector::new()),
-        "segment" => Box::new(SegmentDetector::new()),
-        "hybrid" => Box::new(HybridDetector::new()),
-        "lockset" => Box::new(LockSetDetector::new()),
-        other => {
-            return Err(Failure::Usage(format!(
-                "unknown detector `{other}` (see `dgrace list`)"
-            )))
-        }
-    })
+    match SERIAL_ONLY.iter().find(|(n, ..)| *n == name) {
+        Some((.., make)) => Ok(make()),
+        None => Err(Failure::Usage(format!(
+            "unknown detector `{name}` (see `dgrace list`)"
+        ))),
+    }
+}
+
+/// The vector-clock family's names with the fixed-granularity detectors
+/// first, then the dynamic ones — the order two "supported: …" messages
+/// have always listed them in.
+fn fixed_then_dynamic() -> String {
+    let mut family = VC_DETECTORS.map(|(name, _)| name);
+    family.sort_by_key(|name| name.starts_with("dynamic"));
+    family.join(", ")
 }
 
 /// The shadow store behind `--shadow {hash,paged}`.
@@ -507,8 +530,8 @@ fn compile_prune(det_name: &str, summary: &AnalysisSummary) -> Result<PruneSet, 
         "dynamic" | "dynamic-no-init" | "dynamic-guided" => (1, 256),
         other => {
             return Err(format!(
-                "detector `{other}` does not support --prune-with (supported: \
-                 byte, word, djit, dynamic, dynamic-no-init, dynamic-guided)"
+                "detector `{other}` does not support --prune-with (supported: {})",
+                fixed_then_dynamic()
             ))
         }
     };
@@ -700,29 +723,10 @@ fn make_shardable(
 ) -> Result<Box<dyn ShardableDetector + Send>, Failure> {
     vc_prototype(name, shadow).ok_or_else(|| {
         Failure::Usage(format!(
-            "detector `{name}` does not support --shards (shardable: \
-             byte, word, dynamic, dynamic-no-init, dynamic-guided, djit)"
+            "detector `{name}` does not support --shards (shardable: {})",
+            vc_detector_names()
         ))
     })
-}
-
-/// Re-boxing a wrapped detector `W` as the box it was built from. A
-/// detector stack is built in one of two boxes: a shardable prototype
-/// for the engine, any detector for the serial path.
-trait BoxOf<W> {
-    fn boxed(wrapped: W) -> Self;
-}
-
-impl<W: Detector> BoxOf<W> for Box<dyn Detector> {
-    fn boxed(wrapped: W) -> Self {
-        Box::new(wrapped)
-    }
-}
-
-impl<W: ShardableDetector + Send> BoxOf<W> for Box<dyn ShardableDetector + Send> {
-    fn boxed(wrapped: W) -> Self {
-        Box::new(wrapped)
-    }
 }
 
 /// What `detect` wraps around the bare detector, in this order from the
@@ -749,22 +753,27 @@ struct Stack<'a> {
 }
 
 impl Stack<'_> {
-    fn wrap<B>(&self, mut det: B) -> B
-    where
-        B: Detector + BoxOf<Sampled<B>> + BoxOf<Governed<B>>,
-    {
+    /// `B` is the box the stack is built in — a shardable prototype for
+    /// the engine, any detector for the serial path — and `sampled` /
+    /// `governed` put a wrapped detector back into one (`|d| Box::new(d)`).
+    fn wrap<B: Detector>(
+        &self,
+        mut det: B,
+        sampled: fn(Sampled<B>) -> B,
+        governed: fn(Governed<B>) -> B,
+    ) -> B {
         if let Some(map) = &self.affinity {
             det.set_affinity(Arc::clone(map));
         }
         if let Some(spec) = &self.sample {
-            let mut sampled = Sampled::new(det, spec.clone());
+            let mut layer = Sampled::new(det, spec.clone());
             if let Some(plan) = self.heat {
-                sampled.set_heat(plan);
+                layer.set_heat(plan);
             }
-            det = B::boxed(sampled);
+            det = sampled(layer);
         }
         if let Some(lim) = self.memory_limit {
-            det = B::boxed(Governed::new(
+            det = governed(Governed::new(
                 det,
                 GovernorSpec::for_limit(lim, self.shards),
             ));
@@ -924,7 +933,11 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         // The engine path: sharded replay (1 shard is fine) on either
         // transport, with optional durable checkpoints, crash resume and
         // a self-healing supervisor.
-        let proto = stack.wrap(make_shardable(det_name, shadow)?);
+        let proto = stack.wrap(
+            make_shardable(det_name, shadow)?,
+            |d| Box::new(d),
+            |d| Box::new(d),
+        );
         let resume = match &resume_dir {
             Some(d) => {
                 let file = d.join(CHECKPOINT_FILE);
@@ -970,7 +983,11 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     } else {
         // The direct serial path: the only one the non-shardable
         // detectors (oracle, segment, hybrid, lockset) can run on.
-        let mut det = stack.wrap(make_detector(det_name, shadow)?);
+        let mut det = stack.wrap(
+            make_detector(det_name, shadow)?,
+            |d| Box::new(d),
+            |d| Box::new(d),
+        );
         let source = open_source(&input, resync, &facts)?;
         if prune.is_empty() {
             det.run_source(source)

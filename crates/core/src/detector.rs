@@ -1,5 +1,6 @@
 //! The dynamic-granularity detector (Fig. 3's instrumentation routines).
 
+use dgrace_detectors::snap::{decode_races, encode_races};
 use dgrace_detectors::{
     AccessKind, Detector, HbState, RaceKind, RaceReport, Report, ShardableDetector, SharingStats,
 };
@@ -865,11 +866,7 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
         rep.stats.same_epoch = self.same_epoch;
         rep.stats.vc_allocs = self.read.vc_allocs() + self.write.vc_allocs();
         rep.stats.vc_frees = self.read.vc_frees() + self.write.vc_frees();
-        rep.stats.peak_vc_count = self.model.peak_vc_count();
-        rep.stats.peak_hash_bytes = self.model.peak(MemClass::Hash);
-        rep.stats.peak_vc_bytes = self.model.peak(MemClass::VectorClock);
-        rep.stats.peak_bitmap_bytes = self.hb.peak_bitmap_bytes();
-        rep.stats.peak_total_bytes = self.model.peak_total();
+        rep.stats.set_peaks(&self.model, &self.hb);
         rep.stats.sharing = Some(SharingStats {
             shares: self.shares,
             splits: self.splits,
@@ -907,11 +904,7 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
     }
 
     fn mem_classes(&self) -> [u64; 3] {
-        [
-            self.model.current(MemClass::Hash) as u64,
-            self.model.current(MemClass::VectorClock) as u64,
-            self.model.current(MemClass::Bitmap) as u64,
-        ]
+        self.model.classes()
     }
 
     fn snapshot(&self) -> Option<Vec<u8>> {
@@ -930,10 +923,7 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
         self.read.encode(&mut w);
         self.write.encode(&mut w);
         self.model.encode(&mut w);
-        w.count(self.races.len());
-        for race in &self.races {
-            race.encode(&mut w);
-        }
+        encode_races(&mut w, &self.races);
         for c in [
             self.events,
             self.accesses,
@@ -991,11 +981,7 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
         let read = PlaneOn::decode(&mut r).map_err(fail)?;
         let write = PlaneOn::decode(&mut r).map_err(fail)?;
         let mut model = MemoryModel::decode(&mut r).map_err(fail)?;
-        let n = r.count("race reports").map_err(fail)?;
-        let mut races = Vec::new();
-        for _ in 0..n {
-            races.push(RaceReport::decode(&mut r).map_err(fail)?);
-        }
+        let races = decode_races(&mut r).map_err(fail)?;
         let mut counters = [0u64; 11];
         for c in counters.iter_mut() {
             *c = r.u64().map_err(fail)?;

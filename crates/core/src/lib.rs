@@ -41,8 +41,8 @@
 //! * [`DynamicConfig`] — the Table 5 ablation switches
 //!   (`share_at_init`, `init_state`) plus tuning knobs.
 //! * [`VcState`] — the state machine, exposed for inspection and testing.
-//! * [`vc_detector`] — the name → detector table of the whole
-//!   vector-clock family (FastTrack, DJIT+, dynamic granularity).
+//! * [`vc_detector`] / [`VC_DETECTORS`] — the name → detector table of
+//!   the whole vector-clock family (FastTrack, DJIT+, dynamic granularity).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,12 +63,35 @@ pub use state::VcState;
 use dgrace_detectors::{DjitOn, FastTrackOn, Granularity, ShardableDetector};
 use dgrace_shadow::StoreSelect;
 
-/// The vector-clock detector family by CLI/wire name, on the shadow
-/// store `K`: `byte`, `word`, `dynamic`, `dynamic-no-init`,
-/// `dynamic-guided`, `djit`. `None` means the name is not in the family.
-/// The box is a shardable prototype and (being a `Detector` itself) a
-/// serial detector; `Send` because a supervised engine keeps the
-/// prototype alive to respawn replacement shards.
+/// The vector-clock detector family: `(CLI/wire name, one-line
+/// description)` in listing order. Every message that enumerates the
+/// family is built from this table, and [`vc_detector`] accepts exactly
+/// these names.
+pub const VC_DETECTORS: [(&str, &str); 6] = [
+    ("byte", "FastTrack, byte granularity (paper baseline)"),
+    ("word", "FastTrack, word granularity"),
+    ("dynamic", "FastTrack + dynamic granularity (the paper)"),
+    (
+        "dynamic-no-init",
+        "dynamic without the Init state (Table 5)",
+    ),
+    (
+        "dynamic-guided",
+        "dynamic + write-guided read sharing (§VII)",
+    ),
+    ("djit", "DJIT+ (full vector clocks)"),
+];
+
+/// The family's names joined with `", "`, for "supported: …" messages.
+pub fn vc_detector_names() -> String {
+    VC_DETECTORS.map(|(name, _)| name).join(", ")
+}
+
+/// The vector-clock detector family by name ([`VC_DETECTORS`]), on the
+/// shadow store `K`. `None` means the name is not in the family. The box
+/// is a shardable prototype and (being a `Detector` itself) a serial
+/// detector; `Send` because a supervised engine keeps the prototype alive
+/// to respawn replacement shards.
 pub fn vc_detector<K: StoreSelect>(name: &str) -> Option<Box<dyn ShardableDetector + Send>> {
     Some(match name {
         "byte" => Box::new(FastTrackOn::<K>::with_granularity(Granularity::Byte)),
@@ -83,4 +106,22 @@ pub fn vc_detector<K: StoreSelect>(name: &str) -> Option<Box<dyn ShardableDetect
         "djit" => Box::new(DjitOn::<K>::new()),
         _ => return None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dgrace_shadow::HashSelect;
+
+    #[test]
+    fn the_table_and_the_constructor_agree() {
+        for (name, _) in VC_DETECTORS {
+            assert!(vc_detector::<HashSelect>(name).is_some(), "{name}");
+        }
+        assert!(vc_detector::<HashSelect>("oracle").is_none());
+        assert_eq!(
+            vc_detector_names(),
+            "byte, word, dynamic, dynamic-no-init, dynamic-guided, djit"
+        );
+    }
 }

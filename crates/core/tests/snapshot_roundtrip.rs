@@ -95,7 +95,10 @@ fn legalize(ops: &[TraceOp]) -> Vec<Event> {
 }
 
 /// One fresh instance per detector family × store backend.
-fn fresh_detectors() -> Vec<(&'static str, Box<dyn Detector>, Box<dyn Detector>)> {
+/// `(name, a detector, a second instance to restore into)`.
+type Pair = (&'static str, Box<dyn Detector>, Box<dyn Detector>);
+
+fn fresh_detectors() -> Vec<Pair> {
     macro_rules! combo {
         ($name:expr, $ty:ty) => {
             (

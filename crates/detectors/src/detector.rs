@@ -15,10 +15,16 @@ use crate::Report;
 /// lock, exactly as the paper's PIN tool serializes analysis callbacks
 /// around its global structures.
 ///
-/// The `Any` supertrait lets hosts recover a concrete detector from a
-/// `Box<dyn Detector>` (e.g. the runtime extracting a [`crate::Recorder`]'s
-/// captured trace).
-pub trait Detector: std::any::Any {
+/// Three methods are required. A wrapper additionally returns the
+/// detector it wraps from [`Detector::inner`]/[`Detector::inner_mut`];
+/// every optional capability below defaults to asking that detector and,
+/// at the bottom of the stack, to a neutral answer — so a wrapper
+/// overrides only the capabilities it changes, and a new capability
+/// reaches through every existing wrapper without touching one.
+///
+/// Detectors own their state (`'static`): the engine moves them into
+/// shard threads and keeps prototypes in respawn factories.
+pub trait Detector: 'static {
     /// A short stable name (e.g. `"fasttrack-byte"`, `"dynamic"`).
     fn name(&self) -> String;
 
@@ -29,40 +35,72 @@ pub trait Detector: std::any::Any {
     /// a fresh state afterwards.
     fn finish(&mut self) -> Report;
 
+    /// The detector this one wraps; `None` (the default) for a detector
+    /// that analyzes events itself.
+    fn inner(&self) -> Option<&dyn Detector> {
+        None
+    }
+
+    /// [`Detector::inner`], mutably. A wrapper overrides both.
+    fn inner_mut(&mut self) -> Option<&mut dyn Detector> {
+        None
+    }
+
     /// Caps the detector's modeled shadow-memory footprint at `bytes`
     /// (`None` removes the cap). Detectors that support graceful
     /// degradation evict cold shadow state once the cap is exceeded and
-    /// flag their report as [`Report::budget_degraded`]; the default
-    /// implementation ignores the cap.
+    /// flag their report as [`Report::budget_degraded`]; the rest ignore
+    /// the cap.
     fn set_shadow_budget(&mut self, bytes: Option<u64>) {
-        let _ = bytes;
+        if let Some(d) = self.inner_mut() {
+            d.set_shadow_budget(bytes);
+        }
     }
 
     /// Installs an ahead-of-time sharing-affinity map (the pre-seeding
     /// artifact of `dgrace analyze`). Detectors that exploit it — the
     /// dynamic-granularity family — use certified strides as a fast
     /// path for grouping decisions while keeping the race set
-    /// byte-identical; the default implementation ignores the map.
+    /// byte-identical; the rest ignore the map.
     fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        let _ = map;
+        if let Some(d) = self.inner_mut() {
+            d.set_affinity(map);
+        }
+    }
+
+    /// Applies governor pressure. Detectors with a pressure response —
+    /// the dynamic-granularity family widens its first-epoch sharing
+    /// scan at [`PressureLevel::High`] and above — react; everyone else
+    /// ignores it. The response must never change which events are
+    /// *observed*, only how aggressively state is shared, so a governed
+    /// run under 100% headroom stays byte-identical to an ungoverned one.
+    fn set_pressure(&mut self, level: PressureLevel) {
+        if let Some(d) = self.inner_mut() {
+            d.set_pressure(level);
+        }
     }
 
     /// Serializes the detector's complete analysis state into a versioned
     /// `DGSS` snapshot, or `None` if the detector does not support
-    /// checkpointing (the default). A supported snapshot restores through
+    /// checkpointing. A supported snapshot restores through
     /// [`Detector::restore`] into a detector of the same configuration,
     /// after which both instances behave identically on any event suffix.
+    /// A wrapper with state of its own puts it in an envelope around the
+    /// inner snapshot.
     fn snapshot(&self) -> Option<Vec<u8>> {
-        None
+        self.inner()?.snapshot()
     }
 
     /// Replaces this detector's state with a [`Detector::snapshot`] taken
-    /// from a detector of the same configuration. The default rejects;
-    /// implementations validate the embedded detector name and version and
-    /// return a diagnostic on any mismatch or corruption.
+    /// from a detector of the same configuration. Implementations
+    /// validate the embedded detector name and version and return a
+    /// diagnostic on any mismatch or corruption; a detector without
+    /// snapshots rejects.
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let _ = bytes;
-        Err(format!("{}: snapshot/restore not supported", self.name()))
+        match self.inner_mut() {
+            Some(d) => d.restore(bytes),
+            None => Err(format!("{}: snapshot/restore not supported", self.name())),
+        }
     }
 
     /// The races reported *so far*, without consuming them: a live view of
@@ -70,39 +108,26 @@ pub trait Detector: std::any::Any {
     /// Incremental consumers (the ingestion server streaming races back to
     /// clients mid-run) read a watermark suffix of this slice; because
     /// nothing is removed, snapshots and the final report stay
-    /// byte-identical to a run that never peeked. The default (for
-    /// detectors without an accumulator) is an empty slice.
+    /// byte-identical to a run that never peeked. Empty for detectors
+    /// without an accumulator.
     fn races_so_far(&self) -> &[crate::RaceReport] {
-        &[]
+        self.inner().map_or(&[], |d| d.races_so_far())
     }
 
     /// Current modeled bytes by memory class, `[hash, vector-clock,
     /// bitmap]` — the live counterpart of the peak columns in the
-    /// report. The memory governor samples this at its decision points.
-    /// Detectors without a memory model report zeros (the default).
+    /// report. The memory governor samples this at its decision points
+    /// and assesses the sum.
+    /// Detectors without a memory model report zeros.
     fn mem_classes(&self) -> [u64; 3] {
-        [0; 3]
-    }
-
-    /// Total modeled shadow bytes right now: the governor's assessed
-    /// quantity. Defaults to the sum of [`Detector::mem_classes`].
-    fn shadow_bytes(&self) -> u64 {
-        self.mem_classes().iter().sum()
-    }
-
-    /// Applies governor pressure. Detectors with a pressure response —
-    /// the dynamic-granularity family widens its first-epoch sharing
-    /// scan at [`PressureLevel::High`] and above — react; everyone else
-    /// ignores it (the default). The response must never change which
-    /// events are *observed*, only how aggressively state is shared, so
-    /// a governed run under 100% headroom stays byte-identical to an
-    /// ungoverned one.
-    fn set_pressure(&mut self, level: PressureLevel) {
-        let _ = level;
+        self.inner().map_or([0; 3], |d| d.mem_classes())
     }
 }
 
-impl Detector for Box<dyn Detector> {
+/// A boxed detector is the detector in the box. This is the one impl that
+/// forwards every method: a `Box<D>` with `D` unsized cannot hand out
+/// `&dyn Detector`, and `on_event` must stay a single virtual call.
+impl<D: Detector + ?Sized> Detector for Box<D> {
     fn name(&self) -> String {
         (**self).name()
     }
@@ -112,11 +137,20 @@ impl Detector for Box<dyn Detector> {
     fn finish(&mut self) -> Report {
         (**self).finish()
     }
+    fn inner(&self) -> Option<&dyn Detector> {
+        (**self).inner()
+    }
+    fn inner_mut(&mut self) -> Option<&mut dyn Detector> {
+        (**self).inner_mut()
+    }
     fn set_shadow_budget(&mut self, bytes: Option<u64>) {
         (**self).set_shadow_budget(bytes)
     }
     fn set_affinity(&mut self, map: Arc<AffinityMap>) {
         (**self).set_affinity(map)
+    }
+    fn set_pressure(&mut self, level: PressureLevel) {
+        (**self).set_pressure(level)
     }
     fn snapshot(&self) -> Option<Vec<u8>> {
         (**self).snapshot()
@@ -129,48 +163,6 @@ impl Detector for Box<dyn Detector> {
     }
     fn mem_classes(&self) -> [u64; 3] {
         (**self).mem_classes()
-    }
-    fn shadow_bytes(&self) -> u64 {
-        (**self).shadow_bytes()
-    }
-    fn set_pressure(&mut self, level: PressureLevel) {
-        (**self).set_pressure(level)
-    }
-}
-
-impl Detector for Box<dyn Detector + Send> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-    fn on_event(&mut self, ev: &Event) {
-        (**self).on_event(ev)
-    }
-    fn finish(&mut self) -> Report {
-        (**self).finish()
-    }
-    fn set_shadow_budget(&mut self, bytes: Option<u64>) {
-        (**self).set_shadow_budget(bytes)
-    }
-    fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        (**self).set_affinity(map)
-    }
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        (**self).snapshot()
-    }
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        (**self).restore(bytes)
-    }
-    fn races_so_far(&self) -> &[crate::RaceReport] {
-        (**self).races_so_far()
-    }
-    fn mem_classes(&self) -> [u64; 3] {
-        (**self).mem_classes()
-    }
-    fn shadow_bytes(&self) -> u64 {
-        (**self).shadow_bytes()
-    }
-    fn set_pressure(&mut self, level: PressureLevel) {
-        (**self).set_pressure(level)
     }
 }
 

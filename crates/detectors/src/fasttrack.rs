@@ -1,47 +1,82 @@
-//! The FastTrack detector (§II.C) at a fixed granularity.
+//! The FastTrack rule (§II.C): a write epoch and an adaptive read clock.
 
 use dgrace_shadow::accounting::vc_cell_bytes;
-use dgrace_shadow::{HashSelect, MemClass, MemoryModel, ShadowStore, StoreSelect};
-use dgrace_trace::snapshot::{STATE_MAGIC, STATE_VERSION};
-use dgrace_trace::{Addr, Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError};
-use dgrace_vc::{Epoch, ReadClock, Tid};
+use dgrace_shadow::HashSelect;
+use dgrace_trace::{SnapshotReader, SnapshotWriter, TraceError};
+use dgrace_vc::{Epoch, ReadClock, Tid, VectorClock};
 
-use crate::snap::{
-    decode_epoch, decode_read_clock, decode_store, encode_epoch, encode_read_clock, encode_store,
-};
-use crate::{
-    AccessKind, Detector, Granularity, HbState, RaceKind, RaceReport, Report, ShardableDetector,
-};
+use crate::fixed::{CellRule, FixedOn};
+use crate::snap::{decode_epoch, decode_read_clock, encode_epoch, encode_read_clock};
+use crate::{AccessKind, RaceKind};
 
 /// Shadow state of one location: a write epoch (always `O(1)` — all
-/// race-free writes are totally ordered) and an adaptive read clock.
-///
-/// Cells are boxed: Fig. 4's indexing arrays hold *pointers* to
-/// heap-allocated vector-clock entries, and the allocation/deallocation
-/// traffic of those entries is precisely the cost the dynamic
-/// granularity eliminates (§V.A, "Slowdown"). Storing cells inline would
-/// silently hand the fixed-granularity baselines an advantage the
-/// paper's tool does not have.
+/// race-free writes are totally ordered) and an adaptive read clock. The
+/// first race is reported per plane: once for reads, once for writes.
 #[derive(Clone, Debug)]
-struct Cell {
+pub struct FastTrackCell {
     write: Epoch,
     read: ReadClock,
     read_raced: bool,
     write_raced: bool,
 }
 
-impl Cell {
-    fn new() -> Self {
-        Cell {
+impl Default for FastTrackCell {
+    fn default() -> Self {
+        FastTrackCell {
             write: Epoch::NONE,
             read: ReadClock::none(),
             read_raced: false,
             write_raced: false,
         }
     }
+}
 
-    /// Modeled bytes: one epoch-form cell for the write clock plus the
-    /// read clock (epoch form or inflated).
+impl CellRule for FastTrackCell {
+    const FAMILY: &'static str = "fasttrack";
+
+    #[inline]
+    fn access(
+        &mut self,
+        kind: AccessKind,
+        tid: Tid,
+        now: &VectorClock,
+    ) -> Option<(RaceKind, Epoch)> {
+        let mut race = None;
+        match kind {
+            AccessKind::Read => {
+                // [READ] write-read race: the last write is concurrent.
+                if !self.read_raced && !self.write.is_none() && !self.write.leq(now) {
+                    race = Some((RaceKind::WriteRead, self.write));
+                    self.read_raced = true;
+                }
+                self.read.record_read(tid, now);
+            }
+            AccessKind::Write => {
+                if !self.write_raced {
+                    if !self.write.is_none() && !self.write.leq(now) {
+                        // [WRITE] write-write race.
+                        race = Some((RaceKind::WriteWrite, self.write));
+                        self.write_raced = true;
+                    } else if let Some(r) = self.read.find_concurrent_read(now) {
+                        // [WRITE] read-write race.
+                        race = Some((RaceKind::ReadWrite, r));
+                        self.write_raced = true;
+                    }
+                }
+                self.write = Epoch::new(now.get(tid), tid);
+                // [WRITE SHARED] → deflate the read history: the write now
+                // dominates it (or raced with it, which was just reported).
+                if !self.read.is_epoch() {
+                    self.read.reset();
+                }
+            }
+        }
+        race
+    }
+
+    /// One epoch-form cell for the write clock plus the read clock (epoch
+    /// form or inflated).
+    #[inline]
     fn bytes(&self) -> usize {
         vc_cell_bytes(0)
             + match &self.read {
@@ -49,164 +84,7 @@ impl Cell {
                 ReadClock::Vc(vc) => vc_cell_bytes(vc.width().max(1)),
             }
     }
-}
 
-/// FastTrack (Flanagan & Freund, PLDI 2009) with a fixed detection
-/// granularity — the paper's byte- and word-granularity baselines —
-/// generic over the shadow store selected by `K`.
-#[derive(Debug, Default)]
-pub struct FastTrackOn<K: StoreSelect> {
-    granularity: Granularity,
-    hb: HbState,
-    table: K::Store<Box<Cell>>,
-    model: MemoryModel,
-    vc_bytes: usize,
-    races: Vec<RaceReport>,
-    events: u64,
-    accesses: u64,
-    same_epoch: u64,
-    vc_allocs: u64,
-    vc_frees: u64,
-    evicted: u64,
-    event_index: u64,
-}
-
-/// FastTrack on the chained-hash store (the default).
-pub type FastTrack = FastTrackOn<HashSelect>;
-
-impl<K: StoreSelect> FastTrackOn<K> {
-    /// Byte-granularity FastTrack — the reference detector of Table 1.
-    pub fn new() -> Self {
-        Self::with_granularity(Granularity::Byte)
-    }
-
-    /// FastTrack at an arbitrary fixed granularity.
-    pub fn with_granularity(granularity: Granularity) -> Self {
-        FastTrackOn {
-            granularity,
-            ..Default::default()
-        }
-    }
-
-    fn on_access(&mut self, tid: Tid, addr: Addr, kind: AccessKind) {
-        self.accesses += 1;
-        let loc = self.granularity.locate(addr);
-
-        let first = match kind {
-            AccessKind::Read => self.hb.first_read_in_epoch(tid, loc),
-            AccessKind::Write => self.hb.first_write_in_epoch(tid, loc),
-        };
-        if !first {
-            self.same_epoch += 1;
-            return;
-        }
-
-        let now = self.hb.now(tid);
-        let my_epoch = Epoch::new(now.get(tid), tid);
-
-        if self.table.get(loc).is_none() {
-            let cell = Box::new(Cell::new());
-            self.vc_bytes += cell.bytes();
-            self.table.insert(loc, cell);
-            self.vc_allocs += 2;
-        }
-        let cell = self.table.get_mut(loc).expect("just inserted");
-        let before = cell.bytes();
-
-        let mut race: Option<(RaceKind, Epoch)> = None;
-        match kind {
-            AccessKind::Read => {
-                // [READ] write-read race: the last write is concurrent.
-                if !cell.read_raced && !cell.write.is_none() && !cell.write.leq(now) {
-                    race = Some((RaceKind::WriteRead, cell.write));
-                    cell.read_raced = true;
-                }
-                cell.read.record_read(tid, now);
-            }
-            AccessKind::Write => {
-                if !cell.write_raced {
-                    if !cell.write.is_none() && !cell.write.leq(now) {
-                        // [WRITE] write-write race.
-                        race = Some((RaceKind::WriteWrite, cell.write));
-                        cell.write_raced = true;
-                    } else if let Some(r) = cell.read.find_concurrent_read(now) {
-                        // [WRITE] read-write race.
-                        race = Some((RaceKind::ReadWrite, r));
-                        cell.write_raced = true;
-                    }
-                }
-                cell.write = my_epoch;
-                // [WRITE SHARED] → deflate the read history: the write now
-                // dominates it (or raced with it, which was just reported).
-                if !cell.read.is_epoch() {
-                    cell.read.reset();
-                }
-            }
-        }
-
-        let after = cell.bytes();
-        self.vc_bytes = self.vc_bytes + after - before;
-
-        if let Some((kind, previous)) = race {
-            self.races.push(RaceReport {
-                addr: loc,
-                kind,
-                current: my_epoch,
-                previous,
-                event_index: Some(self.event_index),
-                share_count: 1,
-                tainted: false,
-            });
-        }
-        self.update_model();
-    }
-
-    fn update_model(&mut self) {
-        self.model.set(MemClass::Hash, self.table.index_bytes());
-        self.model.set(MemClass::VectorClock, self.vc_bytes);
-        self.model.set(MemClass::Bitmap, self.hb.bitmap_bytes());
-        self.model.set_vc_count(self.table.len() * 2);
-        if self.model.over_budget() {
-            self.enforce_budget();
-        }
-    }
-
-    /// Evicts cold shadow chunks until comfortably under budget. Kept off
-    /// the hot path: reached only after [`MemoryModel::over_budget`]
-    /// latches, which is a single compare while under budget.
-    #[cold]
-    fn enforce_budget(&mut self) {
-        let Some(budget) = self.model.budget() else {
-            return;
-        };
-        // Hysteresis: free an extra eighth so steady-state growth does not
-        // re-trigger eviction on every access.
-        let target = budget - budget / 8;
-        while self.model.current_total() > target {
-            let Some((base, len)) = self.table.victim_region() else {
-                // Nothing evictable (bitmaps are not): degrade no further.
-                break;
-            };
-            let mut freed_bytes = 0usize;
-            let mut cells = 0u64;
-            self.table.remove_range(base, len, |_, cell| {
-                freed_bytes += cell.bytes();
-                cells += 1;
-            });
-            if cells == 0 {
-                break;
-            }
-            self.vc_bytes -= freed_bytes;
-            self.vc_frees += 2 * cells;
-            self.evicted += cells;
-            self.model.set(MemClass::Hash, self.table.index_bytes());
-            self.model.set(MemClass::VectorClock, self.vc_bytes);
-            self.model.set_vc_count(self.table.len() * 2);
-        }
-    }
-}
-
-impl Cell {
     fn encode(&self, w: &mut SnapshotWriter) {
         encode_epoch(w, self.write);
         encode_read_clock(w, &self.read);
@@ -214,170 +92,29 @@ impl Cell {
         w.bool(self.write_raced);
     }
 
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Box<Self>, TraceError> {
-        Ok(Box::new(Cell {
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, TraceError> {
+        Ok(FastTrackCell {
             write: decode_epoch(r)?,
             read: decode_read_clock(r)?,
             read_raced: r.bool()?,
             write_raced: r.bool()?,
-        }))
+        })
     }
 }
 
-impl<K: StoreSelect> ShardableDetector for FastTrackOn<K> {
-    fn new_shard(&self) -> Box<dyn Detector + Send> {
-        let mut shard = FastTrackOn::<K>::with_granularity(self.granularity);
-        shard.model.set_budget(self.model.budget());
-        Box::new(shard)
-    }
-}
+/// FastTrack (Flanagan & Freund, PLDI 2009) with a fixed detection
+/// granularity — the paper's byte- and word-granularity baselines —
+/// generic over the shadow store selected by `K`.
+pub type FastTrackOn<K> = FixedOn<FastTrackCell, K>;
 
-impl<K: StoreSelect> Detector for FastTrackOn<K> {
-    fn name(&self) -> String {
-        format!("fasttrack-{}{}", self.granularity.label(), K::NAME_SUFFIX)
-    }
-
-    fn on_event(&mut self, ev: &Event) {
-        self.events += 1;
-        match *ev {
-            Event::Read { tid, addr, .. } => self.on_access(tid, addr, AccessKind::Read),
-            Event::Write { tid, addr, .. } => self.on_access(tid, addr, AccessKind::Write),
-            Event::Free { addr, size, .. } => {
-                let mut freed_bytes = 0usize;
-                let mut freed = 0u64;
-                self.table.remove_range(addr, size, |_, cell| {
-                    freed_bytes += cell.bytes();
-                    freed += 2;
-                });
-                self.vc_bytes -= freed_bytes;
-                self.vc_frees += freed;
-                self.update_model();
-            }
-            Event::Alloc { .. } => {}
-            _ => {
-                self.hb.on_sync(ev);
-                self.model.set(MemClass::Bitmap, self.hb.bitmap_bytes());
-            }
-        }
-        self.event_index += 1;
-    }
-
-    fn finish(&mut self) -> Report {
-        let mut rep = Report {
-            detector: self.name(),
-            races: std::mem::take(&mut self.races),
-            ..Report::default()
-        };
-        rep.stats.events = self.events;
-        rep.stats.accesses = self.accesses;
-        rep.stats.same_epoch = self.same_epoch;
-        rep.stats.vc_allocs = self.vc_allocs;
-        rep.stats.vc_frees = self.vc_frees;
-        rep.stats.peak_vc_count = self.model.peak_vc_count();
-        rep.stats.peak_hash_bytes = self.model.peak(MemClass::Hash);
-        rep.stats.peak_vc_bytes = self.model.peak(MemClass::VectorClock);
-        rep.stats.peak_bitmap_bytes = self.hb.peak_bitmap_bytes();
-        rep.stats.peak_total_bytes = self.model.peak_total();
-        rep.stats.evicted = self.evicted;
-        rep.budget_degraded = self.model.breached();
-        let budget = self.model.budget();
-        *self = Self::with_granularity(self.granularity);
-        self.model.set_budget(budget);
-        rep
-    }
-
-    fn set_shadow_budget(&mut self, bytes: Option<u64>) {
-        self.model.set_budget(bytes.map(|b| b as usize));
-    }
-
-    fn mem_classes(&self) -> [u64; 3] {
-        [
-            self.model.current(MemClass::Hash) as u64,
-            self.model.current(MemClass::VectorClock) as u64,
-            self.model.current(MemClass::Bitmap) as u64,
-        ]
-    }
-
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        let mut w = SnapshotWriter::new(STATE_MAGIC, STATE_VERSION);
-        w.str(&self.name());
-        self.hb.encode(&mut w);
-        encode_store(&mut w, &self.table, |w, cell| Cell::encode(cell, w));
-        self.model.encode(&mut w);
-        w.count(self.races.len());
-        for race in &self.races {
-            race.encode(&mut w);
-        }
-        w.u64(self.vc_bytes as u64);
-        for c in [
-            self.events,
-            self.accesses,
-            self.same_epoch,
-            self.vc_allocs,
-            self.vc_frees,
-            self.evicted,
-            self.event_index,
-        ] {
-            w.u64(c);
-        }
-        Some(w.finish())
-    }
-
-    fn races_so_far(&self) -> &[RaceReport] {
-        &self.races
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let name = self.name();
-        let fail = |e: TraceError| format!("{name}: corrupt snapshot: {e}");
-        let mut r =
-            SnapshotReader::new(bytes, STATE_MAGIC, STATE_VERSION, SnapshotLimits::default())
-                .map_err(fail)?;
-        let snap_name = r.str().map_err(fail)?;
-        if snap_name != name {
-            return Err(format!(
-                "snapshot is for detector {snap_name:?}, not {name:?}"
-            ));
-        }
-        let hb = HbState::decode(&mut r).map_err(fail)?;
-        let table = decode_store(&mut r, Cell::decode).map_err(fail)?;
-        let mut model = MemoryModel::decode(&mut r).map_err(fail)?;
-        let n = r.count("race reports").map_err(fail)?;
-        let mut races = Vec::new();
-        for _ in 0..n {
-            races.push(RaceReport::decode(&mut r).map_err(fail)?);
-        }
-        let vc_bytes = r.u64().map_err(fail)? as usize;
-        let mut counters = [0u64; 7];
-        for c in counters.iter_mut() {
-            *c = r.u64().map_err(fail)?;
-        }
-        r.expect_end().map_err(fail)?;
-        model.set_budget(self.model.budget());
-        *self = FastTrackOn {
-            granularity: self.granularity,
-            hb,
-            table,
-            model,
-            vc_bytes,
-            races,
-            events: counters[0],
-            accesses: counters[1],
-            same_epoch: counters[2],
-            vc_allocs: counters[3],
-            vc_frees: counters[4],
-            evicted: counters[5],
-            event_index: counters[6],
-        };
-        Ok(())
-    }
-}
+/// FastTrack on the chained-hash store (the default).
+pub type FastTrack = FastTrackOn<HashSelect>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DetectorExt, Djit};
-    use dgrace_trace::{AccessSize, Trace, TraceBuilder};
+    use crate::{Detector, DetectorExt, Djit, Granularity};
+    use dgrace_trace::{AccessSize, Addr, Trace, TraceBuilder};
 
     const X: u64 = 0x1000;
 

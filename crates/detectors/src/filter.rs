@@ -23,10 +23,8 @@
 //! set — and the dropped count is carried in the report
 //! (`stats.pruned`) so runs stay auditable.
 
-use std::sync::Arc;
-
 use dgrace_trace::{
-    Addr, AffinityMap, Event, PruneSet, SnapshotLimits, SnapshotReader, SnapshotWriter,
+    Addr, Event, PruneSet, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError,
 };
 
 use crate::shard::sort_races;
@@ -49,17 +47,17 @@ fn wrap_snapshot(counter: u64, inner: Option<Vec<u8>>) -> Option<Vec<u8>> {
 
 /// Inverse of [`wrap_snapshot`]: returns `(counter, inner_bytes)`.
 fn unwrap_snapshot(bytes: &[u8]) -> Result<(u64, Vec<u8>), String> {
+    let fail = |e: TraceError| format!("filter snapshot: {e}");
     let mut r = SnapshotReader::new(
         bytes,
         FILTER_MAGIC,
         FILTER_VERSION,
         SnapshotLimits::default(),
     )
-    .map_err(|e| format!("filter snapshot: {e}"))?;
-    let counter = r.u64().map_err(|e| format!("filter snapshot: {e}"))?;
-    let inner = r.blob().map_err(|e| format!("filter snapshot: {e}"))?;
-    r.expect_end()
-        .map_err(|e| format!("filter snapshot: {e}"))?;
+    .map_err(fail)?;
+    let counter = r.u64().map_err(fail)?;
+    let inner = r.blob().map_err(fail)?;
+    r.expect_end().map_err(fail)?;
     Ok((counter, inner))
 }
 
@@ -191,12 +189,16 @@ impl<D: Detector> Detector for FilteredDetector<D> {
         rep
     }
 
-    fn set_shadow_budget(&mut self, bytes: Option<u64>) {
-        self.inner.set_shadow_budget(bytes);
+    // `races_so_far` is the inner detector's live view: suppressed
+    // addresses are filtered only at finish(), so mid-run consumers may
+    // see races finish() will drop; callers that need the filtered set
+    // must use the final report.
+    fn inner(&self) -> Option<&dyn Detector> {
+        Some(&self.inner)
     }
 
-    fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        self.inner.set_affinity(map);
+    fn inner_mut(&mut self) -> Option<&mut dyn Detector> {
+        Some(&mut self.inner)
     }
 
     fn snapshot(&self) -> Option<Vec<u8>> {
@@ -208,25 +210,6 @@ impl<D: Detector> Detector for FilteredDetector<D> {
         self.inner.restore(&inner)?;
         self.skipped = skipped;
         Ok(())
-    }
-
-    // Live view: suppressed addresses are filtered only at finish(), so
-    // mid-run consumers may see races finish() will drop; callers that
-    // need the filtered set must use the final report.
-    fn races_so_far(&self) -> &[crate::RaceReport] {
-        self.inner.races_so_far()
-    }
-
-    fn mem_classes(&self) -> [u64; 3] {
-        self.inner.mem_classes()
-    }
-
-    fn shadow_bytes(&self) -> u64 {
-        self.inner.shadow_bytes()
-    }
-
-    fn set_pressure(&mut self, level: dgrace_shadow::PressureLevel) {
-        self.inner.set_pressure(level);
     }
 }
 
@@ -288,12 +271,12 @@ impl<D: Detector> Detector for StaticPruneFilter<D> {
         rep
     }
 
-    fn set_shadow_budget(&mut self, bytes: Option<u64>) {
-        self.inner.set_shadow_budget(bytes);
+    fn inner(&self) -> Option<&dyn Detector> {
+        Some(&self.inner)
     }
 
-    fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        self.inner.set_affinity(map);
+    fn inner_mut(&mut self) -> Option<&mut dyn Detector> {
+        Some(&mut self.inner)
     }
 
     fn snapshot(&self) -> Option<Vec<u8>> {
@@ -305,22 +288,6 @@ impl<D: Detector> Detector for StaticPruneFilter<D> {
         self.inner.restore(&inner)?;
         self.pruned = pruned;
         Ok(())
-    }
-
-    fn races_so_far(&self) -> &[crate::RaceReport] {
-        self.inner.races_so_far()
-    }
-
-    fn mem_classes(&self) -> [u64; 3] {
-        self.inner.mem_classes()
-    }
-
-    fn shadow_bytes(&self) -> u64 {
-        self.inner.shadow_bytes()
-    }
-
-    fn set_pressure(&mut self, level: dgrace_shadow::PressureLevel) {
-        self.inner.set_pressure(level);
     }
 }
 

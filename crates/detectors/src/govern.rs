@@ -24,7 +24,7 @@
 //!
 //! The ladder is evaluated only at **decision points**: every
 //! [`GovernorSpec::interval`] shard-local events, against the inner
-//! detector's *modeled* bytes ([`crate::Detector::shadow_bytes`]) —
+//! detector's *modeled* bytes (the sum of [`crate::Detector::mem_classes`]) —
 //! never against `malloc` or the global gauge. Modeled bytes are a pure
 //! function of the event prefix, so the same trace under the same
 //! `--memory-limit` takes the same rungs at the same events on every
@@ -38,10 +38,8 @@
 //! report and perturbs nothing — it is byte-identical to an ungoverned
 //! run of the same trace.
 
-use std::sync::Arc;
-
 use dgrace_shadow::{process_gauge, MemComponent, PressureLevel, Watermarks};
-use dgrace_trace::{AffinityMap, Event, SnapshotLimits, SnapshotReader, SnapshotWriter};
+use dgrace_trace::{Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError};
 
 use crate::{
     Detector, GovernorReport, GovernorTransition, Report, SampleSpec, Sampler, ShardableDetector,
@@ -141,11 +139,6 @@ impl<D: Detector> Governed<D> {
         }
     }
 
-    /// The wrapped detector.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
     /// The spec this wrapper was built from.
     pub fn spec(&self) -> &GovernorSpec {
         &self.spec
@@ -161,7 +154,8 @@ impl<D: Detector> Governed<D> {
     /// the release floor.
     fn decide(&mut self) {
         self.decisions += 1;
-        let assessed = self.inner.shadow_bytes();
+        let classes = self.inner.mem_classes();
+        let assessed = classes.iter().sum();
         self.peak_assessed = self.peak_assessed.max(assessed);
         let target = self.marks.level(assessed);
         let next = if target > self.rung {
@@ -187,7 +181,7 @@ impl<D: Detector> Governed<D> {
             self.peak_rung = self.peak_rung.max(next.rung());
             self.apply_rung();
         }
-        self.push_gauge();
+        self.push_gauge(classes);
     }
 
     /// (Re-)applies the current rung's mechanisms to the inner detector.
@@ -206,9 +200,8 @@ impl<D: Detector> Governed<D> {
     /// Publishes the inner detector's modeled bytes to the process-wide
     /// gauge as deltas. Reporting only — the gauge never feeds the
     /// ladder.
-    fn push_gauge(&mut self) {
-        let c = self.inner.mem_classes();
-        let now = [c[0] + c[2], c[1]];
+    fn push_gauge(&mut self, [hash, clocks, bitmap]: [u64; 3]) {
+        let now = [hash + bitmap, clocks];
         let g = process_gauge();
         for (i, comp) in [MemComponent::Shadow, MemComponent::VcClocks]
             .into_iter()
@@ -305,8 +298,12 @@ impl<D: Detector> Detector for Governed<D> {
         self.apply_rung();
     }
 
-    fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        self.inner.set_affinity(map);
+    fn inner(&self) -> Option<&dyn Detector> {
+        Some(&self.inner)
+    }
+
+    fn inner_mut(&mut self) -> Option<&mut dyn Detector> {
+        Some(&mut self.inner)
     }
 
     fn snapshot(&self) -> Option<Vec<u8>> {
@@ -335,15 +332,16 @@ impl<D: Detector> Detector for Governed<D> {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
+        let fail = |e: TraceError| format!("governor snapshot: {e}");
         let mut r = SnapshotReader::new(
             bytes,
             GOVERN_MAGIC,
             GOVERN_VERSION,
             SnapshotLimits::default(),
         )
-        .map_err(|e| format!("governor snapshot: {e}"))?;
-        let limit = r.u64().map_err(|e| format!("governor snapshot: {e}"))?;
-        let interval = r.u64().map_err(|e| format!("governor snapshot: {e}"))?;
+        .map_err(fail)?;
+        let limit = r.u64().map_err(fail)?;
+        let interval = r.u64().map_err(fail)?;
         if limit != self.spec.limit || interval != self.spec.interval {
             return Err(format!(
                 "governor snapshot was taken under limit={limit} interval={interval}, \
@@ -351,35 +349,32 @@ impl<D: Detector> Detector for Governed<D> {
                 self.spec.limit, self.spec.interval
             ));
         }
-        let rung = r.u8().map_err(|e| format!("governor snapshot: {e}"))?;
+        let rung = r.u8().map_err(fail)?;
         if rung > PressureLevel::Critical.rung() {
             return Err(format!("governor snapshot: rung {rung} out of range"));
         }
-        let events = r.u64().map_err(|e| format!("governor snapshot: {e}"))?;
-        let decisions = r.u64().map_err(|e| format!("governor snapshot: {e}"))?;
-        let peak_rung = r.u8().map_err(|e| format!("governor snapshot: {e}"))?;
-        let peak_assessed = r.u64().map_err(|e| format!("governor snapshot: {e}"))?;
+        let events = r.u64().map_err(fail)?;
+        let decisions = r.u64().map_err(fail)?;
+        let peak_rung = r.u8().map_err(fail)?;
+        let peak_assessed = r.u64().map_err(fail)?;
         let mut engaged = [0u64; 3];
         for e in engaged.iter_mut() {
-            *e = r.u64().map_err(|e| format!("governor snapshot: {e}"))?;
+            *e = r.u64().map_err(fail)?;
         }
-        let n = r
-            .count("governor transitions")
-            .map_err(|e| format!("governor snapshot: {e}"))?;
+        let n = r.count("governor transitions").map_err(fail)?;
         let mut transitions = Vec::with_capacity(n);
         for _ in 0..n {
             transitions.push(GovernorTransition {
-                event: r.u64().map_err(|e| format!("governor snapshot: {e}"))?,
+                event: r.u64().map_err(fail)?,
                 shard: 0,
-                from: r.u8().map_err(|e| format!("governor snapshot: {e}"))?,
-                to: r.u8().map_err(|e| format!("governor snapshot: {e}"))?,
-                assessed_bytes: r.u64().map_err(|e| format!("governor snapshot: {e}"))?,
+                from: r.u8().map_err(fail)?,
+                to: r.u8().map_err(fail)?,
+                assessed_bytes: r.u64().map_err(fail)?,
             });
         }
         self.sampler.decode(&mut r)?;
-        let inner = r.blob().map_err(|e| format!("governor snapshot: {e}"))?;
-        r.expect_end()
-            .map_err(|e| format!("governor snapshot: {e}"))?;
+        let inner = r.blob().map_err(fail)?;
+        r.expect_end().map_err(fail)?;
         self.inner.restore(&inner)?;
         self.rung = PressureLevel::from_rung(rung);
         self.events = events;
@@ -393,22 +388,6 @@ impl<D: Detector> Detector for Governed<D> {
         // state.
         self.apply_rung();
         Ok(())
-    }
-
-    fn races_so_far(&self) -> &[crate::RaceReport] {
-        self.inner.races_so_far()
-    }
-
-    fn mem_classes(&self) -> [u64; 3] {
-        self.inner.mem_classes()
-    }
-
-    fn shadow_bytes(&self) -> u64 {
-        self.inner.shadow_bytes()
-    }
-
-    fn set_pressure(&mut self, level: PressureLevel) {
-        self.inner.set_pressure(level);
     }
 }
 

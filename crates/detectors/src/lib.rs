@@ -44,17 +44,16 @@ mod detector;
 mod djit;
 mod fasttrack;
 mod filter;
+mod fixed;
 mod govern;
 mod granularity;
 mod hb;
 mod nop;
 mod oracle;
-mod recorder;
 mod report;
 mod sample;
 mod shard;
 pub mod snap;
-mod tee;
 
 pub use detector::{Detector, DetectorExt};
 pub use djit::{Djit, DjitOn};
@@ -67,7 +66,6 @@ pub use granularity::Granularity;
 pub use hb::HbState;
 pub use nop::NopDetector;
 pub use oracle::OracleDetector;
-pub use recorder::Recorder;
 pub use report::{
     AccessKind, DetectorStats, GovernorReport, GovernorTransition, RaceKind, RaceReport, Report,
     ShardFailure, SharingStats,
@@ -77,4 +75,3 @@ pub use sample::{
     SAMPLE_VERSION,
 };
 pub use shard::{merge_shard_reports, race_signature, sort_races, ShardableDetector};
-pub use tee::Tee;

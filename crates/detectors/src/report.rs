@@ -2,8 +2,11 @@
 
 use std::fmt;
 
+use dgrace_shadow::{MemClass, MemoryModel};
 use dgrace_trace::{Addr, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{Epoch, Tid};
+
+use crate::HbState;
 
 /// Whether an access is a read or a write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -196,6 +199,16 @@ pub struct DetectorStats {
 }
 
 impl DetectorStats {
+    /// Fills the five peak columns of Table 2/3 from a detector's memory
+    /// model and its happens-before state (which owns the bitmaps).
+    pub fn set_peaks(&mut self, model: &MemoryModel, hb: &HbState) {
+        self.peak_vc_count = model.peak_vc_count();
+        self.peak_hash_bytes = model.peak(MemClass::Hash);
+        self.peak_vc_bytes = model.peak(MemClass::VectorClock);
+        self.peak_bitmap_bytes = hb.peak_bitmap_bytes();
+        self.peak_total_bytes = model.peak_total();
+    }
+
     /// Fraction of accesses that hit the same-epoch fast path.
     pub fn same_epoch_fraction(&self) -> f64 {
         if self.accesses == 0 {

@@ -38,10 +38,9 @@
 //! complement) so sampled runs stay auditable.
 
 use std::fmt;
-use std::sync::Arc;
 
 use dgrace_trace::{
-    AffinityMap, Event, RoutingPlan, SnapshotLimits, SnapshotReader, SnapshotWriter,
+    Event, RoutingPlan, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError,
 };
 
 use crate::{Detector, Report, ShardableDetector};
@@ -548,28 +547,26 @@ impl Sampler {
     /// Restores counters from [`Sampler::encode`]d state; the spec and
     /// heat digest must match this sampler's configuration.
     pub(crate) fn decode(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), String> {
-        let spec = r.str().map_err(|e| format!("sampler snapshot: {e}"))?;
+        let spec = r.str().map_err(snapshot_error)?;
         if spec != self.spec.to_string() {
             return Err(format!(
                 "sampler snapshot was taken under spec `{spec}`, this run uses `{}`",
                 self.spec
             ));
         }
-        let digest = r.u64().map_err(|e| format!("sampler snapshot: {e}"))?;
+        let digest = r.u64().map_err(snapshot_error)?;
         if digest != self.heat_digest {
             return Err("sampler snapshot was taken under a different heat plan; \
                  resume with the same --plan-with summary"
                 .into());
         }
-        self.seen = r.u64().map_err(|e| format!("sampler snapshot: {e}"))?;
-        self.admitted = r.u64().map_err(|e| format!("sampler snapshot: {e}"))?;
-        let n = r
-            .count("sampler counter slots")
-            .map_err(|e| format!("sampler snapshot: {e}"))?;
+        self.seen = r.u64().map_err(snapshot_error)?;
+        self.admitted = r.u64().map_err(snapshot_error)?;
+        let n = r.count("sampler counter slots").map_err(snapshot_error)?;
         self.loc_counts.fill(0);
         for _ in 0..n {
-            let slot = r.u32().map_err(|e| format!("sampler snapshot: {e}"))? as usize;
-            let count = r.u8().map_err(|e| format!("sampler snapshot: {e}"))?;
+            let slot = r.u32().map_err(snapshot_error)? as usize;
+            let count = r.u8().map_err(snapshot_error)?;
             match self.loc_counts.get_mut(slot) {
                 Some(c) => *c = count,
                 None => {
@@ -584,6 +581,10 @@ impl Sampler {
         self.heat_hint = 0;
         Ok(())
     }
+}
+
+fn snapshot_error(e: TraceError) -> String {
+    format!("sampler snapshot: {e}")
 }
 
 /// Wraps any detector with an admission sampler: every sync, alloc, and
@@ -620,11 +621,6 @@ impl<D: Detector> Sampled<D> {
     pub fn sampler(&self) -> &Sampler {
         &self.sampler
     }
-
-    /// The wrapped detector.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
 }
 
 impl<D: Detector> Detector for Sampled<D> {
@@ -657,12 +653,12 @@ impl<D: Detector> Detector for Sampled<D> {
         rep
     }
 
-    fn set_shadow_budget(&mut self, bytes: Option<u64>) {
-        self.inner.set_shadow_budget(bytes);
+    fn inner(&self) -> Option<&dyn Detector> {
+        Some(&self.inner)
     }
 
-    fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        self.inner.set_affinity(map);
+    fn inner_mut(&mut self) -> Option<&mut dyn Detector> {
+        Some(&mut self.inner)
     }
 
     fn snapshot(&self) -> Option<Vec<u8>> {
@@ -680,28 +676,11 @@ impl<D: Detector> Detector for Sampled<D> {
             SAMPLE_VERSION,
             SnapshotLimits::default(),
         )
-        .map_err(|e| format!("sampler snapshot: {e}"))?;
+        .map_err(snapshot_error)?;
         self.sampler.decode(&mut r)?;
-        let inner = r.blob().map_err(|e| format!("sampler snapshot: {e}"))?;
-        r.expect_end()
-            .map_err(|e| format!("sampler snapshot: {e}"))?;
+        let inner = r.blob().map_err(snapshot_error)?;
+        r.expect_end().map_err(snapshot_error)?;
         self.inner.restore(&inner)
-    }
-
-    fn races_so_far(&self) -> &[crate::RaceReport] {
-        self.inner.races_so_far()
-    }
-
-    fn mem_classes(&self) -> [u64; 3] {
-        self.inner.mem_classes()
-    }
-
-    fn shadow_bytes(&self) -> u64 {
-        self.inner.shadow_bytes()
-    }
-
-    fn set_pressure(&mut self, level: dgrace_shadow::PressureLevel) {
-        self.inner.set_pressure(level);
     }
 }
 

@@ -29,45 +29,9 @@ pub trait ShardableDetector: Detector {
     fn new_shard(&self) -> Box<dyn Detector + Send>;
 }
 
-/// Forwarding impls so a boxed shardable prototype can itself be
-/// wrapped (e.g. by [`crate::Sampled`]) and passed wherever a concrete
+/// A boxed shardable prototype can itself be wrapped (e.g. by
+/// [`crate::Sampled`]) and passed wherever a concrete
 /// [`ShardableDetector`] is expected.
-impl Detector for Box<dyn ShardableDetector + Send> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-    fn on_event(&mut self, ev: &dgrace_trace::Event) {
-        (**self).on_event(ev)
-    }
-    fn finish(&mut self) -> Report {
-        (**self).finish()
-    }
-    fn set_shadow_budget(&mut self, bytes: Option<u64>) {
-        (**self).set_shadow_budget(bytes)
-    }
-    fn set_affinity(&mut self, map: std::sync::Arc<dgrace_trace::AffinityMap>) {
-        (**self).set_affinity(map)
-    }
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        (**self).snapshot()
-    }
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        (**self).restore(bytes)
-    }
-    fn races_so_far(&self) -> &[RaceReport] {
-        (**self).races_so_far()
-    }
-    fn mem_classes(&self) -> [u64; 3] {
-        (**self).mem_classes()
-    }
-    fn shadow_bytes(&self) -> u64 {
-        (**self).shadow_bytes()
-    }
-    fn set_pressure(&mut self, level: dgrace_shadow::PressureLevel) {
-        (**self).set_pressure(level)
-    }
-}
-
 impl ShardableDetector for Box<dyn ShardableDetector + Send> {
     fn new_shard(&self) -> Box<dyn Detector + Send> {
         (**self).new_shard()

@@ -11,6 +11,8 @@ use dgrace_shadow::ShadowStore;
 use dgrace_trace::{Addr, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{AccessClock, Epoch, ReadClock, Tid, VectorClock};
 
+use crate::RaceReport;
+
 /// Serializes a vector clock as its nonzero `(tid, clock)` entries in
 /// thread order.
 pub fn encode_vc(w: &mut SnapshotWriter, vc: &VectorClock) {
@@ -92,6 +94,24 @@ pub fn decode_access_clock(r: &mut SnapshotReader<'_>) -> Result<AccessClock, Tr
         1 => Ok(AccessClock::Vc(decode_vc(r)?)),
         tag => Err(TraceError::BadTag { offset: at, tag }),
     }
+}
+
+/// Serializes a detector's race accumulator: a count, then each report.
+pub fn encode_races(w: &mut SnapshotWriter, races: &[RaceReport]) {
+    w.count(races.len());
+    for race in races {
+        race.encode(w);
+    }
+}
+
+/// Rebuilds a race accumulator from [`encode_races`]'s format.
+pub fn decode_races(r: &mut SnapshotReader<'_>) -> Result<Vec<RaceReport>, TraceError> {
+    let n = r.count("race reports")?;
+    let mut races = Vec::new();
+    for _ in 0..n {
+        races.push(RaceReport::decode(r)?);
+    }
+    Ok(races)
 }
 
 /// Serializes a shadow store: populated cells sorted by address, then the
@@ -183,14 +203,11 @@ mod tests {
         vc.set(Tid(0), 2);
         vc.set(Tid(5), 9);
         for rc in [ReadClock::Epoch(e), ReadClock::Vc(vc.clone())] {
-            assert_eq!(
-                round_trip(&rc, |w, v| encode_read_clock(w, v), decode_read_clock),
-                rc
-            );
+            assert_eq!(round_trip(&rc, encode_read_clock, decode_read_clock), rc);
         }
         for ac in [AccessClock::Epoch(e), AccessClock::Vc(vc)] {
             assert_eq!(
-                round_trip(&ac, |w, v| encode_access_clock(w, v), decode_access_clock),
+                round_trip(&ac, encode_access_clock, decode_access_clock),
                 ac
             );
         }

@@ -78,9 +78,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::queue::ArrayQueue;
-use dgrace_detectors::{
-    merge_shard_reports, Detector, Recorder, Report, ShardFailure, ShardableDetector, Tee,
-};
+use dgrace_detectors::{merge_shard_reports, Detector, Report, ShardFailure, ShardableDetector};
 use dgrace_trace::{Event, PruneSet, Tid, Trace};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
@@ -91,8 +89,8 @@ pub enum EngineError {
     /// Every detector shard panicked and was quarantined; no detector
     /// state survived to produce a report.
     AllShardsFailed(Vec<ShardFailure>),
-    /// The engine was not built with journal recording (or a single-shard
-    /// `Recorder`), so no trace can be reconstructed.
+    /// The engine was not built with journal recording, so no trace can
+    /// be reconstructed.
     NotRecording,
 }
 
@@ -1226,52 +1224,27 @@ impl Engine {
         rep
     }
 
-    /// Reconstructs the recorded serialization (journal mode), or falls
-    /// back to the single-shard `Recorder`/`Tee` downcast used by the
-    /// pre-sharding API.
+    /// Reconstructs the recorded serialization from the journals; `None`
+    /// when the engine is not recording.
     ///
     /// Draining the journals is terminal for supervision: a shard panic
     /// after this call can no longer delta-replay the drained prefix, so
     /// only call it once the run is over.
     pub(crate) fn take_recorded(&self) -> Option<Trace> {
         self.flush_all();
-        if self.record {
-            let mut entries: Vec<(u64, Event)> = std::mem::take(&mut *self.sync_journal.lock());
-            for shard in &self.shards {
-                entries.append(&mut shard.lock().journal);
-            }
-            // Stable: entries sharing a stamp (one dispatched part) keep
-            // their program order.
-            entries.sort_by_key(|&(stamp, _)| stamp);
-            return Some(Trace::from_events(
-                entries.into_iter().map(|(_, ev)| ev).collect(),
-            ));
-        }
-        if self.shards.len() != 1 {
+        if !self.record {
             return None;
         }
-        let mut shard = self.shards[0].lock();
-        let det = shard.det.as_mut()?;
-        let any: &mut dyn std::any::Any = &mut **det;
-        if let Some(rec) = any.downcast_mut::<Recorder>() {
-            return Some(rec.take_trace());
+        let mut entries: Vec<(u64, Event)> = std::mem::take(&mut *self.sync_journal.lock());
+        for shard in &self.shards {
+            entries.append(&mut shard.lock().journal);
         }
-        // Common compositions: Recorder teed with a live detector.
-        macro_rules! try_tee {
-            ($($live:ty),*) => {$(
-                if let Some(tee) = (&mut **det as &mut dyn std::any::Any)
-                    .downcast_mut::<Tee<Recorder, $live>>()
-                {
-                    return Some(tee.first_mut().take_trace());
-                }
-            )*};
-        }
-        try_tee!(
-            dgrace_core::DynamicGranularity,
-            dgrace_detectors::FastTrack,
-            dgrace_detectors::Djit
-        );
-        None
+        // Stable: entries sharing a stamp (one dispatched part) keep
+        // their program order.
+        entries.sort_by_key(|&(stamp, _)| stamp);
+        Some(Trace::from_events(
+            entries.into_iter().map(|(_, ev)| ev).collect(),
+        ))
     }
 }
 
@@ -1407,6 +1380,40 @@ mod tests {
         assert_eq!(trace.len(), 10);
         let rep = eng.finish();
         assert_eq!(rep.stats.events, 10);
+    }
+
+    #[test]
+    fn journal_captures_the_stream_the_detector_reports_on() {
+        let options = |record| RuntimeOptions {
+            shards: 1,
+            buffer_capacity: 4,
+            record,
+        };
+        let fork = Event::Fork {
+            parent: Tid(0),
+            child: Tid(1),
+        };
+        let trace = Trace::from_events(vec![fork, w(0, 0x10), w(1, 0x10)]);
+
+        let live: Vec<Box<dyn Detector + Send>> =
+            vec![Box::new(dgrace_detectors::FastTrack::new())];
+        let eng = Engine::new(live, options(true));
+        assert!(
+            eng.take_recorded().expect("recording engine").is_empty(),
+            "nothing fed, nothing captured"
+        );
+        eng.emit_sync(Tid(0), fork);
+        for tid in [0, 1] {
+            eng.push(&eng.buffer_for(Tid(tid)), w(tid, 0x10));
+        }
+        assert_eq!(eng.take_recorded().expect("recording engine"), trace);
+        let rep = eng.finish();
+        assert_eq!(rep.races.len(), 1, "the live detector's races are reported");
+        assert_eq!(rep.detector, "fasttrack-byte");
+
+        let eng = Engine::new(nop_shards(1), options(false));
+        eng.dispatch(vec![w(0, 0x10)]);
+        assert!(eng.take_recorded().is_none(), "no journal, no trace");
     }
 
     #[test]

@@ -86,28 +86,16 @@ impl<D: Detector> Detector for PanicOnEvent<D> {
         self.inner.finish()
     }
 
-    fn set_shadow_budget(&mut self, bytes: Option<u64>) {
-        self.inner.set_shadow_budget(bytes);
+    // Everything else — checkpointing included — passes through to the
+    // wrapped detector: the fault specification is not part of the
+    // analysis state, so a snapshot taken through the wrapper restores
+    // into any detector of the same inner configuration (wrapped or not).
+    fn inner(&self) -> Option<&dyn Detector> {
+        Some(&self.inner)
     }
 
-    fn set_affinity(&mut self, map: Arc<dgrace_trace::AffinityMap>) {
-        self.inner.set_affinity(map);
-    }
-
-    // Checkpointing passes through to the wrapped detector: the fault
-    // specification is not part of the analysis state, so a snapshot
-    // taken through the wrapper restores into any detector of the same
-    // inner configuration (wrapped or not).
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        self.inner.snapshot()
-    }
-
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.inner.restore(bytes)
-    }
-
-    fn races_so_far(&self) -> &[dgrace_detectors::RaceReport] {
-        self.inner.races_so_far()
+    fn inner_mut(&mut self) -> Option<&mut dyn Detector> {
+        Some(&mut self.inner)
     }
 }
 

@@ -205,22 +205,16 @@ impl Runtime {
         Ok(rep)
     }
 
-    /// Takes the trace captured so far.
-    ///
-    /// Works in two modes: a journaling runtime (built with
+    /// Takes the trace captured so far: a journaling runtime (built with
     /// [`RuntimeOptions::record`]) reconstructs the observed global
-    /// serialization from the per-shard journals; a single-shard runtime
-    /// whose detector is a [`dgrace_detectors::Recorder`] (or a
-    /// [`dgrace_detectors::Tee`] whose first side is) drains the
-    /// recorder. Returns `None` otherwise. All thread buffers are
-    /// flushed first.
+    /// serialization from the per-shard journals, at any shard count.
+    /// Returns `None` otherwise. All thread buffers are flushed first.
     pub fn take_recorded(&self) -> Option<dgrace_trace::Trace> {
         self.inner.engine.take_recorded()
     }
 
     /// Like [`Runtime::take_recorded`], but explains a `None`: the
-    /// engine was not journaling (and its single shard was not a
-    /// `Recorder`), or the recording shard was quarantined.
+    /// engine was not journaling.
     pub fn try_take_recorded(&self) -> Result<dgrace_trace::Trace, crate::EngineError> {
         self.inner
             .engine

@@ -25,11 +25,14 @@ type Proto = Box<dyn ShardableDetector + Send>;
 /// The six detector × store combinations of the matrix. Each entry
 /// yields a fresh bare prototype and a fault-wrapped prototype whose
 /// `target`-th spawned shard panics at its `panic_at`-th event.
-fn prototypes() -> Vec<(
+/// `(name, bare prototype, prototype faulted at (shard, event))`.
+type Combo = (
     &'static str,
     Box<dyn Fn() -> Proto>,
     Box<dyn Fn(usize, u64) -> Proto>,
-)> {
+);
+
+fn prototypes() -> Vec<Combo> {
     macro_rules! combo {
         ($name:expr, $ty:ty) => {
             (

@@ -272,7 +272,7 @@ fn online_runtime_contains_shard_panic() {
         let main = rt.main();
         let cells: Vec<_> = (0..8).map(|_| rt.cell(0)).collect();
         let (child, ticket) = main.fork();
-        let cs: Vec<_> = cells.iter().cloned().collect();
+        let cs = cells.to_vec();
         let jh = thread::spawn(move || {
             for c in &cs {
                 c.set(&child, 1);

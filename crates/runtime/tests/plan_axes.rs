@@ -134,7 +134,8 @@ fn every_plan_axis_matches_the_serial_run() {
     let input = Input::of(racy_trace());
     let trace = &input.trace;
     let len = trace.len() as u64;
-    let protos: [(&str, fn() -> Box<dyn ShardableDetector + Send>); 2] = [
+    type Proto = fn() -> Box<dyn ShardableDetector + Send>;
+    let protos: [(&str, Proto); 2] = [
         ("fasttrack", || Box::new(FastTrack::new())),
         ("dynamic", || Box::new(DynamicGranularity::new())),
     ];
@@ -249,11 +250,11 @@ impl<D: Detector> Detector for StopAt<D> {
     fn finish(&mut self) -> Report {
         self.inner.finish()
     }
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        self.inner.snapshot()
+    fn inner(&self) -> Option<&dyn Detector> {
+        Some(&self.inner)
     }
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.inner.restore(bytes)
+    fn inner_mut(&mut self) -> Option<&mut dyn Detector> {
+        Some(&mut self.inner)
     }
 }
 

@@ -31,11 +31,14 @@ type Proto = Box<dyn ShardableDetector + Send>;
 
 /// The six detector × store combinations: a bare prototype and a
 /// sampled prototype wrapping the same detector under `spec`.
-fn prototypes() -> Vec<(
+/// `(name, bare prototype, prototype sampled under a spec)`.
+type Combo = (
     &'static str,
     Box<dyn Fn() -> Proto>,
     Box<dyn Fn(&str) -> Proto>,
-)> {
+);
+
+fn prototypes() -> Vec<Combo> {
     macro_rules! combo {
         ($name:expr, $ty:ty) => {
             (

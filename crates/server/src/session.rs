@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use dgrace_core::vc_detector;
+use dgrace_core::{vc_detector, vc_detector_names};
 use dgrace_detectors::{Governed, GovernorSpec};
 use dgrace_runtime::{CheckpointManifest, IngestSession};
 use dgrace_shadow::{process_gauge, HashSelect, Watermarks};
@@ -213,9 +213,9 @@ fn run_session(
     // sharded paths default to).
     let proto_det = vc_detector::<HashSelect>(&hello.detector).ok_or_else(|| {
         Quarantine::new(format!(
-            "unknown detector `{}` (serve supports the shardable family: \
-             byte, word, dynamic, dynamic-no-init, dynamic-guided, djit)",
-            hello.detector
+            "unknown detector `{}` (serve supports the shardable family: {})",
+            hello.detector,
+            vc_detector_names()
         ))
     })?;
     let _name_guard = NameGuard::register(shared, &hello.session)

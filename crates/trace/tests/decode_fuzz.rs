@@ -564,7 +564,7 @@ fn framed_stream(ops: &[(u8, u32, u64, u8, u64)], per_frame: usize) -> Vec<u8> {
 /// losses exactly (`decoded + lost == declared`).
 fn check_framed(bytes: &[u8]) {
     let limits = DecodeLimits::default();
-    let mut r = &bytes[..];
+    let mut r = bytes;
     let mut offset = 0u64;
     let mut frames = 0usize;
     loop {

@@ -1,7 +1,7 @@
-//! Record/replay workflow: run real threads under a `Tee` of a
-//! [`Recorder`] and the live dynamic detector — races are caught online
-//! *and* the observed schedule is captured for offline replay under
-//! every other detector.
+//! Record/replay workflow: run real threads under the live dynamic
+//! detector with the engine's journal on (`RuntimeOptions::record`) —
+//! races are caught online *and* the observed schedule is captured for
+//! offline replay under every other detector.
 //!
 //! ```text
 //! cargo run --release --example record_online
@@ -12,14 +12,21 @@ use std::thread;
 
 use dgrace::baselines::SegmentDetector;
 use dgrace::core::DynamicGranularity;
-use dgrace::detectors::{Detector, DetectorExt, Djit, FastTrack, OracleDetector, Recorder, Tee};
-use dgrace::runtime::Runtime;
+use dgrace::detectors::{Detector, DetectorExt, Djit, FastTrack, OracleDetector};
+use dgrace::runtime::{Runtime, RuntimeOptions};
 use dgrace::trace::io::{from_bytes, to_bytes};
 use dgrace::trace::validate;
 
 fn main() {
-    // 1. Record AND detect live: a Tee feeds both sides the same stream.
-    let rt = Runtime::new(Tee::new(Recorder::new(), DynamicGranularity::new()));
+    // 1. Record AND detect live: the journal keeps every event the
+    //    detector is fed, in the order it was fed.
+    let rt = Runtime::with_options(
+        DynamicGranularity::new(),
+        RuntimeOptions {
+            record: true,
+            ..RuntimeOptions::default()
+        },
+    );
     let main = rt.main();
     let table = rt.array(32);
     let guard = Arc::new(rt.mutex(()));
@@ -53,7 +60,7 @@ fn main() {
     }
 
     // Pull the captured execution out, then the live verdict.
-    let captured = rt.take_recorded().expect("runtime holds a recorder");
+    let captured = rt.take_recorded().expect("the runtime is recording");
     let live = rt.finish();
     validate(&captured).expect("recorded schedule is well-formed");
     println!(
