@@ -71,7 +71,7 @@ fn bench_bitmap(c: &mut Criterion) {
                 }
             }
             for i in 0..4096u64 {
-                if bm.test_either(Addr(0x1000 + i)) {
+                if bm.first_in_epoch(Addr(0x1000 + i), false) {
                     hits += 1;
                 }
             }

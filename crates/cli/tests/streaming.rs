@@ -6,6 +6,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use dgrace_trace::io::to_bytes;
 use dgrace_trace::{AccessSize, Trace, TraceBuilder};
@@ -44,6 +45,25 @@ fn dgrace(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("run dgrace")
+}
+
+/// `dgrace`, killed if it has not exited after `limit`.
+fn dgrace_within(limit: Duration, args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dgrace"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run dgrace");
+    let start = Instant::now();
+    while child.try_wait().expect("poll dgrace").is_none() {
+        if start.elapsed() > limit {
+            child.kill().expect("kill dgrace");
+            panic!("dgrace {args:?} still running after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collect dgrace's output")
 }
 
 /// `dgrace` with `input` written to a pipe on its stdin.
@@ -283,4 +303,53 @@ fn a_pipe_is_detected_like_the_file_it_carries() {
         4,
         &format!("decode /dev/stdin: truncated stream at byte {cut}: 5 more byte(s) expected"),
     );
+}
+
+#[test]
+fn the_last_address_has_no_successor_on_either_store() {
+    // Accesses at 0xffff_ffff_ffff_ffff: the first-epoch neighbor scan
+    // (over an empty read plane, then over a write plane that holds a
+    // word at 0x100), the second-epoch `L + size` probe and a free of the
+    // last bytes a trace can name all reach the end of the address
+    // space. Nothing lies 2^64 bytes "after" it: no endless scan for a
+    // successor, and no sharing a clock with the word at 0x100.
+    let top = u64::MAX;
+    let mut b = TraceBuilder::new();
+    b.fork(0u32, 1u32)
+        .read(0u32, top, AccessSize::U8)
+        .write(0u32, 0x100u64, AccessSize::U32)
+        .write(0u32, top, AccessSize::U8)
+        .write(1u32, top, AccessSize::U8)
+        .write(0u32, top - 3, AccessSize::U8)
+        .free(0u32, top - 7, 7)
+        .write(0u32, top - 1, AccessSize::U8)
+        .join(0u32, 1u32);
+    let dir = scratch("top");
+    let path = write(&dir, "t.dgrt", &to_bytes(&b.build()));
+    let report = |store: &str| {
+        let out = dgrace_within(
+            Duration::from_secs(30),
+            &["detect", "dynamic", &path, "--shadow", store, "--json"],
+        );
+        assert_eq!(out.status.code(), Some(0), "{store}: {}", stderr(&out));
+        let report = String::from_utf8_lossy(&out.stdout).into_owned();
+        // The stores differ in name and in the bytes of their index.
+        let (head, tail) = report
+            .replace("dynamic+paged", "dynamic")
+            .split_once("\"peak_total_bytes\": ")
+            .map(|(head, tail)| (head.to_string(), tail.to_string()))
+            .expect("a report with its peak bytes");
+        (
+            head,
+            tail.trim_start_matches(|c: char| c.is_ascii_digit())
+                .to_string(),
+        )
+    };
+    let hash = report("hash");
+    assert_eq!(hash, report("paged"));
+    assert!(hash.0.contains("\"race_count\": 1"), "{}", hash.0);
+    let untainted = "{\"addr\": \"0xffffffffffffffff\", \"kind\": \"write-write\", \
+                     \"current\": {\"tid\": 1, \"clock\": 1}, \"previous\": {\"tid\": 0, \"clock\": 2}, \
+                     \"share_count\": 1, \"tainted\": false}";
+    assert!(hash.0.contains(untainted), "{}", hash.0);
 }

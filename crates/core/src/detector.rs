@@ -4,7 +4,7 @@ use dgrace_detectors::snap::{decode_races, encode_races};
 use dgrace_detectors::{
     AccessKind, Detector, HbState, RaceKind, RaceReport, Report, ShardableDetector, SharingStats,
 };
-use dgrace_shadow::{HashSelect, MemClass, MemoryModel, PressureLevel, SlabId, StoreSelect};
+use dgrace_shadow::{HashSelect, MemClass, MemoryModel, PressureLevel, StoreSelect};
 use std::sync::Arc;
 
 use dgrace_trace::snapshot::{STATE_MAGIC, STATE_VERSION};
@@ -13,7 +13,7 @@ use dgrace_trace::{
 };
 use dgrace_vc::{AccessClock, ClockView, Epoch, Tid};
 
-use crate::plane::PlaneOn;
+use crate::plane::{CellRef, PlaneOn};
 use crate::{DynamicConfig, VcState};
 
 /// FastTrack with dynamic granularity: the paper's detector, generic over
@@ -231,20 +231,27 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         // clock work at all ("multiple accesses may be treated as the
         // same epoch accesses", §III.B). Checked from the epoch alone —
         // no vector-clock copy.
-        if let Some(id) = lookup {
-            if Self::clock_covers_epoch(plane.clock_view(id), my_epoch, kind) {
+        if let Some(at) = lookup {
+            if Self::clock_covers_epoch(plane.clock_view(at), my_epoch, kind) {
                 self.same_epoch += 1;
                 return;
             }
         }
 
+        // Every path from here checks the access against the other
+        // plane's history of `addr`. Looked up now, that index probe's
+        // cache misses overlap this plane's work instead of following it.
+        let other = match kind {
+            AccessKind::Read => self.write.lookup(addr),
+            AccessKind::Write => self.read.lookup(addr),
+        };
         match lookup {
-            None => self.first_access(addr, size, kind, my_epoch),
-            Some(id) => {
-                if self.plane(kind).cell(id).state.is_init() {
-                    self.second_epoch_access(addr, size, kind, my_epoch, id);
+            None => self.first_access(addr, size, kind, my_epoch, other),
+            Some(at) => {
+                if self.plane(kind).cell(at).state.is_init() {
+                    self.second_epoch_access(size, kind, my_epoch, at, other);
                 } else {
-                    self.steady_access(addr, size, kind, my_epoch, id);
+                    self.steady_access(size, kind, my_epoch, at, other);
                 }
             }
         }
@@ -263,7 +270,14 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     /// First access to a location: create its clock in the Init state and
     /// attempt first-epoch (temporary) sharing — `insertRead` +
     /// `shareFirstEpoch` in Fig. 3.
-    fn first_access(&mut self, addr: Addr, size: u64, kind: AccessKind, my_epoch: Epoch) {
+    fn first_access(
+        &mut self,
+        addr: Addr,
+        size: u64,
+        kind: AccessKind,
+        my_epoch: Epoch,
+        other: Option<CellRef>,
+    ) {
         // Under governor pressure the probe window widens: coarser
         // first-epoch groups are the paper's own memory valve.
         let scan = self.config.first_epoch_scan.max(self.pressure_scan);
@@ -274,8 +288,8 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         // Find a share candidate among the nearest populated neighbors.
         // The predecessor is probed first (array initialization ascends),
         // and the successor scan is skipped when the predecessor matches.
-        let compatible = |det: &Self, n: Addr, id: SlabId| {
-            let c = det.plane(kind).cell(id);
+        let compatible = |det: &Self, n: &CellRef| {
+            let c = det.plane(kind).cell(*n);
             let state_ok = if init_state {
                 share_at_init && c.state.accepts_init_sharing()
             } else {
@@ -284,8 +298,8 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
                 c.state != VcState::Race
             };
             state_ok
-                && det.plane(kind).clock_view(id) == ClockView::Epoch(my_epoch)
-                && det.write_guidance_ok(kind, addr, n)
+                && c.clock == ClockView::Epoch(my_epoch)
+                && det.write_guidance_ok(kind, addr, n.addr())
         };
         let mut preseed = None;
         let sharing_on = enable_sharing && (share_at_init || !init_state);
@@ -307,7 +321,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             let seeded = if seeded_ok {
                 let hit = plane
                     .nearest_predecessor(addr, size)
-                    .filter(|&(n, nid)| compatible(self, n, nid));
+                    .filter(|n| compatible(self, n));
                 preseed = Some(hit.is_some());
                 hit
             } else {
@@ -316,11 +330,11 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             seeded.or_else(|| {
                 plane
                     .nearest_predecessor(addr, scan)
-                    .filter(|&(n, nid)| compatible(self, n, nid))
+                    .filter(|n| compatible(self, n))
                     .or_else(|| {
                         plane
                             .nearest_successor(addr, scan)
-                            .filter(|&(n, nid)| compatible(self, n, nid))
+                            .filter(|n| compatible(self, n))
                     })
             })
         };
@@ -331,17 +345,17 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         }
 
         let plane = self.plane_mut(kind);
-        let id = match neighbor {
-            Some((n, nid)) => {
-                let id = plane.insert_shared(addr, n, nid);
+        let at = match neighbor {
+            Some(n) => {
+                let at = plane.insert_shared(addr, n);
                 let group_state = if init_state {
                     VcState::FirstEpochShared
                 } else {
                     VcState::Shared
                 };
-                plane.set_state(id, group_state);
+                let at = plane.set_state(at, group_state);
                 self.shares += 1;
-                id
+                at
             }
             None => {
                 let state = if init_state {
@@ -357,8 +371,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         // read location may still race with the write history of `addr`;
         // the clock itself needs no further recording — it was created
         // as this thread's current epoch.
-        if let Some((race_kind, witness, wt)) = self.race_check(addr, kind, my_epoch.tid, Some(id))
-        {
+        if let Some((race_kind, witness, wt)) = self.race_check(kind, my_epoch.tid, at, other) {
             self.report_race(addr, kind, race_kind, witness, my_epoch, wt);
         }
     }
@@ -367,31 +380,32 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     /// processing + `shareSecondEpoch` (the firm decision).
     fn second_epoch_access(
         &mut self,
-        addr: Addr,
         size: u64,
         kind: AccessKind,
         my_epoch: Epoch,
-        old_id: SlabId,
+        old: CellRef,
+        other: Option<CellRef>,
     ) {
+        let addr = old.addr();
         // Affinity fast path: join the certified predecessor's group
         // directly, skipping the split (and its clock bookkeeping). Any
         // verification failure falls through to the unseeded sequence.
-        if self.try_preseeded_second_epoch(addr, size, kind, my_epoch, old_id) {
+        if self.try_preseeded_second_epoch(size, kind, my_epoch, old, other) {
             return;
         }
 
         // Split L out of any temporary first-epoch group.
         let plane = self.plane_mut(kind);
-        let (id, split) = plane.split(addr);
+        let (at, split) = plane.split(old);
         if split {
             self.splits += 1;
         }
 
         // FastTrack race check against the histories.
-        let race = self.race_check(addr, kind, my_epoch.tid, Some(id));
+        let race = self.race_check(kind, my_epoch.tid, at, other);
 
         // Update L's (now private) clock with this access.
-        let inflated = self.record_access(kind, id, my_epoch);
+        let (at, inflated) = self.record_access(kind, at, my_epoch);
 
         if let Some((race_kind, witness, wt)) = race {
             self.report_race(addr, kind, race_kind, witness, my_epoch, wt);
@@ -404,10 +418,10 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         let shared = if inflated || !self.config.enable_sharing {
             false
         } else {
-            self.try_share_with_exact_neighbors(addr, size, kind, id)
+            self.try_share_with_exact_neighbors(size, kind, at)
         };
         if !shared {
-            self.plane_mut(kind).set_state(id, VcState::Private);
+            self.plane_mut(kind).set_state(at, VcState::Private);
         }
     }
 
@@ -428,12 +442,13 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     /// [`try_share_with_exact_neighbors`]: Self::try_share_with_exact_neighbors
     fn try_preseeded_second_epoch(
         &mut self,
-        addr: Addr,
         size: u64,
         kind: AccessKind,
         my_epoch: Epoch,
-        old_id: SlabId,
+        old: CellRef,
+        other: Option<CellRef>,
     ) -> bool {
+        let addr = old.addr();
         if kind != AccessKind::Write
             || !self.config.enable_sharing
             || !self.affinity_certified(addr, size)
@@ -443,34 +458,31 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         // Race first: a racing access must split, record and report on
         // the unseeded path (the report's group membership depends on
         // the split having happened).
-        if self
-            .race_check(addr, kind, my_epoch.tid, Some(old_id))
-            .is_some()
-        {
+        if self.race_check(kind, my_epoch.tid, old, other).is_some() {
             self.preseed_misses += 1;
             return false;
         }
-        let n = Addr(addr.0.wrapping_sub(size));
         let candidate = {
             let plane = self.plane(kind);
-            plane
-                .lookup(n)
-                .filter(|&nid| {
-                    // `nid == old_id` needs no special case: the old
-                    // group is still in an Init state, which
+            addr.0
+                .checked_sub(size)
+                .and_then(|n| plane.lookup(Addr(n)))
+                .filter(|&n| {
+                    // A neighbor in `old`'s own group needs no special
+                    // case: that group is still in an Init state, which
                     // `accepts_second_epoch_sharing` rejects.
-                    plane.cell(nid).state.accepts_second_epoch_sharing()
-                        && plane.clock_view(nid) == ClockView::Epoch(my_epoch)
+                    let c = plane.cell(n);
+                    c.state.accepts_second_epoch_sharing() && c.clock == ClockView::Epoch(my_epoch)
                 })
-                .filter(|_| self.write_guidance_ok(kind, addr, n))
+                .filter(|n| self.write_guidance_ok(kind, addr, n.addr()))
         };
-        let Some(nid) = candidate else {
+        let Some(n) = candidate else {
             self.preseed_misses += 1;
             return false;
         };
         let plane = self.plane_mut(kind);
-        let (gid, was_grouped) = plane.transfer(addr, n, nid);
-        plane.set_state(gid, VcState::Shared);
+        let (at, was_grouped) = plane.transfer(old, n);
+        plane.set_state(at, VcState::Shared);
         self.shares += 1;
         if was_grouped {
             self.splits += 1;
@@ -480,42 +492,30 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     }
 
     /// Attempts the exact-neighbor (`L±size`) sharing decision for the
-    /// location `addr` whose private cell is `id`. Returns `true` if the
+    /// location whose private cell is `at`. Returns `true` if the
     /// location joined a neighbor's group (state set to `Shared`).
-    fn try_share_with_exact_neighbors(
-        &mut self,
-        addr: Addr,
-        size: u64,
-        kind: AccessKind,
-        id: SlabId,
-    ) -> bool {
+    fn try_share_with_exact_neighbors(&mut self, size: u64, kind: AccessKind, at: CellRef) -> bool {
+        let addr = at.addr();
         let candidate = {
             let plane = self.plane(kind);
-            let my_clock = plane.clock_view(id);
-            let mut found = None;
-            for n in [Addr(addr.0.wrapping_sub(size)), Addr(addr.0 + size)] {
-                if n == addr {
-                    continue;
-                }
-                let Some(nid) = plane.lookup(n) else { continue };
-                if nid == id {
-                    continue;
-                }
-                let nc = plane.cell(nid);
-                if nc.state.accepts_second_epoch_sharing()
-                    && plane.clock_view(nid) == my_clock
-                    && self.write_guidance_ok(kind, addr, n)
-                {
-                    found = Some((n, nid));
-                    break;
-                }
-            }
-            found
+            let my_clock = plane.clock_view(at);
+            // A neighbor past either end of the address space is none.
+            [addr.0.checked_sub(size), addr.0.checked_add(size)]
+                .into_iter()
+                .flatten()
+                .filter(|&n| n != addr.0)
+                .filter_map(|n| plane.lookup(Addr(n)))
+                .find(|&n| {
+                    let c = plane.cell(n);
+                    c.state.accepts_second_epoch_sharing()
+                        && c.clock == my_clock
+                        && self.write_guidance_ok(kind, addr, n.addr())
+                })
         };
-        if let Some((n, nid)) = candidate {
+        if let Some(n) = candidate {
             let plane = self.plane_mut(kind);
-            let gid = plane.rejoin(addr, n, nid);
-            plane.set_state(gid, VcState::Shared);
+            let at = plane.rejoin(at, n);
+            plane.set_state(at, VcState::Shared);
             self.shares += 1;
             true
         } else {
@@ -527,17 +527,19 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     /// the (possibly shared) cell.
     fn steady_access(
         &mut self,
-        addr: Addr,
         size: u64,
         kind: AccessKind,
         my_epoch: Epoch,
-        id: SlabId,
+        at: CellRef,
+        other: Option<CellRef>,
     ) {
-        let raced = self.plane(kind).cell(id).state.is_raced();
+        let addr = at.addr();
+        let cell = self.plane(kind).cell(at);
+        let (raced, grouped) = (cell.state.is_raced(), cell.count > 1);
         let race = if raced {
             None
         } else {
-            self.race_check(addr, kind, my_epoch.tid, Some(id))
+            self.race_check(kind, my_epoch.tid, at, other)
         };
         // Lazy dissolve: a member of a raced group detaches here, on its
         // first access after the race, so the group's frozen clock is
@@ -545,12 +547,12 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         // clock in the `Race` state — exactly the cell an eager dissolve
         // would have built (not counted in `splits`: the dissolution was
         // already accounted for when the race was reported).
-        let id = if raced && self.plane(kind).cell(id).count > 1 {
-            self.plane_mut(kind).split(addr).0
+        let at = if raced && grouped {
+            self.plane_mut(kind).split(at).0
         } else {
-            id
+            at
         };
-        let inflated = self.record_access(kind, id, my_epoch);
+        let (at, inflated) = self.record_access(kind, at, my_epoch);
         if let Some((race_kind, witness, wt)) = race {
             self.report_race(addr, kind, race_kind, witness, my_epoch, wt);
             return;
@@ -558,15 +560,13 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         // §VII #2: a Private location may revisit the sharing decision a
         // bounded number of times after the second epoch.
         if self.config.max_redecisions > 0 && !inflated {
-            let eligible = {
-                let c = self.plane(kind).cell(id);
-                c.state == VcState::Private
-                    && c.count == 1
-                    && c.redecisions < self.config.max_redecisions
-            };
-            if eligible {
-                self.plane_mut(kind).bump_redecisions(id);
-                self.try_share_with_exact_neighbors(addr, size, kind, id);
+            let c = self.plane(kind).cell(at);
+            if c.state == VcState::Private
+                && c.count == 1
+                && c.redecisions < self.config.max_redecisions
+            {
+                let at = self.plane_mut(kind).bump_redecisions(at);
+                self.try_share_with_exact_neighbors(size, kind, at);
             }
         }
     }
@@ -581,7 +581,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             return true;
         }
         match (self.write.lookup(addr), self.write.lookup(n)) {
-            (Some(a), Some(b)) => a == b,
+            (Some(a), Some(b)) => a.same_cell(b),
             _ => true, // no write history: nothing to guide by
         }
     }
@@ -600,68 +600,61 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         }
     }
 
-    /// FastTrack race check for an access of `kind` at `addr` by thread
-    /// `tid`, against its current clock. `same_plane` is the
-    /// already-resolved cell id of `addr` in the accessed plane (saves a
-    /// hash lookup for writes); pass `None` when unknown. Does not mutate
-    /// anything.
+    /// FastTrack race check for an access of `kind` by thread `tid`,
+    /// against its current clock: `own` is the accessed location's cell in
+    /// the accessed plane, `other` its cell in the other plane, if it has
+    /// one. Does not mutate anything.
     ///
     /// The returned `bool` is the *witness cell's* taint: if the clock
     /// that testified to the race was ever shared, the race may be a
     /// sharing artifact even when the accessed location never shared.
     fn race_check(
         &self,
-        addr: Addr,
         kind: AccessKind,
         tid: Tid,
-        same_plane: Option<SlabId>,
+        own: CellRef,
+        other: Option<CellRef>,
     ) -> Option<(RaceKind, Epoch, bool)> {
         let now = self.hb.now(tid);
         match kind {
             AccessKind::Read => {
                 // Write-read race: the last write is concurrent with us.
-                let wid = self.write.lookup(addr)?;
-                let tainted = self.write.cell(wid).tainted;
-                self.write
-                    .clock_view(wid)
-                    .find_concurrent(now)
-                    .map(|w| (RaceKind::WriteRead, w, tainted))
+                let w = self.write.cell(other?);
+                let witness = w.clock.find_concurrent(now)?;
+                Some((RaceKind::WriteRead, witness, w.tainted))
             }
             AccessKind::Write => {
                 // Write-write first, then read-write (FastTrack order).
-                if let Some(wid) = same_plane.or_else(|| self.write.lookup(addr)) {
-                    if let Some(w) = self.write.clock_view(wid).find_concurrent(now) {
-                        return Some((RaceKind::WriteWrite, w, self.write.cell(wid).tainted));
-                    }
+                let w = self.write.cell(own);
+                if let Some(witness) = w.clock.find_concurrent(now) {
+                    return Some((RaceKind::WriteWrite, witness, w.tainted));
                 }
-                if let Some(rid) = self.read.lookup(addr) {
-                    if let Some(r) = self.read.clock_view(rid).find_concurrent(now) {
-                        return Some((RaceKind::ReadWrite, r, self.read.cell(rid).tainted));
-                    }
-                }
-                None
+                let r = self.read.cell(other?);
+                let witness = r.clock.find_concurrent(now)?;
+                Some((RaceKind::ReadWrite, witness, r.tainted))
             }
         }
     }
 
-    /// Records the access into the location's clock. Returns `true` if a
-    /// read clock inflated to a full vector clock (a "read-read
-    /// conflict", which vetoes sharing).
-    fn record_access(&mut self, kind: AccessKind, id: SlabId, my_epoch: Epoch) -> bool {
+    /// Records the access into the location's clock. Returns the cell's
+    /// handle after the write and `true` if a read clock inflated to a
+    /// full vector clock (a "read-read conflict", which vetoes sharing).
+    fn record_access(&mut self, kind: AccessKind, at: CellRef, my_epoch: Epoch) -> (CellRef, bool) {
         let tid = my_epoch.tid;
         match kind {
             AccessKind::Write => {
-                self.write
-                    .update_clock(id, |c| c.set_write(tid, my_epoch.clock));
-                false
+                let at = self
+                    .write
+                    .update_clock(at, |c| c.set_write(tid, my_epoch.clock));
+                (at, false)
             }
             AccessKind::Read => {
                 let now = self.hb.now(tid);
                 let mut inflated = false;
-                self.read.update_clock(id, |c| {
+                let at = self.read.update_clock(at, |c| {
                     inflated = c.record_read(tid, now);
                 });
-                inflated
+                (at, inflated)
             }
         }
     }
@@ -691,12 +684,12 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         witness_tainted: bool,
     ) {
         let plane = self.plane_mut(kind);
-        let id = plane.lookup(addr).expect("racy location exists");
-        let count = plane.cell(id).count;
-        let tainted = plane.cell(id).tainted || witness_tainted;
+        let at = plane.lookup(addr).expect("racy location exists");
+        let count = plane.cell(at).count;
+        let tainted = plane.cell(at).tainted || witness_tainted;
+        plane.set_state(at, VcState::Race);
         if count > 1 {
             let members = plane.group_members(addr);
-            plane.set_state(id, VcState::Race);
             // The members *will* separate (on their next access); the
             // split counter records the dissolution decision itself so
             // its totals match an eager dissolve.
@@ -717,7 +710,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
                 });
             }
         } else {
-            plane.set_state(id, VcState::Race);
             self.races.push(RaceReport {
                 addr,
                 kind: race_kind,

@@ -57,7 +57,7 @@ pub use detector::{
     DynamicGranularity, DynamicGranularityOn, PRESEED_BAILOUT_MISSES, PRESEED_BAILOUT_RATE,
     PRESSURE_SCAN,
 };
-pub use plane::{GroupSnapshot, Plane, PlaneOn};
+pub use plane::{CellRef, CellView, GroupSnapshot, Plane, PlaneOn};
 pub use state::VcState;
 
 use dgrace_detectors::{DjitOn, FastTrackOn, Granularity, ShardableDetector};

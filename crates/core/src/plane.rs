@@ -5,27 +5,52 @@
 //! locations — because "only the same access type (read or write) of
 //! vector clocks can be shared" (§III.A).
 //!
-//! A *location* is a populated slot in the shadow store; its payload is a
-//! [`SlabId`] pointing into the plane's cell slab plus the location's
-//! index in its group's member list (8 bytes, and `SlabId`'s niche keeps
-//! the store's `Option` slot at 8). Each shared cell records its member
-//! addresses (`members`), because a race dissolves the whole group ("the
-//! sharing is terminated and each of these locations become Race and is
-//! assigned with a private vector clock"). Singleton groups keep
-//! `members` empty — the sole member is implicit — so private locations
-//! (the common case) never allocate a member list. All group operations
+//! A *location* is a populated slot in the shadow store; a *cell* is the
+//! paper's `{vector clock, state, count}` triple, read by one location or
+//! by every member of a sharing group. Each shared cell records its
+//! member addresses (`members`), because a race dissolves the whole group
+//! ("the sharing is terminated and each of these locations become Race
+//! and is assigned with a private vector clock"). All group operations
 //! are O(1) except dissolution and compaction after a partial free,
 //! which are O(group size).
+//!
+//! # Where a cell lives
+//!
+//! The slot payload is one tagged non-zero 64-bit value ([`Slot`]; the
+//! niche keeps the store's `Option` slot at 8 bytes). A cell lives in
+//! exactly one of two places, decided from its value alone:
+//!
+//! * **In its location's slot** when nobody shares it (`count == 1`), its
+//!   clock is an epoch no other cell holds, and every field fits the
+//!   packing (a thread id of at most 21 bits — the trace decoder's
+//!   `max_tid` is 2^20 — and at most 63 redecisions): the slot holds the
+//!   epoch, the state, `tainted` and `redecisions`, i.e. the whole cell.
+//!   This is FastTrack's common case: the index probe an access already
+//!   paid for has loaded everything it needs, neighbor probes read the
+//!   adjacent slots of the same line, and nothing is allocated.
+//! * **In the cell slab** otherwise; the slot then holds the [`SlabId`]
+//!   and the location's index in the cell's member list. A slab cell of
+//!   one location keeps `members` empty — the sole member is implicit.
+//!
+//! A cell moves to the slab when a neighbor joins it, when its read clock
+//! inflates to a vector, when [`PlaneOn::split`] hands it a reference to
+//! a shared arena clock, or when a field outgrows the packing; it moves
+//! (back) into the slot whenever a write of its clock or the departure of
+//! its other members leaves one location holding an own epoch that fits.
+//! The detector sees neither place: it holds a [`CellRef`] — the
+//! location's address and its slot as of the lookup — reads through
+//! [`PlaneOn::cell`] and [`PlaneOn::clock_view`], and every mutator
+//! returns the handle's successor.
 //!
 //! # Where a clock lives
 //!
 //! A *logical clock* is one clock value, however many cells read it. It
 //! lives in exactly one of two places:
 //!
-//! * **Inline in its cell** (`ClockSlot::Own`) when it is in epoch form
-//!   and exactly one cell holds it — FastTrack's common case. Reading it
-//!   is the cell load the access already paid for; writing it stores
-//!   eight bytes.
+//! * **Inline in its cell** (`ClockSlot::Own`, or the epoch of a cell
+//!   that lives in its slot) when it is in epoch form and exactly one
+//!   cell holds it — FastTrack's common case. Reading it is the load the
+//!   access already paid for; writing it stores eight bytes.
 //! * **In the refcounted copy-on-write arena** (`ClockSlot::Arena`) when
 //!   several cells hold it or it is a full vector clock. `rc` counts the
 //!   cells holding the entry's id.
@@ -44,12 +69,14 @@
 //! its cell writes it. Readers go through [`PlaneOn::clock_view`], which
 //! returns an epoch by value and never touches the arena for one.
 //!
-//! Moving a logical clock between the two places neither creates nor
-//! destroys one, so every reported counter means what it meant when all
-//! clocks were arena entries: `vc_allocs`/`vc_frees` count logical clocks
-//! created and destroyed, [`PlaneOn::clock_count`] is the live logical
-//! clocks (arena entries + inline clocks, always `vc_allocs - vc_frees`),
-//! and the modeled bytes depend on cells and vector payloads only.
+//! Moving a cell or a logical clock between its two places neither
+//! creates nor destroys one, so every reported counter means what it
+//! meant when all cells were slab entries and all clocks arena entries:
+//! `vc_allocs`/`vc_frees` count logical clocks created and destroyed,
+//! [`PlaneOn::clock_count`] is the live logical clocks (arena entries +
+//! inline clocks, always `vc_allocs - vc_frees`),
+//! [`PlaneOn::cell_count`] counts cells in slots and in the slab, and the
+//! modeled bytes depend on cells and vector payloads only.
 //!
 //! A single index slot holding both the read and the write cell of an
 //! address was measured as well: 1.2x faster again on the `scatter`
@@ -59,6 +86,9 @@
 //! cost. The planes keep their own stores.
 //!
 //! Invariants (checked by [`PlaneOn::check_invariants`]):
+//! * a cell is in its slot if and only if it has one location, holds an
+//!   own epoch and fits the packing; a slab cell's member list is empty
+//!   if and only if it has one location;
 //! * an arena entry's refcount equals the number of live cells holding
 //!   its id, and is ≥ 1 for live entries;
 //! * an entry with refcount > 1 is never mutated in place;
@@ -69,15 +99,18 @@
 //! * `clock_count()` = arena entries + inline clocks = `vc_allocs -
 //!   vc_frees`, so a split or dissolve allocates nothing;
 //! * modeled `vc_bytes` = 16 bytes per live cell (the paper's epoch-form
-//!   cell) + one out-of-line payload (`16 + 4·width`) per live logical
-//!   clock in full-VC form — shared payloads are charged once.
+//!   cell), wherever it lives, + one out-of-line payload (`16 + 4·width`)
+//!   per live logical clock in full-VC form — shared payloads are charged
+//!   once.
+
+use std::num::{NonZeroU32, NonZeroU64};
 
 use dgrace_detectors::snap::{decode_access_clock, encode_access_clock};
 use dgrace_shadow::accounting::vc_cell_bytes;
 use dgrace_shadow::store::{ShadowStore, StoreSelect};
 use dgrace_shadow::{FastMap, HashSelect, Slab, SlabId};
 use dgrace_trace::{Addr, SnapshotReader, SnapshotWriter, TraceError};
-use dgrace_vc::{AccessClock, ClockView, Epoch};
+use dgrace_vc::{AccessClock, ClockView, Epoch, Tid};
 
 use crate::VcState;
 
@@ -112,12 +145,182 @@ enum ClockSlot {
     Arena(SlabId),
 }
 
-/// A shared vector-clock cell: the paper's `{vector clock, state, count}`
-/// triple plus the member list needed by `splitAndSetRace`.
+/// A vector-clock cell in the slab: the paper's `{vector clock, state,
+/// count}` triple plus the member list needed by `splitAndSetRace`.
 #[derive(Clone, Debug)]
-pub struct Cell {
+struct Cell {
     /// The access clock (epoch or full vector clock).
     clock: ClockSlot,
+    state: VcState,
+    count: u32,
+    tainted: bool,
+    redecisions: u8,
+    /// Member addresses when shared; empty for a cell of one location.
+    members: Vec<Addr>,
+}
+
+impl Cell {
+    /// The slot form of this cell, if its value says it lives in a slot
+    /// (module docs, "Where a cell lives").
+    fn solo(&self) -> Option<Slot> {
+        match self.clock {
+            ClockSlot::Own(epoch) if self.count == 1 => Solo {
+                epoch,
+                state: self.state,
+                tainted: self.tainted,
+                redecisions: self.redecisions,
+            }
+            .pack(),
+            _ => None,
+        }
+    }
+}
+
+/// The whole cell of a location nobody shares, as a slot holds it.
+#[derive(Clone, Copy, Debug)]
+struct Solo {
+    epoch: Epoch,
+    state: VcState,
+    tainted: bool,
+    redecisions: u8,
+}
+
+/// The payload of an index slot (module docs, "Where a cell lives"). Bit 0
+/// tells the two forms apart:
+///
+/// ```text
+/// cell       63..32 clock    | 31..11 tid | 10..5 redecisions | 4 tainted | 3..1 state | 1
+/// reference  63..32 `SlabId` | 31..1 member index                                      | 0
+/// ```
+///
+/// Never zero: the cell form has bit 0 set and a `SlabId` is non-zero.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Slot(NonZeroU64);
+
+const _: () = assert!(std::mem::size_of::<Option<Slot>>() == 8);
+
+// The fields of the cell form, from bit 1 up to the clock's bit 32.
+const STATE_SHIFT: u32 = 1;
+const TAINTED_SHIFT: u32 = 4;
+const REDECISION_SHIFT: u32 = 5;
+const REDECISION_BITS: u32 = 6;
+const TID_SHIFT: u32 = REDECISION_SHIFT + REDECISION_BITS;
+const TID_BITS: u32 = 32 - TID_SHIFT;
+/// Width of the reference form's member index.
+const MEMBER_BITS: u32 = 31;
+
+/// [`state_tag`] inverted: the state a wire tag or a cell form's three
+/// state bits name. [`Solo::pack`] writes tags only, so a slot never reads
+/// the last three entries; they make its decode a table load with no
+/// failure path, which would otherwise be inlined into every reader of a
+/// slot. [`state_from_tag`] bounds what it takes from outside.
+const STATE_OF_BITS: [VcState; 8] = [
+    VcState::FirstEpochPrivate,
+    VcState::FirstEpochShared,
+    VcState::Shared,
+    VcState::Private,
+    VcState::Race,
+    VcState::Race,
+    VcState::Race,
+    VcState::Race,
+];
+
+/// Where a slot says its location's cell is.
+enum Home {
+    /// In the slot itself.
+    Slot(Solo),
+    /// In the slab, with the location at `idx` of its member list (0 for
+    /// a cell of one location).
+    Slab { cell: SlabId, idx: u32 },
+}
+
+impl Solo {
+    /// The slot holding this cell, or `None` when a field does not fit.
+    fn pack(self) -> Option<Slot> {
+        let Solo {
+            epoch,
+            state,
+            tainted,
+            redecisions,
+        } = self;
+        if epoch.tid.0 >> TID_BITS != 0 || redecisions >> REDECISION_BITS != 0 {
+            return None;
+        }
+        let bits = (epoch.clock as u64) << 32
+            | (epoch.tid.0 as u64) << TID_SHIFT
+            | (redecisions as u64) << REDECISION_SHIFT
+            | (tainted as u64) << TAINTED_SHIFT
+            | (state_tag(state) as u64) << STATE_SHIFT;
+        Some(Slot(NonZeroU64::MIN | bits))
+    }
+}
+
+impl Slot {
+    /// A reference to slab cell `cell`, member `idx`.
+    #[inline(always)]
+    fn reference(cell: SlabId, idx: u32) -> Slot {
+        assert!(idx >> MEMBER_BITS == 0, "sharing group too large");
+        let bits = (cell.to_bits().get() as u64) << 32 | (idx as u64) << 1;
+        Slot(NonZeroU64::new(bits).expect("a slab id is non-zero"))
+    }
+
+    #[inline(always)]
+    fn home(self) -> Home {
+        let bits = self.0.get();
+        if bits & 1 == 0 {
+            let cell = NonZeroU32::new((bits >> 32) as u32).expect("a reference names a cell");
+            return Home::Slab {
+                cell: SlabId::from_bits(cell),
+                idx: (bits as u32) >> 1,
+            };
+        }
+        let field = |shift: u32, width: u32| (bits >> shift) as u32 & ((1 << width) - 1);
+        Home::Slot(Solo {
+            epoch: Epoch::new((bits >> 32) as u32, Tid(field(TID_SHIFT, TID_BITS))),
+            state: STATE_OF_BITS[field(STATE_SHIFT, 3) as usize],
+            tainted: field(TAINTED_SHIFT, 1) != 0,
+            redecisions: field(REDECISION_SHIFT, REDECISION_BITS) as u8,
+        })
+    }
+}
+
+/// A handle to the cell of one location: the location's address and its
+/// slot as of the lookup, which for a cell living in its slot is the cell
+/// itself. Valid until the plane next changes that location or its cell;
+/// every [`PlaneOn`] mutator that takes one returns its successor.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct CellRef {
+    addr: Addr,
+    slot: Slot,
+}
+
+impl CellRef {
+    /// The location this handle was looked up for.
+    pub fn addr(self) -> Addr {
+        self.addr
+    }
+
+    /// Whether the cell lives in its location's slot rather than in the
+    /// slab (diagnostics/testing).
+    pub fn in_slot(self) -> bool {
+        matches!(self.slot.home(), Home::Slot(_))
+    }
+
+    /// Whether both handles name one cell, i.e. the two locations share
+    /// a clock.
+    pub fn same_cell(self, other: CellRef) -> bool {
+        match (self.slot.home(), other.slot.home()) {
+            (Home::Slab { cell: a, .. }, Home::Slab { cell: b, .. }) => a == b,
+            _ => self.addr == other.addr,
+        }
+    }
+}
+
+/// A cell, by value: its clock as a [`ClockView`] and its other fields.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct CellView<'a> {
+    /// The access clock: an epoch by value or a borrowed vector clock.
+    pub clock: ClockView<'a>,
     /// Sharing state (Fig. 2).
     pub state: VcState,
     /// Number of locations sharing this cell (`L.count` in Fig. 3).
@@ -129,15 +332,6 @@ pub struct Cell {
     pub tainted: bool,
     /// Extra post-second-epoch sharing attempts consumed (§VII #2).
     pub redecisions: u8,
-    /// Member addresses when shared; empty for singletons.
-    members: Vec<Addr>,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Loc {
-    cell: SlabId,
-    /// Index in the cell's member list (0 for singletons).
-    idx: u32,
 }
 
 /// A debugging/testing view of one sharing group.
@@ -155,9 +349,12 @@ pub struct GroupSnapshot {
 /// store selected by `K`.
 #[derive(Debug, Default)]
 pub struct PlaneOn<K: StoreSelect> {
-    table: K::Store<Loc>,
+    table: K::Store<Slot>,
+    /// The cells that cannot live in a slot.
     cells: Slab<Cell>,
     clocks: Slab<ClockEntry>,
+    /// Number of cells living in their slots.
+    in_slot: usize,
     vc_bytes: usize,
     vc_allocs: u64,
     vc_frees: u64,
@@ -174,47 +371,157 @@ impl<K: StoreSelect> PlaneOn<K> {
         Self::default()
     }
 
-    /// The cell id of `addr`, if the location exists.
-    pub fn lookup(&self, addr: Addr) -> Option<SlabId> {
-        self.table.get(addr).map(|l| l.cell)
-    }
-
-    /// Borrows a cell.
-    pub fn cell(&self, id: SlabId) -> &Cell {
-        self.cells.get(id)
-    }
-
-    /// The clock of cell `id`: an epoch by value — from the cell itself
-    /// when the clock is inline — or a borrowed vector clock.
+    /// The cell handle of `addr`, if the location exists.
     #[inline]
-    pub fn clock_view(&self, id: SlabId) -> ClockView<'_> {
-        match self.cells.get(id).clock {
-            ClockSlot::Own(e) => ClockView::Epoch(e),
-            ClockSlot::Arena(cid) => self.clocks.get(cid).clock.view(),
+    pub fn lookup(&self, addr: Addr) -> Option<CellRef> {
+        self.table.get(addr).map(|&slot| CellRef { addr, slot })
+    }
+
+    /// A handle is only as good as the slot it was read from.
+    #[inline]
+    fn check_fresh(&self, at: CellRef) {
+        debug_assert_eq!(self.table.get(at.addr), Some(&at.slot), "stale cell handle");
+    }
+
+    /// Overwrites the slot of the existing location `addr`.
+    #[inline]
+    fn set_slot(&mut self, addr: Addr, slot: Slot) -> CellRef {
+        *self.table.get_mut(addr).expect("location must exist") = slot;
+        CellRef { addr, slot }
+    }
+
+    /// Cell `at` by value: decoded from the handle when the cell lives in
+    /// its slot, one slab load (and, for a clock in the arena, one more)
+    /// otherwise. An epoch never touches the arena.
+    ///
+    /// Always inlined, like [`Slot::home`] under it and
+    /// [`PlaneOn::set_state`]: every path of the detector reads through
+    /// here and uses one or two of the fields, and left out of line the
+    /// readers cost the `stream` ledger workload 3 % of its instructions
+    /// (EXPERIMENTS.md, PR 18).
+    #[inline(always)]
+    pub fn cell(&self, at: CellRef) -> CellView<'_> {
+        self.check_fresh(at);
+        match at.slot.home() {
+            Home::Slot(solo) => CellView {
+                clock: ClockView::Epoch(solo.epoch),
+                state: solo.state,
+                count: 1,
+                tainted: solo.tainted,
+                redecisions: solo.redecisions,
+            },
+            Home::Slab { cell, .. } => {
+                let cell = self.cells.get(cell);
+                CellView {
+                    clock: match cell.clock {
+                        ClockSlot::Own(e) => ClockView::Epoch(e),
+                        ClockSlot::Arena(cid) => self.clocks.get(cid).clock.view(),
+                    },
+                    state: cell.state,
+                    count: cell.count,
+                    tainted: cell.tainted,
+                    redecisions: cell.redecisions,
+                }
+            }
         }
     }
 
-    /// How many cells currently share cell `id`'s clock value
+    /// The clock of cell `at`.
+    #[inline(always)]
+    pub fn clock_view(&self, at: CellRef) -> ClockView<'_> {
+        self.cell(at).clock
+    }
+
+    /// Where the clock of cell `at` lives.
+    fn clock_slot(&self, at: CellRef) -> ClockSlot {
+        match at.slot.home() {
+            Home::Slot(solo) => ClockSlot::Own(solo.epoch),
+            Home::Slab { cell, .. } => self.cells.get(cell).clock,
+        }
+    }
+
+    /// How many cells currently share cell `at`'s clock value
     /// (diagnostics/testing).
-    pub fn clock_refs(&self, id: SlabId) -> u32 {
-        match self.cells.get(id).clock {
+    pub fn clock_refs(&self, at: CellRef) -> u32 {
+        match self.clock_slot(at) {
             ClockSlot::Own(_) => 1,
             ClockSlot::Arena(cid) => self.clocks.get(cid).rc,
         }
     }
 
-    /// Whether cell `id`'s clock is stored in the cell rather than in the
+    /// Whether cell `at`'s clock is stored in the cell rather than in the
     /// arena (diagnostics/testing).
-    pub fn clock_is_inline(&self, id: SlabId) -> bool {
-        matches!(self.cells.get(id).clock, ClockSlot::Own(_))
+    pub fn clock_is_inline(&self, at: CellRef) -> bool {
+        matches!(self.clock_slot(at), ClockSlot::Own(_))
+    }
+
+    /// Rewrites a cell that lives in `addr`'s slot; a value that no longer
+    /// fits the packing moves to the slab.
+    #[inline]
+    fn put_solo(&mut self, addr: Addr, solo: Solo) -> CellRef {
+        match solo.pack() {
+            Some(slot) => self.set_slot(addr, slot),
+            None => self.spill(addr, solo, ClockSlot::Own(solo.epoch)).1,
+        }
+    }
+
+    /// Moves the cell living in `addr`'s slot to the slab, with `clock`
+    /// as its clock (the same logical clock, possibly moved itself). Once
+    /// per group, inflation or overflow: kept out of its callers' code.
+    #[cold]
+    fn spill(&mut self, addr: Addr, solo: Solo, clock: ClockSlot) -> (SlabId, CellRef) {
+        self.in_slot -= 1;
+        let id = self.cells.alloc(Cell {
+            clock,
+            state: solo.state,
+            count: 1,
+            tainted: solo.tainted,
+            redecisions: solo.redecisions,
+            members: Vec::new(),
+        });
+        (id, self.set_slot(addr, Slot::reference(id, 0)))
+    }
+
+    /// Moves slab cell `id` into the slot of `at`, its only location, if
+    /// the cell's value now says it lives there.
+    fn settle(&mut self, at: CellRef, id: SlabId) -> CellRef {
+        match self.cells.get(id).solo() {
+            Some(slot) => {
+                self.cells.free(id);
+                self.in_slot += 1;
+                self.set_slot(at.addr, slot)
+            }
+            None => at,
+        }
     }
 
     /// Mutates a cell's clock, keeping byte accounting consistent. If the
     /// cell shares its clock value with other cells (after a split or
     /// dissolve), the value is copied on write into a fresh logical
     /// clock. Whatever `f` leaves behind is stored where the module docs
-    /// say it lives: inline unless it is a vector.
-    pub fn update_clock(&mut self, id: SlabId, f: impl FnOnce(&mut AccessClock)) {
+    /// say it lives — the clock inline unless it is a vector, the cell in
+    /// its slot if it now belongs there.
+    pub fn update_clock(&mut self, at: CellRef, f: impl FnOnce(&mut AccessClock)) -> CellRef {
+        self.check_fresh(at);
+        let id = match at.slot.home() {
+            Home::Slot(mut solo) => {
+                let mut clock = AccessClock::Epoch(solo.epoch);
+                f(&mut clock);
+                return match clock {
+                    AccessClock::Epoch(e) => {
+                        solo.epoch = e;
+                        self.put_solo(at.addr, solo)
+                    }
+                    // Inflated: the cell moves to the slab and the same
+                    // logical clock to the arena.
+                    vc => {
+                        let clock = self.intern(vc, 1);
+                        self.spill(at.addr, solo, clock).1
+                    }
+                };
+            }
+            Home::Slab { cell, .. } => cell,
+        };
         let cell = self.cells.get_mut(id);
         match cell.clock {
             ClockSlot::Own(e) => {
@@ -250,16 +557,35 @@ impl<K: StoreSelect> PlaneOn<K> {
                 }
             }
         }
+        self.settle(at, id)
     }
 
     /// Sets a cell's state.
-    pub fn set_state(&mut self, id: SlabId, state: VcState) {
-        self.cells.get_mut(id).state = state;
+    #[inline(always)]
+    pub fn set_state(&mut self, at: CellRef, state: VcState) -> CellRef {
+        self.check_fresh(at);
+        match at.slot.home() {
+            Home::Slot(solo) => self.put_solo(at.addr, Solo { state, ..solo }),
+            Home::Slab { cell, .. } => {
+                self.cells.get_mut(cell).state = state;
+                at
+            }
+        }
     }
 
     /// Consumes one post-second-epoch sharing attempt (§VII #2).
-    pub fn bump_redecisions(&mut self, id: SlabId) {
-        self.cells.get_mut(id).redecisions += 1;
+    pub fn bump_redecisions(&mut self, at: CellRef) -> CellRef {
+        self.check_fresh(at);
+        match at.slot.home() {
+            Home::Slot(mut solo) => {
+                solo.redecisions += 1;
+                self.put_solo(at.addr, solo)
+            }
+            Home::Slab { cell, .. } => {
+                self.cells.get_mut(cell).redecisions += 1;
+                at
+            }
+        }
     }
 
     /// Moves a clock value into the arena, held by `rc` cells.
@@ -292,43 +618,75 @@ impl<K: StoreSelect> PlaneOn<K> {
         self.vc_frees += 1;
     }
 
-    fn alloc_cell(&mut self, clock: ClockSlot, state: VcState) -> SlabId {
+    /// Creates the cell of one new location and returns the slot naming
+    /// its home.
+    fn new_cell(&mut self, clock: ClockSlot, state: VcState, tainted: bool) -> Slot {
         self.vc_bytes += CELL_BYTES;
-        self.cells.alloc(Cell {
+        let cell = Cell {
             clock,
             state,
             count: 1,
-            tainted: false,
+            tainted,
             redecisions: 0,
             members: Vec::new(),
-        })
+        };
+        match cell.solo() {
+            Some(slot) => {
+                self.in_slot += 1;
+                slot
+            }
+            None => Slot::reference(self.cells.alloc(cell), 0),
+        }
     }
 
-    fn free_cell(&mut self, id: SlabId) {
+    /// Destroys `n` cells that lived in their slots, each with the epoch
+    /// it held.
+    fn free_solos(&mut self, n: usize) {
+        self.in_slot -= n;
+        self.vc_bytes -= n * CELL_BYTES;
+        self.vc_frees += n as u64;
+    }
+
+    fn free_slab_cell(&mut self, id: SlabId) {
         let freed = self.cells.free(id);
         self.vc_bytes -= CELL_BYTES;
         self.release_clock(freed.clock);
     }
 
-    /// Creates a brand-new private location.
-    pub fn insert_private(&mut self, addr: Addr, clock: AccessClock, state: VcState) -> SlabId {
-        debug_assert!(self.table.get(addr).is_none(), "location already exists");
-        let clock = self.new_clock(clock);
-        let id = self.alloc_cell(clock, state);
-        self.table.insert(addr, Loc { cell: id, idx: 0 });
-        id
+    /// Destroys the cell `slot` names (its last location is going).
+    fn free_cell(&mut self, slot: Slot) {
+        match slot.home() {
+            Home::Slot(_) => self.free_solos(1),
+            Home::Slab { cell, .. } => self.free_slab_cell(cell),
+        }
     }
 
-    /// Appends `addr` to `neighbor`'s cell member list (`id` already
-    /// resolved by the caller's neighbor search), returning `addr`'s
-    /// member index. The caller writes `addr`'s `Loc`.
-    fn join_members(&mut self, addr: Addr, neighbor: Addr, id: SlabId) -> u32 {
-        debug_assert_eq!(self.table.get(neighbor).expect("neighbor exists").cell, id);
+    /// Creates a brand-new private location.
+    pub fn insert_private(&mut self, addr: Addr, clock: AccessClock, state: VcState) -> CellRef {
+        debug_assert!(self.table.get(addr).is_none(), "location already exists");
+        let clock = self.new_clock(clock);
+        let slot = self.new_cell(clock, state, false);
+        self.table.insert(addr, slot);
+        CellRef { addr, slot }
+    }
+
+    /// Appends `addr` to the member list of `neighbor`'s cell, which moves
+    /// to the slab if it lived in its slot, and returns the slot `addr`
+    /// gets. The caller stores it.
+    fn join_members(&mut self, addr: Addr, neighbor: CellRef) -> Slot {
+        self.check_fresh(neighbor);
+        let id = match neighbor.slot.home() {
+            Home::Slot(solo) => {
+                self.spill(neighbor.addr, solo, ClockSlot::Own(solo.epoch))
+                    .0
+            }
+            Home::Slab { cell, .. } => cell,
+        };
         let cell = self.cells.get_mut(id);
         if cell.members.is_empty() {
-            // Singleton → explicit member list; the neighbor's implicit
-            // index 0 becomes its real index 0.
-            cell.members.push(neighbor);
+            // One location → explicit member list; the neighbor's
+            // implicit index 0 becomes its real index 0.
+            cell.members.push(neighbor.addr);
         }
         cell.members.push(addr);
         let idx = (cell.members.len() - 1) as u32;
@@ -337,158 +695,154 @@ impl<K: StoreSelect> PlaneOn<K> {
         if cell.count > self.max_group {
             self.max_group = cell.count;
         }
-        idx
-    }
-
-    /// Attaches `addr` to `neighbor`'s cell (`id`, already resolved by
-    /// the caller's neighbor search). `addr` must not have a location
-    /// yet.
-    fn attach(&mut self, addr: Addr, neighbor: Addr, id: SlabId) -> SlabId {
-        let idx = self.join_members(addr, neighbor, id);
-        self.table.insert(addr, Loc { cell: id, idx });
-        id
+        Slot::reference(id, idx)
     }
 
     /// Creates location `addr` sharing `neighbor`'s cell (first-epoch
-    /// temporary sharing). `nid` is the neighbor's cell id from the
-    /// neighbor search.
-    pub fn insert_shared(&mut self, addr: Addr, neighbor: Addr, nid: SlabId) -> SlabId {
+    /// temporary sharing).
+    pub fn insert_shared(&mut self, addr: Addr, neighbor: CellRef) -> CellRef {
         debug_assert!(self.table.get(addr).is_none(), "location already exists");
-        self.attach(addr, neighbor, nid)
+        let slot = self.join_members(addr, neighbor);
+        self.table.insert(addr, slot);
+        CellRef { addr, slot }
     }
 
-    /// Re-points an *existing* private location at `neighbor`'s cell (the
-    /// firm second-epoch sharing decision). The location's own cell is
-    /// freed; it must not be shared (`count == 1`).
-    pub fn rejoin(&mut self, addr: Addr, neighbor: Addr, nid: SlabId) -> SlabId {
-        let loc = *self.table.get(addr).expect("location must exist");
-        debug_assert_eq!(
-            self.cells.get(loc.cell).count,
-            1,
-            "rejoin requires a private cell"
-        );
-        self.free_cell(loc.cell);
+    /// Re-points the *existing* private location `at` at `neighbor`'s cell
+    /// (the firm second-epoch sharing decision). The location's own cell
+    /// is freed; it must not be shared (`count == 1`).
+    pub fn rejoin(&mut self, at: CellRef, neighbor: CellRef) -> CellRef {
+        debug_assert_eq!(self.cell(at).count, 1, "rejoin requires a private cell");
+        self.free_cell(at.slot);
         // Re-point the existing location in place — the second-epoch
         // re-share sweep hits this once per member, and a hash
         // remove+insert pair here costs more than the rest of the join.
-        let idx = self.join_members(addr, neighbor, nid);
-        let l = self.table.get_mut(addr).expect("location must exist");
-        l.cell = nid;
-        l.idx = idx;
-        nid
+        let slot = self.join_members(at.addr, neighbor);
+        self.set_slot(at.addr, slot)
     }
 
-    /// Moves an *existing* location into `neighbor`'s cell without
+    /// Moves the *existing* location `at` into `neighbor`'s cell without
     /// allocating a clock: the affinity pre-seeded second-epoch path,
     /// which generalizes [`PlaneOn::rejoin`] to locations still inside a
     /// first-epoch group. A private source frees its cell (as `rejoin`);
     /// a grouped source detaches (the split the unseeded path would
-    /// have paid, minus the temporary cell). Returns the new cell id and
-    /// whether the location left a multi-member group.
-    pub fn transfer(&mut self, addr: Addr, neighbor: Addr, nid: SlabId) -> (SlabId, bool) {
-        let loc = *self.table.get(addr).expect("location must exist");
-        debug_assert_ne!(loc.cell, nid, "transfer must change groups");
-        let was_grouped = self.cells.get(loc.cell).count > 1;
-        if was_grouped {
-            self.detach(addr, loc.cell, loc.idx);
-        } else {
-            self.free_cell(loc.cell);
-        }
-        let idx = self.join_members(addr, neighbor, nid);
-        let l = self.table.get_mut(addr).expect("location must exist");
-        l.cell = nid;
-        l.idx = idx;
-        (nid, was_grouped)
+    /// have paid, minus the temporary cell). Returns the location's new
+    /// handle and whether it left a multi-member group.
+    pub fn transfer(&mut self, at: CellRef, neighbor: CellRef) -> (CellRef, bool) {
+        self.check_fresh(at);
+        debug_assert!(!at.same_cell(neighbor), "transfer must change groups");
+        let was_grouped = match at.slot.home() {
+            Home::Slab { cell, idx } if self.cells.get(cell).count > 1 => {
+                self.detach(at.addr, cell, idx);
+                true
+            }
+            _ => {
+                self.free_cell(at.slot);
+                false
+            }
+        };
+        let slot = self.join_members(at.addr, neighbor);
+        (self.set_slot(at.addr, slot), was_grouped)
     }
 
-    /// Detaches `addr` from the member list of `cell_id`, patching the
-    /// index of the member that `swap_remove` relocates.
-    fn detach(&mut self, addr: Addr, cell_id: SlabId, idx: u32) {
-        let cell = self.cells.get_mut(cell_id);
+    /// Detaches `addr` from the member list of group `id`, patching the
+    /// index of the member that `swap_remove` relocates. The caller
+    /// re-points or removes `addr`'s own slot.
+    fn detach(&mut self, addr: Addr, id: SlabId, idx: u32) {
+        let cell = self.cells.get_mut(id);
         debug_assert!(cell.count > 1 && !cell.members.is_empty());
         debug_assert_eq!(cell.members[idx as usize], addr);
         cell.members.swap_remove(idx as usize);
         cell.count -= 1;
-        if (idx as usize) < cell.members.len() {
-            let moved = cell.members[idx as usize];
-            self.table.get_mut(moved).expect("moved member exists").idx = idx;
+        let left = cell.count;
+        if let Some(&moved) = cell.members.get(idx as usize) {
+            self.set_slot(moved, Slot::reference(id, idx));
+        }
+        if left == 1 {
+            self.shrunk_to_one(id);
         }
     }
 
-    /// Splits `addr` out of its sharing group: it receives a private
-    /// *reference* to the group clock (the paper's `split(L, addr,
-    /// size)`) — a refcount bump, not a copy, with an inline group clock
-    /// promoted to the arena first; divergence is deferred to the next
-    /// clock write. No-op for already-private locations. Returns the
-    /// location's cell id after the split and whether a split actually
+    /// Slab cell `id` is down to one location, at index 0: its member
+    /// list goes (the sole member is implicit) and the cell moves into
+    /// that location's slot if its value says so.
+    fn shrunk_to_one(&mut self, id: SlabId) {
+        let cell = self.cells.get_mut(id);
+        debug_assert_eq!((cell.count, cell.members.len()), (1, 1));
+        let addr = cell.members[0];
+        cell.members = Vec::new();
+        let slot = Slot::reference(id, 0);
+        self.settle(CellRef { addr, slot }, id);
+    }
+
+    /// Splits the location `at` out of its sharing group: it receives a
+    /// private *reference* to the group clock (the paper's `split(L,
+    /// addr, size)`) — a refcount bump, not a copy, with an inline group
+    /// clock promoted to the arena first; divergence is deferred to the
+    /// next clock write. No-op for already-private locations. Returns the
+    /// location's handle after the split and whether a split actually
     /// happened.
-    pub fn split(&mut self, addr: Addr) -> (SlabId, bool) {
-        let loc = *self.table.get(addr).expect("location must exist");
-        let group = self.cells.get(loc.cell);
+    pub fn split(&mut self, at: CellRef) -> (CellRef, bool) {
+        self.check_fresh(at);
+        let Home::Slab { cell: gid, idx } = at.slot.home() else {
+            return (at, false);
+        };
+        let group = self.cells.get(gid);
         if group.count == 1 {
-            return (loc.cell, false);
+            return (at, false);
         }
-        let (state, tainted) = (group.state, group.tainted);
-        let shared = match group.clock {
+        let (clock, state, tainted) = (group.clock, group.state, group.tainted);
+        let shared = match clock {
             ClockSlot::Own(e) => {
                 let shared = self.intern(AccessClock::Epoch(e), 2);
-                self.cells.get_mut(loc.cell).clock = shared;
+                self.cells.get_mut(gid).clock = shared;
                 shared
             }
             ClockSlot::Arena(cid) => {
                 self.clocks.get_mut(cid).rc += 1;
-                group.clock
+                clock
             }
         };
-        self.detach(addr, loc.cell, loc.idx);
-        let new_id = self.alloc_cell(shared, state);
-        self.cells.get_mut(new_id).tainted = tainted;
-        let l = self.table.get_mut(addr).expect("loc");
-        l.cell = new_id;
-        l.idx = 0;
-        (new_id, true)
+        self.detach(at.addr, gid, idx);
+        let slot = self.new_cell(shared, state, tainted);
+        (self.set_slot(at.addr, slot), true)
     }
 
     /// Every member of `addr`'s sharing group (including `addr`), sorted.
     pub fn group_members(&self, addr: Addr) -> Vec<Addr> {
-        let Some(loc) = self.table.get(addr) else {
-            return vec![addr];
-        };
-        let cell = self.cells.get(loc.cell);
-        if cell.members.is_empty() {
-            vec![addr]
-        } else {
-            let mut m: Vec<Addr> = Vec::with_capacity(cell.members.len());
-            m.extend_from_slice(&cell.members);
-            m.sort_unstable();
-            m
+        if let Some(Home::Slab { cell, .. }) = self.table.get(addr).map(|slot| slot.home()) {
+            let members = &self.cells.get(cell).members;
+            if !members.is_empty() {
+                let mut m = members.clone();
+                m.sort_unstable();
+                return m;
+            }
         }
+        vec![addr]
     }
 
     /// A debugging snapshot of `addr`'s group.
     pub fn snapshot(&self, addr: Addr) -> Option<GroupSnapshot> {
-        let id = self.lookup(addr)?;
-        let cell = self.cell(id);
+        let at = self.lookup(addr)?;
         Some(GroupSnapshot {
-            clock: self.clock_view(id).to_clock(),
-            state: cell.state,
+            clock: self.clock_view(at).to_clock(),
+            state: self.cell(at).state,
             members: self.group_members(addr),
         })
     }
 
     /// Finds the nearest populated location strictly before `addr`
-    /// (within `max_dist` bytes), returning its address and cell id.
-    pub fn nearest_predecessor(&self, addr: Addr, max_dist: u64) -> Option<(Addr, SlabId)> {
+    /// (within `max_dist` bytes).
+    pub fn nearest_predecessor(&self, addr: Addr, max_dist: u64) -> Option<CellRef> {
         self.table
             .nearest_predecessor(addr, max_dist)
-            .map(|(a, l)| (a, l.cell))
+            .map(|(addr, &slot)| CellRef { addr, slot })
     }
 
     /// Finds the nearest populated location strictly after `addr`.
-    pub fn nearest_successor(&self, addr: Addr, max_dist: u64) -> Option<(Addr, SlabId)> {
+    pub fn nearest_successor(&self, addr: Addr, max_dist: u64) -> Option<CellRef> {
         self.table
             .nearest_successor(addr, max_dist)
-            .map(|(a, l)| (a, l.cell))
+            .map(|(addr, &slot)| CellRef { addr, slot })
     }
 
     /// Removes every location in `[base, base+len)`, freeing cells whose
@@ -500,21 +854,26 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// are compacted afterwards, which costs O(survivors) only for the
     /// affected cells.
     pub fn remove_range(&mut self, base: Addr, len: u64) {
-        let end = base.0 + len;
         let cells = &mut self.cells;
+        let mut solos = 0;
         let mut emptied: Vec<SlabId> = Vec::new();
         let mut dirty: Vec<SlabId> = Vec::new();
-        self.table.remove_range(base, len, |_, loc: Loc| {
-            let cell = cells.get_mut(loc.cell);
-            cell.count -= 1;
-            if cell.count == 0 {
-                emptied.push(loc.cell);
-            } else if !dirty.contains(&loc.cell) {
-                dirty.push(loc.cell);
-            }
-        });
+        self.table
+            .remove_range(base, len, |_, slot: Slot| match slot.home() {
+                Home::Slot(_) => solos += 1,
+                Home::Slab { cell: id, .. } => {
+                    let cell = cells.get_mut(id);
+                    cell.count -= 1;
+                    if cell.count == 0 {
+                        emptied.push(id);
+                    } else if !dirty.contains(&id) {
+                        dirty.push(id);
+                    }
+                }
+            });
+        self.free_solos(solos);
         for id in emptied {
-            self.free_cell(id);
+            self.free_slab_cell(id);
         }
         // Compact surviving boundary-spanning groups: take the member
         // list out, patch the relocated indices, and put it back —
@@ -525,12 +884,16 @@ impl<K: StoreSelect> PlaneOn<K> {
             }
             let cell = self.cells.get_mut(id);
             let mut members = std::mem::take(&mut cell.members);
-            members.retain(|a| a.0 < base.0 || a.0 >= end);
+            members.retain(|a| a.0 < base.0 || a.0 - base.0 >= len);
             debug_assert_eq!(members.len(), cell.count as usize);
             for (i, a) in members.iter().enumerate() {
-                self.table.get_mut(*a).expect("survivor exists").idx = i as u32;
+                self.set_slot(*a, Slot::reference(id, i as u32));
             }
+            let left = members.len();
             self.cells.get_mut(id).members = members;
+            if left == 1 {
+                self.shrunk_to_one(id);
+            }
         }
     }
 
@@ -544,17 +907,15 @@ impl<K: StoreSelect> PlaneOn<K> {
 
     /// Removes a single location.
     pub fn remove(&mut self, addr: Addr) {
-        let Some(&loc) = self.table.get(addr) else {
+        let Some(slot) = self.table.remove(addr) else {
             return;
         };
-        if self.cells.get(loc.cell).count == 1 {
-            self.free_cell(loc.cell);
-        } else {
-            self.detach(addr, loc.cell, loc.idx);
-            // A group reduced to one member keeps its (now length-1)
-            // member list; enumeration stays correct either way.
+        match slot.home() {
+            Home::Slab { cell, idx } if self.cells.get(cell).count > 1 => {
+                self.detach(addr, cell, idx)
+            }
+            _ => self.free_cell(slot),
         }
-        self.table.remove(addr);
     }
 
     /// Number of populated locations.
@@ -562,9 +923,9 @@ impl<K: StoreSelect> PlaneOn<K> {
         self.table.len()
     }
 
-    /// Number of live cells (sharing groups).
+    /// Number of live cells (sharing groups), in slots and in the slab.
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.cells.len() + self.in_slot
     }
 
     /// Number of live logical clocks (arena entries + inline clocks) —
@@ -608,32 +969,49 @@ impl<K: StoreSelect> PlaneOn<K> {
     pub fn check_invariants(&self) {
         let mut per_cell: FastMap<SlabId, usize> = FastMap::default();
         let mut loc_count = 0usize;
-        self.table.for_each(|addr, loc| {
+        let mut solos = 0usize;
+        self.table.for_each(|addr, slot| {
             loc_count += 1;
-            assert!(
-                self.cells.contains(loc.cell),
-                "location {addr:?} points at a dead cell"
-            );
-            *per_cell.entry(loc.cell).or_default() += 1;
-            let cell = self.cells.get(loc.cell);
-            if cell.members.is_empty() {
-                assert_eq!(loc.idx, 0, "singleton {addr:?} has nonzero idx");
-            } else {
-                assert_eq!(
-                    cell.members.get(loc.idx as usize),
-                    Some(&addr),
-                    "member index of {addr:?} is stale"
-                );
+            match slot.home() {
+                // A cell in a slot is one location holding an own epoch
+                // by construction; what is left to check is that the
+                // packing loses nothing.
+                Home::Slot(solo) => {
+                    solos += 1;
+                    assert_eq!(
+                        solo.pack(),
+                        Some(*slot),
+                        "the cell in the slot of {addr:?} does not fit it"
+                    );
+                }
+                Home::Slab { cell: id, idx } => {
+                    assert!(
+                        self.cells.contains(id),
+                        "location {addr:?} points at a dead cell"
+                    );
+                    *per_cell.entry(id).or_default() += 1;
+                    let cell = self.cells.get(id);
+                    if cell.members.is_empty() {
+                        assert_eq!(idx, 0, "sole member {addr:?} has nonzero idx");
+                    } else {
+                        assert_eq!(
+                            cell.members.get(idx as usize),
+                            Some(&addr),
+                            "member index of {addr:?} is stale"
+                        );
+                    }
+                }
             }
         });
         assert_eq!(loc_count, self.table.len(), "location count mismatch");
+        assert_eq!(solos, self.in_slot, "cells living in slots miscounted");
         assert_eq!(
-            per_cell.values().sum::<usize>(),
+            per_cell.values().sum::<usize>() + solos,
             self.table.len(),
             "location count mismatch"
         );
-        let mut bytes = 0usize;
-        let mut inline = 0usize;
+        let mut bytes = solos * CELL_BYTES;
+        let mut inline = solos;
         let mut per_clock: FastMap<SlabId, u32> = FastMap::default();
         for (id, cell) in self.cells.iter() {
             let refs = per_cell.get(&id).copied().unwrap_or(0);
@@ -643,13 +1021,15 @@ impl<K: StoreSelect> PlaneOn<K> {
                 cell.count, refs
             );
             assert!(refs > 0, "cell {id:?} is unreachable");
-            if !cell.members.is_empty() {
-                assert_eq!(
-                    cell.members.len(),
-                    refs,
-                    "cell {id:?} member list out of sync"
-                );
-            }
+            assert!(
+                cell.solo().is_none(),
+                "cell {id:?} belongs in its location's slot"
+            );
+            assert_eq!(
+                cell.members.len(),
+                if refs == 1 { 0 } else { refs },
+                "cell {id:?} member list out of sync"
+            );
             match cell.clock {
                 ClockSlot::Own(_) => inline += 1,
                 ClockSlot::Arena(cid) => {
@@ -678,20 +1058,44 @@ impl<K: StoreSelect> PlaneOn<K> {
             bytes += clock_payload_bytes(&entry.clock);
         }
         assert_eq!(bytes, self.vc_bytes, "vc byte accounting drifted");
-        assert_eq!(self.cells.len(), self.cell_count());
+        assert_eq!(self.cells.len() + solos, self.cell_count());
     }
 
     /// Serializes the plane: a table of its logical clocks, then the
-    /// cells, each naming its clock by table index. Cells are renumbered
-    /// densely in slab-iteration order and the clock table is written in
-    /// the order cells first reference its entries, an inline clock as an
-    /// entry of refcount 1 — so equal planes encode to equal bytes
-    /// regardless of slab free-list history or of where a clock happens
-    /// to live, and the copy-on-write sharing structure (which cells
-    /// hold which clock, and each clock's refcount) is preserved exactly.
+    /// cells, each naming its clock by table index, then the locations in
+    /// ascending address order, each naming its cell. Cells are numbered
+    /// in the order that list first references them and the clock table
+    /// is written in the order cells first reference its entries, an
+    /// inline clock as an entry of refcount 1 and a cell living in its
+    /// slot as a cell of one location — so equal planes encode to equal
+    /// bytes regardless of slab free-list history or of where a cell or
+    /// a clock happens to live, and the copy-on-write sharing structure
+    /// (which cells hold which clock, and each clock's refcount) is
+    /// preserved exactly.
     pub fn encode(&self, w: &mut SnapshotWriter) {
+        let mut locs: Vec<CellRef> = Vec::with_capacity(self.table.len());
+        self.table
+            .for_each(|addr, &slot| locs.push(CellRef { addr, slot }));
+        locs.sort_unstable_by_key(|at| at.addr);
+        // One handle per cell, in order of first reference, and each
+        // location's cell number.
+        let mut cells: Vec<CellRef> = Vec::with_capacity(self.cell_count());
+        let mut slab_dense: FastMap<SlabId, u32> = FastMap::default();
+        let cell_of_loc: Vec<u32> = locs
+            .iter()
+            .map(|&at| {
+                let mut number = || {
+                    cells.push(at);
+                    cells.len() as u32 - 1
+                };
+                match at.slot.home() {
+                    Home::Slot(_) => number(),
+                    Home::Slab { cell, .. } => *slab_dense.entry(cell).or_insert_with(number),
+                }
+            })
+            .collect();
+
         let mut arena_dense: FastMap<SlabId, u32> = FastMap::default();
-        let mut clock_of_cell: Vec<u32> = Vec::with_capacity(self.cells.len());
         let mut entries = 0u32;
         let mut entry = |w: &mut SnapshotWriter, clock: &AccessClock, rc: u32| {
             encode_access_clock(w, clock);
@@ -700,38 +1104,41 @@ impl<K: StoreSelect> PlaneOn<K> {
             entries - 1
         };
         w.count(self.clock_count());
-        for (_, cell) in self.cells.iter() {
-            clock_of_cell.push(match cell.clock {
+        let clock_of_cell: Vec<u32> = cells
+            .iter()
+            .map(|&at| match self.clock_slot(at) {
                 ClockSlot::Own(e) => entry(w, &AccessClock::Epoch(e), 1),
                 ClockSlot::Arena(cid) => *arena_dense.entry(cid).or_insert_with(|| {
                     let shared = self.clocks.get(cid);
                     entry(w, &shared.clock, shared.rc)
                 }),
-            });
-        }
-        let mut cell_dense: FastMap<SlabId, u32> = FastMap::default();
-        w.count(self.cells.len());
-        for ((id, cell), clock) in self.cells.iter().zip(clock_of_cell) {
-            let idx = cell_dense.len() as u32;
-            cell_dense.insert(id, idx);
+            })
+            .collect();
+        w.count(cells.len());
+        for (&at, clock) in cells.iter().zip(clock_of_cell) {
+            let cell = self.cell(at);
             w.u32(clock);
             w.u8(state_tag(cell.state));
             w.u32(cell.count);
             w.bool(cell.tainted);
             w.u8(cell.redecisions);
-            w.count(cell.members.len());
-            for m in &cell.members {
+            let members: &[Addr] = match at.slot.home() {
+                Home::Slot(_) => &[],
+                Home::Slab { cell, .. } => &self.cells.get(cell).members,
+            };
+            w.count(members.len());
+            for m in members {
                 w.u64(m.0);
             }
         }
-        let mut locs: Vec<(Addr, Loc)> = Vec::with_capacity(self.table.len());
-        self.table.for_each(|addr, loc| locs.push((addr, *loc)));
-        locs.sort_unstable_by_key(|&(addr, _)| addr);
         w.count(locs.len());
-        for (addr, loc) in locs {
-            w.u64(addr.0);
-            w.u32(cell_dense[&loc.cell]);
-            w.u32(loc.idx);
+        for (at, cell) in locs.iter().zip(cell_of_loc) {
+            w.u64(at.addr.0);
+            w.u32(cell);
+            w.u32(match at.slot.home() {
+                Home::Slot(_) => 0,
+                Home::Slab { idx, .. } => idx,
+            });
         }
         let chunks = self.table.byte_mode_chunks();
         w.count(chunks.len());
@@ -744,12 +1151,14 @@ impl<K: StoreSelect> PlaneOn<K> {
         w.u32(self.max_group);
     }
 
-    /// Rebuilds a plane from [`PlaneOn::encode`]d bytes. Fresh slabs
-    /// allocate sequential ids, so the dense indices in the stream map
-    /// directly onto the ids handed back by `alloc`. An epoch-form clock
-    /// of refcount 1 is restored inline, whichever place it was saved
-    /// from; a refcount that differs from the number of cells naming the
-    /// entry is rejected.
+    /// Rebuilds a plane from [`PlaneOn::encode`]d bytes, in whatever
+    /// order they number the cells (before cells could live in slots
+    /// that was slab order). Where a cell and a clock are restored to is
+    /// decided from their values, whichever place they were saved from:
+    /// an epoch-form clock of refcount 1 inline, a cell of one location
+    /// that holds one and fits in that location's slot. A refcount that
+    /// differs from the number of cells naming the entry is rejected,
+    /// and so is a cell of one location named by two.
     pub fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, TraceError> {
         let mut plane = Self::default();
         let n = r.count("clock-arena entries")?;
@@ -768,7 +1177,10 @@ impl<K: StoreSelect> PlaneOn<K> {
             });
         }
         let n = r.count("plane cells")?;
-        let mut cell_ids = Vec::new();
+        // Per cell, the slot of its first member; a cell that lives in
+        // its slot is taken by the one location that names it.
+        let mut cell_slots: Vec<Option<Slot>> = Vec::new();
+        let mut solos = 0usize;
         for _ in 0..n {
             let at = r.offset();
             let ci = r.u32()? as usize;
@@ -790,13 +1202,24 @@ impl<K: StoreSelect> PlaneOn<K> {
             for _ in 0..m {
                 members.push(Addr(r.u64()?));
             }
-            cell_ids.push(plane.cells.alloc(Cell {
+            if count == 1 {
+                // The sole member is implicit (older snapshots may list it).
+                members = Vec::new();
+            }
+            let cell = Cell {
                 clock,
                 state,
                 count,
                 tainted,
                 redecisions,
                 members,
+            };
+            cell_slots.push(Some(match cell.solo() {
+                Some(slot) => {
+                    solos += 1;
+                    slot
+                }
+                None => Slot::reference(plane.cells.alloc(cell), 0),
             }));
         }
         if unclaimed.iter().any(|&left| left != 0) {
@@ -810,12 +1233,33 @@ impl<K: StoreSelect> PlaneOn<K> {
             let addr = Addr(r.u64()?);
             let at = r.offset();
             let ci = r.u32()? as usize;
-            let cell = *cell_ids.get(ci).ok_or(TraceError::Malformed {
+            let cell = cell_slots.get_mut(ci).ok_or(TraceError::Malformed {
                 offset: at,
                 what: "cell reference out of range",
             })?;
             let idx = r.u32()?;
-            plane.table.insert(addr, Loc { cell, idx });
+            let slot = match cell.map(Slot::home) {
+                Some(Home::Slab { cell, .. }) if idx >> MEMBER_BITS == 0 => {
+                    Slot::reference(cell, idx)
+                }
+                Some(Home::Slot(_)) if idx == 0 => {
+                    plane.in_slot += 1;
+                    cell.take().expect("just matched")
+                }
+                _ => {
+                    return Err(TraceError::Malformed {
+                        offset: at,
+                        what: "location disagrees with the cell it names",
+                    })
+                }
+            };
+            plane.table.insert(addr, slot);
+        }
+        if plane.in_slot != solos {
+            return Err(TraceError::Malformed {
+                offset: r.offset(),
+                what: "cell named by no location",
+            });
         }
         let chunks = r.count("byte-mode chunks")?;
         for _ in 0..chunks {
@@ -838,7 +1282,7 @@ impl<K: StoreSelect> PlaneOn<K> {
     }
 }
 
-/// Wire tag of a [`VcState`].
+/// Wire tag of a [`VcState`], also its three bits in a [`Slot`].
 fn state_tag(state: VcState) -> u8 {
     match state {
         VcState::FirstEpochPrivate => 0,
@@ -850,23 +1294,30 @@ fn state_tag(state: VcState) -> u8 {
 }
 
 fn state_from_tag(tag: u8, offset: u64) -> Result<VcState, TraceError> {
-    Ok(match tag {
-        0 => VcState::FirstEpochPrivate,
-        1 => VcState::FirstEpochShared,
-        2 => VcState::Shared,
-        3 => VcState::Private,
-        4 => VcState::Race,
-        tag => return Err(TraceError::BadTag { offset, tag }),
-    })
+    if tag > state_tag(VcState::Race) {
+        return Err(TraceError::BadTag { offset, tag });
+    }
+    Ok(STATE_OF_BITS[tag as usize])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgrace_vc::{Epoch, Tid};
+    use dgrace_vc::VectorClock;
 
     fn epoch(c: u32, t: u32) -> AccessClock {
         AccessClock::Epoch(Epoch::new(c, Tid(t)))
+    }
+
+    /// The current handle of a location that exists.
+    fn at<K: StoreSelect>(p: &PlaneOn<K>, addr: u64) -> CellRef {
+        p.lookup(Addr(addr)).expect("location exists")
+    }
+
+    /// Creates `addr` sharing the cell of the existing location `neighbor`.
+    fn share<K: StoreSelect>(p: &mut PlaneOn<K>, addr: u64, neighbor: u64) -> CellRef {
+        let n = at(p, neighbor);
+        p.insert_shared(Addr(addr), n)
     }
 
     #[test]
@@ -874,6 +1325,7 @@ mod tests {
         let mut p = Plane::new();
         let id = p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochPrivate);
         assert_eq!(p.lookup(Addr(0x100)), Some(id));
+        assert_eq!(id.addr(), Addr(0x100));
         assert_eq!(p.cell(id).count, 1);
         assert_eq!(p.loc_count(), 1);
         assert_eq!(p.cell_count(), 1);
@@ -882,14 +1334,135 @@ mod tests {
     }
 
     #[test]
+    fn slot_packing_round_trips_and_refuses_what_does_not_fit() {
+        let widest = Solo {
+            epoch: Epoch::new(u32::MAX, Tid((1 << TID_BITS) - 1)),
+            state: VcState::Race,
+            tainted: true,
+            redecisions: (1 << REDECISION_BITS) - 1,
+        };
+        let slot = widest.pack().expect("every field at its maximum fits");
+        let Home::Slot(back) = slot.home() else {
+            panic!("a packed cell reads back as a cell");
+        };
+        assert_eq!(back.pack(), Some(slot));
+        assert_eq!((back.epoch, back.state), (widest.epoch, widest.state));
+        assert_eq!(
+            (back.tainted, back.redecisions),
+            (widest.tainted, widest.redecisions)
+        );
+        for state in [
+            VcState::FirstEpochPrivate,
+            VcState::FirstEpochShared,
+            VcState::Shared,
+            VcState::Private,
+            VcState::Race,
+        ] {
+            assert_eq!(STATE_OF_BITS[state_tag(state) as usize], state);
+            assert_eq!(state_from_tag(state_tag(state), 0).unwrap(), state);
+        }
+        // The "never accessed" epoch in the all-zero state is still a
+        // non-zero slot.
+        let zero = Solo {
+            epoch: Epoch::NONE,
+            state: VcState::FirstEpochPrivate,
+            tainted: false,
+            redecisions: 0,
+        };
+        assert!(matches!(zero.pack().unwrap().home(), Home::Slot(_)));
+        let wide_tid = Epoch::new(1, Tid(1 << TID_BITS));
+        assert_eq!(
+            Solo {
+                epoch: wide_tid,
+                ..zero
+            }
+            .pack(),
+            None
+        );
+        let redecisions = 1 << REDECISION_BITS;
+        assert_eq!(
+            Solo {
+                redecisions,
+                ..zero
+            }
+            .pack(),
+            None
+        );
+        // A reference keeps the widest id and member index apart.
+        let id = SlabId::from_bits(NonZeroU32::MAX);
+        let last = (1 << MEMBER_BITS) - 1;
+        match Slot::reference(id, last).home() {
+            Home::Slab { cell, idx } => assert_eq!((cell, idx), (id, last)),
+            Home::Slot(_) => panic!("a reference reads back as a reference"),
+        }
+    }
+
+    #[test]
+    fn an_unshared_epoch_cell_lives_in_its_slot() {
+        let mut p = Plane::new();
+        let a = p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochPrivate);
+        assert!(a.in_slot());
+        assert_eq!((p.cell_count(), p.vc_bytes()), (1, CELL_BYTES));
+        // Writes that keep it an unshared epoch keep it there.
+        let a = p.update_clock(a, |c| c.set_write(Tid(3), 7));
+        let a = p.set_state(a, VcState::Private);
+        assert!(a.in_slot());
+        assert_eq!(p.clock_view(a), epoch(7, 3).view());
+        assert_eq!(p.cell(a).state, VcState::Private);
+        // A neighbor joining moves it to the slab...
+        let b = share(&mut p, 0x104, 0x100);
+        assert!(!b.in_slot() && !at(&p, 0x100).in_slot());
+        assert!(b.same_cell(at(&p, 0x100)));
+        assert_eq!((p.cell_count(), p.vc_bytes()), (1, CELL_BYTES));
+        p.check_invariants();
+        // ...and the neighbor leaving moves it back.
+        p.remove(Addr(0x104));
+        let a = at(&p, 0x100);
+        assert!(a.in_slot());
+        assert!(p.cell(a).tainted, "it has been shared");
+        assert_eq!((p.clock_count(), p.vc_allocs(), p.vc_frees()), (1, 1, 0));
+        p.check_invariants();
+    }
+
+    #[test]
+    fn a_field_that_does_not_fit_keeps_the_cell_in_the_slab() {
+        let mut p = Plane::new();
+        let wide = Tid(1 << TID_BITS);
+        let a = p.insert_private(
+            Addr(0x100),
+            AccessClock::Epoch(Epoch::new(1, wide)),
+            VcState::Private,
+        );
+        assert!(!a.in_slot());
+        p.check_invariants();
+        // A write by a thread that fits moves it in; one that does not,
+        // back out.
+        let a = p.update_clock(a, |c| c.set_write(Tid(1), 2));
+        assert!(a.in_slot());
+        let mut a = p.update_clock(a, |c| c.set_write(wide, 3));
+        assert!(!a.in_slot());
+        assert_eq!((p.cell_count(), p.clock_count(), p.vc_allocs()), (1, 1, 1));
+        p.check_invariants();
+        let mut b = p.insert_private(Addr(0x200), epoch(1, 0), VcState::Private);
+        for _ in 0..(1 << REDECISION_BITS) {
+            assert!(b.in_slot());
+            b = p.bump_redecisions(b);
+            a = p.bump_redecisions(a);
+        }
+        assert!(!b.in_slot(), "the 64th redecision does not fit");
+        assert_eq!(p.cell(b).redecisions, 1 << REDECISION_BITS);
+        assert_eq!(p.cell(a).redecisions, 1 << REDECISION_BITS);
+        p.check_invariants();
+    }
+
+    #[test]
     fn shared_insert_grows_group() {
         let mut p = Plane::new();
-        let id = p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        let id2 = p.insert_shared(Addr(0x104), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
-        let id3 = p.insert_shared(Addr(0x108), Addr(0x104), p.lookup(Addr(0x104)).unwrap());
-        assert_eq!(id, id2);
-        assert_eq!(id, id3);
-        assert_eq!(p.cell(id).count, 3);
+        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        let id2 = share(&mut p, 0x104, 0x100);
+        let id3 = share(&mut p, 0x108, 0x104);
+        assert!(id2.same_cell(id3) && id3.same_cell(at(&p, 0x100)));
+        assert_eq!(p.cell(id3).count, 3);
         assert_eq!(p.cell_count(), 1);
         assert_eq!(p.loc_count(), 3);
         assert_eq!(
@@ -903,17 +1476,17 @@ mod tests {
     fn split_detaches_one_member() {
         let mut p = Plane::new();
         p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x104), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
-        p.insert_shared(Addr(0x108), Addr(0x104), p.lookup(Addr(0x104)).unwrap());
+        share(&mut p, 0x104, 0x100);
+        share(&mut p, 0x108, 0x104);
         // Split the middle member.
-        let (new_id, split) = p.split(Addr(0x104));
+        let (new_id, split) = p.split(at(&p, 0x104));
         assert!(split);
         assert_eq!(p.cell(new_id).count, 1);
         assert_eq!(p.group_members(Addr(0x104)), vec![Addr(0x104)]);
         assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x108)]);
         assert_eq!(p.cell_count(), 2);
         // Splitting a private location is a no-op.
-        let (same, split2) = p.split(Addr(0x104));
+        let (same, split2) = p.split(new_id);
         assert!(!split2);
         assert_eq!(same, new_id);
     }
@@ -922,13 +1495,17 @@ mod tests {
     fn split_is_a_refcount_bump_not_a_copy() {
         let mut p = Plane::new();
         p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x104), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
+        share(&mut p, 0x104, 0x100);
         let allocs_before = p.vc_allocs();
-        let (new_id, split) = p.split(Addr(0x104));
+        let (new_id, split) = p.split(at(&p, 0x104));
         assert!(split);
         assert_eq!(p.vc_allocs(), allocs_before, "split must not allocate");
         assert_eq!(p.clock_count(), 1, "both cells share one clock value");
         assert_eq!(p.clock_refs(new_id), 2);
+        assert!(
+            !new_id.in_slot() && !at(&p, 0x100).in_slot(),
+            "a shared arena reference keeps both cells in the slab"
+        );
         assert_eq!(p.cell_count(), 2);
         p.check_invariants();
     }
@@ -936,18 +1513,20 @@ mod tests {
     #[test]
     fn update_clock_copies_on_write_when_shared() {
         let mut p = Plane::new();
-        let gid = p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x104), Addr(0x100), gid);
-        let (split_id, _) = p.split(Addr(0x104));
+        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut p, 0x104, 0x100);
+        let (split_id, _) = p.split(at(&p, 0x104));
         assert_eq!(p.clock_refs(split_id), 2);
         // Writing the split-off cell's clock must not disturb the group.
-        p.update_clock(split_id, |c| *c = epoch(9, 1));
+        let split_id = p.update_clock(split_id, |c| *c = epoch(9, 1));
+        let gid = at(&p, 0x100);
         assert_eq!(p.clock_view(split_id), epoch(9, 1).view());
         assert_eq!(
             p.clock_view(gid),
             epoch(1, 0).view(),
             "group clock untouched"
         );
+        assert!(split_id.in_slot(), "the copy is an unshared epoch");
         assert_eq!(p.clock_refs(split_id), 1);
         assert_eq!(p.clock_refs(gid), 1);
         assert_eq!(p.clock_count(), 2);
@@ -958,26 +1537,28 @@ mod tests {
     #[test]
     fn epoch_clock_moves_between_cell_and_arena() {
         let mut p = Plane::new();
-        let gid = p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x104), Addr(0x100), gid);
+        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut p, 0x104, 0x100);
+        share(&mut p, 0x108, 0x100);
         assert!(
-            p.clock_is_inline(gid),
+            p.clock_is_inline(at(&p, 0x100)),
             "an unshared epoch lives in its cell"
         );
         // Split promotes the inline group clock: one logical clock, two
         // holders, nothing allocated.
-        let (split_id, _) = p.split(Addr(0x104));
-        assert!(!p.clock_is_inline(gid) && !p.clock_is_inline(split_id));
+        let (split_id, _) = p.split(at(&p, 0x104));
+        assert!(!p.clock_is_inline(at(&p, 0x100)) && !p.clock_is_inline(split_id));
         assert_eq!((p.clock_count(), p.vc_allocs()), (1, 1));
         // Copy-on-write leaves the writer with a fresh inline clock and
         // the group as the entry's sole holder...
-        p.update_clock(split_id, |c| c.set_write(Tid(1), 9));
+        let split_id = p.update_clock(split_id, |c| c.set_write(Tid(1), 9));
         assert!(p.clock_is_inline(split_id));
+        let gid = at(&p, 0x100);
         assert_eq!((p.clock_refs(gid), p.clock_is_inline(gid)), (1, false));
         p.check_invariants();
         // ...which moves back inline at the group's own next write.
-        p.update_clock(gid, |c| c.set_write(Tid(0), 2));
-        assert!(p.clock_is_inline(gid));
+        let gid = p.update_clock(gid, |c| c.set_write(Tid(0), 2));
+        assert!(p.clock_is_inline(gid) && !gid.in_slot());
         assert_eq!((p.clock_count(), p.vc_allocs(), p.vc_frees()), (2, 2, 0));
         p.check_invariants();
     }
@@ -985,16 +1566,23 @@ mod tests {
     #[test]
     fn last_sharer_freed_leaves_one_logical_clock() {
         let mut p = Plane::new();
-        let gid = p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x104), Addr(0x100), gid);
-        p.split(Addr(0x104));
+        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut p, 0x104, 0x100);
+        p.split(at(&p, 0x104));
         p.remove(Addr(0x104));
         assert_eq!(
             (p.clock_count(), p.vc_frees()),
             (1, 0),
             "the clock survives"
         );
+        // Arena entries have no back pointers: the survivor stays in the
+        // slab, holding the entry alone, until its next write.
+        let gid = at(&p, 0x100);
+        assert_eq!((gid.in_slot(), p.clock_refs(gid)), (false, 1));
         assert_eq!(p.clock_view(gid), epoch(1, 0).view());
+        p.check_invariants();
+        let gid = p.update_clock(gid, |c| c.set_write(Tid(0), 2));
+        assert!(gid.in_slot());
         p.check_invariants();
         p.remove(Addr(0x100));
         assert_eq!((p.clock_count(), p.vc_frees()), (0, 1));
@@ -1005,17 +1593,17 @@ mod tests {
     fn vector_clock_lives_in_the_arena_until_it_deflates() {
         let mut p = Plane::new();
         let id = p.insert_private(Addr(0x100), epoch(1, 0), VcState::Private);
-        let now = dgrace_vc::VectorClock::from_slice(&[0, 3]);
-        p.update_clock(id, |c| assert!(c.record_read(Tid(1), &now)));
-        assert!(!p.clock_is_inline(id));
+        let now = VectorClock::from_slice(&[0, 3]);
+        let id = p.update_clock(id, |c| assert!(c.record_read(Tid(1), &now)));
+        assert!(!p.clock_is_inline(id) && !id.in_slot());
         assert_eq!(
             (p.clock_count(), p.vc_allocs()),
             (1, 1),
             "same logical clock"
         );
         p.check_invariants();
-        p.update_clock(id, |c| c.set_write(Tid(1), 4));
-        assert!(p.clock_is_inline(id));
+        let id = p.update_clock(id, |c| c.set_write(Tid(1), 4));
+        assert!(p.clock_is_inline(id) && id.in_slot());
         assert_eq!((p.clock_count(), p.vc_allocs(), p.vc_frees()), (1, 1, 0));
         p.check_invariants();
     }
@@ -1024,13 +1612,32 @@ mod tests {
     fn rejoin_moves_private_into_group() {
         let mut p = Plane::new();
         p.insert_private(Addr(0x100), epoch(3, 0), VcState::Private);
-        p.insert_private(Addr(0x104), epoch(3, 0), VcState::Private);
-        let id = p.rejoin(Addr(0x104), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
-        assert_eq!(p.lookup(Addr(0x100)), Some(id));
+        let own = p.insert_private(Addr(0x104), epoch(3, 0), VcState::Private);
+        let id = p.rejoin(own, at(&p, 0x100));
+        assert!(id.same_cell(at(&p, 0x100)));
         assert_eq!(p.cell(id).count, 2);
         assert_eq!(p.cell_count(), 1);
         assert_eq!(p.vc_frees(), 1);
         assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x104)]);
+        p.check_invariants();
+    }
+
+    #[test]
+    fn transfer_leaves_a_group_without_a_private_stop() {
+        let mut p = Plane::new();
+        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut p, 0x104, 0x100);
+        p.insert_private(Addr(0x0fc), epoch(2, 0), VcState::Private);
+        let allocs = p.vc_allocs();
+        let (moved, was_grouped) = p.transfer(at(&p, 0x100), at(&p, 0x0fc));
+        assert!(was_grouped && moved.same_cell(at(&p, 0x0fc)));
+        assert_eq!(p.vc_allocs(), allocs, "no clock was created on the way");
+        // The member it left behind holds the old group's own epoch
+        // alone, so that cell is back in its slot.
+        assert!(at(&p, 0x104).in_slot());
+        assert_eq!(p.clock_view(at(&p, 0x104)), epoch(1, 0).view());
+        assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x0fc), Addr(0x100)]);
+        p.check_invariants();
     }
 
     #[test]
@@ -1038,8 +1645,8 @@ mod tests {
         let mut p = Plane::new();
         let id = p.insert_private(Addr(0x100), epoch(1, 0), VcState::Private);
         let small = p.vc_bytes();
-        p.update_clock(id, |c| {
-            let mut vc = dgrace_vc::VectorClock::new();
+        let id = p.update_clock(id, |c| {
+            let mut vc = VectorClock::new();
             vc.set(Tid(0), 1);
             vc.set(Tid(7), 3);
             *c = AccessClock::Vc(vc);
@@ -1053,13 +1660,12 @@ mod tests {
     fn remove_updates_group_and_counts() {
         let mut p = Plane::new();
         p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x104), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
-        p.insert_shared(Addr(0x108), Addr(0x104), p.lookup(Addr(0x104)).unwrap());
+        share(&mut p, 0x104, 0x100);
+        share(&mut p, 0x108, 0x104);
         p.remove(Addr(0x104));
         assert_eq!(p.loc_count(), 2);
         assert_eq!(p.cell_count(), 1);
-        let id = p.lookup(Addr(0x100)).unwrap();
-        assert_eq!(p.cell(id).count, 2);
+        assert_eq!(p.cell(at(&p, 0x100)).count, 2);
         assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x108)]);
         p.remove(Addr(0x100));
         p.remove(Addr(0x108));
@@ -1072,14 +1678,40 @@ mod tests {
     fn remove_range_clears_span() {
         let mut p = Plane::new();
         p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x104), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
+        share(&mut p, 0x104, 0x100);
         p.insert_private(Addr(0x200), epoch(2, 0), VcState::Private);
+        p.insert_private(Addr(0x1f0), epoch(2, 0), VcState::Private);
         p.remove_range(Addr(0x100), 0x100);
         assert_eq!(p.loc_count(), 1);
         assert_eq!(p.lookup(Addr(0x100)), None);
         assert_eq!(p.lookup(Addr(0x104)), None);
+        assert_eq!(p.lookup(Addr(0x1f0)), None);
         assert!(p.lookup(Addr(0x200)).is_some());
         assert_eq!(p.cell_count(), 1);
+        assert_eq!((p.clock_count(), p.vc_bytes()), (1, CELL_BYTES));
+        p.check_invariants();
+    }
+
+    #[test]
+    fn remove_range_past_the_top_of_the_address_space() {
+        let top = u64::MAX - 3;
+        let mut p = Plane::new();
+        p.insert_private(Addr(top - 4), epoch(1, 0), VcState::FirstEpochShared);
+        p.insert_shared(Addr(top), at(&p, top - 4));
+        share(&mut p, top - 8, top - 4);
+        p.insert_private(Addr(0x100), epoch(1, 0), VcState::Private);
+        // [top, top + 64) runs off the end: it ends at the top, it does
+        // not wrap around to 0x100.
+        p.remove_range(Addr(top), 64);
+        assert_eq!(p.loc_count(), 3);
+        assert_eq!(
+            p.group_members(Addr(top - 4)),
+            vec![Addr(top - 8), Addr(top - 4)]
+        );
+        p.check_invariants();
+        p.remove_range(Addr(top - 8), u64::MAX);
+        assert_eq!((p.loc_count(), p.cell_count()), (1, 1));
+        p.check_invariants();
     }
 
     #[test]
@@ -1088,20 +1720,33 @@ mod tests {
         // two inner members go, the outer two must stay a valid group.
         let mut p = Plane::new();
         p.insert_private(Addr(0xfc), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x100), Addr(0xfc), p.lookup(Addr(0xfc)).unwrap());
-        p.insert_shared(Addr(0x104), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
-        p.insert_shared(Addr(0x108), Addr(0x104), p.lookup(Addr(0x104)).unwrap());
+        share(&mut p, 0x100, 0xfc);
+        share(&mut p, 0x104, 0x100);
+        share(&mut p, 0x108, 0x104);
         p.remove_range(Addr(0x100), 8);
         assert_eq!(p.loc_count(), 2);
-        let id = p.lookup(Addr(0xfc)).unwrap();
-        assert_eq!(p.cell(id).count, 2);
+        assert_eq!(p.cell(at(&p, 0xfc)).count, 2);
         assert_eq!(p.group_members(Addr(0xfc)), vec![Addr(0xfc), Addr(0x108)]);
         assert_eq!(p.group_members(Addr(0x108)), p.group_members(Addr(0xfc)));
         // Splitting a survivor still works (indices were compacted).
-        let (nid, split) = p.split(Addr(0x108));
+        let (nid, split) = p.split(at(&p, 0x108));
         assert!(split);
         assert_eq!(p.cell(nid).count, 1);
         assert_eq!(p.group_members(Addr(0xfc)), vec![Addr(0xfc)]);
+        p.check_invariants();
+    }
+
+    #[test]
+    fn partial_free_down_to_one_member_moves_the_cell_into_its_slot() {
+        let mut p = Plane::new();
+        p.insert_private(Addr(0xfc), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut p, 0x100, 0xfc);
+        share(&mut p, 0x104, 0x100);
+        p.remove_range(Addr(0x100), 8);
+        let left = at(&p, 0xfc);
+        assert!(left.in_slot());
+        assert_eq!(p.cell(left).state, VcState::FirstEpochShared);
+        assert_eq!((p.loc_count(), p.cell_count(), p.clock_count()), (1, 1, 1));
         p.check_invariants();
     }
 
@@ -1111,13 +1756,10 @@ mod tests {
         p.insert_private(Addr(0x100), epoch(1, 0), VcState::Private);
         p.insert_private(Addr(0x110), epoch(1, 0), VcState::Private);
         assert_eq!(
-            p.nearest_predecessor(Addr(0x110), 64).map(|(a, _)| a),
-            Some(Addr(0x100))
+            p.nearest_predecessor(Addr(0x110), 64),
+            p.lookup(Addr(0x100))
         );
-        assert_eq!(
-            p.nearest_successor(Addr(0x100), 64).map(|(a, _)| a),
-            Some(Addr(0x110))
-        );
+        assert_eq!(p.nearest_successor(Addr(0x100), 64), p.lookup(Addr(0x110)));
         assert_eq!(p.nearest_predecessor(Addr(0x100), 64), None);
     }
 
@@ -1125,7 +1767,7 @@ mod tests {
     fn snapshot_reflects_group() {
         let mut p = Plane::new();
         p.insert_private(Addr(0x100), epoch(5, 1), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x101), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
+        share(&mut p, 0x101, 0x100);
         let snap = p.snapshot(Addr(0x101)).unwrap();
         assert_eq!(snap.state, VcState::FirstEpochShared);
         assert_eq!(snap.clock, epoch(5, 1));
@@ -1137,36 +1779,46 @@ mod tests {
     fn split_patches_swapped_member_index() {
         let mut p = Plane::new();
         p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x104), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
-        p.insert_shared(Addr(0x108), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
-        p.insert_shared(Addr(0x10c), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
+        share(&mut p, 0x104, 0x100);
+        share(&mut p, 0x108, 0x100);
+        share(&mut p, 0x10c, 0x100);
         // Remove a middle member; the last member is swapped into its
         // index and must remain splittable.
-        let (_, s1) = p.split(Addr(0x104));
+        let (_, s1) = p.split(at(&p, 0x104));
         assert!(s1);
-        let (_, s2) = p.split(Addr(0x10c));
+        let (_, s2) = p.split(at(&p, 0x10c));
         assert!(s2);
         assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x108)]);
+    }
+
+    fn encoded(p: &Plane) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(*b"TEST", 1);
+        p.encode(&mut w);
+        w.finish()
+    }
+
+    fn decoded(bytes: &[u8]) -> Result<Plane, TraceError> {
+        let mut r = SnapshotReader::new(bytes, *b"TEST", 1, Default::default()).unwrap();
+        let p = Plane::decode(&mut r)?;
+        r.expect_end()?;
+        Ok(p)
     }
 
     #[test]
     fn encode_decode_round_trips_cow_sharing() {
         let mut p = Plane::new();
         p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x104), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
-        p.insert_shared(Addr(0x108), Addr(0x104), p.lookup(Addr(0x104)).unwrap());
+        share(&mut p, 0x104, 0x100);
+        share(&mut p, 0x108, 0x104);
         // A split leaves two cells sharing one arena entry (CoW state).
-        let (split_id, _) = p.split(Addr(0x104));
+        let (split_id, _) = p.split(at(&p, 0x104));
         assert_eq!(p.clock_refs(split_id), 2);
+        // One cell in its slot, and one whose thread id keeps it out.
         p.insert_private(Addr(0x300), epoch(7, 1), VcState::Private);
+        p.insert_private(Addr(0x304), epoch(7, 1 << TID_BITS), VcState::Private);
 
-        let mut w = SnapshotWriter::new(*b"TEST", 1);
-        p.encode(&mut w);
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes, *b"TEST", 1, Default::default()).unwrap();
-        let q = Plane::decode(&mut r).unwrap();
-        r.expect_end().unwrap();
-
+        let bytes = encoded(&p);
+        let q = decoded(&bytes).unwrap();
         q.check_invariants();
         assert_eq!(q.loc_count(), p.loc_count());
         assert_eq!(q.cell_count(), p.cell_count());
@@ -1174,13 +1826,119 @@ mod tests {
         assert_eq!(q.vc_bytes(), p.vc_bytes());
         assert_eq!(q.vc_allocs(), p.vc_allocs());
         assert_eq!(q.max_group(), p.max_group());
-        let qid = q.lookup(Addr(0x104)).unwrap();
-        assert_eq!(q.clock_refs(qid), 2, "CoW sharing survives the round trip");
+        assert_eq!(
+            q.clock_refs(at(&q, 0x104)),
+            2,
+            "CoW sharing survives the round trip"
+        );
         assert_eq!(q.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x108)]);
+        assert!(at(&q, 0x300).in_slot() && !at(&q, 0x304).in_slot());
         // Canonical: re-encoding the restored plane is byte-identical.
-        let mut w2 = SnapshotWriter::new(*b"TEST", 1);
-        q.encode(&mut w2);
-        assert_eq!(w2.finish(), bytes);
+        assert_eq!(encoded(&q), bytes);
+    }
+
+    #[test]
+    fn encoding_is_independent_of_slab_history_and_of_where_a_cell_lives() {
+        // Two groups, created in either order (so their slab ids swap),
+        // and a location whose neighbor came and went: detached, which
+        // moves the survivor's cell back into its slot, or split off
+        // first, which leaves the survivor in the slab as the sole
+        // holder of an arena epoch.
+        let build = |low_first: bool, split_first: bool| {
+            let mut p = Plane::new();
+            let bases = if low_first {
+                [0x400, 0x500]
+            } else {
+                [0x500, 0x400]
+            };
+            for base in bases {
+                p.insert_private(Addr(base), epoch(1, 0), VcState::FirstEpochShared);
+                share(&mut p, base + 4, base);
+            }
+            p.insert_private(Addr(0x300), epoch(1, 0), VcState::FirstEpochShared);
+            share(&mut p, 0x304, 0x300);
+            if split_first {
+                p.split(at(&p, 0x304));
+            }
+            p.remove(Addr(0x304));
+            p.check_invariants();
+            p
+        };
+        let (a, b) = (build(true, false), build(false, true));
+        assert!(at(&a, 0x300).in_slot() && !at(&b, 0x300).in_slot());
+        assert_eq!(encoded(&a), encoded(&b));
+        let restored = decoded(&encoded(&b)).unwrap();
+        restored.check_invariants();
+        assert!(at(&restored, 0x300).in_slot());
+    }
+
+    /// One cell as the wire has it: clock 0, `Private`, one location.
+    fn wire_cell(w: &mut SnapshotWriter, members: &[u64]) {
+        w.u32(0);
+        w.u8(state_tag(VcState::Private));
+        w.u32(members.len().max(1) as u32);
+        w.bool(false);
+        w.u8(0);
+        w.count(members.len());
+        for m in members {
+            w.u64(*m);
+        }
+    }
+
+    fn wire_tail(w: &mut SnapshotWriter, cells: u64) {
+        w.count(0); // byte-mode chunks
+        w.u64(cells * CELL_BYTES as u64);
+        w.u64(1); // vc_allocs
+        w.u64(0); // vc_frees
+        w.u32(0);
+    }
+
+    #[test]
+    fn decode_accepts_slab_order_and_a_listed_sole_member() {
+        // What the encoder wrote before cells could live in slots: cells
+        // in slab order, whatever the address order, and a group that
+        // shrank to one member still listing it.
+        let mut w = SnapshotWriter::new(*b"TEST", 1);
+        w.count(2);
+        for c in [5, 6] {
+            encode_access_clock(&mut w, &epoch(c, 0));
+            w.u32(1);
+        }
+        w.count(2);
+        wire_cell(&mut w, &[0x200]);
+        w.u32(1); // second cell: clock 1
+        w.u8(state_tag(VcState::Race));
+        w.u32(1);
+        w.bool(true);
+        w.u8(2);
+        w.count(0);
+        w.count(2);
+        for (addr, cell) in [(0x100u64, 1u32), (0x200, 0)] {
+            w.u64(addr);
+            w.u32(cell);
+            w.u32(0);
+        }
+        w.count(0);
+        w.u64(2 * CELL_BYTES as u64);
+        w.u64(2);
+        w.u64(0);
+        w.u32(2);
+        let p = decoded(&w.finish()).unwrap();
+        p.check_invariants();
+        let (a, b) = (at(&p, 0x100), at(&p, 0x200));
+        assert!(a.in_slot() && b.in_slot());
+        assert_eq!(
+            p.cell(a),
+            CellView {
+                clock: epoch(6, 0).view(),
+                state: VcState::Race,
+                count: 1,
+                tainted: true,
+                redecisions: 2
+            }
+        );
+        assert_eq!(p.clock_view(b), epoch(5, 0).view());
+        assert_eq!(p.group_members(Addr(0x200)), vec![Addr(0x200)]);
     }
 
     #[test]
@@ -1189,24 +1947,14 @@ mod tests {
         w.count(0); // no clocks
         w.count(1); // one cell...
         w.u32(5); // ...referencing clock 5
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes, *b"TEST", 1, Default::default()).unwrap();
         assert!(matches!(
-            Plane::decode(&mut r),
+            decoded(&w.finish()),
             Err(TraceError::Malformed { .. })
         ));
     }
 
     #[test]
     fn decode_rejects_refcounts_that_disagree_with_the_cells() {
-        let cell = |w: &mut SnapshotWriter| {
-            w.u32(0); // clock 0
-            w.u8(state_tag(VcState::Private));
-            w.u32(1);
-            w.bool(false);
-            w.u8(0);
-            w.count(0);
-        };
         // An rc-1 epoch held by two cells, then an rc-2 one held by one.
         for (rc, cells, why) in [(1, 2, "more cells"), (2, 1, "exceeds the cells")] {
             let mut w = SnapshotWriter::new(*b"TEST", 1);
@@ -1215,13 +1963,40 @@ mod tests {
             w.u32(rc);
             w.count(cells);
             for _ in 0..cells {
-                cell(&mut w);
+                wire_cell(&mut w, &[]);
             }
             w.count(0); // no locations
-            let bytes = w.finish();
-            let mut r = SnapshotReader::new(&bytes, *b"TEST", 1, Default::default()).unwrap();
             assert!(matches!(
-                Plane::decode(&mut r),
+                decoded(&w.finish()),
+                Err(TraceError::Malformed { what, .. }) if what.contains(why)
+            ));
+        }
+    }
+
+    #[test]
+    fn decode_rejects_locations_that_disagree_with_their_cell() {
+        // A cell of one location named by two, by none, and at a member
+        // index it cannot have.
+        for (locs, why) in [
+            (&[(0x100u64, 0u32), (0x104, 0)][..], "disagrees"),
+            (&[][..], "no location"),
+            (&[(0x100, 1)][..], "disagrees"),
+        ] {
+            let mut w = SnapshotWriter::new(*b"TEST", 1);
+            w.count(1);
+            encode_access_clock(&mut w, &epoch(1, 0));
+            w.u32(1);
+            w.count(1);
+            wire_cell(&mut w, &[]);
+            w.count(locs.len());
+            for &(addr, idx) in locs {
+                w.u64(addr);
+                w.u32(0);
+                w.u32(idx);
+            }
+            wire_tail(&mut w, 1);
+            assert!(matches!(
+                decoded(&w.finish()),
                 Err(TraceError::Malformed { what, .. }) if what.contains(why)
             ));
         }
@@ -1230,17 +2005,13 @@ mod tests {
     #[test]
     fn decode_rejects_counters_that_disagree_with_the_clock_table() {
         let mut w = SnapshotWriter::new(*b"TEST", 1);
-        for _ in 0..4 {
-            w.count(0); // no clocks, cells, locations, byte-mode chunks
+        for _ in 0..3 {
+            w.count(0); // no clocks, cells, locations
         }
-        w.u64(0); // vc_bytes
-        w.u64(1); // vc_allocs: one live clock the table does not hold
-        w.u64(0); // vc_frees
-        w.u32(0);
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes, *b"TEST", 1, Default::default()).unwrap();
+        // One live clock the table does not hold.
+        wire_tail(&mut w, 0);
         assert!(matches!(
-            Plane::decode(&mut r),
+            decoded(&w.finish()),
             Err(TraceError::Malformed { .. })
         ));
     }
@@ -1250,11 +2021,11 @@ mod tests {
         use dgrace_shadow::PagedSelect;
         let mut p: PlaneOn<PagedSelect> = PlaneOn::new();
         p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(0x104), Addr(0x100), p.lookup(Addr(0x100)).unwrap());
-        p.insert_shared(Addr(0x108), Addr(0x104), p.lookup(Addr(0x104)).unwrap());
+        share(&mut p, 0x104, 0x100);
+        share(&mut p, 0x108, 0x104);
         assert_eq!(p.loc_count(), 3);
         assert_eq!(p.cell_count(), 1);
-        let (_, split) = p.split(Addr(0x104));
+        let (_, split) = p.split(at(&p, 0x104));
         assert!(split);
         assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x108)]);
         p.remove_range(Addr(0x100), 0x10);

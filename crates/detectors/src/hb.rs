@@ -215,31 +215,30 @@ impl HbState {
         }
     }
 
-    /// Same-epoch filter for a **read** of `addr` by `t`: returns `true`
+    /// Same-epoch filter for a **read** of `addr` by `t`: returns `false`
     /// (skip) if `t` already read *or wrote* this location in its current
-    /// epoch; otherwise marks the read and returns `false`.
+    /// epoch; otherwise marks the read and returns `true`.
     pub fn first_read_in_epoch(&mut self, t: Tid, addr: Addr) -> bool {
-        let ts = self.thread_mut(t);
-        if ts.bitmap.test_either(addr) {
-            return false;
-        }
-        let before = ts.bitmap.bytes();
-        ts.bitmap.test_and_set(addr, false);
-        let after = ts.bitmap.bytes();
-        self.grow_bitmap(after - before);
-        true
+        self.first_in_epoch(t, addr, false)
     }
 
     /// Same-epoch filter for a **write** of `addr` by `t`: returns `true`
     /// (first write this epoch) and marks it, or `false` if already
     /// written this epoch.
     pub fn first_write_in_epoch(&mut self, t: Tid, addr: Addr) -> bool {
+        self.first_in_epoch(t, addr, true)
+    }
+
+    fn first_in_epoch(&mut self, t: Tid, addr: Addr, is_write: bool) -> bool {
         let ts = self.thread_mut(t);
         let before = ts.bitmap.bytes();
-        let seen = ts.bitmap.test_and_set(addr, true);
-        let after = ts.bitmap.bytes();
-        self.grow_bitmap(after - before);
-        !seen
+        let first = ts.bitmap.first_in_epoch(addr, is_write);
+        // Only a first access can have added a chunk.
+        if first {
+            let after = ts.bitmap.bytes();
+            self.grow_bitmap(after - before);
+        }
+        first
     }
 
     fn grow_bitmap(&mut self, delta: usize) {

@@ -59,15 +59,37 @@ impl EpochBitmap {
         was
     }
 
-    /// A *write* in the current epoch also covers subsequent reads for the
-    /// purpose of the first-access filter in FastTrack (a read after a
-    /// write by the same thread in the same epoch cannot be the first of a
-    /// new race). This checks both planes.
+    /// The first-access filter behind one probe of the chunk map: marks
+    /// `(addr, is_write)` unless an earlier access this epoch already
+    /// covers it, and returns whether this one was the first. A write is
+    /// covered by a write; a read by a read *or a write* (a read after a
+    /// write by the same thread in the same epoch cannot be the first of
+    /// a new race), and a covered read leaves its own bit alone. Only the
+    /// first access to a chunk in an epoch probes again, to add it.
     #[inline]
-    pub fn test_either(&self, addr: Addr) -> bool {
-        let (key, byte, _) = locate(addr, false);
-        let both = read_mask(addr) | write_mask(addr);
-        self.chunks.get(&key).is_some_and(|c| c[byte] & both != 0)
+    pub fn first_in_epoch(&mut self, addr: Addr, is_write: bool) -> bool {
+        let (key, byte, mask) = locate(addr, is_write);
+        let covering = mask | write_mask(addr);
+        match self.chunks.get_mut(&key) {
+            Some(chunk) => {
+                let first = chunk[byte] & covering == 0;
+                if first {
+                    chunk[byte] |= mask;
+                }
+                first
+            }
+            None => {
+                self.first_in_chunk(addr, is_write);
+                true
+            }
+        }
+    }
+
+    /// The first access an epoch makes to a chunk adds the chunk; kept out
+    /// of [`EpochBitmap::first_in_epoch`]'s code.
+    #[cold]
+    fn first_in_chunk(&mut self, addr: Addr, is_write: bool) {
+        self.test_and_set(addr, is_write);
     }
 
     /// Resets the bitmap — called at every lock release, when the thread's
@@ -193,13 +215,19 @@ mod tests {
     }
 
     #[test]
-    fn test_either_sees_both_planes() {
+    fn first_in_epoch_lets_a_write_cover_reads_but_not_the_reverse() {
         let mut b = EpochBitmap::new();
-        b.test_and_set(Addr(0x40), true);
-        assert!(b.test_either(Addr(0x40)));
-        assert!(!b.test_either(Addr(0x41)));
-        b.test_and_set(Addr(0x41), false);
-        assert!(b.test_either(Addr(0x41)));
+        assert!(b.first_in_epoch(Addr(0x40), true));
+        assert!(!b.first_in_epoch(Addr(0x40), true));
+        // The covered read is not first, and is not marked either.
+        assert!(!b.first_in_epoch(Addr(0x40), false));
+        assert!(!b.test(Addr(0x40), false));
+        // A read covers later reads only.
+        assert!(b.first_in_epoch(Addr(0x41), false));
+        assert!(!b.first_in_epoch(Addr(0x41), false));
+        assert!(b.first_in_epoch(Addr(0x41), true));
+        assert!(b.test(Addr(0x41), false) && b.test(Addr(0x41), true));
+        assert_eq!(b.chunk_count(), 1);
     }
 
     #[test]

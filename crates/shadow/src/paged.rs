@@ -277,21 +277,21 @@ impl<T> PagedShadow<T> {
     }
 
     /// Removes every cell with address in `[base, base+len)`, invoking `f`
-    /// on each removed `(addr, cell)`.
+    /// on each removed `(addr, cell)`. A range that runs past the top of
+    /// the address space ends there.
     pub fn remove_range(&mut self, base: Addr, len: u64, mut f: impl FnMut(Addr, T)) {
         if len == 0 {
             return;
         }
-        let first_key = Self::dir_key(base);
-        let last_key = Self::dir_key(Addr(base.0 + len - 1));
-        for key in first_key..=last_key {
+        let last = base.0.saturating_add(len - 1);
+        for key in Self::dir_key(base)..=Self::dir_key(Addr(last)) {
             let Some(di) = self.dir_index(key) else {
                 continue;
             };
             let dir = self.dirs[di as usize].as_mut().expect("mapped directory");
             for ci in 0..DIR_CHUNKS as usize {
                 let chunk_base = (key << DIR_SHIFT) + (ci as u64) * CHUNK_BYTES;
-                if chunk_base + CHUNK_BYTES <= base.0 || chunk_base >= base.0 + len {
+                if chunk_base + (CHUNK_BYTES - 1) < base.0 || chunk_base > last {
                     continue;
                 }
                 let Some(chunk) = dir.chunks[ci].as_mut() else {
@@ -300,7 +300,7 @@ impl<T> PagedShadow<T> {
                 let stride = chunk.stride();
                 for slot in 0..chunk.slots.len() {
                     let addr = Addr(chunk_base + (slot as u64) * stride);
-                    if addr.0 >= base.0 && addr.0 < base.0 + len {
+                    if (base.0..=last).contains(&addr.0) {
                         if let Some(cell) = chunk.slots[slot].take() {
                             chunk.live -= 1;
                             dir.live -= 1;
@@ -341,14 +341,12 @@ impl<T> PagedShadow<T> {
         if max_dist == 0 {
             return None;
         }
+        // Nothing lies beyond either end of the address space.
         let (lo, hi) = if dir_sign > 0 {
-            (addr.0 + 1, addr.0.saturating_add(max_dist))
+            (addr.0.checked_add(1)?, addr.0.saturating_add(max_dist))
         } else {
-            (addr.0.saturating_sub(max_dist), addr.0.saturating_sub(1))
+            (addr.0.saturating_sub(max_dist), addr.0.checked_sub(1)?)
         };
-        if lo > hi || (dir_sign < 0 && addr.0 == 0) {
-            return None;
-        }
         // Global chunk numbers covering the scan window.
         let first_gc = (if dir_sign > 0 { lo } else { hi }) >> CHUNK_SHIFT;
         let last_gc = (if dir_sign > 0 { hi } else { lo }) >> CHUNK_SHIFT;
@@ -379,7 +377,7 @@ impl<T> PagedShadow<T> {
                     if let Some(chunk) = d.chunks[ci].as_ref() {
                         let stride = chunk.stride();
                         let chunk_base = gc << CHUNK_SHIFT;
-                        let chunk_end = chunk_base + CHUNK_BYTES - 1;
+                        let chunk_end = chunk_base + (CHUNK_BYTES - 1);
                         let from = lo.max(chunk_base);
                         let to = hi.min(chunk_end);
                         if from <= to {
@@ -709,6 +707,30 @@ mod tests {
             t.nearest_successor(Addr(0x0), 0x10000),
             Some((Addr(0x10000), &1))
         );
+    }
+
+    #[test]
+    fn the_top_of_the_address_space_is_an_end_not_a_seam() {
+        let top = u64::MAX;
+        let mut t: PagedShadow<u32> = PagedShadow::new();
+        t.insert(Addr(0x100), 1);
+        t.insert(Addr(top), 2);
+        t.insert(Addr(top - 3), 3);
+        // No successor 2^64 bytes "after" the last address (and the scan
+        // for one terminates).
+        assert_eq!(t.nearest_successor(Addr(top), 8), None);
+        assert_eq!(t.nearest_successor(Addr(top), u64::MAX), None);
+        assert_eq!(t.nearest_successor(Addr(top - 3), 8), Some((Addr(top), &2)));
+        assert_eq!(
+            t.nearest_predecessor(Addr(top), 8),
+            Some((Addr(top - 3), &3))
+        );
+        // A freed range that runs past the top ends there.
+        let mut removed = Vec::new();
+        t.remove_range(Addr(top - 3), 64, |a, v| removed.push((a, v)));
+        assert_eq!(removed, vec![(Addr(top - 3), 3), (Addr(top), 2)]);
+        assert_eq!(t.get(Addr(0x100)), Some(&1));
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

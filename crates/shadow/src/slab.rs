@@ -24,6 +24,17 @@ impl SlabId {
     pub fn index(self) -> usize {
         (self.0.get() - 1) as usize
     }
+
+    /// The handle as its non-zero `index + 1`, for packing into a wider
+    /// word alongside other fields.
+    pub fn to_bits(self) -> NonZeroU32 {
+        self.0
+    }
+
+    /// The handle [`SlabId::to_bits`] unpacked.
+    pub fn from_bits(bits: NonZeroU32) -> Self {
+        SlabId(bits)
+    }
 }
 
 /// A slab of `T` with O(1) alloc/free and stable ids.
@@ -75,11 +86,13 @@ impl<T> Slab<T> {
     }
 
     /// Borrows the value at `id`.
+    #[inline]
     pub fn get(&self, id: SlabId) -> &T {
         self.items[id.index()].as_ref().expect("stale slab id")
     }
 
     /// Mutably borrows the value at `id`.
+    #[inline]
     pub fn get_mut(&mut self, id: SlabId) -> &mut T {
         self.items[id.index()].as_mut().expect("stale slab id")
     }

@@ -169,11 +169,14 @@ impl<T> ShadowTable<T> {
     }
 
     /// Removes every cell with address in `[base, base+len)`, invoking `f`
-    /// on each removed `(addr, cell)` — used when a block is freed.
+    /// on each removed `(addr, cell)` — used when a block is freed. A
+    /// range that runs past the top of the address space ends there.
     pub fn remove_range(&mut self, base: Addr, len: u64, mut f: impl FnMut(Addr, T)) {
-        let first_key = self.key(base);
-        let last_key = self.key(Addr(base.0 + len.saturating_sub(1)));
-        for key in first_key..=last_key {
+        if len == 0 {
+            return;
+        }
+        let last = base.0.saturating_add(len - 1);
+        for key in self.key(base)..=self.key(Addr(last)) {
             let Some(entry) = self.map.get_mut(&key) else {
                 continue;
             };
@@ -181,7 +184,7 @@ impl<T> ShadowTable<T> {
             let mut removed_any = false;
             for slot in 0..entry.slots.len() {
                 let addr = Addr((key << self.shift) + (slot as u64) * stride);
-                if addr.0 >= base.0 && addr.0 < base.0 + len {
+                if (base.0..=last).contains(&addr.0) {
                     if let Some(cell) = entry.slots[slot].take() {
                         self.live -= 1;
                         entry.live -= 1;
@@ -206,9 +209,8 @@ impl<T> ShadowTable<T> {
         if len == 0 {
             return out;
         }
-        let first_key = self.key(base);
-        let last_key = self.key(Addr(base.0 + len - 1));
-        for key in first_key..=last_key {
+        let last = base.0.saturating_add(len - 1);
+        for key in self.key(base)..=self.key(Addr(last)) {
             let Some(entry) = self.map.get(&key) else {
                 continue;
             };
@@ -216,7 +218,7 @@ impl<T> ShadowTable<T> {
             for (slot, cell) in entry.slots.iter().enumerate() {
                 if cell.is_some() {
                     let addr = Addr((key << self.shift) + (slot as u64) * stride);
-                    if addr.0 >= base.0 && addr.0 < base.0 + len {
+                    if (base.0..=last).contains(&addr.0) {
                         out.push(addr);
                     }
                 }
@@ -246,14 +248,12 @@ impl<T> ShadowTable<T> {
         if max_dist == 0 {
             return None;
         }
+        // Nothing lies beyond either end of the address space.
         let (lo, hi) = if dir > 0 {
-            (addr.0 + 1, addr.0.saturating_add(max_dist))
+            (addr.0.checked_add(1)?, addr.0.saturating_add(max_dist))
         } else {
-            (addr.0.saturating_sub(max_dist), addr.0.saturating_sub(1))
+            (addr.0.saturating_sub(max_dist), addr.0.checked_sub(1)?)
         };
-        if lo > hi || (dir < 0 && addr.0 == 0) {
-            return None;
-        }
         let first_key = self.key(Addr(if dir > 0 { lo } else { hi }));
         let last_key = self.key(Addr(if dir > 0 { hi } else { lo }));
         let mut key = first_key;
@@ -261,7 +261,7 @@ impl<T> ShadowTable<T> {
             if let Some(e) = self.map.get(&key) {
                 let stride = if e.byte_mode { 1u64 } else { 4 };
                 let chunk_base = key << self.shift;
-                let chunk_end = chunk_base + self.m as u64 - 1;
+                let chunk_end = chunk_base + (self.m as u64 - 1);
                 // Clamp the slot range to [lo, hi] within this chunk.
                 let from = lo.max(chunk_base);
                 let to = hi.min(chunk_end);
@@ -482,6 +482,33 @@ mod tests {
         t.insert(Addr(0x0), 1);
         assert_eq!(t.nearest_predecessor(Addr(0x0), 64), None);
         assert_eq!(t.nearest_predecessor(Addr(0x4), 64), Some((Addr(0x0), &1)));
+    }
+
+    #[test]
+    fn the_top_of_the_address_space_is_an_end_not_a_seam() {
+        let top = u64::MAX;
+        let mut t: ShadowTable<u32> = ShadowTable::new(128);
+        t.insert(Addr(0x100), 1);
+        t.insert(Addr(top), 2);
+        t.insert(Addr(top - 3), 3);
+        // No successor 2^64 bytes "after" the last address.
+        assert_eq!(t.nearest_successor(Addr(top), 8), None);
+        assert_eq!(t.nearest_successor(Addr(top), u64::MAX), None);
+        assert_eq!(t.nearest_successor(Addr(top - 3), 8), Some((Addr(top), &2)));
+        assert_eq!(
+            t.nearest_predecessor(Addr(top), 8),
+            Some((Addr(top - 3), &3))
+        );
+        assert_eq!(
+            t.addrs_in_range(Addr(top - 3), 64),
+            vec![Addr(top - 3), Addr(top)]
+        );
+        // A freed range that runs past the top ends there.
+        let mut removed = Vec::new();
+        t.remove_range(Addr(top - 3), 64, |a, v| removed.push((a, v)));
+        assert_eq!(removed, vec![(Addr(top - 3), 3), (Addr(top), 2)]);
+        assert_eq!(t.get(Addr(0x100)), Some(&1));
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

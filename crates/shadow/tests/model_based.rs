@@ -116,26 +116,39 @@ proptest! {
         }
     }
 
-    /// The bitmap against a `HashSet<(addr, plane)>` model.
+    /// The bitmap against a `HashSet<(addr, plane)>` model, through the
+    /// plain marker and through the first-access filter the detectors use.
     #[test]
     fn bitmap_matches_hashset_model(
-        ops in proptest::collection::vec((0u64..5000, any::<bool>(), any::<bool>()), 1..200)
+        ops in proptest::collection::vec(
+            (0u64..5000, any::<bool>(), any::<bool>(), any::<bool>()),
+            1..200,
+        )
     ) {
         let mut bm = EpochBitmap::new();
         let mut model: HashSet<(u64, bool)> = HashSet::new();
-        for (addr, is_write, reset) in ops {
+        for (addr, is_write, reset, filtered) in ops {
             if reset {
                 bm.reset();
                 model.clear();
             }
-            let was = bm.test_and_set(Addr(addr), is_write);
-            let mwas = !model.insert((addr, is_write));
-            prop_assert_eq!(was, mwas, "test_and_set({}, {})", addr, is_write);
-            prop_assert_eq!(bm.test(Addr(addr), is_write), true);
-            prop_assert_eq!(
-                bm.test_either(Addr(addr)),
-                model.contains(&(addr, false)) || model.contains(&(addr, true))
-            );
+            if filtered {
+                // A write this epoch covers reads; a covered access is
+                // not marked.
+                let covered = model.contains(&(addr, is_write)) || model.contains(&(addr, true));
+                let first = bm.first_in_epoch(Addr(addr), is_write);
+                prop_assert_eq!(first, !covered, "first_in_epoch({}, {})", addr, is_write);
+                if first {
+                    model.insert((addr, is_write));
+                }
+            } else {
+                let was = bm.test_and_set(Addr(addr), is_write);
+                let mwas = !model.insert((addr, is_write));
+                prop_assert_eq!(was, mwas, "test_and_set({}, {})", addr, is_write);
+            }
+            for plane in [false, true] {
+                prop_assert_eq!(bm.test(Addr(addr), plane), model.contains(&(addr, plane)));
+            }
             // Spot-check a neighbor for aliasing.
             let nb = addr ^ 1;
             prop_assert_eq!(bm.test(Addr(nb), is_write), model.contains(&(nb, is_write)));
