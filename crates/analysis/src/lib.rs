@@ -52,24 +52,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod affinity;
 mod atoms;
 mod classify;
-mod heat;
 mod lockgraph;
 mod locksets;
 mod manager;
 
 use dgrace_trace::{AnalysisSummary, Trace};
 
-pub use affinity::AffinityPass;
 pub use classify::ClassifyPass;
-pub use heat::HeatPass;
 pub use lockgraph::LockGraphPass;
 pub use manager::{AnalysisPass, PassManager, PassStats};
 
 /// Runs the standard pass pipeline over `trace` and produces the full
-/// analysis summary (classification, affinity, warnings, routing plan),
+/// analysis summary (classification and lock-graph warnings),
 /// discarding per-pass stats. Use [`analyze_with_stats`] to keep them.
 ///
 /// The trace should be structurally valid (see `dgrace_trace::validate`);
@@ -277,11 +273,11 @@ mod tests {
         let (s, stats) = analyze_with_stats(&t);
         assert_eq!(s.fingerprint, dgrace_trace::trace_fingerprint(&t));
         assert_ne!(s.fingerprint, 0);
-        assert!(!s.affinity.is_empty());
-        assert!(!s.plan.is_empty());
+        assert!(!s.ranges.is_empty());
+        assert!(!s.warnings.is_empty());
         assert_eq!(
             stats.iter().map(|p| p.name).collect::<Vec<_>>(),
-            vec!["classify", "affinity", "lock-graph", "heat"]
+            vec!["classify", "lock-graph"]
         );
         assert_eq!(s, analyze(&t), "analyze and analyze_with_stats agree");
     }

@@ -1,19 +1,17 @@
 //! The pass manager.
 //!
-//! `dgrace analyze` grew from one classification sweep into a pipeline
-//! of independent passes, each contributing one artifact to the shared
-//! [`AnalysisSummary`]: classification feeds the prune filter, affinity
-//! pre-seeds the dynamic detector's group cells, the lock graph emits
-//! potential-race/deadlock warnings, and the heat histogram compiles
-//! into a shard routing plan. The manager owns ordering, binds the
-//! summary to its trace with a content fingerprint, and times every
+//! `dgrace analyze` is a pipeline of independent passes, each
+//! contributing one artifact to the shared [`AnalysisSummary`]:
+//! classification feeds the prune filter and the lock graph emits
+//! potential-race/deadlock warnings. The manager owns ordering, binds
+//! the summary to its trace with a content fingerprint, and times every
 //! pass so the CLI can report where analysis budget goes.
 //!
 //! Passes communicate only through the summary they build: a pass may
 //! read what earlier passes wrote (the lock-graph pass consumes the
 //! classifier's `Contended` ranges) but never mutates another pass's
 //! artifact. That keeps the set pluggable — dropping a pass degrades
-//! the run (fewer prunes, no plan) without changing any other output.
+//! the run (fewer prunes, no warnings) without changing any other output.
 
 use std::time::Instant;
 
@@ -58,14 +56,12 @@ impl PassManager {
         Self::default()
     }
 
-    /// The standard pipeline: classification, sharing affinity, lock
-    /// graph, heat histogram — everything `dgrace analyze` emits.
+    /// The standard pipeline: classification, then the lock graph —
+    /// everything `dgrace analyze` emits.
     pub fn standard() -> Self {
         let mut m = Self::new();
         m.push(Box::new(crate::ClassifyPass));
-        m.push(Box::new(crate::AffinityPass));
         m.push(Box::new(crate::LockGraphPass));
-        m.push(Box::new(crate::HeatPass));
         m
     }
 

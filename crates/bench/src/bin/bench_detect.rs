@@ -15,10 +15,8 @@
 //! dynamic detector behind the sampling tier at shards=1, with recall
 //! measured against the full detector's race set on the same cell).
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use dgrace_analysis::analyze;
 use dgrace_bench::scaling::{BenchFile, BenchRun, REQUIRED_SHARDS};
 use dgrace_core::DynamicGranularityOn;
 use dgrace_detectors::{
@@ -26,13 +24,11 @@ use dgrace_detectors::{
 };
 use dgrace_runtime::{replay_pipelined, replay_sharded};
 use dgrace_shadow::{HashSelect, PagedSelect, StoreSelect};
-use dgrace_trace::{AccessSize, AffinityMap, Trace, TraceBuilder};
+use dgrace_trace::{AccessSize, Trace, TraceBuilder};
 use dgrace_workloads::{Workload, WorkloadKind};
 
 /// Workloads tracked by the baseline: the three the paper leans on for
-/// its sharing argument, one byte-heavy outlier, and ffmpeg — the
-/// workload where the AOT pre-seed's second-epoch shortcut saves the
-/// most clock allocations.
+/// its sharing argument, one byte-heavy outlier, and ffmpeg.
 const WORKLOADS: [WorkloadKind; 5] = [
     WorkloadKind::Pbzip2,
     WorkloadKind::Streamcluster,
@@ -86,22 +82,12 @@ const SAMPLE_SPECS: [&str; 3] = [
     "loc:5,granule:16384",
 ];
 
-/// Cold prototypes plus the preseed variant: the dynamic detector
-/// warm-started from the AOT analyzer's sharing-affinity map. Each
-/// entry carries the `variant` column value for its rows.
-fn detector_suite<K: StoreSelect>(
-    affinity: &Arc<AffinityMap>,
-) -> Vec<(Box<dyn ShardableDetector>, &'static str)> {
-    let mut seeded = DynamicGranularityOn::<K>::new();
-    seeded.set_affinity(Arc::clone(affinity));
+/// The tracked prototypes; their rows carry `variant` `cold`.
+fn detector_suite<K: StoreSelect>() -> Vec<Box<dyn ShardableDetector>> {
     vec![
-        (
-            Box::new(FastTrackOn::<K>::with_granularity(Granularity::Byte)) as Box<_>,
-            "cold",
-        ),
-        (Box::new(DjitOn::<K>::new()), "cold"),
-        (Box::new(DynamicGranularityOn::<K>::new()), "cold"),
-        (Box::new(seeded), "preseed"),
+        Box::new(FastTrackOn::<K>::with_granularity(Granularity::Byte)),
+        Box::new(DjitOn::<K>::new()),
+        Box::new(DynamicGranularityOn::<K>::new()),
     ]
 }
 
@@ -131,16 +117,15 @@ fn bench_store<K: StoreSelect>(
     store: &'static str,
     workload: &str,
     trace: &Trace,
-    affinity: &Arc<AffinityMap>,
     runs: &mut Vec<BenchRun>,
 ) {
-    for (proto, variant) in detector_suite::<K>(affinity) {
+    for proto in detector_suite::<K>() {
         for shards in REQUIRED_SHARDS {
             let (secs, rep) = timed(proto.as_ref(), trace, shards);
             runs.push(BenchRun {
                 workload: workload.to_string(),
                 detector: rep.detector.clone(),
-                variant: variant.to_string(),
+                variant: "cold".to_string(),
                 store: store.to_string(),
                 shards,
                 events: rep.stats.events,
@@ -238,19 +223,9 @@ fn main() {
         .collect();
     traces.push(("sharing-churn".to_string(), sharing_churn_trace()));
     for (name, trace) in &traces {
-        let affinity = Arc::new(analyze(trace).affinity);
-        assert!(
-            !affinity.is_empty(),
-            "{name}: analyzer certified no affinity ranges; the preseed \
-             rows would collapse into the cold `dynamic` cells"
-        );
-        eprintln!(
-            "{name}: {} events, {} affinity ranges",
-            trace.len(),
-            affinity.ranges.len()
-        );
-        bench_store::<HashSelect>("hash", name, trace, &affinity, &mut runs);
-        bench_store::<PagedSelect>("paged", name, trace, &affinity, &mut runs);
+        eprintln!("{name}: {} events", trace.len());
+        bench_store::<HashSelect>("hash", name, trace, &mut runs);
+        bench_store::<PagedSelect>("paged", name, trace, &mut runs);
         bench_sampled(name, trace, &mut runs);
     }
     let file = BenchFile {
@@ -269,12 +244,7 @@ fn main() {
         "workload", "detector", "hash", "paged", "x4/x1"
     );
     for (name, _) in &traces {
-        for (base, variant) in [
-            ("fasttrack-byte", "cold"),
-            ("djit-byte", "cold"),
-            ("dynamic", "cold"),
-            ("dynamic", "preseed"),
-        ] {
+        for base in ["fasttrack-byte", "djit-byte", "dynamic"] {
             let find = |store: &str, shards: usize| {
                 file.runs
                     .iter()
@@ -282,22 +252,17 @@ fn main() {
                         r.workload == *name
                             && r.shards == shards
                             && r.store == store
-                            && r.variant == variant
+                            && r.variant == "cold"
                             && r.detector.starts_with(base)
                     })
                     .map(BenchRun::events_per_sec)
             };
             if let (Some(h1), Some(p1)) = (find("hash", 1), find("paged", 1)) {
                 let speedup = find("hash", 4).map_or(0.0, |h4| h4 / h1.max(1e-9));
-                let label = if variant == "preseed" {
-                    format!("{base}+preseed")
-                } else {
-                    base.to_string()
-                };
                 println!(
                     "{:<14} {:<16} {:>8.1} {:>8.1} {:>8.2}x",
                     name,
-                    label,
+                    base,
                     h1 / 1e6,
                     p1 / 1e6,
                     speedup

@@ -9,11 +9,9 @@
 //! `host_cpus` records the parallelism of the machine that produced the
 //! file — scaling claims are only meaningful relative to it, so the
 //! gate reads it before judging speedup ratios. Version 3 adds the
-//! `variant` column (`cold` or `preseed`) and the `dynamic+preseed`
-//! rows, which replay the dynamic-granularity detector warm-started
-//! from an AOT sharing-affinity map. Version 4 adds the `recall`
-//! column and the `sampled@<spec>` rows: the dynamic detector behind
-//! the sampling tier, with recall measured against the full (unsampled)
+//! `variant` column (`cold` for every unsampled row). Version 4 adds
+//! the `recall` column and the `sampled@<spec>` rows: the dynamic
+//! detector behind the sampling tier, with recall measured against the full (unsampled)
 //! detector's race set on the same cell. Sampled rows run at shards=1
 //! only — they chart recall vs overhead, not the scaling curve — so the
 //! structural full-curve requirement exempts them.
@@ -31,9 +29,8 @@ pub struct BenchRun {
     pub workload: String,
     /// Detector name as reported (e.g. `dynamic`, `fasttrack-byte`).
     pub detector: String,
-    /// Seeding variant: `cold` (no AOT artifacts) or `preseed` (the
-    /// detector was handed the analyzer's sharing-affinity map before
-    /// replay). Absent in schema ≤ 2 files, where every row is `cold`.
+    /// `cold` (the bare detector) or `sampled@<spec>`. Absent in schema
+    /// ≤ 2 files, where every row is `cold`.
     pub variant: String,
     /// Shadow store: `hash` or `paged`.
     pub store: String,
@@ -79,7 +76,7 @@ impl BenchRun {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchFile {
     /// Schema version (2 adds `host_cpus` and the 8/16-shard points;
-    /// 3 adds the `variant` column and the `dynamic+preseed` rows).
+    /// 3 adds the `variant` column).
     pub schema_version: u64,
     /// Workload scale factor the traces were generated at.
     pub scale: f64,

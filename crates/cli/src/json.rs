@@ -70,7 +70,6 @@ pub fn report(rep: &Report, decode: &DecodeStats) -> String {
         o,
         "  \"stats\": {{\"events\": {}, \"accesses\": {}, \"pruned\": {}, \
          \"same_epoch\": {}, \"dropped\": {}, \"events_lost\": {}, \"evicted\": {}, \
-         \"preseed_hits\": {}, \"preseed_misses\": {}, \
          \"sample_admitted\": {}, \"sample_skipped\": {}, \"peak_total_bytes\": {}}},",
         s.events,
         s.accesses,
@@ -79,8 +78,6 @@ pub fn report(rep: &Report, decode: &DecodeStats) -> String {
         s.dropped,
         s.events_lost,
         s.evicted,
-        s.preseed_hits,
-        s.preseed_misses,
         s.sample_admitted,
         s.sample_skipped,
         s.peak_total_bytes
@@ -192,21 +189,6 @@ pub fn analyze_report(summary: &AnalysisSummary, passes: &[PassStats]) -> String
     let _ = writeln!(o, "  \"prunable_accesses\": {},", s.prunable_accesses());
     let _ = writeln!(o, "  \"total_accesses\": {},", s.total_accesses());
 
-    o.push_str("  \"affinity\": [");
-    for (i, r) in summary.affinity.ranges.iter().enumerate() {
-        o.push_str(if i == 0 { "\n" } else { ",\n" });
-        let _ = write!(
-            o,
-            "    {{\"start\": \"{:#x}\", \"len\": {}, \"stride\": {}}}",
-            r.start.0, r.len, r.stride
-        );
-    }
-    o.push_str(if summary.affinity.ranges.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-
     o.push_str("  \"warnings\": [");
     for (i, w) in summary.warnings.iter().enumerate() {
         o.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -235,7 +217,6 @@ pub fn analyze_report(summary: &AnalysisSummary, passes: &[PassStats]) -> String
         "\n  ],\n"
     });
     let _ = writeln!(o, "  \"warning_count\": {},", summary.warnings.len());
-    let _ = writeln!(o, "  \"heat_buckets\": {},", summary.plan.buckets.len());
 
     o.push_str("  \"passes\": [");
     for (i, ps) in passes.iter().enumerate() {
@@ -301,8 +282,6 @@ mod tests {
             "\"last_event\": null",
             "\"dropped_events\": 1",
             "\"degraded\": true",
-            "\"preseed_hits\": 0",
-            "\"preseed_misses\": 0",
             "\"sample_admitted\": 0",
             "\"sample_skipped\": 0",
         ] {
@@ -312,18 +291,11 @@ mod tests {
 
     #[test]
     fn analyze_json_is_deterministic_and_complete() {
-        use dgrace_trace::{AffinityRange, AnalysisSummary, AnalysisWarning, LockId};
+        use dgrace_trace::{AnalysisSummary, AnalysisWarning, LockId};
         let summary = AnalysisSummary {
             fingerprint: 0xabcd,
             trace_events: 12,
             trace_accesses: 9,
-            affinity: dgrace_trace::AffinityMap {
-                ranges: vec![AffinityRange {
-                    start: Addr(0x1000),
-                    len: 64,
-                    stride: 8,
-                }],
-            },
             warnings: vec![
                 AnalysisWarning::LockOrderCycle {
                     locks: vec![LockId(1), LockId(2)],
@@ -346,7 +318,6 @@ mod tests {
         for needle in [
             "\"fingerprint\": \"0x000000000000abcd\"",
             "\"trace_events\": 12",
-            "\"stride\": 8",
             "\"kind\": \"lock-order-cycle\", \"locks\": [1, 2]",
             "\"kind\": \"unlocked-shared-range\", \"start\": \"0x200\"",
             "\"warning_count\": 2",

@@ -4,12 +4,11 @@
 //! dgrace gen <workload> [--scale S] [--seed N] -o trace.dgrt
 //! dgrace analyze <trace.dgrt> [-o summary.dgas] [--json]
 //! dgrace detect <detector> <trace.dgrt> [--max-races N] [--shards N] [--pipeline] [--prune-with summary.dgas]
-//!                                       [--plan-with summary.dgas] [--affinity-with summary.dgas]
 //!                                       [--shadow hash|paged]
 //!                                       [--shadow-budget BYTES] [--memory-limit BYTES]
 //!                                       [--resync] [--json] [--self-heal]
 //!                                       [--checkpoint-dir D] [--checkpoint-every N|Ns] [--resume D]
-//!                                       [--sample full|loc:K|period:N|adaptive:F]
+//!                                       [--sample full|loc:K|period:N]
 //! dgrace serve <socket> [--shards N] [--max-sessions N] [--degrade-sessions N]
 //!                       [--degrade-sample SPEC|off] [--idle-timeout SECS]
 //!                       [--checkpoint-dir D] [--checkpoint-every N] [--resume]
@@ -32,7 +31,6 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use dgrace_analysis::analyze_with_stats;
 use dgrace_baselines::{HybridDetector, LockSetDetector, SegmentDetector};
@@ -51,9 +49,9 @@ use dgrace_trace::io::{
     read_summary, read_trace_with, write_summary, write_trace, EventReader, BLOCK_EVENTS,
 };
 use dgrace_trace::{
-    stats::stats, validate, AffinityMap, AnalysisSummary, BlockReader, DecodeLimits, DecodeStats,
-    Event, Fingerprint, LocationClass, PruneSet, ReadOptions, RoutingPlan, Trace, TraceError,
-    ValidationError, Validator,
+    stats::stats, validate, AnalysisSummary, BlockReader, DecodeLimits, DecodeStats, Event,
+    Fingerprint, LocationClass, PruneSet, ReadOptions, Trace, TraceError, ValidationError,
+    Validator,
 };
 use dgrace_workloads::{Workload, WorkloadKind};
 
@@ -179,26 +177,20 @@ fn print_help() {
         "dgrace — dynamic-granularity data race detection\n\n\
          USAGE:\n\
          \x20 dgrace gen <workload> [--scale S] [--seed N] -o <file>   generate a workload trace\n\
-         \x20 dgrace analyze <file> [-o <summary>] [--json]            run the multi-pass AOT analysis\n\
-         \x20                                                          (classify, affinity, lock-graph,\n\
-         \x20                                                          heat); -o saves a .dgas summary,\n\
+         \x20 dgrace analyze <file> [-o <summary>] [--json]            run the AOT analysis (classify,\n\
+         \x20                                                          lock-graph); -o saves a .dgas summary,\n\
          \x20                                                          --json prints a deterministic report\n\
          \x20 dgrace detect <detector> <file> [--max-races N] [--shards N] [--prune-with <summary>]\n\
-         \x20                                 [--plan-with <summary>]  run a detector over a trace,\n\
-         \x20                                 [--affinity-with <summary>] optionally across N address shards,\n\
-         \x20                                 [--shadow hash|paged]    skipping provably race-free accesses;\n\
-         \x20                                 [--shadow-budget BYTES]  --plan-with balances shards from the\n\
-         \x20                                 [--resync] [--json]      summary's heat histogram,\n\
-         \x20                                 [--self-heal]            --affinity-with pre-seeds the dynamic\n\
-         \x20                                 [--checkpoint-dir D]     detector's grouping (same race set,\n\
-         \x20                                 [--checkpoint-every N|Ns] fewer probe epochs),\n\
-         \x20                                 [--resume D]             --shadow picks the shadow store,\n\
-         \x20                                 [--pipeline]             --shadow-budget caps shadow memory\n\
-         \x20                                 [--sample <spec>]        (cold state is evicted past the cap),\n\
-         \x20                                 [--memory-limit BYTES]   --memory-limit caps accounted memory\n\
-         \x20                                                          with a deterministic pressure ladder\n\
-         \x20                                                          (evict, coarsen, sample — the run\n\
-         \x20                                                          completes instead of aborting),\n\
+         \x20                                 [--shadow hash|paged]    run a detector over a trace,\n\
+         \x20                                 [--shadow-budget BYTES]  optionally across N address shards,\n\
+         \x20                                 [--resync] [--json]      skipping provably race-free accesses;\n\
+         \x20                                 [--self-heal]            --shadow picks the shadow store,\n\
+         \x20                                 [--checkpoint-dir D]     --shadow-budget caps shadow memory\n\
+         \x20                                 [--checkpoint-every N|Ns] (cold state is evicted past the cap),\n\
+         \x20                                 [--resume D]             --memory-limit caps accounted memory\n\
+         \x20                                 [--pipeline]             with a deterministic pressure ladder\n\
+         \x20                                 [--sample <spec>]        (evict, coarsen, sample — the run\n\
+         \x20                                 [--memory-limit BYTES]   completes instead of aborting),\n\
          \x20                                                          --resync skips damaged trace frames,\n\
          \x20                                                          --json prints a deterministic report,\n\
          \x20                                                          --pipeline feeds shards through\n\
@@ -213,10 +205,8 @@ fn print_help() {
          \x20                                                          a subset of accesses: full, loc:K\n\
          \x20                                                          (K per location then decay),\n\
          \x20                                                          period:N[,window:W] (1-in-N windows),\n\
-         \x20                                                          adaptive:F (budget follows the heat\n\
-         \x20                                                          histogram; needs --plan-with), each\n\
-         \x20                                                          with optional ,seed:S (sync events\n\
-         \x20                                                          are always processed)\n\
+         \x20                                                          each with optional ,seed:S (sync\n\
+         \x20                                                          events are always processed)\n\
          \x20 dgrace serve <socket> [--shards N]                        run the live ingestion server on a\n\
          \x20                       [--max-sessions N]                  Unix socket: hard admission watermark\n\
          \x20                       [--degrade-sessions N]              (shed with OVERLOADED past it), soft\n\
@@ -429,11 +419,6 @@ fn cmd_analyze(rest: &[String]) -> Result<(), Failure> {
         s.total_accesses(),
         s.prunable_fraction() * 100.0
     );
-    outln!(
-        "affinity      : {} certified stride range(s)",
-        summary.affinity.len()
-    );
-    outln!("routing heat  : {} bucket(s)", summary.plan.buckets.len());
     if summary.warnings.is_empty() {
         outln!("warnings      : none");
     } else {
@@ -463,59 +448,34 @@ fn cmd_analyze(rest: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// The `.dgas` analysis summaries one `detect` run was handed. Passing
-/// the one file `analyze` writes to `--prune-with`, `--plan-with` and
-/// `--affinity-with` decodes it once, and every one is checked against
-/// the one fingerprint the scan took of the trace.
-struct Summaries<'t> {
-    facts: &'t TraceFacts,
-    loaded: Vec<(String, Arc<AnalysisSummary>)>,
-}
-
-impl<'t> Summaries<'t> {
-    fn of(facts: &'t TraceFacts) -> Self {
-        Summaries {
-            facts,
-            loaded: Vec::new(),
-        }
+/// Loads the `.dgas` summary at `path` and checks it was produced from
+/// the trace being detected (pruning with a summary from a *different*
+/// trace would be unsound): the event count first, then the content
+/// fingerprint the scan took. Either mismatch is [`Failure::Stale`]
+/// (exit 8), so scripts can distinguish "re-run analyze" from a corrupt
+/// file or a bad invocation.
+fn load_summary(path: &str, facts: &TraceFacts) -> Result<AnalysisSummary, Failure> {
+    let f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
+    let summary =
+        read_summary(&mut BufReader::new(f)).map_err(|e| decode_failure(path, &e, false))?;
+    if summary.trace_events != facts.events {
+        return Err(Failure::Stale(format!(
+            "summary {path} was built from a {}-event trace, but this trace has {} events \
+             (re-run `dgrace analyze`)",
+            summary.trace_events, facts.events
+        )));
     }
-
-    /// Loads the summary at `path` and checks it was produced from the
-    /// trace being detected (pruning, pre-seeding, or routing with a
-    /// summary from a *different* trace would be unsound). v2 summaries
-    /// carry a content fingerprint of the source trace; v1 summaries fall
-    /// back to the event-count check. Either mismatch is
-    /// [`Failure::Stale`] (exit 8), so scripts can distinguish "re-run
-    /// analyze" from a corrupt file or a bad invocation.
-    fn load(&mut self, path: &str) -> Result<Arc<AnalysisSummary>, Failure> {
-        if let Some((_, summary)) = self.loaded.iter().find(|(p, _)| p == path) {
-            return Ok(Arc::clone(summary));
-        }
-        let f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
-        let summary =
-            read_summary(&mut BufReader::new(f)).map_err(|e| decode_failure(path, &e, false))?;
-        if summary.trace_events != self.facts.events {
-            return Err(Failure::Stale(format!(
-                "summary {path} was built from a {}-event trace, but this trace has {} events \
-                 (re-run `dgrace analyze`)",
-                summary.trace_events, self.facts.events
-            )));
-        }
-        let fp = self
-            .facts
-            .fingerprint
-            .expect("the scan fingerprints the trace whenever a summary flag is given");
-        if summary.fingerprint != 0 && summary.fingerprint != fp {
-            return Err(Failure::Stale(format!(
-                "summary {path} was built from a different trace (fingerprint {:#018x}, this trace \
-                 is {fp:#018x}); re-run `dgrace analyze`",
-                summary.fingerprint
-            )));
-        }
-        let summary = Arc::new(summary);
-        self.loaded.push((path.to_string(), Arc::clone(&summary)));
-        Ok(summary)
+    let fp = facts
+        .fingerprint
+        .expect("the scan fingerprints the trace whenever --prune-with is given");
+    if summary.fingerprint != fp {
+        return Err(Failure::Stale(format!(
+            "summary {path} was built from a different trace (fingerprint {:#018x}, this trace \
+             is {fp:#018x}); re-run `dgrace analyze`",
+            summary.fingerprint
+        )));
     }
+    Ok(summary)
 }
 
 /// Compiles a prune set matched to the detector: the granule is the
@@ -527,7 +487,7 @@ fn compile_prune(det_name: &str, summary: &AnalysisSummary) -> Result<PruneSet, 
     let (granule, margin) = match det_name {
         "byte" | "djit" => (1, 0),
         "word" => (4, 0),
-        "dynamic" | "dynamic-no-init" | "dynamic-guided" => (1, 256),
+        "dynamic" | "dynamic-no-init" => (1, 256),
         other => {
             return Err(format!(
                 "detector `{other}` does not support --prune-with (supported: {})",
@@ -536,19 +496,6 @@ fn compile_prune(det_name: &str, summary: &AnalysisSummary) -> Result<PruneSet, 
         }
     };
     Ok(summary.prune_set(granule, margin))
-}
-
-/// Extracts the sharing-affinity map for `--affinity-with`: only the
-/// dynamic-granularity family consults it (the certified strides seed
-/// its grouping decisions); other detectors have no grouping to seed.
-fn compile_affinity(det_name: &str, summary: &AnalysisSummary) -> Result<Arc<AffinityMap>, String> {
-    match det_name {
-        "dynamic" | "dynamic-no-init" | "dynamic-guided" => Ok(Arc::new(summary.affinity.clone())),
-        other => Err(format!(
-            "detector `{other}` does not support --affinity-with (supported: \
-             dynamic, dynamic-no-init, dynamic-guided)"
-        )),
-    }
 }
 
 /// One-line decode failure: file, what went wrong (with the byte offset,
@@ -730,12 +677,9 @@ fn make_shardable(
 }
 
 /// What `detect` wraps around the bare detector, in this order from the
-/// inside out: the affinity map; the sampling tier (its adaptive
-/// strategy fed the AOT heat histogram when `--plan-with` supplied one,
-/// so the admission budget concentrates where sharing churn was
-/// measured); the memory governor (outside the sampler, so it both
-/// captures the user's `--shadow-budget` and meters every arriving
-/// event); then the shadow budget. Budget and governor quota are
+/// inside out: the sampling tier; the memory governor (outside the
+/// sampler, so it both captures the user's `--shadow-budget` and meters
+/// every arriving event); then the shadow budget. Budget and governor quota are
 /// whole-run caps: each shard holds a slice of the address space, so it
 /// gets a slice — which keeps the pressure ladder deterministic, each
 /// shard deciding rungs from its own substream and modeled bytes, never
@@ -743,16 +687,14 @@ fn make_shardable(
 /// engine prunes upstream of the shards, the serial path in an outermost
 /// filter): pruned accesses never reach the sampler, so its budget is
 /// spent on the residue that actually needs analysis.
-struct Stack<'a> {
-    affinity: Option<Arc<AffinityMap>>,
+struct Stack {
     sample: Option<SampleSpec>,
-    heat: Option<&'a RoutingPlan>,
     memory_limit: Option<u64>,
     budget: Option<u64>,
     shards: usize,
 }
 
-impl Stack<'_> {
+impl Stack {
     /// `B` is the box the stack is built in — a shardable prototype for
     /// the engine, any detector for the serial path — and `sampled` /
     /// `governed` put a wrapped detector back into one (`|d| Box::new(d)`).
@@ -762,15 +704,8 @@ impl Stack<'_> {
         sampled: fn(Sampled<B>) -> B,
         governed: fn(Governed<B>) -> B,
     ) -> B {
-        if let Some(map) = &self.affinity {
-            det.set_affinity(Arc::clone(map));
-        }
         if let Some(spec) = &self.sample {
-            let mut layer = Sampled::new(det, spec.clone());
-            if let Some(plan) = self.heat {
-                layer.set_heat(plan);
-            }
-            det = sampled(layer);
+            det = sampled(Sampled::new(det, spec.clone()));
         }
         if let Some(lim) = self.memory_limit {
             det = governed(Governed::new(
@@ -843,8 +778,6 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
             "--max-races",
             "--shards",
             "--prune-with",
-            "--plan-with",
-            "--affinity-with",
             "--shadow",
             "--shadow-budget",
             "--checkpoint-dir",
@@ -888,40 +821,15 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         .map_err(Failure::Usage)?;
 
     let resync = p.flag("--resync");
-    let summary_flags = ["--prune-with", "--plan-with", "--affinity-with"];
     let input = TraceInput::of(path)?;
-    let facts = scan(
-        &input,
-        resync,
-        summary_flags.iter().any(|f| p.opt(f).is_some()),
-    )?;
-    let mut summaries = Summaries::of(&facts);
+    let facts = scan(&input, resync, p.opt("--prune-with").is_some())?;
     let prune = match p.opt("--prune-with") {
-        Some(sp) => compile_prune(det_name, summaries.load(sp)?.as_ref())?,
+        Some(sp) => compile_prune(det_name, &load_summary(sp, &facts)?)?,
         None => PruneSet::empty(),
-    };
-    // The routing plan balances the summary's heat histogram across the
-    // requested shard count; with one shard (and no pipeline) it
-    // compiles to nothing and detection proceeds unplanned. The raw
-    // histogram is kept around: `--sample adaptive:F` re-weights its
-    // admission budget from the same heat data.
-    let plan_summary: Option<Arc<AnalysisSummary>> = p
-        .opt("--plan-with")
-        .map(|sp| summaries.load(sp))
-        .transpose()?;
-    let routes: Vec<(u64, u64, usize)> = plan_summary
-        .as_ref()
-        .map(|s| s.plan.compile(shards))
-        .unwrap_or_default();
-    let affinity: Option<Arc<AffinityMap>> = match p.opt("--affinity-with") {
-        Some(sp) => Some(compile_affinity(det_name, summaries.load(sp)?.as_ref())?),
-        None => None,
     };
 
     let stack = Stack {
-        affinity,
         sample,
-        heat: plan_summary.as_ref().map(|s| &s.plan),
         memory_limit,
         budget,
         shards,
@@ -968,7 +876,6 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
                 Transport::Funnel
             },
             prune,
-            routes: &routes,
             supervisor: self_heal.then(SupervisorPolicy::default),
             checkpoint: ckpt.as_ref(),
             resume: resume.as_ref(),

@@ -205,20 +205,39 @@ fn stale_summary_is_exit_8_by_count_and_by_fingerprint() {
 
     let out = dgrace(&["detect", "dynamic", &this, "--prune-with", &own, "--json"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    for flag in ["--prune-with", "--plan-with", "--affinity-with"] {
-        let out = dgrace(&["detect", "dynamic", &this, flag, &by_count, "--shards", "2"]);
+    let stale = |summary: &str| {
+        let args = ["detect", "dynamic", &this, "--prune-with", summary];
+        dgrace(&[&args[..], &["--shards", "2"]].concat())
+    };
+    assert_rejected(
+        &stale(&by_count),
+        8,
+        &format!(
+            "summary {by_count} was built from a 208-event trace, but this trace has 206 events"
+        ),
+    );
+    assert_rejected(
+        &stale(&by_print),
+        8,
+        &format!("summary {by_print} was built from a different trace (fingerprint 0x"),
+    );
+}
+
+#[test]
+fn a_summary_of_an_older_format_version_is_a_decode_error() {
+    // `data/pr18-v2.dgas` is what the last build with `DGAS` version 2
+    // (affinity and heat sections) wrote for a fluidanimate trace. The
+    // version is refused before the summary is compared with the trace,
+    // so any trace will do.
+    let dir = scratch("dgas-v2");
+    let trace = write(&dir, "t.dgrt", &to_bytes(&racy_trace(100)));
+    let summary = write(&dir, "v2.dgas", include_bytes!("data/pr18-v2.dgas"));
+    for extra in [&[][..], &["--shards", "2", "--pipeline"]] {
+        let args = [&["detect", "byte", &trace, "--prune-with", &summary], extra].concat();
         assert_rejected(
-            &out,
-            8,
-            &format!(
-                "summary {by_count} was built from a 208-event trace, but this trace has 206 events"
-            ),
-        );
-        let out = dgrace(&["detect", "dynamic", &this, flag, &by_print, "--shards", "2"]);
-        assert_rejected(
-            &out,
-            8,
-            &format!("summary {by_print} was built from a different trace (fingerprint 0x"),
+            &dgrace(&args),
+            4,
+            &format!("decode {summary}: unsupported format version 2"),
         );
     }
 }
@@ -303,6 +322,44 @@ fn a_pipe_is_detected_like_the_file_it_carries() {
         4,
         &format!("decode /dev/stdin: truncated stream at byte {cut}: 5 more byte(s) expected"),
     );
+}
+
+#[test]
+fn an_alloc_at_the_last_address_routes_like_any_other() {
+    // `Alloc { addr: u64::MAX, size: 0 }` decodes (`addr + size` does not
+    // wrap); the validator objects to its size, which `--resync` turns
+    // into a warning. The shard router registers the object's one-byte
+    // range, which must end at the top of the address space, not wrap
+    // past it: both transports give the serial report.
+    let top = u64::MAX;
+    let mut b = TraceBuilder::new();
+    b.fork(0u32, 1u32)
+        .alloc(0u32, 0x1000u64, 64)
+        .alloc(0u32, top, 0)
+        .write(0u32, 0x1000u64, AccessSize::U64)
+        .write(1u32, 0x1000u64, AccessSize::U64)
+        .write(0u32, top, AccessSize::U8)
+        .write(1u32, top, AccessSize::U8)
+        .join(0u32, 1u32);
+    let dir = scratch("top-alloc");
+    let path = write(&dir, "t.dgrt", &to_bytes(&b.build()));
+    // `peak_total_bytes` is a sum of per-shard peaks; nothing else moves.
+    let report = |extra: &[&str]| {
+        let args = [&["detect", "dynamic", &path, "--resync", "--json"], extra].concat();
+        let out = dgrace_within(Duration::from_secs(30), &args);
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains("zero-sized alloc/free"));
+        let report = String::from_utf8_lossy(&out.stdout).into_owned();
+        let (head, tail) = report
+            .split_once("\"peak_total_bytes\": ")
+            .expect("a report with its peak bytes");
+        let tail = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+        format!("{head}{tail}")
+    };
+    let serial = report(&[]);
+    assert!(serial.contains("\"race_count\": 2"), "{serial}");
+    assert_eq!(report(&["--shards", "2"]), serial, "funnel");
+    assert_eq!(report(&["--shards", "2", "--pipeline"]), serial, "rings");
 }
 
 #[test]

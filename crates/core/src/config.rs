@@ -30,23 +30,6 @@ pub struct DynamicConfig {
     /// FastTrack over two planes — used by property tests to verify the
     /// embedded FastTrack protocol against the exact oracle.
     pub enable_sharing: bool,
-    /// §VII future work #1: "the decision of sharing read vector clocks
-    /// can be guided by the status of write vector clocks." When set, a
-    /// read location may only share with a neighbor whose *write*
-    /// location already shares a clock with this location's write
-    /// location (write sharing is firmer evidence that the two addresses
-    /// belong to one structure). More conservative: fewer read-plane
-    /// sharing artifacts, slightly less memory saving. Default off (the
-    /// paper's published algorithm).
-    pub guide_reads_by_writes: bool,
-    /// §VII future work #2: "enhance the vector clock state machine to
-    /// accommodate access behavior after the second epoch so that the
-    /// detection granularity can be changed more dynamically." A
-    /// `Private` location may re-attempt the sharing decision on later
-    /// accesses, up to this many extra attempts over its lifetime
-    /// (successful or not). 0 = the paper's machine (the firm decision
-    /// is final).
-    pub max_redecisions: u8,
     /// Report a race for *every* location sharing the racy clock, not
     /// just the accessed one. This mirrors the paper's observed x264
     /// behaviour (4 extra reported races from locations that shared a
@@ -61,8 +44,6 @@ impl Default for DynamicConfig {
             share_at_init: true,
             first_epoch_scan: 8,
             enable_sharing: true,
-            guide_reads_by_writes: false,
-            max_redecisions: 0,
             report_group_races: true,
         }
     }
@@ -97,23 +78,6 @@ impl DynamicConfig {
     pub fn no_sharing() -> Self {
         DynamicConfig {
             enable_sharing: false,
-            ..Self::default()
-        }
-    }
-
-    /// §VII future work #1: write-guided read sharing enabled.
-    pub fn write_guided() -> Self {
-        DynamicConfig {
-            guide_reads_by_writes: true,
-            ..Self::default()
-        }
-    }
-
-    /// §VII future work #2: allow `n` extra sharing decisions after the
-    /// second epoch.
-    pub fn with_redecisions(n: u8) -> Self {
-        DynamicConfig {
-            max_redecisions: n,
             ..Self::default()
         }
     }

@@ -5,12 +5,9 @@ use dgrace_detectors::{
     AccessKind, Detector, HbState, RaceKind, RaceReport, Report, ShardableDetector, SharingStats,
 };
 use dgrace_shadow::{HashSelect, MemClass, MemoryModel, PressureLevel, StoreSelect};
-use std::sync::Arc;
 
 use dgrace_trace::snapshot::{STATE_MAGIC, STATE_VERSION};
-use dgrace_trace::{
-    Addr, AffinityMap, Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError,
-};
+use dgrace_trace::{Addr, Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{AccessClock, ClockView, Epoch, Tid};
 
 use crate::plane::{CellRef, PlaneOn};
@@ -50,15 +47,6 @@ pub struct DynamicGranularityOn<K: StoreSelect> {
     peak_locs: usize,
     cells_at_peak: usize,
     event_index: u64,
-    /// AOT sharing-affinity map used to pre-seed group decisions; empty
-    /// when running unseeded. Shared across shards.
-    affinity: Arc<AffinityMap>,
-    /// Locality memo for [`AffinityMap::certified_hinted`]: index of the
-    /// last certifying run. Pure performance state — any value yields
-    /// the same answers — so it is neither snapshotted nor compared.
-    affinity_hint: usize,
-    preseed_hits: u64,
-    preseed_misses: u64,
     /// Governor-forced first-epoch scan widening (0 = no pressure). The
     /// effective scan is `config.first_epoch_scan.max(pressure_scan)`.
     /// Deliberately *not* part of [`DynamicConfig`] and not serialized:
@@ -70,15 +58,10 @@ pub struct DynamicGranularityOn<K: StoreSelect> {
 /// The default detector: dynamic granularity on the chained-hash store.
 pub type DynamicGranularity = DynamicGranularityOn<HashSelect>;
 
-/// Minimum verification misses before the pre-seed bailout can trigger
-/// (see [`DynamicGranularityOn::preseed_bailed`]). Small maps get a fair
-/// shake; a handful of early misses never disables a good map.
-pub const PRESEED_BAILOUT_MISSES: u64 = 64;
-
-/// Miss-rate threshold for the bailout as `(numerator, denominator)`:
-/// once [`PRESEED_BAILOUT_MISSES`] is reached, the map is abandoned when
-/// misses account for at least 3/4 of all verifications so far.
-pub const PRESEED_BAILOUT_RATE: (u64, u64) = (3, 4);
+/// What the snapshot's trailing digest word reads when no map was
+/// installed (FNV-1a over a zero range count): the only value this
+/// build writes or restores.
+const NO_AFFINITY_DIGEST: u64 = 0xa8c7_f832_281a_39c5;
 
 /// First-epoch scan width the memory governor forces at
 /// [`PressureLevel::High`] and above (the default is 8 bytes): a wider
@@ -117,10 +100,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             peak_locs: 0,
             cells_at_peak: 0,
             event_index: 0,
-            affinity: Arc::new(AffinityMap::default()),
-            affinity_hint: 0,
-            preseed_hits: 0,
-            preseed_misses: 0,
             pressure_scan: 0,
         }
     }
@@ -128,65 +107,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     /// The active configuration.
     pub fn config(&self) -> &DynamicConfig {
         &self.config
-    }
-
-    /// Installs an AOT sharing-affinity map (`detect --affinity-with`).
-    ///
-    /// Every prediction is re-verified against live shadow state before
-    /// it is taken, and any mismatch falls back to the unseeded probe
-    /// path, so a stale or adversarial map can cost probes but cannot
-    /// change the race set. Must be installed before any events; the
-    /// map survives [`Detector::finish`] resets and is cloned into
-    /// shards.
-    pub fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        self.affinity = map;
-        self.affinity_hint = 0;
-    }
-
-    /// Certification check through the locality memo (see
-    /// [`AffinityMap::certified_hinted`]); updates the memo on a hit.
-    /// Once the map has [bailed](Self::preseed_bailed) every check
-    /// answers `false` without consulting the map — the seeded probe
-    /// paths disappear and the counters freeze at the bailout point.
-    fn affinity_certified(&mut self, addr: Addr, size: u64) -> bool {
-        match self
-            .affinity
-            .certified_hinted(addr, size, self.affinity_hint)
-        {
-            // The bailout latch is checked only on a hit: a miss is
-            // `false` either way, and cold runs (empty map) never pay
-            // for the check.
-            Some(i) if !self.preseed_bailed() => {
-                self.affinity_hint = i;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Whether the pre-seed verification counters have crossed the
-    /// bailout threshold: at least [`PRESEED_BAILOUT_MISSES`] misses
-    /// *and* a miss rate of [`PRESEED_BAILOUT_RATE`] or worse. A map
-    /// that mispredicts this consistently costs a wasted verification
-    /// probe on nearly every write (canneal-style workloads lose ~8%),
-    /// so the detector stops consulting it. Pure function of the two
-    /// serialized counters — a resumed run is bailed exactly when the
-    /// interrupted one was, and every prediction actually taken was
-    /// verified, so the race set is byte-identical either way.
-    pub fn preseed_bailed(&self) -> bool {
-        let (num, den) = PRESEED_BAILOUT_RATE;
-        self.preseed_misses >= PRESEED_BAILOUT_MISSES
-            && self.preseed_misses * den >= (self.preseed_hits + self.preseed_misses) * num
-    }
-
-    /// The installed affinity map (empty when unseeded).
-    pub fn affinity(&self) -> &AffinityMap {
-        &self.affinity
-    }
-
-    /// Pre-seed verification counters: `(hits, misses)`.
-    pub fn preseed_counters(&self) -> (u64, u64) {
-        (self.preseed_hits, self.preseed_misses)
     }
 
     /// Read-plane group snapshot for `addr` (testing/diagnostics).
@@ -246,12 +166,12 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             AccessKind::Write => self.read.lookup(addr),
         };
         match lookup {
-            None => self.first_access(addr, size, kind, my_epoch, other),
+            None => self.first_access(addr, kind, my_epoch, other),
             Some(at) => {
                 if self.plane(kind).cell(at).state.is_init() {
                     self.second_epoch_access(size, kind, my_epoch, at, other);
                 } else {
-                    self.steady_access(size, kind, my_epoch, at, other);
+                    self.steady_access(kind, my_epoch, at, other);
                 }
             }
         }
@@ -273,7 +193,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     fn first_access(
         &mut self,
         addr: Addr,
-        size: u64,
         kind: AccessKind,
         my_epoch: Epoch,
         other: Option<CellRef>,
@@ -297,52 +216,22 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
                 // against any non-Race neighbor.
                 c.state != VcState::Race
             };
-            state_ok
-                && c.clock == ClockView::Epoch(my_epoch)
-                && det.write_guidance_ok(kind, addr, n.addr())
+            state_ok && c.clock == ClockView::Epoch(my_epoch)
         };
-        let mut preseed = None;
         let sharing_on = enable_sharing && (share_at_init || !init_state);
-        // Affinity fast path: a certified write stride shrinks the
-        // predecessor window from `scan` to the stride. A hit is the
-        // *same* neighbor the full-window scan would return (the
-        // nearest populated predecessor), so the decision is
-        // byte-identical under any map; a miss falls through to the
-        // unseeded probes, paying at most `size` wasted lookups.
-        // (Hoisted above the plane borrow for the hint memo's `&mut`.)
-        let seeded_ok = sharing_on
-            && kind == AccessKind::Write
-            && size <= scan
-            && self.affinity_certified(addr, size);
         let neighbor = if !sharing_on {
             None // sharing disabled / Table 5 "no sharing at Init"
         } else {
             let plane = self.plane(kind);
-            let seeded = if seeded_ok {
-                let hit = plane
-                    .nearest_predecessor(addr, size)
-                    .filter(|n| compatible(self, n));
-                preseed = Some(hit.is_some());
-                hit
-            } else {
-                None
-            };
-            seeded.or_else(|| {
-                plane
-                    .nearest_predecessor(addr, scan)
-                    .filter(|n| compatible(self, n))
-                    .or_else(|| {
-                        plane
-                            .nearest_successor(addr, scan)
-                            .filter(|n| compatible(self, n))
-                    })
-            })
+            plane
+                .nearest_predecessor(addr, scan)
+                .filter(|n| compatible(self, n))
+                .or_else(|| {
+                    plane
+                        .nearest_successor(addr, scan)
+                        .filter(|n| compatible(self, n))
+                })
         };
-        match preseed {
-            Some(true) => self.preseed_hits += 1,
-            Some(false) => self.preseed_misses += 1,
-            None => {}
-        }
 
         let plane = self.plane_mut(kind);
         let at = match neighbor {
@@ -387,13 +276,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         other: Option<CellRef>,
     ) {
         let addr = old.addr();
-        // Affinity fast path: join the certified predecessor's group
-        // directly, skipping the split (and its clock bookkeeping). Any
-        // verification failure falls through to the unseeded sequence.
-        if self.try_preseeded_second_epoch(size, kind, my_epoch, old, other) {
-            return;
-        }
-
         // Split L out of any temporary first-epoch group.
         let plane = self.plane_mut(kind);
         let (at, split) = plane.split(old);
@@ -425,72 +307,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         }
     }
 
-    /// The pre-seeded second-epoch path for a certified write: when the
-    /// access is race-free and the predecessor at `addr - size` passes
-    /// exactly the checks [`try_share_with_exact_neighbors`] applies to
-    /// its *first* probe, the location transfers into that group without
-    /// ever splitting out a private clock. Returns `true` when taken.
-    ///
-    /// Byte-identical to the unseeded sequence: the race check sees the
-    /// same clock (split shares the clock entry, and a write's recorded
-    /// clock is `Epoch(my_epoch)` — which the neighbor must already
-    /// equal), the probe address and acceptance checks match the
-    /// unseeded first probe, and every failure path falls back to the
-    /// full unseeded sequence. Only `vc_allocs`/`vc_frees` differ — the
-    /// skipped split is the perf win.
-    ///
-    /// [`try_share_with_exact_neighbors`]: Self::try_share_with_exact_neighbors
-    fn try_preseeded_second_epoch(
-        &mut self,
-        size: u64,
-        kind: AccessKind,
-        my_epoch: Epoch,
-        old: CellRef,
-        other: Option<CellRef>,
-    ) -> bool {
-        let addr = old.addr();
-        if kind != AccessKind::Write
-            || !self.config.enable_sharing
-            || !self.affinity_certified(addr, size)
-        {
-            return false;
-        }
-        // Race first: a racing access must split, record and report on
-        // the unseeded path (the report's group membership depends on
-        // the split having happened).
-        if self.race_check(kind, my_epoch.tid, old, other).is_some() {
-            self.preseed_misses += 1;
-            return false;
-        }
-        let candidate = {
-            let plane = self.plane(kind);
-            addr.0
-                .checked_sub(size)
-                .and_then(|n| plane.lookup(Addr(n)))
-                .filter(|&n| {
-                    // A neighbor in `old`'s own group needs no special
-                    // case: that group is still in an Init state, which
-                    // `accepts_second_epoch_sharing` rejects.
-                    let c = plane.cell(n);
-                    c.state.accepts_second_epoch_sharing() && c.clock == ClockView::Epoch(my_epoch)
-                })
-                .filter(|n| self.write_guidance_ok(kind, addr, n.addr()))
-        };
-        let Some(n) = candidate else {
-            self.preseed_misses += 1;
-            return false;
-        };
-        let plane = self.plane_mut(kind);
-        let (at, was_grouped) = plane.transfer(old, n);
-        plane.set_state(at, VcState::Shared);
-        self.shares += 1;
-        if was_grouped {
-            self.splits += 1;
-        }
-        self.preseed_hits += 1;
-        true
-    }
-
     /// Attempts the exact-neighbor (`L±size`) sharing decision for the
     /// location whose private cell is `at`. Returns `true` if the
     /// location joined a neighbor's group (state set to `Shared`).
@@ -507,9 +323,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
                 .filter_map(|n| plane.lookup(Addr(n)))
                 .find(|&n| {
                     let c = plane.cell(n);
-                    c.state.accepts_second_epoch_sharing()
-                        && c.clock == my_clock
-                        && self.write_guidance_ok(kind, addr, n.addr())
+                    c.state.accepts_second_epoch_sharing() && c.clock == my_clock
                 })
         };
         if let Some(n) = candidate {
@@ -527,7 +341,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     /// the (possibly shared) cell.
     fn steady_access(
         &mut self,
-        size: u64,
         kind: AccessKind,
         my_epoch: Epoch,
         at: CellRef,
@@ -552,37 +365,9 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         } else {
             at
         };
-        let (at, inflated) = self.record_access(kind, at, my_epoch);
+        self.record_access(kind, at, my_epoch);
         if let Some((race_kind, witness, wt)) = race {
             self.report_race(addr, kind, race_kind, witness, my_epoch, wt);
-            return;
-        }
-        // §VII #2: a Private location may revisit the sharing decision a
-        // bounded number of times after the second epoch.
-        if self.config.max_redecisions > 0 && !inflated {
-            let c = self.plane(kind).cell(at);
-            if c.state == VcState::Private
-                && c.count == 1
-                && c.redecisions < self.config.max_redecisions
-            {
-                let at = self.plane_mut(kind).bump_redecisions(at);
-                self.try_share_with_exact_neighbors(size, kind, at);
-            }
-        }
-    }
-
-    /// §VII #1: may a *read* location at `addr` share with the read
-    /// location at `n`, judged by the write plane? Sharing is vetoed only
-    /// when both write locations exist and do *not* already share a
-    /// clock — established write-plane separation is strong evidence the
-    /// two addresses are protected separately.
-    fn write_guidance_ok(&self, kind: AccessKind, addr: Addr, n: Addr) -> bool {
-        if kind == AccessKind::Write || !self.config.guide_reads_by_writes {
-            return true;
-        }
-        match (self.write.lookup(addr), self.write.lookup(n)) {
-            (Some(a), Some(b)) => a.same_cell(b),
-            _ => true, // no write history: nothing to guide by
         }
     }
 
@@ -801,7 +586,6 @@ impl<K: StoreSelect> ShardableDetector for DynamicGranularityOn<K> {
     fn new_shard(&self) -> Box<dyn Detector + Send> {
         let mut shard = DynamicGranularityOn::<K>::with_config(self.config);
         shard.model.set_budget(self.model.budget());
-        shard.affinity = Arc::clone(&self.affinity);
         shard.pressure_scan = self.pressure_scan;
         Box::new(shard)
     }
@@ -809,12 +593,7 @@ impl<K: StoreSelect> ShardableDetector for DynamicGranularityOn<K> {
 
 impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
     fn name(&self) -> String {
-        let seeded = if self.affinity.is_empty() {
-            ""
-        } else {
-            "+preseed"
-        };
-        format!("{}{}{seeded}", self.config.label(), K::NAME_SUFFIX)
+        format!("{}{}", self.config.label(), K::NAME_SUFFIX)
     }
 
     fn on_event(&mut self, ev: &Event) {
@@ -866,25 +645,17 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
             max_group: self.read.max_group().max(self.write.max_group()),
         });
         rep.stats.evicted = self.evicted;
-        rep.stats.preseed_hits = self.preseed_hits;
-        rep.stats.preseed_misses = self.preseed_misses;
         rep.budget_degraded = self.model.breached();
         let budget = self.model.budget();
-        let affinity = Arc::clone(&self.affinity);
         let pressure_scan = self.pressure_scan;
         *self = Self::with_config(self.config);
         self.model.set_budget(budget);
-        self.affinity = affinity;
         self.pressure_scan = pressure_scan;
         rep
     }
 
     fn set_shadow_budget(&mut self, bytes: Option<u64>) {
         self.model.set_budget(bytes.map(|b| b as usize));
-    }
-
-    fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        DynamicGranularityOn::set_affinity(self, map);
     }
 
     fn set_pressure(&mut self, level: PressureLevel) {
@@ -908,8 +679,11 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
         w.bool(self.config.share_at_init);
         w.u64(self.config.first_epoch_scan);
         w.bool(self.config.enable_sharing);
-        w.bool(self.config.guide_reads_by_writes);
-        w.u8(self.config.max_redecisions);
+        // Reserved (`STATE_VERSION` 2 keeps its layout): what a detector
+        // that never used the removed feature wrote; `restore` refuses
+        // anything else.
+        w.bool(false); // reserved: guide_reads_by_writes
+        w.u8(0); // reserved: max_redecisions
         w.bool(self.config.report_group_races);
         self.hb.encode(&mut w);
         self.read.encode(&mut w);
@@ -926,15 +700,12 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
             self.peak_locs as u64,
             self.cells_at_peak as u64,
             self.event_index,
-            self.preseed_hits,
-            self.preseed_misses,
+            0, // reserved: preseed_hits
+            0, // reserved: preseed_misses
+            NO_AFFINITY_DIGEST,
         ] {
             w.u64(c);
         }
-        // Resuming under a *different* affinity map than the one the
-        // snapshot was taken with would silently change which probes are
-        // attempted; bind the snapshot to the map by digest.
-        w.u64(self.affinity.digest());
         Some(w.finish())
     }
 
@@ -954,13 +725,33 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
                 "snapshot is for detector {snap_name:?}, not {name:?}"
             ));
         }
+        let removed = |found: bool, feature: &str| {
+            if found {
+                return Err(format!(
+                    "{name}: snapshot was taken with {feature}, which this build no longer has"
+                ));
+            }
+            Ok(())
+        };
+        let (init_state, share_at_init, first_epoch_scan, enable_sharing) = (
+            r.bool().map_err(fail)?,
+            r.bool().map_err(fail)?,
+            r.u64().map_err(fail)?,
+            r.bool().map_err(fail)?,
+        );
+        removed(
+            r.bool().map_err(fail)?,
+            "write-guided read sharing (guide_reads_by_writes)",
+        )?;
+        removed(
+            r.u8().map_err(fail)? != 0,
+            "sharing re-decisions (max_redecisions)",
+        )?;
         let config = DynamicConfig {
-            init_state: r.bool().map_err(fail)?,
-            share_at_init: r.bool().map_err(fail)?,
-            first_epoch_scan: r.u64().map_err(fail)?,
-            enable_sharing: r.bool().map_err(fail)?,
-            guide_reads_by_writes: r.bool().map_err(fail)?,
-            max_redecisions: r.u8().map_err(fail)?,
+            init_state,
+            share_at_init,
+            first_epoch_scan,
+            enable_sharing,
             report_group_races: r.bool().map_err(fail)?,
         };
         if config != self.config {
@@ -974,18 +765,14 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
         let write = PlaneOn::decode(&mut r).map_err(fail)?;
         let mut model = MemoryModel::decode(&mut r).map_err(fail)?;
         let races = decode_races(&mut r).map_err(fail)?;
-        let mut counters = [0u64; 11];
+        let mut counters = [0u64; 12];
         for c in counters.iter_mut() {
             *c = r.u64().map_err(fail)?;
         }
-        let digest = r.u64().map_err(fail)?;
-        if digest != self.affinity.digest() {
-            return Err(format!(
-                "{name}: snapshot was taken with a different affinity map \
-                 (digest {digest:#x} vs {:#x})",
-                self.affinity.digest()
-            ));
-        }
+        removed(
+            counters[9..] != [0, 0, NO_AFFINITY_DIGEST],
+            "an affinity map (pre-seeding; preseed counters or map digest set)",
+        )?;
         r.expect_end().map_err(fail)?;
         model.set_budget(self.model.budget());
         *self = DynamicGranularityOn {
@@ -1004,10 +791,6 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
             peak_locs: counters[6] as usize,
             cells_at_peak: counters[7] as usize,
             event_index: counters[8],
-            affinity: Arc::clone(&self.affinity),
-            affinity_hint: 0,
-            preseed_hits: counters[9],
-            preseed_misses: counters[10],
             pressure_scan: self.pressure_scan,
         };
         Ok(())
@@ -1090,160 +873,30 @@ mod tests {
     }
 
     #[test]
-    fn preseeded_detection_matches_unseeded_and_skips_probes() {
-        // The resharing workload above, with the array's stride certified
-        // by a hand-built affinity map: identical races and sharing
-        // decisions, fewer clock allocations, nonzero hit counter.
-        let mut b = TraceBuilder::new();
-        b.write_block(0u32, X, 32, AccessSize::U32)
-            .release(0u32, 0u32)
-            .write_block(0u32, X, 32, AccessSize::U32);
-        let t = b.build();
-        let map = Arc::new(AffinityMap {
-            ranges: vec![dgrace_trace::AffinityRange {
-                start: Addr(X),
-                len: 32,
-                stride: 4,
-            }],
-        });
-        let mut det = DynamicGranularity::new();
-        det.set_affinity(Arc::clone(&map));
-        assert_eq!(det.name(), "dynamic+preseed");
-        let seeded = det.run(&t);
-        let unseeded = DynamicGranularity::new().run(&t);
-        assert_eq!(seeded.races, unseeded.races);
-        assert_eq!(seeded.stats.same_epoch, unseeded.stats.same_epoch);
-        let (ss, us) = (
-            seeded.stats.sharing.as_ref().unwrap(),
-            unseeded.stats.sharing.as_ref().unwrap(),
-        );
-        assert_eq!(ss.shares, us.shares);
-        assert_eq!(ss.splits, us.splits);
-        assert_eq!(ss.max_group, us.max_group);
-        assert!(seeded.stats.preseed_hits > 0, "predictions must be taken");
-        assert_eq!(unseeded.stats.preseed_hits, 0);
-        assert!(
-            seeded.stats.vc_allocs < unseeded.stats.vc_allocs,
-            "pre-seeding must skip split clocks ({} vs {})",
-            seeded.stats.vc_allocs,
-            unseeded.stats.vc_allocs
-        );
-    }
-
-    #[test]
-    fn adversarial_affinity_map_is_harmless() {
-        // A map certifying a stride the program does not use: racy and
-        // clean locations alike must produce byte-identical reports, with
-        // every prediction counted as a miss or simply unusable.
-        let mut b = TraceBuilder::new();
-        b.write(0u32, X, AccessSize::U8)
-            .write(0u32, X + 1, AccessSize::U8)
-            .fork(0u32, 1u32)
-            .write(0u32, X + 4, AccessSize::U32)
-            .write(1u32, X + 4, AccessSize::U32)
-            .join(0u32, 1u32);
-        let t = b.build();
-        let map = Arc::new(AffinityMap {
-            ranges: vec![dgrace_trace::AffinityRange {
-                start: Addr(X),
-                len: 64,
-                stride: 4,
-            }],
-        });
-        let mut det = DynamicGranularity::new();
-        det.set_affinity(map);
-        let seeded = det.run(&t);
-        let unseeded = DynamicGranularity::new().run(&t);
-        assert_eq!(seeded.races, unseeded.races);
-        let (ss, us) = (
-            seeded.stats.sharing.as_ref().unwrap(),
-            unseeded.stats.sharing.as_ref().unwrap(),
-        );
-        assert_eq!((ss.shares, ss.splits), (us.shares, us.splits));
-    }
-
-    #[test]
-    fn preseed_bailout_freezes_counters_and_preserves_races() {
-        // A map whose certified stride (4) the program never populates
-        // (writes land 8 bytes apart): every seeded probe misses. After
-        // PRESEED_BAILOUT_MISSES consecutive misses the detector stops
-        // consulting the map, so the counters freeze *exactly* at the
-        // threshold even though hundreds more mispredictable writes
-        // follow — and the race set stays byte-identical to unseeded.
-        let n = 4 * PRESEED_BAILOUT_MISSES;
-        let mut b = TraceBuilder::new();
-        for i in 0..n {
-            b.write(0u32, X + 8 * i, AccessSize::U32);
+    fn restore_names_the_removed_feature_a_snapshot_was_taken_with() {
+        // The retired fields sit at fixed distances from either end of
+        // the blob: after the header, the name and four config fields;
+        // before the end, two counters and the digest.
+        let det = DynamicGranularity::new();
+        let bytes = det.snapshot().unwrap();
+        let guide = 8 + (8 + "dynamic".len()) + 1 + 1 + 8 + 1;
+        let n = bytes.len();
+        for (at, value, feature) in [
+            (guide, 1, "guide_reads_by_writes"),
+            (guide + 1, 2, "max_redecisions"),
+            (n - 24, 1, "affinity map"),
+            (n - 16, 1, "affinity map"),
+            (n - 8, 1, "affinity map"),
+        ] {
+            let mut patched = bytes.clone();
+            patched[at] = value;
+            let err = DynamicGranularity::new().restore(&patched).unwrap_err();
+            assert!(
+                err.contains(feature) && err.contains("no longer"),
+                "byte {at}: {err}"
+            );
         }
-        // A race planted after the bailout has latched, inside the
-        // certified range: the bailed detector must still catch it.
-        let racy = X + 8 * n;
-        b.fork(0u32, 1u32)
-            .write(0u32, racy, AccessSize::U32)
-            .write(1u32, racy, AccessSize::U32)
-            .join(0u32, 1u32);
-        let t = b.build();
-        let map = Arc::new(AffinityMap {
-            ranges: vec![dgrace_trace::AffinityRange {
-                start: Addr(X),
-                len: 8 * n + 64,
-                stride: 4,
-            }],
-        });
-        let mut det = DynamicGranularity::new();
-        det.set_affinity(map);
-        assert!(!det.preseed_bailed(), "fresh detector has not bailed");
-        let seeded = det.run(&t);
-        let unseeded = DynamicGranularity::new().run(&t);
-        assert_eq!(seeded.races, unseeded.races);
-        assert_eq!(seeded.races.len(), 1, "the planted race is caught");
-        assert_eq!(seeded.stats.preseed_hits, 0);
-        assert_eq!(
-            seeded.stats.preseed_misses, PRESEED_BAILOUT_MISSES,
-            "misses freeze exactly at the bailout threshold"
-        );
-    }
-
-    #[test]
-    fn preseed_bailout_needs_both_volume_and_rate() {
-        // Below the minimum miss count the bailout never fires, however
-        // bad the rate; above it, a healthy hit rate keeps the map live.
-        let mut det = DynamicGranularity::new();
-        det.preseed_misses = PRESEED_BAILOUT_MISSES - 1;
-        assert!(!det.preseed_bailed(), "volume floor not reached");
-        det.preseed_misses = PRESEED_BAILOUT_MISSES;
-        assert!(det.preseed_bailed(), "all-miss past the floor bails");
-        det.preseed_hits = PRESEED_BAILOUT_MISSES; // rate drops to 1/2
-        assert!(!det.preseed_bailed(), "hits keep a useful map alive");
-    }
-
-    #[test]
-    fn snapshot_is_bound_to_the_affinity_map() {
-        let map = Arc::new(AffinityMap {
-            ranges: vec![dgrace_trace::AffinityRange {
-                start: Addr(X),
-                len: 32,
-                stride: 4,
-            }],
-        });
-        let mut seeded = DynamicGranularity::new();
-        seeded.set_affinity(Arc::clone(&map));
-        let mut b = TraceBuilder::new();
-        b.write_block(0u32, X, 32, AccessSize::U32);
-        for ev in b.build().iter() {
-            seeded.on_event(ev);
-        }
-        let bytes = seeded.snapshot().unwrap();
-
-        // Same map → restores, counters preserved.
-        let mut twin = DynamicGranularity::new();
-        twin.set_affinity(map);
-        twin.restore(&bytes).unwrap();
-        assert_eq!(twin.preseed_counters(), seeded.preseed_counters());
-
-        // No map → the name differs, which already rejects.
-        let err = DynamicGranularity::new().restore(&bytes).unwrap_err();
-        assert!(err.contains("dynamic+preseed"), "{err}");
+        DynamicGranularity::new().restore(&bytes).unwrap();
     }
 
     #[test]

@@ -53,10 +53,7 @@ mod plane;
 mod state;
 
 pub use config::DynamicConfig;
-pub use detector::{
-    DynamicGranularity, DynamicGranularityOn, PRESEED_BAILOUT_MISSES, PRESEED_BAILOUT_RATE,
-    PRESSURE_SCAN,
-};
+pub use detector::{DynamicGranularity, DynamicGranularityOn, PRESSURE_SCAN};
 pub use plane::{CellRef, CellView, GroupSnapshot, Plane, PlaneOn};
 pub use state::VcState;
 
@@ -67,17 +64,13 @@ use dgrace_shadow::StoreSelect;
 /// description)` in listing order. Every message that enumerates the
 /// family is built from this table, and [`vc_detector`] accepts exactly
 /// these names.
-pub const VC_DETECTORS: [(&str, &str); 6] = [
+pub const VC_DETECTORS: [(&str, &str); 5] = [
     ("byte", "FastTrack, byte granularity (paper baseline)"),
     ("word", "FastTrack, word granularity"),
     ("dynamic", "FastTrack + dynamic granularity (the paper)"),
     (
         "dynamic-no-init",
         "dynamic without the Init state (Table 5)",
-    ),
-    (
-        "dynamic-guided",
-        "dynamic + write-guided read sharing (§VII)",
     ),
     ("djit", "DJIT+ (full vector clocks)"),
 ];
@@ -100,9 +93,6 @@ pub fn vc_detector<K: StoreSelect>(name: &str) -> Option<Box<dyn ShardableDetect
         "dynamic-no-init" => Box::new(DynamicGranularityOn::<K>::with_config(
             DynamicConfig::no_init_state(),
         )),
-        "dynamic-guided" => Box::new(DynamicGranularityOn::<K>::with_config(
-            DynamicConfig::write_guided(),
-        )),
         "djit" => Box::new(DjitOn::<K>::new()),
         _ => return None,
     })
@@ -121,7 +111,7 @@ mod tests {
         assert!(vc_detector::<HashSelect>("oracle").is_none());
         assert_eq!(
             vc_detector_names(),
-            "byte, word, dynamic, dynamic-no-init, dynamic-guided, djit"
+            "byte, word, dynamic, dynamic-no-init, djit"
         );
     }
 }

@@ -22,9 +22,9 @@
 //!
 //! * **In its location's slot** when nobody shares it (`count == 1`), its
 //!   clock is an epoch no other cell holds, and every field fits the
-//!   packing (a thread id of at most 21 bits — the trace decoder's
-//!   `max_tid` is 2^20 — and at most 63 redecisions): the slot holds the
-//!   epoch, the state, `tainted` and `redecisions`, i.e. the whole cell.
+//!   packing (a thread id of at most 27 bits — the trace decoder's
+//!   `max_tid` is 2^20): the slot holds the epoch, the state and
+//!   `tainted`, i.e. the whole cell.
 //!   This is FastTrack's common case: the index probe an access already
 //!   paid for has loaded everything it needs, neighbor probes read the
 //!   adjacent slots of the same line, and nothing is allocated.
@@ -154,7 +154,6 @@ struct Cell {
     state: VcState,
     count: u32,
     tainted: bool,
-    redecisions: u8,
     /// Member addresses when shared; empty for a cell of one location.
     members: Vec<Addr>,
 }
@@ -168,7 +167,6 @@ impl Cell {
                 epoch,
                 state: self.state,
                 tainted: self.tainted,
-                redecisions: self.redecisions,
             }
             .pack(),
             _ => None,
@@ -182,15 +180,14 @@ struct Solo {
     epoch: Epoch,
     state: VcState,
     tainted: bool,
-    redecisions: u8,
 }
 
 /// The payload of an index slot (module docs, "Where a cell lives"). Bit 0
 /// tells the two forms apart:
 ///
 /// ```text
-/// cell       63..32 clock    | 31..11 tid | 10..5 redecisions | 4 tainted | 3..1 state | 1
-/// reference  63..32 `SlabId` | 31..1 member index                                      | 0
+/// cell       63..32 clock    | 31..5 tid | 4 tainted | 3..1 state | 1
+/// reference  63..32 `SlabId` | 31..1 member index              | 0
 /// ```
 ///
 /// Never zero: the cell form has bit 0 set and a `SlabId` is non-zero.
@@ -202,9 +199,7 @@ const _: () = assert!(std::mem::size_of::<Option<Slot>>() == 8);
 // The fields of the cell form, from bit 1 up to the clock's bit 32.
 const STATE_SHIFT: u32 = 1;
 const TAINTED_SHIFT: u32 = 4;
-const REDECISION_SHIFT: u32 = 5;
-const REDECISION_BITS: u32 = 6;
-const TID_SHIFT: u32 = REDECISION_SHIFT + REDECISION_BITS;
+const TID_SHIFT: u32 = 5;
 const TID_BITS: u32 = 32 - TID_SHIFT;
 /// Width of the reference form's member index.
 const MEMBER_BITS: u32 = 31;
@@ -241,14 +236,12 @@ impl Solo {
             epoch,
             state,
             tainted,
-            redecisions,
         } = self;
-        if epoch.tid.0 >> TID_BITS != 0 || redecisions >> REDECISION_BITS != 0 {
+        if epoch.tid.0 >> TID_BITS != 0 {
             return None;
         }
         let bits = (epoch.clock as u64) << 32
             | (epoch.tid.0 as u64) << TID_SHIFT
-            | (redecisions as u64) << REDECISION_SHIFT
             | (tainted as u64) << TAINTED_SHIFT
             | (state_tag(state) as u64) << STATE_SHIFT;
         Some(Slot(NonZeroU64::MIN | bits))
@@ -279,7 +272,6 @@ impl Slot {
             epoch: Epoch::new((bits >> 32) as u32, Tid(field(TID_SHIFT, TID_BITS))),
             state: STATE_OF_BITS[field(STATE_SHIFT, 3) as usize],
             tainted: field(TAINTED_SHIFT, 1) != 0,
-            redecisions: field(REDECISION_SHIFT, REDECISION_BITS) as u8,
         })
     }
 }
@@ -307,7 +299,7 @@ impl CellRef {
     }
 
     /// Whether both handles name one cell, i.e. the two locations share
-    /// a clock.
+    /// a clock (diagnostics/testing).
     pub fn same_cell(self, other: CellRef) -> bool {
         match (self.slot.home(), other.slot.home()) {
             (Home::Slab { cell: a, .. }, Home::Slab { cell: b, .. }) => a == b,
@@ -330,8 +322,6 @@ pub struct CellView<'a> {
     /// so a race it witnesses may be a sharing artifact. Surfaced in
     /// race reports as a "verify this one" diagnostic.
     pub tainted: bool,
-    /// Extra post-second-epoch sharing attempts consumed (§VII #2).
-    pub redecisions: u8,
 }
 
 /// A debugging/testing view of one sharing group.
@@ -408,7 +398,6 @@ impl<K: StoreSelect> PlaneOn<K> {
                 state: solo.state,
                 count: 1,
                 tainted: solo.tainted,
-                redecisions: solo.redecisions,
             },
             Home::Slab { cell, .. } => {
                 let cell = self.cells.get(cell);
@@ -420,7 +409,6 @@ impl<K: StoreSelect> PlaneOn<K> {
                     state: cell.state,
                     count: cell.count,
                     tainted: cell.tainted,
-                    redecisions: cell.redecisions,
                 }
             }
         }
@@ -467,7 +455,7 @@ impl<K: StoreSelect> PlaneOn<K> {
 
     /// Moves the cell living in `addr`'s slot to the slab, with `clock`
     /// as its clock (the same logical clock, possibly moved itself). Once
-    /// per group, inflation or overflow: kept out of its callers' code.
+    /// per group, inflation or wide thread id: kept out of its callers' code.
     #[cold]
     fn spill(&mut self, addr: Addr, solo: Solo, clock: ClockSlot) -> (SlabId, CellRef) {
         self.in_slot -= 1;
@@ -476,7 +464,6 @@ impl<K: StoreSelect> PlaneOn<K> {
             state: solo.state,
             count: 1,
             tainted: solo.tainted,
-            redecisions: solo.redecisions,
             members: Vec::new(),
         });
         (id, self.set_slot(addr, Slot::reference(id, 0)))
@@ -573,21 +560,6 @@ impl<K: StoreSelect> PlaneOn<K> {
         }
     }
 
-    /// Consumes one post-second-epoch sharing attempt (§VII #2).
-    pub fn bump_redecisions(&mut self, at: CellRef) -> CellRef {
-        self.check_fresh(at);
-        match at.slot.home() {
-            Home::Slot(mut solo) => {
-                solo.redecisions += 1;
-                self.put_solo(at.addr, solo)
-            }
-            Home::Slab { cell, .. } => {
-                self.cells.get_mut(cell).redecisions += 1;
-                at
-            }
-        }
-    }
-
     /// Moves a clock value into the arena, held by `rc` cells.
     fn intern(&mut self, clock: AccessClock, rc: u32) -> ClockSlot {
         self.vc_bytes += clock_payload_bytes(&clock);
@@ -627,7 +599,6 @@ impl<K: StoreSelect> PlaneOn<K> {
             state,
             count: 1,
             tainted,
-            redecisions: 0,
             members: Vec::new(),
         };
         match cell.solo() {
@@ -718,30 +689,6 @@ impl<K: StoreSelect> PlaneOn<K> {
         // remove+insert pair here costs more than the rest of the join.
         let slot = self.join_members(at.addr, neighbor);
         self.set_slot(at.addr, slot)
-    }
-
-    /// Moves the *existing* location `at` into `neighbor`'s cell without
-    /// allocating a clock: the affinity pre-seeded second-epoch path,
-    /// which generalizes [`PlaneOn::rejoin`] to locations still inside a
-    /// first-epoch group. A private source frees its cell (as `rejoin`);
-    /// a grouped source detaches (the split the unseeded path would
-    /// have paid, minus the temporary cell). Returns the location's new
-    /// handle and whether it left a multi-member group.
-    pub fn transfer(&mut self, at: CellRef, neighbor: CellRef) -> (CellRef, bool) {
-        self.check_fresh(at);
-        debug_assert!(!at.same_cell(neighbor), "transfer must change groups");
-        let was_grouped = match at.slot.home() {
-            Home::Slab { cell, idx } if self.cells.get(cell).count > 1 => {
-                self.detach(at.addr, cell, idx);
-                true
-            }
-            _ => {
-                self.free_cell(at.slot);
-                false
-            }
-        };
-        let slot = self.join_members(at.addr, neighbor);
-        (self.set_slot(at.addr, slot), was_grouped)
     }
 
     /// Detaches `addr` from the member list of group `id`, patching the
@@ -1121,7 +1068,7 @@ impl<K: StoreSelect> PlaneOn<K> {
             w.u8(state_tag(cell.state));
             w.u32(cell.count);
             w.bool(cell.tainted);
-            w.u8(cell.redecisions);
+            w.u8(0); // reserved: the cell's redecisions count
             let members: &[Addr] = match at.slot.home() {
                 Home::Slot(_) => &[],
                 Home::Slab { cell, .. } => &self.cells.get(cell).members,
@@ -1196,7 +1143,13 @@ impl<K: StoreSelect> PlaneOn<K> {
             let state = state_from_tag(r.u8()?, at)?;
             let count = r.u32()?;
             let tainted = r.bool()?;
-            let redecisions = r.u8()?;
+            let at = r.offset();
+            if r.u8()? != 0 {
+                return Err(TraceError::Malformed {
+                    offset: at,
+                    what: "cell has used sharing re-decisions (redecisions), which this build no longer has",
+                });
+            }
             let m = r.count("group members")?;
             let mut members = Vec::new();
             for _ in 0..m {
@@ -1211,7 +1164,6 @@ impl<K: StoreSelect> PlaneOn<K> {
                 state,
                 count,
                 tainted,
-                redecisions,
                 members,
             };
             cell_slots.push(Some(match cell.solo() {
@@ -1339,7 +1291,6 @@ mod tests {
             epoch: Epoch::new(u32::MAX, Tid((1 << TID_BITS) - 1)),
             state: VcState::Race,
             tainted: true,
-            redecisions: (1 << REDECISION_BITS) - 1,
         };
         let slot = widest.pack().expect("every field at its maximum fits");
         let Home::Slot(back) = slot.home() else {
@@ -1347,10 +1298,7 @@ mod tests {
         };
         assert_eq!(back.pack(), Some(slot));
         assert_eq!((back.epoch, back.state), (widest.epoch, widest.state));
-        assert_eq!(
-            (back.tainted, back.redecisions),
-            (widest.tainted, widest.redecisions)
-        );
+        assert_eq!(back.tainted, widest.tainted);
         for state in [
             VcState::FirstEpochPrivate,
             VcState::FirstEpochShared,
@@ -1367,22 +1315,12 @@ mod tests {
             epoch: Epoch::NONE,
             state: VcState::FirstEpochPrivate,
             tainted: false,
-            redecisions: 0,
         };
         assert!(matches!(zero.pack().unwrap().home(), Home::Slot(_)));
         let wide_tid = Epoch::new(1, Tid(1 << TID_BITS));
         assert_eq!(
             Solo {
                 epoch: wide_tid,
-                ..zero
-            }
-            .pack(),
-            None
-        );
-        let redecisions = 1 << REDECISION_BITS;
-        assert_eq!(
-            Solo {
-                redecisions,
                 ..zero
             }
             .pack(),
@@ -1439,19 +1377,9 @@ mod tests {
         // back out.
         let a = p.update_clock(a, |c| c.set_write(Tid(1), 2));
         assert!(a.in_slot());
-        let mut a = p.update_clock(a, |c| c.set_write(wide, 3));
+        let a = p.update_clock(a, |c| c.set_write(wide, 3));
         assert!(!a.in_slot());
         assert_eq!((p.cell_count(), p.clock_count(), p.vc_allocs()), (1, 1, 1));
-        p.check_invariants();
-        let mut b = p.insert_private(Addr(0x200), epoch(1, 0), VcState::Private);
-        for _ in 0..(1 << REDECISION_BITS) {
-            assert!(b.in_slot());
-            b = p.bump_redecisions(b);
-            a = p.bump_redecisions(a);
-        }
-        assert!(!b.in_slot(), "the 64th redecision does not fit");
-        assert_eq!(p.cell(b).redecisions, 1 << REDECISION_BITS);
-        assert_eq!(p.cell(a).redecisions, 1 << REDECISION_BITS);
         p.check_invariants();
     }
 
@@ -1619,24 +1547,6 @@ mod tests {
         assert_eq!(p.cell_count(), 1);
         assert_eq!(p.vc_frees(), 1);
         assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x104)]);
-        p.check_invariants();
-    }
-
-    #[test]
-    fn transfer_leaves_a_group_without_a_private_stop() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x104, 0x100);
-        p.insert_private(Addr(0x0fc), epoch(2, 0), VcState::Private);
-        let allocs = p.vc_allocs();
-        let (moved, was_grouped) = p.transfer(at(&p, 0x100), at(&p, 0x0fc));
-        assert!(was_grouped && moved.same_cell(at(&p, 0x0fc)));
-        assert_eq!(p.vc_allocs(), allocs, "no clock was created on the way");
-        // The member it left behind holds the old group's own epoch
-        // alone, so that cell is back in its slot.
-        assert!(at(&p, 0x104).in_slot());
-        assert_eq!(p.clock_view(at(&p, 0x104)), epoch(1, 0).view());
-        assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x0fc), Addr(0x100)]);
         p.check_invariants();
     }
 
@@ -1910,7 +1820,7 @@ mod tests {
         w.u8(state_tag(VcState::Race));
         w.u32(1);
         w.bool(true);
-        w.u8(2);
+        w.u8(0);
         w.count(0);
         w.count(2);
         for (addr, cell) in [(0x100u64, 1u32), (0x200, 0)] {
@@ -1934,7 +1844,6 @@ mod tests {
                 state: VcState::Race,
                 count: 1,
                 tainted: true,
-                redecisions: 2
             }
         );
         assert_eq!(p.clock_view(b), epoch(5, 0).view());
@@ -1950,6 +1859,24 @@ mod tests {
         assert!(matches!(
             decoded(&w.finish()),
             Err(TraceError::Malformed { .. })
+        ));
+    }
+
+    #[test]
+    fn decode_refuses_a_cell_that_used_redecisions() {
+        let mut w = SnapshotWriter::new(*b"TEST", 1);
+        w.count(1);
+        encode_access_clock(&mut w, &epoch(1, 0));
+        w.u32(1);
+        w.count(1);
+        w.u32(0);
+        w.u8(state_tag(VcState::Private));
+        w.u32(1);
+        w.bool(false);
+        w.u8(1); // the reserved byte: one redecision consumed
+        assert!(matches!(
+            decoded(&w.finish()),
+            Err(TraceError::Malformed { what, .. }) if what.contains("no longer")
         ));
     }
 

@@ -20,8 +20,6 @@ enum PlaneOp {
     TouchWide(u8, u8),
     /// A read concurrent with everything before it: leaves a vector.
     ReadBy(u8, u8),
-    /// Forty post-second-epoch sharing attempts (a slot counts to 63).
-    Redecide(u8),
 }
 
 fn arb_plane_op() -> impl Strategy<Value = PlaneOp> {
@@ -34,7 +32,6 @@ fn arb_plane_op() -> impl Strategy<Value = PlaneOp> {
         (0u8..40, 0u8..6).prop_map(|(a, c)| PlaneOp::Touch(a, c)),
         (0u8..40, 0u8..6).prop_map(|(a, c)| PlaneOp::TouchWide(a, c)),
         (0u8..40, 0u8..6).prop_map(|(a, c)| PlaneOp::ReadBy(a, c)),
-        (0u8..40).prop_map(PlaneOp::Redecide),
     ]
 }
 
@@ -54,18 +51,17 @@ const DEFLATED: u32 = 1 << 4;
 const OUT_BY_JOIN: u32 = 1 << 5;
 const OUT_BY_INFLATION: u32 = 1 << 6;
 const OUT_BY_WIDE_TID: u32 = 1 << 7;
-const OUT_BY_REDECISIONS: u32 = 1 << 8;
 /// kept out of it, though alone, by the arena reference `split` hands it,
-const HELD_OUT_BY_SPLIT_REFERENCE: u32 = 1 << 9;
+const HELD_OUT_BY_SPLIT_REFERENCE: u32 = 1 << 8;
 /// into the slot,
-const IN_BY_COPY_ON_WRITE: u32 = 1 << 10;
-const IN_BY_DEFLATION: u32 = 1 << 11;
-const IN_BY_REMOVE_DOWN_TO_ONE: u32 = 1 << 12;
-const IN_BY_PARTIAL_FREE_DOWN_TO_ONE: u32 = 1 << 13;
+const IN_BY_COPY_ON_WRITE: u32 = 1 << 9;
+const IN_BY_DEFLATION: u32 = 1 << 10;
+const IN_BY_REMOVE_DOWN_TO_ONE: u32 = 1 << 11;
+const IN_BY_PARTIAL_FREE_DOWN_TO_ONE: u32 = 1 << 12;
 /// and freed where it lived.
-const FREED_IN_SLOT: u32 = 1 << 14;
-const FREED_IN_SLAB: u32 = 1 << 15;
-const EVERY_MOVE: u32 = (1 << 16) - 1;
+const FREED_IN_SLOT: u32 = 1 << 13;
+const FREED_IN_SLAB: u32 = 1 << 14;
+const EVERY_MOVE: u32 = (1 << 15) - 1;
 
 /// Writes cell `at`'s clock through `f`, checks `update_clock`'s
 /// postcondition, and names the moves the write caused.
@@ -196,7 +192,7 @@ fn apply(p: &mut Plane, op: &PlaneOp) -> u32 {
         }
         PlaneOp::TouchWide(a, c) => {
             if let Some(at) = p.lookup(addr(a)) {
-                moves |= write_clock(p, at, |clk| clk.set_write(Tid(1 << 21), c as u32 + 1));
+                moves |= write_clock(p, at, |clk| clk.set_write(Tid(1 << 27), c as u32 + 1));
             }
         }
         PlaneOp::ReadBy(a, c) => {
@@ -206,21 +202,6 @@ fn apply(p: &mut Plane, op: &PlaneOp) -> u32 {
                 moves |= write_clock(p, at, |clk| {
                     clk.record_read(Tid(2), &now);
                 });
-            }
-        }
-        PlaneOp::Redecide(a) => {
-            if let Some(mut at) = p.lookup(addr(a)) {
-                let was_in_slot = at.in_slot();
-                let before = p.cell(at).redecisions;
-                if before < 200 {
-                    for _ in 0..40 {
-                        at = p.bump_redecisions(at);
-                    }
-                    assert_eq!(p.cell(at).redecisions, before + 40);
-                    if was_in_slot && !at.in_slot() {
-                        moves |= OUT_BY_REDECISIONS;
-                    }
-                }
             }
         }
     }
@@ -277,12 +258,11 @@ fn long_sequence_crosses_every_clock_and_cell_move() {
             6 => PlaneOp::RemoveRange(a, 1 + next(2)),
             7 | 8 => PlaneOp::Touch(a, c),
             9 => PlaneOp::TouchWide(a, c),
-            10 => PlaneOp::Redecide(a),
             _ => PlaneOp::ReadBy(a, c),
         };
         moves |= apply(&mut p, &op);
     }
-    let missing: Vec<u32> = (0..16).filter(|bit| moves & (1 << bit) == 0).collect();
+    let missing: Vec<u32> = (0..15).filter(|bit| moves & (1 << bit) == 0).collect();
     assert!(
         moves == EVERY_MOVE,
         "moves left unexercised (bit numbers): {missing:?}"
@@ -313,14 +293,14 @@ proptest! {
 
     /// The whole detector preserves the plane invariants after every
     /// event and across a snapshot and restore, for arbitrary (even racy)
-    /// access patterns, in both the paper configuration and the
-    /// §VII-extended one.
+    /// access patterns, in the paper configuration and with the Init
+    /// state ablated.
     #[test]
     fn detector_invariants_under_random_traces(
         ops in proptest::collection::vec(arb_trace_op(), 1..150)
     ) {
         // Lock events are legalized on the fly (only unlock what's held).
-        for cfg in [DynamicConfig::paper_default(), DynamicConfig::with_redecisions(2)] {
+        for cfg in [DynamicConfig::paper_default(), DynamicConfig::no_init_state()] {
             let mut det = DynamicGranularity::with_config(cfg);
             let mut held: Vec<(u8, u8)> = Vec::new();
             det.on_event(&Event::Fork { parent: Tid(0), child: Tid(1) });

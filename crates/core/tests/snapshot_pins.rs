@@ -215,9 +215,13 @@ fn a_snapshot_in_slab_order_restores_and_finishes_to_its_writers_report() {
     let report = resumed.finish();
     assert_eq!(report, straight.finish());
     assert_eq!(report.races.len(), 311);
+    // Regenerated once, when `DetectorStats` lost its two pre-seeding
+    // counters: this is the digest of the writer's `{report:?}` with
+    // `, preseed_hits: 0, preseed_misses: 0` cut out (before that cut
+    // it was 0xb051_5a68_0610_6d27).
     assert_eq!(
         fnv1a(format!("{report:?}").as_bytes()),
-        0xb051_5a68_0610_6d27
+        0x3882_3118_1856_82e7
     );
 }
 
@@ -234,17 +238,10 @@ fn the_governed_pin_is_taken_above_rung_zero() {
 
 #[test]
 fn family_names_are_pinned() {
-    let names: Vec<String> = [
-        "byte",
-        "word",
-        "dynamic",
-        "dynamic-no-init",
-        "dynamic-guided",
-        "djit",
-    ]
-    .iter()
-    .flat_map(|n| ["hash", "paged"].map(|s| prototype(n, s).name()))
-    .collect();
+    let names: Vec<String> = ["byte", "word", "dynamic", "dynamic-no-init", "djit"]
+        .iter()
+        .flat_map(|n| ["hash", "paged"].map(|s| prototype(n, s).name()))
+        .collect();
     assert_eq!(
         names,
         [
@@ -256,8 +253,6 @@ fn family_names_are_pinned() {
             "dynamic+paged",
             "dynamic-no-init-state",
             "dynamic-no-init-state+paged",
-            "dynamic",
-            "dynamic+paged",
             "djit-byte",
             "djit-byte+paged",
         ]

@@ -1,9 +1,7 @@
 //! The detector interface.
 
-use std::sync::Arc;
-
 use dgrace_shadow::PressureLevel;
-use dgrace_trace::{AffinityMap, Event, EventSource, Trace, TraceError};
+use dgrace_trace::{Event, EventSource, Trace, TraceError};
 
 use crate::Report;
 
@@ -54,17 +52,6 @@ pub trait Detector: 'static {
     fn set_shadow_budget(&mut self, bytes: Option<u64>) {
         if let Some(d) = self.inner_mut() {
             d.set_shadow_budget(bytes);
-        }
-    }
-
-    /// Installs an ahead-of-time sharing-affinity map (the pre-seeding
-    /// artifact of `dgrace analyze`). Detectors that exploit it — the
-    /// dynamic-granularity family — use certified strides as a fast
-    /// path for grouping decisions while keeping the race set
-    /// byte-identical; the rest ignore the map.
-    fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        if let Some(d) = self.inner_mut() {
-            d.set_affinity(map);
         }
     }
 
@@ -145,9 +132,6 @@ impl<D: Detector + ?Sized> Detector for Box<D> {
     }
     fn set_shadow_budget(&mut self, bytes: Option<u64>) {
         (**self).set_shadow_budget(bytes)
-    }
-    fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        (**self).set_affinity(map)
     }
     fn set_pressure(&mut self, level: PressureLevel) {
         (**self).set_pressure(level)

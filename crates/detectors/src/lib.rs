@@ -19,9 +19,9 @@
 //! * [`NopDetector`] — consumes events and does nothing; the "base time"
 //!   measurement of the slowdown tables;
 //! * [`Sampled`] — the always-on sampling tier: wraps any detector with
-//!   per-location budgets (`loc:K`), periodic windows (`period:N`), or
-//!   heat-adaptive admission (`adaptive:F`), trading recall for bounded
-//!   overhead while keeping every decision deterministic and resumable.
+//!   per-location budgets (`loc:K`) or periodic windows (`period:N`),
+//!   trading recall for bounded overhead while keeping every decision
+//!   deterministic and resumable.
 
 //! ```
 //! use dgrace_detectors::{DetectorExt, FastTrack, OracleDetector};

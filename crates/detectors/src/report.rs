@@ -180,13 +180,6 @@ pub struct DetectorStats {
     /// Shadow cells discarded by memory-budget eviction (see
     /// [`Report::budget_degraded`]).
     pub evicted: u64,
-    /// Probing epochs skipped because an affinity pre-seed prediction
-    /// was verified against live shadow state and taken (0 when the
-    /// detector runs unseeded).
-    pub preseed_hits: u64,
-    /// Pre-seed predictions that failed live verification and fell back
-    /// to the unseeded probe path.
-    pub preseed_misses: u64,
     /// Accesses the sampling tier admitted to the wrapped detector
     /// (0 when the run is unsampled; equals `accesses` at 100% budget).
     pub sample_admitted: u64,

@@ -1,8 +1,8 @@
 //! The always-on sampling tier: bounded-overhead detection.
 //!
 //! Full happens-before tracking is too expensive to leave running across
-//! a fleet; this module trades recall for throughput with three
-//! strategies, all wrapped around an unmodified inner detector:
+//! a fleet; this module trades recall for throughput with two
+//! strategies, both wrapped around an unmodified inner detector:
 //!
 //! * **`loc:K`** — per-location budgets in the style of "Dynamic Race
 //!   Detection with O(1) Samples": every shadow granule (8 bytes by
@@ -14,22 +14,17 @@
 //!   (window length `window:W` accesses, default 1024). Synchronization
 //!   events are *always* processed, so the inner detector's vector
 //!   clocks stay exact and every admitted access is judged against
-//!   correct happens-before state;
-//! * **`adaptive:F`** — spend a global admission budget (target
-//!   fraction `F` of accesses) where sharing churn is highest: the AOT
-//!   heat histogram (`dgrace analyze`, DESIGN.md §15) re-weights the
-//!   per-access admission probability bucket by bucket, with a floor
-//!   for cold or unmapped addresses so no region is ever fully blind.
+//!   correct happens-before state.
 //!
 //! Every decision is a pure function of `(seed, counters, address)` —
 //! there is no stateful RNG. Randomness comes from a splitmix64-style
 //! hash of the seed and the per-shard access counter (or granule
 //! count), which makes sampled runs deterministic, byte-identical
 //! across repeats, and exactly resumable: a snapshot only needs the
-//! counters. When the budget is 100% (`loc:` with a huge `K`,
-//! `period:1`, `adaptive:1.0`, or `full`) every access is admitted and
-//! the wrapped detector's report is byte-identical to an unsampled run
-//! (modulo the detector name and the sampling counters themselves).
+//! counters. When the budget is 100% (`period:1` or `full`) every
+//! access is admitted and the wrapped detector's report is
+//! byte-identical to an unsampled run (modulo the detector name and the
+//! sampling counters themselves).
 //!
 //! Accounting follows the [`crate::StaticPruneFilter`] contract:
 //! `stats.events` keeps counting everything that *arrived*,
@@ -39,9 +34,7 @@
 
 use std::fmt;
 
-use dgrace_trace::{
-    Event, RoutingPlan, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError,
-};
+use dgrace_trace::{Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError};
 
 use crate::{Detector, Report, ShardableDetector};
 
@@ -97,12 +90,6 @@ pub enum SampleStrategy {
         /// Window length in accesses.
         window: u64,
     },
-    /// Heat-weighted admission around a target fraction, in parts per
-    /// million (1_000_000 = admit everything).
-    Adaptive {
-        /// Target admitted fraction of accesses, ppm.
-        target_ppm: u32,
-    },
 }
 
 /// A parsed sampling specification: strategy plus decision seed.
@@ -114,7 +101,6 @@ pub enum SampleStrategy {
 /// full
 /// loc:8            loc:8,seed:42        loc:2,granule:256
 /// period:4         period:4,window:512,seed:42
-/// adaptive:0.25    adaptive:0.25,seed:42
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SampleSpec {
@@ -171,26 +157,10 @@ impl SampleSpec {
                     seed: 0,
                 }
             }
-            Some(("adaptive", v)) => {
-                let f: f64 = v
-                    .parse()
-                    .map_err(|_| format!("sample spec `{s}`: bad adaptive fraction `{v}`"))?;
-                if !f.is_finite() || f <= 0.0 || f > 1.0 {
-                    return Err(format!(
-                        "sample spec `{s}`: adaptive fraction must be in (0, 1]"
-                    ));
-                }
-                SampleSpec {
-                    strategy: SampleStrategy::Adaptive {
-                        target_ppm: (f * 1_000_000.0).round() as u32,
-                    },
-                    seed: 0,
-                }
-            }
             Some((other, _)) => {
                 return Err(format!(
                     "sample spec `{s}`: unknown strategy `{other}` \
-                     (use full, loc:K, period:N, adaptive:F)"
+                     (use full, loc:K, period:N)"
                 ))
             }
         };
@@ -247,7 +217,6 @@ impl SampleSpec {
             SampleStrategy::Full => true,
             SampleStrategy::Location { .. } => false,
             SampleStrategy::Period { n, .. } => n == 1,
-            SampleStrategy::Adaptive { target_ppm } => target_ppm >= 1_000_000,
         }
     }
 }
@@ -268,9 +237,6 @@ impl fmt::Display for SampleSpec {
                     write!(f, ",window:{window}")?;
                 }
             }
-            SampleStrategy::Adaptive { target_ppm } => {
-                write!(f, "adaptive:{}", fmt_fraction(target_ppm))?;
-            }
         }
         if self.seed != 0 {
             write!(f, ",seed:{}", self.seed)?;
@@ -279,31 +245,9 @@ impl fmt::Display for SampleSpec {
     }
 }
 
-/// Renders ppm as the shortest exact decimal fraction (`250000` →
-/// `0.25`, `1000000` → `1`).
-fn fmt_fraction(ppm: u32) -> String {
-    if ppm >= 1_000_000 {
-        return "1".into();
-    }
-    let mut s = format!("0.{ppm:06}");
-    while s.ends_with('0') {
-        s.pop();
-    }
-    s
-}
-
-/// One compiled heat bucket: addresses in `[start, end)` admit when the
-/// per-access hash draw is `<= threshold`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct HeatRate {
-    start: u64,
-    end: u64,
-    threshold: u64,
-}
-
 /// The admission state machine. All fields are either configuration
-/// (derived from the spec and the optional heat plan) or counters — the
-/// serialized state in a snapshot is counters only.
+/// (derived from the spec) or counters — the serialized state in a
+/// snapshot is counters only.
 #[derive(Clone, Debug)]
 pub struct Sampler {
     spec: SampleSpec,
@@ -316,42 +260,15 @@ pub struct Sampler {
     /// counters, keyed by the top bits of the granule's Fibonacci
     /// hash. Empty for every other strategy.
     loc_counts: Vec<u8>,
-    /// Sorted, disjoint heat-weighted admission thresholds
-    /// (`adaptive:` with a routing plan).
-    heat: Vec<HeatRate>,
-    /// Digest of the compiled heat table, bound into snapshots so a
-    /// resumed run cannot silently continue under a different plan.
-    heat_digest: u64,
-    /// Threshold for addresses outside every heat bucket (and the
-    /// uniform threshold when no plan is installed).
-    cold_threshold: u64,
-    /// Locality memo: index of the last matching heat bucket.
-    heat_hint: usize,
     /// Derived period phase: which window residue is analyzed.
     phase: u64,
 }
 
-/// Converts an admission probability to a `u64` hash threshold
-/// (`admit ⇔ draw <= threshold`); `p >= 1` admits everything.
-fn threshold(p: f64) -> u64 {
-    if p >= 1.0 {
-        u64::MAX
-    } else if p <= 0.0 {
-        0
-    } else {
-        (p * (u64::MAX as f64)) as u64
-    }
-}
-
 impl Sampler {
-    /// Builds a sampler for `spec` with no heat plan installed.
+    /// Builds a sampler for `spec`.
     pub fn new(spec: SampleSpec) -> Self {
         let phase = match spec.strategy {
             SampleStrategy::Period { n, .. } => mix(spec.seed) % n,
-            _ => 0,
-        };
-        let cold_threshold = match spec.strategy {
-            SampleStrategy::Adaptive { target_ppm } => threshold(target_ppm as f64 / 1_000_000.0),
             _ => 0,
         };
         let loc_counts = match spec.strategy {
@@ -363,10 +280,6 @@ impl Sampler {
             seen: 0,
             admitted: 0,
             loc_counts,
-            heat: Vec::new(),
-            heat_digest: 0,
-            cold_threshold,
-            heat_hint: 0,
             phase,
         }
     }
@@ -391,65 +304,16 @@ impl Sampler {
         self.seen - self.admitted
     }
 
-    /// A fresh sampler with the same configuration (spec + heat table)
-    /// and zeroed counters — the per-shard clone.
+    /// A fresh sampler with the same configuration and zeroed counters —
+    /// the per-shard clone.
     pub fn fresh(&self) -> Self {
         Sampler {
             spec: self.spec.clone(),
             seen: 0,
             admitted: 0,
             loc_counts: vec![0u8; self.loc_counts.len()],
-            heat: self.heat.clone(),
-            heat_digest: self.heat_digest,
-            cold_threshold: self.cold_threshold,
-            heat_hint: 0,
             phase: self.phase,
         }
-    }
-
-    /// Installs an AOT heat histogram for the `adaptive:` strategy: the
-    /// per-bucket admission probability is the target fraction scaled by
-    /// the bucket's access density relative to the trace-wide mean, so
-    /// the budget concentrates where sharing churn concentrated during
-    /// analysis. Cold and unmapped addresses keep a quarter-target
-    /// floor. Ignored (but digested as absent) for other strategies.
-    pub fn set_heat(&mut self, plan: &RoutingPlan) {
-        let SampleStrategy::Adaptive { target_ppm } = self.spec.strategy else {
-            return;
-        };
-        let f = target_ppm as f64 / 1_000_000.0;
-        let total_weight: u64 = plan.buckets.iter().map(|b| b.weight).sum();
-        let total_len: u64 = plan.buckets.iter().map(|b| b.len.max(1)).sum();
-        if plan.buckets.is_empty() || total_weight == 0 || f >= 1.0 {
-            return;
-        }
-        let mean_density = total_weight as f64 / total_len as f64;
-        let floor = (f / 4.0).min(1.0);
-        self.heat = plan
-            .buckets
-            .iter()
-            .map(|b| {
-                let density = b.weight as f64 / b.len.max(1) as f64;
-                let p = (f * density / mean_density).clamp(floor, 1.0);
-                HeatRate {
-                    start: b.start.0,
-                    end: b.start.0.saturating_add(b.len),
-                    threshold: threshold(p),
-                }
-            })
-            .collect();
-        self.heat.sort_by_key(|h| h.start);
-        self.cold_threshold = threshold(floor);
-        self.heat_digest = {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for r in &self.heat {
-                for v in [r.start, r.end, r.threshold] {
-                    h = mix(h ^ v);
-                }
-            }
-            h
-        };
-        self.heat_hint = 0;
     }
 
     /// The admission decision for one access at `addr`. One branch (on
@@ -478,40 +342,9 @@ impl Sampler {
                         < budget as u128
             }
             SampleStrategy::Period { n, window } => (i / window) % n == self.phase,
-            SampleStrategy::Adaptive { .. } => {
-                let t = self.lookup_heat(addr);
-                // Threshold MAX means "admit always" — exact, not a
-                // rounding accident, so 100% budgets stay byte-identical.
-                t == u64::MAX || mix(self.spec.seed ^ i) <= t
-            }
         };
         self.admitted += ok as u64;
         ok
-    }
-
-    /// Heat-bucket threshold for `addr`, with a last-bucket memo (access
-    /// streams are local, so the memo hits almost always).
-    #[inline]
-    fn lookup_heat(&mut self, addr: u64) -> u64 {
-        if self.heat.is_empty() {
-            return self.cold_threshold;
-        }
-        if let Some(h) = self.heat.get(self.heat_hint) {
-            if h.start <= addr && addr < h.end {
-                return h.threshold;
-            }
-        }
-        match self
-            .heat
-            .partition_point(|h| h.start <= addr)
-            .checked_sub(1)
-        {
-            Some(idx) if addr < self.heat[idx].end => {
-                self.heat_hint = idx;
-                self.heat[idx].threshold
-            }
-            _ => self.cold_threshold,
-        }
     }
 
     /// Resets all counters (configuration is kept) — called from
@@ -520,14 +353,15 @@ impl Sampler {
         self.seen = 0;
         self.admitted = 0;
         self.loc_counts.fill(0);
-        self.heat_hint = 0;
     }
 
     /// Serializes the sampler's counters into `w` (canonical: nonzero
-    /// counter slots in ascending order).
+    /// counter slots in ascending order). The word after the spec is
+    /// reserved: it was the digest of the `adaptive:` strategy's heat
+    /// table, zero for every sampler that had none installed.
     pub(crate) fn encode(&self, w: &mut SnapshotWriter) {
         w.str(&self.spec.to_string());
-        w.u64(self.heat_digest);
+        w.u64(0);
         w.u64(self.seen);
         w.u64(self.admitted);
         let nonzero: Vec<(usize, u8)> = self
@@ -544,8 +378,8 @@ impl Sampler {
         }
     }
 
-    /// Restores counters from [`Sampler::encode`]d state; the spec and
-    /// heat digest must match this sampler's configuration.
+    /// Restores counters from [`Sampler::encode`]d state; the spec must
+    /// match this sampler's configuration.
     pub(crate) fn decode(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), String> {
         let spec = r.str().map_err(snapshot_error)?;
         if spec != self.spec.to_string() {
@@ -554,10 +388,9 @@ impl Sampler {
                 self.spec
             ));
         }
-        let digest = r.u64().map_err(snapshot_error)?;
-        if digest != self.heat_digest {
-            return Err("sampler snapshot was taken under a different heat plan; \
-                 resume with the same --plan-with summary"
+        if r.u64().map_err(snapshot_error)? != 0 {
+            return Err("sampler snapshot was taken under a heat plan \
+                 (`--sample adaptive:F --plan-with`), which this build no longer has"
                 .into());
         }
         self.seen = r.u64().map_err(snapshot_error)?;
@@ -578,7 +411,6 @@ impl Sampler {
                 }
             }
         }
-        self.heat_hint = 0;
         Ok(())
     }
 }
@@ -606,15 +438,9 @@ impl<D: Detector> Sampled<D> {
         }
     }
 
-    /// Wraps `inner` with an already-configured sampler (used by
-    /// `new_shard` to propagate the heat table).
+    /// Wraps `inner` with an already-configured sampler.
     pub fn with_sampler(inner: D, sampler: Sampler) -> Self {
         Sampled { inner, sampler }
-    }
-
-    /// Installs the AOT heat histogram (see [`Sampler::set_heat`]).
-    pub fn set_heat(&mut self, plan: &RoutingPlan) {
-        self.sampler.set_heat(plan);
     }
 
     /// The sampler, for inspection in tests.
@@ -697,7 +523,7 @@ impl<D: ShardableDetector> ShardableDetector for Sampled<D> {
 mod tests {
     use super::*;
     use crate::{DetectorExt, FastTrack};
-    use dgrace_trace::{AccessSize, Addr, HeatBucket, Trace, TraceBuilder};
+    use dgrace_trace::{AccessSize, Trace, TraceBuilder};
 
     fn racy_trace() -> Trace {
         let mut b = TraceBuilder::new();
@@ -721,9 +547,6 @@ mod tests {
             ("period:4", "period:4"),
             ("period:4,window:512", "period:4,window:512"),
             ("period:4,window:512,seed:9", "period:4,window:512,seed:9"),
-            ("adaptive:0.25", "adaptive:0.25"),
-            ("adaptive:1", "adaptive:1"),
-            ("adaptive:0.5,seed:3", "adaptive:0.5,seed:3"),
         ] {
             let spec = SampleSpec::parse(input).unwrap();
             assert_eq!(spec.to_string(), canonical);
@@ -734,9 +557,7 @@ mod tests {
             "loc:0",
             "loc:x",
             "period:0",
-            "adaptive:0",
-            "adaptive:1.5",
-            "adaptive:-1",
+            "adaptive:0.5",
             "nope:3",
             "loc:4,window:9",
             "loc:4,bogus:1",
@@ -749,7 +570,7 @@ mod tests {
     fn full_budget_specs_are_identity() {
         let trace = racy_trace();
         let bare = FastTrack::new().run(&trace);
-        for spec in ["full", "period:1", "adaptive:1"] {
+        for spec in ["full", "period:1"] {
             let spec = SampleSpec::parse(spec).unwrap();
             assert!(spec.is_full_budget());
             let mut det = Sampled::new(FastTrack::new(), spec.clone());
@@ -816,37 +637,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_heat_concentrates_budget() {
-        let spec = SampleSpec::parse("adaptive:0.1").unwrap();
-        let mut s = Sampler::new(spec);
-        s.set_heat(&RoutingPlan {
-            buckets: vec![
-                HeatBucket {
-                    start: Addr(0x1000),
-                    len: 0x100,
-                    weight: 10_000,
-                },
-                HeatBucket {
-                    start: Addr(0x8000),
-                    len: 0x100,
-                    weight: 1,
-                },
-            ],
-        });
-        let mut hot = 0u64;
-        let mut cold = 0u64;
-        for i in 0..10_000u64 {
-            hot += s.admit(0x1000 + (i % 0x100)) as u64;
-            cold += s.admit(0x8000 + (i % 0x100)) as u64;
-        }
-        assert!(
-            hot > cold * 2,
-            "budget concentrates on the hot bucket: hot={hot} cold={cold}"
-        );
-        assert!(cold > 0, "cold floor keeps some coverage");
-    }
-
-    #[test]
     fn sampled_snapshot_round_trips_mid_run() {
         use crate::FastTrackOn;
         use dgrace_shadow::HashSelect;
@@ -887,25 +677,32 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_snapshot_taken_under_a_heat_plan() {
+        // The reserved word is zero in everything this build writes.
+        let mut w = SnapshotWriter::new(SAMPLE_MAGIC, SAMPLE_VERSION);
+        w.str("loc:2");
+        w.u64(0x5eed);
+        let mut s = Sampler::new(SampleSpec::parse("loc:2").unwrap());
+        let bytes = w.finish();
+        let mut r =
+            SnapshotReader::new(&bytes, SAMPLE_MAGIC, SAMPLE_VERSION, Default::default()).unwrap();
+        let err = s.decode(&mut r).unwrap_err();
+        assert!(err.contains("adaptive"), "{err}");
+    }
+
+    #[test]
     fn sharded_clone_copies_configuration_not_counters() {
         use crate::FastTrackOn;
         use dgrace_shadow::HashSelect;
-        let mut proto = Sampled::new(
+        let proto = Sampled::new(
             FastTrackOn::<HashSelect>::new(),
-            SampleSpec::parse("adaptive:0.5,seed:7").unwrap(),
+            SampleSpec::parse("period:2,seed:7").unwrap(),
         );
-        proto.set_heat(&RoutingPlan {
-            buckets: vec![HeatBucket {
-                start: Addr(0x1000),
-                len: 0x100,
-                weight: 5,
-            }],
-        });
         let mut shard = proto.new_shard();
         let mut b = TraceBuilder::new();
         b.write(0u32, 0x1000u64, AccessSize::U64);
         let rep = shard.run(&b.build());
-        assert!(rep.detector.contains("+sampled@adaptive:0.5,seed:7"));
+        assert!(rep.detector.contains("+sampled@period:2,seed:7"));
         assert_eq!(rep.stats.sample_admitted + rep.stats.sample_skipped, 1);
     }
 }

@@ -119,8 +119,6 @@ pub fn merge_shard_reports(reports: Vec<Report>) -> Report {
         s.dropped += o.dropped;
         s.events_lost += o.events_lost;
         s.evicted += o.evicted;
-        s.preseed_hits += o.preseed_hits;
-        s.preseed_misses += o.preseed_misses;
         s.sample_admitted += o.sample_admitted;
         s.sample_skipped += o.sample_skipped;
         s.sharing = match (s.sharing.take(), o.sharing) {

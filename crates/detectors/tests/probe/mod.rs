@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use dgrace_detectors::{Detector, RaceKind, RaceReport, Report, ShardableDetector};
 use dgrace_shadow::PressureLevel;
-use dgrace_trace::{Addr, AffinityMap, Event, LockId};
+use dgrace_trace::{Addr, Event, LockId};
 use dgrace_vc::{Epoch, Tid};
 
 /// What a probe has been told, shared with the test that built it.
@@ -19,7 +19,6 @@ use dgrace_vc::{Epoch, Tid};
 pub struct Seen {
     pub events: u64,
     pub budget: Option<Option<u64>>,
-    pub affinity: Option<Arc<AffinityMap>>,
     pub pressure: Option<PressureLevel>,
     pub restored: Option<Vec<u8>>,
 }
@@ -75,9 +74,6 @@ impl Detector for Probe {
     fn set_shadow_budget(&mut self, bytes: Option<u64>) {
         self.seen().budget = Some(bytes);
     }
-    fn set_affinity(&mut self, map: Arc<AffinityMap>) {
-        self.seen().affinity = Some(map);
-    }
     fn set_pressure(&mut self, level: PressureLevel) {
         self.seen().pressure = Some(level);
     }
@@ -112,15 +108,6 @@ pub fn assert_reaches_the_probe<W: Detector>(layer: &str, wrap: impl FnOnce(Prob
     // as the user's and re-applies it; at rung 0 that is the same value.)
     det.set_shadow_budget(Some(77));
     assert_eq!(seen().budget, Some(Some(77)), "{layer}: set_shadow_budget");
-    let map = Arc::new(AffinityMap::default());
-    det.set_affinity(Arc::clone(&map));
-    assert!(
-        seen()
-            .affinity
-            .as_ref()
-            .is_some_and(|m| Arc::ptr_eq(m, &map)),
-        "{layer}: set_affinity"
-    );
     det.set_pressure(PressureLevel::High);
     assert_eq!(
         seen().pressure,

@@ -397,11 +397,13 @@ impl Router {
         if self.shards <= 1 {
             return;
         }
-        let end = base + len.max(1);
+        // Like `routes_for_range`: a range running past the top of the
+        // address space ends there, it does not wrap.
+        let end = base.saturating_add(len.max(1));
         let pos = self.ranges.partition_point(|r| r.0 < base);
-        // An allocation overlapping an already-routed range (a preloaded
-        // plan bucket, or a re-registration after checkpoint resume)
-        // keeps the existing routing: splitting an object across shards
+        // An allocation overlapping an already-routed range (a
+        // re-registration after checkpoint resume) keeps the existing
+        // routing: splitting an object across shards
         // would break the one-shard-per-object invariant, and consuming
         // a round-robin slot for a skipped insert would perturb the
         // placement of every later allocation.
@@ -413,29 +415,6 @@ impl Router {
         let shard = self.next_shard;
         self.next_shard = (self.next_shard + 1) % self.shards;
         self.ranges.insert(pos, (base, end, shard));
-    }
-
-    /// Installs an ahead-of-time routing plan: sorted, disjoint
-    /// `(base, end, shard)` ranges that take ownership of their address
-    /// ranges before the first event is seen. Later `register` calls for
-    /// overlapping allocations defer to the plan. Buckets routed to
-    /// shards this engine does not have are dropped (a plan compiled for
-    /// a different shard count degrades to plain routing, never panics).
-    fn preload(&mut self, routes: &[(u64, u64, usize)]) {
-        if self.shards <= 1 {
-            return;
-        }
-        for &(base, end, shard) in routes {
-            if shard >= self.shards || end <= base {
-                continue;
-            }
-            let pos = self.ranges.partition_point(|r| r.0 < base);
-            let overlaps = (pos > 0 && self.ranges[pos - 1].1 > base)
-                || (pos < self.ranges.len() && self.ranges[pos].0 < end);
-            if !overlaps {
-                self.ranges.insert(pos, (base, end, shard));
-            }
-        }
     }
 
     /// Collects into `out` every shard owning any byte of
@@ -918,14 +897,6 @@ impl Engine {
         self.router.write().register(base, len);
     }
 
-    /// Installs an ahead-of-time shard routing plan (see
-    /// [`dgrace_trace::RoutingPlan::compile`]). Call before feeding
-    /// events; allocations overlapping a plan bucket keep the planned
-    /// shard instead of drawing a round-robin slot.
-    pub(crate) fn preload_routes(&self, routes: &[(u64, u64, usize)]) {
-        self.router.write().preload(routes);
-    }
-
     /// Emits an allocation event: flushes the allocating thread's buffer,
     /// then dispatches the event to the object's shard immediately, so
     /// every shard-feed (and the journal) shows the `Alloc` before any
@@ -1294,28 +1265,21 @@ mod tests {
     }
 
     #[test]
-    fn preloaded_plan_owns_its_ranges() {
-        let mut r = Router::new(4);
-        r.preload(&[(0x1000, 0x1800, 2), (0x4000, 0x4100, 0)]);
-        assert_eq!(r.route(0x1000), 2);
-        assert_eq!(r.route(0x17ff), 2);
-        assert_eq!(r.route(0x4000), 0);
-        // An allocation overlapping a plan bucket keeps the planned
-        // shard and does not consume a round-robin slot...
-        r.register(0x1200, 0x100);
-        assert_eq!(r.route(0x1200), 2);
-        // ...so the next fresh allocation still lands on shard 0.
-        r.register(0x9000, 0x100);
-        assert_eq!(r.route(0x9000), 0);
-        // Buckets for out-of-range shards or empty spans are dropped.
+    fn a_range_at_the_top_of_the_address_space_ends_there() {
+        // `Alloc { addr: u64::MAX, size: 0 }` decodes (`addr + size` does
+        // not wrap); its one-byte range must not wrap either.
         let mut r = Router::new(2);
-        r.preload(&[(0x1000, 0x2000, 7), (0x3000, 0x3000, 0)]);
-        assert!(r.ranges.is_empty());
-        // Single-shard routers ignore plans entirely.
-        let mut r = Router::new(1);
-        r.preload(&[(0x1000, 0x2000, 0)]);
-        assert!(r.ranges.is_empty());
-        assert_eq!(r.route(0x1500), 0);
+        r.register(0x1000, 0x100);
+        r.register(u64::MAX - 0xf, 0x100);
+        r.register(u64::MAX, 0);
+        assert!(r.ranges.iter().all(|&(base, end, _)| base <= end));
+        assert!(
+            r.ranges.windows(2).all(|w| w[0].1 <= w[1].0),
+            "sorted and disjoint: {:x?}",
+            r.ranges
+        );
+        assert_eq!(r.route(0x1080), 0);
+        assert_eq!(r.route(u64::MAX - 1), 1);
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl IngestSession {
         }
         IngestSession {
             watermarks: vec![0; detectors.len()],
-            engine: assemble(detectors, PruneSet::empty(), &[], None),
+            engine: assemble(detectors, PruneSet::empty(), None),
             driver: Driver::new(Funnel::new(true), prototype.name(), 0, None),
         }
     }

@@ -1,8 +1,8 @@
 //! The one replay driver: walk a source of events through N detector
 //! shards under a [`RunPlan`].
 //!
-//! Sharding, the transport, pruning, routing plans, supervision,
-//! checkpoints, resume and cooperative interruption are orthogonal to
+//! Sharding, the transport, pruning, supervision, checkpoints, resume
+//! and cooperative interruption are orthogonal to
 //! the detector, so each is a field of the plan and each is written
 //! once:
 //!
@@ -61,8 +61,8 @@ pub enum Transport {
 }
 
 /// Everything a [`replay`] can vary, one field per concern. The default
-/// plan is one shard on the funnel with nothing pruned, planned,
-/// supervised, checkpointed, resumed or interruptible.
+/// plan is one shard on the funnel with nothing pruned, supervised,
+/// checkpointed, resumed or interruptible.
 #[derive(Default)]
 pub struct RunPlan<'a> {
     /// Number of address-partitioned detector shards (`0` is treated as
@@ -75,13 +75,6 @@ pub struct RunPlan<'a> {
     /// merged report as `stats.pruned`. It must have been compiled for
     /// the prototype's granularity (see `AnalysisSummary::prune_set`).
     pub prune: PruneSet,
-    /// Ahead-of-time shard routing plan: sorted, disjoint
-    /// `(base, end, shard)` buckets (see `RoutingPlan::compile`)
-    /// preloaded into the router before the first event, so the hottest
-    /// address ranges are balanced across shards instead of placed
-    /// round-robin by allocation order. Allocations overlapping a bucket
-    /// keep the planned shard.
-    pub routes: &'a [(u64, u64, usize)],
     /// Self-healing: a shard whose detector panics is respawned from the
     /// prototype, rolled forward through the engine's journals, and
     /// re-fed the offending batch, within this respawn budget. With a
@@ -91,9 +84,7 @@ pub struct RunPlan<'a> {
     pub checkpoint: Option<&'a CheckpointOptions>,
     /// A previously loaded manifest to continue from, written by either
     /// transport. Restoring it overwrites the router wholesale with its
-    /// captured ranges, which already reflect whatever `routes` were
-    /// active when it was taken — so an interrupted planned run resumes
-    /// with the routing it started with.
+    /// captured ranges.
     pub resume: Option<&'a CheckpointManifest>,
     /// Cooperative interruption flag (a SIGINT/SIGTERM handler sets it):
     /// when it reads `true` the replay flushes what it has, writes a
@@ -166,12 +157,10 @@ fn replay_borrowed<D: ShardableDetector + ?Sized>(
     .expect("a trace in memory under a plan without checkpoint or resume performs no fallible I/O")
 }
 
-/// Builds the sharded engine of a driven run — replay or live session —
-/// with the routing plan preloaded before the first event.
+/// Builds the sharded engine of a driven run — replay or live session.
 pub(crate) fn assemble(
     detectors: Vec<Box<dyn Detector + Send>>,
     prune: PruneSet,
-    routes: &[(u64, u64, usize)],
     supervisor: Option<(DetectorFactory, SupervisorPolicy)>,
 ) -> Engine {
     let opts = RuntimeOptions {
@@ -179,9 +168,7 @@ pub(crate) fn assemble(
         buffer_capacity: 1,
         record: false,
     };
-    let engine = Engine::build(detectors, opts, prune, supervisor);
-    engine.preload_routes(routes);
-    engine
+    Engine::build(detectors, opts, prune, supervisor)
 }
 
 /// Checks that a manifest matches the run it is resumed into (same
@@ -237,7 +224,7 @@ fn run(
     source: impl EventSource,
     plan: &RunPlan<'_>,
 ) -> Result<Report, ReplayError> {
-    let engine = assemble(detectors, plan.prune.clone(), plan.routes, supervisor);
+    let engine = assemble(detectors, plan.prune.clone(), supervisor);
     let start = match plan.resume {
         Some(m) => resume_from(&engine, m, &det_name, Some(source.len()))?,
         None => 0,

@@ -48,9 +48,9 @@ impl Inner {
     /// shard router, so a whole object — and therefore every pair of
     /// sharing-adjacent locations — always lands in one shard.
     pub(crate) fn alloc_addr(&self, len: u64) -> u64 {
-        let len = (len + 7) & !7;
-        let addr = self.next_addr.fetch_add(len + 256, Ordering::Relaxed);
-        self.engine.register_range(addr, len + 256);
+        let padded = (len.saturating_add(7) & !7).saturating_add(256);
+        let addr = self.next_addr.fetch_add(padded, Ordering::Relaxed);
+        self.engine.register_range(addr, padded);
         addr
     }
 }

@@ -24,7 +24,7 @@ use dgrace_runtime::{
 use dgrace_trace::io::{to_bytes, EventReader};
 use dgrace_trace::{
     AccessSize, Addr, AnalysisSummary, BlockReader, ClassifiedRange, Event, EventSource,
-    HeatBucket, LocationClass, PruneSet, RoutingPlan, Trace, TraceBuilder, TraceError,
+    LocationClass, PruneSet, Trace, TraceBuilder, TraceError,
 };
 
 /// A racy pair at 0x100, a lock-protected pair at 0x5000, and eight
@@ -57,19 +57,6 @@ fn local_prune() -> PruneSet {
         ..Default::default()
     };
     summary.prune_set(1, 0)
-}
-
-/// Heat buckets covering both hot addresses; compiling balances them
-/// across shards, overriding the region-hash fallback.
-fn hot_plan() -> RoutingPlan {
-    let bucket = |start, weight| HeatBucket {
-        start: Addr(start),
-        len: 0x1000,
-        weight,
-    };
-    RoutingPlan {
-        buckets: vec![bucket(0x0, 10), bucket(0x5000, 9)],
-    }
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -127,8 +114,7 @@ impl Input {
 
 /// Every plan axis against the serial detector: one race signature
 /// and exact event counts per trace, whatever the source, transport,
-/// shard count, prune set, routing plan, supervisor, or
-/// checkpoint/resume cut.
+/// shard count, prune set, supervisor, or checkpoint/resume cut.
 #[test]
 fn every_plan_axis_matches_the_serial_run() {
     let input = Input::of(racy_trace());
@@ -148,13 +134,11 @@ fn every_plan_axis_matches_the_serial_run() {
         let want = race_signature(&proto().run(trace));
         assert!(!want.is_empty(), "{name}: the trace has a race to find");
         for shards in [1usize, 2, 3, 4, 8] {
-            let routes = hot_plan().compile(shards);
-            assert!(shards == 1 || !routes.is_empty(), "plan compiles");
-            for (pruned, planned, supervised, checkpointed) in
-                (0..16).map(|m| (m & 1 != 0, m & 2 != 0, m & 4 != 0, m & 8 != 0))
+            for (pruned, supervised, checkpointed) in
+                (0..8).map(|m| (m & 1 != 0, m & 2 != 0, m & 4 != 0))
             {
                 let row = format!(
-                    "{name} shards={shards} prune={pruned} routes={planned} \
+                    "{name} shards={shards} prune={pruned} \
                      supervisor={supervised} checkpoint={checkpointed}"
                 );
                 let plan = |transport| RunPlan {
@@ -165,7 +149,6 @@ fn every_plan_axis_matches_the_serial_run() {
                     } else {
                         PruneSet::empty()
                     },
-                    routes: if planned { &routes } else { &[] },
                     supervisor: supervised.then(SupervisorPolicy::default),
                     checkpoint: checkpointed.then_some(&ckpt),
                     ..RunPlan::default()

@@ -3,8 +3,8 @@
 //! Three invariants, matching the CI `sampling-equivalence` gate:
 //!
 //! 1. **100% budget is free**: a `Sampled` wrapper whose spec admits
-//!    every access (`full`, `period:1`, `adaptive:1.0`, or a `loc:`
-//!    budget no counter can exhaust) produces byte-for-byte the report
+//!    every access (`full`, `period:1`, or a `loc:` budget no counter
+//!    can exhaust) produces byte-for-byte the report
 //!    of an unwrapped run — for every detector family, both shadow
 //!    stores, and shard counts 1/2/4 — on arbitrary traces.
 //! 2. **Seeded runs are deterministic**: the same spec + seed gives the
@@ -63,7 +63,7 @@ fn prototypes() -> Vec<Combo> {
 
 /// Specs that must admit every access: the wrapper's report may only
 /// differ from the bare run in its name and sampling counters.
-const FULL_BUDGET_SPECS: [&str; 4] = ["full", "period:1", "adaptive:1.0", "loc:4294967295"];
+const FULL_BUDGET_SPECS: [&str; 3] = ["full", "period:1", "loc:4294967295"];
 
 /// One generated trace operation; threads 1..=3 are forked from 0 and
 /// joined at the end, so every op is concurrency-meaningful.

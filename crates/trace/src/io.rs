@@ -33,24 +33,18 @@
 //!
 //! ```text
 //! magic          : b"DGAS"
-//! version        : u32      (currently 2; version-1 files still decode)
-//! fingerprint    : u64      trace content fingerprint (v2 only)
+//! version        : u32      (3, the only one read: a summary is regenerated, not migrated)
+//! fingerprint    : u64      trace content fingerprint
 //! trace_events   : u64
 //! trace_accesses : u64
 //! stats          : 8 × u64  (bytes, accesses per class, in declaration order)
 //! count          : u64      number of classified ranges
 //! ranges         : count records — start u64, len u64, class u8,
 //!                  then for class 2 (locked): lock_count u32, lock u32 …
-//! affinity       : count u64, then per range: start u64, len u64, stride u8
 //! warnings       : count u64, then per warning: tag u8 —
 //!                  tag 0 (lock-order cycle): lock_count u32, lock u32 …
 //!                  tag 1 (unlocked shared range): start u64, len u64
-//! heat           : count u64, then per bucket: start u64, len u64, weight u64
 //! ```
-//!
-//! The three trailing sections exist only in version-2 streams; a
-//! version-1 stream ends after the classified ranges and decodes with a
-//! zero fingerprint and empty affinity/warnings/heat.
 //!
 //! # Hardened decoding
 //!
@@ -72,8 +66,8 @@ use std::io;
 use dgrace_vc::Tid;
 
 use crate::summary::{
-    AffinityMap, AffinityRange, AnalysisSummary, AnalysisWarning, ClassCounts, ClassifiedRange,
-    HeatBucket, LocationClass, RoutingPlan, SummaryStats, SUMMARY_VERSION,
+    AnalysisSummary, AnalysisWarning, ClassCounts, ClassifiedRange, LocationClass, SummaryStats,
+    SUMMARY_VERSION,
 };
 use crate::{AccessSize, Addr, Event, EventSource, LockId, Trace};
 
@@ -947,12 +941,6 @@ pub fn write_summary<W: io::Write>(summary: &AnalysisSummary, w: &mut W) -> io::
             LocationClass::Contended => w.write_all(&[3u8])?,
         }
     }
-    w.write_all(&(summary.affinity.ranges.len() as u64).to_le_bytes())?;
-    for a in &summary.affinity.ranges {
-        w.write_all(&a.start.0.to_le_bytes())?;
-        w.write_all(&a.len.to_le_bytes())?;
-        w.write_all(&[a.stride])?;
-    }
     w.write_all(&(summary.warnings.len() as u64).to_le_bytes())?;
     for warning in &summary.warnings {
         match warning {
@@ -969,12 +957,6 @@ pub fn write_summary<W: io::Write>(summary: &AnalysisSummary, w: &mut W) -> io::
                 w.write_all(&len.to_le_bytes())?;
             }
         }
-    }
-    w.write_all(&(summary.plan.buckets.len() as u64).to_le_bytes())?;
-    for b in &summary.plan.buckets {
-        w.write_all(&b.start.0.to_le_bytes())?;
-        w.write_all(&b.len.to_le_bytes())?;
-        w.write_all(&b.weight.to_le_bytes())?;
     }
     Ok(())
 }
@@ -1043,10 +1025,10 @@ pub fn read_summary_with<R: io::Read>(
         return Err(TraceError::BadMagic(magic));
     }
     let version = c.u32()?;
-    if version != 1 && version != SUMMARY_VERSION {
+    if version != SUMMARY_VERSION {
         return Err(TraceError::BadVersion(version));
     }
-    let fingerprint = if version >= 2 { c.u64()? } else { 0 };
+    let fingerprint = c.u64()?;
     let trace_events = c.u64()?;
     let trace_accesses = c.u64()?;
     let mut counts = [ClassCounts::default(); 4];
@@ -1124,96 +1106,48 @@ pub fn read_summary_with<R: io::Read>(
         };
         ranges.push(ClassifiedRange { start, len, class });
     }
-    let mut affinity = AffinityMap::default();
-    let mut warnings = Vec::new();
-    let mut plan = RoutingPlan::default();
-    if version >= 2 {
-        let n_off = c.offset;
-        let n = c.u64()?;
-        if n > limits.max_ranges {
-            return Err(TraceError::LimitExceeded {
-                offset: n_off,
-                what: "affinity range count",
-                value: n,
-                limit: limits.max_ranges,
-            });
-        }
-        affinity.ranges.reserve(n.min(1 << 12) as usize);
-        for _ in 0..n {
-            let start = Addr(c.u64()?);
-            let len_off = c.offset;
-            let len = c.u64()?;
-            if len > limits.max_obj_size || start.0.checked_add(len).is_none() {
-                return Err(TraceError::LimitExceeded {
-                    offset: len_off,
-                    what: "affinity range width",
-                    value: len,
-                    limit: limits.max_obj_size,
-                });
+    let n_off = c.offset;
+    let n = c.u64()?;
+    if n > limits.max_ranges {
+        return Err(TraceError::LimitExceeded {
+            offset: n_off,
+            what: "warning count",
+            value: n,
+            limit: limits.max_ranges,
+        });
+    }
+    let mut warnings = Vec::with_capacity(n.min(1 << 12) as usize);
+    for _ in 0..n {
+        let tag_off = c.offset;
+        match c.u8()? {
+            0 => {
+                let k_off = c.offset;
+                let k = c.u32()?;
+                if k > limits.max_lockset {
+                    return Err(TraceError::LimitExceeded {
+                        offset: k_off,
+                        what: "lockset length",
+                        value: k as u64,
+                        limit: limits.max_lockset as u64,
+                    });
+                }
+                let mut locks = Vec::with_capacity(k.min(64) as usize);
+                for _ in 0..k {
+                    locks.push(LockId(c.u32()?));
+                }
+                warnings.push(AnalysisWarning::LockOrderCycle { locks });
             }
-            let stride = c.u8()?;
-            affinity.ranges.push(AffinityRange { start, len, stride });
-        }
-        let n_off = c.offset;
-        let n = c.u64()?;
-        if n > limits.max_ranges {
-            return Err(TraceError::LimitExceeded {
-                offset: n_off,
-                what: "warning count",
-                value: n,
-                limit: limits.max_ranges,
-            });
-        }
-        warnings.reserve(n.min(1 << 12) as usize);
-        for _ in 0..n {
-            let tag_off = c.offset;
-            match c.u8()? {
-                0 => {
-                    let k_off = c.offset;
-                    let k = c.u32()?;
-                    if k > limits.max_lockset {
-                        return Err(TraceError::LimitExceeded {
-                            offset: k_off,
-                            what: "lockset length",
-                            value: k as u64,
-                            limit: limits.max_lockset as u64,
-                        });
-                    }
-                    let mut locks = Vec::with_capacity(k.min(64) as usize);
-                    for _ in 0..k {
-                        locks.push(LockId(c.u32()?));
-                    }
-                    warnings.push(AnalysisWarning::LockOrderCycle { locks });
-                }
-                1 => {
-                    let start = Addr(c.u64()?);
-                    let len = c.u64()?;
-                    warnings.push(AnalysisWarning::UnlockedSharedRange { start, len });
-                }
-                t => {
-                    return Err(TraceError::BadClass {
-                        offset: tag_off,
-                        class: t,
-                    })
-                }
+            1 => {
+                let start = Addr(c.u64()?);
+                let len = c.u64()?;
+                warnings.push(AnalysisWarning::UnlockedSharedRange { start, len });
             }
-        }
-        let n_off = c.offset;
-        let n = c.u64()?;
-        if n > limits.max_ranges {
-            return Err(TraceError::LimitExceeded {
-                offset: n_off,
-                what: "heat bucket count",
-                value: n,
-                limit: limits.max_ranges,
-            });
-        }
-        plan.buckets.reserve(n.min(1 << 12) as usize);
-        for _ in 0..n {
-            let start = Addr(c.u64()?);
-            let len = c.u64()?;
-            let weight = c.u64()?;
-            plan.buckets.push(HeatBucket { start, len, weight });
+            t => {
+                return Err(TraceError::BadClass {
+                    offset: tag_off,
+                    class: t,
+                })
+            }
         }
     }
     Ok(AnalysisSummary {
@@ -1222,9 +1156,7 @@ pub fn read_summary_with<R: io::Read>(
         trace_accesses,
         ranges,
         stats,
-        affinity,
         warnings,
-        plan,
     })
 }
 
@@ -1556,20 +1488,6 @@ mod tests {
             fingerprint: 0xfeed_f00d_dead_beef,
             trace_events: 42,
             trace_accesses: 30,
-            affinity: AffinityMap {
-                ranges: vec![
-                    AffinityRange {
-                        start: Addr(0x400),
-                        len: 64,
-                        stride: 4,
-                    },
-                    AffinityRange {
-                        start: Addr(0x800),
-                        len: 128,
-                        stride: 8,
-                    },
-                ],
-            },
             warnings: vec![
                 AnalysisWarning::LockOrderCycle {
                     locks: vec![LockId(1), LockId(7)],
@@ -1579,13 +1497,6 @@ mod tests {
                     len: 32,
                 },
             ],
-            plan: RoutingPlan {
-                buckets: vec![HeatBucket {
-                    start: Addr(0x1000),
-                    len: 4096,
-                    weight: 99,
-                }],
-            },
             ranges: vec![
                 ClassifiedRange {
                     start: Addr(0x100),
@@ -1656,12 +1567,16 @@ mod tests {
 
     #[test]
     fn summary_bad_version_rejected() {
-        let mut bytes = summary_to_bytes(&sample_summary());
-        bytes[4] = 99;
-        assert!(matches!(
-            summary_from_bytes(&bytes),
-            Err(TraceError::BadVersion(99))
-        ));
+        // Any version but the current one, the two older ones included:
+        // a summary is regenerated from its trace, not migrated.
+        for version in [1u8, 2, 99] {
+            let mut bytes = summary_to_bytes(&sample_summary());
+            bytes[4] = version;
+            assert!(matches!(
+                summary_from_bytes(&bytes),
+                Err(TraceError::BadVersion(v)) if v == version as u32
+            ));
+        }
     }
 
     #[test]
@@ -1675,10 +1590,10 @@ mod tests {
             ..Default::default()
         };
         let mut bytes = summary_to_bytes(&s);
-        // The class tag of the sole range sits just before the three
-        // empty v2 section counts (3 × u64 of zeros).
+        // The class tag of the sole range sits just before the empty
+        // warning section's count (one u64 of zeros).
         let n = bytes.len();
-        bytes[n - 25] = 9;
+        bytes[n - 9] = 9;
         assert!(matches!(
             summary_from_bytes(&bytes),
             Err(TraceError::BadClass { class: 9, .. })
@@ -1706,10 +1621,10 @@ mod tests {
             ..Default::default()
         };
         let mut bytes = summary_to_bytes(&s);
-        // Patch the lockset count (4 bytes before the empty v2 sections)
-        // to u32::MAX.
+        // Patch the lockset count (4 bytes before the warning count) to
+        // u32::MAX.
         let n = bytes.len();
-        bytes[n - 28..n - 24].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[n - 12..n - 8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             summary_from_bytes(&bytes),
             Err(TraceError::LimitExceeded {
@@ -1722,9 +1637,9 @@ mod tests {
     #[test]
     fn summary_range_count_bounded() {
         let mut bytes = summary_to_bytes(&AnalysisSummary::default());
-        // Patch the range count (8 bytes before the empty v2 sections).
+        // Patch the range count (8 bytes before the warning count).
         let n = bytes.len();
-        bytes[n - 32..n - 24].copy_from_slice(&u64::MAX.to_le_bytes());
+        bytes[n - 16..n - 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             summary_from_bytes(&bytes),
             Err(TraceError::LimitExceeded {
@@ -1735,46 +1650,17 @@ mod tests {
     }
 
     #[test]
-    fn summary_section_counts_bounded() {
-        for (tail, what) in [
-            (24, "affinity range count"),
-            (16, "warning count"),
-            (8, "heat bucket count"),
-        ] {
-            let mut bytes = summary_to_bytes(&AnalysisSummary::default());
-            let n = bytes.len();
-            bytes[n - tail..n - tail + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            match summary_from_bytes(&bytes) {
-                Err(TraceError::LimitExceeded { what: got, .. }) => assert_eq!(got, what),
-                other => panic!("expected LimitExceeded({what}), got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn summary_v1_stream_still_decodes() {
-        // Hand-build a version-1 stream: no fingerprint, ends after the
-        // classified ranges. It must decode with a zero fingerprint and
-        // empty v2 sections.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(b"DGAS");
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&7u64.to_le_bytes()); // trace_events
-        bytes.extend_from_slice(&5u64.to_le_bytes()); // trace_accesses
-        for _ in 0..8 {
-            bytes.extend_from_slice(&0u64.to_le_bytes()); // stats
-        }
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // range count
-        bytes.extend_from_slice(&0x100u64.to_le_bytes());
-        bytes.extend_from_slice(&16u64.to_le_bytes());
-        bytes.push(3); // Contended
-        let s = summary_from_bytes(&bytes).unwrap();
-        assert_eq!(s.fingerprint, 0);
-        assert_eq!(s.trace_events, 7);
-        assert_eq!(s.ranges.len(), 1);
-        assert!(s.affinity.is_empty());
-        assert!(s.warnings.is_empty());
-        assert!(s.plan.is_empty());
+    fn summary_warning_count_bounded() {
+        let mut bytes = summary_to_bytes(&AnalysisSummary::default());
+        let n = bytes.len();
+        bytes[n - 8..].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            summary_from_bytes(&bytes),
+            Err(TraceError::LimitExceeded {
+                what: "warning count",
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -1787,10 +1673,10 @@ mod tests {
             ..Default::default()
         };
         let mut bytes = summary_to_bytes(&s);
-        // Warning tag sits after the (empty) affinity count, before the
-        // 16-byte range body and the trailing 8-byte heat count.
+        // The warning tag sits before the 16-byte range body that ends
+        // the stream.
         let n = bytes.len();
-        bytes[n - 25] = 9;
+        bytes[n - 17] = 9;
         assert!(matches!(
             summary_from_bytes(&bytes),
             Err(TraceError::BadClass { class: 9, .. })

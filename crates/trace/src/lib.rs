@@ -62,9 +62,8 @@ pub use snapshot::{
     CHECKPOINT_MAGIC, CHECKPOINT_MIN_VERSION, CHECKPOINT_VERSION, STATE_MAGIC, STATE_VERSION,
 };
 pub use summary::{
-    trace_fingerprint, AffinityMap, AffinityRange, AnalysisSummary, AnalysisWarning, ClassCounts,
-    ClassifiedRange, Fingerprint, HeatBucket, LocationClass, PruneSet, RoutingPlan, SummaryStats,
-    SUMMARY_VERSION,
+    trace_fingerprint, AnalysisSummary, AnalysisWarning, ClassCounts, ClassifiedRange, Fingerprint,
+    LocationClass, PruneSet, SummaryStats, SUMMARY_VERSION,
 };
 pub use validate::{validate, ValidationError, Validator};
 

@@ -26,8 +26,9 @@ use crate::io::TraceError;
 pub const STATE_MAGIC: [u8; 4] = *b"DGSS";
 /// Current detector-state snapshot format version.
 ///
-/// Bumped to 2 when the dynamic detector grew pre-seed counters and an
-/// affinity digest; snapshots are not migrated across versions.
+/// Bumped to 2 when the dynamic detector's snapshot grew three trailing
+/// words, since retired and written as constants (its `snapshot` lists
+/// them); snapshots are not migrated across versions.
 pub const STATE_VERSION: u32 = 2;
 /// Magic prefix for run-level checkpoint manifests.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DGCP";
