@@ -72,7 +72,8 @@ impl HybridDetector {
             self.same_epoch += 1;
             return;
         }
-        let now = self.hb.clock(tid).clone();
+        // The same-epoch filter above materialized `tid`.
+        let now = self.hb.now(tid);
         let my_epoch = Epoch::new(now.get(tid), tid);
         let held = self.held.entry(tid).or_default().clone();
 

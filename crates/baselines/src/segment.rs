@@ -108,8 +108,8 @@ impl SegmentDetector {
             }
         }
 
-        let now = self.hb.clock(tid).clone();
-        let my_epoch = Epoch::new(now.get(tid), tid);
+        let my_epoch = self.hb.epoch(tid); // materializes `tid`
+        let now = self.hb.now(tid);
 
         // Check against every concurrent segment of another thread.
         if !self.raced.contains(&addr) {

@@ -1,10 +1,8 @@
 //! Shared happens-before machinery: thread clocks, lock clocks, epochs,
 //! fork/join edges, and per-thread same-epoch bitmaps.
 
-use std::collections::HashMap;
-
 use dgrace_shadow::EpochBitmap;
-use dgrace_trace::{Addr, Event, LockId, SnapshotReader, SnapshotWriter, TraceError};
+use dgrace_trace::{Addr, Event, IdTable, LockId, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{Epoch, Tid, VectorClock};
 
 use crate::snap::{decode_vc, encode_vc};
@@ -16,7 +14,8 @@ struct ThreadState {
 }
 
 /// Clocks of one synchronization object (mutex or reader-writer lock —
-/// they share the id space, as pthreads addresses do).
+/// they share the id space, as pthreads addresses do). A lock has a
+/// record once something has been released into it.
 #[derive(Clone, Debug, Default)]
 struct LockClocks {
     /// Everything published by any release (read or write): what a
@@ -24,8 +23,29 @@ struct LockClocks {
     all: VectorClock,
     /// Everything published by write releases only: what a *read*
     /// acquire synchronizes with (readers do not order other readers).
-    writer: VectorClock,
+    /// `None` until the first read release: write releases publish the
+    /// same clock to both, so a mutex keeps — and every release of it
+    /// updates — one clock, and `None` reads as "equal to `all`".
+    writer: Option<VectorClock>,
+    /// The thread whose write `Acquire` of this lock `on_sync` saw, with
+    /// nothing published into the lock since: its clock has been `⊒ all`
+    /// ever since (the acquire joined `all` into it, and a thread's clock
+    /// only grows), so its write release is a copy, not a join. Any
+    /// publish into the lock clears the mark. Not serialized: a restored
+    /// state joins at the first release, which yields the same clock.
+    holder: Option<Tid>,
 }
+
+impl LockClocks {
+    /// What a read acquire joins.
+    fn writer(&self) -> &VectorClock {
+        self.writer.as_ref().unwrap_or(&self.all)
+    }
+}
+
+/// Per-id records behind a pointer, so an unused id below the largest
+/// one seen costs 8 bytes of table, not a record.
+type Boxed<V> = IdTable<Option<Box<V>>>;
 
 impl ThreadState {
     fn new(tid: Tid) -> Self {
@@ -46,12 +66,17 @@ impl ThreadState {
 /// also publish its clock), so a thread's execution is a sequence of
 /// epochs delimited by release-like operations. The per-thread same-epoch
 /// bitmap is reset whenever the thread's own clock ticks.
+///
+/// A sync event walks one clock once and, once its thread and its
+/// synchronization object exist, allocates nothing: the tables are
+/// disjoint fields, so clocks are joined in place from one into the
+/// other.
 #[derive(Clone, Debug, Default)]
 pub struct HbState {
     threads: Vec<Option<ThreadState>>,
-    locks: HashMap<LockId, LockClocks>,
+    locks: Boxed<LockClocks>,
     /// Condition-variable clocks: signals publish, waits join.
-    cvs: HashMap<LockId, VectorClock>,
+    cvs: Boxed<VectorClock>,
     /// Barrier clocks: arrivals accumulate, departures join.
     ///
     /// A single accumulating clock per barrier conservatively orders a
@@ -59,9 +84,52 @@ pub struct HbState {
     /// within a generation, and at worst an extra edge across adjacent
     /// generations (which can hide a cross-generation race but never
     /// fabricates one).
-    bars: HashMap<LockId, VectorClock>,
+    bars: Boxed<VectorClock>,
     bitmap_bytes: usize,
     peak_bitmap_bytes: usize,
+}
+
+/// Thread `t`'s state, materialized on first use. Takes the table, not
+/// the state, so the caller keeps its other fields borrowable.
+fn thread_mut(threads: &mut Vec<Option<ThreadState>>, t: Tid) -> &mut ThreadState {
+    let i = t.index();
+    if i >= threads.len() {
+        threads.resize_with(i + 1, || None);
+    }
+    threads[i].get_or_insert_with(|| ThreadState::new(t))
+}
+
+/// Two distinct threads' states, both materialized; `None` if `a == b`.
+fn thread_pair(
+    threads: &mut Vec<Option<ThreadState>>,
+    a: Tid,
+    b: Tid,
+) -> Option<(&mut ThreadState, &mut ThreadState)> {
+    thread_mut(threads, a);
+    thread_mut(threads, b);
+    let [a, b] = threads.get_disjoint_mut([a.index(), b.index()]).ok()?;
+    a.as_mut().zip(b.as_mut())
+}
+
+/// The record `id` has, if something was published into it.
+fn published<V>(table: &Boxed<V>, id: LockId) -> Option<&V> {
+    table.get(id.0)?.as_deref()
+}
+
+/// `C := C ⊔ T` for a condition variable or barrier; the first publish
+/// creates the clock.
+fn publish(table: &mut Boxed<VectorClock>, id: LockId, vc: &VectorClock) {
+    match table.slot(id.0) {
+        Some(c) => c.join(vc),
+        slot => *slot = Some(Box::new(vc.clone())),
+    }
+}
+
+/// Ticks `t`'s own clock (starting a new epoch) and resets its bitmap.
+fn new_epoch(ts: &mut ThreadState, t: Tid, bitmap_bytes: &mut usize) {
+    ts.vc.tick(t);
+    *bitmap_bytes -= ts.bitmap.bytes();
+    ts.bitmap.reset();
 }
 
 impl HbState {
@@ -70,17 +138,9 @@ impl HbState {
         Self::default()
     }
 
-    fn thread_mut(&mut self, t: Tid) -> &mut ThreadState {
-        let i = t.index();
-        if i >= self.threads.len() {
-            self.threads.resize_with(i + 1, || None);
-        }
-        self.threads[i].get_or_insert_with(|| ThreadState::new(t))
-    }
-
     /// The current vector clock of thread `t`.
     pub fn clock(&mut self, t: Tid) -> &VectorClock {
-        &self.thread_mut(t).vc
+        &thread_mut(&mut self.threads, t).vc
     }
 
     /// The current vector clock of thread `t`, borrowed through `&self` so
@@ -90,28 +150,18 @@ impl HbState {
     /// # Panics
     /// Panics if `t` has not materialized yet. The same-epoch filter
     /// ([`Self::first_read_in_epoch`] / [`Self::first_write_in_epoch`])
-    /// that opens every access materializes it.
+    /// that opens every access materializes it, as does [`Self::clock`].
     #[inline]
     pub fn now(&self, t: Tid) -> &VectorClock {
         let slot = self.threads.get(t.index()).and_then(Option::as_ref);
         &slot
-            .expect("thread materialized by the same-epoch filter")
+            .expect("thread materialized before its clock is read")
             .vc
     }
 
     /// The current epoch `c@t` of thread `t`.
     pub fn epoch(&mut self, t: Tid) -> Epoch {
-        let vc = &self.thread_mut(t).vc;
-        Epoch::new(vc.get(t), t)
-    }
-
-    /// Ticks `t`'s own clock (starting a new epoch) and resets its bitmap.
-    fn new_epoch(&mut self, t: Tid) {
-        let ts = self.thread_mut(t);
-        ts.vc.tick(t);
-        let before = ts.bitmap.bytes();
-        ts.bitmap.reset();
-        self.bitmap_bytes -= before;
+        Epoch::new(self.clock(t).get(t), t)
     }
 
     /// Handles a synchronization event; access events are ignored (they
@@ -121,98 +171,97 @@ impl HbState {
         match *ev {
             Event::Acquire { tid, lock } => {
                 // T_i := T_i ⊔ L_s (everything any release published).
-                if let Some(lc) = self.locks.get(&lock) {
-                    let all = lc.all.clone();
-                    self.thread_mut(tid).vc.join(&all);
-                } else {
-                    self.thread_mut(tid); // materialize
+                let ts = thread_mut(&mut self.threads, tid);
+                if let Some(Some(lc)) = self.locks.get_mut(lock.0) {
+                    ts.vc.join(&lc.all);
+                    lc.holder = Some(tid);
                 }
-                true
             }
             Event::Release { tid, lock } => {
                 // L_s := L_s ⊔ T_i, then a new epoch for T_i. A write
                 // release publishes to readers and writers alike.
-                let tvc = self.thread_mut(tid).vc.clone();
-                let lc = self.locks.entry(lock).or_default();
-                lc.all.join(&tvc);
-                lc.writer.join(&tvc);
-                self.new_epoch(tid);
-                true
+                let ts = thread_mut(&mut self.threads, tid);
+                let lc = self.locks.slot(lock.0).get_or_insert_with(Box::default);
+                let held = lc.holder.take() == Some(tid);
+                let publish = |l: &mut VectorClock| {
+                    if held {
+                        l.clone_from(&ts.vc); // T_i ⊒ L_s: the join is T_i.
+                    } else {
+                        l.join(&ts.vc);
+                    }
+                };
+                publish(&mut lc.all);
+                if let Some(w) = &mut lc.writer {
+                    publish(w);
+                }
+                new_epoch(ts, tid, &mut self.bitmap_bytes);
             }
             Event::AcquireRead { tid, lock } => {
                 // Readers synchronize with prior write releases only.
-                if let Some(lc) = self.locks.get(&lock) {
-                    let w = lc.writer.clone();
-                    self.thread_mut(tid).vc.join(&w);
-                } else {
-                    self.thread_mut(tid);
+                let ts = thread_mut(&mut self.threads, tid);
+                if let Some(lc) = published(&self.locks, lock) {
+                    ts.vc.join(lc.writer());
                 }
-                true
             }
             Event::ReleaseRead { tid, lock } => {
                 // A read release publishes to the *next writer* (via
-                // `all`) but not to other readers.
-                let tvc = self.thread_mut(tid).vc.clone();
-                self.locks.entry(lock).or_default().all.join(&tvc);
-                self.new_epoch(tid);
-                true
+                // `all`) but not to other readers: from here on the lock
+                // has two clocks.
+                let ts = thread_mut(&mut self.threads, tid);
+                let lc = self.locks.slot(lock.0).get_or_insert_with(Box::default);
+                if lc.writer.is_none() {
+                    lc.writer = Some(lc.all.clone());
+                }
+                lc.all.join(&ts.vc);
+                lc.holder = None;
+                new_epoch(ts, tid, &mut self.bitmap_bytes);
             }
             Event::CvSignal { tid, cv } => {
                 // C := C ⊔ T, then a new epoch (the signal publishes).
-                let tvc = self.thread_mut(tid).vc.clone();
-                self.cvs
-                    .entry(cv)
-                    .and_modify(|c| c.join(&tvc))
-                    .or_insert(tvc);
-                self.new_epoch(tid);
-                true
+                let ts = thread_mut(&mut self.threads, tid);
+                publish(&mut self.cvs, cv, &ts.vc);
+                new_epoch(ts, tid, &mut self.bitmap_bytes);
             }
             Event::CvWait { tid, cv } => {
                 // T := T ⊔ C (join every signaler seen so far).
-                if let Some(c) = self.cvs.get(&cv) {
-                    let c = c.clone();
-                    self.thread_mut(tid).vc.join(&c);
-                } else {
-                    self.thread_mut(tid);
+                let ts = thread_mut(&mut self.threads, tid);
+                if let Some(c) = published(&self.cvs, cv) {
+                    ts.vc.join(c);
                 }
-                true
             }
             Event::BarrierArrive { tid, bar } => {
                 // G := G ⊔ T, then a new epoch (the arrival publishes).
-                let tvc = self.thread_mut(tid).vc.clone();
-                self.bars
-                    .entry(bar)
-                    .and_modify(|g| g.join(&tvc))
-                    .or_insert(tvc);
-                self.new_epoch(tid);
-                true
+                let ts = thread_mut(&mut self.threads, tid);
+                publish(&mut self.bars, bar, &ts.vc);
+                new_epoch(ts, tid, &mut self.bitmap_bytes);
             }
             Event::BarrierDepart { tid, bar } => {
                 // T := T ⊔ G (adopt every participant's arrival clock).
-                if let Some(g) = self.bars.get(&bar) {
-                    let g = g.clone();
-                    self.thread_mut(tid).vc.join(&g);
-                } else {
-                    self.thread_mut(tid);
+                let ts = thread_mut(&mut self.threads, tid);
+                if let Some(g) = published(&self.bars, bar) {
+                    ts.vc.join(g);
                 }
-                true
             }
             Event::Fork { parent, child } => {
                 // C_child := C_child ⊔ C_parent ; new epoch for parent.
-                let pvc = self.thread_mut(parent).vc.clone();
-                self.thread_mut(child).vc.join(&pvc);
-                self.new_epoch(parent);
-                true
+                // (A thread that names itself joins nothing new.)
+                if let Some((p, c)) = thread_pair(&mut self.threads, parent, child) {
+                    c.vc.join(&p.vc);
+                }
+                let p = thread_mut(&mut self.threads, parent);
+                new_epoch(p, parent, &mut self.bitmap_bytes);
             }
             Event::Join { parent, child } => {
                 // C_parent := C_parent ⊔ C_child ; new epoch for child.
-                let cvc = self.thread_mut(child).vc.clone();
-                self.thread_mut(parent).vc.join(&cvc);
-                self.new_epoch(child);
-                true
+                if let Some((p, c)) = thread_pair(&mut self.threads, parent, child) {
+                    p.vc.join(&c.vc);
+                }
+                let c = thread_mut(&mut self.threads, child);
+                new_epoch(c, child, &mut self.bitmap_bytes);
             }
-            _ => false,
+            _ => return false,
         }
+        true
     }
 
     /// Same-epoch filter for a **read** of `addr` by `t`: returns `false`
@@ -230,7 +279,7 @@ impl HbState {
     }
 
     fn first_in_epoch(&mut self, t: Tid, addr: Addr, is_write: bool) -> bool {
-        let ts = self.thread_mut(t);
+        let ts = thread_mut(&mut self.threads, t);
         let before = ts.bitmap.bytes();
         let first = ts.bitmap.first_in_epoch(addr, is_write);
         // Only a first access can have added a chunk.
@@ -265,7 +314,8 @@ impl HbState {
 
     /// Serializes the complete synchronization state. Lock/cv/barrier
     /// tables are written sorted by id so equal states encode to equal
-    /// bytes regardless of hash-map iteration order.
+    /// bytes regardless of table iteration order, and a lock writes both
+    /// its clocks whether or not it keeps them apart.
     pub fn encode(&self, w: &mut SnapshotWriter) {
         w.count(self.threads.len());
         for slot in &self.threads {
@@ -278,20 +328,18 @@ impl HbState {
                 None => w.bool(false),
             }
         }
-        let mut locks: Vec<_> = self.locks.iter().collect();
-        locks.sort_unstable_by_key(|(id, _)| id.0);
+        let locks = sorted(&self.locks);
         w.count(locks.len());
         for (id, lc) in locks {
-            w.u32(id.0);
+            w.u32(id);
             encode_vc(w, &lc.all);
-            encode_vc(w, &lc.writer);
+            encode_vc(w, lc.writer());
         }
-        for map in [&self.cvs, &self.bars] {
-            let mut entries: Vec<_> = map.iter().collect();
-            entries.sort_unstable_by_key(|(id, _)| id.0);
+        for table in [&self.cvs, &self.bars] {
+            let entries = sorted(table);
             w.count(entries.len());
             for (id, vc) in entries {
-                w.u32(id.0);
+                w.u32(id);
                 encode_vc(w, vc);
             }
         }
@@ -314,20 +362,24 @@ impl HbState {
             });
         }
         let n = r.count("lock clocks")?;
-        let mut locks = HashMap::new();
+        let mut locks = Boxed::new();
         for _ in 0..n {
-            let id = LockId(r.u32()?);
+            let id = r.u32()?;
             let all = decode_vc(r)?;
-            let writer = decode_vc(r)?;
-            locks.insert(id, LockClocks { all, writer });
+            let writer = Some(decode_vc(r)?).filter(|w| *w != all);
+            *locks.slot(id) = Some(Box::new(LockClocks {
+                all,
+                writer,
+                holder: None,
+            }));
         }
-        let mut cvs = HashMap::new();
-        let mut bars = HashMap::new();
-        for map in [&mut cvs, &mut bars] {
+        let mut cvs = Boxed::new();
+        let mut bars = Boxed::new();
+        for table in [&mut cvs, &mut bars] {
             let n = r.count("sync clocks")?;
             for _ in 0..n {
-                let id = LockId(r.u32()?);
-                map.insert(id, decode_vc(r)?);
+                let id = r.u32()?;
+                *table.slot(id) = Some(Box::new(decode_vc(r)?));
             }
         }
         let bitmap_bytes = r.u64()? as usize;
@@ -343,8 +395,22 @@ impl HbState {
     }
 }
 
+/// The published records of a table, by ascending id.
+fn sorted<V>(table: &Boxed<V>) -> Vec<(u32, &V)> {
+    let mut entries: Vec<_> = table
+        .iter()
+        .filter_map(|(id, v)| Some((id, v.as_deref()?)))
+        .collect();
+    entries.sort_unstable_by_key(|&(id, _)| id);
+    entries
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -578,13 +644,7 @@ mod tests {
         });
         hb.first_read_in_epoch(Tid(0), Addr(0x40));
 
-        let mut w = dgrace_trace::SnapshotWriter::new(*b"TEST", 1);
-        hb.encode(&mut w);
-        let bytes = w.finish();
-        let mut r =
-            dgrace_trace::SnapshotReader::new(&bytes, *b"TEST", 1, Default::default()).unwrap();
-        let mut back = HbState::decode(&mut r).unwrap();
-        r.expect_end().unwrap();
+        let mut back = restored(&hb);
 
         assert_eq!(back.thread_count(), hb.thread_count());
         assert_eq!(back.bitmap_bytes(), hb.bitmap_bytes());
@@ -630,5 +690,299 @@ mod tests {
         });
         assert_eq!(hb.clock(Tid(2)).get(Tid(0)), 1);
         assert_eq!(hb.clock(Tid(2)).get(Tid(1)), 1);
+    }
+
+    /// The synchronization rules as first written — clone the source
+    /// clock, then join; two clocks per lock; hash maps — kept as the
+    /// model [`HbState`] is checked against. It assumes nothing about the
+    /// schedule, so neither may the real one.
+    #[derive(Default)]
+    struct ReferenceHb {
+        threads: Vec<Option<VectorClock>>,
+        /// `(all, writer)` per lock.
+        locks: HashMap<LockId, (VectorClock, VectorClock)>,
+        cvs: HashMap<LockId, VectorClock>,
+        bars: HashMap<LockId, VectorClock>,
+    }
+
+    impl ReferenceHb {
+        fn thread_mut(&mut self, t: Tid) -> &mut VectorClock {
+            let i = t.index();
+            if i >= self.threads.len() {
+                self.threads.resize_with(i + 1, || None);
+            }
+            self.threads[i].get_or_insert_with(|| VectorClock::from_pairs([(t, 1)]))
+        }
+
+        fn on_sync(&mut self, ev: &Event) {
+            match *ev {
+                Event::Acquire { tid, lock } => {
+                    let all = self.locks.get(&lock).map(|lc| lc.0.clone());
+                    self.thread_mut(tid).join(&all.unwrap_or_default());
+                }
+                Event::Release { tid, lock } => {
+                    let tvc = self.thread_mut(tid).clone();
+                    let lc = self.locks.entry(lock).or_default();
+                    lc.0.join(&tvc);
+                    lc.1.join(&tvc);
+                    self.thread_mut(tid).tick(tid);
+                }
+                Event::AcquireRead { tid, lock } => {
+                    let writer = self.locks.get(&lock).map(|lc| lc.1.clone());
+                    self.thread_mut(tid).join(&writer.unwrap_or_default());
+                }
+                Event::ReleaseRead { tid, lock } => {
+                    let tvc = self.thread_mut(tid).clone();
+                    self.locks.entry(lock).or_default().0.join(&tvc);
+                    self.thread_mut(tid).tick(tid);
+                }
+                Event::CvSignal { tid, cv: id } | Event::BarrierArrive { tid, bar: id } => {
+                    let tvc = self.thread_mut(tid).clone();
+                    let table = match ev {
+                        Event::CvSignal { .. } => &mut self.cvs,
+                        _ => &mut self.bars,
+                    };
+                    table.entry(id).or_default().join(&tvc);
+                    self.thread_mut(tid).tick(tid);
+                }
+                Event::CvWait { tid, cv: id } | Event::BarrierDepart { tid, bar: id } => {
+                    let table = match ev {
+                        Event::CvWait { .. } => &self.cvs,
+                        _ => &self.bars,
+                    };
+                    let c = table.get(&id).cloned();
+                    self.thread_mut(tid).join(&c.unwrap_or_default());
+                }
+                Event::Fork { parent, child } => {
+                    let pvc = self.thread_mut(parent).clone();
+                    self.thread_mut(child).join(&pvc);
+                    self.thread_mut(parent).tick(parent);
+                }
+                Event::Join { parent, child } => {
+                    let cvc = self.thread_mut(child).clone();
+                    self.thread_mut(parent).join(&cvc);
+                    self.thread_mut(child).tick(child);
+                }
+                _ => unreachable!("the model is fed sync events only"),
+            }
+        }
+
+        /// [`HbState::encode`]'s format, for a state that has seen no
+        /// access (empty bitmaps).
+        fn encode(&self, w: &mut SnapshotWriter) {
+            w.count(self.threads.len());
+            for slot in &self.threads {
+                w.bool(slot.is_some());
+                if let Some(vc) = slot {
+                    encode_vc(w, vc);
+                    EpochBitmap::new().encode(w);
+                }
+            }
+            let mut locks: Vec<_> = self.locks.iter().collect();
+            locks.sort_unstable_by_key(|(id, _)| id.0);
+            w.count(locks.len());
+            for (id, (all, writer)) in locks {
+                w.u32(id.0);
+                encode_vc(w, all);
+                encode_vc(w, writer);
+            }
+            for map in [&self.cvs, &self.bars] {
+                let mut entries: Vec<_> = map.iter().collect();
+                entries.sort_unstable_by_key(|(id, _)| id.0);
+                w.count(entries.len());
+                for (id, vc) in entries {
+                    w.u32(id.0);
+                    encode_vc(w, vc);
+                }
+            }
+            w.u64(0);
+            w.u64(0);
+        }
+    }
+
+    fn bytes_of(encode: impl FnOnce(&mut SnapshotWriter)) -> Vec<u8> {
+        let mut w = SnapshotWriter::new(*b"TEST", 1);
+        encode(&mut w);
+        w.finish()
+    }
+
+    fn restored(hb: &HbState) -> HbState {
+        let bytes = bytes_of(|w| hb.encode(w));
+        let mut r = SnapshotReader::new(&bytes, *b"TEST", 1, Default::default()).unwrap();
+        let back = HbState::decode(&mut r).unwrap();
+        r.expect_end().unwrap();
+        back
+    }
+
+    const TIDS: u32 = 6;
+
+    /// Any sync event over six threads and six ids on both sides of the
+    /// dense-table limit — shared by locks, condvars and barriers, read
+    /// and write events alike — with no regard for who holds what. (The
+    /// limit itself is `IdTable`'s own test; a dense id of 65 535 here
+    /// would spend the property's time zeroing tables.)
+    fn arb_sync_event() -> impl Strategy<Value = Event> {
+        const IDS: [u32; 6] = [0, 1, 2, 300, 65_536, 900_000];
+        (0u8..10, 0..TIDS, 0..TIDS, 0usize..IDS.len()).prop_map(|(arm, t, u, id)| {
+            let (tid, other, id) = (Tid(t), Tid(u), LockId(IDS[id]));
+            match arm {
+                0 => Event::Acquire { tid, lock: id },
+                1 => Event::Release { tid, lock: id },
+                2 => Event::AcquireRead { tid, lock: id },
+                3 => Event::ReleaseRead { tid, lock: id },
+                4 => Event::CvSignal { tid, cv: id },
+                5 => Event::CvWait { tid, cv: id },
+                6 => Event::BarrierArrive { tid, bar: id },
+                7 => Event::BarrierDepart { tid, bar: id },
+                8 => Event::Fork {
+                    parent: tid,
+                    child: other,
+                },
+                _ => Event::Join {
+                    parent: tid,
+                    child: other,
+                },
+            }
+        })
+    }
+
+    /// Feeds `ev` to the model and to every state, then checks that each
+    /// thread's clock is the model's in all of them.
+    fn step_all(model: &mut ReferenceHb, states: &mut [&mut HbState], ev: &Event) {
+        model.on_sync(ev);
+        for hb in states.iter_mut() {
+            assert!(hb.on_sync(ev));
+            for t in (0..TIDS).map(Tid) {
+                let expected = model.threads.get(t.index()).and_then(Option::as_ref);
+                let got = hb.threads.get(t.index()).and_then(Option::as_ref);
+                assert_eq!(got.map(|ts| &ts.vc), expected, "T{} after {ev:?}", t.0);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// In-place joins, one clock per mutex, copy-on-release and the
+        /// id tables change no clock on any event sequence, valid
+        /// schedule or not, and a restore in the middle changes none
+        /// either (the holder mark it drops only picks copy over join).
+        #[test]
+        fn on_sync_matches_the_reference_model(
+            prefix in proptest::collection::vec(arb_sync_event(), 200..260),
+            suffix in proptest::collection::vec(arb_sync_event(), 20..80),
+        ) {
+            let mut model = ReferenceHb::default();
+            let mut hb = HbState::new();
+            for ev in &prefix {
+                step_all(&mut model, &mut [&mut hb], ev);
+            }
+            prop_assert_eq!(bytes_of(|w| hb.encode(w)), bytes_of(|w| model.encode(w)));
+
+            let mut back = restored(&hb);
+            for ev in &suffix {
+                step_all(&mut model, &mut [&mut hb, &mut back], ev);
+            }
+            let expected = bytes_of(|w| model.encode(w));
+            prop_assert_eq!(bytes_of(|w| hb.encode(w)), &expected[..]);
+            prop_assert_eq!(bytes_of(|w| back.encode(w)), expected);
+        }
+    }
+
+    /// Runs `events`, then has a fresh thread acquire `lock` and returns
+    /// what it learned: the lock's `all` clock plus the thread's own 1.
+    fn acquired_after(events: &[Event], lock: LockId) -> VectorClock {
+        let mut hb = HbState::new();
+        for ev in events {
+            hb.on_sync(ev);
+        }
+        let tid = Tid(9);
+        hb.on_sync(&Event::Acquire { tid, lock });
+        hb.clock(tid).clone()
+    }
+
+    #[test]
+    fn a_release_after_someone_elses_release_joins() {
+        // T0 holds L by the book; T1 releases it without ever acquiring
+        // (serve and --resync can deliver that). T0's own release must
+        // not overwrite what T1 published.
+        let lock = LockId(4);
+        let (t0, t1) = (Tid(0), Tid(1));
+        let seen = acquired_after(
+            &[
+                Event::Release { tid: t0, lock },
+                Event::Acquire { tid: t0, lock },
+                Event::Release { tid: t1, lock },
+                Event::Release { tid: t0, lock },
+            ],
+            lock,
+        );
+        assert_eq!(seen.get(t1), 1, "T1's release survived T0's");
+        assert_eq!(seen.get(t0), 2);
+    }
+
+    #[test]
+    fn a_release_after_a_read_release_joins() {
+        let lock = LockId(4);
+        let (t0, t1) = (Tid(0), Tid(1));
+        let seen = acquired_after(
+            &[
+                Event::Release { tid: t0, lock },
+                Event::Acquire { tid: t0, lock },
+                Event::ReleaseRead { tid: t1, lock },
+                Event::Release { tid: t0, lock },
+            ],
+            lock,
+        );
+        assert_eq!(seen.get(t1), 1, "the reader's release survived T0's");
+        // And it reached the next writer only: readers still see T0 alone.
+        let mut hb = HbState::new();
+        for ev in [
+            Event::Release { tid: t0, lock },
+            Event::Acquire { tid: t0, lock },
+            Event::ReleaseRead { tid: t1, lock },
+            Event::Release { tid: t0, lock },
+            Event::AcquireRead { tid: Tid(2), lock },
+        ] {
+            hb.on_sync(&ev);
+        }
+        assert_eq!(hb.clock(Tid(2)).get(t1), 0);
+        assert_eq!(hb.clock(Tid(2)).get(t0), 2);
+    }
+
+    #[test]
+    fn a_restore_between_acquire_and_release_changes_no_clock() {
+        let lock = LockId(70_000);
+        let (t0, t1, t2) = (Tid(0), Tid(1), Tid(2));
+        let before = [
+            Event::Fork {
+                parent: t0,
+                child: t1,
+            },
+            Event::Fork {
+                parent: t0,
+                child: t2,
+            },
+            Event::Release { tid: t2, lock },
+            Event::Acquire { tid: t1, lock },
+        ];
+        let after = [
+            Event::Release { tid: t1, lock },
+            Event::Acquire { tid: t0, lock },
+        ];
+        let mut straight = HbState::new();
+        for ev in &before {
+            straight.on_sync(ev);
+        }
+        let mut resumed = restored(&straight);
+        for ev in &after {
+            straight.on_sync(ev);
+            resumed.on_sync(ev);
+        }
+        assert_eq!(resumed.clock(t0), straight.clock(t0));
+        assert_eq!(
+            bytes_of(|w| resumed.encode(w)),
+            bytes_of(|w| straight.encode(w))
+        );
     }
 }

@@ -55,8 +55,8 @@ impl OracleDetector {
     fn on_access(&mut self, tid: Tid, addr: Addr, kind: AccessKind) {
         self.accesses += 1;
         let loc = self.granularity.locate(addr);
-        let now = self.hb.clock(tid).clone();
-        let my_epoch = Epoch::new(now.get(tid), tid);
+        let my_epoch = self.hb.epoch(tid); // materializes `tid`
+        let now = self.hb.now(tid);
         let hist = self.history.entry(loc).or_default();
 
         if !hist.raced {
@@ -73,7 +73,7 @@ impl OracleDetector {
             };
             let mut found: Option<(RaceKind, Epoch)> = None;
             for (e, k) in conflicting {
-                if !e.leq(&now) {
+                if !e.leq(now) {
                     found = Some((k, *e));
                     break;
                 }

@@ -18,15 +18,33 @@ const CHUNK_SPAN: u64 = 2048;
 /// Two bits (read, write) per address → payload bytes per chunk.
 const CHUNK_PAYLOAD: usize = (CHUNK_SPAN as usize * 2) / 8;
 
+/// Chunk boxes a bitmap keeps across [`EpochBitmap::reset`] for its next
+/// epochs to reuse. A constant, not an option: a thread that once swept a
+/// gigabyte in one epoch must not pin 250 MiB of spares for the rest of
+/// the run, and the lock-delimited epochs the paper's workloads are made
+/// of touch a handful of chunks each.
+const SPARE_CHUNKS: usize = 16;
+
+type Chunk = Box<[u8; CHUNK_PAYLOAD]>;
+
 /// A per-thread bitmap recording which locations this thread has already
 /// read / written during its current epoch.
 ///
 /// Two bits are kept per byte address (one for reads, one for writes);
 /// chunks are allocated lazily as 2048-address spans.
+///
+/// An epoch ends at every release, so the chunk boxes are recycled:
+/// `reset` moves (a bounded number of) them to a spare list, and the
+/// next first access to a chunk zeroes a spare instead of allocating.
+/// Everything reported — [`Self::bytes`], [`Self::peak_bytes`], the
+/// encoded form — is a function of the live chunks only.
 #[derive(Clone, Debug, Default)]
 pub struct EpochBitmap {
-    chunks: FastMap<u64, Box<[u8; CHUNK_PAYLOAD]>>,
-    /// High-water mark of simultaneously allocated chunks, for accounting.
+    /// This epoch's chunks.
+    chunks: FastMap<u64, Chunk>,
+    /// Boxes of earlier epochs, contents stale; at most [`SPARE_CHUNKS`].
+    spares: Vec<Chunk>,
+    /// High-water mark of simultaneously live chunks, for accounting.
     peak_chunks: usize,
 }
 
@@ -47,10 +65,17 @@ impl EpochBitmap {
     #[inline]
     pub fn test_and_set(&mut self, addr: Addr, is_write: bool) -> bool {
         let (key, byte, mask) = locate(addr, is_write);
+        let spares = &mut self.spares;
         let chunk = self
             .chunks
             .entry(key)
-            .or_insert_with(|| Box::new([0u8; CHUNK_PAYLOAD]));
+            .or_insert_with(|| match spares.pop() {
+                Some(mut spare) => {
+                    spare.fill(0);
+                    spare
+                }
+                None => Box::new([0u8; CHUNK_PAYLOAD]),
+            });
         let was = chunk[byte] & mask != 0;
         chunk[byte] |= mask;
         if self.chunks.len() > self.peak_chunks {
@@ -95,7 +120,13 @@ impl EpochBitmap {
     /// Resets the bitmap — called at every lock release, when the thread's
     /// next epoch begins.
     pub fn reset(&mut self) {
-        self.chunks.clear();
+        let room = SPARE_CHUNKS - self.spares.len();
+        let was_large = self.chunks.len() > SPARE_CHUNKS;
+        self.spares
+            .extend(self.chunks.drain().map(|(_, chunk)| chunk).take(room));
+        if was_large {
+            self.chunks.shrink_to(SPARE_CHUNKS);
+        }
     }
 
     /// Current modeled bytes.
@@ -108,13 +139,14 @@ impl EpochBitmap {
         self.peak_chunks * bitmap_chunk_bytes(CHUNK_PAYLOAD)
     }
 
-    /// Number of chunk allocations currently live.
+    /// Number of chunks live this epoch.
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
     }
 
-    /// Serializes the bitmap: chunks sorted by key (so two bitmaps with
-    /// the same contents encode to the same bytes), then the peak.
+    /// Serializes the bitmap: live chunks sorted by key (so two bitmaps
+    /// with the same contents encode to the same bytes, whatever boxes
+    /// they have spare), then the peak.
     pub fn encode(&self, w: &mut SnapshotWriter) {
         let mut keys: Vec<u64> = self.chunks.keys().copied().collect();
         keys.sort_unstable();
@@ -139,6 +171,7 @@ impl EpochBitmap {
         let peak_chunks = r.u64()? as usize;
         Ok(EpochBitmap {
             chunks,
+            spares: Vec::new(),
             peak_chunks,
         })
     }
@@ -212,6 +245,29 @@ mod tests {
         assert_eq!(b.bytes(), 0);
         // Peak survives the reset.
         assert!(b.peak_bytes() >= 2 * bitmap_chunk_bytes(CHUNK_PAYLOAD));
+    }
+
+    #[test]
+    fn a_huge_epoch_does_not_pin_its_chunks() {
+        let mut b = EpochBitmap::new();
+        for chunk in 0..10_000u64 {
+            b.first_in_epoch(Addr(chunk * CHUNK_SPAN), true);
+        }
+        assert_eq!(b.chunk_count(), 10_000);
+        b.reset();
+        assert_eq!(b.spares.len(), SPARE_CHUNKS);
+        assert!(b.spares.capacity() <= 2 * SPARE_CHUNKS);
+        assert!(b.chunks.capacity() <= 4 * SPARE_CHUNKS);
+        // Small epochs reuse the spares and add none.
+        for epoch in 0..3u64 {
+            for chunk in 0..SPARE_CHUNKS as u64 {
+                assert!(b.first_in_epoch(Addr((epoch + chunk) * CHUNK_SPAN), false));
+            }
+            assert!(b.spares.is_empty());
+            b.reset();
+            assert_eq!(b.spares.len(), SPARE_CHUNKS);
+        }
+        assert_eq!(b.peak_bytes(), 10_000 * bitmap_chunk_bytes(CHUNK_PAYLOAD));
     }
 
     #[test]

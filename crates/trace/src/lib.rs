@@ -15,6 +15,8 @@
 //! * [`Trace`] and [`TraceBuilder`] — construction helpers;
 //! * [`validate`] / [`Validator`] — structural well-formedness checks,
 //!   over a whole trace or one event at a time;
+//! * [`IdTable`] — per-id state without hashing, for the small ids
+//!   traces use (the validator's tables and the detectors' lock clocks);
 //! * [`io`] — a versioned binary on-disk format and its block decoder;
 //! * [`EventSource`] — a trace a block at a time, from memory or a file;
 //! * [`stats`] — per-trace summary statistics (the "Total shared accesses"
@@ -43,6 +45,7 @@ mod batch;
 mod builder;
 mod event;
 pub mod frame;
+mod id_table;
 pub mod io;
 pub mod snapshot;
 pub mod stats;
@@ -56,6 +59,7 @@ pub use frame::{
     decode_event_at, decode_events, encode_events, read_frame, write_frame, EventBatchDecode,
     Frame, MAX_FRAME_LEN,
 };
+pub use id_table::IdTable;
 pub use io::{BlockReader, DecodeLimits, DecodeStats, ReadOptions, TraceError};
 pub use snapshot::{
     crc32, seal_crc, verify_crc, write_file_atomic, SnapshotLimits, SnapshotReader, SnapshotWriter,

@@ -1,10 +1,8 @@
 //! Structural validation of traces.
 
-use std::collections::HashMap;
-
 use dgrace_vc::Tid;
 
-use crate::{Event, LockId, Trace};
+use crate::{Event, IdTable, LockId, Trace};
 
 /// A structural defect in a trace.
 ///
@@ -164,54 +162,6 @@ impl std::fmt::Display for ValidationError {
 }
 
 impl std::error::Error for ValidationError {}
-
-/// Ids below this index a dense table; an id at or above it (possible in
-/// a hand-built trace, or a lock named by address) goes to a map, so a
-/// single huge id cannot size a table.
-const DENSE_IDS: u32 = 1 << 16;
-
-/// Per-id state keyed by thread, lock or barrier id: no hashing on the
-/// per-event path for the small ids real traces use.
-struct IdTable<V> {
-    dense: Vec<V>,
-    sparse: HashMap<u32, V>,
-}
-
-impl<V: Default> IdTable<V> {
-    fn new() -> Self {
-        IdTable {
-            dense: Vec::new(),
-            sparse: HashMap::new(),
-        }
-    }
-
-    fn get(&self, id: u32) -> Option<&V> {
-        if id < DENSE_IDS {
-            self.dense.get(id as usize)
-        } else {
-            self.sparse.get(&id)
-        }
-    }
-
-    /// The state of `id`, created at its default on first use.
-    fn slot(&mut self, id: u32) -> &mut V {
-        if id < DENSE_IDS {
-            let i = id as usize;
-            if i >= self.dense.len() {
-                self.dense.resize_with(i + 1, V::default);
-            }
-            &mut self.dense[i]
-        } else {
-            self.sparse.entry(id).or_default()
-        }
-    }
-
-    /// Every id that has state, in no particular order.
-    fn iter(&self) -> impl Iterator<Item = (u32, &V)> {
-        let dense = self.dense.iter().enumerate().map(|(i, v)| (i as u32, v));
-        dense.chain(self.sparse.iter().map(|(&id, v)| (id, v)))
-    }
-}
 
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
 enum ThreadState {
