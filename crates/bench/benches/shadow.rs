@@ -2,7 +2,7 @@
 //! the per-thread epoch bitmap (§IV.A), and vector-clock algebra.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dgrace_shadow::{EpochBitmap, ShadowTable};
+use dgrace_shadow::{EpochBitmap, ShadowStore, ShadowTable};
 use dgrace_trace::Addr;
 use dgrace_vc::{Epoch, Tid, VectorClock};
 
@@ -12,7 +12,7 @@ fn bench_shadow_table(c: &mut Criterion) {
 
     group.bench_function("insert-word-aligned", |b| {
         b.iter(|| {
-            let mut t: ShadowTable<u32> = ShadowTable::new(128);
+            let mut t: ShadowTable<u32> = ShadowTable::default();
             for i in 0..1024u64 {
                 t.insert(Addr(i * 4), i as u32);
             }
@@ -22,7 +22,7 @@ fn bench_shadow_table(c: &mut Criterion) {
 
     group.bench_function("insert-bytes", |b| {
         b.iter(|| {
-            let mut t: ShadowTable<u32> = ShadowTable::new(128);
+            let mut t: ShadowTable<u32> = ShadowTable::default();
             for i in 0..1024u64 {
                 t.insert(Addr(i), i as u32);
             }
@@ -30,7 +30,7 @@ fn bench_shadow_table(c: &mut Criterion) {
         });
     });
 
-    let mut t: ShadowTable<u32> = ShadowTable::new(128);
+    let mut t: ShadowTable<u32> = ShadowTable::default();
     for i in 0..1024u64 {
         t.insert(Addr(i * 4), i as u32);
     }

@@ -2,12 +2,12 @@
 //! m/4 → m index-array expansion on the first unaligned (byte) access.
 
 use dgrace_shadow::accounting::hash_entry_bytes;
-use dgrace_shadow::ShadowTable;
+use dgrace_shadow::{ShadowStore, ShadowTable};
 use dgrace_trace::Addr;
 
 fn main() {
     println!("Figure 4 — indexing structure growth (m = 128)\n");
-    let mut table: ShadowTable<u32> = ShadowTable::new(128);
+    let mut table: ShadowTable<u32> = ShadowTable::default();
 
     println!("word-aligned inserts into one 128-byte chunk:");
     for i in 0..4u64 {
@@ -15,7 +15,7 @@ fn main() {
         println!(
             "  insert 0x{:x}: entries use {} B (expect {} B = header + 32 ptrs)",
             0x1000 + i * 4,
-            table.hash_bytes(),
+            table.index_bytes(),
             hash_entry_bytes(32)
         );
     }
@@ -24,7 +24,7 @@ fn main() {
     table.insert(Addr(0x1003), 99);
     println!(
         "  entry expanded to {} B (expect {} B = header + 128 ptrs)",
-        table.hash_bytes(),
+        table.index_bytes(),
         hash_entry_bytes(128)
     );
     println!("  existing cells preserved:");
@@ -41,7 +41,7 @@ fn main() {
     table.insert(Addr(0x2000), 7);
     println!(
         "  total {} B (expect {} B)",
-        table.hash_bytes(),
+        table.index_bytes(),
         hash_entry_bytes(128) + hash_entry_bytes(32)
     );
 

@@ -4,7 +4,7 @@ use dgrace_detectors::snap::{decode_races, encode_races};
 use dgrace_detectors::{
     AccessKind, Detector, HbState, RaceKind, RaceReport, Report, ShardableDetector, SharingStats,
 };
-use dgrace_shadow::{HashSelect, MemClass, MemoryModel, PressureLevel, StoreSelect};
+use dgrace_shadow::{HashSelect, MemClass, MemoryModel, PressureLevel, StoreSelect, Victims};
 
 use dgrace_trace::snapshot::{STATE_MAGIC, STATE_VERSION};
 use dgrace_trace::{Addr, Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError};
@@ -549,15 +549,16 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             return;
         };
         let target = budget - budget / 8;
+        let (mut reads, mut writes) = (Victims::default(), Victims::default());
         while self.model.current_total() > target {
             let victim = if self.write.vc_bytes() >= self.read.vc_bytes() {
                 self.write
-                    .victim_region()
-                    .or_else(|| self.read.victim_region())
+                    .victim_region(&mut writes)
+                    .or_else(|| self.read.victim_region(&mut reads))
             } else {
                 self.read
-                    .victim_region()
-                    .or_else(|| self.write.victim_region())
+                    .victim_region(&mut reads)
+                    .or_else(|| self.write.victim_region(&mut writes))
             };
             let Some((base, len)) = victim else { break };
             let before = self.read.loc_count() + self.write.loc_count();

@@ -108,7 +108,7 @@ use std::num::{NonZeroU32, NonZeroU64};
 use dgrace_detectors::snap::{decode_access_clock, encode_access_clock};
 use dgrace_shadow::accounting::vc_cell_bytes;
 use dgrace_shadow::store::{ShadowStore, StoreSelect};
-use dgrace_shadow::{FastMap, HashSelect, Slab, SlabId};
+use dgrace_shadow::{FastMap, HashSelect, Slab, SlabId, Victims};
 use dgrace_trace::{Addr, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{AccessClock, ClockView, Epoch, Tid};
 
@@ -846,10 +846,10 @@ impl<K: StoreSelect> PlaneOn<K> {
 
     /// Victim byte span for memory-budget eviction: one resident backing
     /// chunk of the index, chosen deterministically (see
-    /// [`ShadowStore::victim_region`]). The caller evicts with
-    /// [`Self::remove_range`].
-    pub fn victim_region(&self) -> Option<(Addr, u64)> {
-        self.table.victim_region()
+    /// [`ShadowStore::victim_region`], also for `victims`). The caller
+    /// evicts with [`Self::remove_range`].
+    pub fn victim_region(&self, victims: &mut Victims) -> Option<(Addr, u64)> {
+        self.table.victim_region(victims)
     }
 
     /// Removes a single location.

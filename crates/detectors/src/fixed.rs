@@ -11,7 +11,7 @@
 
 use std::fmt::Debug;
 
-use dgrace_shadow::{MemClass, MemoryModel, ShadowStore, StoreSelect};
+use dgrace_shadow::{MemClass, MemoryModel, ShadowStore, StoreSelect, Victims};
 use dgrace_trace::snapshot::{STATE_MAGIC, STATE_VERSION};
 use dgrace_trace::{Addr, Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{Epoch, Tid, VectorClock};
@@ -171,9 +171,10 @@ impl<C: CellRule, K: StoreSelect> FixedOn<C, K> {
             return;
         };
         let target = budget - budget / 8;
+        let mut victims = Victims::default();
         while self.model.current_total() > target {
             // Nothing evictable (bitmaps are not): degrade no further.
-            let Some((base, len)) = self.table.victim_region() else {
+            let Some((base, len)) = self.table.victim_region(&mut victims) else {
                 break;
             };
             let cells = self.remove_cells(base, len);

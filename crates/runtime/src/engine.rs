@@ -496,9 +496,9 @@ pub(crate) struct Engine {
     router: RwLock<Router>,
     /// Per-tid buffer registry, indexed by `Tid::index()`.
     bufs: RwLock<Vec<Option<Arc<ThreadBuf>>>>,
-    /// Warm-start prune predicate: accesses it covers are dropped before
-    /// buffering/dispatch (and before the journal — a recorded trace
-    /// excludes pruned accesses). Empty by default.
+    /// Warm-start prune predicate: the replay driver drops the accesses
+    /// it covers before its transport (and before the journal — a
+    /// recorded trace excludes pruned accesses). Empty by default.
     prune: PruneSet,
     /// Accesses dropped by the prune predicate.
     pruned: AtomicU64,
@@ -562,14 +562,6 @@ impl Engine {
         }
     }
 
-    /// Whether the warm-start predicate drops this event.
-    fn prunes(&self, ev: &Event) -> bool {
-        match ev.access() {
-            Some((addr, size, _)) => self.prune.prunes(addr, size.bytes()),
-            None => false,
-        }
-    }
-
     pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -595,13 +587,8 @@ impl Engine {
     }
 
     /// Lock-free fast path: appends an access to `buf`, flushing first
-    /// when the buffer is full. Pruned accesses are dropped here, before
-    /// they ever occupy buffer space.
+    /// when the buffer is full.
     pub(crate) fn push(&self, buf: &ThreadBuf, ev: Event) {
-        if !self.prune.is_empty() && self.prunes(&ev) {
-            self.pruned.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         let mut ev = ev;
         loop {
             match buf.queue.push(ev) {
@@ -911,7 +898,10 @@ impl Engine {
     /// Whether the warm-start prune predicate drops this event. The
     /// replay driver prunes before handing an event to its transport.
     pub(crate) fn prunes_event(&self, ev: &Event) -> bool {
-        !self.prune.is_empty() && self.prunes(ev)
+        !self.prune.is_empty()
+            && ev
+                .access()
+                .is_some_and(|(addr, size, _)| self.prune.prunes(addr, size.bytes()))
     }
 
     /// Allocates one sequence stamp. The pipeline producer stamps every

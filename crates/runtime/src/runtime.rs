@@ -5,9 +5,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dgrace_detectors::{Detector, Report, ShardableDetector};
-use dgrace_trace::{Event, LockId, PruneSet, Tid};
+use dgrace_trace::{Event, LockId, Tid};
 
-use crate::engine::{mint, respawn_from, Engine, RuntimeOptions, ThreadBuf};
+use crate::engine::{mint, Engine, RuntimeOptions, ThreadBuf};
 
 pub(crate) struct Inner {
     pub(crate) engine: Engine,
@@ -100,54 +100,11 @@ impl Runtime {
         prototype: &D,
         opts: RuntimeOptions,
     ) -> Self {
-        Self::warm_started(prototype, opts, PruneSet::empty())
-    }
-
-    /// Creates a sharded runtime **warm-started** from an ahead-of-time
-    /// analysis: accesses covered by `prune` (compiled from a previous
-    /// run's `AnalysisSummary` for this detector's granularity) are
-    /// dropped on the instrumented threads' fast path, before they ever
-    /// occupy buffer space. The dropped count appears in the final
-    /// report as `stats.pruned`. An empty prune set makes this identical
-    /// to [`Runtime::sharded_with_options`].
-    ///
-    /// Note that a journaling runtime's recorded trace excludes pruned
-    /// accesses — re-analyzing it would misclassify them as absent.
-    pub fn warm_started<D: ShardableDetector + ?Sized>(
-        prototype: &D,
-        opts: RuntimeOptions,
-        prune: PruneSet,
-    ) -> Self {
         let shards = opts.shards.max(1);
         let opts = RuntimeOptions { shards, ..opts };
         let detectors = mint(prototype, shards);
         Runtime {
-            inner: Arc::new(Inner::new(Engine::build(detectors, opts, prune, None))),
-        }
-    }
-
-    /// Creates a sharded runtime with a **self-healing supervisor**: a
-    /// shard whose detector panics is respawned from the prototype,
-    /// rolled forward through the engine's event journals (so no event
-    /// is lost), and only permanently quarantined once `policy`'s
-    /// respawn budget is exhausted. Supervision implies journaling, so
-    /// this runtime records even when `opts.record` is false.
-    pub fn supervised<D: ShardableDetector + Send + 'static>(
-        prototype: D,
-        opts: RuntimeOptions,
-        policy: crate::SupervisorPolicy,
-    ) -> Self {
-        let shards = opts.shards.max(1);
-        let opts = RuntimeOptions { shards, ..opts };
-        let detectors = mint(&prototype, shards);
-        let supervisor = Some((respawn_from(prototype), policy));
-        Runtime {
-            inner: Arc::new(Inner::new(Engine::build(
-                detectors,
-                opts,
-                PruneSet::empty(),
-                supervisor,
-            ))),
+            inner: Arc::new(Inner::new(Engine::new(detectors, opts))),
         }
     }
 

@@ -3,11 +3,13 @@
 //! This crate implements the indexing substrate of §IV of the paper:
 //!
 //! * [`ShadowTable`] — the chained hash table of Fig. 4. Addresses are
-//!   hashed by their upper bits (`addr >> log2(m)`, m = 128 by default) to
-//!   a chunk entry; each entry holds an indexing array of slot pointers.
-//!   New entries start with `m/4` word-aligned slots ("the most common
-//!   access pattern is word access") and are expanded to `m` byte slots
-//!   when the first unaligned access hits the chunk.
+//!   hashed by their upper bits (`addr >> log2(m)`, m = 128) to a chunk
+//!   entry; each entry holds an indexing array of slot pointers. New
+//!   entries start with `m/4` word-aligned slots ("the most common access
+//!   pattern is word access") and are expanded to `m` byte slots when the
+//!   first unaligned access hits the chunk. [`PagedShadow`] finds the same
+//!   chunks through a two-level directory instead of a hash probe; both
+//!   are driven through [`ShadowStore`].
 //! * [`EpochBitmap`] — the per-thread bitmap used to answer "is this the
 //!   first access to this location in my current epoch?" without touching
 //!   the global shadow structure (§IV.A). The bitmap is reset at every
@@ -24,14 +26,14 @@
 //! second-epoch neighbors of `L` live at `L-size` and `L+size`.
 
 //! ```
-//! use dgrace_shadow::ShadowTable;
+//! use dgrace_shadow::{ShadowStore, ShadowTable};
 //! use dgrace_trace::Addr;
 //!
-//! let mut t: ShadowTable<u32> = ShadowTable::new(128);
+//! let mut t: ShadowTable<u32> = ShadowTable::default();
 //! t.insert(Addr(0x100), 7);         // word-mode chunk: 32 slots
-//! let small = t.hash_bytes();
+//! let small = t.index_bytes();
 //! t.insert(Addr(0x103), 9);         // byte access → expand to 128 slots
-//! assert!(t.hash_bytes() > small);
+//! assert!(t.index_bytes() > small);
 //! assert_eq!(t.get(Addr(0x100)), Some(&7));
 //! ```
 
@@ -40,6 +42,7 @@
 
 pub mod accounting;
 mod bitmap;
+mod chunk;
 pub mod governor;
 mod hash;
 mod paged;
@@ -49,6 +52,7 @@ mod table;
 
 pub use accounting::{MemClass, MemoryModel};
 pub use bitmap::EpochBitmap;
+pub use chunk::Victims;
 pub use governor::{process_gauge, MemComponent, PressureLevel, ProcessGauge, Watermarks};
 pub use hash::{FastMap, FibBuildHasher, FibHasher};
 pub use paged::PagedShadow;

@@ -10,8 +10,9 @@
 //!   little index memory for allocation-free, cache-friendly lookups on
 //!   dense address ranges.
 //!
-//! Both keep the word→byte chunk-mode expansion, so an unaligned lookup in
-//! a word-mode chunk misses identically in either store and race reports
+//! Both are directories over the same chunk (`chunk.rs`: word mode, byte
+//! mode, the expansion between them), so an unaligned lookup in a
+//! word-mode chunk misses identically in either store and race reports
 //! are byte-identical across them (proven by `tests/store_equivalence.rs`).
 //!
 //! Detectors are generic over the store via [`StoreSelect`], a zero-sized
@@ -23,6 +24,7 @@ use std::fmt::Debug;
 
 use dgrace_trace::Addr;
 
+use crate::chunk::Victims;
 use crate::paged::PagedShadow;
 use crate::table::ShadowTable;
 
@@ -33,9 +35,6 @@ use crate::table::ShadowTable;
 /// unaligned lookups miss) and expand a chunk to *byte mode* on the first
 /// unaligned insert, preserving existing cells at `slot * 4`.
 pub trait ShadowStore<T>: Default + Debug {
-    /// Human-readable store name (for reports and benchmarks).
-    const LABEL: &'static str;
-
     /// Looks up the cell for `addr`.
     fn get(&self, addr: Addr) -> Option<&T>;
 
@@ -51,7 +50,10 @@ pub trait ShadowStore<T>: Default + Debug {
     fn remove(&mut self, addr: Addr) -> Option<T>;
 
     /// Removes every cell with address in `[base, base+len)`, invoking `f`
-    /// on each removed `(addr, cell)` in ascending address order per chunk.
+    /// on each removed `(addr, cell)` in ascending address order — used
+    /// when a block is freed. A range that runs past the top of the
+    /// address space ends there; the walk costs the smaller of the range
+    /// and the store.
     fn remove_range(&mut self, base: Addr, len: u64, f: impl FnMut(Addr, T));
 
     /// The nearest populated location strictly below `addr`, scanning at
@@ -75,18 +77,18 @@ pub trait ShadowStore<T>: Default + Debug {
     fn index_bytes(&self) -> usize;
 
     /// Picks a victim region for memory-budget eviction: the byte span of
-    /// one resident backing chunk, avoiding the most recently touched
-    /// region where the store tracks one. Returns `None` when empty. The
-    /// choice is deterministic for a given store state, so budget-degraded
-    /// runs are reproducible; the caller evicts with
-    /// [`ShadowStore::remove_range`].
-    fn victim_region(&self) -> Option<(Addr, u64)>;
+    /// the lowest resident backing region (a chunk, or a directory of
+    /// them), avoiding the most recently touched one where the store
+    /// tracks it. Returns `None` when empty. The choice is deterministic
+    /// for a given store state, so budget-degraded runs are reproducible;
+    /// the caller evicts with [`ShadowStore::remove_range`], and hands
+    /// every call of one eviction loop the same `victims`
+    /// (`Victims::default()` at the loop's start, nothing inserted until
+    /// its end) so the store orders its regions once per loop.
+    fn victim_region(&self, victims: &mut Victims) -> Option<(Addr, u64)>;
 
     /// Applies `f` to every populated cell, in unspecified order.
     fn for_each(&self, f: impl FnMut(Addr, &T));
-
-    /// Applies `f` to every populated cell mutably, in unspecified order.
-    fn for_each_mut(&mut self, f: impl FnMut(Addr, &mut T));
 
     /// Base addresses of chunks currently in byte mode, in ascending
     /// order. Together with the populated cells this fully determines the
@@ -100,80 +102,6 @@ pub trait ShadowStore<T>: Default + Debug {
     fn force_byte_mode(&mut self, addr: Addr);
 }
 
-impl<T: Debug> ShadowStore<T> for ShadowTable<T> {
-    const LABEL: &'static str = "hash";
-
-    #[inline]
-    fn get(&self, addr: Addr) -> Option<&T> {
-        ShadowTable::get(self, addr)
-    }
-
-    #[inline]
-    fn get_mut(&mut self, addr: Addr) -> Option<&mut T> {
-        ShadowTable::get_mut(self, addr)
-    }
-
-    #[inline]
-    fn insert(&mut self, addr: Addr, value: T) -> Option<T> {
-        ShadowTable::insert(self, addr, value)
-    }
-
-    #[inline]
-    fn remove(&mut self, addr: Addr) -> Option<T> {
-        ShadowTable::remove(self, addr)
-    }
-
-    #[inline]
-    fn remove_range(&mut self, base: Addr, len: u64, f: impl FnMut(Addr, T)) {
-        ShadowTable::remove_range(self, base, len, f)
-    }
-
-    #[inline]
-    fn nearest_predecessor(&self, addr: Addr, max_dist: u64) -> Option<(Addr, &T)> {
-        ShadowTable::nearest_predecessor(self, addr, max_dist)
-    }
-
-    #[inline]
-    fn nearest_successor(&self, addr: Addr, max_dist: u64) -> Option<(Addr, &T)> {
-        ShadowTable::nearest_successor(self, addr, max_dist)
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        ShadowTable::len(self)
-    }
-
-    #[inline]
-    fn index_bytes(&self) -> usize {
-        ShadowTable::hash_bytes(self)
-    }
-
-    #[inline]
-    fn victim_region(&self) -> Option<(Addr, u64)> {
-        ShadowTable::victim_region(self)
-    }
-
-    fn for_each(&self, mut f: impl FnMut(Addr, &T)) {
-        for (addr, cell) in ShadowTable::iter(self) {
-            f(addr, cell);
-        }
-    }
-
-    fn for_each_mut(&mut self, f: impl FnMut(Addr, &mut T)) {
-        ShadowTable::for_each_mut(self, f)
-    }
-
-    #[inline]
-    fn byte_mode_chunks(&self) -> Vec<Addr> {
-        ShadowTable::byte_mode_chunks(self)
-    }
-
-    #[inline]
-    fn force_byte_mode(&mut self, addr: Addr) {
-        ShadowTable::force_byte_mode(self, addr)
-    }
-}
-
 /// Zero-sized selector of a shadow-store implementation.
 ///
 /// Detector types take a `StoreSelect` parameter instead of a store type
@@ -184,9 +112,6 @@ pub trait StoreSelect:
 {
     /// The store this selector picks, instantiable at any cell type.
     type Store<T: Debug + Send>: ShadowStore<T> + Debug + Send;
-
-    /// Human-readable store name.
-    const LABEL: &'static str;
 
     /// Suffix appended to detector names for non-default stores, so
     /// reports distinguish `fasttrack-byte` from `fasttrack-byte+paged`.
@@ -199,7 +124,6 @@ pub struct HashSelect;
 
 impl StoreSelect for HashSelect {
     type Store<T: Debug + Send> = ShadowTable<T>;
-    const LABEL: &'static str = "hash";
     const NAME_SUFFIX: &'static str = "";
 }
 
@@ -209,6 +133,248 @@ pub struct PagedSelect;
 
 impl StoreSelect for PagedSelect {
     type Store<T: Debug + Send> = PagedShadow<T>;
-    const LABEL: &'static str = "paged";
     const NAME_SUFFIX: &'static str = "+paged";
+}
+
+/// The store contract: every behaviour a detector can observe through
+/// [`ShadowStore`], asserted once and run on both stores.
+#[cfg(test)]
+mod contract {
+    use super::*;
+    use crate::accounting::{hash_entry_bytes, paged_dir_bytes};
+
+    fn insert_get_remove_word_aligned<S: ShadowStore<u32>>() {
+        let mut t = S::default();
+        assert!(t.insert(Addr(0x100), 7).is_none());
+        assert_eq!(t.get(Addr(0x100)), Some(&7));
+        assert_eq!(t.get(Addr(0x104)), None);
+        assert_eq!(t.insert(Addr(0x100), 9), Some(7));
+        assert_eq!(t.remove(Addr(0x100)), Some(9));
+        assert!(t.is_empty());
+        assert_eq!(t.index_bytes(), 0);
+    }
+
+    /// `dir_bytes` is what the store charges for finding one resident
+    /// chunk, on top of the chunk itself.
+    fn word_mode_starts_small_and_expands_on_byte_access<S: ShadowStore<u32>>(dir_bytes: usize) {
+        let mut t = S::default();
+        t.insert(Addr(0x100), 1);
+        // word mode: 32 slots
+        assert_eq!(t.index_bytes(), dir_bytes + hash_entry_bytes(32));
+        // An unaligned access expands the chunk to 128 slots...
+        t.insert(Addr(0x103), 2);
+        assert_eq!(t.index_bytes(), dir_bytes + hash_entry_bytes(128));
+        // ...and preserves the existing cell.
+        assert_eq!(t.get(Addr(0x100)), Some(&1));
+        assert_eq!(t.get(Addr(0x103)), Some(&2));
+        assert_eq!(t.len(), 2);
+    }
+
+    fn unaligned_lookup_in_word_mode_is_none<S: ShadowStore<u32>>() {
+        let mut t = S::default();
+        t.insert(Addr(0x100), 1);
+        assert_eq!(t.get(Addr(0x101)), None);
+        assert_eq!(t.remove(Addr(0x101)), None);
+    }
+
+    fn nearest_neighbors_within_and_across_chunks<S: ShadowStore<u32>>() {
+        let mut t = S::default();
+        t.insert(Addr(0x100), 10);
+        t.insert(Addr(0x108), 11);
+        // Predecessor of 0x108 is 0x100 (8 bytes back).
+        assert_eq!(
+            t.nearest_predecessor(Addr(0x108), 16),
+            Some((Addr(0x100), &10))
+        );
+        // Successor of 0x100 is 0x108.
+        assert_eq!(
+            t.nearest_successor(Addr(0x100), 16),
+            Some((Addr(0x108), &11))
+        );
+        // Bounded by max_dist.
+        assert_eq!(t.nearest_predecessor(Addr(0x108), 4), None);
+        // Across a chunk boundary (0x180 is in the next chunk).
+        t.insert(Addr(0x180), 12);
+        assert_eq!(
+            t.nearest_successor(Addr(0x108), 256),
+            Some((Addr(0x180), &12))
+        );
+        assert_eq!(
+            t.nearest_predecessor(Addr(0x180), 256),
+            Some((Addr(0x108), &11))
+        );
+    }
+
+    fn predecessor_stops_at_zero<S: ShadowStore<u32>>() {
+        let mut t = S::default();
+        t.insert(Addr(0x0), 1);
+        assert_eq!(t.nearest_predecessor(Addr(0x0), 64), None);
+        assert_eq!(t.nearest_predecessor(Addr(0x4), 64), Some((Addr(0x0), &1)));
+    }
+
+    fn the_top_of_the_address_space_is_an_end_not_a_seam<S: ShadowStore<u32>>() {
+        let top = u64::MAX;
+        let mut t = S::default();
+        t.insert(Addr(0x100), 1);
+        t.insert(Addr(top), 2);
+        t.insert(Addr(top - 3), 3);
+        // No successor 2^64 bytes "after" the last address (and the scan
+        // for one terminates).
+        assert_eq!(t.nearest_successor(Addr(top), 8), None);
+        assert_eq!(t.nearest_successor(Addr(top), u64::MAX), None);
+        assert_eq!(t.nearest_successor(Addr(top - 3), 8), Some((Addr(top), &2)));
+        assert_eq!(
+            t.nearest_predecessor(Addr(top), 8),
+            Some((Addr(top - 3), &3))
+        );
+        let mut high = Vec::new();
+        t.for_each(|a, _| {
+            if a.0 >= top - 3 {
+                high.push(a)
+            }
+        });
+        high.sort();
+        assert_eq!(high, vec![Addr(top - 3), Addr(top)]);
+        // A freed range that runs past the top ends there.
+        let mut removed = Vec::new();
+        t.remove_range(Addr(top - 3), 64, |a, v| removed.push((a, v)));
+        assert_eq!(removed, vec![(Addr(top - 3), 3), (Addr(top), 2)]);
+        assert_eq!(t.get(Addr(0x100)), Some(&1));
+        assert_eq!(t.len(), 1);
+    }
+
+    fn remove_range_frees_blocks<S: ShadowStore<u32>>() {
+        let mut t = S::default();
+        for i in 0..8u64 {
+            t.insert(Addr(0x100 + i * 4), i as u32);
+        }
+        let mut removed = Vec::new();
+        t.remove_range(Addr(0x104), 12, |a, v| removed.push((a, v)));
+        removed.sort();
+        assert_eq!(
+            removed,
+            vec![(Addr(0x104), 1), (Addr(0x108), 2), (Addr(0x10c), 3)]
+        );
+        assert_eq!(t.len(), 5);
+        assert_eq!(t.get(Addr(0x100)), Some(&0));
+        assert_eq!(t.get(Addr(0x110)), Some(&4));
+    }
+
+    /// Across a 128-byte chunk seam (`0x80`) and across a 4 KiB directory
+    /// seam (`0x1000`), each with a byte-mode chunk on the far side.
+    fn remove_range_across_seams_and_modes<S: ShadowStore<u32>>() {
+        for (cells, base, len) in [
+            ([0x7c, 0x81, 0x100], 0x70, 0x100),
+            ([0xffc, 0x1001, 0x1100], 0xff0, 0x200),
+        ] {
+            let mut t = S::default();
+            for (i, a) in cells.into_iter().enumerate() {
+                t.insert(Addr(a), i as u32 + 1);
+            }
+            let mut n = 0;
+            t.remove_range(Addr(base), len, |_, _| n += 1);
+            assert_eq!(n, 3);
+            assert!(t.is_empty());
+            assert_eq!(t.index_bytes(), 0);
+        }
+    }
+
+    fn for_each_visits_all_cells<S: ShadowStore<u32>>() {
+        let mut t = S::default();
+        t.insert(Addr(0x0), 1);
+        t.insert(Addr(0x11), 2);
+        t.insert(Addr(0x24), 3);
+        t.insert(Addr(0x2024), 4);
+        let mut got = Vec::new();
+        t.for_each(|a, &v| got.push((a.0, v)));
+        got.sort();
+        assert_eq!(got, vec![(0x0, 1), (0x11, 2), (0x24, 3), (0x2024, 4)]);
+    }
+
+    /// A `Free` costs the store, not the address range: the widest one
+    /// there is drains a three-cell store in ascending order and returns.
+    /// Probing the range key by key does not finish, so the call runs on
+    /// a thread this one gives up waiting for.
+    fn a_free_of_the_whole_address_space_returns<S: ShadowStore<u32> + Send + 'static>() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut t = S::default();
+            t.insert(Addr(u64::MAX - 4), 3);
+            t.insert(Addr(0x2001), 2);
+            t.insert(Addr(0x10), 1);
+            let mut removed = Vec::new();
+            t.remove_range(Addr(0), u64::MAX, |a, v| removed.push((a, v)));
+            // `[0, u64::MAX)` ends one byte short of the top.
+            t.insert(Addr(u64::MAX), 4);
+            t.remove_range(Addr(1), u64::MAX, |a, v| removed.push((a, v)));
+            tx.send((removed, t.len(), t.index_bytes())).ok();
+        });
+        let (removed, len, bytes) = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("remove_range walks the resident chunks, not the address range");
+        assert_eq!(
+            removed,
+            vec![
+                (Addr(0x10), 1),
+                (Addr(0x2001), 2),
+                (Addr(u64::MAX - 4), 3),
+                (Addr(u64::MAX), 4)
+            ]
+        );
+        assert_eq!((len, bytes), (0, 0));
+    }
+
+    macro_rules! contract {
+        ($($name:ident: $store:ty, $dir_bytes:expr;)*) => {$(
+            mod $name {
+                use super::*;
+
+                #[test]
+                fn insert_get_remove_word_aligned() {
+                    super::insert_get_remove_word_aligned::<$store>();
+                }
+                #[test]
+                fn word_mode_starts_small_and_expands_on_byte_access() {
+                    super::word_mode_starts_small_and_expands_on_byte_access::<$store>($dir_bytes);
+                }
+                #[test]
+                fn unaligned_lookup_in_word_mode_is_none() {
+                    super::unaligned_lookup_in_word_mode_is_none::<$store>();
+                }
+                #[test]
+                fn nearest_neighbors_within_and_across_chunks() {
+                    super::nearest_neighbors_within_and_across_chunks::<$store>();
+                }
+                #[test]
+                fn predecessor_stops_at_zero() {
+                    super::predecessor_stops_at_zero::<$store>();
+                }
+                #[test]
+                fn the_top_of_the_address_space_is_an_end_not_a_seam() {
+                    super::the_top_of_the_address_space_is_an_end_not_a_seam::<$store>();
+                }
+                #[test]
+                fn remove_range_frees_blocks() {
+                    super::remove_range_frees_blocks::<$store>();
+                }
+                #[test]
+                fn remove_range_across_seams_and_modes() {
+                    super::remove_range_across_seams_and_modes::<$store>();
+                }
+                #[test]
+                fn for_each_visits_all_cells() {
+                    super::for_each_visits_all_cells::<$store>();
+                }
+                #[test]
+                fn a_free_of_the_whole_address_space_returns() {
+                    super::a_free_of_the_whole_address_space_returns::<$store>();
+                }
+            }
+        )*};
+    }
+
+    contract! {
+        hash: ShadowTable<u32>, 0;
+        paged: PagedShadow<u32>, paged_dir_bytes(32);
+    }
 }

@@ -3,7 +3,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dgrace_shadow::{EpochBitmap, ShadowTable};
+use dgrace_shadow::{EpochBitmap, PagedShadow, ShadowStore, ShadowTable};
 use dgrace_trace::{Addr, SnapshotWriter};
 use proptest::prelude::*;
 
@@ -52,68 +52,89 @@ impl Model {
     }
 }
 
+/// Where the 600-address pool sits: across four 128-byte chunk seams and
+/// the 4 KiB directory seam at `0x1000`.
+fn at(a: u16) -> u64 {
+    0xec0 + a as u64
+}
+
+/// Every store against the model, one op at a time.
+fn store_matches_hashmap_model<S: ShadowStore<u32>>(ops: Vec<TableOp>) {
+    let mut table = S::default();
+    let mut model = Model::default();
+    for op in ops {
+        match op {
+            TableOp::Insert(a, v) => {
+                let a = at(a);
+                let prev = table.insert(Addr(a), v);
+                let mprev = model.map.insert(a, v);
+                assert_eq!(prev, mprev, "insert at {}", a);
+            }
+            TableOp::Remove(a) => {
+                let a = at(a);
+                // The table refuses unaligned removals while the chunk
+                // is in word mode; the model only contains keys the
+                // table accepted, so a model hit must be removable —
+                // *unless* the chunk is still word-aligned-only, in
+                // which case the model cannot contain the key either.
+                let got = table.remove(Addr(a));
+                let mgot = model.map.remove(&a);
+                assert_eq!(got, mgot, "remove at {}", a);
+            }
+            TableOp::RemoveRange(a, l) => {
+                let (a, l) = (at(a), l as u64);
+                let mut removed: Vec<(u64, u32)> = Vec::new();
+                table.remove_range(Addr(a), l, |ad, v| removed.push((ad.0, v)));
+                let mut expected: Vec<(u64, u32)> = model
+                    .map
+                    .iter()
+                    .filter(|(k, _)| **k >= a && **k < a + l)
+                    .map(|(k, v)| (*k, *v))
+                    .collect();
+                model.map.retain(|k, _| *k < a || *k >= a + l);
+                removed.sort_unstable();
+                expected.sort_unstable();
+                assert_eq!(removed, expected, "remove_range {}..{}", a, a + l);
+            }
+            TableOp::Get(a) => {
+                assert_eq!(table.get(Addr(at(a))), model.map.get(&at(a)));
+            }
+            TableOp::Pred(a, d) => {
+                let got = table
+                    .nearest_predecessor(Addr(at(a)), d as u64)
+                    .map(|(x, _)| x.0);
+                assert_eq!(got, model.pred(at(a), d as u64), "pred of {}", a);
+            }
+            TableOp::Succ(a, d) => {
+                let got = table
+                    .nearest_successor(Addr(at(a)), d as u64)
+                    .map(|(x, _)| x.0);
+                assert_eq!(got, model.succ(at(a), d as u64), "succ of {}", a);
+            }
+        }
+        assert_eq!(table.len(), model.map.len());
+        assert_eq!(table.is_empty(), model.map.is_empty());
+        // for_each agrees with the model over the whole pool.
+        let mut all: Vec<u64> = Vec::new();
+        table.for_each(|a, _| all.push(a.0));
+        let mut expected: Vec<u64> = model.map.keys().copied().collect();
+        all.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(all, expected);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn shadow_table_matches_hashmap_model(ops in proptest::collection::vec(arb_table_op(), 1..120)) {
-        let mut table: ShadowTable<u32> = ShadowTable::new(128);
-        let mut model = Model::default();
-        for op in ops {
-            match op {
-                TableOp::Insert(a, v) => {
-                    let a = a as u64;
-                    let prev = table.insert(Addr(a), v);
-                    let mprev = model.map.insert(a, v);
-                    prop_assert_eq!(prev, mprev, "insert at {}", a);
-                }
-                TableOp::Remove(a) => {
-                    let a = a as u64;
-                    // The table refuses unaligned removals while the chunk
-                    // is in word mode; the model only contains keys the
-                    // table accepted, so a model hit must be removable —
-                    // *unless* the chunk is still word-aligned-only, in
-                    // which case the model cannot contain the key either.
-                    let got = table.remove(Addr(a));
-                    let mgot = model.map.remove(&a);
-                    prop_assert_eq!(got, mgot, "remove at {}", a);
-                }
-                TableOp::RemoveRange(a, l) => {
-                    let (a, l) = (a as u64, l as u64);
-                    let mut removed: Vec<(u64, u32)> = Vec::new();
-                    table.remove_range(Addr(a), l, |ad, v| removed.push((ad.0, v)));
-                    let mut expected: Vec<(u64, u32)> = model
-                        .map
-                        .iter()
-                        .filter(|(k, _)| **k >= a && **k < a + l)
-                        .map(|(k, v)| (*k, *v))
-                        .collect();
-                    model.map.retain(|k, _| *k < a || *k >= a + l);
-                    removed.sort_unstable();
-                    expected.sort_unstable();
-                    prop_assert_eq!(removed, expected, "remove_range {}..{}", a, a + l);
-                }
-                TableOp::Get(a) => {
-                    prop_assert_eq!(table.get(Addr(a as u64)), model.map.get(&(a as u64)));
-                }
-                TableOp::Pred(a, d) => {
-                    let got = table.nearest_predecessor(Addr(a as u64), d as u64).map(|(x, _)| x.0);
-                    prop_assert_eq!(got, model.pred(a as u64, d as u64), "pred of {}", a);
-                }
-                TableOp::Succ(a, d) => {
-                    let got = table.nearest_successor(Addr(a as u64), d as u64).map(|(x, _)| x.0);
-                    prop_assert_eq!(got, model.succ(a as u64, d as u64), "succ of {}", a);
-                }
-            }
-            prop_assert_eq!(table.len(), model.map.len());
-            prop_assert_eq!(table.is_empty(), model.map.is_empty());
-            // addrs_in_range agrees with the model over the whole pool.
-            let mut all: Vec<u64> = table.addrs_in_range(Addr(0), 1024).iter().map(|a| a.0).collect();
-            let mut expected: Vec<u64> = model.map.keys().copied().collect();
-            all.sort_unstable();
-            expected.sort_unstable();
-            prop_assert_eq!(all, expected);
-        }
+        store_matches_hashmap_model::<ShadowTable<u32>>(ops);
+    }
+
+    #[test]
+    fn paged_shadow_matches_hashmap_model(ops in proptest::collection::vec(arb_table_op(), 1..120)) {
+        store_matches_hashmap_model::<PagedShadow<u32>>(ops);
     }
 
     /// The bitmap against a `HashSet<(addr, plane)>` model, through the
@@ -219,7 +240,7 @@ fn bitmaps_with_equal_live_contents_encode_alike_whatever_their_pools_held() {
 /// slot.
 #[test]
 fn unaligned_lookup_never_aliases_word_slot() {
-    let mut t: ShadowTable<u32> = ShadowTable::new(128);
+    let mut t: ShadowTable<u32> = ShadowTable::default();
     t.insert(Addr(0x40), 7);
     assert_eq!(t.get(Addr(0x41)), None);
     assert_eq!(t.get(Addr(0x42)), None);

@@ -257,8 +257,8 @@ fn paged_detectors_are_labelled() {
 /// first unaligned insert expands the chunk preserving existing cells.
 #[test]
 fn word_to_byte_expansion_matches_across_stores() {
-    let mut hash: ShadowTable<u32> = ShadowTable::new(128);
-    let mut paged: PagedShadow<u32> = PagedShadow::new();
+    let mut hash: ShadowTable<u32> = ShadowTable::default();
+    let mut paged: PagedShadow<u32> = PagedShadow::default();
     let base = 0x2000u64;
 
     // Word-mode phase: aligned inserts only.
