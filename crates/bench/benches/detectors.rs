@@ -21,7 +21,7 @@ fn suite() -> Vec<Box<dyn Detector>> {
     ]
 }
 
-fn bench_detectors(c: &mut Criterion) {
+fn bench_full_trace(c: &mut Criterion) {
     for kind in [
         WorkloadKind::Facesim,
         WorkloadKind::Pbzip2,
@@ -45,5 +45,5 @@ fn bench_detectors(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_detectors);
+criterion_group!(benches, bench_full_trace);
 criterion_main!(benches);

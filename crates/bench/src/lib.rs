@@ -14,8 +14,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod scaling;
-
 use std::time::Instant;
 
 use dgrace_baselines::{HybridDetector, SegmentDetector};

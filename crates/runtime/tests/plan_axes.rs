@@ -133,7 +133,7 @@ fn every_plan_axis_matches_the_serial_run() {
     for (name, proto) in protos {
         let want = race_signature(&proto().run(trace));
         assert!(!want.is_empty(), "{name}: the trace has a race to find");
-        for shards in [1usize, 2, 3, 4, 8] {
+        for shards in [1usize, 2, 3, 4, 8, 16] {
             for (pruned, supervised, checkpointed) in
                 (0..8).map(|m| (m & 1 != 0, m & 2 != 0, m & 4 != 0))
             {

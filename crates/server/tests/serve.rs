@@ -199,42 +199,60 @@ fn slowloris_session_hits_idle_timeout() {
     assert_eq!(stats.quarantined, 1);
 }
 
+/// The admission ladder at two sizes: `degrade` full-fidelity sessions,
+/// then sampled-tier ones up to the hard watermark, then as many typed
+/// sheds as there were sampled admissions. Sequential connects from one
+/// thread make every count exact.
 #[test]
 fn overload_degrades_then_sheds() {
-    let dir = scratch("overload");
-    let mut cfg = base_config(&dir);
-    cfg.max_sessions = 2;
-    cfg.degrade_sessions = 1;
-    let handle = Server::spawn(cfg).expect("spawn");
     let trace = racy_trace();
+    for (max, degrade) in [(2usize, 1usize), (8, 4)] {
+        let row = format!("max={max} degrade={degrade}");
+        let dir = scratch("overload");
+        let mut cfg = base_config(&dir);
+        cfg.max_sessions = max;
+        cfg.degrade_sessions = degrade;
+        let handle = Server::spawn(cfg).expect("spawn");
 
-    // First session: full fidelity.
-    let mut c1 = Client::connect(handle.socket(), "first", "byte").expect("c1");
-    assert!(!c1.degraded());
-    // Second: past the soft watermark — sampled tier.
-    let mut c2 = Client::connect(handle.socket(), "second", "byte").expect("c2");
-    assert!(
-        c2.degraded(),
-        "soft watermark puts new sessions on sampling"
-    );
-    // Third: past the hard watermark — shed with a typed reply.
-    match Client::connect(handle.socket(), "third", "byte") {
-        Err(ClientError::Overloaded) => {}
-        Err(other) => panic!("expected Overloaded, got {other}"),
-        Ok(_) => panic!("expected Overloaded, got a session"),
+        let mut holders = Vec::new();
+        for i in 0..max {
+            let name = format!("hold-{i}");
+            let mut c = Client::connect(handle.socket(), &name, "byte").expect("holder admitted");
+            // Past the soft watermark new sessions run on sampling.
+            assert_eq!(c.degraded(), i >= degrade, "{row} {name}");
+            c.send_events(&trace.events).expect("holder feeds");
+            c.await_credits().expect("holder credited");
+            holders.push((name, c));
+        }
+        // Past the hard watermark every connection is shed with a typed
+        // reply.
+        let sampled = max - degrade;
+        for i in 0..sampled {
+            match Client::connect(handle.socket(), &format!("shed-{i}"), "byte") {
+                Err(ClientError::Overloaded) => {}
+                Err(other) => panic!("{row}: expected Overloaded, got {other}"),
+                Ok(_) => panic!("{row}: expected Overloaded, got a session"),
+            }
+        }
+        for (i, (name, c)) in holders.into_iter().enumerate() {
+            let end = c.finish().expect("holder finishes");
+            if i < degrade {
+                assert_eq!(end.report_json, solo_json(&name, &trace), "{row} {name}");
+            } else {
+                assert!(
+                    end.report_json.contains("\"degraded\":true"),
+                    "{row} {name}"
+                );
+            }
+        }
+
+        let stats = handle.stop().expect("stop");
+        assert_eq!(stats.accepted, (max + sampled) as u64, "{row}");
+        assert_eq!(stats.degraded, sampled as u64, "{row}");
+        assert_eq!(stats.shed, sampled as u64, "{row}");
+        assert_eq!(stats.finished, max as u64, "{row}");
+        assert_eq!(stats.events_lost, 0, "{row}");
     }
-
-    c1.send_events(&trace.events).expect("send");
-    c2.send_events(&trace.events).expect("send");
-    let full = c1.finish().expect("finish");
-    let sampled = c2.finish().expect("finish");
-    assert_eq!(full.report_json, solo_json("first", &trace));
-    assert!(sampled.report_json.contains("\"degraded\":true"));
-
-    let stats = handle.stop().expect("stop");
-    assert_eq!(stats.shed, 1);
-    assert_eq!(stats.degraded, 1);
-    assert_eq!(stats.finished, 2);
 }
 
 #[test]
