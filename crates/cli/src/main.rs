@@ -28,7 +28,7 @@
 //! checkpointing is configured), 141 stdout's reader went away (`out`).
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read};
+use std::io::{BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -46,7 +46,7 @@ use dgrace_runtime::{
 use dgrace_server::{Client, ClientError, Server, ServerConfig};
 use dgrace_shadow::{HashSelect, PagedSelect};
 use dgrace_trace::io::{
-    read_summary, read_trace_with, write_summary, write_trace, EventReader, BLOCK_EVENTS,
+    read_trace_with, summary_from_bytes, summary_to_bytes, write_trace, EventReader, BLOCK_EVENTS,
 };
 use dgrace_trace::{
     stats::stats, validate, AnalysisSummary, BlockReader, DecodeLimits, DecodeStats, Event,
@@ -373,10 +373,9 @@ fn cmd_analyze(rest: &[String]) -> Result<(), Failure> {
     let secs = start.elapsed().as_secs_f64();
 
     if let Some(out) = p.opt("-o") {
-        let mut w = BufWriter::new(
-            File::create(out).map_err(|e| Failure::Io(format!("create {out}: {e}")))?,
-        );
-        write_summary(&summary, &mut w).map_err(|e| Failure::Io(format!("write {out}: {e}")))?;
+        let mut f = File::create(out).map_err(|e| Failure::Io(format!("create {out}: {e}")))?;
+        f.write_all(&summary_to_bytes(&summary))
+            .map_err(|e| Failure::Io(format!("write {out}: {e}")))?;
     }
     if p.flag("--json") {
         // Deterministic machine-readable output (no wall-clock fields),
@@ -455,9 +454,8 @@ fn cmd_analyze(rest: &[String]) -> Result<(), Failure> {
 /// (exit 8), so scripts can distinguish "re-run analyze" from a corrupt
 /// file or a bad invocation.
 fn load_summary(path: &str, facts: &TraceFacts) -> Result<AnalysisSummary, Failure> {
-    let f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
-    let summary =
-        read_summary(&mut BufReader::new(f)).map_err(|e| decode_failure(path, &e, false))?;
+    let bytes = std::fs::read(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
+    let summary = summary_from_bytes(&bytes).map_err(|e| decode_failure(path, &e, false))?;
     if summary.trace_events != facts.events {
         return Err(Failure::Stale(format!(
             "summary {path} was built from a {}-event trace, but this trace has {} events \

@@ -9,7 +9,9 @@ use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use dgrace_trace::io::to_bytes;
-use dgrace_trace::{AccessSize, Trace, TraceBuilder};
+use dgrace_trace::{
+    seal_crc, AccessSize, SnapshotWriter, Trace, TraceBuilder, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+};
 
 /// Two workers racing on one word, then a few thousand private writes
 /// each (several decode blocks' worth of records).
@@ -239,6 +241,61 @@ fn a_summary_of_an_older_format_version_is_a_decode_error() {
             4,
             &format!("decode {summary}: unsupported format version 2"),
         );
+    }
+}
+
+#[test]
+fn a_checkpoint_of_an_older_format_version_is_a_decode_error() {
+    // `data/dgcp-v2.dgcp` is what the last build with `DGCP` version 2
+    // wrote, mid-run, for `racy_trace(100)` under `--memory-limit 262144
+    // --sample loc:2`. It is intact (its CRC holds) and still refused.
+    let dir = scratch("dgcp-v2");
+    let trace = write(&dir, "t.dgrt", &to_bytes(&racy_trace(100)));
+    let ckpt = dir.join("ckpt");
+    std::fs::create_dir_all(&ckpt).expect("checkpoint dir");
+    write(
+        &ckpt,
+        "checkpoint.dgcp",
+        include_bytes!("data/dgcp-v2.dgcp"),
+    );
+    let stack = ["--memory-limit", "262144", "--sample", "loc:2"];
+    let resume = ["--resume", ckpt.to_str().unwrap()];
+    let out = dgrace(&[&["detect", "dynamic", &trace][..], &stack, &resume].concat());
+    assert_rejected(&out, 4, "unsupported format version 2");
+}
+
+#[test]
+fn a_forged_count_in_a_sealed_manifest_is_a_decode_error_not_an_allocation() {
+    // A well-formed, correctly sealed manifest of about 90 bytes that
+    // claims 2^28 router ranges or 2^28 shards: sizing a buffer by either
+    // count asks for gigabytes. Under an address-space cap that is an
+    // abort; the count has to be refused against the bytes left instead.
+    let dir = scratch("forged-count");
+    let trace = write(&dir, "t.dgrt", &to_bytes(&racy_trace(100)));
+    for (ranges, shards) in [(1u64 << 28, 0u64), (0, 1 << 28)] {
+        let mut w = SnapshotWriter::new(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+        w.str("dynamic");
+        for word in [206, 100, 0, 0, 0, 0, ranges] {
+            w.u64(word);
+        }
+        if ranges == 0 {
+            w.u64(shards);
+        }
+        let mut bytes = w.finish();
+        seal_crc(&mut bytes);
+        let ckpt = dir.join(format!("ckpt-{ranges}-{shards}"));
+        std::fs::create_dir_all(&ckpt).expect("checkpoint dir");
+        write(&ckpt, "checkpoint.dgcp", &bytes);
+        let out = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                "ulimit -v 65536; exec {} detect dynamic {trace} --resume {}",
+                env!("CARGO_BIN_EXE_dgrace"),
+                ckpt.display()
+            ))
+            .output()
+            .expect("run dgrace under a cap");
+        assert_rejected(&out, 4, "corrupt checkpoint: truncated stream");
     }
 }
 

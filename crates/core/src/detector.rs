@@ -1,13 +1,11 @@
 //! The dynamic-granularity detector (Fig. 3's instrumentation routines).
 
-use dgrace_detectors::snap::{decode_races, encode_races};
+use dgrace_detectors::snap::{decode_races, encode_races, Section, SectionError};
 use dgrace_detectors::{
     AccessKind, Detector, HbState, RaceKind, RaceReport, Report, ShardableDetector, SharingStats,
 };
 use dgrace_shadow::{HashSelect, MemClass, MemoryModel, PressureLevel, StoreSelect, Victims};
-
-use dgrace_trace::snapshot::{STATE_MAGIC, STATE_VERSION};
-use dgrace_trace::{Addr, Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError};
+use dgrace_trace::{Addr, Event, SnapshotReader, SnapshotWriter};
 use dgrace_vc::{AccessClock, ClockView, Epoch, Tid};
 
 use crate::plane::{CellRef, PlaneOn};
@@ -57,11 +55,6 @@ pub struct DynamicGranularityOn<K: StoreSelect> {
 
 /// The default detector: dynamic granularity on the chained-hash store.
 pub type DynamicGranularity = DynamicGranularityOn<HashSelect>;
-
-/// What the snapshot's trailing digest word reads when no map was
-/// installed (FNV-1a over a zero range count): the only value this
-/// build writes or restores.
-const NO_AFFINITY_DIGEST: u64 = 0xa8c7_f832_281a_39c5;
 
 /// First-epoch scan width the memory governor forces at
 /// [`PressureLevel::High`] and above (the default is 8 bytes): a wider
@@ -671,26 +664,20 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
         self.model.classes()
     }
 
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        let mut w = SnapshotWriter::new(STATE_MAGIC, STATE_VERSION);
-        w.str(&self.name());
+    fn write_section(&self, w: &mut SnapshotWriter) -> bool {
+        Section::Detector.write(w);
         // Full config fields, not just the label: restore must reject a
         // snapshot from any differently-configured detector.
         w.bool(self.config.init_state);
         w.bool(self.config.share_at_init);
         w.u64(self.config.first_epoch_scan);
         w.bool(self.config.enable_sharing);
-        // Reserved (`STATE_VERSION` 2 keeps its layout): what a detector
-        // that never used the removed feature wrote; `restore` refuses
-        // anything else.
-        w.bool(false); // reserved: guide_reads_by_writes
-        w.u8(0); // reserved: max_redecisions
         w.bool(self.config.report_group_races);
-        self.hb.encode(&mut w);
-        self.read.encode(&mut w);
-        self.write.encode(&mut w);
-        self.model.encode(&mut w);
-        encode_races(&mut w, &self.races);
+        self.hb.encode(w);
+        self.read.encode(w);
+        self.write.encode(w);
+        self.model.encode(w);
+        encode_races(w, &self.races);
         for c in [
             self.events,
             self.accesses,
@@ -701,80 +688,41 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
             self.peak_locs as u64,
             self.cells_at_peak as u64,
             self.event_index,
-            0, // reserved: preseed_hits
-            0, // reserved: preseed_misses
-            NO_AFFINITY_DIGEST,
         ] {
             w.u64(c);
         }
-        Some(w.finish())
+        true
     }
 
     fn races_so_far(&self) -> &[RaceReport] {
         &self.races
     }
 
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let name = self.name();
-        let fail = |e: TraceError| format!("{name}: corrupt snapshot: {e}");
-        let mut r =
-            SnapshotReader::new(bytes, STATE_MAGIC, STATE_VERSION, SnapshotLimits::default())
-                .map_err(fail)?;
-        let snap_name = r.str().map_err(fail)?;
-        if snap_name != name {
-            return Err(format!(
-                "snapshot is for detector {snap_name:?}, not {name:?}"
-            ));
-        }
-        let removed = |found: bool, feature: &str| {
-            if found {
-                return Err(format!(
-                    "{name}: snapshot was taken with {feature}, which this build no longer has"
-                ));
-            }
-            Ok(())
-        };
-        let (init_state, share_at_init, first_epoch_scan, enable_sharing) = (
-            r.bool().map_err(fail)?,
-            r.bool().map_err(fail)?,
-            r.u64().map_err(fail)?,
-            r.bool().map_err(fail)?,
-        );
-        removed(
-            r.bool().map_err(fail)?,
-            "write-guided read sharing (guide_reads_by_writes)",
-        )?;
-        removed(
-            r.u8().map_err(fail)? != 0,
-            "sharing re-decisions (max_redecisions)",
-        )?;
+    fn read_section(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SectionError> {
+        Section::Detector.read(r)?;
         let config = DynamicConfig {
-            init_state,
-            share_at_init,
-            first_epoch_scan,
-            enable_sharing,
-            report_group_races: r.bool().map_err(fail)?,
+            init_state: r.bool()?,
+            share_at_init: r.bool()?,
+            first_epoch_scan: r.u64()?,
+            enable_sharing: r.bool()?,
+            report_group_races: r.bool()?,
         };
         if config != self.config {
-            return Err(format!(
-                "{name}: snapshot configuration {config:?} differs from this detector's {:?}",
+            return Err(SectionError::Mismatch(format!(
+                "{}: snapshot configuration {config:?} differs from this detector's {:?}",
+                self.name(),
                 self.config
-            ));
+            )));
         }
-        let hb = HbState::decode(&mut r).map_err(fail)?;
-        let read = PlaneOn::decode(&mut r).map_err(fail)?;
-        let write = PlaneOn::decode(&mut r).map_err(fail)?;
-        let mut model = MemoryModel::decode(&mut r).map_err(fail)?;
-        let races = decode_races(&mut r).map_err(fail)?;
-        let mut counters = [0u64; 12];
+        let hb = HbState::decode(r)?;
+        let read = PlaneOn::decode(r)?;
+        let write = PlaneOn::decode(r)?;
+        let mut model = MemoryModel::decode(r)?;
+        let races = decode_races(r)?;
+        let mut counters = [0u64; 9];
         for c in counters.iter_mut() {
-            *c = r.u64().map_err(fail)?;
+            *c = r.u64()?;
         }
-        removed(
-            counters[9..] != [0, 0, NO_AFFINITY_DIGEST],
-            "an affinity map (pre-seeding; preseed counters or map digest set)",
-        )?;
-        r.expect_end().map_err(fail)?;
         model.set_budget(self.model.budget());
         *self = DynamicGranularityOn {
             config,
@@ -871,33 +819,6 @@ mod tests {
         assert_eq!(snap.members.len(), 8);
         let rep = det.finish();
         assert!(rep.races.is_empty());
-    }
-
-    #[test]
-    fn restore_names_the_removed_feature_a_snapshot_was_taken_with() {
-        // The retired fields sit at fixed distances from either end of
-        // the blob: after the header, the name and four config fields;
-        // before the end, two counters and the digest.
-        let det = DynamicGranularity::new();
-        let bytes = det.snapshot().unwrap();
-        let guide = 8 + (8 + "dynamic".len()) + 1 + 1 + 8 + 1;
-        let n = bytes.len();
-        for (at, value, feature) in [
-            (guide, 1, "guide_reads_by_writes"),
-            (guide + 1, 2, "max_redecisions"),
-            (n - 24, 1, "affinity map"),
-            (n - 16, 1, "affinity map"),
-            (n - 8, 1, "affinity map"),
-        ] {
-            let mut patched = bytes.clone();
-            patched[at] = value;
-            let err = DynamicGranularity::new().restore(&patched).unwrap_err();
-            assert!(
-                err.contains(feature) && err.contains("no longer"),
-                "byte {at}: {err}"
-            );
-        }
-        DynamicGranularity::new().restore(&bytes).unwrap();
     }
 
     #[test]

@@ -1068,7 +1068,6 @@ impl<K: StoreSelect> PlaneOn<K> {
             w.u8(state_tag(cell.state));
             w.u32(cell.count);
             w.bool(cell.tainted);
-            w.u8(0); // reserved: the cell's redecisions count
             let members: &[Addr] = match at.slot.home() {
                 Home::Slot(_) => &[],
                 Home::Slab { cell, .. } => &self.cells.get(cell).members,
@@ -1099,13 +1098,14 @@ impl<K: StoreSelect> PlaneOn<K> {
     }
 
     /// Rebuilds a plane from [`PlaneOn::encode`]d bytes, in whatever
-    /// order they number the cells (before cells could live in slots
-    /// that was slab order). Where a cell and a clock are restored to is
-    /// decided from their values, whichever place they were saved from:
-    /// an epoch-form clock of refcount 1 inline, a cell of one location
-    /// that holds one and fits in that location's slot. A refcount that
-    /// differs from the number of cells naming the entry is rejected,
-    /// and so is a cell of one location named by two.
+    /// order they number the cells. Where a cell and a clock are restored
+    /// to is decided from their values, whichever place they were saved
+    /// from: an epoch-form clock of refcount 1 inline, a cell of one
+    /// location that holds one and fits in that location's slot. A
+    /// refcount that differs from the number of cells naming the entry is
+    /// rejected, and so are a member list that is not the cell's
+    /// locations (none for a cell of one) and a cell of one location
+    /// named by two.
     pub fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, TraceError> {
         let mut plane = Self::default();
         let n = r.count("clock-arena entries")?;
@@ -1144,20 +1144,17 @@ impl<K: StoreSelect> PlaneOn<K> {
             let count = r.u32()?;
             let tainted = r.bool()?;
             let at = r.offset();
-            if r.u8()? != 0 {
+            let m = r.count("group members")?;
+            // A cell of one location lists no member: it is implicit.
+            if m != if count == 1 { 0 } else { count as usize } {
                 return Err(TraceError::Malformed {
                     offset: at,
-                    what: "cell has used sharing re-decisions (redecisions), which this build no longer has",
+                    what: "member list disagrees with the cell's location count",
                 });
             }
-            let m = r.count("group members")?;
-            let mut members = Vec::new();
+            let mut members = Vec::with_capacity(m);
             for _ in 0..m {
                 members.push(Addr(r.u64()?));
-            }
-            if count == 1 {
-                // The sole member is implicit (older snapshots may list it).
-                members = Vec::new();
             }
             let cell = Cell {
                 clock,
@@ -1788,7 +1785,6 @@ mod tests {
         w.u8(state_tag(VcState::Private));
         w.u32(members.len().max(1) as u32);
         w.bool(false);
-        w.u8(0);
         w.count(members.len());
         for m in members {
             w.u64(*m);
@@ -1804,10 +1800,9 @@ mod tests {
     }
 
     #[test]
-    fn decode_accepts_slab_order_and_a_listed_sole_member() {
-        // What the encoder wrote before cells could live in slots: cells
-        // in slab order, whatever the address order, and a group that
-        // shrank to one member still listing it.
+    fn decode_accepts_cells_in_any_order() {
+        // Cells numbered in slab order, whatever the address order: the
+        // decoder places each by its value, not by its number.
         let mut w = SnapshotWriter::new(*b"TEST", 1);
         w.count(2);
         for c in [5, 6] {
@@ -1815,12 +1810,11 @@ mod tests {
             w.u32(1);
         }
         w.count(2);
-        wire_cell(&mut w, &[0x200]);
+        wire_cell(&mut w, &[]);
         w.u32(1); // second cell: clock 1
         w.u8(state_tag(VcState::Race));
         w.u32(1);
         w.bool(true);
-        w.u8(0);
         w.count(0);
         w.count(2);
         for (addr, cell) in [(0x100u64, 1u32), (0x200, 0)] {
@@ -1851,6 +1845,31 @@ mod tests {
     }
 
     #[test]
+    fn decode_refuses_a_member_list_that_is_not_the_cells_locations() {
+        // A cell of one location that lists it, and a group of two that
+        // lists one.
+        for (count, members) in [(1u32, &[0x200u64][..]), (2, &[0x200][..])] {
+            let mut w = SnapshotWriter::new(*b"TEST", 1);
+            w.count(1);
+            encode_access_clock(&mut w, &epoch(1, 0));
+            w.u32(1);
+            w.count(1);
+            w.u32(0);
+            w.u8(state_tag(VcState::Private));
+            w.u32(count);
+            w.bool(false);
+            w.count(members.len());
+            for m in members {
+                w.u64(*m);
+            }
+            assert!(matches!(
+                decoded(&w.finish()),
+                Err(TraceError::Malformed { what, .. }) if what.contains("member list")
+            ));
+        }
+    }
+
+    #[test]
     fn decode_rejects_dangling_references() {
         let mut w = SnapshotWriter::new(*b"TEST", 1);
         w.count(0); // no clocks
@@ -1859,24 +1878,6 @@ mod tests {
         assert!(matches!(
             decoded(&w.finish()),
             Err(TraceError::Malformed { .. })
-        ));
-    }
-
-    #[test]
-    fn decode_refuses_a_cell_that_used_redecisions() {
-        let mut w = SnapshotWriter::new(*b"TEST", 1);
-        w.count(1);
-        encode_access_clock(&mut w, &epoch(1, 0));
-        w.u32(1);
-        w.count(1);
-        w.u32(0);
-        w.u8(state_tag(VcState::Private));
-        w.u32(1);
-        w.bool(false);
-        w.u8(1); // the reserved byte: one redecision consumed
-        assert!(matches!(
-            decoded(&w.finish()),
-            Err(TraceError::Malformed { what, .. }) if what.contains("no longer")
         ));
     }
 

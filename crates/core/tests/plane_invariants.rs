@@ -2,7 +2,7 @@
 //! detector, checked against `check_invariants` after every step.
 
 use dgrace_core::{CellRef, DynamicConfig, DynamicGranularity, Plane, VcState};
-use dgrace_detectors::Detector;
+use dgrace_detectors::{Detector, DetectorExt};
 use dgrace_trace::{AccessSize, Addr, Event, LockId, SnapshotReader, SnapshotWriter, Tid};
 use dgrace_vc::{AccessClock, ClockView, Epoch, VectorClock};
 use proptest::prelude::*;

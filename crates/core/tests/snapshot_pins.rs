@@ -4,21 +4,27 @@
 //! a refactor that changes the encoding on both sides at once. These are
 //! FNV-1a digests of the snapshot each detector of the vector-clock family
 //! takes two thirds of the way through one seeded trace — bare and under
-//! each wrapper that adds an envelope — and the `name()` of every family
-//! member on both stores. A `.dgcp` checkpoint is made of exactly these
-//! bytes, so a literal that moves breaks resuming older checkpoints.
+//! each wrapper that writes a section of its own — and the `name()` of
+//! every family member on both stores. A `.dgcp` checkpoint is made of
+//! exactly these bytes, so a literal that moves breaks resuming older
+//! checkpoints.
 //!
-//! The eight `dynamic` digests were regenerated once, when a private
-//! epoch cell moved into its index slot: since then the plane numbers its
-//! cells in ascending-address order of first reference instead of slab
-//! order (`plane.rs`, `encode`). The decoder reads either numbering;
-//! `data/dynamic-pr16.dgss` is the snapshot the last build with the old
-//! numbering took at the `("dynamic", "hash", "bare")` pin, kept to hold
-//! it to that.
+//! All 32 digests were regenerated when `DGSS` went to version 3: one
+//! header and the stack's name, then a one-byte-tagged section per layer
+//! instead of a nested envelope per wrapper, and none of the words the
+//! version-2 layout kept as constants for removed features (the dynamic
+//! detector's two config bytes and three trailing words, each cell's
+//! re-decision byte, the sampler's heat digest). Before that, the eight
+//! `dynamic` digests had been regenerated once, when a private epoch cell
+//! moved into its index slot. `data/dynamic-pr16.dgss` is a version-2
+//! snapshot from before that move, taken at the `("dynamic", "hash",
+//! "bare")` pin: it is refused, and the report its writer went on to
+//! print is still this build's.
 
 use dgrace_core::vc_detector;
 use dgrace_detectors::{
-    Detector, Governed, GovernorSpec, SampleSpec, Sampled, ShardableDetector, StaticPruneFilter,
+    Detector, DetectorExt, Governed, GovernorSpec, SampleSpec, Sampled, ShardableDetector,
+    StaticPruneFilter,
 };
 use dgrace_shadow::{HashSelect, PagedSelect};
 use dgrace_trace::{
@@ -97,7 +103,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The first sixteen words declared thread-local, so the prune filter
-/// drops something and its counter is part of the envelope.
+/// drops something and its counter is part of its section.
 fn prune_set() -> PruneSet {
     AnalysisSummary {
         ranges: vec![ClassifiedRange {
@@ -138,38 +144,38 @@ fn layered(name: &str, store: &str, layer: &str) -> Box<dyn Detector> {
 }
 
 const PINS: [(&str, &str, &str, u64); 32] = [
-    ("byte", "hash", "bare", 0x9d3d_492a_fcba_6135),
-    ("byte", "hash", "sampled", 0xe366_d593_d292_b6e9),
-    ("byte", "hash", "governed", 0x9c96_affa_377a_14a4),
-    ("byte", "hash", "pruned", 0x32b9_fe18_f1ce_7201),
-    ("byte", "paged", "bare", 0x9ef9_92fe_3900_19ee),
-    ("byte", "paged", "sampled", 0x0b95_99a8_843c_b3c6),
-    ("byte", "paged", "governed", 0x72c5_2c65_294e_83d6),
-    ("byte", "paged", "pruned", 0x7a08_c474_ba0c_38d7),
-    ("word", "hash", "bare", 0x2571_dd2f_bb31_ad53),
-    ("word", "hash", "sampled", 0xd7a1_917c_022e_cb63),
-    ("word", "hash", "governed", 0xc12e_f81d_a5dc_f96e),
-    ("word", "hash", "pruned", 0xb46e_76b7_4da2_902f),
-    ("word", "paged", "bare", 0xa811_f880_703d_6ca0),
-    ("word", "paged", "sampled", 0xce3e_65cc_b3bb_5ae0),
-    ("word", "paged", "governed", 0xd551_6864_3f91_d1f0),
-    ("word", "paged", "pruned", 0x9c4e_3c48_36c4_be75),
-    ("djit", "hash", "bare", 0xf820_d86c_3a56_b390),
-    ("djit", "hash", "sampled", 0x9963_2d1c_6eab_6d4c),
-    ("djit", "hash", "governed", 0x378c_297a_dc4e_a85f),
-    ("djit", "hash", "pruned", 0xf53d_8fa7_cd32_e6d5),
-    ("djit", "paged", "bare", 0xfb89_b421_e60c_770c),
-    ("djit", "paged", "sampled", 0x819b_fa16_e6ba_61b7),
-    ("djit", "paged", "governed", 0x83c6_0a0d_3fbb_3cae),
-    ("djit", "paged", "pruned", 0xb2f5_9b3f_154c_dcce),
-    ("dynamic", "hash", "bare", 0xd07e_844c_ccd9_0c87),
-    ("dynamic", "hash", "sampled", 0x906f_58d5_f537_b979),
-    ("dynamic", "hash", "governed", 0x9477_27b6_dd89_fc6b),
-    ("dynamic", "hash", "pruned", 0x9044_1c3d_200a_f785),
-    ("dynamic", "paged", "bare", 0x4f94_3000_83c8_954b),
-    ("dynamic", "paged", "sampled", 0x0819_5159_e66e_3d22),
-    ("dynamic", "paged", "governed", 0xc60e_e8a2_9cf2_9335),
-    ("dynamic", "paged", "pruned", 0x50e7_e81a_3f6b_b397),
+    ("byte", "hash", "bare", 0x462198e9eddfeb0e),
+    ("byte", "hash", "sampled", 0x095d122bd7494a3e),
+    ("byte", "hash", "governed", 0x0740d100a411d7f3),
+    ("byte", "hash", "pruned", 0x54ed9a6e6ed68987),
+    ("byte", "paged", "bare", 0xa724a8ed7d6a532d),
+    ("byte", "paged", "sampled", 0x0205122de3cf5e4b),
+    ("byte", "paged", "governed", 0xa57110f75084e4b5),
+    ("byte", "paged", "pruned", 0xfdd9800c60b13177),
+    ("word", "hash", "bare", 0x70ea107f6ba45a20),
+    ("word", "hash", "sampled", 0xec9075ebb4b5a8dc),
+    ("word", "hash", "governed", 0xdb522863146bc351),
+    ("word", "hash", "pruned", 0x518ec7ec46247709),
+    ("word", "paged", "bare", 0xa7ed79149d217853),
+    ("word", "paged", "sampled", 0x3865d0086d6f0629),
+    ("word", "paged", "governed", 0x0c784a94946d655f),
+    ("word", "paged", "pruned", 0x2fef6f2db59a5591),
+    ("djit", "hash", "bare", 0x04955a0f34d26d61),
+    ("djit", "hash", "sampled", 0x63da6dd384d0d6fb),
+    ("djit", "hash", "governed", 0x575f6cf156a8481d),
+    ("djit", "hash", "pruned", 0x9237508c12568018),
+    ("djit", "paged", "bare", 0xf0ed926d2ea29975),
+    ("djit", "paged", "sampled", 0x728c8b12b2c3e7d2),
+    ("djit", "paged", "governed", 0xd8ad0ecb62436883),
+    ("djit", "paged", "pruned", 0x800ebdf10c5efe21),
+    ("dynamic", "hash", "bare", 0x1d4e7108fed42389),
+    ("dynamic", "hash", "sampled", 0xd7ecf29895279112),
+    ("dynamic", "hash", "governed", 0x1db2f291be1473a4),
+    ("dynamic", "hash", "pruned", 0x7d818ed039e3ede1),
+    ("dynamic", "paged", "bare", 0x21a2869c9fe8aad5),
+    ("dynamic", "paged", "sampled", 0xf148596e18597a17),
+    ("dynamic", "paged", "governed", 0x0d737cd0a71ce57a),
+    ("dynamic", "paged", "pruned", 0x8dfd9fc9c357e325),
 ];
 
 #[test]
@@ -195,25 +201,19 @@ fn mid_trace_snapshot_bytes_are_pinned() {
 }
 
 #[test]
-fn a_snapshot_in_slab_order_restores_and_finishes_to_its_writers_report() {
+fn a_version_2_snapshot_is_refused_and_its_writers_report_still_holds() {
     let snap = include_bytes!("data/dynamic-pr16.dgss");
     assert_eq!(fnv1a(snap), 0xc5d2_85ea_e9f8_835c, "the fixture itself");
+    let err = prototype("dynamic", "hash").restore(snap).unwrap_err();
+    assert!(err.contains("unsupported format version 2"), "{err}");
+    // The report the snapshot's writer went on to print is the one this
+    // build prints for the uninterrupted run.
     let trace = seeded_trace(0x5EED_D6CE, 3000);
-    let mut resumed = prototype("dynamic", "hash");
-    resumed.restore(snap).expect("the older numbering decodes");
     let mut straight = prototype("dynamic", "hash");
-    for ev in &trace[..2000] {
+    for ev in &trace {
         straight.on_event(ev);
     }
-    // The state is the one this build reaches itself...
-    assert_eq!(resumed.snapshot(), straight.snapshot());
-    for ev in &trace[2000..] {
-        resumed.on_event(ev);
-        straight.on_event(ev);
-    }
-    // ...and the report the one the snapshot's writer went on to print.
-    let report = resumed.finish();
-    assert_eq!(report, straight.finish());
+    let report = straight.finish();
     assert_eq!(report.races.len(), 311);
     // Regenerated once, when `DetectorStats` lost its two pre-seeding
     // counters: this is the digest of the writer's `{report:?}` with
@@ -227,7 +227,7 @@ fn a_snapshot_in_slab_order_restores_and_finishes_to_its_writers_report() {
 
 #[test]
 fn the_governed_pin_is_taken_above_rung_zero() {
-    // A governor that never engaged would pin an envelope of zeros.
+    // A governor that never engaged would pin a section of zeros.
     let trace = seeded_trace(0x5EED_D6CE, 3000);
     let mut det = layered("byte", "hash", "governed");
     for ev in &trace {

@@ -5,7 +5,7 @@
 //! and whose own snapshot is byte-identical (canonical encoding).
 
 use dgrace_core::DynamicGranularityOn;
-use dgrace_detectors::{Detector, DjitOn, FastTrackOn};
+use dgrace_detectors::{Detector, DetectorExt, DjitOn, FastTrackOn};
 use dgrace_shadow::{HashSelect, PagedSelect};
 use dgrace_trace::{AccessSize, Addr, Event, LockId, Tid};
 use proptest::prelude::*;

@@ -1,8 +1,12 @@
 //! The detector interface.
 
 use dgrace_shadow::PressureLevel;
-use dgrace_trace::{Event, EventSource, Trace, TraceError};
+use dgrace_trace::{
+    Event, EventSource, SnapshotLimits, SnapshotReader, SnapshotWriter, Trace, TraceError,
+    STATE_MAGIC, STATE_VERSION,
+};
 
+use crate::snap::SectionError;
 use crate::Report;
 
 /// An online race detector: consumes the instrumentation event stream and
@@ -67,26 +71,25 @@ pub trait Detector: 'static {
         }
     }
 
-    /// Serializes the detector's complete analysis state into a versioned
-    /// `DGSS` snapshot, or `None` if the detector does not support
-    /// checkpointing. A supported snapshot restores through
-    /// [`Detector::restore`] into a detector of the same configuration,
-    /// after which both instances behave identically on any event suffix.
-    /// A wrapper with state of its own puts it in an envelope around the
-    /// inner snapshot.
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        self.inner()?.snapshot()
+    /// Appends this detector's section of a `DGSS` snapshot to `w` — a
+    /// [`Section`](crate::snap::Section) tag, its own state, then the
+    /// section of the detector it wraps — and returns whether the stack
+    /// supports checkpointing. [`DetectorExt::snapshot`] writes the header
+    /// around it.
+    fn write_section(&self, w: &mut SnapshotWriter) -> bool {
+        self.inner().is_some_and(|d| d.write_section(w))
     }
 
-    /// Replaces this detector's state with a [`Detector::snapshot`] taken
-    /// from a detector of the same configuration. Implementations
-    /// validate the embedded detector name and version and return a
-    /// diagnostic on any mismatch or corruption; a detector without
-    /// snapshots rejects.
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
+    /// Reads back what [`Detector::write_section`] wrote, replacing this
+    /// detector's state; a section of another layer, or of a differently
+    /// configured one, is a [`SectionError::Mismatch`].
+    fn read_section(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SectionError> {
         match self.inner_mut() {
-            Some(d) => d.restore(bytes),
-            None => Err(format!("{}: snapshot/restore not supported", self.name())),
+            Some(d) => d.read_section(r),
+            None => Err(SectionError::Mismatch(format!(
+                "{}: snapshot/restore not supported",
+                self.name()
+            ))),
         }
     }
 
@@ -136,11 +139,11 @@ impl<D: Detector + ?Sized> Detector for Box<D> {
     fn set_pressure(&mut self, level: PressureLevel) {
         (**self).set_pressure(level)
     }
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        (**self).snapshot()
+    fn write_section(&self, w: &mut SnapshotWriter) -> bool {
+        (**self).write_section(w)
     }
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        (**self).restore(bytes)
+    fn read_section(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SectionError> {
+        (**self).read_section(r)
     }
     fn races_so_far(&self) -> &[crate::RaceReport] {
         (**self).races_so_far()
@@ -150,7 +153,8 @@ impl<D: Detector + ?Sized> Detector for Box<D> {
     }
 }
 
-/// Convenience extensions for running whole traces.
+/// Convenience extensions: running whole traces, and a detector's state
+/// as one `DGSS` snapshot.
 pub trait DetectorExt: Detector {
     /// Feeds every event of `trace` and returns the final report.
     fn run(&mut self, trace: &Trace) -> Report {
@@ -170,6 +174,41 @@ pub trait DetectorExt: Detector {
             for ev in block {
                 self.on_event(ev);
             }
+        }
+    }
+
+    /// The detector's complete analysis state as a `DGSS` snapshot — the
+    /// header, the stack's [`Detector::name`], then each layer's section —
+    /// or `None` if the stack does not support checkpointing. It restores
+    /// through [`DetectorExt::restore`] into a stack of the same layers
+    /// and configuration, after which both behave identically on any
+    /// event suffix.
+    fn snapshot(&self) -> Option<Vec<u8>> {
+        let mut w = SnapshotWriter::new(STATE_MAGIC, STATE_VERSION);
+        w.str(&self.name());
+        self.write_section(&mut w).then(|| w.finish())
+    }
+
+    /// Replaces the detector's state with a [`DetectorExt::snapshot`]'s.
+    /// A snapshot of another format version, stack or configuration is
+    /// refused with a diagnostic; after a refusal the detector's state is
+    /// unspecified, and the caller discards it.
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
+        let name = self.name();
+        let corrupt = |e: TraceError| format!("{name}: corrupt snapshot: {e}");
+        let mut r =
+            SnapshotReader::new(bytes, STATE_MAGIC, STATE_VERSION, SnapshotLimits::default())
+                .map_err(corrupt)?;
+        let snap_name = r.str().map_err(corrupt)?;
+        if snap_name != name {
+            return Err(format!(
+                "snapshot is for detector {snap_name:?}, not {name:?}"
+            ));
+        }
+        match self.read_section(&mut r) {
+            Ok(()) => r.expect_end().map_err(corrupt),
+            Err(SectionError::Corrupt(e)) => Err(corrupt(e)),
+            Err(SectionError::Mismatch(m)) => Err(m),
         }
     }
 }

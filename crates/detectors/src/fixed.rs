@@ -6,17 +6,16 @@
 //! compressed to epochs. Everything that is not the cell lives here once:
 //! the same-epoch filter, the Fig. 4 index of boxed cells, first race per
 //! location, the memory model and its budget, free handling, the report
-//! and the `DGSS` snapshot. A [`CellRule`] supplies what one access does
-//! to one cell.
+//! and the `DGSS` snapshot section. A [`CellRule`] supplies what one
+//! access does to one cell.
 
 use std::fmt::Debug;
 
 use dgrace_shadow::{MemClass, MemoryModel, ShadowStore, StoreSelect, Victims};
-use dgrace_trace::snapshot::{STATE_MAGIC, STATE_VERSION};
-use dgrace_trace::{Addr, Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError};
+use dgrace_trace::{Addr, Event, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{Epoch, Tid, VectorClock};
 
-use crate::snap::{decode_races, decode_store, encode_races, encode_store};
+use crate::snap::{decode_races, decode_store, encode_races, encode_store, Section, SectionError};
 use crate::{
     AccessKind, Detector, Granularity, HbState, RaceKind, RaceReport, Report, ShardableDetector,
 };
@@ -249,13 +248,12 @@ impl<C: CellRule, K: StoreSelect> Detector for FixedOn<C, K> {
         self.model.classes()
     }
 
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        let mut w = SnapshotWriter::new(STATE_MAGIC, STATE_VERSION);
-        w.str(&self.name());
-        self.hb.encode(&mut w);
-        encode_store(&mut w, &self.table, |w, cell| cell.encode(w));
-        self.model.encode(&mut w);
-        encode_races(&mut w, &self.races);
+    fn write_section(&self, w: &mut SnapshotWriter) -> bool {
+        Section::Detector.write(w);
+        self.hb.encode(w);
+        encode_store(w, &self.table, |w, cell| cell.encode(w));
+        self.model.encode(w);
+        encode_races(w, &self.races);
         w.u64(self.vc_bytes as u64);
         for c in [
             self.events,
@@ -268,35 +266,24 @@ impl<C: CellRule, K: StoreSelect> Detector for FixedOn<C, K> {
         ] {
             w.u64(c);
         }
-        Some(w.finish())
+        true
     }
 
     fn races_so_far(&self) -> &[RaceReport] {
         &self.races
     }
 
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let name = self.name();
-        let fail = |e: TraceError| format!("{name}: corrupt snapshot: {e}");
-        let mut r =
-            SnapshotReader::new(bytes, STATE_MAGIC, STATE_VERSION, SnapshotLimits::default())
-                .map_err(fail)?;
-        let snap_name = r.str().map_err(fail)?;
-        if snap_name != name {
-            return Err(format!(
-                "snapshot is for detector {snap_name:?}, not {name:?}"
-            ));
-        }
-        let hb = HbState::decode(&mut r).map_err(fail)?;
-        let table = decode_store(&mut r, |r| C::decode(r).map(Box::new)).map_err(fail)?;
-        let mut model = MemoryModel::decode(&mut r).map_err(fail)?;
-        let races = decode_races(&mut r).map_err(fail)?;
-        let vc_bytes = r.u64().map_err(fail)? as usize;
+    fn read_section(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SectionError> {
+        Section::Detector.read(r)?;
+        let hb = HbState::decode(r)?;
+        let table = decode_store(r, |r| C::decode(r).map(Box::new))?;
+        let mut model = MemoryModel::decode(r)?;
+        let races = decode_races(r)?;
+        let vc_bytes = r.u64()? as usize;
         let mut counters = [0u64; 7];
         for c in counters.iter_mut() {
-            *c = r.u64().map_err(fail)?;
+            *c = r.u64()?;
         }
-        r.expect_end().map_err(fail)?;
         model.set_budget(self.model.budget());
         let [events, accesses, same_epoch, vc_allocs, vc_frees, evicted, event_index] = counters;
         *self = FixedOn {

@@ -39,17 +39,12 @@
 //! run of the same trace.
 
 use dgrace_shadow::{process_gauge, MemComponent, PressureLevel, Watermarks};
-use dgrace_trace::{Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError};
+use dgrace_trace::{Event, SnapshotReader, SnapshotWriter, TraceError};
 
+use crate::snap::{Section, SectionError};
 use crate::{
     Detector, GovernorReport, GovernorTransition, Report, SampleSpec, Sampler, ShardableDetector,
 };
-
-/// Magic prefix for the governor's snapshot envelope (wraps the inner
-/// detector's blob).
-pub const GOVERN_MAGIC: [u8; 4] = *b"DGGV";
-/// Governor snapshot format version.
-pub const GOVERN_VERSION: u32 = 1;
 
 /// Default ladder decision interval, in shard-local events. Small
 /// enough that a runaway allocation burst is caught within one ring
@@ -306,9 +301,8 @@ impl<D: Detector> Detector for Governed<D> {
         Some(&mut self.inner)
     }
 
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        let inner = self.inner.snapshot()?;
-        let mut w = SnapshotWriter::new(GOVERN_MAGIC, GOVERN_VERSION);
+    fn write_section(&self, w: &mut SnapshotWriter) -> bool {
+        Section::Governor.write(w);
         w.u64(self.spec.limit);
         w.u64(self.spec.interval);
         w.u8(self.rung.rung());
@@ -326,56 +320,48 @@ impl<D: Detector> Detector for Governed<D> {
             w.u8(t.to);
             w.u64(t.assessed_bytes);
         }
-        self.sampler.encode(&mut w);
-        w.blob(&inner);
-        Some(w.finish())
+        self.sampler.encode(w);
+        self.inner.write_section(w)
     }
 
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let fail = |e: TraceError| format!("governor snapshot: {e}");
-        let mut r = SnapshotReader::new(
-            bytes,
-            GOVERN_MAGIC,
-            GOVERN_VERSION,
-            SnapshotLimits::default(),
-        )
-        .map_err(fail)?;
-        let limit = r.u64().map_err(fail)?;
-        let interval = r.u64().map_err(fail)?;
+    fn read_section(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SectionError> {
+        Section::Governor.read(r)?;
+        let limit = r.u64()?;
+        let interval = r.u64()?;
         if limit != self.spec.limit || interval != self.spec.interval {
-            return Err(format!(
+            return Err(SectionError::Mismatch(format!(
                 "governor snapshot was taken under limit={limit} interval={interval}, \
                  this run uses limit={} interval={} — resume with the same --memory-limit",
                 self.spec.limit, self.spec.interval
-            ));
+            )));
         }
-        let rung = r.u8().map_err(fail)?;
+        let offset = r.offset();
+        let rung = r.u8()?;
         if rung > PressureLevel::Critical.rung() {
-            return Err(format!("governor snapshot: rung {rung} out of range"));
+            let what = "governor rung";
+            return Err(TraceError::Malformed { offset, what }.into());
         }
-        let events = r.u64().map_err(fail)?;
-        let decisions = r.u64().map_err(fail)?;
-        let peak_rung = r.u8().map_err(fail)?;
-        let peak_assessed = r.u64().map_err(fail)?;
+        let events = r.u64()?;
+        let decisions = r.u64()?;
+        let peak_rung = r.u8()?;
+        let peak_assessed = r.u64()?;
         let mut engaged = [0u64; 3];
         for e in engaged.iter_mut() {
-            *e = r.u64().map_err(fail)?;
+            *e = r.u64()?;
         }
-        let n = r.count("governor transitions").map_err(fail)?;
+        let n = r.count("governor transitions")?;
         let mut transitions = Vec::with_capacity(n);
         for _ in 0..n {
             transitions.push(GovernorTransition {
-                event: r.u64().map_err(fail)?,
+                event: r.u64()?,
                 shard: 0,
-                from: r.u8().map_err(fail)?,
-                to: r.u8().map_err(fail)?,
-                assessed_bytes: r.u64().map_err(fail)?,
+                from: r.u8()?,
+                to: r.u8()?,
+                assessed_bytes: r.u64()?,
             });
         }
-        self.sampler.decode(&mut r)?;
-        let inner = r.blob().map_err(fail)?;
-        r.expect_end().map_err(fail)?;
-        self.inner.restore(&inner)?;
+        self.sampler.decode(r)?;
+        self.inner.read_section(r)?;
         self.rung = PressureLevel::from_rung(rung);
         self.events = events;
         self.decisions = decisions;

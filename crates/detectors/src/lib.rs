@@ -58,10 +58,8 @@ pub mod snap;
 pub use detector::{Detector, DetectorExt};
 pub use djit::{Djit, DjitOn};
 pub use fasttrack::{FastTrack, FastTrackOn};
-pub use filter::{AddressFilter, FilteredDetector, StaticPruneFilter};
-pub use govern::{
-    Governed, GovernorSpec, CRITICAL_SAMPLE, DECISION_INTERVAL, GOVERN_MAGIC, GOVERN_VERSION,
-};
+pub use filter::StaticPruneFilter;
+pub use govern::{Governed, GovernorSpec, CRITICAL_SAMPLE, DECISION_INTERVAL};
 pub use granularity::Granularity;
 pub use hb::HbState;
 pub use nop::NopDetector;
@@ -70,8 +68,5 @@ pub use report::{
     AccessKind, DetectorStats, GovernorReport, GovernorTransition, RaceKind, RaceReport, Report,
     ShardFailure, SharingStats,
 };
-pub use sample::{
-    SampleSpec, SampleStrategy, Sampled, Sampler, DEFAULT_WINDOW, LOC_GRANULE, SAMPLE_MAGIC,
-    SAMPLE_VERSION,
-};
+pub use sample::{SampleSpec, SampleStrategy, Sampled, Sampler, DEFAULT_WINDOW, LOC_GRANULE};
 pub use shard::{merge_shard_reports, race_signature, sort_races, ShardableDetector};

@@ -34,15 +34,10 @@
 
 use std::fmt;
 
-use dgrace_trace::{Event, SnapshotLimits, SnapshotReader, SnapshotWriter, TraceError};
+use dgrace_trace::{Event, SnapshotReader, SnapshotWriter};
 
+use crate::snap::{Section, SectionError};
 use crate::{Detector, Report, ShardableDetector};
-
-/// Magic prefix for serialized sampler state (wraps the inner
-/// detector's `DGSS` blob).
-pub const SAMPLE_MAGIC: [u8; 4] = *b"DGSM";
-/// Sampler snapshot format version.
-pub const SAMPLE_VERSION: u32 = 1;
 
 /// Shadow granule for per-location budgets, in bytes.
 pub const LOC_GRANULE: u64 = 8;
@@ -355,13 +350,10 @@ impl Sampler {
         self.loc_counts.fill(0);
     }
 
-    /// Serializes the sampler's counters into `w` (canonical: nonzero
-    /// counter slots in ascending order). The word after the spec is
-    /// reserved: it was the digest of the `adaptive:` strategy's heat
-    /// table, zero for every sampler that had none installed.
+    /// Serializes the sampler's spec and counters into `w` (canonical:
+    /// nonzero counter slots in ascending order).
     pub(crate) fn encode(&self, w: &mut SnapshotWriter) {
         w.str(&self.spec.to_string());
-        w.u64(0);
         w.u64(self.seen);
         w.u64(self.admitted);
         let nonzero: Vec<(usize, u8)> = self
@@ -380,43 +372,34 @@ impl Sampler {
 
     /// Restores counters from [`Sampler::encode`]d state; the spec must
     /// match this sampler's configuration.
-    pub(crate) fn decode(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), String> {
-        let spec = r.str().map_err(snapshot_error)?;
+    pub(crate) fn decode(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SectionError> {
+        let spec = r.str()?;
         if spec != self.spec.to_string() {
-            return Err(format!(
+            return Err(SectionError::Mismatch(format!(
                 "sampler snapshot was taken under spec `{spec}`, this run uses `{}`",
                 self.spec
-            ));
+            )));
         }
-        if r.u64().map_err(snapshot_error)? != 0 {
-            return Err("sampler snapshot was taken under a heat plan \
-                 (`--sample adaptive:F --plan-with`), which this build no longer has"
-                .into());
-        }
-        self.seen = r.u64().map_err(snapshot_error)?;
-        self.admitted = r.u64().map_err(snapshot_error)?;
-        let n = r.count("sampler counter slots").map_err(snapshot_error)?;
+        self.seen = r.u64()?;
+        self.admitted = r.u64()?;
+        let n = r.count("sampler counter slots")?;
         self.loc_counts.fill(0);
         for _ in 0..n {
-            let slot = r.u32().map_err(snapshot_error)? as usize;
-            let count = r.u8().map_err(snapshot_error)?;
+            let slot = r.u32()? as usize;
+            let count = r.u8()?;
             match self.loc_counts.get_mut(slot) {
                 Some(c) => *c = count,
                 None => {
-                    return Err(format!(
+                    return Err(SectionError::Mismatch(format!(
                         "sampler snapshot: counter slot {slot} out of range \
                          for this spec's table ({} slots)",
                         self.loc_counts.len()
-                    ))
+                    )))
                 }
             }
         }
         Ok(())
     }
-}
-
-fn snapshot_error(e: TraceError) -> String {
-    format!("sampler snapshot: {e}")
 }
 
 /// Wraps any detector with an admission sampler: every sync, alloc, and
@@ -487,26 +470,16 @@ impl<D: Detector> Detector for Sampled<D> {
         Some(&mut self.inner)
     }
 
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        let inner = self.inner.snapshot()?;
-        let mut w = SnapshotWriter::new(SAMPLE_MAGIC, SAMPLE_VERSION);
-        self.sampler.encode(&mut w);
-        w.blob(&inner);
-        Some(w.finish())
+    fn write_section(&self, w: &mut SnapshotWriter) -> bool {
+        Section::Sampler.write(w);
+        self.sampler.encode(w);
+        self.inner.write_section(w)
     }
 
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = SnapshotReader::new(
-            bytes,
-            SAMPLE_MAGIC,
-            SAMPLE_VERSION,
-            SnapshotLimits::default(),
-        )
-        .map_err(snapshot_error)?;
-        self.sampler.decode(&mut r)?;
-        let inner = r.blob().map_err(snapshot_error)?;
-        r.expect_end().map_err(snapshot_error)?;
-        self.inner.restore(&inner)
+    fn read_section(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SectionError> {
+        Section::Sampler.read(r)?;
+        self.sampler.decode(r)?;
+        self.inner.read_section(r)
     }
 }
 
@@ -674,20 +647,6 @@ mod tests {
         );
         let err = b.restore(&snap).unwrap_err();
         assert!(err.contains("loc:2"), "{err}");
-    }
-
-    #[test]
-    fn restore_rejects_a_snapshot_taken_under_a_heat_plan() {
-        // The reserved word is zero in everything this build writes.
-        let mut w = SnapshotWriter::new(SAMPLE_MAGIC, SAMPLE_VERSION);
-        w.str("loc:2");
-        w.u64(0x5eed);
-        let mut s = Sampler::new(SampleSpec::parse("loc:2").unwrap());
-        let bytes = w.finish();
-        let mut r =
-            SnapshotReader::new(&bytes, SAMPLE_MAGIC, SAMPLE_VERSION, Default::default()).unwrap();
-        let err = s.decode(&mut r).unwrap_err();
-        assert!(err.contains("adaptive"), "{err}");
     }
 
     #[test]

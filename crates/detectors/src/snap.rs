@@ -1,17 +1,91 @@
 //! Shared snapshot codec helpers for detector state.
 //!
-//! The checkpointing machinery serializes vector clocks, epochs, and the
-//! adaptive FastTrack clocks in several detectors; these helpers keep the
-//! wire format identical everywhere. All formats are canonical: two
-//! semantically equal values always encode to the same bytes (vector
-//! clocks enumerate only their nonzero entries, in thread order), which is
-//! what makes the byte-identical differential tests meaningful.
+//! A `DGSS` snapshot is one stream: the header and the stack's name
+//! ([`crate::DetectorExt::snapshot`]), then one section per layer, outermost
+//! first, each opened by its [`Section`] tag. The checkpointing machinery
+//! serializes vector clocks, epochs, and the adaptive FastTrack clocks in
+//! several detectors; these helpers keep the wire format identical
+//! everywhere. All formats are canonical: two semantically equal values
+//! always encode to the same bytes (vector clocks enumerate only their
+//! nonzero entries, in thread order), which is what makes the
+//! byte-identical differential tests meaningful.
+
+use std::fmt;
 
 use dgrace_shadow::ShadowStore;
 use dgrace_trace::{Addr, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{AccessClock, Epoch, ReadClock, Tid, VectorClock};
 
 use crate::RaceReport;
+
+/// The layer a section of a `DGSS` snapshot belongs to, written as its
+/// first byte. A stack restores only the sections of its own layers, in
+/// its own order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Section {
+    /// A detector that analyzes events itself: the last section.
+    Detector,
+    /// [`crate::Sampled`].
+    Sampler,
+    /// [`crate::Governed`].
+    Governor,
+    /// [`crate::StaticPruneFilter`].
+    PruneFilter,
+}
+
+impl Section {
+    const ALL: [Section; 4] = [
+        Section::Detector,
+        Section::Sampler,
+        Section::Governor,
+        Section::PruneFilter,
+    ];
+
+    /// Opens this layer's section.
+    pub fn write(self, w: &mut SnapshotWriter) {
+        w.u8(self as u8);
+    }
+
+    /// Reads the next section's tag and refuses any but this layer's,
+    /// naming both.
+    pub fn read(self, r: &mut SnapshotReader<'_>) -> Result<(), SectionError> {
+        let offset = r.offset();
+        let tag = r.u8()?;
+        match Section::ALL.get(tag as usize) {
+            Some(&found) if found == self => Ok(()),
+            Some(found) => Err(SectionError::Mismatch(format!(
+                "snapshot has a {found} section where this stack has a {self} section"
+            ))),
+            None => Err(TraceError::BadTag { offset, tag }.into()),
+        }
+    }
+}
+
+impl fmt::Display for Section {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Section::Detector => "detector",
+            Section::Sampler => "sampler",
+            Section::Governor => "governor",
+            Section::PruneFilter => "prune filter",
+        })
+    }
+}
+
+/// Why a section of a snapshot did not restore.
+#[derive(Debug)]
+pub enum SectionError {
+    /// The bytes do not decode.
+    Corrupt(TraceError),
+    /// The bytes decode, but another layer or configuration wrote them.
+    Mismatch(String),
+}
+
+impl From<TraceError> for SectionError {
+    fn from(e: TraceError) -> Self {
+        SectionError::Corrupt(e)
+    }
+}
 
 /// Serializes a vector clock as its nonzero `(tid, clock)` entries in
 /// thread order.

@@ -9,8 +9,7 @@
 mod probe;
 
 use dgrace_detectors::{
-    Detector, FilteredDetector, Governed, GovernorSpec, SampleSpec, Sampled, ShardableDetector,
-    StaticPruneFilter,
+    Detector, Governed, GovernorSpec, SampleSpec, Sampled, ShardableDetector, StaticPruneFilter,
 };
 use dgrace_trace::PruneSet;
 use probe::{assert_reaches_the_probe, Probe};
@@ -40,7 +39,6 @@ fn every_layer_reaches_the_probe() {
     assert_reaches_the_probe("Box<dyn Detector>", boxed);
     assert_reaches_the_probe("Box<dyn ShardableDetector + Send>", prototype);
     assert_reaches_the_probe("StaticPruneFilter", pruned);
-    assert_reaches_the_probe("FilteredDetector", FilteredDetector::new);
     assert_reaches_the_probe("Sampled", sampled);
     assert_reaches_the_probe("Governed", governed);
 }
@@ -54,8 +52,8 @@ fn nested_layers_reach_the_probe() {
     assert_reaches_the_probe("Sampled<Box<dyn ShardableDetector>>", |p| {
         sampled(prototype(p))
     });
-    assert_reaches_the_probe("Box<FilteredDetector<StaticPruneFilter>>", |p| {
-        Box::new(FilteredDetector::new(pruned(p))) as Box<dyn Detector>
+    assert_reaches_the_probe("Box<StaticPruneFilter<Sampled>>", |p| {
+        Box::new(pruned(sampled(p))) as Box<dyn Detector>
     });
     assert_reaches_the_probe("a minted shard of Governed<Sampled<prototype>>", |p| {
         governed(sampled(prototype(p))).new_shard()

@@ -9,9 +9,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use dgrace_detectors::{Detector, RaceKind, RaceReport, Report, ShardableDetector};
+use dgrace_detectors::snap::SectionError;
+use dgrace_detectors::{Detector, DetectorExt, RaceKind, RaceReport, Report, ShardableDetector};
 use dgrace_shadow::PressureLevel;
-use dgrace_trace::{Addr, Event, LockId};
+use dgrace_trace::{Addr, Event, LockId, SnapshotReader, SnapshotWriter};
 use dgrace_vc::{Epoch, Tid};
 
 /// What a probe has been told, shared with the test that built it.
@@ -77,11 +78,12 @@ impl Detector for Probe {
     fn set_pressure(&mut self, level: PressureLevel) {
         self.seen().pressure = Some(level);
     }
-    fn snapshot(&self) -> Option<Vec<u8>> {
-        Some(PROBE_STATE.to_vec())
+    fn write_section(&self, w: &mut SnapshotWriter) -> bool {
+        w.blob(PROBE_STATE);
+        true
     }
-    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.seen().restored = Some(bytes.to_vec());
+    fn read_section(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SectionError> {
+        self.seen().restored = Some(r.blob()?);
         Ok(())
     }
     fn races_so_far(&self) -> &[RaceReport] {
@@ -126,8 +128,8 @@ pub fn assert_reaches_the_probe<W: Detector>(layer: &str, wrap: impl FnOnce(Prob
     assert_eq!(live.len(), 1, "{layer}: races_so_far");
     assert_eq!(live[0].addr, Addr(0xFACE), "{layer}: races_so_far");
 
-    // A layer may put the probe's snapshot in an envelope; restoring the
-    // layer's snapshot must hand the probe its own bytes back.
+    // A layer may write a section of its own before the probe's; restoring
+    // the layer's snapshot must hand the probe its own bytes back.
     let snap = det
         .snapshot()
         .unwrap_or_else(|| panic!("{layer}: snapshot"));

@@ -10,18 +10,18 @@
 //! partial copy made outside the atomic writer) fails decoding with a
 //! structured [`TraceError`] instead of resuming from garbage.
 //!
-//! Since format version 2 every manifest ends with a little-endian
-//! CRC32 (IEEE) over all preceding bytes — atomic writes stop *torn*
-//! files, the checksum stops *rotten* ones: a flipped bit anywhere in a
-//! stored checkpoint surfaces as [`TraceError::ChecksumMismatch`]
-//! instead of resuming from silently wrong state. Version-1 manifests
-//! (no trailer) still load.
+//! Every manifest ends with a little-endian CRC32 (IEEE) over all
+//! preceding bytes — atomic writes stop *torn* files, the checksum stops
+//! *rotten* ones: a flipped bit anywhere in a stored checkpoint surfaces
+//! as [`TraceError::ChecksumMismatch`] instead of resuming from silently
+//! wrong state. A manifest of another format version is
+//! [`TraceError::BadVersion`]: checkpoints are not migrated.
 //!
 //! Layout (all integers little-endian, strings/blobs length-prefixed):
 //!
 //! ```text
 //! magic            : b"DGCP"
-//! version          : u32   (currently 2)
+//! version          : u32   (currently 3)
 //! detector         : str   (prototype name; must match at resume)
 //! trace_len        : u64   (event count of the source trace)
 //! trace_offset     : u64   (index of the first unprocessed event)
@@ -36,7 +36,7 @@
 //!                    payload_type str, (bool, str) last_event if set
 //!   dropped        : u64
 //!   lost           : u64
-//! crc32            : u32   (over everything above; v2+ only)
+//! crc32            : u32   (over everything above)
 //! ```
 
 use std::path::Path;
@@ -44,7 +44,7 @@ use std::path::Path;
 use dgrace_detectors::ShardFailure;
 use dgrace_trace::{
     seal_crc, verify_crc, write_file_atomic, SnapshotLimits, SnapshotReader, SnapshotWriter,
-    TraceError, CHECKPOINT_MAGIC, CHECKPOINT_MIN_VERSION, CHECKPOINT_VERSION,
+    TraceError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 
 use crate::engine::{EngineState, ShardCapture};
@@ -125,23 +125,10 @@ impl CheckpointManifest {
     /// Decodes a `DGCP` container, rejecting torn, truncated, or
     /// malformed input with a structured error.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        // Peek the header version to know whether a CRC trailer is
-        // present, then re-open the reader over the verified payload.
-        let header = SnapshotReader::new_ranged(
-            bytes,
+        let mut r = SnapshotReader::new(
+            verify_crc(bytes)?,
             CHECKPOINT_MAGIC,
-            CHECKPOINT_MIN_VERSION..=CHECKPOINT_VERSION,
-            SnapshotLimits::default(),
-        )?;
-        let payload = if header.version() >= 2 {
-            verify_crc(bytes)?
-        } else {
-            bytes
-        };
-        let mut r = SnapshotReader::new_ranged(
-            payload,
-            CHECKPOINT_MAGIC,
-            CHECKPOINT_MIN_VERSION..=CHECKPOINT_VERSION,
+            CHECKPOINT_VERSION,
             SnapshotLimits::default(),
         )?;
         let detector = r.str()?;
@@ -309,18 +296,19 @@ mod tests {
     }
 
     #[test]
-    fn version_1_manifests_without_crc_still_load() {
-        // Re-frame the sample as a v1 container: same payload layout,
-        // version 1 header, no CRC trailer.
-        let v2 = sample().encode();
-        let payload = dgrace_trace::verify_crc(&v2).unwrap();
-        let mut v1 = payload.to_vec();
-        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let back = CheckpointManifest::decode(&v1).expect("v1 decodes");
-        assert_eq!(back.detector, "fasttrack");
-        assert_eq!(back.trace_offset, 42);
-        // Re-encoding upgrades to the current sealed format.
-        assert_eq!(back.encode(), v2);
+    fn another_format_version_is_refused() {
+        // A sealed manifest whose header names an older or a newer
+        // version: intact, and still not migrated.
+        for version in [2u32, CHECKPOINT_VERSION + 1] {
+            let bytes = sample().encode();
+            let mut other = dgrace_trace::verify_crc(&bytes).unwrap().to_vec();
+            other[4..8].copy_from_slice(&version.to_le_bytes());
+            seal_crc(&mut other);
+            assert!(matches!(
+                CheckpointManifest::decode(&other),
+                Err(TraceError::BadVersion(v)) if v == version
+            ));
+        }
     }
 
     #[test]

@@ -78,7 +78,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam::queue::ArrayQueue;
-use dgrace_detectors::{merge_shard_reports, Detector, Report, ShardFailure, ShardableDetector};
+use dgrace_detectors::{
+    merge_shard_reports, Detector, DetectorExt, Report, ShardFailure, ShardableDetector,
+};
 use dgrace_trace::{Event, PruneSet, Tid, Trace};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 

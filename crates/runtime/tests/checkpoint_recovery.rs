@@ -4,7 +4,8 @@
 //! panic and respawns it, or that is interrupted and resumed from its
 //! last checkpoint, produces **exactly** the report of an uninterrupted
 //! run — same races, same counters — across all three detector families,
-//! both shadow-store backends, and shard counts 1/2/4.
+//! both shadow-store backends, the wrapper stacks the CLI builds
+//! (`--sample`, `--memory-limit`, both), and shard counts 1/2/4.
 
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -12,18 +13,23 @@ use std::thread;
 use std::time::Duration;
 
 use dgrace_core::DynamicGranularityOn;
-use dgrace_detectors::{DjitOn, FastTrackOn, Report, ShardableDetector};
+use dgrace_detectors::{
+    Detector, DetectorExt, DjitOn, FastTrackOn, Governed, GovernorSpec, Report, SampleSpec,
+    Sampled, ShardableDetector, StaticPruneFilter,
+};
 use dgrace_runtime::{
     replay, replay_sharded, silence_injected_panics, CheckpointInterval, CheckpointManifest,
     CheckpointOptions, PanicOnEvent, ReplayError, RunPlan, SupervisorPolicy, CHECKPOINT_FILE,
 };
 use dgrace_shadow::{HashSelect, PagedSelect};
-use dgrace_trace::{AccessSize, Trace, TraceBuilder};
+use dgrace_trace::{AccessSize, PruneSet, Trace, TraceBuilder};
 
 type Proto = Box<dyn ShardableDetector + Send>;
 
-/// The six detector × store combinations of the matrix. Each entry
-/// yields a fresh bare prototype and a fault-wrapped prototype whose
+/// The detector × store combinations of the matrix, and the dynamic
+/// detector under the wrapper stacks a checkpointing CLI run persists
+/// (`Governed` outside `Sampled`, as the CLI wraps them). Each entry
+/// yields a fresh prototype and a fault-wrapped prototype whose
 /// `target`-th spawned shard panics at its `panic_at`-th event.
 /// `(name, bare prototype, prototype faulted at (shard, event))`.
 type Combo = (
@@ -34,24 +40,47 @@ type Combo = (
 
 fn prototypes() -> Vec<Combo> {
     macro_rules! combo {
-        ($name:expr, $ty:ty) => {
+        ($name:expr, $make:expr) => {
             (
                 $name,
-                Box::new(|| Box::new(<$ty>::new()) as Proto) as Box<dyn Fn() -> Proto>,
-                Box::new(|target, at| {
-                    Box::new(PanicOnEvent::new(<$ty>::new(), target, at)) as Proto
-                }) as Box<dyn Fn(usize, u64) -> Proto>,
+                Box::new(|| Box::new($make) as Proto) as Box<dyn Fn() -> Proto>,
+                Box::new(|target, at| Box::new(PanicOnEvent::new($make, target, at)) as Proto)
+                    as Box<dyn Fn(usize, u64) -> Proto>,
             )
         };
     }
+    type Dynamic = DynamicGranularityOn<HashSelect>;
     vec![
-        combo!("fasttrack/hash", FastTrackOn<HashSelect>),
-        combo!("fasttrack/paged", FastTrackOn<PagedSelect>),
-        combo!("djit/hash", DjitOn<HashSelect>),
-        combo!("djit/paged", DjitOn<PagedSelect>),
-        combo!("dynamic/hash", DynamicGranularityOn<HashSelect>),
-        combo!("dynamic/paged", DynamicGranularityOn<PagedSelect>),
+        combo!("fasttrack/hash", FastTrackOn::<HashSelect>::new()),
+        combo!("fasttrack/paged", FastTrackOn::<PagedSelect>::new()),
+        combo!("djit/hash", DjitOn::<HashSelect>::new()),
+        combo!("djit/paged", DjitOn::<PagedSelect>::new()),
+        combo!("dynamic/hash", Dynamic::new()),
+        combo!("dynamic/paged", DynamicGranularityOn::<PagedSelect>::new()),
+        combo!("dynamic/hash+sampled", sampled(Dynamic::new())),
+        combo!("dynamic/hash+governed", governed(Dynamic::new())),
+        combo!(
+            "dynamic/hash+governed+sampled",
+            governed(sampled(Dynamic::new()))
+        ),
     ]
+}
+
+fn sampled<D: Detector>(d: D) -> Sampled<D> {
+    Sampled::new(d, SampleSpec::parse("loc:2,seed:7").unwrap())
+}
+
+/// A per-shard quota `matrix_trace` outgrows within its first decisions,
+/// so every governed run below leaves rung 0.
+fn governed<D: Detector>(d: D) -> Governed<D> {
+    Governed::new(
+        d,
+        GovernorSpec {
+            limit: 2048,
+            interval: 2,
+            sample: SampleSpec::parse("loc:1").unwrap(),
+        },
+    )
 }
 
 /// Watchdog: a hang in a recovery path must fail the test, not wedge
@@ -168,6 +197,13 @@ fn checkpointed_and_resumed_runs_equal_clean_run() {
     for (name, bare, _) in prototypes() {
         for shards in [1usize, 2] {
             let clean = replay_sharded(bare().as_ref(), &trace, shards);
+            if name.contains("governed") {
+                let g = clean.governor.as_ref();
+                assert!(
+                    g.is_some_and(|g| g.peak_rung > 0),
+                    "{name} s{shards}: {g:?}"
+                );
+            }
             let dir = scratch_dir(&format!("resume-{name}-s{shards}"));
             let ckpt = CheckpointOptions {
                 dir: dir.clone(),
@@ -423,4 +459,58 @@ fn supervised_checkpointed_run_heals_from_snapshot() {
     assert!(healed.failures.is_empty(), "{:?}", healed.failures);
     assert_eq!(normalized(healed, &clean.detector), clean);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot restores only into the stack that took it: each pair of
+/// distinct stacks refuses the other's, naming both — by name where the
+/// names differ, by the first layer whose section differs where they do
+/// not (`Governed` keeps its inner detector's name).
+#[test]
+fn a_snapshot_restores_only_into_its_own_stack() {
+    type Dynamic = DynamicGranularityOn<HashSelect>;
+    /// A stack's layers, outermost first, and how to build it.
+    type Stack = (&'static [&'static str], fn() -> Box<dyn Detector>);
+    let stacks: [Stack; 5] = [
+        (&["detector"], || Box::new(Dynamic::new())),
+        (&["sampler", "detector"], || {
+            Box::new(sampled(Dynamic::new()))
+        }),
+        (&["governor", "detector"], || {
+            Box::new(governed(Dynamic::new()))
+        }),
+        (&["governor", "sampler", "detector"], || {
+            Box::new(governed(sampled(Dynamic::new())))
+        }),
+        (&["prune filter", "detector"], || {
+            Box::new(StaticPruneFilter::new(Dynamic::new(), PruneSet::empty()))
+        }),
+    ];
+    let trace = matrix_trace();
+    for (taken, take) in &stacks {
+        let mut source = take();
+        for ev in trace.iter().take(trace.len() / 2) {
+            source.on_event(ev);
+        }
+        let snap = source.snapshot().expect("the stack snapshots");
+        take().restore(&snap).expect("its own stack restores it");
+        for (into, make) in stacks.iter().filter(|(into, _)| into != taken) {
+            let mut target = make();
+            let err = target.restore(&snap).expect_err("another stack refuses it");
+            let (a, b) = (source.name(), target.name());
+            let names = if a != b {
+                [format!("{a:?}"), format!("{b:?}")]
+            } else {
+                let (x, y) = taken
+                    .iter()
+                    .zip(into.iter())
+                    .find(|(x, y)| x != y)
+                    .expect("distinct stacks differ in a layer");
+                [format!("a {x} section"), format!("a {y} section")]
+            };
+            assert!(
+                names.iter().all(|n| err.contains(n.as_str())),
+                "{taken:?} into {into:?}: {err}"
+            );
+        }
+    }
 }

@@ -12,8 +12,8 @@
 //!    engines agree event-for-event.
 //! 3. **Sampling survives a resume**: a checkpointed sampled run
 //!    resumed from its last on-disk manifest finishes with exactly the
-//!    uninterrupted sampled report (the sampler's counters ride in the
-//!    `DGSM` snapshot layer).
+//!    uninterrupted sampled report (the sampler's counters ride in its
+//!    section of each shard's `DGSS` snapshot).
 
 use std::path::PathBuf;
 

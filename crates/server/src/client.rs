@@ -168,9 +168,10 @@ impl Client {
     }
 
     /// Blocks until every sent event has been credited back — i.e. the
-    /// server has *processed* everything sent so far. The soak harness
-    /// measures batch round-trip latency across this, and tests use it
-    /// as a deterministic synchronization point before killing things.
+    /// server has *processed* everything sent so far. The benchmark
+    /// ledger's `serve` workload measures batch round-trip latency across
+    /// this, and tests use it as a deterministic synchronization point
+    /// before killing things.
     pub fn await_credits(&mut self) -> Result<(), ClientError> {
         while self.outstanding > 0 {
             self.pump()?;

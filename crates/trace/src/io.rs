@@ -29,7 +29,8 @@
 //! | 13  | BarrierDepart | tid u32, bar u32               |
 //!
 //! The module also defines the `DGAS` container for [`AnalysisSummary`]
-//! artifacts (see [`write_summary`]):
+//! artifacts (see [`summary_to_bytes`]), written and read through the
+//! [`crate::snapshot`] codec:
 //!
 //! ```text
 //! magic          : b"DGAS"
@@ -65,6 +66,7 @@ use std::io;
 
 use dgrace_vc::Tid;
 
+use crate::snapshot::{SnapshotLimits, SnapshotReader, SnapshotWriter};
 use crate::summary::{
     AnalysisSummary, AnalysisWarning, ClassCounts, ClassifiedRange, LocationClass, SummaryStats,
     SUMMARY_VERSION,
@@ -73,7 +75,7 @@ use crate::{AccessSize, Addr, Event, EventSource, LockId, Trace};
 
 const MAGIC: &[u8; 4] = b"DGRT";
 const VERSION: u32 = 1;
-const SUMMARY_MAGIC: &[u8; 4] = b"DGAS";
+const SUMMARY_MAGIC: [u8; 4] = *b"DGAS";
 
 /// Largest possible encoded event record (tag 6/7: `1 + 4 + 8 + 8`).
 pub(crate) const MAX_EVENT_BYTES: usize = 21;
@@ -90,7 +92,8 @@ pub(crate) const MAX_EVENT_BYTES: usize = 21;
 pub enum TraceError {
     /// Underlying I/O error.
     Io(io::Error),
-    /// Stream does not start with the `DGRT`/`DGAS` magic.
+    /// Stream does not start with the artifact's magic (`DGRT`, `DGAS`,
+    /// `DGSS` or `DGCP`).
     BadMagic([u8; 4]),
     /// Unsupported format version.
     BadVersion(u32),
@@ -160,10 +163,6 @@ pub enum TraceError {
         decoded: u64,
     },
 }
-
-/// Backwards-compatible alias: the decode error was renamed when it grew
-/// truncation/limit variants.
-pub type DecodeError = TraceError;
 
 impl TraceError {
     /// True for errors that describe *corrupt bytes inside the event
@@ -908,133 +907,78 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
     read_trace(&mut io::Cursor::new(bytes))
 }
 
-/// Writes an analysis summary to `w` in the `DGAS` format.
-pub fn write_summary<W: io::Write>(summary: &AnalysisSummary, w: &mut W) -> io::Result<()> {
-    w.write_all(SUMMARY_MAGIC)?;
-    w.write_all(&SUMMARY_VERSION.to_le_bytes())?;
-    w.write_all(&summary.fingerprint.to_le_bytes())?;
-    w.write_all(&summary.trace_events.to_le_bytes())?;
-    w.write_all(&summary.trace_accesses.to_le_bytes())?;
+/// Serializes a summary in the `DGAS` format.
+pub fn summary_to_bytes(summary: &AnalysisSummary) -> Vec<u8> {
+    let mut w = SnapshotWriter::new(SUMMARY_MAGIC, SUMMARY_VERSION);
+    w.u64(summary.fingerprint);
+    w.u64(summary.trace_events);
+    w.u64(summary.trace_accesses);
     for c in [
         summary.stats.thread_local,
         summary.stats.read_only,
         summary.stats.locked,
         summary.stats.contended,
     ] {
-        w.write_all(&c.bytes.to_le_bytes())?;
-        w.write_all(&c.accesses.to_le_bytes())?;
+        w.u64(c.bytes);
+        w.u64(c.accesses);
     }
-    w.write_all(&(summary.ranges.len() as u64).to_le_bytes())?;
+    w.count(summary.ranges.len());
     for r in &summary.ranges {
-        w.write_all(&r.start.0.to_le_bytes())?;
-        w.write_all(&r.len.to_le_bytes())?;
+        w.u64(r.start.0);
+        w.u64(r.len);
         match &r.class {
-            LocationClass::ThreadLocal => w.write_all(&[0u8])?,
-            LocationClass::ReadOnlyAfterInit => w.write_all(&[1u8])?,
+            LocationClass::ThreadLocal => w.u8(0),
+            LocationClass::ReadOnlyAfterInit => w.u8(1),
             LocationClass::ConsistentlyLocked { lockset } => {
-                w.write_all(&[2u8])?;
-                w.write_all(&(lockset.len() as u32).to_le_bytes())?;
-                for l in lockset {
-                    w.write_all(&l.0.to_le_bytes())?;
-                }
+                w.u8(2);
+                write_locks(&mut w, lockset);
             }
-            LocationClass::Contended => w.write_all(&[3u8])?,
+            LocationClass::Contended => w.u8(3),
         }
     }
-    w.write_all(&(summary.warnings.len() as u64).to_le_bytes())?;
+    w.count(summary.warnings.len());
     for warning in &summary.warnings {
         match warning {
             AnalysisWarning::LockOrderCycle { locks } => {
-                w.write_all(&[0u8])?;
-                w.write_all(&(locks.len() as u32).to_le_bytes())?;
-                for l in locks {
-                    w.write_all(&l.0.to_le_bytes())?;
-                }
+                w.u8(0);
+                write_locks(&mut w, locks);
             }
             AnalysisWarning::UnlockedSharedRange { start, len } => {
-                w.write_all(&[1u8])?;
-                w.write_all(&start.0.to_le_bytes())?;
-                w.write_all(&len.to_le_bytes())?;
+                w.u8(1);
+                w.u64(start.0);
+                w.u64(*len);
             }
         }
     }
-    Ok(())
+    w.finish()
 }
 
-/// A cursor over an `io::Read` that tracks absolute offsets and reports
-/// truncation precisely. Used by the summary decoder (the trace decoder
-/// has its own sliding window for resync support).
-struct Cursor<'a, R> {
-    src: &'a mut R,
-    offset: u64,
-}
-
-impl<R: io::Read> Cursor<'_, R> {
-    fn fill(&mut self, out: &mut [u8]) -> Result<(), TraceError> {
-        let mut n = 0;
-        while n < out.len() {
-            match self.src.read(&mut out[n..]) {
-                Ok(0) => {
-                    return Err(TraceError::Truncated {
-                        offset: self.offset + n as u64,
-                        expected: out.len() - n,
-                    })
-                }
-                Ok(k) => n += k,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(TraceError::Io(e)),
-            }
-        }
-        self.offset += n as u64;
-        Ok(())
-    }
-
-    fn u8(&mut self) -> Result<u8, TraceError> {
-        let mut b = [0u8; 1];
-        self.fill(&mut b)?;
-        Ok(b[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceError> {
-        let mut b = [0u8; 4];
-        self.fill(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceError> {
-        let mut b = [0u8; 8];
-        self.fill(&mut b)?;
-        Ok(u64::from_le_bytes(b))
+fn write_locks(w: &mut SnapshotWriter, locks: &[LockId]) {
+    w.u32(locks.len() as u32);
+    for l in locks {
+        w.u32(l.0);
     }
 }
 
-/// Reads a `DGAS` analysis summary from `r` with default limits.
-pub fn read_summary<R: io::Read>(r: &mut R) -> Result<AnalysisSummary, TraceError> {
-    read_summary_with(r, DecodeLimits::default())
-}
-
-/// Reads a `DGAS` analysis summary from `r` under explicit limits.
-pub fn read_summary_with<R: io::Read>(
-    r: &mut R,
-    limits: DecodeLimits,
-) -> Result<AnalysisSummary, TraceError> {
-    let mut c = Cursor { src: r, offset: 0 };
-    let mut magic = [0u8; 4];
-    c.fill(&mut magic)?;
-    if &magic != SUMMARY_MAGIC {
-        return Err(TraceError::BadMagic(magic));
-    }
-    let version = c.u32()?;
-    if version != SUMMARY_VERSION {
-        return Err(TraceError::BadVersion(version));
-    }
-    let fingerprint = c.u64()?;
-    let trace_events = c.u64()?;
-    let trace_accesses = c.u64()?;
+/// Deserializes a `DGAS` summary, under [`DecodeLimits::default`].
+pub fn summary_from_bytes(bytes: &[u8]) -> Result<AnalysisSummary, TraceError> {
+    let limits = DecodeLimits::default();
+    let mut r = SnapshotReader::new(
+        bytes,
+        SUMMARY_MAGIC,
+        SUMMARY_VERSION,
+        SnapshotLimits {
+            max_items: limits.max_ranges,
+            ..SnapshotLimits::default()
+        },
+    )?;
+    let fingerprint = r.u64()?;
+    let trace_events = r.u64()?;
+    let trace_accesses = r.u64()?;
     let mut counts = [ClassCounts::default(); 4];
     for cc in &mut counts {
-        cc.bytes = c.u64()?;
-        cc.accesses = c.u64()?;
+        cc.bytes = r.u64()?;
+        cc.accesses = r.u64()?;
     }
     let stats = SummaryStats {
         thread_local: counts[0],
@@ -1042,22 +986,12 @@ pub fn read_summary_with<R: io::Read>(
         locked: counts[2],
         contended: counts[3],
     };
-    let count_off = c.offset;
-    let count = c.u64()?;
-    if count > limits.max_ranges {
-        return Err(TraceError::LimitExceeded {
-            offset: count_off,
-            what: "range count",
-            value: count,
-            limit: limits.max_ranges,
-        });
-    }
-    // Bounded preallocation: growth past this is paid for by bytes read.
-    let mut ranges = Vec::with_capacity(count.min(1 << 12) as usize);
-    for _ in 0..count {
-        let start = Addr(c.u64()?);
-        let len_off = c.offset;
-        let len = c.u64()?;
+    let n = r.count("range count")?;
+    let mut ranges = Vec::with_capacity(n);
+    for _ in 0..n {
+        let start = Addr(r.u64()?);
+        let len_off = r.offset();
+        let len = r.u64()?;
         if len > limits.max_obj_size {
             return Err(TraceError::LimitExceeded {
                 offset: len_off,
@@ -1074,81 +1008,42 @@ pub fn read_summary_with<R: io::Read>(
                 limit: u64::MAX - start.0,
             });
         }
-        let tag_off = c.offset;
-        let tag = c.u8()?;
-        let class = match tag {
+        let tag_off = r.offset();
+        let class = match r.u8()? {
             0 => LocationClass::ThreadLocal,
             1 => LocationClass::ReadOnlyAfterInit,
-            2 => {
-                let n_off = c.offset;
-                let n = c.u32()?;
-                if n > limits.max_lockset {
-                    return Err(TraceError::LimitExceeded {
-                        offset: n_off,
-                        what: "lockset length",
-                        value: n as u64,
-                        limit: limits.max_lockset as u64,
-                    });
-                }
-                let mut lockset = Vec::with_capacity(n.min(64) as usize);
-                for _ in 0..n {
-                    lockset.push(LockId(c.u32()?));
-                }
-                LocationClass::ConsistentlyLocked { lockset }
-            }
+            2 => LocationClass::ConsistentlyLocked {
+                lockset: read_locks(&mut r, &limits)?,
+            },
             3 => LocationClass::Contended,
-            t => {
+            class => {
                 return Err(TraceError::BadClass {
                     offset: tag_off,
-                    class: t,
+                    class,
                 })
             }
         };
         ranges.push(ClassifiedRange { start, len, class });
     }
-    let n_off = c.offset;
-    let n = c.u64()?;
-    if n > limits.max_ranges {
-        return Err(TraceError::LimitExceeded {
-            offset: n_off,
-            what: "warning count",
-            value: n,
-            limit: limits.max_ranges,
-        });
-    }
-    let mut warnings = Vec::with_capacity(n.min(1 << 12) as usize);
+    let n = r.count("warning count")?;
+    let mut warnings = Vec::with_capacity(n);
     for _ in 0..n {
-        let tag_off = c.offset;
-        match c.u8()? {
-            0 => {
-                let k_off = c.offset;
-                let k = c.u32()?;
-                if k > limits.max_lockset {
-                    return Err(TraceError::LimitExceeded {
-                        offset: k_off,
-                        what: "lockset length",
-                        value: k as u64,
-                        limit: limits.max_lockset as u64,
-                    });
-                }
-                let mut locks = Vec::with_capacity(k.min(64) as usize);
-                for _ in 0..k {
-                    locks.push(LockId(c.u32()?));
-                }
-                warnings.push(AnalysisWarning::LockOrderCycle { locks });
-            }
-            1 => {
-                let start = Addr(c.u64()?);
-                let len = c.u64()?;
-                warnings.push(AnalysisWarning::UnlockedSharedRange { start, len });
-            }
-            t => {
+        let tag_off = r.offset();
+        warnings.push(match r.u8()? {
+            0 => AnalysisWarning::LockOrderCycle {
+                locks: read_locks(&mut r, &limits)?,
+            },
+            1 => AnalysisWarning::UnlockedSharedRange {
+                start: Addr(r.u64()?),
+                len: r.u64()?,
+            },
+            class => {
                 return Err(TraceError::BadClass {
                     offset: tag_off,
-                    class: t,
+                    class,
                 })
             }
-        }
+        });
     }
     Ok(AnalysisSummary {
         fingerprint,
@@ -1160,16 +1055,22 @@ pub fn read_summary_with<R: io::Read>(
     })
 }
 
-/// Serializes a summary to a byte vector.
-pub fn summary_to_bytes(summary: &AnalysisSummary) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64 + summary.ranges.len() * 17);
-    write_summary(summary, &mut buf).expect("writing to Vec cannot fail");
-    buf
-}
-
-/// Deserializes a summary from a byte slice.
-pub fn summary_from_bytes(bytes: &[u8]) -> Result<AnalysisSummary, TraceError> {
-    read_summary(&mut io::Cursor::new(bytes))
+/// Reads a [`write_locks`]d list, bounded by `max_lockset`.
+fn read_locks(
+    r: &mut SnapshotReader<'_>,
+    limits: &DecodeLimits,
+) -> Result<Vec<LockId>, TraceError> {
+    let at = r.offset();
+    let n = r.u32()?;
+    if n > limits.max_lockset {
+        return Err(TraceError::LimitExceeded {
+            offset: at,
+            what: "lockset length",
+            value: n as u64,
+            limit: limits.max_lockset as u64,
+        });
+    }
+    (0..n).map(|_| r.u32().map(LockId)).collect()
 }
 
 #[cfg(test)]

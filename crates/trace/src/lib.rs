@@ -63,7 +63,7 @@ pub use id_table::IdTable;
 pub use io::{BlockReader, DecodeLimits, DecodeStats, ReadOptions, TraceError};
 pub use snapshot::{
     crc32, seal_crc, verify_crc, write_file_atomic, SnapshotLimits, SnapshotReader, SnapshotWriter,
-    CHECKPOINT_MAGIC, CHECKPOINT_MIN_VERSION, CHECKPOINT_VERSION, STATE_MAGIC, STATE_VERSION,
+    CHECKPOINT_MAGIC, CHECKPOINT_VERSION, STATE_MAGIC, STATE_VERSION,
 };
 pub use summary::{
     trace_fingerprint, AnalysisSummary, AnalysisWarning, ClassCounts, ClassifiedRange, Fingerprint,

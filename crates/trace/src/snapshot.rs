@@ -1,15 +1,18 @@
-//! Hardened primitives for versioned binary state snapshots.
+//! Hardened primitives for versioned binary artifacts.
 //!
-//! Detector shards serialize their full analysis state (shadow stores,
-//! vector-clock planes, sync state) into `DGSS` blobs, and the runtime
-//! wraps those blobs in a `DGCP` checkpoint manifest so an interrupted
-//! run can resume exactly where it stopped. Both formats follow the
-//! trace/summary codec discipline from [`crate::io`]: a 4-byte magic, a
-//! `u32` little-endian version, fixed-width little-endian fields, and
-//! typed [`TraceError`]s with absolute offsets. Every length read from
-//! untrusted bytes is validated against [`SnapshotLimits`] *before* any
-//! allocation, so a corrupt or adversarial snapshot fails with a bounded
-//! error instead of an allocation bomb.
+//! Three artifacts are written with [`SnapshotWriter`] and read back with
+//! [`SnapshotReader`]: a detector's full analysis state (shadow stores,
+//! vector-clock planes, sync state) as a `DGSS` snapshot, the runtime's
+//! `DGCP` checkpoint manifest that carries one snapshot per shard, and the
+//! `DGAS` analysis summary ([`crate::io::summary_to_bytes`]). Each is one
+//! 4-byte magic, one `u32` little-endian version, then fixed-width
+//! little-endian fields; a version other than the current one is
+//! [`TraceError::BadVersion`] — artifacts are regenerated, not migrated.
+//! Errors are typed [`TraceError`]s with absolute offsets. Every length
+//! read from untrusted bytes is validated against [`SnapshotLimits`] and
+//! against the bytes left *before* any allocation, so a corrupt or
+//! adversarial artifact fails with a bounded error instead of an
+//! allocation bomb.
 //!
 //! Snapshot files are written through [`write_file_atomic`]: the bytes
 //! land in a temporary sibling, are fsync'd, and are then renamed over
@@ -22,25 +25,19 @@ use std::path::Path;
 
 use crate::io::TraceError;
 
-/// Magic prefix for serialized per-shard detector state.
+/// Magic prefix for serialized detector state.
 pub const STATE_MAGIC: [u8; 4] = *b"DGSS";
 /// Current detector-state snapshot format version.
 ///
-/// Bumped to 2 when the dynamic detector's snapshot grew three trailing
-/// words, since retired and written as constants (its `snapshot` lists
-/// them); snapshots are not migrated across versions.
-pub const STATE_VERSION: u32 = 2;
+/// Version 3 is one header, the stack's name, then one tagged section
+/// per layer (`dgrace_detectors::snap::Section`); older snapshots are
+/// refused, not migrated.
+pub const STATE_VERSION: u32 = 3;
 /// Magic prefix for run-level checkpoint manifests.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DGCP";
-/// Current checkpoint manifest format version.
-///
-/// Bumped to 2 when manifests and snapshot sidecars grew a trailing
-/// CRC32 ([`seal_crc`]) guarding against bit rot on the checkpoint
-/// directory. Version-1 files (no checksum) still decode — see
-/// [`CHECKPOINT_MIN_VERSION`].
-pub const CHECKPOINT_VERSION: u32 = 2;
-/// Oldest checkpoint manifest version this build still decodes.
-pub const CHECKPOINT_MIN_VERSION: u32 = 1;
+/// Current checkpoint manifest format version: a manifest ends with a
+/// CRC32 trailer ([`seal_crc`]) and carries version-3 `DGSS` snapshots.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Sanity bounds applied while decoding untrusted snapshot bytes.
 ///
@@ -140,7 +137,6 @@ pub struct SnapshotReader<'a> {
     buf: &'a [u8],
     off: usize,
     limits: SnapshotLimits,
-    version: u32,
 }
 
 impl<'a> SnapshotReader<'a> {
@@ -152,26 +148,10 @@ impl<'a> SnapshotReader<'a> {
         version: u32,
         limits: SnapshotLimits,
     ) -> Result<Self, TraceError> {
-        Self::new_ranged(bytes, magic, version..=version, limits)
-    }
-
-    /// Opens a stream, validating the magic and accepting any header
-    /// version inside `versions` — the entry point for formats that
-    /// still decode older revisions (e.g. `DGCP` v1 manifests written
-    /// before the CRC trailer). The accepted version is available
-    /// through [`SnapshotReader::version`] so callers can branch on
-    /// per-version fields.
-    pub fn new_ranged(
-        bytes: &'a [u8],
-        magic: [u8; 4],
-        versions: std::ops::RangeInclusive<u32>,
-        limits: SnapshotLimits,
-    ) -> Result<Self, TraceError> {
         let mut r = SnapshotReader {
             buf: bytes,
             off: 0,
             limits,
-            version: 0,
         };
         let mut m = [0u8; 4];
         r.raw(&mut m)?;
@@ -179,16 +159,10 @@ impl<'a> SnapshotReader<'a> {
             return Err(TraceError::BadMagic(m));
         }
         let v = r.u32()?;
-        if !versions.contains(&v) {
+        if v != version {
             return Err(TraceError::BadVersion(v));
         }
-        r.version = v;
         Ok(r)
-    }
-
-    /// The header version this stream was accepted at.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// The absolute byte offset of the next read.
@@ -281,9 +255,10 @@ impl<'a> SnapshotReader<'a> {
         Ok(self.take(len as usize)?.to_vec())
     }
 
-    /// Reads a collection length, bounded by `max_items`. The returned
-    /// count is safe to loop over but callers must still preallocate
-    /// with a bounded capacity (the count may exceed remaining bytes).
+    /// Reads a collection length, bounded by `max_items` and by the bytes
+    /// left: every collection encodes each item in at least one byte, so
+    /// a count past the end of the stream is [`TraceError::Truncated`]
+    /// before anything is allocated for it.
     pub fn count(&mut self, what: &'static str) -> Result<usize, TraceError> {
         let at = self.offset();
         let n = self.u64()?;
@@ -293,6 +268,13 @@ impl<'a> SnapshotReader<'a> {
                 what,
                 value: n,
                 limit: self.limits.max_items,
+            });
+        }
+        let left = self.buf.len() - self.off;
+        if n > left as u64 {
+            return Err(TraceError::Truncated {
+                offset: self.buf.len() as u64,
+                expected: n as usize - left,
             });
         }
         Ok(n as usize)
@@ -407,7 +389,7 @@ mod tests {
         w.bool(false);
         w.str("fasttrack-word");
         w.blob(&[1, 2, 3]);
-        w.count(42);
+        w.count(8);
         w.raw(&[9; 8]);
         let bytes = w.finish();
 
@@ -425,7 +407,7 @@ mod tests {
         assert!(!r.bool().unwrap());
         assert_eq!(r.str().unwrap(), "fasttrack-word");
         assert_eq!(r.blob().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.count("items").unwrap(), 42);
+        assert_eq!(r.count("items").unwrap(), 8);
         let mut raw = [0u8; 8];
         r.raw(&mut raw).unwrap();
         assert_eq!(raw, [9; 8]);
@@ -467,6 +449,30 @@ mod tests {
         assert!(matches!(
             r.u32(),
             Err(TraceError::Truncated { expected: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn a_count_past_the_bytes_left_is_truncation_before_any_allocation() {
+        // Three items promised, two bytes to hold them: a caller sizing a
+        // buffer by the count never sees it.
+        let mut w = SnapshotWriter::new(STATE_MAGIC, STATE_VERSION);
+        w.count(3);
+        w.raw(&[1, 2]);
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(
+            &bytes,
+            STATE_MAGIC,
+            STATE_VERSION,
+            SnapshotLimits::default(),
+        )
+        .unwrap();
+        assert!(matches!(
+            r.count("items"),
+            Err(TraceError::Truncated {
+                offset: 18,
+                expected: 1
+            })
         ));
     }
 
@@ -579,32 +585,6 @@ mod tests {
         assert!(matches!(
             verify_crc(&bytes[..3]),
             Err(TraceError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn ranged_reader_accepts_old_versions_and_reports_them() {
-        let w = SnapshotWriter::new(CHECKPOINT_MAGIC, 1);
-        let bytes = w.finish();
-        let r = SnapshotReader::new_ranged(
-            &bytes,
-            CHECKPOINT_MAGIC,
-            CHECKPOINT_MIN_VERSION..=CHECKPOINT_VERSION,
-            SnapshotLimits::default(),
-        )
-        .unwrap();
-        assert_eq!(r.version(), 1);
-        // Below the floor and above the ceiling are both rejected.
-        let w = SnapshotWriter::new(CHECKPOINT_MAGIC, CHECKPOINT_VERSION + 1);
-        let bytes = w.finish();
-        assert!(matches!(
-            SnapshotReader::new_ranged(
-                &bytes,
-                CHECKPOINT_MAGIC,
-                CHECKPOINT_MIN_VERSION..=CHECKPOINT_VERSION,
-                SnapshotLimits::default(),
-            ),
-            Err(TraceError::BadVersion(_))
         ));
     }
 
