@@ -54,7 +54,7 @@ mod state;
 
 pub use config::DynamicConfig;
 pub use detector::{DynamicGranularity, DynamicGranularityOn, PRESSURE_SCAN};
-pub use plane::{CellRef, CellView, GroupSnapshot, Plane, PlaneOn};
+pub use plane::{CellRef, CellView, GroupSnapshot, Index, IndexOn, Plane};
 pub use state::VcState;
 
 use dgrace_detectors::{DjitOn, FastTrackOn, Granularity, ShardableDetector};

@@ -1,11 +1,17 @@
-//! A shadow plane: one shadow store of locations whose cells may be
-//! shared.
+//! A shadow plane: the locations of one access type, whose cells may be
+//! shared, and the one index both planes keep their slots in.
 //!
 //! The detector keeps two planes — one for read locations, one for write
 //! locations — because "only the same access type (read or write) of
-//! vector clocks can be shared" (§III.A).
+//! vector clocks can be shared" (§III.A). Their slots live in one
+//! [`IndexOn`]: as in Fig. 4, a location's entry holds its read slot and
+//! its write slot (lanes [`READ`] and [`WRITE`] of one shadow store), so
+//! an access finds both with one directory probe. Each lane is still its
+//! own logical index — its own locations, word/byte mode and modeled
+//! bytes — so every count, report and snapshot byte is what two separate
+//! stores gave.
 //!
-//! A *location* is a populated slot in the shadow store; a *cell* is the
+//! A *location* is a populated slot in the plane's lane; a *cell* is the
 //! paper's `{vector clock, state, count}` triple, read by one location or
 //! by every member of a sharing group. Each shared cell records its
 //! member addresses (`members`), because a race dissolves the whole group
@@ -33,13 +39,13 @@
 //!   one location keeps `members` empty — the sole member is implicit.
 //!
 //! A cell moves to the slab when a neighbor joins it, when its read clock
-//! inflates to a vector, when [`PlaneOn::split`] hands it a reference to
+//! inflates to a vector, when [`Plane::split`] hands it a reference to
 //! a shared arena clock, or when a field outgrows the packing; it moves
 //! (back) into the slot whenever a write of its clock or the departure of
 //! its other members leaves one location holding an own epoch that fits.
 //! The detector sees neither place: it holds a [`CellRef`] — the
 //! location's address and its slot as of the lookup — reads through
-//! [`PlaneOn::cell`] and [`PlaneOn::clock_view`], and every mutator
+//! [`Plane::cell`] and [`Plane::clock_view`], and every mutator
 //! returns the handle's successor.
 //!
 //! # Where a clock lives
@@ -60,32 +66,25 @@
 //! clock is first *promoted* to an arena entry (`rc` 2 — the same logical
 //! clock, moved), an arena clock gets a refcount bump. The two cells share
 //! the immutable value until either next *writes* its clock, when
-//! [`PlaneOn::update_clock`] copies it (copy-on-write) into a fresh
+//! [`Plane::update_clock`] copies it (copy-on-write) into a fresh
 //! logical clock. Members that are never touched again (the common fate
 //! of a dissolved group's bystanders) never pay for a copy. The other
 //! transitions also happen in `update_clock`: a read clock that inflates
 //! to a vector moves into the arena, and an entry whose last other sharer
 //! has gone, or whose vector deflated, moves back inline the next time
-//! its cell writes it. Readers go through [`PlaneOn::clock_view`], which
+//! its cell writes it. Readers go through [`Plane::clock_view`], which
 //! returns an epoch by value and never touches the arena for one.
 //!
 //! Moving a cell or a logical clock between its two places neither
 //! creates nor destroys one, so every reported counter means what it
 //! meant when all cells were slab entries and all clocks arena entries:
 //! `vc_allocs`/`vc_frees` count logical clocks created and destroyed,
-//! [`PlaneOn::clock_count`] is the live logical clocks (arena entries +
+//! [`Plane::clock_count`] is the live logical clocks (arena entries +
 //! inline clocks, always `vc_allocs - vc_frees`),
-//! [`PlaneOn::cell_count`] counts cells in slots and in the slab, and the
+//! [`Plane::cell_count`] counts cells in slots and in the slab, and the
 //! modeled bytes depend on cells and vector payloads only.
 //!
-//! A single index slot holding both the read and the write cell of an
-//! address was measured as well: 1.2x faster again on the `scatter`
-//! ledger workload (one probe instead of two), but peak RSS grew 13.7 %
-//! on `stream` and 22 % on `aot`, where most addresses are only ever
-//! written or only ever read and the merged slot doubles their index
-//! cost. The planes keep their own stores.
-//!
-//! Invariants (checked by [`PlaneOn::check_invariants`]):
+//! Invariants (checked by [`Plane::check_invariants`]):
 //! * a cell is in its slot if and only if it has one location, holds an
 //!   own epoch and fits the packing; a slab cell's member list is empty
 //!   if and only if it has one location;
@@ -106,9 +105,10 @@
 use std::num::{NonZeroU32, NonZeroU64};
 
 use dgrace_detectors::snap::{decode_access_clock, encode_access_clock};
+use dgrace_detectors::AccessKind;
 use dgrace_shadow::accounting::vc_cell_bytes;
 use dgrace_shadow::store::{ShadowStore, StoreSelect};
-use dgrace_shadow::{FastMap, HashSelect, Slab, SlabId, Victims};
+use dgrace_shadow::{ChunkId, FastMap, HashSelect, Slab, SlabId, Victims};
 use dgrace_trace::{Addr, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{AccessClock, ClockView, Epoch, Tid};
 
@@ -279,7 +279,7 @@ impl Slot {
 /// A handle to the cell of one location: the location's address and its
 /// slot as of the lookup, which for a cell living in its slot is the cell
 /// itself. Valid until the plane next changes that location or its cell;
-/// every [`PlaneOn`] mutator that takes one returns its successor.
+/// every [`Plane`] mutator that takes one returns its successor.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CellRef {
     addr: Addr,
@@ -335,11 +335,170 @@ pub struct GroupSnapshot {
     pub members: Vec<Addr>,
 }
 
-/// One shadow plane (read or write locations), generic over the shadow
-/// store selected by `K`.
+/// The read plane's lane of an index entry.
+const READ: usize = 0;
+/// The write plane's lane of an index entry.
+const WRITE: usize = 1;
+
+/// The shadow index of both planes, generic over the shadow store selected
+/// by `K`: one entry per location holding its read slot and its write
+/// slot, as Fig. 4's chunk entry holds a location's read and write clock
+/// pointers.
+///
+/// An access resolves its chunk once, with one directory probe. Every
+/// lookup, write-back, insert and neighbour scan inside that chunk then
+/// goes to it directly; only a location in another chunk — the far end of
+/// a neighbour window, a group member elsewhere — goes back to the
+/// directory.
 #[derive(Debug, Default)]
-pub struct PlaneOn<K: StoreSelect> {
-    table: K::Store<Slot>,
+pub struct IndexOn<K: StoreSelect> {
+    store: K::Store<Slot, 2>,
+    /// The chunk the access in progress resolved. Forgotten whenever the
+    /// store may move it: when a chunk is created elsewhere or dropped.
+    near: Option<ChunkId>,
+}
+
+/// The default index, on the chained-hash `dgrace_shadow::ShadowTable`.
+pub type Index = IndexOn<HashSelect>;
+
+impl<K: StoreSelect> IndexOn<K> {
+    /// Creates an empty index.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Resolves the chunk of `addr`, creating it if absent — the one
+    /// directory probe of an access — and returns the read and write
+    /// handles of `addr`. Create only where a location of `addr` is about
+    /// to be inserted if none exists (an empty chunk is dropped by the
+    /// next removal covering it).
+    #[inline]
+    pub(crate) fn resolve(&mut self, addr: Addr) -> [Option<CellRef>; 2] {
+        let at = self.store.chunk_or_insert(addr);
+        self.near = Some(at);
+        let slots = self.store.entry(at, addr);
+        slots.map(|slot| slot.map(|&slot| CellRef { addr, slot }))
+    }
+
+    /// The resolved chunk, if it holds `addr`.
+    #[inline(always)]
+    fn near(&self, addr: Addr) -> Option<ChunkId> {
+        self.near.filter(|at| at.holds(addr))
+    }
+
+    #[inline(always)]
+    fn get(&self, lane: usize, addr: Addr) -> Option<Slot> {
+        match self.near(addr) {
+            Some(at) => self.store.cell(at, lane, addr).copied(),
+            None => self.get_far(lane, addr),
+        }
+    }
+
+    /// [`Self::get`] outside the resolved chunk: through the directory.
+    #[cold]
+    #[inline(never)]
+    fn get_far(&self, lane: usize, addr: Addr) -> Option<Slot> {
+        self.store.get_in(lane, addr).copied()
+    }
+
+    /// Overwrites the slot of the existing location `addr`.
+    #[inline(always)]
+    fn set(&mut self, lane: usize, addr: Addr, slot: Slot) {
+        let cell = match self.near(addr) {
+            Some(at) => self.store.cell_mut(at, lane, addr),
+            None => self.far_mut(lane, addr),
+        };
+        *cell.expect("location must exist") = slot;
+    }
+
+    /// The slot of `addr` outside the resolved chunk, through the
+    /// directory.
+    #[cold]
+    #[inline(never)]
+    fn far_mut(&mut self, lane: usize, addr: Addr) -> Option<&mut Slot> {
+        let at = self.store.chunk(addr)?;
+        self.store.cell_mut(at, lane, addr)
+    }
+
+    /// Stores the slot of location `addr`, returning the one it replaces.
+    #[inline]
+    fn insert(&mut self, lane: usize, addr: Addr, slot: Slot) -> Option<Slot> {
+        let at = match self.near(addr) {
+            Some(at) => at,
+            None => {
+                // Creating a chunk may move the resolved one.
+                self.near = None;
+                self.store.chunk_or_insert(addr)
+            }
+        };
+        self.store.put(at, lane, addr, slot)
+    }
+
+    fn nearest(&self, lane: usize, addr: Addr, max_dist: u64, up: bool) -> Option<CellRef> {
+        let (addr, &slot) = self.store.nearest(lane, addr, max_dist, up, self.near)?;
+        Some(CellRef { addr, slot })
+    }
+
+    fn take(&mut self, lane: usize, addr: Addr) -> Option<Slot> {
+        self.near = None;
+        self.store.take(lane, addr)
+    }
+
+    /// Removes every location in `[base, base+len)` from `planes` —
+    /// `free()`'s shadow cleanup (§IV.B) — in one walk of the index: a
+    /// location's read and write slots leave with its entry.
+    ///
+    /// Removal is chunk-wise (no per-address hash probes). Groups fully
+    /// inside the range simply disappear; groups *spanning* the range
+    /// boundary (rare — a program freeing part of a grouped structure)
+    /// are compacted afterwards, which costs O(survivors) only for the
+    /// affected cells.
+    ///
+    /// # Panics
+    /// Panics if the range holds a location of a lane none of `planes`
+    /// keeps.
+    pub fn remove_range<const P: usize>(&mut self, planes: [&mut Plane; P], base: Addr, len: u64) {
+        let mut planes = planes;
+        let mut freed: [Freed; P] = std::array::from_fn(|_| Freed::default());
+        self.near = None;
+        self.store.drain(base, len, |_, lane, slot| {
+            let i = planes.iter().position(|p| p.lane == lane);
+            let i = i.expect("a plane for every lane the index holds");
+            planes[i].drained(slot, &mut freed[i]);
+        });
+        for (plane, freed) in planes.into_iter().zip(freed) {
+            plane.settle_free(self, base, len, freed);
+        }
+    }
+
+    /// Victim byte span for memory-budget eviction: one resident backing
+    /// region of the index, chosen deterministically (see
+    /// [`ShadowStore::victim_region`], also for `victims`). The caller
+    /// evicts with [`Self::remove_range`], which takes both planes' slots
+    /// of the region, so their coverage stays symmetric.
+    pub(crate) fn victim_region(&self, victims: &mut Victims) -> Option<(Addr, u64)> {
+        self.store.victim_region(victims)
+    }
+}
+
+/// What removing a range took out of one plane, for
+/// [`Plane::settle_free`].
+#[derive(Default)]
+struct Freed {
+    /// Cells that lived in their slots.
+    solos: usize,
+    /// Slab cells left with no location.
+    emptied: Vec<SlabId>,
+    /// Slab cells left with fewer locations, some still outside the range.
+    dirty: Vec<SlabId>,
+}
+
+/// One shadow plane (read or write locations): its cells and clocks, and
+/// which lane of the [`IndexOn`] entry holds its slots.
+#[derive(Debug)]
+pub struct Plane {
+    /// [`READ`] or [`WRITE`].
+    lane: usize,
     /// The cells that cannot live in a slot.
     cells: Slab<Cell>,
     clocks: Slab<ClockEntry>,
@@ -351,32 +510,41 @@ pub struct PlaneOn<K: StoreSelect> {
     max_group: u32,
 }
 
-/// The default plane, backed by the chained-hash [`ShadowTable`]
-/// (`dgrace_shadow::ShadowTable`).
-pub type Plane = PlaneOn<HashSelect>;
-
-impl<K: StoreSelect> PlaneOn<K> {
-    /// Creates an empty plane.
-    pub fn new() -> Self {
-        Self::default()
+impl Plane {
+    /// Creates an empty plane of `kind` accesses.
+    pub fn new(kind: AccessKind) -> Self {
+        Plane {
+            lane: if kind.is_write() { WRITE } else { READ },
+            cells: Slab::default(),
+            clocks: Slab::default(),
+            in_slot: 0,
+            vc_bytes: 0,
+            vc_allocs: 0,
+            vc_frees: 0,
+            max_group: 0,
+        }
     }
 
     /// The cell handle of `addr`, if the location exists.
     #[inline]
-    pub fn lookup(&self, addr: Addr) -> Option<CellRef> {
-        self.table.get(addr).map(|&slot| CellRef { addr, slot })
+    pub fn lookup<K: StoreSelect>(&self, ix: &IndexOn<K>, addr: Addr) -> Option<CellRef> {
+        ix.get(self.lane, addr).map(|slot| CellRef { addr, slot })
     }
 
     /// A handle is only as good as the slot it was read from.
     #[inline]
-    fn check_fresh(&self, at: CellRef) {
-        debug_assert_eq!(self.table.get(at.addr), Some(&at.slot), "stale cell handle");
+    fn check_fresh<K: StoreSelect>(&self, ix: &IndexOn<K>, at: CellRef) {
+        debug_assert_eq!(
+            ix.get(self.lane, at.addr),
+            Some(at.slot),
+            "stale cell handle"
+        );
     }
 
     /// Overwrites the slot of the existing location `addr`.
     #[inline]
-    fn set_slot(&mut self, addr: Addr, slot: Slot) -> CellRef {
-        *self.table.get_mut(addr).expect("location must exist") = slot;
+    fn set_slot<K: StoreSelect>(&self, ix: &mut IndexOn<K>, addr: Addr, slot: Slot) -> CellRef {
+        ix.set(self.lane, addr, slot);
         CellRef { addr, slot }
     }
 
@@ -385,13 +553,12 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// otherwise. An epoch never touches the arena.
     ///
     /// Always inlined, like [`Slot::home`] under it and
-    /// [`PlaneOn::set_state`]: every path of the detector reads through
+    /// [`Plane::set_state`]: every path of the detector reads through
     /// here and uses one or two of the fields, and left out of line the
     /// readers cost the `stream` ledger workload 3 % of its instructions
     /// (EXPERIMENTS.md, PR 18).
     #[inline(always)]
     pub fn cell(&self, at: CellRef) -> CellView<'_> {
-        self.check_fresh(at);
         match at.slot.home() {
             Home::Slot(solo) => CellView {
                 clock: ClockView::Epoch(solo.epoch),
@@ -446,10 +613,10 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// Rewrites a cell that lives in `addr`'s slot; a value that no longer
     /// fits the packing moves to the slab.
     #[inline]
-    fn put_solo(&mut self, addr: Addr, solo: Solo) -> CellRef {
+    fn put_solo<K: StoreSelect>(&mut self, ix: &mut IndexOn<K>, addr: Addr, solo: Solo) -> CellRef {
         match solo.pack() {
-            Some(slot) => self.set_slot(addr, slot),
-            None => self.spill(addr, solo, ClockSlot::Own(solo.epoch)).1,
+            Some(slot) => self.set_slot(ix, addr, slot),
+            None => self.spill(ix, addr, solo, ClockSlot::Own(solo.epoch)).1,
         }
     }
 
@@ -457,7 +624,13 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// as its clock (the same logical clock, possibly moved itself). Once
     /// per group, inflation or wide thread id: kept out of its callers' code.
     #[cold]
-    fn spill(&mut self, addr: Addr, solo: Solo, clock: ClockSlot) -> (SlabId, CellRef) {
+    fn spill<K: StoreSelect>(
+        &mut self,
+        ix: &mut IndexOn<K>,
+        addr: Addr,
+        solo: Solo,
+        clock: ClockSlot,
+    ) -> (SlabId, CellRef) {
         self.in_slot -= 1;
         let id = self.cells.alloc(Cell {
             clock,
@@ -466,17 +639,17 @@ impl<K: StoreSelect> PlaneOn<K> {
             tainted: solo.tainted,
             members: Vec::new(),
         });
-        (id, self.set_slot(addr, Slot::reference(id, 0)))
+        (id, self.set_slot(ix, addr, Slot::reference(id, 0)))
     }
 
     /// Moves slab cell `id` into the slot of `at`, its only location, if
     /// the cell's value now says it lives there.
-    fn settle(&mut self, at: CellRef, id: SlabId) -> CellRef {
+    fn settle<K: StoreSelect>(&mut self, ix: &mut IndexOn<K>, at: CellRef, id: SlabId) -> CellRef {
         match self.cells.get(id).solo() {
             Some(slot) => {
                 self.cells.free(id);
                 self.in_slot += 1;
-                self.set_slot(at.addr, slot)
+                self.set_slot(ix, at.addr, slot)
             }
             None => at,
         }
@@ -488,8 +661,13 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// clock. Whatever `f` leaves behind is stored where the module docs
     /// say it lives — the clock inline unless it is a vector, the cell in
     /// its slot if it now belongs there.
-    pub fn update_clock(&mut self, at: CellRef, f: impl FnOnce(&mut AccessClock)) -> CellRef {
-        self.check_fresh(at);
+    pub fn update_clock<K: StoreSelect>(
+        &mut self,
+        ix: &mut IndexOn<K>,
+        at: CellRef,
+        f: impl FnOnce(&mut AccessClock),
+    ) -> CellRef {
+        self.check_fresh(ix, at);
         let id = match at.slot.home() {
             Home::Slot(mut solo) => {
                 let mut clock = AccessClock::Epoch(solo.epoch);
@@ -497,13 +675,13 @@ impl<K: StoreSelect> PlaneOn<K> {
                 return match clock {
                     AccessClock::Epoch(e) => {
                         solo.epoch = e;
-                        self.put_solo(at.addr, solo)
+                        self.put_solo(ix, at.addr, solo)
                     }
                     // Inflated: the cell moves to the slab and the same
                     // logical clock to the arena.
                     vc => {
                         let clock = self.intern(vc, 1);
-                        self.spill(at.addr, solo, clock).1
+                        self.spill(ix, at.addr, solo, clock).1
                     }
                 };
             }
@@ -544,15 +722,20 @@ impl<K: StoreSelect> PlaneOn<K> {
                 }
             }
         }
-        self.settle(at, id)
+        self.settle(ix, at, id)
     }
 
     /// Sets a cell's state.
     #[inline(always)]
-    pub fn set_state(&mut self, at: CellRef, state: VcState) -> CellRef {
-        self.check_fresh(at);
+    pub fn set_state<K: StoreSelect>(
+        &mut self,
+        ix: &mut IndexOn<K>,
+        at: CellRef,
+        state: VcState,
+    ) -> CellRef {
+        self.check_fresh(ix, at);
         match at.slot.home() {
-            Home::Slot(solo) => self.put_solo(at.addr, Solo { state, ..solo }),
+            Home::Slot(solo) => self.put_solo(ix, at.addr, Solo { state, ..solo }),
             Home::Slab { cell, .. } => {
                 self.cells.get_mut(cell).state = state;
                 at
@@ -633,23 +816,34 @@ impl<K: StoreSelect> PlaneOn<K> {
     }
 
     /// Creates a brand-new private location.
-    pub fn insert_private(&mut self, addr: Addr, clock: AccessClock, state: VcState) -> CellRef {
-        debug_assert!(self.table.get(addr).is_none(), "location already exists");
+    pub fn insert_private<K: StoreSelect>(
+        &mut self,
+        ix: &mut IndexOn<K>,
+        addr: Addr,
+        clock: AccessClock,
+        state: VcState,
+    ) -> CellRef {
         let clock = self.new_clock(clock);
         let slot = self.new_cell(clock, state, false);
-        self.table.insert(addr, slot);
+        let prev = ix.insert(self.lane, addr, slot);
+        debug_assert!(prev.is_none(), "location already exists");
         CellRef { addr, slot }
     }
 
     /// Appends `addr` to the member list of `neighbor`'s cell, which moves
     /// to the slab if it lived in its slot, and returns the slot `addr`
     /// gets. The caller stores it.
-    fn join_members(&mut self, addr: Addr, neighbor: CellRef) -> Slot {
-        self.check_fresh(neighbor);
+    fn join_members<K: StoreSelect>(
+        &mut self,
+        ix: &mut IndexOn<K>,
+        addr: Addr,
+        neighbor: CellRef,
+    ) -> Slot {
+        self.check_fresh(ix, neighbor);
         let id = match neighbor.slot.home() {
             Home::Slot(solo) => {
-                self.spill(neighbor.addr, solo, ClockSlot::Own(solo.epoch))
-                    .0
+                let own = ClockSlot::Own(solo.epoch);
+                self.spill(ix, neighbor.addr, solo, own).0
             }
             Home::Slab { cell, .. } => cell,
         };
@@ -671,30 +865,40 @@ impl<K: StoreSelect> PlaneOn<K> {
 
     /// Creates location `addr` sharing `neighbor`'s cell (first-epoch
     /// temporary sharing).
-    pub fn insert_shared(&mut self, addr: Addr, neighbor: CellRef) -> CellRef {
-        debug_assert!(self.table.get(addr).is_none(), "location already exists");
-        let slot = self.join_members(addr, neighbor);
-        self.table.insert(addr, slot);
+    pub fn insert_shared<K: StoreSelect>(
+        &mut self,
+        ix: &mut IndexOn<K>,
+        addr: Addr,
+        neighbor: CellRef,
+    ) -> CellRef {
+        let slot = self.join_members(ix, addr, neighbor);
+        let prev = ix.insert(self.lane, addr, slot);
+        debug_assert!(prev.is_none(), "location already exists");
         CellRef { addr, slot }
     }
 
     /// Re-points the *existing* private location `at` at `neighbor`'s cell
     /// (the firm second-epoch sharing decision). The location's own cell
     /// is freed; it must not be shared (`count == 1`).
-    pub fn rejoin(&mut self, at: CellRef, neighbor: CellRef) -> CellRef {
+    pub fn rejoin<K: StoreSelect>(
+        &mut self,
+        ix: &mut IndexOn<K>,
+        at: CellRef,
+        neighbor: CellRef,
+    ) -> CellRef {
         debug_assert_eq!(self.cell(at).count, 1, "rejoin requires a private cell");
         self.free_cell(at.slot);
         // Re-point the existing location in place — the second-epoch
         // re-share sweep hits this once per member, and a hash
         // remove+insert pair here costs more than the rest of the join.
-        let slot = self.join_members(at.addr, neighbor);
-        self.set_slot(at.addr, slot)
+        let slot = self.join_members(ix, at.addr, neighbor);
+        self.set_slot(ix, at.addr, slot)
     }
 
     /// Detaches `addr` from the member list of group `id`, patching the
     /// index of the member that `swap_remove` relocates. The caller
     /// re-points or removes `addr`'s own slot.
-    fn detach(&mut self, addr: Addr, id: SlabId, idx: u32) {
+    fn detach<K: StoreSelect>(&mut self, ix: &mut IndexOn<K>, addr: Addr, id: SlabId, idx: u32) {
         let cell = self.cells.get_mut(id);
         debug_assert!(cell.count > 1 && !cell.members.is_empty());
         debug_assert_eq!(cell.members[idx as usize], addr);
@@ -702,23 +906,23 @@ impl<K: StoreSelect> PlaneOn<K> {
         cell.count -= 1;
         let left = cell.count;
         if let Some(&moved) = cell.members.get(idx as usize) {
-            self.set_slot(moved, Slot::reference(id, idx));
+            self.set_slot(ix, moved, Slot::reference(id, idx));
         }
         if left == 1 {
-            self.shrunk_to_one(id);
+            self.shrunk_to_one(ix, id);
         }
     }
 
     /// Slab cell `id` is down to one location, at index 0: its member
     /// list goes (the sole member is implicit) and the cell moves into
     /// that location's slot if its value says so.
-    fn shrunk_to_one(&mut self, id: SlabId) {
+    fn shrunk_to_one<K: StoreSelect>(&mut self, ix: &mut IndexOn<K>, id: SlabId) {
         let cell = self.cells.get_mut(id);
         debug_assert_eq!((cell.count, cell.members.len()), (1, 1));
         let addr = cell.members[0];
         cell.members = Vec::new();
         let slot = Slot::reference(id, 0);
-        self.settle(CellRef { addr, slot }, id);
+        self.settle(ix, CellRef { addr, slot }, id);
     }
 
     /// Splits the location `at` out of its sharing group: it receives a
@@ -728,8 +932,8 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// next clock write. No-op for already-private locations. Returns the
     /// location's handle after the split and whether a split actually
     /// happened.
-    pub fn split(&mut self, at: CellRef) -> (CellRef, bool) {
-        self.check_fresh(at);
+    pub fn split<K: StoreSelect>(&mut self, ix: &mut IndexOn<K>, at: CellRef) -> (CellRef, bool) {
+        self.check_fresh(ix, at);
         let Home::Slab { cell: gid, idx } = at.slot.home() else {
             return (at, false);
         };
@@ -749,14 +953,14 @@ impl<K: StoreSelect> PlaneOn<K> {
                 clock
             }
         };
-        self.detach(at.addr, gid, idx);
+        self.detach(ix, at.addr, gid, idx);
         let slot = self.new_cell(shared, state, tainted);
-        (self.set_slot(at.addr, slot), true)
+        (self.set_slot(ix, at.addr, slot), true)
     }
 
     /// Every member of `addr`'s sharing group (including `addr`), sorted.
-    pub fn group_members(&self, addr: Addr) -> Vec<Addr> {
-        if let Some(Home::Slab { cell, .. }) = self.table.get(addr).map(|slot| slot.home()) {
+    pub fn group_members<K: StoreSelect>(&self, ix: &IndexOn<K>, addr: Addr) -> Vec<Addr> {
+        if let Some(Home::Slab { cell, .. }) = ix.get(self.lane, addr).map(Slot::home) {
             let members = &self.cells.get(cell).members;
             if !members.is_empty() {
                 let mut m = members.clone();
@@ -768,64 +972,71 @@ impl<K: StoreSelect> PlaneOn<K> {
     }
 
     /// A debugging snapshot of `addr`'s group.
-    pub fn snapshot(&self, addr: Addr) -> Option<GroupSnapshot> {
-        let at = self.lookup(addr)?;
+    pub fn snapshot<K: StoreSelect>(&self, ix: &IndexOn<K>, addr: Addr) -> Option<GroupSnapshot> {
+        let at = self.lookup(ix, addr)?;
         Some(GroupSnapshot {
             clock: self.clock_view(at).to_clock(),
             state: self.cell(at).state,
-            members: self.group_members(addr),
+            members: self.group_members(ix, addr),
         })
     }
 
     /// Finds the nearest populated location strictly before `addr`
     /// (within `max_dist` bytes).
-    pub fn nearest_predecessor(&self, addr: Addr, max_dist: u64) -> Option<CellRef> {
-        self.table
-            .nearest_predecessor(addr, max_dist)
-            .map(|(addr, &slot)| CellRef { addr, slot })
+    pub fn nearest_predecessor<K: StoreSelect>(
+        &self,
+        ix: &IndexOn<K>,
+        addr: Addr,
+        max_dist: u64,
+    ) -> Option<CellRef> {
+        ix.nearest(self.lane, addr, max_dist, false)
     }
 
     /// Finds the nearest populated location strictly after `addr`.
-    pub fn nearest_successor(&self, addr: Addr, max_dist: u64) -> Option<CellRef> {
-        self.table
-            .nearest_successor(addr, max_dist)
-            .map(|(addr, &slot)| CellRef { addr, slot })
+    pub fn nearest_successor<K: StoreSelect>(
+        &self,
+        ix: &IndexOn<K>,
+        addr: Addr,
+        max_dist: u64,
+    ) -> Option<CellRef> {
+        ix.nearest(self.lane, addr, max_dist, true)
     }
 
-    /// Removes every location in `[base, base+len)`, freeing cells whose
-    /// count drops to zero — `free()`'s shadow cleanup (§IV.B).
-    ///
-    /// Removal is chunk-wise (no per-address hash probes). Groups fully
-    /// inside the range simply disappear; groups *spanning* the range
-    /// boundary (rare — a program freeing part of a grouped structure)
-    /// are compacted afterwards, which costs O(survivors) only for the
-    /// affected cells.
-    pub fn remove_range(&mut self, base: Addr, len: u64) {
-        let cells = &mut self.cells;
-        let mut solos = 0;
-        let mut emptied: Vec<SlabId> = Vec::new();
-        let mut dirty: Vec<SlabId> = Vec::new();
-        self.table
-            .remove_range(base, len, |_, slot: Slot| match slot.home() {
-                Home::Slot(_) => solos += 1,
-                Home::Slab { cell: id, .. } => {
-                    let cell = cells.get_mut(id);
-                    cell.count -= 1;
-                    if cell.count == 0 {
-                        emptied.push(id);
-                    } else if !dirty.contains(&id) {
-                        dirty.push(id);
-                    }
+    /// Books one of this plane's locations that
+    /// [`IndexOn::remove_range`] took out of the index.
+    #[inline]
+    fn drained(&mut self, slot: Slot, freed: &mut Freed) {
+        match slot.home() {
+            Home::Slot(_) => freed.solos += 1,
+            Home::Slab { cell: id, .. } => {
+                let cell = self.cells.get_mut(id);
+                cell.count -= 1;
+                if cell.count == 0 {
+                    freed.emptied.push(id);
+                } else if !freed.dirty.contains(&id) {
+                    freed.dirty.push(id);
                 }
-            });
-        self.free_solos(solos);
-        for id in emptied {
+            }
+        }
+    }
+
+    /// Frees the cells [`IndexOn::remove_range`] left with no location in
+    /// `[base, base+len)`, and compacts the groups it cut.
+    fn settle_free<K: StoreSelect>(
+        &mut self,
+        ix: &mut IndexOn<K>,
+        base: Addr,
+        len: u64,
+        freed: Freed,
+    ) {
+        self.free_solos(freed.solos);
+        for id in freed.emptied {
             self.free_slab_cell(id);
         }
         // Compact surviving boundary-spanning groups: take the member
         // list out, patch the relocated indices, and put it back —
         // without cloning it.
-        for id in dirty {
+        for id in freed.dirty {
             if !self.cells.contains(id) {
                 continue;
             }
@@ -834,40 +1045,32 @@ impl<K: StoreSelect> PlaneOn<K> {
             members.retain(|a| a.0 < base.0 || a.0 - base.0 >= len);
             debug_assert_eq!(members.len(), cell.count as usize);
             for (i, a) in members.iter().enumerate() {
-                self.set_slot(*a, Slot::reference(id, i as u32));
+                self.set_slot(ix, *a, Slot::reference(id, i as u32));
             }
             let left = members.len();
             self.cells.get_mut(id).members = members;
             if left == 1 {
-                self.shrunk_to_one(id);
+                self.shrunk_to_one(ix, id);
             }
         }
     }
 
-    /// Victim byte span for memory-budget eviction: one resident backing
-    /// chunk of the index, chosen deterministically (see
-    /// [`ShadowStore::victim_region`], also for `victims`). The caller
-    /// evicts with [`Self::remove_range`].
-    pub fn victim_region(&self, victims: &mut Victims) -> Option<(Addr, u64)> {
-        self.table.victim_region(victims)
-    }
-
     /// Removes a single location.
-    pub fn remove(&mut self, addr: Addr) {
-        let Some(slot) = self.table.remove(addr) else {
+    pub fn remove<K: StoreSelect>(&mut self, ix: &mut IndexOn<K>, addr: Addr) {
+        let Some(slot) = ix.take(self.lane, addr) else {
             return;
         };
         match slot.home() {
             Home::Slab { cell, idx } if self.cells.get(cell).count > 1 => {
-                self.detach(addr, cell, idx)
+                self.detach(ix, addr, cell, idx)
             }
             _ => self.free_cell(slot),
         }
     }
 
     /// Number of populated locations.
-    pub fn loc_count(&self) -> usize {
-        self.table.len()
+    pub fn loc_count<K: StoreSelect>(&self, ix: &IndexOn<K>) -> usize {
+        ix.store.lane_len(self.lane)
     }
 
     /// Number of live cells (sharing groups), in slots and in the slab.
@@ -889,9 +1092,10 @@ impl<K: StoreSelect> PlaneOn<K> {
         self.vc_bytes
     }
 
-    /// Modeled bytes of the indexing structure.
-    pub fn hash_bytes(&self) -> usize {
-        self.table.index_bytes()
+    /// Modeled bytes of the plane's index: its lane, charged as an index
+    /// of its own.
+    pub fn hash_bytes<K: StoreSelect>(&self, ix: &IndexOn<K>) -> usize {
+        ix.store.lane_bytes(self.lane)
     }
 
     /// Logical clocks created over the run (reference bumps from
@@ -913,11 +1117,11 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// Exhaustively checks the plane's structural invariants; panics with
     /// a description on the first violation. O(locations) — used by
     /// property tests and debug assertions, never on the hot path.
-    pub fn check_invariants(&self) {
+    pub fn check_invariants<K: StoreSelect>(&self, ix: &IndexOn<K>) {
         let mut per_cell: FastMap<SlabId, usize> = FastMap::default();
         let mut loc_count = 0usize;
         let mut solos = 0usize;
-        self.table.for_each(|addr, slot| {
+        ix.store.lane_for_each(self.lane, |addr, slot| {
             loc_count += 1;
             match slot.home() {
                 // A cell in a slot is one location holding an own epoch
@@ -950,11 +1154,11 @@ impl<K: StoreSelect> PlaneOn<K> {
                 }
             }
         });
-        assert_eq!(loc_count, self.table.len(), "location count mismatch");
+        assert_eq!(loc_count, self.loc_count(ix), "location count mismatch");
         assert_eq!(solos, self.in_slot, "cells living in slots miscounted");
         assert_eq!(
             per_cell.values().sum::<usize>() + solos,
-            self.table.len(),
+            self.loc_count(ix),
             "location count mismatch"
         );
         let mut bytes = solos * CELL_BYTES;
@@ -1019,10 +1223,10 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// a clock happens to live, and the copy-on-write sharing structure
     /// (which cells hold which clock, and each clock's refcount) is
     /// preserved exactly.
-    pub fn encode(&self, w: &mut SnapshotWriter) {
-        let mut locs: Vec<CellRef> = Vec::with_capacity(self.table.len());
-        self.table
-            .for_each(|addr, &slot| locs.push(CellRef { addr, slot }));
+    pub fn encode<K: StoreSelect>(&self, ix: &IndexOn<K>, w: &mut SnapshotWriter) {
+        let mut locs: Vec<CellRef> = Vec::with_capacity(self.loc_count(ix));
+        ix.store
+            .lane_for_each(self.lane, |addr, &slot| locs.push(CellRef { addr, slot }));
         locs.sort_unstable_by_key(|at| at.addr);
         // One handle per cell, in order of first reference, and each
         // location's cell number.
@@ -1086,7 +1290,7 @@ impl<K: StoreSelect> PlaneOn<K> {
                 Home::Slab { idx, .. } => idx,
             });
         }
-        let chunks = self.table.byte_mode_chunks();
+        let chunks = ix.store.lane_byte_mode_chunks(self.lane);
         w.count(chunks.len());
         for chunk in chunks {
             w.u64(chunk.0);
@@ -1097,7 +1301,7 @@ impl<K: StoreSelect> PlaneOn<K> {
         w.u32(self.max_group);
     }
 
-    /// Rebuilds a plane from [`PlaneOn::encode`]d bytes, in whatever
+    /// Rebuilds a plane from [`Plane::encode`]d bytes, in whatever
     /// order they number the cells. Where a cell and a clock are restored
     /// to is decided from their values, whichever place they were saved
     /// from: an epoch-form clock of refcount 1 inline, a cell of one
@@ -1105,9 +1309,13 @@ impl<K: StoreSelect> PlaneOn<K> {
     /// refcount that differs from the number of cells naming the entry is
     /// rejected, and so are a member list that is not the cell's
     /// locations (none for a cell of one) and a cell of one location
-    /// named by two.
-    pub fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, TraceError> {
-        let mut plane = Self::default();
+    /// named by two. The locations go into `ix`, in the lane of `kind`.
+    pub fn decode<K: StoreSelect>(
+        r: &mut SnapshotReader<'_>,
+        ix: &mut IndexOn<K>,
+        kind: AccessKind,
+    ) -> Result<Self, TraceError> {
+        let mut plane = Self::new(kind);
         let n = r.count("clock-arena entries")?;
         let mut clock_slots = Vec::new();
         // Per clock, the references its refcount promises that no cell
@@ -1202,7 +1410,7 @@ impl<K: StoreSelect> PlaneOn<K> {
                     })
                 }
             };
-            plane.table.insert(addr, slot);
+            ix.insert(plane.lane, addr, slot);
         }
         if plane.in_slot != solos {
             return Err(TraceError::Malformed {
@@ -1212,7 +1420,7 @@ impl<K: StoreSelect> PlaneOn<K> {
         }
         let chunks = r.count("byte-mode chunks")?;
         for _ in 0..chunks {
-            plane.table.force_byte_mode(Addr(r.u64()?));
+            ix.store.lane_force_byte_mode(plane.lane, Addr(r.u64()?));
         }
         plane.vc_bytes = r.u64()? as usize;
         let at = r.offset();
@@ -1259,24 +1467,40 @@ mod tests {
     }
 
     /// The current handle of a location that exists.
-    fn at<K: StoreSelect>(p: &PlaneOn<K>, addr: u64) -> CellRef {
-        p.lookup(Addr(addr)).expect("location exists")
+    fn at<K: StoreSelect>(ix: &IndexOn<K>, p: &Plane, addr: u64) -> CellRef {
+        p.lookup(ix, Addr(addr)).expect("location exists")
+    }
+
+    /// Splits the existing location `addr` out of its group.
+    fn split<K: StoreSelect>(ix: &mut IndexOn<K>, p: &mut Plane, addr: u64) -> (CellRef, bool) {
+        let a = at(ix, p, addr);
+        p.split(ix, a)
     }
 
     /// Creates `addr` sharing the cell of the existing location `neighbor`.
-    fn share<K: StoreSelect>(p: &mut PlaneOn<K>, addr: u64, neighbor: u64) -> CellRef {
-        let n = at(p, neighbor);
-        p.insert_shared(Addr(addr), n)
+    fn share<K: StoreSelect>(
+        ix: &mut IndexOn<K>,
+        p: &mut Plane,
+        addr: u64,
+        neighbor: u64,
+    ) -> CellRef {
+        let n = at(ix, p, neighbor);
+        p.insert_shared(ix, Addr(addr), n)
     }
 
     #[test]
     fn private_insert_lookup() {
-        let mut p = Plane::new();
-        let id = p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochPrivate);
-        assert_eq!(p.lookup(Addr(0x100)), Some(id));
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        let id = p.insert_private(
+            &mut ix,
+            Addr(0x100),
+            epoch(1, 0),
+            VcState::FirstEpochPrivate,
+        );
+        assert_eq!(p.lookup(&ix, Addr(0x100)), Some(id));
         assert_eq!(id.addr(), Addr(0x100));
         assert_eq!(p.cell(id).count, 1);
-        assert_eq!(p.loc_count(), 1);
+        assert_eq!(p.loc_count(&ix), 1);
         assert_eq!(p.cell_count(), 1);
         assert_eq!(p.clock_count(), 1);
         assert!(p.vc_bytes() > 0);
@@ -1334,64 +1558,70 @@ mod tests {
 
     #[test]
     fn an_unshared_epoch_cell_lives_in_its_slot() {
-        let mut p = Plane::new();
-        let a = p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochPrivate);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        let a = p.insert_private(
+            &mut ix,
+            Addr(0x100),
+            epoch(1, 0),
+            VcState::FirstEpochPrivate,
+        );
         assert!(a.in_slot());
         assert_eq!((p.cell_count(), p.vc_bytes()), (1, CELL_BYTES));
         // Writes that keep it an unshared epoch keep it there.
-        let a = p.update_clock(a, |c| c.set_write(Tid(3), 7));
-        let a = p.set_state(a, VcState::Private);
+        let a = p.update_clock(&mut ix, a, |c| c.set_write(Tid(3), 7));
+        let a = p.set_state(&mut ix, a, VcState::Private);
         assert!(a.in_slot());
         assert_eq!(p.clock_view(a), epoch(7, 3).view());
         assert_eq!(p.cell(a).state, VcState::Private);
         // A neighbor joining moves it to the slab...
-        let b = share(&mut p, 0x104, 0x100);
-        assert!(!b.in_slot() && !at(&p, 0x100).in_slot());
-        assert!(b.same_cell(at(&p, 0x100)));
+        let b = share(&mut ix, &mut p, 0x104, 0x100);
+        assert!(!b.in_slot() && !at(&ix, &p, 0x100).in_slot());
+        assert!(b.same_cell(at(&ix, &p, 0x100)));
         assert_eq!((p.cell_count(), p.vc_bytes()), (1, CELL_BYTES));
-        p.check_invariants();
+        p.check_invariants(&ix);
         // ...and the neighbor leaving moves it back.
-        p.remove(Addr(0x104));
-        let a = at(&p, 0x100);
+        p.remove(&mut ix, Addr(0x104));
+        let a = at(&ix, &p, 0x100);
         assert!(a.in_slot());
         assert!(p.cell(a).tainted, "it has been shared");
         assert_eq!((p.clock_count(), p.vc_allocs(), p.vc_frees()), (1, 1, 0));
-        p.check_invariants();
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn a_field_that_does_not_fit_keeps_the_cell_in_the_slab() {
-        let mut p = Plane::new();
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
         let wide = Tid(1 << TID_BITS);
         let a = p.insert_private(
+            &mut ix,
             Addr(0x100),
             AccessClock::Epoch(Epoch::new(1, wide)),
             VcState::Private,
         );
         assert!(!a.in_slot());
-        p.check_invariants();
+        p.check_invariants(&ix);
         // A write by a thread that fits moves it in; one that does not,
         // back out.
-        let a = p.update_clock(a, |c| c.set_write(Tid(1), 2));
+        let a = p.update_clock(&mut ix, a, |c| c.set_write(Tid(1), 2));
         assert!(a.in_slot());
-        let a = p.update_clock(a, |c| c.set_write(wide, 3));
+        let a = p.update_clock(&mut ix, a, |c| c.set_write(wide, 3));
         assert!(!a.in_slot());
         assert_eq!((p.cell_count(), p.clock_count(), p.vc_allocs()), (1, 1, 1));
-        p.check_invariants();
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn shared_insert_grows_group() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        let id2 = share(&mut p, 0x104, 0x100);
-        let id3 = share(&mut p, 0x108, 0x104);
-        assert!(id2.same_cell(id3) && id3.same_cell(at(&p, 0x100)));
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        let id2 = share(&mut ix, &mut p, 0x104, 0x100);
+        let id3 = share(&mut ix, &mut p, 0x108, 0x104);
+        assert!(id2.same_cell(id3) && id3.same_cell(at(&ix, &p, 0x100)));
         assert_eq!(p.cell(id3).count, 3);
         assert_eq!(p.cell_count(), 1);
-        assert_eq!(p.loc_count(), 3);
+        assert_eq!(p.loc_count(&ix), 3);
         assert_eq!(
-            p.group_members(Addr(0x104)),
+            p.group_members(&ix, Addr(0x104)),
             vec![Addr(0x100), Addr(0x104), Addr(0x108)]
         );
         assert_eq!(p.max_group(), 3);
@@ -1399,52 +1629,55 @@ mod tests {
 
     #[test]
     fn split_detaches_one_member() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x104, 0x100);
-        share(&mut p, 0x108, 0x104);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x104, 0x100);
+        share(&mut ix, &mut p, 0x108, 0x104);
         // Split the middle member.
-        let (new_id, split) = p.split(at(&p, 0x104));
+        let (new_id, split) = split(&mut ix, &mut p, 0x104);
         assert!(split);
         assert_eq!(p.cell(new_id).count, 1);
-        assert_eq!(p.group_members(Addr(0x104)), vec![Addr(0x104)]);
-        assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x108)]);
+        assert_eq!(p.group_members(&ix, Addr(0x104)), vec![Addr(0x104)]);
+        assert_eq!(
+            p.group_members(&ix, Addr(0x100)),
+            vec![Addr(0x100), Addr(0x108)]
+        );
         assert_eq!(p.cell_count(), 2);
         // Splitting a private location is a no-op.
-        let (same, split2) = p.split(new_id);
+        let (same, split2) = p.split(&mut ix, new_id);
         assert!(!split2);
         assert_eq!(same, new_id);
     }
 
     #[test]
     fn split_is_a_refcount_bump_not_a_copy() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x104, 0x100);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x104, 0x100);
         let allocs_before = p.vc_allocs();
-        let (new_id, split) = p.split(at(&p, 0x104));
+        let (new_id, split) = split(&mut ix, &mut p, 0x104);
         assert!(split);
         assert_eq!(p.vc_allocs(), allocs_before, "split must not allocate");
         assert_eq!(p.clock_count(), 1, "both cells share one clock value");
         assert_eq!(p.clock_refs(new_id), 2);
         assert!(
-            !new_id.in_slot() && !at(&p, 0x100).in_slot(),
+            !new_id.in_slot() && !at(&ix, &p, 0x100).in_slot(),
             "a shared arena reference keeps both cells in the slab"
         );
         assert_eq!(p.cell_count(), 2);
-        p.check_invariants();
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn update_clock_copies_on_write_when_shared() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x104, 0x100);
-        let (split_id, _) = p.split(at(&p, 0x104));
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x104, 0x100);
+        let (split_id, _) = split(&mut ix, &mut p, 0x104);
         assert_eq!(p.clock_refs(split_id), 2);
         // Writing the split-off cell's clock must not disturb the group.
-        let split_id = p.update_clock(split_id, |c| *c = epoch(9, 1));
-        let gid = at(&p, 0x100);
+        let split_id = p.update_clock(&mut ix, split_id, |c| *c = epoch(9, 1));
+        let gid = at(&ix, &p, 0x100);
         assert_eq!(p.clock_view(split_id), epoch(9, 1).view());
         assert_eq!(
             p.clock_view(gid),
@@ -1456,45 +1689,45 @@ mod tests {
         assert_eq!(p.clock_refs(gid), 1);
         assert_eq!(p.clock_count(), 2);
         assert_eq!(p.vc_allocs(), 2, "the copy is the one new logical clock");
-        p.check_invariants();
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn epoch_clock_moves_between_cell_and_arena() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x104, 0x100);
-        share(&mut p, 0x108, 0x100);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x104, 0x100);
+        share(&mut ix, &mut p, 0x108, 0x100);
         assert!(
-            p.clock_is_inline(at(&p, 0x100)),
+            p.clock_is_inline(at(&ix, &p, 0x100)),
             "an unshared epoch lives in its cell"
         );
         // Split promotes the inline group clock: one logical clock, two
         // holders, nothing allocated.
-        let (split_id, _) = p.split(at(&p, 0x104));
-        assert!(!p.clock_is_inline(at(&p, 0x100)) && !p.clock_is_inline(split_id));
+        let (split_id, _) = split(&mut ix, &mut p, 0x104);
+        assert!(!p.clock_is_inline(at(&ix, &p, 0x100)) && !p.clock_is_inline(split_id));
         assert_eq!((p.clock_count(), p.vc_allocs()), (1, 1));
         // Copy-on-write leaves the writer with a fresh inline clock and
         // the group as the entry's sole holder...
-        let split_id = p.update_clock(split_id, |c| c.set_write(Tid(1), 9));
+        let split_id = p.update_clock(&mut ix, split_id, |c| c.set_write(Tid(1), 9));
         assert!(p.clock_is_inline(split_id));
-        let gid = at(&p, 0x100);
+        let gid = at(&ix, &p, 0x100);
         assert_eq!((p.clock_refs(gid), p.clock_is_inline(gid)), (1, false));
-        p.check_invariants();
+        p.check_invariants(&ix);
         // ...which moves back inline at the group's own next write.
-        let gid = p.update_clock(gid, |c| c.set_write(Tid(0), 2));
+        let gid = p.update_clock(&mut ix, gid, |c| c.set_write(Tid(0), 2));
         assert!(p.clock_is_inline(gid) && !gid.in_slot());
         assert_eq!((p.clock_count(), p.vc_allocs(), p.vc_frees()), (2, 2, 0));
-        p.check_invariants();
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn last_sharer_freed_leaves_one_logical_clock() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x104, 0x100);
-        p.split(at(&p, 0x104));
-        p.remove(Addr(0x104));
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x104, 0x100);
+        split(&mut ix, &mut p, 0x104);
+        p.remove(&mut ix, Addr(0x104));
         assert_eq!(
             (p.clock_count(), p.vc_frees()),
             (1, 0),
@@ -1502,80 +1735,87 @@ mod tests {
         );
         // Arena entries have no back pointers: the survivor stays in the
         // slab, holding the entry alone, until its next write.
-        let gid = at(&p, 0x100);
+        let gid = at(&ix, &p, 0x100);
         assert_eq!((gid.in_slot(), p.clock_refs(gid)), (false, 1));
         assert_eq!(p.clock_view(gid), epoch(1, 0).view());
-        p.check_invariants();
-        let gid = p.update_clock(gid, |c| c.set_write(Tid(0), 2));
+        p.check_invariants(&ix);
+        let gid = p.update_clock(&mut ix, gid, |c| c.set_write(Tid(0), 2));
         assert!(gid.in_slot());
-        p.check_invariants();
-        p.remove(Addr(0x100));
+        p.check_invariants(&ix);
+        p.remove(&mut ix, Addr(0x100));
         assert_eq!((p.clock_count(), p.vc_frees()), (0, 1));
-        p.check_invariants();
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn vector_clock_lives_in_the_arena_until_it_deflates() {
-        let mut p = Plane::new();
-        let id = p.insert_private(Addr(0x100), epoch(1, 0), VcState::Private);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        let id = p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::Private);
         let now = VectorClock::from_slice(&[0, 3]);
-        let id = p.update_clock(id, |c| assert!(c.record_read(Tid(1), &now)));
+        let id = p.update_clock(&mut ix, id, |c| assert!(c.record_read(Tid(1), &now)));
         assert!(!p.clock_is_inline(id) && !id.in_slot());
         assert_eq!(
             (p.clock_count(), p.vc_allocs()),
             (1, 1),
             "same logical clock"
         );
-        p.check_invariants();
-        let id = p.update_clock(id, |c| c.set_write(Tid(1), 4));
+        p.check_invariants(&ix);
+        let id = p.update_clock(&mut ix, id, |c| c.set_write(Tid(1), 4));
         assert!(p.clock_is_inline(id) && id.in_slot());
         assert_eq!((p.clock_count(), p.vc_allocs(), p.vc_frees()), (1, 1, 0));
-        p.check_invariants();
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn rejoin_moves_private_into_group() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(3, 0), VcState::Private);
-        let own = p.insert_private(Addr(0x104), epoch(3, 0), VcState::Private);
-        let id = p.rejoin(own, at(&p, 0x100));
-        assert!(id.same_cell(at(&p, 0x100)));
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(3, 0), VcState::Private);
+        let own = p.insert_private(&mut ix, Addr(0x104), epoch(3, 0), VcState::Private);
+        let n = at(&ix, &p, 0x100);
+        let id = p.rejoin(&mut ix, own, n);
+        assert!(id.same_cell(at(&ix, &p, 0x100)));
         assert_eq!(p.cell(id).count, 2);
         assert_eq!(p.cell_count(), 1);
         assert_eq!(p.vc_frees(), 1);
-        assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x104)]);
-        p.check_invariants();
+        assert_eq!(
+            p.group_members(&ix, Addr(0x100)),
+            vec![Addr(0x100), Addr(0x104)]
+        );
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn update_clock_tracks_bytes() {
-        let mut p = Plane::new();
-        let id = p.insert_private(Addr(0x100), epoch(1, 0), VcState::Private);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        let id = p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::Private);
         let small = p.vc_bytes();
-        let id = p.update_clock(id, |c| {
+        let id = p.update_clock(&mut ix, id, |c| {
             let mut vc = VectorClock::new();
             vc.set(Tid(0), 1);
             vc.set(Tid(7), 3);
             *c = AccessClock::Vc(vc);
         });
         assert!(p.vc_bytes() > small);
-        p.update_clock(id, |c| *c = epoch(2, 0));
+        p.update_clock(&mut ix, id, |c| *c = epoch(2, 0));
         assert_eq!(p.vc_bytes(), small);
     }
 
     #[test]
     fn remove_updates_group_and_counts() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x104, 0x100);
-        share(&mut p, 0x108, 0x104);
-        p.remove(Addr(0x104));
-        assert_eq!(p.loc_count(), 2);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x104, 0x100);
+        share(&mut ix, &mut p, 0x108, 0x104);
+        p.remove(&mut ix, Addr(0x104));
+        assert_eq!(p.loc_count(&ix), 2);
         assert_eq!(p.cell_count(), 1);
-        assert_eq!(p.cell(at(&p, 0x100)).count, 2);
-        assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x108)]);
-        p.remove(Addr(0x100));
-        p.remove(Addr(0x108));
+        assert_eq!(p.cell(at(&ix, &p, 0x100)).count, 2);
+        assert_eq!(
+            p.group_members(&ix, Addr(0x100)),
+            vec![Addr(0x100), Addr(0x108)]
+        );
+        p.remove(&mut ix, Addr(0x100));
+        p.remove(&mut ix, Addr(0x108));
         assert_eq!(p.cell_count(), 0);
         assert_eq!(p.clock_count(), 0);
         assert_eq!(p.vc_bytes(), 0);
@@ -1583,165 +1823,194 @@ mod tests {
 
     #[test]
     fn remove_range_clears_span() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x104, 0x100);
-        p.insert_private(Addr(0x200), epoch(2, 0), VcState::Private);
-        p.insert_private(Addr(0x1f0), epoch(2, 0), VcState::Private);
-        p.remove_range(Addr(0x100), 0x100);
-        assert_eq!(p.loc_count(), 1);
-        assert_eq!(p.lookup(Addr(0x100)), None);
-        assert_eq!(p.lookup(Addr(0x104)), None);
-        assert_eq!(p.lookup(Addr(0x1f0)), None);
-        assert!(p.lookup(Addr(0x200)).is_some());
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x104, 0x100);
+        p.insert_private(&mut ix, Addr(0x200), epoch(2, 0), VcState::Private);
+        p.insert_private(&mut ix, Addr(0x1f0), epoch(2, 0), VcState::Private);
+        ix.remove_range([&mut p], Addr(0x100), 0x100);
+        assert_eq!(p.loc_count(&ix), 1);
+        assert_eq!(p.lookup(&ix, Addr(0x100)), None);
+        assert_eq!(p.lookup(&ix, Addr(0x104)), None);
+        assert_eq!(p.lookup(&ix, Addr(0x1f0)), None);
+        assert!(p.lookup(&ix, Addr(0x200)).is_some());
         assert_eq!(p.cell_count(), 1);
         assert_eq!((p.clock_count(), p.vc_bytes()), (1, CELL_BYTES));
-        p.check_invariants();
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn remove_range_past_the_top_of_the_address_space() {
         let top = u64::MAX - 3;
-        let mut p = Plane::new();
-        p.insert_private(Addr(top - 4), epoch(1, 0), VcState::FirstEpochShared);
-        p.insert_shared(Addr(top), at(&p, top - 4));
-        share(&mut p, top - 8, top - 4);
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::Private);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(
+            &mut ix,
+            Addr(top - 4),
+            epoch(1, 0),
+            VcState::FirstEpochShared,
+        );
+        share(&mut ix, &mut p, top, top - 4);
+        share(&mut ix, &mut p, top - 8, top - 4);
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::Private);
         // [top, top + 64) runs off the end: it ends at the top, it does
         // not wrap around to 0x100.
-        p.remove_range(Addr(top), 64);
-        assert_eq!(p.loc_count(), 3);
+        ix.remove_range([&mut p], Addr(top), 64);
+        assert_eq!(p.loc_count(&ix), 3);
         assert_eq!(
-            p.group_members(Addr(top - 4)),
+            p.group_members(&ix, Addr(top - 4)),
             vec![Addr(top - 8), Addr(top - 4)]
         );
-        p.check_invariants();
-        p.remove_range(Addr(top - 8), u64::MAX);
-        assert_eq!((p.loc_count(), p.cell_count()), (1, 1));
-        p.check_invariants();
+        p.check_invariants(&ix);
+        ix.remove_range([&mut p], Addr(top - 8), u64::MAX);
+        assert_eq!((p.loc_count(&ix), p.cell_count()), (1, 1));
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn remove_range_compacts_boundary_spanning_group() {
         // Group {0xfc, 0x100, 0x104, 0x108}; free [0x100, 0x108): the
         // two inner members go, the outer two must stay a valid group.
-        let mut p = Plane::new();
-        p.insert_private(Addr(0xfc), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x100, 0xfc);
-        share(&mut p, 0x104, 0x100);
-        share(&mut p, 0x108, 0x104);
-        p.remove_range(Addr(0x100), 8);
-        assert_eq!(p.loc_count(), 2);
-        assert_eq!(p.cell(at(&p, 0xfc)).count, 2);
-        assert_eq!(p.group_members(Addr(0xfc)), vec![Addr(0xfc), Addr(0x108)]);
-        assert_eq!(p.group_members(Addr(0x108)), p.group_members(Addr(0xfc)));
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0xfc), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x100, 0xfc);
+        share(&mut ix, &mut p, 0x104, 0x100);
+        share(&mut ix, &mut p, 0x108, 0x104);
+        ix.remove_range([&mut p], Addr(0x100), 8);
+        assert_eq!(p.loc_count(&ix), 2);
+        assert_eq!(p.cell(at(&ix, &p, 0xfc)).count, 2);
+        assert_eq!(
+            p.group_members(&ix, Addr(0xfc)),
+            vec![Addr(0xfc), Addr(0x108)]
+        );
+        assert_eq!(
+            p.group_members(&ix, Addr(0x108)),
+            p.group_members(&ix, Addr(0xfc))
+        );
         // Splitting a survivor still works (indices were compacted).
-        let (nid, split) = p.split(at(&p, 0x108));
+        let (nid, split) = split(&mut ix, &mut p, 0x108);
         assert!(split);
         assert_eq!(p.cell(nid).count, 1);
-        assert_eq!(p.group_members(Addr(0xfc)), vec![Addr(0xfc)]);
-        p.check_invariants();
+        assert_eq!(p.group_members(&ix, Addr(0xfc)), vec![Addr(0xfc)]);
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn partial_free_down_to_one_member_moves_the_cell_into_its_slot() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0xfc), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x100, 0xfc);
-        share(&mut p, 0x104, 0x100);
-        p.remove_range(Addr(0x100), 8);
-        let left = at(&p, 0xfc);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0xfc), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x100, 0xfc);
+        share(&mut ix, &mut p, 0x104, 0x100);
+        ix.remove_range([&mut p], Addr(0x100), 8);
+        let left = at(&ix, &p, 0xfc);
         assert!(left.in_slot());
         assert_eq!(p.cell(left).state, VcState::FirstEpochShared);
-        assert_eq!((p.loc_count(), p.cell_count(), p.clock_count()), (1, 1, 1));
-        p.check_invariants();
+        assert_eq!(
+            (p.loc_count(&ix), p.cell_count(), p.clock_count()),
+            (1, 1, 1)
+        );
+        p.check_invariants(&ix);
     }
 
     #[test]
     fn neighbor_search_delegates_to_table() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::Private);
-        p.insert_private(Addr(0x110), epoch(1, 0), VcState::Private);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::Private);
+        p.insert_private(&mut ix, Addr(0x110), epoch(1, 0), VcState::Private);
         assert_eq!(
-            p.nearest_predecessor(Addr(0x110), 64),
-            p.lookup(Addr(0x100))
+            p.nearest_predecessor(&ix, Addr(0x110), 64),
+            p.lookup(&ix, Addr(0x100))
         );
-        assert_eq!(p.nearest_successor(Addr(0x100), 64), p.lookup(Addr(0x110)));
-        assert_eq!(p.nearest_predecessor(Addr(0x100), 64), None);
+        assert_eq!(
+            p.nearest_successor(&ix, Addr(0x100), 64),
+            p.lookup(&ix, Addr(0x110))
+        );
+        assert_eq!(p.nearest_predecessor(&ix, Addr(0x100), 64), None);
     }
 
     #[test]
     fn snapshot_reflects_group() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(5, 1), VcState::FirstEpochShared);
-        share(&mut p, 0x101, 0x100);
-        let snap = p.snapshot(Addr(0x101)).unwrap();
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(5, 1), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x101, 0x100);
+        let snap = p.snapshot(&ix, Addr(0x101)).unwrap();
         assert_eq!(snap.state, VcState::FirstEpochShared);
         assert_eq!(snap.clock, epoch(5, 1));
         assert_eq!(snap.members, vec![Addr(0x100), Addr(0x101)]);
-        assert!(p.snapshot(Addr(0x999)).is_none());
+        assert!(p.snapshot(&ix, Addr(0x999)).is_none());
     }
 
     #[test]
     fn split_patches_swapped_member_index() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x104, 0x100);
-        share(&mut p, 0x108, 0x100);
-        share(&mut p, 0x10c, 0x100);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x104, 0x100);
+        share(&mut ix, &mut p, 0x108, 0x100);
+        share(&mut ix, &mut p, 0x10c, 0x100);
         // Remove a middle member; the last member is swapped into its
         // index and must remain splittable.
-        let (_, s1) = p.split(at(&p, 0x104));
+        let (_, s1) = split(&mut ix, &mut p, 0x104);
         assert!(s1);
-        let (_, s2) = p.split(at(&p, 0x10c));
+        let (_, s2) = split(&mut ix, &mut p, 0x10c);
         assert!(s2);
-        assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x108)]);
+        assert_eq!(
+            p.group_members(&ix, Addr(0x100)),
+            vec![Addr(0x100), Addr(0x108)]
+        );
     }
 
-    fn encoded(p: &Plane) -> Vec<u8> {
+    fn encoded(ix: &Index, p: &Plane) -> Vec<u8> {
         let mut w = SnapshotWriter::new(*b"TEST", 1);
-        p.encode(&mut w);
+        p.encode(ix, &mut w);
         w.finish()
     }
 
-    fn decoded(bytes: &[u8]) -> Result<Plane, TraceError> {
+    fn decoded(bytes: &[u8]) -> Result<(Index, Plane), TraceError> {
         let mut r = SnapshotReader::new(bytes, *b"TEST", 1, Default::default()).unwrap();
-        let p = Plane::decode(&mut r)?;
+        let mut ix = Index::new();
+        let p = Plane::decode(&mut r, &mut ix, AccessKind::Read)?;
         r.expect_end()?;
-        Ok(p)
+        Ok((ix, p))
     }
 
     #[test]
     fn encode_decode_round_trips_cow_sharing() {
-        let mut p = Plane::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x104, 0x100);
-        share(&mut p, 0x108, 0x104);
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x104, 0x100);
+        share(&mut ix, &mut p, 0x108, 0x104);
         // A split leaves two cells sharing one arena entry (CoW state).
-        let (split_id, _) = p.split(at(&p, 0x104));
+        let (split_id, _) = split(&mut ix, &mut p, 0x104);
         assert_eq!(p.clock_refs(split_id), 2);
         // One cell in its slot, and one whose thread id keeps it out.
-        p.insert_private(Addr(0x300), epoch(7, 1), VcState::Private);
-        p.insert_private(Addr(0x304), epoch(7, 1 << TID_BITS), VcState::Private);
+        p.insert_private(&mut ix, Addr(0x300), epoch(7, 1), VcState::Private);
+        p.insert_private(
+            &mut ix,
+            Addr(0x304),
+            epoch(7, 1 << TID_BITS),
+            VcState::Private,
+        );
 
-        let bytes = encoded(&p);
-        let q = decoded(&bytes).unwrap();
-        q.check_invariants();
-        assert_eq!(q.loc_count(), p.loc_count());
+        let bytes = encoded(&ix, &p);
+        let (qx, q) = decoded(&bytes).unwrap();
+        q.check_invariants(&qx);
+        assert_eq!(q.loc_count(&qx), p.loc_count(&ix));
         assert_eq!(q.cell_count(), p.cell_count());
         assert_eq!(q.clock_count(), p.clock_count());
         assert_eq!(q.vc_bytes(), p.vc_bytes());
         assert_eq!(q.vc_allocs(), p.vc_allocs());
         assert_eq!(q.max_group(), p.max_group());
         assert_eq!(
-            q.clock_refs(at(&q, 0x104)),
+            q.clock_refs(at(&qx, &q, 0x104)),
             2,
             "CoW sharing survives the round trip"
         );
-        assert_eq!(q.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x108)]);
-        assert!(at(&q, 0x300).in_slot() && !at(&q, 0x304).in_slot());
+        assert_eq!(
+            q.group_members(&qx, Addr(0x100)),
+            vec![Addr(0x100), Addr(0x108)]
+        );
+        assert!(at(&qx, &q, 0x300).in_slot() && !at(&qx, &q, 0x304).in_slot());
         // Canonical: re-encoding the restored plane is byte-identical.
-        assert_eq!(encoded(&q), bytes);
+        assert_eq!(encoded(&qx, &q), bytes);
     }
 
     #[test]
@@ -1752,31 +2021,31 @@ mod tests {
         // first, which leaves the survivor in the slab as the sole
         // holder of an arena epoch.
         let build = |low_first: bool, split_first: bool| {
-            let mut p = Plane::new();
+            let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
             let bases = if low_first {
                 [0x400, 0x500]
             } else {
                 [0x500, 0x400]
             };
             for base in bases {
-                p.insert_private(Addr(base), epoch(1, 0), VcState::FirstEpochShared);
-                share(&mut p, base + 4, base);
+                p.insert_private(&mut ix, Addr(base), epoch(1, 0), VcState::FirstEpochShared);
+                share(&mut ix, &mut p, base + 4, base);
             }
-            p.insert_private(Addr(0x300), epoch(1, 0), VcState::FirstEpochShared);
-            share(&mut p, 0x304, 0x300);
+            p.insert_private(&mut ix, Addr(0x300), epoch(1, 0), VcState::FirstEpochShared);
+            share(&mut ix, &mut p, 0x304, 0x300);
             if split_first {
-                p.split(at(&p, 0x304));
+                split(&mut ix, &mut p, 0x304);
             }
-            p.remove(Addr(0x304));
-            p.check_invariants();
-            p
+            p.remove(&mut ix, Addr(0x304));
+            p.check_invariants(&ix);
+            (ix, p)
         };
-        let (a, b) = (build(true, false), build(false, true));
-        assert!(at(&a, 0x300).in_slot() && !at(&b, 0x300).in_slot());
-        assert_eq!(encoded(&a), encoded(&b));
-        let restored = decoded(&encoded(&b)).unwrap();
-        restored.check_invariants();
-        assert!(at(&restored, 0x300).in_slot());
+        let ((ax, a), (bx, b)) = (build(true, false), build(false, true));
+        assert!(at(&ax, &a, 0x300).in_slot() && !at(&bx, &b, 0x300).in_slot());
+        assert_eq!(encoded(&ax, &a), encoded(&bx, &b));
+        let (rx, restored) = decoded(&encoded(&bx, &b)).unwrap();
+        restored.check_invariants(&rx);
+        assert!(at(&rx, &restored, 0x300).in_slot());
     }
 
     /// One cell as the wire has it: clock 0, `Private`, one location.
@@ -1827,9 +2096,9 @@ mod tests {
         w.u64(2);
         w.u64(0);
         w.u32(2);
-        let p = decoded(&w.finish()).unwrap();
-        p.check_invariants();
-        let (a, b) = (at(&p, 0x100), at(&p, 0x200));
+        let (ix, p) = decoded(&w.finish()).unwrap();
+        p.check_invariants(&ix);
+        let (a, b) = (at(&ix, &p, 0x100), at(&ix, &p, 0x200));
         assert!(a.in_slot() && b.in_slot());
         assert_eq!(
             p.cell(a),
@@ -1841,7 +2110,7 @@ mod tests {
             }
         );
         assert_eq!(p.clock_view(b), epoch(5, 0).view());
-        assert_eq!(p.group_members(Addr(0x200)), vec![Addr(0x200)]);
+        assert_eq!(p.group_members(&ix, Addr(0x200)), vec![Addr(0x200)]);
     }
 
     #[test]
@@ -1947,18 +2216,22 @@ mod tests {
     #[test]
     fn paged_plane_behaves_identically() {
         use dgrace_shadow::PagedSelect;
-        let mut p: PlaneOn<PagedSelect> = PlaneOn::new();
-        p.insert_private(Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut p, 0x104, 0x100);
-        share(&mut p, 0x108, 0x104);
-        assert_eq!(p.loc_count(), 3);
+        let mut ix: IndexOn<PagedSelect> = IndexOn::new();
+        let mut p = Plane::new(AccessKind::Read);
+        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
+        share(&mut ix, &mut p, 0x104, 0x100);
+        share(&mut ix, &mut p, 0x108, 0x104);
+        assert_eq!(p.loc_count(&ix), 3);
         assert_eq!(p.cell_count(), 1);
-        let (_, split) = p.split(at(&p, 0x104));
+        let (_, split) = split(&mut ix, &mut p, 0x104);
         assert!(split);
-        assert_eq!(p.group_members(Addr(0x100)), vec![Addr(0x100), Addr(0x108)]);
-        p.remove_range(Addr(0x100), 0x10);
-        assert_eq!(p.loc_count(), 0);
+        assert_eq!(
+            p.group_members(&ix, Addr(0x100)),
+            vec![Addr(0x100), Addr(0x108)]
+        );
+        ix.remove_range([&mut p], Addr(0x100), 0x10);
+        assert_eq!(p.loc_count(&ix), 0);
         assert_eq!(p.vc_bytes(), 0);
-        p.check_invariants();
+        p.check_invariants(&ix);
     }
 }

@@ -1,8 +1,8 @@
 //! Random-operation property tests for the sharing plane and the full
 //! detector, checked against `check_invariants` after every step.
 
-use dgrace_core::{CellRef, DynamicConfig, DynamicGranularity, Plane, VcState};
-use dgrace_detectors::{Detector, DetectorExt};
+use dgrace_core::{CellRef, DynamicConfig, DynamicGranularity, Index, Plane, VcState};
+use dgrace_detectors::{AccessKind, Detector, DetectorExt};
 use dgrace_trace::{AccessSize, Addr, Event, LockId, SnapshotReader, SnapshotWriter, Tid};
 use dgrace_vc::{AccessClock, ClockView, Epoch, VectorClock};
 use proptest::prelude::*;
@@ -65,12 +65,17 @@ const EVERY_MOVE: u32 = (1 << 15) - 1;
 
 /// Writes cell `at`'s clock through `f`, checks `update_clock`'s
 /// postcondition, and names the moves the write caused.
-fn write_clock(p: &mut Plane, at: CellRef, f: impl FnOnce(&mut AccessClock)) -> u32 {
+fn write_clock(
+    ix: &mut Index,
+    p: &mut Plane,
+    at: CellRef,
+    f: impl FnOnce(&mut AccessClock),
+) -> u32 {
     let was_inline = p.clock_is_inline(at);
     let was_epoch = matches!(p.clock_view(at), ClockView::Epoch(_));
     let was_shared = p.clock_refs(at) > 1;
     let was_in_slot = at.in_slot();
-    let at = p.update_clock(at, f);
+    let at = p.update_clock(ix, at, f);
     let is_epoch = matches!(p.clock_view(at), ClockView::Epoch(_));
     assert_eq!(p.clock_refs(at), 1, "a written clock is exclusively held");
     assert_eq!(
@@ -98,17 +103,17 @@ fn write_clock(p: &mut Plane, at: CellRef, f: impl FnOnce(&mut AccessClock)) -> 
 /// Frees `n` slots from `first` on — one location through `remove`, or
 /// the span through `remove_range` — and names where each freed cell
 /// lived and whether a group's last survivor moved into its slot.
-fn free(p: &mut Plane, first: u8, n: u8, by_range: bool) -> u32 {
+fn free(ix: &mut Index, p: &mut Plane, first: u8, n: u8, by_range: bool) -> u32 {
     let doomed: Vec<Addr> = (first..first + n).map(addr).collect();
     let mut moves = 0;
     let mut last_survivors = Vec::new();
-    for at in doomed.iter().filter_map(|&d| p.lookup(d)) {
+    for at in doomed.iter().filter_map(|&d| p.lookup(ix, d)) {
         if at.in_slot() {
             moves |= FREED_IN_SLOT;
         } else if p.cell(at).count == 1 {
             moves |= FREED_IN_SLAB;
         } else {
-            let mut left = p.group_members(at.addr());
+            let mut left = p.group_members(ix, at.addr());
             left.retain(|m| !doomed.contains(m));
             if let [survivor] = left[..] {
                 last_survivors.push(survivor);
@@ -116,37 +121,38 @@ fn free(p: &mut Plane, first: u8, n: u8, by_range: bool) -> u32 {
         }
     }
     let moved_in = if by_range {
-        p.remove_range(doomed[0], n as u64 * 4);
+        ix.remove_range([&mut *p], doomed[0], n as u64 * 4);
         IN_BY_PARTIAL_FREE_DOWN_TO_ONE
     } else {
-        p.remove(doomed[0]);
+        p.remove(ix, doomed[0]);
         IN_BY_REMOVE_DOWN_TO_ONE
     };
     // Whether a survivor belongs in its slot is `check_invariants`' call.
     if last_survivors
         .iter()
-        .any(|&s| p.lookup(s).expect("a survivor").in_slot())
+        .any(|&s| p.lookup(ix, s).expect("a survivor").in_slot())
     {
         moves |= moved_in;
     }
     moves
 }
 
-fn encoded(p: &Plane) -> Vec<u8> {
+fn encoded(ix: &Index, p: &Plane) -> Vec<u8> {
     let mut w = SnapshotWriter::new(*b"TEST", 1);
-    p.encode(&mut w);
+    p.encode(ix, &mut w);
     w.finish()
 }
 
 /// Applies one operation, checks the plane's invariants, the operation's
 /// own postconditions and that the plane survives a save and restore, and
 /// returns the clock and cell moves the operation caused.
-fn apply(p: &mut Plane, op: &PlaneOp) -> u32 {
+fn apply(ix: &mut Index, p: &mut Plane, op: &PlaneOp) -> u32 {
     let mut moves = 0;
     match *op {
         PlaneOp::InsertPrivate(a, c) => {
-            if p.lookup(addr(a)).is_none() {
+            if p.lookup(ix, addr(a)).is_none() {
                 let at = p.insert_private(
+                    ix,
                     addr(a),
                     AccessClock::Epoch(Epoch::new(c as u32 + 1, Tid(0))),
                     VcState::FirstEpochPrivate,
@@ -155,10 +161,10 @@ fn apply(p: &mut Plane, op: &PlaneOp) -> u32 {
             }
         }
         PlaneOp::ShareWithPred(a) => {
-            if p.lookup(addr(a)).is_none() {
-                if let Some(n) = p.nearest_predecessor(addr(a), 64) {
-                    let at = p.insert_shared(addr(a), n);
-                    assert!(!at.in_slot() && at.same_cell(p.lookup(n.addr()).unwrap()));
+            if p.lookup(ix, addr(a)).is_none() {
+                if let Some(n) = p.nearest_predecessor(ix, addr(a), 64) {
+                    let at = p.insert_shared(ix, addr(a), n);
+                    assert!(!at.in_slot() && at.same_cell(p.lookup(ix, n.addr()).unwrap()));
                     if n.in_slot() {
                         moves |= OUT_BY_JOIN;
                     }
@@ -166,13 +172,16 @@ fn apply(p: &mut Plane, op: &PlaneOp) -> u32 {
             }
         }
         PlaneOp::Split(a) => {
-            if let Some(at) = p.lookup(addr(a)) {
+            if let Some(at) = p.lookup(ix, addr(a)) {
                 let was_inline = p.clock_is_inline(at);
-                let other = p.group_members(addr(a)).into_iter().find(|&m| m != addr(a));
-                let (new, split) = p.split(at);
+                let other = p
+                    .group_members(ix, addr(a))
+                    .into_iter()
+                    .find(|&m| m != addr(a));
+                let (new, split) = p.split(ix, at);
                 assert_eq!(split, other.is_some());
                 if let Some(other) = other {
-                    let rest = p.lookup(other).unwrap();
+                    let rest = p.lookup(ix, other).unwrap();
                     assert!(!p.clock_is_inline(rest) && !p.clock_is_inline(new));
                     assert_eq!(p.clock_view(rest), p.clock_view(new));
                     assert!(!new.in_slot() && p.cell(new).count == 1);
@@ -183,34 +192,40 @@ fn apply(p: &mut Plane, op: &PlaneOp) -> u32 {
                 }
             }
         }
-        PlaneOp::Remove(a) => moves |= free(p, a, 1, false),
-        PlaneOp::RemoveRange(a, l) => moves |= free(p, a, l, true),
+        PlaneOp::Remove(a) => moves |= free(ix, p, a, 1, false),
+        PlaneOp::RemoveRange(a, l) => moves |= free(ix, p, a, l, true),
         PlaneOp::Touch(a, c) => {
-            if let Some(at) = p.lookup(addr(a)) {
-                moves |= write_clock(p, at, |clk| clk.set_write(Tid(1), c as u32 + 1));
+            if let Some(at) = p.lookup(ix, addr(a)) {
+                moves |= write_clock(ix, p, at, |clk| clk.set_write(Tid(1), c as u32 + 1));
             }
         }
         PlaneOp::TouchWide(a, c) => {
-            if let Some(at) = p.lookup(addr(a)) {
-                moves |= write_clock(p, at, |clk| clk.set_write(Tid(1 << 27), c as u32 + 1));
+            if let Some(at) = p.lookup(ix, addr(a)) {
+                moves |= write_clock(ix, p, at, |clk| clk.set_write(Tid(1 << 27), c as u32 + 1));
             }
         }
         PlaneOp::ReadBy(a, c) => {
-            if let Some(at) = p.lookup(addr(a)) {
+            if let Some(at) = p.lookup(ix, addr(a)) {
                 let mut now = VectorClock::new();
                 now.set(Tid(2), c as u32 + 1);
-                moves |= write_clock(p, at, |clk| {
+                moves |= write_clock(ix, p, at, |clk| {
                     clk.record_read(Tid(2), &now);
                 });
             }
         }
     }
-    p.check_invariants();
-    let bytes = encoded(p);
+    p.check_invariants(ix);
+    let bytes = encoded(ix, p);
     let mut r = SnapshotReader::new(&bytes, *b"TEST", 1, Default::default()).unwrap();
-    let restored = Plane::decode(&mut r).expect("a plane restores from its own bytes");
-    restored.check_invariants();
-    assert_eq!(encoded(&restored), bytes, "the encoding is canonical");
+    let mut restored_ix = Index::new();
+    let restored = Plane::decode(&mut r, &mut restored_ix, AccessKind::Read)
+        .expect("a plane restores from its own bytes");
+    restored.check_invariants(&restored_ix);
+    assert_eq!(
+        encoded(&restored_ix, &restored),
+        bytes,
+        "the encoding is canonical"
+    );
     moves
 }
 
@@ -222,9 +237,9 @@ proptest! {
     /// logical-clock accounting, where each cell lives).
     #[test]
     fn plane_invariants_under_random_ops(ops in proptest::collection::vec(arb_plane_op(), 1..80)) {
-        let mut p = Plane::new();
+        let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
         for op in &ops {
-            apply(&mut p, op);
+            apply(&mut ix, &mut p, op);
         }
     }
 }
@@ -245,7 +260,7 @@ fn long_sequence_crosses_every_clock_and_cell_move() {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         ((z ^ (z >> 31)) % n) as u8
     };
-    let mut p = Plane::new();
+    let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
     let mut moves = 0;
     for _ in 0..4000 {
         let (a, c) = (next(12), next(6));
@@ -260,7 +275,7 @@ fn long_sequence_crosses_every_clock_and_cell_move() {
             9 => PlaneOp::TouchWide(a, c),
             _ => PlaneOp::ReadBy(a, c),
         };
-        moves |= apply(&mut p, &op);
+        moves |= apply(&mut ix, &mut p, &op);
     }
     let missing: Vec<u32> = (0..15).filter(|bit| moves & (1 << bit) == 0).collect();
     assert!(

@@ -57,5 +57,5 @@ pub use governor::{process_gauge, MemComponent, PressureLevel, ProcessGauge, Wat
 pub use hash::{FastMap, FibBuildHasher, FibHasher};
 pub use paged::PagedShadow;
 pub use slab::{Slab, SlabId};
-pub use store::{HashSelect, PagedSelect, ShadowStore, StoreSelect};
+pub use store::{ChunkId, HashSelect, PagedSelect, ShadowStore, StoreSelect};
 pub use table::ShadowTable;

@@ -16,8 +16,8 @@
 //! independently, without any cross-thread invalidation.
 //!
 //! The chunks are the hash table's ([`Chunk`], Fig. 4: word mode, byte
-//! mode, the expansion between them), so every observable behaviour —
-//! hits, misses, neighbor scans, range removal — is identical between the
+//! mode, the expansion between them, lanes), so every observable behaviour
+//! — hits, misses, neighbor scans, range removal — is identical between the
 //! two stores; this file is only the directory over them.
 
 use std::cell::Cell;
@@ -25,11 +25,9 @@ use std::cell::Cell;
 use dgrace_trace::Addr;
 
 use crate::accounting::paged_dir_bytes;
-use crate::chunk::{
-    chunk_key, keys_in, low, scan, Chunk, Victims, CHUNK_SHIFT, EXPANSION_BYTES, NEW_CHUNK_BYTES,
-};
+use crate::chunk::{chunk_key, keys_in, low, scan, Chunk, Totals, Victims, CHUNK_SHIFT};
 use crate::hash::FastMap;
-use crate::store::ShadowStore;
+use crate::store::{ChunkId, ShadowStore};
 
 /// Chunks per directory; a directory spans 4 KiB.
 const DIR_CHUNKS: u64 = 32;
@@ -39,43 +37,42 @@ const DIR_SHIFT: u32 = CHUNK_SHIFT + DIR_BITS;
 const DIR_BYTES: usize = paged_dir_bytes(DIR_CHUNKS as usize);
 
 #[derive(Debug)]
-struct Directory<T> {
+struct Directory<T, const N: usize> {
     key: u64,
-    /// Populated cells across all chunks (O(1) emptiness checks).
-    live: u32,
-    chunks: [Option<Box<Chunk<T>>>; DIR_CHUNKS as usize],
+    /// Each lane's cells across all chunks: a lane's directory exists
+    /// (and is charged) while it holds one.
+    live: [u32; N],
+    chunks: [Option<Box<Chunk<T, N>>>; DIR_CHUNKS as usize],
 }
 
 /// A two-level direct-mapped shadow store: directory map → chunk array →
 /// slot array, with a one-entry hot-directory cache in front.
 ///
-/// Like [`ShadowTable`](crate::ShadowTable), the store tracks its own
+/// Like [`ShadowTable`](crate::ShadowTable), the store tracks each lane's
 /// modeled byte footprint (directory nodes + slot arrays) for the `Hash`
 /// column of Table 2.
 #[derive(Debug)]
-pub struct PagedShadow<T> {
+pub struct PagedShadow<T, const N: usize = 1> {
     /// Directory key (`addr >> 12`) → index into `dirs`.
     map: FastMap<u64, u32>,
     /// Directory arena; freed slots are recycled through `free`.
-    dirs: Vec<Option<Directory<T>>>,
+    dirs: Vec<Option<Directory<T, N>>>,
     free: Vec<u32>,
     /// Last directory hit: `(key, index into dirs)`. Interior-mutable so
     /// read-only lookups refresh it too; invalidated when the cached
     /// directory is freed. One per store, i.e. one per shard.
     hot: Cell<Option<(u64, u32)>>,
-    live: usize,
-    bytes: usize,
+    totals: [Totals; N],
 }
 
-impl<T> Default for PagedShadow<T> {
+impl<T, const N: usize> Default for PagedShadow<T, N> {
     fn default() -> Self {
         PagedShadow {
             map: FastMap::default(),
             dirs: Vec::new(),
             free: Vec::new(),
             hot: Cell::new(None),
-            live: 0,
-            bytes: 0,
+            totals: [Totals::default(); N],
         }
     }
 }
@@ -97,7 +94,25 @@ fn chunk_base(key: u64, ci: usize) -> u64 {
     (key << DIR_SHIFT) + ((ci as u64) << CHUNK_SHIFT)
 }
 
-impl<T> PagedShadow<T> {
+/// The handle of chunk `ci` of the directory at `di` in the arena.
+#[inline]
+fn chunk_id(addr: Addr, di: u32, ci: usize) -> ChunkId {
+    ChunkId {
+        key: chunk_key(addr),
+        at: (di as usize) << DIR_BITS | ci,
+    }
+}
+
+/// The directory arena index and chunk index a handle names.
+#[inline]
+fn place(at: ChunkId) -> (u32, usize) {
+    (
+        (at.at >> DIR_BITS) as u32,
+        at.at & (DIR_CHUNKS as usize - 1),
+    )
+}
+
+impl<T, const N: usize> PagedShadow<T, N> {
     /// Arena index of the directory for `key`, going through the hot
     /// cache. A hit costs one compare; a miss costs one hash probe and
     /// refreshes the cache.
@@ -114,23 +129,24 @@ impl<T> PagedShadow<T> {
     }
 
     #[inline]
-    fn dir(&self, key: u64) -> Option<&Directory<T>> {
+    fn dir(&self, key: u64) -> Option<&Directory<T, N>> {
         let i = self.dir_index(key)?;
         self.dirs[i as usize].as_ref()
     }
 
+    /// The chunk a [`ChunkId`] names.
     #[inline]
-    fn chunk_mut(&mut self, addr: Addr) -> Option<&mut Chunk<T>> {
-        let i = self.dir_index(dir_key(addr))?;
-        let dir = self.dirs[i as usize].as_mut()?;
-        dir.chunks[chunk_index(addr)].as_deref_mut()
+    fn chunk_at(&self, at: ChunkId) -> &Chunk<T, N> {
+        let (di, ci) = place(at);
+        let dir = self.dirs[di as usize].as_ref().expect("mapped directory");
+        dir.chunks[ci].as_deref().expect("resident chunk")
     }
 
     /// Maps an empty directory for `key` and makes it the hot one.
     fn new_dir(&mut self, key: u64) -> u32 {
         let dir = Directory {
             key,
-            live: 0,
+            live: [0; N],
             chunks: std::array::from_fn(|_| None),
         };
         let i = match self.free.pop() {
@@ -144,7 +160,6 @@ impl<T> PagedShadow<T> {
             }
         };
         self.map.insert(key, i);
-        self.bytes += DIR_BYTES;
         self.hot.set(Some((key, i)));
         i
     }
@@ -153,7 +168,6 @@ impl<T> PagedShadow<T> {
         self.dirs[di as usize] = None;
         self.map.remove(&key);
         self.free.push(di);
-        self.bytes -= DIR_BYTES;
         if let Some((k, _)) = self.hot.get() {
             if k == key {
                 self.hot.set(None);
@@ -161,84 +175,109 @@ impl<T> PagedShadow<T> {
         }
     }
 
+    /// Runs `op` on chunk `ci` of the directory at `di` and books what it
+    /// did to each lane — the store's totals, and the directory's own count
+    /// (a lane is charged a directory node while it holds a cell under it).
+    /// Then drops the chunk, and the directory, that no lane holds a cell
+    /// in any more.
+    fn booked<R>(
+        &mut self,
+        di: u32,
+        ci: usize,
+        op: impl FnOnce(&mut Chunk<T, N>, &mut [Totals; N]) -> R,
+    ) -> R {
+        let dir = self.dirs[di as usize].as_mut().expect("mapped directory");
+        let slot = &mut dir.chunks[ci];
+        let chunk = slot.as_deref_mut().expect("resident chunk");
+        let before = chunk.live();
+        let out = op(chunk, &mut self.totals);
+        let after = chunk.live();
+        if chunk.is_empty() {
+            *slot = None;
+        }
+        for (lane, total) in self.totals.iter_mut().enumerate() {
+            let had = dir.live[lane] > 0;
+            dir.live[lane] = dir.live[lane] + after[lane] as u32 - before[lane] as u32;
+            match (had, dir.live[lane] > 0) {
+                (false, true) => total.bytes += DIR_BYTES,
+                (true, false) => total.bytes -= DIR_BYTES,
+                _ => {}
+            }
+        }
+        if dir.live.iter().all(|&n| n == 0) {
+            let key = dir.key;
+            self.free_dir(key, di);
+        }
+        out
+    }
+
     /// Every resident chunk with its base address, in arena order.
-    fn chunks(&self) -> impl Iterator<Item = (u64, &Chunk<T>)> {
+    fn chunks(&self) -> impl Iterator<Item = (u64, &Chunk<T, N>)> {
         self.dirs.iter().flatten().flat_map(|dir| {
             let resident = dir.chunks.iter().enumerate();
             resident.filter_map(|(ci, chunk)| Some((chunk_base(dir.key, ci), chunk.as_deref()?)))
         })
     }
-
-    fn scan(&self, addr: Addr, max_dist: u64, up: bool) -> Option<(Addr, &T)> {
-        scan(addr, max_dist, up, |gc| match self.dir(gc >> DIR_BITS) {
-            // One probe covers an absent directory's whole 4 KiB span —
-            // cheaper than the hash table's probe per chunk.
-            None if up => Err(gc | (DIR_CHUNKS - 1)),
-            None => Err(gc & !(DIR_CHUNKS - 1)),
-            Some(dir) => dir.chunks[(gc & (DIR_CHUNKS - 1)) as usize]
-                .as_deref()
-                .ok_or(gc),
-        })
-    }
 }
 
-impl<T: std::fmt::Debug> ShadowStore<T> for PagedShadow<T> {
+impl<T: std::fmt::Debug, const N: usize> ShadowStore<T, N> for PagedShadow<T, N> {
     #[inline]
-    fn get(&self, addr: Addr) -> Option<&T> {
-        let dir = self.dir(dir_key(addr))?;
-        dir.chunks[chunk_index(addr)].as_ref()?.get(low(addr))
+    fn chunk(&self, addr: Addr) -> Option<ChunkId> {
+        let di = self.dir_index(dir_key(addr))?;
+        let dir = self.dirs[di as usize].as_ref()?;
+        let ci = chunk_index(addr);
+        dir.chunks[ci].as_ref()?;
+        Some(chunk_id(addr, di, ci))
     }
 
     #[inline]
-    fn get_mut(&mut self, addr: Addr) -> Option<&mut T> {
-        self.chunk_mut(addr)?.get_mut(low(addr))
-    }
-
-    #[inline]
-    fn insert(&mut self, addr: Addr, value: T) -> Option<T> {
+    fn chunk_or_insert(&mut self, addr: Addr) -> ChunkId {
         let key = dir_key(addr);
         let di = match self.dir_index(key) {
             Some(i) => i,
             None => self.new_dir(key),
         };
         let dir = self.dirs[di as usize].as_mut().expect("mapped directory");
-        let bytes = &mut self.bytes;
-        let chunk = dir.chunks[chunk_index(addr)].get_or_insert_with(|| {
-            *bytes += NEW_CHUNK_BYTES;
-            Box::new(Chunk::new())
-        });
-        let (prev, expanded) = chunk.put(low(addr), value);
-        if expanded {
-            self.bytes += EXPANSION_BYTES;
-        }
-        if prev.is_none() {
-            dir.live += 1;
-            self.live += 1;
-        }
-        prev
+        let ci = chunk_index(addr);
+        dir.chunks[ci].get_or_insert_with(|| Box::new(Chunk::new()));
+        chunk_id(addr, di, ci)
+    }
+
+    #[inline]
+    fn cell(&self, at: ChunkId, lane: usize, addr: Addr) -> Option<&T> {
+        debug_assert!(at.holds(addr));
+        self.chunk_at(at).get(lane, low(addr))
+    }
+
+    #[inline]
+    fn entry(&self, at: ChunkId, addr: Addr) -> [Option<&T>; N] {
+        debug_assert!(at.holds(addr));
+        self.chunk_at(at).entry(low(addr))
+    }
+
+    #[inline]
+    fn cell_mut(&mut self, at: ChunkId, lane: usize, addr: Addr) -> Option<&mut T> {
+        debug_assert!(at.holds(addr));
+        let (di, ci) = place(at);
+        let dir = self.dirs[di as usize].as_mut().expect("mapped directory");
+        let chunk = dir.chunks[ci].as_deref_mut().expect("resident chunk");
+        chunk.get_mut(lane, low(addr))
+    }
+
+    #[inline]
+    fn put(&mut self, at: ChunkId, lane: usize, addr: Addr, value: T) -> Option<T> {
+        debug_assert!(at.holds(addr));
+        let (di, ci) = place(at);
+        self.booked(di, ci, |c, t| c.put(lane, low(addr), value, t))
     }
 
     /// Drops the chunk — and the directory — when they become empty.
-    fn remove(&mut self, addr: Addr) -> Option<T> {
-        let key = dir_key(addr);
-        let di = self.dir_index(key)?;
-        let dir = self.dirs[di as usize].as_mut()?;
-        let slot = &mut dir.chunks[chunk_index(addr)];
-        let chunk = slot.as_mut()?;
-        let removed = chunk.take(low(addr))?;
-        dir.live -= 1;
-        self.live -= 1;
-        if chunk.is_empty() {
-            self.bytes -= chunk.bytes();
-            *slot = None;
-        }
-        if dir.live == 0 {
-            self.free_dir(key, di);
-        }
-        Some(removed)
+    fn take(&mut self, lane: usize, addr: Addr) -> Option<T> {
+        let (di, ci) = place(self.chunk(addr)?);
+        self.booked(di, ci, |c, t| c.take(lane, low(addr), t))
     }
 
-    fn remove_range(&mut self, base: Addr, len: u64, mut f: impl FnMut(Addr, T)) {
+    fn drain(&mut self, base: Addr, len: u64, mut f: impl FnMut(Addr, usize, T)) {
         if len == 0 {
             return;
         }
@@ -248,39 +287,49 @@ impl<T: std::fmt::Debug> ShadowStore<T> for PagedShadow<T> {
             let Some(di) = self.dir_index(key) else {
                 continue;
             };
-            let dir = self.dirs[di as usize].as_mut().expect("mapped directory");
-            for (ci, slot) in dir.chunks.iter_mut().enumerate() {
-                let Some(chunk) = slot else {
-                    continue;
+            for ci in 0..DIR_CHUNKS as usize {
+                // The directory goes with the last chunk it held.
+                let Some(dir) = self.dirs[di as usize].as_ref() else {
+                    break;
                 };
-                let removed = chunk.drain(chunk_base(key, ci), base.0, last, &mut f);
-                dir.live -= removed as u32;
-                self.live -= removed;
-                if chunk.is_empty() {
-                    self.bytes -= chunk.bytes();
-                    *slot = None;
+                if dir.chunks[ci].is_some() {
+                    let lo = chunk_base(key, ci);
+                    self.booked(di, ci, |c, t| c.drain(lo, base.0, last, t, &mut f));
                 }
-            }
-            if dir.live == 0 {
-                self.free_dir(key, di);
             }
         }
     }
 
-    fn nearest_predecessor(&self, addr: Addr, max_dist: u64) -> Option<(Addr, &T)> {
-        self.scan(addr, max_dist, false)
+    fn nearest(
+        &self,
+        lane: usize,
+        addr: Addr,
+        max_dist: u64,
+        up: bool,
+        near: Option<ChunkId>,
+    ) -> Option<(Addr, &T)> {
+        scan(lane, addr, max_dist, up, |gc| match near {
+            Some(at) if at.key == gc => Ok(self.chunk_at(at)),
+            _ => match self.dir(gc >> DIR_BITS) {
+                // One probe covers an absent directory's whole 4 KiB span —
+                // cheaper than the hash table's probe per chunk.
+                None if up => Err(gc | (DIR_CHUNKS - 1)),
+                None => Err(gc & !(DIR_CHUNKS - 1)),
+                Some(dir) => dir.chunks[(gc & (DIR_CHUNKS - 1)) as usize]
+                    .as_deref()
+                    .ok_or(gc),
+            },
+        })
     }
 
-    fn nearest_successor(&self, addr: Addr, max_dist: u64) -> Option<(Addr, &T)> {
-        self.scan(addr, max_dist, true)
+    #[inline]
+    fn lane_len(&self, lane: usize) -> usize {
+        self.totals[lane].live
     }
 
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    fn index_bytes(&self) -> usize {
-        self.bytes
+    #[inline]
+    fn lane_bytes(&self, lane: usize) -> usize {
+        self.totals[lane].bytes
     }
 
     /// The lowest-keyed resident directory that is *not* the hot-cached
@@ -292,22 +341,23 @@ impl<T: std::fmt::Debug> ShadowStore<T> for PagedShadow<T> {
         Some((Addr(key << DIR_SHIFT), 1u64 << DIR_SHIFT))
     }
 
-    fn for_each(&self, mut f: impl FnMut(Addr, &T)) {
+    fn lane_for_each(&self, lane: usize, mut f: impl FnMut(Addr, &T)) {
         for (base, chunk) in self.chunks() {
-            chunk.for_each(base, &mut f);
+            chunk.for_each(lane, base, &mut f);
         }
     }
 
-    fn byte_mode_chunks(&self) -> Vec<Addr> {
-        let byte_mode = self.chunks().filter(|(_, chunk)| chunk.is_byte_mode());
+    fn lane_byte_mode_chunks(&self, lane: usize) -> Vec<Addr> {
+        let byte_mode = self.chunks().filter(|(_, chunk)| chunk.is_byte_mode(lane));
         let mut out: Vec<Addr> = byte_mode.map(|(base, _)| Addr(base)).collect();
         out.sort_unstable();
         out
     }
 
-    fn force_byte_mode(&mut self, addr: Addr) {
-        if self.chunk_mut(addr).is_some_and(Chunk::expand) {
-            self.bytes += EXPANSION_BYTES;
+    fn lane_force_byte_mode(&mut self, lane: usize, addr: Addr) {
+        if let Some(at) = self.chunk(addr) {
+            let (di, ci) = place(at);
+            self.booked(di, ci, |c, t| c.expand(lane, t));
         }
     }
 }

@@ -124,6 +124,133 @@ fn store_matches_hashmap_model<S: ShadowStore<u32>>(ops: Vec<TableOp>) {
     }
 }
 
+/// Operations on one lane (plane) of a two-lane store: `(lane, addr,
+/// size)` inserts land at `addr` rounded down to the access size, so sizes
+/// 1 and 2 make the unaligned inserts that expand a lane.
+#[derive(Clone, Debug)]
+enum LaneOp {
+    Insert(usize, u16, u8, u32),
+    Remove(usize, u16),
+    RemoveRange(u16, u16),
+    ForceByteMode(usize, u16),
+}
+
+fn arb_lane_op() -> impl Strategy<Value = LaneOp> {
+    prop_oneof![
+        (0usize..2, 0u16..600, 0u8..4, any::<u32>()).prop_map(|(l, a, s, v)| LaneOp::Insert(
+            l,
+            a,
+            1 << s,
+            v
+        )),
+        (0usize..2, 0u16..600).prop_map(|(l, a)| LaneOp::Remove(l, a)),
+        (0u16..600, 1u16..200).prop_map(|(a, l)| LaneOp::RemoveRange(a, l)),
+        (0usize..2, 0u16..600).prop_map(|(l, a)| LaneOp::ForceByteMode(l, a)),
+    ]
+}
+
+/// One lane of the pair index against a one-lane store of that lane's
+/// cells alone: the same cells, neighbours, count, modeled bytes and
+/// byte-mode chunks.
+fn lane_matches<P: ShadowStore<u32, 2>, S: ShadowStore<u32>>(
+    pair: &P,
+    one: &S,
+    lane: usize,
+    a: u64,
+) {
+    let mut got: Vec<(u64, u32)> = Vec::new();
+    pair.lane_for_each(lane, |x, &v| got.push((x.0, v)));
+    let mut want: Vec<(u64, u32)> = Vec::new();
+    one.for_each(|x, &v| want.push((x.0, v)));
+    got.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(got, want, "lane {lane} cells");
+    assert_eq!(pair.lane_len(lane), one.len(), "lane {lane} len");
+    assert_eq!(
+        pair.lane_bytes(lane),
+        one.index_bytes(),
+        "lane {lane} index bytes"
+    );
+    assert_eq!(
+        pair.lane_byte_mode_chunks(lane),
+        one.byte_mode_chunks(),
+        "lane {lane} byte-mode chunks"
+    );
+    for probe in [a.saturating_sub(3), a, a + 1, a + 2, a + 5] {
+        let addr = Addr(probe);
+        let near = pair.chunk(addr);
+        let cell = near.and_then(|at| pair.cell(at, lane, addr));
+        assert_eq!(cell, one.get(addr), "lane {lane} get {probe:#x}");
+        for dist in [1, 3, 4, 8, 64, 130, 5000] {
+            for up in [false, true] {
+                let want = if up {
+                    one.nearest_successor(addr, dist)
+                } else {
+                    one.nearest_predecessor(addr, dist)
+                };
+                // Through the directory, and from a resolved chunk.
+                for hint in [None, near] {
+                    assert_eq!(
+                        pair.nearest(lane, addr, dist, up, hint),
+                        want,
+                        "lane {lane} nearest {probe:#x} dist {dist} up {up} hint {hint:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The pair index (both planes in one entry) against two independent
+/// one-lane stores, one per plane.
+fn pair_matches_two_stores<P: ShadowStore<u32, 2>, S: ShadowStore<u32>>(ops: Vec<LaneOp>) {
+    let mut pair = P::default();
+    let mut planes = [S::default(), S::default()];
+    for op in ops {
+        let touched = match op {
+            LaneOp::Insert(lane, a, size, v) => {
+                let a = at(a) & !(size as u64 - 1);
+                let chunk = pair.chunk_or_insert(Addr(a));
+                let prev = pair.put(chunk, lane, Addr(a), v);
+                assert_eq!(prev, planes[lane].insert(Addr(a), v), "insert at {a:#x}");
+                a
+            }
+            LaneOp::Remove(lane, a) => {
+                let a = at(a);
+                assert_eq!(pair.take(lane, Addr(a)), planes[lane].remove(Addr(a)));
+                a
+            }
+            LaneOp::RemoveRange(a, len) => {
+                let (a, len) = (at(a), len as u64);
+                let mut got: Vec<(u64, usize, u32)> = Vec::new();
+                pair.drain(Addr(a), len, |x, lane, v| got.push((x.0, lane, v)));
+                let mut want = Vec::new();
+                for (lane, one) in planes.iter_mut().enumerate() {
+                    one.remove_range(Addr(a), len, |x, v| want.push((x.0, lane, v)));
+                }
+                for lane in 0..2 {
+                    let addrs = got.iter().filter(|r| r.1 == lane).map(|r| r.0);
+                    let addrs: Vec<u64> = addrs.collect();
+                    assert!(addrs.is_sorted(), "lane {lane} drains in ascending order");
+                }
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "remove_range {a:#x}+{len}");
+                a
+            }
+            LaneOp::ForceByteMode(lane, a) => {
+                let a = at(a);
+                pair.lane_force_byte_mode(lane, Addr(a));
+                planes[lane].force_byte_mode(Addr(a));
+                a
+            }
+        };
+        for (lane, one) in planes.iter().enumerate() {
+            lane_matches(&pair, one, lane, touched);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -135,6 +262,18 @@ proptest! {
     #[test]
     fn paged_shadow_matches_hashmap_model(ops in proptest::collection::vec(arb_table_op(), 1..120)) {
         store_matches_hashmap_model::<PagedShadow<u32>>(ops);
+    }
+
+    /// Scan equivalence of the pair index: each lane of a two-lane store
+    /// is exactly the one-lane store of its own cells.
+    #[test]
+    fn shadow_table_pair_matches_two_tables(ops in proptest::collection::vec(arb_lane_op(), 1..120)) {
+        pair_matches_two_stores::<ShadowTable<u32, 2>, ShadowTable<u32>>(ops);
+    }
+
+    #[test]
+    fn paged_shadow_pair_matches_two_stores(ops in proptest::collection::vec(arb_lane_op(), 1..120)) {
+        pair_matches_two_stores::<PagedShadow<u32, 2>, PagedShadow<u32>>(ops);
     }
 
     /// The bitmap against a `HashSet<(addr, plane)>` model, through the
