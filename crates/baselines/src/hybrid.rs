@@ -174,6 +174,7 @@ impl Detector for HybridDetector {
                     keep
                 });
                 self.loc_bytes -= freed;
+                self.hb.forget_range(addr, size);
                 self.update_model();
             }
             Event::Alloc { .. } => {}

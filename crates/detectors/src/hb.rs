@@ -278,6 +278,21 @@ impl HbState {
         self.first_in_epoch(t, addr, true)
     }
 
+    /// Forgets `[addr, addr+size)` in every thread's current-epoch bitmap:
+    /// the range was freed and its shadow dropped, so the next access to
+    /// it, in any thread, is the first of its location again. Without
+    /// this, a thread that writes, frees, re-allocates and writes one word
+    /// in one epoch has its second write filtered as "same epoch", and a
+    /// concurrent write by another thread races with nothing. Drops no
+    /// bitmap chunk, so the modeled bytes do not move. Every detector that
+    /// filters through [`Self::first_read_in_epoch`] /
+    /// [`Self::first_write_in_epoch`] calls this on `Free`.
+    pub fn forget_range(&mut self, addr: Addr, size: u64) {
+        for ts in self.threads.iter_mut().flatten() {
+            ts.bitmap.forget_range(addr, size);
+        }
+    }
+
     fn first_in_epoch(&mut self, t: Tid, addr: Addr, is_write: bool) -> bool {
         let ts = thread_mut(&mut self.threads, t);
         let before = ts.bitmap.bytes();

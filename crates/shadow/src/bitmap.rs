@@ -117,6 +117,50 @@ impl EpochBitmap {
         self.test_and_set(addr, is_write);
     }
 
+    /// Clears both bits of every address in `[base, base+len)` — the range
+    /// was freed, so an access to it is the first of its location again —
+    /// and keeps every chunk, so the modeled bytes do not move. A range
+    /// that runs past the top of the address space ends there; the walk
+    /// costs the smaller of the range and the live chunks.
+    pub fn forget_range(&mut self, base: Addr, len: u64) {
+        if len == 0 || self.chunks.is_empty() {
+            return;
+        }
+        let last = base.0.saturating_add(len - 1);
+        let (first_key, last_key) = (base.0 / CHUNK_SPAN, last / CHUNK_SPAN);
+        let clear = |key: u64, chunk: &mut Chunk| {
+            let lo = base.0.max(key * CHUNK_SPAN) - key * CHUNK_SPAN;
+            let hi = last.min(key * CHUNK_SPAN + (CHUNK_SPAN - 1)) - key * CHUNK_SPAN;
+            // Two bits per address, four addresses per byte: whole bytes
+            // in the middle, single addresses at the ends.
+            let (mut a, end) = (lo, hi + 1);
+            while a < end {
+                let byte = (a / 4) as usize;
+                if a % 4 == 0 && a + 4 <= end {
+                    let whole = ((end - a) / 4) as usize;
+                    chunk[byte..byte + whole].fill(0);
+                    a += 4 * whole as u64;
+                } else {
+                    chunk[byte] &= !(3 << ((a % 4) * 2));
+                    a += 1;
+                }
+            }
+        };
+        if last_key - first_key < self.chunks.len() as u64 {
+            for key in first_key..=last_key {
+                if let Some(chunk) = self.chunks.get_mut(&key) {
+                    clear(key, chunk);
+                }
+            }
+        } else {
+            for (&key, chunk) in self.chunks.iter_mut() {
+                if (first_key..=last_key).contains(&key) {
+                    clear(key, chunk);
+                }
+            }
+        }
+    }
+
     /// Resets the bitmap — called at every lock release, when the thread's
     /// next epoch begins.
     pub fn reset(&mut self) {
@@ -284,6 +328,32 @@ mod tests {
         assert!(b.first_in_epoch(Addr(0x41), true));
         assert!(b.test(Addr(0x41), false) && b.test(Addr(0x41), true));
         assert_eq!(b.chunk_count(), 1);
+    }
+
+    /// A freed range reads as untouched again in both planes, its
+    /// neighbours keep their bits, and no chunk comes or goes.
+    #[test]
+    fn forget_range_clears_the_range_only() {
+        let mut b = EpochBitmap::new();
+        for a in 0..CHUNK_SPAN * 3 {
+            b.test_and_set(Addr(a), true);
+            b.test_and_set(Addr(a), false);
+        }
+        let bytes = b.bytes();
+        // Unaligned at both ends and across both chunk seams.
+        let (base, len) = (CHUNK_SPAN - 7, CHUNK_SPAN + 13);
+        b.forget_range(Addr(base), len);
+        for a in 0..CHUNK_SPAN * 3 {
+            let freed = (base..base + len).contains(&a);
+            assert_eq!(b.test(Addr(a), true), !freed, "write bit of {a}");
+            assert_eq!(b.test(Addr(a), false), !freed, "read bit of {a}");
+        }
+        assert_eq!((b.chunk_count(), b.bytes()), (3, bytes));
+        // A range past the top of the address space ends there.
+        b.test_and_set(Addr(u64::MAX), true);
+        b.forget_range(Addr(u64::MAX - 1), 16);
+        assert!(!b.test(Addr(u64::MAX), true));
+        assert_eq!(b.chunk_count(), 4);
     }
 
     #[test]
