@@ -16,7 +16,7 @@ pub struct FibHasher {
 }
 
 /// 2^64 / φ, the classic Fibonacci-hashing multiplier.
-const K: u64 = 0x9e37_79b9_7f4a_7c15;
+pub(crate) const FIB: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl Hasher for FibHasher {
     #[inline]
@@ -28,13 +28,13 @@ impl Hasher for FibHasher {
     fn write(&mut self, bytes: &[u8]) {
         // Generic path (used for non-integer keys, rare here).
         for &b in bytes {
-            self.state = (self.state ^ b as u64).wrapping_mul(K);
+            self.state = (self.state ^ b as u64).wrapping_mul(FIB);
         }
     }
 
     #[inline]
     fn write_u64(&mut self, v: u64) {
-        self.state = v.wrapping_mul(K) ^ (v >> 32);
+        self.state = v.wrapping_mul(FIB) ^ (v >> 32);
     }
 
     #[inline]
