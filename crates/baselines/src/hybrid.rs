@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 use dgrace_detectors::{AccessKind, Detector, HbState, RaceKind, RaceReport, Report};
 use dgrace_shadow::{MemClass, MemoryModel};
 use dgrace_trace::{Addr, Event, LockId};
-use dgrace_vc::{Epoch, Tid, VectorClock};
+use dgrace_vc::{ClockValue, Epoch, Tid, VectorClock};
 
 #[derive(Clone, Debug, Default)]
 struct LocEntry {
@@ -23,6 +23,12 @@ struct LocEntry {
 }
 
 impl LocEntry {
+    /// The same-epoch filter: thread `tid` already made this access in
+    /// its current epoch `c` (a write also covers the epoch's reads).
+    fn covers(&self, kind: AccessKind, tid: Tid, c: ClockValue) -> bool {
+        self.writes.get(tid) == c || kind == AccessKind::Read && self.reads.get(tid) == c
+    }
+
     fn bytes(&self) -> usize {
         // Two full VCs, a lockset, and the report key list: the heavy
         // footprint that gives Inspector its ~2.8× memory vs dynamic.
@@ -64,18 +70,17 @@ impl HybridDetector {
 
     fn on_access(&mut self, tid: Tid, addr: Addr, kind: AccessKind) {
         self.accesses += 1;
-        let first = match kind {
-            AccessKind::Read => self.hb.first_read_in_epoch(tid, addr),
-            AccessKind::Write => self.hb.first_write_in_epoch(tid, addr),
-        };
-        if !first {
+        let now = self.hb.clock(tid);
+        let my_epoch = Epoch::new(now.get(tid), tid);
+        if self
+            .table
+            .get(&addr)
+            .is_some_and(|e| e.covers(kind, tid, my_epoch.clock))
+        {
             self.same_epoch += 1;
             return;
         }
-        // The same-epoch filter above materialized `tid`.
-        let now = self.hb.now(tid);
-        let my_epoch = Epoch::new(now.get(tid), tid);
-        let held = self.held.entry(tid).or_default().clone();
+        let held = self.held.entry(tid).or_default();
 
         let is_new = !self.table.contains_key(&addr);
         let entry = self.table.entry(addr).or_default();
@@ -141,7 +146,6 @@ impl HybridDetector {
 
     fn update_model(&mut self) {
         self.model.set(MemClass::VectorClock, self.loc_bytes);
-        self.model.set(MemClass::Bitmap, self.hb.bitmap_bytes());
         self.model.set_vc_count(self.table.len() * 2);
     }
 }
@@ -174,7 +178,6 @@ impl Detector for HybridDetector {
                     keep
                 });
                 self.loc_bytes -= freed;
-                self.hb.forget_range(addr, size);
                 self.update_model();
             }
             Event::Alloc { .. } => {}
@@ -196,7 +199,6 @@ impl Detector for HybridDetector {
         rep.stats.same_epoch = self.same_epoch;
         rep.stats.peak_vc_count = self.model.peak_vc_count();
         rep.stats.peak_vc_bytes = self.model.peak(MemClass::VectorClock);
-        rep.stats.peak_bitmap_bytes = self.hb.peak_bitmap_bytes();
         rep.stats.peak_total_bytes = self.model.peak_total();
         *self = HybridDetector::default();
         rep

@@ -26,4 +26,6 @@ fn main() {
     }
     println!("paper shape: dynamic slashes the vector-clock column (~4x vs byte);");
     println!("hash/index costs are equal for byte and dynamic; word saves some indexing.");
+    println!("bitmap reads 0: these detectors keep no per-thread same-epoch bitmap (§IV.A);");
+    println!("they answer a same-epoch repeat from the location's shadow entry instead.");
 }

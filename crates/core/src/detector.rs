@@ -129,17 +129,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
 
     fn on_access(&mut self, tid: Tid, addr: Addr, size: u64, kind: AccessKind) {
         self.accesses += 1;
-
-        // Per-thread bitmap: cheapest same-epoch filter.
-        let first = match kind {
-            AccessKind::Read => self.hb.first_read_in_epoch(tid, addr),
-            AccessKind::Write => self.hb.first_write_in_epoch(tid, addr),
-        };
-        if !first {
-            self.same_epoch += 1;
-            return;
-        }
-
         let my_epoch = self.hb.epoch(tid);
         // The access's one directory probe: the chunk of `addr`, and with
         // it both planes' slots of `addr` and of every neighbour inside it.
@@ -150,18 +139,21 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             AccessKind::Read => (read, write),
             AccessKind::Write => (write, read),
         };
-        let plane = self.plane(kind);
-
-        // Sharing-derived same-epoch fast path: a neighbor in our group
-        // was already brought to this epoch, so this access needs no
-        // clock work at all ("multiple accesses may be treated as the
-        // same epoch accesses", §III.B). Checked from the epoch alone —
-        // no vector-clock copy.
-        if let Some(at) = lookup {
-            if Self::clock_covers_epoch(plane.clock_view(at), my_epoch, kind) {
-                self.same_epoch += 1;
-                return;
-            }
+        // The same-epoch filter, from the entry alone (FastTrack's `W == E`
+        // / `R == E`): the cell's clock already holds this epoch — this
+        // thread made the access before, or a neighbour in its group was
+        // brought to this epoch ("multiple accesses may be treated as the
+        // same epoch accesses", §III.B) — or, for a read, this thread wrote
+        // the location in this epoch, and a write covers its later reads.
+        // Checked from the epoch alone, with no vector-clock copy.
+        let covered = |plane: &Plane, at: Option<CellRef>, kind| {
+            at.is_some_and(|at| Self::clock_covers_epoch(plane.clock_view(at), my_epoch, kind))
+        };
+        if covered(self.plane(kind), lookup, kind)
+            || kind == AccessKind::Read && covered(&self.write, other, AccessKind::Write)
+        {
+            self.same_epoch += 1;
+            return;
         }
 
         match lookup {
@@ -512,7 +504,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
 
     fn update_model(&mut self) {
         self.set_shadow_model();
-        self.model.set(MemClass::Bitmap, self.hb.bitmap_bytes());
         let cells = self.read.cell_count() + self.write.cell_count();
         let locs = self.loc_count();
         if locs > self.peak_locs {
@@ -611,13 +602,11 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
             }
             Event::Free { addr, size, .. } => {
                 self.free(addr, size);
-                self.hb.forget_range(addr, size);
                 self.update_model();
             }
             Event::Alloc { .. } => {}
             _ => {
                 self.hb.on_sync(ev);
-                self.model.set(MemClass::Bitmap, self.hb.bitmap_bytes());
             }
         }
         self.event_index += 1;
@@ -641,7 +630,7 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
         rep.stats.same_epoch = self.same_epoch;
         rep.stats.vc_allocs = self.read.vc_allocs() + self.write.vc_allocs();
         rep.stats.vc_frees = self.read.vc_frees() + self.write.vc_frees();
-        rep.stats.set_peaks(&self.model, &self.hb);
+        rep.stats.set_peaks(&self.model);
         rep.stats.sharing = Some(SharingStats {
             shares: self.shares,
             splits: self.splits,
@@ -1089,8 +1078,8 @@ mod tests {
             .write_block(0u32, X, 64, AccessSize::U32)
             .write_block(0u32, X, 64, AccessSize::U32);
         let rep = DynamicGranularity::new().run(&b.build());
-        // Third sweep: all 16 accesses same-epoch via the bitmap; second
-        // sweep re-shares. Expect a high same-epoch count.
+        // Third sweep: all 16 accesses same-epoch, answered by their cells;
+        // second sweep re-shares. Expect a high same-epoch count.
         assert!(
             rep.stats.same_epoch >= 16,
             "same_epoch={}",

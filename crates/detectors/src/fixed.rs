@@ -4,14 +4,14 @@
 //! DJIT+ (§II.B) and FastTrack (§II.C) are the same tool around different
 //! shadow cells — the paper presents FastTrack as DJIT+ with the clocks
 //! compressed to epochs. Everything that is not the cell lives here once:
-//! the same-epoch filter, the Fig. 4 index of boxed cells, first race per
+//! the same-epoch bitmaps, the Fig. 4 index of boxed cells, first race per
 //! location, the memory model and its budget, free handling, the report
 //! and the `DGSS` snapshot section. A [`CellRule`] supplies what one
 //! access does to one cell.
 
 use std::fmt::Debug;
 
-use dgrace_shadow::{MemClass, MemoryModel, ShadowStore, StoreSelect, Victims};
+use dgrace_shadow::{EpochBitmap, MemClass, MemoryModel, ShadowStore, StoreSelect, Victims};
 use dgrace_trace::{Addr, Event, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{Epoch, Tid, VectorClock};
 
@@ -47,6 +47,76 @@ pub trait CellRule: Debug + Default + Send + 'static {
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, TraceError>;
 }
 
+/// Each thread's same-epoch bitmap (§IV.A), reset when the thread's own
+/// clock ticks.
+///
+/// The dynamic detector answers "already made this access in this
+/// epoch?" from the location's shadow entry. These detectors keep the
+/// bitmap because their shadow can be evicted under a budget while the
+/// thread is still in the epoch: the bitmap remembers the access, where a
+/// re-created cell would not, and without it a governed run re-creates
+/// every evicted cell its sweeps touch again (DESIGN.md §4a).
+#[derive(Debug, Default)]
+struct EpochBitmaps {
+    /// By thread id.
+    threads: Vec<EpochBitmap>,
+    /// Modeled bytes of all of them.
+    bytes: usize,
+}
+
+impl EpochBitmaps {
+    /// Marks a `kind` access of `loc` by `t`; `false` if an access of this
+    /// epoch already covers it (a write also covers reads).
+    fn first_in_epoch(&mut self, t: Tid, loc: Addr, kind: AccessKind) -> bool {
+        let i = t.index();
+        if i >= self.threads.len() {
+            self.threads.resize_with(i + 1, EpochBitmap::default);
+        }
+        let bm = &mut self.threads[i];
+        let before = bm.bytes();
+        let first = bm.first_in_epoch(loc, kind == AccessKind::Write);
+        // Only a first access can have added a chunk.
+        if first {
+            self.bytes += bm.bytes() - before;
+        }
+        first
+    }
+
+    /// Starts `t`'s next epoch.
+    fn new_epoch(&mut self, t: Tid) {
+        if let Some(bm) = self.threads.get_mut(t.index()) {
+            self.bytes -= bm.bytes();
+            bm.reset();
+        }
+    }
+
+    /// Forgets `[addr, addr+size)` in every thread's bitmap: the range was
+    /// freed and its cells dropped, so the next access to it, in any
+    /// thread, is the first of its location again. Drops no chunk, so the
+    /// modeled bytes do not move.
+    fn forget_range(&mut self, addr: Addr, size: u64) {
+        for bm in &mut self.threads {
+            bm.forget_range(addr, size);
+        }
+    }
+
+    fn encode(&self, w: &mut SnapshotWriter) {
+        w.count(self.threads.len());
+        for bm in &self.threads {
+            bm.encode(w);
+        }
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, TraceError> {
+        let n = r.count("thread bitmaps")?;
+        let threads = (0..n)
+            .map(|_| EpochBitmap::decode(r))
+            .collect::<Result<Vec<_>, _>>()?;
+        let bytes = threads.iter().map(EpochBitmap::bytes).sum();
+        Ok(EpochBitmaps { threads, bytes })
+    }
+}
+
 /// A happens-before detector with a fixed detection granularity and the
 /// per-location rule `C`, on the shadow store selected by `K`.
 ///
@@ -60,6 +130,7 @@ pub trait CellRule: Debug + Default + Send + 'static {
 pub struct FixedOn<C: CellRule, K: StoreSelect> {
     granularity: Granularity,
     hb: HbState,
+    bitmaps: EpochBitmaps,
     table: K::Store<Box<C>, 1>,
     model: MemoryModel,
     vc_bytes: usize,
@@ -100,16 +171,12 @@ impl<C: CellRule, K: StoreSelect> FixedOn<C, K> {
         let loc = self.granularity.locate(addr);
 
         // Same-epoch filter (DJIT+'s core optimization).
-        let first = match kind {
-            AccessKind::Read => self.hb.first_read_in_epoch(tid, loc),
-            AccessKind::Write => self.hb.first_write_in_epoch(tid, loc),
-        };
-        if !first {
+        if !self.bitmaps.first_in_epoch(tid, loc, kind) {
             self.same_epoch += 1;
             return;
         }
 
-        let now = self.hb.now(tid);
+        let now = self.hb.clock(tid);
         if self.table.get(loc).is_none() {
             let cell = Box::<C>::default();
             self.vc_bytes += cell.bytes();
@@ -151,7 +218,7 @@ impl<C: CellRule, K: StoreSelect> FixedOn<C, K> {
     fn update_model(&mut self) {
         self.model.set(MemClass::Hash, self.table.index_bytes());
         self.model.set(MemClass::VectorClock, self.vc_bytes);
-        self.model.set(MemClass::Bitmap, self.hb.bitmap_bytes());
+        self.model.set(MemClass::Bitmap, self.bitmaps.bytes);
         self.model.set_vc_count(self.table.len() * 2);
         if self.model.over_budget() {
             self.enforce_budget();
@@ -211,13 +278,16 @@ impl<C: CellRule, K: StoreSelect> Detector for FixedOn<C, K> {
             Event::Write { tid, addr, .. } => self.on_access(tid, addr, AccessKind::Write),
             Event::Free { addr, size, .. } => {
                 self.remove_cells(addr, size);
-                self.hb.forget_range(addr, size);
+                self.bitmaps.forget_range(addr, size);
                 self.update_model();
             }
             Event::Alloc { .. } => {}
             _ => {
                 self.hb.on_sync(ev);
-                self.model.set(MemClass::Bitmap, self.hb.bitmap_bytes());
+                if let Some(t) = HbState::epoch_ended_by(ev) {
+                    self.bitmaps.new_epoch(t);
+                }
+                self.model.set(MemClass::Bitmap, self.bitmaps.bytes);
             }
         }
         self.event_index += 1;
@@ -234,7 +304,7 @@ impl<C: CellRule, K: StoreSelect> Detector for FixedOn<C, K> {
         rep.stats.same_epoch = self.same_epoch;
         rep.stats.vc_allocs = self.vc_allocs;
         rep.stats.vc_frees = self.vc_frees;
-        rep.stats.set_peaks(&self.model, &self.hb);
+        rep.stats.set_peaks(&self.model);
         rep.stats.evicted = self.evicted;
         rep.budget_degraded = self.model.breached();
         *self = self.fresh();
@@ -252,6 +322,7 @@ impl<C: CellRule, K: StoreSelect> Detector for FixedOn<C, K> {
     fn write_section(&self, w: &mut SnapshotWriter) -> bool {
         Section::Detector.write(w);
         self.hb.encode(w);
+        self.bitmaps.encode(w);
         encode_store(w, &self.table, |w, cell| cell.encode(w));
         self.model.encode(w);
         encode_races(w, &self.races);
@@ -277,6 +348,7 @@ impl<C: CellRule, K: StoreSelect> Detector for FixedOn<C, K> {
     fn read_section(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SectionError> {
         Section::Detector.read(r)?;
         let hb = HbState::decode(r)?;
+        let bitmaps = EpochBitmaps::decode(r)?;
         let table = decode_store(r, |r| C::decode(r).map(Box::new))?;
         let mut model = MemoryModel::decode(r)?;
         let races = decode_races(r)?;
@@ -290,6 +362,7 @@ impl<C: CellRule, K: StoreSelect> Detector for FixedOn<C, K> {
         *self = FixedOn {
             granularity: self.granularity,
             hb,
+            bitmaps,
             table,
             model,
             vc_bytes,

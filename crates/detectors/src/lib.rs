@@ -7,8 +7,8 @@
 //!   (the analysis side of the PIN callbacks), plus [`Report`] /
 //!   [`RaceReport`] / [`DetectorStats`];
 //! * [`HbState`] — shared happens-before machinery: per-thread vector
-//!   clocks, lock clocks, fork/join edges, epoch numbering (a new epoch at
-//!   every lock release, as in DJIT+), and per-thread same-epoch bitmaps;
+//!   clocks, lock clocks, fork/join edges and epoch numbering (a new epoch
+//!   at every lock release, as in DJIT+);
 //! * [`Granularity`] — byte/word/fixed-size address masking;
 //! * [`Djit`] — the DJIT+ detector of §II.B (full per-location read/write
 //!   vector clocks);

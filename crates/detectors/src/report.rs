@@ -6,8 +6,6 @@ use dgrace_shadow::{MemClass, MemoryModel};
 use dgrace_trace::{Addr, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{Epoch, Tid};
 
-use crate::HbState;
-
 /// Whether an access is a read or a write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AccessKind {
@@ -160,7 +158,10 @@ pub struct DetectorStats {
     pub peak_hash_bytes: usize,
     /// Peak modeled bytes of vector clocks (Table 2 "Vector clock").
     pub peak_vc_bytes: usize,
-    /// Peak modeled bytes of same-epoch bitmaps (Table 2 "Bitmap").
+    /// Peak modeled bytes of access bitmaps (Table 2 "Bitmap"): segment-drd
+    /// charges its segment bitmaps here. 0 for the happens-before
+    /// detectors, which answer the same-epoch test from the location's
+    /// shadow entry instead of a per-thread bitmap.
     pub peak_bitmap_bytes: usize,
     /// Peak of the instantaneous total (Table 2 "Overhead total").
     pub peak_total_bytes: usize,
@@ -193,12 +194,12 @@ pub struct DetectorStats {
 
 impl DetectorStats {
     /// Fills the five peak columns of Table 2/3 from a detector's memory
-    /// model and its happens-before state (which owns the bitmaps).
-    pub fn set_peaks(&mut self, model: &MemoryModel, hb: &HbState) {
+    /// model.
+    pub fn set_peaks(&mut self, model: &MemoryModel) {
         self.peak_vc_count = model.peak_vc_count();
         self.peak_hash_bytes = model.peak(MemClass::Hash);
         self.peak_vc_bytes = model.peak(MemClass::VectorClock);
-        self.peak_bitmap_bytes = hb.peak_bitmap_bytes();
+        self.peak_bitmap_bytes = model.peak(MemClass::Bitmap);
         self.peak_total_bytes = model.peak_total();
     }
 

@@ -13,7 +13,9 @@
 //! * [`EpochBitmap`] — the per-thread bitmap used to answer "is this the
 //!   first access to this location in my current epoch?" without touching
 //!   the global shadow structure (§IV.A). The bitmap is reset at every
-//!   lock release (i.e. at each new epoch of the thread).
+//!   lock release (i.e. at each new epoch of the thread). Only the
+//!   fixed-granularity detectors keep one: the dynamic detector answers
+//!   the question from the location's shadow entry.
 //! * [`MemoryModel`] — the memory-accounting model that regenerates the
 //!   *Hash / Vector clock / Bitmap* columns of Table 2 and the
 //!   vector-clock population counts of Table 3. Sizes are modeled from the

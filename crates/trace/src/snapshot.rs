@@ -30,13 +30,15 @@ pub const STATE_MAGIC: [u8; 4] = *b"DGSS";
 /// Current detector-state snapshot format version.
 ///
 /// Version 3 is one header, the stack's name, then one tagged section
-/// per layer (`dgrace_detectors::snap::Section`); older snapshots are
-/// refused, not migrated.
-pub const STATE_VERSION: u32 = 3;
+/// per layer (`dgrace_detectors::snap::Section`). Version 4 drops the
+/// per-thread same-epoch bitmaps from the happens-before state. Older
+/// snapshots are refused, not migrated.
+pub const STATE_VERSION: u32 = 4;
 /// Magic prefix for run-level checkpoint manifests.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DGCP";
 /// Current checkpoint manifest format version: a manifest ends with a
-/// CRC32 trailer ([`seal_crc`]) and carries version-3 `DGSS` snapshots.
+/// CRC32 trailer ([`seal_crc`]) and carries `DGSS` snapshots of
+/// [`STATE_VERSION`], which refuse to restore from any other version.
 pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Sanity bounds applied while decoding untrusted snapshot bytes.
@@ -115,7 +117,7 @@ impl SnapshotWriter {
     }
 
     /// Appends raw bytes with no length prefix (fixed-size payloads the
-    /// reader knows the length of, e.g. bitmap chunks).
+    /// reader knows the length of, e.g. a magic).
     pub fn raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }

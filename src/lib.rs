@@ -8,8 +8,7 @@
 //! * [`vc`] — vector clocks, epochs and adaptive read clocks;
 //! * [`trace`] — the event model and trace format (the PIN-callback
 //!   substitute);
-//! * [`shadow`] — shadow memory, per-thread epoch bitmaps, and the
-//!   memory-accounting model;
+//! * [`shadow`] — shadow memory and the memory-accounting model;
 //! * [`detectors`] — the `Detector` trait, DJIT+, FastTrack at fixed
 //!   granularities, and the exact oracle;
 //! * [`core`] — the paper's contribution: the dynamic-granularity
