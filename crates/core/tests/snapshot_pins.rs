@@ -9,13 +9,26 @@
 //! exactly these bytes, so a literal that moves breaks resuming older
 //! checkpoints.
 //!
-//! 24 of the 32 digests were last regenerated when `Free` began clearing
-//! the freed range from every thread's same-epoch bitmap. The seeded trace
-//! below frees 16-byte blocks of its 96 words and touches them again, some
-//! in the same epoch; each such access used to be filtered as a repeat of
-//! the one before the free, so the shadow the free had dropped was never
-//! rebuilt. The state two thirds of the way through now records those
-//! accesses. The eight `sampled` digests did not move (`loc:2` admits none
+//! All 32 digests were last regenerated when `DGSS` went to version 4:
+//! the happens-before state lost its per-thread same-epoch bitmaps. The
+//! dynamic detector answers a same-epoch repeat from the location's shadow
+//! entry, and the fixed-granularity detectors keep their bitmaps in their
+//! own section, after the happens-before state. `data/dynamic-v3.dgss` is
+//! the version-3 snapshot of the `("dynamic", "hash", "bare")` pin, written
+//! by the last version-3 build: it is refused. Without the bitmap the
+//! dynamic detector re-checks two read repeats on this race-dense trace
+//! that the bitmap had filtered (a racing write in between left the read
+//! clock without the reader's epoch): two more `WriteRead` reports, at
+//! `0x4104` and `0x4040`, both addresses already reported, 313 → 315
+//! races and 116 → 111 same-epoch accesses.
+//!
+//! 24 of the 32 digests were regenerated before that, when `Free` began
+//! clearing the freed range from every thread's same-epoch bitmap. The
+//! seeded trace below frees 16-byte blocks of its 96 words and touches
+//! them again, some in the same epoch; each such access used to be
+//! filtered as a repeat of the one before the free, so the shadow the
+//! free had dropped was never rebuilt. The state two thirds of the way
+//! through now records those accesses. The eight `sampled` digests did not move (`loc:2` admits none
 //! of them).
 //!
 //! All 32 digests were regenerated when `DGSS` went to version 3: one
@@ -29,7 +42,7 @@
 //! snapshot from before that move, taken at the `("dynamic", "hash",
 //! "bare")` pin: it is refused, and the report its writer went on to
 //! print differs from this build's only by the two races the `Free` fix
-//! exposes.
+//! exposes and the two `WriteRead` repeats above.
 
 use dgrace_core::vc_detector;
 use dgrace_detectors::{
@@ -154,38 +167,38 @@ fn layered(name: &str, store: &str, layer: &str) -> Box<dyn Detector> {
 }
 
 const PINS: [(&str, &str, &str, u64); 32] = [
-    ("byte", "hash", "bare", 0x0bfeb20cc1ed3ec9),
-    ("byte", "hash", "sampled", 0x095d122bd7494a3e),
-    ("byte", "hash", "governed", 0xc76f1e697a64a3ab),
-    ("byte", "hash", "pruned", 0x20dc15b4f586121e),
-    ("byte", "paged", "bare", 0xa0f3fb247b85a882),
-    ("byte", "paged", "sampled", 0x0205122de3cf5e4b),
-    ("byte", "paged", "governed", 0xbe6baca43bcf5e4b),
-    ("byte", "paged", "pruned", 0x767989d11086540e),
-    ("word", "hash", "bare", 0x729191f9eddebe5f),
-    ("word", "hash", "sampled", 0xec9075ebb4b5a8dc),
-    ("word", "hash", "governed", 0xad7a272c6f1e50c5),
-    ("word", "hash", "pruned", 0xe7c857af7da1192c),
-    ("word", "paged", "bare", 0x6428061bdf7fdecc),
-    ("word", "paged", "sampled", 0x3865d0086d6f0629),
-    ("word", "paged", "governed", 0x0e2f6e67de34ff39),
-    ("word", "paged", "pruned", 0x96fa2241e04a1144),
-    ("djit", "hash", "bare", 0xa2b64b92e0eba4da),
-    ("djit", "hash", "sampled", 0x63da6dd384d0d6fb),
-    ("djit", "hash", "governed", 0x31543d87bac81157),
-    ("djit", "hash", "pruned", 0x576e15f7dfd7436d),
-    ("djit", "paged", "bare", 0xd6ffcac16325694e),
-    ("djit", "paged", "sampled", 0x728c8b12b2c3e7d2),
-    ("djit", "paged", "governed", 0x183fe2ab3498ef70),
-    ("djit", "paged", "pruned", 0x044efdff35d55de4),
-    ("dynamic", "hash", "bare", 0xb8e890f86063fef7),
-    ("dynamic", "hash", "sampled", 0xd7ecf29895279112),
-    ("dynamic", "hash", "governed", 0x9db07f2611510e82),
-    ("dynamic", "hash", "pruned", 0xa16092d8c668169d),
-    ("dynamic", "paged", "bare", 0x5279447720dc69d3),
-    ("dynamic", "paged", "sampled", 0xf148596e18597a17),
-    ("dynamic", "paged", "governed", 0xbc5e83148b26bb8b),
-    ("dynamic", "paged", "pruned", 0xa68f01809aed2c99),
+    ("byte", "hash", "bare", 0x2b81bd617ba156ed),
+    ("byte", "hash", "sampled", 0xf5d2ed5482ee0b32),
+    ("byte", "hash", "governed", 0xc5c6478baece663f),
+    ("byte", "hash", "pruned", 0x8e6816375c45387e),
+    ("byte", "paged", "bare", 0x746f28e2ae87831a),
+    ("byte", "paged", "sampled", 0xac797c0740b4d5bb),
+    ("byte", "paged", "governed", 0xf4063886adb48413),
+    ("byte", "paged", "pruned", 0x6507d19bdf6b3d62),
+    ("word", "hash", "bare", 0xe2b730bb6949e63f),
+    ("word", "hash", "sampled", 0x96f3a2b3dd0a9d2c),
+    ("word", "hash", "governed", 0x67e4b3a621db803d),
+    ("word", "hash", "pruned", 0x2e38dec9c7000f98),
+    ("word", "paged", "bare", 0x18c551eeee6bbc88),
+    ("word", "paged", "sampled", 0x692bdccee1f79805),
+    ("word", "paged", "governed", 0xbf4639757655cb9d),
+    ("word", "paged", "pruned", 0x53307b1e0a2fe9b4),
+    ("djit", "hash", "bare", 0xf8ed2d4234e95c30),
+    ("djit", "hash", "sampled", 0xb696724092fc5a69),
+    ("djit", "hash", "governed", 0xfd49d821d691f27b),
+    ("djit", "hash", "pruned", 0x29906f455f1a1053),
+    ("djit", "paged", "bare", 0x1eebd72494672110),
+    ("djit", "paged", "sampled", 0x4364cf653cd69210),
+    ("djit", "paged", "governed", 0x112e458c2d4f9786),
+    ("djit", "paged", "pruned", 0x9f5fd18e5fd1100e),
+    ("dynamic", "hash", "bare", 0x3bd9a61fba45d27f),
+    ("dynamic", "hash", "sampled", 0x4fb1ef391894b939),
+    ("dynamic", "hash", "governed", 0xb6d884459f062793),
+    ("dynamic", "hash", "pruned", 0xa83e62d8c0ffdd5c),
+    ("dynamic", "paged", "bare", 0x3025ac4aee9ae5c7),
+    ("dynamic", "paged", "sampled", 0x7e77fbbc992391c8),
+    ("dynamic", "paged", "governed", 0x39e151d5aec2264b),
+    ("dynamic", "paged", "pruned", 0x1d2555390758786d),
 ];
 
 #[test]
@@ -224,18 +237,30 @@ fn a_version_2_snapshot_is_refused_and_its_writers_report_still_holds() {
         straight.on_event(ev);
     }
     let report = straight.finish();
-    assert_eq!(report.races.len(), 313);
-    // Regenerated twice. When `DetectorStats` lost its two pre-seeding
+    // The two more are the `WriteRead` repeats the bitmap used to filter.
+    assert_eq!(report.races.len(), 315);
+    // Regenerated three times. When `DetectorStats` lost its two pre-seeding
     // counters, the digest became that of the writer's `{report:?}` with
     // `, preseed_hits: 0, preseed_misses: 0` cut out (before that cut it
     // was 0xb051_5a68_0610_6d27). Then `Free` began clearing the freed
     // range from the same-epoch bitmaps: the writer's report (311 races,
     // 0x3882_3118_1856_82e7) missed two races the oracle reports, at words
-    // the trace frees and touches again in the same epoch.
+    // the trace frees and touches again in the same epoch. Then the
+    // dynamic detector lost its same-epoch bitmap (313 races,
+    // 0x5d50_2f2c_46f3_add7): see the module docs.
     assert_eq!(
         fnv1a(format!("{report:?}").as_bytes()),
-        0x5d50_2f2c_46f3_add7
+        0x8de9_5ec5_4947_5782
     );
+}
+
+#[test]
+fn a_version_3_snapshot_is_refused() {
+    let snap = include_bytes!("data/dynamic-v3.dgss");
+    let pin = 0xb8e8_90f8_6063_fef7; // the version-3 ("dynamic", "hash", "bare") pin
+    assert_eq!(fnv1a(snap), pin, "the fixture itself");
+    let err = prototype("dynamic", "hash").restore(snap).unwrap_err();
+    assert!(err.contains("unsupported format version 3"), "{err}");
 }
 
 #[test]
