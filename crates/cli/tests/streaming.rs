@@ -265,6 +265,32 @@ fn a_checkpoint_of_an_older_format_version_is_a_decode_error() {
 }
 
 #[test]
+fn a_checkpoint_holding_an_older_state_version_is_a_decode_error() {
+    // `data/dgss-v3.dgcp` is what the last build with `DGSS` version 3
+    // (per-thread same-epoch bitmaps in the happens-before state) wrote,
+    // mid-run, for `racy_trace(100)` under `--checkpoint-every 60`. The
+    // manifest's own version is current; the detector state inside it is
+    // refused.
+    let dir = scratch("dgss-v3");
+    let trace = write(&dir, "t.dgrt", &to_bytes(&racy_trace(100)));
+    let ckpt = dir.join("ckpt");
+    std::fs::create_dir_all(&ckpt).expect("checkpoint dir");
+    write(
+        &ckpt,
+        "checkpoint.dgcp",
+        include_bytes!("data/dgss-v3.dgcp"),
+    );
+    let out = dgrace(&[
+        "detect",
+        "dynamic",
+        &trace,
+        "--resume",
+        ckpt.to_str().unwrap(),
+    ]);
+    assert_rejected(&out, 4, "unsupported format version 3");
+}
+
+#[test]
 fn a_forged_count_in_a_sealed_manifest_is_a_decode_error_not_an_allocation() {
     // A well-formed, correctly sealed manifest of about 90 bytes that
     // claims 2^28 router ranges or 2^28 shards: sizing a buffer by either
