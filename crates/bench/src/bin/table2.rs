@@ -1,5 +1,6 @@
 //! Table 2: memory-overhead breakdown — hash / vector-clock / bitmap
-//! peak bytes per granularity.
+//! peak bytes per granularity. The dynamic detector keeps no same-epoch
+//! bitmap, so its bitmap column is 0.
 
 use dgrace_bench::{granularity_suite, kib, parse_args, prepare, run_timed, selected, Table};
 
@@ -26,6 +27,7 @@ fn main() {
     }
     println!("paper shape: dynamic slashes the vector-clock column (~4x vs byte);");
     println!("hash/index costs are equal for byte and dynamic; word saves some indexing.");
-    println!("bitmap reads 0: these detectors keep no per-thread same-epoch bitmap (§IV.A);");
-    println!("they answer a same-epoch repeat from the location's shadow entry instead.");
+    println!("dynamic's bitmap column reads 0: it keeps no per-thread same-epoch bitmap");
+    println!("(§IV.A) and answers a same-epoch repeat from the location's shadow entry;");
+    println!("byte and word keep theirs, which remember repeats of evicted locations.");
 }

@@ -55,7 +55,7 @@ pub trait CellRule: Debug + Default + Send + 'static {
 /// bitmap because their shadow can be evicted under a budget while the
 /// thread is still in the epoch: the bitmap remembers the access, where a
 /// re-created cell would not, and without it a governed run re-creates
-/// every evicted cell its sweeps touch again (DESIGN.md §4a).
+/// every evicted cell its sweeps touch again (DESIGN.md §7a).
 #[derive(Debug, Default)]
 struct EpochBitmaps {
     /// By thread id.

@@ -144,7 +144,7 @@ impl HbState {
     }
 
     /// The thread whose epoch `ev` ends — whose own clock
-    /// [`Self::on_sync`] ticks — if any.
+    /// [`Self::on_sync`] ticks after the event's joins — if any.
     pub fn epoch_ended_by(ev: &Event) -> Option<Tid> {
         match *ev {
             Event::Release { tid, .. }
@@ -187,7 +187,6 @@ impl HbState {
                 if let Some(w) = &mut lc.writer {
                     publish(w);
                 }
-                ts.tick(tid);
             }
             Event::AcquireRead { tid, lock } => {
                 // Readers synchronize with prior write releases only.
@@ -207,13 +206,11 @@ impl HbState {
                 }
                 lc.all.join(ts);
                 lc.holder = None;
-                ts.tick(tid);
             }
             Event::CvSignal { tid, cv } => {
                 // C := C ⊔ T, then a new epoch (the signal publishes).
                 let ts = thread_mut(&mut self.threads, tid);
                 publish(&mut self.cvs, cv, ts);
-                ts.tick(tid);
             }
             Event::CvWait { tid, cv } => {
                 // T := T ⊔ C (join every signaler seen so far).
@@ -226,7 +223,6 @@ impl HbState {
                 // G := G ⊔ T, then a new epoch (the arrival publishes).
                 let ts = thread_mut(&mut self.threads, tid);
                 publish(&mut self.bars, bar, ts);
-                ts.tick(tid);
             }
             Event::BarrierDepart { tid, bar } => {
                 // T := T ⊔ G (adopt every participant's arrival clock).
@@ -241,16 +237,19 @@ impl HbState {
                 if let Some((p, c)) = thread_pair(&mut self.threads, parent, child) {
                     c.join(p);
                 }
-                thread_mut(&mut self.threads, parent).tick(parent);
             }
             Event::Join { parent, child } => {
                 // C_parent := C_parent ⊔ C_child ; new epoch for child.
                 if let Some((p, c)) = thread_pair(&mut self.threads, parent, child) {
                     p.join(c);
                 }
-                thread_mut(&mut self.threads, child).tick(child);
             }
             _ => return false,
+        }
+        // The event published its thread's clock (or, for a join, the
+        // child's): what that thread does next is a new epoch.
+        if let Some(t) = Self::epoch_ended_by(ev) {
+            thread_mut(&mut self.threads, t).tick(t);
         }
         true
     }
