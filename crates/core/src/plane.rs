@@ -372,10 +372,21 @@ impl<K: StoreSelect> IndexOn<K> {
     /// handles of `addr`. Create only where a location of `addr` is about
     /// to be inserted if none exists (an empty chunk is dropped by the
     /// next removal covering it).
+    ///
+    /// An access in the chunk the previous one resolved skips the probe:
+    /// the handle is still good, since every creation or removal of a
+    /// chunk forgets it. Sweeps, and the repeats the same-epoch filter
+    /// answers from the entry, mostly stay in one chunk.
     #[inline]
     pub(crate) fn resolve(&mut self, addr: Addr) -> [Option<CellRef>; 2] {
-        let at = self.store.chunk_or_insert(addr);
-        self.near = Some(at);
+        let at = match self.near(addr) {
+            Some(at) => at,
+            None => {
+                let at = self.store.chunk_or_insert(addr);
+                self.near = Some(at);
+                at
+            }
+        };
         let slots = self.store.entry(at, addr);
         slots.map(|slot| slot.map(|&slot| CellRef { addr, slot }))
     }
