@@ -221,6 +221,46 @@ mod tests {
         assert!((rep.stats.same_epoch_fraction() - 0.9).abs() < 1e-12);
     }
 
+    /// Each thread's bitmap starts over when its own epoch ends, and only
+    /// then: a write then a read of `X` by T1 is filtered within an epoch
+    /// and checked again after each event that ticks T1's clock.
+    #[test]
+    fn the_same_epoch_bitmap_resets_when_the_thread_s_epoch_ends() {
+        let enders: [fn(&mut TraceBuilder); 6] = [
+            |b| {
+                b.release(1u32, 7u32);
+            },
+            |b| {
+                b.release_read(1u32, 7u32);
+            },
+            |b| {
+                b.cv_signal(1u32, 7u32);
+            },
+            |b| {
+                b.barrier_arrive(1u32, 7u32);
+            },
+            |b| {
+                b.fork(1u32, 2u32);
+            },
+            |b| {
+                b.join(0u32, 1u32);
+            },
+        ];
+        for (i, end) in enders.into_iter().enumerate() {
+            let mut b = TraceBuilder::new();
+            b.fork(0u32, 1u32)
+                .write(1u32, X, AccessSize::U32)
+                .read(1u32, X, AccessSize::U32);
+            end(&mut b);
+            b.write(1u32, X, AccessSize::U32)
+                .acquire(3u32, 8u32) // another thread's sync event
+                .release(3u32, 8u32)
+                .write(1u32, X, AccessSize::U32);
+            let rep = FastTrack::new().run(&b.build());
+            assert_eq!(rep.stats.same_epoch, 2, "epoch-ending event {i}");
+        }
+    }
+
     #[test]
     fn word_masks_but_byte_does_not() {
         let mut b = TraceBuilder::new();
