@@ -37,7 +37,7 @@ impl<'a> Parsed<'a> {
                     continue;
                 }
                 if !allowed.contains(&a) {
-                    return Err(format!("unknown option `{a}`"));
+                    return Err(unknown(a, allowed, allowed_flags));
                 }
                 let v = argv
                     .get(i + 1)
@@ -83,6 +83,21 @@ impl<'a> Parsed<'a> {
     }
 }
 
+/// The error for an option outside both allow-lists. It names every
+/// option the command accepts, so the message doubles as the parser's
+/// side of the help-text check (`tests/detector_names.rs`).
+fn unknown(option: &str, allowed: &[&str], allowed_flags: &[&str]) -> String {
+    let accepted = [allowed, allowed_flags].concat();
+    if accepted.is_empty() {
+        format!("unknown option `{option}` (this command takes none)")
+    } else {
+        format!(
+            "unknown option `{option}` (accepted: {})",
+            accepted.join(", ")
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,7 +119,14 @@ mod tests {
     #[test]
     fn unknown_option_rejected() {
         let a = argv(&["--bogus", "1"]);
-        assert!(Parsed::parse(&a, &["--scale"]).is_err());
+        assert_eq!(
+            Parsed::parse_with_flags(&a, &["--scale"], &["--json"]).err(),
+            Some("unknown option `--bogus` (accepted: --scale, --json)".into())
+        );
+        assert_eq!(
+            Parsed::parse(&a, &[]).err(),
+            Some("unknown option `--bogus` (this command takes none)".into())
+        );
     }
 
     #[test]

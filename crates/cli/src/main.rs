@@ -4,7 +4,6 @@
 //! dgrace gen <workload> [--scale S] [--seed N] -o trace.dgrt
 //! dgrace analyze <trace.dgrt> [-o summary.dgas] [--json]
 //! dgrace detect <detector> <trace.dgrt> [--max-races N] [--shards N] [--pipeline] [--prune-with summary.dgas]
-//!                                       [--shadow hash|paged]
 //!                                       [--shadow-budget BYTES] [--memory-limit BYTES]
 //!                                       [--resync] [--json] [--self-heal]
 //!                                       [--checkpoint-dir D] [--checkpoint-every N|Ns] [--resume D]
@@ -14,7 +13,7 @@
 //!                       [--checkpoint-dir D] [--checkpoint-every N] [--resume]
 //!                       [--shadow-budget BYTES] [--memory-limit BYTES] [--credits N]
 //! dgrace feed <detector> <trace.dgrt> <socket> [--session NAME] [--retry N] [--json] [--resync]
-//! dgrace compare <detA> <detB> <trace.dgrt> [--shadow hash|paged]
+//! dgrace compare <detA> <detB> <trace.dgrt>
 //! dgrace stats <trace.dgrt>
 //! dgrace list
 //! ```
@@ -44,7 +43,6 @@ use dgrace_runtime::{
     SupervisorPolicy, Transport, CHECKPOINT_FILE,
 };
 use dgrace_server::{Client, ClientError, Server, ServerConfig};
-use dgrace_shadow::{HashSelect, PagedSelect};
 use dgrace_trace::io::{
     read_trace_with, summary_from_bytes, summary_to_bytes, write_trace, EventReader, BLOCK_EVENTS,
 };
@@ -181,16 +179,16 @@ fn print_help() {
          \x20                                                          lock-graph); -o saves a .dgas summary,\n\
          \x20                                                          --json prints a deterministic report\n\
          \x20 dgrace detect <detector> <file> [--max-races N] [--shards N] [--prune-with <summary>]\n\
-         \x20                                 [--shadow hash|paged]    run a detector over a trace,\n\
-         \x20                                 [--shadow-budget BYTES]  optionally across N address shards,\n\
-         \x20                                 [--resync] [--json]      skipping provably race-free accesses;\n\
-         \x20                                 [--self-heal]            --shadow picks the shadow store,\n\
+         \x20                                 [--shadow-budget BYTES]  run a detector over a trace,\n\
+         \x20                                 [--resync] [--json]      optionally across N address shards,\n\
+         \x20                                 [--self-heal]            skipping provably race-free accesses;\n\
          \x20                                 [--checkpoint-dir D]     --shadow-budget caps shadow memory\n\
          \x20                                 [--checkpoint-every N|Ns] (cold state is evicted past the cap),\n\
          \x20                                 [--resume D]             --memory-limit caps accounted memory\n\
          \x20                                 [--pipeline]             with a deterministic pressure ladder\n\
          \x20                                 [--sample <spec>]        (evict, coarsen, sample — the run\n\
-         \x20                                 [--memory-limit BYTES]   completes instead of aborting),\n\
+         \x20                                 [--memory-limit BYTES]   completes instead of aborting; both\n\
+         \x20                                                          caps need a vector-clock detector),\n\
          \x20                                                          --resync skips damaged trace frames,\n\
          \x20                                                          --json prints a deterministic report,\n\
          \x20                                                          --pipeline feeds shards through\n\
@@ -225,7 +223,7 @@ fn print_help() {
          \x20                                                          --retry N reconnects with bounded\n\
          \x20                                                          backoff when the server is down or\n\
          \x20                                                          overloaded\n\
-         \x20 dgrace compare <detA> <detB> <file> [--shadow hash|paged]  diff two detectors' findings\n\
+         \x20 dgrace compare <detA> <detB> <file>                      diff two detectors' findings\n\
          \x20 dgrace stats <file>                                      trace statistics\n\
          \x20 dgrace list                                              available workloads & detectors\n\n\
          DETECTORS:\n\
@@ -257,7 +255,7 @@ fn cmd_list() {
 }
 
 /// A detector outside the vector-clock family: name, description,
-/// constructor. These exist on the default store only and run serially.
+/// constructor. These run serially and have no memory cap.
 type SerialOnly = (&'static str, &'static str, fn() -> Box<dyn Detector>);
 
 const SERIAL_ONLY: [SerialOnly; 4] = [
@@ -286,33 +284,26 @@ fn detectors() -> impl Iterator<Item = (&'static str, &'static str)> {
     VC_DETECTORS.into_iter().chain(serial_only)
 }
 
-/// The vector-clock detector family (`dgrace_core::vc_detector`) at the
-/// chosen shadow store, as a shardable prototype. `None` means the name
-/// is not in the family (oracle, lockset, …), which only exist on the
-/// default store and only run serially.
-fn vc_prototype(name: &str, shadow: Shadow) -> Option<Box<dyn ShardableDetector + Send>> {
-    match shadow {
-        Shadow::Hash => vc_detector::<HashSelect>(name),
-        Shadow::Paged => vc_detector::<PagedSelect>(name),
-    }
-}
-
-fn make_detector(name: &str, shadow: Shadow) -> Result<Box<dyn Detector>, Failure> {
-    if let Some(det) = vc_prototype(name, shadow) {
+/// A detector by name. `cap` names a memory-cap flag the run was given
+/// (`--shadow-budget`, `--memory-limit`): only the vector-clock family has
+/// a memory model to cap, so a serial-only detector refuses it rather
+/// than run uncapped.
+fn make_detector(name: &str, cap: Option<&str>) -> Result<Box<dyn Detector>, Failure> {
+    if let Some(det) = vc_detector(name) {
         return Ok(det);
     }
-    if shadow == Shadow::Paged {
+    let Some((.., make)) = SERIAL_ONLY.iter().find(|(n, ..)| *n == name) else {
         return Err(Failure::Usage(format!(
-            "detector `{name}` does not support --shadow paged (supported: {})",
+            "unknown detector `{name}` (see `dgrace list`)"
+        )));
+    };
+    if let Some(flag) = cap {
+        return Err(Failure::Usage(format!(
+            "detector `{name}` does not support {flag} (supported: {})",
             fixed_then_dynamic()
         )));
     }
-    match SERIAL_ONLY.iter().find(|(n, ..)| *n == name) {
-        Some((.., make)) => Ok(make()),
-        None => Err(Failure::Usage(format!(
-            "unknown detector `{name}` (see `dgrace list`)"
-        ))),
-    }
+    Ok(make())
 }
 
 /// The vector-clock family's names with the fixed-granularity detectors
@@ -322,21 +313,6 @@ fn fixed_then_dynamic() -> String {
     let mut family = VC_DETECTORS.map(|(name, _)| name);
     family.sort_by_key(|name| name.starts_with("dynamic"));
     family.join(", ")
-}
-
-/// The shadow store behind `--shadow {hash,paged}`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Shadow {
-    Hash,
-    Paged,
-}
-
-fn parse_shadow(p: &Parsed) -> Result<Shadow, String> {
-    match p.opt("--shadow") {
-        None | Some("hash") => Ok(Shadow::Hash),
-        Some("paged") => Ok(Shadow::Paged),
-        Some(other) => Err(format!("--shadow must be `hash` or `paged`, got `{other}`")),
-    }
 }
 
 fn cmd_gen(rest: &[String]) -> Result<(), Failure> {
@@ -662,11 +638,8 @@ fn open_source<'i>(
 
 /// Prototype for the sharded engine, for the detectors that support
 /// address partitioning (the vector-clock family).
-fn make_shardable(
-    name: &str,
-    shadow: Shadow,
-) -> Result<Box<dyn ShardableDetector + Send>, Failure> {
-    vc_prototype(name, shadow).ok_or_else(|| {
+fn make_shardable(name: &str) -> Result<Box<dyn ShardableDetector + Send>, Failure> {
+    vc_detector(name).ok_or_else(|| {
         Failure::Usage(format!(
             "detector `{name}` does not support --shards (shardable: {})",
             vc_detector_names()
@@ -776,7 +749,6 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
             "--max-races",
             "--shards",
             "--prune-with",
-            "--shadow",
             "--shadow-budget",
             "--checkpoint-dir",
             "--checkpoint-every",
@@ -798,7 +770,9 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     if memory_limit == Some(0) {
         return Err("--memory-limit must be positive (omit it for no cap)".into());
     }
-    let shadow = parse_shadow(&p)?;
+    let cap = budget
+        .map(|_| "--shadow-budget")
+        .or(memory_limit.map(|_| "--memory-limit"));
     let json_out = p.flag("--json");
     let self_heal = p.flag("--self-heal");
     let pipeline = p.flag("--pipeline");
@@ -839,11 +813,7 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         // The engine path: sharded replay (1 shard is fine) on either
         // transport, with optional durable checkpoints, crash resume and
         // a self-healing supervisor.
-        let proto = stack.wrap(
-            make_shardable(det_name, shadow)?,
-            |d| Box::new(d),
-            |d| Box::new(d),
-        );
+        let proto = stack.wrap(make_shardable(det_name)?, |d| Box::new(d), |d| Box::new(d));
         let resume = match &resume_dir {
             Some(d) => {
                 let file = d.join(CHECKPOINT_FILE);
@@ -889,7 +859,7 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         // The direct serial path: the only one the non-shardable
         // detectors (oracle, segment, hybrid, lockset) can run on.
         let mut det = stack.wrap(
-            make_detector(det_name, shadow)?,
+            make_detector(det_name, cap)?,
             |d| Box::new(d),
             |d| Box::new(d),
         );
@@ -1156,15 +1126,14 @@ fn cmd_feed(rest: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_compare(rest: &[String]) -> Result<(), Failure> {
-    let p = Parsed::parse(rest, &["--shadow"])?;
+    let p = Parsed::parse(rest, &[])?;
     let a_name = p.positional(0).ok_or("compare: missing first detector")?;
     let b_name = p.positional(1).ok_or("compare: missing second detector")?;
     let path = p.positional(2).ok_or("compare: missing trace file")?;
-    let shadow = parse_shadow(&p)?;
     let trace = load_trace(path, false)?;
 
     let run = |name: &str| -> Result<_, Failure> {
-        let mut det = make_detector(name, shadow)?;
+        let mut det = make_detector(name, None)?;
         let start = std::time::Instant::now();
         let rep = det.run(&trace);
         Ok((rep, start.elapsed().as_secs_f64()))

@@ -1,7 +1,11 @@
 //! One detector name table: what `dgrace list` prints, what `dgrace
 //! help` names, what `dgrace detect` accepts and what
-//! `dgrace_core::VC_DETECTORS` holds are the same set.
+//! `dgrace_core::VC_DETECTORS` holds are the same set. Likewise for the
+//! options of `detect` and `compare`: the ones `dgrace help` prints are the
+//! ones their parsers accept, and the memory caps are refused by the
+//! detectors that have no memory to cap.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -44,9 +48,10 @@ fn in_usage() -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn list_help_and_detect_agree_on_the_detector_names() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("detector-names");
+/// Writes a two-thread racy trace into a scratch directory of `test`'s
+/// own and returns its path.
+fn racy_trace(test: &str) -> String {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(test);
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     let trace = dir.join("racy.dgrt");
     let mut b = TraceBuilder::new();
@@ -55,7 +60,102 @@ fn list_help_and_detect_agree_on_the_detector_names() {
         .write(1u32, 0x100u64, AccessSize::U32)
         .join(0u32, 1u32);
     std::fs::write(&trace, to_bytes(&b.build())).expect("write the trace");
-    let trace = trace.to_str().expect("utf-8 path");
+    trace.to_str().expect("utf-8 path").to_string()
+}
+
+/// Every `--option` in the usage block of `dgrace <sub>` in `dgrace help`:
+/// its first line up to the next subcommand's, both columns.
+fn printed_options(sub: &str) -> BTreeSet<String> {
+    let help = stdout(&["help"]);
+    let head = format!("dgrace {sub} ");
+    let mut lines = help
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with(&head));
+    let first = lines
+        .next()
+        .unwrap_or_else(|| panic!("no `{head}` usage line"));
+    let block = std::iter::once(first).chain(
+        lines.take_while(|l| !l.trim_start().starts_with("dgrace ") && !l.trim().is_empty()),
+    );
+    block
+        .flat_map(|l| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+        .filter(|w| w.starts_with("--") && w.len() > 2)
+        .map(str::to_string)
+        .collect()
+}
+
+/// Every option `dgrace <sub>`'s parser accepts, as its refusal of an
+/// unknown one lists them.
+fn accepted_options(sub: &str) -> BTreeSet<String> {
+    let out = dgrace(&[sub, "--no-such-option"]);
+    assert_eq!(out.status.code(), Some(2), "`{sub} --no-such-option`");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let err = stderr.lines().next().unwrap_or_default();
+    if err.contains("(this command takes none)") {
+        return BTreeSet::new();
+    }
+    let (_, list) = err
+        .split_once("(accepted: ")
+        .unwrap_or_else(|| panic!("no accepted list in {err:?}"));
+    let list = list.strip_suffix(')').expect("a closed list");
+    list.split(", ").map(str::to_string).collect()
+}
+
+#[test]
+fn help_prints_exactly_the_options_detect_and_compare_accept() {
+    for sub in ["detect", "compare"] {
+        let printed = printed_options(sub);
+        let accepted = accepted_options(sub);
+        assert_eq!(printed, accepted, "`dgrace help` vs the `{sub}` parser");
+    }
+    // The check sees options at all: `detect` has a dozen.
+    assert!(printed_options("detect").contains("--shadow-budget"));
+}
+
+#[test]
+fn a_serial_only_detector_refuses_a_shadow_budget() {
+    let trace = racy_trace("refuse-shadow-budget");
+    for name in ["oracle", "lockset", "segment", "hybrid"] {
+        let out = dgrace(&["detect", name, &trace, "--shadow-budget", "64"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+        assert!(out.stdout.is_empty(), "{name}: no report");
+        assert!(
+            err.contains(&format!(
+                "detector `{name}` does not support --shadow-budget (supported: byte, word, \
+                 djit, dynamic, dynamic-no-init)"
+            )),
+            "{name}: {err}"
+        );
+    }
+}
+
+#[test]
+fn a_serial_only_detector_refuses_a_memory_limit() {
+    let trace = racy_trace("refuse-memory-limit");
+    for name in ["oracle", "lockset", "segment", "hybrid"] {
+        let out = dgrace(&["detect", name, &trace, "--memory-limit", "64"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+        assert!(out.stdout.is_empty(), "{name}: no report");
+        assert!(
+            err.contains(&format!(
+                "detector `{name}` does not support --memory-limit (supported: byte, word, \
+                 djit, dynamic, dynamic-no-init)"
+            )),
+            "{name}: {err}"
+        );
+    }
+    // The family takes the same cap.
+    assert!(dgrace(&["detect", "byte", &trace, "--memory-limit", "64"])
+        .status
+        .success());
+}
+
+#[test]
+fn list_help_and_detect_agree_on_the_detector_names() {
+    let trace = racy_trace("detector-names");
+    let trace = trace.as_str();
 
     let listed = listed();
     assert_eq!(

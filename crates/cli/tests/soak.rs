@@ -25,12 +25,11 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dgrace_core::DynamicGranularityOn;
+use dgrace_core::DynamicGranularity;
 use dgrace_detectors::Report;
 use dgrace_runtime::IngestSession;
 use dgrace_server::proto::report_json;
 use dgrace_server::{Client, ClientError, Server, ServerConfig};
-use dgrace_shadow::HashSelect;
 use dgrace_trace::Trace;
 use dgrace_workloads::{Workload, WorkloadKind};
 
@@ -54,7 +53,7 @@ fn workload_trace() -> Trace {
 
 /// The single-client reference report for `trace` under `dynamic`.
 fn solo_report(trace: &Trace) -> Report {
-    let proto = DynamicGranularityOn::<HashSelect>::new();
+    let proto = DynamicGranularity::new();
     let mut sess = IngestSession::new(&proto, 1, None);
     sess.feed_all(&trace.events);
     sess.finalize()

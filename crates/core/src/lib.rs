@@ -57,8 +57,7 @@ pub use detector::{DynamicGranularity, DynamicGranularityOn, PRESSURE_SCAN};
 pub use plane::{CellRef, CellView, GroupSnapshot, Index, IndexOn, Plane};
 pub use state::VcState;
 
-use dgrace_detectors::{DjitOn, FastTrackOn, Granularity, ShardableDetector};
-use dgrace_shadow::StoreSelect;
+use dgrace_detectors::{Djit, FastTrack, Granularity, ShardableDetector};
 
 /// The vector-clock detector family: `(CLI/wire name, one-line
 /// description)` in listing order. Every message that enumerates the
@@ -80,20 +79,20 @@ pub fn vc_detector_names() -> String {
     VC_DETECTORS.map(|(name, _)| name).join(", ")
 }
 
-/// The vector-clock detector family by name ([`VC_DETECTORS`]), on the
-/// shadow store `K`. `None` means the name is not in the family. The box
+/// The vector-clock detector family by name ([`VC_DETECTORS`]). `None`
+/// means the name is not in the family. The box
 /// is a shardable prototype and (being a `Detector` itself) a serial
 /// detector; `Send` because a supervised engine keeps the prototype alive
 /// to respawn replacement shards.
-pub fn vc_detector<K: StoreSelect>(name: &str) -> Option<Box<dyn ShardableDetector + Send>> {
+pub fn vc_detector(name: &str) -> Option<Box<dyn ShardableDetector + Send>> {
     Some(match name {
-        "byte" => Box::new(FastTrackOn::<K>::with_granularity(Granularity::Byte)),
-        "word" => Box::new(FastTrackOn::<K>::with_granularity(Granularity::Word)),
-        "dynamic" => Box::new(DynamicGranularityOn::<K>::new()),
-        "dynamic-no-init" => Box::new(DynamicGranularityOn::<K>::with_config(
+        "byte" => Box::new(FastTrack::with_granularity(Granularity::Byte)),
+        "word" => Box::new(FastTrack::with_granularity(Granularity::Word)),
+        "dynamic" => Box::new(DynamicGranularity::new()),
+        "dynamic-no-init" => Box::new(DynamicGranularity::with_config(
             DynamicConfig::no_init_state(),
         )),
-        "djit" => Box::new(DjitOn::<K>::new()),
+        "djit" => Box::new(Djit::new()),
         _ => return None,
     })
 }
@@ -101,14 +100,13 @@ pub fn vc_detector<K: StoreSelect>(name: &str) -> Option<Box<dyn ShardableDetect
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgrace_shadow::HashSelect;
 
     #[test]
     fn the_table_and_the_constructor_agree() {
         for (name, _) in VC_DETECTORS {
-            assert!(vc_detector::<HashSelect>(name).is_some(), "{name}");
+            assert!(vc_detector(name).is_some(), "{name}");
         }
-        assert!(vc_detector::<HashSelect>("oracle").is_none());
+        assert!(vc_detector("oracle").is_none());
         assert_eq!(
             vc_detector_names(),
             "byte, word, dynamic, dynamic-no-init, djit"

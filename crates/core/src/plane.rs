@@ -2223,26 +2223,4 @@ mod tests {
             Err(TraceError::Malformed { .. })
         ));
     }
-
-    #[test]
-    fn paged_plane_behaves_identically() {
-        use dgrace_shadow::PagedSelect;
-        let mut ix: IndexOn<PagedSelect> = IndexOn::new();
-        let mut p = Plane::new(AccessKind::Read);
-        p.insert_private(&mut ix, Addr(0x100), epoch(1, 0), VcState::FirstEpochShared);
-        share(&mut ix, &mut p, 0x104, 0x100);
-        share(&mut ix, &mut p, 0x108, 0x104);
-        assert_eq!(p.loc_count(&ix), 3);
-        assert_eq!(p.cell_count(), 1);
-        let (_, split) = split(&mut ix, &mut p, 0x104);
-        assert!(split);
-        assert_eq!(
-            p.group_members(&ix, Addr(0x100)),
-            vec![Addr(0x100), Addr(0x108)]
-        );
-        ix.remove_range([&mut p], Addr(0x100), 0x10);
-        assert_eq!(p.loc_count(&ix), 0);
-        assert_eq!(p.vc_bytes(), 0);
-        p.check_invariants(&ix);
-    }
 }

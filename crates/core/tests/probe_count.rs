@@ -117,12 +117,11 @@ impl<T, const N: usize, S: ShadowStore<T, N>> ShadowStore<T, N> for Counting<S> 
 }
 
 /// The default store, counted.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Default)]
 struct CountingSelect;
 
 impl StoreSelect for CountingSelect {
     type Store<T: Debug + Send, const N: usize> = Counting<ShadowTable<T, N>>;
-    const NAME_SUFFIX: &'static str = "+counting";
 }
 
 /// splitmix64, for reproducible traces without a dependency.

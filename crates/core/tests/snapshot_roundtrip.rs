@@ -1,12 +1,11 @@
-//! Property test for the checkpoint contract: for every detector family
-//! and shadow-store backend, `snapshot()` taken at an arbitrary point in
+//! Property test for the checkpoint contract: for every detector family,
+//! `snapshot()` taken at an arbitrary point in
 //! an arbitrary (even racy) trace restores into a fresh detector that is
 //! behaviorally indistinguishable from the original on any event suffix,
 //! and whose own snapshot is byte-identical (canonical encoding).
 
-use dgrace_core::DynamicGranularityOn;
-use dgrace_detectors::{Detector, DetectorExt, DjitOn, FastTrackOn};
-use dgrace_shadow::{HashSelect, PagedSelect};
+use dgrace_core::DynamicGranularity;
+use dgrace_detectors::{Detector, DetectorExt, Djit, FastTrack};
 use dgrace_trace::{AccessSize, Addr, Event, LockId, Tid};
 use proptest::prelude::*;
 
@@ -94,7 +93,7 @@ fn legalize(ops: &[TraceOp]) -> Vec<Event> {
     events
 }
 
-/// One fresh instance per detector family × store backend.
+/// One fresh instance per detector family.
 /// `(name, a detector, a second instance to restore into)`.
 type Pair = (&'static str, Box<dyn Detector>, Box<dyn Detector>);
 
@@ -109,12 +108,9 @@ fn fresh_detectors() -> Vec<Pair> {
         };
     }
     vec![
-        combo!("fasttrack/hash", FastTrackOn<HashSelect>),
-        combo!("fasttrack/paged", FastTrackOn<PagedSelect>),
-        combo!("djit/hash", DjitOn<HashSelect>),
-        combo!("djit/paged", DjitOn<PagedSelect>),
-        combo!("dynamic/hash", DynamicGranularityOn<HashSelect>),
-        combo!("dynamic/paged", DynamicGranularityOn<PagedSelect>),
+        combo!("fasttrack", FastTrack),
+        combo!("djit", Djit),
+        combo!("dynamic", DynamicGranularity),
     ]
 }
 
@@ -163,25 +159,5 @@ proptest! {
                 name
             );
         }
-    }
-
-    /// A snapshot from one store backend must not restore into the other:
-    /// the blob embeds the detector name, and configuration mismatches are
-    /// rejected with a diagnostic instead of silently corrupting state.
-    #[test]
-    fn cross_backend_restore_is_rejected(
-        ops in proptest::collection::vec(arb_trace_op(), 1..40),
-    ) {
-        let events = legalize(&ops);
-        let mut hash = FastTrackOn::<HashSelect>::new();
-        for ev in &events {
-            hash.on_event(ev);
-        }
-        let snap = hash.snapshot().expect("snapshot supported");
-        let mut paged = FastTrackOn::<PagedSelect>::new();
-        prop_assert!(
-            paged.restore(&snap).is_err(),
-            "restoring a hash-store snapshot into a paged-store detector must fail"
-        );
     }
 }

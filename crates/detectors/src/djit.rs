@@ -1,7 +1,6 @@
 //! The DJIT+ rule (§II.B): full per-location read/write vector clocks.
 
 use dgrace_shadow::accounting::vc_cell_bytes;
-use dgrace_shadow::HashSelect;
 use dgrace_trace::{SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{Epoch, Tid, VectorClock};
 
@@ -74,11 +73,7 @@ impl CellRule for DjitCell {
 /// DJIT+ (Pozniansky & Schuster): every location keeps a full read vector
 /// clock and a full write vector clock; only the first read and first
 /// write per epoch are checked; the first race per location is reported.
-/// Generic over the shadow store selected by `K`.
-pub type DjitOn<K> = FixedOn<DjitCell, K>;
-
-/// DJIT+ on the chained-hash store (the default).
-pub type Djit = DjitOn<HashSelect>;
+pub type Djit = FixedOn<DjitCell>;
 
 #[cfg(test)]
 mod tests {

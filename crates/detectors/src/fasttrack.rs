@@ -1,7 +1,6 @@
 //! The FastTrack rule (§II.C): a write epoch and an adaptive read clock.
 
 use dgrace_shadow::accounting::vc_cell_bytes;
-use dgrace_shadow::HashSelect;
 use dgrace_trace::{SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{Epoch, ReadClock, Tid, VectorClock};
 
@@ -103,12 +102,8 @@ impl CellRule for FastTrackCell {
 }
 
 /// FastTrack (Flanagan & Freund, PLDI 2009) with a fixed detection
-/// granularity — the paper's byte- and word-granularity baselines —
-/// generic over the shadow store selected by `K`.
-pub type FastTrackOn<K> = FixedOn<FastTrackCell, K>;
-
-/// FastTrack on the chained-hash store (the default).
-pub type FastTrack = FastTrackOn<HashSelect>;
+/// granularity — the paper's byte- and word-granularity baselines.
+pub type FastTrack = FixedOn<FastTrackCell>;
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@
 
 use std::fmt::Debug;
 
-use dgrace_shadow::{EpochBitmap, MemClass, MemoryModel, ShadowStore, StoreSelect, Victims};
+use dgrace_shadow::{EpochBitmap, MemClass, MemoryModel, ShadowStore, ShadowTable, Victims};
 use dgrace_trace::{Addr, Event, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{Epoch, Tid, VectorClock};
 
@@ -118,7 +118,7 @@ impl EpochBitmaps {
 }
 
 /// A happens-before detector with a fixed detection granularity and the
-/// per-location rule `C`, on the shadow store selected by `K`.
+/// per-location rule `C`.
 ///
 /// Cells are boxed: Fig. 4's indexing arrays hold *pointers* to
 /// heap-allocated vector-clock entries, and the allocation/deallocation
@@ -127,11 +127,11 @@ impl EpochBitmaps {
 /// silently hand the fixed-granularity baselines an advantage the
 /// paper's tool does not have.
 #[derive(Debug, Default)]
-pub struct FixedOn<C: CellRule, K: StoreSelect> {
+pub struct FixedOn<C: CellRule> {
     granularity: Granularity,
     hb: HbState,
     bitmaps: EpochBitmaps,
-    table: K::Store<Box<C>, 1>,
+    table: ShadowTable<Box<C>, 1>,
     model: MemoryModel,
     vc_bytes: usize,
     races: Vec<RaceReport>,
@@ -144,7 +144,7 @@ pub struct FixedOn<C: CellRule, K: StoreSelect> {
     event_index: u64,
 }
 
-impl<C: CellRule, K: StoreSelect> FixedOn<C, K> {
+impl<C: CellRule> FixedOn<C> {
     /// The detector at byte granularity — the reference of Table 1.
     pub fn new() -> Self {
         Self::with_granularity(Granularity::Byte)
@@ -255,20 +255,15 @@ impl<C: CellRule, K: StoreSelect> FixedOn<C, K> {
     }
 }
 
-impl<C: CellRule, K: StoreSelect> ShardableDetector for FixedOn<C, K> {
+impl<C: CellRule> ShardableDetector for FixedOn<C> {
     fn new_shard(&self) -> Box<dyn Detector + Send> {
         Box::new(self.fresh())
     }
 }
 
-impl<C: CellRule, K: StoreSelect> Detector for FixedOn<C, K> {
+impl<C: CellRule> Detector for FixedOn<C> {
     fn name(&self) -> String {
-        format!(
-            "{}-{}{}",
-            C::FAMILY,
-            self.granularity.label(),
-            K::NAME_SUFFIX
-        )
+        format!("{}-{}", C::FAMILY, self.granularity.label())
     }
 
     fn on_event(&mut self, ev: &Event) {

@@ -388,8 +388,7 @@ impl<D: ShardableDetector> ShardableDetector for Governed<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DetectorExt, FastTrackOn};
-    use dgrace_shadow::HashSelect;
+    use crate::{DetectorExt, FastTrack};
     use dgrace_trace::{AccessSize, Trace, TraceBuilder};
 
     /// A trace whose shadow footprint grows steadily: two threads touch
@@ -418,8 +417,8 @@ mod tests {
     #[test]
     fn full_headroom_is_identity() {
         let trace = hungry_trace(256);
-        let bare = FastTrackOn::<HashSelect>::new().run(&trace);
-        let mut gov = Governed::new(FastTrackOn::<HashSelect>::new(), spec(u64::MAX));
+        let bare = FastTrack::new().run(&trace);
+        let mut gov = Governed::new(FastTrack::new(), spec(u64::MAX));
         let rep = gov.run(&trace);
         assert_eq!(rep, bare, "ungoverned and 100%-headroom reports match");
         assert!(rep.governor.is_none());
@@ -429,9 +428,9 @@ mod tests {
     #[test]
     fn ladder_climbs_under_pressure_and_reports() {
         let trace = hungry_trace(2048);
-        let ungoverned = FastTrackOn::<HashSelect>::new().run(&trace);
+        let ungoverned = FastTrack::new().run(&trace);
         let peak: u64 = ungoverned.stats.peak_total_bytes as u64;
-        let mut gov = Governed::new(FastTrackOn::<HashSelect>::new(), spec(peak / 2));
+        let mut gov = Governed::new(FastTrack::new(), spec(peak / 2));
         let rep = gov.run(&trace);
         let g = rep.governor.as_ref().expect("governor engaged");
         assert!(g.peak_rung >= 1, "at least the evict rung: {g:?}");
@@ -456,12 +455,9 @@ mod tests {
     #[test]
     fn governed_runs_are_deterministic() {
         let trace = hungry_trace(2048);
-        let peak = FastTrackOn::<HashSelect>::new()
-            .run(&trace)
-            .stats
-            .peak_total_bytes as u64;
+        let peak = FastTrack::new().run(&trace).stats.peak_total_bytes as u64;
         let run = || {
-            let mut gov = Governed::new(FastTrackOn::<HashSelect>::new(), spec(peak / 2));
+            let mut gov = Governed::new(FastTrack::new(), spec(peak / 2));
             gov.run(&trace)
         };
         let (a, b) = (run(), run());
@@ -486,7 +482,7 @@ mod tests {
         }
         b.join(0u32, 1u32);
         let trace = b.build();
-        let mut gov = Governed::new(FastTrackOn::<HashSelect>::new(), spec(8 * 1024));
+        let mut gov = Governed::new(FastTrack::new(), spec(8 * 1024));
         let rep = gov.run(&trace);
         let g = rep.governor.as_ref().expect("governor engaged");
         assert_eq!(g.peak_rung, 3, "tiny quota drives to critical: {g:?}");
@@ -514,11 +510,8 @@ mod tests {
         b.join(0u32, 1u32);
         let trace = b.build();
 
-        let peak = FastTrackOn::<HashSelect>::new()
-            .run(&trace)
-            .stats
-            .peak_total_bytes as u64;
-        let mut gov = Governed::new(FastTrackOn::<HashSelect>::new(), spec(peak / 2));
+        let peak = FastTrack::new().run(&trace).stats.peak_total_bytes as u64;
+        let mut gov = Governed::new(FastTrack::new(), spec(peak / 2));
         let rep = gov.run(&trace);
         let g = rep.governor.as_ref().expect("governor engaged");
         assert!(g.peak_rung >= 1);
@@ -535,12 +528,9 @@ mod tests {
     #[test]
     fn snapshot_round_trips_mid_pressure() {
         let trace = hungry_trace(2048);
-        let peak = FastTrackOn::<HashSelect>::new()
-            .run(&trace)
-            .stats
-            .peak_total_bytes as u64;
+        let peak = FastTrack::new().run(&trace).stats.peak_total_bytes as u64;
         let sp = spec(peak / 2);
-        let mut a = Governed::new(FastTrackOn::<HashSelect>::new(), sp.clone());
+        let mut a = Governed::new(FastTrack::new(), sp.clone());
         let split = trace.len() * 3 / 4;
         for ev in trace.iter().take(split) {
             a.on_event(ev);
@@ -550,7 +540,7 @@ mod tests {
             "pressure built before the split"
         );
         let snap = a.snapshot().expect("fasttrack snapshots");
-        let mut b = Governed::new(FastTrackOn::<HashSelect>::new(), sp);
+        let mut b = Governed::new(FastTrack::new(), sp);
         b.restore(&snap).unwrap();
         assert_eq!(b.rung(), a.rung(), "resumed at the same rung");
         for ev in trace.iter().skip(split) {
@@ -562,16 +552,16 @@ mod tests {
 
     #[test]
     fn restore_rejects_a_different_limit() {
-        let a = Governed::new(FastTrackOn::<HashSelect>::new(), spec(1 << 20));
+        let a = Governed::new(FastTrack::new(), spec(1 << 20));
         let snap = a.snapshot().unwrap();
-        let mut b = Governed::new(FastTrackOn::<HashSelect>::new(), spec(1 << 21));
+        let mut b = Governed::new(FastTrack::new(), spec(1 << 21));
         let err = b.restore(&snap).unwrap_err();
         assert!(err.contains("--memory-limit"), "{err}");
     }
 
     #[test]
     fn sharded_clone_copies_spec_and_user_budget() {
-        let mut proto = Governed::new(FastTrackOn::<HashSelect>::new(), spec(1 << 20));
+        let mut proto = Governed::new(FastTrack::new(), spec(1 << 20));
         proto.set_shadow_budget(Some(1 << 16));
         let mut shard = proto.new_shard();
         let rep = shard.run(&hungry_trace(16));
@@ -582,11 +572,8 @@ mod tests {
     #[test]
     fn finish_resets_for_reuse() {
         let trace = hungry_trace(2048);
-        let peak = FastTrackOn::<HashSelect>::new()
-            .run(&trace)
-            .stats
-            .peak_total_bytes as u64;
-        let mut gov = Governed::new(FastTrackOn::<HashSelect>::new(), spec(peak / 2));
+        let peak = FastTrack::new().run(&trace).stats.peak_total_bytes as u64;
+        let mut gov = Governed::new(FastTrack::new(), spec(peak / 2));
         let first = gov.run(&trace);
         assert!(first.governor.is_some());
         let second = gov.run(&trace);

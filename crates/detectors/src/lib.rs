@@ -56,8 +56,8 @@ mod shard;
 pub mod snap;
 
 pub use detector::{Detector, DetectorExt};
-pub use djit::{Djit, DjitOn};
-pub use fasttrack::{FastTrack, FastTrackOn};
+pub use djit::Djit;
+pub use fasttrack::FastTrack;
 pub use filter::StaticPruneFilter;
 pub use govern::{Governed, GovernorSpec, CRITICAL_SAMPLE, DECISION_INTERVAL};
 pub use granularity::Granularity;

@@ -611,17 +611,16 @@ mod tests {
 
     #[test]
     fn sampled_snapshot_round_trips_mid_run() {
-        use crate::FastTrackOn;
-        use dgrace_shadow::HashSelect;
+        use crate::FastTrack;
         let trace = racy_trace();
         let spec = SampleSpec::parse("loc:2,seed:9").unwrap();
-        let mut a = Sampled::new(FastTrackOn::<HashSelect>::new(), spec.clone());
+        let mut a = Sampled::new(FastTrack::new(), spec.clone());
         let split = trace.len() / 2;
         for ev in trace.iter().take(split) {
             a.on_event(ev);
         }
         let snap = a.snapshot().expect("fasttrack supports snapshots");
-        let mut b = Sampled::new(FastTrackOn::<HashSelect>::new(), spec);
+        let mut b = Sampled::new(FastTrack::new(), spec);
         b.restore(&snap).unwrap();
         for ev in trace.iter().skip(split) {
             a.on_event(ev);
@@ -634,27 +633,19 @@ mod tests {
 
     #[test]
     fn restore_rejects_wrong_spec() {
-        use crate::FastTrackOn;
-        use dgrace_shadow::HashSelect;
-        let a = Sampled::new(
-            FastTrackOn::<HashSelect>::new(),
-            SampleSpec::parse("loc:2").unwrap(),
-        );
+        use crate::FastTrack;
+        let a = Sampled::new(FastTrack::new(), SampleSpec::parse("loc:2").unwrap());
         let snap = a.snapshot().unwrap();
-        let mut b = Sampled::new(
-            FastTrackOn::<HashSelect>::new(),
-            SampleSpec::parse("loc:4").unwrap(),
-        );
+        let mut b = Sampled::new(FastTrack::new(), SampleSpec::parse("loc:4").unwrap());
         let err = b.restore(&snap).unwrap_err();
         assert!(err.contains("loc:2"), "{err}");
     }
 
     #[test]
     fn sharded_clone_copies_configuration_not_counters() {
-        use crate::FastTrackOn;
-        use dgrace_shadow::HashSelect;
+        use crate::FastTrack;
         let proto = Sampled::new(
-            FastTrackOn::<HashSelect>::new(),
+            FastTrack::new(),
             SampleSpec::parse("period:2,seed:7").unwrap(),
         );
         let mut shard = proto.new_shard();

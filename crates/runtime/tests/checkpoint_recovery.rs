@@ -4,7 +4,7 @@
 //! panic and respawns it, or that is interrupted and resumed from its
 //! last checkpoint, produces **exactly** the report of an uninterrupted
 //! run — same races, same counters — across all three detector families,
-//! both shadow-store backends, the wrapper stacks the CLI builds
+//! the wrapper stacks the CLI builds
 //! (`--sample`, `--memory-limit`, both), and shard counts 1/2/4.
 
 use std::path::PathBuf;
@@ -12,21 +12,20 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-use dgrace_core::DynamicGranularityOn;
+use dgrace_core::DynamicGranularity;
 use dgrace_detectors::{
-    Detector, DetectorExt, DjitOn, FastTrackOn, Governed, GovernorSpec, Report, SampleSpec,
-    Sampled, ShardableDetector, StaticPruneFilter,
+    Detector, DetectorExt, Djit, FastTrack, Governed, GovernorSpec, Report, SampleSpec, Sampled,
+    ShardableDetector, StaticPruneFilter,
 };
 use dgrace_runtime::{
     replay, replay_sharded, silence_injected_panics, CheckpointInterval, CheckpointManifest,
     CheckpointOptions, PanicOnEvent, ReplayError, RunPlan, SupervisorPolicy, CHECKPOINT_FILE,
 };
-use dgrace_shadow::{HashSelect, PagedSelect};
 use dgrace_trace::{AccessSize, PruneSet, Trace, TraceBuilder};
 
 type Proto = Box<dyn ShardableDetector + Send>;
 
-/// The detector × store combinations of the matrix, and the dynamic
+/// The detector families of the matrix, and the dynamic
 /// detector under the wrapper stacks a checkpointing CLI run persists
 /// (`Governed` outside `Sampled`, as the CLI wraps them). Each entry
 /// yields a fresh prototype and a fault-wrapped prototype whose
@@ -49,18 +48,15 @@ fn prototypes() -> Vec<Combo> {
             )
         };
     }
-    type Dynamic = DynamicGranularityOn<HashSelect>;
+    type Dynamic = DynamicGranularity;
     vec![
-        combo!("fasttrack/hash", FastTrackOn::<HashSelect>::new()),
-        combo!("fasttrack/paged", FastTrackOn::<PagedSelect>::new()),
-        combo!("djit/hash", DjitOn::<HashSelect>::new()),
-        combo!("djit/paged", DjitOn::<PagedSelect>::new()),
-        combo!("dynamic/hash", Dynamic::new()),
-        combo!("dynamic/paged", DynamicGranularityOn::<PagedSelect>::new()),
-        combo!("dynamic/hash+sampled", sampled(Dynamic::new())),
-        combo!("dynamic/hash+governed", governed(Dynamic::new())),
+        combo!("fasttrack", FastTrack::new()),
+        combo!("djit", Djit::new()),
+        combo!("dynamic", Dynamic::new()),
+        combo!("dynamic+sampled", sampled(Dynamic::new())),
+        combo!("dynamic+governed", governed(Dynamic::new())),
         combo!(
-            "dynamic/hash+governed+sampled",
+            "dynamic+governed+sampled",
             governed(sampled(Dynamic::new()))
         ),
     ]
@@ -146,8 +142,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// Tentpole matrix: a shard panic at event N is *healed* by the
 /// supervisor — the recovered run's report is byte-for-byte the clean
-/// run's report, for every detector family, store backend, and shard
-/// count.
+/// run's report, for every detector family and shard count.
 #[test]
 fn respawn_matrix_equals_clean_run() {
     silence_injected_panics();
@@ -256,7 +251,7 @@ fn checkpointed_and_resumed_runs_equal_clean_run() {
 #[test]
 fn resume_from_every_prefix_equals_clean_run() {
     let trace = matrix_trace();
-    let bare = || Box::new(FastTrackOn::<HashSelect>::new()) as Proto;
+    let bare = || Box::new(FastTrack::new()) as Proto;
     let shards = 2;
     let clean = replay_sharded(bare().as_ref(), &trace, shards);
     let dir = scratch_dir("every-prefix");
@@ -316,7 +311,7 @@ fn mismatched_or_torn_checkpoints_are_rejected() {
         dir: dir.clone(),
         every: CheckpointInterval::Events(4),
     };
-    let fasttrack = || Box::new(FastTrackOn::<HashSelect>::new()) as Proto;
+    let fasttrack = || Box::new(FastTrack::new()) as Proto;
     let _ = replay(
         fasttrack(),
         &trace,
@@ -333,7 +328,7 @@ fn mismatched_or_torn_checkpoints_are_rejected() {
         .expect("manifest present");
 
     // Wrong detector.
-    let djit = Box::new(DjitOn::<HashSelect>::new()) as Proto;
+    let djit = Box::new(Djit::new()) as Proto;
     let err = replay(
         djit,
         &trace,
@@ -434,7 +429,7 @@ fn supervised_checkpointed_run_heals_from_snapshot() {
     silence_injected_panics();
     let trace = matrix_trace();
     let shards = 2;
-    let clean = replay_sharded(&FastTrackOn::<HashSelect>::new(), &trace, shards);
+    let clean = replay_sharded(&FastTrack::new(), &trace, shards);
     let dir = scratch_dir("supervised-ckpt");
     let ckpt = CheckpointOptions {
         dir: dir.clone(),
@@ -443,7 +438,7 @@ fn supervised_checkpointed_run_heals_from_snapshot() {
     // The target shard panics late (its 5th event), well after several
     // checkpoints have been taken, so the heal path exercises
     // snapshot-restore + delta replay rather than a from-scratch replay.
-    let proto = Box::new(PanicOnEvent::new(FastTrackOn::<HashSelect>::new(), 1, 5)) as Proto;
+    let proto = Box::new(PanicOnEvent::new(FastTrack::new(), 1, 5)) as Proto;
     let trace2 = trace.clone();
     let healed = run_with_timeout("supervised-ckpt", move || {
         replay(
@@ -469,7 +464,7 @@ fn supervised_checkpointed_run_heals_from_snapshot() {
 /// not (`Governed` keeps its inner detector's name).
 #[test]
 fn a_snapshot_restores_only_into_its_own_stack() {
-    type Dynamic = DynamicGranularityOn<HashSelect>;
+    type Dynamic = DynamicGranularity;
     /// A stack's layers, outermost first, and how to build it.
     type Stack = (&'static [&'static str], fn() -> Box<dyn Detector>);
     let stacks: [Stack; 5] = [

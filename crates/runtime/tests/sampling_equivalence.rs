@@ -5,8 +5,8 @@
 //! 1. **100% budget is free**: a `Sampled` wrapper whose spec admits
 //!    every access (`full`, `period:1`, or a `loc:` budget no counter
 //!    can exhaust) produces byte-for-byte the report
-//!    of an unwrapped run — for every detector family, both shadow
-//!    stores, and shard counts 1/2/4 — on arbitrary traces.
+//!    of an unwrapped run — for every detector family and shard counts
+//!    1/2/4 — on arbitrary traces.
 //! 2. **Seeded runs are deterministic**: the same spec + seed gives the
 //!    identical report on repeat runs, and the funnel and SPSC-pipeline
 //!    engines agree event-for-event.
@@ -17,19 +17,18 @@
 
 use std::path::PathBuf;
 
-use dgrace_core::DynamicGranularityOn;
-use dgrace_detectors::{DjitOn, FastTrackOn, Report, SampleSpec, Sampled, ShardableDetector};
+use dgrace_core::DynamicGranularity;
+use dgrace_detectors::{Djit, FastTrack, Report, SampleSpec, Sampled, ShardableDetector};
 use dgrace_runtime::{
     replay, replay_pipelined, replay_sharded, CheckpointInterval, CheckpointManifest,
     CheckpointOptions, RunPlan, CHECKPOINT_FILE,
 };
-use dgrace_shadow::{HashSelect, PagedSelect};
 use dgrace_trace::{AccessSize, Trace, TraceBuilder};
 use proptest::prelude::*;
 
 type Proto = Box<dyn ShardableDetector + Send>;
 
-/// The six detector × store combinations: a bare prototype and a
+/// The three detector families: a bare prototype and a
 /// sampled prototype wrapping the same detector under `spec`.
 /// `(name, bare prototype, prototype sampled under a spec)`.
 type Combo = (
@@ -52,12 +51,9 @@ fn prototypes() -> Vec<Combo> {
         };
     }
     vec![
-        combo!("fasttrack/hash", FastTrackOn<HashSelect>),
-        combo!("fasttrack/paged", FastTrackOn<PagedSelect>),
-        combo!("djit/hash", DjitOn<HashSelect>),
-        combo!("djit/paged", DjitOn<PagedSelect>),
-        combo!("dynamic/hash", DynamicGranularityOn<HashSelect>),
-        combo!("dynamic/paged", DynamicGranularityOn<PagedSelect>),
+        combo!("fasttrack", FastTrack),
+        combo!("djit", Djit),
+        combo!("dynamic", DynamicGranularity),
     ]
 }
 
@@ -138,7 +134,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Invariant 1 on random traces: every full-budget spec, every
-    /// detector family, both stores, shards 1/2/4.
+    /// detector family, shards 1/2/4.
     #[test]
     fn full_budget_sampling_is_byte_identical(
         ops in proptest::collection::vec(arb_op(), 1..48)

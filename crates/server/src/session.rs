@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use dgrace_core::{vc_detector, vc_detector_names};
 use dgrace_detectors::{Governed, GovernorSpec};
 use dgrace_runtime::{CheckpointManifest, IngestSession};
-use dgrace_shadow::{process_gauge, HashSelect, Watermarks};
+use dgrace_shadow::{process_gauge, Watermarks};
 use dgrace_trace::{decode_events, DecodeLimits, TraceError};
 
 use crate::proto::{self, Hello, Welcome, FRAME_ERROR, FRAME_EVENTS, FRAME_FINISH, FRAME_HELLO};
@@ -211,7 +211,7 @@ fn run_session(
     let hello = Hello::decode(&frame.payload).map_err(Quarantine::new)?;
     // Sessions run on the hash shadow store (the store the offline
     // sharded paths default to).
-    let proto_det = vc_detector::<HashSelect>(&hello.detector).ok_or_else(|| {
+    let proto_det = vc_detector(&hello.detector).ok_or_else(|| {
         Quarantine::new(format!(
             "unknown detector `{}` (serve supports the shardable family: {})",
             hello.detector,

@@ -6,11 +6,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-use dgrace_detectors::{FastTrackOn, Granularity};
+use dgrace_detectors::{FastTrack, Granularity};
 use dgrace_runtime::IngestSession;
 use dgrace_server::proto::{self, FRAME_ERROR, FRAME_EVENTS};
 use dgrace_server::{Client, ClientError, Server, ServerConfig};
-use dgrace_shadow::HashSelect;
 use dgrace_trace::{encode_events, AccessSize, Trace, TraceBuilder};
 
 /// A unique scratch directory per test (sockets + checkpoints).
@@ -47,11 +46,7 @@ fn racy_trace() -> Trace {
 /// What the server must report for `racy_trace` under detector `byte`,
 /// session name `name`: the same engine fed the same events in-process.
 fn solo_json(name: &str, trace: &Trace) -> String {
-    let mut s = IngestSession::new(
-        &FastTrackOn::<HashSelect>::with_granularity(Granularity::Byte),
-        1,
-        None,
-    );
+    let mut s = IngestSession::new(&FastTrack::with_granularity(Granularity::Byte), 1, None);
     s.feed_all(&trace.events);
     let report = s.finalize();
     proto::report_json(name, &report, 0, false)

@@ -7,9 +7,11 @@
 //!   entry; each entry holds an indexing array of slot pointers. New
 //!   entries start with `m/4` word-aligned slots ("the most common access
 //!   pattern is word access") and are expanded to `m` byte slots when the
-//!   first unaligned access hits the chunk. [`PagedShadow`] finds the same
-//!   chunks through a two-level directory instead of a hash probe; both
-//!   are driven through [`ShadowStore`].
+//!   first unaligned access hits the chunk. It is the store every
+//!   detector runs on. [`PagedShadow`] finds the same chunks through a
+//!   two-level directory instead of a hash probe and is kept for
+//!   store-level measurements only; both are driven through
+//!   [`ShadowStore`].
 //! * [`EpochBitmap`] — the per-thread bitmap used to answer "is this the
 //!   first access to this location in my current epoch?" without touching
 //!   the global shadow structure (§IV.A). The bitmap is reset at every
@@ -59,5 +61,5 @@ pub use governor::{process_gauge, MemComponent, PressureLevel, ProcessGauge, Wat
 pub use hash::{FastMap, FibBuildHasher, FibHasher};
 pub use paged::PagedShadow;
 pub use slab::{Slab, SlabId};
-pub use store::{ChunkId, HashSelect, PagedSelect, ShadowStore, StoreSelect};
+pub use store::{ChunkId, HashSelect, ShadowStore, StoreSelect};
 pub use table::ShadowTable;

@@ -3,30 +3,30 @@
 //!
 //! Two implementations exist:
 //!
-//! * [`ShadowTable`](crate::ShadowTable) — the paper's chained hash table
-//!   (Fig. 4), compact for sparse address use.
+//! * [`ShadowTable`] — the paper's chained hash table (Fig. 4), compact
+//!   for sparse address use. It is the only store a detector runs on.
 //! * [`PagedShadow`](crate::PagedShadow) — a TSan-style two-level
-//!   direct-mapped table (page directory → fixed slot arrays), trading a
-//!   little index memory for allocation-free, cache-friendly lookups on
-//!   dense address ranges.
+//!   direct-mapped table (page directory → fixed slot arrays). No detector
+//!   runs on it: it stays as a library type for the store-level
+//!   measurements and the contract below.
 //!
 //! Both are directories over the same chunk (`chunk.rs`: word mode, byte
 //! mode, the expansion between them, and the lanes of a slot), so an
 //! unaligned lookup in a word-mode chunk misses identically in either
-//! store and race reports are byte-identical across them (proven by
-//! `tests/store_equivalence.rs`).
+//! store; the contract at the bottom of this file holds both to it.
 //!
-//! Detectors are generic over the store via [`StoreSelect`], a zero-sized
-//! selector with a generic-associated store type. This keeps the concrete
-//! cell types (which are private to each detector) out of public bounds:
-//! `FastTrackOn<PagedSelect>` names a detector without naming its cells.
+//! The fixed-granularity detectors hold a `ShadowTable` directly. The
+//! dynamic detector is generic over [`StoreSelect`], whose one production
+//! impl is [`HashSelect`]: that parameter is the seam through which a test
+//! puts a wrapping store (one that counts directory probes) under the
+//! detector, and it cannot be a plain store type because the detector's
+//! slot type is private.
 
 use std::fmt::Debug;
 
 use dgrace_trace::Addr;
 
 use crate::chunk::{chunk_key, Victims};
-use crate::paged::PagedShadow;
 use crate::table::ShadowTable;
 
 /// A chunk a store has resolved: what one directory probe found for one
@@ -234,39 +234,26 @@ pub trait ShadowStore<T, const N: usize = 1>: Default + Debug {
     }
 }
 
-/// Zero-sized selector of a shadow-store implementation.
+/// Zero-sized selector of the dynamic detector's shadow store.
 ///
-/// Detector types take a `StoreSelect` parameter instead of a store type
-/// directly, so their (private) cell types never appear in public bounds:
-/// `DjitOn<PagedSelect>` is spelled without naming `Djit`'s cell.
-pub trait StoreSelect:
-    Copy + Clone + Debug + Default + Send + Sync + Eq + std::hash::Hash + 'static
-{
+/// The dynamic detector's cell type is private, so its store cannot be a
+/// type parameter of its own; a selector names a store that can be
+/// instantiated at any cell type instead. [`HashSelect`] is the one
+/// production impl. The parameter stays so a test can put a wrapping
+/// store under the detector (`crates/core/tests/probe_count.rs` counts
+/// directory probes that way).
+pub trait StoreSelect: Debug + Default + Send + Sync + 'static {
     /// The store this selector picks, with `N` lanes per location,
     /// instantiable at any cell type.
     type Store<T: Debug + Send, const N: usize>: ShadowStore<T, N> + Debug + Send;
-
-    /// Suffix appended to detector names for non-default stores, so
-    /// reports distinguish `fasttrack-byte` from `fasttrack-byte+paged`.
-    const NAME_SUFFIX: &'static str;
 }
 
-/// Selects the chained-hash [`ShadowTable`] (the default store).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// Selects the chained-hash [`ShadowTable`].
+#[derive(Debug, Default)]
 pub struct HashSelect;
 
 impl StoreSelect for HashSelect {
     type Store<T: Debug + Send, const N: usize> = ShadowTable<T, N>;
-    const NAME_SUFFIX: &'static str = "";
-}
-
-/// Selects the two-level direct-mapped [`PagedShadow`] store.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct PagedSelect;
-
-impl StoreSelect for PagedSelect {
-    type Store<T: Debug + Send, const N: usize> = PagedShadow<T, N>;
-    const NAME_SUFFIX: &'static str = "+paged";
 }
 
 /// The store contract: every behaviour a detector can observe through
@@ -275,6 +262,7 @@ impl StoreSelect for PagedSelect {
 mod contract {
     use super::*;
     use crate::accounting::{hash_entry_bytes, paged_dir_bytes};
+    use crate::paged::PagedShadow;
 
     fn insert_get_remove_word_aligned<S: ShadowStore<u32>>() {
         let mut t = S::default();
@@ -311,6 +299,55 @@ mod contract {
         t.insert(Addr(0x100), 1);
         assert_eq!(t.get(Addr(0x101)), None);
         assert_eq!(t.remove(Addr(0x101)), None);
+    }
+
+    /// The first unaligned insert expands its own chunk only: while a
+    /// chunk is in word mode an unaligned lookup or remove misses, the
+    /// expansion keeps every aligned cell, a chunk elsewhere stays in word
+    /// mode, and neighbour scans read across the mix.
+    fn expansion_is_per_chunk<S: ShadowStore<u32>>() {
+        let mut t = S::default();
+        let base = 0x2000u64;
+        for i in 0..8u64 {
+            t.insert(Addr(base + i * 4), i as u32);
+        }
+        for probe in [base + 1, base + 2, base + 7, base + 13] {
+            assert_eq!(t.get(Addr(probe)), None, "{probe:#x}");
+        }
+        assert_eq!(t.remove(Addr(base + 2)), None);
+
+        t.insert(Addr(base + 2), 99);
+        for i in 0..8u64 {
+            assert_eq!(t.get(Addr(base + i * 4)), Some(&(i as u32)));
+        }
+        assert_eq!(t.get(Addr(base + 2)), Some(&99));
+        assert_eq!(t.len(), 9);
+
+        let far = base + 0x4000;
+        t.insert(Addr(far), 1);
+        assert_eq!(t.get(Addr(far + 3)), None);
+
+        assert_eq!(
+            t.nearest_predecessor(Addr(base + 6), 64),
+            Some((Addr(base + 4), &1))
+        );
+        assert_eq!(
+            t.nearest_successor(Addr(base + 6), 64),
+            Some((Addr(base + 8), &2))
+        );
+        assert_eq!(
+            t.nearest_predecessor(Addr(base + 16), 64),
+            Some((Addr(base + 12), &3))
+        );
+        assert_eq!(
+            t.nearest_successor(Addr(base + 16), 64),
+            Some((Addr(base + 20), &5))
+        );
+        assert_eq!(
+            t.nearest_predecessor(Addr(far + 4), 64),
+            Some((Addr(far), &1))
+        );
+        assert_eq!(t.nearest_successor(Addr(far + 4), 64), None);
     }
 
     fn nearest_neighbors_within_and_across_chunks<S: ShadowStore<u32>>() {
@@ -476,6 +513,10 @@ mod contract {
                 #[test]
                 fn unaligned_lookup_in_word_mode_is_none() {
                     super::unaligned_lookup_in_word_mode_is_none::<$store>();
+                }
+                #[test]
+                fn expansion_is_per_chunk() {
+                    super::expansion_is_per_chunk::<$store>();
                 }
                 #[test]
                 fn nearest_neighbors_within_and_across_chunks() {

@@ -6,7 +6,7 @@
 //! throughput; detection output is contractually unchanged. This suite
 //! locks that contract in across the full configuration matrix:
 //!
-//! * detector family × shadow-store backend (six combinations),
+//! * the three detector families,
 //! * shard counts 1 / 2 / 4 / 8,
 //! * warm-start pruning (`--prune-with`), shadow budgets
 //!   (`--shadow-budget`), resync-recovered traces (`--resync`),
@@ -24,14 +24,13 @@
 
 use proptest::prelude::*;
 
-use dgrace::core::DynamicGranularityOn;
-use dgrace::detectors::{race_signature, DjitOn, FastTrackOn, Report, ShardableDetector};
+use dgrace::core::DynamicGranularity;
+use dgrace::detectors::{race_signature, Djit, FastTrack, Report, ShardableDetector};
 use dgrace::runtime::{
     replay, replay_pipelined, replay_sharded, silence_injected_panics, CheckpointInterval,
     CheckpointManifest, CheckpointOptions, PanicOnEvent, RunPlan, SupervisorPolicy, Transport,
     CHECKPOINT_FILE,
 };
-use dgrace::shadow::{HashSelect, PagedSelect};
 use dgrace::trace::io::{read_trace_with, to_bytes};
 use dgrace::trace::{
     AccessSize, Addr, AnalysisSummary, ClassifiedRange, LocationClass, ReadOptions, Trace,
@@ -44,7 +43,7 @@ type MakeFaulty = Box<dyn Fn(usize, u64) -> Proto>;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The six detector × store combinations, each as a bare prototype
+/// The three detector families, each as a bare prototype
 /// factory and a fault-wrapped factory (shard `target` panics at its
 /// `panic_at`-th event).
 fn prototypes() -> Vec<(&'static str, MakeClean, MakeFaulty)> {
@@ -60,12 +59,9 @@ fn prototypes() -> Vec<(&'static str, MakeClean, MakeFaulty)> {
         };
     }
     vec![
-        combo!("fasttrack/hash", FastTrackOn<HashSelect>),
-        combo!("fasttrack/paged", FastTrackOn<PagedSelect>),
-        combo!("djit/hash", DjitOn<HashSelect>),
-        combo!("djit/paged", DjitOn<PagedSelect>),
-        combo!("dynamic/hash", DynamicGranularityOn<HashSelect>),
-        combo!("dynamic/paged", DynamicGranularityOn<PagedSelect>),
+        combo!("fasttrack", FastTrack),
+        combo!("djit", Djit),
+        combo!("dynamic", DynamicGranularity),
     ]
 }
 
@@ -151,7 +147,7 @@ fn assert_signature_equal(piped: &Report, funnel: &Report, ctx: &str) {
     );
 }
 
-/// Tentpole matrix: six detector × store combinations, four shard
+/// Tentpole matrix: three detector families, four shard
 /// counts, full-report equality between the two ingestion paths.
 #[test]
 fn fixed_matrix_pipelined_equals_funnel_exactly() {
@@ -174,8 +170,8 @@ fn long_trace_crosses_segments_and_matches() {
     let trace = long_trace();
     let mut first: Option<Vec<_>> = None;
     for &shards in &SHARD_COUNTS {
-        let funnel = replay_sharded(&FastTrackOn::<HashSelect>::new(), &trace, shards);
-        let piped = replay_pipelined(&FastTrackOn::<HashSelect>::new(), &trace, shards);
+        let funnel = replay_sharded(&FastTrack::new(), &trace, shards);
+        let piped = replay_pipelined(&FastTrack::new(), &trace, shards);
         assert_eq!(piped, funnel, "shards={shards}");
         let sig = race_signature(&piped);
         if let Some(f) = &first {
@@ -211,7 +207,7 @@ fn pruned_replay_matches_across_paths() {
     assert!(!prune.is_empty());
     for &shards in &SHARD_COUNTS {
         let funnel = replay(
-            FastTrackOn::<PagedSelect>::new(),
+            FastTrack::new(),
             &trace,
             &RunPlan {
                 shards,
@@ -221,7 +217,7 @@ fn pruned_replay_matches_across_paths() {
         )
         .expect("replay");
         let piped = replay(
-            FastTrackOn::<PagedSelect>::new(),
+            FastTrack::new(),
             &trace,
             &RunPlan {
                 shards,
@@ -254,7 +250,7 @@ fn shadow_budget_runs_match_across_paths() {
     let trace = b.build();
     for &shards in &[1usize, 2, 4] {
         let budgeted = || {
-            let mut proto: Proto = Box::new(FastTrackOn::<HashSelect>::new());
+            let mut proto: Proto = Box::new(FastTrack::new());
             proto.set_shadow_budget(Some(1024));
             proto
         };
@@ -286,8 +282,8 @@ fn resync_recovered_trace_matches_across_paths() {
     assert!(stats.lossy(), "corruption must have dropped something");
     assert!(!recovered.is_empty());
     for &shards in &SHARD_COUNTS {
-        let funnel = replay_sharded(&DjitOn::<HashSelect>::new(), &recovered, shards);
-        let piped = replay_pipelined(&DjitOn::<HashSelect>::new(), &recovered, shards);
+        let funnel = replay_sharded(&Djit::new(), &recovered, shards);
+        let piped = replay_pipelined(&Djit::new(), &recovered, shards);
         assert_eq!(piped, funnel, "shards={shards}");
     }
 }
@@ -300,8 +296,8 @@ fn checkpoints_resume_across_paths() {
     let trace = matrix_trace();
     let bare = |name: &str| -> Proto {
         match name {
-            "fasttrack" => Box::new(FastTrackOn::<HashSelect>::new()),
-            _ => Box::new(DynamicGranularityOn::<PagedSelect>::new()),
+            "fasttrack" => Box::new(FastTrack::new()),
+            _ => Box::new(DynamicGranularity::new()),
         }
     };
     for name in ["fasttrack", "dynamic"] {
@@ -383,7 +379,7 @@ fn checkpoints_resume_across_paths() {
 
 /// Self-heal on the pipeline: a shard panic mid-trace is healed by the
 /// supervisor, and the healed report equals the clean funnel report for
-/// every detector family, store backend, and shard count.
+/// every detector family and shard count.
 #[test]
 fn supervised_pipeline_heals_to_clean_report() {
     silence_injected_panics();
@@ -458,8 +454,8 @@ proptest! {
         shards in 1usize..9,
     ) {
         let trace = trace_from_ops(&ops);
-        let funnel = replay_sharded(&FastTrackOn::<HashSelect>::new(), &trace, shards);
-        let piped = replay_pipelined(&FastTrackOn::<HashSelect>::new(), &trace, shards);
+        let funnel = replay_sharded(&FastTrack::new(), &trace, shards);
+        let piped = replay_pipelined(&FastTrack::new(), &trace, shards);
         prop_assert_eq!(&piped, &funnel, "shards={}", shards);
         assert_signature_equal(&piped, &funnel, "random/fasttrack");
     }
@@ -473,8 +469,8 @@ proptest! {
         shards in 1usize..9,
     ) {
         let trace = trace_from_ops(&ops);
-        let funnel = replay_sharded(&DynamicGranularityOn::<HashSelect>::new(), &trace, shards);
-        let piped = replay_pipelined(&DynamicGranularityOn::<HashSelect>::new(), &trace, shards);
+        let funnel = replay_sharded(&DynamicGranularity::new(), &trace, shards);
+        let piped = replay_pipelined(&DynamicGranularity::new(), &trace, shards);
         prop_assert_eq!(&piped, &funnel, "shards={}", shards);
     }
 }
