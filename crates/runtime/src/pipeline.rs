@@ -58,7 +58,14 @@ const SEGMENT_EVENTS: usize = 1024;
 
 /// Ring capacity in segments per lane: bounds producer run-ahead (and
 /// queued-segment memory) without stalling workers on short hiccups.
-const RING_SEGMENTS: usize = 64;
+/// How full the rings get depends on thread scheduling, so this bound is
+/// also the part of peak RSS that differs from one run to the next. On
+/// `--shards 2 --pipeline` over the ledger's `stream` input, 64 let the
+/// peak range over 3.4 MiB (inter-quartile 2 MiB) and 32 over 1.6 MiB
+/// (0.5 MiB) at the same wall time; 16 narrowed it further but cost
+/// sync-heavy traces 8 % wall (EXPERIMENTS.md, "Ring depth and peak-RSS
+/// spread").
+const RING_SEGMENTS: usize = 32;
 
 /// One unit of work on a shard lane.
 enum Job {
