@@ -186,3 +186,29 @@ fn list_help_and_detect_agree_on_the_detector_names() {
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown detector"));
     }
 }
+
+#[test]
+fn a_pruned_report_has_one_name_on_every_path() {
+    // The serial path prunes in an outermost `StaticPruneFilter`, the
+    // engine ahead of its shards; both name the report `…+pruned`, so
+    // the whole `--json` is the same bytes.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("pruned-name");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_string();
+    let (trace, summary) = (path("x264.dgrt"), path("x264.dgas"));
+    let gen = ["gen", "x264", "--scale", "0.2", "--seed", "5", "-o", &trace];
+    assert!(dgrace(&gen).status.success());
+    assert!(dgrace(&["analyze", &trace, "-o", &summary])
+        .status
+        .success());
+    let pruned = ["detect", "byte", &trace, "--prune-with", &summary, "--json"];
+    let serial = stdout(&pruned);
+    assert!(
+        serial.contains("\"detector\": \"fasttrack-byte+pruned\""),
+        "{serial}"
+    );
+    assert_eq!(
+        stdout(&[&pruned[..], &["--shards", "1", "--self-heal"]].concat()),
+        serial
+    );
+}

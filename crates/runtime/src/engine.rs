@@ -24,32 +24,41 @@
 //!   a [`SupervisorPolicy`], a shard whose detector panics is not
 //!   permanently quarantined: the supervisor spawns a replacement, rolls
 //!   it forward from the shard's last checkpoint (or from scratch) by
-//!   replaying the shard's journal delta merged with the sync journal,
-//!   and re-feeds the batch that panicked. Only after `max_respawns`
-//!   respawns inside a `window`-stamp window — or when the replay itself
-//!   fails — does the shard fall back to permanent quarantine with a
-//!   structured [`ShardFailure`].
+//!   replaying the suffix of the shard's own journal, and re-feeds the
+//!   run that panicked. Only after `max_respawns` respawns inside a
+//!   `window`-stamp window — or when the replay itself fails — does the
+//!   shard fall back to permanent quarantine with a structured
+//!   [`ShardFailure`].
+//!
+//! ## One feed, one journal
+//!
+//! Every event reaches a shard detector through one per-shard body,
+//! [`Engine::feed`], as stamped `(stamp, event)` entries: the replay
+//! driver's lanes hand it whole segments ([`Engine::feed_segment`]), the
+//! live runtime hands it a flushed batch's part ([`Engine::dispatch`])
+//! or one sync event ([`Engine::broadcast`]). A shard's journal is its
+//! whole stream in feed order — routed accesses with every sync event
+//! inline — so it is exactly what a respawned detector must consume.
 //!
 //! ## Why this is equivalent to the serialized detector
 //!
-//! Sequence stamps are allocated while holding the destination shard's
-//! lock (all shard locks, for a broadcast), so for every shard the feed
-//! order equals the stamp order. Sorting the journal by stamp therefore
-//! yields a single serialization σ of the run whose restriction to each
-//! shard's addresses (plus all syncs) is exactly what that shard
-//! processed. A vector-clock detector's verdict on an address depends
-//! only on the sync events and the accesses to sharing-adjacent
-//! addresses — and the router keeps sharing-adjacent addresses (same
-//! padded object) in one shard — so replaying σ through one serialized
-//! detector reproduces the union of the shards' race sets. The
-//! differential tests in `tests/sharded_equivalence.rs` check this
-//! end-to-end.
+//! The live runtime allocates sequence stamps while holding the
+//! destination shard's lock (all shard locks, for a broadcast), and the
+//! replay driver stamps events in the order it walks them, so for every
+//! shard the feed order equals the stamp order. Sorting the journals by
+//! stamp (one copy per sync) therefore yields a single serialization σ
+//! of the run whose restriction to each shard's addresses (plus all
+//! syncs) is exactly what that shard processed. A vector-clock
+//! detector's verdict on an address depends only on the sync events and
+//! the accesses to sharing-adjacent addresses — and the router keeps
+//! sharing-adjacent addresses (same padded object) in one shard — so
+//! replaying σ through one serialized detector reproduces the union of
+//! the shards' race sets. The differential tests in
+//! `tests/sharded_equivalence.rs` check this end-to-end.
 //!
 //! The same argument is why a respawned shard is *exact*, not
-//! approximate: the shard's journal holds its accesses in stamp order and
-//! the sync journal holds every broadcast in stamp order, so the
-//! stamp-merge of the two suffixes (after the checkpoint position) is
-//! precisely the event sequence the dead detector had consumed.
+//! approximate: the journal suffix after the checkpoint position is
+//! precisely the event sequence the dead detector had consumed since.
 //!
 //! ## Flush ordering rules (the part that is easy to get wrong)
 //!
@@ -66,12 +75,8 @@
 //!    events.
 //!
 //! Lock order is always: buffer flush lock → shard locks in ascending
-//! index → sync-journal lock. No path acquires them in the reverse
-//! direction, so the engine cannot deadlock against itself. In
-//! particular, `broadcast` appends to the sync journal *before* releasing
-//! the shard locks, so any thread holding a shard lock observes a sync
-//! journal consistent with what that shard has been fed — the invariant
-//! the supervisor's delta replay depends on.
+//! index. No path acquires them in the reverse direction, so the engine
+//! cannot deadlock against itself.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -178,8 +183,6 @@ fn describe_event(ev: &Event) -> String {
 /// Tuning knobs for the online runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeOptions {
-    /// Number of detector shards. `1` reproduces the serialized engine.
-    pub shards: usize,
     /// Capacity of each thread's private event buffer. `1` disables
     /// batching (every access is dispatched individually — the
     /// serialized-baseline configuration of the scaling bench).
@@ -195,7 +198,6 @@ pub struct RuntimeOptions {
 impl Default for RuntimeOptions {
     fn default() -> Self {
         RuntimeOptions {
-            shards: 1,
             buffer_capacity: 256,
             record: false,
         }
@@ -253,12 +255,11 @@ struct Supervisor {
 }
 
 /// A shard-local copy of the detector's last snapshot plus the journal
-/// positions it corresponds to: delta replay restores the snapshot and
-/// replays `journal[journal_pos..]` merged with `sync[sync_pos..]`.
+/// position it corresponds to: delta replay restores the snapshot and
+/// replays `journal[journal_pos..]`.
 struct ShardCheckpoint {
     bytes: Vec<u8>,
     journal_pos: usize,
-    sync_pos: usize,
 }
 
 /// One thread's private event buffer: a lock-free bounded queue plus a
@@ -282,9 +283,10 @@ struct ShardState {
     /// `None` once the shard is quarantined: its detector panicked, was
     /// dropped, and the shard only counts dropped events from then on.
     det: Option<Box<dyn Detector + Send>>,
-    /// `(stamp, event)` pairs, appended in stamp order; only populated
-    /// when recording. Quarantined shards keep journaling, so the
-    /// recorded serialization stays exact.
+    /// The shard's whole stream as fed — routed accesses with every sync
+    /// event inline — as `(stamp, event)` pairs in stamp order; only
+    /// populated when recording. Quarantined shards keep journaling, so
+    /// the recorded serialization stays exact.
     journal: Vec<(u64, Event)>,
     /// The panic that quarantined this shard, if any.
     failure: Option<ShardFailure>,
@@ -336,14 +338,13 @@ impl ShardState {
     }
 }
 
-/// Where a detector panic happened: the shard, the stamped part being
+/// Where a detector panic happened: the shard, the stamped run being
 /// fed, and how far into it the detector got. `count_drops` is false for
-/// sync broadcasts — healthy shards still process those, so the logical
-/// event is not lost from the run.
+/// a run of sync events — healthy shards still process those, so the
+/// logical events are not lost from the run.
 struct PanicSite<'a> {
     shard: usize,
-    stamp: u64,
-    part: &'a [Event],
+    part: &'a [(u64, Event)],
     processed: usize,
     count_drops: bool,
 }
@@ -459,6 +460,18 @@ impl Router {
             cursor = ((cursor >> REGION_BITS) + 1) << REGION_BITS;
         }
     }
+
+    /// Collects into `out` every shard one access/alloc/free event goes
+    /// to: `Free` fans out to every owning shard, anything else routes to
+    /// exactly one.
+    fn targets(&self, ev: &Event, out: &mut Vec<usize>) {
+        if let Event::Free { addr, size, .. } = *ev {
+            self.routes_for_range(addr.0, size, out);
+        } else {
+            out.clear();
+            out.push(self.route(route_addr(ev)));
+        }
+    }
 }
 
 /// A point-in-time capture of the whole engine: detector snapshots plus
@@ -499,29 +512,22 @@ pub(crate) struct Engine {
     /// Per-tid buffer registry, indexed by `Tid::index()`.
     bufs: RwLock<Vec<Option<Arc<ThreadBuf>>>>,
     /// Warm-start prune predicate: the replay driver drops the accesses
-    /// it covers before its transport (and before the journal — a
-    /// recorded trace excludes pruned accesses). Empty by default.
+    /// it covers before its lanes (and before the journal — a recorded
+    /// trace excludes pruned accesses). Empty by default.
     prune: PruneSet,
     /// Accesses dropped by the prune predicate.
     pruned: AtomicU64,
-    /// `(stamp, event)` for every broadcast sync event, in stamp order;
-    /// only populated when recording. Kept engine-global (not per shard)
-    /// so a respawned shard can merge it with its own journal without
-    /// duplicating every broadcast N times.
-    sync_journal: Mutex<Vec<(u64, Event)>>,
     /// Present when the engine self-heals panicked shards.
     supervisor: Option<Supervisor>,
 }
 
 impl Engine {
-    pub(crate) fn new(detectors: Vec<Box<dyn Detector + Send>>, opts: RuntimeOptions) -> Self {
-        Self::build(detectors, opts, PruneSet::empty(), None)
-    }
-
-    /// Builds an engine over `detectors` (one per shard). With a
-    /// `supervisor` it self-heals: on a shard panic it spawns
-    /// `factory(shard)`, rolls it forward from the last checkpoint plus
-    /// the journal delta, and re-feeds the offending batch, within the
+    /// Builds an engine over `detectors` (one per shard) — the one
+    /// constructor of the live runtime, the replay driver and a live
+    /// session. `prune` is the warm-start predicate the replay driver
+    /// applies. With a `supervisor` it self-heals: on a shard panic it
+    /// spawns `factory(shard)`, rolls it forward from the last checkpoint
+    /// plus the journal delta, and re-feeds the offending run, within the
     /// respawn budget of the policy.
     pub(crate) fn build(
         detectors: Vec<Box<dyn Detector + Send>>,
@@ -559,7 +565,6 @@ impl Engine {
             bufs: RwLock::new(Vec::new()),
             prune,
             pruned: AtomicU64::new(0),
-            sync_journal: Mutex::new(Vec::new()),
             supervisor,
         }
     }
@@ -634,109 +639,133 @@ impl Engine {
         }
     }
 
-    /// Routes a batch of access/alloc/free events to the shards.
+    /// Routes a flushed batch of the live runtime's access/alloc/free
+    /// events to the shards.
     ///
     /// Each per-shard part receives one sequence stamp, taken while the
     /// shard lock is held; events within a part keep their program order.
-    /// The prune predicate has already been applied upstream: at `push`
-    /// online, in the replay driver's step offline.
+    /// The prune predicate does not apply: the live runtime runs none.
     pub(crate) fn dispatch(&self, batch: Vec<Event>) {
         let n = batch.len() as u64;
+        let mut parts: Vec<Vec<Event>> = vec![Vec::new(); self.shards.len()];
         if self.shards.len() == 1 {
-            let mut shard = self.shards[0].lock();
-            let stamp = self.seq.fetch_add(1, Ordering::Relaxed);
-            self.feed(&mut shard, 0, stamp, &batch);
-            if self.record {
-                shard
-                    .journal
-                    .extend(batch.into_iter().map(|ev| (stamp, ev)));
-            }
+            parts[0] = batch;
         } else {
-            let mut parts: Vec<Vec<Event>> = vec![Vec::new(); self.shards.len()];
-            {
-                let router = self.router.read();
-                let mut free_targets: Vec<usize> = Vec::new();
-                for ev in batch {
-                    if let Event::Free { addr, size, .. } = ev {
-                        // Delivered to every owning shard; a shard
-                        // holding no cells in the range clears nothing.
-                        router.routes_for_range(addr.0, size, &mut free_targets);
-                        for &s in &free_targets {
-                            parts[s].push(ev);
-                        }
-                    } else {
-                        parts[router.route(route_addr(&ev))].push(ev);
-                    }
+            let router = self.router.read();
+            let mut targets: Vec<usize> = Vec::new();
+            for ev in batch {
+                router.targets(&ev, &mut targets);
+                for &s in &targets {
+                    parts[s].push(ev);
                 }
             }
-            for (i, part) in parts.into_iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                let mut shard = self.shards[i].lock();
-                let stamp = self.seq.fetch_add(1, Ordering::Relaxed);
-                self.feed(&mut shard, i, stamp, &part);
-                if self.record {
-                    shard.journal.extend(part.into_iter().map(|ev| (stamp, ev)));
-                }
+        }
+        for (i, part) in parts.into_iter().enumerate() {
+            if part.is_empty() {
+                continue;
             }
+            let mut shard = self.shards[i].lock();
+            let stamp = self.seq.fetch_add(1, Ordering::Relaxed);
+            let entries: Vec<(u64, Event)> = part.into_iter().map(|ev| (stamp, ev)).collect();
+            self.feed(&mut shard, i, &entries);
         }
         self.emitted.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Feeds one stamped part to a shard, containing panics. The
-    /// `catch_unwind` is per *batch*, not per event, so the clean-path
-    /// cost is one landing pad per dispatch, off the per-event hot path.
+    /// Feeds one shard a stamped stretch of its stream: its routed
+    /// accesses interleaved with every sync event, in stamp order. This
+    /// is the one way an event reaches a detector. Each maximal run of
+    /// accesses (or of syncs) is fed under one `catch_unwind`, so the
+    /// clean-path cost is one landing pad per run, off the per-event hot
+    /// path, and journaled once the detector has processed it.
+    ///
     /// A panicking detector is handed to [`Engine::recover`], which
     /// either self-heals the shard (supervised engines) or quarantines
-    /// it and counts the unprocessed remainder of the part — including
-    /// the event that panicked — as dropped.
-    ///
-    /// Note the journal append in `dispatch` happens *after* this
-    /// returns, so during recovery the journal holds exactly the events
-    /// fed before this part — the delta replay source — and `part`
-    /// itself is re-fed explicitly.
-    fn feed(&self, st: &mut ShardState, shard: usize, stamp: u64, part: &[Event]) {
+    /// it and counts the unprocessed remainder of an access run —
+    /// including the event that panicked — as dropped. The run is
+    /// journaled only after it returns, so during recovery the journal
+    /// holds exactly the events fed before the run — the delta replay
+    /// source — and the run itself is re-fed explicitly.
+    fn feed(&self, st: &mut ShardState, shard: usize, entries: &[(u64, Event)]) {
+        let mut rest = entries;
+        while !rest.is_empty() {
+            let len = self.feed_run(st, shard, rest);
+            let (run, tail) = rest.split_at(len);
+            if self.record {
+                st.journal.extend_from_slice(run);
+            }
+            rest = tail;
+        }
+    }
+
+    /// Feeds the leading run of `rest` — all accesses (counted as routed,
+    /// or as dropped on a quarantined shard) or all syncs (never counted:
+    /// healthy shards still process them) — and returns its length. The
+    /// run ends where the detector meets the other kind, so the clean
+    /// path walks the entries once.
+    fn feed_run(&self, st: &mut ShardState, shard: usize, rest: &[(u64, Event)]) -> usize {
+        let sync = rest[0].1.is_sync();
+        let run_len = || {
+            rest.iter()
+                .position(|(_, ev)| ev.is_sync() != sync)
+                .unwrap_or(rest.len())
+        };
         let Some(det) = st.det.as_mut() else {
             // Never analyzed: counted as `dropped` only — `routed` holds
             // analyzed events, so the two stay disjoint (an event routed
             // to a quarantined shard must not surface in both `dropped`
             // and `events_lost`).
-            st.dropped += part.len() as u64;
-            return;
+            let len = run_len();
+            if !sync {
+                st.dropped += len as u64;
+            }
+            return len;
         };
-        st.routed += part.len() as u64;
         let mut processed = 0usize;
         let result = catch_unwind(AssertUnwindSafe(|| {
-            for ev in part {
+            for (_, ev) in rest {
+                if ev.is_sync() != sync {
+                    break;
+                }
                 det.on_event(ev);
                 processed += 1;
             }
         }));
-        if let Err(payload) = result {
-            self.recover(
-                st,
-                PanicSite {
+        let len = match result {
+            Ok(()) => processed,
+            Err(payload) => {
+                let len = run_len();
+                if !sync {
+                    // Counted as routed here; `recover` moves what was
+                    // never analyzed back out.
+                    st.routed += len as u64;
+                }
+                let site = PanicSite {
                     shard,
-                    stamp,
-                    part,
+                    part: &rest[..len],
                     processed,
-                    count_drops: true,
-                },
-                payload,
-            );
+                    count_drops: !sync,
+                };
+                self.recover(st, site, payload);
+                return len;
+            }
+        };
+        if !sync {
+            st.routed += len as u64;
         }
+        len
     }
 
     /// Handles a detector panic: without a supervisor (or once the
     /// respawn budget is spent) the shard is permanently quarantined;
     /// otherwise a replacement detector is spawned, restored from the
-    /// last checkpoint, rolled forward through the journal delta (shard
-    /// journal stamp-merged with the sync journal), and re-fed the
-    /// panicking part. A replacement that panics again burns another
-    /// respawn from the same budget; a replay that fails structurally
-    /// (restore error) quarantines immediately — the checkpoint is the
-    /// only rollback point, so there is nothing further back to try.
+    /// last checkpoint, rolled forward through the shard's journal
+    /// suffix, and re-fed the panicking run. A replacement that panics
+    /// again burns another respawn from the same budget; a replay that
+    /// fails structurally (restore error) quarantines immediately — the
+    /// checkpoint is the only rollback point, so there is nothing
+    /// further back to try. The failure names the offending event's own
+    /// stamp, so it does not depend on how the stream was cut into runs.
     #[cold]
     fn recover(
         &self,
@@ -746,7 +775,7 @@ impl Engine {
     ) {
         let mut processed = site.processed;
         loop {
-            let offending = site.part.get(processed);
+            let (stamp, offending) = &site.part[processed];
             let Some(sup) = self.supervisor.as_ref() else {
                 if site.count_drops {
                     // The unprocessed remainder was counted as routed
@@ -756,54 +785,36 @@ impl Engine {
                     st.dropped += rem;
                     st.routed -= rem;
                 }
-                st.quarantine(site.shard, site.stamp, payload, offending);
+                st.quarantine(site.shard, *stamp, payload, Some(offending));
                 return;
             };
-            st.respawns.retain(|&s| s + sup.policy.window > site.stamp);
+            st.respawns.retain(|&s| s + sup.policy.window > *stamp);
             if st.respawns.len() >= sup.policy.max_respawns {
                 if site.count_drops {
                     let rem = (site.part.len() - processed) as u64;
                     st.dropped += rem;
                     st.routed -= rem;
                 }
-                st.quarantine(site.shard, site.stamp, payload, offending);
+                st.quarantine(site.shard, *stamp, payload, Some(offending));
                 return;
             }
-            st.respawns.push(site.stamp);
+            st.respawns.push(*stamp);
             let mut det = (sup.factory)(site.shard);
             let journal = &st.journal;
             let ckpt = st.checkpoint.as_ref();
             let mut done = 0usize;
             let replay = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
-                let (jpos, spos) = match ckpt {
+                let from = match ckpt {
                     Some(c) => {
                         det.restore(&c.bytes)?;
-                        (c.journal_pos.min(journal.len()), c.sync_pos)
+                        c.journal_pos.min(journal.len())
                     }
-                    None => (0, 0),
+                    None => 0,
                 };
-                {
-                    // Lock order: shard lock (held by the caller) →
-                    // sync-journal lock, same as `broadcast`.
-                    let sync = self.sync_journal.lock();
-                    let mut j = journal[jpos..].iter().peekable();
-                    let mut s = sync[spos.min(sync.len())..].iter().peekable();
-                    loop {
-                        let take_sync = match (j.peek(), s.peek()) {
-                            (None, None) => break,
-                            (Some(_), None) => false,
-                            (None, Some(_)) => true,
-                            (Some(&&(js, _)), Some(&&(ss, _))) => ss < js,
-                        };
-                        let (_, ev) = if take_sync {
-                            s.next().expect("peeked")
-                        } else {
-                            j.next().expect("peeked")
-                        };
-                        det.on_event(ev);
-                    }
+                for (_, ev) in &journal[from..] {
+                    det.on_event(ev);
                 }
-                for ev in site.part {
+                for (_, ev) in site.part {
                     det.on_event(ev);
                     done += 1;
                 }
@@ -812,13 +823,13 @@ impl Engine {
             match replay {
                 Ok(Ok(())) => {
                     // Healed: the replacement holds exactly the state the
-                    // dead detector would have had after this part.
+                    // dead detector would have had after this run.
                     st.det = Some(det);
                     return;
                 }
                 Ok(Err(e)) => {
                     if site.count_drops {
-                        // The whole part is unanalyzed relative to the
+                        // The whole run is unanalyzed relative to the
                         // rollback point; reclassify it out of `routed`.
                         let n = site.part.len() as u64;
                         st.dropped += n;
@@ -826,9 +837,9 @@ impl Engine {
                     }
                     st.quarantine(
                         site.shard,
-                        site.stamp,
+                        *stamp,
                         Box::new(format!("respawn failed: {e}")),
-                        offending,
+                        Some(offending),
                     );
                     return;
                 }
@@ -849,33 +860,12 @@ impl Engine {
 
     /// Stamps a sync event once (holding every shard lock) and feeds it
     /// to all shards, keeping their happens-before states identical.
-    /// When recording, the event is appended to the sync journal before
-    /// the shard locks are released (see the module docs' lock order).
     fn broadcast(&self, ev: Event) {
         let mut guards: Vec<MutexGuard<'_, ShardState>> =
             self.shards.iter().map(|s| s.lock()).collect();
         let stamp = self.seq.fetch_add(1, Ordering::Relaxed);
         for (i, g) in guards.iter_mut().enumerate() {
-            // Quarantined shards are skipped without counting a drop:
-            // the healthy shards still process the sync event, so the
-            // logical event is not lost from the run.
-            let Some(det) = g.det.as_mut() else { continue };
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| det.on_event(&ev))) {
-                self.recover(
-                    &mut *g,
-                    PanicSite {
-                        shard: i,
-                        stamp,
-                        part: std::slice::from_ref(&ev),
-                        processed: 0,
-                        count_drops: false,
-                    },
-                    payload,
-                );
-            }
-        }
-        if self.record {
-            self.sync_journal.lock().push((stamp, ev));
+            self.feed(g, i, &[(stamp, ev)]);
         }
         self.emitted.fetch_add(1, Ordering::Relaxed);
     }
@@ -895,10 +885,10 @@ impl Engine {
         self.dispatch(vec![ev]);
     }
 
-    // ---- replay-driver and ring-transport support ---------------------
+    // ---- replay-driver and lane support --------------------------------
 
     /// Whether the warm-start prune predicate drops this event. The
-    /// replay driver prunes before handing an event to its transport.
+    /// replay driver prunes before handing an event to its lanes.
     pub(crate) fn prunes_event(&self, ev: &Event) -> bool {
         !self.prune.is_empty()
             && ev
@@ -906,15 +896,16 @@ impl Engine {
                 .is_some_and(|(addr, size, _)| self.prune.prunes(addr, size.bytes()))
     }
 
-    /// Allocates one sequence stamp. The pipeline producer stamps every
-    /// logical event; a sync event reuses one stamp across all shard
-    /// lanes, so per-shard journals stay globally ordered by stamp.
-    pub(crate) fn alloc_stamp(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
+    /// The stamp the next walked event takes. The lanes stamp the events
+    /// they walk from here and [`commit`](Engine::commit) the count at
+    /// every barrier, so a stamp costs the walking thread no atomic.
+    pub(crate) fn next_stamp(&self) -> u64 {
+        self.seq.load(Ordering::Relaxed)
     }
 
-    /// Records `n` logical events as emitted (pipeline producer side).
-    pub(crate) fn note_emitted(&self, n: u64) {
+    /// Records `n` walked events, one stamp each, as stamped and emitted.
+    pub(crate) fn commit(&self, n: u64) {
+        self.seq.fetch_add(n, Ordering::Relaxed);
         self.emitted.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -923,73 +914,28 @@ impl Engine {
         self.pruned.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Collects the routing targets of one access/alloc/free event into
-    /// `out` (cleared first). `Free` fans out to every owning shard,
-    /// everything else routes to exactly one.
-    pub(crate) fn route_targets(&self, ev: &Event, out: &mut Vec<usize>) {
-        let router = self.router.read();
-        if let Event::Free { addr, size, .. } = *ev {
-            router.routes_for_range(addr.0, size, out);
+    /// The shard an access or `Alloc` routes to. One shard needs no
+    /// router.
+    #[inline]
+    pub(crate) fn route(&self, ev: &Event) -> usize {
+        if self.shards.len() == 1 {
+            0
         } else {
-            out.clear();
-            out.push(router.route(route_addr(ev)));
+            self.router.read().route(route_addr(ev))
         }
     }
 
-    /// Feeds one shard a stamped segment of its per-shard event stream:
-    /// its routed accesses interleaved with *every* sync event, in trace
-    /// order. This is the worker half of the ring pipeline — the shard
-    /// lock is taken once per segment, sync events are applied inline
-    /// (epoch-batched broadcast: no cross-shard locking), and access
-    /// runs are fed as batches through the same panic-containing
-    /// [`feed`](Engine::feed) path as funnel dispatch.
-    ///
-    /// When journaling (supervision), sync events are appended to the
-    /// *shard* journal rather than the engine-global sync journal: each
-    /// lane carries its own copy, so a heal replays its own journal
-    /// suffix in stamp order (merged with the — empty — sync journal)
-    /// and reconstructs exactly the per-shard sequence. The journal
-    /// append happens after the detector processed the entry, matching
-    /// `dispatch`'s delta-replay invariant.
+    /// Collects into `out` (cleared first) every shard a `Free` reaches.
+    pub(crate) fn free_targets(&self, ev: &Event, out: &mut Vec<usize>) {
+        self.router.read().targets(ev, out);
+    }
+
+    /// Feeds one shard a stamped segment of its stream (see
+    /// [`feed`](Engine::feed)) under one acquisition of its lock — how
+    /// the replay driver's lanes reach a shard, from a ring worker or
+    /// inline on the walking thread.
     pub(crate) fn feed_segment(&self, shard: usize, entries: &[(u64, Event)]) {
-        let mut st = self.shards[shard].lock();
-        let mut scratch: Vec<Event> = Vec::new();
-        let mut i = 0;
-        while i < entries.len() {
-            let (stamp, ev) = entries[i];
-            if ev.is_sync() {
-                if let Some(det) = st.det.as_mut() {
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| det.on_event(&ev))) {
-                        self.recover(
-                            &mut st,
-                            PanicSite {
-                                shard,
-                                stamp,
-                                part: std::slice::from_ref(&ev),
-                                processed: 0,
-                                count_drops: false,
-                            },
-                            payload,
-                        );
-                    }
-                }
-                if self.record {
-                    st.journal.push((stamp, ev));
-                }
-                i += 1;
-            } else {
-                let start = i;
-                while i < entries.len() && !entries[i].1.is_sync() {
-                    i += 1;
-                }
-                scratch.clear();
-                scratch.extend(entries[start..i].iter().map(|&(_, e)| e));
-                self.feed(&mut st, shard, stamp, &scratch);
-                if self.record {
-                    st.journal.extend_from_slice(&entries[start..i]);
-                }
-            }
-        }
+        self.feed(&mut self.shards[shard].lock(), shard, entries);
     }
 
     /// Reads each healthy shard's live race accumulator past its
@@ -1028,17 +974,14 @@ impl Engine {
     /// capture `None` and can only be resumed as failures.
     pub(crate) fn capture(&self) -> EngineState {
         self.flush_all();
-        let mut guards: Vec<MutexGuard<'_, ShardState>> =
-            self.shards.iter().map(|s| s.lock()).collect();
-        let sync_pos = self.sync_journal.lock().len();
-        let mut shards = Vec::with_capacity(guards.len());
-        for st in guards.iter_mut() {
+        let mut shards = Vec::with_capacity(self.shards.len());
+        for st in &self.shards {
+            let mut st = st.lock();
             let snapshot = st.det.as_ref().and_then(|d| d.snapshot());
             if let Some(bytes) = &snapshot {
                 st.checkpoint = Some(ShardCheckpoint {
                     bytes: bytes.clone(),
                     journal_pos: st.journal.len(),
-                    sync_pos,
                 });
             }
             let lost = st.lost_base + if st.failure.is_some() { st.routed } else { 0 };
@@ -1091,12 +1034,11 @@ impl Engine {
                         .ok_or_else(|| format!("shard {i}: engine has no detector"))?;
                     det.restore(bytes).map_err(|e| format!("shard {i}: {e}"))?;
                     // The restored snapshot is the shard's rollback
-                    // point; the fresh engine's journals are empty, so
-                    // the delta starts at position zero.
+                    // point; the fresh engine's journal is empty, so the
+                    // delta starts at position zero.
                     st.checkpoint = Some(ShardCheckpoint {
                         bytes: bytes.clone(),
                         journal_pos: 0,
-                        sync_pos: 0,
                     });
                 }
                 (None, Some(_)) => {
@@ -1175,6 +1117,10 @@ impl Engine {
             // the atomic counter is the exact logical event count.
             rep.stats.events = emitted;
         }
+        if healthy > 0 && !self.prune.is_empty() {
+            // Named as the serial path's `StaticPruneFilter` names it.
+            rep.detector = format!("{}+pruned", rep.detector);
+        }
         // Same contract as the offline `StaticPruneFilter`: `events`
         // counts everything that arrived (including pruned accesses),
         // `accesses` only what was checked.
@@ -1198,21 +1144,23 @@ impl Engine {
         if !self.record {
             return None;
         }
-        let mut entries: Vec<(u64, Event)> = std::mem::take(&mut *self.sync_journal.lock());
+        let mut entries: Vec<(u64, Event)> = Vec::new();
         for shard in &self.shards {
             entries.append(&mut shard.lock().journal);
         }
         // Stable: entries sharing a stamp (one dispatched part) keep
         // their program order.
         entries.sort_by_key(|&(stamp, _)| stamp);
+        // Every shard journals each sync under its one stamp: keep one.
+        entries.dedup_by(|next, kept| next.0 == kept.0 && next.1.is_sync());
         Some(Trace::from_events(
             entries.into_iter().map(|(_, ev)| ev).collect(),
         ))
     }
 }
 
-/// The routing address of an access/alloc/free event. Sync events never
-/// reach `dispatch`, but routing them to shard 0 is still well-defined.
+/// The routing address of an access/alloc/free event. Sync events are
+/// never routed, but routing them to shard 0 is still well-defined.
 fn route_addr(ev: &Event) -> u64 {
     match *ev {
         Event::Read { addr, .. }
@@ -1320,13 +1268,14 @@ mod tests {
 
     #[test]
     fn overflow_flushes_and_nothing_is_lost() {
-        let eng = Engine::new(
+        let eng = Engine::build(
             nop_shards(2),
             RuntimeOptions {
-                shards: 2,
                 buffer_capacity: 4,
                 record: true,
             },
+            PruneSet::empty(),
+            None,
         );
         let buf = eng.buffer_for(Tid(0));
         for i in 0..10u64 {
@@ -1341,7 +1290,6 @@ mod tests {
     #[test]
     fn journal_captures_the_stream_the_detector_reports_on() {
         let options = |record| RuntimeOptions {
-            shards: 1,
             buffer_capacity: 4,
             record,
         };
@@ -1353,7 +1301,7 @@ mod tests {
 
         let live: Vec<Box<dyn Detector + Send>> =
             vec![Box::new(dgrace_detectors::FastTrack::new())];
-        let eng = Engine::new(live, options(true));
+        let eng = Engine::build(live, options(true), PruneSet::empty(), None);
         assert!(
             eng.take_recorded().expect("recording engine").is_empty(),
             "nothing fed, nothing captured"
@@ -1367,7 +1315,7 @@ mod tests {
         assert_eq!(rep.races.len(), 1, "the live detector's races are reported");
         assert_eq!(rep.detector, "fasttrack-byte");
 
-        let eng = Engine::new(nop_shards(1), options(false));
+        let eng = Engine::build(nop_shards(1), options(false), PruneSet::empty(), None);
         eng.dispatch(vec![w(0, 0x10)]);
         assert!(eng.take_recorded().is_none(), "no journal, no trace");
     }
@@ -1378,13 +1326,14 @@ mod tests {
         // Shard 1 dies at its first event; shard 0 keeps detecting.
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 1);
         let detectors = (0..2).map(|_| proto.new_shard()).collect();
-        let eng = Engine::new(
+        let eng = Engine::build(
             detectors,
             RuntimeOptions {
-                shards: 2,
                 buffer_capacity: 4,
                 record: true,
             },
+            PruneSet::empty(),
+            None,
         );
         // Region hash routing: 0x0000 → shard 0, 0x1000 → shard 1.
         eng.dispatch(vec![w(0, 0x100)]); // shard 0
@@ -1409,13 +1358,14 @@ mod tests {
     fn all_shards_failing_still_terminates() {
         crate::silence_injected_panics();
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 0, 1);
-        let eng = Engine::new(
+        let eng = Engine::build(
             vec![proto.new_shard()],
             RuntimeOptions {
-                shards: 1,
                 buffer_capacity: 4,
                 record: false,
             },
+            PruneSet::empty(),
+            None,
         );
         eng.dispatch(vec![w(0, 0x100)]);
         let rep = eng.finish();
@@ -1430,13 +1380,14 @@ mod tests {
         crate::silence_injected_panics();
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 1);
         let detectors = (0..2).map(|_| proto.new_shard()).collect();
-        let eng = Engine::new(
+        let eng = Engine::build(
             detectors,
             RuntimeOptions {
-                shards: 2,
                 buffer_capacity: 4,
                 record: false,
             },
+            PruneSet::empty(),
+            None,
         );
         eng.emit_sync(
             Tid(0),
@@ -1456,13 +1407,14 @@ mod tests {
 
     #[test]
     fn broadcast_counts_once() {
-        let eng = Engine::new(
+        let eng = Engine::build(
             nop_shards(4),
             RuntimeOptions {
-                shards: 4,
                 buffer_capacity: 8,
                 record: false,
             },
+            PruneSet::empty(),
+            None,
         );
         eng.emit_sync(
             Tid(0),
@@ -1488,7 +1440,6 @@ mod tests {
         let eng = Engine::build(
             detectors,
             RuntimeOptions {
-                shards: 2,
                 buffer_capacity: 4,
                 record: false,
             },
@@ -1530,7 +1481,6 @@ mod tests {
         let eng = Engine::build(
             vec![Box::new(AlwaysPanic)],
             RuntimeOptions {
-                shards: 1,
                 buffer_capacity: 4,
                 record: false,
             },
@@ -1567,13 +1517,14 @@ mod tests {
         // lost, two never-analyzed — with no event in both buckets.
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 2);
         let detectors = (0..2).map(|_| proto.new_shard()).collect();
-        let eng = Engine::new(
+        let eng = Engine::build(
             detectors,
             RuntimeOptions {
-                shards: 2,
                 buffer_capacity: 4,
                 record: false,
             },
+            PruneSet::empty(),
+            None,
         );
         eng.dispatch(vec![w(2, 0x1100)]); // shard 1: analyzed
         eng.dispatch(vec![w(0, 0x1108)]); // shard 1: dies here
@@ -1610,13 +1561,14 @@ mod tests {
         inner.set_shadow_budget(Some(1024));
         let proto = crate::PanicOnEvent::new(inner, 1, 257);
         let detectors = (0..2).map(|_| proto.new_shard()).collect();
-        let eng = Engine::new(
+        let eng = Engine::build(
             detectors,
             RuntimeOptions {
-                shards: 2,
                 buffer_capacity: 4,
                 record: false,
             },
+            PruneSet::empty(),
+            None,
         );
         // 256 distinct words inside the 4 KiB region 0x1000..0x2000 (all
         // of which routes to shard 1) force evictions under the 1 KiB
@@ -1659,7 +1611,6 @@ mod tests {
             (0..2).map(|_| proto.new_shard()).collect()
         };
         let opts = RuntimeOptions {
-            shards: 2,
             buffer_capacity: 4,
             record: false,
         };
@@ -1674,7 +1625,7 @@ mod tests {
         };
 
         // Uninterrupted baseline.
-        let clean = Engine::new(shards(&proto), opts);
+        let clean = Engine::build(shards(&proto), opts, PruneSet::empty(), None);
         clean.broadcast(acq);
         clean.dispatch(vec![w(0, 0x100), w(0, 0x1100)]);
         clean.broadcast(rel);
@@ -1683,11 +1634,11 @@ mod tests {
         assert_eq!(want.races.len(), 2, "baseline sanity");
 
         // Same run split by a capture/restore across two engines.
-        let first = Engine::new(shards(&proto), opts);
+        let first = Engine::build(shards(&proto), opts, PruneSet::empty(), None);
         first.broadcast(acq);
         first.dispatch(vec![w(0, 0x100), w(0, 0x1100)]);
         let state = first.capture();
-        let second = Engine::new(shards(&proto), opts);
+        let second = Engine::build(shards(&proto), opts, PruneSet::empty(), None);
         second.restore(&state).expect("restore");
         second.broadcast(rel);
         second.dispatch(vec![w(1, 0x100), w(1, 0x1100)]);

@@ -7,15 +7,16 @@
 //! [`IngestSession`] packages the sharded [`Engine`](crate::engine) for
 //! that shape:
 //!
-//! * **Funnel-exact feeding.** A session *is* the replay driver on the
-//!   funnel transport, stepped from a socket instead of walked over a
-//!   `Trace` (see [`crate::replay`]): accesses batch into a pending
-//!   buffer, sync events flush the batch and broadcast, `Alloc` events
-//!   register their range with the router first. A live session that
-//!   feeds the same event sequence as an offline replay produces a
-//!   byte-identical report. The pending batch is additionally capped at
-//!   [`INGEST_BATCH`] events so a sync-free stream cannot grow it
-//!   unboundedly.
+//! * **Replay-exact feeding.** A session *is* the replay driver on
+//!   inline lanes, stepped from a socket instead of walked over a
+//!   `Trace` (see [`crate::replay`] and [`crate::pipeline`]): accesses
+//!   are routed and staged per shard, `Alloc` events register their
+//!   range with the router first, and every sync event, full segment,
+//!   [`IngestSession::flush`] and checkpoint feeds the staged segments
+//!   to their shards. A live session that feeds the same event sequence
+//!   as an offline replay produces a byte-identical report. A segment
+//!   holds at most `SEGMENT_EVENTS` per shard, so a sync-free stream
+//!   cannot grow what a session stages.
 //! * **Incremental race streaming.** [`IngestSession::drain_new_races`]
 //!   reads each shard's live accumulator (via
 //!   `Detector::races_so_far`) past a per-shard watermark — nothing is
@@ -30,21 +31,18 @@
 //!   client replays only the suffix.
 
 use dgrace_detectors::{RaceReport, Report, ShardableDetector};
+use dgrace_shadow::MemComponent;
 use dgrace_trace::{Event, PruneSet};
 
 use crate::checkpoint::CheckpointManifest;
-use crate::engine::{mint, Engine};
-use crate::replay::{assemble, resume_from, Driver, Funnel, ReplayError};
+use crate::engine::{mint, Engine, RuntimeOptions};
+use crate::pipeline::Lanes;
+use crate::replay::{resume_from, Driver, ReplayError};
 
-/// Maximum pending accesses before a forced dispatch. Bounds both the
-/// session's buffering and the latency between an event arriving and
-/// its shard seeing it, even on sync-free streams.
-pub const INGEST_BATCH: usize = 256;
-
-/// Why a live funnel step cannot fail: its barrier is a local flush and
-/// a session has no checkpoint cadence of its own (the server saves the
-/// manifests it asks for).
-const FUNNEL_INFALLIBLE: &str = "a live funnel has no fallible barrier";
+/// Why a live step cannot fail: inline lanes' barrier is a local feed
+/// and a session has no checkpoint cadence of its own (the server saves
+/// the manifests it asks for).
+const INLINE_INFALLIBLE: &str = "inline lanes have no fallible barrier";
 
 /// One live detection session: a sharded engine fed incrementally.
 ///
@@ -53,7 +51,7 @@ const FUNNEL_INFALLIBLE: &str = "a live funnel has no fallible barrier";
 /// analysis by address exactly like offline replay.
 pub struct IngestSession {
     engine: Engine,
-    driver: Driver<'static, Funnel>,
+    driver: Driver<'static>,
     /// Per-shard positions into `races_so_far()` already drained.
     watermarks: Vec<usize>,
 }
@@ -73,10 +71,16 @@ impl IngestSession {
                 det.set_shadow_budget(shadow_budget);
             }
         }
+        let lanes = Lanes::inline(detectors.len(), MemComponent::Sessions);
         IngestSession {
             watermarks: vec![0; detectors.len()],
-            engine: assemble(detectors, PruneSet::empty(), None),
-            driver: Driver::new(Funnel::new(true), prototype.name(), 0, None),
+            engine: Engine::build(
+                detectors,
+                RuntimeOptions::default(),
+                PruneSet::empty(),
+                None,
+            ),
+            driver: Driver::new(lanes, prototype.name(), 0, None),
         }
     }
 
@@ -95,9 +99,9 @@ impl IngestSession {
         self.driver.offset
     }
 
-    /// Feeds one event, preserving the offline funnel's ordering rules.
+    /// Feeds one event, preserving offline replay's ordering rules.
     pub fn feed(&mut self, ev: &Event) {
-        self.driver.step(&self.engine, ev).expect(FUNNEL_INFALLIBLE);
+        self.driver.step(&self.engine, ev).expect(INLINE_INFALLIBLE);
     }
 
     /// Feeds a batch of events in order.
@@ -107,7 +111,7 @@ impl IngestSession {
         }
     }
 
-    /// Dispatches any pending accesses to the shards.
+    /// Feeds every staged event to its shard.
     pub fn flush(&mut self) {
         self.driver.lanes.flush(&self.engine);
     }
@@ -125,7 +129,7 @@ impl IngestSession {
     /// The stream has no known end, so `trace_len` records the events
     /// covered so far (equal to `trace_offset`).
     pub fn checkpoint(&mut self) -> CheckpointManifest {
-        self.driver.manifest(&self.engine).expect(FUNNEL_INFALLIBLE)
+        self.driver.manifest(&self.engine).expect(INLINE_INFALLIBLE)
     }
 
     /// Restores a [`checkpoint`](IngestSession::checkpoint) into this
@@ -152,7 +156,7 @@ impl IngestSession {
     /// Finishes the session: flushes, finalizes every shard, and merges
     /// the reports (exact event counts, quarantine accounting included).
     pub fn finalize(self) -> Report {
-        self.driver.finish(&self.engine).expect(FUNNEL_INFALLIBLE)
+        self.driver.finish(&self.engine).expect(INLINE_INFALLIBLE)
     }
 }
 

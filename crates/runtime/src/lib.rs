@@ -56,7 +56,7 @@ mod sync_ext;
 pub use checkpoint::{CheckpointManifest, CHECKPOINT_FILE};
 pub use engine::{EngineError, RuntimeOptions, SupervisorPolicy};
 pub use faults::{corrupt_byte, silence_injected_panics, PanicOnEvent, INJECTED_PANIC_MARKER};
-pub use ingest::{IngestSession, INGEST_BATCH};
+pub use ingest::IngestSession;
 pub use mem::{TrackedArray, TrackedCell};
 pub use replay::{
     replay, replay_pipelined, replay_sharded, CheckpointInterval, CheckpointOptions, ReplayError,

@@ -1,45 +1,40 @@
-//! The ring transport: ring-buffered per-shard ingestion lanes behind
-//! the [`Lanes`] seam of [`crate::replay`].
+//! The lanes: the one way the replay driver and a live session hand
+//! events to the shards, with an optional worker thread per lane.
 //!
-//! The funnel transport drives every shard from one thread and
-//! broadcasts each sync event while holding *all* shard locks — on
-//! multi-core hosts the shards serialize behind the dispatcher instead
-//! of scaling. This module is the parallel transport:
+//! * **One lane per shard.** The walking thread routes each access by
+//!   address (the engine's router, at the moment the access is walked)
+//!   and stages `(stamp, event)` pairs on its shard's lane; a sync event
+//!   is staged on every lane. Every walked event takes one stamp — a
+//!   sync one stamp shared by all its copies — so each lane carries its
+//!   shard's whole stream: its routed accesses interleaved with all sync
+//!   events in trace order.
+//! * **One feed.** A staged segment reaches its shard only through
+//!   [`Engine::feed_segment`], when it is full (`SEGMENT_EVENTS`) and at
+//!   every barrier. Under [`Transport::Rings`] the segment is pushed
+//!   into the lane's bounded [`Spsc`] ring and a worker owning the lane
+//!   feeds it — the only cross-thread traffic on the hot path is the
+//!   ring cursors, and a sync costs no cross-shard locking. Under
+//!   [`Transport::Funnel`] (and in a live session) the walking thread
+//!   feeds it inline, also at every sync event and wherever a source
+//!   block ends: the report is ready at each sync, a stop flag raised by
+//!   a detector is seen before the next event, and a sync-free trace is
+//!   never staged past a block.
+//! * **Identical by construction.** Both transports route, stamp and
+//!   cut identically; only *when* a segment is fed differs, and a shard
+//!   sees the same stream either way. Their race sets, checkpoint
+//!   manifests and failure reports are therefore byte-identical, and
+//!   each resumes the other's manifests. A checkpoint barriers every
+//!   lane (the walking thread waits until all workers drain to the
+//!   boundary) and captures the engine; a healing shard replays its own
+//!   journal, which holds the same per-shard stream.
 //!
-//! * **One SPSC ring per shard.** The driver's thread is the producer:
-//!   it routes accesses by address (the same [`Router`] the funnel uses),
-//!   and appends `(stamp, event)` pairs to per-shard staging segments,
-//!   pushed into bounded [`Spsc`] lanes in batches. Each shard worker
-//!   owns its lane's consumer side and its shard's detector: the only
-//!   cross-thread traffic on the hot path is the ring cursors.
-//! * **Epoch-batched sync broadcast.** A sync event is *not* applied
-//!   under all shard locks; it is stamped once and appended inline to
-//!   every lane's segment. Each worker applies it to its own detector
-//!   when its lane reaches that point — one flush per segment boundary,
-//!   zero cross-shard locking, and every shard still observes the exact
-//!   same happens-before sequence: its routed accesses interleaved with
-//!   all sync events in trace order. That per-shard sequence is
-//!   identical to what funnel dispatch feeds, so race sets are too.
-//! * **Exactness preserved.** Checkpoint, resume, self-heal and
-//!   quarantine reuse the engine machinery unchanged. A checkpoint
-//!   barriers every lane (the producer waits until all workers drain to
-//!   the boundary), captures the same [`EngineState`] the funnel path
-//!   writes, and the two paths can resume each other's manifests. A
-//!   healing shard delta-replays its own journal suffix, which on this
-//!   path carries its sync copies inline — stamp order reconstructs the
-//!   exact per-shard sequence.
+//! Staged and in-flight segment bytes are booked on the process gauge
+//! at the capacity of their buffers, so server admission sees what a
+//! session holds; the booking changes only when a buffer grows, is
+//! handed to a worker, or is freed, never per event.
 //!
-//! One deliberate divergence from the funnel path: accesses are routed
-//! *immediately* as the producer walks the trace, not deferred to the
-//! next sync boundary. An access that precedes its object's `Alloc`
-//! within one inter-sync window may therefore land on a different shard
-//! than funnel replay would choose. This can shift per-shard partition
-//! statistics (peak bytes, per-shard counts) but never the race set —
-//! the partitioned analysis is race-set-exact for *any* whole-range
-//! routing, which is what the scaling-equivalence suite locks in.
-//!
-//! [`Router`]: crate::engine — see the engine module docs.
-//! [`EngineState`]: crate::engine — see the engine module docs.
+//! [`Transport::Rings`]: crate::Transport::Rings
+//! [`Transport::Funnel`]: crate::Transport::Funnel
 
 use std::sync::mpsc;
 use std::thread;
@@ -48,10 +43,10 @@ use dgrace_shadow::{process_gauge, MemComponent};
 use dgrace_trace::Event;
 
 use crate::engine::Engine;
-use crate::replay::{Lanes, ReplayError};
+use crate::replay::{ReplayError, Transport};
 use crate::ring::Spsc;
 
-/// Target events per ring segment. Large enough that ring and notify
+/// Target events per segment. Large enough that ring and notify
 /// overhead amortize to noise; small enough that lanes stay busy on
 /// sync-light traces.
 const SEGMENT_EVENTS: usize = 1024;
@@ -67,30 +62,49 @@ const SEGMENT_EVENTS: usize = 1024;
 /// spread").
 const RING_SEGMENTS: usize = 32;
 
-/// One unit of work on a shard lane.
+type Segment = Vec<(u64, Event)>;
+
+/// One unit of work on a shard lane's ring.
 enum Job {
     /// A stamped segment of the shard's event stream.
-    Run(Vec<(u64, Event)>),
+    Run(Segment),
     /// Checkpoint barrier: acknowledge once everything before this
     /// point has been fed to the detector.
     Barrier(mpsc::Sender<()>),
 }
 
-/// The producer side of the ring transport: one staging segment per
-/// shard lane, pushed into that lane's ring when full and at barriers.
-pub(crate) struct RingLanes<'r> {
-    rings: &'r [Spsc<Job>],
-    stage: Vec<Vec<(u64, Event)>>,
+/// The walking thread's side of the lanes: one staging segment per
+/// shard, fed inline or pushed into that lane's ring.
+pub(crate) struct Lanes<'r> {
+    /// One ring per lane, each drained by its worker; `None` feeds every
+    /// segment inline on the walking thread.
+    rings: Option<&'r [Spsc<Job>]>,
+    stage: Vec<Segment>,
     /// Scratch for one event's routing targets.
     targets: Vec<usize>,
+    /// The stamp of the first event walked since the last barrier.
+    base: u64,
+    /// Events stamped since the last barrier.
+    stamped: u64,
+    /// Where the segment buffers are booked on the process gauge.
+    gauge: MemComponent,
 }
 
-/// Spawns one worker per shard lane, hands the lanes' producer side to
-/// `run` on the calling thread, and joins everything before returning.
-/// The rings are closed on *every* exit path of `run` (including
-/// checkpoint I/O errors) so workers always drain and terminate.
-pub(crate) fn with_lanes<R>(engine: &Engine, run: impl FnOnce(RingLanes<'_>) -> R) -> R {
+/// Runs `run` on the calling thread with the lanes of `transport` over
+/// `engine`, booked against `gauge`. On the rings, one worker per lane
+/// is spawned first and joined before returning; the rings are closed
+/// on *every* exit path of `run` (including checkpoint I/O errors) so
+/// workers always drain and terminate.
+pub(crate) fn with_lanes<R>(
+    engine: &Engine,
+    transport: Transport,
+    gauge: MemComponent,
+    run: impl FnOnce(Lanes<'_>) -> R,
+) -> R {
     let shards = engine.shard_count();
+    if transport == Transport::Funnel {
+        return run(Lanes::inline(shards, gauge));
+    }
     let rings: Vec<Spsc<Job>> = (0..shards).map(|_| Spsc::new(RING_SEGMENTS)).collect();
     thread::scope(|scope| {
         for (i, ring) in rings.iter().enumerate() {
@@ -99,10 +113,7 @@ pub(crate) fn with_lanes<R>(engine: &Engine, run: impl FnOnce(RingLanes<'_>) -> 
                     match job {
                         Job::Run(seg) => {
                             engine.feed_segment(i, &seg);
-                            // Retire this segment's bytes from the
-                            // process gauge (the producer booked them
-                            // at flush).
-                            process_gauge().sub(MemComponent::RingLanes, segment_bytes(&seg));
+                            process_gauge().sub(gauge, buffer_bytes(&seg));
                         }
                         Job::Barrier(ack) => {
                             let _ = ack.send(());
@@ -111,11 +122,7 @@ pub(crate) fn with_lanes<R>(engine: &Engine, run: impl FnOnce(RingLanes<'_>) -> 
                 }
             });
         }
-        let out = run(RingLanes {
-            rings: &rings,
-            stage: vec![Vec::new(); shards],
-            targets: Vec::new(),
-        });
+        let out = run(Lanes::new(Some(&rings), shards, gauge));
         for ring in &rings {
             ring.close();
         }
@@ -123,79 +130,155 @@ pub(crate) fn with_lanes<R>(engine: &Engine, run: impl FnOnce(RingLanes<'_>) -> 
     })
 }
 
-/// Heap bytes held by one in-flight ring segment, as booked against
-/// [`MemComponent::RingLanes`] on the process gauge. Reporting only —
-/// never an input to the deterministic pressure ladder.
-fn segment_bytes(seg: &[(u64, Event)]) -> u64 {
-    std::mem::size_of_val(seg) as u64
+/// Heap bytes held by one segment buffer, as booked on the process
+/// gauge. Reporting only — never an input to the deterministic pressure
+/// ladder.
+fn buffer_bytes(seg: &Segment) -> u64 {
+    (seg.capacity() * std::mem::size_of::<(u64, Event)>()) as u64
 }
 
-impl RingLanes<'_> {
-    /// Stages `(stamp, ev)` on lane `s`, pushing the segment once full.
-    fn stage(&mut self, s: usize, stamp: u64, ev: &Event) {
+impl<'r> Lanes<'r> {
+    /// Lanes for `shards` shards, each segment fed inline on the walking
+    /// thread.
+    pub(crate) fn inline(shards: usize, gauge: MemComponent) -> Self {
+        Lanes::new(None, shards, gauge)
+    }
+
+    fn new(rings: Option<&'r [Spsc<Job>]>, shards: usize, gauge: MemComponent) -> Self {
+        Lanes {
+            rings,
+            stage: vec![Vec::new(); shards],
+            targets: Vec::new(),
+            base: 0,
+            stamped: 0,
+            gauge,
+        }
+    }
+
+    /// The next walked event's stamp. The base is read from the engine
+    /// at the first event after a barrier, so a restore between walks
+    /// (a resumed run or session) is picked up.
+    #[inline]
+    fn stamp(&mut self, engine: &Engine) -> u64 {
+        if self.stamped == 0 {
+            self.base = engine.next_stamp();
+        }
+        self.stamped += 1;
+        self.base + self.stamped - 1
+    }
+
+    /// Stages `(stamp, ev)` on lane `s`, feeding the segment once full.
+    #[inline]
+    fn stage(&mut self, engine: &Engine, s: usize, stamp: u64, ev: &Event) {
         let lane = &mut self.stage[s];
+        if lane.len() == lane.capacity() {
+            let before = buffer_bytes(lane);
+            lane.reserve(1);
+            process_gauge().add(self.gauge, buffer_bytes(lane) - before);
+        }
         lane.push((stamp, *ev));
         if lane.len() >= SEGMENT_EVENTS {
-            flush_lane(&self.rings[s], lane);
+            self.ship(engine, s);
         }
     }
-}
 
-impl Lanes for RingLanes<'_> {
-    fn access(&mut self, engine: &Engine, ev: &Event) {
-        let stamp = engine.alloc_stamp();
-        engine.route_targets(ev, &mut self.targets);
-        for i in 0..self.targets.len() {
-            self.stage(self.targets[i], stamp, ev);
+    /// Hands one unpruned access, `Alloc` or `Free` to its shard(s).
+    /// (`access`, `stage`, `stamp` and `Engine::route` are `#[inline]`:
+    /// a call each per event cost `--shards 1` 7 % CPU on the ledger's
+    /// `stream` input.)
+    #[inline]
+    pub(crate) fn access(&mut self, engine: &Engine, ev: &Event) {
+        let stamp = self.stamp(engine);
+        if let Event::Free { .. } = ev {
+            engine.free_targets(ev, &mut self.targets);
+            for i in 0..self.targets.len() {
+                self.stage(engine, self.targets[i], stamp, ev);
+            }
+        } else {
+            self.stage(engine, engine.route(ev), stamp, ev);
         }
-        engine.note_emitted(1);
     }
 
-    /// Epoch-batched broadcast: one stamp, appended to every lane's
-    /// segment; workers apply it without cross-shard coordination when
-    /// their lane reaches this point.
-    fn sync(&mut self, engine: &Engine, ev: &Event) {
-        let stamp = engine.alloc_stamp();
+    /// Hands one sync event to every shard under one stamp, ordered after
+    /// everything handed over before it.
+    pub(crate) fn sync(&mut self, engine: &Engine, ev: &Event) {
+        let stamp = self.stamp(engine);
         for s in 0..self.stage.len() {
-            self.stage(s, stamp, ev);
+            self.stage(engine, s, stamp, ev);
         }
-        engine.note_emitted(1);
+        if self.rings.is_none() {
+            self.flush(engine);
+        }
     }
 
-    /// Quiesce: every lane drains to this boundary — one barrier job per
-    /// lane, one acknowledgement awaited per lane — so a capture covers
-    /// exactly the events handed over so far, the same cut the funnel
-    /// checkpoints.
-    fn barrier(&mut self, _engine: &Engine) -> Result<(), ReplayError> {
-        let (tx, rx) = mpsc::channel();
-        for (lane, ring) in self.stage.iter_mut().zip(self.rings) {
-            flush_lane(ring, lane);
-            if ring.push(Job::Barrier(tx.clone())).is_err() {
-                return Err(ReplayError::Io("shard lane closed mid-run".into()));
+    /// Called where one block of the source ends: inline lanes feed what
+    /// they staged, so it does not grow with a sync-free trace.
+    pub(crate) fn block_end(&mut self, engine: &Engine) {
+        if self.rings.is_none() {
+            self.flush(engine);
+        }
+    }
+
+    /// Hands every staged segment to its shard (inline: feeds it).
+    pub(crate) fn flush(&mut self, engine: &Engine) {
+        for s in 0..self.stage.len() {
+            self.ship(engine, s);
+        }
+    }
+
+    /// Returns once every event handed over so far has been fed to its
+    /// detector and its stamp committed, so an engine capture covers
+    /// exactly those events. On the rings: one barrier job per lane, one
+    /// acknowledgement awaited per lane.
+    pub(crate) fn barrier(&mut self, engine: &Engine) -> Result<(), ReplayError> {
+        self.flush(engine);
+        if let Some(rings) = self.rings {
+            let (tx, rx) = mpsc::channel();
+            for ring in rings {
+                if ring.push(Job::Barrier(tx.clone())).is_err() {
+                    return Err(ReplayError::Io("shard lane closed mid-run".into()));
+                }
+            }
+            drop(tx);
+            for _ in rings {
+                rx.recv()
+                    .map_err(|_| ReplayError::Io("shard worker exited mid-run".into()))?;
             }
         }
-        drop(tx);
-        for _ in self.rings {
-            rx.recv()
-                .map_err(|_| ReplayError::Io("shard worker exited mid-run".into()))?;
-        }
+        engine.commit(std::mem::take(&mut self.stamped));
         Ok(())
+    }
+
+    /// Feeds lane `s`'s staged segment inline, or pushes it into the
+    /// lane's ring (blocking while the ring is full — backpressure
+    /// against a slow shard) with its bytes still booked: the worker
+    /// retires them once it has fed the segment.
+    fn ship(&mut self, engine: &Engine, s: usize) {
+        let lane = &mut self.stage[s];
+        if lane.is_empty() {
+            return;
+        }
+        let Some(rings) = self.rings else {
+            engine.feed_segment(s, lane);
+            lane.clear();
+            return;
+        };
+        let fresh = Vec::with_capacity(SEGMENT_EVENTS);
+        process_gauge().add(self.gauge, buffer_bytes(&fresh));
+        let seg = std::mem::replace(lane, fresh);
+        // The rings are only closed after the walker returns, so the
+        // push cannot be rejected mid-run.
+        if rings[s].push(Job::Run(seg)).is_err() {
+            unreachable!("shard lane closed while the walker was running");
+        }
     }
 }
 
-/// Pushes a lane's staged segment into its ring (blocking while the
-/// ring is full — backpressure against a slow shard).
-fn flush_lane(ring: &Spsc<Job>, lane: &mut Vec<(u64, Event)>) {
-    if lane.is_empty() {
-        return;
-    }
-    let seg = std::mem::replace(lane, Vec::with_capacity(SEGMENT_EVENTS));
-    // Book the in-flight segment against the process gauge; the worker
-    // retires it after feeding the detector.
-    process_gauge().add(MemComponent::RingLanes, segment_bytes(&seg));
-    // The rings are only closed after the producer returns, so the push
-    // cannot be rejected mid-run.
-    if ring.push(Job::Run(seg)).is_err() {
-        unreachable!("shard lane closed while the producer was running");
+impl Drop for Lanes<'_> {
+    /// Retires the staging buffers from the process gauge (a session
+    /// dropped mid-stream never fed what it staged).
+    fn drop(&mut self) {
+        let bytes = self.stage.iter().map(buffer_bytes).sum();
+        process_gauge().sub(self.gauge, bytes);
     }
 }

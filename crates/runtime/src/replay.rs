@@ -6,24 +6,24 @@
 //! the detector, so each is a field of the plan and each is written
 //! once:
 //!
-//! * **One engine.** [`assemble`] is the only place a driven run builds
-//!   its sharded engine; [`resume_from`] is the only place a checkpoint
-//!   is checked against a run and restored into it.
+//! * **One engine.** `Engine::build` is the one engine constructor — of
+//!   a replay, a live session and the live runtime; [`resume_from`] is
+//!   the only place a checkpoint is checked against a run and restored
+//!   into it.
 //! * **One loop.** [`Driver::step`] handles one event — prune, register
-//!   an `Alloc`'s range with the router, hand the event to the
-//!   transport, count it, checkpoint when the cadence is due.
-//!   [`replay`] walks an [`EventSource`] — a [`Trace`] in memory or a
-//!   `.dgrt` stream decoded a block at a time — through it (polling the
-//!   stop flag between events); [`crate::IngestSession`] feeds it from a
-//!   socket.
-//! * **Two transports** behind the [`Lanes`] seam, statically
-//!   dispatched: the [`Funnel`] (this module — one thread drives every
-//!   shard, what `--shards N` runs) and the ring lanes of
-//!   [`crate::pipeline`] (one worker per shard, what `--shards N
-//!   --pipeline` runs). Both feed every shard the same per-shard
-//!   sequence — its routed accesses interleaved with all sync events in
-//!   trace order — so race sets are byte-identical and their checkpoint
-//!   manifests resume each other.
+//!   an `Alloc`'s range with the router, hand the event to the lanes,
+//!   count it, checkpoint when the cadence is due. [`replay`] walks an
+//!   [`EventSource`] — a [`Trace`] in memory or a `.dgrt` stream decoded
+//!   a block at a time — through it (polling the stop flag between
+//!   events); [`crate::IngestSession`] feeds it from a socket.
+//! * **One transport kernel**, the lanes of [`crate::pipeline`], with a
+//!   worker thread per lane or without: [`Transport::Funnel`] feeds each
+//!   segment on the walking thread (what `--shards N` and a live session
+//!   run), [`Transport::Rings`] hands it to the lane's worker (what
+//!   `--shards N --pipeline` runs). Both feed every shard the same
+//!   stamped sequence — its routed accesses interleaved with all sync
+//!   events in trace order — so reports, failures and checkpoint
+//!   manifests are byte-identical and each resumes the other's.
 //!
 //! Access events are routed by address (allocation events register their
 //! range with the router, so whole objects stay in one shard; addresses
@@ -38,25 +38,25 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use dgrace_detectors::{Detector, Report, ShardableDetector};
-use dgrace_shadow::{process_gauge, MemComponent};
+use dgrace_shadow::MemComponent;
 use dgrace_trace::{Event, EventSource, PruneSet, Trace, TraceError};
 
 use crate::checkpoint::{CheckpointManifest, CHECKPOINT_FILE};
 use crate::engine::{
     mint, respawn_from, DetectorFactory, Engine, RuntimeOptions, SupervisorPolicy,
 };
-use crate::ingest::INGEST_BATCH;
-use crate::pipeline;
+use crate::pipeline::{with_lanes, Lanes};
 
-/// How events reach the shards.
+/// How events reach the shards: the same lanes either way, fed on the
+/// walking thread or by one worker per lane.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Transport {
-    /// One thread drives every shard: accesses batch up to the next
-    /// sync event, which is broadcast under all shard locks.
+    /// The walking thread feeds every shard's lane itself, at each sync
+    /// event, block end and full segment.
     #[default]
     Funnel,
-    /// One worker thread per shard behind a bounded SPSC ring; sync
-    /// events travel inline in every lane (DESIGN.md §14).
+    /// One worker thread per shard behind a bounded SPSC ring
+    /// (DESIGN.md §14).
     Rings,
 }
 
@@ -157,20 +157,6 @@ fn replay_borrowed<D: ShardableDetector + ?Sized>(
     .expect("a trace in memory under a plan without checkpoint or resume performs no fallible I/O")
 }
 
-/// Builds the sharded engine of a driven run — replay or live session.
-pub(crate) fn assemble(
-    detectors: Vec<Box<dyn Detector + Send>>,
-    prune: PruneSet,
-    supervisor: Option<(DetectorFactory, SupervisorPolicy)>,
-) -> Engine {
-    let opts = RuntimeOptions {
-        shards: detectors.len(),
-        buffer_capacity: 1,
-        record: false,
-    };
-    Engine::build(detectors, opts, prune, supervisor)
-}
-
 /// Checks that a manifest matches the run it is resumed into (same
 /// detector, same shard count, same trace — a live stream passes
 /// `len: None`, its length being unknown) and restores it, returning the
@@ -215,8 +201,8 @@ pub(crate) fn resume_from(
     Ok(m.trace_offset)
 }
 
-/// The body of [`replay`] once the prototype has been spent: assemble,
-/// resume, then walk the source on the plan's transport.
+/// The body of [`replay`] once the prototype has been spent: build the
+/// engine, resume, then walk the source on the plan's transport.
 fn run(
     det_name: String,
     detectors: Vec<Box<dyn Detector + Send>>,
@@ -224,7 +210,12 @@ fn run(
     source: impl EventSource,
     plan: &RunPlan<'_>,
 ) -> Result<Report, ReplayError> {
-    let engine = assemble(detectors, plan.prune.clone(), supervisor);
+    let engine = Engine::build(
+        detectors,
+        RuntimeOptions::default(),
+        plan.prune.clone(),
+        supervisor,
+    );
     let start = match plan.resume {
         Some(m) => resume_from(&engine, m, &det_name, Some(source.len()))?,
         None => 0,
@@ -233,12 +224,9 @@ fn run(
         std::fs::create_dir_all(&c.dir)
             .map_err(|e| ReplayError::Io(format!("{}: {e}", c.dir.display())))?;
     }
-    match plan.transport {
-        Transport::Funnel => walk(&engine, Funnel::new(false), det_name, start, source, plan),
-        Transport::Rings => pipeline::with_lanes(&engine, |lanes| {
-            walk(&engine, lanes, det_name, start, source, plan)
-        }),
-    }
+    with_lanes(&engine, plan.transport, MemComponent::RingLanes, |lanes| {
+        walk(&engine, lanes, det_name, start, source, plan)
+    })
 }
 
 /// Walks `source` from event `start` through a driver on `lanes`. Events
@@ -247,9 +235,9 @@ fn run(
 /// A raised stop flag winds the run down before the next event: that
 /// event has not been processed, so the final manifest's offset lets a
 /// resumed run continue exactly there, and the report covers the prefix.
-fn walk<L: Lanes>(
+fn walk(
     engine: &Engine,
-    lanes: L,
+    lanes: Lanes<'_>,
     det_name: String,
     start: u64,
     mut source: impl EventSource,
@@ -282,97 +270,6 @@ fn walk<L: Lanes>(
     driver.finish(engine)
 }
 
-/// The transport seam: how one event travels from the driver to the
-/// shard detectors. Two impls, chosen per run and statically dispatched
-/// — [`Funnel`] and [`pipeline::RingLanes`].
-pub(crate) trait Lanes {
-    /// Hands one unpruned access, `Alloc` or `Free` to its shard(s).
-    fn access(&mut self, engine: &Engine, ev: &Event);
-    /// Hands one sync event to every shard, ordered after everything
-    /// handed over before it.
-    fn sync(&mut self, engine: &Engine, ev: &Event);
-    /// Returns once every event handed over so far has been fed to its
-    /// detector, so an engine capture covers exactly those events.
-    fn barrier(&mut self, engine: &Engine) -> Result<(), ReplayError>;
-    /// Called where one block of the source ends: what the transport
-    /// buffers must not grow with the trace.
-    fn block_end(&mut self, _engine: &Engine) {}
-}
-
-/// The funnel transport: accesses batch into a pending buffer, a sync
-/// event flushes the batch and is broadcast under all shard locks.
-pub(crate) struct Funnel {
-    pending: Vec<Event>,
-    /// Offline, a batch runs to the next sync event or the end of the
-    /// source's block, whichever comes first (a sync-free trace is not
-    /// copied whole). A live session's is capped at [`INGEST_BATCH`] (a
-    /// sync-free stream cannot grow it unboundedly, nor delay a shard
-    /// seeing its events) and booked against the process-wide session
-    /// gauge (reporting + server shedding; never the pressure ladder).
-    live: bool,
-}
-
-impl Funnel {
-    pub(crate) fn new(live: bool) -> Self {
-        Funnel {
-            pending: Vec::new(),
-            live,
-        }
-    }
-
-    fn booked(&self) -> u64 {
-        (self.pending.len() * std::mem::size_of::<Event>()) as u64
-    }
-
-    /// Dispatches any pending accesses to the shards.
-    pub(crate) fn flush(&mut self, engine: &Engine) {
-        if !self.pending.is_empty() {
-            if self.live {
-                process_gauge().sub(MemComponent::Sessions, self.booked());
-            }
-            engine.dispatch(std::mem::take(&mut self.pending));
-        }
-    }
-}
-
-impl Lanes for Funnel {
-    fn access(&mut self, engine: &Engine, ev: &Event) {
-        self.pending.push(*ev);
-        if self.live {
-            process_gauge().add(MemComponent::Sessions, std::mem::size_of::<Event>() as u64);
-            if self.pending.len() >= INGEST_BATCH {
-                self.flush(engine);
-            }
-        }
-    }
-
-    fn sync(&mut self, engine: &Engine, ev: &Event) {
-        self.flush(engine);
-        engine.emit_sync(ev.tid(), *ev);
-    }
-
-    fn barrier(&mut self, engine: &Engine) -> Result<(), ReplayError> {
-        self.flush(engine);
-        Ok(())
-    }
-
-    /// Splitting a batch here changes no shard's feed order, by the
-    /// argument [`Driver::step`] makes for checkpoint boundaries.
-    fn block_end(&mut self, engine: &Engine) {
-        self.flush(engine);
-    }
-}
-
-impl Drop for Funnel {
-    fn drop(&mut self) {
-        // Retire any still-buffered events from the session gauge (a
-        // session abandoned mid-stream never flushed them).
-        if self.live {
-            process_gauge().sub(MemComponent::Sessions, self.booked());
-        }
-    }
-}
-
 /// Checkpoint cadence state of one run.
 struct Cadence<'a> {
     opts: &'a CheckpointOptions,
@@ -401,8 +298,8 @@ impl Cadence<'_> {
 
 /// The event loop body shared by trace replay and live sessions, over
 /// either transport.
-pub(crate) struct Driver<'a, L> {
-    pub(crate) lanes: L,
+pub(crate) struct Driver<'a> {
+    pub(crate) lanes: Lanes<'a>,
     /// The prototype detector's name (checkpoint identity).
     pub(crate) det_name: String,
     /// Events stepped so far — the stream offset of the next event.
@@ -413,8 +310,8 @@ pub(crate) struct Driver<'a, L> {
     cadence: Option<Cadence<'a>>,
 }
 
-impl<L: Lanes> Driver<'_, L> {
-    pub(crate) fn new(lanes: L, det_name: String, offset: u64, len: Option<u64>) -> Self {
+impl<'a> Driver<'a> {
+    pub(crate) fn new(lanes: Lanes<'a>, det_name: String, offset: u64, len: Option<u64>) -> Self {
         Driver {
             lanes,
             det_name,
@@ -429,9 +326,9 @@ impl<L: Lanes> Driver<'_, L> {
     /// range with the router before it is handed over, and a due
     /// checkpoint is taken after the event — so its manifest covers every
     /// event up to and including this one and a resumed run starts
-    /// cleanly at the next. (Splitting a batch at a checkpoint boundary
-    /// does not change any shard's feed order, so the final report is
-    /// unaffected.)
+    /// cleanly at the next. (Feeding a segment early at a checkpoint
+    /// boundary does not change any shard's feed order, so the final
+    /// report is unaffected.)
     pub(crate) fn step(&mut self, engine: &Engine, ev: &Event) -> Result<(), ReplayError> {
         if ev.is_sync() {
             self.lanes.sync(engine, ev);

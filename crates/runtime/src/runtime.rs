@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dgrace_detectors::{Detector, Report, ShardableDetector};
-use dgrace_trace::{Event, LockId, Tid};
+use dgrace_trace::{Event, LockId, PruneSet, Tid};
 
 use crate::engine::{mint, Engine, RuntimeOptions, ThreadBuf};
 
@@ -72,39 +72,33 @@ impl Runtime {
         Self::with_options(detector, RuntimeOptions::default())
     }
 
-    /// Wraps a detector for online use with explicit options. The shard
-    /// count is forced to 1: an arbitrary detector cannot be replicated
-    /// per shard — use [`Runtime::sharded`] for that.
+    /// Wraps a detector for online use with explicit options, on one
+    /// shard: an arbitrary detector cannot be replicated per shard — use
+    /// [`Runtime::sharded`] for that.
     pub fn with_options<D: Detector + Send + 'static>(detector: D, opts: RuntimeOptions) -> Self {
-        let opts = RuntimeOptions { shards: 1, ..opts };
-        Runtime {
-            inner: Arc::new(Inner::new(Engine::new(vec![Box::new(detector)], opts))),
-        }
+        Self::over(vec![Box::new(detector)], opts)
     }
 
     /// Creates a sharded runtime: `shards` instances of the prototype
     /// detector, each owning a slice of the tracked address space.
     pub fn sharded<D: ShardableDetector + ?Sized>(prototype: &D, shards: usize) -> Self {
-        Self::sharded_with_options(
-            prototype,
-            RuntimeOptions {
-                shards,
-                ..RuntimeOptions::default()
-            },
-        )
+        Self::sharded_with_options(prototype, shards, RuntimeOptions::default())
     }
 
-    /// Creates a sharded runtime with explicit options (shard count,
-    /// buffer capacity, and journal recording).
+    /// Creates a sharded runtime of `shards` instances (at least one)
+    /// with explicit options (buffer capacity and journal recording).
     pub fn sharded_with_options<D: ShardableDetector + ?Sized>(
         prototype: &D,
+        shards: usize,
         opts: RuntimeOptions,
     ) -> Self {
-        let shards = opts.shards.max(1);
-        let opts = RuntimeOptions { shards, ..opts };
-        let detectors = mint(prototype, shards);
+        Self::over(mint(prototype, shards), opts)
+    }
+
+    fn over(detectors: Vec<Box<dyn Detector + Send>>, opts: RuntimeOptions) -> Self {
+        let engine = Engine::build(detectors, opts, PruneSet::empty(), None);
         Runtime {
-            inner: Arc::new(Inner::new(Engine::new(detectors, opts))),
+            inner: Arc::new(Inner::new(engine)),
         }
     }
 

@@ -263,8 +263,8 @@ fn online_runtime_contains_shard_panic() {
         let proto = PanicOnEvent::new(FastTrack::new(), 0, 1);
         let rt = Runtime::sharded_with_options(
             &proto,
+            2,
             RuntimeOptions {
-                shards: 2,
                 buffer_capacity: 4,
                 record: false,
             },

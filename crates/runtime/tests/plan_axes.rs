@@ -4,10 +4,12 @@
 //! and exact `stats.events` per trace — plus the cooperative stop flag
 //! raised at every point of a run.
 //!
-//! The per-workload, per-store and fault-injecting suites
-//! (`scaling_equivalence`, `checkpoint_recovery`, `fault_injection`, …)
-//! each hold some axes fixed; this is the place where all of them vary
-//! at once on a trace small enough to walk exhaustively.
+//! The per-workload and fault-injecting suites (`scaling_equivalence`,
+//! `checkpoint_recovery`, `fault_injection`, …) each hold some axes
+//! fixed; this is the place where all of them vary at once on a trace
+//! small enough to walk exhaustively. The transport axis is held to
+//! more than the serial signature: both transports must write the same
+//! manifest bytes and report the same failures.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -18,8 +20,8 @@ use dgrace_detectors::{
     race_signature, Detector, DetectorExt, FastTrack, Report, ShardableDetector,
 };
 use dgrace_runtime::{
-    replay, CheckpointInterval, CheckpointManifest, CheckpointOptions, ReplayError, RunPlan,
-    SupervisorPolicy, Transport, CHECKPOINT_FILE,
+    replay, silence_injected_panics, CheckpointInterval, CheckpointManifest, CheckpointOptions,
+    PanicOnEvent, ReplayError, RunPlan, SupervisorPolicy, Transport, CHECKPOINT_FILE,
 };
 use dgrace_trace::io::{to_bytes, EventReader};
 use dgrace_trace::{
@@ -97,18 +99,63 @@ impl Input {
         block: Option<usize>,
         plan: &RunPlan<'_>,
     ) -> Result<Report, ReplayError> {
+        self.replay_prefix(proto, block, plan, u64::MAX)
+    }
+
+    /// [`Input::replay`] of the first `events` events only, from a
+    /// source that still reports the whole trace's length.
+    fn replay_prefix<D: ShardableDetector + Send>(
+        &self,
+        proto: D,
+        block: Option<usize>,
+        plan: &RunPlan<'_>,
+        events: u64,
+    ) -> Result<Report, ReplayError> {
         match block {
-            None => replay(proto, &self.trace, plan),
+            None => replay(
+                proto,
+                Cut {
+                    inner: &self.trace,
+                    left: events,
+                },
+                plan,
+            ),
             Some(block) => {
                 let reader = EventReader::new(&self.bytes[..]).expect("header");
                 let len = self.trace.len() as u64;
+                let inner = BlockReader::with_block_events(reader, len, block);
                 replay(
                     proto,
-                    BlockReader::with_block_events(reader, len, block),
+                    Cut {
+                        inner,
+                        left: events,
+                    },
                     plan,
                 )
             }
         }
+    }
+}
+
+/// Ends a source after its first `left` events (cutting a block short
+/// if need be) while it still reports the length of the whole trace.
+struct Cut<S> {
+    inner: S,
+    left: u64,
+}
+
+impl<S: EventSource> EventSource for Cut<S> {
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn next_block(&mut self) -> Result<&[Event], TraceError> {
+        if self.left == 0 {
+            return Ok(&[]);
+        }
+        let block = self.inner.next_block()?;
+        let n = block.len().min(self.left as usize);
+        self.left -= n as u64;
+        Ok(&block[..n])
     }
 }
 
@@ -406,5 +453,76 @@ fn funnel_flushes_a_sync_free_trace_at_every_block() {
         // event of the blocks before had reached its shard by each.
         let blocks: Vec<u64> = (0..=10).map(|k| k * 10).collect();
         assert_eq!(watched.fed_at_block, blocks, "shards={shards}");
+    }
+}
+
+/// The two transports are one kernel fed at different times: at every
+/// cadence cut they write the same `.dgcp` bytes, and a shard panic is
+/// reported with the same failure — its stamp and offending event
+/// included — whatever the shard count and however the source is cut
+/// into blocks.
+#[test]
+fn transports_write_identical_manifests_and_failures() {
+    silence_injected_panics();
+    let input = Input::of(racy_trace());
+    let len = input.trace.len() as u64;
+    let transports = [Transport::Funnel, Transport::Rings];
+    let dirs = transports.map(|t| scratch_dir(&format!("{t:?}")));
+    for shards in [1usize, 2, 3] {
+        for block in [Some(1), Some(7), None] {
+            let row = format!("shards={shards} block={block:?}");
+            for cut in 1..=len {
+                // The run ends at `cut`, so the one manifest it writes
+                // is the cadence cut there.
+                let manifests = [0, 1].map(|i| {
+                    let _ = std::fs::remove_dir_all(&dirs[i]);
+                    let ckpt = CheckpointOptions {
+                        dir: dirs[i].clone(),
+                        every: CheckpointInterval::Events(cut),
+                    };
+                    let plan = RunPlan {
+                        shards,
+                        transport: transports[i],
+                        checkpoint: Some(&ckpt),
+                        ..RunPlan::default()
+                    };
+                    input
+                        .replay_prefix(DynamicGranularity::new(), block, &plan, cut)
+                        .expect("replay");
+                    std::fs::read(dirs[i].join(CHECKPOINT_FILE)).expect("the cut wrote a manifest")
+                });
+                assert!(
+                    manifests[0] == manifests[1],
+                    "{row} cut={cut}: funnel and rings wrote different .dgcp bytes"
+                );
+            }
+            for target in 0..shards {
+                for panic_at in 1..=len {
+                    let reports = transports.map(|transport| {
+                        let plan = RunPlan {
+                            shards,
+                            transport,
+                            ..RunPlan::default()
+                        };
+                        let proto = PanicOnEvent::new(FastTrack::new(), target, panic_at);
+                        input.replay(proto, block, &plan).expect("replay")
+                    });
+                    let what = format!("{row} shard {target} panics at its event {panic_at}");
+                    // Compared without the payload: its injected-panic
+                    // marker would silence the assertion's own message.
+                    let sites = reports.each_ref().map(|r| {
+                        r.failures
+                            .iter()
+                            .map(|f| (f.shard, f.event_seq, f.last_event.clone()))
+                            .collect::<Vec<_>>()
+                    });
+                    assert_eq!(sites[0], sites[1], "{what}: failure sites");
+                    assert!(reports[0] == reports[1], "{what}: reports differ");
+                }
+            }
+        }
+    }
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

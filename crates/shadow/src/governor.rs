@@ -140,9 +140,10 @@ pub enum MemComponent {
     /// Copy-on-write vector-clock arenas (the `VectorClock` class of the
     /// memory model, broken out for reporting).
     VcClocks = 1,
-    /// Pipeline SPSC ring-lane capacity (registered at spawn).
+    /// A replay's lane segment buffers, staged or in flight, at their
+    /// capacity.
     RingLanes = 2,
-    /// Server per-session buffers (registered per live session).
+    /// A live session's staged lane segment buffers, at their capacity.
     Sessions = 3,
 }
 

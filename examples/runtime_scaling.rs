@@ -49,11 +49,11 @@ fn drive(rt: &Runtime, producers: usize) -> u64 {
 }
 
 /// Best-of-`REPS` events/sec for one configuration.
-fn measure(opts: RuntimeOptions, producers: usize) -> f64 {
+fn measure(shards: usize, opts: RuntimeOptions, producers: usize) -> f64 {
     let proto = DynamicGranularity::new();
     let mut best = 0.0f64;
     for _ in 0..REPS {
-        let rt = Runtime::sharded_with_options(&proto, opts);
+        let rt = Runtime::sharded_with_options(&proto, shards, opts);
         let start = Instant::now();
         let events = drive(&rt, producers);
         let rate = events as f64 / start.elapsed().as_secs_f64();
@@ -64,12 +64,10 @@ fn measure(opts: RuntimeOptions, producers: usize) -> f64 {
 
 fn main() {
     let serialized = RuntimeOptions {
-        shards: 1,
         buffer_capacity: 1,
         record: false,
     };
     let sharded = RuntimeOptions {
-        shards: 8,
         buffer_capacity: 256,
         record: false,
     };
@@ -80,8 +78,8 @@ fn main() {
         "producers", "serialized ev/s", "sharded-8 ev/s", "speedup"
     );
     for producers in [1usize, 2, 4, 8] {
-        let base = measure(serialized, producers);
-        let shrd = measure(sharded, producers);
+        let base = measure(1, serialized, producers);
+        let shrd = measure(8, sharded, producers);
         println!(
             "{:>10} {:>18.0} {:>18.0} {:>8.2}x",
             producers,

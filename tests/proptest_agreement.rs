@@ -212,8 +212,8 @@ fn classes_by_definition(trace: &Trace) -> BTreeMap<u64, LocationClass> {
 fn run_online(programs: &[Vec<Op>], shards: usize) -> (Report, Trace) {
     let rt = Runtime::sharded_with_options(
         &DynamicGranularity::new(),
+        shards,
         RuntimeOptions {
-            shards,
             buffer_capacity: 5, // small + odd: force misaligned overflow flushes
             record: true,
         },

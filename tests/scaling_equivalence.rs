@@ -17,10 +17,9 @@
 //!
 //! Comparisons are full-`Report` equality wherever the trace contains no
 //! `Alloc` events; traces with allocations compare race signatures and
-//! the path-invariant counters instead (immediate routing may place a
-//! pre-`Alloc` access on a different shard than the funnel's deferred
-//! routing, shifting partition *statistics* — never the race set; see
-//! the pipeline module docs).
+//! the path-invariant counters. `crates/runtime/tests/plan_axes.rs`
+//! holds whole reports, failures and manifest bytes equal across the
+//! two transports.
 
 use proptest::prelude::*;
 

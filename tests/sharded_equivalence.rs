@@ -26,9 +26,8 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// A small buffer forces frequent overflow flushes; an odd size keeps
 /// flush boundaries misaligned with loop iterations.
-fn recording(shards: usize) -> RuntimeOptions {
+fn recording() -> RuntimeOptions {
     RuntimeOptions {
-        shards,
         buffer_capacity: 7,
         record: true,
     }
@@ -116,7 +115,7 @@ fn sharded_race_set_matches_serialized_dynamic() {
     let mut expected: Vec<Addr> = Vec::new();
 
     for &shards in &SHARD_COUNTS {
-        let rt = Runtime::sharded_with_options(&DynamicGranularity::new(), recording(shards));
+        let rt = Runtime::sharded_with_options(&DynamicGranularity::new(), shards, recording());
         assert_eq!(rt.shard_count(), shards);
         expected = drive_mixed(&rt, 4);
 
@@ -160,7 +159,7 @@ fn sharded_race_set_matches_serialized_dynamic() {
 #[test]
 fn sharded_race_set_matches_serialized_fasttrack() {
     for &shards in &SHARD_COUNTS {
-        let rt = Runtime::sharded_with_options(&FastTrack::new(), recording(shards));
+        let rt = Runtime::sharded_with_options(&FastTrack::new(), shards, recording());
         drive_mixed(&rt, 3);
         let trace = rt.take_recorded().expect("journaling runtime");
         validate(&trace).expect("journal is a well-formed serialization");
@@ -177,7 +176,7 @@ fn sharded_race_set_matches_serialized_fasttrack() {
 #[test]
 fn sharded_locked_workload_stays_race_free() {
     for &shards in &SHARD_COUNTS {
-        let rt = Runtime::sharded_with_options(&DynamicGranularity::new(), recording(shards));
+        let rt = Runtime::sharded_with_options(&DynamicGranularity::new(), shards, recording());
         drive_locked(&rt, 4);
         let trace = rt.take_recorded().expect("journaling runtime");
         validate(&trace).expect("journal is a well-formed serialization");
