@@ -1,8 +1,8 @@
-//! Micro-benchmarks of the substrates: shadow-table operations (Fig. 4),
-//! the per-thread epoch bitmap (§IV.A), and vector-clock algebra.
+//! Micro-benchmarks of the substrates: shadow-table operations (Fig. 4)
+//! and vector-clock algebra.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dgrace_shadow::{EpochBitmap, ShadowStore, ShadowTable};
+use dgrace_shadow::{ShadowStore, ShadowTable};
 use dgrace_trace::Addr;
 use dgrace_vc::{Epoch, Tid, VectorClock};
 
@@ -58,29 +58,6 @@ fn bench_shadow_table(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_bitmap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("epoch-bitmap");
-    group.throughput(Throughput::Elements(4096));
-    group.bench_function("set-then-test", |b| {
-        b.iter(|| {
-            let mut bm = EpochBitmap::new();
-            let mut hits = 0;
-            for i in 0..4096u64 {
-                if bm.test_and_set(Addr(0x1000 + i), i % 2 == 0) {
-                    hits += 1;
-                }
-            }
-            for i in 0..4096u64 {
-                if bm.first_in_epoch(Addr(0x1000 + i), false) {
-                    hits += 1;
-                }
-            }
-            std::hint::black_box(hits)
-        });
-    });
-    group.finish();
-}
-
 fn bench_vc(c: &mut Criterion) {
     let mut group = c.benchmark_group("vector-clock");
     let a: VectorClock = (0..16u32).map(|i| i * 3 + 1).collect();
@@ -102,5 +79,5 @@ fn bench_vc(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_shadow_table, bench_bitmap, bench_vc);
+criterion_group!(benches, bench_shadow_table, bench_vc);
 criterion_main!(benches);

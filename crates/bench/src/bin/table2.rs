@@ -1,6 +1,6 @@
 //! Table 2: memory-overhead breakdown — hash / vector-clock / bitmap
-//! peak bytes per granularity. The dynamic detector keeps no same-epoch
-//! bitmap, so its bitmap column is 0.
+//! peak bytes per granularity. No happens-before detector keeps a
+//! same-epoch bitmap, so every bitmap column here is 0.
 
 use dgrace_bench::{granularity_suite, kib, parse_args, prepare, run_timed, selected, Table};
 
@@ -27,7 +27,7 @@ fn main() {
     }
     println!("paper shape: dynamic slashes the vector-clock column (~4x vs byte);");
     println!("hash/index costs are equal for byte and dynamic; word saves some indexing.");
-    println!("dynamic's bitmap column reads 0: it keeps no per-thread same-epoch bitmap");
-    println!("(§IV.A) and answers a same-epoch repeat from the location's shadow entry;");
-    println!("byte and word keep theirs, which remember repeats of evicted locations.");
+    println!("every bitmap column reads 0: no detector here keeps a per-thread same-epoch");
+    println!("bitmap (§IV.A); each answers a same-epoch repeat from the location's shadow");
+    println!("entry, and budget eviction takes the entries holding a current epoch last.");
 }

@@ -544,7 +544,8 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     }
 
     /// Evicts cold shadow regions until the modeled total drops below the
-    /// budget (with an eighth of hysteresis). A region leaves the index
+    /// budget (with an eighth of hysteresis). A region holding a thread's
+    /// current epoch in either plane goes last. A region leaves the index
     /// with both planes' slots, so read and write coverage stay symmetric.
     /// Eviction can only *miss* races: a re-inserted location restarts in
     /// the Init state with a fresh epoch, so no stale clock can fabricate
@@ -557,7 +558,8 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         let target = budget - budget / 8;
         let mut victims = Victims::default();
         while self.model.current_total() > target {
-            let Some((base, len)) = self.index.victim_region(&mut victims) else {
+            let planes = [&self.read, &self.write];
+            let Some((base, len)) = self.index.victim_region(&mut victims, planes, &self.hb) else {
                 break;
             };
             let before = self.loc_count();

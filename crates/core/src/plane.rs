@@ -105,7 +105,7 @@
 use std::num::{NonZeroU32, NonZeroU64};
 
 use dgrace_detectors::snap::{decode_access_clock, encode_access_clock};
-use dgrace_detectors::AccessKind;
+use dgrace_detectors::{AccessKind, HbState};
 use dgrace_shadow::accounting::vc_cell_bytes;
 use dgrace_shadow::store::{ShadowStore, StoreSelect};
 use dgrace_shadow::{ChunkId, FastMap, HashSelect, Slab, SlabId, Victims};
@@ -484,11 +484,22 @@ impl<K: StoreSelect> IndexOn<K> {
 
     /// Victim byte span for memory-budget eviction: one resident backing
     /// region of the index, chosen deterministically (see
-    /// [`ShadowStore::victim_region`], also for `victims`). The caller
-    /// evicts with [`Self::remove_range`], which takes both planes' slots
-    /// of the region, so their coverage stays symmetric.
-    pub(crate) fn victim_region(&self, victims: &mut Victims) -> Option<(Addr, u64)> {
-        self.store.victim_region(victims)
+    /// [`ShadowStore::victim_region`], also for `victims`). A region is hot
+    /// when the clock of one of its cells in `planes` holds a thread's
+    /// current epoch in `hb`. The caller evicts with
+    /// [`Self::remove_range`], which takes both planes' slots of the
+    /// region, so their coverage stays symmetric.
+    pub(crate) fn victim_region(
+        &self,
+        victims: &mut Victims,
+        planes: [&Plane; 2],
+        hb: &HbState,
+    ) -> Option<(Addr, u64)> {
+        self.store.victim_region(victims, |lane, addr, &slot| {
+            let plane = planes.iter().find(|p| p.lane == lane);
+            let plane = plane.expect("a plane for every lane the index holds");
+            hb.holds_current(plane.clock_view(CellRef { addr, slot }))
+        })
     }
 }
 

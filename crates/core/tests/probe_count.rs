@@ -111,8 +111,12 @@ impl<T, const N: usize, S: ShadowStore<T, N>> ShadowStore<T, N> for Counting<S> 
         self.0.lane_force_byte_mode(lane, addr)
     }
 
-    fn victim_region(&self, victims: &mut Victims) -> Option<(Addr, u64)> {
-        self.0.victim_region(victims)
+    fn victim_region(
+        &self,
+        victims: &mut Victims,
+        hot: impl FnMut(usize, Addr, &T) -> bool,
+    ) -> Option<(Addr, u64)> {
+        self.0.victim_region(victims, hot)
     }
 }
 

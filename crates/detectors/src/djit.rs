@@ -2,7 +2,7 @@
 
 use dgrace_shadow::accounting::vc_cell_bytes;
 use dgrace_trace::{SnapshotReader, SnapshotWriter, TraceError};
-use dgrace_vc::{Epoch, Tid, VectorClock};
+use dgrace_vc::{ClockView, Epoch, Tid, VectorClock};
 
 use crate::fixed::{CellRule, FixedOn};
 use crate::snap::{decode_vc, encode_vc};
@@ -47,6 +47,11 @@ impl CellRule for DjitCell {
             AccessKind::Write => self.write.set(tid, now.get(tid)),
         }
         race
+    }
+
+    #[inline]
+    fn clocks(&self) -> [ClockView<'_>; 2] {
+        [ClockView::Vc(&self.write), ClockView::Vc(&self.read)]
     }
 
     /// Two VC cells plus payloads.

@@ -2,7 +2,7 @@
 
 use dgrace_shadow::accounting::vc_cell_bytes;
 use dgrace_trace::{SnapshotReader, SnapshotWriter, TraceError};
-use dgrace_vc::{Epoch, ReadClock, Tid, VectorClock};
+use dgrace_vc::{ClockView, Epoch, ReadClock, Tid, VectorClock};
 
 use crate::fixed::{CellRule, FixedOn};
 use crate::snap::{decode_epoch, decode_read_clock, encode_epoch, encode_read_clock};
@@ -71,6 +71,11 @@ impl CellRule for FastTrackCell {
             }
         }
         race
+    }
+
+    #[inline]
+    fn clocks(&self) -> [ClockView<'_>; 2] {
+        [ClockView::Epoch(self.write), self.read.view()]
     }
 
     /// One epoch-form cell for the write clock plus the read clock (epoch
@@ -216,11 +221,12 @@ mod tests {
         assert!((rep.stats.same_epoch_fraction() - 0.9).abs() < 1e-12);
     }
 
-    /// Each thread's bitmap starts over when its own epoch ends, and only
-    /// then: a write then a read of `X` by T1 is filtered within an epoch
-    /// and checked again after each event that ticks T1's clock.
+    /// The same-epoch filter starts over when the thread's own epoch
+    /// ends, and only then: a write then a read of `X` by T1 is filtered
+    /// within an epoch and checked again after each event that ticks T1's
+    /// clock.
     #[test]
-    fn the_same_epoch_bitmap_resets_when_the_thread_s_epoch_ends() {
+    fn the_same_epoch_filter_resets_when_the_thread_s_epoch_ends() {
         let enders: [fn(&mut TraceBuilder); 6] = [
             |b| {
                 b.release(1u32, 7u32);

@@ -4,16 +4,16 @@
 //! DJIT+ (§II.B) and FastTrack (§II.C) are the same tool around different
 //! shadow cells — the paper presents FastTrack as DJIT+ with the clocks
 //! compressed to epochs. Everything that is not the cell lives here once:
-//! the same-epoch bitmaps, the Fig. 4 index of boxed cells, first race per
+//! the same-epoch filter, the Fig. 4 index of boxed cells, first race per
 //! location, the memory model and its budget, free handling, the report
 //! and the `DGSS` snapshot section. A [`CellRule`] supplies what one
-//! access does to one cell.
+//! access does to one cell, and which clocks the cell holds.
 
 use std::fmt::Debug;
 
-use dgrace_shadow::{EpochBitmap, MemClass, MemoryModel, ShadowStore, ShadowTable, Victims};
+use dgrace_shadow::{MemClass, MemoryModel, ShadowStore, ShadowTable, Victims};
 use dgrace_trace::{Addr, Event, SnapshotReader, SnapshotWriter, TraceError};
-use dgrace_vc::{Epoch, Tid, VectorClock};
+use dgrace_vc::{ClockView, Epoch, Tid, VectorClock};
 
 use crate::snap::{decode_races, decode_store, encode_races, encode_store, Section, SectionError};
 use crate::{
@@ -37,6 +37,23 @@ pub trait CellRule: Debug + Default + Send + 'static {
         now: &VectorClock,
     ) -> Option<(RaceKind, Epoch)>;
 
+    /// The cell's write clock and read clock.
+    fn clocks(&self) -> [ClockView<'_>; 2];
+
+    /// Whether an access of `kind` in `epoch` is already summarized by the
+    /// cell — FastTrack's `W == E` / `R == E`: its thread wrote the
+    /// location in this epoch (a write covers its later reads), or, for a
+    /// read, read it. Then the access can change nothing and is skipped.
+    #[inline]
+    fn covers(&self, kind: AccessKind, epoch: Epoch) -> bool {
+        let holds = |clock| match clock {
+            ClockView::Epoch(e) => e == epoch,
+            ClockView::Vc(vc) => vc.get(epoch.tid) == epoch.clock,
+        };
+        let [write, read] = self.clocks();
+        holds(write) || kind == AccessKind::Read && holds(read)
+    }
+
     /// Modeled bytes of the cell's clocks (Table 2's vector-clock class).
     fn bytes(&self) -> usize;
 
@@ -45,76 +62,6 @@ pub trait CellRule: Debug + Default + Send + 'static {
 
     /// Reads a cell back from [`CellRule::encode`]'s bytes.
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, TraceError>;
-}
-
-/// Each thread's same-epoch bitmap (§IV.A), reset when the thread's own
-/// clock ticks.
-///
-/// The dynamic detector answers "already made this access in this
-/// epoch?" from the location's shadow entry. These detectors keep the
-/// bitmap because their shadow can be evicted under a budget while the
-/// thread is still in the epoch: the bitmap remembers the access, where a
-/// re-created cell would not, and without it a governed run re-creates
-/// every evicted cell its sweeps touch again (DESIGN.md §7a).
-#[derive(Debug, Default)]
-struct EpochBitmaps {
-    /// By thread id.
-    threads: Vec<EpochBitmap>,
-    /// Modeled bytes of all of them.
-    bytes: usize,
-}
-
-impl EpochBitmaps {
-    /// Marks a `kind` access of `loc` by `t`; `false` if an access of this
-    /// epoch already covers it (a write also covers reads).
-    fn first_in_epoch(&mut self, t: Tid, loc: Addr, kind: AccessKind) -> bool {
-        let i = t.index();
-        if i >= self.threads.len() {
-            self.threads.resize_with(i + 1, EpochBitmap::default);
-        }
-        let bm = &mut self.threads[i];
-        let before = bm.bytes();
-        let first = bm.first_in_epoch(loc, kind == AccessKind::Write);
-        // Only a first access can have added a chunk.
-        if first {
-            self.bytes += bm.bytes() - before;
-        }
-        first
-    }
-
-    /// Starts `t`'s next epoch.
-    fn new_epoch(&mut self, t: Tid) {
-        if let Some(bm) = self.threads.get_mut(t.index()) {
-            self.bytes -= bm.bytes();
-            bm.reset();
-        }
-    }
-
-    /// Forgets `[addr, addr+size)` in every thread's bitmap: the range was
-    /// freed and its cells dropped, so the next access to it, in any
-    /// thread, is the first of its location again. Drops no chunk, so the
-    /// modeled bytes do not move.
-    fn forget_range(&mut self, addr: Addr, size: u64) {
-        for bm in &mut self.threads {
-            bm.forget_range(addr, size);
-        }
-    }
-
-    fn encode(&self, w: &mut SnapshotWriter) {
-        w.count(self.threads.len());
-        for bm in &self.threads {
-            bm.encode(w);
-        }
-    }
-
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, TraceError> {
-        let n = r.count("thread bitmaps")?;
-        let threads = (0..n)
-            .map(|_| EpochBitmap::decode(r))
-            .collect::<Result<Vec<_>, _>>()?;
-        let bytes = threads.iter().map(EpochBitmap::bytes).sum();
-        Ok(EpochBitmaps { threads, bytes })
-    }
 }
 
 /// A happens-before detector with a fixed detection granularity and the
@@ -130,7 +77,6 @@ impl EpochBitmaps {
 pub struct FixedOn<C: CellRule> {
     granularity: Granularity,
     hb: HbState,
-    bitmaps: EpochBitmaps,
     table: ShadowTable<Box<C>, 1>,
     model: MemoryModel,
     vc_bytes: usize,
@@ -169,21 +115,26 @@ impl<C: CellRule> FixedOn<C> {
     fn on_access(&mut self, tid: Tid, addr: Addr, kind: AccessKind) {
         self.accesses += 1;
         let loc = self.granularity.locate(addr);
+        let now = self.hb.clock(tid);
+        let epoch = Epoch::new(now.get(tid), tid);
+        // The access's one directory probe.
+        let at = self.table.chunk_or_insert(loc);
+        if self.table.cell(at, 0, loc).is_none() {
+            let cell = Box::<C>::default();
+            self.vc_bytes += cell.bytes();
+            self.table.put(at, 0, loc, cell);
+            self.vc_allocs += 2;
+        }
+        let cell = self
+            .table
+            .cell_mut(at, 0, loc)
+            .expect("present or just put");
 
-        // Same-epoch filter (DJIT+'s core optimization).
-        if !self.bitmaps.first_in_epoch(tid, loc, kind) {
+        // Same-epoch filter (DJIT+'s core optimization), from the cell.
+        if cell.covers(kind, epoch) {
             self.same_epoch += 1;
             return;
         }
-
-        let now = self.hb.clock(tid);
-        if self.table.get(loc).is_none() {
-            let cell = Box::<C>::default();
-            self.vc_bytes += cell.bytes();
-            self.table.insert(loc, cell);
-            self.vc_allocs += 2;
-        }
-        let cell = self.table.get_mut(loc).expect("just inserted");
         let before = cell.bytes();
         let race = cell.access(kind, tid, now);
         self.vc_bytes = self.vc_bytes + cell.bytes() - before;
@@ -192,7 +143,7 @@ impl<C: CellRule> FixedOn<C> {
             self.races.push(RaceReport {
                 addr: loc,
                 kind,
-                current: Epoch::new(now.get(tid), tid),
+                current: epoch,
                 previous,
                 event_index: Some(self.event_index),
                 share_count: 1,
@@ -218,7 +169,6 @@ impl<C: CellRule> FixedOn<C> {
     fn update_model(&mut self) {
         self.model.set(MemClass::Hash, self.table.index_bytes());
         self.model.set(MemClass::VectorClock, self.vc_bytes);
-        self.model.set(MemClass::Bitmap, self.bitmaps.bytes);
         self.model.set_vc_count(self.table.len() * 2);
         if self.model.over_budget() {
             self.enforce_budget();
@@ -227,8 +177,11 @@ impl<C: CellRule> FixedOn<C> {
 
     /// Evicts cold shadow regions until the modeled total drops below the
     /// budget (with an eighth of hysteresis so eviction is not re-entered
-    /// on every access). Eviction can only *miss* races — a re-inserted
-    /// cell starts empty, so no stale epoch can fabricate a report. Kept
+    /// on every access). A region holding a thread's current epoch goes
+    /// last: a same-epoch repeat would re-create its cell, where the cell
+    /// would have answered it. Eviction can only *miss* races — a
+    /// re-inserted cell starts empty, so no stale epoch can fabricate a
+    /// report. Kept
     /// off the hot path: reached only after [`MemoryModel::over_budget`]
     /// latches, which is a single compare while under budget.
     #[cold]
@@ -239,8 +192,11 @@ impl<C: CellRule> FixedOn<C> {
         let target = budget - budget / 8;
         let mut victims = Victims::default();
         while self.model.current_total() > target {
-            // Nothing evictable (bitmaps are not): degrade no further.
-            let Some((base, len)) = self.table.victim_region(&mut victims) else {
+            let hb = &self.hb;
+            let victim = self.table.victim_region(&mut victims, |_, _, cell| {
+                cell.clocks().into_iter().any(|c| hb.holds_current(c))
+            });
+            let Some((base, len)) = victim else {
                 break;
             };
             let cells = self.remove_cells(base, len);
@@ -273,16 +229,11 @@ impl<C: CellRule> Detector for FixedOn<C> {
             Event::Write { tid, addr, .. } => self.on_access(tid, addr, AccessKind::Write),
             Event::Free { addr, size, .. } => {
                 self.remove_cells(addr, size);
-                self.bitmaps.forget_range(addr, size);
                 self.update_model();
             }
             Event::Alloc { .. } => {}
             _ => {
                 self.hb.on_sync(ev);
-                if let Some(t) = HbState::epoch_ended_by(ev) {
-                    self.bitmaps.new_epoch(t);
-                }
-                self.model.set(MemClass::Bitmap, self.bitmaps.bytes);
             }
         }
         self.event_index += 1;
@@ -317,7 +268,6 @@ impl<C: CellRule> Detector for FixedOn<C> {
     fn write_section(&self, w: &mut SnapshotWriter) -> bool {
         Section::Detector.write(w);
         self.hb.encode(w);
-        self.bitmaps.encode(w);
         encode_store(w, &self.table, |w, cell| cell.encode(w));
         self.model.encode(w);
         encode_races(w, &self.races);
@@ -343,7 +293,6 @@ impl<C: CellRule> Detector for FixedOn<C> {
     fn read_section(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SectionError> {
         Section::Detector.read(r)?;
         let hb = HbState::decode(r)?;
-        let bitmaps = EpochBitmaps::decode(r)?;
         let table = decode_store(r, |r| C::decode(r).map(Box::new))?;
         let mut model = MemoryModel::decode(r)?;
         let races = decode_races(r)?;
@@ -357,7 +306,6 @@ impl<C: CellRule> Detector for FixedOn<C> {
         *self = FixedOn {
             granularity: self.granularity,
             hb,
-            bitmaps,
             table,
             model,
             vc_bytes,

@@ -476,7 +476,7 @@ mod tests {
             b.write(0u32, 0x1_0000 + i * 64, AccessSize::U64);
         }
         for _pass in 0..8 {
-            for i in 0..512u64 {
+            for i in 0..4096u64 {
                 b.write(1u32, 0x1_0000 + i * 64, AccessSize::U64);
             }
         }

@@ -2,7 +2,7 @@
 //! fork/join edges.
 
 use dgrace_trace::{Event, IdTable, LockId, SnapshotReader, SnapshotWriter, TraceError};
-use dgrace_vc::{Epoch, Tid, VectorClock};
+use dgrace_vc::{ClockView, Epoch, Tid, VectorClock};
 
 use crate::snap::{decode_vc, encode_vc};
 
@@ -143,9 +143,24 @@ impl HbState {
         Epoch::new(self.clock(t).get(t), t)
     }
 
+    /// Whether some epoch `c@t` in `clock` is thread `t`'s current one:
+    /// the access it records was made in the epoch `t` is still in, so
+    /// the cell holding `clock` answers a repeat of it. Budget eviction
+    /// takes the cells this holds for last.
+    pub fn holds_current(&self, clock: ClockView<'_>) -> bool {
+        let current = |t: Tid, c| {
+            let now = self.threads.get(t.index()).and_then(Option::as_ref);
+            c != 0 && now.is_some_and(|now| now.get(t) == c)
+        };
+        match clock {
+            ClockView::Epoch(e) => current(e.tid, e.clock),
+            ClockView::Vc(vc) => vc.iter().any(|(t, c)| current(t, c)),
+        }
+    }
+
     /// The thread whose epoch `ev` ends — whose own clock
     /// [`Self::on_sync`] ticks after the event's joins — if any.
-    pub fn epoch_ended_by(ev: &Event) -> Option<Tid> {
+    fn epoch_ended_by(ev: &Event) -> Option<Tid> {
         match *ev {
             Event::Release { tid, .. }
             | Event::ReleaseRead { tid, .. }

@@ -5,7 +5,7 @@
 //! on 64 locks, each iteration `acquire / read / write / release` of the
 //! one cache line the lock guards, plus one reader-writer-lock round and
 //! one barrier round per pass. The first pass materialises every thread,
-//! lock record, bitmap chunk and shadow location; the second pass must
+//! lock record and shadow location; the second pass must
 //! then perform **0** allocations through `DynamicGranularity` and
 //! through `FastTrack`.
 //!

@@ -2,7 +2,7 @@
 //!
 //! The paper measures detector memory "based on object size" (§V.A): the
 //! bytes of the hash/indexing structures, of the vector clocks themselves,
-//! and of the per-thread bitmaps. We reproduce that model: every detector
+//! and of the access bitmaps. We reproduce that model: every detector
 //! reports its structure sizes through a [`MemoryModel`] gauge after each
 //! event, and the model records the per-class and total peaks.
 //!
@@ -13,7 +13,6 @@
 //! | hash chain entry header         | 16 + 4·slots (pointer array)   |
 //! | VC cell (epoch form)            | 16                             |
 //! | VC cell full-VC payload         | 16 + 4·width                   |
-//! | bitmap chunk                    | 16 + `CHUNK_BYTES`             |
 
 /// Modeled byte size of a hash chain entry with `slots` pointers.
 pub const fn hash_entry_bytes(slots: usize) -> usize {
@@ -39,11 +38,6 @@ pub const fn vc_cell_bytes(width: usize) -> usize {
     }
 }
 
-/// Modeled byte size of one per-thread bitmap chunk.
-pub const fn bitmap_chunk_bytes(chunk_payload: usize) -> usize {
-    16 + chunk_payload
-}
-
 /// The accounting classes of Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MemClass {
@@ -51,7 +45,8 @@ pub enum MemClass {
     Hash,
     /// Vector clocks (cells + full-VC payloads).
     VectorClock,
-    /// Per-thread same-epoch bitmaps.
+    /// Access bitmaps: segment-drd's segment bitmaps. No happens-before
+    /// detector keeps a same-epoch bitmap.
     Bitmap,
 }
 
@@ -297,6 +292,5 @@ mod tests {
         assert_eq!(hash_entry_bytes(128), 16 + 512);
         assert_eq!(vc_cell_bytes(0), 16);
         assert_eq!(vc_cell_bytes(4), 48);
-        assert_eq!(bitmap_chunk_bytes(512), 528);
     }
 }

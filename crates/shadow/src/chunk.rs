@@ -448,6 +448,21 @@ impl<T, const N: usize> Chunk<T, N> {
         }
     }
 
+    /// Whether `f` holds for some `(lane, addr, cell)` of the chunk at
+    /// `chunk_base`, stopping at the first that does.
+    pub(crate) fn any(&self, chunk_base: u64, f: &mut impl FnMut(usize, Addr, &T) -> bool) -> bool {
+        let (width, stride) = (self.width(), self.stride());
+        self.cells.iter().enumerate().any(|(i, cell)| {
+            let lane = if width == 1 {
+                self.only as usize
+            } else {
+                i % N
+            };
+            let addr = Addr(chunk_base + (i / width) as u64 * stride);
+            cell.as_ref().is_some_and(|cell| f(lane, addr, cell))
+        })
+    }
+
     /// Applies `f` to every cell of `lane`, in ascending address order.
     pub(crate) fn for_each(&self, lane: usize, chunk_base: u64, f: &mut impl FnMut(Addr, &T)) {
         let stride = self.stride();
@@ -560,36 +575,53 @@ pub(crate) fn keys_in(
     RangeInclusive::new(1, 0).chain(keys)
 }
 
-/// The eviction order of one budget-enforcement loop: the directory's
-/// resident region keys, sorted once at the loop's first
-/// [`victim_region`](crate::ShadowStore::victim_region) call instead of
-/// searched for their minimum at every call. Nothing is inserted inside
-/// such a loop, so the first key of the list that is still resident *is*
-/// the lowest resident key. Start each loop with `Victims::default()`.
+/// The eviction order of one budget-enforcement loop: first every region
+/// none of whose cells is hot, by ascending key, then the hot ones, by
+/// ascending key. The directory's resident keys are sorted once, at the
+/// loop's first [`victim_region`](crate::ShadowStore::victim_region)
+/// call, and each is judged hot or cold once, when the walk reaches it.
+/// Nothing is inserted and nothing turns hot inside such a loop, so the
+/// first still-resident key the walk finds cold *is* the lowest cold
+/// resident key. Start each loop with `Victims::default()`.
 #[derive(Debug, Default)]
 pub struct Victims {
     /// Resident keys at the first call, ascending.
     keys: Option<Vec<u64>>,
-    /// Every key before this one has been evicted since.
+    /// Every key before this one has been evicted or passed over since.
     next: usize,
+    /// The keys passed over because they were hot, ascending.
+    hot: Vec<u64>,
+    /// Every hot key before this one has been evicted since.
+    next_hot: usize,
 }
 
 impl Victims {
-    /// The lowest key still resident in the directory `dir` that is not
-    /// `avoid`, or `avoid` itself when it is the only one left.
-    pub(crate) fn lowest(&mut self, dir: &impl KeySet, avoid: Option<u64>) -> Option<u64> {
+    /// The lowest key still resident in the directory `dir` for which
+    /// `is_hot` is false, else the lowest hot one still resident.
+    pub(crate) fn coldest(
+        &mut self,
+        dir: &impl KeySet,
+        mut is_hot: impl FnMut(u64) -> bool,
+    ) -> Option<u64> {
         let keys = self
             .keys
             .get_or_insert_with(|| keys_in(0, u64::MAX, dir).collect());
-        while keys.get(self.next).is_some_and(|&k| !dir.contains(k)) {
+        while let Some(&key) = keys.get(self.next) {
+            if dir.contains(key) {
+                if !is_hot(key) {
+                    return Some(key);
+                }
+                self.hot.push(key);
+            }
             self.next += 1;
         }
-        let left = &keys[self.next..];
-        let others = left.iter().filter(|&k| Some(*k) != avoid);
-        others
-            .copied()
-            .find(|&k| dir.contains(k))
-            .or(left.first().copied())
+        while let Some(&key) = self.hot.get(self.next_hot) {
+            if dir.contains(key) {
+                return Some(key);
+            }
+            self.next_hot += 1;
+        }
+        None
     }
 }
 
@@ -759,17 +791,44 @@ mod tests {
     }
 
     #[test]
-    fn victims_are_the_lowest_still_resident_key_but_not_the_one_to_avoid() {
-        let mut map: FastMap<u64, ()> = [7, 2, 5].into_iter().map(|k| (k, ())).collect();
+    fn victims_are_the_cold_keys_ascending_then_the_hot_ones() {
+        let mut map: FastMap<u64, ()> = [7, 2, 5, 3, 9].into_iter().map(|k| (k, ())).collect();
         let mut v = Victims::default();
-        assert_eq!(v.lowest(&map, Some(2)), Some(5));
-        map.remove(&5);
-        // The avoided key is again the lowest once nothing says to avoid it.
-        assert_eq!(v.lowest(&map, None), Some(2));
-        map.remove(&2);
-        // ...and is the fallback when it is all that is left.
-        assert_eq!(v.lowest(&map, Some(7)), Some(7));
-        map.clear();
-        assert_eq!(v.lowest(&map, None), None);
+        let mut judged = Vec::new();
+        let mut order = Vec::new();
+        while let Some(key) = v.coldest(&map, |k| {
+            judged.push(k);
+            k == 2 || k == 7
+        }) {
+            order.push(key);
+            map.remove(&key);
+            // A paired eviction takes a hot key away behind the loop's back.
+            map.remove(&7);
+        }
+        assert_eq!(order, [3, 5, 9, 2]);
+        // Each resident key is judged once, when the walk reaches it.
+        assert_eq!(judged, [2, 3, 5, 9]);
+    }
+
+    #[test]
+    fn any_sees_every_lane_at_its_address() {
+        let mut c: Chunk<u32, 2> = Chunk::new();
+        let mut t = [Totals::default(); 2];
+        let seen = |c: &Chunk<u32, 2>| {
+            let mut seen = Vec::new();
+            let none = !c.any(0x80, &mut |lane, a, &v| {
+                seen.push((lane, a.0, v));
+                false
+            });
+            assert!(none);
+            seen.sort();
+            seen
+        };
+        assert_eq!(seen(&c), []);
+        c.put(1, 8, 10, &mut t);
+        assert_eq!(seen(&c), [(1, 0x88, 10)]);
+        c.put(0, 5, 20, &mut t);
+        assert_eq!(seen(&c), [(0, 0x85, 20), (1, 0x88, 10)]);
+        assert!(c.any(0x80, &mut |lane, a, _| lane == 1 && a.0 == 0x88));
     }
 }

@@ -11,15 +11,16 @@
 //!   detector runs on. [`PagedShadow`] finds the same chunks through a
 //!   two-level directory instead of a hash probe and is kept for
 //!   store-level measurements only; both are driven through
-//!   [`ShadowStore`].
-//! * [`EpochBitmap`] — the per-thread bitmap used to answer "is this the
-//!   first access to this location in my current epoch?" without touching
-//!   the global shadow structure (§IV.A). The bitmap is reset at every
-//!   lock release (i.e. at each new epoch of the thread). Only the
-//!   fixed-granularity detectors keep one: the dynamic detector answers
-//!   the question from the location's shadow entry.
+//!   [`ShadowStore`]. Under a memory budget a store gives up its regions
+//!   cold-first ([`ShadowStore::victim_region`]): the lowest region none
+//!   of whose cells holds its thread's current epoch goes before any that
+//!   does. That is what lets every happens-before detector answer "is
+//!   this the first access to this location in my current epoch?"
+//!   (§IV.A) from the location's shadow entry, with no per-thread bitmap
+//!   to remember what eviction dropped.
 //! * [`MemoryModel`] — the memory-accounting model that regenerates the
-//!   *Hash / Vector clock / Bitmap* columns of Table 2 and the
+//!   *Hash / Vector clock / Bitmap* columns of Table 2 (only
+//!   segment-drd's segment bitmaps fill the last) and the
 //!   vector-clock population counts of Table 3. Sizes are modeled from the
 //!   paper's 32-bit object layout so that measured overheads are
 //!   comparable across detectors and independent of the host allocator.
@@ -45,7 +46,6 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
-mod bitmap;
 mod chunk;
 pub mod governor;
 mod hash;
@@ -55,7 +55,6 @@ pub mod store;
 mod table;
 
 pub use accounting::{MemClass, MemoryModel};
-pub use bitmap::EpochBitmap;
 pub use chunk::Victims;
 pub use governor::{process_gauge, MemComponent, PressureLevel, ProcessGauge, Watermarks};
 pub use hash::{FastMap, FibBuildHasher, FibHasher};

@@ -332,12 +332,20 @@ impl<T: std::fmt::Debug, const N: usize> ShadowStore<T, N> for PagedShadow<T, N>
         self.totals[lane].bytes
     }
 
-    /// The lowest-keyed resident directory that is *not* the hot-cached
-    /// one (the one most recently touched), falling back to the hot
-    /// directory when it is the only resident.
-    fn victim_region(&self, victims: &mut Victims) -> Option<(Addr, u64)> {
-        let hot_key = self.hot.get().map(|(k, _)| k);
-        let key = victims.lowest(&self.map, hot_key)?;
+    /// The lowest directory with no hot cell, else the lowest hot one.
+    fn victim_region(
+        &self,
+        victims: &mut Victims,
+        mut hot: impl FnMut(usize, Addr, &T) -> bool,
+    ) -> Option<(Addr, u64)> {
+        let key = victims.coldest(&self.map, |key| {
+            let dir = self.dir(key).expect("a resident key is mapped");
+            let mut chunks = dir.chunks.iter().enumerate();
+            chunks.any(|(ci, chunk)| {
+                let chunk = chunk.as_deref();
+                chunk.is_some_and(|c| c.any(chunk_base(key, ci), &mut hot))
+            })
+        })?;
         Some((Addr(key << DIR_SHIFT), 1u64 << DIR_SHIFT))
     }
 
@@ -368,37 +376,43 @@ mod tests {
     use crate::accounting::hash_entry_bytes;
 
     #[test]
-    fn victim_region_avoids_hot_directory() {
-        let victim = |t: &PagedShadow<u32>| t.victim_region(&mut Victims::default());
+    fn victim_region_is_lowest_directory() {
+        let victim =
+            |t: &PagedShadow<u32>| t.victim_region(&mut Victims::default(), |_, _, _| false);
         let mut t: PagedShadow<u32> = PagedShadow::default();
         assert_eq!(victim(&t), None);
-        t.insert(Addr(0x1000), 1);
         t.insert(Addr(0x5000), 2);
-        // The last touch cached directory 0x5000; the victim is the other.
+        t.insert(Addr(0x1000), 1);
         assert_eq!(victim(&t), Some((Addr(0x1000), 0x1000)));
-        // With only the hot directory resident, it is the fallback victim.
+        // A hot lower directory is passed over: one hot cell is enough,
+        // in any chunk of it.
+        t.insert(Addr(0x1f84), 3);
+        let hot = |_: usize, a: Addr, _: &u32| a == Addr(0x1f84);
+        assert_eq!(
+            t.victim_region(&mut Victims::default(), hot),
+            Some((Addr(0x5000), 0x1000))
+        );
+        // Evicting the victim empties its directory.
         let (base, len) = victim(&t).unwrap();
         t.remove_range(base, len, |_, _| {});
         assert_eq!(victim(&t), Some((Addr(0x5000), 0x1000)));
     }
 
-    /// Within one eviction loop the hot directory is passed over only
-    /// while it is hot: evicting any other directory clears the cache,
-    /// and the lowest key is the victim again even though the sorted
-    /// walk has already gone past it.
+    /// One eviction loop takes the cold directories in ascending order,
+    /// then the hot ones, whatever the hot-directory cache holds.
     #[test]
-    fn victim_region_returns_to_a_directory_it_passed_over_while_hot() {
+    fn victim_region_takes_hot_directories_last() {
         let mut t: PagedShadow<u32> = PagedShadow::default();
-        for a in [0x5000, 0x9000, 0x1000] {
-            t.insert(Addr(a), 0);
+        for (a, v) in [(0x5000, 1), (0x9000, 0), (0x1000, 1), (0x3000, 0)] {
+            t.insert(Addr(a), v);
         }
         let mut victims = Victims::default();
         let mut order = Vec::new();
-        while let Some((base, len)) = t.victim_region(&mut victims) {
+        while let Some((base, len)) = t.victim_region(&mut victims, |_, _, &v| v == 1) {
             order.push(base.0);
             t.remove_range(base, len, |_, _| {});
         }
-        assert_eq!(order, [0x5000, 0x1000, 0x9000]);
+        assert_eq!(order, [0x3000, 0x9000, 0x1000, 0x5000]);
     }
 
     #[test]

@@ -143,15 +143,22 @@ pub trait ShadowStore<T, const N: usize = 1>: Default + Debug {
     fn lane_force_byte_mode(&mut self, lane: usize, addr: Addr);
 
     /// Picks a victim region for memory-budget eviction: the byte span of
-    /// the lowest resident backing region (a chunk, or a directory of
-    /// them), avoiding the most recently touched one where the store
-    /// tracks it. Returns `None` when empty. The choice is deterministic
-    /// for a given store state, so budget-degraded runs are reproducible;
-    /// the caller evicts with [`ShadowStore::drain`], and hands every call
-    /// of one eviction loop the same `victims` (`Victims::default()` at
-    /// the loop's start, nothing inserted until its end) so the store
-    /// orders its regions once per loop.
-    fn victim_region(&self, victims: &mut Victims) -> Option<(Addr, u64)>;
+    /// a resident backing region (a chunk, or a directory of them). A
+    /// region is *hot* when `hot(lane, addr, cell)` holds for one of its
+    /// cells — the caller's "this cell holds its thread's current epoch",
+    /// so that a same-epoch repeat would re-create it. The victim is the
+    /// lowest region that is not hot, else the lowest hot one; `None` when
+    /// the store is empty. The choice is a function of the store state and
+    /// of `hot`, so budget-degraded runs are reproducible; the caller
+    /// evicts with [`ShadowStore::drain`], and hands every call of one
+    /// eviction loop the same `victims` (`Victims::default()` at the
+    /// loop's start, nothing inserted until its end) so the store orders
+    /// its regions, and judges each, once per loop.
+    fn victim_region(
+        &self,
+        victims: &mut Victims,
+        hot: impl FnMut(usize, Addr, &T) -> bool,
+    ) -> Option<(Addr, u64)>;
 
     /// `lane`'s cell at `addr`, through the directory.
     fn get_in(&self, lane: usize, addr: Addr) -> Option<&T> {

@@ -149,10 +149,16 @@ impl<T: std::fmt::Debug, const N: usize> ShadowStore<T, N> for ShadowTable<T, N>
         self.totals[lane].bytes
     }
 
-    /// The lowest-keyed resident chunk: the hash table keeps no recency
-    /// information, so "lowest address" stands in for "cold".
-    fn victim_region(&self, victims: &mut Victims) -> Option<(Addr, u64)> {
-        let key = victims.lowest(&self.entries, None)?;
+    /// The lowest chunk with no hot cell, else the lowest hot one.
+    fn victim_region(
+        &self,
+        victims: &mut Victims,
+        mut hot: impl FnMut(usize, Addr, &T) -> bool,
+    ) -> Option<(Addr, u64)> {
+        let key = victims.coldest(&self.entries, |key| {
+            let at = self.entries.find(key).expect("a resident key is found");
+            self.entries.value(at).any(key << CHUNK_SHIFT, &mut hot)
+        })?;
         Some((Addr(key << CHUNK_SHIFT), CHUNK_BYTES))
     }
 
@@ -361,13 +367,21 @@ mod tests {
 
     #[test]
     fn victim_region_is_lowest_chunk() {
-        let victim = |t: &ShadowTable<u32>| t.victim_region(&mut Victims::default());
+        let victim =
+            |t: &ShadowTable<u32>| t.victim_region(&mut Victims::default(), |_, _, _| false);
         let mut t: ShadowTable<u32> = ShadowTable::default();
         assert_eq!(victim(&t), None);
         t.insert(Addr(0x1000), 1);
         t.insert(Addr(0x200), 2);
         assert_eq!(victim(&t), Some((Addr(0x200), 128)));
-        t.remove(Addr(0x200));
+        // A hot lower chunk is passed over: one hot cell is enough.
+        t.insert(Addr(0x27c), 3);
+        let hot = |lane: usize, a: Addr, _: &u32| (lane, a) == (0, Addr(0x27c));
+        assert_eq!(
+            t.victim_region(&mut Victims::default(), hot),
+            Some((Addr(0x1000), 128))
+        );
+        t.remove_range(Addr(0x200), 128, |_, _| {});
         assert_eq!(victim(&t), Some((Addr(0x1000), 128)));
         // Evicting the victim empties the table.
         let (base, len) = victim(&t).unwrap();
@@ -378,23 +392,24 @@ mod tests {
     }
 
     /// One eviction loop sorts the keys once and still names the lowest
-    /// resident chunk at every step, whoever emptied the ones before it.
+    /// resident cold chunk at every step, whoever emptied the ones before
+    /// it, and the hot ones after every cold one.
     #[test]
     fn victim_region_walks_one_loop_in_ascending_order() {
         let mut t: ShadowTable<u32> = ShadowTable::default();
-        for a in [0x900, 0x100, 0x500, 0x300, 0x700] {
-            t.insert(Addr(a), 0);
+        for a in [0x900, 0x100, 0x500, 0x300, 0x700, 0xb00] {
+            t.insert(Addr(a), a as u32);
         }
         let mut victims = Victims::default();
         let mut order = Vec::new();
-        while let Some((base, len)) = t.victim_region(&mut victims) {
+        while let Some((base, len)) = t.victim_region(&mut victims, |_, _, &v| v == 0x100) {
             order.push(base.0);
             t.remove_range(base, len, |_, _| {});
             // A paired eviction takes the next chunk away behind the
             // loop's back.
             t.remove(Addr(base.0 + 0x200));
         }
-        assert_eq!(order, [0x100, 0x500, 0x900]);
+        assert_eq!(order, [0x300, 0x700, 0xb00, 0x100]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Model-based property tests: the shadow structures against trivially
 //! correct reference implementations.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use dgrace_shadow::{EpochBitmap, PagedShadow, ShadowStore, ShadowTable};
-use dgrace_trace::{Addr, SnapshotWriter};
+use dgrace_shadow::{PagedShadow, ShadowStore, ShadowTable};
+use dgrace_trace::Addr;
 use proptest::prelude::*;
 
 /// Operations on the shadow table. Addresses are drawn from a small pool
@@ -275,103 +275,6 @@ proptest! {
     fn paged_shadow_pair_matches_two_stores(ops in proptest::collection::vec(arb_lane_op(), 1..120)) {
         pair_matches_two_stores::<PagedShadow<u32, 2>, PagedShadow<u32>>(ops);
     }
-
-    /// The bitmap against a `HashSet<(addr, plane)>` model, through the
-    /// plain marker and through the first-access filter the detectors use.
-    /// One op in eight ends the epoch, so a chunk box is recycled — under
-    /// another key as often as not — with an earlier epoch's bits in it:
-    /// none of them may ever read as set again.
-    #[test]
-    fn bitmap_matches_hashset_model(
-        ops in proptest::collection::vec(
-            (0u64..5000, any::<bool>(), 0u8..8, any::<bool>()),
-            1..200,
-        )
-    ) {
-        let mut bm = EpochBitmap::new();
-        let mut model: HashSet<(u64, bool)> = HashSet::new();
-        let mut ever: HashSet<u64> = HashSet::new();
-        for (addr, is_write, reset, filtered) in ops {
-            if reset == 0 {
-                bm.reset();
-                model.clear();
-            }
-            ever.insert(addr);
-            if filtered {
-                // A write this epoch covers reads; a covered access is
-                // not marked.
-                let covered = model.contains(&(addr, is_write)) || model.contains(&(addr, true));
-                let first = bm.first_in_epoch(Addr(addr), is_write);
-                prop_assert_eq!(first, !covered, "first_in_epoch({}, {})", addr, is_write);
-                if first {
-                    model.insert((addr, is_write));
-                }
-            } else {
-                let was = bm.test_and_set(Addr(addr), is_write);
-                let mwas = !model.insert((addr, is_write));
-                prop_assert_eq!(was, mwas, "test_and_set({}, {})", addr, is_write);
-            }
-            // Every address any epoch touched, and a neighbor of each for
-            // aliasing, reads as this epoch's model says.
-            for &a in &ever {
-                for probe in [a, a ^ 1] {
-                    for plane in [false, true] {
-                        prop_assert_eq!(
-                            bm.test(Addr(probe), plane),
-                            model.contains(&(probe, plane)),
-                            "test({}, {})", probe, plane
-                        );
-                    }
-                }
-            }
-            let live: HashSet<u64> = model.iter().map(|(a, _)| a / 2048).collect();
-            prop_assert_eq!(bm.chunk_count(), live.len());
-        }
-    }
-}
-
-fn bitmap_bytes(bm: &EpochBitmap) -> Vec<u8> {
-    let mut w = SnapshotWriter::new(*b"TEST", 1);
-    bm.encode(&mut w);
-    w.finish()
-}
-
-/// What a bitmap reports and encodes is a function of this epoch's
-/// chunks, not of what its pool of chunk boxes has been through.
-#[test]
-fn bitmaps_with_equal_live_contents_encode_alike_whatever_their_pools_held() {
-    let mark = |bm: &mut EpochBitmap| {
-        for addr in [3 * 2048 + 5, 17, 9 * 2048] {
-            bm.test_and_set(Addr(addr), true);
-            bm.first_in_epoch(Addr(addr + 1), false);
-        }
-    };
-    let mut fresh = EpochBitmap::new();
-    mark(&mut fresh);
-
-    // The same marks made in chunk boxes that earlier epochs filled with
-    // other bits under other keys, in another order.
-    let mut used = EpochBitmap::new();
-    for epoch in 0..3u64 {
-        for chunk in (0..40u64).rev() {
-            for off in 0..64 {
-                used.test_and_set(Addr(chunk * 2048 + off * (epoch + 1)), off % 2 == 0);
-            }
-        }
-        used.reset();
-    }
-    mark(&mut used);
-
-    assert_eq!(used.bytes(), fresh.bytes());
-    assert_eq!(used.chunk_count(), 3);
-    // The peak is part of the encoding, and theirs differ: level it.
-    for chunk in 0..40u64 {
-        fresh.test_and_set(Addr(chunk * 2048), false);
-    }
-    fresh.reset();
-    mark(&mut fresh);
-    assert_eq!(used.peak_bytes(), fresh.peak_bytes());
-    assert_eq!(bitmap_bytes(&used), bitmap_bytes(&fresh));
 }
 
 /// Word-mode aliasing corner: an unaligned insert into a word-mode chunk

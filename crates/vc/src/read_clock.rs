@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{Epoch, Tid, VectorClock};
+use crate::{ClockView, Epoch, Tid, VectorClock};
 
 /// The adaptive read clock of a location (FastTrack §"read operations").
 ///
@@ -91,6 +91,14 @@ impl ReadClock {
         match self {
             ReadClock::Epoch(_) => 0,
             ReadClock::Vc(vc) => vc.payload_bytes(),
+        }
+    }
+
+    /// The clock as a [`ClockView`].
+    pub fn view(&self) -> ClockView<'_> {
+        match self {
+            ReadClock::Epoch(e) => ClockView::Epoch(*e),
+            ReadClock::Vc(vc) => ClockView::Vc(vc),
         }
     }
 

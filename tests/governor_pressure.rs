@@ -11,7 +11,7 @@
 use dgrace::detectors::{race_signature, FastTrack, Governed, GovernorSpec};
 use dgrace::prelude::DynamicGranularity;
 use dgrace::runtime::{replay_pipelined, replay_sharded};
-use dgrace::trace::Trace;
+use dgrace::trace::{Addr, Trace};
 use dgrace::workloads::{Workload, WorkloadKind};
 
 fn gen(name: &str, scale: f64) -> Trace {
@@ -104,6 +104,39 @@ fn half_cap_completes_with_hot_races_intact() {
                 race_signature(&plain),
                 "{name}: peak rung {} lost or invented races (shards={shards})",
                 g.peak_rung
+            );
+        }
+    }
+}
+
+/// Eviction takes the regions none of whose cells holds its thread's
+/// current epoch first, and the hot ones last, so a same-epoch repeat
+/// finds its cell. Under a cap of half or a quarter of its own peak the
+/// dynamic detector keeps `streamcluster`'s race at `0xe0000`, the lowest
+/// region, on every engine and shard count; taking the lowest region
+/// first lost it.
+#[test]
+fn cold_first_eviction_keeps_the_lowest_race() {
+    let trace = gen("streamcluster", 0.5);
+    let plain = replay_sharded(&DynamicGranularity::new(), &trace, 1);
+    assert!(plain.race_addrs().contains(&Addr(0xe0000)));
+    let peak = plain.stats.peak_total_bytes as u64;
+    for div in [2u64, 4] {
+        for shards in [1usize, 2, 4] {
+            let spec = GovernorSpec::for_limit(peak / div, shards);
+            let proto = Governed::new(DynamicGranularity::new(), spec);
+            let funnel = replay_sharded(&proto, &trace, shards);
+            let at = format!("1/{div} cap, shards={shards}");
+            assert!(funnel.governor.is_some(), "{at}: the cap engages");
+            assert!(
+                funnel.race_addrs().contains(&Addr(0xe0000)),
+                "{at}: lost 0xe0000: {:?}",
+                funnel.race_addrs()
+            );
+            assert_eq!(
+                replay_pipelined(&proto, &trace, shards),
+                funnel,
+                "{at}: the pipeline reproduces the funnel"
             );
         }
     }
