@@ -4,14 +4,13 @@
 //! dgrace gen <workload> [--scale S] [--seed N] -o trace.dgrt
 //! dgrace analyze <trace.dgrt> [-o summary.dgas] [--json]
 //! dgrace detect <detector> <trace.dgrt> [--max-races N] [--shards N] [--pipeline] [--prune-with summary.dgas]
-//!                                       [--shadow-budget BYTES] [--memory-limit BYTES]
-//!                                       [--resync] [--json] [--self-heal]
+//!                                       [--memory-limit BYTES] [--resync] [--json] [--self-heal]
 //!                                       [--checkpoint-dir D] [--checkpoint-every N|Ns] [--resume D]
-//!                                       [--sample full|loc:K|period:N]
+//!                                       [--sample full|loc:K]
 //! dgrace serve <socket> [--shards N] [--max-sessions N] [--degrade-sessions N]
 //!                       [--degrade-sample SPEC|off] [--idle-timeout SECS]
 //!                       [--checkpoint-dir D] [--checkpoint-every N] [--resume]
-//!                       [--shadow-budget BYTES] [--memory-limit BYTES] [--credits N]
+//!                       [--memory-limit BYTES] [--credits N]
 //! dgrace feed <detector> <trace.dgrt> <socket> [--session NAME] [--retry N] [--json] [--resync]
 //! dgrace compare <detA> <detB> <trace.dgrt>
 //! dgrace stats <trace.dgrt>
@@ -179,16 +178,15 @@ fn print_help() {
          \x20                                                          lock-graph); -o saves a .dgas summary,\n\
          \x20                                                          --json prints a deterministic report\n\
          \x20 dgrace detect <detector> <file> [--max-races N] [--shards N] [--prune-with <summary>]\n\
-         \x20                                 [--shadow-budget BYTES]  run a detector over a trace,\n\
+         \x20                                 [--memory-limit BYTES]   run a detector over a trace,\n\
          \x20                                 [--resync] [--json]      optionally across N address shards,\n\
          \x20                                 [--self-heal]            skipping provably race-free accesses;\n\
-         \x20                                 [--checkpoint-dir D]     --shadow-budget caps shadow memory\n\
-         \x20                                 [--checkpoint-every N|Ns] (cold state is evicted past the cap),\n\
-         \x20                                 [--resume D]             --memory-limit caps accounted memory\n\
-         \x20                                 [--pipeline]             with a deterministic pressure ladder\n\
-         \x20                                 [--sample <spec>]        (evict, coarsen, sample — the run\n\
-         \x20                                 [--memory-limit BYTES]   completes instead of aborting; both\n\
-         \x20                                                          caps need a vector-clock detector),\n\
+         \x20                                 [--checkpoint-dir D]     --memory-limit caps accounted memory\n\
+         \x20                                 [--checkpoint-every N|Ns] with a deterministic pressure ladder\n\
+         \x20                                 [--resume D]             (evict cold state, coarsen, sample —\n\
+         \x20                                 [--pipeline]             the run completes instead of\n\
+         \x20                                 [--sample <spec>]        aborting; the cap needs a\n\
+         \x20                                                          vector-clock detector),\n\
          \x20                                                          --resync skips damaged trace frames,\n\
          \x20                                                          --json prints a deterministic report,\n\
          \x20                                                          --pipeline feeds shards through\n\
@@ -200,11 +198,10 @@ fn print_help() {
          \x20                                                          seconds), --resume continues an\n\
          \x20                                                          interrupted run from one,\n\
          \x20                                                          --sample bounds overhead by analyzing\n\
-         \x20                                                          a subset of accesses: full, loc:K\n\
-         \x20                                                          (K per location then decay),\n\
-         \x20                                                          period:N[,window:W] (1-in-N windows),\n\
-         \x20                                                          each with optional ,seed:S (sync\n\
-         \x20                                                          events are always processed)\n\
+         \x20                                                          a subset of accesses: full, or loc:K\n\
+         \x20                                                          (K per location then decay) with\n\
+         \x20                                                          optional ,granule:G and ,seed:S\n\
+         \x20                                                          (sync events are always processed)\n\
          \x20 dgrace serve <socket> [--shards N]                        run the live ingestion server on a\n\
          \x20                       [--max-sessions N]                  Unix socket: hard admission watermark\n\
          \x20                       [--degrade-sessions N]              (shed with OVERLOADED past it), soft\n\
@@ -212,9 +209,9 @@ fn print_help() {
          \x20                       [--idle-timeout SECS]               idle/slowloris quarantine deadline,\n\
          \x20                       [--checkpoint-dir D]                per-session durable checkpoints,\n\
          \x20                       [--checkpoint-every N] [--resume]   --resume reconstructs sessions after\n\
-         \x20                       [--shadow-budget BYTES]             a crash; SIGINT/SIGTERM stop\n\
-         \x20                       [--memory-limit BYTES]              gracefully (final checkpoints);\n\
-         \x20                       [--credits N]                       --memory-limit governs sessions and\n\
+         \x20                       [--memory-limit BYTES]              a crash; SIGINT/SIGTERM stop\n\
+         \x20                       [--credits N]                       gracefully (final checkpoints);\n\
+         \x20                                                          --memory-limit governs sessions and\n\
          \x20                                                          sheds admissions past the critical\n\
          \x20                                                          watermark\n\
          \x20 dgrace feed <detector> <file> <socket> [--session NAME]   stream a trace into a running server\n\
@@ -284,11 +281,10 @@ fn detectors() -> impl Iterator<Item = (&'static str, &'static str)> {
     VC_DETECTORS.into_iter().chain(serial_only)
 }
 
-/// A detector by name. `cap` names a memory-cap flag the run was given
-/// (`--shadow-budget`, `--memory-limit`): only the vector-clock family has
-/// a memory model to cap, so a serial-only detector refuses it rather
-/// than run uncapped.
-fn make_detector(name: &str, cap: Option<&str>) -> Result<Box<dyn Detector>, Failure> {
+/// A detector by name. `capped` says the run was given `--memory-limit`:
+/// only the vector-clock family has a memory model to cap, so a
+/// serial-only detector refuses it rather than run uncapped.
+fn make_detector(name: &str, capped: bool) -> Result<Box<dyn Detector>, Failure> {
     if let Some(det) = vc_detector(name) {
         return Ok(det);
     }
@@ -297,9 +293,9 @@ fn make_detector(name: &str, cap: Option<&str>) -> Result<Box<dyn Detector>, Fai
             "unknown detector `{name}` (see `dgrace list`)"
         )));
     };
-    if let Some(flag) = cap {
+    if capped {
         return Err(Failure::Usage(format!(
-            "detector `{name}` does not support {flag} (supported: {})",
+            "detector `{name}` does not support --memory-limit (supported: {})",
             fixed_then_dynamic()
         )));
     }
@@ -648,10 +644,9 @@ fn make_shardable(name: &str) -> Result<Box<dyn ShardableDetector + Send>, Failu
 }
 
 /// What `detect` wraps around the bare detector, in this order from the
-/// inside out: the sampling tier; the memory governor (outside the
-/// sampler, so it both captures the user's `--shadow-budget` and meters
-/// every arriving event); then the shadow budget. Budget and governor quota are
-/// whole-run caps: each shard holds a slice of the address space, so it
+/// inside out: the sampling tier, then the memory governor (outside the
+/// sampler, so it meters every arriving event). The governor quota is a
+/// whole-run cap: each shard holds a slice of the address space, so it
 /// gets a slice — which keeps the pressure ladder deterministic, each
 /// shard deciding rungs from its own substream and modeled bytes, never
 /// from global allocator state. Pruning stays outside all of it (the
@@ -661,7 +656,6 @@ fn make_shardable(name: &str) -> Result<Box<dyn ShardableDetector + Send>, Failu
 struct Stack {
     sample: Option<SampleSpec>,
     memory_limit: Option<u64>,
-    budget: Option<u64>,
     shards: usize,
 }
 
@@ -684,7 +678,6 @@ impl Stack {
                 GovernorSpec::for_limit(lim, self.shards),
             ));
         }
-        det.set_shadow_budget(self.budget.map(|b| (b / self.shards as u64).max(1)));
         det
     }
 }
@@ -749,7 +742,6 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
             "--max-races",
             "--shards",
             "--prune-with",
-            "--shadow-budget",
             "--checkpoint-dir",
             "--checkpoint-every",
             "--resume",
@@ -762,17 +754,10 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     let path = p.positional(1).ok_or("detect: missing trace file")?;
     let max_races: usize = p.opt_parse("--max-races")?.unwrap_or(25);
     let shards: usize = p.opt_parse("--shards")?.unwrap_or(1).max(1);
-    let budget: Option<u64> = p.opt_parse("--shadow-budget")?;
-    if budget == Some(0) {
-        return Err("--shadow-budget must be positive (omit it for no cap)".into());
-    }
     let memory_limit: Option<u64> = p.opt_parse("--memory-limit")?;
     if memory_limit == Some(0) {
         return Err("--memory-limit must be positive (omit it for no cap)".into());
     }
-    let cap = budget
-        .map(|_| "--shadow-budget")
-        .or(memory_limit.map(|_| "--memory-limit"));
     let json_out = p.flag("--json");
     let self_heal = p.flag("--self-heal");
     let pipeline = p.flag("--pipeline");
@@ -803,7 +788,6 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     let stack = Stack {
         sample,
         memory_limit,
-        budget,
         shards,
     };
 
@@ -859,7 +843,7 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         // The direct serial path: the only one the non-shardable
         // detectors (oracle, segment, hybrid, lockset) can run on.
         let mut det = stack.wrap(
-            make_detector(det_name, cap)?,
+            make_detector(det_name, memory_limit.is_some())?,
             |d| Box::new(d),
             |d| Box::new(d),
         );
@@ -926,7 +910,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), Failure> {
             "--idle-timeout",
             "--checkpoint-dir",
             "--checkpoint-every",
-            "--shadow-budget",
             "--memory-limit",
             "--credits",
         ],
@@ -961,10 +944,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), Failure> {
             return Err("--checkpoint-every must be positive".into());
         }
         cfg.checkpoint_every = n;
-    }
-    cfg.shadow_budget = p.opt_parse("--shadow-budget")?;
-    if cfg.shadow_budget == Some(0) {
-        return Err("--shadow-budget must be positive (omit it for no cap)".into());
     }
     cfg.memory_limit = p.opt_parse("--memory-limit")?;
     if cfg.memory_limit == Some(0) {
@@ -1133,7 +1112,7 @@ fn cmd_compare(rest: &[String]) -> Result<(), Failure> {
     let trace = load_trace(path, false)?;
 
     let run = |name: &str| -> Result<_, Failure> {
-        let mut det = make_detector(name, None)?;
+        let mut det = make_detector(name, false)?;
         let start = std::time::Instant::now();
         let rep = det.run(&trace);
         Ok((rep, start.elapsed().as_secs_f64()))

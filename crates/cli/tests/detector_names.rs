@@ -1,8 +1,9 @@
 //! One detector name table: what `dgrace list` prints, what `dgrace
 //! help` names, what `dgrace detect` accepts and what
 //! `dgrace_core::VC_DETECTORS` holds are the same set. Likewise for the
-//! options of `detect` and `compare`: the ones `dgrace help` prints are the
-//! ones their parsers accept, and the memory caps are refused by the
+//! options of `detect`, `compare`, `serve` and `feed`: the ones `dgrace
+//! help` prints are the ones their parsers accept, removed options and
+//! sample strategies are refused, and the memory cap is refused by the
 //! detectors that have no memory to cap.
 
 use std::collections::BTreeSet;
@@ -102,32 +103,37 @@ fn accepted_options(sub: &str) -> BTreeSet<String> {
 }
 
 #[test]
-fn help_prints_exactly_the_options_detect_and_compare_accept() {
-    for sub in ["detect", "compare"] {
+fn help_prints_exactly_the_options_the_parsers_accept() {
+    for sub in ["detect", "compare", "serve", "feed"] {
         let printed = printed_options(sub);
         let accepted = accepted_options(sub);
         assert_eq!(printed, accepted, "`dgrace help` vs the `{sub}` parser");
     }
     // The check sees options at all: `detect` has a dozen.
-    assert!(printed_options("detect").contains("--shadow-budget"));
+    assert!(printed_options("detect").contains("--memory-limit"));
+    assert!(printed_options("serve").contains("--memory-limit"));
 }
 
 #[test]
-fn a_serial_only_detector_refuses_a_shadow_budget() {
-    let trace = racy_trace("refuse-shadow-budget");
-    for name in ["oracle", "lockset", "segment", "hybrid"] {
-        let out = dgrace(&["detect", name, &trace, "--shadow-budget", "64"]);
+fn the_shadow_budget_option_and_period_sampling_are_gone() {
+    let trace = racy_trace("removed-options");
+    for args in [
+        &["detect", "byte", &trace, "--shadow-budget", "64"][..],
+        &["serve", "s", "--shadow-budget", "64"],
+    ] {
+        let out = dgrace(args);
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
-        assert!(out.stdout.is_empty(), "{name}: no report");
-        assert!(
-            err.contains(&format!(
-                "detector `{name}` does not support --shadow-budget (supported: byte, word, \
-                 djit, dynamic, dynamic-no-init)"
-            )),
-            "{name}: {err}"
-        );
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("unknown option"), "{args:?}: {err}");
     }
+    let out = dgrace(&["detect", "dynamic", &trace, "--sample", "period:4"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(out.stdout.is_empty(), "no report");
+    assert!(
+        err.contains("unknown strategy `period` (use full, loc:K)"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -5,8 +5,9 @@
 //! state outgrows memory:
 //!
 //! * **rung 1 — evict** ([`dgrace_shadow::PressureLevel::Soft`]): the
-//!   inner detector's shadow budget is clamped to the soft watermark, so
-//!   its own cold-state eviction machinery (`--shadow-budget`) engages;
+//!   inner detector's shadow budget
+//!   ([`crate::Detector::set_shadow_budget`]) is set to the soft
+//!   watermark, so its own cold-state eviction machinery engages;
 //! * **rung 2 — coarsen** ([`dgrace_shadow::PressureLevel::High`]): the
 //!   inner detector is told to share state more aggressively
 //!   ([`crate::Detector::set_pressure`] — the dynamic-granularity family
@@ -89,10 +90,6 @@ pub struct Governed<D> {
     inner: D,
     spec: GovernorSpec,
     marks: Watermarks,
-    /// The budget the *user* asked for (`--shadow-budget`), restored
-    /// whenever the ladder steps back to rung 0. Run configuration, not
-    /// state: never serialized.
-    user_budget: Option<u64>,
     rung: PressureLevel,
     /// Shard-local events seen (admitted or not) — the decision clock.
     events: u64,
@@ -121,7 +118,6 @@ impl<D: Detector> Governed<D> {
                 ..spec
             },
             marks,
-            user_budget: None,
             rung: PressureLevel::None,
             events: 0,
             decisions: 0,
@@ -182,12 +178,7 @@ impl<D: Detector> Governed<D> {
     /// (Re-)applies the current rung's mechanisms to the inner detector.
     /// Idempotent; also called after a snapshot restore.
     fn apply_rung(&mut self) {
-        let budget = if self.rung >= PressureLevel::Soft {
-            let clamp = self.marks.soft.max(1);
-            Some(self.user_budget.map_or(clamp, |u| u.min(clamp)))
-        } else {
-            self.user_budget
-        };
+        let budget = (self.rung >= PressureLevel::Soft).then(|| self.marks.soft.max(1));
         self.inner.set_shadow_budget(budget);
         self.inner.set_pressure(self.rung);
     }
@@ -210,7 +201,9 @@ impl<D: Detector> Governed<D> {
             self.pushed[i] = now[i];
         }
     }
+}
 
+impl<D> Governed<D> {
     /// Withdraws this wrapper's contribution from the process gauge.
     fn retract_gauge(&mut self) {
         let g = process_gauge();
@@ -222,9 +215,7 @@ impl<D: Detector> Governed<D> {
 
 impl<D> Drop for Governed<D> {
     fn drop(&mut self) {
-        let g = process_gauge();
-        g.sub(MemComponent::Shadow, self.pushed[0]);
-        g.sub(MemComponent::VcClocks, self.pushed[1]);
+        self.retract_gauge();
     }
 }
 
@@ -273,8 +264,8 @@ impl<D: Detector> Detector for Governed<D> {
                 transitions: std::mem::take(&mut self.transitions),
             });
         }
-        // Reset to a fresh governed state: back to rung 0, the user's
-        // own budget restored, gauge contribution withdrawn.
+        // Reset to a fresh governed state: back to rung 0, the budget
+        // lifted, gauge contribution withdrawn.
         self.rung = PressureLevel::None;
         self.events = 0;
         self.decisions = 0;
@@ -286,11 +277,6 @@ impl<D: Detector> Detector for Governed<D> {
         self.retract_gauge();
         self.apply_rung();
         rep
-    }
-
-    fn set_shadow_budget(&mut self, bytes: Option<u64>) {
-        self.user_budget = bytes;
-        self.apply_rung();
     }
 
     fn inner(&self) -> Option<&dyn Detector> {
@@ -379,9 +365,7 @@ impl<D: Detector> Detector for Governed<D> {
 
 impl<D: ShardableDetector> ShardableDetector for Governed<D> {
     fn new_shard(&self) -> Box<dyn Detector + Send> {
-        let mut shard = Governed::new(self.inner.new_shard(), self.spec.clone());
-        shard.user_budget = self.user_budget;
-        Box::new(shard)
+        Box::new(Governed::new(self.inner.new_shard(), self.spec.clone()))
     }
 }
 
@@ -560,9 +544,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_clone_copies_spec_and_user_budget() {
-        let mut proto = Governed::new(FastTrack::new(), spec(1 << 20));
-        proto.set_shadow_budget(Some(1 << 16));
+    fn sharded_clone_copies_spec() {
+        let proto = Governed::new(FastTrack::new(), spec(1 << 20));
         let mut shard = proto.new_shard();
         let rep = shard.run(&hungry_trace(16));
         assert!(rep.governor.is_none(), "tiny run never engages");

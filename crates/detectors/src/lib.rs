@@ -19,9 +19,8 @@
 //! * [`NopDetector`] — consumes events and does nothing; the "base time"
 //!   measurement of the slowdown tables;
 //! * [`Sampled`] — the always-on sampling tier: wraps any detector with
-//!   per-location budgets (`loc:K`) or periodic windows (`period:N`),
-//!   trading recall for bounded overhead while keeping every decision
-//!   deterministic and resumable.
+//!   per-location budgets (`loc:K`), trading recall for bounded
+//!   overhead while keeping every decision deterministic and resumable.
 
 //! ```
 //! use dgrace_detectors::{DetectorExt, FastTrack, OracleDetector};
@@ -68,5 +67,5 @@ pub use report::{
     AccessKind, DetectorStats, GovernorReport, GovernorTransition, RaceKind, RaceReport, Report,
     ShardFailure, SharingStats,
 };
-pub use sample::{SampleSpec, SampleStrategy, Sampled, Sampler, DEFAULT_WINDOW, LOC_GRANULE};
+pub use sample::{SampleSpec, SampleStrategy, Sampled, Sampler, LOC_GRANULE};
 pub use shard::{merge_shard_reports, race_signature, sort_races, ShardableDetector};

@@ -1,27 +1,22 @@
 //! The always-on sampling tier: bounded-overhead detection.
 //!
 //! Full happens-before tracking is too expensive to leave running across
-//! a fleet; this module trades recall for throughput with two
-//! strategies, both wrapped around an unmodified inner detector:
+//! a fleet; this module trades recall for throughput with per-location
+//! budgets (`loc:K`) in the style of "Dynamic Race Detection with O(1)
+//! Samples", wrapped around an unmodified inner detector: every shadow
+//! granule (8 bytes by default, `granule:G` to coarsen) analyzes its
+//! first `K` accesses unconditionally, then admits access number `n`
+//! with probability `K/(n+1)` (a reservoir-shaped decay), so late races
+//! keep a detection chance instead of being cut off at a hard prefix.
+//! Synchronization events are *always* processed, so the inner
+//! detector's vector clocks stay exact and every admitted access is
+//! judged against correct happens-before state.
 //!
-//! * **`loc:K`** — per-location budgets in the style of "Dynamic Race
-//!   Detection with O(1) Samples": every shadow granule (8 bytes by
-//!   default, `granule:G` to coarsen) analyzes its first `K` accesses
-//!   unconditionally, then admits access number `n` with probability
-//!   `K/(n+1)` (a reservoir-shaped decay), so late races keep a
-//!   detection chance instead of being cut off at a hard prefix;
-//! * **`period:N`** — analyze one window in `N` of the access stream
-//!   (window length `window:W` accesses, default 1024). Synchronization
-//!   events are *always* processed, so the inner detector's vector
-//!   clocks stay exact and every admitted access is judged against
-//!   correct happens-before state.
-//!
-//! Every decision is a pure function of `(seed, counters, address)` —
-//! there is no stateful RNG. Randomness comes from a splitmix64-style
-//! hash of the seed and the per-shard access counter (or granule
-//! count), which makes sampled runs deterministic, byte-identical
-//! across repeats, and exactly resumable: a snapshot only needs the
-//! counters. When the budget is 100% (`period:1` or `full`) every
+//! Every decision is a pure function of `(seed, granule count,
+//! address)` — there is no stateful RNG. Randomness comes from a
+//! splitmix64-style hash of the three, which makes sampled runs
+//! deterministic, byte-identical across repeats, and exactly
+//! resumable: a snapshot only needs the counters. Under `full` every
 //! access is admitted and the wrapped detector's report is
 //! byte-identical to an unsampled run (modulo the detector name and the
 //! sampling counters themselves).
@@ -41,8 +36,6 @@ use crate::{Detector, Report, ShardableDetector};
 
 /// Shadow granule for per-location budgets, in bytes.
 pub const LOC_GRANULE: u64 = 8;
-/// Default window length (accesses) for `period:` sampling.
-pub const DEFAULT_WINDOW: u64 = 1024;
 /// Slots in the per-location counter table (a direct-indexed 64 KiB
 /// array, not a hash map — the counter update must cost a handful of
 /// cycles or the sampler eats its own savings). Two granules hashing to
@@ -78,13 +71,6 @@ pub enum SampleStrategy {
         /// where races hide — keep their full budget.
         granule: u64,
     },
-    /// Analyze 1-in-`n` windows of `window` accesses each.
-    Period {
-        /// Window stride: 1 admits every window (100% budget).
-        n: u64,
-        /// Window length in accesses.
-        window: u64,
-    },
 }
 
 /// A parsed sampling specification: strategy plus decision seed.
@@ -95,14 +81,13 @@ pub enum SampleStrategy {
 /// ```text
 /// full
 /// loc:8            loc:8,seed:42        loc:2,granule:256
-/// period:4         period:4,window:512,seed:42
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SampleSpec {
     /// The admission strategy.
     pub strategy: SampleStrategy,
-    /// Seed folded into every hash-based decision (and the period
-    /// phase). Zero is a valid seed.
+    /// Seed folded into every hash-based decision. Zero is a valid
+    /// seed.
     pub seed: u64,
 }
 
@@ -137,25 +122,10 @@ impl SampleSpec {
                     seed: 0,
                 }
             }
-            Some(("period", v)) => {
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("sample spec `{s}`: bad period `{v}`"))?;
-                if n == 0 {
-                    return Err(format!("sample spec `{s}`: period must be positive"));
-                }
-                SampleSpec {
-                    strategy: SampleStrategy::Period {
-                        n,
-                        window: DEFAULT_WINDOW,
-                    },
-                    seed: 0,
-                }
-            }
             Some((other, _)) => {
                 return Err(format!(
                     "sample spec `{s}`: unknown strategy `{other}` \
-                     (use full, loc:K, period:N)"
+                     (use full, loc:K)"
                 ))
             }
         };
@@ -166,21 +136,6 @@ impl SampleSpec {
                         .parse()
                         .map_err(|_| format!("sample spec `{s}`: bad seed `{v}`"))?;
                 }
-                Some(("window", v)) => match &mut spec.strategy {
-                    SampleStrategy::Period { window, .. } => {
-                        *window = v
-                            .parse()
-                            .map_err(|_| format!("sample spec `{s}`: bad window `{v}`"))?;
-                        if *window == 0 {
-                            return Err(format!("sample spec `{s}`: window must be positive"));
-                        }
-                    }
-                    _ => {
-                        return Err(format!(
-                            "sample spec `{s}`: window only applies to period sampling"
-                        ))
-                    }
-                },
                 Some(("granule", v)) => match &mut spec.strategy {
                     SampleStrategy::Location { granule, .. } => {
                         *granule = v
@@ -208,11 +163,7 @@ impl SampleSpec {
 
     /// Does this spec admit every access (a 100% budget)?
     pub fn is_full_budget(&self) -> bool {
-        match self.strategy {
-            SampleStrategy::Full => true,
-            SampleStrategy::Location { .. } => false,
-            SampleStrategy::Period { n, .. } => n == 1,
-        }
+        self.strategy == SampleStrategy::Full
     }
 }
 
@@ -224,12 +175,6 @@ impl fmt::Display for SampleSpec {
                 write!(f, "loc:{budget}")?;
                 if granule != LOC_GRANULE {
                     write!(f, ",granule:{granule}")?;
-                }
-            }
-            SampleStrategy::Period { n, window } => {
-                write!(f, "period:{n}")?;
-                if window != DEFAULT_WINDOW {
-                    write!(f, ",window:{window}")?;
                 }
             }
         }
@@ -253,19 +198,13 @@ pub struct Sampler {
     /// Per-granule access counts (`loc:` strategy only): a
     /// direct-indexed table of [`LOC_TABLE_SLOTS`] saturating `u8`
     /// counters, keyed by the top bits of the granule's Fibonacci
-    /// hash. Empty for every other strategy.
+    /// hash. Empty under `full`.
     loc_counts: Vec<u8>,
-    /// Derived period phase: which window residue is analyzed.
-    phase: u64,
 }
 
 impl Sampler {
     /// Builds a sampler for `spec`.
     pub fn new(spec: SampleSpec) -> Self {
-        let phase = match spec.strategy {
-            SampleStrategy::Period { n, .. } => mix(spec.seed) % n,
-            _ => 0,
-        };
         let loc_counts = match spec.strategy {
             SampleStrategy::Location { .. } => vec![0u8; LOC_TABLE_SLOTS],
             _ => Vec::new(),
@@ -275,7 +214,6 @@ impl Sampler {
             seen: 0,
             admitted: 0,
             loc_counts,
-            phase,
         }
     }
 
@@ -307,7 +245,6 @@ impl Sampler {
             seen: 0,
             admitted: 0,
             loc_counts: vec![0u8; self.loc_counts.len()],
-            phase: self.phase,
         }
     }
 
@@ -315,7 +252,6 @@ impl Sampler {
     /// the strategy) plus one counter increment when sampling is off.
     #[inline]
     pub fn admit(&mut self, addr: u64) -> bool {
-        let i = self.seen;
         self.seen += 1;
         let ok = match self.spec.strategy {
             SampleStrategy::Full => true,
@@ -336,7 +272,6 @@ impl Sampler {
                     || ((mix(self.spec.seed ^ key ^ n) as u128 * (n as u128 + 1)) >> 64)
                         < budget as u128
             }
-            SampleStrategy::Period { n, window } => (i / window) % n == self.phase,
         };
         self.admitted += ok as u64;
         ok
@@ -517,9 +452,8 @@ mod tests {
             ("full", "full"),
             ("loc:8", "loc:8"),
             ("loc:8,seed:42", "loc:8,seed:42"),
-            ("period:4", "period:4"),
-            ("period:4,window:512", "period:4,window:512"),
-            ("period:4,window:512,seed:9", "period:4,window:512,seed:9"),
+            ("loc:2,granule:256,seed:9", "loc:2,granule:256,seed:9"),
+            ("loc:2,granule:8", "loc:2"),
         ] {
             let spec = SampleSpec::parse(input).unwrap();
             assert_eq!(spec.to_string(), canonical);
@@ -529,7 +463,8 @@ mod tests {
             "",
             "loc:0",
             "loc:x",
-            "period:0",
+            "period:4",
+            "loc:4,granule:12",
             "adaptive:0.5",
             "nope:3",
             "loc:4,window:9",
@@ -543,9 +478,11 @@ mod tests {
     fn full_budget_specs_are_identity() {
         let trace = racy_trace();
         let bare = FastTrack::new().run(&trace);
-        for spec in ["full", "period:1"] {
+        // `loc:` budgets past the saturating per-granule counter never
+        // bind: they admit everything too, but are not `full`.
+        for spec in ["full", "loc:4294967295"] {
             let spec = SampleSpec::parse(spec).unwrap();
-            assert!(spec.is_full_budget());
+            assert_eq!(spec.is_full_budget(), spec == SampleSpec::full());
             let mut det = Sampled::new(FastTrack::new(), spec.clone());
             let rep = det.run(&trace);
             assert_eq!(rep.races, bare.races, "{spec}");
@@ -577,35 +514,33 @@ mod tests {
     }
 
     #[test]
-    fn period_sampling_is_exact_rate_and_sync_exact() {
-        let spec = SampleSpec::parse("period:4,window:16").unwrap();
-        let mut s = Sampler::new(spec);
-        let mut admitted = 0u64;
-        for _ in 0..16 * 4 * 10 {
-            admitted += s.admit(0x1000) as u64;
+    fn sync_events_always_pass() {
+        // A lock-disciplined trace under a budget that skips most of its
+        // accesses: every lock event still reaches the inner detector,
+        // so skipping costs recall only, never a false race.
+        let mut b = TraceBuilder::new();
+        b.fork(0u32, 1u32);
+        for i in 0..64u64 {
+            let t = (i % 2) as u32;
+            b.locked(t, 0u32, |b| {
+                b.write(t, 0x1000 + (i % 4) * 8, AccessSize::U64);
+            });
         }
-        assert_eq!(admitted, 16 * 10, "exactly one window in four");
-    }
-
-    #[test]
-    fn period_seed_rotates_phase_deterministically() {
-        let a1: Vec<bool> = {
-            let mut s = Sampler::new(SampleSpec::parse("period:4,window:4,seed:1").unwrap());
-            (0..64).map(|_| s.admit(0x10)).collect()
-        };
-        let a2: Vec<bool> = {
-            let mut s = Sampler::new(SampleSpec::parse("period:4,window:4,seed:1").unwrap());
-            (0..64).map(|_| s.admit(0x10)).collect()
-        };
-        assert_eq!(a1, a2, "same seed, same decisions");
-        let b: Vec<bool> = {
-            let mut s = Sampler::new(SampleSpec::parse("period:4,window:4,seed:2").unwrap());
-            (0..64).map(|_| s.admit(0x10)).collect()
-        };
+        b.join(0u32, 1u32);
+        let trace = b.build();
+        let bare = FastTrack::new().run(&trace);
+        let spec = SampleSpec::parse("loc:1,granule:65536").unwrap();
+        let rep = Sampled::new(FastTrack::new(), spec).run(&trace);
+        assert!(rep.stats.sample_skipped > 0, "the budget thins accesses");
+        assert!(rep.races.is_empty(), "{:?}", rep.races);
+        let syncs = |events: u64, accesses: u64| events - accesses;
         assert_eq!(
-            b.iter().filter(|&&x| x).count(),
-            16,
-            "different seed keeps the rate"
+            syncs(
+                rep.stats.events - rep.stats.sample_skipped,
+                rep.stats.accesses
+            ),
+            syncs(bare.stats.events, bare.stats.accesses),
+            "every non-access event is analyzed"
         );
     }
 
@@ -646,13 +581,13 @@ mod tests {
         use crate::FastTrack;
         let proto = Sampled::new(
             FastTrack::new(),
-            SampleSpec::parse("period:2,seed:7").unwrap(),
+            SampleSpec::parse("loc:2,granule:256,seed:7").unwrap(),
         );
         let mut shard = proto.new_shard();
         let mut b = TraceBuilder::new();
         b.write(0u32, 0x1000u64, AccessSize::U64);
         let rep = shard.run(&b.build());
-        assert!(rep.detector.contains("+sampled@period:2,seed:7"));
+        assert!(rep.detector.contains("+sampled@loc:2,granule:256,seed:7"));
         assert_eq!(rep.stats.sample_admitted + rep.stats.sample_skipped, 1);
     }
 }

@@ -106,8 +106,7 @@ pub fn assert_reaches_the_probe<W: Detector>(layer: &str, wrap: impl FnOnce(Prob
     let mut det = wrap(probe);
     let seen = || seen.lock().unwrap();
 
-    // Set on the outside, observed inside. (`Governed` keeps the budget
-    // as the user's and re-applies it; at rung 0 that is the same value.)
+    // Set on the outside, observed inside.
     det.set_shadow_budget(Some(77));
     assert_eq!(seen().budget, Some(Some(77)), "{layer}: set_shadow_budget");
     det.set_pressure(PressureLevel::High);

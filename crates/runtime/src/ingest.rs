@@ -30,7 +30,7 @@
 //!   resumed session reports how many events it already covers and the
 //!   client replays only the suffix.
 
-use dgrace_detectors::{RaceReport, Report, ShardableDetector};
+use dgrace_detectors::{Detector, Governed, GovernorSpec, RaceReport, Report, ShardableDetector};
 use dgrace_shadow::MemComponent;
 use dgrace_trace::{Event, PruneSet};
 
@@ -58,18 +58,25 @@ pub struct IngestSession {
 
 impl IngestSession {
     /// Builds a session: `shards` instances of the prototype behind an
-    /// address-routing engine. `shadow_budget` caps each shard's modeled
-    /// shadow bytes (the degradation tier below full analysis).
+    /// address-routing engine. `quota` is the session's memory cap:
+    /// `Some(q)` runs each shard under the memory governor with its
+    /// slice of `q` ([`GovernorSpec::for_limit`]), so the pressure
+    /// ladder degrades the session deterministically from its own
+    /// stream; `None` is uncapped.
     pub fn new<D: ShardableDetector + ?Sized>(
         prototype: &D,
         shards: usize,
-        shadow_budget: Option<u64>,
+        quota: Option<u64>,
     ) -> Self {
         let mut detectors = mint(prototype, shards);
-        if shadow_budget.is_some() {
-            for det in &mut detectors {
-                det.set_shadow_budget(shadow_budget);
-            }
+        if let Some(q) = quota {
+            let spec = GovernorSpec::for_limit(q, detectors.len());
+            detectors = detectors
+                .into_iter()
+                .map(|det| -> Box<dyn Detector + Send> {
+                    Box::new(Governed::new(det, spec.clone()))
+                })
+                .collect();
         }
         let lanes = Lanes::inline(detectors.len(), MemComponent::Sessions);
         IngestSession {

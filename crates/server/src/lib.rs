@@ -49,8 +49,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dgrace_detectors::{SampleSpec, Sampled, ShardableDetector};
-use dgrace_shadow::{process_gauge, Watermarks};
+use dgrace_detectors::SampleSpec;
+use dgrace_shadow::{process_gauge, PressureLevel, Watermarks};
 
 /// Server tuning and robustness policy. Every knob has a sane default;
 /// construct with [`ServerConfig::new`] and override fields as needed.
@@ -68,8 +68,10 @@ pub struct ServerConfig {
     /// Soft watermark: at this many live sessions, new sessions run on
     /// the sampling tier (when [`ServerConfig::degrade_sample`] is set).
     pub degrade_sessions: usize,
-    /// Sampling spec for degraded admissions (e.g. `period:16`); `None`
-    /// disables the sampled tier and the ladder goes straight to shed.
+    /// Sampling spec for degraded admissions (default
+    /// `loc:5,granule:16384`: each 16 KiB region's first accesses, where
+    /// a planted race's first epochs are); `None` disables the sampled
+    /// tier and the ladder goes straight to shed.
     pub degrade_sample: Option<SampleSpec>,
     /// A session that completes no frame for this long is quarantined
     /// (catches both idle and slowloris clients — the deadline spans a
@@ -84,9 +86,6 @@ pub struct ServerConfig {
     /// [`ServerConfig::checkpoint_dir`] is reconstructed from it and the
     /// client is told the covered offset to skip.
     pub resume: bool,
-    /// Per-session shadow-memory budget in modeled bytes (split across
-    /// its shards); `None` is uncapped.
-    pub shadow_budget: Option<u64>,
     /// Process-wide accounted-memory cap (the governor ladder's server
     /// rung). New sessions get a fair share (`limit / max_sessions`) as
     /// their per-session governor quota; once the process gauge crosses
@@ -106,12 +105,13 @@ impl ServerConfig {
             shards_per_session: 1,
             max_sessions: 256,
             degrade_sessions: 224,
-            degrade_sample: Some(SampleSpec::parse("period:16").expect("default sample spec")),
+            degrade_sample: Some(
+                SampleSpec::parse("loc:5,granule:16384").expect("default sample spec"),
+            ),
             idle_timeout: Duration::from_secs(30),
             checkpoint_dir: None,
             checkpoint_every: 65_536,
             resume: false,
-            shadow_budget: None,
             memory_limit: None,
             credits: 4096,
         }
@@ -135,7 +135,8 @@ pub struct ServerStats {
     /// memory gauge sat at or above the critical watermark of
     /// [`ServerConfig::memory_limit`].
     pub shed_memory: u64,
-    /// Sessions admitted onto the sampling tier.
+    /// Sessions admitted onto the sampling tier (counted once their
+    /// `HELLO` is accepted).
     pub degraded: u64,
     /// Sessions quarantined (malformed frames, disconnects, timeouts,
     /// failed resumes, handshake refusals).
@@ -170,12 +171,38 @@ impl Shared {
     }
 }
 
-/// Wraps a prototype in the sampling tier for a degraded admission.
-pub(crate) fn degrade_prototype(
-    det: Box<dyn ShardableDetector + Send>,
-    spec: &SampleSpec,
-) -> Box<dyn ShardableDetector + Send> {
-    Box::new(Sampled::new(det, spec.clone()))
+/// What an accepted connection is admitted to.
+pub(crate) enum Tier {
+    /// Full analysis.
+    Full,
+    /// The sampling tier under [`ServerConfig::degrade_sample`].
+    Sampled(SampleSpec),
+    /// Shed with a typed `OVERLOADED` reply.
+    Shed {
+        /// The process gauge sat at or past the critical watermark.
+        memory: bool,
+    },
+}
+
+/// The admission ladder, decided once per connection at accept with
+/// `active` live sessions not counting this one: shed at `max_sessions`
+/// or with the process gauge at the critical watermark of
+/// `memory_limit` (governor rung 4); sample from `degrade_sessions` on
+/// or with the gauge past the high watermark; otherwise full analysis.
+fn admission(cfg: &ServerConfig, active: u64) -> Tier {
+    let pressure = cfg.memory_limit.map_or(PressureLevel::None, |lim| {
+        Watermarks::for_limit(lim).level(process_gauge().total())
+    });
+    let memory = pressure == PressureLevel::Critical;
+    if active >= cfg.max_sessions as u64 || memory {
+        return Tier::Shed { memory };
+    }
+    match &cfg.degrade_sample {
+        Some(spec) if active >= cfg.degrade_sessions as u64 || pressure >= PressureLevel::High => {
+            Tier::Sampled(spec.clone())
+        }
+        _ => Tier::Full,
+    }
 }
 
 /// A bound, not-yet-running server. [`Server::run`] blocks the calling
@@ -239,23 +266,19 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     stream.set_nonblocking(false)?;
-                    // Governor rung 4: the process gauge at or past the
-                    // critical watermark sheds new connections outright.
-                    let mem_critical = self.cfg.memory_limit.is_some_and(|lim| {
-                        process_gauge().total() >= Watermarks::for_limit(lim).critical
-                    });
-                    let admitted = self.shared.with_stats(|s| {
+                    let tier = self.shared.with_stats(|s| {
                         s.accepted += 1;
-                        if s.active >= self.cfg.max_sessions as u64 || mem_critical {
-                            s.shed += 1;
-                            s.shed_memory += mem_critical as u64;
-                            false
-                        } else {
-                            s.active += 1;
-                            true
+                        let tier = admission(&self.cfg, s.active);
+                        match tier {
+                            Tier::Shed { memory } => {
+                                s.shed += 1;
+                                s.shed_memory += memory as u64;
+                            }
+                            _ => s.active += 1,
                         }
+                        tier
                     });
-                    if !admitted {
+                    if let Tier::Shed { .. } = tier {
                         // Typed shed: the client sees `OVERLOADED`, not
                         // a hang or a reset.
                         let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
@@ -265,7 +288,7 @@ impl Server {
                     let cfg = Arc::clone(&self.cfg);
                     let shared = self.shared();
                     workers.push(std::thread::spawn(move || {
-                        session::handle_connection(stream, &cfg, &shared);
+                        session::handle_connection(stream, &cfg, &shared, tier);
                         shared.with_stats(|s| s.active -= 1);
                     }));
                     workers.retain(|w| !w.is_finished());

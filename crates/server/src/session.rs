@@ -23,13 +23,12 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use dgrace_core::{vc_detector, vc_detector_names};
-use dgrace_detectors::{Governed, GovernorSpec};
+use dgrace_detectors::{Sampled, ShardableDetector};
 use dgrace_runtime::{CheckpointManifest, IngestSession};
-use dgrace_shadow::{process_gauge, Watermarks};
 use dgrace_trace::{decode_events, DecodeLimits, TraceError};
 
 use crate::proto::{self, Hello, Welcome, FRAME_ERROR, FRAME_EVENTS, FRAME_FINISH, FRAME_HELLO};
-use crate::{ServerConfig, Shared};
+use crate::{ServerConfig, Shared, Tier};
 
 /// How a session ended, short of a quarantine.
 enum End {
@@ -155,9 +154,14 @@ impl Drop for NameGuard<'_> {
     }
 }
 
-/// Entry point for one accepted connection; owns the full lifecycle and
-/// the outcome accounting.
-pub(crate) fn handle_connection(stream: UnixStream, cfg: &ServerConfig, shared: &Shared) {
+/// Entry point for one accepted connection, admitted at `tier`; owns the
+/// full lifecycle and the outcome accounting.
+pub(crate) fn handle_connection(
+    stream: UnixStream,
+    cfg: &ServerConfig,
+    shared: &Shared,
+    tier: Tier,
+) {
     // Writes that stall longer than the idle budget quarantine the
     // session instead of parking the thread forever behind a client
     // that stopped reading.
@@ -166,7 +170,7 @@ pub(crate) fn handle_connection(stream: UnixStream, cfg: &ServerConfig, shared: 
     if stream.set_read_timeout(Some(poll)).is_err() {
         return;
     }
-    match run_session(&stream, cfg, shared) {
+    match run_session(&stream, cfg, shared, tier) {
         Ok(End::Finished) => shared.with_stats(|s| s.finished += 1),
         Ok(End::Suspended) => shared.with_stats(|s| s.suspended += 1),
         Err(q) => {
@@ -188,6 +192,7 @@ fn run_session(
     stream: &UnixStream,
     cfg: &ServerConfig,
     shared: &Shared,
+    tier: Tier,
 ) -> Result<End, Quarantine> {
     let mut offset = 0u64;
     let mut reader = PolledStream::new(stream, shared, cfg.idle_timeout);
@@ -221,39 +226,22 @@ fn run_session(
     let _name_guard = NameGuard::register(shared, &hello.session)
         .ok_or_else(|| Quarantine::new(format!("session `{}` is already live", hello.session)))?;
 
-    // Degradation ladder step 1: past the soft session watermark — or
-    // with the process memory gauge past the high watermark of
-    // `memory_limit` — new sessions run on the sampling tier (step 2,
-    // shedding, happened at accept).
-    let active = shared.with_stats(|s| s.active);
-    let mem_high = cfg
-        .memory_limit
-        .is_some_and(|lim| process_gauge().total() >= Watermarks::for_limit(lim).high);
-    let degrade_spec = (active > cfg.degrade_sessions as u64 || mem_high)
-        .then_some(cfg.degrade_sample.as_ref())
-        .flatten();
-    let degraded = degrade_spec.is_some();
-    let proto_det = match degrade_spec {
-        Some(spec) => {
+    // A session admitted onto the sampling tier (the admission decision
+    // was made at accept) wraps its detector in the sampler.
+    let degraded = matches!(tier, Tier::Sampled(_));
+    let proto_det: Box<dyn ShardableDetector + Send> = match tier {
+        Tier::Sampled(spec) => {
             shared.with_stats(|s| s.degraded += 1);
-            crate::degrade_prototype(proto_det, spec)
+            Box::new(Sampled::new(proto_det, spec))
         }
-        None => proto_det,
+        _ => proto_det,
     };
-
-    let shards = cfg.shards_per_session.max(1);
-    let budget = cfg.shadow_budget.map(|b| (b / shards as u64).max(1));
     // With a process cap configured, each session runs under the memory
-    // governor with a fair share of the cap as its quota; the ladder
-    // then degrades this session deterministically from its own stream.
-    let mut sess = match cfg.memory_limit {
-        Some(limit) => {
-            let share = (limit / cfg.max_sessions.max(1) as u64).max(1);
-            let governed = Governed::new(proto_det, GovernorSpec::for_limit(share, shards));
-            IngestSession::new(&governed, shards, budget)
-        }
-        None => IngestSession::new(&*proto_det, shards, budget),
-    };
+    // governor with a fair share of the cap as its quota.
+    let quota = cfg
+        .memory_limit
+        .map(|limit| (limit / cfg.max_sessions.max(1) as u64).max(1));
+    let mut sess = IngestSession::new(&*proto_det, cfg.shards_per_session, quota);
 
     // ---- Resume ----------------------------------------------------
     let ckpt_path: Option<PathBuf> = cfg

@@ -250,6 +250,40 @@ fn overload_degrades_then_sheds() {
     }
 }
 
+/// The race addresses in a `REPORT` payload, in report order.
+fn race_addrs(report_json: &str) -> Vec<&str> {
+    report_json
+        .split("\"addr\":\"")
+        .skip(1)
+        .map(|rest| rest.split('"').next().expect("a closed address"))
+        .collect()
+}
+
+/// A session on the sampling tier is flagged, but it still finds the
+/// races: the default `loc:` spec admits every location's first
+/// accesses, which is where `racy_trace`'s races are.
+#[test]
+fn degraded_session_finds_the_solo_races() {
+    let dir = scratch("sampled");
+    let mut cfg = base_config(&dir);
+    cfg.degrade_sessions = 0;
+    let handle = Server::spawn(cfg).expect("spawn");
+    let trace = racy_trace();
+
+    let mut c = Client::connect(handle.socket(), "thin", "byte").expect("admitted");
+    assert!(c.degraded(), "past a soft watermark of 0 sessions");
+    c.send_events(&trace.events).expect("send");
+    let end = c.finish().expect("finish");
+    assert!(end.report_json.contains("\"degraded\":true"));
+    let solo = solo_json("thin", &trace);
+    assert!(!race_addrs(&solo).is_empty(), "the solo run finds races");
+    assert_eq!(race_addrs(&end.report_json), race_addrs(&solo));
+
+    let stats = handle.stop().expect("stop");
+    assert_eq!(stats.degraded, 1);
+    assert_eq!(stats.finished, 1);
+}
+
 #[test]
 fn memory_pressure_degrades_then_sheds() {
     let dir = scratch("mempress");

@@ -8,8 +8,9 @@
 //!
 //! * the three detector families,
 //! * shard counts 1 / 2 / 4 / 8,
-//! * warm-start pruning (`--prune-with`), shadow budgets
-//!   (`--shadow-budget`), resync-recovered traces (`--resync`),
+//! * warm-start pruning (`--prune-with`), shadow budgets (the
+//!   eviction rung of `--memory-limit`), resync-recovered traces
+//!   (`--resync`),
 //! * mid-trace checkpoint + resume — *across* paths: a funnel-written
 //!   manifest resumed by the pipeline and vice versa,
 //! * self-healing supervised runs (shard panic mid-trace),
@@ -231,8 +232,8 @@ fn pruned_replay_matches_across_paths() {
     }
 }
 
-/// `--shadow-budget` analog: under memory pressure both paths evict the
-/// same shadow cells and degrade identically.
+/// The eviction rung of `--memory-limit`: under a shadow budget both
+/// paths evict the same shadow cells and degrade identically.
 #[test]
 fn shadow_budget_runs_match_across_paths() {
     let mut b = TraceBuilder::new();
