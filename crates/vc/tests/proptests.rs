@@ -95,3 +95,78 @@ proptest! {
         prop_assert!(rc.leq(&everything));
     }
 }
+
+/// One past the widest clock the kernel property builds: past 33, the
+/// `sync` workload's width, so the vectorised loop's scalar tail takes
+/// every length.
+const KERNEL_WIDTH: usize = 41;
+
+/// A clock in a chosen representation, with its zero-padded model.
+///
+/// An inline clock keeps the first two non-zero entries of `values`; a
+/// dense one stores every entry of `values`, zeros and trailing zeros
+/// included, so its width is `values.len()`.
+fn arb_clock_with_model() -> impl Strategy<Value = (VectorClock, Vec<u32>)> {
+    let value = prop_oneof![Just(0u32), Just(0u32), 1u32..20, (u32::MAX - 2)..=u32::MAX];
+    (
+        any::<bool>(),
+        proptest::collection::vec(value, 0..KERNEL_WIDTH),
+    )
+        .prop_map(|(dense, mut values)| {
+            if dense {
+                let mut vc = VectorClock::with_capacity(KERNEL_WIDTH);
+                for (i, &v) in values.iter().enumerate() {
+                    vc.set(Tid::from(i), 1);
+                    vc.set(Tid::from(i), v);
+                }
+                assert!(!vc.is_inline());
+                (vc, values)
+            } else {
+                let mut kept = 0;
+                for v in values.iter_mut().filter(|v| **v != 0) {
+                    if kept == 2 {
+                        *v = 0;
+                    } else {
+                        kept += 1;
+                    }
+                }
+                let vc = VectorClock::from_pairs(
+                    values
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &v)| v != 0)
+                        .map(|(i, &v)| (Tid::from(i), v)),
+                );
+                assert!(vc.is_inline());
+                (vc, values)
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `join` is the element-wise max of the zero-padded models, over all
+    /// four inline/dense pairs, and keeps the representation rules: the
+    /// result is inline only when both operands are and at most two
+    /// entries are non-zero (a dense clock stays dense, a dense operand
+    /// spills an inline one, and an inline one spills at its third
+    /// thread), and its width is the wider operand's.
+    #[test]
+    fn join_matches_the_max_model(a in arb_clock_with_model(), b in arb_clock_with_model()) {
+        let ((a, ma), (b, mb)) = (a, b);
+        let mut model = vec![0u32; KERNEL_WIDTH];
+        for (i, m) in model.iter_mut().enumerate() {
+            *m = ma.get(i).copied().unwrap_or(0).max(mb.get(i).copied().unwrap_or(0));
+        }
+        let mut j = a.clone();
+        j.join(&b);
+        for (i, &m) in model.iter().enumerate() {
+            prop_assert_eq!(j.get(Tid::from(i)), m, "entry {} of {:?} ⊔ {:?}", i, a, b);
+        }
+        prop_assert_eq!(&j, &VectorClock::from_slice(&model));
+        let nonzero = model.iter().filter(|&&v| v != 0).count();
+        prop_assert_eq!(j.is_inline(), a.is_inline() && b.is_inline() && nonzero <= 2);
+        prop_assert_eq!(j.width(), a.width().max(b.width()));
+    }
+}
