@@ -120,11 +120,7 @@ pub fn report(rep: &Report, decode: &DecodeStats) -> String {
         let _ = writeln!(o, "    \"final_rung\": {},", g.final_rung);
         let _ = writeln!(o, "    \"decisions\": {},", g.decisions);
         let _ = writeln!(o, "    \"peak_assessed_bytes\": {},", g.peak_assessed_bytes);
-        let _ = writeln!(
-            o,
-            "    \"engaged\": [{}, {}, {}],",
-            g.engaged[0], g.engaged[1], g.engaged[2]
-        );
+        let _ = writeln!(o, "    \"engaged\": {},", g.engaged);
         o.push_str("    \"transitions\": [");
         for (i, t) in g.transitions.iter().enumerate() {
             o.push_str(if i == 0 { "\n" } else { ",\n" });

@@ -182,11 +182,10 @@ fn print_help() {
          \x20                                 [--resync] [--json]      optionally across N address shards,\n\
          \x20                                 [--self-heal]            skipping provably race-free accesses;\n\
          \x20                                 [--checkpoint-dir D]     --memory-limit caps accounted memory\n\
-         \x20                                 [--checkpoint-every N|Ns] with a deterministic pressure ladder\n\
-         \x20                                 [--resume D]             (evict cold state, coarsen, sample —\n\
-         \x20                                 [--pipeline]             the run completes instead of\n\
-         \x20                                 [--sample <spec>]        aborting; the cap needs a\n\
-         \x20                                                          vector-clock detector),\n\
+         \x20                                 [--checkpoint-every N|Ns] by deterministic eviction of cold\n\
+         \x20                                 [--resume D]             shadow state (the run completes\n\
+         \x20                                 [--pipeline]             instead of aborting; the cap needs\n\
+         \x20                                 [--sample <spec>]        a vector-clock detector),\n\
          \x20                                                          --resync skips damaged trace frames,\n\
          \x20                                                          --json prints a deterministic report,\n\
          \x20                                                          --pipeline feeds shards through\n\
@@ -647,9 +646,9 @@ fn make_shardable(name: &str) -> Result<Box<dyn ShardableDetector + Send>, Failu
 /// inside out: the sampling tier, then the memory governor (outside the
 /// sampler, so it meters every arriving event). The governor quota is a
 /// whole-run cap: each shard holds a slice of the address space, so it
-/// gets a slice — which keeps the pressure ladder deterministic, each
-/// shard deciding rungs from its own substream and modeled bytes, never
-/// from global allocator state. Pruning stays outside all of it (the
+/// gets a slice — which keeps the cap deterministic, each shard deciding
+/// when to evict from its own substream and modeled bytes, never from
+/// global allocator state. Pruning stays outside all of it (the
 /// engine prunes upstream of the shards, the serial path in an outermost
 /// filter): pruned accesses never reach the sampler, so its budget is
 /// spent on the residue that actually needs analysis.

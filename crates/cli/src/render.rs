@@ -78,21 +78,14 @@ pub fn report(rep: &Report, events: u64, threads: usize, secs: f64, max_races: u
     }
     if let Some(g) = &rep.governor {
         outln!(
-            "GOVERNOR      : {} byte cap; peak rung {} ({}), final rung {}, \
+            "GOVERNOR      : {} byte cap; eviction engaged ×{}, final rung {}, \
              {} decision(s), {} transition(s), peak assessed {:.1} KiB",
             g.limit,
-            g.peak_rung,
-            dgrace_shadow::PressureLevel::from_rung(g.peak_rung).label(),
+            g.engaged,
             g.final_rung,
             g.decisions,
             g.transitions.len(),
             g.peak_assessed_bytes as f64 / 1024.0
-        );
-        outln!(
-            "  rungs engaged: evict ×{}, coarsen ×{}, sample ×{}",
-            g.engaged[0],
-            g.engaged[1],
-            g.engaged[2]
         );
     }
     if rep.checkpointing_degraded {

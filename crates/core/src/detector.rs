@@ -4,7 +4,7 @@ use dgrace_detectors::snap::{decode_races, encode_races, Section, SectionError};
 use dgrace_detectors::{
     AccessKind, Detector, HbState, RaceKind, RaceReport, Report, ShardableDetector, SharingStats,
 };
-use dgrace_shadow::{HashSelect, MemClass, MemoryModel, PressureLevel, StoreSelect, Victims};
+use dgrace_shadow::{HashSelect, MemClass, MemoryModel, StoreSelect, Victims};
 use dgrace_trace::{Addr, Event, SnapshotReader, SnapshotWriter};
 use dgrace_vc::{AccessClock, ClockView, Epoch, Tid};
 
@@ -50,23 +50,10 @@ pub struct DynamicGranularityOn<K: StoreSelect> {
     peak_locs: usize,
     cells_at_peak: usize,
     event_index: u64,
-    /// Governor-forced first-epoch scan widening (0 = no pressure). The
-    /// effective scan is `config.first_epoch_scan.max(pressure_scan)`.
-    /// Deliberately *not* part of [`DynamicConfig`] and not serialized:
-    /// snapshots compare configs for equality on restore, and the
-    /// governor re-applies pressure for the resumed rung itself.
-    pressure_scan: u64,
 }
 
 /// The default detector: dynamic granularity on the chained-hash store.
 pub type DynamicGranularity = DynamicGranularityOn<HashSelect>;
-
-/// First-epoch scan width the memory governor forces at
-/// [`PressureLevel::High`] and above (the default is 8 bytes): a wider
-/// probe window forms coarser first-epoch sharing groups, so more
-/// locations ride one clock and modeled shadow bytes shrink — the
-/// paper's own granularity mechanism repurposed as a pressure valve.
-pub const PRESSURE_SCAN: u64 = 64;
 
 impl<K: StoreSelect> Default for DynamicGranularityOn<K> {
     fn default() -> Self {
@@ -99,7 +86,6 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
             peak_locs: 0,
             cells_at_peak: 0,
             event_index: 0,
-            pressure_scan: 0,
         }
     }
 
@@ -189,9 +175,7 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         my_epoch: Epoch,
         other: Option<CellRef>,
     ) {
-        // Under governor pressure the probe window widens: coarser
-        // first-epoch groups are the paper's own memory valve.
-        let scan = self.config.first_epoch_scan.max(self.pressure_scan);
+        let scan = self.config.first_epoch_scan;
         let init_state = self.config.init_state;
         let share_at_init = self.config.share_at_init;
         let enable_sharing = self.config.enable_sharing;
@@ -584,7 +568,6 @@ impl<K: StoreSelect> ShardableDetector for DynamicGranularityOn<K> {
     fn new_shard(&self) -> Box<dyn Detector + Send> {
         let mut shard = DynamicGranularityOn::<K>::with_config(self.config);
         shard.model.set_budget(self.model.budget());
-        shard.pressure_scan = self.pressure_scan;
         Box::new(shard)
     }
 }
@@ -643,23 +626,13 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
         rep.stats.evicted = self.evicted;
         rep.budget_degraded = self.model.breached();
         let budget = self.model.budget();
-        let pressure_scan = self.pressure_scan;
         *self = Self::with_config(self.config);
         self.model.set_budget(budget);
-        self.pressure_scan = pressure_scan;
         rep
     }
 
     fn set_shadow_budget(&mut self, bytes: Option<u64>) {
         self.model.set_budget(bytes.map(|b| b as usize));
-    }
-
-    fn set_pressure(&mut self, level: PressureLevel) {
-        self.pressure_scan = if level >= PressureLevel::High {
-            PRESSURE_SCAN
-        } else {
-            0
-        };
     }
 
     fn mem_classes(&self) -> [u64; 3] {
@@ -744,7 +717,6 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
             peak_locs: counters[6] as usize,
             cells_at_peak: counters[7] as usize,
             event_index: counters[8],
-            pressure_scan: self.pressure_scan,
         };
         Ok(())
     }

@@ -53,7 +53,7 @@ mod plane;
 mod state;
 
 pub use config::DynamicConfig;
-pub use detector::{DynamicGranularity, DynamicGranularityOn, PRESSURE_SCAN};
+pub use detector::{DynamicGranularity, DynamicGranularityOn};
 pub use plane::{CellRef, CellView, GroupSnapshot, Index, IndexOn, Plane};
 pub use state::VcState;
 

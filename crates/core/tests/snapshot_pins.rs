@@ -16,7 +16,16 @@
 //! its version, and with its version word set to the current one, for its
 //! stack name, `dynamic+paged`.
 //!
-//! All 16 digests were last regenerated when `DGSS` went to version 5:
+//! All 16 digests were last regenerated when `DGSS` went to version 6:
+//! the memory governor lost its coarsen and sample rungs, so its section
+//! no longer carries a sampler or per-rung counters, only whether it is
+//! evicting and one engagement count. The 12 digests of the other layers
+//! moved with the version word alone. `data/byte-governed-v5.dgss` is the
+//! version-5 snapshot of the `("byte", "governed")` pin, written by the
+//! last version-5 build: it is refused.
+//!
+//! The 16 digests before that were regenerated when `DGSS` went to
+//! version 5:
 //! the fixed-granularity detectors lost their per-thread same-epoch
 //! bitmaps and answer a repeat from the location's cell, as the dynamic
 //! detector already did, so their section no longer carries the bitmaps.
@@ -172,7 +181,6 @@ fn layered(name: &str, layer: &str) -> Box<dyn Detector> {
             GovernorSpec {
                 limit: 5 * 1024,
                 interval: 64,
-                sample: SampleSpec::parse("loc:4").unwrap(),
             },
         )),
         "pruned" => Box::new(StaticPruneFilter::new(det, prune_set())),
@@ -181,22 +189,22 @@ fn layered(name: &str, layer: &str) -> Box<dyn Detector> {
 }
 
 const PINS: [(&str, &str, u64); 16] = [
-    ("byte", "bare", 0x475f621d1e5ba471),
-    ("byte", "sampled", 0xd9856d7f56ab62b6),
-    ("byte", "governed", 0x262ec851fab406f3),
-    ("byte", "pruned", 0x2f7a74208b16e618),
-    ("word", "bare", 0x1a918db47994f933),
-    ("word", "sampled", 0x8fcc1a564675b460),
-    ("word", "governed", 0xaef26b42826f6079),
-    ("word", "pruned", 0xbdd16cfdb10e8abe),
-    ("djit", "bare", 0x4f0a0b8516427e6f),
-    ("djit", "sampled", 0xc9f9d6d53e45da03),
-    ("djit", "governed", 0x4b6566b7792f7cda),
-    ("djit", "pruned", 0xf7214a4b3a2a44f0),
-    ("dynamic", "bare", 0xcea7556c2dad197c),
-    ("dynamic", "sampled", 0xc41b39457e9e64b6),
-    ("dynamic", "governed", 0x35418160bcb097cc),
-    ("dynamic", "pruned", 0x008f2f26397f1e67),
+    ("byte", "bare", 0xf0a38a5ef001e19a),
+    ("byte", "sampled", 0xb7332946a3bf8777),
+    ("byte", "governed", 0x6874a8a216d1d43c),
+    ("byte", "pruned", 0x357aea1d6d4c45ef),
+    ("word", "bare", 0x89c131128575bee4),
+    ("word", "sampled", 0xcd9b2c17ef18d411),
+    ("word", "governed", 0xbd464c54eb8b4a06),
+    ("word", "pruned", 0x1a68fc48f5202e25),
+    ("djit", "bare", 0x417644d0026ef44a),
+    ("djit", "sampled", 0xbb8d96253317e91e),
+    ("djit", "governed", 0x60fbe8cdcf380463),
+    ("djit", "pruned", 0x0f292b3537f85963),
+    ("dynamic", "bare", 0x2ac913527f31ed85),
+    ("dynamic", "sampled", 0xb3a14c128aa6a8ff),
+    ("dynamic", "governed", 0xb8e7d95bc9652574),
+    ("dynamic", "pruned", 0xf197de077682e8f2),
 ];
 
 #[test]
@@ -268,6 +276,15 @@ fn a_version_4_snapshot_is_refused() {
     assert_eq!(fnv1a(snap), pin, "the fixture itself");
     let err = prototype("byte").restore(snap).unwrap_err();
     assert!(err.contains("unsupported format version 4"), "{err}");
+}
+
+#[test]
+fn a_version_5_snapshot_is_refused() {
+    let snap = include_bytes!("data/byte-governed-v5.dgss");
+    let pin = 0x262e_c851_fab4_06f3; // the version-5 ("byte", "governed") pin
+    assert_eq!(fnv1a(snap), pin, "the fixture itself");
+    let err = layered("byte", "governed").restore(snap).unwrap_err();
+    assert!(err.contains("unsupported format version 5"), "{err}");
 }
 
 #[test]

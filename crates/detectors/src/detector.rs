@@ -1,6 +1,5 @@
 //! The detector interface.
 
-use dgrace_shadow::PressureLevel;
 use dgrace_trace::{
     Event, EventSource, SnapshotLimits, SnapshotReader, SnapshotWriter, Trace, TraceError,
     STATE_MAGIC, STATE_VERSION,
@@ -56,18 +55,6 @@ pub trait Detector: 'static {
     fn set_shadow_budget(&mut self, bytes: Option<u64>) {
         if let Some(d) = self.inner_mut() {
             d.set_shadow_budget(bytes);
-        }
-    }
-
-    /// Applies governor pressure. Detectors with a pressure response —
-    /// the dynamic-granularity family widens its first-epoch sharing
-    /// scan at [`PressureLevel::High`] and above — react; everyone else
-    /// ignores it. The response must never change which events are
-    /// *observed*, only how aggressively state is shared, so a governed
-    /// run under 100% headroom stays byte-identical to an ungoverned one.
-    fn set_pressure(&mut self, level: PressureLevel) {
-        if let Some(d) = self.inner_mut() {
-            d.set_pressure(level);
         }
     }
 
@@ -135,9 +122,6 @@ impl<D: Detector + ?Sized> Detector for Box<D> {
     }
     fn set_shadow_budget(&mut self, bytes: Option<u64>) {
         (**self).set_shadow_budget(bytes)
-    }
-    fn set_pressure(&mut self, level: PressureLevel) {
-        (**self).set_pressure(level)
     }
     fn write_section(&self, w: &mut SnapshotWriter) -> bool {
         (**self).write_section(w)

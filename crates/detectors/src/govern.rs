@@ -1,66 +1,47 @@
-//! The memory governor: pressure-tiered graceful degradation.
+//! The memory governor: a deterministic per-shard memory cap.
 //!
-//! [`Governed`] wraps any detector with a per-shard byte quota and walks
-//! a deterministic **pressure ladder** instead of aborting when shadow
-//! state outgrows memory:
+//! [`Governed`] wraps any detector with a per-shard byte quota. Once the
+//! detector's modeled bytes pass the quota's soft watermark, the
+//! governor sets the inner detector's shadow budget
+//! ([`crate::Detector::set_shadow_budget`]) to that watermark, so its own
+//! cold-state eviction holds the footprint there; once they fall below
+//! [`dgrace_shadow::Watermarks::release_floor`], it lifts the budget
+//! again. Eviction is the only response: every event still reaches the
+//! inner detector, so a cap can lose races whose prior access went cold
+//! and was evicted (the report says so), never thin the access stream.
+//! The report calls the two states rung 0 (free) and rung 1 (evicting).
 //!
-//! * **rung 1 — evict** ([`dgrace_shadow::PressureLevel::Soft`]): the
-//!   inner detector's shadow budget
-//!   ([`crate::Detector::set_shadow_budget`]) is set to the soft
-//!   watermark, so its own cold-state eviction machinery engages;
-//! * **rung 2 — coarsen** ([`dgrace_shadow::PressureLevel::High`]): the
-//!   inner detector is told to share state more aggressively
-//!   ([`crate::Detector::set_pressure`] — the dynamic-granularity family
-//!   widens its first-epoch scan);
-//! * **rung 3 — sample** ([`dgrace_shadow::PressureLevel::Critical`]):
-//!   new *accesses* are gated through a deterministic admission
-//!   [`Sampler`] so no new shadow state is created for thinned
-//!   locations. Synchronization events always pass — vector clocks stay
-//!   exact, exactly like the always-on sampling tier.
-//!
-//! (Rung 4 — shedding new server sessions — lives in `dgrace-server`,
+//! (Shedding and sampling new server sessions lives in `dgrace-server`,
 //! driven by the process-wide [`dgrace_shadow::ProcessGauge`].)
 //!
 //! # Determinism
 //!
-//! The ladder is evaluated only at **decision points**: every
+//! The cap is evaluated only at **decision points**: every
 //! [`GovernorSpec::interval`] shard-local events, against the inner
 //! detector's *modeled* bytes (the sum of [`crate::Detector::mem_classes`]) —
 //! never against `malloc` or the global gauge. Modeled bytes are a pure
 //! function of the event prefix, so the same trace under the same
-//! `--memory-limit` takes the same rungs at the same events on every
+//! `--memory-limit` engages and releases at the same events on every
 //! run, and the funnel and the pipeline (whose shards see identical
-//! substreams) agree byte-for-byte. De-escalation steps one rung per
-//! decision point once assessed bytes fall below the rung's
-//! [`dgrace_shadow::Watermarks::release_floor`] — hysteresis that
-//! prevents flapping at a watermark.
+//! substreams) agree byte-for-byte.
 //!
-//! A governed run that never leaves rung 0 attaches **no** governor
-//! report and perturbs nothing — it is byte-identical to an ungoverned
-//! run of the same trace.
+//! A governed run that never engages attaches **no** governor report and
+//! perturbs nothing — it is byte-identical to an ungoverned run of the
+//! same trace.
 
-use dgrace_shadow::{process_gauge, MemComponent, PressureLevel, Watermarks};
+use dgrace_shadow::{process_gauge, MemComponent, Watermarks};
 use dgrace_trace::{Event, SnapshotReader, SnapshotWriter, TraceError};
 
 use crate::snap::{Section, SectionError};
-use crate::{
-    Detector, GovernorReport, GovernorTransition, Report, SampleSpec, Sampler, ShardableDetector,
-};
+use crate::{Detector, GovernorReport, GovernorTransition, Report, ShardableDetector};
 
-/// Default ladder decision interval, in shard-local events. Small
-/// enough that a runaway allocation burst is caught within one ring
-/// segment, large enough that the assessment (a few atomic loads) is
-/// noise.
+/// Default decision interval, in shard-local events. Small enough that
+/// a runaway allocation burst is caught within one ring segment, large
+/// enough that the assessment (a few atomic loads) is noise.
 pub const DECISION_INTERVAL: u64 = 512;
 
-/// Admission spec for the rung-3 sampler: per-location budgets keep
-/// every granule's earliest accesses (where first epochs — and
-/// therefore sharing decisions — happen) and thin the hot tail that
-/// builds shadow state fastest.
-pub const CRITICAL_SAMPLE: &str = "loc:4";
-
 /// Configuration of one [`Governed`] wrapper: the per-shard quota and
-/// the ladder's deterministic inputs.
+/// the cap's deterministic decision clock.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GovernorSpec {
     /// Per-shard byte quota (the process `--memory-limit` divided by the
@@ -68,39 +49,34 @@ pub struct GovernorSpec {
     pub limit: u64,
     /// Shard-local events between decision points.
     pub interval: u64,
-    /// Admission spec engaged at rung 3.
-    pub sample: SampleSpec,
 }
 
 impl GovernorSpec {
     /// The standard spec for a process-wide `limit` split across
     /// `shards` ways: quota = `limit / max(shards, 1)`, default decision
-    /// interval, default critical sampler.
+    /// interval.
     pub fn for_limit(limit: u64, shards: usize) -> Self {
         GovernorSpec {
             limit: limit / shards.max(1) as u64,
             interval: DECISION_INTERVAL,
-            sample: SampleSpec::parse(CRITICAL_SAMPLE).expect("CRITICAL_SAMPLE parses"),
         }
     }
 }
 
-/// Wraps a detector with the pressure ladder. See the module docs.
+/// Wraps a detector with the memory cap. See the module docs.
 pub struct Governed<D> {
     inner: D,
     spec: GovernorSpec,
     marks: Watermarks,
-    rung: PressureLevel,
-    /// Shard-local events seen (admitted or not) — the decision clock.
+    /// Whether the inner shadow budget is set (rung 1).
+    evicting: bool,
+    /// Shard-local events seen — the decision clock.
     events: u64,
     decisions: u64,
-    peak_rung: u8,
     peak_assessed: u64,
-    engaged: [u64; 3],
+    /// Times the cap engaged.
+    engaged: u64,
     transitions: Vec<GovernorTransition>,
-    /// Rung-3 admission gate. Only consulted while at
-    /// [`PressureLevel::Critical`]; its counters freeze on lower rungs.
-    sampler: Sampler,
     /// Last per-class figures pushed to the process gauge, so updates
     /// are deltas and concurrent shards don't clobber each other.
     pushed: [u64; 2],
@@ -109,23 +85,19 @@ pub struct Governed<D> {
 impl<D: Detector> Governed<D> {
     /// Wraps `inner` under `spec`.
     pub fn new(inner: D, spec: GovernorSpec) -> Self {
-        let marks = Watermarks::for_limit(spec.limit);
-        let sampler = Sampler::new(spec.sample.clone());
         Governed {
             inner,
+            marks: Watermarks::for_limit(spec.limit),
             spec: GovernorSpec {
                 interval: spec.interval.max(1),
                 ..spec
             },
-            marks,
-            rung: PressureLevel::None,
+            evicting: false,
             events: 0,
             decisions: 0,
-            peak_rung: 0,
             peak_assessed: 0,
-            engaged: [0; 3],
+            engaged: 0,
             transitions: Vec::new(),
-            sampler,
             pushed: [0; 2],
         }
     }
@@ -135,57 +107,48 @@ impl<D: Detector> Governed<D> {
         &self.spec
     }
 
-    /// The current rung.
-    pub fn rung(&self) -> PressureLevel {
-        self.rung
+    /// Whether the cap is engaged: the inner detector is evicting down to
+    /// the soft watermark.
+    pub fn evicting(&self) -> bool {
+        self.evicting
     }
 
-    /// One ladder evaluation: assess modeled bytes, escalate straight to
-    /// the watermark level when above, de-escalate one rung when below
-    /// the release floor.
+    /// One evaluation: assess modeled bytes, engage at the soft
+    /// watermark, release below the release floor.
     fn decide(&mut self) {
         self.decisions += 1;
         let classes = self.inner.mem_classes();
         let assessed = classes.iter().sum();
         self.peak_assessed = self.peak_assessed.max(assessed);
-        let target = self.marks.level(assessed);
-        let next = if target > self.rung {
-            target
-        } else if self.rung > PressureLevel::None && assessed < self.marks.release_floor(self.rung)
-        {
-            PressureLevel::from_rung(self.rung.rung() - 1)
+        let evict = if self.evicting {
+            assessed >= self.marks.release_floor()
         } else {
-            self.rung
+            assessed >= self.marks.soft
         };
-        if next != self.rung {
+        if evict != self.evicting {
             self.transitions.push(GovernorTransition {
                 event: self.events,
                 shard: 0,
-                from: self.rung.rung(),
-                to: next.rung(),
+                from: self.evicting as u8,
+                to: evict as u8,
                 assessed_bytes: assessed,
             });
-            for r in self.rung.rung() + 1..=next.rung() {
-                self.engaged[(r - 1) as usize] += 1;
-            }
-            self.rung = next;
-            self.peak_rung = self.peak_rung.max(next.rung());
-            self.apply_rung();
+            self.engaged += evict as u64;
+            self.evicting = evict;
+            self.apply_budget();
         }
         self.push_gauge(classes);
     }
 
-    /// (Re-)applies the current rung's mechanisms to the inner detector.
+    /// (Re-)applies the current state's budget to the inner detector.
     /// Idempotent; also called after a snapshot restore.
-    fn apply_rung(&mut self) {
-        let budget = (self.rung >= PressureLevel::Soft).then(|| self.marks.soft.max(1));
+    fn apply_budget(&mut self) {
+        let budget = self.evicting.then(|| self.marks.soft.max(1));
         self.inner.set_shadow_budget(budget);
-        self.inner.set_pressure(self.rung);
     }
 
     /// Publishes the inner detector's modeled bytes to the process-wide
-    /// gauge as deltas. Reporting only — the gauge never feeds the
-    /// ladder.
+    /// gauge as deltas. Reporting only — the gauge never feeds the cap.
     fn push_gauge(&mut self, [hash, clocks, bitmap]: [u64; 3]) {
         let now = [hash + bitmap, clocks];
         let g = process_gauge();
@@ -228,15 +191,7 @@ impl<D: Detector> Detector for Governed<D> {
     }
 
     fn on_event(&mut self, ev: &Event) {
-        let mut admit = true;
-        if self.rung == PressureLevel::Critical {
-            if let Some((addr, _, _)) = ev.access() {
-                admit = self.sampler.admit(addr.0);
-            }
-        }
-        if admit {
-            self.inner.on_event(ev);
-        }
+        self.inner.on_event(ev);
         self.events += 1;
         if self.events.is_multiple_of(self.spec.interval) {
             self.decide();
@@ -250,32 +205,27 @@ impl<D: Detector> Detector for Governed<D> {
             self.decide();
         }
         let mut rep = self.inner.finish();
-        rep.stats.events += self.sampler.skipped();
-        rep.stats.sample_admitted += self.sampler.admitted();
-        rep.stats.sample_skipped += self.sampler.skipped();
-        if self.peak_rung > 0 {
+        if self.engaged > 0 {
             rep.governor = Some(GovernorReport {
                 limit: self.spec.limit,
-                peak_rung: self.peak_rung,
-                final_rung: self.rung.rung(),
+                peak_rung: 1,
+                final_rung: self.evicting as u8,
                 decisions: self.decisions,
                 peak_assessed_bytes: self.peak_assessed,
                 engaged: self.engaged,
                 transitions: std::mem::take(&mut self.transitions),
             });
         }
-        // Reset to a fresh governed state: back to rung 0, the budget
-        // lifted, gauge contribution withdrawn.
-        self.rung = PressureLevel::None;
+        // Reset to a fresh governed state: the budget lifted, gauge
+        // contribution withdrawn.
+        self.evicting = false;
         self.events = 0;
         self.decisions = 0;
-        self.peak_rung = 0;
         self.peak_assessed = 0;
-        self.engaged = [0; 3];
+        self.engaged = 0;
         self.transitions.clear();
-        self.sampler.reset();
         self.retract_gauge();
-        self.apply_rung();
+        self.apply_budget();
         rep
     }
 
@@ -291,14 +241,11 @@ impl<D: Detector> Detector for Governed<D> {
         Section::Governor.write(w);
         w.u64(self.spec.limit);
         w.u64(self.spec.interval);
-        w.u8(self.rung.rung());
+        w.u8(self.evicting as u8);
         w.u64(self.events);
         w.u64(self.decisions);
-        w.u8(self.peak_rung);
         w.u64(self.peak_assessed);
-        for e in self.engaged {
-            w.u64(e);
-        }
+        w.u64(self.engaged);
         w.count(self.transitions.len());
         for t in &self.transitions {
             w.u64(t.event);
@@ -306,7 +253,6 @@ impl<D: Detector> Detector for Governed<D> {
             w.u8(t.to);
             w.u64(t.assessed_bytes);
         }
-        self.sampler.encode(w);
         self.inner.write_section(w)
     }
 
@@ -322,19 +268,18 @@ impl<D: Detector> Detector for Governed<D> {
             )));
         }
         let offset = r.offset();
-        let rung = r.u8()?;
-        if rung > PressureLevel::Critical.rung() {
-            let what = "governor rung";
-            return Err(TraceError::Malformed { offset, what }.into());
-        }
+        let evicting = match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => {
+                let what = "governor rung";
+                return Err(TraceError::Malformed { offset, what }.into());
+            }
+        };
         let events = r.u64()?;
         let decisions = r.u64()?;
-        let peak_rung = r.u8()?;
         let peak_assessed = r.u64()?;
-        let mut engaged = [0u64; 3];
-        for e in engaged.iter_mut() {
-            *e = r.u64()?;
-        }
+        let engaged = r.u64()?;
         let n = r.count("governor transitions")?;
         let mut transitions = Vec::with_capacity(n);
         for _ in 0..n {
@@ -346,19 +291,16 @@ impl<D: Detector> Detector for Governed<D> {
                 assessed_bytes: r.u64()?,
             });
         }
-        self.sampler.decode(r)?;
         self.inner.read_section(r)?;
-        self.rung = PressureLevel::from_rung(rung);
+        self.evicting = evicting;
         self.events = events;
         self.decisions = decisions;
-        self.peak_rung = peak_rung;
         self.peak_assessed = peak_assessed;
         self.engaged = engaged;
         self.transitions = transitions;
-        // Re-arm the resumed rung's mechanisms: the budget clamp and the
-        // pressure level are run-time side effects, not serialized inner
-        // state.
-        self.apply_rung();
+        // Re-arm the resumed state's budget: the clamp is a run-time side
+        // effect, not serialized inner state.
+        self.apply_budget();
         Ok(())
     }
 }
@@ -394,7 +336,6 @@ mod tests {
         GovernorSpec {
             limit,
             interval: 64,
-            sample: SampleSpec::parse(CRITICAL_SAMPLE).unwrap(),
         }
     }
 
@@ -417,23 +358,16 @@ mod tests {
         let mut gov = Governed::new(FastTrack::new(), spec(peak / 2));
         let rep = gov.run(&trace);
         let g = rep.governor.as_ref().expect("governor engaged");
-        assert!(g.peak_rung >= 1, "at least the evict rung: {g:?}");
+        assert_eq!(g.peak_rung, 1, "the evict rung: {g:?}");
         assert!(!g.transitions.is_empty());
         assert_eq!(g.limit, peak / 2);
         assert!(g.decisions > 0);
         assert!(g.peak_assessed_bytes > 0);
-        // Engagement counters agree with the transition log.
-        let mut engaged = [0u64; 3];
-        for t in &g.transitions {
-            for r in t.from + 1..=t.to {
-                engaged[(r - 1) as usize] += 1;
-            }
-        }
-        assert_eq!(g.engaged, engaged);
+        // The engagement count agrees with the transition log.
+        let engaged = g.transitions.iter().filter(|t| t.to == 1).count();
+        assert_eq!(g.engaged, engaged as u64);
         // The evict rung flows through the inner budget machinery.
-        if g.peak_rung >= 1 {
-            assert!(rep.budget_degraded, "rung 1 clamps the shadow budget");
-        }
+        assert!(rep.budget_degraded, "rung 1 clamps the shadow budget");
     }
 
     #[test]
@@ -450,10 +384,10 @@ mod tests {
     }
 
     #[test]
-    fn critical_rung_engages_the_sampler() {
+    fn a_tiny_quota_evicts_and_never_thins() {
         // Build shadow state far past a tiny quota, then hammer a hot
-        // working set: once critical, the loc:4 sampler's per-granule
-        // budgets exhaust and later passes are thinned.
+        // working set: the cap evicts, and every access still reaches
+        // the detector.
         let mut b = TraceBuilder::new();
         b.fork(0u32, 1u32);
         for i in 0..4096u64 {
@@ -466,22 +400,22 @@ mod tests {
         }
         b.join(0u32, 1u32);
         let trace = b.build();
+        let bare = FastTrack::new().run(&trace);
         let mut gov = Governed::new(FastTrack::new(), spec(8 * 1024));
         let rep = gov.run(&trace);
         let g = rep.governor.as_ref().expect("governor engaged");
-        assert_eq!(g.peak_rung, 3, "tiny quota drives to critical: {g:?}");
-        assert!(
-            rep.stats.sample_skipped > 0,
-            "critical rung thinned admissions"
-        );
-        // Event accounting still covers the whole trace.
-        assert_eq!(rep.stats.events, trace.len() as u64);
+        assert_eq!(g.peak_rung, 1, "{g:?}");
+        assert!(rep.stats.evicted > 0, "the cap evicted");
+        assert_eq!(rep.stats.events, bare.stats.events);
+        assert_eq!(rep.stats.accesses, bare.stats.accesses);
+        assert_eq!(rep.stats.sample_admitted, 0);
+        assert_eq!(rep.stats.sample_skipped, 0);
     }
 
     #[test]
     fn release_floor_steps_back_down() {
-        // Grow shadow state past the critical watermark, then free it
-        // all and keep running: the ladder must walk back down.
+        // Grow shadow state past the soft watermark, then free it all
+        // and keep running: the cap must let go.
         let mut b = TraceBuilder::new();
         b.fork(0u32, 1u32);
         for i in 0..2048u64 {
@@ -498,11 +432,8 @@ mod tests {
         let mut gov = Governed::new(FastTrack::new(), spec(peak / 2));
         let rep = gov.run(&trace);
         let g = rep.governor.as_ref().expect("governor engaged");
-        assert!(g.peak_rung >= 1);
-        assert!(
-            g.final_rung < g.peak_rung,
-            "freed state de-escalates: {g:?}"
-        );
+        assert_eq!(g.peak_rung, 1);
+        assert_eq!(g.final_rung, 0, "freed state releases the cap: {g:?}");
         assert!(
             g.transitions.iter().any(|t| t.to < t.from),
             "a downward transition is logged"
@@ -519,14 +450,11 @@ mod tests {
         for ev in trace.iter().take(split) {
             a.on_event(ev);
         }
-        assert!(
-            a.rung() > PressureLevel::None,
-            "pressure built before the split"
-        );
+        assert!(a.evicting(), "pressure built before the split");
         let snap = a.snapshot().expect("fasttrack snapshots");
         let mut b = Governed::new(FastTrack::new(), sp);
         b.restore(&snap).unwrap();
-        assert_eq!(b.rung(), a.rung(), "resumed at the same rung");
+        assert!(b.evicting(), "resumed evicting");
         for ev in trace.iter().skip(split) {
             a.on_event(ev);
             b.on_event(ev);

@@ -58,7 +58,7 @@ pub use detector::{Detector, DetectorExt};
 pub use djit::Djit;
 pub use fasttrack::FastTrack;
 pub use filter::StaticPruneFilter;
-pub use govern::{Governed, GovernorSpec, CRITICAL_SAMPLE, DECISION_INTERVAL};
+pub use govern::{Governed, GovernorSpec, DECISION_INTERVAL};
 pub use granularity::Granularity;
 pub use hb::HbState;
 pub use nop::NopDetector;

@@ -293,7 +293,7 @@ pub struct GovernorTransition {
     /// Shard the transition happened on (stamped by
     /// [`crate::merge_shard_reports`]; 0 for unsharded runs).
     pub shard: usize,
-    /// Rung before the step (0 = ungoverned … 3 = sampling).
+    /// Rung before the step (0 = free, 1 = evicting).
     pub from: u8,
     /// Rung after the step.
     pub to: u8,
@@ -307,9 +307,9 @@ pub struct GovernorTransition {
 /// one.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GovernorReport {
-    /// Per-shard byte quota the ladder assessed against.
+    /// Per-shard byte quota the cap assessed against.
     pub limit: u64,
-    /// Highest rung reached.
+    /// Highest rung reached: 1 whenever this report is attached.
     pub peak_rung: u8,
     /// Rung at the end of the run.
     pub final_rung: u8,
@@ -317,8 +317,8 @@ pub struct GovernorReport {
     pub decisions: u64,
     /// Highest assessed shadow-byte figure seen at a decision point.
     pub peak_assessed_bytes: u64,
-    /// Escalations *onto* rung 1 (evict), 2 (coarsen), 3 (sample).
-    pub engaged: [u64; 3],
+    /// Times the cap engaged (steps onto rung 1).
+    pub engaged: u64,
     /// Every rung change, in `(event, shard)` order after a merge.
     pub transitions: Vec<GovernorTransition>,
 }

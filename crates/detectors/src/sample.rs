@@ -62,7 +62,7 @@ pub enum SampleStrategy {
     /// Per-location budget: first `budget` accesses per granule, then
     /// reservoir-decayed admission.
     Location {
-        /// Accesses analyzed per granule before decay starts.
+        /// Accesses analyzed per granule before decay starts, 1 to 255.
         budget: u32,
         /// Counting granule in bytes (power of two). The default is the
         /// 8-byte shadow cell; coarser granules (`granule:256`) spend
@@ -113,6 +113,15 @@ impl SampleSpec {
                     .map_err(|_| format!("sample spec `{s}`: bad loc budget `{v}`"))?;
                 if budget == 0 {
                     return Err(format!("sample spec `{s}`: loc budget must be positive"));
+                }
+                // The per-granule counter saturates at `u8::MAX`: a larger
+                // budget would admit everything under a sampled name.
+                if budget > u8::MAX as u32 {
+                    return Err(format!(
+                        "sample spec `{s}`: loc budget must be at most {} \
+                         (use full to admit everything)",
+                        u8::MAX
+                    ));
                 }
                 SampleSpec {
                     strategy: SampleStrategy::Location {
@@ -454,6 +463,7 @@ mod tests {
             ("loc:8,seed:42", "loc:8,seed:42"),
             ("loc:2,granule:256,seed:9", "loc:2,granule:256,seed:9"),
             ("loc:2,granule:8", "loc:2"),
+            ("loc:255", "loc:255"),
         ] {
             let spec = SampleSpec::parse(input).unwrap();
             assert_eq!(spec.to_string(), canonical);
@@ -469,29 +479,41 @@ mod tests {
             "nope:3",
             "loc:4,window:9",
             "loc:4,bogus:1",
+            "loc:256",
+            "loc:4294967295",
         ] {
             assert!(SampleSpec::parse(bad).is_err(), "`{bad}` should not parse");
         }
     }
 
     #[test]
-    fn full_budget_specs_are_identity() {
+    fn full_budget_spec_is_identity() {
         let trace = racy_trace();
         let bare = FastTrack::new().run(&trace);
-        // `loc:` budgets past the saturating per-granule counter never
-        // bind: they admit everything too, but are not `full`.
-        for spec in ["full", "loc:4294967295"] {
-            let spec = SampleSpec::parse(spec).unwrap();
-            assert_eq!(spec.is_full_budget(), spec == SampleSpec::full());
-            let mut det = Sampled::new(FastTrack::new(), spec.clone());
-            let rep = det.run(&trace);
-            assert_eq!(rep.races, bare.races, "{spec}");
-            assert_eq!(rep.stats.events, bare.stats.events, "{spec}");
-            assert_eq!(rep.stats.accesses, bare.stats.accesses, "{spec}");
-            assert_eq!(rep.stats.sample_skipped, 0, "{spec}");
-            assert_eq!(rep.stats.sample_admitted, bare.stats.accesses, "{spec}");
-            assert!(rep.detector.contains("+sampled@"), "{}", rep.detector);
+        let spec = SampleSpec::parse("full").unwrap();
+        assert!(spec.is_full_budget());
+        let mut det = Sampled::new(FastTrack::new(), spec);
+        let rep = det.run(&trace);
+        assert_eq!(rep.races, bare.races);
+        assert_eq!(rep.stats.events, bare.stats.events);
+        assert_eq!(rep.stats.accesses, bare.stats.accesses);
+        assert_eq!(rep.stats.sample_skipped, 0);
+        assert_eq!(rep.stats.sample_admitted, bare.stats.accesses);
+        assert!(rep.detector.contains("+sampled@full"), "{}", rep.detector);
+    }
+
+    #[test]
+    fn the_largest_loc_budget_still_thins() {
+        // Past the counter's saturation a granule's accesses are
+        // admitted with probability 255/256: loc:255 is a real sampler.
+        let mut s = Sampler::new(SampleSpec::parse("loc:255").unwrap());
+        for granule in 0..4096u64 {
+            for _ in 0..300 {
+                s.admit(granule * LOC_GRANULE);
+            }
         }
+        assert!(s.skipped() > 0, "loc:255 skipped nothing");
+        assert!(s.admitted() >= 4096 * 255);
     }
 
     #[test]

@@ -152,9 +152,7 @@ fn merge_governor(
     a.final_rung = a.final_rung.max(b.final_rung);
     a.decisions += b.decisions;
     a.peak_assessed_bytes = a.peak_assessed_bytes.max(b.peak_assessed_bytes);
-    for (x, y) in a.engaged.iter_mut().zip(b.engaged) {
-        *x += y;
-    }
+    a.engaged += b.engaged;
     a
 }
 

@@ -11,7 +11,6 @@ use std::sync::{Arc, Mutex};
 
 use dgrace_detectors::snap::SectionError;
 use dgrace_detectors::{Detector, DetectorExt, RaceKind, RaceReport, Report, ShardableDetector};
-use dgrace_shadow::PressureLevel;
 use dgrace_trace::{Addr, Event, LockId, SnapshotReader, SnapshotWriter};
 use dgrace_vc::{Epoch, Tid};
 
@@ -20,7 +19,6 @@ use dgrace_vc::{Epoch, Tid};
 pub struct Seen {
     pub events: u64,
     pub budget: Option<Option<u64>>,
-    pub pressure: Option<PressureLevel>,
     pub restored: Option<Vec<u8>>,
 }
 
@@ -75,9 +73,6 @@ impl Detector for Probe {
     fn set_shadow_budget(&mut self, bytes: Option<u64>) {
         self.seen().budget = Some(bytes);
     }
-    fn set_pressure(&mut self, level: PressureLevel) {
-        self.seen().pressure = Some(level);
-    }
     fn write_section(&self, w: &mut SnapshotWriter) -> bool {
         w.blob(PROBE_STATE);
         true
@@ -109,12 +104,6 @@ pub fn assert_reaches_the_probe<W: Detector>(layer: &str, wrap: impl FnOnce(Prob
     // Set on the outside, observed inside.
     det.set_shadow_budget(Some(77));
     assert_eq!(seen().budget, Some(Some(77)), "{layer}: set_shadow_budget");
-    det.set_pressure(PressureLevel::High);
-    assert_eq!(
-        seen().pressure,
-        Some(PressureLevel::High),
-        "{layer}: set_pressure"
-    );
     det.on_event(&Event::Acquire {
         tid: Tid(0),
         lock: LockId(0),

@@ -76,7 +76,6 @@ fn governed<D: Detector>(d: D) -> Governed<D> {
         GovernorSpec {
             limit: 256,
             interval: 2,
-            sample: SampleSpec::parse("loc:1").unwrap(),
         },
     )
 }

@@ -50,7 +50,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dgrace_detectors::SampleSpec;
-use dgrace_shadow::{process_gauge, PressureLevel, Watermarks};
+use dgrace_shadow::{process_gauge, Watermarks};
 
 /// Server tuning and robustness policy. Every knob has a sane default;
 /// construct with [`ServerConfig::new`] and override fields as needed.
@@ -86,12 +86,12 @@ pub struct ServerConfig {
     /// [`ServerConfig::checkpoint_dir`] is reconstructed from it and the
     /// client is told the covered offset to skip.
     pub resume: bool,
-    /// Process-wide accounted-memory cap (the governor ladder's server
-    /// rung). New sessions get a fair share (`limit / max_sessions`) as
-    /// their per-session governor quota; once the process gauge crosses
-    /// the high watermark new admissions run on the sampling tier, and
-    /// past the critical watermark new connections are shed with
-    /// `OVERLOADED`. `None` disables memory-based admission control.
+    /// Process-wide accounted-memory cap. New sessions get a fair share
+    /// (`limit / max_sessions`) as their per-session governor quota;
+    /// once the process gauge crosses the high watermark new admissions
+    /// run on the sampling tier, and past the critical watermark new
+    /// connections are shed with `OVERLOADED`. `None` disables
+    /// memory-based admission control.
     pub memory_limit: Option<u64>,
     /// Credit window granted at the handshake, in events.
     pub credits: u32,
@@ -187,20 +187,18 @@ pub(crate) enum Tier {
 /// The admission ladder, decided once per connection at accept with
 /// `active` live sessions not counting this one: shed at `max_sessions`
 /// or with the process gauge at the critical watermark of
-/// `memory_limit` (governor rung 4); sample from `degrade_sessions` on
+/// `memory_limit`; sample from `degrade_sessions` on
 /// or with the gauge past the high watermark; otherwise full analysis.
 fn admission(cfg: &ServerConfig, active: u64) -> Tier {
-    let pressure = cfg.memory_limit.map_or(PressureLevel::None, |lim| {
-        Watermarks::for_limit(lim).level(process_gauge().total())
-    });
-    let memory = pressure == PressureLevel::Critical;
+    let marks = cfg.memory_limit.map(Watermarks::for_limit);
+    let gauge = process_gauge().total();
+    let memory = marks.is_some_and(|w| gauge >= w.critical);
     if active >= cfg.max_sessions as u64 || memory {
         return Tier::Shed { memory };
     }
+    let high = marks.is_some_and(|w| gauge >= w.high);
     match &cfg.degrade_sample {
-        Some(spec) if active >= cfg.degrade_sessions as u64 || pressure >= PressureLevel::High => {
-            Tier::Sampled(spec.clone())
-        }
+        Some(spec) if active >= cfg.degrade_sessions as u64 || high => Tier::Sampled(spec.clone()),
         _ => Tier::Full,
     }
 }

@@ -322,15 +322,13 @@ fn render_report(
     if let Some(g) = &report.governor {
         s.push_str(&format!(
             ",\"governor\":{{\"limit\":{},\"peak_rung\":{},\"final_rung\":{},\"decisions\":{},\
-             \"peak_assessed_bytes\":{},\"engaged\":[{},{},{}],\"transitions\":{}}}",
+             \"peak_assessed_bytes\":{},\"engaged\":{},\"transitions\":{}}}",
             g.limit,
             g.peak_rung,
             g.final_rung,
             g.decisions,
             g.peak_assessed_bytes,
-            g.engaged[0],
-            g.engaged[1],
-            g.engaged[2],
+            g.engaged,
             g.transitions.len()
         ));
     }

@@ -2,70 +2,25 @@
 //!
 //! Two cooperating layers share these types:
 //!
-//! * **Deterministic ladder** (`dgrace_detectors::Governed`): each shard
+//! * **Deterministic cap** (`dgrace_detectors::Governed`): each shard
 //!   assesses *its own modeled bytes* against a per-shard quota at fixed
-//!   event-count decision points, and climbs/descends the pressure
-//!   ladder — evict, coarsen, sample. Only shard-local deterministic
-//!   inputs feed those decisions, so governed runs replay byte-identically
-//!   across the funnel and pipeline paths.
+//!   event-count decision points and, past the soft watermark, has its
+//!   detector evict cold shadow state down to that watermark. Only
+//!   shard-local deterministic inputs feed those decisions, so governed
+//!   runs replay byte-identically across the funnel and pipeline paths.
 //! * **Process gauge** (this module's [`ProcessGauge`]): a global set of
-//!   atomic byte counters that every allocation-owning component —
-//!   shadow stores, vector-clock arenas, pipeline ring lanes, server
-//!   session buffers — taps into. The gauge powers *reporting* and the
-//!   server's admission shedding (rung 4), where cross-thread timing
-//!   already makes determinism impossible; it is never consulted by the
-//!   per-shard ladder.
+//!   atomic byte counters. `Governed` publishes its detector's modeled
+//!   shadow and clock bytes at each decision point, and the pipeline's
+//!   ring lanes and the server's session buffers add their segment
+//!   buffers. The gauge feeds the server's admission (sample past the
+//!   high watermark, shed past the critical one), where cross-thread
+//!   timing already makes determinism impossible; it is never consulted
+//!   by the per-shard cap.
 //!
-//! Watermarks divide a byte limit into four [`PressureLevel`] bands with
-//! hysteresis handled by the ladder's de-escalation slack (see
-//! [`Watermarks::release_floor`]).
+//! [`Watermarks`] carve those thresholds out of a byte limit, with the
+//! cap's hysteresis in [`Watermarks::release_floor`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Pressure bands over a byte limit, lowest to highest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PressureLevel {
-    /// Below the soft watermark: no response.
-    None,
-    /// Soft watermark crossed: evict cold shadow state.
-    Soft,
-    /// High watermark crossed: coarsen granularity in the dynamic plane.
-    High,
-    /// Critical watermark crossed: sample new admissions / shed sessions.
-    Critical,
-}
-
-impl PressureLevel {
-    /// The ladder rung ordinal (0–3).
-    pub fn rung(self) -> u8 {
-        match self {
-            PressureLevel::None => 0,
-            PressureLevel::Soft => 1,
-            PressureLevel::High => 2,
-            PressureLevel::Critical => 3,
-        }
-    }
-
-    /// Inverse of [`PressureLevel::rung`]; saturates at `Critical`.
-    pub fn from_rung(rung: u8) -> Self {
-        match rung {
-            0 => PressureLevel::None,
-            1 => PressureLevel::Soft,
-            2 => PressureLevel::High,
-            _ => PressureLevel::Critical,
-        }
-    }
-
-    /// Short lower-case label for reports and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            PressureLevel::None => "none",
-            PressureLevel::Soft => "soft",
-            PressureLevel::High => "high",
-            PressureLevel::Critical => "critical",
-        }
-    }
-}
 
 /// Soft watermark numerator over a limit of 100 (60%).
 pub const SOFT_PCT: u64 = 60;
@@ -74,17 +29,16 @@ pub const HIGH_PCT: u64 = 80;
 /// Critical watermark numerator over a limit of 100 (95%).
 pub const CRITICAL_PCT: u64 = 95;
 
-/// The three byte thresholds carved out of a limit, plus the hysteresis
-/// slack applied on de-escalation.
+/// The three byte thresholds carved out of a limit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watermarks {
     /// The full byte limit the watermarks divide.
     pub limit: u64,
-    /// 60% of the limit: engage rung 1 (evict).
+    /// 60% of the limit: a governed shard evicts cold state down to it.
     pub soft: u64,
-    /// 80% of the limit: engage rung 2 (coarsen).
+    /// 80% of the limit: the server samples new sessions.
     pub high: u64,
-    /// 95% of the limit: engage rung 3 (sample) / shed sessions.
+    /// 95% of the limit: the server sheds new sessions.
     pub critical: u64,
 }
 
@@ -99,35 +53,11 @@ impl Watermarks {
         }
     }
 
-    /// The pressure band `bytes` falls in.
-    pub fn level(&self, bytes: u64) -> PressureLevel {
-        if bytes >= self.critical {
-            PressureLevel::Critical
-        } else if bytes >= self.high {
-            PressureLevel::High
-        } else if bytes >= self.soft {
-            PressureLevel::Soft
-        } else {
-            PressureLevel::None
-        }
-    }
-
-    /// The byte threshold that engages `level` (0 for `None`).
-    pub fn engage_at(&self, level: PressureLevel) -> u64 {
-        match level {
-            PressureLevel::None => 0,
-            PressureLevel::Soft => self.soft,
-            PressureLevel::High => self.high,
-            PressureLevel::Critical => self.critical,
-        }
-    }
-
-    /// De-escalation floor for `level`: the ladder steps down from
-    /// `level` only once assessed bytes fall below the engaging
-    /// watermark minus a sixteenth of the limit. The slack prevents
-    /// rung flapping when usage hovers at a watermark.
-    pub fn release_floor(&self, level: PressureLevel) -> u64 {
-        self.engage_at(level).saturating_sub(self.limit / 16)
+    /// The bytes below which an engaged cap lets go: the soft watermark
+    /// minus a sixteenth of the limit: hysteresis against flapping when
+    /// usage hovers at the watermark.
+    pub fn release_floor(&self) -> u64 {
+        self.soft.saturating_sub(self.limit / 16)
     }
 }
 
@@ -246,13 +176,6 @@ mod tests {
         assert_eq!(w.soft, 600);
         assert_eq!(w.high, 800);
         assert_eq!(w.critical, 950);
-        assert_eq!(w.level(0), PressureLevel::None);
-        assert_eq!(w.level(599), PressureLevel::None);
-        assert_eq!(w.level(600), PressureLevel::Soft);
-        assert_eq!(w.level(800), PressureLevel::High);
-        assert_eq!(w.level(949), PressureLevel::High);
-        assert_eq!(w.level(950), PressureLevel::Critical);
-        assert_eq!(w.level(u64::MAX), PressureLevel::Critical);
     }
 
     #[test]
@@ -263,25 +186,9 @@ mod tests {
 
     #[test]
     fn release_floor_sits_below_the_watermark() {
-        let w = Watermarks::for_limit(1600);
-        // limit/16 = 100 of slack under each engaging watermark.
-        assert_eq!(w.release_floor(PressureLevel::Soft), 960 - 100);
-        assert_eq!(w.release_floor(PressureLevel::High), 1280 - 100);
-        assert_eq!(w.release_floor(PressureLevel::Critical), 1520 - 100);
-        assert_eq!(w.release_floor(PressureLevel::None), 0);
-    }
-
-    #[test]
-    fn rung_round_trips() {
-        for l in [
-            PressureLevel::None,
-            PressureLevel::Soft,
-            PressureLevel::High,
-            PressureLevel::Critical,
-        ] {
-            assert_eq!(PressureLevel::from_rung(l.rung()), l);
-        }
-        assert_eq!(PressureLevel::from_rung(200), PressureLevel::Critical);
+        // limit/16 = 100 of slack under the soft watermark.
+        assert_eq!(Watermarks::for_limit(1600).release_floor(), 960 - 100);
+        assert_eq!(Watermarks::for_limit(10).release_floor(), 6);
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod table;
 
 pub use accounting::{MemClass, MemoryModel};
 pub use chunk::Victims;
-pub use governor::{process_gauge, MemComponent, PressureLevel, ProcessGauge, Watermarks};
+pub use governor::{process_gauge, MemComponent, ProcessGauge, Watermarks};
 pub use hash::{FastMap, FibBuildHasher, FibHasher};
 pub use paged::PagedShadow;
 pub use slab::{Slab, SlabId};

@@ -32,9 +32,10 @@ pub const STATE_MAGIC: [u8; 4] = *b"DGSS";
 /// Version 3 is one header, the stack's name, then one tagged section
 /// per layer (`dgrace_detectors::snap::Section`). Version 4 drops the
 /// per-thread same-epoch bitmaps from the happens-before state, version 5
-/// the fixed-granularity detectors' own from their section. Older
-/// snapshots are refused, not migrated.
-pub const STATE_VERSION: u32 = 5;
+/// the fixed-granularity detectors' own from their section, version 6 the
+/// memory governor's sampler and its per-rung counters from its section.
+/// Older snapshots are refused, not migrated.
+pub const STATE_VERSION: u32 = 6;
 /// Magic prefix for run-level checkpoint manifests.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DGCP";
 /// Current checkpoint manifest format version: a manifest ends with a

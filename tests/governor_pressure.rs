@@ -2,13 +2,14 @@
 //!
 //! The governor's contract is *deterministic graceful degradation*: a
 //! run under `--memory-limit` must (a) complete instead of aborting,
-//! (b) walk the same pressure-ladder rungs at the same event offsets on
-//! every engine and every repetition, and (c) be invisible — bit for
-//! bit — when the limit gives full headroom. These tests drive the
-//! library API the CLI wraps, across the funnel and SPSC-pipeline
-//! engines at 1/2/4 shards, over a workload × detector × cap matrix.
+//! (b) engage and release its eviction at the same event offsets on
+//! every engine and every repetition, (c) be invisible — bit for bit —
+//! when the limit gives full headroom, and (d) never thin the access
+//! stream. These tests drive the library API the CLI wraps, across the
+//! funnel and SPSC-pipeline engines at 1/2/4 shards, over a workload ×
+//! detector × cap matrix.
 
-use dgrace::detectors::{race_signature, FastTrack, Governed, GovernorSpec};
+use dgrace::detectors::{race_signature, FastTrack, Governed, GovernorSpec, ShardableDetector};
 use dgrace::prelude::DynamicGranularity;
 use dgrace::runtime::{replay_pipelined, replay_sharded};
 use dgrace::trace::{Addr, Trace};
@@ -76,8 +77,7 @@ fn full_headroom_is_bit_identical_to_ungoverned() {
 
 /// Workloads whose races stay hot (the racing cells are re-touched
 /// throughout the run) must come through a 50% cap with the race set
-/// fully intact: rung-1 eviction only sheds cold state, and rungs 2–3
-/// only coarsen/sample *new* admissions.
+/// fully intact: eviction only sheds cold state.
 #[test]
 fn half_cap_completes_with_hot_races_intact() {
     for name in ["facesim", "streamcluster", "canneal"] {
@@ -205,8 +205,8 @@ fn synthetic_pressure_matrix_survives_tight_caps() {
             assert_eq!(c.stats.events, trace.len() as u64, "{name} @{pct}%");
         }
 
-        // The tightest cap must actually exercise the ladder somewhere
-        // in the matrix — otherwise the cells above proved nothing.
+        // The tightest cap must actually engage somewhere in the
+        // matrix — otherwise the cells above proved nothing.
         let tight = Governed::new(
             FastTrack::new(),
             GovernorSpec::for_limit((peak * 15 / 100).max(1), 2),
@@ -214,5 +214,48 @@ fn synthetic_pressure_matrix_survives_tight_caps() {
         let rep = replay_sharded(&tight, &trace, 2);
         let g = rep.governor.expect("15% cap engages the ladder");
         assert!(g.peak_rung >= 1, "{name}: tight cap never engaged");
+    }
+}
+
+/// A cap evicts; it never thins the access stream. At a quarter of the
+/// ungoverned peak every report of both detectors, on both transports and
+/// every shard count, has sampled nothing, and `canneal`, whose races stay
+/// hot, keeps its race set.
+#[test]
+fn a_cap_never_thins_the_access_stream() {
+    for (name, scale) in [("canneal", 0.5), ("dedup", 0.4)] {
+        let trace = gen(name, scale);
+        let limit = (ungoverned_peak(&trace) / 4).max(1);
+        let keeps_races = name == "canneal";
+        let at = format!("{name} byte");
+        assert_never_thins(&at, &trace, limit, FastTrack::new, keeps_races);
+        let at = format!("{name} dynamic");
+        assert_never_thins(&at, &trace, limit, DynamicGranularity::new, keeps_races);
+    }
+}
+
+fn assert_never_thins<D: ShardableDetector>(
+    at: &str,
+    trace: &Trace,
+    limit: u64,
+    make: impl Fn() -> D,
+    keeps_races: bool,
+) {
+    for shards in [1usize, 2, 4] {
+        let plain = replay_sharded(&make(), trace, shards);
+        let proto = Governed::new(make(), GovernorSpec::for_limit(limit, shards));
+        let funnel = replay_sharded(&proto, trace, shards);
+        let rings = replay_pipelined(&proto, trace, shards);
+        for (engine, rep) in [("funnel", funnel), ("rings", rings)] {
+            let at = format!("{at} shards={shards} {engine}");
+            assert!(rep.governor.is_some(), "{at}: the cap engages");
+            assert_eq!(rep.stats.events, trace.len() as u64, "{at}");
+            assert_eq!(rep.stats.accesses, plain.stats.accesses, "{at}");
+            assert_eq!(rep.stats.sample_admitted, 0, "{at}");
+            assert_eq!(rep.stats.sample_skipped, 0, "{at}");
+            if keeps_races {
+                assert_eq!(race_signature(&rep), race_signature(&plain), "{at}");
+            }
+        }
     }
 }
