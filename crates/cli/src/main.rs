@@ -43,12 +43,11 @@ use dgrace_runtime::{
 };
 use dgrace_server::{Client, ClientError, Server, ServerConfig};
 use dgrace_trace::io::{
-    read_trace_with, summary_from_bytes, summary_to_bytes, write_trace, EventReader, BLOCK_EVENTS,
+    read_trace_with, summary_from_bytes, summary_to_bytes, write_trace, EventReader,
 };
 use dgrace_trace::{
-    stats::stats, validate, AnalysisSummary, BlockReader, DecodeLimits, DecodeStats, Event,
-    Fingerprint, LocationClass, PruneSet, ReadOptions, Trace, TraceError, ValidationError,
-    Validator,
+    stats::stats, validate, AnalysisSummary, BlockReader, DecodeLimits, DecodeStats, LocationClass,
+    PruneSet, ReadOptions, Trace, TraceError, TraceFacts, ValidationError,
 };
 use dgrace_workloads::{Workload, WorkloadKind};
 
@@ -479,41 +478,55 @@ fn decode_failure(path: &str, e: &TraceError, resync_available: bool) -> Failure
     Failure::Decode(format!("decode {path}: {e}{hint}"))
 }
 
-/// The trace `detect` was pointed at, which it reads twice. A regular
-/// file is opened again for every pass. Anything else — a pipe,
-/// `/dev/stdin`, a process substitution — yields its bytes only once, so
-/// they are kept: the encoded stream (9–21 bytes a record), never the
-/// decoded events.
+/// The trace `detect` was pointed at. It is read once, except in the
+/// modes that need a fact about the whole trace before the first event
+/// (DESIGN.md §9.2), which scan it first. A regular file is opened again
+/// for the second pass. Anything else — a pipe, `/dev/stdin`, a process
+/// substitution — yields its bytes only once: read once, it is decoded
+/// straight from the stream; scanned, its bytes are kept for both passes
+/// (the encoded stream, 9–21 bytes a record, never the decoded events).
 struct TraceInput<'p> {
     path: &'p str,
-    /// The stream's bytes, when the path cannot be opened a second time.
+    /// The input as opened, until a pass takes it.
+    file: Option<File>,
+    /// The stream's bytes, when a scanned input cannot be opened a
+    /// second time.
     spooled: Option<Vec<u8>>,
 }
 
 impl<'p> TraceInput<'p> {
-    fn of(path: &'p str) -> Result<Self, Failure> {
+    fn of(path: &'p str, scanned: bool) -> Result<Self, Failure> {
         let mut f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
-        let spooled = if f.metadata().is_ok_and(|m| m.is_file()) {
-            None
-        } else {
-            let mut bytes = Vec::new();
-            f.read_to_end(&mut bytes)
-                .map_err(|e| decode_failure(path, &TraceError::Io(e), false))?;
-            Some(bytes)
-        };
-        Ok(TraceInput { path, spooled })
+        if !scanned || f.metadata().is_ok_and(|m| m.is_file()) {
+            return Ok(TraceInput {
+                path,
+                file: Some(f),
+                spooled: None,
+            });
+        }
+        let mut bytes = Vec::new();
+        f.read_to_end(&mut bytes)
+            .map_err(|e| decode_failure(path, &TraceError::Io(e), false))?;
+        Ok(TraceInput {
+            path,
+            file: None,
+            spooled: Some(bytes),
+        })
     }
 
-    /// Starts a pass: a decoder at the first byte, header checked.
-    fn open(&self, resync: bool) -> Result<EventReader<Box<dyn Read + '_>>, Failure> {
+    /// Starts a pass: a validating reader at the first event, header
+    /// checked.
+    fn open(&mut self, resync: bool) -> Result<BlockReader<Box<dyn Read + '_>>, Failure> {
         let path = self.path;
-        let bytes: Box<dyn Read + '_> = match &self.spooled {
-            Some(bytes) => Box::new(&bytes[..]),
-            None => {
+        let bytes: Box<dyn Read + '_> = match (&self.spooled, self.file.take()) {
+            (Some(bytes), _) => Box::new(&bytes[..]),
+            (None, Some(f)) => Box::new(f),
+            (None, None) => {
                 Box::new(File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?)
             }
         };
         EventReader::with_options(bytes, read_options(resync))
+            .map(BlockReader::new)
             .map_err(|e| decode_failure(path, &e, !resync))
     }
 }
@@ -534,7 +547,7 @@ fn check_decoded(
     path: &str,
     resync: bool,
     dstats: &DecodeStats,
-    valid: Result<(), ValidationError>,
+    valid: &Result<(), ValidationError>,
 ) -> Result<(), Failure> {
     if dstats.lossy() {
         eprintln!(
@@ -564,71 +577,56 @@ fn load_trace(path: &str, resync: bool) -> Result<Trace, Failure> {
     let mut f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
     let (trace, dstats) = read_trace_with(&mut f, read_options(resync))
         .map_err(|e| decode_failure(path, &e, !resync))?;
-    check_decoded(path, resync, &dstats, validate(&trace))?;
+    check_decoded(path, resync, &dstats, &validate(&trace))?;
     Ok(trace)
 }
 
-/// What `detect` knows about its trace before the first event is fed.
-struct TraceFacts {
-    /// Events the file decodes to (under `--resync`, what survived).
-    events: u64,
-    /// Max thread id + 1.
-    threads: usize,
-    /// Decode-loss counters, for stderr and `--json`.
-    dstats: DecodeStats,
-    /// Content fingerprint, taken only when a summary has to be checked
-    /// against it.
-    fingerprint: Option<u64>,
-}
-
-/// The first pass of `detect` over its trace: decodes and validates the
-/// whole file a block at a time, so that everything that can be wrong
-/// with the input is reported — decode errors first, as when the file
-/// was loaded whole — before the detector sees an event.
-fn scan(input: &TraceInput, resync: bool, fingerprint: bool) -> Result<TraceFacts, Failure> {
-    let path = input.path;
-    let mut reader = input.open(resync)?;
-    let mut block = Vec::with_capacity(BLOCK_EVENTS);
-    let mut validator = Validator::new();
-    let mut valid = Ok(());
-    let mut fingerprint = fingerprint.then(Fingerprint::new);
-    let mut max_tid = None;
-    loop {
-        block.clear();
-        let n = reader
-            .read_block(&mut block, BLOCK_EVENTS)
-            .map_err(|e| decode_failure(path, &e, !resync))?;
-        if n == 0 {
-            break;
-        }
-        if valid.is_ok() {
-            valid = block.iter().try_for_each(|ev| validator.step(ev));
-        }
-        if let Some(fp) = fingerprint.as_mut() {
-            fp.update(&block);
-        }
-        max_tid = max_tid.max(block.iter().flat_map(Event::tids).max());
-    }
-    let dstats = reader.stats();
-    check_decoded(path, resync, &dstats, valid)?;
-    Ok(TraceFacts {
-        events: dstats.decoded,
-        threads: max_tid.map_or(0, |t| t.index() + 1),
-        dstats,
-        fingerprint: fingerprint.map(Fingerprint::finish),
-    })
-}
-
-/// The second pass: the scanned file as the source a detector is fed
-/// from. A file that no longer decodes to the events the scan counted
-/// fails the feed as a decode error.
-fn open_source<'i>(
-    input: &'i TraceInput,
+/// The end of a pass that tallies the trace: reads what is left of it
+/// (nothing, after a run fed it to the end), then hands the facts on
+/// once `check_decoded` has passed them — decode errors first.
+fn settle(
+    path: &str,
     resync: bool,
-    facts: &TraceFacts,
-) -> Result<BlockReader<Box<dyn Read + 'i>>, Failure> {
+    mut source: BlockReader<impl Read>,
+) -> Result<TraceFacts, Failure> {
+    source
+        .drain()
+        .map_err(|e| decode_failure(path, &e, !resync))?;
+    let facts = source.finish().expect("a reader nobody counted tallies");
+    check_decoded(path, resync, &facts.dstats, &facts.valid)?;
+    Ok(facts)
+}
+
+/// `e`, a failure to build the detector, unless the trace has a defect
+/// to report first: a one-pass run meets its trace's defects only after
+/// building the detector, and they are reported as if the trace had
+/// been read first, as a scanned run reads it.
+fn trace_first(
+    e: Failure,
+    path: &str,
+    resync: bool,
+    scanned: bool,
+    source: BlockReader<impl Read>,
+) -> Failure {
+    if scanned {
+        return e;
+    }
+    settle(path, resync, source).err().unwrap_or(e)
+}
+
+/// The first pass of a scanned `detect` (DESIGN.md §9.2): the reader the
+/// detector would be fed from, drained with no detector, so everything
+/// that can be wrong with the input is reported before the detector sees
+/// an event.
+fn scan(input: &mut TraceInput, resync: bool, fingerprint: bool) -> Result<TraceFacts, Failure> {
+    let path = input.path;
     let reader = input.open(resync)?;
-    Ok(BlockReader::new(reader, facts.events))
+    let reader = if fingerprint {
+        reader.fingerprinted()
+    } else {
+        reader
+    };
+    settle(path, resync, reader)
 }
 
 /// Prototype for the sharded engine, for the detectors that support
@@ -721,16 +719,17 @@ fn parse_interval(v: &str) -> Result<CheckpointInterval, Failure> {
 }
 
 /// Maps a replay failure onto the stable exit-code classes: i/o trouble
-/// reading the trace or writing/reading checkpoints is exit 3, a torn or
-/// truncated manifest — or a trace that stopped decoding between the
-/// scan and the feed — is exit 4 (decode), and resuming against the
-/// wrong detector, shard count, or trace is exit 5 (validation).
-fn replay_failure(path: &str, e: ReplayError) -> Failure {
+/// writing or reading checkpoints is exit 3, a torn or truncated
+/// manifest is exit 4 (decode), a trace that fails to read or decode
+/// part way is the decode failure the serial path reports, and resuming
+/// against the wrong detector, shard count, or trace is exit 5
+/// (validation).
+fn replay_failure(path: &str, resync: bool, e: ReplayError) -> Failure {
     match e {
         ReplayError::Io(m) => Failure::Io(m),
         ReplayError::Corrupt(m) => Failure::Decode(m),
         ReplayError::Mismatch(m) => Failure::Invalid(m),
-        ReplayError::Source(m) => Failure::Decode(format!("decode {path}: {m}")),
+        ReplayError::Source(e) => decode_failure(path, &e, !resync),
     }
 }
 
@@ -777,12 +776,28 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         .map_err(Failure::Usage)?;
 
     let resync = p.flag("--resync");
-    let input = TraceInput::of(path)?;
-    let facts = scan(&input, resync, p.opt("--prune-with").is_some())?;
-    let prune = match p.opt("--prune-with") {
-        Some(sp) => compile_prune(det_name, &load_summary(sp, &facts)?)?,
-        None => PruneSet::empty(),
+    let prune_with = p.opt("--prune-with");
+    let ckpt_some = ckpt_dir.is_some() || resume_dir.is_some();
+    // The modes that need a fact about the whole trace before its first
+    // event scan it first (DESIGN.md §9.2): a checkpoint manifest records
+    // the trace's length and a resume checks it, the interrupted-run
+    // message of a supervised run names it, and a summary must be found
+    // fresh before pruning starts. Every other run reads its trace once.
+    let scanned = ckpt_some || self_heal || prune_with.is_some();
+    let mut input = TraceInput::of(path, scanned)?;
+    let scanned_facts = if scanned {
+        Some(scan(&mut input, resync, prune_with.is_some())?)
+    } else {
+        None
     };
+    let prune = match (prune_with, &scanned_facts) {
+        (Some(sp), Some(facts)) => compile_prune(det_name, &load_summary(sp, facts)?)?,
+        _ => PruneSet::empty(),
+    };
+    let mut source = input.open(resync)?;
+    if let Some(facts) = &scanned_facts {
+        source = source.expecting(facts.events);
+    }
 
     let stack = Stack {
         sample,
@@ -791,12 +806,14 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     };
 
     let start = std::time::Instant::now();
-    let ckpt_some = ckpt_dir.is_some() || resume_dir.is_some();
     let report = if ckpt_some || self_heal || shards > 1 || pipeline {
         // The engine path: sharded replay (1 shard is fine) on either
         // transport, with optional durable checkpoints, crash resume and
         // a self-healing supervisor.
-        let proto = stack.wrap(make_shardable(det_name)?, |d| Box::new(d), |d| Box::new(d));
+        let proto = match make_shardable(det_name) {
+            Ok(proto) => stack.wrap(proto, |d| Box::new(d), |d| Box::new(d)),
+            Err(e) => return Err(trace_first(e, path, resync, scanned, source)),
+        };
         let resume = match &resume_dir {
             Some(d) => {
                 let file = d.join(CHECKPOINT_FILE);
@@ -836,23 +853,27 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
             // report (exit 9) instead of dying mid-trace.
             stop: (ckpt_some || self_heal).then(signals::install_stop_flag),
         };
-        let source = open_source(&input, resync, &facts)?;
-        replay(proto, source, &plan).map_err(|e| replay_failure(path, e))?
+        replay(proto, &mut source, &plan).map_err(|e| replay_failure(path, resync, e))?
     } else {
         // The direct serial path: the only one the non-shardable
         // detectors (oracle, segment, hybrid, lockset) can run on.
-        let mut det = stack.wrap(
-            make_detector(det_name, memory_limit.is_some())?,
-            |d| Box::new(d),
-            |d| Box::new(d),
-        );
-        let source = open_source(&input, resync, &facts)?;
+        let mut det = match make_detector(det_name, memory_limit.is_some()) {
+            Ok(det) => stack.wrap(det, |d| Box::new(d), |d| Box::new(d)),
+            Err(e) => return Err(trace_first(e, path, resync, scanned, source)),
+        };
         if prune.is_empty() {
-            det.run_source(source)
+            det.run_source(&mut source)
         } else {
-            StaticPruneFilter::new(det, prune).run_source(source)
+            StaticPruneFilter::new(det, prune).run_source(&mut source)
         }
-        .map_err(|e| replay_failure(path, e.into()))?
+        .map_err(|e| decode_failure(path, &e, !resync))?
+    };
+    // A run that read its trace once learns here what a scan would have
+    // reported before it started; its report is not printed unless the
+    // trace passes.
+    let facts = match scanned_facts {
+        Some(facts) => facts,
+        None => settle(path, resync, source)?,
     };
     let secs = start.elapsed().as_secs_f64();
     if json_out {

@@ -1,7 +1,10 @@
-//! `dgrace detect` reads its trace twice — a scan, then the feed — and
-//! never holds it whole. Everything that can be wrong with the input
-//! must still be reported by the scan, before any detection happens:
-//! same exit code, same message, nothing on stdout, no side effects.
+//! `dgrace detect` never holds its trace whole. It reads it once, and
+//! validates each block before the detector sees it; only the modes
+//! that need a whole-trace fact first (checkpoints, resume, self-heal,
+//! pruning) scan it before the feed. Either way, everything that can be
+//! wrong with the input is reported as if the whole file had been read
+//! before detection: same exit code, same message, nothing on stdout,
+//! no side effects.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -506,4 +509,105 @@ fn the_last_address_has_no_successor() {
                      \"current\": {\"tid\": 1, \"clock\": 1}, \"previous\": {\"tid\": 0, \"clock\": 2}, \
                      \"share_count\": 1, \"tainted\": false}";
     assert!(report.contains(untainted), "{report}");
+}
+
+/// The three ways a one-pass run can meet its input: the serial path in
+/// text and in JSON, and the engine on the ring transport.
+const ONE_PASS: [&[&str]; 3] = [&[], &["--json"], &["--shards", "2", "--pipeline"]];
+
+/// `racy_trace(6000)` with a release of a lock nobody holds inserted as
+/// event `at`.
+fn with_invalid_event_at(at: usize) -> Vec<u8> {
+    let mut events = racy_trace(6000).events;
+    let mut tail = TraceBuilder::new();
+    tail.release(1u32, 77u32);
+    events.insert(at, tail.build().events[0]);
+    to_bytes(&Trace::from_events(events))
+}
+
+#[test]
+fn a_decode_error_after_an_invalid_event_wins_in_every_one_pass_mode() {
+    // The invalid event is in the first decode block, the bad tag in
+    // the second: the run stops detecting at the first, and keeps
+    // decoding to reach the second.
+    let dir = scratch("one-pass-badtag");
+    let mut bytes = with_invalid_event_at(3);
+    let at = record_offset(&bytes, 9000);
+    bytes[at] = 0xEE;
+    let path = write(&dir, "t.dgrt", &bytes);
+    for extra in ONE_PASS {
+        let out = dgrace(&[&["detect", "dynamic", &path], extra].concat());
+        assert_rejected(
+            &out,
+            4,
+            &format!(
+                "decode {path}: corrupt stream at byte {at}: unknown event tag 238 \
+                 (hint: --resync skips damaged frames and keeps the decodable rest)"
+            ),
+        );
+    }
+}
+
+#[test]
+fn a_late_invalid_event_is_exit_5_with_nothing_printed_in_every_one_pass_mode() {
+    let dir = scratch("one-pass-invalid");
+    let at = 2 * 6000 + 2;
+    let path = write(&dir, "t.dgrt", &with_invalid_event_at(at));
+    let message = format!(
+        "dgrace: {path}: invalid trace: event {at}: thread T1 releases L77 it does not hold\n"
+    );
+    for extra in ONE_PASS {
+        let out = dgrace(&[&["detect", "dynamic", &path], extra].concat());
+        assert_eq!(out.status.code(), Some(5), "{extra:?}: {}", stderr(&out));
+        assert_eq!(stderr(&out), message, "{extra:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "{extra:?}: a rejected input prints no report"
+        );
+    }
+}
+
+#[test]
+fn resync_warns_of_loss_and_of_an_invalid_schedule_in_every_one_pass_mode() {
+    // A corrupt record and an invalid event: under --resync both are
+    // warnings, and the run reports on what decoded, invalid event
+    // included — as the scanned run (here: the same run with a
+    // checkpoint directory) does, having read the whole file first.
+    let dir = scratch("one-pass-resync");
+    let mut bytes = with_invalid_event_at(5000);
+    let at = record_offset(&bytes, 9000);
+    bytes[at] = 0xEE;
+    let path = write(&dir, "t.dgrt", &bytes);
+    // Everything but the `time` line, which varies from run to run.
+    let report = |out: &Output| {
+        let report = String::from_utf8_lossy(&out.stdout).into_owned();
+        let lines = report.lines().filter(|l| !l.starts_with("time "));
+        lines.collect::<Vec<_>>().join("\n")
+    };
+    for (n, extra) in ONE_PASS.into_iter().enumerate() {
+        let run = [&["detect", "dynamic", &path, "--resync"], extra].concat();
+        let once = dgrace(&run);
+        assert_eq!(once.status.code(), Some(0), "{extra:?}: {}", stderr(&once));
+        let err = stderr(&once);
+        let lines: Vec<&str> = err.lines().collect();
+        assert_eq!(lines.len(), 2, "{extra:?}: {err}");
+        assert!(
+            lines[0].starts_with(&format!("dgrace: warning: {path}: resync dropped ")),
+            "{err}"
+        );
+        assert!(
+            lines[1].starts_with(&format!(
+                "dgrace: warning: {path}: recovered trace fails validation ("
+            )),
+            "{err}"
+        );
+        assert!(!once.stdout.is_empty(), "{extra:?}: a report");
+
+        let ckpt = dir.join(format!("ckpt-{n}"));
+        let ckpt = ["--checkpoint-dir", ckpt.to_str().unwrap()];
+        let scanned = dgrace(&[&run[..], &ckpt].concat());
+        assert_eq!(scanned.status.code(), Some(0), "{}", stderr(&scanned));
+        assert_eq!(stderr(&scanned), err, "{extra:?}");
+        assert_eq!(report(&once), report(&scanned), "{extra:?}");
+    }
 }

@@ -13,8 +13,9 @@
 //! judged against correct happens-before state.
 //!
 //! Every decision is a pure function of `(seed, granule count,
-//! address)` — there is no stateful RNG. Randomness comes from a
-//! splitmix64-style hash of the three, which makes sampled runs
+//! address)` — and, once a granule's counter has saturated, of the
+//! sampler's access count — there is no stateful RNG. Randomness comes
+//! from a splitmix64-style hash of these, which makes sampled runs
 //! deterministic, byte-identical across repeats, and exactly
 //! resumable: a snapshot only needs the counters. Under `full` every
 //! access is admitted and the wrapped detector's report is
@@ -270,16 +271,24 @@ impl Sampler {
                 let slot = (key >> 48) as usize;
                 let n = self.loc_counts[slot];
                 self.loc_counts[slot] = n.saturating_add(1);
-                let n = n as u64;
                 // First `budget` accesses are certain; access n (0-based)
                 // is then admitted with probability budget/(n+1) — the
                 // reservoir decay that keeps late races detectable, with
-                // a budget/256 floor once the u8 counter saturates. The
-                // draw maps onto [0, n+1) by multiply-shift (Lemire);
-                // an integer division here would dominate the decision.
-                n < budget as u64
-                    || ((mix(self.spec.seed ^ key ^ n) as u128 * (n as u128 + 1)) >> 64)
-                        < budget as u128
+                // a budget/256 floor once the u8 counter saturates. A
+                // saturated counter no longer changes from one access to
+                // the next, so the draw then also folds in `seen` (this
+                // sampler's access count, snapshotted with it): without
+                // it every later access of the granule would repeat one
+                // decision. The draw maps onto [0, n+1) by multiply-shift
+                // (Lemire); an integer division here would dominate the
+                // decision.
+                let draw = if n == u8::MAX {
+                    mix(self.spec.seed ^ key ^ n as u64) ^ self.seen
+                } else {
+                    self.spec.seed ^ key ^ n as u64
+                };
+                let n = n as u64;
+                n < budget as u64 || ((mix(draw) as u128 * (n as u128 + 1)) >> 64) < budget as u128
             }
         };
         self.admitted += ok as u64;
@@ -514,6 +523,26 @@ mod tests {
         }
         assert!(s.skipped() > 0, "loc:255 skipped nothing");
         assert!(s.admitted() >= 4096 * 255);
+    }
+
+    #[test]
+    fn a_saturated_granule_keeps_drawing() {
+        // Past the 256th access the counter stays at 255: every later
+        // access must still be its own budget/256 draw, not a repeat of
+        // one decision that admits all of them or none.
+        let mut s = Sampler::new(SampleSpec::parse("loc:2").unwrap());
+        for _ in 0..256 {
+            s.admit(0x1000);
+        }
+        let late = 10_000 - 256;
+        let admitted = (0..late).filter(|_| s.admit(0x1000)).count() as f64;
+        let p = 2.0 / 256.0;
+        let (mean, sigma) = (late as f64 * p, (late as f64 * p * (1.0 - p)).sqrt());
+        assert!(
+            (admitted - mean).abs() <= 3.0 * sigma,
+            "{admitted} of {late} admitted, expected {mean:.1} ± {:.1}",
+            3.0 * sigma
+        );
     }
 
     #[test]

@@ -80,7 +80,11 @@ pub struct RunPlan<'a> {
     /// re-fed the offending batch, within this respawn budget. With a
     /// fault-free detector the journals are recorded but never consulted.
     pub supervisor: Option<SupervisorPolicy>,
-    /// Where and how often to persist a [`CheckpointManifest`].
+    /// Where and how often to persist a [`CheckpointManifest`]. A
+    /// manifest records the source's length; one of unknown length
+    /// records the events covered so far, as a live session does, which
+    /// a resume of the whole trace then refuses — so checkpoint a source
+    /// that knows its length.
     pub checkpoint: Option<&'a CheckpointOptions>,
     /// A previously loaded manifest to continue from, written by either
     /// transport. Restoring it overwrites the router wholesale with its
@@ -158,9 +162,10 @@ fn replay_borrowed<D: ShardableDetector + ?Sized>(
 }
 
 /// Checks that a manifest matches the run it is resumed into (same
-/// detector, same shard count, same trace — a live stream passes
-/// `len: None`, its length being unknown) and restores it, returning the
-/// offset of the first event the checkpoint does not cover. Both
+/// detector, same shard count, same trace — a live stream, or a source
+/// nobody counted, passes `len: None`, its length being unknown) and
+/// restores it, returning the offset of the first event the checkpoint
+/// does not cover. Both
 /// transports and the live session go through this one check, so they
 /// reject the same mismatches — and therefore accept each other's
 /// checkpoints.
@@ -217,7 +222,7 @@ fn run(
         supervisor,
     );
     let start = match plan.resume {
-        Some(m) => resume_from(&engine, m, &det_name, Some(source.len()))?,
+        Some(m) => resume_from(&engine, m, &det_name, source.remaining())?,
         None => 0,
     };
     if let Some(c) = plan.checkpoint {
@@ -243,7 +248,7 @@ fn walk(
     mut source: impl EventSource,
     plan: &RunPlan<'_>,
 ) -> Result<Report, ReplayError> {
-    let mut driver = Driver::new(lanes, det_name, start, Some(source.len()));
+    let mut driver = Driver::new(lanes, det_name, start, source.remaining());
     driver.cadence = plan.checkpoint.map(|opts| Cadence {
         opts,
         since: 0,
@@ -417,10 +422,10 @@ pub struct CheckpointOptions {
 /// A failure of replay, split by what the caller should do about it:
 /// retry I/O, discard the checkpoint, fix the invocation, or fix the
 /// trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum ReplayError {
-    /// Filesystem trouble reading the trace or reading or writing
-    /// checkpoint state.
+    /// Filesystem trouble reading or writing checkpoint state, or a
+    /// shard's lane lost mid-run.
     Io(String),
     /// The checkpoint decoded but cannot be restored (corrupt or
     /// incomplete snapshot data).
@@ -428,16 +433,16 @@ pub enum ReplayError {
     /// The checkpoint disagrees with the requested run (different
     /// detector, shard count, or trace).
     Mismatch(String),
-    /// The event source failed to decode part way through the feed.
-    Source(String),
+    /// The event source failed part way through the walk: it could not
+    /// be read or decoded, or no longer holds what an earlier pass
+    /// counted. The error is the source's own, so the caller can render
+    /// it as it renders any other decode failure.
+    Source(TraceError),
 }
 
 impl From<TraceError> for ReplayError {
     fn from(e: TraceError) -> Self {
-        match e {
-            TraceError::Io(e) => ReplayError::Io(format!("read trace: {e}")),
-            e => ReplayError::Source(e.to_string()),
-        }
+        ReplayError::Source(e)
     }
 }
 

@@ -123,7 +123,7 @@ impl Input {
             Some(block) => {
                 let reader = EventReader::new(&self.bytes[..]).expect("header");
                 let len = self.trace.len() as u64;
-                let inner = BlockReader::with_block_events(reader, len, block);
+                let inner = BlockReader::with_block_events(reader, block).expecting(len);
                 replay(
                     proto,
                     Cut {
@@ -145,8 +145,8 @@ struct Cut<S> {
 }
 
 impl<S: EventSource> EventSource for Cut<S> {
-    fn len(&self) -> u64 {
-        self.inner.len()
+    fn remaining(&self) -> Option<u64> {
+        self.inner.remaining()
     }
     fn next_block(&mut self) -> Result<&[Event], TraceError> {
         if self.left == 0 {
@@ -404,8 +404,8 @@ struct Watched<'a> {
 }
 
 impl EventSource for &mut Watched<'_> {
-    fn len(&self) -> u64 {
-        self.inner.len()
+    fn remaining(&self) -> Option<u64> {
+        self.inner.remaining()
     }
     fn next_block(&mut self) -> Result<&[Event], TraceError> {
         self.fed_at_block.push(self.fed.load(Ordering::SeqCst));
@@ -437,7 +437,7 @@ fn funnel_flushes_a_sync_free_trace_at_every_block() {
         };
         let reader = EventReader::new(&bytes[..]).expect("header");
         let mut watched = Watched {
-            inner: BlockReader::with_block_events(reader, len, 10),
+            inner: BlockReader::with_block_events(reader, 10),
             fed: Arc::clone(&counter.fed),
             fed_at_block: Vec::new(),
         };

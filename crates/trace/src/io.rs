@@ -68,10 +68,10 @@ use dgrace_vc::Tid;
 
 use crate::snapshot::{SnapshotLimits, SnapshotReader, SnapshotWriter};
 use crate::summary::{
-    AnalysisSummary, AnalysisWarning, ClassCounts, ClassifiedRange, LocationClass, SummaryStats,
-    SUMMARY_VERSION,
+    AnalysisSummary, AnalysisWarning, ClassCounts, ClassifiedRange, Fingerprint, LocationClass,
+    SummaryStats, SUMMARY_VERSION,
 };
-use crate::{AccessSize, Addr, Event, EventSource, LockId, Trace};
+use crate::{AccessSize, Addr, Event, EventSource, LockId, Trace, ValidationError, Validator};
 
 const MAGIC: &[u8; 4] = b"DGRT";
 const VERSION: u32 = 1;
@@ -155,7 +155,9 @@ pub enum TraceError {
         actual: u32,
     },
     /// A stream read a second time did not yield the events it was
-    /// counted to hold the first time: the file changed in between.
+    /// counted to hold the first time: the file changed in between. Only
+    /// a [`BlockReader`] told the count of an earlier pass
+    /// ([`BlockReader::expecting`]) can tell.
     Changed {
         /// Events the first pass counted.
         expected: u64,
@@ -841,55 +843,158 @@ impl<R: io::Read> Iterator for EventReader<R> {
 /// that writes a block and the detector that reads it.
 pub const BLOCK_EVENTS: usize = 8192;
 
-/// An [`EventSource`] over a `.dgrt` stream: an [`EventReader`] decoding
-/// into one reused block, so memory does not grow with the trace.
+/// An [`EventSource`] over a `.dgrt` stream, and the one place a stream
+/// is checked as it is read: an [`EventReader`] decoding into one reused
+/// block, so memory does not grow with the trace.
 ///
-/// A source states its length up front, and a stream only learns its own
-/// by being read — the header's declared count is an upper bound under
-/// resync — so the length comes from whoever counted the stream before
-/// (the scan pass of `dgrace detect`). A stream that then yields a
-/// different number of events changed in between and fails with
-/// [`TraceError::Changed`].
+/// Every block is validated before it is handed out, and the reader
+/// keeps the tally a detection run reports at the end — event count,
+/// thread count, [`DecodeStats`], the schedule's first defect and, when
+/// asked for, the content [`Fingerprint`] — so one pass over the stream
+/// both feeds a detector and checks it ([`finish`](Self::finish)). A
+/// scan is the same reader [`drain`](Self::drain)ed with no detector.
+///
+/// An invalid event ends what is handed out, unless the reader resyncs
+/// (where a lossy recovery may break well-formedness and detectors
+/// tolerate that): the block holding it is withheld, and the rest of the
+/// stream is decoded without being handed out, so that a decode error
+/// anywhere in it still wins over the validation error before it.
+///
+/// A stream learns its own length only by being read — the header's
+/// declared count is an upper bound under resync — so the length is
+/// unknown unless an earlier pass counted the stream
+/// ([`expecting`](Self::expecting)).
 pub struct BlockReader<R> {
     reader: EventReader<R>,
     block: Vec<Event>,
     block_events: usize,
-    /// Events the whole stream is expected to yield.
-    expected: u64,
+    /// Events an earlier pass counted, when one did.
+    expected: Option<u64>,
+    /// What the blocks read so far showed; `None` when an earlier pass
+    /// took the tally.
+    tally: Option<Tally>,
+}
+
+/// What a [`BlockReader`] learns about a stream by reading it.
+struct Tally {
+    validator: Validator,
+    valid: Result<(), ValidationError>,
+    max_tid: Option<Tid>,
+    fingerprint: Option<Fingerprint>,
+}
+
+impl Tally {
+    /// Takes in the next block; true while the schedule is valid.
+    fn take(&mut self, block: &[Event]) -> bool {
+        if self.valid.is_ok() {
+            self.valid = block.iter().try_for_each(|ev| self.validator.step(ev));
+        }
+        if let Some(fp) = self.fingerprint.as_mut() {
+            fp.update(block);
+        }
+        self.max_tid = self.max_tid.max(block.iter().flat_map(Event::tids).max());
+        self.valid.is_ok()
+    }
+}
+
+/// What a [`BlockReader`] read to its end knows about the stream.
+#[derive(Debug)]
+pub struct TraceFacts {
+    /// Events the stream decoded to (under resync, what survived).
+    pub events: u64,
+    /// Max thread id + 1.
+    pub threads: usize,
+    /// Decode-loss counters.
+    pub dstats: DecodeStats,
+    /// Content fingerprint, when the reader was
+    /// [`fingerprinted`](BlockReader::fingerprinted).
+    pub fingerprint: Option<u64>,
+    /// The schedule's first defect, if it has one.
+    pub valid: Result<(), ValidationError>,
 }
 
 impl<R: io::Read> BlockReader<R> {
-    /// A source over `reader` (not yet read from), expected to yield
-    /// `expected` events in blocks of [`BLOCK_EVENTS`].
-    pub fn new(reader: EventReader<R>, expected: u64) -> Self {
-        Self::with_block_events(reader, expected, BLOCK_EVENTS)
+    /// A source over `reader` (not yet read from), in blocks of
+    /// [`BLOCK_EVENTS`].
+    pub fn new(reader: EventReader<R>) -> Self {
+        Self::with_block_events(reader, BLOCK_EVENTS)
     }
 
     /// [`new`](Self::new) with an explicit block size (at least 1).
-    pub fn with_block_events(reader: EventReader<R>, expected: u64, block_events: usize) -> Self {
+    pub fn with_block_events(reader: EventReader<R>, block_events: usize) -> Self {
         BlockReader {
             reader,
             block: Vec::new(),
             block_events: block_events.max(1),
-            expected,
+            expected: None,
+            tally: Some(Tally {
+                validator: Validator::new(),
+                valid: Ok(()),
+                max_tid: None,
+                fingerprint: None,
+            }),
         }
+    }
+
+    /// Also fingerprints the stream, for [`TraceFacts::fingerprint`].
+    pub fn fingerprinted(mut self) -> Self {
+        if let Some(t) = self.tally.as_mut() {
+            t.fingerprint = Some(Fingerprint::new());
+        }
+        self
+    }
+
+    /// A stream an earlier pass read to its end and counted `events` in:
+    /// its length is known, and the tally is that pass's, so this one
+    /// takes none. A stream that now yields a different number of
+    /// events changed in between and fails with [`TraceError::Changed`].
+    pub fn expecting(mut self, events: u64) -> Self {
+        self.expected = Some(events);
+        self.tally = None;
+        self
+    }
+
+    /// Reads the stream to its end with no one to hand it to: a scan.
+    pub fn drain(&mut self) -> Result<(), TraceError> {
+        while !self.next_block()?.is_empty() {}
+        Ok(())
+    }
+
+    /// The tally, once the stream has been read to its end; `None` for a
+    /// reader [`expecting`](Self::expecting) a count (the earlier pass
+    /// holds it).
+    pub fn finish(self) -> Option<TraceFacts> {
+        let dstats = self.reader.stats();
+        self.tally.map(|t| TraceFacts {
+            events: dstats.decoded,
+            threads: t.max_tid.map_or(0, |t| t.index() + 1),
+            dstats,
+            fingerprint: t.fingerprint.map(Fingerprint::finish),
+            valid: t.valid,
+        })
     }
 }
 
 impl<R: io::Read> EventSource for BlockReader<R> {
-    fn len(&self) -> u64 {
-        self.expected.saturating_sub(self.reader.decoded)
+    fn remaining(&self) -> Option<u64> {
+        self.expected.map(|e| e.saturating_sub(self.reader.decoded))
     }
 
     fn next_block(&mut self) -> Result<&[Event], TraceError> {
         self.block.clear();
         let n = self.reader.read_block(&mut self.block, self.block_events)?;
         let decoded = self.reader.decoded;
-        if decoded > self.expected || (n == 0 && decoded < self.expected) {
-            return Err(TraceError::Changed {
-                expected: self.expected,
-                decoded,
-            });
+        if let Some(expected) = self.expected {
+            if decoded > expected || (n == 0 && decoded < expected) {
+                return Err(TraceError::Changed { expected, decoded });
+            }
+        }
+        let valid = self.tally.as_mut().is_none_or(|t| t.take(&self.block));
+        if !valid && !self.reader.resync {
+            self.block.clear();
+            while self.reader.read_block(&mut self.block, self.block_events)? > 0 {
+                self.block.clear();
+            }
         }
         Ok(&self.block)
     }
@@ -1312,47 +1417,55 @@ mod tests {
         assert_eq!(stats.declared, stats.decoded);
     }
 
-    #[test]
-    fn block_reader_yields_the_trace_in_blocks_then_an_empty_one() {
-        let t = sample();
-        let bytes = to_bytes(&t);
-        let reader = EventReader::new(&bytes[..]).unwrap();
-        let mut source = BlockReader::with_block_events(reader, t.len() as u64, 3);
-        let mut events = Vec::new();
+    /// Every block `source` hands out, until the empty one.
+    fn drained<R: io::Read>(source: &mut BlockReader<R>) -> Result<Vec<Vec<Event>>, TraceError> {
         let mut blocks = Vec::new();
         loop {
-            assert_eq!(source.len(), (t.len() - events.len()) as u64);
-            let block = source.next_block().unwrap();
-            if block.is_empty() {
-                break;
+            match source.next_block()? {
+                [] => return Ok(blocks),
+                block => blocks.push(block.to_vec()),
             }
-            blocks.push(block.len());
-            events.extend_from_slice(block);
         }
-        assert_eq!(events, t.events);
-        assert_eq!(blocks, [3, 3, 2]);
-        assert!(source.is_empty());
     }
 
     #[test]
-    fn block_reader_rejects_a_stream_that_is_not_what_was_counted() {
+    fn block_reader_yields_the_trace_in_blocks_then_its_tally() {
         let t = sample();
         let bytes = to_bytes(&t);
-        let drain = |expected: u64| {
+        let reader = EventReader::new(&bytes[..]).unwrap();
+        let mut source = BlockReader::with_block_events(reader, 3).fingerprinted();
+        assert_eq!(source.remaining(), None, "a stream nobody counted");
+        let blocks = drained(&mut source).unwrap();
+        assert_eq!(blocks.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3, 2]);
+        assert_eq!(blocks.concat(), t.events);
+        let facts = source.finish().expect("a tallying reader");
+        assert_eq!(facts.events, t.len() as u64);
+        assert_eq!(facts.threads, t.thread_count());
+        assert_eq!(facts.dstats.decoded, t.len() as u64);
+        assert_eq!(facts.fingerprint, Some(crate::trace_fingerprint(&t)));
+        assert!(facts.valid.is_ok());
+    }
+
+    #[test]
+    fn block_reader_expecting_a_count_knows_its_length_and_rejects_a_changed_stream() {
+        let t = sample();
+        let bytes = to_bytes(&t);
+        let counted = |expected: u64| {
             let reader = EventReader::new(&bytes[..]).unwrap();
-            let mut source = BlockReader::with_block_events(reader, expected, 3);
-            loop {
-                match source.next_block() {
-                    Ok([]) => return Ok(()),
-                    Ok(_) => {}
-                    Err(e) => return Err(e),
-                }
-            }
+            BlockReader::with_block_events(reader, 3).expecting(expected)
         };
-        assert!(drain(t.len() as u64).is_ok());
+        let mut source = counted(t.len() as u64);
+        for left in [8, 5, 2, 0] {
+            assert_eq!(source.remaining(), Some(left));
+            source.next_block().unwrap();
+        }
+        assert!(
+            source.finish().is_none(),
+            "the counting pass holds the tally"
+        );
         // Grown: caught by the block that runs past the count.
         assert!(matches!(
-            drain(4),
+            drained(&mut counted(4)),
             Err(TraceError::Changed {
                 expected: 4,
                 decoded: 6
@@ -1360,7 +1473,7 @@ mod tests {
         ));
         // Shrunk: caught where the stream ends early.
         assert!(matches!(
-            drain(9),
+            drained(&mut counted(9)),
             Err(TraceError::Changed {
                 expected: 9,
                 decoded: 8
@@ -1368,13 +1481,61 @@ mod tests {
         ));
     }
 
+    /// `sample()` with event 2 made a release of a lock nobody holds.
+    fn invalid_at_2() -> Vec<u8> {
+        let mut events = sample().events;
+        events[2] = Event::Release {
+            tid: Tid(1),
+            lock: LockId(9),
+        };
+        to_bytes(&Trace::from_events(events))
+    }
+
+    #[test]
+    fn an_invalid_event_withholds_its_block_and_the_rest() {
+        let bytes = invalid_at_2();
+        let reader = EventReader::new(&bytes[..]).unwrap();
+        let mut source = BlockReader::with_block_events(reader, 2);
+        let blocks = drained(&mut source).unwrap();
+        assert_eq!(blocks.concat(), &sample().events[..2]);
+        let facts = source.finish().unwrap();
+        assert_eq!(facts.events, 8, "the rest is still decoded");
+        assert!(matches!(
+            facts.valid,
+            Err(ValidationError::ReleaseWithoutAcquire { at: 2, .. })
+        ));
+
+        // A decode error after the invalid event still fails the read.
+        let mut bytes = invalid_at_2();
+        let len = bytes.len();
+        bytes[len - 9] = 0xEE;
+        let reader = EventReader::new(&bytes[..]).unwrap();
+        let mut source = BlockReader::with_block_events(reader, 2);
+        assert!(matches!(
+            drained(&mut source),
+            Err(TraceError::BadTag { tag: 0xEE, .. })
+        ));
+
+        // Under resync the schedule's defect is noted, and every event
+        // is still handed out.
+        let bytes = invalid_at_2();
+        let opts = ReadOptions {
+            resync: true,
+            ..ReadOptions::default()
+        };
+        let reader = EventReader::with_options(&bytes[..], opts).unwrap();
+        let mut source = BlockReader::with_block_events(reader, 2);
+        assert_eq!(drained(&mut source).unwrap().concat().len(), 8);
+        assert!(source.finish().unwrap().valid.is_err());
+    }
+
     #[test]
     fn a_trace_in_memory_is_a_one_block_source() {
         let t = sample();
         let mut source = &t;
-        assert_eq!(EventSource::len(&source), t.len() as u64);
+        assert_eq!(EventSource::remaining(&source), Some(t.len() as u64));
         assert_eq!(source.next_block().unwrap(), &t.events[..]);
-        assert!(EventSource::is_empty(&source));
+        assert_eq!(EventSource::remaining(&source), Some(0));
         assert!(source.next_block().unwrap().is_empty());
     }
 

@@ -17,7 +17,8 @@
 //!   over a whole trace or one event at a time;
 //! * [`IdTable`] — per-id state without hashing, for the small ids
 //!   traces use (the validator's tables and the detectors' lock clocks);
-//! * [`io`] — a versioned binary on-disk format and its block decoder;
+//! * [`io`] — a versioned binary on-disk format, its block decoder and
+//!   [`BlockReader`], which validates a stream as it reads it;
 //! * [`EventSource`] — a trace a block at a time, from memory or a file;
 //! * [`stats`] — per-trace summary statistics (the "Total shared accesses"
 //!   style columns of Table 1);
@@ -60,7 +61,7 @@ pub use frame::{
     Frame, MAX_FRAME_LEN,
 };
 pub use id_table::IdTable;
-pub use io::{BlockReader, DecodeLimits, DecodeStats, ReadOptions, TraceError};
+pub use io::{BlockReader, DecodeLimits, DecodeStats, ReadOptions, TraceError, TraceFacts};
 pub use snapshot::{
     crc32, seal_crc, verify_crc, write_file_atomic, SnapshotLimits, SnapshotReader, SnapshotWriter,
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION, STATE_MAGIC, STATE_VERSION,
@@ -124,27 +125,35 @@ impl Trace {
 /// [`BlockReader`] decoding a `.dgrt` stream (a reused block of a few
 /// thousand events, so the trace is never held whole).
 pub trait EventSource {
-    /// Events still to come: before the first block, the length of the
-    /// whole trace.
-    fn len(&self) -> u64;
-
-    /// True when no event is still to come.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    /// Events still to come, when known: a trace in memory knows its
+    /// length, a stream only when an earlier pass counted it. Before the
+    /// first block, the length of the whole trace.
+    fn remaining(&self) -> Option<u64>;
 
     /// The next events in trace order; an empty block ends the trace.
     fn next_block(&mut self) -> Result<&[Event], TraceError>;
 }
 
 impl EventSource for &Trace {
-    fn len(&self) -> u64 {
-        self.events.len() as u64
+    fn remaining(&self) -> Option<u64> {
+        Some(self.events.len() as u64)
     }
 
     fn next_block(&mut self) -> Result<&[Event], TraceError> {
         static DRAINED: Trace = Trace { events: Vec::new() };
         Ok(&std::mem::replace(self, &DRAINED).events)
+    }
+}
+
+/// A source lent to a run, so that its owner can read what the source
+/// learned ([`BlockReader::finish`]) once the run is over.
+impl<S: EventSource + ?Sized> EventSource for &mut S {
+    fn remaining(&self) -> Option<u64> {
+        (**self).remaining()
+    }
+
+    fn next_block(&mut self) -> Result<&[Event], TraceError> {
+        (**self).next_block()
     }
 }
 
