@@ -47,7 +47,7 @@ impl Segment {
 /// The first happens-before method of §I: "a segment is defined as a code
 /// block between two successive synchronization operations and shared
 /// memory accesses are collected in a bitmap for each segment ... If two
-/// concurrent segments contain [conflicting] shared memory accesses, the
+/// concurrent segments contain \[conflicting\] shared memory accesses, the
 /// accesses are reported as data races."
 ///
 /// This is the algorithm class of Valgrind DRD. It keeps **no**

@@ -113,31 +113,6 @@ pub fn report(rep: &Report, decode: &DecodeStats) -> String {
         "  \"checkpointing_degraded\": {},",
         rep.checkpointing_degraded
     );
-    if let Some(g) = &rep.governor {
-        o.push_str("  \"governor\": {\n");
-        let _ = writeln!(o, "    \"limit\": {},", g.limit);
-        let _ = writeln!(o, "    \"peak_rung\": {},", g.peak_rung);
-        let _ = writeln!(o, "    \"final_rung\": {},", g.final_rung);
-        let _ = writeln!(o, "    \"decisions\": {},", g.decisions);
-        let _ = writeln!(o, "    \"peak_assessed_bytes\": {},", g.peak_assessed_bytes);
-        let _ = writeln!(o, "    \"engaged\": {},", g.engaged);
-        o.push_str("    \"transitions\": [");
-        for (i, t) in g.transitions.iter().enumerate() {
-            o.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                o,
-                "      {{\"event\": {}, \"shard\": {}, \"from\": {}, \"to\": {}, \
-                 \"assessed_bytes\": {}}}",
-                t.event, t.shard, t.from, t.to, t.assessed_bytes
-            );
-        }
-        o.push_str(if g.transitions.is_empty() {
-            "]\n"
-        } else {
-            "\n    ]\n"
-        });
-        o.push_str("  },\n");
-    }
     let _ = writeln!(
         o,
         "  \"degraded\": {},",

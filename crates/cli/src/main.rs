@@ -34,8 +34,8 @@ use dgrace_analysis::analyze_with_stats;
 use dgrace_baselines::{HybridDetector, LockSetDetector, SegmentDetector};
 use dgrace_core::{vc_detector, vc_detector_names, VC_DETECTORS};
 use dgrace_detectors::{
-    Detector, DetectorExt, Governed, GovernorSpec, OracleDetector, Report, SampleSpec, Sampled,
-    ShardableDetector, StaticPruneFilter,
+    Detector, DetectorExt, OracleDetector, Report, SampleSpec, Sampled, ShardableDetector,
+    StaticPruneFilter,
 };
 use dgrace_runtime::{
     replay, CheckpointInterval, CheckpointManifest, CheckpointOptions, ReplayError, RunPlan,
@@ -209,7 +209,7 @@ fn print_help() {
          \x20                       [--checkpoint-every N] [--resume]   --resume reconstructs sessions after\n\
          \x20                       [--memory-limit BYTES]              a crash; SIGINT/SIGTERM stop\n\
          \x20                       [--credits N]                       gracefully (final checkpoints);\n\
-         \x20                                                          --memory-limit governs sessions and\n\
+         \x20                                                          --memory-limit caps sessions and\n\
          \x20                                                          sheds admissions past the critical\n\
          \x20                                                          watermark\n\
          \x20 dgrace feed <detector> <file> <socket> [--session NAME]   stream a trace into a running server\n\
@@ -640,16 +640,16 @@ fn make_shardable(name: &str) -> Result<Box<dyn ShardableDetector + Send>, Failu
     })
 }
 
-/// What `detect` wraps around the bare detector, in this order from the
-/// inside out: the sampling tier, then the memory governor (outside the
-/// sampler, so it meters every arriving event). The governor quota is a
+/// What `detect` makes of the bare detector: the sampling tier wrapped
+/// around it, and `--memory-limit` as its shadow budget. The limit is a
 /// whole-run cap: each shard holds a slice of the address space, so it
-/// gets a slice — which keeps the cap deterministic, each shard deciding
-/// when to evict from its own substream and modeled bytes, never from
-/// global allocator state. Pruning stays outside all of it (the
-/// engine prunes upstream of the shards, the serial path in an outermost
-/// filter): pruned accesses never reach the sampler, so its budget is
-/// spent on the residue that actually needs analysis.
+/// gets a slice, set on the prototype before any shard is minted (a
+/// minted or respawned shard carries its prototype's budget). Each shard
+/// evicts from its own substream and modeled bytes, never from global
+/// allocator state, so the cap is deterministic. Pruning stays outside
+/// all of it (the engine prunes upstream of the shards, the serial path
+/// in an outermost filter): pruned accesses never reach the sampler, so
+/// its budget is spent on the residue that actually needs analysis.
 struct Stack {
     sample: Option<SampleSpec>,
     memory_limit: Option<u64>,
@@ -658,22 +658,14 @@ struct Stack {
 
 impl Stack {
     /// `B` is the box the stack is built in — a shardable prototype for
-    /// the engine, any detector for the serial path — and `sampled` /
-    /// `governed` put a wrapped detector back into one (`|d| Box::new(d)`).
-    fn wrap<B: Detector>(
-        &self,
-        mut det: B,
-        sampled: fn(Sampled<B>) -> B,
-        governed: fn(Governed<B>) -> B,
-    ) -> B {
+    /// the engine, any detector for the serial path — and `sampled` puts
+    /// a wrapped detector back into one (`|d| Box::new(d)`).
+    fn wrap<B: Detector>(&self, mut det: B, sampled: fn(Sampled<B>) -> B) -> B {
         if let Some(spec) = &self.sample {
             det = sampled(Sampled::new(det, spec.clone()));
         }
         if let Some(lim) = self.memory_limit {
-            det = governed(Governed::new(
-                det,
-                GovernorSpec::for_limit(lim, self.shards),
-            ));
+            det.set_shadow_budget(Some((lim / self.shards as u64).max(1)));
         }
         det
     }
@@ -811,7 +803,7 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         // transport, with optional durable checkpoints, crash resume and
         // a self-healing supervisor.
         let proto = match make_shardable(det_name) {
-            Ok(proto) => stack.wrap(proto, |d| Box::new(d), |d| Box::new(d)),
+            Ok(proto) => stack.wrap(proto, |d| Box::new(d)),
             Err(e) => return Err(trace_first(e, path, resync, scanned, source)),
         };
         let resume = match &resume_dir {
@@ -858,7 +850,7 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         // The direct serial path: the only one the non-shardable
         // detectors (oracle, segment, hybrid, lockset) can run on.
         let mut det = match make_detector(det_name, memory_limit.is_some()) {
-            Ok(det) => stack.wrap(det, |d| Box::new(d), |d| Box::new(d)),
+            Ok(det) => stack.wrap(det, |d| Box::new(d)),
             Err(e) => return Err(trace_first(e, path, resync, scanned, source)),
         };
         if prune.is_empty() {

@@ -2,7 +2,7 @@
 //!
 //! `println!` panics — message, backtrace, exit 101 — when stdout is a
 //! pipe whose reader has exited (`dgrace analyze t.dgrt | head`). Every
-//! line the commands print goes through [`outln!`] instead: after the
+//! line the commands print goes through `outln!` instead: after the
 //! first broken-pipe error the rest of the output is dropped silently,
 //! the command finishes what it was doing (files, checkpoints, socket
 //! clean-up), and `main` turns a would-be success into
@@ -22,7 +22,7 @@ pub fn reader_gone() -> bool {
     READER_GONE.load(Ordering::Relaxed)
 }
 
-/// Writes one line to stdout; the body of [`outln!`].
+/// Writes one line to stdout; the body of `outln!`.
 pub fn line(args: std::fmt::Arguments<'_>) {
     if reader_gone() {
         return;

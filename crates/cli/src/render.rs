@@ -76,18 +76,6 @@ pub fn report(rep: &Report, events: u64, threads: usize, secs: f64, max_races: u
             s.evicted
         );
     }
-    if let Some(g) = &rep.governor {
-        outln!(
-            "GOVERNOR      : {} byte cap; eviction engaged ×{}, final rung {}, \
-             {} decision(s), {} transition(s), peak assessed {:.1} KiB",
-            g.limit,
-            g.engaged,
-            g.final_rung,
-            g.decisions,
-            g.transitions.len(),
-            g.peak_assessed_bytes as f64 / 1024.0
-        );
-    }
     if rep.checkpointing_degraded {
         outln!(
             "CHECKPOINTING : degraded — one or more checkpoint writes failed; detection \

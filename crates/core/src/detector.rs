@@ -1,6 +1,6 @@
 //! The dynamic-granularity detector (Fig. 3's instrumentation routines).
 
-use dgrace_detectors::snap::{decode_races, encode_races, Section, SectionError};
+use dgrace_detectors::snap::{decode_model, decode_races, encode_races, Section, SectionError};
 use dgrace_detectors::{
     AccessKind, Detector, HbState, RaceKind, RaceReport, Report, ShardableDetector, SharingStats,
 };
@@ -693,13 +693,12 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
         let mut index = IndexOn::new();
         let read = Plane::decode(r, &mut index, AccessKind::Read)?;
         let write = Plane::decode(r, &mut index, AccessKind::Write)?;
-        let mut model = MemoryModel::decode(r)?;
+        let model = decode_model(r, self.model.budget())?;
         let races = decode_races(r)?;
         let mut counters = [0u64; 9];
         for c in counters.iter_mut() {
             *c = r.u64()?;
         }
-        model.set_budget(self.model.budget());
         *self = DynamicGranularityOn {
             config,
             hb,

@@ -574,7 +574,7 @@ impl Plane {
     /// its slot, one slab load (and, for a clock in the arena, one more)
     /// otherwise. An epoch never touches the arena.
     ///
-    /// Always inlined, like [`Slot::home`] under it and
+    /// Always inlined, like `Slot::home` under it and
     /// [`Plane::set_state`]: every path of the detector reads through
     /// here and uses one or two of the fields, and left out of line the
     /// readers cost the `stream` ledger workload 3 % of its instructions

@@ -3,8 +3,9 @@
 //! `snapshot_roundtrip.rs` checks that a snapshot restores; it cannot see
 //! a refactor that changes the encoding on both sides at once. These are
 //! FNV-1a digests of the snapshot each detector of the vector-clock family
-//! takes two thirds of the way through one seeded trace — bare and under
-//! each wrapper that writes a section of its own — and the `name()` of
+//! takes two thirds of the way through one seeded trace — bare, under a
+//! shadow budget, and under each wrapper that writes a section of its
+//! own — and the `name()` of
 //! every family member. A `.dgcp` checkpoint is made of exactly these
 //! bytes, so a literal that moves breaks resuming older checkpoints.
 //!
@@ -16,7 +17,20 @@
 //! its version, and with its version word set to the current one, for its
 //! stack name, `dynamic+paged`.
 //!
-//! All 16 digests were last regenerated when `DGSS` went to version 6:
+//! All 16 digests were last regenerated when `DGSS` went to version 7:
+//! the memory governor's wrapper and its section were deleted, and the
+//! shadow budget a snapshot was taken under moved into the detector's
+//! own section, after its memory model. The `governed` layer became the
+//! `capped` one, the bare detector under a 2 KiB shadow budget (every
+//! family member passes it within the 2 000 events before the snapshot;
+//! 5 KiB, the governed layer's limit, the byte detector does not). The
+//! other 12 digests moved with the two budget words and the version word.
+//! `data/byte-governed-v6.dgss` is the version-6 snapshot of the
+//! `("byte", "governed")` pin (`0x6874a8a216d1d43c`), written by the last
+//! version-6 build: it is refused.
+//!
+//! The 16 digests before that were regenerated when `DGSS` went to
+//! version 6:
 //! the memory governor lost its coarsen and sample rungs, so its section
 //! no longer carries a sampler or per-rung counters, only whether it is
 //! evicting and one engagement count. The 12 digests of the other layers
@@ -74,8 +88,7 @@
 
 use dgrace_core::{vc_detector, DynamicGranularity};
 use dgrace_detectors::{
-    Detector, DetectorExt, Governed, GovernorSpec, SampleSpec, Sampled, ShardableDetector,
-    StaticPruneFilter,
+    Detector, DetectorExt, SampleSpec, Sampled, ShardableDetector, StaticPruneFilter,
 };
 use dgrace_trace::{
     AccessSize, Addr, AnalysisSummary, ClassifiedRange, Event, LocationClass, LockId, PruneSet,
@@ -176,35 +189,37 @@ fn layered(name: &str, layer: &str) -> Box<dyn Detector> {
     match layer {
         "bare" => Box::new(det),
         "sampled" => Box::new(Sampled::new(det, SampleSpec::parse("loc:2").unwrap())),
-        "governed" => Box::new(Governed::new(
-            det,
-            GovernorSpec {
-                limit: 5 * 1024,
-                interval: 64,
-            },
-        )),
+        "capped" => {
+            let mut det = Box::new(det);
+            det.set_shadow_budget(Some(CAP));
+            det
+        }
         "pruned" => Box::new(StaticPruneFilter::new(det, prune_set())),
         _ => unreachable!(),
     }
 }
 
+/// The budget of the `capped` pins: every family member passes it
+/// before the snapshot is taken.
+const CAP: u64 = 2 * 1024;
+
 const PINS: [(&str, &str, u64); 16] = [
-    ("byte", "bare", 0xf0a38a5ef001e19a),
-    ("byte", "sampled", 0xb7332946a3bf8777),
-    ("byte", "governed", 0x6874a8a216d1d43c),
-    ("byte", "pruned", 0x357aea1d6d4c45ef),
-    ("word", "bare", 0x89c131128575bee4),
-    ("word", "sampled", 0xcd9b2c17ef18d411),
-    ("word", "governed", 0xbd464c54eb8b4a06),
-    ("word", "pruned", 0x1a68fc48f5202e25),
-    ("djit", "bare", 0x417644d0026ef44a),
-    ("djit", "sampled", 0xbb8d96253317e91e),
-    ("djit", "governed", 0x60fbe8cdcf380463),
-    ("djit", "pruned", 0x0f292b3537f85963),
-    ("dynamic", "bare", 0x2ac913527f31ed85),
-    ("dynamic", "sampled", 0xb3a14c128aa6a8ff),
-    ("dynamic", "governed", 0xb8e7d95bc9652574),
-    ("dynamic", "pruned", 0xf197de077682e8f2),
+    ("byte", "bare", 0x8609482055ff6971),
+    ("byte", "sampled", 0x97843604ffd8d574),
+    ("byte", "capped", 0x1c2c46025e87293a),
+    ("byte", "pruned", 0xd7e9901a2d18dc99),
+    ("word", "bare", 0x087da560237e4f1f),
+    ("word", "sampled", 0x675a5a27f03f21f2),
+    ("word", "capped", 0x99e8a315439eb16c),
+    ("word", "pruned", 0x3deb788cf8e97d83),
+    ("djit", "bare", 0x5363f2b09618adfb),
+    ("djit", "sampled", 0x2b2e78f7080cf041),
+    ("djit", "capped", 0xb9628d138ac6c6cc),
+    ("djit", "pruned", 0x9ac5b5864e213a25),
+    ("dynamic", "bare", 0x3d96413fe4eb4daa),
+    ("dynamic", "sampled", 0xfd8a0b65ad039538),
+    ("dynamic", "capped", 0xc2676e42ac20034a),
+    ("dynamic", "pruned", 0x1f268249ab5de7d4),
 ];
 
 #[test]
@@ -245,7 +260,7 @@ fn a_version_2_snapshot_is_refused_and_its_writers_report_still_holds() {
     let report = straight.finish();
     // The two more are the `WriteRead` repeats the bitmap used to filter.
     assert_eq!(report.races.len(), 315);
-    // Regenerated three times. When `DetectorStats` lost its two pre-seeding
+    // Regenerated four times. When `DetectorStats` lost its two pre-seeding
     // counters, the digest became that of the writer's `{report:?}` with
     // `, preseed_hits: 0, preseed_misses: 0` cut out (before that cut it
     // was 0xb051_5a68_0610_6d27). Then `Free` began clearing the freed
@@ -253,10 +268,13 @@ fn a_version_2_snapshot_is_refused_and_its_writers_report_still_holds() {
     // 0x3882_3118_1856_82e7) missed two races the oracle reports, at words
     // the trace frees and touches again in the same epoch. Then the
     // dynamic detector lost its same-epoch bitmap (313 races,
-    // 0x5d50_2f2c_46f3_add7): see the module docs.
+    // 0x5d50_2f2c_46f3_add7): see the module docs. Then `Report` lost
+    // its `governor` field: the digest is that of the last report with
+    // `, governor: None` cut out (before that cut it was
+    // 0x8de9_5ec5_4947_5782).
     assert_eq!(
         fnv1a(format!("{report:?}").as_bytes()),
-        0x8de9_5ec5_4947_5782
+        0xf989_6b3e_5b65_63d8
     );
 }
 
@@ -283,8 +301,17 @@ fn a_version_5_snapshot_is_refused() {
     let snap = include_bytes!("data/byte-governed-v5.dgss");
     let pin = 0x262e_c851_fab4_06f3; // the version-5 ("byte", "governed") pin
     assert_eq!(fnv1a(snap), pin, "the fixture itself");
-    let err = layered("byte", "governed").restore(snap).unwrap_err();
+    let err = layered("byte", "capped").restore(snap).unwrap_err();
     assert!(err.contains("unsupported format version 5"), "{err}");
+}
+
+#[test]
+fn a_version_6_snapshot_is_refused() {
+    let snap = include_bytes!("data/byte-governed-v6.dgss");
+    let pin = 0x6874_a8a2_16d1_d43c; // the version-6 ("byte", "governed") pin
+    assert_eq!(fnv1a(snap), pin, "the fixture itself");
+    let err = layered("byte", "capped").restore(snap).unwrap_err();
+    assert!(err.contains("unsupported format version 6"), "{err}");
 }
 
 #[test]
@@ -305,14 +332,17 @@ fn a_paged_store_snapshot_is_refused() {
 }
 
 #[test]
-fn the_governed_pin_is_taken_above_rung_zero() {
-    // A governor that never engaged would pin a section of zeros.
+fn the_capped_pins_are_taken_under_eviction() {
+    // A budget that never bit would pin the bare detector's bytes.
     let trace = seeded_trace(0x5EED_D6CE, 3000);
-    let mut det = layered("byte", "governed");
-    for ev in &trace {
-        det.on_event(ev);
+    for name in ["byte", "word", "djit", "dynamic"] {
+        let mut det = layered(name, "capped");
+        for ev in &trace[..2000] {
+            det.on_event(ev);
+        }
+        let rep = det.finish();
+        assert!(rep.budget_degraded && rep.stats.evicted > 0, "{name}");
     }
-    assert!(det.finish().governor.is_some());
 }
 
 #[test]

@@ -93,8 +93,8 @@ pub trait Detector: 'static {
 
     /// Current modeled bytes by memory class, `[hash, vector-clock,
     /// bitmap]` — the live counterpart of the peak columns in the
-    /// report. The memory governor samples this at its decision points
-    /// and assesses the sum.
+    /// report. A `serve` session under a memory limit publishes the sum
+    /// over its shards to the process gauge.
     /// Detectors without a memory model report zeros.
     fn mem_classes(&self) -> [u64; 3] {
         self.inner().map_or([0; 3], |d| d.mem_classes())

@@ -15,7 +15,9 @@ use dgrace_shadow::{MemClass, MemoryModel, ShadowStore, ShadowTable, Victims};
 use dgrace_trace::{Addr, Event, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{ClockView, Epoch, Tid, VectorClock};
 
-use crate::snap::{decode_races, decode_store, encode_races, encode_store, Section, SectionError};
+use crate::snap::{
+    decode_model, decode_races, decode_store, encode_races, encode_store, Section, SectionError,
+};
 use crate::{
     AccessKind, Detector, Granularity, HbState, RaceKind, RaceReport, Report, ShardableDetector,
 };
@@ -294,14 +296,13 @@ impl<C: CellRule> Detector for FixedOn<C> {
         Section::Detector.read(r)?;
         let hb = HbState::decode(r)?;
         let table = decode_store(r, |r| C::decode(r).map(Box::new))?;
-        let mut model = MemoryModel::decode(r)?;
+        let model = decode_model(r, self.model.budget())?;
         let races = decode_races(r)?;
         let vc_bytes = r.u64()? as usize;
         let mut counters = [0u64; 7];
         for c in counters.iter_mut() {
             *c = r.u64()?;
         }
-        model.set_budget(self.model.budget());
         let [events, accesses, same_epoch, vc_allocs, vc_frees, evicted, event_index] = counters;
         *self = FixedOn {
             granularity: self.granularity,

@@ -44,7 +44,6 @@ mod djit;
 mod fasttrack;
 mod filter;
 mod fixed;
-mod govern;
 mod granularity;
 mod hb;
 mod nop;
@@ -58,14 +57,12 @@ pub use detector::{Detector, DetectorExt};
 pub use djit::Djit;
 pub use fasttrack::FastTrack;
 pub use filter::StaticPruneFilter;
-pub use govern::{Governed, GovernorSpec, DECISION_INTERVAL};
 pub use granularity::Granularity;
 pub use hb::HbState;
 pub use nop::NopDetector;
 pub use oracle::OracleDetector;
 pub use report::{
-    AccessKind, DetectorStats, GovernorReport, GovernorTransition, RaceKind, RaceReport, Report,
-    ShardFailure, SharingStats,
+    AccessKind, DetectorStats, RaceKind, RaceReport, Report, ShardFailure, SharingStats,
 };
 pub use sample::{SampleSpec, SampleStrategy, Sampled, Sampler, LOC_GRANULE};
 pub use shard::{merge_shard_reports, race_signature, sort_races, ShardableDetector};

@@ -284,45 +284,6 @@ impl fmt::Display for ShardFailure {
     }
 }
 
-/// One rung change made by the memory governor, at a deterministic
-/// decision point.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GovernorTransition {
-    /// Shard-local event count at the decision point that took the step.
-    pub event: u64,
-    /// Shard the transition happened on (stamped by
-    /// [`crate::merge_shard_reports`]; 0 for unsharded runs).
-    pub shard: usize,
-    /// Rung before the step (0 = free, 1 = evicting).
-    pub from: u8,
-    /// Rung after the step.
-    pub to: u8,
-    /// Modeled shadow bytes the decision assessed.
-    pub assessed_bytes: u64,
-}
-
-/// Memory-governor outcome for a run: only attached to a [`Report`] when
-/// the governor actually engaged (climbed above rung 0), so an
-/// all-headroom governed run reports byte-identically to an ungoverned
-/// one.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GovernorReport {
-    /// Per-shard byte quota the cap assessed against.
-    pub limit: u64,
-    /// Highest rung reached: 1 whenever this report is attached.
-    pub peak_rung: u8,
-    /// Rung at the end of the run.
-    pub final_rung: u8,
-    /// Decision points evaluated.
-    pub decisions: u64,
-    /// Highest assessed shadow-byte figure seen at a decision point.
-    pub peak_assessed_bytes: u64,
-    /// Times the cap engaged (steps onto rung 1).
-    pub engaged: u64,
-    /// Every rung change, in `(event, shard)` order after a merge.
-    pub transitions: Vec<GovernorTransition>,
-}
-
 /// The outcome of a detector run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Report {
@@ -339,9 +300,6 @@ pub struct Report {
     /// races whose prior access was evicted may be missed, but every race
     /// reported is still real.
     pub budget_degraded: bool,
-    /// Memory-governor activity, when it engaged (see
-    /// [`GovernorReport`]).
-    pub governor: Option<GovernorReport>,
     /// True when a checkpoint write failed mid-run (disk full, I/O
     /// error): detection continued and the results are exact, but the
     /// resume point is stuck at the last manifest that *did* write.

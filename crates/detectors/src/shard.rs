@@ -77,28 +77,16 @@ pub fn sort_races(races: &mut [RaceReport]) {
 ///
 /// Returns an empty report if `reports` is empty.
 pub fn merge_shard_reports(reports: Vec<Report>) -> Report {
-    let mut iter = reports.into_iter().enumerate();
+    let mut iter = reports.into_iter();
     let mut merged = match iter.next() {
-        Some((_, first)) => first,
+        Some(first) => first,
         None => return Report::default(),
     };
     // Per-shard event numbering is meaningless after a merge.
     for race in merged.races.iter_mut() {
         race.event_index = None;
     }
-    // Governor transitions are stamped with the shard they happened on
-    // (each detector only knows its shard-local event counts).
-    if let Some(gov) = merged.governor.as_mut() {
-        for t in gov.transitions.iter_mut() {
-            t.shard = 0;
-        }
-    }
-    for (shard, mut rep) in iter {
-        if let Some(gov) = rep.governor.as_mut() {
-            for t in gov.transitions.iter_mut() {
-                t.shard = shard;
-            }
-        }
+    for rep in iter {
         merged.races.extend(rep.races.into_iter().map(|mut race| {
             race.event_index = None;
             race
@@ -129,31 +117,10 @@ pub fn merge_shard_reports(reports: Vec<Report>) -> Report {
         merged.failures.extend(rep.failures);
         merged.budget_degraded |= rep.budget_degraded;
         merged.checkpointing_degraded |= rep.checkpointing_degraded;
-        merged.governor = match (merged.governor.take(), rep.governor.take()) {
-            (None, None) => None,
-            (Some(g), None) | (None, Some(g)) => Some(g),
-            (Some(a), Some(b)) => Some(merge_governor(a, b)),
-        };
     }
     merged.failures.sort_by_key(|f| (f.shard, f.event_seq));
-    if let Some(gov) = merged.governor.as_mut() {
-        gov.transitions.sort_by_key(|t| (t.event, t.shard));
-    }
     sort_races(&mut merged.races);
     merged
-}
-
-fn merge_governor(
-    mut a: crate::GovernorReport,
-    mut b: crate::GovernorReport,
-) -> crate::GovernorReport {
-    a.transitions.append(&mut b.transitions);
-    a.peak_rung = a.peak_rung.max(b.peak_rung);
-    a.final_rung = a.final_rung.max(b.final_rung);
-    a.decisions += b.decisions;
-    a.peak_assessed_bytes = a.peak_assessed_bytes.max(b.peak_assessed_bytes);
-    a.engaged += b.engaged;
-    a
 }
 
 fn merge_sharing(a: SharingStats, b: SharingStats) -> SharingStats {

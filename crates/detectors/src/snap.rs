@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use dgrace_shadow::ShadowStore;
+use dgrace_shadow::{MemoryModel, ShadowStore};
 use dgrace_trace::{Addr, SnapshotReader, SnapshotWriter, TraceError};
 use dgrace_vc::{AccessClock, Epoch, ReadClock, Tid, VectorClock};
 
@@ -27,19 +27,12 @@ pub enum Section {
     Detector,
     /// [`crate::Sampled`].
     Sampler,
-    /// [`crate::Governed`].
-    Governor,
     /// [`crate::StaticPruneFilter`].
     PruneFilter,
 }
 
 impl Section {
-    const ALL: [Section; 4] = [
-        Section::Detector,
-        Section::Sampler,
-        Section::Governor,
-        Section::PruneFilter,
-    ];
+    const ALL: [Section; 3] = [Section::Detector, Section::Sampler, Section::PruneFilter];
 
     /// Opens this layer's section.
     pub fn write(self, w: &mut SnapshotWriter) {
@@ -66,7 +59,6 @@ impl fmt::Display for Section {
         f.write_str(match self {
             Section::Detector => "detector",
             Section::Sampler => "sampler",
-            Section::Governor => "governor",
             Section::PruneFilter => "prune filter",
         })
     }
@@ -168,6 +160,31 @@ pub fn decode_access_clock(r: &mut SnapshotReader<'_>) -> Result<AccessClock, Tr
         1 => Ok(AccessClock::Vc(decode_vc(r)?)),
         tag => Err(TraceError::BadTag { offset: at, tag }),
     }
+}
+
+/// Rebuilds a detector's memory model ([`MemoryModel::encode`]) and
+/// refuses one taken under another budget than `budget`, this detector's
+/// own: the budget is the per-shard slice of `--memory-limit`, and a run
+/// resumed under another would evict at other events than the run that
+/// wrote the snapshot.
+pub fn decode_model(
+    r: &mut SnapshotReader<'_>,
+    budget: Option<usize>,
+) -> Result<MemoryModel, SectionError> {
+    let model = MemoryModel::decode(r)?;
+    if model.budget() != budget {
+        let limit = |b: Option<usize>| {
+            b.map_or("no memory limit".into(), |b| {
+                format!("a per-shard memory limit of {b} bytes")
+            })
+        };
+        return Err(SectionError::Mismatch(format!(
+            "snapshot was taken under {}, this run has {} — resume with the same --memory-limit",
+            limit(model.budget()),
+            limit(budget)
+        )));
+    }
+    Ok(model)
 }
 
 /// Serializes a detector's race accumulator: a count, then each report.

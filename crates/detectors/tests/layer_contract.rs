@@ -8,18 +8,12 @@
 
 mod probe;
 
-use dgrace_detectors::{
-    Detector, Governed, GovernorSpec, SampleSpec, Sampled, ShardableDetector, StaticPruneFilter,
-};
+use dgrace_detectors::{Detector, SampleSpec, Sampled, ShardableDetector, StaticPruneFilter};
 use dgrace_trace::PruneSet;
 use probe::{assert_reaches_the_probe, Probe};
 
 fn sampled<D: Detector>(d: D) -> Sampled<D> {
     Sampled::new(d, SampleSpec::parse("loc:4").unwrap())
-}
-
-fn governed<D: Detector>(d: D) -> Governed<D> {
-    Governed::new(d, GovernorSpec::for_limit(u64::MAX, 1))
 }
 
 fn pruned<D: Detector>(d: D) -> StaticPruneFilter<D> {
@@ -40,22 +34,19 @@ fn every_layer_reaches_the_probe() {
     assert_reaches_the_probe("Box<dyn ShardableDetector + Send>", prototype);
     assert_reaches_the_probe("StaticPruneFilter", pruned);
     assert_reaches_the_probe("Sampled", sampled);
-    assert_reaches_the_probe("Governed", governed);
 }
 
 #[test]
 fn nested_layers_reach_the_probe() {
-    assert_reaches_the_probe("Governed<Sampled>", |p| governed(sampled(p)));
-    assert_reaches_the_probe("StaticPruneFilter<Governed<Box>>", |p| {
-        pruned(governed(boxed(p)))
-    });
+    assert_reaches_the_probe("Sampled<StaticPruneFilter>", |p| sampled(pruned(p)));
+    assert_reaches_the_probe("StaticPruneFilter<Box>", |p| pruned(boxed(p)));
     assert_reaches_the_probe("Sampled<Box<dyn ShardableDetector>>", |p| {
         sampled(prototype(p))
     });
     assert_reaches_the_probe("Box<StaticPruneFilter<Sampled>>", |p| {
         Box::new(pruned(sampled(p))) as Box<dyn Detector>
     });
-    assert_reaches_the_probe("a minted shard of Governed<Sampled<prototype>>", |p| {
-        governed(sampled(prototype(p))).new_shard()
+    assert_reaches_the_probe("a minted shard of Sampled<prototype>", |p| {
+        sampled(prototype(p)).new_shard()
     });
 }

@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use dgrace_core::DynamicGranularity;
 use dgrace_detectors::{
-    Detector, DetectorExt, Djit, FastTrack, Governed, GovernorSpec, Report, SampleSpec, Sampled,
-    ShardableDetector, StaticPruneFilter,
+    Detector, DetectorExt, Djit, FastTrack, Report, SampleSpec, Sampled, ShardableDetector,
+    StaticPruneFilter,
 };
 use dgrace_runtime::{
     replay, replay_sharded, silence_injected_panics, CheckpointInterval, CheckpointManifest,
@@ -27,7 +27,7 @@ type Proto = Box<dyn ShardableDetector + Send>;
 
 /// The detector families of the matrix, and the dynamic
 /// detector under the wrapper stacks a checkpointing CLI run persists
-/// (`Governed` outside `Sampled`, as the CLI wraps them). Each entry
+/// (`Sampled`, a shadow budget, both). Each entry
 /// yields a fresh prototype and a fault-wrapped prototype whose
 /// `target`-th spawned shard panics at its `panic_at`-th event.
 /// `(name, bare prototype, prototype faulted at (shard, event))`.
@@ -54,11 +54,8 @@ fn prototypes() -> Vec<Combo> {
         combo!("djit", Djit::new()),
         combo!("dynamic", Dynamic::new()),
         combo!("dynamic+sampled", sampled(Dynamic::new())),
-        combo!("dynamic+governed", governed(Dynamic::new())),
-        combo!(
-            "dynamic+governed+sampled",
-            governed(sampled(Dynamic::new()))
-        ),
+        combo!("dynamic+capped", capped(Dynamic::new())),
+        combo!("dynamic+capped+sampled", capped(sampled(Dynamic::new()))),
     ]
 }
 
@@ -66,18 +63,13 @@ fn sampled<D: Detector>(d: D) -> Sampled<D> {
     Sampled::new(d, SampleSpec::parse("loc:2,seed:7").unwrap())
 }
 
-/// A per-shard quota `matrix_trace` outgrows within its first decisions,
-/// so every governed run below leaves rung 0. The dynamic detector keeps
-/// no same-epoch bitmap, so the trace's modeled peak is its shadow alone:
-/// 864 bytes, where the bitmaps once added 4 752.
-fn governed<D: Detector>(d: D) -> Governed<D> {
-    Governed::new(
-        d,
-        GovernorSpec {
-            limit: 256,
-            interval: 2,
-        },
-    )
+/// A per-shard shadow budget `matrix_trace` outgrows, so every capped
+/// run below evicts. The dynamic detector keeps no same-epoch bitmap, so
+/// the trace's modeled peak is its shadow alone: 864 bytes, where the
+/// bitmaps once added 4 752.
+fn capped<D: Detector>(mut d: D) -> D {
+    d.set_shadow_budget(Some(256));
+    d
 }
 
 /// Watchdog: a hang in a recovery path must fail the test, not wedge
@@ -193,11 +185,11 @@ fn checkpointed_and_resumed_runs_equal_clean_run() {
     for (name, bare, _) in prototypes() {
         for shards in [1usize, 2] {
             let clean = replay_sharded(bare().as_ref(), &trace, shards);
-            if name.contains("governed") {
-                let g = clean.governor.as_ref();
+            if name.contains("capped") {
+                let s = &clean.stats;
                 assert!(
-                    g.is_some_and(|g| g.peak_rung > 0),
-                    "{name} s{shards}: {g:?}"
+                    clean.budget_degraded && s.evicted > 0,
+                    "{name} s{shards}: {s:?}"
                 );
             }
             let dir = scratch_dir(&format!("resume-{name}-s{shards}"));
@@ -460,22 +452,16 @@ fn supervised_checkpointed_run_heals_from_snapshot() {
 /// A snapshot restores only into the stack that took it: each pair of
 /// distinct stacks refuses the other's, naming both — by name where the
 /// names differ, by the first layer whose section differs where they do
-/// not (`Governed` keeps its inner detector's name).
+/// not.
 #[test]
 fn a_snapshot_restores_only_into_its_own_stack() {
     type Dynamic = DynamicGranularity;
     /// A stack's layers, outermost first, and how to build it.
     type Stack = (&'static [&'static str], fn() -> Box<dyn Detector>);
-    let stacks: [Stack; 5] = [
+    let stacks: [Stack; 3] = [
         (&["detector"], || Box::new(Dynamic::new())),
         (&["sampler", "detector"], || {
             Box::new(sampled(Dynamic::new()))
-        }),
-        (&["governor", "detector"], || {
-            Box::new(governed(Dynamic::new()))
-        }),
-        (&["governor", "sampler", "detector"], || {
-            Box::new(governed(sampled(Dynamic::new())))
         }),
         (&["prune filter", "detector"], || {
             Box::new(StaticPruneFilter::new(Dynamic::new(), PruneSet::empty()))
@@ -507,6 +493,46 @@ fn a_snapshot_restores_only_into_its_own_stack() {
                 names.iter().all(|n| err.contains(n.as_str())),
                 "{taken:?} into {into:?}: {err}"
             );
+        }
+    }
+}
+
+/// A snapshot records the shadow budget it was taken under, and restores
+/// only under that budget: another `--memory-limit`, or none, is refused
+/// with a message that names both limits.
+#[test]
+fn a_snapshot_restores_only_under_its_own_budget() {
+    let budgets = [None, Some(256), Some(512)];
+    let make = |budget: Option<u64>, sampler: bool| -> Box<dyn Detector> {
+        let mut det: Box<dyn Detector> = if sampler {
+            Box::new(sampled(DynamicGranularity::new()))
+        } else {
+            Box::new(DynamicGranularity::new())
+        };
+        det.set_shadow_budget(budget);
+        det
+    };
+    let limit = |b: Option<u64>| b.map_or("no memory limit".into(), |b| format!("{b} bytes"));
+    let trace = matrix_trace();
+    for sampler in [false, true] {
+        for taken in budgets {
+            let mut source = make(taken, sampler);
+            for ev in trace.iter().take(trace.len() / 2) {
+                source.on_event(ev);
+            }
+            let snap = source.snapshot().expect("the stack snapshots");
+            make(taken, sampler)
+                .restore(&snap)
+                .expect("its own budget restores it");
+            for into in budgets.into_iter().filter(|&b| b != taken) {
+                let err = make(into, sampler)
+                    .restore(&snap)
+                    .expect_err("another budget refuses it");
+                let at = format!("{taken:?} into {into:?}, sampler {sampler}");
+                assert!(err.contains(&limit(taken)), "{at}: {err}");
+                assert!(err.contains(&limit(into)), "{at}: {err}");
+                assert!(err.contains("--memory-limit"), "{at}: {err}");
+            }
         }
     }
 }

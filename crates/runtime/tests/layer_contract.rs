@@ -6,21 +6,18 @@
 #[path = "../../detectors/tests/probe/mod.rs"]
 mod probe;
 
-use dgrace_detectors::{Governed, GovernorSpec, ShardableDetector};
+use dgrace_detectors::{ShardableDetector, StaticPruneFilter};
 use dgrace_runtime::PanicOnEvent;
+use dgrace_trace::PruneSet;
 use probe::assert_reaches_the_probe;
 
 #[test]
 fn panic_on_event_reaches_the_probe() {
     assert_reaches_the_probe("PanicOnEvent", |p| PanicOnEvent::new(p, 0, 0));
-    assert_reaches_the_probe("Governed<PanicOnEvent>", |p| {
-        Governed::new(
-            PanicOnEvent::new(p, 0, 0),
-            GovernorSpec::for_limit(u64::MAX, 1),
-        )
+    assert_reaches_the_probe("StaticPruneFilter<PanicOnEvent>", |p| {
+        StaticPruneFilter::new(PanicOnEvent::new(p, 0, 0), PruneSet::empty())
     });
-    assert_reaches_the_probe("a minted shard of PanicOnEvent<Governed>", |p| {
-        let spec = GovernorSpec::for_limit(u64::MAX, 1);
-        PanicOnEvent::new(Governed::new(p, spec), 1, 1).new_shard()
+    assert_reaches_the_probe("a minted shard of PanicOnEvent", |p| {
+        PanicOnEvent::new(p, 1, 1).new_shard()
     });
 }

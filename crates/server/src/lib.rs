@@ -87,7 +87,8 @@ pub struct ServerConfig {
     /// client is told the covered offset to skip.
     pub resume: bool,
     /// Process-wide accounted-memory cap. New sessions get a fair share
-    /// (`limit / max_sessions`) as their per-session governor quota;
+    /// (`limit / max_sessions`) as their quota, split across their
+    /// shards' shadow budgets;
     /// once the process gauge crosses the high watermark new admissions
     /// run on the sampling tier, and past the critical watermark new
     /// connections are shed with `OVERLOADED`. `None` disables

@@ -3,7 +3,7 @@
 //! Every message is one length-framed [`dgrace_trace::Frame`] (`len u32
 //! LE | kind u8 | payload`), so the transport reuses the hardened trace
 //! decoder's framing: truncation, oversized lengths, and zero-length
-//! frames all surface as typed [`TraceError`](dgrace_trace::TraceError)s
+//! frames all surface as typed [`TraceError`]s
 //! rather than panics or silent desync. Client-originated kinds sit
 //! below `0x80`, server-originated kinds at `0x80` and above.
 //!
@@ -319,19 +319,6 @@ fn render_report(
     } else {
         "false"
     });
-    if let Some(g) = &report.governor {
-        s.push_str(&format!(
-            ",\"governor\":{{\"limit\":{},\"peak_rung\":{},\"final_rung\":{},\"decisions\":{},\
-             \"peak_assessed_bytes\":{},\"engaged\":{},\"transitions\":{}}}",
-            g.limit,
-            g.peak_rung,
-            g.final_rung,
-            g.decisions,
-            g.peak_assessed_bytes,
-            g.engaged,
-            g.transitions.len()
-        ));
-    }
     s.push_str(",\"shard_failures\":");
     s.push_str(&report.failures.len().to_string());
     s.push_str(",\"races\":[");

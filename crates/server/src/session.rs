@@ -236,8 +236,8 @@ fn run_session(
         }
         _ => proto_det,
     };
-    // With a process cap configured, each session runs under the memory
-    // governor with a fair share of the cap as its quota.
+    // With a process cap configured, each session gets a fair share of
+    // the cap as its quota, split across its shards' shadow budgets.
     let quota = cfg
         .memory_limit
         .map(|limit| (limit / cfg.max_sessions.max(1) as u64).max(1));

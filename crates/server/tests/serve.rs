@@ -4,6 +4,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use dgrace_detectors::{FastTrack, Granularity};
@@ -284,8 +285,16 @@ fn degraded_session_finds_the_solo_races() {
     assert_eq!(stats.finished, 1);
 }
 
+/// Serializes the tests that read or move the process gauge, which every
+/// test in this binary shares.
+fn gauge_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn memory_pressure_degrades_then_sheds() {
+    let _gauge = gauge_lock();
     let dir = scratch("mempress");
     let mut cfg = base_config(&dir);
     cfg.max_sessions = 8;
@@ -331,6 +340,40 @@ fn memory_pressure_degrades_then_sheds() {
     assert_eq!(stats.shed_memory, 1);
     assert_eq!(stats.degraded, 1);
     assert_eq!(stats.finished, 2);
+}
+
+/// A session under `--memory-limit` publishes its shards' modeled bytes
+/// to the process gauge while it is live, for the admission ladder to
+/// read, and withdraws them when it ends; a session without a limit
+/// publishes nothing.
+#[test]
+fn a_capped_session_feeds_the_gauge_while_live() {
+    use dgrace_shadow::MemComponent::{Shadow, VcClocks};
+    let _gauge = gauge_lock();
+    let gauge = dgrace_shadow::process_gauge();
+    let trace = racy_trace();
+    for limit in [Some(1u64 << 30), None] {
+        let dir = scratch("gaugefeed");
+        let mut cfg = base_config(&dir);
+        cfg.memory_limit = limit;
+        let handle = Server::spawn(cfg).expect("spawn");
+        let before = [gauge.current(Shadow), gauge.current(VcClocks)];
+        let mut c = Client::connect(handle.socket(), "fed", "byte").expect("connect");
+        c.send_events(&trace.events).expect("send");
+        c.await_credits().expect("credit");
+        let live = [gauge.current(Shadow), gauge.current(VcClocks)];
+        let end = c.finish().expect("finish");
+        assert_eq!(end.report_json, solo_json("fed", &trace), "{limit:?}");
+        let after = [gauge.current(Shadow), gauge.current(VcClocks)];
+        if limit.is_some() {
+            assert!(live[0] > before[0], "shadow bytes published: {live:?}");
+            assert!(live[1] > before[1], "clock bytes published: {live:?}");
+        } else {
+            assert_eq!(live, before, "an uncapped session publishes nothing");
+        }
+        assert_eq!(after, before, "{limit:?}: withdrawn at FINISH");
+        handle.stop().expect("stop");
+    }
 }
 
 #[test]

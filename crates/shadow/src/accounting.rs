@@ -190,8 +190,8 @@ impl MemoryModel {
         self.breached
     }
 
-    /// Serializes the gauge state. The budget itself is *not* encoded —
-    /// it is run configuration, reapplied by the caller after decode.
+    /// Serializes the gauge state and the budget: a snapshot records the
+    /// cap it was taken under, so a resume can refuse another.
     pub fn encode(&self, w: &mut dgrace_trace::SnapshotWriter) {
         for v in self.current.iter().chain(self.peak.iter()) {
             w.u64(*v as u64);
@@ -200,10 +200,12 @@ impl MemoryModel {
         w.u64(self.vc_count as u64);
         w.u64(self.peak_vc_count as u64);
         w.bool(self.breached);
+        w.bool(self.budget.is_some());
+        w.u64(self.budget.unwrap_or(0) as u64);
     }
 
-    /// Rebuilds a gauge from [`MemoryModel::encode`]d bytes, with no
-    /// budget set (the caller reapplies its configured budget).
+    /// Rebuilds a gauge, budget included, from [`MemoryModel::encode`]d
+    /// bytes.
     pub fn decode(
         r: &mut dgrace_trace::SnapshotReader<'_>,
     ) -> Result<Self, dgrace_trace::TraceError> {
@@ -215,6 +217,9 @@ impl MemoryModel {
         m.vc_count = r.u64()? as usize;
         m.peak_vc_count = r.u64()? as usize;
         m.breached = r.bool()?;
+        let capped = r.bool()?;
+        let budget = r.u64()? as usize;
+        m.budget = capped.then_some(budget);
         Ok(m)
     }
 }

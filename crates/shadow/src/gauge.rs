@@ -1,41 +1,29 @@
-//! Process-wide memory governor primitives.
+//! The process gauge and the server's admission watermarks.
 //!
-//! Two cooperating layers share these types:
-//!
-//! * **Deterministic cap** (`dgrace_detectors::Governed`): each shard
-//!   assesses *its own modeled bytes* against a per-shard quota at fixed
-//!   event-count decision points and, past the soft watermark, has its
-//!   detector evict cold shadow state down to that watermark. Only
-//!   shard-local deterministic inputs feed those decisions, so governed
-//!   runs replay byte-identically across the funnel and pipeline paths.
-//! * **Process gauge** (this module's [`ProcessGauge`]): a global set of
-//!   atomic byte counters. `Governed` publishes its detector's modeled
-//!   shadow and clock bytes at each decision point, and the pipeline's
-//!   ring lanes and the server's session buffers add their segment
-//!   buffers. The gauge feeds the server's admission (sample past the
-//!   high watermark, shed past the critical one), where cross-thread
-//!   timing already makes determinism impossible; it is never consulted
-//!   by the per-shard cap.
-//!
-//! [`Watermarks`] carve those thresholds out of a byte limit, with the
-//! cap's hysteresis in [`Watermarks::release_floor`].
+//! [`ProcessGauge`] is a global set of atomic byte counters, one per
+//! [`MemComponent`]. A `serve` session under a memory limit publishes its
+//! detector shards' modeled shadow and clock bytes after each batch it
+//! feeds, and the pipeline's ring lanes and the server's session buffers
+//! add their segment buffers. The gauge has one reader, the server's
+//! admission: it samples new sessions past the high watermark and sheds
+//! them past the critical one, where cross-thread timing already makes
+//! determinism impossible. The cap a detector holds is its own shadow
+//! budget (`Detector::set_shadow_budget`), a pure function of its event
+//! stream; the gauge never feeds it. [`Watermarks`] carve the two
+//! admission thresholds out of a byte limit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Soft watermark numerator over a limit of 100 (60%).
-pub const SOFT_PCT: u64 = 60;
 /// High watermark numerator over a limit of 100 (80%).
 pub const HIGH_PCT: u64 = 80;
 /// Critical watermark numerator over a limit of 100 (95%).
 pub const CRITICAL_PCT: u64 = 95;
 
-/// The three byte thresholds carved out of a limit.
+/// The two admission thresholds carved out of a limit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watermarks {
     /// The full byte limit the watermarks divide.
     pub limit: u64,
-    /// 60% of the limit: a governed shard evicts cold state down to it.
-    pub soft: u64,
     /// 80% of the limit: the server samples new sessions.
     pub high: u64,
     /// 95% of the limit: the server sheds new sessions.
@@ -43,29 +31,21 @@ pub struct Watermarks {
 }
 
 impl Watermarks {
-    /// Computes the standard 60/80/95 split of `limit`.
+    /// Computes the standard 80/95 split of `limit`.
     pub fn for_limit(limit: u64) -> Self {
         Watermarks {
             limit,
-            soft: limit / 100 * SOFT_PCT + limit % 100 * SOFT_PCT / 100,
             high: limit / 100 * HIGH_PCT + limit % 100 * HIGH_PCT / 100,
             critical: limit / 100 * CRITICAL_PCT + limit % 100 * CRITICAL_PCT / 100,
         }
-    }
-
-    /// The bytes below which an engaged cap lets go: the soft watermark
-    /// minus a sixteenth of the limit: hysteresis against flapping when
-    /// usage hovers at the watermark.
-    pub fn release_floor(&self) -> u64 {
-        self.soft.saturating_sub(self.limit / 16)
     }
 }
 
 /// Components whose bytes the process gauge accounts separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemComponent {
-    /// Shadow stores + vector clocks, as modeled by each detector's
-    /// `MemoryModel` (pushed at governor decision points).
+    /// Shadow stores + bitmaps, as modeled by each detector's
+    /// `MemoryModel` (published by capped `serve` sessions).
     Shadow = 0,
     /// Copy-on-write vector-clock arenas (the `VectorClock` class of the
     /// memory model, broken out for reporting).
@@ -82,9 +62,8 @@ const COMPONENTS: usize = 4;
 /// Process-wide atomic byte accounting, one counter per
 /// [`MemComponent`] plus a monotonic peak of the total.
 ///
-/// Purely observational: the deterministic ladder never reads it (see
-/// the module docs). `set`/`add`/`sub` are lock-free and may be called
-/// from any thread.
+/// Only the server's admission reads it (see the module docs).
+/// `set`/`add`/`sub` are lock-free and may be called from any thread.
 #[derive(Debug)]
 pub struct ProcessGauge {
     bytes: [AtomicU64; COMPONENTS],
@@ -173,7 +152,6 @@ mod tests {
     #[test]
     fn watermarks_split_the_limit() {
         let w = Watermarks::for_limit(1000);
-        assert_eq!(w.soft, 600);
         assert_eq!(w.high, 800);
         assert_eq!(w.critical, 950);
     }
@@ -181,14 +159,7 @@ mod tests {
     #[test]
     fn watermarks_avoid_mul_overflow() {
         let w = Watermarks::for_limit(u64::MAX);
-        assert!(w.soft < w.high && w.high < w.critical && w.critical <= w.limit);
-    }
-
-    #[test]
-    fn release_floor_sits_below_the_watermark() {
-        // limit/16 = 100 of slack under the soft watermark.
-        assert_eq!(Watermarks::for_limit(1600).release_floor(), 960 - 100);
-        assert_eq!(Watermarks::for_limit(10).release_floor(), 6);
+        assert!(w.high < w.critical && w.critical <= w.limit);
     }
 
     #[test]

@@ -47,7 +47,7 @@
 
 pub mod accounting;
 mod chunk;
-pub mod governor;
+pub mod gauge;
 mod hash;
 mod paged;
 mod slab;
@@ -56,7 +56,7 @@ mod table;
 
 pub use accounting::{MemClass, MemoryModel};
 pub use chunk::Victims;
-pub use governor::{process_gauge, MemComponent, ProcessGauge, Watermarks};
+pub use gauge::{process_gauge, MemComponent, ProcessGauge, Watermarks};
 pub use hash::{FastMap, FibBuildHasher, FibHasher};
 pub use paged::PagedShadow;
 pub use slab::{Slab, SlabId};

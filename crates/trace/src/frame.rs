@@ -173,7 +173,7 @@ pub fn decode_event_at(
 /// Result of decoding an event-batch payload: the recovered events plus
 /// exact-loss accounting for the failure case.
 #[derive(Debug)]
-pub struct EventBatchDecode {
+pub struct DecodedBatch {
     /// Events decoded, in order. On error this holds the prefix that
     /// decoded cleanly before the failure.
     pub events: Vec<Event>,
@@ -184,7 +184,7 @@ pub struct EventBatchDecode {
     pub error: Option<TraceError>,
 }
 
-impl EventBatchDecode {
+impl DecodedBatch {
     /// Declared events that were *not* recovered — the batch's
     /// contribution to `events_lost` when it is rejected.
     pub fn lost(&self) -> u64 {
@@ -201,9 +201,9 @@ impl EventBatchDecode {
 /// bytes after the declared count are [`TraceError::Malformed`]. Never
 /// panics; allocation is proportional to bytes actually decoded, not the
 /// declared count.
-pub fn decode_events(payload: &[u8], base_offset: u64, limits: &DecodeLimits) -> EventBatchDecode {
+pub fn decode_events(payload: &[u8], base_offset: u64, limits: &DecodeLimits) -> DecodedBatch {
     if payload.len() < 4 {
-        return EventBatchDecode {
+        return DecodedBatch {
             events: Vec::new(),
             declared: 0,
             error: Some(TraceError::Truncated {
@@ -214,7 +214,7 @@ pub fn decode_events(payload: &[u8], base_offset: u64, limits: &DecodeLimits) ->
     }
     let declared = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
     if declared as u64 > limits.max_events {
-        return EventBatchDecode {
+        return DecodedBatch {
             events: Vec::new(),
             declared,
             error: Some(TraceError::LimitExceeded {
@@ -234,7 +234,7 @@ pub fn decode_events(payload: &[u8], base_offset: u64, limits: &DecodeLimits) ->
                 pos += used;
             }
             Err(e) => {
-                return EventBatchDecode {
+                return DecodedBatch {
                     events,
                     declared,
                     error: Some(e),
@@ -250,7 +250,7 @@ pub fn decode_events(payload: &[u8], base_offset: u64, limits: &DecodeLimits) ->
     } else {
         None
     };
-    EventBatchDecode {
+    DecodedBatch {
         events,
         declared,
         error,

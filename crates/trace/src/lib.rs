@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod builder;
 mod event;
 pub mod frame;
@@ -53,12 +52,11 @@ pub mod stats;
 pub mod summary;
 mod validate;
 
-pub use batch::EventBatch;
 pub use builder::TraceBuilder;
 pub use event::{AccessSize, Addr, Event, LockId};
 pub use frame::{
-    decode_event_at, decode_events, encode_events, read_frame, write_frame, EventBatchDecode,
-    Frame, MAX_FRAME_LEN,
+    decode_event_at, decode_events, encode_events, read_frame, write_frame, DecodedBatch, Frame,
+    MAX_FRAME_LEN,
 };
 pub use id_table::IdTable;
 pub use io::{BlockReader, DecodeLimits, DecodeStats, ReadOptions, TraceError, TraceFacts};

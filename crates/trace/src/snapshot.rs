@@ -33,9 +33,11 @@ pub const STATE_MAGIC: [u8; 4] = *b"DGSS";
 /// per layer (`dgrace_detectors::snap::Section`). Version 4 drops the
 /// per-thread same-epoch bitmaps from the happens-before state, version 5
 /// the fixed-granularity detectors' own from their section, version 6 the
-/// memory governor's sampler and its per-rung counters from its section.
+/// memory governor's sampler and its per-rung counters from its section,
+/// and version 7 the governor's section itself: the shadow budget a
+/// snapshot was taken under travels in the detector's own section.
 /// Older snapshots are refused, not migrated.
-pub const STATE_VERSION: u32 = 6;
+pub const STATE_VERSION: u32 = 7;
 /// Magic prefix for run-level checkpoint manifests.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"DGCP";
 /// Current checkpoint manifest format version: a manifest ends with a

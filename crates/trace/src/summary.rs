@@ -120,7 +120,7 @@ impl SummaryStats {
 /// Format version of the serialized summary (`DGAS` container): the one
 /// version this build writes and reads. A summary is bound to one trace
 /// by fingerprint and regenerated by `dgrace analyze` in under a second,
-/// so older files are refused ([`crate::TraceError::UnsupportedVersion`]),
+/// so older files are refused ([`crate::TraceError::BadVersion`]),
 /// not migrated.
 pub const SUMMARY_VERSION: u32 = 3;
 

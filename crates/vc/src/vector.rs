@@ -36,7 +36,7 @@ enum Repr {
 /// contents are of equal value" — we normalize by ignoring trailing zeros,
 /// which is the same equivalence).
 ///
-/// Clocks touching at most [`INLINE_THREADS`] threads are stored inline as
+/// Clocks touching at most `INLINE_THREADS` (2) threads are stored inline as
 /// sorted `(tid, clock)` pairs and never allocate; wider clocks spill to a
 /// dense heap vector. All observable behaviour (equality, hashing,
 /// ordering, iteration, witnesses) is representation-independent.
