@@ -209,9 +209,9 @@ fn print_help() {
          \x20                       [--checkpoint-every N] [--resume]   --resume reconstructs sessions after\n\
          \x20                       [--memory-limit BYTES]              a crash; SIGINT/SIGTERM stop\n\
          \x20                       [--credits N]                       gracefully (final checkpoints);\n\
-         \x20                                                          --memory-limit caps sessions and\n\
-         \x20                                                          sheds admissions past the critical\n\
-         \x20                                                          watermark\n\
+         \x20                                                          --memory-limit gives each session\n\
+         \x20                                                          limit/max-sessions as its shadow\n\
+         \x20                                                          budget\n\
          \x20 dgrace feed <detector> <file> <socket> [--session NAME]   stream a trace into a running server\n\
          \x20                                 [--json] [--resync]       (races stream back live; reconnecting\n\
          \x20                                 [--retry N]               with the same --session resumes);\n\
@@ -933,6 +933,9 @@ fn cmd_serve(rest: &[String]) -> Result<(), Failure> {
         cfg.shards_per_session = n;
     }
     if let Some(n) = p.opt_parse("--max-sessions")? {
+        if n == 0 {
+            return Err("--max-sessions must be positive".into());
+        }
         cfg.max_sessions = n;
     }
     if let Some(n) = p.opt_parse("--degrade-sessions")? {

@@ -3,8 +3,9 @@
 //! `dgrace_core::VC_DETECTORS` holds are the same set. Likewise for the
 //! options of `detect`, `compare`, `serve` and `feed`: the ones `dgrace
 //! help` prints are the ones their parsers accept, removed options and
-//! sample strategies are refused, and the memory cap is refused by the
-//! detectors that have no memory to cap.
+//! sample strategies are refused, the memory cap is refused by the
+//! detectors that have no memory to cap, and `serve` refuses a zero
+//! session count or credit window before it binds its socket.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -217,4 +218,23 @@ fn a_pruned_report_has_one_name_on_every_path() {
         stdout(&[&pruned[..], &["--shards", "1", "--self-heal"]].concat()),
         serial
     );
+}
+
+#[test]
+fn serve_refuses_a_zero_count_before_binding() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("serve-zero");
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let socket = dir.join("serve.sock");
+    let _ = std::fs::remove_file(&socket);
+    let sock = socket.to_str().expect("utf-8 path");
+    for (flag, msg) in [
+        ("--max-sessions", "--max-sessions must be positive"),
+        ("--credits", "--credits must be positive"),
+    ] {
+        let out = dgrace(&["serve", sock, flag, "0"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} 0: {err}");
+        assert!(err.contains(msg), "{flag} 0: {err}");
+        assert!(!socket.exists(), "{flag} 0 bound {}", socket.display());
+    }
 }

@@ -635,10 +635,6 @@ impl<K: StoreSelect> Detector for DynamicGranularityOn<K> {
         self.model.set_budget(bytes.map(|b| b as usize));
     }
 
-    fn mem_classes(&self) -> [u64; 3] {
-        self.model.classes()
-    }
-
     fn write_section(&self, w: &mut SnapshotWriter) -> bool {
         Section::Detector.write(w);
         // Full config fields, not just the label: restore must reject a

@@ -90,15 +90,6 @@ pub trait Detector: 'static {
     fn races_so_far(&self) -> &[crate::RaceReport] {
         self.inner().map_or(&[], |d| d.races_so_far())
     }
-
-    /// Current modeled bytes by memory class, `[hash, vector-clock,
-    /// bitmap]` — the live counterpart of the peak columns in the
-    /// report. A `serve` session under a memory limit publishes the sum
-    /// over its shards to the process gauge.
-    /// Detectors without a memory model report zeros.
-    fn mem_classes(&self) -> [u64; 3] {
-        self.inner().map_or([0; 3], |d| d.mem_classes())
-    }
 }
 
 /// A boxed detector is the detector in the box. This is the one impl that
@@ -131,9 +122,6 @@ impl<D: Detector + ?Sized> Detector for Box<D> {
     }
     fn races_so_far(&self) -> &[crate::RaceReport] {
         (**self).races_so_far()
-    }
-    fn mem_classes(&self) -> [u64; 3] {
-        (**self).mem_classes()
     }
 }
 

@@ -263,10 +263,6 @@ impl<C: CellRule> Detector for FixedOn<C> {
         self.model.set_budget(bytes.map(|b| b as usize));
     }
 
-    fn mem_classes(&self) -> [u64; 3] {
-        self.model.classes()
-    }
-
     fn write_section(&self, w: &mut SnapshotWriter) -> bool {
         Section::Detector.write(w);
         self.hb.encode(w);

@@ -28,7 +28,6 @@ pub struct Probe {
 }
 
 pub const PROBE_STATE: &[u8] = b"probe state";
-pub const PROBE_CLASSES: [u64; 3] = [11, 22, 33];
 
 impl Probe {
     pub fn new() -> (Probe, Arc<Mutex<Seen>>) {
@@ -84,9 +83,6 @@ impl Detector for Probe {
     fn races_so_far(&self) -> &[RaceReport] {
         &self.races
     }
-    fn mem_classes(&self) -> [u64; 3] {
-        PROBE_CLASSES
-    }
 }
 
 impl ShardableDetector for Probe {
@@ -111,7 +107,6 @@ pub fn assert_reaches_the_probe<W: Detector>(layer: &str, wrap: impl FnOnce(Prob
     assert_eq!(seen().events, 1, "{layer}: on_event");
 
     // Answered inside, seen outside.
-    assert_eq!(det.mem_classes(), PROBE_CLASSES, "{layer}: mem_classes");
     let live = det.races_so_far();
     assert_eq!(live.len(), 1, "{layer}: races_so_far");
     assert_eq!(live[0].addr, Addr(0xFACE), "{layer}: races_so_far");

@@ -964,20 +964,6 @@ impl Engine {
         out
     }
 
-    /// The healthy shards' modeled bytes by memory class, summed
-    /// ([`Detector::mem_classes`]).
-    pub(crate) fn mem_classes(&self) -> [u64; 3] {
-        let mut sum = [0; 3];
-        for st in &self.shards {
-            if let Some(det) = st.lock().det.as_ref() {
-                for (s, b) in sum.iter_mut().zip(det.mem_classes()) {
-                    *s += b;
-                }
-            }
-        }
-        sum
-    }
-
     /// Captures the engine's complete state: per-shard detector
     /// snapshots (refreshing each shard's in-memory checkpoint so later
     /// delta replays start here), the router, and the counters.

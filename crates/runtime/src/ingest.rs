@@ -30,12 +30,12 @@
 //!   resumed session reports how many events it already covers and the
 //!   client replays only the suffix.
 //! * **Memory cap.** A session built with a quota gives each shard its
-//!   slice as the detector's own shadow budget, and publishes its shards'
-//!   modeled bytes to the [`process_gauge`] after each fed batch, which
-//!   the server's admission reads; it withdraws them when it ends.
+//!   slice as the detector's own shadow budget, so the session holds its
+//!   quota the way a capped `detect` run holds its `--memory-limit`: a
+//!   capped 1-shard session reports what `detect --memory-limit quota`
+//!   does on the same events.
 
 use dgrace_detectors::{RaceReport, Report, ShardableDetector};
-use dgrace_shadow::{process_gauge, MemComponent};
 use dgrace_trace::{Event, PruneSet};
 
 use crate::checkpoint::CheckpointManifest;
@@ -58,47 +58,13 @@ pub struct IngestSession {
     driver: Driver<'static>,
     /// Per-shard positions into `races_so_far()` already drained.
     watermarks: Vec<usize>,
-    /// What a session with a quota has published to the process gauge.
-    gauge: Option<GaugeShare>,
-}
-
-/// The `[Shadow, VcClocks]` bytes one session has added to the process
-/// gauge, so updates are deltas (concurrent sessions add up rather than
-/// overwrite each other) and dropping the share withdraws them.
-#[derive(Default)]
-struct GaugeShare([u64; 2]);
-
-impl GaugeShare {
-    fn publish(&mut self, [hash, clocks, bitmap]: [u64; 3]) {
-        let g = process_gauge();
-        let comps = [MemComponent::Shadow, MemComponent::VcClocks];
-        for ((comp, pushed), now) in comps
-            .into_iter()
-            .zip(&mut self.0)
-            .zip([hash + bitmap, clocks])
-        {
-            if now >= *pushed {
-                g.add(comp, now - *pushed);
-            } else {
-                g.sub(comp, *pushed - now);
-            }
-            *pushed = now;
-        }
-    }
-}
-
-impl Drop for GaugeShare {
-    fn drop(&mut self) {
-        self.publish([0; 3]);
-    }
 }
 
 impl IngestSession {
     /// Builds a session: `shards` instances of the prototype behind an
     /// address-routing engine. `quota` is the session's memory cap:
-    /// `Some(q)` gives each shard `q / shards` as its shadow budget and
-    /// publishes the session's modeled bytes to the process gauge; `None`
-    /// is uncapped and publishes nothing.
+    /// `Some(q)` gives each shard `q / shards` as its shadow budget;
+    /// `None` is uncapped.
     pub fn new<D: ShardableDetector + ?Sized>(
         prototype: &D,
         shards: usize,
@@ -111,7 +77,7 @@ impl IngestSession {
                 det.set_shadow_budget(Some(slice.max(1)));
             }
         }
-        let lanes = Lanes::inline(detectors.len(), MemComponent::Sessions);
+        let lanes = Lanes::inline(detectors.len());
         IngestSession {
             watermarks: vec![0; detectors.len()],
             engine: Engine::build(
@@ -121,7 +87,6 @@ impl IngestSession {
                 None,
             ),
             driver: Driver::new(lanes, prototype.name(), 0, None),
-            gauge: quota.map(|_| GaugeShare::default()),
         }
     }
 
@@ -145,15 +110,10 @@ impl IngestSession {
         self.driver.step(&self.engine, ev).expect(INLINE_INFALLIBLE);
     }
 
-    /// Feeds a batch of events in order. A session with a quota then
-    /// feeds what it staged and publishes its shards' bytes.
+    /// Feeds a batch of events in order.
     pub fn feed_all(&mut self, events: &[Event]) {
         for ev in events {
             self.feed(ev);
-        }
-        if let Some(share) = &mut self.gauge {
-            self.driver.lanes.flush(&self.engine);
-            share.publish(self.engine.mem_classes());
         }
     }
 

@@ -28,18 +28,12 @@
 //!   boundary) and captures the engine; a healing shard replays its own
 //!   journal, which holds the same per-shard stream.
 //!
-//! Staged and in-flight segment bytes are booked on the process gauge
-//! at the capacity of their buffers, so server admission sees what a
-//! session holds; the booking changes only when a buffer grows, is
-//! handed to a worker, or is freed, never per event.
-//!
 //! [`Transport::Rings`]: crate::Transport::Rings
 //! [`Transport::Funnel`]: crate::Transport::Funnel
 
 use std::sync::mpsc;
 use std::thread;
 
-use dgrace_shadow::{process_gauge, MemComponent};
 use dgrace_trace::Event;
 
 use crate::engine::Engine;
@@ -86,24 +80,21 @@ pub(crate) struct Lanes<'r> {
     base: u64,
     /// Events stamped since the last barrier.
     stamped: u64,
-    /// Where the segment buffers are booked on the process gauge.
-    gauge: MemComponent,
 }
 
 /// Runs `run` on the calling thread with the lanes of `transport` over
-/// `engine`, booked against `gauge`. On the rings, one worker per lane
-/// is spawned first and joined before returning; the rings are closed
-/// on *every* exit path of `run` (including checkpoint I/O errors) so
-/// workers always drain and terminate.
+/// `engine`. On the rings, one worker per lane is spawned first and
+/// joined before returning; the rings are closed on *every* exit path of
+/// `run` (including checkpoint I/O errors) so workers always drain and
+/// terminate.
 pub(crate) fn with_lanes<R>(
     engine: &Engine,
     transport: Transport,
-    gauge: MemComponent,
     run: impl FnOnce(Lanes<'_>) -> R,
 ) -> R {
     let shards = engine.shard_count();
     if transport == Transport::Funnel {
-        return run(Lanes::inline(shards, gauge));
+        return run(Lanes::inline(shards));
     }
     let rings: Vec<Spsc<Job>> = (0..shards).map(|_| Spsc::new(RING_SEGMENTS)).collect();
     thread::scope(|scope| {
@@ -111,10 +102,7 @@ pub(crate) fn with_lanes<R>(
             scope.spawn(move || {
                 while let Some(job) = ring.pop() {
                     match job {
-                        Job::Run(seg) => {
-                            engine.feed_segment(i, &seg);
-                            process_gauge().sub(gauge, buffer_bytes(&seg));
-                        }
+                        Job::Run(seg) => engine.feed_segment(i, &seg),
                         Job::Barrier(ack) => {
                             let _ = ack.send(());
                         }
@@ -122,7 +110,7 @@ pub(crate) fn with_lanes<R>(
                 }
             });
         }
-        let out = run(Lanes::new(Some(&rings), shards, gauge));
+        let out = run(Lanes::new(Some(&rings), shards));
         for ring in &rings {
             ring.close();
         }
@@ -130,28 +118,20 @@ pub(crate) fn with_lanes<R>(
     })
 }
 
-/// Heap bytes held by one segment buffer, as booked on the process
-/// gauge. Reporting only — never an input to the deterministic pressure
-/// ladder.
-fn buffer_bytes(seg: &Segment) -> u64 {
-    (seg.capacity() * std::mem::size_of::<(u64, Event)>()) as u64
-}
-
 impl<'r> Lanes<'r> {
     /// Lanes for `shards` shards, each segment fed inline on the walking
     /// thread.
-    pub(crate) fn inline(shards: usize, gauge: MemComponent) -> Self {
-        Lanes::new(None, shards, gauge)
+    pub(crate) fn inline(shards: usize) -> Self {
+        Lanes::new(None, shards)
     }
 
-    fn new(rings: Option<&'r [Spsc<Job>]>, shards: usize, gauge: MemComponent) -> Self {
+    fn new(rings: Option<&'r [Spsc<Job>]>, shards: usize) -> Self {
         Lanes {
             rings,
             stage: vec![Vec::new(); shards],
             targets: Vec::new(),
             base: 0,
             stamped: 0,
-            gauge,
         }
     }
 
@@ -171,11 +151,6 @@ impl<'r> Lanes<'r> {
     #[inline]
     fn stage(&mut self, engine: &Engine, s: usize, stamp: u64, ev: &Event) {
         let lane = &mut self.stage[s];
-        if lane.len() == lane.capacity() {
-            let before = buffer_bytes(lane);
-            lane.reserve(1);
-            process_gauge().add(self.gauge, buffer_bytes(lane) - before);
-        }
         lane.push((stamp, *ev));
         if lane.len() >= SEGMENT_EVENTS {
             self.ship(engine, s);
@@ -251,8 +226,7 @@ impl<'r> Lanes<'r> {
 
     /// Feeds lane `s`'s staged segment inline, or pushes it into the
     /// lane's ring (blocking while the ring is full — backpressure
-    /// against a slow shard) with its bytes still booked: the worker
-    /// retires them once it has fed the segment.
+    /// against a slow shard).
     fn ship(&mut self, engine: &Engine, s: usize) {
         let lane = &mut self.stage[s];
         if lane.is_empty() {
@@ -263,22 +237,11 @@ impl<'r> Lanes<'r> {
             lane.clear();
             return;
         };
-        let fresh = Vec::with_capacity(SEGMENT_EVENTS);
-        process_gauge().add(self.gauge, buffer_bytes(&fresh));
-        let seg = std::mem::replace(lane, fresh);
+        let seg = std::mem::replace(lane, Vec::with_capacity(SEGMENT_EVENTS));
         // The rings are only closed after the walker returns, so the
         // push cannot be rejected mid-run.
         if rings[s].push(Job::Run(seg)).is_err() {
             unreachable!("shard lane closed while the walker was running");
         }
-    }
-}
-
-impl Drop for Lanes<'_> {
-    /// Retires the staging buffers from the process gauge (a session
-    /// dropped mid-stream never fed what it staged).
-    fn drop(&mut self) {
-        let bytes = self.stage.iter().map(buffer_bytes).sum();
-        process_gauge().sub(self.gauge, bytes);
     }
 }

@@ -38,7 +38,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use dgrace_detectors::{Detector, Report, ShardableDetector};
-use dgrace_shadow::MemComponent;
 use dgrace_trace::{Event, EventSource, PruneSet, Trace, TraceError};
 
 use crate::checkpoint::{CheckpointManifest, CHECKPOINT_FILE};
@@ -229,7 +228,7 @@ fn run(
         std::fs::create_dir_all(&c.dir)
             .map_err(|e| ReplayError::Io(format!("{}: {e}", c.dir.display())))?;
     }
-    with_lanes(&engine, plan.transport, MemComponent::RingLanes, |lanes| {
+    with_lanes(&engine, plan.transport, |lanes| {
         walk(&engine, lanes, det_name, start, source, plan)
     })
 }

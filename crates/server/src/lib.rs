@@ -18,10 +18,14 @@
 //!   panic quarantines exactly that session (with an exact
 //!   `events_lost` count from the prefix-preserving batch decoder) and
 //!   every other session's race set is untouched.
-//! * **Graceful degradation.** Admission control is a ladder, not a
-//!   cliff: past a soft watermark new sessions run on the PR 8 sampling
-//!   tier (bounded overhead, flagged recall); past the hard watermark
-//!   they are shed with a typed `OVERLOADED` reply.
+//! * **Graceful degradation.** Admission control is a ladder over the
+//!   live-session count, not a cliff: from `degrade_sessions` live
+//!   sessions new ones run on the sampling tier (bounded overhead,
+//!   flagged recall); at `max_sessions` they are shed with a typed
+//!   `OVERLOADED` reply. Memory needs no rung of its own: under a memory
+//!   limit every session holds a `limit / max_sessions` quota as its
+//!   detector's shadow budget, so the budgets of the sessions the ladder
+//!   admits sum to at most the limit.
 //! * **Crash durability.** Sessions checkpoint on an event cadence into
 //!   the PR 5 `DGCP` manifests; after a crash (or SIGKILL) a server
 //!   restarted with resume enabled reconstructs each session from its
@@ -50,7 +54,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dgrace_detectors::SampleSpec;
-use dgrace_shadow::{process_gauge, Watermarks};
 
 /// Server tuning and robustness policy. Every knob has a sane default;
 /// construct with [`ServerConfig::new`] and override fields as needed.
@@ -86,13 +89,10 @@ pub struct ServerConfig {
     /// [`ServerConfig::checkpoint_dir`] is reconstructed from it and the
     /// client is told the covered offset to skip.
     pub resume: bool,
-    /// Process-wide accounted-memory cap. New sessions get a fair share
-    /// (`limit / max_sessions`) as their quota, split across their
-    /// shards' shadow budgets;
-    /// once the process gauge crosses the high watermark new admissions
-    /// run on the sampling tier, and past the critical watermark new
-    /// connections are shed with `OVERLOADED`. `None` disables
-    /// memory-based admission control.
+    /// Process-wide accounted-memory cap. Every session gets a fair share
+    /// (`limit / max_sessions`) as its quota, split across its shards'
+    /// shadow budgets; admission does not read it. `None` leaves
+    /// sessions uncapped.
     pub memory_limit: Option<u64>,
     /// Credit window granted at the handshake, in events.
     pub credits: u32,
@@ -132,10 +132,6 @@ pub struct ServerStats {
     pub finished: u64,
     /// Connections shed by hard-watermark admission control.
     pub shed: u64,
-    /// Of the shed connections, how many were shed because the process
-    /// memory gauge sat at or above the critical watermark of
-    /// [`ServerConfig::memory_limit`].
-    pub shed_memory: u64,
     /// Sessions admitted onto the sampling tier (counted once their
     /// `HELLO` is accepted).
     pub degraded: u64,
@@ -179,27 +175,18 @@ pub(crate) enum Tier {
     /// The sampling tier under [`ServerConfig::degrade_sample`].
     Sampled(SampleSpec),
     /// Shed with a typed `OVERLOADED` reply.
-    Shed {
-        /// The process gauge sat at or past the critical watermark.
-        memory: bool,
-    },
+    Shed,
 }
 
 /// The admission ladder, decided once per connection at accept with
-/// `active` live sessions not counting this one: shed at `max_sessions`
-/// or with the process gauge at the critical watermark of
-/// `memory_limit`; sample from `degrade_sessions` on
-/// or with the gauge past the high watermark; otherwise full analysis.
+/// `active` live sessions not counting this one: shed at `max_sessions`,
+/// sample from `degrade_sessions` on, otherwise full analysis.
 fn admission(cfg: &ServerConfig, active: u64) -> Tier {
-    let marks = cfg.memory_limit.map(Watermarks::for_limit);
-    let gauge = process_gauge().total();
-    let memory = marks.is_some_and(|w| gauge >= w.critical);
-    if active >= cfg.max_sessions as u64 || memory {
-        return Tier::Shed { memory };
+    if active >= cfg.max_sessions as u64 {
+        return Tier::Shed;
     }
-    let high = marks.is_some_and(|w| gauge >= w.high);
     match &cfg.degrade_sample {
-        Some(spec) if active >= cfg.degrade_sessions as u64 || high => Tier::Sampled(spec.clone()),
+        Some(spec) if active >= cfg.degrade_sessions as u64 => Tier::Sampled(spec.clone()),
         _ => Tier::Full,
     }
 }
@@ -269,15 +256,12 @@ impl Server {
                         s.accepted += 1;
                         let tier = admission(&self.cfg, s.active);
                         match tier {
-                            Tier::Shed { memory } => {
-                                s.shed += 1;
-                                s.shed_memory += memory as u64;
-                            }
+                            Tier::Shed => s.shed += 1,
                             _ => s.active += 1,
                         }
                         tier
                     });
-                    if let Tier::Shed { .. } = tier {
+                    if let Tier::Shed = tier {
                         // Typed shed: the client sees `OVERLOADED`, not
                         // a hang or a reset.
                         let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));

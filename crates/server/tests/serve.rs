@@ -4,7 +4,6 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use dgrace_detectors::{FastTrack, Granularity};
@@ -198,16 +197,22 @@ fn slowloris_session_hits_idle_timeout() {
 /// The admission ladder at two sizes: `degrade` full-fidelity sessions,
 /// then sampled-tier ones up to the hard watermark, then as many typed
 /// sheds as there were sampled admissions. Sequential connects from one
-/// thread make every count exact.
+/// thread make every count exact, and a memory limit does not move one:
+/// it only sets each session's quota, which `racy_trace` stays under.
 #[test]
 fn overload_degrades_then_sheds() {
     let trace = racy_trace();
-    for (max, degrade) in [(2usize, 1usize), (8, 4)] {
-        let row = format!("max={max} degrade={degrade}");
+    let ladders = [(2usize, 1usize), (8, 4)];
+    for ((max, degrade), limit) in ladders
+        .into_iter()
+        .flat_map(|l| [(l, None), (l, Some(1u64 << 20))])
+    {
+        let row = format!("max={max} degrade={degrade} limit={limit:?}");
         let dir = scratch("overload");
         let mut cfg = base_config(&dir);
         cfg.max_sessions = max;
         cfg.degrade_sessions = degrade;
+        cfg.memory_limit = limit;
         let handle = Server::spawn(cfg).expect("spawn");
 
         let mut holders = Vec::new();
@@ -285,94 +290,72 @@ fn degraded_session_finds_the_solo_races() {
     assert_eq!(stats.finished, 1);
 }
 
-/// Serializes the tests that read or move the process gauge, which every
-/// test in this binary shares.
-fn gauge_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-#[test]
-fn memory_pressure_degrades_then_sheds() {
-    let _gauge = gauge_lock();
-    let dir = scratch("mempress");
-    let mut cfg = base_config(&dir);
-    cfg.max_sessions = 8;
-    // Session-count ladder disabled: only memory pressure acts here.
-    cfg.degrade_sessions = 8;
-    cfg.memory_limit = Some(1 << 20); // high at 80%, critical at 95%
-    let handle = Server::spawn(cfg).expect("spawn");
-    let trace = racy_trace();
-    let gauge = dgrace_shadow::process_gauge();
-
-    // Plenty of headroom: full fidelity, byte-identical to a solo run.
-    let mut c1 = Client::connect(handle.socket(), "roomy", "byte").expect("c1");
-    assert!(!c1.degraded());
-
-    // Push the process gauge past the high watermark: new sessions are
-    // admitted, but onto the sampling tier.
-    gauge.add(dgrace_shadow::MemComponent::Shadow, 850 << 10);
-    let mut c2 = Client::connect(handle.socket(), "tight", "byte").expect("c2");
-    assert!(c2.degraded(), "high watermark degrades new admissions");
-
-    // Past the critical watermark: new sessions are shed with a typed
-    // OVERLOADED reply; the live ones keep running.
-    gauge.add(dgrace_shadow::MemComponent::Shadow, 200 << 10);
-    match Client::connect(handle.socket(), "doomed", "byte") {
-        Err(ClientError::Overloaded) => {}
-        Err(other) => panic!("expected Overloaded, got {other}"),
-        Ok(_) => panic!("expected Overloaded, got a session"),
+/// Two threads racing on `n` distinct words, one per 128-byte shadow
+/// chunk: a footprint that grows with `n`.
+fn wide_trace(n: u64) -> Trace {
+    let mut b = TraceBuilder::new();
+    b.fork(0u32, 1u32);
+    for i in 0..n {
+        let addr = 0x10_0000 + 128 * i;
+        b.write(0u32, addr, AccessSize::U64)
+            .write(1u32, addr, AccessSize::U64);
     }
-    gauge.sub(
-        dgrace_shadow::MemComponent::Shadow,
-        (850 << 10) + (200 << 10),
-    );
-
-    c1.send_events(&trace.events).expect("send");
-    c2.send_events(&trace.events).expect("send");
-    let full = c1.finish().expect("finish");
-    let sampled = c2.finish().expect("finish");
-    assert_eq!(full.report_json, solo_json("roomy", &trace));
-    assert!(sampled.report_json.contains("\"degraded\":true"));
-
-    let stats = handle.stop().expect("stop");
-    assert_eq!(stats.shed, 1);
-    assert_eq!(stats.shed_memory, 1);
-    assert_eq!(stats.degraded, 1);
-    assert_eq!(stats.finished, 2);
+    b.join(0u32, 1u32);
+    b.build()
 }
 
-/// A session under `--memory-limit` publishes its shards' modeled bytes
-/// to the process gauge while it is live, for the admission ladder to
-/// read, and withdraws them when it ends; a session without a limit
-/// publishes nothing.
+/// Under `memory_limit` a session holds `memory_limit / max_sessions` as
+/// its shadow budget: one whose footprint exceeds that quota evicts,
+/// says `"budget_degraded":true`, and reports exactly what the same
+/// engine reports in-process under the same quota.
 #[test]
-fn a_capped_session_feeds_the_gauge_while_live() {
-    use dgrace_shadow::MemComponent::{Shadow, VcClocks};
-    let _gauge = gauge_lock();
-    let gauge = dgrace_shadow::process_gauge();
-    let trace = racy_trace();
-    for limit in [Some(1u64 << 30), None] {
-        let dir = scratch("gaugefeed");
+fn a_capped_session_holds_its_quota() {
+    let trace = wide_trace(256);
+    let byte = FastTrack::with_granularity(Granularity::Byte);
+    let (max_sessions, quota) = (4usize, 4096u64);
+    for shards in [1usize, 2] {
+        let mut roomy = IngestSession::new(&byte, shards, None);
+        roomy.feed_all(&trace.events);
+        let roomy = roomy.finalize();
+        assert!(
+            roomy.stats.peak_total_bytes as u64 > 2 * quota,
+            "shards={shards}: the footprint exceeds the quota"
+        );
+        let mut solo = IngestSession::new(&byte, shards, Some(quota));
+        solo.feed_all(&trace.events);
+        let solo = solo.finalize();
+        assert!(
+            solo.budget_degraded && solo.stats.evicted > 0,
+            "shards={shards}"
+        );
+        assert!(
+            solo.stats.peak_total_bytes as u64 <= quota * 3 / 2,
+            "shards={shards}: peak {} over 1.5x the quota",
+            solo.stats.peak_total_bytes
+        );
+
+        let dir = scratch("quota");
         let mut cfg = base_config(&dir);
-        cfg.memory_limit = limit;
+        cfg.shards_per_session = shards;
+        cfg.max_sessions = max_sessions;
+        cfg.memory_limit = Some(quota * max_sessions as u64);
         let handle = Server::spawn(cfg).expect("spawn");
-        let before = [gauge.current(Shadow), gauge.current(VcClocks)];
-        let mut c = Client::connect(handle.socket(), "fed", "byte").expect("connect");
+        let mut c = Client::connect(handle.socket(), "capped", "byte").expect("connect");
+        assert!(!c.degraded(), "shards={shards}: one session runs in full");
         c.send_events(&trace.events).expect("send");
-        c.await_credits().expect("credit");
-        let live = [gauge.current(Shadow), gauge.current(VcClocks)];
         let end = c.finish().expect("finish");
-        assert_eq!(end.report_json, solo_json("fed", &trace), "{limit:?}");
-        let after = [gauge.current(Shadow), gauge.current(VcClocks)];
-        if limit.is_some() {
-            assert!(live[0] > before[0], "shadow bytes published: {live:?}");
-            assert!(live[1] > before[1], "clock bytes published: {live:?}");
-        } else {
-            assert_eq!(live, before, "an uncapped session publishes nothing");
-        }
-        assert_eq!(after, before, "{limit:?}: withdrawn at FINISH");
-        handle.stop().expect("stop");
+        assert!(
+            end.report_json.contains("\"budget_degraded\":true"),
+            "shards={shards}: {}",
+            end.report_json
+        );
+        assert_eq!(
+            end.report_json,
+            proto::report_json("capped", &solo, 0, false),
+            "shards={shards}"
+        );
+        let stats = handle.stop().expect("stop");
+        assert_eq!(stats.finished, 1);
     }
 }
 

@@ -125,12 +125,6 @@ impl MemoryModel {
         self.current[class.index()]
     }
 
-    /// Current bytes of every class, in [`MemClass::ALL`] order — what a
-    /// detector answers `mem_classes` with.
-    pub fn classes(&self) -> [u64; 3] {
-        self.current.map(|b| b as u64)
-    }
-
     /// Peak bytes of `class` over the run.
     pub fn peak(&self, class: MemClass) -> usize {
         self.peak[class.index()]

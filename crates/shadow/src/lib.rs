@@ -47,7 +47,6 @@
 
 pub mod accounting;
 mod chunk;
-pub mod gauge;
 mod hash;
 mod paged;
 mod slab;
@@ -56,7 +55,6 @@ mod table;
 
 pub use accounting::{MemClass, MemoryModel};
 pub use chunk::Victims;
-pub use gauge::{process_gauge, MemComponent, ProcessGauge, Watermarks};
 pub use hash::{FastMap, FibBuildHasher, FibHasher};
 pub use paged::PagedShadow;
 pub use slab::{Slab, SlabId};
