@@ -1,6 +1,6 @@
 //! The classifier: three proofs, one sweep.
 //!
-//! [`ClassifyPass`] walks the trace at most four times: `Atoms::build`
+//! [`classify`] walks the trace at most four times: `Atoms::build`
 //! collects the access boundaries (1) and resolves every access's atom
 //! span (2); the **fused sweep** (3) carries the state of all three
 //! proofs at once and updates one small [`Cell`] per atom of each span;
@@ -56,7 +56,6 @@ use dgrace_vc::{ClockValue, Tid, VectorClock};
 
 use crate::atoms::Atoms;
 use crate::locksets::{LockSets, SetId};
-use crate::manager::AnalysisPass;
 
 /// An atom's verdict, weakest (least prunable) first: an access spanning
 /// atoms of different classes counts toward the minimum, matching whether
@@ -181,114 +180,104 @@ fn sweep(trace: &Trace, atoms: &Atoms, sets: &mut LockSets) -> Vec<Cell> {
 }
 
 /// The classification pass: the three-proof sweep producing
-/// [`ClassifiedRange`]s and [`SummaryStats`] (see the module docs).
-/// Always runs first in the standard pipeline — `LockGraphPass` reads
-/// its `Contended` ranges.
-pub struct ClassifyPass;
+/// [`ClassifiedRange`]s and [`SummaryStats`] (see the module docs), and
+/// the number of ranges. Runs first: the lock-graph pass reads its
+/// `Contended` ranges.
+pub(crate) fn classify(trace: &Trace, summary: &mut AnalysisSummary) -> u64 {
+    let atoms = Atoms::build(trace);
+    let mut sets = LockSets::new();
+    let cells = sweep(trace, &atoms, &mut sets);
+    let ranks: Vec<Rank> = cells.iter().map(Cell::rank).collect();
 
-impl AnalysisPass for ClassifyPass {
-    fn name(&self) -> &'static str {
-        "classify"
+    // Thread-local verdicts do not compose across atoms: two adjacent
+    // atoms can each be internally fork/join-ordered while their
+    // access sets are mutually concurrent, and a word-granularity
+    // detector folding both onto one shadow cell would report a race
+    // that pruning the merged range (at granule > 1) would hide. So
+    // each maximal run of adjacent thread-local atoms is re-proved as
+    // a single location: only *jointly* ordered runs may merge. The
+    // other classes compose by construction — a read-only range's
+    // writes are ordered against everything, and equal-lockset ranges
+    // share a lock that orders every conflicting pair. (A run of one
+    // atom has nothing to merge with and gets no run cell.)
+    let mut run_of: Vec<Option<u32>> = vec![None; ranks.len()];
+    let mut runs: Vec<Cell> = Vec::new();
+    for i in 1..ranks.len() {
+        if ranks[i] == THREAD_LOCAL && ranks[i - 1] == THREAD_LOCAL {
+            if run_of[i - 1].is_none() {
+                run_of[i - 1] = Some(runs.len() as u32);
+                runs.push(Cell::default());
+            }
+            run_of[i] = run_of[i - 1];
+        }
     }
 
-    fn run(&mut self, trace: &Trace, summary: &mut AnalysisSummary) -> u64 {
-        let atoms = Atoms::build(trace);
-        let mut sets = LockSets::new();
-        let cells = sweep(trace, &atoms, &mut sets);
-        let ranks: Vec<Rank> = cells.iter().map(Cell::rank).collect();
-
-        // Thread-local verdicts do not compose across atoms: two adjacent
-        // atoms can each be internally fork/join-ordered while their
-        // access sets are mutually concurrent, and a word-granularity
-        // detector folding both onto one shadow cell would report a race
-        // that pruning the merged range (at granule > 1) would hide. So
-        // each maximal run of adjacent thread-local atoms is re-proved as
-        // a single location: only *jointly* ordered runs may merge. The
-        // other classes compose by construction — a read-only range's
-        // writes are ordered against everything, and equal-lockset ranges
-        // share a lock that orders every conflicting pair. (A run of one
-        // atom has nothing to merge with and gets no run cell.)
-        let mut run_of: Vec<Option<u32>> = vec![None; ranks.len()];
-        let mut runs: Vec<Cell> = Vec::new();
-        for i in 1..ranks.len() {
-            if ranks[i] == THREAD_LOCAL && ranks[i - 1] == THREAD_LOCAL {
-                if run_of[i - 1].is_none() {
-                    run_of[i - 1] = Some(runs.len() as u32);
-                    runs.push(Cell::default());
-                }
-                run_of[i] = run_of[i - 1];
+    // Second sweep: joint orderedness per run, and each access
+    // counted toward its weakest atom's class.
+    let mut counts = [ClassCounts::default(); 4];
+    let mut clocks = fork_join_clocks(atoms.threads);
+    let mut spans = atoms.spans.iter();
+    for ev in trace {
+        if !ev.is_access() {
+            fork_join(&mut clocks, ev);
+            continue;
+        }
+        let &(lo, hi) = spans.next().expect("one span per access");
+        let mut weakest = THREAD_LOCAL;
+        for i in lo as usize..hi as usize {
+            weakest = weakest.min(ranks[i]);
+            if let Some(run) = run_of[i] {
+                runs[run as usize].follow(ev.tid(), &clocks[ev.tid().index()]);
             }
         }
+        counts[weakest as usize].accesses += 1;
+    }
 
-        // Second sweep: joint orderedness per run, and each access
-        // counted toward its weakest atom's class.
-        let mut counts = [ClassCounts::default(); 4];
-        let mut clocks = fork_join_clocks(atoms.threads);
-        let mut spans = atoms.spans.iter();
-        for ev in trace {
-            if !ev.is_access() {
-                fork_join(&mut clocks, ev);
-                continue;
-            }
-            let &(lo, hi) = spans.next().expect("one span per access");
-            let mut weakest = THREAD_LOCAL;
-            for i in lo as usize..hi as usize {
-                weakest = weakest.min(ranks[i]);
-                if let Some(run) = run_of[i] {
-                    runs[run as usize].follow(ev.tid(), &clocks[ev.tid().index()]);
-                }
-            }
-            counts[weakest as usize].accesses += 1;
+    // Adjacent atoms of equal class merge into one range; equal lock
+    // sets have equal ids.
+    let mut ranges: Vec<ClassifiedRange> = Vec::new();
+    let mut last_key = (UNTOUCHED, LockSets::EMPTY);
+    for (i, bounds) in atoms.bounds.windows(2).enumerate() {
+        let (rank, start, len) = (ranks[i], bounds[0], bounds[1] - bounds[0]);
+        if rank == UNTOUCHED {
+            continue;
         }
-
-        // Adjacent atoms of equal class merge into one range; equal lock
-        // sets have equal ids.
-        let mut ranges: Vec<ClassifiedRange> = Vec::new();
-        let mut last_key = (UNTOUCHED, LockSets::EMPTY);
-        for (i, bounds) in atoms.bounds.windows(2).enumerate() {
-            let (rank, start, len) = (ranks[i], bounds[0], bounds[1] - bounds[0]);
-            if rank == UNTOUCHED {
-                continue;
-            }
-            counts[rank as usize].bytes += len;
-            let lockset = match rank {
-                LOCKED => cells[i].lockset,
-                _ => LockSets::EMPTY,
-            };
-            let may_merge = run_of[i].is_none_or(|run| !runs[run as usize].unordered);
-            match ranges.last_mut() {
-                Some(r) if may_merge && r.end() == start && last_key == (rank, lockset) => {
-                    r.len += len
-                }
-                _ => {
-                    last_key = (rank, lockset);
-                    ranges.push(ClassifiedRange {
-                        start: Addr(start),
-                        len,
-                        class: match rank {
-                            THREAD_LOCAL => LocationClass::ThreadLocal,
-                            READ_ONLY => LocationClass::ReadOnlyAfterInit,
-                            LOCKED => LocationClass::ConsistentlyLocked {
-                                lockset: sets.get(lockset).to_vec(),
-                            },
-                            _ => LocationClass::Contended,
-                        },
-                    });
-                }
-            }
-        }
-
-        summary.trace_events = trace.len() as u64;
-        summary.trace_accesses = atoms.spans.len() as u64;
-        summary.stats = SummaryStats {
-            contended: counts[CONTENDED as usize],
-            locked: counts[LOCKED as usize],
-            read_only: counts[READ_ONLY as usize],
-            thread_local: counts[THREAD_LOCAL as usize],
+        counts[rank as usize].bytes += len;
+        let lockset = match rank {
+            LOCKED => cells[i].lockset,
+            _ => LockSets::EMPTY,
         };
-        summary.ranges = ranges;
-        summary.ranges.len() as u64
+        let may_merge = run_of[i].is_none_or(|run| !runs[run as usize].unordered);
+        match ranges.last_mut() {
+            Some(r) if may_merge && r.end() == start && last_key == (rank, lockset) => r.len += len,
+            _ => {
+                last_key = (rank, lockset);
+                ranges.push(ClassifiedRange {
+                    start: Addr(start),
+                    len,
+                    class: match rank {
+                        THREAD_LOCAL => LocationClass::ThreadLocal,
+                        READ_ONLY => LocationClass::ReadOnlyAfterInit,
+                        LOCKED => LocationClass::ConsistentlyLocked {
+                            lockset: sets.get(lockset).to_vec(),
+                        },
+                        _ => LocationClass::Contended,
+                    },
+                });
+            }
+        }
     }
+
+    summary.trace_events = trace.len() as u64;
+    summary.trace_accesses = atoms.spans.len() as u64;
+    summary.stats = SummaryStats {
+        contended: counts[CONTENDED as usize],
+        locked: counts[LOCKED as usize],
+        read_only: counts[READ_ONLY as usize],
+        thread_local: counts[THREAD_LOCAL as usize],
+    };
+    summary.ranges = ranges;
+    summary.ranges.len() as u64
 }
 
 #[cfg(test)]

@@ -56,29 +56,61 @@ mod atoms;
 mod classify;
 mod lockgraph;
 mod locksets;
-mod manager;
 
-use dgrace_trace::{AnalysisSummary, Trace};
+use std::time::Instant;
 
-pub use classify::ClassifyPass;
-pub use lockgraph::LockGraphPass;
-pub use manager::{AnalysisPass, PassManager, PassStats};
+use dgrace_trace::{trace_fingerprint, AnalysisSummary, Trace};
 
-/// Runs the standard pass pipeline over `trace` and produces the full
-/// analysis summary (classification and lock-graph warnings),
-/// discarding per-pass stats. Use [`analyze_with_stats`] to keep them.
+/// Per-pass execution statistics reported by [`analyze_with_stats`].
+#[derive(Clone, Debug)]
+pub struct PassStats {
+    /// The pass's stable name: `classify` or `lock-graph`.
+    pub name: &'static str,
+    /// Items the pass produced (ranges, warnings).
+    pub items: u64,
+    /// Wall-clock nanoseconds spent in the pass.
+    pub nanos: u128,
+}
+
+/// Runs the analysis over `trace` and produces the full summary
+/// (classification and lock-graph warnings), discarding per-pass stats.
+/// Use [`analyze_with_stats`] to keep them.
 ///
 /// The trace should be structurally valid (see `dgrace_trace::validate`);
 /// on malformed traces the result is still well-formed but its proofs
 /// are meaningless.
 pub fn analyze(trace: &Trace) -> AnalysisSummary {
-    PassManager::standard().run(trace).0
+    analyze_with_stats(trace).0
 }
 
 /// Like [`analyze`], additionally returning per-pass item counts and
-/// wall-clock timings.
+/// wall-clock timings. The summary is bound to its trace by the content
+/// fingerprint before the passes run; classification runs first, then
+/// the lock graph, which reads the classifier's `Contended` ranges.
 pub fn analyze_with_stats(trace: &Trace) -> (AnalysisSummary, Vec<PassStats>) {
-    PassManager::standard().run(trace)
+    let mut summary = AnalysisSummary {
+        fingerprint: trace_fingerprint(trace),
+        trace_events: trace.len() as u64,
+        ..Default::default()
+    };
+    type Pass = fn(&Trace, &mut AnalysisSummary) -> u64;
+    let passes: [(&'static str, Pass); 2] = [
+        ("classify", classify::classify),
+        ("lock-graph", lockgraph::lock_graph),
+    ];
+    let stats = passes
+        .into_iter()
+        .map(|(name, pass)| {
+            let t0 = Instant::now();
+            let items = pass(trace, &mut summary);
+            PassStats {
+                name,
+                items,
+                nanos: t0.elapsed().as_nanos(),
+            }
+        })
+        .collect();
+    (summary, stats)
 }
 
 #[cfg(test)]

@@ -27,11 +27,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use dgrace_baselines::HeldLocks;
 use dgrace_trace::{AnalysisSummary, AnalysisWarning, Event, LocationClass, Trace};
 
-use crate::manager::AnalysisPass;
-
-/// Emits lock-order-cycle and unlocked-shared-range warnings.
-pub struct LockGraphPass;
-
 /// Strongly connected components of the lock-order graph, via Kosaraju
 /// with iterative DFS. Deterministic: nodes are visited in ascending
 /// lock id order and adjacency lists are sorted.
@@ -94,94 +89,88 @@ fn components(edges: &BTreeSet<(u32, u32)>) -> Vec<Vec<u32>> {
     out
 }
 
-impl AnalysisPass for LockGraphPass {
-    fn name(&self) -> &'static str {
-        "lock-graph"
-    }
+/// Emits lock-order-cycle and unlocked-shared-range warnings into
+/// `summary`, reading the classifier's `Contended` ranges, and returns
+/// how many.
+pub(crate) fn lock_graph(trace: &Trace, summary: &mut AnalysisSummary) -> u64 {
+    // Contended ranges from the classifier, in address order. Each
+    // keeps (first_tid, multi-threaded?, wrote?, unlocked access?).
+    let contended: Vec<(u64, u64)> = summary
+        .ranges
+        .iter()
+        .filter(|r| matches!(r.class, LocationClass::Contended))
+        .map(|r| (r.start.0, r.end()))
+        .collect();
+    let mut state = vec![(None::<u32>, false, false, false); contended.len()];
 
-    fn run(&mut self, trace: &Trace, summary: &mut AnalysisSummary) -> u64 {
-        // Contended ranges from the classifier, in address order. Each
-        // keeps (first_tid, multi-threaded?, wrote?, unlocked access?).
-        let contended: Vec<(u64, u64)> = summary
-            .ranges
-            .iter()
-            .filter(|r| matches!(r.class, LocationClass::Contended))
-            .map(|r| (r.start.0, r.end()))
-            .collect();
-        let mut state = vec![(None::<u32>, false, false, false); contended.len()];
-
-        let mut held = HeldLocks::new();
-        let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
-        for ev in trace {
-            if let Event::Acquire { tid, lock } = *ev {
-                for l in held.exclusive(tid) {
-                    if l.0 != lock.0 {
-                        edges.insert((l.0, lock.0));
-                    }
-                }
-            }
-            held.apply(ev);
-            if let Some((addr, size, is_write)) = ev.access() {
-                let tid = ev.tid();
-                let unlocked = held.exclusive(tid).is_empty();
-                let end = addr.0 + size.bytes();
-                // First contended range whose end exceeds the access
-                // start; ranges are disjoint and sorted.
-                let mut i = contended.partition_point(|&(_, e)| e <= addr.0);
-                while i < contended.len() && contended[i].0 < end {
-                    let s = &mut state[i];
-                    match s.0 {
-                        None => s.0 = Some(tid.0),
-                        Some(t) if t != tid.0 => s.1 = true,
-                        _ => {}
-                    }
-                    s.2 |= is_write;
-                    s.3 |= unlocked;
-                    i += 1;
+    let mut held = HeldLocks::new();
+    let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
+    for ev in trace {
+        if let Event::Acquire { tid, lock } = *ev {
+            for l in held.exclusive(tid) {
+                if l.0 != lock.0 {
+                    edges.insert((l.0, lock.0));
                 }
             }
         }
-
-        let mut warnings: Vec<AnalysisWarning> = components(&edges)
-            .into_iter()
-            .filter(|c| c.len() > 1)
-            .map(|c| AnalysisWarning::LockOrderCycle {
-                locks: c.into_iter().map(dgrace_trace::LockId).collect(),
-            })
-            .collect();
-        warnings.sort_by(|a, b| match (a, b) {
-            (
-                AnalysisWarning::LockOrderCycle { locks: la },
-                AnalysisWarning::LockOrderCycle { locks: lb },
-            ) => la.cmp(lb),
-            _ => std::cmp::Ordering::Equal,
-        });
-        for (i, &(start, end)) in contended.iter().enumerate() {
-            let (_, multi, wrote, unlocked) = state[i];
-            if multi && wrote && unlocked {
-                warnings.push(AnalysisWarning::UnlockedSharedRange {
-                    start: dgrace_trace::Addr(start),
-                    len: end - start,
-                });
+        held.apply(ev);
+        if let Some((addr, size, is_write)) = ev.access() {
+            let tid = ev.tid();
+            let unlocked = held.exclusive(tid).is_empty();
+            let end = addr.0 + size.bytes();
+            // First contended range whose end exceeds the access
+            // start; ranges are disjoint and sorted.
+            let mut i = contended.partition_point(|&(_, e)| e <= addr.0);
+            while i < contended.len() && contended[i].0 < end {
+                let s = &mut state[i];
+                match s.0 {
+                    None => s.0 = Some(tid.0),
+                    Some(t) if t != tid.0 => s.1 = true,
+                    _ => {}
+                }
+                s.2 |= is_write;
+                s.3 |= unlocked;
+                i += 1;
             }
         }
-
-        summary.warnings = warnings;
-        summary.warnings.len() as u64
     }
+
+    let mut warnings: Vec<AnalysisWarning> = components(&edges)
+        .into_iter()
+        .filter(|c| c.len() > 1)
+        .map(|c| AnalysisWarning::LockOrderCycle {
+            locks: c.into_iter().map(dgrace_trace::LockId).collect(),
+        })
+        .collect();
+    warnings.sort_by(|a, b| match (a, b) {
+        (
+            AnalysisWarning::LockOrderCycle { locks: la },
+            AnalysisWarning::LockOrderCycle { locks: lb },
+        ) => la.cmp(lb),
+        _ => std::cmp::Ordering::Equal,
+    });
+    for (i, &(start, end)) in contended.iter().enumerate() {
+        let (_, multi, wrote, unlocked) = state[i];
+        if multi && wrote && unlocked {
+            warnings.push(AnalysisWarning::UnlockedSharedRange {
+                start: dgrace_trace::Addr(start),
+                len: end - start,
+            });
+        }
+    }
+
+    summary.warnings = warnings;
+    summary.warnings.len() as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClassifyPass, PassManager};
+    use crate::analyze;
     use dgrace_trace::{AccessSize, Addr, LockId, TraceBuilder};
 
     fn warnings_of(trace: &Trace) -> Vec<AnalysisWarning> {
-        let mut m = PassManager::new();
-        m.push(Box::new(ClassifyPass));
-        m.push(Box::new(LockGraphPass));
-        m.run(trace).0.warnings
+        analyze(trace).warnings
     }
 
     #[test]

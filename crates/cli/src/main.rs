@@ -46,8 +46,8 @@ use dgrace_trace::io::{
     read_trace_with, summary_from_bytes, summary_to_bytes, write_trace, EventReader,
 };
 use dgrace_trace::{
-    stats::stats, validate, AnalysisSummary, BlockReader, DecodeLimits, DecodeStats, LocationClass,
-    PruneSet, ReadOptions, Trace, TraceError, TraceFacts, ValidationError,
+    stats::stats, validate, AnalysisSummary, BlockReader, DecodeLimits, DecodeStats, EventSource,
+    LocationClass, PruneSet, ReadOptions, Trace, TraceError, TraceFacts, ValidationError,
 };
 use dgrace_workloads::{Workload, WorkloadKind};
 
@@ -478,13 +478,14 @@ fn decode_failure(path: &str, e: &TraceError, resync_available: bool) -> Failure
     Failure::Decode(format!("decode {path}: {e}{hint}"))
 }
 
-/// The trace `detect` was pointed at. It is read once, except in the
-/// modes that need a fact about the whole trace before the first event
-/// (DESIGN.md §9.2), which scan it first. A regular file is opened again
-/// for the second pass. Anything else — a pipe, `/dev/stdin`, a process
-/// substitution — yields its bytes only once: read once, it is decoded
-/// straight from the stream; scanned, its bytes are kept for both passes
-/// (the encoded stream, 9–21 bytes a record, never the decoded events).
+/// The trace `detect` or `feed` was pointed at. It is read once, except
+/// in the modes that need a fact about the whole trace before the first
+/// event (DESIGN.md §9.2), which scan it first (`feed` always does). A
+/// regular file is opened again for the second pass. Anything else — a
+/// pipe, `/dev/stdin`, a process substitution — yields its bytes only
+/// once: read once, it is decoded straight from the stream; scanned,
+/// its bytes are kept for both passes (the encoded stream, 9–21 bytes a
+/// record, never the decoded events).
 struct TraceInput<'p> {
     path: &'p str,
     /// The input as opened, until a pass takes it.
@@ -1064,7 +1065,12 @@ fn cmd_feed(rest: &[String]) -> Result<(), Failure> {
     let path = p.positional(1).ok_or("feed: missing trace file")?;
     let socket = p.positional(2).ok_or("feed: missing server socket path")?;
     let retries: u32 = p.opt_parse("--retry")?.unwrap_or(0);
-    let trace = load_trace(path, p.flag("--resync"))?;
+    let resync = p.flag("--resync");
+    // Read the way a scanned `detect` reads (DESIGN.md §9.2): a scan
+    // refuses a damaged or invalid trace before connecting, then a
+    // second pass streams it to the server a block at a time.
+    let mut input = TraceInput::of(path, true)?;
+    let facts = scan(&mut input, resync, false)?;
 
     // The session name is the durable resume identity; default to the
     // trace's file stem so re-feeding the same file resumes it.
@@ -1087,11 +1093,11 @@ fn cmd_feed(rest: &[String]) -> Result<(), Failure> {
 
     let mut client = connect_with_retry(socket, &session, det_name, retries)?;
     let skip = client.start_offset();
-    if skip > trace.len() as u64 {
+    if skip > facts.events {
         return Err(Failure::Invalid(format!(
             "server already covers {skip} events for session `{session}`, but {path} has only \
              {} — wrong trace for this session?",
-            trace.len()
+            facts.events
         )));
     }
     if skip > 0 {
@@ -1103,9 +1109,21 @@ fn cmd_feed(rest: &[String]) -> Result<(), Failure> {
              recall may drop, every reported race is still real"
         );
     }
-    client
-        .send_events(&trace.events[skip as usize..])
-        .map_err(client_failure)?;
+    let mut source = input.open(resync)?.expecting(facts.events);
+    let mut to_skip = skip;
+    loop {
+        let block = source
+            .next_block()
+            .map_err(|e| decode_failure(path, &e, !resync))?;
+        if block.is_empty() {
+            break;
+        }
+        let skipped = to_skip.min(block.len() as u64);
+        to_skip -= skipped;
+        client
+            .send_events(&block[skipped as usize..])
+            .map_err(client_failure)?;
+    }
     let end = client.finish().map_err(client_failure)?;
     if p.flag("--json") {
         outln!("{}", end.report_json);

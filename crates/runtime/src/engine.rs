@@ -1,25 +1,15 @@
-//! The sharded, batched detection engine.
+//! The sharded detection engine: N detector shards behind one feed.
 //!
-//! This module replaces the original global-mutex event funnel (one
-//! `Mutex<Box<dyn Detector>>` taken per event) with a design that keeps
-//! detection off the instrumented threads' fast path and lets independent
-//! address regions be analyzed in parallel:
-//!
-//! * **Per-thread batching.** Every tracked thread owns a private
-//!   fixed-capacity lock-free queue ([`ThreadBuf`]). Memory accesses are
-//!   appended without taking any lock; the buffer is flushed when it
-//!   overflows, at *every* synchronization operation the thread performs,
-//!   and at `finish`.
 //! * **Address-sharded detectors.** The engine owns N detector shards,
 //!   each a complete detector instance behind its own mutex. Accesses are
 //!   routed by address: each allocated object (with its anti-sharing
 //!   padding) is assigned wholly to one shard, so the dynamic-granularity
 //!   neighbor-sharing machine sees every sharing-adjacent byte inside a
 //!   single shard.
-//! * **Broadcast synchronization.** Sync events (acquire/release,
-//!   fork/join, rwlock, condvar, barrier) are stamped with a global
-//!   sequence number while *all* shard locks are held and fed to every
-//!   shard, so each shard's happens-before state is exact and identical.
+//! * **Sync events reach every shard.** The caller stamps each event
+//!   once, in the order it walks them; a sync event's copies share the
+//!   stamp and are fed to every shard, so each shard's happens-before
+//!   state is exact and identical.
 //! * **Supervised self-healing.** When built with a detector factory and
 //!   a [`SupervisorPolicy`], a shard whose detector panics is not
 //!   permanently quarantined: the supervisor spawns a replacement, rolls
@@ -33,61 +23,42 @@
 //! ## One feed, one journal
 //!
 //! Every event reaches a shard detector through one per-shard body,
-//! [`Engine::feed`], as stamped `(stamp, event)` entries: the replay
-//! driver's lanes hand it whole segments ([`Engine::feed_segment`]), the
-//! live runtime hands it a flushed batch's part ([`Engine::dispatch`])
-//! or one sync event ([`Engine::broadcast`]). A shard's journal is its
-//! whole stream in feed order — routed accesses with every sync event
-//! inline — so it is exactly what a respawned detector must consume.
+//! [`Engine::feed`], as stamped `(stamp, event)` entries handed over by
+//! the lanes of [`crate::pipeline`] ([`Engine::feed_segment`]) — for an
+//! offline replay, a `serve` session and the live [`crate::Runtime`]
+//! alike, all of which step the one replay driver. A shard's journal is
+//! its whole stream in feed order — routed accesses with every sync
+//! event inline — so it is exactly what a respawned detector must
+//! consume.
 //!
 //! ## Why this is equivalent to the serialized detector
 //!
-//! The live runtime allocates sequence stamps while holding the
-//! destination shard's lock (all shard locks, for a broadcast), and the
-//! replay driver stamps events in the order it walks them, so for every
-//! shard the feed order equals the stamp order. Sorting the journals by
-//! stamp (one copy per sync) therefore yields a single serialization σ
-//! of the run whose restriction to each shard's addresses (plus all
-//! syncs) is exactly what that shard processed. A vector-clock
-//! detector's verdict on an address depends only on the sync events and
-//! the accesses to sharing-adjacent addresses — and the router keeps
-//! sharing-adjacent addresses (same padded object) in one shard — so
-//! replaying σ through one serialized detector reproduces the union of
-//! the shards' race sets. The differential tests in
-//! `tests/sharded_equivalence.rs` check this end-to-end.
+//! The driver stamps events in the order it walks them, so for every
+//! shard the feed order equals the stamp order, and the stamp order is
+//! one serialization σ of the run: the driver's step order. Sorting the
+//! journals by stamp (one copy per sync) yields σ, and its restriction
+//! to each shard's addresses (plus all syncs) is exactly what that shard
+//! processed. A vector-clock detector's verdict on an address depends
+//! only on the sync events and the accesses to sharing-adjacent
+//! addresses — and the router keeps sharing-adjacent addresses (same
+//! padded object) in one shard — so replaying σ through one serialized
+//! detector reproduces the union of the shards' race sets. The
+//! differential tests in `tests/sharded_equivalence.rs` check this
+//! end-to-end.
 //!
 //! The same argument is why a respawned shard is *exact*, not
 //! approximate: the journal suffix after the checkpoint position is
 //! precisely the event sequence the dead detector had consumed since.
-//!
-//! ## Flush ordering rules (the part that is easy to get wrong)
-//!
-//! 1. A thread's buffer is flushed **before** any of its sync events is
-//!    broadcast — including lock *acquires*: the detector merges the
-//!    lock's clock into the thread's clock at the acquire, so a buffered
-//!    pre-acquire access processed after it would appear protected.
-//! 2. A child's buffer is flushed **before** the parent's `Join` is
-//!    broadcast (the parent drains it; the real thread has already
-//!    terminated), otherwise the child's tail accesses would appear
-//!    ordered after the join edge and races would be missed or invented.
-//! 3. `finish` flushes every registered buffer before collecting shard
-//!    reports, so `stats.events` equals the exact number of emitted
-//!    events.
-//!
-//! Lock order is always: buffer flush lock → shard locks in ascending
-//! index. No path acquires them in the reverse direction, so the engine
-//! cannot deadlock against itself.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::queue::ArrayQueue;
 use dgrace_detectors::{
     merge_shard_reports, Detector, DetectorExt, Report, ShardFailure, ShardableDetector,
 };
-use dgrace_trace::{Event, PruneSet, Tid, Trace};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use dgrace_trace::{Event, PruneSet, Trace};
+use parking_lot::{Mutex, RwLock};
 
 /// A recoverable engine-level failure, surfaced by the `try_*` variants
 /// of the [`crate::Runtime`] extraction methods.
@@ -180,30 +151,6 @@ fn describe_event(ev: &Event) -> String {
     }
 }
 
-/// Tuning knobs for the online runtime.
-#[derive(Clone, Copy, Debug)]
-pub struct RuntimeOptions {
-    /// Capacity of each thread's private event buffer. `1` disables
-    /// batching (every access is dispatched individually — the
-    /// serialized-baseline configuration of the scaling bench).
-    pub buffer_capacity: usize,
-    /// When `true`, the engine journals every event with its sequence
-    /// stamp; `take_recorded` then reconstructs the observed
-    /// serialization as a [`Trace`]. Building the engine with a
-    /// supervisor forces this on — the journal is what delta replay
-    /// rolls a respawned shard forward from.
-    pub record: bool,
-}
-
-impl Default for RuntimeOptions {
-    fn default() -> Self {
-        RuntimeOptions {
-            buffer_capacity: 256,
-            record: false,
-        }
-    }
-}
-
 /// Respawn budget of the self-healing supervisor: a shard is respawned
 /// after a detector panic at most `max_respawns` times per sliding
 /// `window` of sequence stamps; the next panic inside the window falls
@@ -262,23 +209,6 @@ struct ShardCheckpoint {
     journal_pos: usize,
 }
 
-/// One thread's private event buffer: a lock-free bounded queue plus a
-/// flush lock that serializes drainers (the owner on overflow/sync, the
-/// parent at join, the engine at finish).
-pub(crate) struct ThreadBuf {
-    queue: ArrayQueue<Event>,
-    flush: Mutex<()>,
-}
-
-impl ThreadBuf {
-    fn new(capacity: usize) -> Self {
-        ThreadBuf {
-            queue: ArrayQueue::new(capacity.max(1)),
-            flush: Mutex::new(()),
-        }
-    }
-}
-
 struct ShardState {
     /// `None` once the shard is quarantined: its detector panicked, was
     /// dropped, and the shard only counts dropped events from then on.
@@ -291,7 +221,7 @@ struct ShardState {
     /// The panic that quarantined this shard, if any.
     failure: Option<ShardFailure>,
     /// Access events routed here but never processed (panicked mid-batch
-    /// or arrived after quarantine). Sync broadcasts are not counted:
+    /// or arrived after quarantine). Sync events are not counted:
     /// healthy shards still process them.
     dropped: u64,
     /// The detector's last snapshot, refreshed by [`Engine::capture`];
@@ -501,16 +431,14 @@ pub(crate) struct ShardCapture {
 /// design and its ordering rules.
 pub(crate) struct Engine {
     shards: Vec<Mutex<ShardState>>,
-    /// Global sequence stamp; allocated under shard locks so per-shard
-    /// feed order equals stamp order.
+    /// The stamp the next walked event takes; the lanes stamp from here
+    /// and commit at every barrier, so per-shard feed order equals stamp
+    /// order.
     seq: AtomicU64,
-    /// Exact count of logical events emitted (broadcasts count once).
+    /// Exact count of logical events emitted (a sync event counts once).
     emitted: AtomicU64,
     record: bool,
-    capacity: usize,
     router: RwLock<Router>,
-    /// Per-tid buffer registry, indexed by `Tid::index()`.
-    bufs: RwLock<Vec<Option<Arc<ThreadBuf>>>>,
     /// Warm-start prune predicate: the replay driver drops the accesses
     /// it covers before its lanes (and before the journal — a recorded
     /// trace excludes pruned accesses). Empty by default.
@@ -524,14 +452,16 @@ pub(crate) struct Engine {
 impl Engine {
     /// Builds an engine over `detectors` (one per shard) — the one
     /// constructor of the live runtime, the replay driver and a live
-    /// session. `prune` is the warm-start predicate the replay driver
-    /// applies. With a `supervisor` it self-heals: on a shard panic it
+    /// session. With `record` every shard journals what it is fed, so
+    /// [`take_recorded`](Engine::take_recorded) can rebuild the run.
+    /// `prune` is the warm-start predicate the replay driver applies.
+    /// With a `supervisor` it self-heals: on a shard panic it
     /// spawns `factory(shard)`, rolls it forward from the last checkpoint
     /// plus the journal delta, and re-feeds the offending run, within the
     /// respawn budget of the policy.
     pub(crate) fn build(
         detectors: Vec<Box<dyn Detector + Send>>,
-        opts: RuntimeOptions,
+        record: bool,
         prune: PruneSet,
         supervisor: Option<(DetectorFactory, SupervisorPolicy)>,
     ) -> Self {
@@ -559,10 +489,8 @@ impl Engine {
             emitted: AtomicU64::new(0),
             // Supervision requires the journal: it is the delta replay
             // source for respawned shards.
-            record: opts.record || supervisor.is_some(),
-            capacity: opts.buffer_capacity,
+            record: record || supervisor.is_some(),
             router: RwLock::new(Router::new(n)),
-            bufs: RwLock::new(Vec::new()),
             prune,
             pruned: AtomicU64::new(0),
             supervisor,
@@ -571,105 +499,6 @@ impl Engine {
 
     pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The buffer of `tid`, creating it on first use.
-    pub(crate) fn buffer_for(&self, tid: Tid) -> Arc<ThreadBuf> {
-        let idx = tid.index();
-        {
-            let bufs = self.bufs.read();
-            if let Some(Some(buf)) = bufs.get(idx) {
-                return Arc::clone(buf);
-            }
-        }
-        let mut bufs = self.bufs.write();
-        if bufs.len() <= idx {
-            bufs.resize_with(idx + 1, || None);
-        }
-        Arc::clone(bufs[idx].get_or_insert_with(|| Arc::new(ThreadBuf::new(self.capacity))))
-    }
-
-    fn get_buf(&self, tid: Tid) -> Option<Arc<ThreadBuf>> {
-        self.bufs.read().get(tid.index()).cloned().flatten()
-    }
-
-    /// Lock-free fast path: appends an access to `buf`, flushing first
-    /// when the buffer is full.
-    pub(crate) fn push(&self, buf: &ThreadBuf, ev: Event) {
-        let mut ev = ev;
-        loop {
-            match buf.queue.push(ev) {
-                Ok(()) => return,
-                Err(back) => {
-                    self.flush_buf(buf);
-                    ev = back;
-                }
-            }
-        }
-    }
-
-    /// Drains `buf` and dispatches the drained batch to the shards.
-    ///
-    /// The flush lock serializes drainers so a batch is always a
-    /// program-order prefix of the owner's pending events.
-    pub(crate) fn flush_buf(&self, buf: &ThreadBuf) {
-        let _g = buf.flush.lock();
-        let mut batch = Vec::with_capacity(buf.queue.len());
-        while let Some(ev) = buf.queue.pop() {
-            batch.push(ev);
-        }
-        if !batch.is_empty() {
-            self.dispatch(batch);
-        }
-    }
-
-    /// Flushes every registered thread buffer.
-    pub(crate) fn flush_all(&self) {
-        let bufs: Vec<Arc<ThreadBuf>> = self.bufs.read().iter().flatten().cloned().collect();
-        for buf in bufs {
-            self.flush_buf(&buf);
-        }
-    }
-
-    /// Flushes `tid`'s buffer if it exists (used by the join protocol and
-    /// offline replay, where a tid may have no buffer).
-    pub(crate) fn flush_tid(&self, tid: Tid) {
-        if let Some(buf) = self.get_buf(tid) {
-            self.flush_buf(&buf);
-        }
-    }
-
-    /// Routes a flushed batch of the live runtime's access/alloc/free
-    /// events to the shards.
-    ///
-    /// Each per-shard part receives one sequence stamp, taken while the
-    /// shard lock is held; events within a part keep their program order.
-    /// The prune predicate does not apply: the live runtime runs none.
-    pub(crate) fn dispatch(&self, batch: Vec<Event>) {
-        let n = batch.len() as u64;
-        let mut parts: Vec<Vec<Event>> = vec![Vec::new(); self.shards.len()];
-        if self.shards.len() == 1 {
-            parts[0] = batch;
-        } else {
-            let router = self.router.read();
-            let mut targets: Vec<usize> = Vec::new();
-            for ev in batch {
-                router.targets(&ev, &mut targets);
-                for &s in &targets {
-                    parts[s].push(ev);
-                }
-            }
-        }
-        for (i, part) in parts.into_iter().enumerate() {
-            if part.is_empty() {
-                continue;
-            }
-            let mut shard = self.shards[i].lock();
-            let stamp = self.seq.fetch_add(1, Ordering::Relaxed);
-            let entries: Vec<(u64, Event)> = part.into_iter().map(|ev| (stamp, ev)).collect();
-            self.feed(&mut shard, i, &entries);
-        }
-        self.emitted.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Feeds one shard a stamped stretch of its stream: its routed
@@ -851,38 +680,10 @@ impl Engine {
         }
     }
 
-    /// Emits a sync event as `tid`: flushes `tid`'s buffer (rule 1 of the
-    /// module docs), then broadcasts the event to every shard.
-    pub(crate) fn emit_sync(&self, tid: Tid, ev: Event) {
-        self.flush_tid(tid);
-        self.broadcast(ev);
-    }
-
-    /// Stamps a sync event once (holding every shard lock) and feeds it
-    /// to all shards, keeping their happens-before states identical.
-    fn broadcast(&self, ev: Event) {
-        let mut guards: Vec<MutexGuard<'_, ShardState>> =
-            self.shards.iter().map(|s| s.lock()).collect();
-        let stamp = self.seq.fetch_add(1, Ordering::Relaxed);
-        for (i, g) in guards.iter_mut().enumerate() {
-            self.feed(g, i, &[(stamp, ev)]);
-        }
-        self.emitted.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Registers an allocated object's (padded) range so all its bytes —
     /// and thus all its sharing-adjacent neighbors — route to one shard.
     pub(crate) fn register_range(&self, base: u64, len: u64) {
         self.router.write().register(base, len);
-    }
-
-    /// Emits an allocation event: flushes the allocating thread's buffer,
-    /// then dispatches the event to the object's shard immediately, so
-    /// every shard-feed (and the journal) shows the `Alloc` before any
-    /// access to the object.
-    pub(crate) fn emit_alloc(&self, tid: Tid, ev: Event) {
-        self.flush_tid(tid);
-        self.dispatch(vec![ev]);
     }
 
     // ---- replay-driver and lane support --------------------------------
@@ -973,7 +774,6 @@ impl Engine {
     /// `finish`-time captures. Shards that do not support snapshots
     /// capture `None` and can only be resumed as failures.
     pub(crate) fn capture(&self) -> EngineState {
-        self.flush_all();
         let mut shards = Vec::with_capacity(self.shards.len());
         for st in &self.shards {
             let mut st = st.lock();
@@ -1075,7 +875,6 @@ impl Engine {
     /// zero healthy shards the report carries only the failures and
     /// counters; it never hangs or poisons a lock.
     pub(crate) fn finish(&self) -> Report {
-        self.flush_all();
         let emitted = self.emitted.swap(0, Ordering::Relaxed);
         let pruned = self.pruned.swap(0, Ordering::Relaxed);
         let mut reports: Vec<Report> = Vec::new();
@@ -1140,7 +939,6 @@ impl Engine {
     /// after this call can no longer delta-replay the drained prefix, so
     /// only call it once the run is over.
     pub(crate) fn take_recorded(&self) -> Option<Trace> {
-        self.flush_all();
         if !self.record {
             return None;
         }
@@ -1148,11 +946,10 @@ impl Engine {
         for shard in &self.shards {
             entries.append(&mut shard.lock().journal);
         }
-        // Stable: entries sharing a stamp (one dispatched part) keep
-        // their program order.
-        entries.sort_by_key(|&(stamp, _)| stamp);
-        // Every shard journals each sync under its one stamp: keep one.
-        entries.dedup_by(|next, kept| next.0 == kept.0 && next.1.is_sync());
+        // One stamp per walked event: a sync (or a `Free` fanned out to
+        // several shards) is journaled once per shard under it, keep one.
+        entries.sort_unstable_by_key(|&(stamp, _)| stamp);
+        entries.dedup_by_key(|&mut (stamp, _)| stamp);
         Some(Trace::from_events(
             entries.into_iter().map(|(_, ev)| ev).collect(),
         ))
@@ -1174,8 +971,10 @@ fn route_addr(ev: &Event) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgrace_detectors::{NopDetector, ShardableDetector};
-    use dgrace_trace::{AccessSize, Addr, LockId};
+    use crate::pipeline::Lanes;
+    use crate::replay::{Driver, INLINE_INFALLIBLE};
+    use dgrace_detectors::NopDetector;
+    use dgrace_trace::{AccessSize, Addr, LockId, Tid};
 
     fn nop_shards(n: usize) -> Vec<Box<dyn Detector + Send>> {
         (0..n)
@@ -1189,6 +988,21 @@ mod tests {
             addr: Addr(addr),
             size: AccessSize::U64,
         }
+    }
+
+    /// A driver on inline lanes over `eng`, as a live runtime or a
+    /// session holds one.
+    fn driver(eng: &Engine) -> Driver<'static> {
+        Driver::new(Lanes::inline(eng.shard_count()), "test".into(), 0, None)
+    }
+
+    /// Steps `batch` through `d`, then feeds everything staged to the
+    /// shards — what a live thread's buffer flush does.
+    fn step(eng: &Engine, d: &mut Driver<'_>, batch: &[Event]) {
+        for ev in batch {
+            d.step(eng, ev).expect(INLINE_INFALLIBLE);
+        }
+        d.lanes.flush(eng);
     }
 
     #[test]
@@ -1267,32 +1081,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_flushes_and_nothing_is_lost() {
-        let eng = Engine::build(
-            nop_shards(2),
-            RuntimeOptions {
-                buffer_capacity: 4,
-                record: true,
-            },
-            PruneSet::empty(),
-            None,
-        );
-        let buf = eng.buffer_for(Tid(0));
-        for i in 0..10u64 {
-            eng.push(&buf, w(0, 0x1000 + i * 8));
-        }
-        let trace = eng.take_recorded().expect("recording engine");
-        assert_eq!(trace.len(), 10);
-        let rep = eng.finish();
-        assert_eq!(rep.stats.events, 10);
-    }
-
-    #[test]
     fn journal_captures_the_stream_the_detector_reports_on() {
-        let options = |record| RuntimeOptions {
-            buffer_capacity: 4,
-            record,
-        };
         let fork = Event::Fork {
             parent: Tid(0),
             child: Tid(1),
@@ -1301,23 +1090,36 @@ mod tests {
 
         let live: Vec<Box<dyn Detector + Send>> =
             vec![Box::new(dgrace_detectors::FastTrack::new())];
-        let eng = Engine::build(live, options(true), PruneSet::empty(), None);
+        let eng = Engine::build(live, true, PruneSet::empty(), None);
         assert!(
             eng.take_recorded().expect("recording engine").is_empty(),
             "nothing fed, nothing captured"
         );
-        eng.emit_sync(Tid(0), fork);
-        for tid in [0, 1] {
-            eng.push(&eng.buffer_for(Tid(tid)), w(tid, 0x10));
-        }
+        let mut d = driver(&eng);
+        step(&eng, &mut d, &trace.events);
         assert_eq!(eng.take_recorded().expect("recording engine"), trace);
-        let rep = eng.finish();
+        let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
         assert_eq!(rep.races.len(), 1, "the live detector's races are reported");
         assert_eq!(rep.detector, "fasttrack-byte");
 
-        let eng = Engine::build(nop_shards(1), options(false), PruneSet::empty(), None);
-        eng.dispatch(vec![w(0, 0x10)]);
+        let eng = Engine::build(nop_shards(1), false, PruneSet::empty(), None);
+        step(&eng, &mut driver(&eng), &[w(0, 0x10)]);
         assert!(eng.take_recorded().is_none(), "no journal, no trace");
+    }
+
+    #[test]
+    fn a_free_fanned_out_to_several_shards_is_recorded_once() {
+        // 0xFE0..0x1020 straddles the 4 KiB region boundary: regions 0
+        // and 1 hash to shards 0 and 1, so the `Free` reaches both.
+        let free = Event::Free {
+            tid: Tid(0),
+            addr: Addr(0xFE0),
+            size: 0x40,
+        };
+        let trace = Trace::from_events(vec![w(0, 0xFE0), w(0, 0x1000), free]);
+        let eng = Engine::build(nop_shards(2), true, PruneSet::empty(), None);
+        step(&eng, &mut driver(&eng), &trace.events);
+        assert_eq!(eng.take_recorded().expect("recording engine"), trace);
     }
 
     #[test]
@@ -1325,28 +1127,25 @@ mod tests {
         crate::silence_injected_panics();
         // Shard 1 dies at its first event; shard 0 keeps detecting.
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 1);
-        let detectors = (0..2).map(|_| proto.new_shard()).collect();
-        let eng = Engine::build(
-            detectors,
-            RuntimeOptions {
-                buffer_capacity: 4,
-                record: true,
-            },
-            PruneSet::empty(),
-            None,
-        );
+        let eng = Engine::build(mint(&proto, 2), true, PruneSet::empty(), None);
+        let mut d = driver(&eng);
         // Region hash routing: 0x0000 → shard 0, 0x1000 → shard 1.
-        eng.dispatch(vec![w(0, 0x100)]); // shard 0
-        eng.dispatch(vec![w(0, 0x1100), w(0, 0x1108)]); // shard 1: dies at first
-        eng.dispatch(vec![w(0, 0x1110)]); // shard 1: dropped post-quarantine
-        eng.dispatch(vec![w(1, 0x100)]); // shard 0: races with the first write
-                                         // The journal still covers every event, quarantined shard included.
+        step(&eng, &mut d, &[w(0, 0x100)]); // shard 0
+        step(&eng, &mut d, &[w(0, 0x1100), w(0, 0x1108)]); // shard 1: dies at first
+        step(&eng, &mut d, &[w(0, 0x1110)]); // shard 1: dropped post-quarantine
+        step(&eng, &mut d, &[w(1, 0x100)]); // shard 0: races with the first write
+
+        // The journal still covers every event, quarantined shard included.
         let trace = eng.take_recorded().expect("recording engine");
         assert_eq!(trace.len(), 5);
-        let rep = eng.finish();
+        let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
         assert!(rep.is_degraded());
         assert_eq!(rep.failures.len(), 1);
         assert_eq!(rep.failures[0].shard, 1);
+        assert_eq!(
+            rep.failures[0].event_seq, 1,
+            "the offending event's own stamp"
+        );
         assert!(rep.failures[0].payload.contains("fault-injection"));
         assert_eq!(rep.stats.dropped, 3, "panicking event + 1 tail + 1 late");
         assert_eq!(rep.stats.events, 5, "logical event count stays exact");
@@ -1358,17 +1157,10 @@ mod tests {
     fn all_shards_failing_still_terminates() {
         crate::silence_injected_panics();
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 0, 1);
-        let eng = Engine::build(
-            vec![proto.new_shard()],
-            RuntimeOptions {
-                buffer_capacity: 4,
-                record: false,
-            },
-            PruneSet::empty(),
-            None,
-        );
-        eng.dispatch(vec![w(0, 0x100)]);
-        let rep = eng.finish();
+        let eng = Engine::build(mint(&proto, 1), false, PruneSet::empty(), None);
+        let mut d = driver(&eng);
+        step(&eng, &mut d, &[w(0, 0x100)]);
+        let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
         assert_eq!(rep.failures.len(), 1);
         assert!(rep.races.is_empty());
         assert_eq!(rep.stats.events, 1);
@@ -1379,24 +1171,17 @@ mod tests {
     fn broadcast_panic_quarantines_without_drop_count() {
         crate::silence_injected_panics();
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 1);
-        let detectors = (0..2).map(|_| proto.new_shard()).collect();
-        let eng = Engine::build(
-            detectors,
-            RuntimeOptions {
-                buffer_capacity: 4,
-                record: false,
-            },
-            PruneSet::empty(),
-            None,
-        );
-        eng.emit_sync(
-            Tid(0),
-            Event::Acquire {
+        let eng = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
+        let mut d = driver(&eng);
+        step(
+            &eng,
+            &mut d,
+            &[Event::Acquire {
                 tid: Tid(0),
                 lock: LockId(0),
-            },
+            }],
         );
-        let rep = eng.finish();
+        let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
         assert_eq!(rep.failures.len(), 1);
         assert_eq!(
             rep.stats.dropped, 0,
@@ -1407,23 +1192,17 @@ mod tests {
 
     #[test]
     fn broadcast_counts_once() {
-        let eng = Engine::build(
-            nop_shards(4),
-            RuntimeOptions {
-                buffer_capacity: 8,
-                record: false,
-            },
-            PruneSet::empty(),
-            None,
-        );
-        eng.emit_sync(
-            Tid(0),
-            Event::Acquire {
+        let eng = Engine::build(nop_shards(4), false, PruneSet::empty(), None);
+        let mut d = driver(&eng);
+        step(
+            &eng,
+            &mut d,
+            &[Event::Acquire {
                 tid: Tid(0),
                 lock: LockId(0),
-            },
+            }],
         );
-        let rep = eng.finish();
+        let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
         assert_eq!(rep.stats.events, 1, "a broadcast is one logical event");
     }
 
@@ -1436,20 +1215,18 @@ mod tests {
         // journal, and re-feeds the killing batch: no event is lost and
         // the race on the faulted shard is still detected.
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 2);
-        let detectors = (0..2).map(|_| proto.new_shard()).collect();
+        let detectors = mint(&proto, 2);
         let eng = Engine::build(
             detectors,
-            RuntimeOptions {
-                buffer_capacity: 4,
-                record: false,
-            },
+            false,
             PruneSet::empty(),
             Some((respawn_from(proto), SupervisorPolicy::default())),
         );
-        eng.dispatch(vec![w(0, 0x1100)]); // shard 1, survives
-        eng.dispatch(vec![w(1, 0x1100)]); // shard 1, panics → heals → races
-        eng.dispatch(vec![w(0, 0x100)]); // shard 0
-        let rep = eng.finish();
+        let mut d = driver(&eng);
+        step(&eng, &mut d, &[w(0, 0x1100)]); // shard 1, survives
+        step(&eng, &mut d, &[w(1, 0x1100)]); // shard 1, panics → heals → races
+        step(&eng, &mut d, &[w(0, 0x100)]); // shard 0
+        let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
         assert!(!rep.is_degraded(), "healed shard is not a failure");
         assert!(rep.failures.is_empty());
         assert_eq!(rep.stats.dropped, 0, "delta replay recovered every event");
@@ -1480,10 +1257,7 @@ mod tests {
         let factory: DetectorFactory = Arc::new(|_| Box::new(AlwaysPanic));
         let eng = Engine::build(
             vec![Box::new(AlwaysPanic)],
-            RuntimeOptions {
-                buffer_capacity: 4,
-                record: false,
-            },
+            false,
             PruneSet::empty(),
             Some((
                 factory,
@@ -1493,8 +1267,9 @@ mod tests {
                 },
             )),
         );
-        eng.dispatch(vec![w(0, 0x100)]);
-        let rep = eng.finish();
+        let mut d = driver(&eng);
+        step(&eng, &mut d, &[w(0, 0x100)]);
+        let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
         assert_eq!(rep.failures.len(), 1, "budget exhausted → quarantine");
         assert_eq!(rep.stats.dropped, 1);
         assert_eq!(
@@ -1516,21 +1291,13 @@ mod tests {
         // *partitioned* between the two counters — one analyzed-then-
         // lost, two never-analyzed — with no event in both buckets.
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 2);
-        let detectors = (0..2).map(|_| proto.new_shard()).collect();
-        let eng = Engine::build(
-            detectors,
-            RuntimeOptions {
-                buffer_capacity: 4,
-                record: false,
-            },
-            PruneSet::empty(),
-            None,
-        );
-        eng.dispatch(vec![w(2, 0x1100)]); // shard 1: analyzed
-        eng.dispatch(vec![w(0, 0x1108)]); // shard 1: dies here
-        eng.dispatch(vec![w(3, 0x1110)]); // shard 1: post-quarantine
-        eng.dispatch(vec![w(1, 0x100)]); // shard 0: healthy
-        let rep = eng.finish();
+        let eng = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
+        let mut d = driver(&eng);
+        step(&eng, &mut d, &[w(2, 0x1100)]); // shard 1: analyzed
+        step(&eng, &mut d, &[w(0, 0x1108)]); // shard 1: dies here
+        step(&eng, &mut d, &[w(3, 0x1110)]); // shard 1: post-quarantine
+        step(&eng, &mut d, &[w(1, 0x100)]); // shard 0: healthy
+        let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
         assert_eq!(rep.stats.events_lost, 1, "one event was analyzed pre-panic");
         assert_eq!(rep.stats.dropped, 2, "killer + post-quarantine arrival");
         assert_eq!(
@@ -1560,29 +1327,21 @@ mod tests {
         let mut inner = dgrace_detectors::FastTrack::new();
         inner.set_shadow_budget(Some(1024));
         let proto = crate::PanicOnEvent::new(inner, 1, 257);
-        let detectors = (0..2).map(|_| proto.new_shard()).collect();
-        let eng = Engine::build(
-            detectors,
-            RuntimeOptions {
-                buffer_capacity: 4,
-                record: false,
-            },
-            PruneSet::empty(),
-            None,
-        );
+        let eng = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
+        let mut d = driver(&eng);
         // 256 distinct words inside the 4 KiB region 0x1000..0x2000 (all
         // of which routes to shard 1) force evictions under the 1 KiB
         // budget; mirrored traffic in region 0 keeps shard 0 busy,
         // healthy, and equally budget-pressured.
         for i in 0..256u64 {
-            eng.dispatch(vec![w(0, 0x1000 + i * 16)]);
-            eng.dispatch(vec![w(0, 0x0100 + i * 8)]);
+            step(&eng, &mut d, &[w(0, 0x1000 + i * 16)]);
+            step(&eng, &mut d, &[w(0, 0x0100 + i * 8)]);
         }
-        eng.dispatch(vec![w(1, 0x1200)]); // shard 1: dies here (257th)
+        step(&eng, &mut d, &[w(1, 0x1200)]); // shard 1: dies here (257th)
         for i in 0..3u64 {
-            eng.dispatch(vec![w(2, 0x1f00 + i * 8)]); // post-quarantine
+            step(&eng, &mut d, &[w(2, 0x1f00 + i * 8)]); // post-quarantine
         }
-        let rep = eng.finish();
+        let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
         assert_eq!(rep.failures.len(), 1, "shard 1 quarantined");
         assert_eq!(
             rep.stats.events_lost, 256,
@@ -1607,13 +1366,6 @@ mod tests {
 
     #[test]
     fn capture_restore_round_trips_mid_run() {
-        let shards = |proto: &dgrace_detectors::FastTrack| -> Vec<Box<dyn Detector + Send>> {
-            (0..2).map(|_| proto.new_shard()).collect()
-        };
-        let opts = RuntimeOptions {
-            buffer_capacity: 4,
-            record: false,
-        };
         let proto = dgrace_detectors::FastTrack::new();
         let acq = Event::Acquire {
             tid: Tid(0),
@@ -1623,26 +1375,27 @@ mod tests {
             tid: Tid(0),
             lock: LockId(0),
         };
+        let before = [acq, w(0, 0x100), w(0, 0x1100)];
+        let after = [rel, w(1, 0x100), w(1, 0x1100)];
 
         // Uninterrupted baseline.
-        let clean = Engine::build(shards(&proto), opts, PruneSet::empty(), None);
-        clean.broadcast(acq);
-        clean.dispatch(vec![w(0, 0x100), w(0, 0x1100)]);
-        clean.broadcast(rel);
-        clean.dispatch(vec![w(1, 0x100), w(1, 0x1100)]);
-        let want = clean.finish();
+        let clean = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
+        let mut d = driver(&clean);
+        step(&clean, &mut d, &before);
+        step(&clean, &mut d, &after);
+        let want = d.finish(&clean).expect(INLINE_INFALLIBLE);
         assert_eq!(want.races.len(), 2, "baseline sanity");
 
         // Same run split by a capture/restore across two engines.
-        let first = Engine::build(shards(&proto), opts, PruneSet::empty(), None);
-        first.broadcast(acq);
-        first.dispatch(vec![w(0, 0x100), w(0, 0x1100)]);
-        let state = first.capture();
-        let second = Engine::build(shards(&proto), opts, PruneSet::empty(), None);
+        let first = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
+        let mut d = driver(&first);
+        step(&first, &mut d, &before);
+        let state = d.manifest(&first).expect(INLINE_INFALLIBLE).state;
+        let second = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
         second.restore(&state).expect("restore");
-        second.broadcast(rel);
-        second.dispatch(vec![w(1, 0x100), w(1, 0x1100)]);
-        let got = second.finish();
+        let mut d = driver(&second);
+        step(&second, &mut d, &after);
+        let got = d.finish(&second).expect(INLINE_INFALLIBLE);
         assert_eq!(got, want, "capture/restore run equals the clean run");
     }
 }

@@ -39,14 +39,9 @@ use dgrace_detectors::{RaceReport, Report, ShardableDetector};
 use dgrace_trace::{Event, PruneSet};
 
 use crate::checkpoint::CheckpointManifest;
-use crate::engine::{mint, Engine, RuntimeOptions};
+use crate::engine::{mint, Engine};
 use crate::pipeline::Lanes;
-use crate::replay::{resume_from, Driver, ReplayError};
-
-/// Why a live step cannot fail: inline lanes' barrier is a local feed
-/// and a session has no checkpoint cadence of its own (the server saves
-/// the manifests it asks for).
-const INLINE_INFALLIBLE: &str = "inline lanes have no fallible barrier";
+use crate::replay::{resume_from, Driver, ReplayError, INLINE_INFALLIBLE};
 
 /// One live detection session: a sharded engine fed incrementally.
 ///
@@ -80,12 +75,7 @@ impl IngestSession {
         let lanes = Lanes::inline(detectors.len());
         IngestSession {
             watermarks: vec![0; detectors.len()],
-            engine: Engine::build(
-                detectors,
-                RuntimeOptions::default(),
-                PruneSet::empty(),
-                None,
-            ),
+            engine: Engine::build(detectors, false, PruneSet::empty(), None),
             driver: Driver::new(lanes, prototype.name(), 0, None),
         }
     }
@@ -161,7 +151,7 @@ impl IngestSession {
 
     /// Finishes the session: flushes, finalizes every shard, and merges
     /// the reports (exact event counts, quarantine accounting included).
-    pub fn finalize(self) -> Report {
+    pub fn finalize(mut self) -> Report {
         self.driver.finish(&self.engine).expect(INLINE_INFALLIBLE)
     }
 }

@@ -4,13 +4,14 @@
 //! The paper instruments binaries with Intel PIN; this crate is the
 //! library-based analog (the second half of the DESIGN.md substitution):
 //! tracked synchronization and memory types emit exactly the events a PIN
-//! tool would — into a **sharded, batched detection engine**: each thread
-//! appends its accesses to a private lock-free buffer (flushed on
-//! overflow and at every sync operation), accesses are routed by address
-//! to one of N detector shards, and sync events are sequence-stamped and
-//! broadcast to all shards so cross-shard happens-before stays exact.
-//! The analysis still observes a *real* interleaving of the running
-//! threads, but no longer serializes them through a global lock.
+//! tool would. Each thread appends its accesses to a bounded per-thread
+//! queue, flushed on overflow and at every sync operation into the same
+//! replay driver that offline replay and `serve` sessions step: one lock
+//! around it, as the PIN tool serializes its analysis callbacks.
+//! Accesses are routed by address to one of N detector shards, and sync
+//! events are stamped once and fed to all shards so cross-shard
+//! happens-before stays exact. The analysis observes a *real*
+//! interleaving of the running threads.
 //!
 //! ```
 //! use dgrace_runtime::Runtime;
@@ -54,7 +55,7 @@ mod sync;
 mod sync_ext;
 
 pub use checkpoint::{CheckpointManifest, CHECKPOINT_FILE};
-pub use engine::{EngineError, RuntimeOptions, SupervisorPolicy};
+pub use engine::{EngineError, SupervisorPolicy};
 pub use faults::{corrupt_byte, silence_injected_panics, PanicOnEvent, INJECTED_PANIC_MARKER};
 pub use ingest::IngestSession;
 pub use mem::{TrackedArray, TrackedCell};
@@ -63,7 +64,7 @@ pub use replay::{
     RunPlan, Transport,
 };
 pub use ring::{PushError, Spsc};
-pub use runtime::{JoinTicket, Runtime, ThreadHandle};
+pub use runtime::{JoinTicket, Runtime, RuntimeOptions, ThreadHandle};
 pub use sync::{TrackedMutex, TrackedMutexGuard};
 pub use sync_ext::{
     TrackedBarrier, TrackedCondvar, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard,

@@ -33,7 +33,7 @@ impl TrackedCell {
         self.addr
     }
 
-    /// Reads the cell as thread `h` (lock-free buffered fast path).
+    /// Reads the cell as thread `h` (buffered fast path).
     pub fn get(&self, h: &ThreadHandle) -> u64 {
         h.emit_access(Event::Read {
             tid: h.tid,
@@ -43,7 +43,7 @@ impl TrackedCell {
         self.data.load(Ordering::Relaxed)
     }
 
-    /// Writes the cell as thread `h` (lock-free buffered fast path).
+    /// Writes the cell as thread `h` (buffered fast path).
     pub fn set(&self, h: &ThreadHandle, value: u64) {
         h.emit_access(Event::Write {
             tid: h.tid,
@@ -79,7 +79,7 @@ impl TrackedArray {
             base,
             data: Arc::new(data),
         };
-        arr.inner.emit_alloc(
+        arr.inner.emit(
             dgrace_trace::Tid::MAIN,
             Event::Alloc {
                 tid: dgrace_trace::Tid::MAIN,
@@ -105,7 +105,7 @@ impl TrackedArray {
         Addr(self.base.0 + (i as u64) * 8)
     }
 
-    /// Reads element `i` as thread `h` (lock-free buffered fast path).
+    /// Reads element `i` as thread `h` (buffered fast path).
     pub fn get(&self, h: &ThreadHandle, i: usize) -> u64 {
         h.emit_access(Event::Read {
             tid: h.tid,
@@ -115,7 +115,7 @@ impl TrackedArray {
         self.data[i].load(Ordering::Relaxed)
     }
 
-    /// Writes element `i` as thread `h` (lock-free buffered fast path).
+    /// Writes element `i` as thread `h` (buffered fast path).
     pub fn set(&self, h: &ThreadHandle, i: usize, value: u64) {
         h.emit_access(Event::Write {
             tid: h.tid,

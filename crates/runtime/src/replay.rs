@@ -15,7 +15,8 @@
 //!   count it, checkpoint when the cadence is due. [`replay`] walks an
 //!   [`EventSource`] — a [`Trace`] in memory or a `.dgrt` stream decoded
 //!   a block at a time — through it (polling the stop flag between
-//!   events); [`crate::IngestSession`] feeds it from a socket.
+//!   events); [`crate::IngestSession`] feeds it from a socket, and the
+//!   live [`crate::Runtime`] from its threads' buffers.
 //! * **One transport kernel**, the lanes of [`crate::pipeline`], with a
 //!   worker thread per lane or without: [`Transport::Funnel`] feeds each
 //!   segment on the walking thread (what `--shards N` and a live session
@@ -41,9 +42,7 @@ use dgrace_detectors::{Detector, Report, ShardableDetector};
 use dgrace_trace::{Event, EventSource, PruneSet, Trace, TraceError};
 
 use crate::checkpoint::{CheckpointManifest, CHECKPOINT_FILE};
-use crate::engine::{
-    mint, respawn_from, DetectorFactory, Engine, RuntimeOptions, SupervisorPolicy,
-};
+use crate::engine::{mint, respawn_from, DetectorFactory, Engine, SupervisorPolicy};
 use crate::pipeline::{with_lanes, Lanes};
 
 /// How events reach the shards: the same lanes either way, fed on the
@@ -214,12 +213,7 @@ fn run(
     source: impl EventSource,
     plan: &RunPlan<'_>,
 ) -> Result<Report, ReplayError> {
-    let engine = Engine::build(
-        detectors,
-        RuntimeOptions::default(),
-        plan.prune.clone(),
-        supervisor,
-    );
+    let engine = Engine::build(detectors, false, plan.prune.clone(), supervisor);
     let start = match plan.resume {
         Some(m) => resume_from(&engine, m, &det_name, source.remaining())?,
         None => 0,
@@ -300,8 +294,12 @@ impl Cadence<'_> {
     }
 }
 
-/// The event loop body shared by trace replay and live sessions, over
-/// either transport.
+/// Why a step on inline lanes cannot fail: their barrier is a local feed,
+/// and a live session or runtime has no checkpoint cadence of its own.
+pub(crate) const INLINE_INFALLIBLE: &str = "inline lanes have no fallible barrier";
+
+/// The event loop body shared by trace replay, live sessions and the
+/// live runtime, over either transport.
 pub(crate) struct Driver<'a> {
     pub(crate) lanes: Lanes<'a>,
     /// The prototype detector's name (checkpoint identity).
@@ -391,10 +389,10 @@ impl<'a> Driver<'a> {
 
     /// Drains the transport, finalizes every shard, and merges the
     /// reports (exact event counts, quarantine accounting included).
-    pub(crate) fn finish(mut self, engine: &Engine) -> Result<Report, ReplayError> {
+    pub(crate) fn finish(&mut self, engine: &Engine) -> Result<Report, ReplayError> {
         self.lanes.barrier(engine)?;
         let mut rep = engine.finish();
-        rep.checkpointing_degraded |= self.cadence.is_some_and(|c| c.degraded);
+        rep.checkpointing_degraded |= self.cadence.as_ref().is_some_and(|c| c.degraded);
         Ok(rep)
     }
 }

@@ -1,41 +1,158 @@
-//! The runtime core: thread handles, fork/join tracking, and the public
-//! face of the sharded detection engine.
+//! The runtime core: thread handles, fork/join tracking, and the
+//! per-thread buffers in front of the one replay driver.
+//!
+//! A live [`Runtime`] is one more caller of the driver that offline
+//! replay and `serve` sessions step (`crate::replay`): it holds an
+//! engine and a driver on inline lanes behind one mutex, the way the
+//! paper's PIN tool serializes its analysis callbacks around one global
+//! structure.
+//!
+//! * **Per-thread batching.** Every tracked thread owns a bounded
+//!   per-thread queue of pending events. Memory accesses are appended to
+//!   it without taking the driver lock; a flush takes the lock and steps
+//!   the drained events, in program order, through the driver.
+//! * **One serialization.** Everything the driver is stepped with is
+//!   stamped in step order, so the step order is the run's serialization
+//!   σ: what a recording runtime's [`take_recorded`](Runtime::take_recorded)
+//!   returns, and what every shard sees its part of.
+//!
+//! ## Flush ordering rules (the part that is easy to get wrong)
+//!
+//! 1. A thread's buffer is flushed **before** any of its sync events (or
+//!    an `Alloc`) is stepped, under the same lock acquisition —
+//!    including lock *acquires*: the detector merges the lock's clock
+//!    into the thread's clock at the acquire, so a buffered pre-acquire
+//!    access processed after it would appear protected.
+//! 2. A child's buffer is flushed **before** the parent's `Join` is
+//!    stepped (the parent drains it; the real thread has already
+//!    terminated), otherwise the child's tail accesses would appear
+//!    ordered after the join edge and races would be missed or invented.
+//! 3. `finish` flushes every registered buffer before collecting shard
+//!    reports, so `stats.events` equals the exact number of emitted
+//!    events.
+//!
+//! A buffer is also flushed when it overflows and when its
+//! [`ThreadHandle`] drops. Lock order is always: driver lock → shard
+//! locks; the router's lock is taken alone or under the driver lock, so
+//! the runtime cannot deadlock against itself.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crossbeam::queue::ArrayQueue;
 use dgrace_detectors::{Detector, Report, ShardableDetector};
 use dgrace_trace::{Event, LockId, PruneSet, Tid};
+use parking_lot::Mutex;
 
-use crate::engine::{mint, Engine, RuntimeOptions, ThreadBuf};
+use crate::engine::{mint, Engine};
+use crate::pipeline::Lanes;
+use crate::replay::{Driver, INLINE_INFALLIBLE};
+
+/// Tuning knobs for the online runtime.
+#[derive(Clone, Copy, Debug)]
+pub struct RuntimeOptions {
+    /// Number of address-partitioned detector shards (`0` is treated as
+    /// `1`).
+    pub shards: usize,
+    /// Capacity of each thread's event buffer. `1` disables batching
+    /// (every access is stepped on its own — the per-event configuration
+    /// of the scaling example).
+    pub buffer_capacity: usize,
+    /// When `true`, the engine journals every event with its sequence
+    /// stamp; `take_recorded` then reconstructs the observed
+    /// serialization as a [`Trace`](dgrace_trace::Trace).
+    pub record: bool,
+}
+
+impl Default for RuntimeOptions {
+    fn default() -> Self {
+        RuntimeOptions {
+            shards: 1,
+            buffer_capacity: 256,
+            record: false,
+        }
+    }
+}
+
+/// One thread's pending events, in program order.
+type ThreadBuf = ArrayQueue<Event>;
+
+/// What the driver lock guards: the driver and the buffer registry.
+struct Live {
+    driver: Driver<'static>,
+    /// Per-tid buffers, indexed by `Tid::index()`.
+    bufs: Vec<Option<Arc<ThreadBuf>>>,
+}
+
+/// Steps every event pending in `buf` through `driver`. Drains are
+/// serialized by the driver lock, so each is a program-order prefix of
+/// the owner's pending events.
+fn drain(driver: &mut Driver<'static>, engine: &Engine, buf: &ThreadBuf) {
+    while let Some(ev) = buf.pop() {
+        driver.step(engine, &ev).expect(INLINE_INFALLIBLE);
+    }
+}
+
+impl Live {
+    /// Drains `tid`'s buffer, if it has one.
+    fn drain_tid(&mut self, engine: &Engine, tid: Tid) {
+        if let Some(Some(buf)) = self.bufs.get(tid.index()) {
+            drain(&mut self.driver, engine, buf);
+        }
+    }
+
+    /// Drains every registered buffer.
+    fn drain_all(&mut self, engine: &Engine) {
+        for buf in self.bufs.iter().flatten() {
+            drain(&mut self.driver, engine, buf);
+        }
+    }
+
+    /// Drains `tid`'s buffer, then steps `ev` right after it (rule 1).
+    fn step_after(&mut self, engine: &Engine, tid: Tid, ev: &Event) {
+        self.drain_tid(engine, tid);
+        self.driver.step(engine, ev).expect(INLINE_INFALLIBLE);
+    }
+}
 
 pub(crate) struct Inner {
-    pub(crate) engine: Engine,
+    engine: Engine,
+    live: Mutex<Live>,
+    capacity: usize,
     next_tid: AtomicU32,
     next_lock: AtomicU32,
     next_addr: AtomicU64,
 }
 
 impl Inner {
-    fn new(engine: Engine) -> Self {
-        Inner {
-            engine,
-            next_tid: AtomicU32::new(1), // 0 is the main thread
-            next_lock: AtomicU32::new(0),
-            next_addr: AtomicU64::new(0x1000),
+    /// Emits a sync or `Alloc` event as `tid`: the thread's buffer is
+    /// flushed first, then the event is stepped.
+    pub(crate) fn emit(&self, tid: Tid, ev: Event) {
+        self.live.lock().step_after(&self.engine, tid, &ev);
+    }
+
+    /// The buffer of `tid`, creating it on first use.
+    fn buffer_for(&self, tid: Tid) -> Arc<ThreadBuf> {
+        let bufs = &mut self.live.lock().bufs;
+        let idx = tid.index();
+        if bufs.len() <= idx {
+            bufs.resize_with(idx + 1, || None);
+        }
+        Arc::clone(bufs[idx].get_or_insert_with(|| Arc::new(ArrayQueue::new(self.capacity.max(1)))))
+    }
+
+    /// Appends an access to `buf`, flushing first when the buffer is
+    /// full.
+    fn push(&self, buf: &ThreadBuf, mut ev: Event) {
+        while let Err(back) = buf.push(ev) {
+            self.flush(buf);
+            ev = back;
         }
     }
 
-    /// Emits a sync event as `tid`: the thread's buffer is flushed first,
-    /// then the event is broadcast to every shard.
-    pub(crate) fn emit_sync(&self, tid: Tid, ev: Event) {
-        self.engine.emit_sync(tid, ev);
-    }
-
-    /// Emits an allocation event (flushes `tid`'s buffer, then dispatches
-    /// to the object's shard).
-    pub(crate) fn emit_alloc(&self, tid: Tid, ev: Event) {
-        self.engine.emit_alloc(tid, ev);
+    /// Steps everything pending in `buf`.
+    fn flush(&self, buf: &ThreadBuf) {
+        drain(&mut self.live.lock().driver, &self.engine, buf);
     }
 
     pub(crate) fn alloc_lock(&self) -> LockId {
@@ -65,40 +182,40 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Wraps a detector for online use with a single shard and default
-    /// batching — the drop-in replacement for the old serialized
-    /// runtime.
+    /// Wraps any detector for online use: one shard, default options.
     pub fn new<D: Detector + Send + 'static>(detector: D) -> Self {
-        Self::with_options(detector, RuntimeOptions::default())
+        let name = detector.name();
+        Self::build(name, vec![Box::new(detector)], RuntimeOptions::default())
     }
 
-    /// Wraps a detector for online use with explicit options, on one
-    /// shard: an arbitrary detector cannot be replicated per shard — use
-    /// [`Runtime::sharded`] for that.
-    pub fn with_options<D: Detector + Send + 'static>(detector: D, opts: RuntimeOptions) -> Self {
-        Self::over(vec![Box::new(detector)], opts)
-    }
-
-    /// Creates a sharded runtime: `shards` instances of the prototype
-    /// detector, each owning a slice of the tracked address space.
-    pub fn sharded<D: ShardableDetector + ?Sized>(prototype: &D, shards: usize) -> Self {
-        Self::sharded_with_options(prototype, shards, RuntimeOptions::default())
-    }
-
-    /// Creates a sharded runtime of `shards` instances (at least one)
-    /// with explicit options (buffer capacity and journal recording).
-    pub fn sharded_with_options<D: ShardableDetector + ?Sized>(
+    /// `opts.shards` instances of the prototype detector (at least one),
+    /// each owning a slice of the tracked address space, with the
+    /// options' buffer capacity and journal recording.
+    pub fn with_options<D: ShardableDetector + ?Sized>(
         prototype: &D,
-        shards: usize,
         opts: RuntimeOptions,
     ) -> Self {
-        Self::over(mint(prototype, shards), opts)
+        Self::build(prototype.name(), mint(prototype, opts.shards), opts)
     }
 
-    fn over(detectors: Vec<Box<dyn Detector + Send>>, opts: RuntimeOptions) -> Self {
-        let engine = Engine::build(detectors, opts, PruneSet::empty(), None);
+    fn build(
+        det_name: String,
+        detectors: Vec<Box<dyn Detector + Send>>,
+        opts: RuntimeOptions,
+    ) -> Self {
+        let driver = Driver::new(Lanes::inline(detectors.len()), det_name, 0, None);
         Runtime {
-            inner: Arc::new(Inner::new(engine)),
+            inner: Arc::new(Inner {
+                engine: Engine::build(detectors, opts.record, PruneSet::empty(), None),
+                live: Mutex::new(Live {
+                    driver,
+                    bufs: Vec::new(),
+                }),
+                capacity: opts.buffer_capacity,
+                next_tid: AtomicU32::new(1), // 0 is the main thread
+                next_lock: AtomicU32::new(0),
+                next_addr: AtomicU64::new(0x1000),
+            }),
         }
     }
 
@@ -109,11 +226,10 @@ impl Runtime {
 
     /// The main thread's handle (tid 0).
     pub fn main(&self) -> ThreadHandle {
-        let buf = self.inner.engine.buffer_for(Tid::MAIN);
         ThreadHandle {
             inner: Arc::clone(&self.inner),
             tid: Tid::MAIN,
-            buf,
+            buf: self.inner.buffer_for(Tid::MAIN),
         }
     }
 
@@ -139,7 +255,11 @@ impl Runtime {
     /// extracted and merged, so `report.stats.events` is the *exact*
     /// number of events emitted — never a lower bound.
     pub fn finish(&self) -> Report {
-        self.inner.engine.finish()
+        let mut live = self.inner.live.lock();
+        live.drain_all(&self.inner.engine);
+        live.driver
+            .finish(&self.inner.engine)
+            .expect(INLINE_INFALLIBLE)
     }
 
     /// Stops detection like [`Runtime::finish`], but returns an error
@@ -149,7 +269,7 @@ impl Runtime {
     /// `Ok`; inspect [`Report::is_degraded`](dgrace_detectors::Report)
     /// and `report.failures` for the damage.
     pub fn try_finish(&self) -> Result<Report, crate::EngineError> {
-        let rep = self.inner.engine.finish();
+        let rep = self.finish();
         if !rep.failures.is_empty() && rep.failures.len() == self.shard_count() {
             return Err(crate::EngineError::AllShardsFailed(rep.failures));
         }
@@ -161,25 +281,25 @@ impl Runtime {
     /// serialization from the per-shard journals, at any shard count.
     /// Returns `None` otherwise. All thread buffers are flushed first.
     pub fn take_recorded(&self) -> Option<dgrace_trace::Trace> {
+        let mut live = self.inner.live.lock();
+        live.drain_all(&self.inner.engine);
+        live.driver.lanes.flush(&self.inner.engine);
         self.inner.engine.take_recorded()
     }
 
     /// Like [`Runtime::take_recorded`], but explains a `None`: the
     /// engine was not journaling.
     pub fn try_take_recorded(&self) -> Result<dgrace_trace::Trace, crate::EngineError> {
-        self.inner
-            .engine
-            .take_recorded()
-            .ok_or(crate::EngineError::NotRecording)
+        self.take_recorded().ok_or(crate::EngineError::NotRecording)
     }
 }
 
 /// The identity of one tracked thread; every tracked operation takes a
 /// `&ThreadHandle` to attribute the event (PIN's `tid` argument).
 ///
-/// The handle owns the thread's private event buffer: accesses are
-/// appended lock-free and only reach the detector shards in batches.
-/// Dropping the handle flushes the buffer.
+/// The handle owns the thread's event buffer: accesses are appended
+/// without taking the driver lock and only reach the detector shards in
+/// batches. Dropping the handle flushes the buffer.
 pub struct ThreadHandle {
     pub(crate) inner: Arc<Inner>,
     pub(crate) tid: Tid,
@@ -199,11 +319,11 @@ impl ThreadHandle {
         self.tid
     }
 
-    /// Appends a memory-access event to this thread's private buffer —
-    /// the lock-free fast path. The buffer is flushed on overflow and at
-    /// every sync operation this thread performs.
+    /// Appends a memory-access event to this thread's buffer — the fast
+    /// path. The buffer is flushed on overflow and at every sync
+    /// operation this thread performs.
     pub(crate) fn emit_access(&self, ev: Event) {
-        self.inner.engine.push(&self.buf, ev);
+        self.inner.push(&self.buf, ev);
     }
 
     /// Forks a tracked child thread: emits the `Fork` event and returns
@@ -211,19 +331,18 @@ impl ThreadHandle {
     /// the parent uses to record the join.
     pub fn fork(&self) -> (ThreadHandle, JoinTicket) {
         let child = Tid(self.inner.next_tid.fetch_add(1, Ordering::Relaxed));
-        self.inner.emit_sync(
+        self.inner.emit(
             self.tid,
             Event::Fork {
                 parent: self.tid,
                 child,
             },
         );
-        let buf = self.inner.engine.buffer_for(child);
         (
             ThreadHandle {
                 inner: Arc::clone(&self.inner),
                 tid: child,
-                buf,
+                buf: self.inner.buffer_for(child),
             },
             JoinTicket { child },
         )
@@ -234,14 +353,17 @@ impl ThreadHandle {
     /// reflects the real schedule.
     ///
     /// The child's buffer is drained *before* the `Join` event is
-    /// broadcast (the real thread has terminated, so the parent may
-    /// drain it): the child's tail accesses must not appear ordered
-    /// after the join edge.
+    /// stepped (the real thread has terminated, so the parent may drain
+    /// it): the child's tail accesses must not appear ordered after the
+    /// join edge.
     pub fn join(&self, ticket: JoinTicket) {
-        self.inner.engine.flush_tid(ticket.child);
-        self.inner.emit_sync(
+        let engine = &self.inner.engine;
+        let mut live = self.inner.live.lock();
+        live.drain_tid(engine, ticket.child);
+        live.step_after(
+            engine,
             self.tid,
-            Event::Join {
+            &Event::Join {
                 parent: self.tid,
                 child: ticket.child,
             },
@@ -253,7 +375,7 @@ impl Drop for ThreadHandle {
     fn drop(&mut self) {
         // Backstop flush: a child handle is dropped when the real thread
         // terminates, publishing its tail accesses before the join.
-        self.inner.engine.flush_buf(&self.buf);
+        self.inner.flush(&self.buf);
     }
 }
 
@@ -262,6 +384,32 @@ mod tests {
     use super::*;
     use dgrace_detectors::NopDetector;
     use std::thread;
+
+    #[test]
+    fn overflow_flushes_and_nothing_is_lost() {
+        let rt = Runtime::with_options(
+            &NopDetector::default(),
+            RuntimeOptions {
+                shards: 2,
+                buffer_capacity: 4,
+                record: true,
+            },
+        );
+        let main = rt.main();
+        for i in 0..10u64 {
+            main.emit_access(Event::Write {
+                tid: Tid::MAIN,
+                addr: dgrace_trace::Addr(0x1000 + i * 8),
+                size: dgrace_trace::AccessSize::U64,
+            });
+            // Two full buffers were stepped before the tenth write.
+            assert_eq!(main.buf.len() as u64, i % 4 + 1, "write {i}");
+        }
+        let trace = rt.take_recorded().expect("recording runtime");
+        assert_eq!(trace.len(), 10);
+        let rep = rt.finish();
+        assert_eq!(rep.stats.events, 10);
+    }
 
     #[test]
     fn fork_join_produce_events() {
@@ -297,7 +445,13 @@ mod tests {
 
     #[test]
     fn sharded_runtime_counts_exactly() {
-        let rt = Runtime::sharded(&NopDetector::default(), 4);
+        let rt = Runtime::with_options(
+            &NopDetector::default(),
+            RuntimeOptions {
+                shards: 4,
+                ..RuntimeOptions::default()
+            },
+        );
         assert_eq!(rt.shard_count(), 4);
         let main = rt.main();
         let cells: Vec<_> = (0..8).map(|i| rt.cell(i)).collect();

@@ -35,7 +35,7 @@ impl<T> TrackedMutex<T> {
     /// two holders.
     pub fn lock<'a>(&'a self, h: &ThreadHandle) -> TrackedMutexGuard<'a, T> {
         let guard = self.data.lock();
-        self.inner.emit_sync(
+        self.inner.emit(
             h.tid,
             Event::Acquire {
                 tid: h.tid,
@@ -83,7 +83,7 @@ impl<T> TrackedMutexGuard<'_, T> {
         emit_wait: impl FnOnce(Tid),
     ) {
         debug_assert_eq!(h.tid, self.tid, "guard used from a foreign thread");
-        self.mutex.inner.emit_sync(
+        self.mutex.inner.emit(
             self.tid,
             Event::Release {
                 tid: self.tid,
@@ -92,7 +92,7 @@ impl<T> TrackedMutexGuard<'_, T> {
         );
         cv.wait(&mut self.guard);
         emit_wait(self.tid);
-        self.mutex.inner.emit_sync(
+        self.mutex.inner.emit(
             self.tid,
             Event::Acquire {
                 tid: self.tid,
@@ -107,7 +107,7 @@ impl<T> Drop for TrackedMutexGuard<'_, T> {
         // Emit while still physically holding the lock (the `guard` field
         // drops after this body): the release event is ordered before any
         // subsequent acquire event.
-        self.mutex.inner.emit_sync(
+        self.mutex.inner.emit(
             self.tid,
             Event::Release {
                 tid: self.tid,

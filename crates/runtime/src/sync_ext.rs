@@ -34,7 +34,7 @@ impl<T> TrackedRwLock<T> {
     /// Acquires a shared (read) hold as thread `h`.
     pub fn read<'a>(&'a self, h: &ThreadHandle) -> TrackedReadGuard<'a, T> {
         let guard = self.data.read();
-        self.inner.emit_sync(
+        self.inner.emit(
             h.tid(),
             Event::AcquireRead {
                 tid: h.tid(),
@@ -51,7 +51,7 @@ impl<T> TrackedRwLock<T> {
     /// Acquires an exclusive (write) hold as thread `h`.
     pub fn write<'a>(&'a self, h: &ThreadHandle) -> TrackedWriteGuard<'a, T> {
         let guard = self.data.write();
-        self.inner.emit_sync(
+        self.inner.emit(
             h.tid(),
             Event::Acquire {
                 tid: h.tid(),
@@ -84,7 +84,7 @@ impl<T> Drop for TrackedReadGuard<'_, T> {
     fn drop(&mut self) {
         // Emitted while the `guard` field is still held; it drops after
         // this body, so the release event precedes any later acquire.
-        self.lock.inner.emit_sync(
+        self.lock.inner.emit(
             self.tid,
             Event::ReleaseRead {
                 tid: self.tid,
@@ -118,7 +118,7 @@ impl<T> Drop for TrackedWriteGuard<'_, T> {
     fn drop(&mut self) {
         // Emitted while the `guard` field is still held; it drops after
         // this body, so the release event precedes any later acquire.
-        self.lock.inner.emit_sync(
+        self.lock.inner.emit(
             self.tid,
             Event::Release {
                 tid: self.tid,
@@ -147,7 +147,7 @@ impl TrackedCondvar {
 
     /// Signals one waiter (`pthread_cond_signal`).
     pub fn notify_one(&self, h: &ThreadHandle) {
-        self.inner.emit_sync(
+        self.inner.emit(
             h.tid(),
             Event::CvSignal {
                 tid: h.tid(),
@@ -159,7 +159,7 @@ impl TrackedCondvar {
 
     /// Signals all waiters (`pthread_cond_broadcast`).
     pub fn notify_all(&self, h: &ThreadHandle) {
-        self.inner.emit_sync(
+        self.inner.emit(
             h.tid(),
             Event::CvSignal {
                 tid: h.tid(),
@@ -174,8 +174,7 @@ impl TrackedCondvar {
     /// the detector in real order.
     pub fn wait<T>(&self, h: &ThreadHandle, guard: &mut TrackedMutexGuard<'_, T>) {
         guard.cv_wait(h, &self.cv, |tid| {
-            self.inner
-                .emit_sync(tid, Event::CvWait { tid, cv: self.id });
+            self.inner.emit(tid, Event::CvWait { tid, cv: self.id });
         });
     }
 }
@@ -207,7 +206,7 @@ impl TrackedBarrier {
         let mut st = self.state.lock();
         // Arrival is published while holding the barrier's internal
         // mutex, so arrive events of one generation precede its departs.
-        self.inner.emit_sync(
+        self.inner.emit(
             h.tid(),
             Event::BarrierArrive {
                 tid: h.tid(),
@@ -219,7 +218,7 @@ impl TrackedBarrier {
         if st.0 == self.parties {
             st.0 = 0;
             st.1 += 1;
-            self.inner.emit_sync(
+            self.inner.emit(
                 h.tid(),
                 Event::BarrierDepart {
                     tid: h.tid(),
@@ -232,7 +231,7 @@ impl TrackedBarrier {
             while st.1 == gen {
                 self.cv.wait(&mut st);
             }
-            self.inner.emit_sync(
+            self.inner.emit(
                 h.tid(),
                 Event::BarrierDepart {
                     tid: h.tid(),

@@ -261,10 +261,10 @@ fn online_runtime_contains_shard_panic() {
     // poison the engine for the still-running instrumented threads.
     let rep = run_with_timeout("online-panic", || {
         let proto = PanicOnEvent::new(FastTrack::new(), 0, 1);
-        let rt = Runtime::sharded_with_options(
+        let rt = Runtime::with_options(
             &proto,
-            2,
             RuntimeOptions {
+                shards: 2,
                 buffer_capacity: 4,
                 record: false,
             },
@@ -293,7 +293,7 @@ fn online_runtime_contains_shard_panic() {
 fn try_finish_reports_total_failure() {
     silence_injected_panics();
     let proto = PanicOnEvent::new(FastTrack::new(), 0, 1);
-    let rt = Runtime::sharded(&proto, 1);
+    let rt = Runtime::with_options(&proto, RuntimeOptions::default());
     let main = rt.main();
     let c = rt.cell(0);
     c.set(&main, 1);

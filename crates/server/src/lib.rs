@@ -202,8 +202,17 @@ pub struct Server {
 
 impl Server {
     /// Binds the listening socket (removing a stale socket file first)
-    /// and creates the checkpoint directory when durability is on.
+    /// and creates the checkpoint directory when durability is on. A
+    /// config with `max_sessions: 0` would shed every connection; it is
+    /// refused with [`io::ErrorKind::InvalidInput`] before the socket
+    /// path is touched.
     pub fn bind(cfg: ServerConfig) -> io::Result<Server> {
+        if cfg.max_sessions == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "max_sessions must be at least 1",
+            ));
+        }
         if cfg.socket.exists() {
             std::fs::remove_file(&cfg.socket)?;
         }

@@ -476,6 +476,25 @@ fn duplicate_session_name_is_refused() {
 }
 
 #[test]
+fn bind_refuses_zero_sessions_before_touching_the_socket() {
+    let dir = scratch("zero-sessions");
+    let mut cfg = base_config(&dir);
+    cfg.max_sessions = 0;
+    let socket = cfg.socket.clone();
+    match Server::bind(cfg.clone()) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Ok(_) => panic!("a server that sheds every connection was bound"),
+    }
+    assert!(!socket.exists(), "no socket file is left behind");
+
+    // A stale file at the path is neither removed nor replaced.
+    std::fs::write(&socket, b"stale").expect("stale file");
+    let err = Server::bind(cfg).err().expect("refused again");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(std::fs::read(&socket).expect("still there"), b"stale");
+}
+
+#[test]
 fn unknown_detector_is_refused_with_reason() {
     let dir = scratch("unknown-det");
     let handle = Server::spawn(base_config(&dir)).expect("spawn");

@@ -21,7 +21,7 @@ fn main() {
     // 1. Record AND detect live: the journal keeps every event the
     //    detector is fed, in the order it was fed.
     let rt = Runtime::with_options(
-        DynamicGranularity::new(),
+        &DynamicGranularity::new(),
         RuntimeOptions {
             record: true,
             ..RuntimeOptions::default()

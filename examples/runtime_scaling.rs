@@ -1,7 +1,14 @@
-//! Standalone scaling harness for the online detection engine: measures
-//! events/sec at 1/2/4/8 producer threads, serialized baseline (one
-//! shard, per-event dispatch — the old global-mutex funnel) vs the
-//! sharded batched engine. The numbers land in EXPERIMENTS.md.
+//! Standalone scaling harness for the online runtime: measures events/sec
+//! at 1/2/4/8 producer threads in three configurations, so each effect
+//! is read against its own baseline:
+//!
+//! * per-event: one shard, `buffer_capacity: 1` (every access takes the
+//!   driver lock on its own);
+//! * batched: one shard, the default 256-event thread buffers;
+//! * batched-8: the same buffers over 8 address shards.
+//!
+//! Batched against per-event is what batching buys; batched-8 against
+//! batched is what sharding buys. The numbers land in EXPERIMENTS.md.
 //!
 //! ```text
 //! cargo run --release --example runtime_scaling
@@ -49,11 +56,11 @@ fn drive(rt: &Runtime, producers: usize) -> u64 {
 }
 
 /// Best-of-`REPS` events/sec for one configuration.
-fn measure(shards: usize, opts: RuntimeOptions, producers: usize) -> f64 {
+fn measure(opts: RuntimeOptions, producers: usize) -> f64 {
     let proto = DynamicGranularity::new();
     let mut best = 0.0f64;
     for _ in 0..REPS {
-        let rt = Runtime::sharded_with_options(&proto, shards, opts);
+        let rt = Runtime::with_options(&proto, opts);
         let start = Instant::now();
         let events = drive(&rt, producers);
         let rate = events as f64 / start.elapsed().as_secs_f64();
@@ -63,29 +70,36 @@ fn measure(shards: usize, opts: RuntimeOptions, producers: usize) -> f64 {
 }
 
 fn main() {
-    let serialized = RuntimeOptions {
-        buffer_capacity: 1,
-        record: false,
-    };
-    let sharded = RuntimeOptions {
-        buffer_capacity: 256,
-        record: false,
-    };
+    let configs = [
+        (
+            "per-event ev/s",
+            RuntimeOptions {
+                shards: 1,
+                buffer_capacity: 1,
+                record: false,
+            },
+        ),
+        ("batched ev/s", RuntimeOptions::default()),
+        (
+            "batched-8 ev/s",
+            RuntimeOptions {
+                shards: 8,
+                ..RuntimeOptions::default()
+            },
+        ),
+    ];
 
     println!("online runtime scaling (dynamic-granularity detector, best of {REPS})");
-    println!(
-        "{:>10} {:>18} {:>18} {:>9}",
-        "producers", "serialized ev/s", "sharded-8 ev/s", "speedup"
-    );
+    print!("{:>10}", "producers");
+    for (name, _) in &configs {
+        print!(" {name:>16}");
+    }
+    println!();
     for producers in [1usize, 2, 4, 8] {
-        let base = measure(1, serialized, producers);
-        let shrd = measure(8, sharded, producers);
-        println!(
-            "{:>10} {:>18.0} {:>18.0} {:>8.2}x",
-            producers,
-            base,
-            shrd,
-            shrd / base
-        );
+        print!("{producers:>10}");
+        for (_, opts) in &configs {
+            print!(" {:>16.0}", measure(*opts, producers));
+        }
+        println!();
     }
 }

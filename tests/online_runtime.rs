@@ -5,7 +5,7 @@ use std::thread;
 
 use dgrace::core::DynamicGranularity;
 use dgrace::detectors::FastTrack;
-use dgrace::runtime::Runtime;
+use dgrace::runtime::{Runtime, RuntimeOptions};
 
 /// A correctly locked producer/consumer program is race-free under the
 /// live dynamic detector.
@@ -53,7 +53,13 @@ fn locked_pipeline_is_race_free() {
 #[test]
 fn finish_flushes_unsynced_buffers() {
     for shards in [1usize, 4] {
-        let rt = Runtime::sharded(&DynamicGranularity::new(), shards);
+        let rt = Runtime::with_options(
+            &DynamicGranularity::new(),
+            RuntimeOptions {
+                shards,
+                ..RuntimeOptions::default()
+            },
+        );
         let main = rt.main();
         let cells: Vec<_> = (0..5).map(|_| rt.cell(0)).collect();
         // 5 cells x 7 writes each, all buffered (no sync, no overflow).

@@ -210,10 +210,10 @@ fn classes_by_definition(trace: &Trace) -> BTreeMap<u64, LocationClass> {
 /// lock ids tracked mutexes. Returns the merged sharded report plus the
 /// journal of the schedule that actually ran.
 fn run_online(programs: &[Vec<Op>], shards: usize) -> (Report, Trace) {
-    let rt = Runtime::sharded_with_options(
+    let rt = Runtime::with_options(
         &DynamicGranularity::new(),
-        shards,
         RuntimeOptions {
+            shards,
             buffer_capacity: 5, // small + odd: force misaligned overflow flushes
             record: true,
         },

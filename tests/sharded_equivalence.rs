@@ -26,8 +26,9 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// A small buffer forces frequent overflow flushes; an odd size keeps
 /// flush boundaries misaligned with loop iterations.
-fn recording() -> RuntimeOptions {
+fn recording(shards: usize) -> RuntimeOptions {
     RuntimeOptions {
+        shards,
         buffer_capacity: 7,
         record: true,
     }
@@ -115,7 +116,7 @@ fn sharded_race_set_matches_serialized_dynamic() {
     let mut expected: Vec<Addr> = Vec::new();
 
     for &shards in &SHARD_COUNTS {
-        let rt = Runtime::sharded_with_options(&DynamicGranularity::new(), shards, recording());
+        let rt = Runtime::with_options(&DynamicGranularity::new(), recording(shards));
         assert_eq!(rt.shard_count(), shards);
         expected = drive_mixed(&rt, 4);
 
@@ -159,7 +160,7 @@ fn sharded_race_set_matches_serialized_dynamic() {
 #[test]
 fn sharded_race_set_matches_serialized_fasttrack() {
     for &shards in &SHARD_COUNTS {
-        let rt = Runtime::sharded_with_options(&FastTrack::new(), shards, recording());
+        let rt = Runtime::with_options(&FastTrack::new(), recording(shards));
         drive_mixed(&rt, 3);
         let trace = rt.take_recorded().expect("journaling runtime");
         validate(&trace).expect("journal is a well-formed serialization");
@@ -176,7 +177,7 @@ fn sharded_race_set_matches_serialized_fasttrack() {
 #[test]
 fn sharded_locked_workload_stays_race_free() {
     for &shards in &SHARD_COUNTS {
-        let rt = Runtime::sharded_with_options(&DynamicGranularity::new(), shards, recording());
+        let rt = Runtime::with_options(&DynamicGranularity::new(), recording(shards));
         drive_locked(&rt, 4);
         let trace = rt.take_recorded().expect("journaling runtime");
         validate(&trace).expect("journal is a well-formed serialization");
