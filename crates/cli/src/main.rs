@@ -4,7 +4,7 @@
 //! dgrace gen <workload> [--scale S] [--seed N] -o trace.dgrt
 //! dgrace analyze <trace.dgrt> [-o summary.dgas] [--json]
 //! dgrace detect <detector> <trace.dgrt> [--max-races N] [--shards N] [--pipeline] [--prune-with summary.dgas]
-//!                                       [--memory-limit BYTES] [--resync] [--json] [--self-heal]
+//!                                       [--memory-limit BYTES] [--resync] [--json]
 //!                                       [--checkpoint-dir D] [--checkpoint-every N|Ns] [--resume D]
 //!                                       [--sample full|loc:K]
 //! dgrace serve <socket> [--shards N] [--max-sessions N] [--degrade-sessions N]
@@ -39,7 +39,7 @@ use dgrace_detectors::{
 };
 use dgrace_runtime::{
     replay, CheckpointInterval, CheckpointManifest, CheckpointOptions, ReplayError, RunPlan,
-    SupervisorPolicy, Transport, CHECKPOINT_FILE,
+    Transport, CHECKPOINT_FILE,
 };
 use dgrace_server::{Client, ClientError, Server, ServerConfig};
 use dgrace_trace::io::{
@@ -179,18 +179,21 @@ fn print_help() {
          \x20 dgrace detect <detector> <file> [--max-races N] [--shards N] [--prune-with <summary>]\n\
          \x20                                 [--memory-limit BYTES]   run a detector over a trace,\n\
          \x20                                 [--resync] [--json]      optionally across N address shards,\n\
-         \x20                                 [--self-heal]            skipping provably race-free accesses;\n\
-         \x20                                 [--checkpoint-dir D]     --memory-limit caps accounted memory\n\
-         \x20                                 [--checkpoint-every N|Ns] by deterministic eviction of cold\n\
-         \x20                                 [--resume D]             shadow state (the run completes\n\
-         \x20                                 [--pipeline]             instead of aborting; the cap needs\n\
-         \x20                                 [--sample <spec>]        a vector-clock detector),\n\
+         \x20                                 [--checkpoint-dir D]     skipping provably race-free accesses;\n\
+         \x20                                 [--checkpoint-every N|Ns] --memory-limit caps accounted memory\n\
+         \x20                                 [--resume D]             by deterministic eviction of cold\n\
+         \x20                                 [--pipeline]             shadow state (the run completes\n\
+         \x20                                 [--sample <spec>]        instead of aborting; the cap needs\n\
+         \x20                                                          a vector-clock detector); a tight\n\
+         \x20                                                          cap can lose every race: at half a\n\
+         \x20                                                          run's own peak it kept 0 of 6 races\n\
+         \x20                                                          on streamcluster (byte 0 of 4), 0 of\n\
+         \x20                                                          1 on pbzip2, 0 of 3 on dedup (scale\n\
+         \x20                                                          1, seed 11),\n\
          \x20                                                          --resync skips damaged trace frames,\n\
          \x20                                                          --json prints a deterministic report,\n\
          \x20                                                          --pipeline feeds shards through\n\
          \x20                                                          per-shard SPSC rings (same report),\n\
-         \x20                                                          --self-heal respawns panicked shards\n\
-         \x20                                                          from their last checkpoint,\n\
          \x20                                                          --checkpoint-dir writes durable\n\
          \x20                                                          checkpoints every N events (or Ns\n\
          \x20                                                          seconds), --resume continues an\n\
@@ -645,7 +648,7 @@ fn make_shardable(name: &str) -> Result<Box<dyn ShardableDetector + Send>, Failu
 /// around it, and `--memory-limit` as its shadow budget. The limit is a
 /// whole-run cap: each shard holds a slice of the address space, so it
 /// gets a slice, set on the prototype before any shard is minted (a
-/// minted or respawned shard carries its prototype's budget). Each shard
+/// minted shard carries its prototype's budget). Each shard
 /// evicts from its own substream and modeled bytes, never from global
 /// allocator state, so the cap is deterministic. Pruning stays outside
 /// all of it (the engine prunes upstream of the shards, the serial path
@@ -739,7 +742,7 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
             "--sample",
             "--memory-limit",
         ],
-        &["--resync", "--json", "--self-heal", "--pipeline"],
+        &["--resync", "--json", "--pipeline"],
     )?;
     let det_name = p.positional(0).ok_or("detect: missing detector name")?;
     let path = p.positional(1).ok_or("detect: missing trace file")?;
@@ -750,7 +753,6 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         return Err("--memory-limit must be positive (omit it for no cap)".into());
     }
     let json_out = p.flag("--json");
-    let self_heal = p.flag("--self-heal");
     let pipeline = p.flag("--pipeline");
     let ckpt_dir = p.opt("--checkpoint-dir").map(PathBuf::from);
     let resume_dir = p.opt("--resume").map(PathBuf::from);
@@ -773,10 +775,10 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     let ckpt_some = ckpt_dir.is_some() || resume_dir.is_some();
     // The modes that need a fact about the whole trace before its first
     // event scan it first (DESIGN.md §9.2): a checkpoint manifest records
-    // the trace's length and a resume checks it, the interrupted-run
-    // message of a supervised run names it, and a summary must be found
-    // fresh before pruning starts. Every other run reads its trace once.
-    let scanned = ckpt_some || self_heal || prune_with.is_some();
+    // the trace's length and a resume checks it, and a summary must be
+    // found fresh before pruning starts. Every other run reads its trace
+    // once.
+    let scanned = ckpt_some || prune_with.is_some();
     let mut input = TraceInput::of(path, scanned)?;
     let scanned_facts = if scanned {
         Some(scan(&mut input, resync, prune_with.is_some())?)
@@ -799,10 +801,9 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     };
 
     let start = std::time::Instant::now();
-    let report = if ckpt_some || self_heal || shards > 1 || pipeline {
+    let report = if ckpt_some || shards > 1 || pipeline {
         // The engine path: sharded replay (1 shard is fine) on either
-        // transport, with optional durable checkpoints, crash resume and
-        // a self-healing supervisor.
+        // transport, with optional durable checkpoints and crash resume.
         let proto = match make_shardable(det_name) {
             Ok(proto) => stack.wrap(proto, |d| Box::new(d)),
             Err(e) => return Err(trace_first(e, path, resync, scanned, source)),
@@ -837,16 +838,15 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
                 Transport::Funnel
             },
             prune,
-            supervisor: self_heal.then(SupervisorPolicy::default),
             checkpoint: ckpt.as_ref(),
             resume: resume.as_ref(),
-            // Graceful interruption of a durable or supervised run:
-            // SIGINT/SIGTERM flip a flag the replay loop polls, so the
-            // run winds down with a final checkpoint and a partial
-            // report (exit 9) instead of dying mid-trace.
-            stop: (ckpt_some || self_heal).then(signals::install_stop_flag),
+            // Graceful interruption of a durable run: SIGINT/SIGTERM
+            // flip a flag the replay loop polls, so the run winds down
+            // with a final checkpoint and a partial report (exit 9)
+            // instead of dying mid-trace.
+            stop: ckpt_some.then(signals::install_stop_flag),
         };
-        replay(proto, &mut source, &plan).map_err(|e| replay_failure(path, resync, e))?
+        replay(&proto, &mut source, &plan).map_err(|e| replay_failure(path, resync, e))?
     } else {
         // The direct serial path: the only one the non-shardable
         // detectors (oracle, segment, hybrid, lockset) can run on.

@@ -116,11 +116,12 @@ fn help_prints_exactly_the_options_the_parsers_accept() {
 }
 
 #[test]
-fn the_shadow_budget_option_and_period_sampling_are_gone() {
+fn removed_options_are_usage_errors() {
     let trace = racy_trace("removed-options");
     for args in [
         &["detect", "byte", &trace, "--shadow-budget", "64"][..],
         &["serve", "s", "--shadow-budget", "64"],
+        &["detect", "byte", &trace, "--self-heal"],
     ] {
         let out = dgrace(args);
         let err = String::from_utf8_lossy(&out.stderr);
@@ -215,7 +216,7 @@ fn a_pruned_report_has_one_name_on_every_path() {
         "{serial}"
     );
     assert_eq!(
-        stdout(&[&pruned[..], &["--shards", "1", "--self-heal"]].concat()),
+        stdout(&[&pruned[..], &["--shards", "1", "--pipeline"]].concat()),
         serial
     );
 }

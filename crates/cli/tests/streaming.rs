@@ -1,7 +1,7 @@
 //! `dgrace detect` never holds its trace whole. It reads it once, and
 //! validates each block before the detector sees it; only the modes
-//! that need a whole-trace fact first (checkpoints, resume, self-heal,
-//! pruning) scan it before the feed. Either way, everything that can be
+//! that need a whole-trace fact first (checkpoints, resume, pruning)
+//! scan it before the feed. Either way, everything that can be
 //! wrong with the input is reported as if the whole file had been read
 //! before detection: same exit code, same message, nothing on stdout,
 //! no side effects.

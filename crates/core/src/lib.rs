@@ -82,8 +82,8 @@ pub fn vc_detector_names() -> String {
 /// The vector-clock detector family by name ([`VC_DETECTORS`]). `None`
 /// means the name is not in the family. The box
 /// is a shardable prototype and (being a `Detector` itself) a serial
-/// detector; `Send` because a supervised engine keeps the prototype alive
-/// to respawn replacement shards.
+/// detector; `Send` so a caller may hand it to another thread (a `serve`
+/// session wraps its own in the sampler there).
 pub fn vc_detector(name: &str) -> Option<Box<dyn ShardableDetector + Send>> {
     Some(match name {
         "byte" => Box::new(FastTrack::with_granularity(Granularity::Byte)),

@@ -24,7 +24,7 @@ use crate::Report;
 /// reaches through every existing wrapper without touching one.
 ///
 /// Detectors own their state (`'static`): the engine moves them into
-/// shard threads and keeps prototypes in respawn factories.
+/// shard threads.
 pub trait Detector: 'static {
     /// A short stable name (e.g. `"fasttrack-byte"`, `"dynamic"`).
     fn name(&self) -> String;

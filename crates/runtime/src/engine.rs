@@ -10,15 +10,11 @@
 //!   once, in the order it walks them; a sync event's copies share the
 //!   stamp and are fed to every shard, so each shard's happens-before
 //!   state is exact and identical.
-//! * **Supervised self-healing.** When built with a detector factory and
-//!   a [`SupervisorPolicy`], a shard whose detector panics is not
-//!   permanently quarantined: the supervisor spawns a replacement, rolls
-//!   it forward from the shard's last checkpoint (or from scratch) by
-//!   replaying the suffix of the shard's own journal, and re-feeds the
-//!   run that panicked. Only after `max_respawns` respawns inside a
-//!   `window`-stamp window — or when the replay itself fails — does the
-//!   shard fall back to permanent quarantine with a structured
-//!   [`ShardFailure`].
+//! * **Quarantine.** A shard whose detector panics is dropped and
+//!   reported as a structured [`ShardFailure`]; the other shards keep
+//!   detecting. Every detector here is a deterministic function of the
+//!   events it is fed, so a replacement replayed over the same stream
+//!   would meet the same panic: the engine does not respawn.
 //!
 //! ## One feed, one journal
 //!
@@ -26,10 +22,10 @@
 //! [`Engine::feed`], as stamped `(stamp, event)` entries handed over by
 //! the lanes of [`crate::pipeline`] ([`Engine::feed_segment`]) — for an
 //! offline replay, a `serve` session and the live [`crate::Runtime`]
-//! alike, all of which step the one replay driver. A shard's journal is
-//! its whole stream in feed order — routed accesses with every sync
-//! event inline — so it is exactly what a respawned detector must
-//! consume.
+//! alike, all of which step the one replay driver. A recording engine's
+//! shard journal is its whole stream in feed order — routed accesses
+//! with every sync event inline — from which
+//! [`take_recorded`](Engine::take_recorded) rebuilds the run.
 //!
 //! ## Why this is equivalent to the serialized detector
 //!
@@ -45,14 +41,9 @@
 //! detector reproduces the union of the shards' race sets. The
 //! differential tests in `tests/sharded_equivalence.rs` check this
 //! end-to-end.
-//!
-//! The same argument is why a respawned shard is *exact*, not
-//! approximate: the journal suffix after the checkpoint position is
-//! precisely the event sequence the dead detector had consumed since.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use dgrace_detectors::{
     merge_shard_reports, Detector, DetectorExt, Report, ShardFailure, ShardableDetector,
@@ -151,62 +142,12 @@ fn describe_event(ev: &Event) -> String {
     }
 }
 
-/// Respawn budget of the self-healing supervisor: a shard is respawned
-/// after a detector panic at most `max_respawns` times per sliding
-/// `window` of sequence stamps; the next panic inside the window falls
-/// back to permanent quarantine. A correlated fault (an input that
-/// deterministically kills the detector, which delta replay would
-/// re-trigger forever) therefore degrades exactly like the unsupervised
-/// engine, just `max_respawns` panics later.
-#[derive(Clone, Copy, Debug)]
-pub struct SupervisorPolicy {
-    /// Maximum respawns tolerated inside one window before the shard is
-    /// permanently quarantined.
-    pub max_respawns: usize,
-    /// Width of the sliding respawn window, in sequence stamps.
-    pub window: u64,
-}
-
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        SupervisorPolicy {
-            max_respawns: 3,
-            window: 100_000,
-        }
-    }
-}
-
-/// Builds a replacement detector for the given shard index.
-pub(crate) type DetectorFactory = Arc<dyn Fn(usize) -> Box<dyn Detector + Send> + Send + Sync>;
-
 /// One fresh detector per shard (at least one), in shard order.
 pub(crate) fn mint<D: ShardableDetector + ?Sized>(
     prototype: &D,
     shards: usize,
 ) -> Vec<Box<dyn Detector + Send>> {
     (0..shards.max(1)).map(|_| prototype.new_shard()).collect()
-}
-
-/// A respawn factory that owns the prototype. The prototype itself need
-/// not be `Sync` (the paged shadow store carries a `Cell` hot-entry
-/// cache) and the factory may be invoked concurrently from several
-/// shard workers healing at once; the mutex serializes `new_shard`.
-pub(crate) fn respawn_from<D: ShardableDetector + Send>(prototype: D) -> DetectorFactory {
-    let proto = Mutex::new(prototype);
-    Arc::new(move |_| proto.lock().new_shard())
-}
-
-struct Supervisor {
-    factory: DetectorFactory,
-    policy: SupervisorPolicy,
-}
-
-/// A shard-local copy of the detector's last snapshot plus the journal
-/// position it corresponds to: delta replay restores the snapshot and
-/// replays `journal[journal_pos..]`.
-struct ShardCheckpoint {
-    bytes: Vec<u8>,
-    journal_pos: usize,
 }
 
 struct ShardState {
@@ -224,17 +165,12 @@ struct ShardState {
     /// or arrived after quarantine). Sync events are not counted:
     /// healthy shards still process them.
     dropped: u64,
-    /// The detector's last snapshot, refreshed by [`Engine::capture`];
-    /// delta replay rolls a respawned detector forward from here.
-    checkpoint: Option<ShardCheckpoint>,
-    /// Stamps of recent supervisor respawns, pruned to the policy window.
-    respawns: Vec<u64>,
     /// Access events this shard's detector actually *processed* since
     /// the last finish/restore. Strictly disjoint from `dropped`: an
-    /// event moves from `routed` to `dropped` the moment it is counted
-    /// as never-analyzed, so a failed shard's forfeited coverage is
-    /// exactly `routed + dropped` with no event counted twice. If the
-    /// shard dies permanently, `routed` is reported as `events_lost`.
+    /// event the detector never finished is counted there only, so a
+    /// failed shard's forfeited coverage is exactly `routed + dropped`
+    /// with no event counted twice. If the shard dies, `routed` is
+    /// reported as `events_lost`.
     routed: u64,
     /// `events_lost` inherited from a restored checkpoint (events a
     /// previous incarnation of this shard had already lost).
@@ -266,17 +202,6 @@ impl ShardState {
             last_event: last_event.map(describe_event),
         });
     }
-}
-
-/// Where a detector panic happened: the shard, the stamped run being
-/// fed, and how far into it the detector got. `count_drops` is false for
-/// a run of sync events — healthy shards still process those, so the
-/// logical events are not lost from the run.
-struct PanicSite<'a> {
-    shard: usize,
-    part: &'a [(u64, Event)],
-    processed: usize,
-    count_drops: bool,
 }
 
 /// Region size of the fallback router for addresses outside every
@@ -445,8 +370,6 @@ pub(crate) struct Engine {
     prune: PruneSet,
     /// Accesses dropped by the prune predicate.
     pruned: AtomicU64,
-    /// Present when the engine self-heals panicked shards.
-    supervisor: Option<Supervisor>,
 }
 
 impl Engine {
@@ -455,17 +378,11 @@ impl Engine {
     /// session. With `record` every shard journals what it is fed, so
     /// [`take_recorded`](Engine::take_recorded) can rebuild the run.
     /// `prune` is the warm-start predicate the replay driver applies.
-    /// With a `supervisor` it self-heals: on a shard panic it
-    /// spawns `factory(shard)`, rolls it forward from the last checkpoint
-    /// plus the journal delta, and re-feeds the offending run, within the
-    /// respawn budget of the policy.
     pub(crate) fn build(
         detectors: Vec<Box<dyn Detector + Send>>,
         record: bool,
         prune: PruneSet,
-        supervisor: Option<(DetectorFactory, SupervisorPolicy)>,
     ) -> Self {
-        let supervisor = supervisor.map(|(factory, policy)| Supervisor { factory, policy });
         assert!(!detectors.is_empty(), "engine needs at least one shard");
         let shards = detectors
             .into_iter()
@@ -475,8 +392,6 @@ impl Engine {
                     journal: Vec::new(),
                     failure: None,
                     dropped: 0,
-                    checkpoint: None,
-                    respawns: Vec::new(),
                     routed: 0,
                     lost_base: 0,
                 })
@@ -487,13 +402,10 @@ impl Engine {
             shards,
             seq: AtomicU64::new(0),
             emitted: AtomicU64::new(0),
-            // Supervision requires the journal: it is the delta replay
-            // source for respawned shards.
-            record: record || supervisor.is_some(),
+            record,
             router: RwLock::new(Router::new(n)),
             prune,
             pruned: AtomicU64::new(0),
-            supervisor,
         }
     }
 
@@ -506,15 +418,9 @@ impl Engine {
     /// is the one way an event reaches a detector. Each maximal run of
     /// accesses (or of syncs) is fed under one `catch_unwind`, so the
     /// clean-path cost is one landing pad per run, off the per-event hot
-    /// path, and journaled once the detector has processed it.
-    ///
-    /// A panicking detector is handed to [`Engine::recover`], which
-    /// either self-heals the shard (supervised engines) or quarantines
-    /// it and counts the unprocessed remainder of an access run —
-    /// including the event that panicked — as dropped. The run is
-    /// journaled only after it returns, so during recovery the journal
-    /// holds exactly the events fed before the run — the delta replay
-    /// source — and the run itself is re-fed explicitly.
+    /// path, and journaled once the detector has processed it (a
+    /// quarantined shard keeps journaling, so a recorded run stays
+    /// whole).
     fn feed(&self, st: &mut ShardState, shard: usize, entries: &[(u64, Event)]) {
         let mut rest = entries;
         while !rest.is_empty() {
@@ -560,122 +466,25 @@ impl Engine {
                 processed += 1;
             }
         }));
-        let len = match result {
+        if !sync {
+            st.routed += processed as u64;
+        }
+        match result {
             Ok(()) => processed,
             Err(payload) => {
+                // Quarantine. The event that panicked and the rest of its
+                // access run were never analyzed: they count as dropped,
+                // not as routed, so `dropped` and `events_lost` stay
+                // disjoint. The failure names the offending event's own
+                // stamp, so it does not depend on how the stream was cut
+                // into runs.
                 let len = run_len();
                 if !sync {
-                    // Counted as routed here; `recover` moves what was
-                    // never analyzed back out.
-                    st.routed += len as u64;
+                    st.dropped += (len - processed) as u64;
                 }
-                let site = PanicSite {
-                    shard,
-                    part: &rest[..len],
-                    processed,
-                    count_drops: !sync,
-                };
-                self.recover(st, site, payload);
-                return len;
-            }
-        };
-        if !sync {
-            st.routed += len as u64;
-        }
-        len
-    }
-
-    /// Handles a detector panic: without a supervisor (or once the
-    /// respawn budget is spent) the shard is permanently quarantined;
-    /// otherwise a replacement detector is spawned, restored from the
-    /// last checkpoint, rolled forward through the shard's journal
-    /// suffix, and re-fed the panicking run. A replacement that panics
-    /// again burns another respawn from the same budget; a replay that
-    /// fails structurally (restore error) quarantines immediately — the
-    /// checkpoint is the only rollback point, so there is nothing
-    /// further back to try. The failure names the offending event's own
-    /// stamp, so it does not depend on how the stream was cut into runs.
-    #[cold]
-    fn recover(
-        &self,
-        st: &mut ShardState,
-        site: PanicSite<'_>,
-        mut payload: Box<dyn std::any::Any + Send>,
-    ) {
-        let mut processed = site.processed;
-        loop {
-            let (stamp, offending) = &site.part[processed];
-            let Some(sup) = self.supervisor.as_ref() else {
-                if site.count_drops {
-                    // The unprocessed remainder was counted as routed
-                    // (analyzed) up front; reclassify it as dropped so
-                    // `dropped` and `events_lost` stay disjoint.
-                    let rem = (site.part.len() - processed) as u64;
-                    st.dropped += rem;
-                    st.routed -= rem;
-                }
-                st.quarantine(site.shard, *stamp, payload, Some(offending));
-                return;
-            };
-            st.respawns.retain(|&s| s + sup.policy.window > *stamp);
-            if st.respawns.len() >= sup.policy.max_respawns {
-                if site.count_drops {
-                    let rem = (site.part.len() - processed) as u64;
-                    st.dropped += rem;
-                    st.routed -= rem;
-                }
-                st.quarantine(site.shard, *stamp, payload, Some(offending));
-                return;
-            }
-            st.respawns.push(*stamp);
-            let mut det = (sup.factory)(site.shard);
-            let journal = &st.journal;
-            let ckpt = st.checkpoint.as_ref();
-            let mut done = 0usize;
-            let replay = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
-                let from = match ckpt {
-                    Some(c) => {
-                        det.restore(&c.bytes)?;
-                        c.journal_pos.min(journal.len())
-                    }
-                    None => 0,
-                };
-                for (_, ev) in &journal[from..] {
-                    det.on_event(ev);
-                }
-                for (_, ev) in site.part {
-                    det.on_event(ev);
-                    done += 1;
-                }
-                Ok(())
-            }));
-            match replay {
-                Ok(Ok(())) => {
-                    // Healed: the replacement holds exactly the state the
-                    // dead detector would have had after this run.
-                    st.det = Some(det);
-                    return;
-                }
-                Ok(Err(e)) => {
-                    if site.count_drops {
-                        // The whole run is unanalyzed relative to the
-                        // rollback point; reclassify it out of `routed`.
-                        let n = site.part.len() as u64;
-                        st.dropped += n;
-                        st.routed -= n;
-                    }
-                    st.quarantine(
-                        site.shard,
-                        *stamp,
-                        Box::new(format!("respawn failed: {e}")),
-                        Some(offending),
-                    );
-                    return;
-                }
-                Err(p) => {
-                    payload = p;
-                    processed = done;
-                }
+                let (stamp, offending) = &rest[processed];
+                st.quarantine(shard, *stamp, payload, Some(offending));
+                len
             }
         }
     }
@@ -766,8 +575,7 @@ impl Engine {
     }
 
     /// Captures the engine's complete state: per-shard detector
-    /// snapshots (refreshing each shard's in-memory checkpoint so later
-    /// delta replays start here), the router, and the counters.
+    /// snapshots, the router, and the counters.
     ///
     /// The caller must be quiescent — no thread concurrently emitting
     /// events — which holds for offline replay (single-threaded) and for
@@ -776,14 +584,8 @@ impl Engine {
     pub(crate) fn capture(&self) -> EngineState {
         let mut shards = Vec::with_capacity(self.shards.len());
         for st in &self.shards {
-            let mut st = st.lock();
+            let st = st.lock();
             let snapshot = st.det.as_ref().and_then(|d| d.snapshot());
-            if let Some(bytes) = &snapshot {
-                st.checkpoint = Some(ShardCheckpoint {
-                    bytes: bytes.clone(),
-                    journal_pos: st.journal.len(),
-                });
-            }
             let lost = st.lost_base + if st.failure.is_some() { st.routed } else { 0 };
             shards.push(ShardCapture {
                 snapshot,
@@ -807,7 +609,7 @@ impl Engine {
     /// which must be freshly built with the same shard count and detector
     /// configuration. Quarantined shards stay quarantined (their failure
     /// and loss counters carry over); healthy shards restore their
-    /// detector snapshots and become the new delta-replay baseline.
+    /// detector snapshots.
     pub(crate) fn restore(&self, state: &EngineState) -> Result<(), String> {
         if state.shards.len() != self.shards.len() {
             return Err(format!(
@@ -833,13 +635,6 @@ impl Engine {
                         .as_mut()
                         .ok_or_else(|| format!("shard {i}: engine has no detector"))?;
                     det.restore(bytes).map_err(|e| format!("shard {i}: {e}"))?;
-                    // The restored snapshot is the shard's rollback
-                    // point; the fresh engine's journal is empty, so the
-                    // delta starts at position zero.
-                    st.checkpoint = Some(ShardCheckpoint {
-                        bytes: bytes.clone(),
-                        journal_pos: 0,
-                    });
                 }
                 (None, Some(_)) => {
                     let det = st.det.take();
@@ -854,7 +649,6 @@ impl Engine {
             st.lost_base = cap.lost;
             st.routed = 0;
             st.journal.clear();
-            st.respawns.clear();
         }
         Ok(())
     }
@@ -886,8 +680,6 @@ impl Engine {
             dropped += std::mem::take(&mut st.dropped);
             let routed = std::mem::take(&mut st.routed);
             let lost_base = std::mem::take(&mut st.lost_base);
-            st.checkpoint = None;
-            st.respawns.clear();
             if let Some(f) = st.failure.take() {
                 failures.push(f);
                 lost += lost_base + routed;
@@ -934,10 +726,6 @@ impl Engine {
 
     /// Reconstructs the recorded serialization from the journals; `None`
     /// when the engine is not recording.
-    ///
-    /// Draining the journals is terminal for supervision: a shard panic
-    /// after this call can no longer delta-replay the drained prefix, so
-    /// only call it once the run is over.
     pub(crate) fn take_recorded(&self) -> Option<Trace> {
         if !self.record {
             return None;
@@ -1090,7 +878,7 @@ mod tests {
 
         let live: Vec<Box<dyn Detector + Send>> =
             vec![Box::new(dgrace_detectors::FastTrack::new())];
-        let eng = Engine::build(live, true, PruneSet::empty(), None);
+        let eng = Engine::build(live, true, PruneSet::empty());
         assert!(
             eng.take_recorded().expect("recording engine").is_empty(),
             "nothing fed, nothing captured"
@@ -1102,7 +890,7 @@ mod tests {
         assert_eq!(rep.races.len(), 1, "the live detector's races are reported");
         assert_eq!(rep.detector, "fasttrack-byte");
 
-        let eng = Engine::build(nop_shards(1), false, PruneSet::empty(), None);
+        let eng = Engine::build(nop_shards(1), false, PruneSet::empty());
         step(&eng, &mut driver(&eng), &[w(0, 0x10)]);
         assert!(eng.take_recorded().is_none(), "no journal, no trace");
     }
@@ -1117,7 +905,7 @@ mod tests {
             size: 0x40,
         };
         let trace = Trace::from_events(vec![w(0, 0xFE0), w(0, 0x1000), free]);
-        let eng = Engine::build(nop_shards(2), true, PruneSet::empty(), None);
+        let eng = Engine::build(nop_shards(2), true, PruneSet::empty());
         step(&eng, &mut driver(&eng), &trace.events);
         assert_eq!(eng.take_recorded().expect("recording engine"), trace);
     }
@@ -1127,7 +915,7 @@ mod tests {
         crate::silence_injected_panics();
         // Shard 1 dies at its first event; shard 0 keeps detecting.
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 1);
-        let eng = Engine::build(mint(&proto, 2), true, PruneSet::empty(), None);
+        let eng = Engine::build(mint(&proto, 2), true, PruneSet::empty());
         let mut d = driver(&eng);
         // Region hash routing: 0x0000 → shard 0, 0x1000 → shard 1.
         step(&eng, &mut d, &[w(0, 0x100)]); // shard 0
@@ -1157,7 +945,7 @@ mod tests {
     fn all_shards_failing_still_terminates() {
         crate::silence_injected_panics();
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 0, 1);
-        let eng = Engine::build(mint(&proto, 1), false, PruneSet::empty(), None);
+        let eng = Engine::build(mint(&proto, 1), false, PruneSet::empty());
         let mut d = driver(&eng);
         step(&eng, &mut d, &[w(0, 0x100)]);
         let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
@@ -1171,7 +959,7 @@ mod tests {
     fn broadcast_panic_quarantines_without_drop_count() {
         crate::silence_injected_panics();
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 1);
-        let eng = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
+        let eng = Engine::build(mint(&proto, 2), false, PruneSet::empty());
         let mut d = driver(&eng);
         step(
             &eng,
@@ -1192,7 +980,7 @@ mod tests {
 
     #[test]
     fn broadcast_counts_once() {
-        let eng = Engine::build(nop_shards(4), false, PruneSet::empty(), None);
+        let eng = Engine::build(nop_shards(4), false, PruneSet::empty());
         let mut d = driver(&eng);
         step(
             &eng,
@@ -1207,83 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn supervisor_respawns_and_preserves_races() {
-        crate::silence_injected_panics();
-        // Shard 1 dies at its second event. The supervisor respawns it
-        // (the replacement takes shard index 2 from the shared counter,
-        // so it never re-panics — a transient fault), replays the
-        // journal, and re-feeds the killing batch: no event is lost and
-        // the race on the faulted shard is still detected.
-        let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 2);
-        let detectors = mint(&proto, 2);
-        let eng = Engine::build(
-            detectors,
-            false,
-            PruneSet::empty(),
-            Some((respawn_from(proto), SupervisorPolicy::default())),
-        );
-        let mut d = driver(&eng);
-        step(&eng, &mut d, &[w(0, 0x1100)]); // shard 1, survives
-        step(&eng, &mut d, &[w(1, 0x1100)]); // shard 1, panics → heals → races
-        step(&eng, &mut d, &[w(0, 0x100)]); // shard 0
-        let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
-        assert!(!rep.is_degraded(), "healed shard is not a failure");
-        assert!(rep.failures.is_empty());
-        assert_eq!(rep.stats.dropped, 0, "delta replay recovered every event");
-        assert_eq!(rep.stats.events_lost, 0);
-        assert_eq!(rep.stats.events, 3);
-        assert_eq!(rep.races.len(), 1, "race on the healed shard survives");
-        assert_eq!(rep.races[0].addr, Addr(0x1100));
-    }
-
-    #[test]
-    fn supervisor_gives_up_after_strike_budget() {
-        crate::silence_injected_panics();
-        // A detector that dies on *every* event: delta replay re-triggers
-        // the fault, so the supervisor must hit its respawn budget and
-        // fall back to permanent quarantine instead of looping forever.
-        struct AlwaysPanic;
-        impl Detector for AlwaysPanic {
-            fn name(&self) -> String {
-                "always-panic".into()
-            }
-            fn on_event(&mut self, _ev: &Event) {
-                panic!("fault-injection: unconditional");
-            }
-            fn finish(&mut self) -> Report {
-                Report::default()
-            }
-        }
-        let factory: DetectorFactory = Arc::new(|_| Box::new(AlwaysPanic));
-        let eng = Engine::build(
-            vec![Box::new(AlwaysPanic)],
-            false,
-            PruneSet::empty(),
-            Some((
-                factory,
-                SupervisorPolicy {
-                    max_respawns: 2,
-                    window: 1000,
-                },
-            )),
-        );
-        let mut d = driver(&eng);
-        step(&eng, &mut d, &[w(0, 0x100)]);
-        let rep = d.finish(&eng).expect(INLINE_INFALLIBLE);
-        assert_eq!(rep.failures.len(), 1, "budget exhausted → quarantine");
-        assert_eq!(rep.stats.dropped, 1);
-        assert_eq!(
-            rep.stats.events_lost, 0,
-            "the event was never analyzed: it counts as dropped only"
-        );
-        let last = rep.failures[0].last_event.as_deref().unwrap_or("");
-        assert!(
-            last.contains("write 0x100"),
-            "offending event captured: {last}"
-        );
-    }
-
-    #[test]
     fn lost_and_dropped_partition_a_dead_shards_traffic() {
         crate::silence_injected_panics();
         // Shard 1 analyzes one event, dies on its second, and receives
@@ -1291,7 +1002,7 @@ mod tests {
         // *partitioned* between the two counters — one analyzed-then-
         // lost, two never-analyzed — with no event in both buckets.
         let proto = crate::PanicOnEvent::new(dgrace_detectors::FastTrack::new(), 1, 2);
-        let eng = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
+        let eng = Engine::build(mint(&proto, 2), false, PruneSet::empty());
         let mut d = driver(&eng);
         step(&eng, &mut d, &[w(2, 0x1100)]); // shard 1: analyzed
         step(&eng, &mut d, &[w(0, 0x1108)]); // shard 1: dies here
@@ -1327,7 +1038,7 @@ mod tests {
         let mut inner = dgrace_detectors::FastTrack::new();
         inner.set_shadow_budget(Some(1024));
         let proto = crate::PanicOnEvent::new(inner, 1, 257);
-        let eng = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
+        let eng = Engine::build(mint(&proto, 2), false, PruneSet::empty());
         let mut d = driver(&eng);
         // 256 distinct words inside the 4 KiB region 0x1000..0x2000 (all
         // of which routes to shard 1) force evictions under the 1 KiB
@@ -1379,7 +1090,7 @@ mod tests {
         let after = [rel, w(1, 0x100), w(1, 0x1100)];
 
         // Uninterrupted baseline.
-        let clean = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
+        let clean = Engine::build(mint(&proto, 2), false, PruneSet::empty());
         let mut d = driver(&clean);
         step(&clean, &mut d, &before);
         step(&clean, &mut d, &after);
@@ -1387,11 +1098,11 @@ mod tests {
         assert_eq!(want.races.len(), 2, "baseline sanity");
 
         // Same run split by a capture/restore across two engines.
-        let first = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
+        let first = Engine::build(mint(&proto, 2), false, PruneSet::empty());
         let mut d = driver(&first);
         step(&first, &mut d, &before);
         let state = d.manifest(&first).expect(INLINE_INFALLIBLE).state;
-        let second = Engine::build(mint(&proto, 2), false, PruneSet::empty(), None);
+        let second = Engine::build(mint(&proto, 2), false, PruneSet::empty());
         second.restore(&state).expect("restore");
         let mut d = driver(&second);
         step(&second, &mut d, &after);

@@ -75,7 +75,7 @@ impl IngestSession {
         let lanes = Lanes::inline(detectors.len());
         IngestSession {
             watermarks: vec![0; detectors.len()],
-            engine: Engine::build(detectors, false, PruneSet::empty(), None),
+            engine: Engine::build(detectors, false, PruneSet::empty()),
             driver: Driver::new(lanes, prototype.name(), 0, None),
         }
     }

@@ -55,7 +55,7 @@ mod sync;
 mod sync_ext;
 
 pub use checkpoint::{CheckpointManifest, CHECKPOINT_FILE};
-pub use engine::{EngineError, SupervisorPolicy};
+pub use engine::EngineError;
 pub use faults::{corrupt_byte, silence_injected_panics, PanicOnEvent, INJECTED_PANIC_MARKER};
 pub use ingest::IngestSession;
 pub use mem::{TrackedArray, TrackedCell};

@@ -25,8 +25,7 @@
 //!   manifests and failure reports are therefore byte-identical, and
 //!   each resumes the other's manifests. A checkpoint barriers every
 //!   lane (the walking thread waits until all workers drain to the
-//!   boundary) and captures the engine; a healing shard replays its own
-//!   journal, which holds the same per-shard stream.
+//!   boundary) and captures the engine.
 //!
 //! [`Transport::Rings`]: crate::Transport::Rings
 //! [`Transport::Funnel`]: crate::Transport::Funnel

@@ -1,8 +1,8 @@
 //! The one replay driver: walk a source of events through N detector
 //! shards under a [`RunPlan`].
 //!
-//! Sharding, the transport, pruning, supervision, checkpoints, resume
-//! and cooperative interruption are orthogonal to
+//! Sharding, the transport, pruning, checkpoints, resume and
+//! cooperative interruption are orthogonal to
 //! the detector, so each is a field of the plan and each is written
 //! once:
 //!
@@ -38,11 +38,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use dgrace_detectors::{Detector, Report, ShardableDetector};
+use dgrace_detectors::{Report, ShardableDetector};
 use dgrace_trace::{Event, EventSource, PruneSet, Trace, TraceError};
 
 use crate::checkpoint::{CheckpointManifest, CHECKPOINT_FILE};
-use crate::engine::{mint, respawn_from, DetectorFactory, Engine, SupervisorPolicy};
+use crate::engine::{mint, Engine};
 use crate::pipeline::{with_lanes, Lanes};
 
 /// How events reach the shards: the same lanes either way, fed on the
@@ -59,8 +59,8 @@ pub enum Transport {
 }
 
 /// Everything a [`replay`] can vary, one field per concern. The default
-/// plan is one shard on the funnel with nothing pruned, supervised,
-/// checkpointed, resumed or interruptible.
+/// plan is one shard on the funnel with nothing pruned, checkpointed,
+/// resumed or interruptible.
 #[derive(Default)]
 pub struct RunPlan<'a> {
     /// Number of address-partitioned detector shards (`0` is treated as
@@ -73,11 +73,6 @@ pub struct RunPlan<'a> {
     /// merged report as `stats.pruned`. It must have been compiled for
     /// the prototype's granularity (see `AnalysisSummary::prune_set`).
     pub prune: PruneSet,
-    /// Self-healing: a shard whose detector panics is respawned from the
-    /// prototype, rolled forward through the engine's journals, and
-    /// re-fed the offending batch, within this respawn budget. With a
-    /// fault-free detector the journals are recorded but never consulted.
-    pub supervisor: Option<SupervisorPolicy>,
     /// Where and how often to persist a [`CheckpointManifest`]. A
     /// manifest records the source's length; one of unknown length
     /// records the events covered so far, as a live session does, which
@@ -101,30 +96,45 @@ pub struct RunPlan<'a> {
 /// detector and returns the merged report.
 ///
 /// Race sets are byte-identical across shard counts and transports, and
-/// — because detector snapshots are canonical and delta replay is exact
-/// — a run interrupted at any point and resumed from its last checkpoint
-/// (on either transport) reproduces the uninterrupted run. The
-/// prototype is taken by value because a supervised run keeps it alive
-/// to respawn replacement shards.
-pub fn replay<D: ShardableDetector + Send>(
-    prototype: D,
+/// — because detector snapshots are canonical — a run interrupted at any
+/// point and resumed from its last checkpoint (on either transport)
+/// reproduces the uninterrupted run. The prototype is only asked for
+/// its name and for one fresh shard per `plan.shards`; it is never fed.
+pub fn replay<D: ShardableDetector + ?Sized>(
+    prototype: &D,
     source: impl EventSource,
     plan: &RunPlan<'_>,
 ) -> Result<Report, ReplayError> {
-    let detectors = mint(&prototype, plan.shards);
     let det_name = prototype.name();
-    let supervisor = plan.supervisor.map(|p| (respawn_from(prototype), p));
-    run(det_name, detectors, supervisor, source, plan)
+    let engine = Engine::build(mint(prototype, plan.shards), false, plan.prune.clone());
+    let start = match plan.resume {
+        Some(m) => resume_from(&engine, m, &det_name, source.remaining())?,
+        None => 0,
+    };
+    if let Some(c) = plan.checkpoint {
+        std::fs::create_dir_all(&c.dir)
+            .map_err(|e| ReplayError::Io(format!("{}: {e}", c.dir.display())))?;
+    }
+    with_lanes(&engine, plan.transport, |lanes| {
+        walk(&engine, lanes, det_name, start, source, plan)
+    })
 }
 
-/// [`replay`] of a borrowed prototype on the funnel under an otherwise
-/// default plan.
+/// Why [`replay_sharded`] and [`replay_pipelined`] cannot fail.
+const IN_MEMORY_INFALLIBLE: &str =
+    "a trace in memory under a plan without checkpoint or resume performs no fallible I/O";
+
+/// [`replay`] on the funnel under an otherwise default plan.
 pub fn replay_sharded<D: ShardableDetector + ?Sized>(
     prototype: &D,
     trace: &Trace,
     shards: usize,
 ) -> Report {
-    replay_borrowed(prototype, trace, shards, Transport::Funnel)
+    let plan = RunPlan {
+        shards,
+        ..RunPlan::default()
+    };
+    replay(prototype, trace, &plan).expect(IN_MEMORY_INFALLIBLE)
 }
 
 /// [`replay_sharded`] on the ring transport.
@@ -133,30 +143,12 @@ pub fn replay_pipelined<D: ShardableDetector + ?Sized>(
     trace: &Trace,
     shards: usize,
 ) -> Report {
-    replay_borrowed(prototype, trace, shards, Transport::Rings)
-}
-
-/// A borrowed prototype cannot outlive the call, so it cannot be
-/// supervised; everything else about the default plan needs no I/O.
-fn replay_borrowed<D: ShardableDetector + ?Sized>(
-    prototype: &D,
-    trace: &Trace,
-    shards: usize,
-    transport: Transport,
-) -> Report {
     let plan = RunPlan {
         shards,
-        transport,
+        transport: Transport::Rings,
         ..RunPlan::default()
     };
-    run(
-        prototype.name(),
-        mint(prototype, shards),
-        None,
-        trace,
-        &plan,
-    )
-    .expect("a trace in memory under a plan without checkpoint or resume performs no fallible I/O")
+    replay(prototype, trace, &plan).expect(IN_MEMORY_INFALLIBLE)
 }
 
 /// Checks that a manifest matches the run it is resumed into (same
@@ -202,29 +194,6 @@ pub(crate) fn resume_from(
     }
     engine.restore(&m.state).map_err(ReplayError::Corrupt)?;
     Ok(m.trace_offset)
-}
-
-/// The body of [`replay`] once the prototype has been spent: build the
-/// engine, resume, then walk the source on the plan's transport.
-fn run(
-    det_name: String,
-    detectors: Vec<Box<dyn Detector + Send>>,
-    supervisor: Option<(DetectorFactory, SupervisorPolicy)>,
-    source: impl EventSource,
-    plan: &RunPlan<'_>,
-) -> Result<Report, ReplayError> {
-    let engine = Engine::build(detectors, false, plan.prune.clone(), supervisor);
-    let start = match plan.resume {
-        Some(m) => resume_from(&engine, m, &det_name, source.remaining())?,
-        None => 0,
-    };
-    if let Some(c) = plan.checkpoint {
-        std::fs::create_dir_all(&c.dir)
-            .map_err(|e| ReplayError::Io(format!("{}: {e}", c.dir.display())))?;
-    }
-    with_lanes(&engine, plan.transport, |lanes| {
-        walk(&engine, lanes, det_name, start, source, plan)
-    })
 }
 
 /// Walks `source` from event `start` through a driver on `lanes`. Events

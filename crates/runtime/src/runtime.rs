@@ -206,7 +206,7 @@ impl Runtime {
         let driver = Driver::new(Lanes::inline(detectors.len()), det_name, 0, None);
         Runtime {
             inner: Arc::new(Inner {
-                engine: Engine::build(detectors, opts.record, PruneSet::empty(), None),
+                engine: Engine::build(detectors, opts.record, PruneSet::empty()),
                 live: Mutex::new(Live {
                     driver,
                     bufs: Vec::new(),

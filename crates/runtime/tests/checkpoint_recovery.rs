@@ -1,25 +1,21 @@
-//! Self-healing and crash-resume acceptance tests.
+//! Crash-resume acceptance tests.
 //!
-//! The invariant under test everywhere: a run that loses a detector to a
-//! panic and respawns it, or that is interrupted and resumed from its
-//! last checkpoint, produces **exactly** the report of an uninterrupted
-//! run — same races, same counters — across all three detector families,
+//! The invariant under test everywhere: a run that is interrupted and
+//! resumed from its last checkpoint produces **exactly** the report of
+//! an uninterrupted run — same races, same counters — across all three detector families,
 //! the wrapper stacks the CLI builds
 //! (`--sample`, `--memory-limit`, both), and shard counts 1/2/4.
 
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::thread;
-use std::time::Duration;
 
 use dgrace_core::DynamicGranularity;
 use dgrace_detectors::{
-    Detector, DetectorExt, Djit, FastTrack, Report, SampleSpec, Sampled, ShardableDetector,
+    Detector, DetectorExt, Djit, FastTrack, SampleSpec, Sampled, ShardableDetector,
     StaticPruneFilter,
 };
 use dgrace_runtime::{
-    replay, replay_sharded, silence_injected_panics, CheckpointInterval, CheckpointManifest,
-    CheckpointOptions, PanicOnEvent, ReplayError, RunPlan, SupervisorPolicy, CHECKPOINT_FILE,
+    replay, replay_sharded, CheckpointInterval, CheckpointManifest, CheckpointOptions, ReplayError,
+    RunPlan, CHECKPOINT_FILE,
 };
 use dgrace_trace::{AccessSize, PruneSet, Trace, TraceBuilder};
 
@@ -28,14 +24,8 @@ type Proto = Box<dyn ShardableDetector + Send>;
 /// The detector families of the matrix, and the dynamic
 /// detector under the wrapper stacks a checkpointing CLI run persists
 /// (`Sampled`, a shadow budget, both). Each entry
-/// yields a fresh prototype and a fault-wrapped prototype whose
-/// `target`-th spawned shard panics at its `panic_at`-th event.
-/// `(name, bare prototype, prototype faulted at (shard, event))`.
-type Combo = (
-    &'static str,
-    Box<dyn Fn() -> Proto>,
-    Box<dyn Fn(usize, u64) -> Proto>,
-);
+/// yields a fresh prototype: `(name, bare prototype)`.
+type Combo = (&'static str, Box<dyn Fn() -> Proto>);
 
 fn prototypes() -> Vec<Combo> {
     macro_rules! combo {
@@ -43,8 +33,6 @@ fn prototypes() -> Vec<Combo> {
             (
                 $name,
                 Box::new(|| Box::new($make) as Proto) as Box<dyn Fn() -> Proto>,
-                Box::new(|target, at| Box::new(PanicOnEvent::new($make, target, at)) as Proto)
-                    as Box<dyn Fn(usize, u64) -> Proto>,
             )
         };
     }
@@ -72,25 +60,6 @@ fn capped<D: Detector>(mut d: D) -> D {
     d
 }
 
-/// Watchdog: a hang in a recovery path must fail the test, not wedge
-/// the suite.
-fn run_with_timeout<T: Send + 'static>(name: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let handle = thread::Builder::new()
-        .name(name.to_string())
-        .spawn(move || {
-            let _ = tx.send(f());
-        })
-        .expect("spawn watchdog thread");
-    match rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(v) => {
-            let _ = handle.join();
-            v
-        }
-        Err(_) => panic!("{name}: did not terminate within 60s"),
-    }
-}
-
 /// Four racy pairs, one per 4 KiB region (regions 1..=4), plus
 /// lock-protected traffic and fork/join edges. Region `r` routes to
 /// shard `r % shards`, so every shard count exercises cross-shard
@@ -114,13 +83,6 @@ fn matrix_trace() -> Trace {
     b.build()
 }
 
-/// Reports are compared in full (races, stats, flags); only the
-/// detector name is normalized, because the fault wrapper suffixes it.
-fn normalized(mut rep: Report, name: &str) -> Report {
-    rep.detector = name.to_string();
-    rep
-}
-
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "dgrace-recovery-{}-{}",
@@ -131,58 +93,13 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Tentpole matrix: a shard panic at event N is *healed* by the
-/// supervisor — the recovered run's report is byte-for-byte the clean
-/// run's report, for every detector family and shard count.
-#[test]
-fn respawn_matrix_equals_clean_run() {
-    silence_injected_panics();
-    let trace = matrix_trace();
-    for (name, bare, faulty) in prototypes() {
-        for shards in [1usize, 2, 4] {
-            let clean = replay_sharded(bare().as_ref(), &trace, shards);
-            assert!(!clean.races.is_empty(), "{name}: clean run finds races");
-            for panic_at in [1u64, 3] {
-                let target = shards - 1;
-                let proto = faulty(target, panic_at);
-                let trace2 = trace.clone();
-                let healed = run_with_timeout(
-                    &format!("respawn-{name}-s{shards}-n{panic_at}"),
-                    move || {
-                        replay(
-                            proto,
-                            &trace2,
-                            &RunPlan {
-                                shards,
-                                supervisor: Some(SupervisorPolicy::default()),
-                                ..RunPlan::default()
-                            },
-                        )
-                        .expect("replay")
-                    },
-                );
-                assert!(
-                    healed.failures.is_empty(),
-                    "{name} s{shards} n{panic_at}: shard must heal, got {:?}",
-                    healed.failures
-                );
-                assert_eq!(
-                    normalized(healed, &clean.detector),
-                    clean,
-                    "{name} s{shards} n{panic_at}: healed run == clean run"
-                );
-            }
-        }
-    }
-}
-
 /// Checkpoint + resume differential: a run checkpointing every few
 /// events, then a second run resumed from the last on-disk manifest,
 /// both produce exactly the clean report.
 #[test]
 fn checkpointed_and_resumed_runs_equal_clean_run() {
     let trace = matrix_trace();
-    for (name, bare, _) in prototypes() {
+    for (name, bare) in prototypes() {
         for shards in [1usize, 2] {
             let clean = replay_sharded(bare().as_ref(), &trace, shards);
             if name.contains("capped") {
@@ -200,7 +117,7 @@ fn checkpointed_and_resumed_runs_equal_clean_run() {
 
             // Full run with periodic checkpoints: report unchanged.
             let full = replay(
-                bare(),
+                &bare(),
                 &trace,
                 &RunPlan {
                     shards,
@@ -220,7 +137,7 @@ fn checkpointed_and_resumed_runs_equal_clean_run() {
             assert!(manifest.trace_offset > 0);
             assert!(manifest.trace_offset <= trace.len() as u64);
             let resumed = replay(
-                bare(),
+                &bare(),
                 &trace,
                 &RunPlan {
                     shards,
@@ -257,7 +174,7 @@ fn resume_from_every_prefix_equals_clean_run() {
             every: CheckpointInterval::Events(stop_after),
         };
         let _ = replay(
-            bare(),
+            &bare(),
             &prefix,
             &RunPlan {
                 shards,
@@ -275,7 +192,7 @@ fn resume_from_every_prefix_equals_clean_run() {
         // over the full trace killed right after this checkpoint).
         manifest.trace_len = trace.len() as u64;
         let resumed = replay(
-            bare(),
+            &bare(),
             &trace,
             &RunPlan {
                 shards,
@@ -304,7 +221,7 @@ fn mismatched_or_torn_checkpoints_are_rejected() {
     };
     let fasttrack = || Box::new(FastTrack::new()) as Proto;
     let _ = replay(
-        fasttrack(),
+        &fasttrack(),
         &trace,
         &RunPlan {
             shards: 2,
@@ -321,7 +238,7 @@ fn mismatched_or_torn_checkpoints_are_rejected() {
     // Wrong detector.
     let djit = Box::new(Djit::new()) as Proto;
     let err = replay(
-        djit,
+        &djit,
         &trace,
         &RunPlan {
             shards: 2,
@@ -334,7 +251,7 @@ fn mismatched_or_torn_checkpoints_are_rejected() {
 
     // Wrong shard count.
     let err = replay(
-        fasttrack(),
+        &fasttrack(),
         &trace,
         &RunPlan {
             shards: 4,
@@ -350,7 +267,7 @@ fn mismatched_or_torn_checkpoints_are_rejected() {
     b.write(0u32, 0x100u64, AccessSize::U64);
     let other = b.build();
     let err = replay(
-        fasttrack(),
+        &fasttrack(),
         &other,
         &RunPlan {
             shards: 2,
@@ -376,7 +293,7 @@ fn mismatched_or_torn_checkpoints_are_rejected() {
 #[test]
 fn checkpoint_write_failure_degrades_not_aborts() {
     let trace = matrix_trace();
-    for (name, bare, _) in prototypes() {
+    for (name, bare) in prototypes() {
         for shards in [1usize, 2] {
             let clean = replay_sharded(bare().as_ref(), &trace, shards);
             let dir = scratch_dir(&format!("wrfail-{name}-s{shards}"));
@@ -391,7 +308,7 @@ fn checkpoint_write_failure_degrades_not_aborts() {
                 every: CheckpointInterval::Events(3),
             };
             let mut rep = replay(
-                bare(),
+                &bare(),
                 &trace,
                 &RunPlan {
                     shards,
@@ -410,43 +327,6 @@ fn checkpoint_write_failure_degrades_not_aborts() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
-}
-
-/// Supervision composes with checkpoints: a panicking shard heals by
-/// restoring its last snapshot and replaying only the journal delta,
-/// and the final report still equals the clean run.
-#[test]
-fn supervised_checkpointed_run_heals_from_snapshot() {
-    silence_injected_panics();
-    let trace = matrix_trace();
-    let shards = 2;
-    let clean = replay_sharded(&FastTrack::new(), &trace, shards);
-    let dir = scratch_dir("supervised-ckpt");
-    let ckpt = CheckpointOptions {
-        dir: dir.clone(),
-        every: CheckpointInterval::Events(2),
-    };
-    // The target shard panics late (its 5th event), well after several
-    // checkpoints have been taken, so the heal path exercises
-    // snapshot-restore + delta replay rather than a from-scratch replay.
-    let proto = Box::new(PanicOnEvent::new(FastTrack::new(), 1, 5)) as Proto;
-    let trace2 = trace.clone();
-    let healed = run_with_timeout("supervised-ckpt", move || {
-        replay(
-            proto,
-            &trace2,
-            &RunPlan {
-                shards,
-                supervisor: Some(SupervisorPolicy::default()),
-                checkpoint: Some(&ckpt),
-                ..RunPlan::default()
-            },
-        )
-    })
-    .expect("supervised checkpointed run");
-    assert!(healed.failures.is_empty(), "{:?}", healed.failures);
-    assert_eq!(normalized(healed, &clean.detector), clean);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A snapshot restores only into the stack that took it: each pair of

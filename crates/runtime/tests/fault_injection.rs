@@ -18,7 +18,7 @@ use std::time::Duration;
 use dgrace_detectors::{race_signature, Detector, DetectorExt, FastTrack, RaceKind, Report};
 use dgrace_runtime::{
     corrupt_byte, replay, replay_pipelined, replay_sharded, silence_injected_panics, PanicOnEvent,
-    RunPlan, Runtime, RuntimeOptions, SupervisorPolicy, Transport,
+    RunPlan, Runtime, RuntimeOptions, Transport,
 };
 use dgrace_trace::io::{from_bytes, read_trace_with, to_bytes};
 use dgrace_trace::{AccessSize, Addr, DecodeLimits, ReadOptions, Trace, TraceBuilder, TraceError};
@@ -303,82 +303,25 @@ fn try_finish_reports_total_failure() {
     assert!(msg.contains("all 1 detector shards failed"), "{msg}");
 }
 
-/// Ring-pipeline fault coverage: a shard panics in its *first* segment
-/// while the producer has run far ahead, so its SPSC lane holds many
-/// queued segments at quarantine time. The supervisor must heal the
-/// shard and every queued segment must be analyzed — zero events lost,
-/// zero dropped, and a report equal to the clean funnel run.
-#[test]
-fn pipeline_panic_with_queued_segments_heals_without_loss() {
-    silence_injected_panics();
-    // Shard 1 (region 1) receives ~16k accesses — sixteen 1024-event
-    // ring segments — including one racy pair; shard 0 (region 2) gets
-    // mirrored healthy traffic. The panic fires on shard 1's 100th
-    // event, inside its first segment.
-    let mut b = TraceBuilder::new();
-    b.fork(0u32, 1u32);
-    for i in 0..8_000u64 {
-        let off = (i % 250) * 16;
-        b.write(0u32, 0x1000 + off, AccessSize::U64)
-            .write(0u32, 0x2000 + off, AccessSize::U64);
-    }
-    b.write(0u32, 0x1F00u64, AccessSize::U64)
-        .write(1u32, 0x1F00u64, AccessSize::U64)
-        .write(0u32, 0x2F00u64, AccessSize::U64)
-        .write(1u32, 0x2F00u64, AccessSize::U64)
-        .join(0u32, 1u32);
-    let trace = b.build();
-
-    let shards = 2usize;
-    let clean = replay_sharded(&FastTrack::new(), &trace, shards);
-    assert_eq!(race_signature(&clean).len(), 2, "clean run sees both races");
-
-    let trace2 = trace.clone();
-    let healed = run_with_timeout("pipeline-queued-heal", move || {
-        replay(
-            PanicOnEvent::new(FastTrack::new(), 1, 100),
-            &trace2,
-            &RunPlan {
-                shards,
-                transport: Transport::Rings,
-                supervisor: Some(SupervisorPolicy::default()),
-                ..RunPlan::default()
-            },
-        )
-        .expect("replay")
-    });
-    assert!(healed.failures.is_empty(), "{:?}", healed.failures);
-    assert_eq!(healed.stats.events_lost, 0, "healed run loses nothing");
-    assert_eq!(healed.stats.dropped, 0, "healed run drops nothing");
-    let mut healed = healed;
-    healed.detector = clean.detector.clone();
-    assert_eq!(healed, clean, "healed pipeline == clean funnel");
-}
-
-/// An *unhealable* panic on the pipeline (respawn budget exhausted by a
-/// detector that dies on every event) still terminates, quarantines
-/// exactly one shard, and partitions that shard's traffic into
+/// A shard panic on the pipeline terminates, quarantines exactly one
+/// shard, and partitions that shard's traffic into
 /// `events_lost` (analyzed before death) + `dropped` (never analyzed)
 /// with nothing counted twice.
 #[test]
-fn pipeline_exhausted_respawns_partition_loss_exactly() {
+fn pipeline_panic_partitions_loss_exactly() {
     silence_injected_panics();
     let trace = matrix_trace();
     let shards = 2usize;
     let clean = race_signature(&replay_pipelined(&FastTrack::new(), &trace, shards));
     let trace2 = trace.clone();
-    let rep = run_with_timeout("pipeline-unhealed", move || {
+    let rep = run_with_timeout("pipeline-panic", move || {
         replay(
-            // Panics on its very first event, and again on every respawn.
-            PanicOnEvent::new(FastTrack::new(), 1, 1),
+            // Panics on its very first event.
+            &PanicOnEvent::new(FastTrack::new(), 1, 1),
             &trace2,
             &RunPlan {
                 shards,
                 transport: Transport::Rings,
-                supervisor: Some(SupervisorPolicy {
-                    max_respawns: 0,
-                    window: 100,
-                }),
                 ..RunPlan::default()
             },
         )

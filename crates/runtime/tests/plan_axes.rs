@@ -21,7 +21,7 @@ use dgrace_detectors::{
 };
 use dgrace_runtime::{
     replay, silence_injected_panics, CheckpointInterval, CheckpointManifest, CheckpointOptions,
-    PanicOnEvent, ReplayError, RunPlan, SupervisorPolicy, Transport, CHECKPOINT_FILE,
+    PanicOnEvent, ReplayError, RunPlan, Transport, CHECKPOINT_FILE,
 };
 use dgrace_trace::io::{to_bytes, EventReader};
 use dgrace_trace::{
@@ -113,7 +113,7 @@ impl Input {
     ) -> Result<Report, ReplayError> {
         match block {
             None => replay(
-                proto,
+                &proto,
                 Cut {
                     inner: &self.trace,
                     left: events,
@@ -125,7 +125,7 @@ impl Input {
                 let len = self.trace.len() as u64;
                 let inner = BlockReader::with_block_events(reader, block).expecting(len);
                 replay(
-                    proto,
+                    &proto,
                     Cut {
                         inner,
                         left: events,
@@ -161,7 +161,7 @@ impl<S: EventSource> EventSource for Cut<S> {
 
 /// Every plan axis against the serial detector: one race signature
 /// and exact event counts per trace, whatever the source, transport,
-/// shard count, prune set, supervisor, or checkpoint/resume cut.
+/// shard count, prune set, or checkpoint/resume cut.
 #[test]
 fn every_plan_axis_matches_the_serial_run() {
     let input = Input::of(racy_trace());
@@ -181,13 +181,9 @@ fn every_plan_axis_matches_the_serial_run() {
         let want = race_signature(&proto().run(trace));
         assert!(!want.is_empty(), "{name}: the trace has a race to find");
         for shards in [1usize, 2, 3, 4, 8, 16] {
-            for (pruned, supervised, checkpointed) in
-                (0..8).map(|m| (m & 1 != 0, m & 2 != 0, m & 4 != 0))
-            {
-                let row = format!(
-                    "{name} shards={shards} prune={pruned} \
-                     supervisor={supervised} checkpoint={checkpointed}"
-                );
+            for (pruned, checkpointed) in (0..4).map(|m| (m & 1 != 0, m & 2 != 0)) {
+                let row =
+                    format!("{name} shards={shards} prune={pruned} checkpoint={checkpointed}");
                 let plan = |transport| RunPlan {
                     shards,
                     transport,
@@ -196,7 +192,6 @@ fn every_plan_axis_matches_the_serial_run() {
                     } else {
                         PruneSet::empty()
                     },
-                    supervisor: supervised.then(SupervisorPolicy::default),
                     checkpoint: checkpointed.then_some(&ckpt),
                     ..RunPlan::default()
                 };
@@ -445,7 +440,7 @@ fn funnel_flushes_a_sync_free_trace_at_every_block() {
             shards,
             ..RunPlan::default()
         };
-        let rep = replay(counter, &mut watched, &plan).expect("replay");
+        let rep = replay(&counter, &mut watched, &plan).expect("replay");
         assert_eq!(race_signature(&rep), race_signature(&want));
         assert_eq!(rep.stats.events, len);
         assert_eq!(rep.stats.accesses, want.stats.accesses);

@@ -228,7 +228,7 @@ fn resumed_sampled_run_equals_uninterrupted_run() {
                 every: CheckpointInterval::Events(7),
             };
             let full = replay(
-                sampled(spec),
+                &sampled(spec),
                 &trace,
                 &RunPlan {
                     shards,
@@ -244,7 +244,7 @@ fn resumed_sampled_run_equals_uninterrupted_run() {
                 .expect("manifest present");
             assert!(manifest.trace_offset > 0);
             let resumed = replay(
-                sampled(spec),
+                &sampled(spec),
                 &trace,
                 &RunPlan {
                     shards,

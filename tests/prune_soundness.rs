@@ -54,7 +54,7 @@ fn pruned_detection_is_race_identical_for_exact_detectors() {
             for shards in SHARDS {
                 let bare = replay_sharded(proto().as_ref(), &trace, shards);
                 let pruned = replay(
-                    proto(),
+                    &proto(),
                     &trace,
                     &RunPlan {
                         shards,
@@ -100,7 +100,7 @@ fn analysis_classifies_nontrivially() {
         // And the prune actually drops events in a real detection run.
         let prune = summary.prune_set(1, 0);
         let rep = replay(
-            FastTrack::new(),
+            &FastTrack::new(),
             &trace,
             &RunPlan {
                 shards: 2,
@@ -147,7 +147,7 @@ fn pruned_dynamic_detector_keeps_planted_races() {
         for shards in SHARDS {
             let bare = replay_sharded(&DynamicGranularity::new(), &trace, shards);
             let pruned = replay(
-                DynamicGranularity::new(),
+                &DynamicGranularity::new(),
                 &trace,
                 &RunPlan {
                     shards,

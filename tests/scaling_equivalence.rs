@@ -13,7 +13,6 @@
 //!   (`--resync`),
 //! * mid-trace checkpoint + resume — *across* paths: a funnel-written
 //!   manifest resumed by the pipeline and vice versa,
-//! * self-healing supervised runs (shard panic mid-trace),
 //! * randomized traces via property tests.
 //!
 //! Comparisons are full-`Report` equality wherever the trace contains no
@@ -27,9 +26,8 @@ use proptest::prelude::*;
 use dgrace::core::DynamicGranularity;
 use dgrace::detectors::{race_signature, Djit, FastTrack, Report, ShardableDetector};
 use dgrace::runtime::{
-    replay, replay_pipelined, replay_sharded, silence_injected_panics, CheckpointInterval,
-    CheckpointManifest, CheckpointOptions, PanicOnEvent, RunPlan, SupervisorPolicy, Transport,
-    CHECKPOINT_FILE,
+    replay, replay_pipelined, replay_sharded, CheckpointInterval, CheckpointManifest,
+    CheckpointOptions, RunPlan, Transport, CHECKPOINT_FILE,
 };
 use dgrace::trace::io::{read_trace_with, to_bytes};
 use dgrace::trace::{
@@ -39,22 +37,16 @@ use dgrace::trace::{
 
 type Proto = Box<dyn ShardableDetector + Send>;
 type MakeClean = Box<dyn Fn() -> Proto>;
-type MakeFaulty = Box<dyn Fn(usize, u64) -> Proto>;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The three detector families, each as a bare prototype
-/// factory and a fault-wrapped factory (shard `target` panics at its
-/// `panic_at`-th event).
-fn prototypes() -> Vec<(&'static str, MakeClean, MakeFaulty)> {
+/// The three detector families, each as a bare prototype factory.
+fn prototypes() -> Vec<(&'static str, MakeClean)> {
     macro_rules! combo {
         ($name:expr, $ty:ty) => {
             (
                 $name,
                 Box::new(|| Box::new(<$ty>::new()) as Proto) as MakeClean,
-                Box::new(|target, at| {
-                    Box::new(PanicOnEvent::new(<$ty>::new(), target, at)) as Proto
-                }) as MakeFaulty,
             )
         };
     }
@@ -110,13 +102,6 @@ fn long_trace() -> Trace {
     b.build()
 }
 
-/// Strips the fault wrapper's name suffix so healed reports compare
-/// against clean ones.
-fn normalized(mut rep: Report, name: &str) -> Report {
-    rep.detector = name.to_string();
-    rep
-}
-
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "dgrace-scaling-{}-{}",
@@ -152,7 +137,7 @@ fn assert_signature_equal(piped: &Report, funnel: &Report, ctx: &str) {
 #[test]
 fn fixed_matrix_pipelined_equals_funnel_exactly() {
     let trace = matrix_trace();
-    for (name, bare, _) in prototypes() {
+    for (name, bare) in prototypes() {
         for &shards in &SHARD_COUNTS {
             let funnel = replay_sharded(bare().as_ref(), &trace, shards);
             let piped = replay_pipelined(bare().as_ref(), &trace, shards);
@@ -207,7 +192,7 @@ fn pruned_replay_matches_across_paths() {
     assert!(!prune.is_empty());
     for &shards in &SHARD_COUNTS {
         let funnel = replay(
-            FastTrack::new(),
+            &FastTrack::new(),
             &trace,
             &RunPlan {
                 shards,
@@ -217,7 +202,7 @@ fn pruned_replay_matches_across_paths() {
         )
         .expect("replay");
         let piped = replay(
-            FastTrack::new(),
+            &FastTrack::new(),
             &trace,
             &RunPlan {
                 shards,
@@ -311,7 +296,7 @@ fn checkpoints_resume_across_paths() {
                 every: CheckpointInterval::Events(3),
             };
             let full = replay(
-                bare(name),
+                &bare(name),
                 &trace,
                 &RunPlan {
                     shards,
@@ -326,7 +311,7 @@ fn checkpoints_resume_across_paths() {
                 .expect("manifest present");
             assert!(manifest.trace_offset > 0);
             let resumed = replay(
-                bare(name),
+                &bare(name),
                 &trace,
                 &RunPlan {
                     shards,
@@ -346,7 +331,7 @@ fn checkpoints_resume_across_paths() {
                 every: CheckpointInterval::Events(3),
             };
             let full = replay(
-                bare(name),
+                &bare(name),
                 &trace,
                 &RunPlan {
                     shards,
@@ -362,7 +347,7 @@ fn checkpoints_resume_across_paths() {
                 .expect("manifest present");
             assert!(manifest.trace_offset > 0);
             let resumed = replay(
-                bare(name),
+                &bare(name),
                 &trace,
                 &RunPlan {
                     shards,
@@ -373,43 +358,6 @@ fn checkpoints_resume_across_paths() {
             .expect("funnel resume of pipeline manifest");
             assert_eq!(resumed, clean, "{name} s{shards}: pipeline → funnel");
             let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-}
-
-/// Self-heal on the pipeline: a shard panic mid-trace is healed by the
-/// supervisor, and the healed report equals the clean funnel report for
-/// every detector family and shard count.
-#[test]
-fn supervised_pipeline_heals_to_clean_report() {
-    silence_injected_panics();
-    let trace = matrix_trace();
-    for (name, bare, faulty) in prototypes() {
-        for shards in [1usize, 2, 4] {
-            let clean = replay_sharded(bare().as_ref(), &trace, shards);
-            for panic_at in [1u64, 3] {
-                let healed = replay(
-                    faulty(shards - 1, panic_at),
-                    &trace,
-                    &RunPlan {
-                        shards,
-                        transport: Transport::Rings,
-                        supervisor: Some(SupervisorPolicy::default()),
-                        ..RunPlan::default()
-                    },
-                )
-                .expect("replay");
-                assert!(
-                    healed.failures.is_empty(),
-                    "{name} s{shards} n{panic_at}: {:?}",
-                    healed.failures
-                );
-                assert_eq!(
-                    normalized(healed, &clean.detector),
-                    clean,
-                    "{name} s{shards} n{panic_at}: healed == clean"
-                );
-            }
         }
     }
 }
