@@ -149,7 +149,21 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
                 if self.plane(kind).cell(at).state.is_init() {
                     self.second_epoch_access(size, kind, my_epoch, at, other);
                 } else {
-                    self.steady_access(kind, my_epoch, at, other);
+                    let before = cfg!(debug_assertions).then(|| self.model_inputs());
+                    if self.steady_access(kind, my_epoch, at, other) {
+                        // The cell was rewritten in its slot: no counter
+                        // the model reads moved, so of `update_model` only
+                        // the budget check can have something to do.
+                        debug_assert_eq!(
+                            before,
+                            Some(self.model_inputs()),
+                            "an in-slot rewrite moved a model input"
+                        );
+                        if self.model.over_budget() {
+                            self.enforce_budget();
+                        }
+                        return;
+                    }
                 }
             }
         }
@@ -315,15 +329,18 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     }
 
     /// Steady-state access (Shared / Private / Race): plain FastTrack on
-    /// the (possibly shared) cell.
+    /// the (possibly shared) cell. Returns `true` if the cell lived in its
+    /// location's slot and still does: then the access rewrote that slot
+    /// and nothing else (a race report included), the `FastTrack` access.
     fn steady_access(
         &mut self,
         kind: AccessKind,
         my_epoch: Epoch,
         at: CellRef,
         other: Option<CellRef>,
-    ) {
+    ) -> bool {
         let addr = at.addr();
+        let was_in_slot = at.in_slot();
         let cell = self.plane(kind).cell(at);
         let (raced, grouped) = (cell.state.is_raced(), cell.count > 1);
         let race = if raced {
@@ -343,10 +360,11 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         } else {
             at
         };
-        self.record_access(kind, at, my_epoch);
+        let (at, _) = self.record_access(kind, at, my_epoch);
         if let Some((race_kind, witness, wt)) = race {
             self.report_race(addr, kind, race_kind, witness, my_epoch, wt);
         }
+        was_in_slot && at.in_slot()
     }
 
     fn plane(&self, kind: AccessKind) -> &Plane {
@@ -373,6 +391,11 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     /// The returned `bool` is the *witness cell's* taint: if the clock
     /// that testified to the race was ever shared, the race may be a
     /// sharing artifact even when the accessed location never shared.
+    ///
+    /// Always inlined: on a steady access to an unshared location it is
+    /// most of what is left besides the slot store (EXPERIMENTS.md,
+    /// "Steady access in place").
+    #[inline(always)]
     fn race_check(
         &self,
         kind: AccessKind,
@@ -404,19 +427,34 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
     /// Records the access into the location's clock. Returns the cell's
     /// handle after the write and `true` if a read clock inflated to a
     /// full vector clock (a "read-read conflict", which vetoes sharing).
+    ///
+    /// FastTrack's epoch rule is applied to a cell living in its slot
+    /// directly, one slot store: a write replaces the epoch, and so does
+    /// a read whose previous read epoch happens before it. The rest — a
+    /// read that inflates, every slab cell — goes through
+    /// [`Plane::update_clock`].
+    #[inline(always)]
     fn record_access(&mut self, kind: AccessKind, at: CellRef, my_epoch: Epoch) -> (CellRef, bool) {
         let tid = my_epoch.tid;
         match kind {
             AccessKind::Write => {
-                let at = self
-                    .write
-                    .update_clock(&mut self.index, at, |c| c.set_write(tid, my_epoch.clock));
+                let ix = &mut self.index;
+                let at = match self.write.rewrite_epoch(ix, at, my_epoch, |_| true) {
+                    Some(at) => at,
+                    None => self
+                        .write
+                        .update_clock(ix, at, |c| c.set_write(tid, my_epoch.clock)),
+                };
                 (at, false)
             }
             AccessKind::Read => {
                 let now = self.hb.now(tid);
+                let ix = &mut self.index;
+                if let Some(at) = self.read.rewrite_epoch(ix, at, my_epoch, |e| e.leq(now)) {
+                    return (at, false);
+                }
                 let mut inflated = false;
-                let at = self.read.update_clock(&mut self.index, at, |c| {
+                let at = self.read.update_clock(ix, at, |c| {
                     inflated = c.record_read(tid, now);
                 });
                 (at, inflated)
@@ -487,6 +525,10 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         }
     }
 
+    /// Brings the memory model and the location peak up to date with the
+    /// planes, and enforces the budget. Called by every path that can move
+    /// a counter it reads ([`Self::model_inputs`]); an access that only
+    /// rewrites a cell in its slot moves none, and checks the budget alone.
     fn update_model(&mut self) {
         self.set_shadow_model();
         let cells = self.read.cell_count() + self.write.cell_count();
@@ -498,6 +540,20 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         if self.model.over_budget() {
             self.enforce_budget();
         }
+    }
+
+    /// What [`Self::update_model`] reads from the planes: each lane's
+    /// index bytes, vector-clock bytes, logical clocks, cells and
+    /// locations.
+    fn model_inputs(&self) -> ([usize; 2], usize, usize, usize, usize) {
+        let ix = &self.index;
+        (
+            [self.read.hash_bytes(ix), self.write.hash_bytes(ix)],
+            self.read.vc_bytes() + self.write.vc_bytes(),
+            self.read.clock_count() + self.write.clock_count(),
+            self.read.cell_count() + self.write.cell_count(),
+            self.loc_count(),
+        )
     }
 
     /// Locations of both planes.
@@ -1110,6 +1166,165 @@ mod tests {
             DynamicGranularity::with_config(DynamicConfig::no_init_state()).name(),
             "dynamic-no-init-state"
         );
+    }
+
+    /// The `sync` ledger workload's shape at small scale: 4 threads take 2
+    /// locks in turn, and under each reads then writes that lock's 8-byte
+    /// word, `iters` rounds.
+    fn sync_shaped_trace(iters: usize) -> dgrace_trace::Trace {
+        let mut b = TraceBuilder::new();
+        for t in 1..4u32 {
+            b.fork(0u32, t);
+        }
+        for _ in 0..iters {
+            for t in 0..4u32 {
+                let lock = t % 2;
+                let word = X + 64 * lock as u64;
+                b.locked(t, lock, |b| {
+                    b.read(t, word, AccessSize::U64)
+                        .write(t, word, AccessSize::U64);
+                });
+            }
+        }
+        b.build()
+    }
+
+    /// The accessed location's cell in the plane of `ev`'s kind, and its
+    /// state.
+    fn accessed(det: &DynamicGranularity, ev: &Event) -> Option<(CellRef, VcState)> {
+        let (plane, addr) = match *ev {
+            Event::Read { addr, .. } => (&det.read, addr),
+            Event::Write { addr, .. } => (&det.write, addr),
+            _ => return None,
+        };
+        let at = plane.lookup(&det.index, addr)?;
+        Some((at, plane.cell(at).state))
+    }
+
+    #[test]
+    fn a_steady_unshared_access_rewrites_its_slot_and_nothing_else() {
+        let trace = sync_shaped_trace(300);
+        let mut det = DynamicGranularity::new();
+        let mut steady = None;
+        for (i, ev) in trace.iter().enumerate() {
+            det.on_event(ev);
+            // Past the three forks and two rounds, every location exists
+            // and has left its Init state.
+            let Some((at, state)) = accessed(&det, ev).filter(|_| i >= 3 + 2 * 4 * 4) else {
+                continue;
+            };
+            let counters = (
+                det.read.vc_allocs() + det.write.vc_allocs(),
+                det.loc_count(),
+                det.model.peak_total(),
+            );
+            assert!(!state.is_init(), "event {i}");
+            assert!(at.in_slot(), "event {i}: the cell left its slot");
+            assert_eq!(*steady.get_or_insert(counters), counters, "event {i}");
+        }
+        assert_eq!(steady.map(|c| c.1), Some(4), "two words, read and write");
+        det.check_invariants();
+        let rep = det.finish();
+        let byte = FastTrack::new().run(&trace);
+        assert_eq!(rep.races, byte.races);
+        assert_eq!(rep.stats.accesses, byte.stats.accesses);
+    }
+
+    #[test]
+    fn unordered_reads_of_an_in_slot_location_still_inflate() {
+        let mut b = TraceBuilder::new();
+        b.fork(0u32, 1u32)
+            .fork(0u32, 2u32)
+            .read(0u32, X, AccessSize::U64)
+            .release(0u32, 0u32)
+            .read(0u32, X, AccessSize::U64); // second epoch: Private
+        let mut det = DynamicGranularity::new();
+        for ev in b.build().iter() {
+            det.on_event(ev);
+        }
+        let at = det.read.lookup(&det.index, Addr(X)).unwrap();
+        assert_eq!(det.read.cell(at).state, VcState::Private);
+        assert!(at.in_slot());
+        let (vc_bytes, peak) = (det.read.vc_bytes(), det.model.peak_total());
+
+        // T1's read is unordered with T0's: the read clock inflates.
+        let mut b = TraceBuilder::new();
+        b.read(1u32, X, AccessSize::U64);
+        for ev in b.build().iter() {
+            det.on_event(ev);
+        }
+        let at = det.read.lookup(&det.index, Addr(X)).unwrap();
+        assert!(!at.in_slot(), "an inflated read clock lives in the slab");
+        assert!(matches!(det.read.clock_view(at), ClockView::Vc(_)));
+        assert!(det.read.vc_bytes() > vc_bytes);
+        assert!(det.model.peak_total() > peak);
+        det.check_invariants();
+
+        // A third thread's write is unordered with both reads.
+        let mut b = TraceBuilder::new();
+        b.write(2u32, X, AccessSize::U64);
+        for ev in b.build().iter() {
+            det.on_event(ev);
+        }
+        let rep = det.finish();
+        assert_eq!(rep.races.len(), 1, "{:?}", rep.races);
+        assert_eq!(rep.races[0].kind, RaceKind::ReadWrite);
+    }
+
+    /// Runs `trace` through `det`, split over `shards` detectors by word,
+    /// with `budget` set per shard after the first `capped_from` events.
+    /// With `every_access`, `update_model` also runs after every access
+    /// the same-epoch filter did not answer, as it did before the in-slot
+    /// path learned to skip it.
+    fn capped_run(
+        trace: &dgrace_trace::Trace,
+        shards: usize,
+        budget: u64,
+        capped_from: usize,
+        every_access: bool,
+    ) -> Vec<Report> {
+        let mut dets: Vec<_> = (0..shards).map(|_| DynamicGranularity::new()).collect();
+        for (i, ev) in trace.iter().enumerate() {
+            if i == capped_from {
+                for det in &mut dets {
+                    det.set_shadow_budget(Some(budget));
+                }
+            }
+            let to: Vec<usize> = match *ev {
+                Event::Read { addr, .. } | Event::Write { addr, .. } => {
+                    vec![(addr.0 / 64) as usize % shards]
+                }
+                _ => (0..shards).collect(),
+            };
+            for s in to {
+                let det = &mut dets[s];
+                let same_epoch = det.same_epoch;
+                det.on_event(ev);
+                if every_access && ev.is_access() && det.same_epoch == same_epoch {
+                    det.update_model();
+                }
+            }
+        }
+        dets.iter_mut().map(|det| det.finish()).collect()
+    }
+
+    #[test]
+    fn a_capped_steady_phase_equals_a_model_update_after_every_access() {
+        let trace = sync_shaped_trace(200);
+        let uncapped = DynamicGranularity::new().run(&trace).stats.peak_total_bytes;
+        let steady = trace.len() / 2;
+        for shards in [1, 2] {
+            // A cap from the start, and one lowered in the steady phase:
+            // its first `enforce_budget` then runs from an in-slot access.
+            for (budget, from) in [(uncapped / 2, 0), (uncapped / 4, 0), (1, steady)] {
+                let budget = budget as u64 / shards as u64;
+                let at = format!("shards={shards} budget={budget} from={from}");
+                let rep = capped_run(&trace, shards, budget, from, false);
+                let every = capped_run(&trace, shards, budget, from, true);
+                assert_eq!(rep, every, "{at}");
+                assert!(rep.iter().map(|r| r.stats.evicted).sum::<u64>() > 0, "{at}");
+            }
+        }
     }
 
     #[test]

@@ -95,6 +95,11 @@
 //!   a vector (an entry left with one holder by a *free* stays in the
 //!   arena until that holder's next write — entries have no back
 //!   pointers);
+//! * a clock is written outside `update_clock` only by
+//!   [`Plane::rewrite_epoch`], FastTrack's one-store epoch write on a
+//!   cell living in its slot; when the cell stays there, no count below
+//!   and no modeled byte moves, so the detector leaves its memory model
+//!   alone after such an access;
 //! * `clock_count()` = arena entries + inline clocks = `vc_allocs -
 //!   vc_frees`, so a split or dissolve allocates nothing;
 //! * modeled `vc_bytes` = 16 bytes per live cell (the paper's epoch-form
@@ -634,7 +639,7 @@ impl Plane {
 
     /// Rewrites a cell that lives in `addr`'s slot; a value that no longer
     /// fits the packing moves to the slab.
-    #[inline]
+    #[inline(always)]
     fn put_solo<K: StoreSelect>(&mut self, ix: &mut IndexOn<K>, addr: Addr, solo: Solo) -> CellRef {
         match solo.pack() {
             Some(slot) => self.set_slot(ix, addr, slot),
@@ -677,12 +682,44 @@ impl Plane {
         }
     }
 
+    /// FastTrack's epoch write on a cell that lives in its slot: if `at`'s
+    /// cell is there and `replaces` accepts the epoch it holds, `epoch`
+    /// takes its place with one slot store (a thread id too wide for the
+    /// packing moves the cell to the slab instead, as in
+    /// [`Self::update_clock`]). Returns `None`, having changed nothing,
+    /// for a cell in the slab or an epoch `replaces` keeps; the caller
+    /// then goes through [`Self::update_clock`].
+    ///
+    /// A rewrite that leaves the cell in its slot creates, destroys and
+    /// moves no cell, clock, location or modeled byte.
+    #[inline(always)]
+    pub fn rewrite_epoch<K: StoreSelect>(
+        &mut self,
+        ix: &mut IndexOn<K>,
+        at: CellRef,
+        epoch: Epoch,
+        replaces: impl FnOnce(Epoch) -> bool,
+    ) -> Option<CellRef> {
+        self.check_fresh(ix, at);
+        match at.slot.home() {
+            Home::Slot(solo) if replaces(solo.epoch) => {
+                Some(self.put_solo(ix, at.addr, Solo { epoch, ..solo }))
+            }
+            _ => None,
+        }
+    }
+
     /// Mutates a cell's clock, keeping byte accounting consistent. If the
     /// cell shares its clock value with other cells (after a split or
     /// dissolve), the value is copied on write into a fresh logical
     /// clock. Whatever `f` leaves behind is stored where the module docs
     /// say it lives — the clock inline unless it is a vector, the cell in
     /// its slot if it now belongs there.
+    ///
+    /// The detector writes an in-slot epoch through
+    /// [`Self::rewrite_epoch`], so of a cell that lives in its slot it
+    /// sends here only a read that inflates it to a vector clock; every
+    /// slab cell's write comes here.
     pub fn update_clock<K: StoreSelect>(
         &mut self,
         ix: &mut IndexOn<K>,

@@ -138,9 +138,16 @@ impl HbState {
         slot.expect("thread materialized before its clock is read")
     }
 
-    /// The current epoch `c@t` of thread `t`.
+    /// The current epoch `c@t` of thread `t`, materializing `t` on its
+    /// first event. Inlined into every access of the detectors that take
+    /// it: a thread seen before costs one table load.
+    #[inline]
     pub fn epoch(&mut self, t: Tid) -> Epoch {
-        Epoch::new(self.clock(t).get(t), t)
+        let now = match self.threads.get(t.index()).and_then(Option::as_ref) {
+            Some(now) => now,
+            None => self.clock(t),
+        };
+        Epoch::new(now.get(t), t)
     }
 
     /// Whether some epoch `c@t` in `clock` is thread `t`'s current one:

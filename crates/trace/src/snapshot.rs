@@ -299,10 +299,13 @@ impl<'a> SnapshotReader<'a> {
     }
 }
 
-/// CRC32 (IEEE 802.3, the zlib/PNG polynomial) lookup table, built at
-/// compile time — no dependency, no runtime init.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3, the zlib/PNG polynomial) lookup tables for
+/// slicing-by-8, built at compile time — no dependency, no runtime init.
+/// `CRC32_TABLES[0]` is the bytewise table; `CRC32_TABLES[k][b]` is the
+/// CRC register contribution of byte `b` followed by `k` more bytes, so
+/// eight table loads fold eight input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -315,19 +318,48 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
-/// CRC32 (IEEE) of `bytes`. Matches zlib's `crc32(0, …)`.
+/// One byte into the CRC register `c`.
+#[inline(always)]
+fn crc32_byte(c: u32, b: u8) -> u32 {
+    CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+}
+
+/// CRC32 (IEEE) of `bytes`. Matches zlib's `crc32(0, …)`. Eight bytes
+/// per step (slicing-by-8), the tail bytewise.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        let at = |x: u32, shift: u32| ((x >> shift) & 0xFF) as usize;
+        c = t[7][at(lo, 0)]
+            ^ t[6][at(lo, 8)]
+            ^ t[5][at(lo, 16)]
+            ^ t[4][at(lo, 24)]
+            ^ t[3][at(hi, 0)]
+            ^ t[2][at(hi, 8)]
+            ^ t[1][at(hi, 16)]
+            ^ t[0][at(hi, 24)];
     }
-    !c
+    !words.remainder().iter().fold(c, |c, &b| crc32_byte(c, b))
 }
 
 /// Appends a little-endian CRC32 trailer over everything currently in
@@ -557,6 +589,20 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(r.expect_end(), Err(TraceError::Malformed { .. })));
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_crc() {
+        let bytewise = |bytes: &[u8]| !bytes.iter().fold(!0u32, |c, &b| crc32_byte(c, b));
+        let data: Vec<u8> = (0..1000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..9 {
+            for end in (start..data.len()).step_by(37).chain([data.len()]) {
+                let bytes = &data[start..end];
+                assert_eq!(crc32(bytes), bytewise(bytes), "{start}..{end}");
+            }
+        }
     }
 
     #[test]
