@@ -8,7 +8,7 @@ use dgrace_shadow::{HashSelect, MemClass, MemoryModel, StoreSelect, Victims};
 use dgrace_trace::{Addr, Event, SnapshotReader, SnapshotWriter};
 use dgrace_vc::{AccessClock, ClockView, Epoch, Tid};
 
-use crate::plane::{CellRef, IndexOn, Plane};
+use crate::plane::{CellRef, GroupMembers, IndexOn, Plane};
 use crate::{DynamicConfig, VcState};
 
 /// FastTrack with dynamic granularity: the paper's detector, on the
@@ -486,43 +486,31 @@ impl<K: StoreSelect> DynamicGranularityOn<K> {
         my_epoch: Epoch,
         witness_tainted: bool,
     ) {
+        let report_all = self.config.report_group_races;
         let (plane, ix) = self.plane_mut(kind);
         let at = plane.lookup(ix, addr).expect("racy location exists");
         let count = plane.cell(at).count;
         let tainted = plane.cell(at).tainted || witness_tainted;
         plane.set_state(ix, at, VcState::Race);
-        if count > 1 {
-            let members = plane.group_members(ix, addr);
-            // The members *will* separate (on their next access); the
-            // split counter records the dissolution decision itself so
-            // its totals match an eager dissolve.
-            self.splits += (members.len() - 1) as u64;
-            let report_all = self.config.report_group_races;
-            for m in members {
-                if m != addr && !report_all {
-                    continue;
-                }
-                self.races.push(RaceReport {
-                    addr: m,
-                    kind: race_kind,
-                    current: my_epoch,
-                    previous: witness,
-                    event_index: Some(self.event_index),
-                    share_count: count,
-                    tainted,
-                });
-            }
+        let reported = if count > 1 && report_all {
+            plane.members(ix, addr)
         } else {
-            self.races.push(RaceReport {
-                addr,
-                kind: race_kind,
-                current: my_epoch,
-                previous: witness,
-                event_index: Some(self.event_index),
-                share_count: 1,
-                tainted,
-            });
-        }
+            GroupMembers::one(addr)
+        };
+        // The members *will* separate (on their next access); the split
+        // counter records the dissolution decision itself so its totals
+        // match an eager dissolve.
+        self.splits += (count - 1) as u64;
+        let event_index = Some(self.event_index);
+        self.races.extend(reported.map(|m| RaceReport {
+            addr: m,
+            kind: race_kind,
+            current: my_epoch,
+            previous: witness,
+            event_index,
+            share_count: count,
+            tainted,
+        }));
     }
 
     /// Brings the memory model and the location peak up to date with the

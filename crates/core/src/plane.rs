@@ -14,11 +14,37 @@
 //! A *location* is a populated slot in the plane's lane; a *cell* is the
 //! paper's `{vector clock, state, count}` triple, read by one location or
 //! by every member of a sharing group. Each shared cell records its
-//! member addresses (`members`), because a race dissolves the whole group
+//! member sequence (`members`), because a race dissolves the whole group
 //! ("the sharing is terminated and each of these locations become Race
-//! and is assigned with a private vector clock"). All group operations
-//! are O(1) except dissolution and compaction after a partial free,
-//! which are O(group size).
+//! and is assigned with a private vector clock").
+//!
+//! # Group members
+//!
+//! The member sequence is the order members joined in, as a list would
+//! hold it: a join appends, a detach is a `swap_remove`, a partial free
+//! keeps the survivors in order. It is stored in one of two forms:
+//!
+//! * **A run** `{base, stride}` while the sequence is arithmetic and
+//!   does not wrap around the address space: member `i` is
+//!   `base + i·stride` (wrapping arithmetic, so a descending array
+//!   initialisation is a run too) for `i < count`. A run costs no heap,
+//!   and every member's slot holds member index 0: a member's index is
+//!   `(addr − base) / stride`, computed where it is needed (a detach, a
+//!   split, an encode).
+//! * **A list** of member addresses otherwise, and each slot holds its
+//!   location's index in it. A cell of one location keeps an empty list.
+//!
+//! A run survives an append at its stride, the departure of its last
+//! member and a free that cuts it at either end (a prefix cut makes the
+//! first survivor the base). Every other change — a join off the stride,
+//! the detach of any other member, a free that cuts the middle —
+//! converts it to the list a list would have held, once: the conversion
+//! writes every member's index into its slot. A list turns back into a
+//! run only when a snapshot restores it.
+//!
+//! All group operations are O(1) except dissolution, a run's conversion
+//! and the compaction of a list after a partial free, which are O(group
+//! size).
 //!
 //! # Where a cell lives
 //!
@@ -35,8 +61,9 @@
 //!   paid for has loaded everything it needs, neighbor probes read the
 //!   adjacent slots of the same line, and nothing is allocated.
 //! * **In the cell slab** otherwise; the slot then holds the [`SlabId`]
-//!   and the location's index in the cell's member list. A slab cell of
-//!   one location keeps `members` empty — the sole member is implicit.
+//!   and the location's index in the cell's member list (0 in a run). A
+//!   slab cell of one location keeps `members` an empty list — the sole
+//!   member is implicit.
 //!
 //! A cell moves to the slab when a neighbor joins it, when its read clock
 //! inflates to a vector, when [`Plane::split`] hands it a reference to
@@ -88,6 +115,11 @@
 //! * a cell is in its slot if and only if it has one location, holds an
 //!   own epoch and fits the packing; a slab cell's member list is empty
 //!   if and only if it has one location;
+//! * a run has `count ≥ 2` members, a non-zero stride and no member past
+//!   either end of the address space; exactly `count` locations
+//!   reference its cell, at `base + i·stride` for distinct `i < count`,
+//!   and each of their slots holds member index 0;
+//! * a list's member `i` is the location whose slot holds index `i`;
 //! * an arena entry's refcount equals the number of live cells holding
 //!   its id, and is ≥ 1 for live entries;
 //! * an entry with refcount > 1 is never mutated in place;
@@ -151,16 +183,102 @@ enum ClockSlot {
 }
 
 /// A vector-clock cell in the slab: the paper's `{vector clock, state,
-/// count}` triple plus the member list needed by `splitAndSetRace`.
+/// count}` triple plus the member sequence needed by `splitAndSetRace`.
 #[derive(Clone, Debug)]
 struct Cell {
     /// The access clock (epoch or full vector clock).
     clock: ClockSlot,
     state: VcState,
+    /// Number of locations, and the length of a run.
     count: u32,
     tainted: bool,
-    /// Member addresses when shared; empty for a cell of one location.
-    members: Vec<Addr>,
+    members: Members,
+}
+
+// A run lives in the bytes of the list it replaces: the cell does not grow.
+const _: () = assert!(std::mem::size_of::<Cell>() <= 48);
+
+/// The member sequence of a slab cell (module docs, "Group members").
+#[derive(Clone, Debug)]
+enum Members {
+    /// Member `i < count` is `base + i·stride`, wrapping; no member lies
+    /// past either end of the address space.
+    Run { base: Addr, stride: u64 },
+    /// Member addresses in sequence order; empty for a cell of one
+    /// location.
+    List(Vec<Addr>),
+}
+
+impl Members {
+    /// The members of a cell of one location: none, the sole one is
+    /// implicit.
+    const NONE: Members = Members::List(Vec::new());
+
+    /// The run `members` is, if it is one: two or more distinct
+    /// addresses, each one stride from the previous without wrapping.
+    fn run_of(members: &[Addr]) -> Option<Members> {
+        let [first, second, ..] = *members else {
+            return None;
+        };
+        let stride = second.0.wrapping_sub(first.0);
+        let arithmetic = members
+            .windows(2)
+            .all(|w| run_step(w[0], stride) == Some(w[1]));
+        (stride != 0 && arithmetic).then_some(Members::Run {
+            base: first,
+            stride,
+        })
+    }
+}
+
+/// Whether a run's stride walks down the address space.
+fn descends(stride: u64) -> bool {
+    (stride as i64) < 0
+}
+
+/// The member after `last` in a run of `stride`, unless it would lie past
+/// an end of the address space.
+fn run_step(last: Addr, stride: u64) -> Option<Addr> {
+    let next = if descends(stride) {
+        last.0.checked_sub(stride.wrapping_neg())
+    } else {
+        last.0.checked_add(stride)
+    };
+    next.map(Addr)
+}
+
+/// Member `i` of the run from `base` at `stride`.
+fn run_member(base: Addr, stride: u64, i: u32) -> Addr {
+    Addr(base.0.wrapping_add(stride.wrapping_mul(i as u64)))
+}
+
+/// The index of member `addr` in the run from `base` at `stride`.
+fn run_index(base: Addr, stride: u64, addr: Addr) -> u32 {
+    let (dist, step) = if descends(stride) {
+        (base.0.wrapping_sub(addr.0), stride.wrapping_neg())
+    } else {
+        (addr.0.wrapping_sub(base.0), stride)
+    };
+    (dist / step) as u32
+}
+
+/// The last of `n` members of the run from `base` at `stride`, unless it
+/// lies past an end of the address space.
+fn run_last(base: Addr, stride: u64, n: u32) -> Option<Addr> {
+    let steps = n as u64 - 1;
+    let last = if descends(stride) {
+        base.0
+            .checked_sub(stride.wrapping_neg().checked_mul(steps)?)
+    } else {
+        base.0.checked_add(stride.checked_mul(steps)?)
+    };
+    last.map(Addr)
+}
+
+/// The first `n` members of the run from `base` at `stride`, as a list
+/// would hold them.
+fn run_list(base: Addr, stride: u64, n: u32) -> Vec<Addr> {
+    (0..n).map(|i| run_member(base, stride, i)).collect()
 }
 
 impl Cell {
@@ -516,8 +634,46 @@ struct Freed {
     solos: usize,
     /// Slab cells left with no location.
     emptied: Vec<SlabId>,
-    /// Slab cells left with fewer locations, some still outside the range.
-    dirty: Vec<SlabId>,
+    /// Slab cells left with fewer locations, some still outside the range,
+    /// each with the number it had.
+    dirty: Vec<(SlabId, u32)>,
+}
+
+/// The members of one sharing group in ascending address order
+/// ([`Plane::members`]): a run's, stepped through in place, then a
+/// list's.
+pub(crate) struct GroupMembers {
+    next: Addr,
+    step: u64,
+    /// Run members not yet yielded.
+    left: u32,
+    list: std::vec::IntoIter<Addr>,
+}
+
+impl GroupMembers {
+    /// The group of `addr` alone.
+    pub(crate) fn one(addr: Addr) -> GroupMembers {
+        GroupMembers {
+            next: addr,
+            step: 0,
+            left: 1,
+            list: Vec::new().into_iter(),
+        }
+    }
+}
+
+impl Iterator for GroupMembers {
+    type Item = Addr;
+
+    fn next(&mut self) -> Option<Addr> {
+        if self.left == 0 {
+            return self.list.next();
+        }
+        self.left -= 1;
+        let at = self.next;
+        self.next = Addr(at.0.wrapping_add(self.step));
+        Some(at)
+    }
 }
 
 /// One shadow plane (read or write locations): its cells and clocks, and
@@ -664,7 +820,7 @@ impl Plane {
             state: solo.state,
             count: 1,
             tainted: solo.tainted,
-            members: Vec::new(),
+            members: Members::NONE,
         });
         (id, self.set_slot(ix, addr, Slot::reference(id, 0)))
     }
@@ -841,7 +997,7 @@ impl Plane {
             state,
             count: 1,
             tainted,
-            members: Vec::new(),
+            members: Members::NONE,
         };
         match cell.solo() {
             Some(slot) => {
@@ -889,9 +1045,9 @@ impl Plane {
         CellRef { addr, slot }
     }
 
-    /// Appends `addr` to the member list of `neighbor`'s cell, which moves
-    /// to the slab if it lived in its slot, and returns the slot `addr`
-    /// gets. The caller stores it.
+    /// Appends `addr` to the member sequence of `neighbor`'s cell, which
+    /// moves to the slab if it lived in its slot, and returns the slot
+    /// `addr` gets. The caller stores it.
     fn join_members<K: StoreSelect>(
         &mut self,
         ix: &mut IndexOn<K>,
@@ -907,19 +1063,71 @@ impl Plane {
             Home::Slab { cell, .. } => cell,
         };
         let cell = self.cells.get_mut(id);
-        if cell.members.is_empty() {
-            // One location → explicit member list; the neighbor's
-            // implicit index 0 becomes its real index 0.
-            cell.members.push(neighbor.addr);
-        }
-        cell.members.push(addr);
-        let idx = (cell.members.len() - 1) as u32;
+        let n = cell.count;
         cell.count += 1;
         cell.tainted = true;
         if cell.count > self.max_group {
             self.max_group = cell.count;
         }
+        let idx = match &mut cell.members {
+            // One location → a group of two: the neighbor's implicit
+            // index 0 becomes its real index 0.
+            Members::List(members) if members.is_empty() => {
+                let pair = [neighbor.addr, addr];
+                match Members::run_of(&pair) {
+                    Some(run) => {
+                        cell.members = run;
+                        0
+                    }
+                    None => {
+                        *members = pair.to_vec();
+                        1
+                    }
+                }
+            }
+            &mut Members::Run { base, stride } => {
+                if run_step(run_member(base, stride, n - 1), stride) == Some(addr) {
+                    0
+                } else {
+                    let mut members = self.run_to_list(ix, id, base, stride, n);
+                    members.push(addr);
+                    self.cells.get_mut(id).members = Members::List(members);
+                    n
+                }
+            }
+            Members::List(members) => {
+                members.push(addr);
+                n
+            }
+        };
         Slot::reference(id, idx)
+    }
+
+    /// Run `{base, stride}` of cell `id`'s first `n` members as a list,
+    /// with each member's index written into its slot — the once-per-run
+    /// conversion (module docs, "Group members"). The caller stores the
+    /// list, and writes the slot of any member it then moves.
+    #[cold]
+    #[inline(never)]
+    fn run_to_list<K: StoreSelect>(
+        &self,
+        ix: &mut IndexOn<K>,
+        id: SlabId,
+        base: Addr,
+        stride: u64,
+        n: u32,
+    ) -> Vec<Addr> {
+        let members = run_list(base, stride, n);
+        self.index_members(ix, id, &members);
+        members
+    }
+
+    /// Writes each member's index in `members`, cell `id`'s list, into its
+    /// slot.
+    fn index_members<K: StoreSelect>(&self, ix: &mut IndexOn<K>, id: SlabId, members: &[Addr]) {
+        for (i, &a) in members.iter().enumerate() {
+            self.set_slot(ix, a, Slot::reference(id, i as u32));
+        }
     }
 
     /// Creates location `addr` sharing `neighbor`'s cell (first-epoch
@@ -954,32 +1162,72 @@ impl Plane {
         self.set_slot(ix, at.addr, slot)
     }
 
-    /// Detaches `addr` from the member list of group `id`, patching the
-    /// index of the member that `swap_remove` relocates. The caller
-    /// re-points or removes `addr`'s own slot.
+    /// Detaches `addr`, at index `idx` of a list, from the member
+    /// sequence of group `id`: a `swap_remove`, patching the index of the
+    /// member it relocates. The caller re-points or removes `addr`'s own
+    /// slot. A run keeps its form when its last member leaves, and when
+    /// its first does and one member is left.
     fn detach<K: StoreSelect>(&mut self, ix: &mut IndexOn<K>, addr: Addr, id: SlabId, idx: u32) {
         let cell = self.cells.get_mut(id);
-        debug_assert!(cell.count > 1 && !cell.members.is_empty());
-        debug_assert_eq!(cell.members[idx as usize], addr);
-        cell.members.swap_remove(idx as usize);
+        let n = cell.count;
+        debug_assert!(n > 1);
         cell.count -= 1;
-        let left = cell.count;
-        if let Some(&moved) = cell.members.get(idx as usize) {
-            self.set_slot(ix, moved, Slot::reference(id, idx));
+        match cell.members {
+            Members::Run { base, stride } => {
+                let i = run_index(base, stride, addr);
+                debug_assert_eq!(run_member(base, stride, i), addr);
+                if i == 0 && n == 2 {
+                    let base = run_member(base, stride, 1);
+                    cell.members = Members::Run { base, stride };
+                } else if i != n - 1 {
+                    self.detach_from_run(ix, id, base, stride, n, i);
+                }
+            }
+            Members::List(ref mut members) => {
+                debug_assert_eq!(members[idx as usize], addr);
+                members.swap_remove(idx as usize);
+                if let Some(&moved) = members.get(idx as usize) {
+                    self.set_slot(ix, moved, Slot::reference(id, idx));
+                }
+            }
         }
-        if left == 1 {
+        if n == 2 {
             self.shrunk_to_one(ix, id);
         }
     }
 
+    /// [`Self::detach`] of member `i` from the inside of a run of `n`:
+    /// the run becomes the list a `swap_remove` leaves.
+    #[cold]
+    #[inline(never)]
+    fn detach_from_run<K: StoreSelect>(
+        &mut self,
+        ix: &mut IndexOn<K>,
+        id: SlabId,
+        base: Addr,
+        stride: u64,
+        n: u32,
+        i: u32,
+    ) {
+        let mut members = run_list(base, stride, n);
+        members.swap_remove(i as usize);
+        self.index_members(ix, id, &members);
+        self.cells.get_mut(id).members = Members::List(members);
+    }
+
     /// Slab cell `id` is down to one location, at index 0: its member
-    /// list goes (the sole member is implicit) and the cell moves into
-    /// that location's slot if its value says so.
+    /// sequence goes (the sole member is implicit) and the cell moves
+    /// into that location's slot if its value says so.
     fn shrunk_to_one<K: StoreSelect>(&mut self, ix: &mut IndexOn<K>, id: SlabId) {
         let cell = self.cells.get_mut(id);
-        debug_assert_eq!((cell.count, cell.members.len()), (1, 1));
-        let addr = cell.members[0];
-        cell.members = Vec::new();
+        debug_assert_eq!(cell.count, 1);
+        let addr = match std::mem::replace(&mut cell.members, Members::NONE) {
+            Members::Run { base, .. } => base,
+            Members::List(members) => {
+                debug_assert_eq!(members.len(), 1);
+                members[0]
+            }
+        };
         let slot = Slot::reference(id, 0);
         self.settle(ix, CellRef { addr, slot }, id);
     }
@@ -1019,15 +1267,50 @@ impl Plane {
 
     /// Every member of `addr`'s sharing group (including `addr`), sorted.
     pub fn group_members<K: StoreSelect>(&self, ix: &IndexOn<K>, addr: Addr) -> Vec<Addr> {
-        if let Some(Home::Slab { cell, .. }) = ix.get(self.lane, addr).map(Slot::home) {
-            let members = &self.cells.get(cell).members;
-            if !members.is_empty() {
-                let mut m = members.clone();
-                m.sort_unstable();
-                return m;
+        self.members(ix, addr).collect()
+    }
+
+    /// [`Self::group_members`] as an iterator that borrows nothing: a run
+    /// is walked in place, a list is copied and sorted.
+    pub(crate) fn members<K: StoreSelect>(&self, ix: &IndexOn<K>, addr: Addr) -> GroupMembers {
+        let alone = GroupMembers::one(addr);
+        let Some(Home::Slab { cell, .. }) = ix.get(self.lane, addr).map(Slot::home) else {
+            return alone;
+        };
+        let cell = self.cells.get(cell);
+        match cell.members {
+            Members::Run { base, stride } if descends(stride) => GroupMembers {
+                next: run_member(base, stride, cell.count - 1),
+                step: stride.wrapping_neg(),
+                left: cell.count,
+                ..alone
+            },
+            Members::Run { base, stride } => GroupMembers {
+                next: base,
+                step: stride,
+                left: cell.count,
+                ..alone
+            },
+            Members::List(ref members) if members.is_empty() => alone,
+            Members::List(ref members) => {
+                let mut sorted = members.clone();
+                sorted.sort_unstable();
+                GroupMembers {
+                    left: 0,
+                    list: sorted.into_iter(),
+                    ..alone
+                }
             }
         }
-        vec![addr]
+    }
+
+    /// Whether cell `at`'s members are stored as a run (module docs,
+    /// "Group members"; diagnostics/testing).
+    pub fn is_run(&self, at: CellRef) -> bool {
+        match at.slot.home() {
+            Home::Slab { cell, .. } => matches!(self.cells.get(cell).members, Members::Run { .. }),
+            Home::Slot(_) => false,
+        }
     }
 
     /// A debugging snapshot of `addr`'s group.
@@ -1072,8 +1355,8 @@ impl Plane {
                 cell.count -= 1;
                 if cell.count == 0 {
                     freed.emptied.push(id);
-                } else if !freed.dirty.contains(&id) {
-                    freed.dirty.push(id);
+                } else if !freed.dirty.iter().any(|&(d, _)| d == id) {
+                    freed.dirty.push((id, cell.count + 1));
                 }
             }
         }
@@ -1084,7 +1367,7 @@ impl Plane {
     fn settle_free<K: StoreSelect>(
         &mut self,
         ix: &mut IndexOn<K>,
-        base: Addr,
+        start: Addr,
         len: u64,
         freed: Freed,
     ) {
@@ -1092,26 +1375,51 @@ impl Plane {
         for id in freed.emptied {
             self.free_slab_cell(id);
         }
-        // Compact surviving boundary-spanning groups: take the member
-        // list out, patch the relocated indices, and put it back —
-        // without cloning it.
-        for id in freed.dirty {
+        // Cut the surviving boundary-spanning groups down to their
+        // survivors. A run cut at an end stays a run, in O(1): its slots
+        // hold no index to patch.
+        let gone = |a: Addr| a.0 >= start.0 && a.0 - start.0 < len;
+        for (id, had) in freed.dirty {
             if !self.cells.contains(id) {
                 continue;
             }
             let cell = self.cells.get_mut(id);
-            let mut members = std::mem::take(&mut cell.members);
-            members.retain(|a| a.0 < base.0 || a.0 - base.0 >= len);
-            debug_assert_eq!(members.len(), cell.count as usize);
-            for (i, a) in members.iter().enumerate() {
-                self.set_slot(ix, *a, Slot::reference(id, i as u32));
-            }
-            let left = members.len();
+            let left = cell.count;
+            let members = match std::mem::replace(&mut cell.members, Members::NONE) {
+                Members::Run { base, stride } => {
+                    if gone(base) {
+                        let base = run_member(base, stride, had - left);
+                        Members::Run { base, stride }
+                    } else if gone(run_member(base, stride, had - 1)) {
+                        Members::Run { base, stride }
+                    } else {
+                        // Cut in the middle.
+                        let members = run_list(base, stride, had);
+                        Members::List(self.compact(ix, id, members, gone))
+                    }
+                }
+                Members::List(members) => Members::List(self.compact(ix, id, members, gone)),
+            };
             self.cells.get_mut(id).members = members;
             if left == 1 {
                 self.shrunk_to_one(ix, id);
             }
         }
+    }
+
+    /// Keeps the members of cell `id`'s list that are not `gone`, in
+    /// order, and patches their indices into their slots.
+    fn compact<K: StoreSelect>(
+        &self,
+        ix: &mut IndexOn<K>,
+        id: SlabId,
+        mut members: Vec<Addr>,
+        gone: impl Fn(Addr) -> bool,
+    ) -> Vec<Addr> {
+        members.retain(|&a| !gone(a));
+        debug_assert_eq!(members.len(), self.cells.get(id).count as usize);
+        self.index_members(ix, id, &members);
+        members
     }
 
     /// Removes a single location.
@@ -1201,14 +1509,23 @@ impl Plane {
                     );
                     *per_cell.entry(id).or_default() += 1;
                     let cell = self.cells.get(id);
-                    if cell.members.is_empty() {
-                        assert_eq!(idx, 0, "sole member {addr:?} has nonzero idx");
-                    } else {
-                        assert_eq!(
-                            cell.members.get(idx as usize),
+                    match cell.members {
+                        Members::Run { base, stride } => {
+                            assert_eq!(idx, 0, "run member {addr:?} holds a member index");
+                            let i = run_index(base, stride, addr);
+                            assert!(
+                                i < cell.count && run_member(base, stride, i) == addr,
+                                "{addr:?} is not a member of cell {id:?}'s run"
+                            );
+                        }
+                        Members::List(ref members) if members.is_empty() => {
+                            assert_eq!(idx, 0, "sole member {addr:?} has nonzero idx");
+                        }
+                        Members::List(ref members) => assert_eq!(
+                            members.get(idx as usize),
                             Some(&addr),
                             "member index of {addr:?} is stale"
-                        );
+                        ),
                     }
                 }
             }
@@ -1235,11 +1552,20 @@ impl Plane {
                 cell.solo().is_none(),
                 "cell {id:?} belongs in its location's slot"
             );
-            assert_eq!(
-                cell.members.len(),
-                if refs == 1 { 0 } else { refs },
-                "cell {id:?} member list out of sync"
-            );
+            match cell.members {
+                Members::Run { base, stride } => {
+                    assert!(refs >= 2, "cell {id:?} of one location is a run");
+                    assert!(
+                        stride != 0 && run_last(base, stride, cell.count).is_some(),
+                        "cell {id:?}'s run repeats a member or passes an end of the address space"
+                    );
+                }
+                Members::List(ref members) => assert_eq!(
+                    members.len(),
+                    if refs == 1 { 0 } else { refs },
+                    "cell {id:?} member list out of sync"
+                ),
+            }
             match cell.clock {
                 ClockSlot::Own(_) => inline += 1,
                 ClockSlot::Arena(cid) => {
@@ -1286,7 +1612,6 @@ impl Plane {
         let mut locs: Vec<CellRef> = Vec::with_capacity(self.loc_count(ix));
         ix.store
             .lane_for_each(self.lane, |addr, &slot| locs.push(CellRef { addr, slot }));
-        locs.sort_unstable_by_key(|at| at.addr);
         // One handle per cell, in order of first reference, and each
         // location's cell number.
         let mut cells: Vec<CellRef> = Vec::with_capacity(self.cell_count());
@@ -1331,13 +1656,23 @@ impl Plane {
             w.u8(state_tag(cell.state));
             w.u32(cell.count);
             w.bool(cell.tainted);
-            let members: &[Addr] = match at.slot.home() {
-                Home::Slot(_) => &[],
-                Home::Slab { cell, .. } => &self.cells.get(cell).members,
-            };
-            w.count(members.len());
-            for m in members {
-                w.u64(m.0);
+            // A run is written out as the list it stands for.
+            match at.slot.home() {
+                Home::Slot(_) => w.count(0),
+                Home::Slab { cell: id, .. } => match self.cells.get(id).members {
+                    Members::Run { base, stride } => {
+                        w.count(cell.count as usize);
+                        for i in 0..cell.count {
+                            w.u64(run_member(base, stride, i).0);
+                        }
+                    }
+                    Members::List(ref members) => {
+                        w.count(members.len());
+                        for m in members {
+                            w.u64(m.0);
+                        }
+                    }
+                },
             }
         }
         w.count(locs.len());
@@ -1346,7 +1681,10 @@ impl Plane {
             w.u32(cell);
             w.u32(match at.slot.home() {
                 Home::Slot(_) => 0,
-                Home::Slab { idx, .. } => idx,
+                Home::Slab { cell, idx } => match self.cells.get(cell).members {
+                    Members::Run { base, stride } => run_index(base, stride, at.addr),
+                    Members::List(_) => idx,
+                },
             });
         }
         let chunks = ix.store.lane_byte_mode_chunks(self.lane);
@@ -1423,6 +1761,7 @@ impl Plane {
             for _ in 0..m {
                 members.push(Addr(r.u64()?));
             }
+            let members = Members::run_of(&members).unwrap_or(Members::List(members));
             let cell = Cell {
                 clock,
                 state,
@@ -1455,20 +1794,29 @@ impl Plane {
             })?;
             let idx = r.u32()?;
             let slot = match cell.map(Slot::home) {
-                Some(Home::Slab { cell, .. }) if idx >> MEMBER_BITS == 0 => {
-                    Slot::reference(cell, idx)
+                Some(Home::Slab { cell: id, .. }) => {
+                    let cell = plane.cells.get(id);
+                    match cell.members {
+                        // A run member's slot holds no index; the wire's
+                        // must be the one its address gives.
+                        Members::Run { base, stride } => (idx < cell.count
+                            && run_member(base, stride, idx) == addr)
+                            .then(|| Slot::reference(id, 0)),
+                        Members::List(_) => {
+                            (idx >> MEMBER_BITS == 0).then(|| Slot::reference(id, idx))
+                        }
+                    }
                 }
                 Some(Home::Slot(_)) if idx == 0 => {
                     plane.in_slot += 1;
-                    cell.take().expect("just matched")
+                    cell.take()
                 }
-                _ => {
-                    return Err(TraceError::Malformed {
-                        offset: at,
-                        what: "location disagrees with the cell it names",
-                    })
-                }
+                _ => None,
             };
+            let slot = slot.ok_or(TraceError::Malformed {
+                offset: at,
+                what: "location disagrees with the cell it names",
+            })?;
             ix.insert(plane.lane, addr, slot);
         }
         if plane.in_slot != solos {

@@ -214,6 +214,13 @@ fn apply(ix: &mut Index, p: &mut Plane, op: &PlaneOp) -> u32 {
             }
         }
     }
+    check(ix, p);
+    moves
+}
+
+/// Checks the plane's invariants and that it survives a save and restore
+/// whose encoding is canonical; returns the restored plane.
+fn check(ix: &Index, p: &Plane) -> (Index, Plane) {
     p.check_invariants(ix);
     let bytes = encoded(ix, p);
     let mut r = SnapshotReader::new(&bytes, *b"TEST", 1, Default::default()).unwrap();
@@ -226,7 +233,7 @@ fn apply(ix: &mut Index, p: &mut Plane, op: &PlaneOp) -> u32 {
         bytes,
         "the encoding is canonical"
     );
-    moves
+    (restored_ix, restored)
 }
 
 proptest! {
@@ -281,6 +288,232 @@ fn long_sequence_crosses_every_clock_and_cell_move() {
     assert!(
         moves == EVERY_MOVE,
         "moves left unexercised (bit numbers): {missing:?}"
+    );
+}
+
+/// The forms a group's member sequence takes (`plane.rs`, "Group
+/// members"), as bits of a coverage mask: a run that extends, upward and
+/// downward,
+const RUN_EXTENDED_UP: u32 = 1;
+const RUN_EXTENDED_DOWN: u32 = 1 << 1;
+/// a run that stays one when its last member leaves or a free cuts it at
+/// either end,
+const RUN_KEPT_BY_LAST_DETACH: u32 = 1 << 2;
+const RUN_KEPT_BY_PREFIX_CUT: u32 = 1 << 3;
+const RUN_KEPT_BY_SUFFIX_CUT: u32 = 1 << 4;
+/// a run that becomes a list,
+const LIST_BY_OFF_STRIDE_JOIN: u32 = 1 << 5;
+const LIST_BY_DETACH: u32 = 1 << 6;
+const LIST_BY_MIDDLE_CUT: u32 = 1 << 7;
+/// and an arithmetic list that a restore turns back into a run.
+const RUN_BY_DECODE: u32 = 1 << 8;
+const EVERY_RUN_MOVE: u32 = (1 << 9) - 1;
+
+/// A group as a list of members would hold it — joins append, a detach is
+/// a `swap_remove`, a free keeps the survivors in order — and whether the
+/// plane must hold it as a run.
+#[derive(Debug)]
+struct Group {
+    seq: Vec<Addr>,
+    run: bool,
+}
+
+/// The step from `seq`'s first member to its second, if every member is
+/// one such step from the one before without wrapping, and the step is
+/// not zero.
+fn run_stride(seq: &[Addr]) -> Option<i64> {
+    let [a, b, ..] = *seq else { return None };
+    let stride = b.0.wrapping_sub(a.0) as i64;
+    let step = |w: &[Addr]| w[0].0.checked_add_signed(stride) == Some(w[1].0);
+    (stride != 0 && seq.windows(2).all(step)).then_some(stride)
+}
+
+/// The plane's groups, modelled: every group, and the group of each
+/// member.
+#[derive(Default)]
+struct Groups(Vec<Group>);
+
+impl Groups {
+    fn of(&self, a: Addr) -> Option<usize> {
+        self.0.iter().position(|g| g.seq.contains(&a))
+    }
+
+    /// `addr` joins the group of `n`: the moves it makes.
+    fn join(&mut self, addr: Addr, n: Addr) -> u32 {
+        let Some(g) = self.of(n) else {
+            let seq = vec![n, addr];
+            let run = run_stride(&seq).is_some();
+            self.0.push(Group { seq, run });
+            return 0;
+        };
+        let g = &mut self.0[g];
+        let last = *g.seq.last().expect("a group has members");
+        g.seq.push(addr);
+        if !g.run {
+            return 0;
+        }
+        let stride = run_stride(&g.seq[..2]).expect("a run is arithmetic");
+        match (
+            last.0.checked_add_signed(stride) == Some(addr.0),
+            stride > 0,
+        ) {
+            (true, true) => RUN_EXTENDED_UP,
+            (true, false) => RUN_EXTENDED_DOWN,
+            (false, _) => {
+                g.run = false;
+                LIST_BY_OFF_STRIDE_JOIN
+            }
+        }
+    }
+
+    /// `addr` leaves its group, if it has one: the moves it makes.
+    fn detach(&mut self, addr: Addr) -> u32 {
+        let Some(gi) = self.of(addr) else { return 0 };
+        let g = &mut self.0[gi];
+        let i = g.seq.iter().position(|&m| m == addr).expect("a member");
+        let last = i == g.seq.len() - 1;
+        g.seq.swap_remove(i);
+        if g.seq.len() == 1 {
+            self.0.swap_remove(gi);
+            0
+        } else if !g.run {
+            0
+        } else if last {
+            RUN_KEPT_BY_LAST_DETACH
+        } else {
+            g.run = false;
+            LIST_BY_DETACH
+        }
+    }
+
+    /// The members in `gone` leave: the moves that makes.
+    fn cut(&mut self, gone: impl Fn(Addr) -> bool) -> u32 {
+        let mut moves = 0;
+        for g in &mut self.0 {
+            let (first, last) = (g.seq[0], *g.seq.last().unwrap());
+            let had = g.seq.len();
+            g.seq.retain(|&m| !gone(m));
+            if !g.run || g.seq.len() == had || g.seq.len() < 2 {
+                continue;
+            }
+            moves |= match (gone(first), gone(last)) {
+                (true, _) => RUN_KEPT_BY_PREFIX_CUT,
+                (_, true) => RUN_KEPT_BY_SUFFIX_CUT,
+                _ => {
+                    g.run = false;
+                    LIST_BY_MIDDLE_CUT
+                }
+            };
+        }
+        self.0.retain(|g| g.seq.len() > 1);
+        moves
+    }
+
+    /// A save and restore: every arithmetic list becomes a run.
+    fn restore(&mut self) -> u32 {
+        let mut moves = 0;
+        for g in self.0.iter_mut().filter(|g| !g.run) {
+            if run_stride(&g.seq).is_some() {
+                g.run = true;
+                moves |= RUN_BY_DECODE;
+            }
+        }
+        moves
+    }
+
+    /// The plane holds each group with the members and the form modelled.
+    fn check(&self, ix: &Index, p: &Plane) {
+        for g in &self.0 {
+            let at = p.lookup(ix, g.seq[0]).expect("a member exists");
+            let mut sorted = g.seq.clone();
+            sorted.sort_unstable();
+            assert_eq!(p.group_members(ix, g.seq[0]), sorted);
+            assert_eq!(p.is_run(at), g.run, "the form of {:?}", g.seq);
+        }
+    }
+}
+
+/// One long fixed-seed sequence that grows groups upward and downward
+/// over sixteen slots and detaches, frees, joins off the stride and saves
+/// and restores them, checked against the [`Groups`] model after every
+/// step: it moves a group between run and list in every way there is.
+#[test]
+fn runs_grow_both_ways_and_cross_every_form_change() {
+    // splitmix64
+    let mut state = 0x7275_6e73u64;
+    let mut next = move |n: u64| {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n) as u8
+    };
+    let (mut ix, mut p) = (Index::new(), Plane::new(AccessKind::Read));
+    let mut model = Groups::default();
+    let mut moves = 0;
+    for _ in 0..4000 {
+        let a = next(16);
+        let exists =
+            |ix: &Index, p: &Plane, slot: u8| slot < 16 && p.lookup(ix, addr(slot)).is_some();
+        match next(16) {
+            // Grow: join the neighbour below or above, else start afresh.
+            0..=7 => {
+                if exists(&ix, &p, a) {
+                    continue;
+                }
+                let below = a.checked_sub(1).filter(|&b| exists(&ix, &p, b));
+                let above = Some(a + 1).filter(|&b| exists(&ix, &p, b));
+                let up = next(2) == 0;
+                match if up { below.or(above) } else { above.or(below) } {
+                    Some(n) => {
+                        let n = p.lookup(&ix, addr(n)).unwrap();
+                        moves |= model.join(addr(a), n.addr());
+                        p.insert_shared(&mut ix, addr(a), n);
+                    }
+                    None => {
+                        let clock = AccessClock::Epoch(Epoch::new(1, Tid(0)));
+                        p.insert_private(&mut ix, addr(a), clock, VcState::FirstEpochShared);
+                    }
+                }
+            }
+            // Join a member anywhere.
+            8 => {
+                let n = next(16);
+                if !exists(&ix, &p, a) && exists(&ix, &p, n) {
+                    let n = p.lookup(&ix, addr(n)).unwrap();
+                    moves |= model.join(addr(a), n.addr());
+                    p.insert_shared(&mut ix, addr(a), n);
+                }
+            }
+            9 => {
+                if let Some(at) = p.lookup(&ix, addr(a)) {
+                    moves |= model.detach(addr(a));
+                    p.split(&mut ix, at);
+                }
+            }
+            10 => {
+                moves |= model.detach(addr(a));
+                p.remove(&mut ix, addr(a));
+            }
+            11..=14 => {
+                let n = 1 + next(4);
+                let (lo, hi) = (addr(a), addr(a + n));
+                moves |= model.cut(|m| m.0 >= lo.0 && m.0 < hi.0);
+                ix.remove_range([&mut p], lo, hi.0 - lo.0);
+            }
+            // Continue on the plane a save and restore gives.
+            _ => {
+                (ix, p) = check(&ix, &p);
+                moves |= model.restore();
+            }
+        }
+        check(&ix, &p);
+        model.check(&ix, &p);
+    }
+    let missing: Vec<u32> = (0..9).filter(|bit| moves & (1 << bit) == 0).collect();
+    assert!(
+        moves == EVERY_RUN_MOVE,
+        "form changes left unexercised (bit numbers): {missing:?}"
     );
 }
 

@@ -205,21 +205,18 @@ pub fn decode_races(r: &mut SnapshotReader<'_>) -> Result<Vec<RaceReport>, Trace
     Ok(races)
 }
 
-/// Serializes a shadow store: populated cells sorted by address, then the
-/// byte-mode chunk list. `enc` writes one cell.
+/// Serializes a shadow store: populated cells in ascending address order,
+/// then the byte-mode chunk list. `enc` writes one cell.
 pub fn encode_store<T, S: ShadowStore<T>>(
     w: &mut SnapshotWriter,
     store: &S,
     mut enc: impl FnMut(&mut SnapshotWriter, &T),
 ) {
-    let mut addrs: Vec<Addr> = Vec::with_capacity(store.len());
-    store.for_each(|addr, _| addrs.push(addr));
-    addrs.sort_unstable();
-    w.count(addrs.len());
-    for addr in addrs {
+    w.count(store.len());
+    store.for_each(|addr, cell| {
         w.u64(addr.0);
-        enc(w, store.get(addr).expect("cell enumerated by for_each"));
-    }
+        enc(w, cell);
+    });
     let chunks = store.byte_mode_chunks();
     w.count(chunks.len());
     for chunk in chunks {

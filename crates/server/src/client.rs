@@ -92,15 +92,33 @@ impl Client {
             session: session.to_string(),
             detector: detector.to_string(),
         };
-        proto::send(&mut &stream, FRAME_HELLO, &hello.encode())?;
+        Client::handshake(stream, &hello)
+    }
+
+    /// Says `HELLO` on `stream` and reads the server's answer.
+    ///
+    /// A server that sheds a connection writes `OVERLOADED` and closes it
+    /// at once, possibly before the `HELLO` arrives. The send then fails
+    /// with a broken pipe or a reset, yet the answer is already waiting,
+    /// so one frame is still read; only when there is none does the
+    /// send's error stand.
+    fn handshake(stream: UnixStream, hello: &Hello) -> Result<Client, ClientError> {
+        use std::io::ErrorKind::{BrokenPipe, ConnectionReset};
+        let unsent = match proto::send(&mut &stream, FRAME_HELLO, &hello.encode()) {
+            Ok(()) => None,
+            Err(e) if matches!(e.kind(), BrokenPipe | ConnectionReset) => Some(e),
+            Err(e) => return Err(e.into()),
+        };
         let mut offset = 0u64;
-        let frame = match proto::recv(&mut &stream, &mut offset)? {
-            Some(f) => f,
-            None => {
+        let frame = match (proto::recv(&mut &stream, &mut offset), unsent) {
+            (Ok(Some(f)), _) => f,
+            (_, Some(e)) => return Err(e.into()),
+            (Ok(None), None) => {
                 return Err(ClientError::Protocol(
                     "server closed during handshake".to_string(),
                 ))
             }
+            (Err(e), None) => return Err(e.into()),
         };
         let welcome = match frame.kind {
             FRAME_WELCOME => Welcome::decode(&frame.payload).map_err(ClientError::Protocol)?,
@@ -296,3 +314,26 @@ const _: fn() = || {
     fn assert_read<R: Read>() {}
     assert_read::<&UnixStream>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shed that lands before the `HELLO` is written: the peer has
+    /// already answered `OVERLOADED` and closed, so the send breaks, and
+    /// the answer must still be what the caller sees.
+    #[test]
+    fn a_shed_before_hello_is_still_overloaded() {
+        let (ours, server) = UnixStream::pair().expect("socket pair");
+        proto::send(&mut &server, FRAME_OVERLOADED, &[]).expect("shed");
+        drop(server);
+        let hello = Hello {
+            session: "late".to_string(),
+            detector: "byte".to_string(),
+        };
+        assert_eq!(
+            Client::handshake(ours, &hello).err(),
+            Some(ClientError::Overloaded)
+        );
+    }
+}

@@ -211,9 +211,12 @@ impl<T, const N: usize> PagedShadow<T, N> {
         out
     }
 
-    /// Every resident chunk with its base address, in arena order.
+    /// Every resident chunk with its base address, in ascending address
+    /// order: the directories sorted by key, each one's chunks in place.
     fn chunks(&self) -> impl Iterator<Item = (u64, &Chunk<T, N>)> {
-        self.dirs.iter().flatten().flat_map(|dir| {
+        let mut dirs: Vec<&Directory<T, N>> = self.dirs.iter().flatten().collect();
+        dirs.sort_unstable_by_key(|dir| dir.key);
+        dirs.into_iter().flat_map(|dir| {
             let resident = dir.chunks.iter().enumerate();
             resident.filter_map(|(ci, chunk)| Some((chunk_base(dir.key, ci), chunk.as_deref()?)))
         })
@@ -357,9 +360,7 @@ impl<T: std::fmt::Debug, const N: usize> ShadowStore<T, N> for PagedShadow<T, N>
 
     fn lane_byte_mode_chunks(&self, lane: usize) -> Vec<Addr> {
         let byte_mode = self.chunks().filter(|(_, chunk)| chunk.is_byte_mode(lane));
-        let mut out: Vec<Addr> = byte_mode.map(|(base, _)| Addr(base)).collect();
-        out.sort_unstable();
-        out
+        byte_mode.map(|(base, _)| Addr(base)).collect()
     }
 
     fn lane_force_byte_mode(&mut self, lane: usize, addr: Addr) {

@@ -127,7 +127,7 @@ pub trait ShadowStore<T, const N: usize = 1>: Default + Debug {
     /// + slot arrays).
     fn lane_bytes(&self, lane: usize) -> usize;
 
-    /// Applies `f` to every cell of `lane`, in unspecified order.
+    /// Applies `f` to every cell of `lane`, in ascending address order.
     fn lane_for_each(&self, lane: usize, f: impl FnMut(Addr, &T));
 
     /// Base addresses of the chunks where `lane` is in byte mode, in
@@ -223,7 +223,7 @@ pub trait ShadowStore<T, const N: usize = 1>: Default + Debug {
         self.lane_bytes(0)
     }
 
-    /// Applies `f` to every populated cell, in unspecified order.
+    /// Applies `f` to every populated cell, in ascending address order.
     fn for_each(&self, f: impl FnMut(Addr, &T)) {
         self.lane_for_each(0, f);
     }
@@ -467,7 +467,6 @@ mod contract {
         t.insert(Addr(0x2024), 4);
         let mut got = Vec::new();
         t.for_each(|a, &v| got.push((a.0, v)));
-        got.sort();
         assert_eq!(got, vec![(0x0, 1), (0x11, 2), (0x24, 3), (0x2024, 4)]);
     }
 

@@ -54,6 +54,14 @@ impl<T, const N: usize> ShadowTable<T, N> {
             self.entries.remove(at.at);
         }
     }
+
+    /// Every chunk with its key, in ascending key order — ascending
+    /// address order for the cells, as each chunk yields its own.
+    fn ascending(&self) -> Vec<(u64, &Chunk<T, N>)> {
+        let mut chunks: Vec<_> = self.entries.iter().collect();
+        chunks.sort_unstable_by_key(|&(key, _)| key);
+        chunks
+    }
 }
 
 impl<T: std::fmt::Debug, const N: usize> ShadowStore<T, N> for ShadowTable<T, N> {
@@ -163,19 +171,15 @@ impl<T: std::fmt::Debug, const N: usize> ShadowStore<T, N> for ShadowTable<T, N>
     }
 
     fn lane_for_each(&self, lane: usize, mut f: impl FnMut(Addr, &T)) {
-        for (key, chunk) in self.entries.iter() {
+        for (key, chunk) in self.ascending() {
             chunk.for_each(lane, key << CHUNK_SHIFT, &mut f);
         }
     }
 
     fn lane_byte_mode_chunks(&self, lane: usize) -> Vec<Addr> {
-        let byte_mode = self
-            .entries
-            .iter()
-            .filter(|(_, chunk)| chunk.is_byte_mode(lane));
-        let mut out: Vec<Addr> = byte_mode.map(|(key, _)| Addr(key << CHUNK_SHIFT)).collect();
-        out.sort_unstable();
-        out
+        let chunks = self.ascending().into_iter();
+        let byte_mode = chunks.filter(|(_, chunk)| chunk.is_byte_mode(lane));
+        byte_mode.map(|(key, _)| Addr(key << CHUNK_SHIFT)).collect()
     }
 
     fn lane_force_byte_mode(&mut self, lane: usize, addr: Addr) {
