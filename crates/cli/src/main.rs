@@ -27,7 +27,7 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use dgrace_analysis::analyze_with_stats;
@@ -46,8 +46,9 @@ use dgrace_trace::io::{
     read_trace_with, summary_from_bytes, summary_to_bytes, write_trace, EventReader,
 };
 use dgrace_trace::{
-    stats::stats, validate, AnalysisSummary, BlockReader, DecodeLimits, DecodeStats, EventSource,
-    LocationClass, PruneSet, ReadOptions, Trace, TraceError, TraceFacts, ValidationError,
+    stats::stats, validate, write_file_atomic, AnalysisSummary, BlockReader, DecodeLimits,
+    DecodeStats, EventSource, LocationClass, PruneSet, ReadOptions, Trace, TraceError, TraceFacts,
+    ValidationError,
 };
 use dgrace_workloads::{Workload, WorkloadKind};
 
@@ -420,35 +421,6 @@ fn cmd_analyze(rest: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Loads the `.dgas` summary at `path` and checks it was produced from
-/// the trace being detected (pruning with a summary from a *different*
-/// trace would be unsound): the event count first, then the content
-/// fingerprint the scan took. Either mismatch is [`Failure::Stale`]
-/// (exit 8), so scripts can distinguish "re-run analyze" from a corrupt
-/// file or a bad invocation.
-fn load_summary(path: &str, facts: &TraceFacts) -> Result<AnalysisSummary, Failure> {
-    let bytes = std::fs::read(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
-    let summary = summary_from_bytes(&bytes).map_err(|e| decode_failure(path, &e, false))?;
-    if summary.trace_events != facts.events {
-        return Err(Failure::Stale(format!(
-            "summary {path} was built from a {}-event trace, but this trace has {} events \
-             (re-run `dgrace analyze`)",
-            summary.trace_events, facts.events
-        )));
-    }
-    let fp = facts
-        .fingerprint
-        .expect("the scan fingerprints the trace whenever --prune-with is given");
-    if summary.fingerprint != fp {
-        return Err(Failure::Stale(format!(
-            "summary {path} was built from a different trace (fingerprint {:#018x}, this trace \
-             is {fp:#018x}); re-run `dgrace analyze`",
-            summary.fingerprint
-        )));
-    }
-    Ok(summary)
-}
-
 /// Compiles a prune set matched to the detector: the granule is the
 /// detector's location width (an access is only pruned when every
 /// granule it touches is provably race-free), and the dynamic detector
@@ -481,58 +453,19 @@ fn decode_failure(path: &str, e: &TraceError, resync_available: bool) -> Failure
     Failure::Decode(format!("decode {path}: {e}{hint}"))
 }
 
-/// The trace `detect` or `feed` was pointed at. It is read once, except
-/// in the modes that need a fact about the whole trace before the first
-/// event (DESIGN.md §9.2), which scan it first (`feed` always does). A
-/// regular file is opened again for the second pass. Anything else — a
-/// pipe, `/dev/stdin`, a process substitution — yields its bytes only
-/// once: read once, it is decoded straight from the stream; scanned,
-/// its bytes are kept for both passes (the encoded stream, 9–21 bytes a
-/// record, never the decoded events).
-struct TraceInput<'p> {
-    path: &'p str,
-    /// The input as opened, until a pass takes it.
-    file: Option<File>,
-    /// The stream's bytes, when a scanned input cannot be opened a
-    /// second time.
-    spooled: Option<Vec<u8>>,
-}
+/// The reader `detect` and `feed` decode from. Boxed: the decoder built
+/// for a bare `File` ran the plain `sync` ledger input 4 % slower.
+type Source = BlockReader<Box<dyn Read>>;
 
-impl<'p> TraceInput<'p> {
-    fn of(path: &'p str, scanned: bool) -> Result<Self, Failure> {
-        let mut f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
-        if !scanned || f.metadata().is_ok_and(|m| m.is_file()) {
-            return Ok(TraceInput {
-                path,
-                file: Some(f),
-                spooled: None,
-            });
-        }
-        let mut bytes = Vec::new();
-        f.read_to_end(&mut bytes)
-            .map_err(|e| decode_failure(path, &TraceError::Io(e), false))?;
-        Ok(TraceInput {
-            path,
-            file: None,
-            spooled: Some(bytes),
-        })
-    }
-
-    /// Starts a pass: a validating reader at the first event, header
-    /// checked.
-    fn open(&mut self, resync: bool) -> Result<BlockReader<Box<dyn Read + '_>>, Failure> {
-        let path = self.path;
-        let bytes: Box<dyn Read + '_> = match (&self.spooled, self.file.take()) {
-            (Some(bytes), _) => Box::new(&bytes[..]),
-            (None, Some(f)) => Box::new(f),
-            (None, None) => {
-                Box::new(File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?)
-            }
-        };
-        EventReader::with_options(bytes, read_options(resync))
-            .map(BlockReader::new)
-            .map_err(|e| decode_failure(path, &e, !resync))
-    }
+/// Opens the trace `detect` or `feed` was pointed at, as a validating
+/// reader at its first event, header checked. The trace is read once, a
+/// block at a time (DESIGN.md §9.2), so a pipe, `/dev/stdin` or a process
+/// substitution costs what the file costs.
+fn open_trace(path: &str, resync: bool) -> Result<Source, Failure> {
+    let f = File::open(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
+    EventReader::with_options(Box::new(f) as Box<dyn Read>, read_options(resync))
+        .map(BlockReader::new)
+        .map_err(|e| decode_failure(path, &e, !resync))
 }
 
 fn read_options(resync: bool) -> ReadOptions {
@@ -585,52 +518,140 @@ fn load_trace(path: &str, resync: bool) -> Result<Trace, Failure> {
     Ok(trace)
 }
 
-/// The end of a pass that tallies the trace: reads what is left of it
-/// (nothing, after a run fed it to the end), then hands the facts on
-/// once `check_decoded` has passed them — decode errors first.
-fn settle(
-    path: &str,
+/// What a run owes its trace once its one pass is over: everything a
+/// read of the whole file before the run would have reported, in the
+/// order it would have reported it, before anything is printed.
+struct Checks<'a> {
+    path: &'a str,
     resync: bool,
-    mut source: BlockReader<impl Read>,
-) -> Result<TraceFacts, Failure> {
-    source
-        .drain()
-        .map_err(|e| decode_failure(path, &e, !resync))?;
-    let facts = source.finish().expect("a reader nobody counted tallies");
-    check_decoded(path, resync, &facts.dstats, &facts.valid)?;
-    Ok(facts)
+    /// The `--prune-with` summary, once loaded: its path, and the event
+    /// count and fingerprint of the trace it was built from.
+    summary: Option<(&'a str, u64, u64)>,
 }
 
-/// `e`, a failure to build the detector, unless the trace has a defect
-/// to report first: a one-pass run meets its trace's defects only after
-/// building the detector, and they are reported as if the trace had
-/// been read first, as a scanned run reads it.
-fn trace_first(
-    e: Failure,
-    path: &str,
-    resync: bool,
-    scanned: bool,
-    source: BlockReader<impl Read>,
-) -> Failure {
-    if scanned {
-        return e;
+impl<'a> Checks<'a> {
+    /// A decode error of the trace: the file, the offset, the hint.
+    fn decode(&self, e: &TraceError) -> Failure {
+        decode_failure(self.path, e, !self.resync)
     }
-    settle(path, resync, source).err().unwrap_or(e)
+
+    /// Loads the `.dgas` summary at `path`, to be checked against the
+    /// trace when the pass is over, and compiles its prune set.
+    fn prune_with(&mut self, path: &'a str, det_name: &str) -> Result<PruneSet, Failure> {
+        let bytes = std::fs::read(path).map_err(|e| Failure::Io(format!("open {path}: {e}")))?;
+        let summary = summary_from_bytes(&bytes).map_err(|e| decode_failure(path, &e, false))?;
+        self.summary = Some((path, summary.trace_events, summary.fingerprint));
+        Ok(compile_prune(det_name, &summary)?)
+    }
+
+    /// Reads what is left of the trace (nothing, after a run fed it to
+    /// the end) and hands its facts on once they pass: decode errors
+    /// first, then `check_decoded`, then the summary's staleness — the
+    /// event count, then the content fingerprint the pass took. A
+    /// summary built from another trace would make pruning unsound; it
+    /// is [`Failure::Stale`] (exit 8), so scripts can tell "re-run
+    /// analyze" from a corrupt file or a bad invocation.
+    fn settle(&self, mut source: Source) -> Result<TraceFacts, Failure> {
+        source.drain().map_err(|e| self.decode(&e))?;
+        let facts = source.finish();
+        check_decoded(self.path, self.resync, &facts.dstats, &facts.valid)?;
+        let Some((path, _, fingerprint)) = self.summary else {
+            return Ok(facts);
+        };
+        if let Some(stale) = self.stale_count(facts.events) {
+            return Err(stale);
+        }
+        let fp = facts
+            .fingerprint
+            .expect("a run given --prune-with fingerprints its trace");
+        if fingerprint != fp {
+            return Err(Failure::Stale(format!(
+                "summary {path} was built from a different trace (fingerprint \
+                 {fingerprint:#018x}, this trace is {fp:#018x}); re-run `dgrace analyze`"
+            )));
+        }
+        Ok(facts)
+    }
+
+    /// The summary is stale if it was built from a trace of other than
+    /// `events` events.
+    fn stale_count(&self, events: u64) -> Option<Failure> {
+        let (path, built, _) = self.summary?;
+        (built != events).then(|| {
+            Failure::Stale(format!(
+                "summary {path} was built from a {built}-event trace, but this trace has \
+                 {events} events (re-run `dgrace analyze`)"
+            ))
+        })
+    }
+
+    /// `e`, a failure to set up or run the detector, unless the trace has
+    /// something to report first: the run meets its trace's defects only
+    /// as it reads it, and they are reported as if it had been read
+    /// before anything else.
+    fn first(&self, e: Failure, source: Source) -> Failure {
+        self.settle(source).err().unwrap_or(e)
+    }
+
+    /// A failed run: the trace's own error is reported as it is (the
+    /// reader stops at it), any other gives way to [`Checks::first`].
+    /// I/O trouble with checkpoints is exit 3, a torn or truncated
+    /// manifest exit 4, and resuming against the wrong detector, shard
+    /// count or trace exit 5.
+    fn failed(&self, e: ReplayError, source: Source) -> Failure {
+        let e = match e {
+            ReplayError::Source(e) => return self.decode(&e),
+            ReplayError::Io(m) => Failure::Io(m),
+            ReplayError::Corrupt(m) => Failure::Decode(m),
+            ReplayError::Mismatch(m) => Failure::Invalid(m),
+        };
+        self.first(e, source)
+    }
 }
 
-/// The first pass of a scanned `detect` (DESIGN.md §9.2): the reader the
-/// detector would be fed from, drained with no detector, so everything
-/// that can be wrong with the input is reported before the detector sees
-/// an event.
-fn scan(input: &mut TraceInput, resync: bool, fingerprint: bool) -> Result<TraceFacts, Failure> {
-    let path = input.path;
-    let reader = input.open(resync)?;
-    let reader = if fingerprint {
-        reader.fingerprinted()
-    } else {
-        reader
-    };
-    settle(path, resync, reader)
+/// What a checkpointed run takes back when it fails a check that a read
+/// of its whole trace first would have failed before any manifest was
+/// written (DESIGN.md §9.2).
+enum Undo {
+    /// Nothing: a directory that was there before the run keeps its
+    /// manifest, which covers a valid prefix of the trace.
+    Keep,
+    /// The outermost directory the run created, with all it holds.
+    Remove(PathBuf),
+    /// A pruned run's manifests were built with a prune set that is only
+    /// verified when the pass ends: the manifest file the directory held
+    /// before the run, and its bytes (`None`: there was none).
+    Restore(PathBuf, Option<Vec<u8>>),
+}
+
+impl Undo {
+    /// How to undo a run checkpointing into `dir`, `pruned` or not.
+    fn plan(dir: &Path, pruned: bool) -> Result<Undo, Failure> {
+        let missing = dir
+            .ancestors()
+            .take_while(|d| !d.as_os_str().is_empty() && !d.exists());
+        if let Some(top) = missing.last() {
+            return Ok(Undo::Remove(top.to_path_buf()));
+        }
+        if !pruned {
+            return Ok(Undo::Keep);
+        }
+        let file = dir.join(CHECKPOINT_FILE);
+        match std::fs::read(&file) {
+            Ok(bytes) => Ok(Undo::Restore(file, Some(bytes))),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Undo::Restore(file, None)),
+            Err(e) => Err(Failure::Io(format!("read {}: {e}", file.display()))),
+        }
+    }
+
+    fn apply(self) {
+        let _ = match self {
+            Undo::Keep => Ok(()),
+            Undo::Remove(dir) => std::fs::remove_dir_all(dir),
+            Undo::Restore(file, Some(bytes)) => write_file_atomic(&file, &bytes),
+            Undo::Restore(file, None) => std::fs::remove_file(file),
+        };
+    }
 }
 
 /// Prototype for the sharded engine, for the detectors that support
@@ -714,21 +735,6 @@ fn parse_interval(v: &str) -> Result<CheckpointInterval, Failure> {
     Ok(iv)
 }
 
-/// Maps a replay failure onto the stable exit-code classes: i/o trouble
-/// writing or reading checkpoints is exit 3, a torn or truncated
-/// manifest is exit 4 (decode), a trace that fails to read or decode
-/// part way is the decode failure the serial path reports, and resuming
-/// against the wrong detector, shard count, or trace is exit 5
-/// (validation).
-fn replay_failure(path: &str, resync: bool, e: ReplayError) -> Failure {
-    match e {
-        ReplayError::Io(m) => Failure::Io(m),
-        ReplayError::Corrupt(m) => Failure::Decode(m),
-        ReplayError::Mismatch(m) => Failure::Invalid(m),
-        ReplayError::Source(e) => decode_failure(path, &e, !resync),
-    }
-}
-
 fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     let p = Parsed::parse_with_flags(
         rest,
@@ -771,28 +777,32 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
         .map_err(Failure::Usage)?;
 
     let resync = p.flag("--resync");
-    let prune_with = p.opt("--prune-with");
     let ckpt_some = ckpt_dir.is_some() || resume_dir.is_some();
-    // The modes that need a fact about the whole trace before its first
-    // event scan it first (DESIGN.md §9.2): a checkpoint manifest records
-    // the trace's length and a resume checks it, and a summary must be
-    // found fresh before pruning starts. Every other run reads its trace
-    // once.
-    let scanned = ckpt_some || prune_with.is_some();
-    let mut input = TraceInput::of(path, scanned)?;
-    let scanned_facts = if scanned {
-        Some(scan(&mut input, resync, prune_with.is_some())?)
-    } else {
-        None
+    // Every mode reads its trace once (DESIGN.md §9.2). What a read of
+    // the whole file first would have reported — a defect, a stale
+    // summary — is reported when the pass is over, before any output.
+    let mut source = open_trace(path, resync)?;
+    let mut checks = Checks {
+        path,
+        resync,
+        summary: None,
     };
-    let prune = match (prune_with, &scanned_facts) {
-        (Some(sp), Some(facts)) => compile_prune(det_name, &load_summary(sp, facts)?)?,
-        _ => PruneSet::empty(),
+    let prune = match p.opt("--prune-with") {
+        Some(summary) => {
+            source = source.fingerprinted();
+            let prune = match checks.prune_with(summary, det_name) {
+                Ok(prune) => prune,
+                Err(e) => return Err(checks.first(e, source)),
+            };
+            // Without --resync the header's count is the trace's, so a
+            // summary of another length is stale before anything runs.
+            if let Some(e) = checks.stale_count(source.remaining()).filter(|_| !resync) {
+                return Err(checks.first(e, source));
+            }
+            prune
+        }
+        None => PruneSet::empty(),
     };
-    let mut source = input.open(resync)?;
-    if let Some(facts) = &scanned_facts {
-        source = source.expecting(facts.events);
-    }
 
     let stack = Stack {
         sample,
@@ -801,35 +811,40 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
     };
 
     let start = std::time::Instant::now();
-    let report = if ckpt_some || shards > 1 || pipeline {
+    // What to undo in the checkpoint directory if the pass fails its
+    // checks, and a `--resume` manifest that was not there (said once the
+    // trace has passed).
+    let (mut undo, mut missing) = (Undo::Keep, None);
+    let run = if ckpt_some || shards > 1 || pipeline {
         // The engine path: sharded replay (1 shard is fine) on either
         // transport, with optional durable checkpoints and crash resume.
         let proto = match make_shardable(det_name) {
             Ok(proto) => stack.wrap(proto, |d| Box::new(d)),
-            Err(e) => return Err(trace_first(e, path, resync, scanned, source)),
+            Err(e) => return Err(checks.first(e, source)),
         };
-        let resume = match &resume_dir {
-            Some(d) => {
-                let file = d.join(CHECKPOINT_FILE);
-                let loaded = CheckpointManifest::load(&file).map_err(|e| {
-                    Failure::Decode(format!("load checkpoint {}: {e}", file.display()))
-                })?;
-                if loaded.is_none() {
-                    eprintln!(
-                        "dgrace: note: no checkpoint at {}; starting from the beginning",
-                        file.display()
-                    );
-                }
-                loaded
-            }
+        let manifest = resume_dir.as_ref().map(|d| d.join(CHECKPOINT_FILE));
+        let resume = match manifest.as_deref().map(CheckpointManifest::load) {
             None => None,
+            Some(Ok(loaded)) => loaded,
+            Some(Err(e)) => {
+                let file = manifest.as_deref().expect("loaded").display();
+                let e = Failure::Decode(format!("load checkpoint {file}: {e}"));
+                return Err(checks.first(e, source));
+            }
         };
+        missing = manifest.filter(|_| resume.is_none());
         // `--resume D` without `--checkpoint-dir` keeps checkpointing
         // into D, so an interrupted resume is itself resumable.
         let ckpt = ckpt_dir.or(resume_dir).map(|dir| CheckpointOptions {
             dir,
             every: every.unwrap_or(CheckpointInterval::Events(65536)),
         });
+        if let Some(c) = &ckpt {
+            match Undo::plan(&c.dir, checks.summary.is_some()) {
+                Ok(plan) => undo = plan,
+                Err(e) => return Err(checks.first(e, source)),
+            }
+        }
         let plan = RunPlan {
             shards,
             transport: if pipeline {
@@ -846,28 +861,35 @@ fn cmd_detect(rest: &[String]) -> Result<ExitCode, Failure> {
             // instead of dying mid-trace.
             stop: ckpt_some.then(signals::install_stop_flag),
         };
-        replay(&proto, &mut source, &plan).map_err(|e| replay_failure(path, resync, e))?
+        replay(&proto, &mut source, &plan)
     } else {
         // The direct serial path: the only one the non-shardable
         // detectors (oracle, segment, hybrid, lockset) can run on.
         let mut det = match make_detector(det_name, memory_limit.is_some()) {
             Ok(det) => stack.wrap(det, |d| Box::new(d)),
-            Err(e) => return Err(trace_first(e, path, resync, scanned, source)),
+            Err(e) => return Err(checks.first(e, source)),
         };
         if prune.is_empty() {
             det.run_source(&mut source)
         } else {
             StaticPruneFilter::new(det, prune).run_source(&mut source)
         }
-        .map_err(|e| decode_failure(path, &e, !resync))?
+        .map_err(ReplayError::Source)
     };
-    // A run that read its trace once learns here what a scan would have
-    // reported before it started; its report is not printed unless the
-    // trace passes.
-    let facts = match scanned_facts {
-        Some(facts) => facts,
-        None => settle(path, resync, source)?,
+    let outcome = match run {
+        Ok(report) => checks.settle(source).map(|facts| (report, facts)),
+        Err(e) => Err(checks.failed(e, source)),
     };
+    if let Err(Failure::Decode(_) | Failure::Invalid(_) | Failure::Stale(_)) = &outcome {
+        undo.apply();
+    }
+    let (report, facts) = outcome?;
+    if let Some(file) = missing {
+        eprintln!(
+            "dgrace: note: no checkpoint at {}; starting from the beginning",
+            file.display()
+        );
+    }
     let secs = start.elapsed().as_secs_f64();
     if json_out {
         // Deterministic machine-readable output: no timing, so resumed
@@ -1066,11 +1088,16 @@ fn cmd_feed(rest: &[String]) -> Result<(), Failure> {
     let socket = p.positional(2).ok_or("feed: missing server socket path")?;
     let retries: u32 = p.opt_parse("--retry")?.unwrap_or(0);
     let resync = p.flag("--resync");
-    // Read the way a scanned `detect` reads (DESIGN.md §9.2): a scan
-    // refuses a damaged or invalid trace before connecting, then a
-    // second pass streams it to the server a block at a time.
-    let mut input = TraceInput::of(path, true)?;
-    let facts = scan(&mut input, resync, false)?;
+    // Read once, as `detect` reads (DESIGN.md §9.2): the header is
+    // checked before connecting, the rest as it is sent. A defect found
+    // on the way stops the send without `FINISH`, and the server
+    // quarantines the session as it does any client that goes away.
+    let mut source = open_trace(path, resync)?;
+    let checks = Checks {
+        path,
+        resync,
+        summary: None,
+    };
 
     // The session name is the durable resume identity; default to the
     // trace's file stem so re-feeding the same file resumes it.
@@ -1093,13 +1120,6 @@ fn cmd_feed(rest: &[String]) -> Result<(), Failure> {
 
     let mut client = connect_with_retry(socket, &session, det_name, retries)?;
     let skip = client.start_offset();
-    if skip > facts.events {
-        return Err(Failure::Invalid(format!(
-            "server already covers {skip} events for session `{session}`, but {path} has only \
-             {} — wrong trace for this session?",
-            facts.events
-        )));
-    }
     if skip > 0 {
         eprintln!("dgrace feed: resuming session `{session}`: server covers {skip} events");
     }
@@ -1109,12 +1129,9 @@ fn cmd_feed(rest: &[String]) -> Result<(), Failure> {
              recall may drop, every reported race is still real"
         );
     }
-    let mut source = input.open(resync)?.expecting(facts.events);
     let mut to_skip = skip;
     loop {
-        let block = source
-            .next_block()
-            .map_err(|e| decode_failure(path, &e, !resync))?;
+        let block = source.next_block().map_err(|e| checks.decode(&e))?;
         if block.is_empty() {
             break;
         }
@@ -1123,6 +1140,14 @@ fn cmd_feed(rest: &[String]) -> Result<(), Failure> {
         client
             .send_events(&block[skipped as usize..])
             .map_err(client_failure)?;
+    }
+    let facts = checks.settle(source)?;
+    if skip > facts.events {
+        return Err(Failure::Invalid(format!(
+            "server already covers {skip} events for session `{session}`, but {path} has only \
+             {} — wrong trace for this session?",
+            facts.events
+        )));
     }
     let end = client.finish().map_err(client_failure)?;
     if p.flag("--json") {

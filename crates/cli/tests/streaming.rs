@@ -1,19 +1,19 @@
-//! `dgrace detect` never holds its trace whole. It reads it once, and
-//! validates each block before the detector sees it; only the modes
-//! that need a whole-trace fact first (checkpoints, resume, pruning)
-//! scan it before the feed. Either way, everything that can be
-//! wrong with the input is reported as if the whole file had been read
-//! before detection: same exit code, same message, nothing on stdout,
-//! no side effects.
+//! `dgrace detect` never holds its trace whole. It reads it once, in
+//! every mode, and validates each block before the detector sees it.
+//! Everything that can be wrong with the input is still reported as if
+//! the whole file had been read before detection: same exit code, same
+//! message, nothing on stdout, no checkpoint directory left behind.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-use dgrace_trace::io::to_bytes;
+use dgrace_analysis::analyze;
+use dgrace_trace::io::{read_trace_with, summary_to_bytes, to_bytes};
 use dgrace_trace::{
-    seal_crc, AccessSize, SnapshotWriter, Trace, TraceBuilder, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    seal_crc, AccessSize, ReadOptions, SnapshotWriter, Trace, TraceBuilder, CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
 };
 
 /// Two workers racing on one word, then a few thousand private writes
@@ -226,6 +226,49 @@ fn stale_summary_is_exit_8_by_count_and_by_fingerprint() {
         8,
         &format!("summary {by_print} was built from a different trace (fingerprint 0x"),
     );
+
+    // A pruned run's manifests are built with a prune set verified only
+    // when the pass ends: a stale one leaves a checkpoint directory as it
+    // found it.
+    let ckpt = dir.join("ckpt");
+    let ckpt = ckpt.to_str().unwrap();
+    let out = dgrace(&[
+        "detect",
+        "dynamic",
+        &this,
+        "--checkpoint-dir",
+        ckpt,
+        "--checkpoint-every",
+        "60",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let manifest = Path::new(ckpt).join("checkpoint.dgcp");
+    let before = std::fs::read(&manifest).expect("a manifest at event 180");
+
+    // A resumed run writes manifests at events 190 and 200 before the
+    // pass ends; the summary of the twin is found stale only then.
+    for stale in [&by_count, &by_print] {
+        let args = ["--prune-with", stale, "--checkpoint-every", "10"];
+        let run = |how: &str, dir: &str| {
+            dgrace(&[&["detect", "dynamic", &this, how, dir], &args[..]].concat())
+        };
+        let out = run("--resume", ckpt);
+        assert_eq!(out.status.code(), Some(8), "{stale}: {}", stderr(&out));
+        assert!(out.stdout.is_empty());
+        assert!(std::fs::read(&manifest).unwrap() == before, "{stale}");
+
+        // An empty directory stays empty; one the run made, any number
+        // of levels deep, is gone.
+        let empty = dir.join("empty");
+        std::fs::create_dir_all(&empty).unwrap();
+        let out = run("--checkpoint-dir", empty.to_str().unwrap());
+        assert_eq!(out.status.code(), Some(8), "{stale}: {}", stderr(&out));
+        assert_eq!(std::fs::read_dir(&empty).unwrap().count(), 0, "{stale}");
+        let deep = dir.join("new/a/b");
+        let out = run("--checkpoint-dir", deep.to_str().unwrap());
+        assert_eq!(out.status.code(), Some(8), "{stale}: {}", stderr(&out));
+        assert!(!dir.join("new").exists(), "{stale}");
+    }
 }
 
 #[test]
@@ -412,8 +455,7 @@ fn resync_reports_its_loss_and_detects_the_rest() {
 
 #[test]
 fn a_pipe_is_detected_like_the_file_it_carries() {
-    // Two passes cannot reopen a pipe; what came through it the first
-    // time has to serve both.
+    // A pipe yields its bytes once, and once is all a run reads them.
     let dir = scratch("pipe");
     let bytes = to_bytes(&racy_trace(6000));
     let path = write(&dir, "t.dgrt", &bytes);
@@ -511,9 +553,41 @@ fn the_last_address_has_no_successor() {
     assert!(report.contains(untainted), "{report}");
 }
 
-/// The three ways a one-pass run can meet its input: the serial path in
-/// text and in JSON, and the engine on the ring transport.
-const ONE_PASS: [&[&str]; 3] = [&[], &["--json"], &["--shards", "2", "--pipeline"]];
+/// The ways a run can meet its input, each as the arguments it adds:
+/// the serial path in text and in JSON, the engine on the ring
+/// transport, a checkpointed run into a directory under `dir` that does
+/// not exist yet, and a run pruned with `summary`.
+fn one_pass_modes(dir: &Path, summary: &str) -> Vec<Vec<String>> {
+    let ckpt = dir.join("one-pass-ckpt");
+    let ckpt = ckpt.to_str().expect("utf-8 path");
+    let modes: [&[&str]; 5] = [
+        &[],
+        &["--json"],
+        &["--shards", "2", "--pipeline"],
+        &["--checkpoint-dir", ckpt, "--checkpoint-every", "100"],
+        &["--prune-with", summary],
+    ];
+    let owned = |mode: &[&str]| mode.iter().map(|a| a.to_string()).collect();
+    modes.into_iter().map(owned).collect()
+}
+
+/// The checkpoint directory a mode names, if it names one.
+fn checkpoint_dir<'a>(mode: &[&'a str]) -> Option<&'a str> {
+    let at = mode.iter().position(|&a| a == "--checkpoint-dir")?;
+    mode.get(at + 1).copied()
+}
+
+/// The `.dgas` summary of the events `bytes` decode to (under resync,
+/// those that survive), written to `dir`: a summary a run over `bytes`
+/// finds fresh.
+fn own_summary(dir: &Path, bytes: &[u8]) -> String {
+    let resync = ReadOptions {
+        resync: true,
+        ..ReadOptions::default()
+    };
+    let (trace, _) = read_trace_with(&mut &bytes[..], resync).expect("decodes under resync");
+    write(dir, "own.dgas", &summary_to_bytes(&analyze(&trace)))
+}
 
 /// `racy_trace(6000)` with a release of a lock nobody holds inserted as
 /// event `at`.
@@ -535,7 +609,9 @@ fn a_decode_error_after_an_invalid_event_wins_in_every_one_pass_mode() {
     let at = record_offset(&bytes, 9000);
     bytes[at] = 0xEE;
     let path = write(&dir, "t.dgrt", &bytes);
-    for extra in ONE_PASS {
+    for mode in one_pass_modes(&dir, &own_summary(&dir, &bytes)) {
+        let extra: Vec<&str> = mode.iter().map(String::as_str).collect();
+        let extra = &extra[..];
         let out = dgrace(&[&["detect", "dynamic", &path], extra].concat());
         assert_rejected(
             &out,
@@ -545,6 +621,9 @@ fn a_decode_error_after_an_invalid_event_wins_in_every_one_pass_mode() {
                  (hint: --resync skips damaged frames and keeps the decodable rest)"
             ),
         );
+        if let Some(ckpt) = checkpoint_dir(extra) {
+            assert!(!Path::new(ckpt).exists(), "the run removed what it created");
+        }
     }
 }
 
@@ -552,11 +631,14 @@ fn a_decode_error_after_an_invalid_event_wins_in_every_one_pass_mode() {
 fn a_late_invalid_event_is_exit_5_with_nothing_printed_in_every_one_pass_mode() {
     let dir = scratch("one-pass-invalid");
     let at = 2 * 6000 + 2;
-    let path = write(&dir, "t.dgrt", &with_invalid_event_at(at));
+    let bytes = with_invalid_event_at(at);
+    let path = write(&dir, "t.dgrt", &bytes);
     let message = format!(
         "dgrace: {path}: invalid trace: event {at}: thread T1 releases L77 it does not hold\n"
     );
-    for extra in ONE_PASS {
+    for mode in one_pass_modes(&dir, &own_summary(&dir, &bytes)) {
+        let extra: Vec<&str> = mode.iter().map(String::as_str).collect();
+        let extra = &extra[..];
         let out = dgrace(&[&["detect", "dynamic", &path], extra].concat());
         assert_eq!(out.status.code(), Some(5), "{extra:?}: {}", stderr(&out));
         assert_eq!(stderr(&out), message, "{extra:?}");
@@ -564,6 +646,9 @@ fn a_late_invalid_event_is_exit_5_with_nothing_printed_in_every_one_pass_mode() 
             out.stdout.is_empty(),
             "{extra:?}: a rejected input prints no report"
         );
+        if let Some(ckpt) = checkpoint_dir(extra) {
+            assert!(!Path::new(ckpt).exists(), "the run removed what it created");
+        }
     }
 }
 
@@ -571,20 +656,33 @@ fn a_late_invalid_event_is_exit_5_with_nothing_printed_in_every_one_pass_mode() 
 fn resync_warns_of_loss_and_of_an_invalid_schedule_in_every_one_pass_mode() {
     // A corrupt record and an invalid event: under --resync both are
     // warnings, and the run reports on what decoded, invalid event
-    // included — as the scanned run (here: the same run with a
-    // checkpoint directory) does, having read the whole file first.
+    // included — as a run over a file holding just those events does.
     let dir = scratch("one-pass-resync");
     let mut bytes = with_invalid_event_at(5000);
     let at = record_offset(&bytes, 9000);
     bytes[at] = 0xEE;
     let path = write(&dir, "t.dgrt", &bytes);
-    // Everything but the `time` line, which varies from run to run.
+    let resync = ReadOptions {
+        resync: true,
+        ..ReadOptions::default()
+    };
+    let (decoded, _) = read_trace_with(&mut &bytes[..], resync).expect("decodes under resync");
+    let decoded = write(&dir, "decoded.dgrt", &to_bytes(&decoded));
+    // Everything but the `time` line, which varies from run to run, and
+    // the JSON's account of what decoding dropped, which marks the report
+    // of the damaged file degraded.
     let report = |out: &Output| {
         let report = String::from_utf8_lossy(&out.stdout).into_owned();
         let lines = report.lines().filter(|l| !l.starts_with("time "));
+        let decode = ["\"decode\":", "\"degraded\":"];
+        let lines = lines.filter(|l| !decode.iter().any(|d| l.trim_start().starts_with(d)));
         lines.collect::<Vec<_>>().join("\n")
     };
-    for (n, extra) in ONE_PASS.into_iter().enumerate() {
+    let summary = own_summary(&dir, &bytes);
+    let references = one_pass_modes(&dir.join("reference"), &summary);
+    for (mode, reference) in one_pass_modes(&dir, &summary).iter().zip(&references) {
+        let extra: Vec<&str> = mode.iter().map(String::as_str).collect();
+        let extra = &extra[..];
         let run = [&["detect", "dynamic", &path, "--resync"], extra].concat();
         let once = dgrace(&run);
         assert_eq!(once.status.code(), Some(0), "{extra:?}: {}", stderr(&once));
@@ -603,11 +701,62 @@ fn resync_warns_of_loss_and_of_an_invalid_schedule_in_every_one_pass_mode() {
         );
         assert!(!once.stdout.is_empty(), "{extra:?}: a report");
 
-        let ckpt = dir.join(format!("ckpt-{n}"));
-        let ckpt = ["--checkpoint-dir", ckpt.to_str().unwrap()];
-        let scanned = dgrace(&[&run[..], &ckpt].concat());
-        assert_eq!(scanned.status.code(), Some(0), "{}", stderr(&scanned));
-        assert_eq!(stderr(&scanned), err, "{extra:?}");
-        assert_eq!(report(&once), report(&scanned), "{extra:?}");
+        let reference: Vec<&str> = reference.iter().map(String::as_str).collect();
+        let args = [&["detect", "dynamic", &decoded, "--resync"], &reference[..]].concat();
+        let whole = dgrace(&args);
+        assert_eq!(whole.status.code(), Some(0), "{}", stderr(&whole));
+        assert_eq!(lines[1].replace(&path, &decoded), stderr(&whole).trim_end());
+        assert_eq!(report(&once), report(&whole), "{extra:?}");
     }
+}
+
+#[test]
+fn a_resume_against_another_trace_is_exit_5_and_a_pipe_resumes_like_the_file() {
+    let dir = scratch("resume-other");
+    let bytes = to_bytes(&racy_trace(100));
+    let this = write(&dir, "this.dgrt", &bytes);
+    let longer = write(&dir, "longer.dgrt", &to_bytes(&racy_trace(101)));
+    // The run finishes; its last manifest, at event 180 of 206, stays.
+    let written = dir.join("written");
+    let out = dgrace(&[
+        "detect",
+        "dynamic",
+        &this,
+        "--checkpoint-dir",
+        written.to_str().unwrap(),
+        "--checkpoint-every",
+        "60",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let manifest = std::fs::read(written.join("checkpoint.dgcp")).expect("a manifest");
+    let copy = |name: &str| {
+        let ckpt = dir.join(name);
+        std::fs::create_dir_all(&ckpt).expect("checkpoint dir");
+        write(&ckpt, "checkpoint.dgcp", &manifest);
+        ckpt.to_str().unwrap().to_string()
+    };
+
+    let other = copy("other");
+    let out = dgrace(&["detect", "dynamic", &longer, "--json", "--resume", &other]);
+    assert_rejected(
+        &out,
+        5,
+        "checkpoint covers a trace of 206 events, this trace has 208",
+    );
+    assert!(Path::new(&other).join("checkpoint.dgcp").exists());
+
+    let resume = |input: &str, ckpt: &str| {
+        let args = ["detect", "dynamic", input, "--json", "--resume", ckpt];
+        let out = if input == "/dev/stdin" {
+            dgrace_piped(&args, &bytes)
+        } else {
+            dgrace(&args)
+        };
+        assert_eq!(out.status.code(), Some(0), "{input}: {}", stderr(&out));
+        assert_eq!(stderr(&out), "", "{input}");
+        out.stdout
+    };
+    let from_file = resume(&this, &copy("from-file"));
+    assert!(!from_file.is_empty());
+    assert_eq!(resume("/dev/stdin", &copy("from-pipe")), from_file);
 }

@@ -57,7 +57,10 @@ pub struct CheckpointManifest {
     /// Name of the detector prototype the snapshot belongs to; a resume
     /// under a different detector configuration is rejected.
     pub detector: String,
-    /// Event count of the trace the checkpointed run was processing.
+    /// Event count of the trace the checkpointed run was processing, as
+    /// its source reported it before the first event: a `.dgrt` file's
+    /// header count (under resync an upper bound on what decodes), and
+    /// for a live session, which has no known end, the events covered.
     pub trace_len: u64,
     /// Index of the first trace event **not** covered by the checkpoint;
     /// a resumed run continues here.

@@ -74,10 +74,8 @@ pub struct RunPlan<'a> {
     /// the prototype's granularity (see `AnalysisSummary::prune_set`).
     pub prune: PruneSet,
     /// Where and how often to persist a [`CheckpointManifest`]. A
-    /// manifest records the source's length; one of unknown length
-    /// records the events covered so far, as a live session does, which
-    /// a resume of the whole trace then refuses — so checkpoint a source
-    /// that knows its length.
+    /// manifest records the source's length, as
+    /// [`EventSource::remaining`] gives it before the first block.
     pub checkpoint: Option<&'a CheckpointOptions>,
     /// A previously loaded manifest to continue from, written by either
     /// transport. Restoring it overwrites the router wholesale with its
@@ -108,7 +106,7 @@ pub fn replay<D: ShardableDetector + ?Sized>(
     let det_name = prototype.name();
     let engine = Engine::build(mint(prototype, plan.shards), false, plan.prune.clone());
     let start = match plan.resume {
-        Some(m) => resume_from(&engine, m, &det_name, source.remaining())?,
+        Some(m) => resume_from(&engine, m, &det_name, Some(source.remaining()))?,
         None => 0,
     };
     if let Some(c) = plan.checkpoint {
@@ -152,10 +150,9 @@ pub fn replay_pipelined<D: ShardableDetector + ?Sized>(
 }
 
 /// Checks that a manifest matches the run it is resumed into (same
-/// detector, same shard count, same trace — a live stream, or a source
-/// nobody counted, passes `len: None`, its length being unknown) and
-/// restores it, returning the offset of the first event the checkpoint
-/// does not cover. Both
+/// detector, same shard count, same trace — a live stream passes
+/// `len: None`, its length being unknown) and restores it, returning the
+/// offset of the first event the checkpoint does not cover. Both
 /// transports and the live session go through this one check, so they
 /// reject the same mismatches — and therefore accept each other's
 /// checkpoints.
@@ -210,7 +207,7 @@ fn walk(
     mut source: impl EventSource,
     plan: &RunPlan<'_>,
 ) -> Result<Report, ReplayError> {
-    let mut driver = Driver::new(lanes, det_name, start, source.remaining());
+    let mut driver = Driver::new(lanes, det_name, start, Some(source.remaining()));
     driver.cadence = plan.checkpoint.map(|opts| Cadence {
         opts,
         since: 0,
@@ -400,9 +397,8 @@ pub enum ReplayError {
     /// detector, shard count, or trace).
     Mismatch(String),
     /// The event source failed part way through the walk: it could not
-    /// be read or decoded, or no longer holds what an earlier pass
-    /// counted. The error is the source's own, so the caller can render
-    /// it as it renders any other decode failure.
+    /// be read or decoded. The error is the source's own, so the caller
+    /// can render it as it renders any other decode failure.
     Source(TraceError),
 }
 

@@ -122,8 +122,7 @@ impl Input {
             ),
             Some(block) => {
                 let reader = EventReader::new(&self.bytes[..]).expect("header");
-                let len = self.trace.len() as u64;
-                let inner = BlockReader::with_block_events(reader, block).expecting(len);
+                let inner = BlockReader::with_block_events(reader, block);
                 replay(
                     &proto,
                     Cut {
@@ -145,7 +144,7 @@ struct Cut<S> {
 }
 
 impl<S: EventSource> EventSource for Cut<S> {
-    fn remaining(&self) -> Option<u64> {
+    fn remaining(&self) -> u64 {
         self.inner.remaining()
     }
     fn next_block(&mut self) -> Result<&[Event], TraceError> {
@@ -399,7 +398,7 @@ struct Watched<'a> {
 }
 
 impl EventSource for &mut Watched<'_> {
-    fn remaining(&self) -> Option<u64> {
+    fn remaining(&self) -> u64 {
         self.inner.remaining()
     }
     fn next_block(&mut self) -> Result<&[Event], TraceError> {

@@ -154,16 +154,6 @@ pub enum TraceError {
         /// The checksum recomputed over the payload.
         actual: u32,
     },
-    /// A stream read a second time did not yield the events it was
-    /// counted to hold the first time: the file changed in between. Only
-    /// a [`BlockReader`] told the count of an earlier pass
-    /// ([`BlockReader::expecting`]) can tell.
-    Changed {
-        /// Events the first pass counted.
-        expected: u64,
-        /// Events the second pass decoded before it could tell.
-        decoded: u64,
-    },
 }
 
 impl TraceError {
@@ -238,10 +228,6 @@ impl std::fmt::Display for TraceError {
                 f,
                 "checksum mismatch: stored {expected:#010x}, computed {actual:#010x} \
                  (bit rot or a torn copy)"
-            ),
-            TraceError::Changed { expected, decoded } => write!(
-                f,
-                "trace changed while reading: {expected} event(s) counted, then {decoded} decoded"
             ),
         }
     }
@@ -851,8 +837,7 @@ pub const BLOCK_EVENTS: usize = 8192;
 /// keeps the tally a detection run reports at the end — event count,
 /// thread count, [`DecodeStats`], the schedule's first defect and, when
 /// asked for, the content [`Fingerprint`] — so one pass over the stream
-/// both feeds a detector and checks it ([`finish`](Self::finish)). A
-/// scan is the same reader [`drain`](Self::drain)ed with no detector.
+/// both feeds a detector and checks it ([`finish`](Self::finish)).
 ///
 /// An invalid event ends what is handed out, unless the reader resyncs
 /// (where a lossy recovery may break well-formedness and detectors
@@ -860,19 +845,15 @@ pub const BLOCK_EVENTS: usize = 8192;
 /// stream is decoded without being handed out, so that a decode error
 /// anywhere in it still wins over the validation error before it.
 ///
-/// A stream learns its own length only by being read — the header's
-/// declared count is an upper bound under resync — so the length is
-/// unknown unless an earlier pass counted the stream
-/// ([`expecting`](Self::expecting)).
+/// Its length is the header's declared count: exact, since a stream that
+/// decodes to any other count fails, except under resync, where it is an
+/// upper bound.
 pub struct BlockReader<R> {
     reader: EventReader<R>,
     block: Vec<Event>,
     block_events: usize,
-    /// Events an earlier pass counted, when one did.
-    expected: Option<u64>,
-    /// What the blocks read so far showed; `None` when an earlier pass
-    /// took the tally.
-    tally: Option<Tally>,
+    /// What the blocks read so far showed.
+    tally: Tally,
 }
 
 /// What a [`BlockReader`] learns about a stream by reading it.
@@ -897,7 +878,8 @@ impl Tally {
     }
 }
 
-/// What a [`BlockReader`] read to its end knows about the stream.
+/// What a [`BlockReader`] read to its end knows about the stream: what
+/// a run reports, and checks, once its one pass is over.
 #[derive(Debug)]
 pub struct TraceFacts {
     /// Events the stream decoded to (under resync, what survived).
@@ -926,71 +908,49 @@ impl<R: io::Read> BlockReader<R> {
             reader,
             block: Vec::new(),
             block_events: block_events.max(1),
-            expected: None,
-            tally: Some(Tally {
+            tally: Tally {
                 validator: Validator::new(),
                 valid: Ok(()),
                 max_tid: None,
                 fingerprint: None,
-            }),
+            },
         }
     }
 
     /// Also fingerprints the stream, for [`TraceFacts::fingerprint`].
     pub fn fingerprinted(mut self) -> Self {
-        if let Some(t) = self.tally.as_mut() {
-            t.fingerprint = Some(Fingerprint::new());
-        }
+        self.tally.fingerprint = Some(Fingerprint::new());
         self
     }
 
-    /// A stream an earlier pass read to its end and counted `events` in:
-    /// its length is known, and the tally is that pass's, so this one
-    /// takes none. A stream that now yields a different number of
-    /// events changed in between and fails with [`TraceError::Changed`].
-    pub fn expecting(mut self, events: u64) -> Self {
-        self.expected = Some(events);
-        self.tally = None;
-        self
-    }
-
-    /// Reads the stream to its end with no one to hand it to: a scan.
+    /// Reads what is left of the stream with no one to hand it to.
     pub fn drain(&mut self) -> Result<(), TraceError> {
         while !self.next_block()?.is_empty() {}
         Ok(())
     }
 
-    /// The tally, once the stream has been read to its end; `None` for a
-    /// reader [`expecting`](Self::expecting) a count (the earlier pass
-    /// holds it).
-    pub fn finish(self) -> Option<TraceFacts> {
-        let dstats = self.reader.stats();
-        self.tally.map(|t| TraceFacts {
+    /// The tally, once the stream has been read to its end.
+    pub fn finish(self) -> TraceFacts {
+        let (dstats, t) = (self.reader.stats(), self.tally);
+        TraceFacts {
             events: dstats.decoded,
             threads: t.max_tid.map_or(0, |t| t.index() + 1),
             dstats,
             fingerprint: t.fingerprint.map(Fingerprint::finish),
             valid: t.valid,
-        })
+        }
     }
 }
 
 impl<R: io::Read> EventSource for BlockReader<R> {
-    fn remaining(&self) -> Option<u64> {
-        self.expected.map(|e| e.saturating_sub(self.reader.decoded))
+    fn remaining(&self) -> u64 {
+        self.reader.remaining()
     }
 
     fn next_block(&mut self) -> Result<&[Event], TraceError> {
         self.block.clear();
-        let n = self.reader.read_block(&mut self.block, self.block_events)?;
-        let decoded = self.reader.decoded;
-        if let Some(expected) = self.expected {
-            if decoded > expected || (n == 0 && decoded < expected) {
-                return Err(TraceError::Changed { expected, decoded });
-            }
-        }
-        let valid = self.tally.as_mut().is_none_or(|t| t.take(&self.block));
-        if !valid && !self.reader.resync {
+        self.reader.read_block(&mut self.block, self.block_events)?;
+        if !self.tally.take(&self.block) && !self.reader.resync {
             self.block.clear();
             while self.reader.read_block(&mut self.block, self.block_events)? > 0 {
                 self.block.clear();
@@ -1434,51 +1394,16 @@ mod tests {
         let bytes = to_bytes(&t);
         let reader = EventReader::new(&bytes[..]).unwrap();
         let mut source = BlockReader::with_block_events(reader, 3).fingerprinted();
-        assert_eq!(source.remaining(), None, "a stream nobody counted");
+        assert_eq!(source.remaining(), t.len() as u64, "the header's count");
         let blocks = drained(&mut source).unwrap();
         assert_eq!(blocks.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3, 2]);
         assert_eq!(blocks.concat(), t.events);
-        let facts = source.finish().expect("a tallying reader");
+        let facts = source.finish();
         assert_eq!(facts.events, t.len() as u64);
         assert_eq!(facts.threads, t.thread_count());
         assert_eq!(facts.dstats.decoded, t.len() as u64);
         assert_eq!(facts.fingerprint, Some(crate::trace_fingerprint(&t)));
         assert!(facts.valid.is_ok());
-    }
-
-    #[test]
-    fn block_reader_expecting_a_count_knows_its_length_and_rejects_a_changed_stream() {
-        let t = sample();
-        let bytes = to_bytes(&t);
-        let counted = |expected: u64| {
-            let reader = EventReader::new(&bytes[..]).unwrap();
-            BlockReader::with_block_events(reader, 3).expecting(expected)
-        };
-        let mut source = counted(t.len() as u64);
-        for left in [8, 5, 2, 0] {
-            assert_eq!(source.remaining(), Some(left));
-            source.next_block().unwrap();
-        }
-        assert!(
-            source.finish().is_none(),
-            "the counting pass holds the tally"
-        );
-        // Grown: caught by the block that runs past the count.
-        assert!(matches!(
-            drained(&mut counted(4)),
-            Err(TraceError::Changed {
-                expected: 4,
-                decoded: 6
-            })
-        ));
-        // Shrunk: caught where the stream ends early.
-        assert!(matches!(
-            drained(&mut counted(9)),
-            Err(TraceError::Changed {
-                expected: 9,
-                decoded: 8
-            })
-        ));
     }
 
     /// `sample()` with event 2 made a release of a lock nobody holds.
@@ -1498,7 +1423,7 @@ mod tests {
         let mut source = BlockReader::with_block_events(reader, 2);
         let blocks = drained(&mut source).unwrap();
         assert_eq!(blocks.concat(), &sample().events[..2]);
-        let facts = source.finish().unwrap();
+        let facts = source.finish();
         assert_eq!(facts.events, 8, "the rest is still decoded");
         assert!(matches!(
             facts.valid,
@@ -1526,16 +1451,16 @@ mod tests {
         let reader = EventReader::with_options(&bytes[..], opts).unwrap();
         let mut source = BlockReader::with_block_events(reader, 2);
         assert_eq!(drained(&mut source).unwrap().concat().len(), 8);
-        assert!(source.finish().unwrap().valid.is_err());
+        assert!(source.finish().valid.is_err());
     }
 
     #[test]
     fn a_trace_in_memory_is_a_one_block_source() {
         let t = sample();
         let mut source = &t;
-        assert_eq!(EventSource::remaining(&source), Some(t.len() as u64));
+        assert_eq!(EventSource::remaining(&source), t.len() as u64);
         assert_eq!(source.next_block().unwrap(), &t.events[..]);
-        assert_eq!(EventSource::remaining(&source), Some(0));
+        assert_eq!(EventSource::remaining(&source), 0);
         assert!(source.next_block().unwrap().is_empty());
     }
 

@@ -123,18 +123,19 @@ impl Trace {
 /// [`BlockReader`] decoding a `.dgrt` stream (a reused block of a few
 /// thousand events, so the trace is never held whole).
 pub trait EventSource {
-    /// Events still to come, when known: a trace in memory knows its
-    /// length, a stream only when an earlier pass counted it. Before the
-    /// first block, the length of the whole trace.
-    fn remaining(&self) -> Option<u64>;
+    /// Events still to come: a trace in memory knows its length, a
+    /// stream takes it from its header (an upper bound under resync,
+    /// exact otherwise, since a stream that decodes to any other count
+    /// fails). Before the first block, the length of the whole trace.
+    fn remaining(&self) -> u64;
 
     /// The next events in trace order; an empty block ends the trace.
     fn next_block(&mut self) -> Result<&[Event], TraceError>;
 }
 
 impl EventSource for &Trace {
-    fn remaining(&self) -> Option<u64> {
-        Some(self.events.len() as u64)
+    fn remaining(&self) -> u64 {
+        self.events.len() as u64
     }
 
     fn next_block(&mut self) -> Result<&[Event], TraceError> {
@@ -146,7 +147,7 @@ impl EventSource for &Trace {
 /// A source lent to a run, so that its owner can read what the source
 /// learned ([`BlockReader::finish`]) once the run is over.
 impl<S: EventSource + ?Sized> EventSource for &mut S {
-    fn remaining(&self) -> Option<u64> {
+    fn remaining(&self) -> u64 {
         (**self).remaining()
     }
 
